@@ -739,7 +739,7 @@ func BenchmarkMiddlewarePipelined(b *testing.B) {
 	})
 	b.Run("slow-server/pipelined", func(b *testing.B) {
 		engine := mkEngine()
-		pipe := scheduler.NewPipeline(engine)
+		engine.StartExecutors()
 		ta := int64(1)
 		completed := 0
 		collect := func(c scheduler.Completion) {
@@ -752,13 +752,13 @@ func BenchmarkMiddlewarePipelined(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			feed(engine, &ta)
-			if _, err := pipe.Round(collect); err != nil {
+			if _, err := engine.RoundDeferred(collect); err != nil {
 				b.Fatal(err)
 			}
 		}
 		// The last in-flight batches are part of the measured work.
-		pipe.Stop()
-		for c := range pipe.Completions() {
+		engine.StopExecutors()
+		for c := range engine.Completions() {
 			collect(c)
 		}
 		b.StopTimer()

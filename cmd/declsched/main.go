@@ -103,40 +103,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := scheduler.Config{
-		Protocol:    proto,
-		Server:      srv,
-		Mode:        mode,
-		KeepLog:     *check,
-		Parallelism: *parallel,
+	engine, err := scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
+		Base: scheduler.Config{
+			Server:      srv,
+			Mode:        mode,
+			KeepLog:     *check,
+			Parallelism: *parallel,
+		},
+		Partitions: *partitions,
+		Factory:    mkProto,
+		Rebalance: scheduler.RebalanceConfig{
+			Slots:   *slots,
+			Trigger: *rebalance,
+			Every:   *rebalanceEvery,
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	var mw *scheduler.Middleware
-	var engine *scheduler.Engine
-	var parted *scheduler.PartitionedEngine
-	if *partitions > 1 {
-		var err error
-		parted, err = scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
-			Base:       base,
-			Partitions: *partitions,
-			Factory:    mkProto,
-			Rebalance: scheduler.RebalanceConfig{
-				Slots:   *slots,
-				Trigger: *rebalance,
-				Every:   *rebalanceEvery,
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mw = scheduler.NewPartitionedMiddleware(parted, trig, metrics.NewCollector())
-	} else {
-		var err error
-		engine, err = scheduler.NewEngine(base)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mw = scheduler.NewMiddleware(engine, trig, metrics.NewCollector())
-	}
+	mw := scheduler.NewMiddleware(engine, trig, metrics.NewCollector())
 	mw.SetSynchronous(*syncRounds)
 	mw.Start()
 
@@ -190,9 +175,9 @@ func main() {
 		fmt.Printf("exec leg (overlap)   batches=%d mean=%s max=%s\n",
 			ex.Count(), time.Duration(ex.Mean()), time.Duration(ex.Max()))
 	}
-	if parted != nil {
+	if shards := mw.Collector().PartitionSummaries(); len(shards) > 0 {
 		fmt.Printf("cross-partition txns %d\n", sum.Cross)
-		for _, ps := range mw.Collector().PartitionSummaries() {
+		for _, ps := range shards {
 			fmt.Printf("  %s\n", ps)
 		}
 	}
@@ -201,13 +186,7 @@ func main() {
 	}
 
 	if *check {
-		var schedule []request.Request
-		if parted != nil {
-			schedule = parted.MergedLog()
-		} else {
-			schedule = engine.History().Log()
-		}
-		if err := protocol.CheckSerializable(schedule); err != nil {
+		if err := protocol.CheckSerializable(engine.MergedLog()); err != nil {
 			log.Fatalf("serializability check FAILED: %v", err)
 		}
 		fmt.Println("serializability      OK (conflict graph acyclic)")

@@ -78,38 +78,27 @@ func main() {
 		log.Fatal(err)
 	}
 	trig := scheduler.HybridTrigger{Level: *fill, Every: *every}
-	base := scheduler.Config{
-		Protocol:           proto,
-		Server:             srv,
-		MaxQueued:          *maxQueued,
-		MaxInflightPerConn: *maxInflight,
-		ShedLatencyBudget:  *shedBudget,
-		ResubmitWindow:     *resubmitWindow,
-		StarveAfter:        *starveAfter,
+	engine, err := scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
+		Base: scheduler.Config{
+			Server:             srv,
+			MaxQueued:          *maxQueued,
+			MaxInflightPerConn: *maxInflight,
+			ShedLatencyBudget:  *shedBudget,
+			ResubmitWindow:     *resubmitWindow,
+			StarveAfter:        *starveAfter,
+		},
+		Partitions: *partitions,
+		Factory:    mkProto,
+		Rebalance: scheduler.RebalanceConfig{
+			Slots:   *slots,
+			Trigger: *rebalance,
+			Every:   *rebalanceEvery,
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	var mw *scheduler.Middleware
-	if *partitions > 1 {
-		parted, err := scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
-			Base:       base,
-			Partitions: *partitions,
-			Factory:    mkProto,
-			Rebalance: scheduler.RebalanceConfig{
-				Slots:   *slots,
-				Trigger: *rebalance,
-				Every:   *rebalanceEvery,
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mw = scheduler.NewPartitionedMiddleware(parted, trig, metrics.NewCollector())
-	} else {
-		engine, err := scheduler.NewEngine(base)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mw = scheduler.NewMiddleware(engine, trig, metrics.NewCollector())
-	}
+	mw := scheduler.NewMiddleware(engine, trig, metrics.NewCollector())
 	mw.SetSynchronous(*syncRounds)
 	mw.Start()
 	s, err := netproto.ListenOpts(*addr, mw, netproto.Options{

@@ -42,8 +42,10 @@
 // qualification reads, so server execution is deferred to an executor
 // goroutine and overlaps the next qualification. Clients still see one
 // synchronous Submit per request; deadlock and starvation victims are
-// notified at scheduling time. The fully serialized loop remains available
-// as the property-tested oracle (scheduler.Middleware.SetSynchronous).
+// notified at scheduling time. There is one round loop (scheduler.Engine):
+// the same schedule with its plans executed inline is the synchronous mode,
+// the property tests' oracle (scheduler.Middleware.SetSynchronous), and a
+// partitioned scheduler is the same engine built with more than one shard.
 package repro
 
 import (

@@ -47,7 +47,7 @@ type PartitionSkewPoint struct {
 
 // PartitionSkew sweeps partition counts under a uniform workload, a hot-key
 // workload on the static slot table, and the same hot-key workload with the
-// online rebalancer enabled, all through the partitioned middleware (closed
+// online rebalancer enabled, all through the middleware (closed
 // loop, with retries).
 func PartitionSkew(partitions []int, clients int) ([]PartitionSkewPoint, error) {
 	base := workload.Config{
@@ -97,7 +97,7 @@ func PartitionSkew(partitions []int, clients int) ([]PartitionSkewPoint, error) 
 				return nil, err
 			}
 			col := metrics.NewCollector()
-			m := scheduler.NewPartitionedMiddleware(pe, scheduler.HybridTrigger{Level: clients / 2, Every: time.Millisecond}, col)
+			m := scheduler.NewMiddleware(pe, scheduler.HybridTrigger{Level: clients / 2, Every: time.Millisecond}, col)
 			m.Start()
 			gen, err := workload.NewGenerator(wl.cfg)
 			if err != nil {

@@ -153,11 +153,11 @@ type RoundStats struct {
 	// Partition identifies which round loop produced this record under the
 	// partitioned scheduler: a shard index for per-shard records (recorded
 	// via AddPartitionRound), MergedPartition for the merged per-round
-	// record. Single-loop records leave it zero.
+	// record. One-shard records leave it zero.
 	Partition int
 	// Cross counts the cross-partition terminations committed this round
 	// (terminations sequenced to more than one shard). Always zero on a
-	// single loop.
+	// one-shard engine.
 	Cross int
 }
 
@@ -182,7 +182,7 @@ type Collector struct {
 	startedAt time.Time
 
 	// load is the partitioned scheduler's latest rebalancer report (zero
-	// until RecordLoad is first called — single-loop runs and runs with the
+	// until RecordLoad is first called — one-shard runs and runs with the
 	// rebalancer disabled never record one).
 	load LoadSnapshot
 }
@@ -283,7 +283,7 @@ type Summary struct {
 	MeanRoundDuration time.Duration
 	TotalRoundTime    time.Duration
 	// Cross totals the cross-partition terminations committed (0 on a
-	// single loop).
+	// one-shard engine).
 	Cross int64
 	// Strategies counts rounds per reported evaluation strategy (rounds
 	// without a reported strategy are not counted).
@@ -332,7 +332,7 @@ type Snapshot struct {
 	Exec    HistogramSnapshot // per-batch server execution time (ns)
 	// Load is the latest rebalancer load report (zero Shards when none was
 	// recorded); QualifiedImbalance is the max/mean ratio of per-shard
-	// qualified totals over the whole run (0 on single-loop runs).
+	// qualified totals over the whole run (0 on one-shard runs).
 	Load               LoadSnapshot
 	QualifiedImbalance float64
 }
@@ -419,7 +419,7 @@ type PartitionSummary struct {
 }
 
 // PartitionSummaries aggregates the per-shard records, sorted by partition
-// index. Empty when AddPartitionRound was never called (single-loop runs).
+// index. Empty when AddPartitionRound was never called (one-shard runs).
 func (c *Collector) PartitionSummaries() []PartitionSummary {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -101,7 +101,7 @@ func TestRejectedRequestLeavesNoTrace(t *testing.T) {
 
 			// No trace in pending or history.
 			mw.Stop()
-			for _, r := range engine.pending.Live() {
+			for _, r := range engine.Shard(0).pending.Live() {
 				if _, ok := rejectedTAs.Load(r.TA); ok {
 					t.Errorf("rejected ta %d found in pending store", r.TA)
 				}

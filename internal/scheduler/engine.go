@@ -12,13 +12,32 @@
 // execute — over the indexed stores of internal/store. Everything the next
 // round's qualification depends on (pending membership, history membership,
 // the change log the incremental protocols consume) is settled by the commit
-// stage; the execute stage only performs server I/O. The synchronous Engine
-// runs all five back to back; Pipeline overlaps round N's execute with round
-// N+1's qualification (see pipeline.go).
+// stage; the execute stage only performs server I/O.
+//
+// There is one round loop. An Engine holds N shards (shard.go) — N = 1
+// unless the caller partitions — each with its own protocol instance,
+// stores and stage functions, and Engine.schedule is the one function that
+// sequences the stages over them. Everything that exists only because there
+// is more than one shard (routing by object, cross-partition termination
+// agreement, replica copies, the merged relations of global deadlock
+// detection, shard goroutines, load accounting, per-shard metric records;
+// see partition.go) is skipped when the engine has one shard: the engine
+// looks at len(shards), no option selects it. Execution has two modes over
+// the same schedule: Round runs the shards' plans inline in shard order (the
+// synchronous mode — the oracle of the property tests — which at one shard
+// is the five stages back to back on one goroutine), RoundDeferred hands
+// them to per-shard executor goroutines so round N's execute overlaps round
+// N+1's qualification (executor.go). Middleware is the concurrent front end
+// over either mode.
 package scheduler
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -43,7 +62,7 @@ const (
 	PassThrough
 )
 
-// Config parameterises an Engine.
+// Config parameterises an Engine (the settings shared by all its shards).
 type Config struct {
 	Protocol protocol.Protocol
 	Server   *storage.Server
@@ -127,257 +146,443 @@ type RoundResult struct {
 	Stats   metrics.RoundStats
 }
 
-// Engine is the synchronous core of the scheduler: an incoming queue, the
-// pending-request store, the history database and the protocol. It is not
-// safe for concurrent use; Middleware adds the concurrent client front-end.
-type Engine struct {
-	cfg     Config
-	hist    *store.History
-	pending *store.Pending
-	queue   []request.Request
-	rounds  int
-	nextID  int64
-
-	starveAfter   int
-	lastQualified []request.Request
-	progressed    map[int64]bool // per-round scratch for the waiting-age clocks
-
-	// replicas marks pending keys that are replica copies of cross-partition
-	// terminations (partition.go): they qualify and enter history here so
-	// this shard's locks release, but the home shard owns their execution.
-	// nil on a standalone engine.
-	replicas map[request.Key]bool
+// PartitionedConfig parameterises an Engine with more than the defaults of
+// NewEngine: a shard count, a per-shard protocol factory and the rebalancer.
+type PartitionedConfig struct {
+	// Base carries the shared engine settings (server, mode, GC, log,
+	// MaxBatch, parallelism, starvation bound). Base.Protocol is ignored —
+	// each shard owns the instance Factory builds for it.
+	Base Config
+	// Partitions is the round-loop count (1..MaxPartitions).
+	Partitions int
+	// Factory builds one protocol instance per shard. Required in
+	// Scheduling mode; the protocol must claim per-object decomposability
+	// (protocol.ObjectDecomposable) when Partitions > 1 — cross-object
+	// protocols (SLA priority, wound-wait) cannot shard by object.
+	Factory func() protocol.Protocol
+	// Rebalance configures the slot directory and the online rebalancer
+	// (rebalance.go). The zero value routes by a static slot table
+	// (DefaultSlots slots, no automatic moves) — forced moves via
+	// ForceRebalance still apply.
+	Rebalance RebalanceConfig
 }
 
-// NewEngine validates the config and creates an engine.
+// MaxPartitions bounds the partition count: shard sets are one bitmask word.
+const MaxPartitions = 64
+
+// Engine is the staged round loop: N shards, the slot directory that routes
+// objects to them, and the sequencer that runs the stages of a round over
+// them in lockstep. Enqueue is safe for concurrent use (per-shard admission
+// queues); Round, RoundDeferred and the inspection methods must stay on one
+// goroutine. Middleware adds the concurrent client front-end.
+type Engine struct {
+	cfg      Config
+	part     *store.Directory
+	shards   []*shard
+	affinity *store.Affinity
+
+	// reb holds the rebalancer's load accounting and policy (nil when the
+	// automatic rebalancer is disabled); forced carries externally queued
+	// slot moves, applied at the start of the next round.
+	reb      *rebalancer
+	forcedMu sync.Mutex
+	forced   []store.SlotMove
+	// inflight counts executor plans submitted but not yet executed; slot
+	// migration quiesces on it before moving history rows between shards.
+	inflight atomic.Int64
+
+	nextID atomic.Int64
+	queued atomic.Int64
+
+	// cross tracks in-flight cross-partition terminations — how many shard
+	// copies were admitted; one commits only when that many copies qualify
+	// in the same super-round. Enqueue adds under crossMu, the sequencer
+	// settles and deletes.
+	crossMu sync.Mutex
+	cross   map[request.Key]int
+
+	rounds      int
+	starveAfter int
+
+	// Per-round scratch, reused across rounds. commitMask is the set of
+	// shards with a stage-4 share this round: the active ones plus those a
+	// victim's abort or a late termination copy reaches.
+	active       []int
+	commitMask   uint64
+	commitShards []int
+	shardStats   []metrics.RoundStats
+	progressed   map[int64]bool
+	present      map[request.Key]uint64
+	commitWrites map[int64]int
+
+	// Deferred execution (per-shard executors), started on demand.
+	execOnce sync.Once
+	done     chan Completion
+	stopOnce sync.Once
+
+	fatalMu sync.Mutex
+	fatal   error
+}
+
+// PartitionedEngine is the Engine: a partitioned scheduler is an engine
+// built with more than one shard.
+type PartitionedEngine = Engine
+
+// NewEngine validates the config and creates a one-shard engine around
+// cfg.Protocol.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Server == nil {
+	pc := PartitionedConfig{Base: cfg, Partitions: 1}
+	if cfg.Protocol != nil {
+		pc.Factory = func() protocol.Protocol { return cfg.Protocol }
+	}
+	return NewPartitionedEngine(pc)
+}
+
+// NewPartitionedEngine validates the config and builds the engine and its
+// shards.
+func NewPartitionedEngine(cfg PartitionedConfig) (*Engine, error) {
+	if cfg.Base.Server == nil {
 		return nil, fmt.Errorf("scheduler: config needs a server")
 	}
-	if cfg.Mode == Scheduling && cfg.Protocol == nil {
+	if cfg.Partitions < 1 || cfg.Partitions > MaxPartitions {
+		return nil, fmt.Errorf("scheduler: partitions must be in [1,%d], got %d", MaxPartitions, cfg.Partitions)
+	}
+	if cfg.Base.Mode == Scheduling && cfg.Factory == nil {
 		return nil, fmt.Errorf("scheduler: scheduling mode needs a protocol")
 	}
-	if cfg.Parallelism != 0 {
-		if pp, ok := cfg.Protocol.(protocol.Parallelizable); ok {
-			pp.SetParallelism(cfg.Parallelism) // < 0 selects GOMAXPROCS
-		}
-	}
-	starve := cfg.StarveAfter
+	starve := cfg.Base.StarveAfter
 	if starve == 0 {
 		starve = DefaultStarveAfter
 	}
-	return &Engine{
-		cfg:         cfg,
-		hist:        store.NewHistory(cfg.KeepLog),
-		pending:     store.NewPending(),
-		nextID:      1,
+	e := &Engine{
+		cfg:         cfg.Base,
+		part:        store.NewDirectory(cfg.Rebalance.Slots, cfg.Partitions),
+		affinity:    store.NewAffinity(),
+		cross:       make(map[request.Key]int),
 		starveAfter: starve,
-	}, nil
-}
-
-// History exposes the history store (experiments inspect it).
-func (e *Engine) History() *store.History { return e.hist }
-
-// PendingLen returns the pending-store size (requests admitted but not yet
-// qualified).
-func (e *Engine) PendingLen() int { return e.pending.Len() }
-
-// QueueLen returns the incoming-queue size.
-func (e *Engine) QueueLen() int { return len(e.queue) }
-
-// Enqueue buffers requests in the incoming queue, assigning consecutive IDs
-// (the paper's consecutive request number) and arrival stamps.
-func (e *Engine) Enqueue(rs ...request.Request) {
-	for _, r := range rs {
-		r.ID = e.nextID
-		e.nextID++
-		r.Arrival = r.ID
-		e.queue = append(e.queue, r)
 	}
+	for i := 0; i < cfg.Partitions; i++ {
+		sh := &shard{eng: e, idx: i, hist: store.NewHistory(cfg.Base.KeepLog), pending: store.NewPending()}
+		if cfg.Factory != nil {
+			sh.proto = cfg.Factory()
+			if cfg.Partitions > 1 && !protocol.IsObjectDecomposable(sh.proto) {
+				return nil, fmt.Errorf("scheduler: protocol %s does not factor by object and cannot run partitioned (partitions=%d)",
+					sh.proto.Name(), cfg.Partitions)
+			}
+			if pp, ok := sh.proto.(protocol.Parallelizable); ok && cfg.Base.Parallelism != 0 {
+				pp.SetParallelism(cfg.Base.Parallelism) // < 0 selects GOMAXPROCS
+			}
+		}
+		e.shards = append(e.shards, sh)
+	}
+	if cfg.Rebalance.Trigger > 0 && cfg.Partitions > 1 {
+		e.reb = newRebalancer(cfg.Rebalance, e.part.Slots(), cfg.Partitions)
+	}
+	return e, nil
 }
 
-// execStep is one unit of deferred server work: optional write compensations
-// (a victim's rollback) followed by one scheduled request. Victim abort
-// records carry waiter == false — no client is waiting on them.
-type execStep struct {
-	req    request.Request
-	undo   []int64 // objects whose executed writes are compensated first
-	victim bool
-	// noServer skips the server call (but not the compensations): a victim
-	// abort record replicated to a non-home shard compensates that shard's
-	// executed writes, while the home shard performs the abort itself.
-	noServer bool
-	// expectWrites arms the durable journal's commit gate for a commit
-	// step: how many writes the transaction has in (global) history, i.e.
-	// how many write records must be journaled before its commit record
-	// may be. Zero when volatile, for non-commit steps, and for writeless
-	// commits.
-	expectWrites int
+// Partitions returns the shard count.
+func (e *Engine) Partitions() int { return len(e.shards) }
+
+// Directory exposes the slot directory (tests, experiments, metrics).
+// Routing reads are safe for concurrent use; Apply is the round loop's.
+func (e *Engine) Directory() *store.Directory { return e.part }
+
+// Shard exposes one shard for inspection (tests, experiments).
+func (e *Engine) Shard(i int) *shard { return e.shards[i] }
+
+// History exposes the history store of shard 0 — the whole history of a
+// one-shard engine (experiments and tests inspect it; MergedLog is the
+// execution log at any shard count).
+func (e *Engine) History() *store.History { return e.shards[0].hist }
+
+// Rounds returns how many rounds have run.
+func (e *Engine) Rounds() int { return e.rounds }
+
+// QueueLen returns the total queued admission operations across shards
+// (the trigger's fill-level input). Safe for concurrent use.
+func (e *Engine) QueueLen() int { return int(e.queued.Load()) }
+
+// PendingLen returns the pending-store size summed over the shards (requests
+// admitted but not yet qualified). Round-loop goroutine only.
+func (e *Engine) PendingLen() int {
+	n := 0
+	for _, sh := range e.shards {
+		n += sh.pending.Len()
+	}
+	return n
 }
 
-// execPlan is the server work of one round, in execution order. The plan is
-// self-contained (it copies nothing from the stores), so the execute stage
-// can run while later rounds mutate scheduler state.
-type execPlan struct {
-	round int
-	steps []execStep
+// RTE returns the paper's ready-to-execute table for the last round: the
+// qualified requests as a relation over the Table 2 schema (empty before the
+// first round).
+func (e *Engine) RTE() *relation.Relation {
+	var qualified []request.Request
+	for _, sh := range e.shards {
+		qualified = append(qualified, sh.lastQualified...)
+	}
+	return request.ToRelation(qualified)
 }
 
-// Round runs one complete scheduling round synchronously: admit the queue
-// into the pending store, qualify, resolve victims, commit the bookkeeping
-// and execute the batch on the server.
+// ShardStats returns the per-shard round records of the last round of a
+// multi-shard engine (shards that were idle have no record; a one-shard
+// engine's round record is RoundResult.Stats itself). The slice is reused
+// next round.
+func (e *Engine) ShardStats() []metrics.RoundStats { return e.shardStats }
+
+// Enqueue buffers requests in the admission queues, assigning globally
+// consecutive IDs (the paper's consecutive request number) and arrival
+// stamps. Safe for concurrent use by many client workers. With more than one
+// shard each request is routed to the shard owning its object (partition.go).
+func (e *Engine) Enqueue(rs ...request.Request) {
+	if len(e.shards) > 1 {
+		for _, r := range rs {
+			r.ID = e.nextID.Add(1)
+			r.Arrival = r.ID
+			e.route(r)
+		}
+		return
+	}
+	q := &e.shards[0].queue
+	q.mu.Lock()
+	for _, r := range rs {
+		r.ID = e.nextID.Add(1)
+		r.Arrival = r.ID
+		q.ops = append(q.ops, shardOp{req: r})
+	}
+	q.mu.Unlock()
+	e.queued.Add(int64(len(rs)))
+}
+
+// Round runs one complete scheduling round synchronously: schedule (admit,
+// qualify, resolve, commit) and execute each shard's plan inline, in shard
+// order — the deterministic oracle-comparable mode; RoundDeferred runs the
+// plans on the per-shard executors.
 func (e *Engine) Round() (RoundResult, error) {
-	res, plan, err := e.schedule()
+	res, err := e.schedule(nil)
 	if err != nil {
 		return res, err
 	}
 	start := time.Now()
-	executed, err := e.execute(plan)
-	res.Executed = executed
-	res.Stats.Exec = time.Since(start)
-	res.Stats.Total += res.Stats.Exec
-	return res, err
-}
-
-// schedule runs the synchronous stages of a round — admit, qualify, resolve,
-// commit — and returns the round's execution plan. After schedule returns,
-// the stores (and therefore the next round's qualification inputs) are fully
-// updated; only server I/O remains.
-func (e *Engine) schedule() (RoundResult, execPlan, error) {
-	start := time.Now()
-	e.rounds++
-
-	// Stage 1 — admit: empty the incoming queue into the pending request
-	// store "as a batch job".
-	e.pending.Admit(e.queue...)
-	e.queue = e.queue[:0]
-
-	var res RoundResult
-	res.Stats.Pending = e.pending.Len()
-
-	// Stage 2 — qualify: evaluate the protocol over pending and history,
-	// feeding incremental protocols the stores' accumulated change log.
-	qualified, err := e.qualify(&res)
-	if err != nil {
-		return res, execPlan{}, err
-	}
-	// Waiting-age bookkeeping runs on the protocol's full qualified set,
-	// before admission control: the bound covers protocol-blocked waits
-	// ("rounds without any request qualifying", see Config.StarveAfter). A
-	// request cut by the MaxBatch cap is schedulable — deferring it is the
-	// operator's admission policy (under a priority order, deliberately so)
-	// and must not get the transaction shot as a starvation victim.
-	e.observeProgress(qualified)
-	if e.cfg.MaxBatch > 0 && len(qualified) > e.cfg.MaxBatch {
-		// Admission control: defer the tail (the protocol's order is a
-		// priority order, so the cap keeps the most urgent requests).
-		qualified = qualified[:e.cfg.MaxBatch]
-	}
-
-	// Stage 3 — resolve: decide which transactions abort this round.
-	victims := e.resolve(qualified)
-	if len(victims) > 0 && len(qualified) > 0 {
-		// A victim aborts and rolls back this round: none of its requests
-		// may reach the server, even ones that qualified (reachable since
-		// the starvation bound can pick victims while the batch is moving).
-		kept := qualified[:0]
-		vs := make(map[int64]bool, len(victims))
-		for _, ta := range victims {
-			vs[ta] = true
+	for _, sh := range e.shards {
+		if len(sh.plan.steps) == 0 {
+			continue
 		}
-		for _, r := range qualified {
-			if !vs[r.TA] {
-				kept = append(kept, r)
-			}
-		}
-		qualified = kept
-	}
-
-	// Stage 4 — commit: apply every bookkeeping consequence to the stores
-	// and lay out the server work. History membership is settled here —
-	// before any server call — which is what lets Pipeline qualify round
-	// N+1 while round N is still executing.
-	plan := e.commit(&res, qualified, victims)
-
-	e.lastQualified = qualified
-	res.Stats.Qualified = len(qualified)
-	res.Stats.Victims = len(res.Victims)
-	res.Stats.History = e.hist.Len()
-	res.Stats.Total = time.Since(start)
-	return res, plan, nil
-}
-
-// qualify evaluates the protocol (stage 2) and advances the waiting-age
-// clocks of the pending store.
-func (e *Engine) qualify(res *RoundResult) ([]request.Request, error) {
-	var qualified []request.Request
-	evalStart := time.Now()
-	switch e.cfg.Mode {
-	case PassThrough:
-		qualified = append(qualified, e.pending.Live()...)
-		protocol.ByID(qualified)
-	default:
-		var err error
-		if ip, ok := e.cfg.Protocol.(protocol.IncrementalProtocol); ok {
-			var d protocol.Deltas
-			e.pending.Deltas(&d)
-			e.hist.Deltas(&d)
-			qualified, err = ip.QualifyIncremental(e.pending.Live(), e.hist.Live(), d)
+		out, err := sh.execute(sh.plan)
+		if res.Executed == nil {
+			res.Executed = out
 		} else {
-			qualified, err = e.cfg.Protocol.Qualify(e.pending.Live(), e.hist.Live())
+			res.Executed = append(res.Executed, out...)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("scheduler: round %d: %w", e.rounds, err)
+			return res, err
 		}
 	}
-	// The protocol consumed the accumulated change set; start the next one.
-	e.pending.ResetDeltas()
-	e.hist.ResetDeltas()
-	res.Stats.Duration = time.Since(evalStart)
-	if sr, ok := e.cfg.Protocol.(protocol.StrategyReporter); ok && e.cfg.Mode == Scheduling {
-		res.Stats.Strategy = sr.LastStrategy()
-	}
-	return qualified, nil
+	res.Stats.Exec = time.Since(start)
+	res.Stats.Total += res.Stats.Exec
+	return res, nil
 }
 
-// observeProgress advances the pending store's waiting-age clocks:
-// transactions with a request in the protocol's qualified set made progress;
-// the rest keep (or start) their blocked clock.
-func (e *Engine) observeProgress(qualified []request.Request) {
-	var progressed map[int64]bool
-	if len(qualified) > 0 {
-		if e.progressed == nil {
-			e.progressed = make(map[int64]bool, len(qualified))
-		} else {
-			clear(e.progressed)
+// schedule runs the scheduling stages of one round — admit, qualify,
+// resolve, commit — leaving each shard's execution plan in shard.plan. After
+// schedule returns, the stores (and therefore the next round's qualification
+// inputs) are fully updated; only server I/O remains. Admit, qualify and
+// commit run per shard (in parallel across shards); everything between
+// qualification and commit is the single-threaded sequencer, whose
+// multi-shard steps (partition.go) return at once on a one-shard engine.
+// deliver drains executor completions while a migration quiesces in-flight
+// plans; nil in synchronous mode.
+func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
+	start := time.Now()
+	e.rounds++
+	var res RoundResult
+	if err := e.drain(deliver); err != nil {
+		return res, err
+	}
+	dup, qualDur := 0, time.Duration(0)
+	if len(e.active) > 0 {
+		// Stages 1+2 per shard — admit, qualify.
+		qualStart := time.Now()
+		if err := e.forShards(e.active, (*shard).admitAndQualify); err != nil {
+			return res, err
 		}
-		progressed = e.progressed
-		for _, r := range qualified {
-			progressed[r.TA] = true
+		qualDur = time.Since(qualStart)
+		// Waiting-age bookkeeping runs on the protocol's full qualified set,
+		// before admission control: the bound covers protocol-blocked waits
+		// ("rounds without any request qualifying", see Config.StarveAfter). A
+		// request cut by the MaxBatch cap is schedulable — deferring it is the
+		// operator's admission policy (under a priority order, deliberately so)
+		// and must not get the transaction shot as a starvation victim.
+		e.observeProgress()
+		e.capQualified()
+		e.stripUnagreed()
+		// Stage 3 — resolve: decide which transactions abort this round.
+		res.Victims = e.resolve()
+		e.abortVictims(res.Victims)
+		dup = e.settleTerminations(&res)
+		// Stage 4 per shard — commit: apply every bookkeeping consequence to
+		// the stores and lay out the server work. History membership is
+		// settled here — before any server call — which is what lets the
+		// next round qualify while this one is still executing.
+		e.commitShards = store.ShardList(e.commitMask, e.commitShards)
+		e.forShards(e.commitShards, (*shard).commitRound)
+		e.foldLoads()
+	}
+	e.roundStats(&res, dup, qualDur)
+	res.Stats.Total = time.Since(start)
+	return res, nil
+}
+
+// drain opens the round: it empties the admission queues (one buffer swap
+// per shard), lets the rebalancer move slots between rounds, and lists the
+// shards that take part — those with admissions or pending work.
+func (e *Engine) drain(deliver func(Completion)) error {
+	drained := 0
+	for _, sh := range e.shards {
+		sh.round = e.rounds
+		sh.ops = sh.queue.drain()
+		sh.qual, sh.aborts, sh.plan = nil, sh.aborts[:0], execPlan{}
+		sh.stats = metrics.RoundStats{Partition: sh.idx}
+		sh.admitted = 0
+		drained += len(sh.ops)
+	}
+	e.queued.Add(-int64(drained))
+	if len(e.shards) > 1 {
+		if err := e.rebalance(deliver); err != nil {
+			return err
 		}
 	}
-	e.pending.ObserveRound(e.rounds, progressed)
+	e.active, e.commitMask = e.active[:0], 0
+	e.commitShards, e.shardStats = e.commitShards[:0], e.shardStats[:0]
+	for s, sh := range e.shards {
+		if len(sh.ops) > 0 || sh.pending.Len() > 0 {
+			e.active = append(e.active, s)
+			e.commitMask |= 1 << uint(s)
+		}
+	}
+	return nil
+}
+
+// forShards runs f over the listed shards, in parallel when more than one
+// core and shard are available, and returns the first error in shard order.
+func (e *Engine) forShards(shards []int, f func(*shard) error) error {
+	if len(shards) <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for _, s := range shards {
+			if err := f(e.shards[s]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, s := range shards {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			errs[i] = f(sh)
+		}(i, e.shards[s])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// observeProgress advances the pending stores' waiting-age clocks:
+// transactions with a request in a protocol's (pre-cap) qualified set made
+// progress — in any shard; the rest keep (or start) their blocked clock.
+func (e *Engine) observeProgress() {
+	if e.progressed == nil {
+		e.progressed = make(map[int64]bool)
+	} else {
+		clear(e.progressed)
+	}
+	for _, s := range e.active {
+		for _, r := range e.shards[s].qual {
+			e.progressed[r.TA] = true
+		}
+	}
+	for _, s := range e.active {
+		e.shards[s].pending.ObserveRound(e.rounds, e.progressed)
+	}
+}
+
+// capQualified applies the MaxBatch admission cap: defer the tail (the
+// protocol's order is a priority order, so the cap keeps the most urgent
+// requests). Across shards the merged batch is cut by global ID order (each
+// shard's qualified list is already in its protocol's order). A
+// cross-partition termination's copies share an ID and each occupies a
+// slot; a partially capped one is stripped by the agreement check and
+// retries next round.
+func (e *Engine) capQualified() {
+	max := e.cfg.MaxBatch
+	if max <= 0 {
+		return
+	}
+	total := 0
+	for _, s := range e.active {
+		total += len(e.shards[s].qual)
+	}
+	if total <= max {
+		return
+	}
+	if len(e.active) == 1 {
+		sh := e.shards[e.active[0]]
+		sh.qual = sh.qual[:max]
+		return
+	}
+	// K-way merge by ID over the shard lists' heads, keeping the max
+	// globally smallest.
+	keep := make([]int, len(e.shards))
+	for n := 0; n < max; n++ {
+		best := -1
+		for _, s := range e.active {
+			q := e.shards[s].qual
+			if keep[s] >= len(q) {
+				continue
+			}
+			if best < 0 || q[keep[s]].ID < e.shards[best].qual[keep[best]].ID {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		keep[best]++
+	}
+	for _, s := range e.active {
+		e.shards[s].qual = e.shards[s].qual[:keep[s]]
+	}
 }
 
 // resolve (stage 3) returns the transactions to abort this round:
 // protocol-declared wounds first, then reactive deadlock detection when the
-// round is fully blocked, then the waiting-age starvation bound.
-func (e *Engine) resolve(qualified []request.Request) []int64 {
+// round is fully blocked, then the waiting-age starvation bound — each over
+// the union of the shards, so a partitioned engine decides what one shard
+// would.
+func (e *Engine) resolve() []int64 {
 	if e.cfg.Mode != Scheduling {
 		return nil
 	}
 	// Protocol-declared aborts (wound-wait style prevention): the protocol's
 	// own wound decision takes precedence over reactive deadlock detection.
-	if w, ok := e.cfg.Protocol.(protocol.Wounder); ok {
-		if victims := w.Wounded(); len(victims) > 0 {
-			return victims
-		}
+	if victims := e.wounds(); len(victims) > 0 {
+		return victims
+	}
+	qualified, pending := 0, 0
+	for _, s := range e.active {
+		qualified += len(e.shards[s].qual)
+		pending += e.shards[s].pending.Len()
 	}
 	// Deadlock resolution: a non-empty pending store with an empty qualified
 	// set means the protocol is blocked; abort the youngest member of each
 	// waits-for cycle, exactly like the native scheduler's victim policy.
-	if len(qualified) == 0 && e.pending.Len() > 0 {
-		if victims := protocol.DeadlockVictims(e.pending.Live(), e.hist.Live()); len(victims) > 0 {
+	if qualified == 0 && pending > 0 {
+		if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
 			return victims
 		}
 	}
@@ -387,8 +592,8 @@ func (e *Engine) resolve(qualified []request.Request) []int64 {
 	// undetected deadlock among a subset of the batch); abort the oldest
 	// waiter itself only when no cycle explains the wait.
 	if e.starveAfter > 0 {
-		if ta, since, ok := e.pending.OldestBlocked(); ok && e.rounds-since >= e.starveAfter {
-			if victims := protocol.DeadlockVictims(e.pending.Live(), e.hist.Live()); len(victims) > 0 {
+		if ta, since, ok := e.oldestBlocked(); ok && e.rounds-since >= e.starveAfter {
+			if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
 				return victims
 			}
 			return []int64{ta}
@@ -397,159 +602,115 @@ func (e *Engine) resolve(qualified []request.Request) []int64 {
 	return nil
 }
 
-// abortOp is one victim abort as applied to one engine: the abort record to
-// append (the single-loop engine assigns its ID; the partitioned sequencer
-// preassigns it) and whether this engine performs the server-side abort call.
-// The single loop always does; in a partitioned round only the victim's home
-// shard calls the server while every other touched shard compensates the
-// writes it executed locally.
-type abortOp struct {
-	rec        request.Request
-	execServer bool
+// wounds unions the active shards' protocol-declared aborts, ascending.
+func (e *Engine) wounds() []int64 {
+	var out []int64
+	for _, s := range e.active {
+		if w, ok := e.shards[s].proto.(protocol.Wounder); ok {
+			out = append(out, w.Wounded()...)
+		}
+	}
+	if len(e.active) > 1 {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out
 }
 
-// commit (stage 4) applies the round's decisions to the stores — victim
-// abort records and pending drops, qualified history membership and pending
-// removal, garbage collection — and returns the execution plan.
-func (e *Engine) commit(res *RoundResult, qualified []request.Request, victims []int64) execPlan {
-	var aborts []abortOp
-	if len(victims) > 0 {
-		aborts = make([]abortOp, 0, len(victims))
+// oldestBlocked is the waiting-age minimum over the shards: smallest
+// last-progress round, ties to the smallest TA. Shard clocks run on the
+// engine's round numbers, so they are comparable across shards; a
+// transaction pending in several shards has the same clock everywhere
+// (progress observation is global).
+func (e *Engine) oldestBlocked() (ta int64, since int, ok bool) {
+	for _, s := range e.active {
+		t, sc, o := e.shards[s].pending.OldestBlocked()
+		if !o {
+			continue
+		}
+		if !ok || sc < since || (sc == since && t < ta) {
+			ta, since, ok = t, sc, true
+		}
+	}
+	return ta, since, ok
+}
+
+// relations returns the pending and history relations deadlock detection
+// runs over: the one shard's stores as they are, or — the waits-for graph's
+// edges are same-object and therefore intra-shard, but cycles span shards —
+// the shards' relations concatenated (allocated only on blocked or starving
+// rounds).
+func (e *Engine) relations() (pending, history []request.Request) {
+	if len(e.shards) == 1 {
+		return e.shards[0].pending.Live(), e.shards[0].hist.Live()
+	}
+	for _, sh := range e.shards {
+		pending = append(pending, sh.pending.Live()...)
+		history = append(history, sh.hist.Live()...)
+	}
+	return pending, history
+}
+
+// abortVictims turns the round's victims into abort records. A victim aborts
+// and rolls back this round: none of its requests may reach the server, even
+// ones that qualified (reachable since the starvation bound can pick victims
+// while the batch is moving). The abort is fanned out like a termination:
+// every shard the victim touched compensates the writes it executed locally
+// — including a shard with no pending work this round, which joins the
+// commit stage for it — and the home shard (lowest touched index) performs
+// the server-side abort.
+func (e *Engine) abortVictims(victims []int64) {
+	if len(victims) == 0 {
+		return
+	}
+	vs := make(map[int64]bool, len(victims))
+	for _, ta := range victims {
+		vs[ta] = true
+	}
+	for _, s := range e.active {
+		sh := e.shards[s]
+		kept := sh.qual[:0]
+		for _, r := range sh.qual {
+			if !vs[r.TA] {
+				kept = append(kept, r)
+			}
+		}
+		sh.qual = kept
 	}
 	for _, ta := range victims {
-		ab := request.Request{
-			ID: e.nextID, TA: ta, IntraTA: victimIntra, Op: request.Abort,
-			Object: request.NoObject,
+		rec := request.Request{
+			ID: e.nextID.Add(1), TA: ta, IntraTA: victimIntra,
+			Op: request.Abort, Object: request.NoObject,
 		}
-		e.nextID++
-		res.Victims = append(res.Victims, ta)
-		aborts = append(aborts, abortOp{rec: ab, execServer: true})
+		mask := e.touched(ta)
+		home := bits.TrailingZeros64(mask)
+		for m := mask; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
+			e.shards[s].aborts = append(e.shards[s].aborts, abortOp{rec: rec, execServer: s == home})
+		}
+		e.commitMask |= mask
+		e.forget(ta)
 	}
-	return e.commitPlan(qualified, aborts, nil)
 }
 
-// commitPlan is the store side of commit, shared by the single loop and the
-// partitioned shards: victim abort records and pending drops, qualified
-// history membership and pending removal, garbage collection.
-//
-// commitWrites, set only by the partitioned sequencer on a durable server,
-// maps a committing transaction to its global journaled-write expectation
-// (writes summed across all shards' histories); nil means this engine's own
-// history is the whole truth (the single loop), and the count is taken from
-// it before the termination row lands.
-func (e *Engine) commitPlan(qualified []request.Request, aborts []abortOp, commitWrites map[int64]int) execPlan {
-	plan := execPlan{round: e.rounds}
-	e.hist.SetRound(e.rounds)
-	if len(aborts) > 0 || len(qualified) > 0 {
-		plan.steps = make([]execStep, 0, len(aborts)+len(qualified))
+// roundStats fills the round's record. A one-shard engine's record is its
+// shard's; with more shards the counts are merged to match what one shard
+// would report (replica copies deduped from Qualified, subtracted from
+// Pending) and the shards' own records are kept for ShardStats.
+func (e *Engine) roundStats(res *RoundResult, dup int, qualDur time.Duration) {
+	if len(e.shards) == 1 {
+		res.Stats = e.shards[0].stats
+		return
 	}
-	durable := e.cfg.Server.Durable()
-	for _, ab := range aborts {
-		ta := ab.rec.TA
-		// Roll the victim back: compensate every write it had executed. The
-		// per-TA history index makes this O(|TA's writes|); the undo runs on
-		// the server strictly after those writes (the plan preserves
-		// execution order, and the executors are FIFO per engine).
-		plan.steps = append(plan.steps, execStep{req: ab.rec, undo: e.hist.WritesOf(ta), victim: true, noServer: !ab.execServer})
-		if ab.execServer {
-			e.hist.Append(ab.rec)
-		} else {
-			e.hist.AppendReplica(ab.rec)
-		}
-		// Drop the victim's pending requests; its client is notified via
-		// the Victims list.
-		e.pending.RemoveTA(ta)
-		if e.replicas != nil {
-			// A victim's pending cross-partition termination copies die with
-			// its pending requests; drop their replica marks too.
-			for k := range e.replicas {
-				if k.TA == ta {
-					delete(e.replicas, k)
-				}
-			}
-		}
+	res.Stats.Partition = metrics.MergedPartition
+	for _, s := range e.commitShards {
+		sh := e.shards[s]
+		res.Stats.Pending += sh.stats.Pending - sh.admitted
+		res.Stats.Qualified += sh.stats.Qualified
+		res.Stats.History += sh.stats.History
+		e.shardStats = append(e.shardStats, sh.stats)
 	}
-	for _, r := range qualified {
-		k := r.Key()
-		if e.replicas != nil && e.replicas[k] {
-			// Replica copy of a cross-partition termination: enter history
-			// (releasing this shard's locks) without server work — the home
-			// shard executes it and answers the client.
-			delete(e.replicas, k)
-			e.hist.AppendReplica(r)
-			e.pending.Remove(k)
-			continue
-		}
-		step := execStep{req: r}
-		if durable && r.Op == request.Commit {
-			// Arm the commit gate before the termination row lands (and
-			// before GC can collect the write rows the count is taken from).
-			if commitWrites != nil {
-				step.expectWrites = commitWrites[r.TA]
-			} else {
-				step.expectWrites = e.hist.WriteCountOf(r.TA)
-			}
-		}
-		plan.steps = append(plan.steps, step)
-		e.hist.Append(r)
-		e.pending.Remove(k)
-	}
-	if e.cfg.GCEvery >= 0 && (e.cfg.GCEvery <= 1 || e.rounds%e.cfg.GCEvery == 0) {
-		e.hist.GC()
-		// History GC is the checkpoint trigger of the durable mode: the
-		// stores just shed finished transactions, so fold the journal into
-		// the page file too (rate-limited by journal growth inside).
-		e.cfg.Server.MaybeCheckpoint()
-	}
-	return plan
+	res.Stats.Qualified -= dup
+	res.Stats.Victims = len(res.Victims)
+	res.Stats.Duration = qualDur
 }
-
-// execute (stage 5) performs the plan's server work in order. Per-request
-// server errors are reported in the Executed entries; a failing write
-// compensation is fatal (the stores and the server have diverged).
-func (e *Engine) execute(plan execPlan) ([]Executed, error) {
-	var out []Executed
-	if n := len(plan.steps); n > 0 {
-		out = make([]Executed, 0, n)
-	}
-	for _, step := range plan.steps {
-		for _, obj := range step.undo {
-			if err := e.cfg.Server.UndoWriteFor(step.req.TA, obj); err != nil {
-				return out, err
-			}
-		}
-		if step.noServer {
-			continue
-		}
-		if step.expectWrites > 0 {
-			e.cfg.Server.ExpectWrites(step.req.TA, step.expectWrites)
-		}
-		v, err := e.cfg.Server.ExecScheduled(step.req)
-		if step.victim {
-			if err != nil {
-				return out, err
-			}
-			continue
-		}
-		out = append(out, Executed{Request: step.req, Value: v, Err: err})
-	}
-	// Commit-batch boundary: the durable journal flushes (and, per the
-	// group-commit policy, fsyncs) before the batch's results can reach any
-	// client. No-op on a volatile server.
-	if err := e.cfg.Server.EndBatch(); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// victimIntra marks scheduler-injected abort requests; it is far above any
-// real intra-transaction number.
-const victimIntra = 1 << 30
-
-// Rounds returns how many rounds have run.
-func (e *Engine) Rounds() int { return e.rounds }
-
-// RTE returns the paper's ready-to-execute table for the last round: the
-// qualified requests as a relation over the Table 2 schema (empty before the
-// first round).
-func (e *Engine) RTE() *relation.Relation { return request.ToRelation(e.lastQualified) }

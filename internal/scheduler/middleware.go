@@ -76,18 +76,15 @@ type Result struct {
 //
 // Rounds run pipelined by default: the loop schedules a round (admit,
 // qualify, resolve, commit) and moves on — server execution happens on the
-// pipeline's executor goroutine and the batch's results are routed to the
+// engine's executor goroutines and the batch's results are routed to the
 // waiting clients when its completion arrives, in execution order. Victims
 // are known at scheduling time and are notified immediately, without waiting
 // for the server. SetSynchronous restores the fully serialized round loop
 // (the property-test oracle and the baseline of the overlap benchmark).
 //
-// A Middleware wraps either a single Engine or a PartitionedEngine
-// (NewPartitionedMiddleware). On the single engine, Submit hands requests to
-// the loop goroutine, which admits them in batches; on the partitioned
-// engine, Submit enqueues directly into the per-shard admission queues —
-// concurrent submissions from many client workers shard-route in parallel
-// without serializing through the loop.
+// Submit registers the waiter and enqueues directly into the engine's
+// admission queues — concurrent submissions from many client workers do not
+// serialize through the loop, which is only poked to evaluate its trigger.
 //
 // Overload safety: admission is checked before any state is touched. A
 // request rejected with BusyError or ErrShuttingDown never reaches the
@@ -97,17 +94,14 @@ type Result struct {
 // it is never silently dropped.
 type Middleware struct {
 	engine    *Engine
-	parted    *PartitionedEngine
 	trigger   Trigger
 	collector *metrics.Collector
 	syncMode  bool
-	pipe      *Pipeline
 	limits    Limits
+	lastRound time.Time // loop goroutine only
 
 	// queued counts admitted-but-unanswered submissions (registered
-	// waiters): the fill level the MaxQueued admission cap reads. On the
-	// partitioned path it is exact; on the single loop it lags registration
-	// by at most the submit channel's backlog.
+	// waiters): the fill level the MaxQueued admission cap reads.
 	queued   atomic.Int64
 	draining atomic.Bool
 	// qualEWMA/roundEWMA track recent qualify latency and total round time
@@ -118,6 +112,10 @@ type Middleware struct {
 	mu      sync.Mutex
 	waiters map[request.Key]waiter
 	byTA    map[int64][]request.Key
+	// closed is set ahead of the loop's final sweep: a submission that
+	// registers after it is answered ErrStopped on the spot, since nothing
+	// else would answer it.
+	closed bool
 	// done caches executed results of live transactions and finished their
 	// terminal outcomes (bounded FIFO), so a reconnecting client's resubmit
 	// is answered from the record instead of executing twice. Maintained
@@ -126,7 +124,6 @@ type Middleware struct {
 	doneByTA map[int64][]request.Key
 	finished map[int64]terminal
 	finOrder []int64
-	submits  chan submission
 	notify   chan struct{}
 	stop     chan struct{}
 	stopped  chan struct{}
@@ -151,59 +148,35 @@ type waiter struct {
 	stamp time.Time
 }
 
-type submission struct {
-	req   request.Request
-	reply chan Result
-	cb    func(Result)
-	stamp time.Time
-}
-
 // NewMiddleware wraps an engine with a trigger policy. The collector may be
 // nil. Admission limits are taken from the engine's Config (override with
 // SetLimits before Start).
 func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector) *Middleware {
-	m := newMiddleware(trigger, collector)
-	m.engine = engine
-	m.limits = limitsOf(engine.cfg)
-	return m
-}
-
-// NewPartitionedMiddleware wraps a partitioned engine: Submit routes
-// requests into the shard admission queues directly (concurrent admission),
-// and the loop runs super-rounds — pipelined onto the per-shard executors by
-// default, or fully serialized under SetSynchronous.
-func NewPartitionedMiddleware(pe *PartitionedEngine, trigger Trigger, collector *metrics.Collector) *Middleware {
-	m := newMiddleware(trigger, collector)
-	m.parted = pe
-	if len(pe.shards) > 0 {
-		m.limits = limitsOf(pe.shards[0].cfg)
-	}
-	return m
-}
-
-func limitsOf(cfg Config) Limits {
-	return Limits{
-		MaxQueued:          cfg.MaxQueued,
-		MaxInflightPerConn: cfg.MaxInflightPerConn,
-		ShedLatencyBudget:  cfg.ShedLatencyBudget,
-		ResubmitWindow:     cfg.ResubmitWindow,
-	}
-}
-
-func newMiddleware(trigger Trigger, collector *metrics.Collector) *Middleware {
 	if collector == nil {
 		collector = metrics.NewCollector()
 	}
 	return &Middleware{
+		engine:    engine,
 		trigger:   trigger,
 		collector: collector,
-		waiters:   make(map[request.Key]waiter),
-		byTA:      make(map[int64][]request.Key),
-		submits:   make(chan submission, 1024),
-		notify:    make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		stopped:   make(chan struct{}),
+		limits: Limits{
+			MaxQueued:          engine.cfg.MaxQueued,
+			MaxInflightPerConn: engine.cfg.MaxInflightPerConn,
+			ShedLatencyBudget:  engine.cfg.ShedLatencyBudget,
+			ResubmitWindow:     engine.cfg.ResubmitWindow,
+		},
+		waiters: make(map[request.Key]waiter),
+		byTA:    make(map[int64][]request.Key),
+		notify:  make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
+}
+
+// NewPartitionedMiddleware is NewMiddleware (a PartitionedEngine is an
+// Engine).
+func NewPartitionedMiddleware(pe *PartitionedEngine, trigger Trigger, collector *metrics.Collector) *Middleware {
+	return NewMiddleware(pe, trigger, collector)
 }
 
 // Collector returns the metrics collector.
@@ -226,13 +199,7 @@ func (m *Middleware) Limits() Limits { return m.limits }
 func (m *Middleware) Queued() int { return int(m.queued.Load()) }
 
 // Start launches the scheduler loop.
-func (m *Middleware) Start() {
-	if m.parted != nil {
-		go m.partitionedLoop()
-		return
-	}
-	go m.loop()
-}
+func (m *Middleware) Start() { go m.loop() }
 
 // Stop shuts the loop down and fails in-flight requests with ErrStopped.
 func (m *Middleware) Stop() {
@@ -435,6 +402,10 @@ func (m *Middleware) answer(w waiter, res Result) {
 // *different* content re-enqueues — the replace path, where the newest
 // submission wins in the pending store.
 func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
+	if m.closed {
+		m.answerUnregistered(w, Result{Err: ErrStopped})
+		return false
+	}
 	if m.limits.ResubmitWindow > 0 {
 		if t, ok := m.finished[w.req.TA]; ok {
 			if t.res.Err != nil || w.req.Op.IsTermination() {
@@ -485,29 +456,9 @@ func (m *Middleware) Submit(r request.Request) Result {
 	if res, ok := m.cached(r); ok {
 		return res
 	}
-	if m.parted != nil {
-		return m.submitPartitioned(r)
-	}
 	reply := make(chan Result, 1)
-	select {
-	case m.submits <- submission{req: r, reply: reply, stamp: time.Now()}:
-	case <-m.stopped:
-		return Result{Err: ErrStopped}
-	}
-	select {
-	case res := <-reply:
-		return res
-	case <-m.stopped:
-		// The loop exited. If it answered our waiter (or the stop sweep
-		// drained our submission) the reply is buffered; otherwise nothing
-		// will ever answer it.
-		select {
-		case res := <-reply:
-			return res
-		default:
-			return Result{Err: ErrStopped}
-		}
-	}
+	m.registerAndEnqueue(r, waiter{ch: reply, stamp: time.Now()})
+	return <-reply
 }
 
 // SubmitFunc submits one request without blocking for its result: cb is
@@ -525,72 +476,30 @@ func (m *Middleware) SubmitFunc(r request.Request, cb func(Result)) error {
 		cb(res)
 		return nil
 	}
-	if m.parted != nil {
-		select {
-		case <-m.stopped:
-			return ErrStopped
-		default:
-		}
-		m.registerAndEnqueue(r, waiter{cb: cb, stamp: time.Now()})
-		return nil
-	}
 	select {
-	case m.submits <- submission{req: r, cb: cb, stamp: time.Now()}:
-		return nil
 	case <-m.stopped:
 		return ErrStopped
+	default:
 	}
+	m.registerAndEnqueue(r, waiter{cb: cb, stamp: time.Now()})
+	return nil
 }
 
-// registerAndEnqueue is the concurrent admission path of the partitioned
-// engine: register the waiter, route the request into its shard's queue and
-// poke the loop's trigger.
+// registerAndEnqueue is the concurrent admission path: register the waiter,
+// put the request into the engine's admission queue without passing through
+// the loop goroutine, and poke the loop (non-blocking) so its trigger can
+// evaluate the new fill level.
 func (m *Middleware) registerAndEnqueue(r request.Request, w waiter) {
 	w.req = r
 	m.mu.Lock()
 	enq := m.registerLocked(r.Key(), w)
 	m.mu.Unlock()
 	if enq {
-		m.parted.Enqueue(r)
+		m.engine.Enqueue(r)
 	}
 	select {
 	case m.notify <- struct{}{}:
 	default:
-	}
-}
-
-// submitPartitioned registers the waiter and routes the request into its
-// shard's admission queue without passing through the loop goroutine — the
-// concurrent admission path. The loop is only poked (non-blocking) so its
-// trigger can evaluate the new fill level.
-func (m *Middleware) submitPartitioned(r request.Request) Result {
-	select {
-	case <-m.stopped:
-		return Result{Err: ErrStopped}
-	default:
-	}
-	reply := make(chan Result, 1)
-	k := r.Key()
-	m.registerAndEnqueue(r, waiter{ch: reply, stamp: time.Now()})
-	select {
-	case res := <-reply:
-		return res
-	case <-m.stopped:
-		// The loop exited; if it failed our waiter on the way out the reply
-		// is buffered, otherwise (we registered after its final sweep)
-		// withdraw the registration ourselves.
-		select {
-		case res := <-reply:
-			return res
-		default:
-		}
-		m.mu.Lock()
-		if w, ok := m.waiters[k]; ok && w.ch == reply {
-			delete(m.waiters, k)
-			m.queued.Add(-1)
-		}
-		m.mu.Unlock()
-		return Result{Err: ErrStopped}
 	}
 }
 
@@ -603,24 +512,6 @@ func (m *Middleware) failAll(err error) {
 	}
 	m.byTA = make(map[int64][]request.Key)
 	m.mu.Unlock()
-}
-
-// drainSubmits fails submissions still sitting in the submit channel at stop
-// time — they were never registered, so failAll cannot see them. Replies go
-// out directly (no queued-counter bookkeeping: registration never happened).
-func (m *Middleware) drainSubmits() {
-	for {
-		select {
-		case s := <-m.submits:
-			if s.cb != nil {
-				s.cb(Result{Err: ErrStopped})
-			} else {
-				s.reply <- Result{Err: ErrStopped}
-			}
-		default:
-			return
-		}
-	}
 }
 
 // deliver routes one completed batch to its waiting clients, in execution
@@ -651,8 +542,8 @@ func (m *Middleware) deliver(c Completion) {
 	m.mu.Unlock()
 }
 
-// notifyVictims unblocks the clients of aborted transactions — under the
-// pipelined loops this happens at scheduling time, before the server has
+// notifyVictims unblocks the clients of aborted transactions — under
+// deferred execution this happens at scheduling time, before the server has
 // even seen the round's batch.
 func (m *Middleware) notifyVictims(victims []int64) {
 	if len(victims) == 0 {
@@ -672,187 +563,103 @@ func (m *Middleware) notifyVictims(victims []int64) {
 	m.mu.Unlock()
 }
 
+// loop is the round loop. Admission happened concurrently in Submit; the
+// loop only fires rounds — deferred onto the engine's executors by default,
+// inline under SetSynchronous — and routes completions.
 func (m *Middleware) loop() {
 	defer close(m.stopped)
+	e := m.engine
+	var done <-chan Completion
 	if !m.syncMode {
-		m.pipe = NewPipeline(m.engine)
+		e.StartExecutors()
+		done = e.Completions()
 	}
 	ticker := time.NewTicker(200 * time.Microsecond)
 	defer ticker.Stop()
-	lastRound := time.Now()
-	var batch []submission
-	var reqs []request.Request
-
-	runRound := func() {
-		var res RoundResult
-		var err error
-		if m.pipe != nil {
-			res, err = m.pipe.Round(m.deliver)
-		} else {
-			res, err = m.engine.Round()
-		}
-		lastRound = time.Now()
-		if err != nil {
-			// A protocol failure is fatal for the round; fail everything
-			// pending so clients do not hang.
-			m.failAll(err)
-			return
-		}
-		m.collector.AddRound(res.Stats)
-		m.observeRound(res.Stats)
-		if m.pipe == nil && (len(res.Executed) > 0 || len(res.Victims) > 0) {
-			// Serialized loop: results exist already; route them before the
-			// victim notifications, as the synchronous loop always has. Only
-			// rounds with server work observe an exec leg — the pipeline
-			// likewise completes empty rounds inline without a completion,
-			// so the two modes' Exec histograms stay comparable.
-			m.deliver(Completion{Round: m.engine.Rounds(), Executed: res.Executed, Exec: res.Stats.Exec})
-		}
-		m.notifyVictims(res.Victims)
-	}
-
-	var pipeDone <-chan Completion
-	if m.pipe != nil {
-		pipeDone = m.pipe.Completions()
-	}
-
+	m.lastRound = time.Now()
 	for {
 		select {
 		case <-m.stop:
-			// Drain what we can, then fail the rest.
-			for m.engine.QueueLen() > 0 || m.engine.PendingLen() > 0 {
-				before := m.engine.QueueLen() + m.engine.PendingLen()
-				runRound()
-				if m.engine.QueueLen()+m.engine.PendingLen() >= before {
-					break
-				}
-			}
-			if m.pipe != nil {
-				m.pipe.Stop()
-				for c := range m.pipe.Completions() {
-					m.deliver(c)
-				}
-			}
-			m.failAll(ErrStopped)
-			m.drainSubmits()
+			m.shutdown()
 			return
-		case c := <-pipeDone:
+		case c := <-done:
 			m.deliver(c)
-		case sub := <-m.submits:
-			// Batch admission: drain every submission already queued, so a
-			// burst costs one waiter-registration lock and one Enqueue call
-			// instead of one of each per request.
-			batch = append(batch[:0], sub)
-		drain:
-			for {
-				select {
-				case s := <-m.submits:
-					batch = append(batch, s)
-				default:
-					break drain
-				}
-			}
-			reqs = reqs[:0]
-			m.mu.Lock()
-			for _, s := range batch {
-				if m.registerLocked(s.req.Key(), waiter{req: s.req, ch: s.reply, cb: s.cb, stamp: s.stamp}) {
-					reqs = append(reqs, s.req)
-				}
-			}
-			m.mu.Unlock()
-			m.engine.Enqueue(reqs...)
-			if m.trigger.Fire(m.engine.QueueLen(), time.Since(lastRound)) {
-				runRound()
+		case <-m.notify:
+			if m.trigger.Fire(e.QueueLen(), time.Since(m.lastRound)) {
+				m.runRound()
 			}
 		case <-ticker.C:
-			if m.trigger.Fire(m.engine.QueueLen(), time.Since(lastRound)) {
-				runRound()
-			} else if (m.engine.PendingLen() > 0 || m.engine.QueueLen() > 0) &&
-				time.Since(lastRound) > 2*time.Millisecond {
+			if m.trigger.Fire(e.QueueLen(), time.Since(m.lastRound)) {
+				m.runRound()
+			} else if (e.PendingLen() > 0 || e.QueueLen() > 0) &&
+				time.Since(m.lastRound) > 2*time.Millisecond {
 				// Progress guarantee: blocked pending requests need further
 				// rounds to observe lock releases and deadlock resolution,
 				// and a fill-level trigger must not starve a queue that
 				// stays below its level (the paper's triggers are policies
 				// for *when* to run early, not for whether to run at all).
-				runRound()
+				m.runRound()
 			}
 		}
 	}
 }
 
-// partitionedLoop is the round loop over a PartitionedEngine. Admission
-// happened concurrently in Submit; the loop only fires super-rounds and
-// routes completions — pipelined onto the per-shard executors by default.
-func (m *Middleware) partitionedLoop() {
-	defer close(m.stopped)
-	pe := m.parted
-	var pipeDone <-chan Completion
+// runRound fires one engine round and routes what it decided.
+func (m *Middleware) runRound() {
+	e := m.engine
+	var res RoundResult
+	var err error
+	if m.syncMode {
+		res, err = e.Round()
+	} else {
+		res, err = e.RoundDeferred(m.deliver)
+	}
+	m.lastRound = time.Now()
+	if err != nil {
+		// A protocol failure is fatal for the round; fail everything
+		// pending so clients do not hang.
+		m.failAll(err)
+		return
+	}
+	m.collector.AddRound(res.Stats)
+	m.observeRound(res.Stats)
+	// Empty on a one-shard engine, whose round record is res.Stats itself.
+	for _, ps := range e.ShardStats() {
+		m.collector.AddPartitionRound(ps)
+	}
+	if ls, ok := e.LoadReport(4); ok {
+		m.collector.RecordLoad(ls)
+	}
+	if m.syncMode && (len(res.Executed) > 0 || len(res.Victims) > 0) {
+		// Serialized loop: results exist already; route them before the
+		// victim notifications, as the synchronous loop always has. Only
+		// rounds with server work observe an exec leg — deferred rounds
+		// likewise complete empty rounds inline without a completion, so
+		// the two modes' Exec histograms stay comparable.
+		m.deliver(Completion{Round: e.Rounds(), Executed: res.Executed, Exec: res.Stats.Exec})
+	}
+	m.notifyVictims(res.Victims)
+}
+
+// shutdown ends the loop: drain what makes progress, collect the executors'
+// in-flight work, then fail the rest.
+func (m *Middleware) shutdown() {
+	e := m.engine
+	for e.QueueLen() > 0 || e.PendingLen() > 0 {
+		before := e.QueueLen() + e.PendingLen()
+		m.runRound()
+		if e.QueueLen()+e.PendingLen() >= before {
+			break
+		}
+	}
 	if !m.syncMode {
-		pe.StartExecutors()
-		pipeDone = pe.Completions()
-	}
-	ticker := time.NewTicker(200 * time.Microsecond)
-	defer ticker.Stop()
-	lastRound := time.Now()
-
-	runRound := func() {
-		var res RoundResult
-		var err error
-		if m.syncMode {
-			res, err = pe.Round()
-		} else {
-			res, err = pe.RoundDeferred(m.deliver)
-		}
-		lastRound = time.Now()
-		if err != nil {
-			m.failAll(err)
-			return
-		}
-		m.collector.AddRound(res.Stats)
-		m.observeRound(res.Stats)
-		for _, ps := range pe.ShardStats() {
-			m.collector.AddPartitionRound(ps)
-		}
-		if ls, ok := pe.LoadReport(4); ok {
-			m.collector.RecordLoad(ls)
-		}
-		if m.syncMode && (len(res.Executed) > 0 || len(res.Victims) > 0) {
-			m.deliver(Completion{Round: pe.Rounds(), Executed: res.Executed, Exec: res.Stats.Exec})
-		}
-		m.notifyVictims(res.Victims)
-	}
-
-	for {
-		select {
-		case <-m.stop:
-			for pe.QueueLen() > 0 || pe.PendingLen() > 0 {
-				before := pe.QueueLen() + pe.PendingLen()
-				runRound()
-				if pe.QueueLen()+pe.PendingLen() >= before {
-					break
-				}
-			}
-			if !m.syncMode {
-				pe.StopExecutors()
-				for c := range pe.Completions() {
-					m.deliver(c)
-				}
-			}
-			m.failAll(ErrStopped)
-			return
-		case c := <-pipeDone:
+		e.StopExecutors()
+		for c := range e.Completions() {
 			m.deliver(c)
-		case <-m.notify:
-			if m.trigger.Fire(pe.QueueLen(), time.Since(lastRound)) {
-				runRound()
-			}
-		case <-ticker.C:
-			if m.trigger.Fire(pe.QueueLen(), time.Since(lastRound)) {
-				runRound()
-			} else if (pe.PendingLen() > 0 || pe.QueueLen() > 0) &&
-				time.Since(lastRound) > 2*time.Millisecond {
-				runRound()
-			}
 		}
 	}
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.failAll(ErrStopped)
 }

@@ -14,7 +14,7 @@ import (
 // TestConcurrentSubmitDuringParallelRounds hammers Middleware.Submit from
 // many client goroutines while rounds run a multi-core protocol, so the race
 // detector sees the full concurrency surface: client workers feeding the
-// submit channel, the scheduler loop firing rounds, and the Datalog engine's
+// admission queue, the scheduler loop firing rounds, and the Datalog engine's
 // worker pool evaluating inside those rounds. Every transaction must either
 // fully execute or be aborted as a deadlock victim — nothing may hang or be
 // silently dropped.

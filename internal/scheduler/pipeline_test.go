@@ -38,150 +38,165 @@ type execTrace struct {
 // history and pending stores, and the server table state — sequentially and
 // with a parallel protocol (run under -race in CI).
 func TestPipelinedMatchesSynchronous(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		for seed := int64(0); seed < 6; seed++ {
-			t.Run(fmt.Sprintf("par=%d/seed=%d", parallelism, seed), func(t *testing.T) {
-				gen, err := workload.NewGenerator(workload.Config{
-					Clients: 6, TxnsPerClient: 4,
-					ReadsPerTxn: 2, WritesPerTxn: 2,
-					Objects: 16, Seed: seed + 1, // few objects: conflicts, victims
+	// The cross-object protocols cannot shard (TestPartitionedRejects...), so
+	// the deferred path at one shard is the only one they run pipelined on.
+	for _, proto := range []struct {
+		name string
+		mk   func() protocol.Protocol
+	}{
+		{"ss2pl", func() protocol.Protocol { return protocol.SS2PLDatalog() }},
+		{"woundwait", func() protocol.Protocol { return protocol.WoundWaitDatalog() }},
+		{"sla", func() protocol.Protocol { return protocol.SLAPriorityDatalog() }},
+	} {
+		for _, parallelism := range []int{1, 4} {
+			for seed := int64(0); seed < 6; seed++ {
+				t.Run(fmt.Sprintf("%s/par=%d/seed=%d", proto.name, parallelism, seed), func(t *testing.T) {
+					testPipelinedMatchesSynchronous(t, proto.mk, parallelism, seed)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Per-client closed-loop feeds, as the middleware's client
-				// workers behave: one outstanding request per client, the next
-				// submitted only after the previous executed (or its TA died).
-				// Open-loop feeding would violate the paper's client model —
-				// a commit would qualify while earlier operations of its own
-				// transaction are still blocked.
-				var clients [][]request.Request
-				taClient := map[int64]int{}
-				for _, q := range gen.ClientQueues() {
-					var rs []request.Request
-					for _, tx := range q {
-						taClient[tx.TA] = len(clients)
-						rs = append(rs, tx.Requests...)
-					}
-					clients = append(clients, rs)
-				}
-				cursor := make([]int, len(clients))
-				inflight := make([]bool, len(clients))
-
-				mk := func() (*Engine, *storage.Server) {
-					srv := storage.NewServer(storage.Config{
-						Rows:      16,
-						ExecDelay: randExecDelay(seed, 30),
-					})
-					e, err := NewEngine(Config{
-						Protocol:    protocol.SS2PLDatalog(),
-						Server:      srv,
-						KeepLog:     true,
-						Parallelism: parallelism,
-						StarveAfter: 12, // small bound: the starvation path must run too
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return e, srv
-				}
-				syncEng, syncSrv := mk()
-				pipeEng, pipeSrv := mk()
-				pipe := NewPipeline(pipeEng)
-
-				var syncExec, pipeExec []execTrace
-				collect := func(c Completion) {
-					if c.Err != nil {
-						t.Errorf("pipeline executor failed: %v", c.Err)
-						return
-					}
-					for _, ex := range c.Executed {
-						pipeExec = append(pipeExec, execTrace{id: ex.Request.ID, value: ex.Value, fail: ex.Err != nil})
-					}
-				}
-
-				// Aborted transactions stop submitting (a real client would
-				// restart under a fresh TA; this script simply moves on to the
-				// client's next transaction).
-				dead := map[int64]bool{}
-				for round := 0; round < 600; round++ {
-					idle := true
-					for c := range clients {
-						if inflight[c] {
-							idle = false
-							continue
-						}
-						// Skip over requests of dead transactions, then submit
-						// the client's next request to both engines.
-						for cursor[c] < len(clients[c]) && dead[clients[c][cursor[c]].TA] {
-							cursor[c]++
-						}
-						if cursor[c] >= len(clients[c]) {
-							continue
-						}
-						r := clients[c][cursor[c]]
-						cursor[c]++
-						syncEng.Enqueue(r)
-						pipeEng.Enqueue(r)
-						inflight[c] = true
-						idle = false
-					}
-					if idle {
-						break
-					}
-					sres, err := syncEng.Round()
-					if err != nil {
-						t.Fatal(err)
-					}
-					pres, err := pipe.Round(collect)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fmt.Sprint(sres.Victims) != fmt.Sprint(pres.Victims) {
-						t.Fatalf("round %d: victims diverged: sync %v pipe %v", round, sres.Victims, pres.Victims)
-					}
-					for _, ta := range sres.Victims {
-						dead[ta] = true
-						inflight[taClient[ta]] = false
-					}
-					if sres.Stats.Qualified != pres.Stats.Qualified || sres.Stats.Pending != pres.Stats.Pending {
-						t.Fatalf("round %d: stats diverged: sync %+v pipe %+v", round, sres.Stats, pres.Stats)
-					}
-					for _, ex := range sres.Executed {
-						syncExec = append(syncExec, execTrace{id: ex.Request.ID, value: ex.Value, fail: ex.Err != nil})
-						inflight[taClient[ex.Request.TA]] = false
-					}
-				}
-				pipe.Stop()
-				for c := range pipe.Completions() {
-					collect(c)
-				}
-
-				if syncEng.PendingLen() != 0 {
-					t.Fatalf("workload did not drain: %d pending", syncEng.PendingLen())
-				}
-				if fmt.Sprint(syncExec) != fmt.Sprint(pipeExec) {
-					t.Fatalf("executed traces diverged:\nsync: %v\npipe: %v", syncExec, pipeExec)
-				}
-				if got, want := pipeSrv.Checksum(), syncSrv.Checksum(); got != want {
-					t.Fatalf("server checksums diverged: pipe %d sync %d", got, want)
-				}
-				sortByID := func(rs []request.Request) []request.Request {
-					out := append([]request.Request(nil), rs...)
-					sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-					return out
-				}
-				if fmt.Sprint(sortByID(pipeEng.History().Live())) != fmt.Sprint(sortByID(syncEng.History().Live())) {
-					t.Fatal("history stores diverged")
-				}
-				if fmt.Sprint(pipeEng.History().Log()) != fmt.Sprint(syncEng.History().Log()) {
-					t.Fatal("execution logs diverged")
-				}
-				if err := protocol.CheckSerializable(pipeEng.History().Log()); err != nil {
-					t.Fatal(err)
-				}
-			})
+			}
 		}
+	}
+}
+
+func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Protocol, parallelism int, seed int64) {
+	gen, err := workload.NewGenerator(workload.Config{
+		Clients: 6, TxnsPerClient: 4,
+		ReadsPerTxn: 2, WritesPerTxn: 2,
+		Objects: 16, Seed: seed + 1, // few objects: conflicts, victims
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-client closed-loop feeds, as the middleware's client
+	// workers behave: one outstanding request per client, the next
+	// submitted only after the previous executed (or its TA died).
+	// Open-loop feeding would violate the paper's client model —
+	// a commit would qualify while earlier operations of its own
+	// transaction are still blocked.
+	var clients [][]request.Request
+	taClient := map[int64]int{}
+	for _, q := range gen.ClientQueues() {
+		var rs []request.Request
+		for _, tx := range q {
+			taClient[tx.TA] = len(clients)
+			rs = append(rs, tx.Requests...)
+		}
+		clients = append(clients, rs)
+	}
+	cursor := make([]int, len(clients))
+	inflight := make([]bool, len(clients))
+
+	mk := func() (*Engine, *storage.Server) {
+		srv := storage.NewServer(storage.Config{
+			Rows:      16,
+			ExecDelay: randExecDelay(seed, 30),
+		})
+		e, err := NewEngine(Config{
+			Protocol:    mkProto(),
+			Server:      srv,
+			KeepLog:     true,
+			Parallelism: parallelism,
+			StarveAfter: 12, // small bound: the starvation path must run too
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, srv
+	}
+	syncEng, syncSrv := mk()
+	pipeEng, pipeSrv := mk()
+	pipeEng.StartExecutors()
+
+	var syncExec, pipeExec []execTrace
+	collect := func(c Completion) {
+		if c.Err != nil {
+			t.Errorf("pipeline executor failed: %v", c.Err)
+			return
+		}
+		for _, ex := range c.Executed {
+			pipeExec = append(pipeExec, execTrace{id: ex.Request.ID, value: ex.Value, fail: ex.Err != nil})
+		}
+	}
+
+	// Aborted transactions stop submitting (a real client would
+	// restart under a fresh TA; this script simply moves on to the
+	// client's next transaction).
+	dead := map[int64]bool{}
+	for round := 0; round < 600; round++ {
+		idle := true
+		for c := range clients {
+			if inflight[c] {
+				idle = false
+				continue
+			}
+			// Skip over requests of dead transactions, then submit
+			// the client's next request to both engines.
+			for cursor[c] < len(clients[c]) && dead[clients[c][cursor[c]].TA] {
+				cursor[c]++
+			}
+			if cursor[c] >= len(clients[c]) {
+				continue
+			}
+			r := clients[c][cursor[c]]
+			cursor[c]++
+			syncEng.Enqueue(r)
+			pipeEng.Enqueue(r)
+			inflight[c] = true
+			idle = false
+		}
+		if idle {
+			break
+		}
+		sres, err := syncEng.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pres, err := pipeEng.RoundDeferred(collect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sres.Victims) != fmt.Sprint(pres.Victims) {
+			t.Fatalf("round %d: victims diverged: sync %v pipe %v", round, sres.Victims, pres.Victims)
+		}
+		for _, ta := range sres.Victims {
+			dead[ta] = true
+			inflight[taClient[ta]] = false
+		}
+		if sres.Stats.Qualified != pres.Stats.Qualified || sres.Stats.Pending != pres.Stats.Pending {
+			t.Fatalf("round %d: stats diverged: sync %+v pipe %+v", round, sres.Stats, pres.Stats)
+		}
+		for _, ex := range sres.Executed {
+			syncExec = append(syncExec, execTrace{id: ex.Request.ID, value: ex.Value, fail: ex.Err != nil})
+			inflight[taClient[ex.Request.TA]] = false
+		}
+	}
+	pipeEng.StopExecutors()
+	for c := range pipeEng.Completions() {
+		collect(c)
+	}
+
+	if syncEng.PendingLen() != 0 {
+		t.Fatalf("workload did not drain: %d pending", syncEng.PendingLen())
+	}
+	if fmt.Sprint(syncExec) != fmt.Sprint(pipeExec) {
+		t.Fatalf("executed traces diverged:\nsync: %v\npipe: %v", syncExec, pipeExec)
+	}
+	if got, want := pipeSrv.Checksum(), syncSrv.Checksum(); got != want {
+		t.Fatalf("server checksums diverged: pipe %d sync %d", got, want)
+	}
+	sortByID := func(rs []request.Request) []request.Request {
+		out := append([]request.Request(nil), rs...)
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		return out
+	}
+	if fmt.Sprint(sortByID(pipeEng.History().Live())) != fmt.Sprint(sortByID(syncEng.History().Live())) {
+		t.Fatal("history stores diverged")
+	}
+	if fmt.Sprint(pipeEng.History().Log()) != fmt.Sprint(syncEng.History().Log()) {
+		t.Fatal("execution logs diverged")
+	}
+	if err := protocol.CheckSerializable(pipeEng.History().Log()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -107,36 +107,58 @@ func newRebalancer(cfg RebalanceConfig, slots, parts int) *rebalancer {
 
 // ForceRebalance queues slot moves to apply at the start of the next
 // super-round, regardless of the automatic trigger (tests, operational
-// tooling). Safe for concurrent use; invalid moves fail that round.
-func (pe *PartitionedEngine) ForceRebalance(moves ...store.SlotMove) {
-	pe.forcedMu.Lock()
-	pe.forced = append(pe.forced, moves...)
-	pe.forcedMu.Unlock()
+// tooling). Safe for concurrent use; invalid moves fail that round. A
+// one-shard engine has nowhere to move a slot and ignores them.
+func (e *Engine) ForceRebalance(moves ...store.SlotMove) {
+	if len(e.shards) == 1 {
+		return
+	}
+	e.forcedMu.Lock()
+	e.forced = append(e.forced, moves...)
+	e.forcedMu.Unlock()
+}
+
+// rebalance runs between super-rounds, after the admission queues were
+// drained: apply forced or load-planned slot moves and migrate the moved
+// slots' rows between shard stores. Once the table has ever moved, re-route
+// the drained admissions against the current table — an op pushed while a
+// swap raced its Enqueue routing lands here un-admitted, so a stale route
+// never becomes store state.
+func (e *Engine) rebalance(deliver func(Completion)) error {
+	if moves := e.pendingMoves(); len(moves) > 0 {
+		if err := e.applyMoves(moves, deliver); err != nil {
+			return err
+		}
+	}
+	if e.part.Version() > 0 {
+		e.rerouteDrained()
+	}
+	return nil
 }
 
 // pendingMoves returns the slot moves to apply this round: externally forced
 // ones first, else the planner's when the check cadence and trigger fire.
-func (pe *PartitionedEngine) pendingMoves() []store.SlotMove {
-	pe.forcedMu.Lock()
-	moves := pe.forced
-	pe.forced = nil
-	pe.forcedMu.Unlock()
+func (e *Engine) pendingMoves() []store.SlotMove {
+	e.forcedMu.Lock()
+	moves := e.forced
+	e.forced = nil
+	e.forcedMu.Unlock()
 	if len(moves) > 0 {
 		return moves
 	}
-	rb := pe.reb
-	if rb == nil || pe.rounds-rb.lastCheck < rb.cfg.Every {
+	rb := e.reb
+	if rb == nil || e.rounds-rb.lastCheck < rb.cfg.Every {
 		return nil
 	}
-	rb.lastCheck = pe.rounds
-	return pe.planMoves()
+	rb.lastCheck = e.rounds
+	return e.planMoves()
 }
 
 // foldLoads folds one super-round into the load accounts: decay, then one
 // unit per qualified data request and pendingWeight per leftover pending one,
 // attributed to the request's slot and its current shard.
-func (pe *PartitionedEngine) foldLoads() {
-	rb := pe.reb
+func (e *Engine) foldLoads() {
+	rb := e.reb
 	if rb == nil {
 		return
 	}
@@ -146,20 +168,20 @@ func (pe *PartitionedEngine) foldLoads() {
 	for i := range rb.shardWork {
 		rb.shardWork[i] -= rb.shardWork[i] * loadDecay
 	}
-	for _, s := range pe.active {
+	for _, s := range e.active {
 		acc := 0.0
-		for _, r := range pe.qual[s] {
+		for _, r := range e.shards[s].qual {
 			if r.Op.IsTermination() {
 				continue
 			}
-			rb.slotWork[pe.part.SlotOf(r.Object)]++
+			rb.slotWork[e.part.SlotOf(r.Object)]++
 			acc++
 		}
-		for _, r := range pe.shards[s].pending.Live() {
+		for _, r := range e.shards[s].pending.Live() {
 			if r.Op.IsTermination() {
 				continue
 			}
-			rb.slotWork[pe.part.SlotOf(r.Object)] += pendingWeight
+			rb.slotWork[e.part.SlotOf(r.Object)] += pendingWeight
 			acc += pendingWeight
 		}
 		rb.shardWork[s] += acc
@@ -171,22 +193,22 @@ func (pe *PartitionedEngine) foldLoads() {
 // shard — or split a slot across the coldest set when that one slot alone
 // carries SplitFactor× the mean shard load (moving it whole could never
 // balance).
-func (pe *PartitionedEngine) planMoves() []store.SlotMove {
-	rb := pe.reb
+func (e *Engine) planMoves() []store.SlotMove {
+	rb := e.reb
 	load := append([]float64(nil), rb.shardWork...)
 	total := 0.0
 	for _, v := range load {
 		total += v
 	}
-	mean := total / float64(pe.parts)
+	mean := total / float64(len(e.shards))
 	if mean <= 0 {
 		return nil
 	}
 	// owner[slot] is the shard a plainly routed slot sits on; -1 marks a
 	// slot already split (its load is already spread; leave it).
-	owner := make([]int, pe.part.Slots())
+	owner := make([]int, e.part.Slots())
 	for i := range owner {
-		r := pe.part.RouteOf(i)
+		r := e.part.RouteOf(i)
 		if len(r.Split) > 0 {
 			owner[i] = -1
 		} else {
@@ -196,7 +218,7 @@ func (pe *PartitionedEngine) planMoves() []store.SlotMove {
 	var moves []store.SlotMove
 	for len(moves) < rb.cfg.MaxMoves {
 		h, c := 0, 0
-		for s := 1; s < pe.parts; s++ {
+		for s := 1; s < len(e.shards); s++ {
 			if load[s] > load[h] {
 				h = s
 			}
@@ -252,8 +274,8 @@ func (pe *PartitionedEngine) planMoves() []store.SlotMove {
 			// rotation is planned per check (in the simulated account the
 			// destination becomes the hottest; further planning would just
 			// move it back).
-			if pe.rounds-rb.lastRotate >= rotateCooldown*rb.cfg.Every {
-				rb.lastRotate = pe.rounds
+			if e.rounds-rb.lastRotate >= rotateCooldown*rb.cfg.Every {
+				rb.lastRotate = e.rounds
 				moves = append(moves, store.SlotMove{Slot: hottest, To: []int{c}})
 				owner[hottest] = c
 				load[h] -= hotW
@@ -299,7 +321,7 @@ func coldestShards(load []float64, k int) []int {
 // applyMoves installs moves as a new routing-table version and migrates the
 // moved slots' rows from their old shards to their new ones. Sequencer
 // goroutine only.
-func (pe *PartitionedEngine) applyMoves(moves []store.SlotMove, deliver func(Completion)) error {
+func (e *Engine) applyMoves(moves []store.SlotMove, deliver func(Completion)) error {
 	// Record the moved slots and their pre-swap placements: those are the
 	// shards rows must migrate out of.
 	movedSlots := make(map[int]bool, len(moves))
@@ -310,11 +332,11 @@ func (pe *PartitionedEngine) applyMoves(moves []store.SlotMove, deliver func(Com
 		if movedSlots[m.Slot] {
 			continue
 		}
-		if m.Slot < 0 || m.Slot >= pe.part.Slots() {
+		if m.Slot < 0 || m.Slot >= e.part.Slots() {
 			continue // Apply below reports the error
 		}
 		movedSlots[m.Slot] = true
-		scratch = pe.part.ShardSet(m.Slot, scratch[:0])
+		scratch = e.part.ShardSet(m.Slot, scratch[:0])
 		for _, s := range scratch {
 			if !seen[s] {
 				seen[s] = true
@@ -325,13 +347,13 @@ func (pe *PartitionedEngine) applyMoves(moves []store.SlotMove, deliver func(Com
 	// In-flight executor plans may still carry exec or undo steps against
 	// the source histories; ordering is only per-shard FIFO, so quiesce
 	// before any row changes shards.
-	pe.quiesce(deliver)
-	if _, err := pe.part.Apply(moves); err != nil {
+	e.quiesce(deliver)
+	if _, err := e.part.Apply(moves); err != nil {
 		return err
 	}
 	sort.Ints(sources)
 	for _, s := range sources {
-		pe.migrateFrom(s, movedSlots)
+		e.migrateFrom(s, movedSlots)
 	}
 	return nil
 }
@@ -339,28 +361,28 @@ func (pe *PartitionedEngine) applyMoves(moves []store.SlotMove, deliver func(Com
 // migrateFrom moves every row of the moved slots that no longer routes to
 // shard s onto its new shard, patching the affinity index and both sides'
 // delta logs.
-func (pe *PartitionedEngine) migrateFrom(s int, movedSlots map[int]bool) {
-	e := pe.shards[s]
+func (e *Engine) migrateFrom(s int, movedSlots map[int]bool) {
+	src := e.shards[s]
 	match := func(obj int64) bool {
-		return movedSlots[pe.part.SlotOf(obj)] && pe.part.ForObject(obj) != s
+		return movedSlots[e.part.SlotOf(obj)] && e.part.ForObject(obj) != s
 	}
-	e.pending.ExtractMatching(match, func(r request.Request, since int) {
-		if cur, ok := pe.affinity.RouteOf(r.Key()); ok && cur != s {
+	src.pending.ExtractMatching(match, func(r request.Request, since int) {
+		if cur, ok := e.affinity.RouteOf(r.Key()); ok && cur != s {
 			// A stale duplicate copy superseded by a newer submission routed
 			// elsewhere: its revocation is in flight, so drop it here rather
 			// than resurrect it on the new shard.
 			return
 		}
-		d := pe.part.ForObject(r.Object)
-		pe.affinity.Rebind(r.Key(), d)
-		de := pe.shards[d]
+		d := e.part.ForObject(r.Object)
+		e.affinity.Rebind(r.Key(), d)
+		de := e.shards[d]
 		de.pending.Admit(r)
 		de.pending.MergeClock(r.TA, since)
 	})
-	for _, r := range e.hist.ExtractMatching(match) {
-		d := pe.part.ForObject(r.Object)
-		pe.affinity.Touch(r.TA, d)
-		pe.shards[d].hist.AppendMigrated(r)
+	for _, r := range src.hist.ExtractMatching(match) {
+		d := e.part.ForObject(r.Object)
+		e.affinity.Touch(r.TA, d)
+		e.shards[d].hist.AppendMigrated(r)
 	}
 }
 
@@ -368,16 +390,16 @@ func (pe *PartitionedEngine) migrateFrom(s int, movedSlots map[int]bool) {
 // through deliver meanwhile. With deliver == nil (sync rounds mixed with
 // running executors) it waits without consuming — completions stay queued
 // for their caller.
-func (pe *PartitionedEngine) quiesce(deliver func(Completion)) {
-	if pe.jobs == nil {
+func (e *Engine) quiesce(deliver func(Completion)) {
+	if e.done == nil {
 		return
 	}
-	for pe.inflight.Load() > 0 {
+	for e.inflight.Load() > 0 {
 		if deliver == nil {
 			runtime.Gosched()
 			continue
 		}
-		c, ok := <-pe.done
+		c, ok := <-e.done
 		if !ok {
 			return
 		}
@@ -391,33 +413,33 @@ func (pe *PartitionedEngine) quiesce(deliver func(Completion)) {
 // drain pays this (cheap) pass so a stale route never becomes store state.
 // A re-routed key updates the affinity index like Enqueue would, revoking a
 // previously admitted copy from the shard that holds it.
-func (pe *PartitionedEngine) rerouteDrained() {
+func (e *Engine) rerouteDrained() {
 	type routed struct {
 		op shardOp
 		to int
 	}
 	var extra []routed
-	for s := range pe.ops {
-		kept := pe.ops[s][:0]
-		for _, op := range pe.ops[s] {
+	for s, sh := range e.shards {
+		kept := sh.ops[:0]
+		for _, op := range sh.ops {
 			if op.revoke || op.replica || op.req.Op.IsTermination() {
 				kept = append(kept, op)
 				continue
 			}
-			d := pe.part.ForObject(op.req.Object)
+			d := e.part.ForObject(op.req.Object)
 			if d == s {
 				kept = append(kept, op)
 				continue
 			}
-			if prev, moved := pe.affinity.Route(op.req.Key(), d); moved && prev != d {
+			if prev, moved := e.affinity.Route(op.req.Key(), d); moved && prev != d {
 				extra = append(extra, routed{op: shardOp{req: op.req, revoke: true}, to: prev})
 			}
 			extra = append(extra, routed{op: shardOp{req: op.req}, to: d})
 		}
-		pe.ops[s] = kept
+		sh.ops = kept
 	}
 	for _, r := range extra {
-		pe.ops[r.to] = append(pe.ops[r.to], r.op)
+		e.shards[r.to].ops = append(e.shards[r.to].ops, r.op)
 	}
 }
 
@@ -425,8 +447,8 @@ func (pe *PartitionedEngine) rerouteDrained() {
 // per-shard loads, the max/mean imbalance, the topSlots hottest slots, and
 // the move counters. ok is false when the automatic rebalancer is disabled.
 // Round-loop goroutine only.
-func (pe *PartitionedEngine) LoadReport(topSlots int) (metrics.LoadSnapshot, bool) {
-	rb := pe.reb
+func (e *Engine) LoadReport(topSlots int) (metrics.LoadSnapshot, bool) {
+	rb := e.reb
 	if rb == nil {
 		return metrics.LoadSnapshot{}, false
 	}
@@ -434,7 +456,7 @@ func (pe *PartitionedEngine) LoadReport(topSlots int) (metrics.LoadSnapshot, boo
 		Shards:  append([]float64(nil), rb.shardWork...),
 		Moves:   rb.moves,
 		Splits:  rb.splits,
-		Version: pe.part.Version(),
+		Version: e.part.Version(),
 	}
 	total, max := 0.0, 0.0
 	for _, v := range ls.Shards {
@@ -466,7 +488,7 @@ func (pe *PartitionedEngine) LoadReport(topSlots int) (metrics.LoadSnapshot, boo
 		if best < 0 {
 			break
 		}
-		route := pe.part.RouteOf(best)
+		route := e.part.RouteOf(best)
 		shard := int(route.Shard)
 		if len(route.Split) > 0 {
 			shard = -1 // split across a set; no single owner
