@@ -195,37 +195,11 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 
 // BenchmarkSS2PLQueryDatalog times the same round with the Datalog engine
 // (cold evaluation; allocation counts track the hash-indexed fact sets).
-// Large passes fan out across GOMAXPROCS workers; on a single-core box the
-// cutoff keeps everything on the sequential path, so the numbers stay
-// comparable across the BENCH_<pr>.json trajectory.
 func BenchmarkSS2PLQueryDatalog(b *testing.B) {
 	for _, clients := range []int{100, 300, 500} {
 		pending, history := declBenchInstance(clients)
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Qualify(pending, history); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDatalogParallelQuery sweeps the worker count on the largest
-// qualification instance, so multi-core scaling (and the single-core
-// overhead of the parallel machinery) is visible in isolation.
-func BenchmarkDatalogParallelQuery(b *testing.B) {
-	pending, history := declBenchInstance(500)
-	for _, workers := range []int{1, 2, 4, 8} {
-		if workers > 2*runtime.GOMAXPROCS(0) {
-			break // oversubscribing beyond 2x cores measures nothing useful
-		}
-		p := protocol.SS2PLDatalog()
-		p.SetParallelism(workers)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Qualify(pending, history); err != nil {
@@ -245,7 +219,6 @@ func BenchmarkDatalogIncrementalRound(b *testing.B) {
 	batch := 12 // requests churned per round
 	b.Run("cold", func(b *testing.B) {
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Qualify(pending, history); err != nil {
@@ -255,7 +228,6 @@ func BenchmarkDatalogIncrementalRound(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
 			b.Fatal(err)

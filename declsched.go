@@ -145,7 +145,8 @@ type Options struct {
 	// KeepLog retains the execution log for serializability checking.
 	KeepLog bool
 	// Parallelism evaluates large qualification passes on that many cores
-	// when the protocol supports it (the Datalog protocols do): < 0 selects
+	// when the protocol supports it (the SQL protocols do; the Datalog
+	// protocols evaluate on one goroutine and ignore it): < 0 selects
 	// GOMAXPROCS, 0 keeps the single-threaded default, 1 forces
 	// single-threaded. Small rounds stay on the sequential fast path either
 	// way.

@@ -1,7 +1,6 @@
-// Package costmodel holds the adaptive strategy cost model shared by the
-// incremental evaluators: the Datalog engine's DRed-vs-recompute choice and
-// the SQL executor's delta-maintenance-vs-full-re-evaluation choice both
-// predict each strategy's round time as an observed per-work-unit cost
+// Package costmodel holds the adaptive strategy cost model of the SQL
+// executor's delta-maintenance-vs-full-re-evaluation choice: it
+// predicts each strategy's round time as an observed per-work-unit cost
 // (an exponentially weighted moving average) times the round's work, falling
 // back to a static churn-factor rule until measurements exist.
 package costmodel
@@ -81,9 +80,8 @@ type Candidate struct {
 // Pick returns the index of the candidate with the lowest predicted round
 // cost (bias x per-unit x units), using each candidate's observed average
 // when it has samples and its fallback otherwise. Ties go to the earliest
-// candidate, so callers list strategies in preference order. It generalises
-// Choose to three or more strategies (warm re-run vs per-tuple delta vs
-// bulk recompute-of-affected).
+// candidate, so callers list strategies in preference order (warm re-run vs
+// per-tuple delta vs bulk recompute-of-affected).
 func Pick(cands []Candidate) int {
 	best, bestCost := 0, 0.0
 	for i := range cands {
@@ -102,28 +100,4 @@ func Pick(cands []Candidate) int {
 		}
 	}
 	return best
-}
-
-// Choose predicts whether the delta strategy (cost per churned unit) beats
-// the recompute strategy (cost per standing unit) for a round of the given
-// work sizes. A strategy with no observations yet borrows the other side's
-// cost scaled by the static churn factor, so the decision degenerates to the
-// static rule (churn*factor < standing) until real measurements exist and
-// stays consistent with it under one-sided data.
-func Choose(delta, recompute *EWMA, churn, standing, churnFactor int) bool {
-	staticChoice := churn*churnFactor < standing
-	deltaPer, recomputePer := delta.PerUnit, recompute.PerUnit
-	factor := float64(churnFactor)
-	if factor <= 0 {
-		factor = 1
-	}
-	switch {
-	case delta.Samples == 0 && recompute.Samples == 0:
-		return staticChoice
-	case delta.Samples == 0:
-		deltaPer = recomputePer * factor
-	case recompute.Samples == 0:
-		recomputePer = deltaPer / factor
-	}
-	return deltaPer*float64(churn) < recomputePer*float64(standing)
 }

@@ -31,28 +31,6 @@ func TestObserveClampAndEWMA(t *testing.T) {
 	}
 }
 
-func TestChooseBorrowsAndPredicts(t *testing.T) {
-	var delta, recompute EWMA
-	// No observations: the static rule decides.
-	if !Choose(&delta, &recompute, 10, 100, 4) {
-		t.Fatal("static rule: 10*4 < 100 should pick delta")
-	}
-	if Choose(&delta, &recompute, 30, 100, 4) {
-		t.Fatal("static rule: 30*4 > 100 should pick recompute")
-	}
-	// One-sided data borrows the other side's cost scaled by the factor, so
-	// the decision stays consistent with the static rule.
-	recompute.Observe(1000, 100) // 10 ns/unit
-	if !Choose(&delta, &recompute, 10, 100, 4) {
-		t.Fatal("borrowed delta cost should keep the static choice")
-	}
-	// Real measurements override the static rule: delta measured very slow.
-	delta.Observe(1e6, 10) // 1e5 ns/unit
-	if Choose(&delta, &recompute, 10, 100, 4) {
-		t.Fatal("measured slow delta strategy still chosen")
-	}
-}
-
 func TestPickMultiWay(t *testing.T) {
 	var ivm, bulk, warm EWMA
 	ivm.Observe(1000, 10)   // 100 ns/churned unit

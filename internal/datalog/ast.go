@@ -14,7 +14,9 @@
 // unchanged EDB predicates keep their fact sets and indexes, insert-only
 // changes seed the semi-naive deltas directly, and non-monotone changes
 // (deletions, or anything flowing through negation or aggregation) re-derive
-// only the predicates downstream of the change. Engine.Run remains the cold
+// only the predicates downstream of the change. The batch's structure alone
+// selects the path, and evaluation runs on the calling goroutine. Engine.Run
+// remains the cold
 // path and the correctness oracle; see the Engine documentation in engine.go.
 package datalog
 

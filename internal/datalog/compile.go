@@ -46,10 +46,8 @@ type stepMeta struct {
 	bindVar    []int
 	bindRepeat []bool
 	// occIndex numbers positive atoms within the rule (for semi-naive delta
-	// substitution); -1 for non-atom literals. negOccIndex numbers negated
-	// atoms the same way (for DRed delta substitution through negation).
-	occIndex    int
-	negOccIndex int
+	// substitution); -1 for non-atom literals and negated atoms.
+	occIndex int
 
 	// Comparison.
 	cmpL, cmpR valSrc
@@ -73,9 +71,7 @@ type headSlot struct {
 
 // compiledRule is a rule with a fixed evaluation order and variable slots.
 // It is immutable after NewEngine finishes: all mutable evaluation state
-// lives in ruleScratch instances, one per evaluator (the engine's sequential
-// scratch plus one per pool worker), so independent workers may evaluate the
-// same rule concurrently.
+// lives in its ruleScratch.
 type compiledRule struct {
 	rule  Rule
 	idx   int // position in Engine.compiled
@@ -88,35 +84,27 @@ type compiledRule struct {
 	aggIdx   []int // head positions that are aggregates
 
 	// atomPreds lists the predicate of every positive atom occurrence, in
-	// occIndex order; negPreds does the same for negated occurrences.
+	// occIndex order.
 	atomPreds []string
-	negPreds  []string
 
 	// fns is the compiled step chain (see eval.go): one specialised closure
 	// per body literal plus the head-emitting terminal, built by NewEngine
 	// once every step's index slot is assigned.
 	fns []stepFn
 
-	// scratch is the engine's own evaluation scratch (the single-threaded
-	// path); pool workers use per-worker scratches from Engine.workerScratch.
+	// scratch is the rule's evaluation scratch.
 	scratch *ruleScratch
 }
 
 // ruleScratch holds the per-evaluation mutable state of one rule: the
-// variable environment, the head tuple buffer filled before emission, one
-// lookup-key buffer per step, and the head-pin state used by DRed
-// rederivation. Each concurrent evaluator owns a private instance; emitted
+// variable environment, the head tuple buffer filled before emission and one
+// lookup-key buffer per step. Emitted
 // tuples reference headBuf and must be cloned by any sink that retains them
 // (factSet.add with copyOnInsert does exactly that).
 type ruleScratch struct {
 	env     []relation.Value
 	headBuf relation.Tuple
 	vals    [][]relation.Value // per step: len(lookupCols)
-
-	// Head pins for rederivation: pinned[v] fixes variable slot v to
-	// pinVals[v] for the duration of one pinned evaluation.
-	pinned  []bool
-	pinVals []relation.Value
 
 	// Per-call evaluation parameters, installed by evalRule so the compiled
 	// step chain (eval.go) runs without per-call closure state.
@@ -126,19 +114,14 @@ type ruleScratch struct {
 
 // deltaPasses appends one work item per positive occurrence of this rule
 // whose predicate has a pending non-empty delta, with that occurrence reading
-// the delta and the remaining fields taken from base (the per-occurrence pass
-// schedule of semi-naive and DRed evaluation: base.oldSets, when set, makes
-// occurrences after the delta read the old view — the delta×delta/delta×old
-// join expansion).
-func (c *compiledRule) deltaPasses(items []workItem, deltas map[string]*factSet, base evalSpec) []workItem {
+// the delta (the per-occurrence pass schedule of semi-naive evaluation).
+func (c *compiledRule) deltaPasses(items []workItem, deltas map[string]*factSet) []workItem {
 	for occ, pred := range c.atomPreds {
 		d := deltas[pred]
 		if d == nil || d.len() == 0 {
 			continue
 		}
-		s := base
-		s.delta, s.deltaOcc = d, occ
-		items = append(items, workItem{ri: c.idx, spec: s})
+		items = append(items, workItem{ri: c.idx, spec: evalSpec{delta: d, deltaOcc: occ}})
 	}
 	return items
 }
@@ -149,8 +132,6 @@ func newRuleScratch(c *compiledRule) *ruleScratch {
 		env:     make([]relation.Value, c.nVars),
 		headBuf: make(relation.Tuple, len(c.head)),
 		vals:    make([][]relation.Value, len(c.steps)),
-		pinned:  make([]bool, c.nVars),
-		pinVals: make([]relation.Value, c.nVars),
 	}
 	for i := range c.steps {
 		if n := len(c.steps[i].lookupCols); n > 0 {
@@ -191,10 +172,10 @@ func compileRule(r Rule) (*compiledRule, error) {
 		}
 	}
 
-	occ, negOcc := 0, 0
+	occ := 0
 	for _, bi := range order {
 		l := r.Body[bi]
-		m := stepMeta{lit: l, occIndex: -1, negOccIndex: -1, lookupIdx: -1}
+		m := stepMeta{lit: l, occIndex: -1, lookupIdx: -1}
 		switch l.Kind {
 		case LitAtom:
 			// A variable first bound by an earlier position of this same atom
@@ -233,11 +214,7 @@ func compileRule(r Rule) (*compiledRule, error) {
 				}
 				m.bindRepeat = append(m.bindRepeat, rep)
 			}
-			if l.Negated {
-				m.negOccIndex = negOcc
-				negOcc++
-				c.negPreds = append(c.negPreds, l.Atom.Pred)
-			} else {
+			if !l.Negated {
 				m.occIndex = occ
 				occ++
 				c.atomPreds = append(c.atomPreds, l.Atom.Pred)

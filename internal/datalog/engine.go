@@ -2,10 +2,8 @@ package datalog
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/arena"
-	"repro/internal/pool"
 	"repro/internal/relation"
 )
 
@@ -18,29 +16,21 @@ import (
 // correctness oracle and the fallback. RunIncremental is the warm-start path
 // for the scheduler's round loop: fact sets are retained across runs, EDB
 // changes arrive as per-predicate insert/delete deltas, and only the
-// consequences of those deltas are recomputed. Insert-only deltas whose
-// affected predicates are free of negation and aggregation are propagated by
-// seeding the semi-naive deltas directly (no fact is ever re-derived);
-// non-monotone changes take the DRed path (see dred.go): deleted facts are
-// over-deleted transitively, re-derived where an alternative proof exists,
-// and the remainder propagates as small insert/delete deltas stratum by
-// stratum. Changes reaching an aggregate rule fall back to clearing and
-// re-deriving exactly the affected predicates. In every mode, unaffected
-// predicates — and every unchanged EDB fact set with its hash indexes — are
-// kept as-is.
+// consequences of those deltas are recomputed. Which warm path runs is a
+// function of the batch's structure alone — never of a clock or of earlier
+// rounds. Insert-only deltas whose affected predicates are free of negation
+// and aggregation are propagated by seeding the semi-naive deltas directly
+// (no fact is ever re-derived); every other change clears and re-derives
+// exactly the predicates downstream of it (recomputeAffected). In every mode,
+// unaffected predicates — and every unchanged EDB fact set with its hash
+// indexes — are kept as-is.
 //
 // Index column masks are chosen at compile time: NewEngine registers the
 // bound positions of every atom occurrence with the predicate, so fact sets
 // build exactly the indexes the rules probe, eagerly, with uint64 hash
 // buckets (see factSet).
 //
-// SetParallelism(n) with n > 1 evaluates large semi-naive passes on a
-// persistent worker pool: each pass's work (rule × delta occurrence) is
-// partitioned into step-0 ranges, workers evaluate with private scratch
-// buffers into private emit buffers, and the buffers are merged into the
-// fact sets in deterministic task order. Small passes stay on the
-// single-threaded fast path (parMinWork cutoff). The engine remains
-// single-caller: only evaluation inside one Run/RunIncremental fans out.
+// The engine is single-caller and evaluates on the calling goroutine.
 type Engine struct {
 	prog      *Program
 	compiled  []*compiledRule
@@ -57,15 +47,10 @@ type Engine struct {
 	// it (the edge set of the dependency graph, for affected-closure
 	// computation); negatedPreds and aggBodyPreds mark predicates consumed
 	// under negation or by an aggregate rule — facts flowing through those
-	// edges do not propagate monotonically. rulesFor indexes the non-fact
-	// rules by head predicate (DRed rederivation needs them); allPreds lists
-	// every predicate the program mentions, so fact sets can be pre-created
-	// before a parallel pass (workers must never mutate the facts map).
+	// edges do not propagate monotonically.
 	dependents   map[string][]string
 	negatedPreds map[string]bool
 	aggBodyPreds map[string]bool
-	rulesFor     map[string][]int
-	allPreds     []string
 
 	// Naive switches off the delta optimisation; used by tests to verify the
 	// semi-naive evaluator against the textbook fixpoint.
@@ -86,49 +71,25 @@ type Engine struct {
 	// warm is true once facts reflects a completed run over the current EDB.
 	warm bool
 
-	// Parallel evaluation state: parallelism is the worker count (<= 1 means
-	// sequential), pool the persistent workers (internal/pool, shared
-	// abstraction with the mini-SQL operators), workerScratch one private
-	// rule-scratch row per worker. parMinWork is the minimum estimated
-	// outer-loop cardinality of a pass before it fans out; parChunk the
-	// minimum chunk size per task.
-	parallelism   int
-	pool          *pool.Pool
-	workerScratch [][]*ruleScratch
-	parMinWork    int
-	parChunk      int
-
-	// Non-monotone cost model. costModel selects how RunIncremental picks
-	// between DRed propagation and affected-closure recompute: costAdaptive
-	// (the default) predicts each strategy's round time from a per-strategy
-	// EWMA of observed cost per work unit (churn for DRed, standing affected
-	// size for recompute), falling back to the static churn factor until
-	// observations exist; costStatic always applies the static rule; the
-	// force values pin one path (tests and ablations). dredChurnFactor is
-	// the static weight: DRed runs when churn * dredChurnFactor < total
-	// size of the affected predicates.
-	costModel       int
-	dredChurnFactor int
-	dredCost        strategyCost
-	recomputeCost   strategyCost
-
-	// Round-scoped allocation reuse. Delta sets, DRed bookkeeping sets and
-	// the per-stratum delta maps live exactly one run: they are leased from
+	// Round-scoped allocation reuse. Delta sets and the per-stratum delta
+	// maps live exactly one run: they are leased from
 	// per-predicate pools (setPool/mapPool) and released — reset with their
 	// capacity retained — when the run ends, so a steady-state warm round
 	// re-fills retained memory instead of allocating. Leased sets clone
 	// their copy-on-insert tuples into roundArena, reset with the leases
-	// (persistent fact sets never lease and never touch the arena). outPool
-	// recycles the parallel tasks' private emit buffers, and workBuf the
-	// per-pass work-item slice.
+	// (persistent fact sets never lease and never touch the arena). workBuf
+	// recycles the per-pass work-item slice, ruleBuf recomputeAffected's
+	// per-stratum rule selection, affected and roots the affected-closure
+	// map and its root list.
 	setPool    map[string][]*factSet
 	leased     []leasedSet
 	mapPool    []map[string]*factSet
 	mapsOut    []map[string]*factSet
-	outPool    []*factSet
-	outsOut    []*factSet
 	roundArena arena.Slab[relation.Value]
 	workBuf    []workItem
+	ruleBuf    []int
+	affected   map[string]bool
+	roots      []string
 
 	// Stats from the last Run or RunIncremental.
 	Stats RunStats
@@ -149,10 +110,8 @@ const (
 	StrategyNone = "none"
 	// StrategyMonotone: insert-only warm start via seeded semi-naive deltas.
 	StrategyMonotone = "monotone"
-	// StrategyDRed: delete-and-rederive propagation (dred.go).
-	StrategyDRed = "dred"
-	// StrategyRecompute: affected predicates cleared and re-derived (the
-	// fallback for changes reaching an aggregate rule).
+	// StrategyRecompute: affected predicates cleared and re-derived (every
+	// warm change that is not insert-only and monotone).
 	StrategyRecompute = "recompute"
 )
 
@@ -166,13 +125,6 @@ type RunStats struct {
 	Incremental bool
 	// Strategy names the evaluation path taken (Strategy* constants).
 	Strategy string
-	// Overdeleted and Rederived count DRed's transitively deleted facts and
-	// the subset that survived via an alternative derivation.
-	Overdeleted int
-	Rederived   int
-	// ParallelTasks counts worker-pool tasks executed (0 on the sequential
-	// path).
-	ParallelTasks int
 }
 
 // EDBDelta describes the change to one extensional predicate between runs.
@@ -204,24 +156,11 @@ func NewEngine(prog *Program) (*Engine, error) {
 		dependents:   make(map[string][]string),
 		negatedPreds: make(map[string]bool),
 		aggBodyPreds: make(map[string]bool),
-		rulesFor:     make(map[string][]int),
 		dirty:        make(map[string]bool),
 		setPool:      make(map[string][]*factSet),
-		parallelism:  1,
-		parMinWork:   defaultParMinWork,
-		parChunk:     defaultParChunk,
-
-		costModel:       costAdaptive,
-		dredChurnFactor: defaultDRedChurnFactor,
+		affected:     make(map[string]bool),
 	}
 	e.rulesBy = make([][]int, numStrata)
-	seenPred := make(map[string]bool)
-	addPred := func(p string) {
-		if !seenPred[p] {
-			seenPred[p] = true
-			e.allPreds = append(e.allPreds, p)
-		}
-	}
 	for i, r := range prog.Rules {
 		c, err := compileRule(r)
 		if err != nil {
@@ -231,23 +170,9 @@ func NewEngine(prog *Program) (*Engine, error) {
 		e.compiled = append(e.compiled, c)
 		s := stratumOf[r.Head.Pred]
 		e.rulesBy[s] = append(e.rulesBy[s], i)
-		e.rulesFor[r.Head.Pred] = append(e.rulesFor[r.Head.Pred], i)
-		addPred(r.Head.Pred)
-		for _, l := range r.Body {
-			if l.Kind == LitAtom {
-				addPred(l.Atom.Pred)
-			}
-		}
 	}
 	// Register every probed column mask with its predicate and resolve each
-	// step to its index slot; the dependency graph rides along. The
-	// head-pinned columns of step 0 (DRed rederivation) deliberately get no
-	// eager index: rederivation probes are rare next to the insert/delete
-	// churn on the probed predicates, so maintaining an extra index per rule
-	// on every EDB change would cost far more than the pinned scans save —
-	// the pin values filter the step-0 enumeration instead. Where step 0
-	// already has a constant-column index, the pinned scan narrows to that
-	// bucket for free.
+	// step to its index slot; the dependency graph rides along.
 	for _, c := range e.compiled {
 		for si := range c.steps {
 			m := &c.steps[si]
@@ -340,23 +265,12 @@ func (e *Engine) newSet(pred string) *factSet {
 	return newFactSet(e.prog.Arities[pred], e.masks[pred])
 }
 
-// newSetSized is newSet with the arity forced when the program does not pin
-// it (predicates only ever bound by the caller).
-func (e *Engine) newSetSized(pred string, arity int) *factSet {
-	f := e.newSet(pred)
-	if f.arity == 0 {
-		f.arity = arity
-	}
-	return f
-}
-
 // Pools are capped so one deep cold run (whose fixpoint leases a set per
 // predicate per iteration) cannot pin memory proportional to its depth;
 // steady-state warm rounds use far fewer leases than the caps.
 const (
 	maxPooledSetsPerPred = 8
 	maxPooledMaps        = 16
-	maxPooledOuts        = 64
 )
 
 // leaseSet leases a round-scoped fact set for pred: taken from the
@@ -379,16 +293,6 @@ func (e *Engine) leaseSet(pred string) *factSet {
 	return f
 }
 
-// leaseSetSized is leaseSet with the arity forced when neither the program
-// nor a previous lease pinned it.
-func (e *Engine) leaseSetSized(pred string, arity int) *factSet {
-	f := e.leaseSet(pred)
-	if f.arity == 0 {
-		f.arity = arity
-	}
-	return f
-}
-
 // leaseMap leases a round-scoped predicate-to-set map.
 func (e *Engine) leaseMap() map[string]*factSet {
 	var m map[string]*factSet
@@ -401,24 +305,6 @@ func (e *Engine) leaseMap() map[string]*factSet {
 	}
 	e.mapsOut = append(e.mapsOut, m)
 	return m
-}
-
-// leaseOut leases an index-free membership set for a parallel task's private
-// emit buffer. Out sets never attach the round arena: workers clone emitted
-// tuples concurrently, and the handed-over clones flow into persistent fact
-// sets, so they must be independent heap tuples.
-func (e *Engine) leaseOut(arity int) *factSet {
-	var f *factSet
-	if n := len(e.outPool); n > 0 {
-		f = e.outPool[n-1]
-		e.outPool[n-1] = nil
-		e.outPool = e.outPool[:n-1]
-		f.arity = arity
-	} else {
-		f = newFactSet(arity, nil)
-	}
-	e.outsOut = append(e.outsOut, f)
-	return f
 }
 
 // releaseRound returns every leased set and map to its pool (reset, capacity
@@ -442,14 +328,6 @@ func (e *Engine) releaseRound() {
 		e.mapsOut[i] = nil
 	}
 	e.mapsOut = e.mapsOut[:0]
-	for i, f := range e.outsOut {
-		if len(e.outPool) < maxPooledOuts {
-			f.reset()
-			e.outPool = append(e.outPool, f)
-		}
-		e.outsOut[i] = nil
-	}
-	e.outsOut = e.outsOut[:0]
 	e.roundArena.Reset()
 }
 
@@ -461,17 +339,6 @@ func (e *Engine) factsFor(pred string) *factSet {
 		e.facts[pred] = f
 	}
 	return f
-}
-
-// ensureFactSets pre-creates a fact set for every predicate the program
-// mentions. Pool workers read e.facts concurrently during a parallel pass;
-// creating all sets up front keeps those reads free of map writes.
-func (e *Engine) ensureFactSets() {
-	for _, p := range e.allPreds {
-		if _, ok := e.facts[p]; !ok {
-			e.facts[p] = e.newSet(p)
-		}
-	}
 }
 
 // Run evaluates the program against the current EDB from scratch, replacing
@@ -508,7 +375,6 @@ func (e *Engine) Run() error {
 			return err
 		}
 	}
-	e.ensureFactSets()
 	for s := 0; s < e.numStrata; s++ {
 		if err := e.runStratum(s, e.rulesBy[s], stratumOpts{}); err != nil {
 			return err
@@ -523,8 +389,7 @@ func (e *Engine) Run() error {
 // reusing the retained fact sets of the previous run. Predicates untouched by
 // the change keep their facts and indexes; insert-only changes whose affected
 // closure is free of negation and aggregation are propagated by seeding the
-// semi-naive deltas; deleting (or negation-affected) changes propagate DRed
-// style; changes reaching an aggregate rule clear and re-derive exactly the
+// semi-naive deltas; every other change clears and re-derives exactly the
 // affected predicates. With no previous run (or in Naive mode) it falls back
 // to a cold Run over the updated EDB, so a RunIncremental sequence is always
 // equivalent to a cold run over the final EDB state.
@@ -566,13 +431,13 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	if !warm || e.Naive {
 		return e.Run()
 	}
-	// Round-scoped leases (delta sets, DRed bookkeeping, stratum maps) are
+	// Round-scoped leases (delta sets, stratum maps) are
 	// all dead once the run ends — release them back to the pools. Run's own
 	// defer covers the cold fallback above.
 	defer e.releaseRound()
 
 	// Roots of the change: delta'd predicates plus SetEDB replacements.
-	var roots []string
+	roots := e.roots[:0]
 	hasDelete := false
 	for pred, d := range changed {
 		if len(d.Insert) == 0 && len(d.Delete) == 0 {
@@ -587,7 +452,7 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	}
 	for pred := range e.dirty {
 		// A wholesale replacement may have removed facts: treat it as a
-		// deleting change; the chosen path rebuilds or diffs the fact set.
+		// deleting change; recomputeAffected rebuilds the fact set.
 		roots = append(roots, pred)
 		hasDelete = true
 	}
@@ -637,7 +502,6 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 				}
 			}
 		}
-		e.ensureFactSets()
 		for s := 0; s < e.numStrata; s++ {
 			if err := e.runStratum(s, e.rulesBy[s], stratumOpts{seed: carry, carry: carry}); err != nil {
 				return err
@@ -647,95 +511,22 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		return nil
 	}
 
-	// Non-monotone change. Changes reaching an aggregate rule fall back to
-	// clearing and re-deriving the affected closure (aggregates have no
-	// cheap delete rule). Otherwise a cost model picks the propagation:
-	// DRed's overdelete/rederive costs work proportional to the delta's
-	// consequences, which wins when the churn is small next to the standing
-	// fact sets (GC trickle, victim removal); when the batch replaces a
-	// large fraction of the affected predicates anyway (bulk admission
-	// rounds), clearing and re-deriving them is cheaper than over-deleting
-	// nearly every fact one by one. The adaptive model predicts each
-	// strategy's round time from observed history (see chooseDRed); every
-	// non-monotone round feeds its measured time back into the model.
-	aggAffected := false
-	for p := range affected {
-		if e.aggBodyPreds[p] {
-			aggAffected = true
-			break
-		}
-	}
-	churn := 0
-	for _, d := range changed {
-		churn += len(d.Insert) + len(d.Delete)
-	}
-	for pred := range e.dirty {
-		// Wholesale replacement: bound the symmetric difference by both
-		// versions' sizes.
-		churn += len(e.edb[pred]) + e.FactCount(pred)
-	}
-	affectedSize := 0
-	for p := range affected {
-		affectedSize += e.FactCount(p)
-	}
-	useDRed := !aggAffected && e.chooseDRed(churn, affectedSize)
-	start := time.Now()
-	var err error
-	if useDRed {
-		err = e.runDRed(changed)
-	} else {
-		err = e.recomputeAffected(changed, affected)
-	}
-	if err != nil {
-		return err
-	}
-	elapsed := float64(time.Since(start).Nanoseconds())
-	factor := float64(e.dredChurnFactor)
-	if factor <= 0 {
-		factor = 1
-	}
-	if useDRed {
-		e.dredCost.Observe(elapsed, churn)
-		// Relax the unmeasured side toward the static-consistent estimate
-		// so a stale spike decays and the strategy gets re-tried.
-		e.recomputeCost.DecayToward(e.dredCost.PerUnit / factor)
-	} else if !aggAffected {
-		// Aggregate fallbacks are forced, not chosen: their timings would
-		// bias the recompute estimate with rounds DRed could never take.
-		e.recomputeCost.Observe(elapsed, affectedSize)
-		e.dredCost.DecayToward(e.recomputeCost.PerUnit * factor)
-	}
-	return nil
+	return e.recomputeAffected(changed, affected)
 }
 
-// recomputeAffected is the aggregate fallback for non-monotone changes:
+// recomputeAffected is the warm path for non-monotone changes (deletes,
+// wholesale replacements, anything reaching negation or an aggregate):
 // update the changed EDB fact sets in place (insert before delete, per the
 // EDBDelta contract), then clear and re-derive exactly the predicates
 // downstream of the change. Unaffected predicates — typically the bulk of
-// the EDB — are retained with their indexes.
+// the EDB — are retained with their indexes. Cleared sets are reset in
+// place: the tuple and chain arrays and the index buckets they grew last
+// round are what this round re-fills.
 func (e *Engine) recomputeAffected(changed map[string]EDBDelta, affected map[string]bool) error {
 	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
-	rebuilt := make(map[string]bool, len(e.dirty))
-	for pred := range e.dirty {
-		// A wholesale replacement may have removed facts: rebuild the fact
-		// set from the current EDB rows.
-		rebuilt[pred] = true
-		f := e.newSet(pred)
-		rows := e.edb[pred]
-		if len(rows) > 0 {
-			f.arity = len(rows[0])
-		}
-		for _, t := range rows {
-			if _, _, err := f.add(t, false); err != nil {
-				return err
-			}
-		}
-		e.facts[pred] = f
-	}
-	clear(e.dirty)
 	for pred, d := range changed {
-		if rebuilt[pred] {
-			continue // already rebuilt from the delta-applied EDB rows
+		if e.dirty[pred] {
+			continue // rebuilt below from the delta-applied EDB rows
 		}
 		f := e.factsFor(pred)
 		if f.len() == 0 && len(d.Insert) > 0 {
@@ -750,9 +541,25 @@ func (e *Engine) recomputeAffected(changed map[string]EDBDelta, affected map[str
 			f.remove(t)
 		}
 	}
+	for pred := range e.dirty {
+		// A wholesale replacement may have removed facts: rebuild the fact
+		// set from the current EDB rows.
+		f := e.factsFor(pred)
+		f.reset()
+		rows := e.edb[pred]
+		if len(rows) > 0 {
+			f.arity = len(rows[0])
+		}
+		for _, t := range rows {
+			if _, _, err := f.add(t, false); err != nil {
+				return err
+			}
+		}
+	}
+	clear(e.dirty)
 	for p := range affected {
 		if e.idb[p] {
-			e.facts[p] = e.newSet(p)
+			e.factsFor(p).reset()
 		}
 	}
 	for _, r := range e.prog.Rules {
@@ -767,14 +574,14 @@ func (e *Engine) recomputeAffected(changed map[string]EDBDelta, affected map[str
 			return err
 		}
 	}
-	e.ensureFactSets()
 	for s := 0; s < e.numStrata; s++ {
-		var idx []int
+		idx := e.ruleBuf[:0]
 		for _, ri := range e.rulesBy[s] {
 			if affected[e.compiled[ri].rule.Head.Pred] {
 				idx = append(idx, ri)
 			}
 		}
+		e.ruleBuf = idx[:0]
 		if err := e.runStratum(s, idx, stratumOpts{}); err != nil {
 			return err
 		}
@@ -880,30 +687,23 @@ func (ix *edbIndex) repoint(moved relation.Tuple, from, to int32) {
 }
 
 // affectedClosure returns the predicates reachable from roots in the
-// dependency graph (roots included).
+// dependency graph (roots included). The returned map is the engine's
+// reused buffer, valid until the next call; roots (e.roots) doubles as the
+// traversal queue.
 func (e *Engine) affectedClosure(roots []string) map[string]bool {
-	out := make(map[string]bool)
-	queue := append([]string(nil), roots...)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	out := e.affected
+	clear(out)
+	queue := roots
+	for i := 0; i < len(queue); i++ {
+		p := queue[i]
 		if out[p] {
 			continue
 		}
 		out[p] = true
 		queue = append(queue, e.dependents[p]...)
 	}
+	e.roots = queue[:0]
 	return out
-}
-
-// enablerPass is a DRed insertion pass driven through a negated literal: the
-// negOcc-th negated atom must match a tuple of negDelta (a net-deleted set of
-// its predicate) in addition to being absent from the current facts, so the
-// pass derives exactly the facts newly enabled by those deletions.
-type enablerPass struct {
-	ri       int
-	negOcc   int
-	negDelta *factSet
 }
 
 // stratumOpts parameterises runStratum. With seed == nil the stratum runs
@@ -911,20 +711,14 @@ type enablerPass struct {
 // runs. With a seed, the initial full pass is skipped and the delta loop
 // starts from the seeded tuples (which may belong to lower strata or the EDB
 // — the warm-start paths). carry, when non-nil, additionally records every
-// newly derived fact, seeding later strata. enablers run before the delta
-// loop (DRed insertion through negation). onAdd, when non-nil, observes every
-// genuinely inserted fact (DRed classifies rederivations vs insertions).
+// newly derived fact, seeding later strata.
 type stratumOpts struct {
-	seed     map[string]*factSet
-	carry    map[string]*factSet
-	enablers []enablerPass
-	onAdd    func(pred string, t relation.Tuple)
+	seed  map[string]*factSet
+	carry map[string]*factSet
 }
 
 // workItem is one rule evaluation of a pass: rule ri evaluated under spec
-// (a semi-naive delta substitution, a DRed overdelete or enabler pass, or a
-// full evaluation). The spec's lo/hi window is left open; the parallel
-// scheduler fills it per chunk.
+// (a semi-naive delta substitution or a full evaluation).
 type workItem struct {
 	ri   int
 	spec evalSpec
@@ -932,7 +726,7 @@ type workItem struct {
 
 // runStratum evaluates the given rules of stratum s to fixpoint.
 func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
-	if len(ruleIdx) == 0 && len(opts.enablers) == 0 {
+	if len(ruleIdx) == 0 {
 		return nil
 	}
 	cold := opts.seed == nil
@@ -968,55 +762,37 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		}
 		return d
 	}
-	// addDerived inserts a derived head tuple into the full fact set (clone
-	// on genuine insertion unless owned is set — parallel merge hands over
-	// task-owned clones), records new facts in next and carry, and feeds the
-	// DRed classification hook.
-	addDerived := func(pred string, t relation.Tuple, owned bool, next map[string]*factSet) error {
-		added, stored, err := e.factsFor(pred).add(t, !owned)
-		if err != nil || !added {
-			return err
-		}
-		e.Stats.FactsDerived++
-		if _, _, err := sink(next, pred).add(stored, false); err != nil {
-			return err
-		}
-		if opts.carry != nil {
-			if _, _, err := sink(opts.carry, pred).add(stored, false); err != nil {
-				return err
-			}
-		}
-		if opts.onAdd != nil {
-			opts.onAdd(pred, stored)
-		}
-		return nil
-	}
-	// One emit closure (and one parallel-merge closure) serves every work
-	// item of the stratum: the current head predicate and sink map travel in
-	// the captured variables instead of a fresh closure per item.
+	// One emit closure serves every work item of the stratum: the current
+	// head predicate and sink map travel in the captured variables instead
+	// of a fresh closure per item. It inserts a derived head tuple into the
+	// full fact set (clone on genuine insertion) and records new facts in
+	// next and carry.
 	var emitPred string
 	var emitNext map[string]*factSet
 	emit := func(t relation.Tuple) error {
 		e.Stats.RuleFirings++
-		return addDerived(emitPred, t, false, emitNext)
-	}
-	mergePar := func(pred string, t relation.Tuple) error {
-		return addDerived(pred, t, true, emitNext)
-	}
-	// evalPass runs one pass's work items, fanning out to the pool when the
-	// batch is large enough.
-	evalPass := func(items []workItem, next map[string]*factSet) error {
-		emitNext = next
-		if e.pool != nil {
-			done, err := e.runParallel(items, mergePar)
-			if err != nil || done {
+		added, stored, err := e.factsFor(emitPred).add(t, true)
+		if err != nil || !added {
+			return err
+		}
+		e.Stats.FactsDerived++
+		if _, _, err := sink(emitNext, emitPred).add(stored, false); err != nil {
+			return err
+		}
+		if opts.carry != nil {
+			if _, _, err := sink(opts.carry, emitPred).add(stored, false); err != nil {
 				return err
 			}
 		}
+		return nil
+	}
+	// evalPass runs one pass's work items.
+	evalPass := func(items []workItem, next map[string]*factSet) error {
+		emitNext = next
 		for _, it := range items {
 			c := e.compiled[it.ri]
 			emitPred = c.rule.Head.Pred
-			if err := e.evalRule(c, c.scratch, it.spec, emit); err != nil {
+			if err := e.evalRule(c, it.spec, emit); err != nil {
 				return err
 			}
 		}
@@ -1030,28 +806,13 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 			if c.hasAgg || c.rule.IsFact() {
 				continue
 			}
-			items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}})
+			items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
 		}
 		e.workBuf = items[:0]
 		if err := evalPass(items, delta); err != nil {
 			return err
 		}
 		e.Stats.Iterations++
-	}
-
-	// DRed insertion-through-negation passes: evaluated once, before the
-	// loop; their emissions seed the loop's delta like any other insertion.
-	if len(opts.enablers) > 0 {
-		items := e.workBuf[:0]
-		for _, ep := range opts.enablers {
-			items = append(items, workItem{ri: ep.ri, spec: evalSpec{
-				deltaOcc: -1, negOcc: ep.negOcc, negDelta: ep.negDelta, negEnable: true, hi: -1,
-			}})
-		}
-		e.workBuf = items[:0]
-		if err := evalPass(items, delta); err != nil {
-			return err
-		}
 	}
 
 	for {
@@ -1066,81 +827,37 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 			return nil
 		}
 		next := e.leaseMap()
-		if e.Naive {
-			for _, ri := range ruleIdx {
-				c := e.compiled[ri]
-				if c.hasAgg || c.rule.IsFact() {
-					continue
-				}
-				spec := evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}
-				emitPred, emitNext = c.rule.Head.Pred, next
-				if err := e.evalRule(c, c.scratch, spec, emit); err != nil {
-					return err
-				}
+		items := e.workBuf[:0]
+		for _, ri := range ruleIdx {
+			c := e.compiled[ri]
+			if c.hasAgg || c.rule.IsFact() {
+				continue
 			}
-		} else {
+			if e.Naive {
+				items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
+				continue
+			}
 			// One pass per occurrence of a predicate with pending delta,
 			// with that occurrence reading only the delta. A rule with no
 			// delta'd body atom cannot fire again and is skipped implicitly.
-			items := e.workBuf[:0]
-			base := evalSpec{negOcc: -1, hi: -1}
-			for _, ri := range ruleIdx {
-				c := e.compiled[ri]
-				if c.hasAgg || c.rule.IsFact() {
-					continue
-				}
-				items = c.deltaPasses(items, delta, base)
-			}
-			e.workBuf = items[:0]
-			if err := evalPass(items, next); err != nil {
-				return err
-			}
+			items = c.deltaPasses(items, delta)
+		}
+		e.workBuf = items[:0]
+		if err := evalPass(items, next); err != nil {
+			return err
 		}
 		e.Stats.Iterations++
 		delta = next
 	}
 }
 
-// evalSpec parameterises one evalRule call.
+// evalSpec parameterises one evalRule call: delta substitutes the
+// deltaOcc-th positive atom's fact set (semi-naive delta pass); deltaOcc ==
+// -1 reads all atoms from the full sets.
 type evalSpec struct {
-	// delta substitutes the deltaOcc-th positive atom's fact set (semi-naive
-	// delta pass); deltaOcc == -1 reads all atoms from the full sets.
 	delta    *factSet
 	deltaOcc int
-	// negDelta drives the negOcc-th negated atom from a delta set (DRed):
-	// the atom's key must match a negDelta tuple; with negEnable it must
-	// additionally be absent from the full set (insertion enabled by a
-	// deletion), without it the delta match replaces the absence check
-	// (overdeletion caused by an insertion).
-	negDelta  *factSet
-	negOcc    int
-	negEnable bool
-	// negOld, during an overdeletion pass, maps negated predicates to the
-	// facts inserted into them by the current batch: absence checks ignore
-	// those facts, restoring the pre-change view the invalidated derivations
-	// were built against.
-	negOld map[string]*factSet
-	// oldSets, during an overdeletion pass, maps predicates to their
-	// net-deleted facts. Positive occurrences AFTER the delta occurrence
-	// additionally enumerate these tuples — the delta×old half of the
-	// semi-naive delta-join expansion: the pass driven through the earliest
-	// deleted occurrence sees the other deleted facts through the old view,
-	// so derivations pairing two deletions are found without temporarily
-	// restoring deleted facts into the indexed fact sets. Occurrences
-	// before the delta read the new (post-delete) state; passes driven
-	// through later occurrences then contribute exactly the derivations
-	// whose earlier atoms survived.
-	oldSets map[string]*factSet
-	// lo/hi window the step-0 enumeration (parallel chunking); hi == -1
-	// means the full range.
-	lo, hi int
-	// pinned activates the scratch's head pins (DRed rederivation): every
-	// binding or arithmetic assignment of a pinned variable must equal the
-	// pinned value, pruning the enumeration to derivations of one target
-	// head tuple.
-	pinned bool
 }
-
 
 // evalAggregate evaluates an aggregate rule: the body is enumerated once
 // (its predicates are in strictly lower strata), bindings are grouped by the
@@ -1157,8 +874,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 	var order []*aggGroup
 	keyBuf := make(relation.Tuple, len(c.groupIdx))
 
-	spec := evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}
-	err := e.evalRule(c, c.scratch, spec, func(raw relation.Tuple) error {
+	err := e.evalRule(c, evalSpec{deltaOcc: -1}, func(raw relation.Tuple) error {
 		e.Stats.RuleFirings++
 		for i, gi := range c.groupIdx {
 			keyBuf[i] = raw[gi]

@@ -1,10 +1,6 @@
 package datalog
 
-import (
-	"errors"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // Compiled rule evaluation: every rule body is compiled — once, at NewEngine
 // time — into a chain of specialised step closures, one per body literal,
@@ -14,8 +10,7 @@ import (
 // closure is specialised to its literal's shape (indexed atom, full-scan
 // atom, negated atom, comparison, arithmetic) so the per-tuple inner loops
 // carry no literal-kind dispatch. The per-call parameters (the evalSpec and
-// the emit sink) travel in the evaluator's ruleScratch, which each concurrent
-// evaluator owns privately.
+// the emit sink) travel in the rule's ruleScratch.
 
 // stepFn executes one compiled body step under sc.spec, calling the next
 // step for every binding that survives, and sc.emit at the end of the chain.
@@ -25,13 +20,10 @@ type stepFn func(e *Engine, c *compiledRule, sc *ruleScratch) error
 // must be cloned by any sink that retains them.
 type emitFn func(relation.Tuple) error
 
-// errStopEval aborts an evaluation early through the emit error path; DRed's
-// rederivability probe uses it to stop at the first derivation.
-var errStopEval = errors.New("datalog: stop evaluation")
-
 // evalRule joins the body steps per spec and emits head tuples into the
 // scratch's head buffer (emit callbacks must copy what they retain).
-func (e *Engine) evalRule(c *compiledRule, sc *ruleScratch, spec evalSpec, emit emitFn) error {
+func (e *Engine) evalRule(c *compiledRule, spec evalSpec, emit emitFn) error {
+	sc := c.scratch
 	sc.spec = spec
 	sc.emit = emit
 	err := c.fns[0](e, c, sc)
@@ -63,7 +55,7 @@ func (c *compiledRule) buildFns() {
 		case m.lit.Kind == LitAtom && m.lit.Negated:
 			fns[i] = makeNegStep(m, i, next)
 		case m.lit.Kind == LitAtom && len(m.lookupCols) == 0:
-			fns[i] = makeScanStep(m, i, next)
+			fns[i] = makeScanStep(m, next)
 		case m.lit.Kind == LitAtom:
 			fns[i] = makeLookupStep(m, i, next)
 		case m.lit.Kind == LitCmp:
@@ -76,8 +68,7 @@ func (c *compiledRule) buildFns() {
 }
 
 // bindStep applies the binding positions of an atom step to one candidate
-// tuple, honouring repeated-variable equality checks and (during DRed
-// rederivation) the head pins.
+// tuple, honouring repeated-variable equality checks.
 func bindStep(m *stepMeta, sc *ruleScratch, t relation.Tuple) bool {
 	env := sc.env
 	for i, p := range m.bindPos {
@@ -88,59 +79,31 @@ func bindStep(m *stepMeta, sc *ruleScratch, t relation.Tuple) bool {
 			}
 			continue
 		}
-		if sc.spec.pinned && sc.pinned[v] && !sc.pinVals[v].Equal(t[p]) {
-			return false
-		}
 		env[v] = t[p]
 	}
 	return true
 }
 
-// atomSets resolves the primary (and, during overdeletion, old-view) fact
-// sets a positive atom step enumerates under the current spec.
-func atomSets(e *Engine, m *stepMeta, pred string, spec *evalSpec) (set, old *factSet) {
+// atomSet resolves the fact set a positive atom step enumerates under the
+// current spec: the delta for the delta occurrence, the full set otherwise.
+func atomSet(e *Engine, m *stepMeta, pred string, spec *evalSpec) *factSet {
 	if m.occIndex == spec.deltaOcc {
-		return spec.delta, nil
+		return spec.delta
 	}
-	set = e.factsFor(pred)
-	// Delta-join old view: occurrences after the delta also read the
-	// net-deleted facts of their predicate (see evalSpec).
-	if spec.oldSets != nil && spec.deltaOcc >= 0 && m.occIndex > spec.deltaOcc {
-		if o := spec.oldSets[pred]; o != nil && o.len() > 0 {
-			old = o
-		}
-	}
-	return set, old
+	return e.factsFor(pred)
 }
 
 // makeScanStep compiles a positive atom with no bound columns: a full
-// enumeration of the predicate (windowed by spec.lo/hi at step 0 — the
-// parallel scheduler's range partitioning).
-func makeScanStep(m *stepMeta, step int, next stepFn) stepFn {
+// enumeration of the predicate.
+func makeScanStep(m *stepMeta, next stepFn) stepFn {
 	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		spec := &sc.spec
-		set, old := atomSets(e, m, pred, spec)
-		tuples := set.tuples
-		if step == 0 && spec.hi >= 0 {
-			tuples = tuples[spec.lo:spec.hi]
-		}
-		for _, t := range tuples {
+		for _, t := range atomSet(e, m, pred, &sc.spec).tuples {
 			if !bindStep(m, sc, t) {
 				continue
 			}
 			if err := next(e, c, sc); err != nil {
 				return err
-			}
-		}
-		if old != nil {
-			for _, t := range old.tuples {
-				if !bindStep(m, sc, t) {
-					continue
-				}
-				if err := next(e, c, sc); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
@@ -157,9 +120,8 @@ func makeScanStep(m *stepMeta, step int, next stepFn) stepFn {
 func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		spec := &sc.spec
 		env := sc.env
-		set, old := atomSets(e, m, pred, spec)
+		set := atomSet(e, m, pred, &sc.spec)
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
@@ -167,19 +129,9 @@ func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 		h := relation.HashValues(key)
 		ix := &set.indexes[m.lookupIdx]
 		p := ix.head[h]
-		window := -1 // unlimited
-		if step == 0 && spec.hi >= 0 {
-			for skip := spec.lo; skip > 0 && p != 0; skip-- {
-				p = ix.links[p-1]
-			}
-			window = spec.hi - spec.lo
-		}
-		for p != 0 && window != 0 {
+		for p != 0 {
 			pos := p - 1
 			p = ix.links[pos]
-			if window > 0 {
-				window--
-			}
 			t := set.tuples[pos]
 			if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
 				continue
@@ -188,81 +140,29 @@ func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 				return err
 			}
 		}
-		if old != nil {
-			oix := &old.indexes[m.lookupIdx]
-			for p := oix.head[h]; p != 0; p = oix.links[p-1] {
-				t := old.tuples[p-1]
-				if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
-					continue
-				}
-				if err := next(e, c, sc); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
 	}
 }
 
 // makeNegStep compiles a negated atom: an absence check against the full
-// set, with the DRed delta-through-negation and old-view refinements.
+// set.
 func makeNegStep(m *stepMeta, step int, next stepFn) stepFn {
 	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		spec := &sc.spec
 		env := sc.env
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
 		}
-		if spec.negOcc >= 0 && m.negOccIndex == spec.negOcc {
-			// DRed delta through negation: the atom must match a negDelta
-			// tuple.
-			found := false
-			if len(m.lookupCols) == 0 {
-				found = spec.negDelta.len() > 0
-			} else {
-				d := spec.negDelta
-				ix := &d.indexes[m.lookupIdx]
-				for p := ix.head[relation.HashValues(key)]; p != 0; p = ix.links[p-1] {
-					if matchAt(d.tuples[p-1], m.lookupCols, key) {
-						found = true
-						break
-					}
-				}
-			}
-			if !found {
-				return nil
-			}
-			if !spec.negEnable {
-				// Overdeletion mode: the delta match replaces the absence
-				// check (the inserted fact is present now).
-				return next(e, c, sc)
-			}
-			// Enabler mode falls through to the absence check below.
-		}
 		set := e.factsFor(pred)
-		var ignore *factSet
-		if spec.negOld != nil {
-			ignore = spec.negOld[pred]
-		}
 		if len(m.lookupCols) == 0 {
-			if ignore == nil {
-				if set.len() > 0 {
-					return nil
-				}
-			} else {
-				for _, t := range set.tuples {
-					if !ignore.contains(t) {
-						return nil
-					}
-				}
+			if set.len() > 0 {
+				return nil
 			}
 		} else {
 			ix := &set.indexes[m.lookupIdx]
 			for p := ix.head[relation.HashValues(key)]; p != 0; p = ix.links[p-1] {
-				t := set.tuples[p-1]
-				if matchAt(t, m.lookupCols, key) && (ignore == nil || !ignore.contains(t)) {
+				if matchAt(set.tuples[p-1], m.lookupCols, key) {
 					return nil
 				}
 			}
@@ -343,9 +243,6 @@ func makeArithStep(m *stepMeta, next stepFn) stepFn {
 				return nil
 			}
 			return next(e, c, sc)
-		}
-		if sc.spec.pinned && sc.pinned[m.outVar] && !sc.pinVals[m.outVar].Equal(out) {
-			return nil
 		}
 		env[m.outVar] = out
 		return next(e, c, sc)

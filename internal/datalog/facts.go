@@ -22,15 +22,15 @@ import (
 // of every atom occurrence), so indexes are maintained eagerly on every
 // insert instead of being rebuilt lazily inside the join loop.
 type factSet struct {
-	arity  int
-	tuples []relation.Tuple
-	head   map[uint64]int32 // Tuple.Hash -> first position+1 of the chain
-	links  []int32          // links[i]: next position+1 after tuple i; 0 ends
-	indexes []factIndex     // one per registered column mask
+	arity   int
+	tuples  []relation.Tuple
+	head    map[uint64]int32 // Tuple.Hash -> first position+1 of the chain
+	links   []int32          // links[i]: next position+1 after tuple i; 0 ends
+	indexes []factIndex      // one per registered column mask
 
 	// clones, when non-nil, backs copy-on-insert clones (round-leased sets
 	// share the engine's round arena, reset when the round's leases are
-	// released). Persistent sets and parallel task buffers leave it nil and
+	// released). Persistent sets leave it nil and
 	// clone on the heap.
 	clones *arena.Slab[relation.Value]
 }
@@ -191,34 +191,7 @@ func chainRepoint(head map[uint64]int32, links []int32, h uint64, from, to int32
 	}
 }
 
-func (f *factSet) contains(t relation.Tuple) bool {
-	for p := f.head[t.Hash()]; p != 0; p = f.links[p-1] {
-		if f.tuples[p-1].Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
 func (f *factSet) len() int { return len(f.tuples) }
-
-// candHead returns the first chain position+1 of the idx-th registered index
-// for the key hash; callers walk the chain via the index's links array and
-// must verify the column values (collisions are possible).
-func (f *factSet) candHead(idx int, key []relation.Value) int32 {
-	return f.indexes[idx].head[relation.HashValues(key)]
-}
-
-// candCount walks the idx-th index chain for the key and returns its length
-// (the parallel scheduler's outer-cardinality estimate).
-func (f *factSet) candCount(idx int, key []relation.Value) int {
-	ix := &f.indexes[idx]
-	n := 0
-	for p := ix.head[relation.HashValues(key)]; p != 0; p = ix.links[p-1] {
-		n++
-	}
-	return n
-}
 
 // matchAt verifies that tuple t carries vals at the given columns.
 func matchAt(t relation.Tuple, cols []int, vals []relation.Value) bool {

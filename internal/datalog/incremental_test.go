@@ -99,6 +99,11 @@ func TestRunIncrementalMonotoneSeeding(t *testing.T) {
 		if !e.Stats.Incremental {
 			t.Fatal("expected warm-start run")
 		}
+		// Insert-only into a negation-free program: the strategy follows from
+		// the batch's structure, whatever came before.
+		if e.Stats.Strategy != StrategyMonotone {
+			t.Fatalf("step %d: insert-only batch took %s, want %s", step, e.Stats.Strategy, StrategyMonotone)
+		}
 		edb["edge"] = append(edb["edge"], ins...)
 		checkAgainstOracle(t, e, prog, edb, []string{"edge", "path"}, fmt.Sprintf("step %d", step))
 	}
@@ -108,6 +113,7 @@ func TestRunIncrementalMonotoneSeeding(t *testing.T) {
 // test of the warm-start engine: over a random sequence of EDB insert/delete
 // batches against a program with negation (the shape of the scheduling
 // protocols), RunIncremental always matches a cold Run over the same EDB.
+// The multi-delta programs run the same property on delete-heavy batches.
 func TestRunIncrementalRandomInsertDeleteBatches(t *testing.T) {
 	// A miniature SS2PL-shaped program: negation, multiple strata, two EDB
 	// relations changing in both directions.
@@ -169,13 +175,19 @@ func TestRunIncrementalRandomInsertDeleteBatches(t *testing.T) {
 			checkFactSetConsistency(t, e)
 		}
 	}
+	for pi, src := range multiDeltaPrograms {
+		prog := MustParse(src)
+		for seed := int64(0); seed < 8; seed++ {
+			runMultiDeltaBatches(t, prog, seed*13+int64(pi))
+		}
+	}
 }
 
-// multiDeltaPrograms stress the delta-join planner: rules with two or three
-// positive occurrences of the same changing predicate (a deletion batch can
-// knock out several atoms of one derivation at once — the delta×delta /
-// delta×old pass combinations), self-joins, cross-predicate joins, recursion
-// through a multi-atom rule, and negation layered on top.
+// multiDeltaPrograms are the hard inputs of the warm paths: rules with two or
+// three positive occurrences of the same changing predicate (a deletion batch
+// can knock out several atoms of one derivation at once), self-joins,
+// cross-predicate joins, recursion through a multi-atom rule, negation
+// layered on top, and repeated variables, comparisons and arithmetic.
 var multiDeltaPrograms = []string{
 	`
 	t(X, Z) :- e(X, Y), e(Y, Z).
@@ -196,20 +208,27 @@ var multiDeltaPrograms = []string{
 	p(X, Z) :- e(X, Y), e(Y, Z), not g(X, Z).
 	q(X) :- p(X, _), not h(X).
 	`,
+	`
+	sym(X, Y) :- e(X, Y).
+	sym(Y, X) :- e(X, Y).
+	selfloop(X) :- e(X, X).
+	far(X, Z) :- sym(X, Y), sym(Y, Z), X < Z, not selfloop(X).
+	sum(X, Z, S) :- far(X, Z), S = X + Z.
+	`,
 }
 
 // runMultiDeltaBatches drives one engine through random insert/delete
 // batches over prog's EDB predicates, checking every step against a cold
-// oracle and the fact-set invariants. configure tweaks the engine before the
-// first run (cost-model pin, parallelism).
-func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64, configure func(*Engine)) {
+// oracle and the fact-set invariants. Every batch inserts, and every batch
+// after the first few deletes, so the strategy must be recompute whenever
+// something was deleted.
+func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e, err := NewEngine(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	configure(e)
 	idb := prog.IDB()
 	var edbPreds, preds []string
 	seen := map[string]bool{}
@@ -231,9 +250,9 @@ func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64, configure fun
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sawDRed := false
 	for step := 0; step < 18; step++ {
 		changed := make(map[string]EDBDelta)
+		deleting := false
 		for _, pred := range edbPreds {
 			var d EDBDelta
 			// Delete aggressively so multi-delta derivations (two or three
@@ -241,6 +260,7 @@ func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64, configure fun
 			for _, row := range edb[pred] {
 				if rng.Intn(3) == 0 {
 					d.Delete = append(d.Delete, row)
+					deleting = true
 				}
 			}
 			ar := prog.Arities[pred]
@@ -258,17 +278,14 @@ func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64, configure fun
 		if err := e.RunIncremental(changed); err != nil {
 			t.Fatal(err)
 		}
-		if e.Stats.Strategy == StrategyDRed {
-			sawDRed = true
+		if s := e.Stats.Strategy; deleting && s != StrategyRecompute {
+			t.Fatalf("seed %d step %d: deleting batch took %s, want %s", seed, step, s, StrategyRecompute)
 		}
 		for pred, d := range changed {
 			edb[pred] = applyDeltaMirror(edb[pred], d)
 		}
 		checkAgainstOracle(t, e, prog, edb, preds, fmt.Sprintf("seed %d step %d", seed, step))
 		checkFactSetConsistency(t, e)
-	}
-	if !sawDRed {
-		t.Fatalf("seed %d: DRed path never taken", seed)
 	}
 }
 
@@ -281,153 +298,6 @@ func atomPredsOf(r Rule) []string {
 		}
 	}
 	return out
-}
-
-// TestDRedDeltaJoinMultiDeltaPrograms forces the cost model to DRed and
-// checks the delta-join pass scheduling (no multi-delta restore) against the
-// cold oracle on delete-heavy batches over multi-atom rules.
-func TestDRedDeltaJoinMultiDeltaPrograms(t *testing.T) {
-	for pi, src := range multiDeltaPrograms {
-		prog := MustParse(src)
-		for seed := int64(0); seed < 8; seed++ {
-			runMultiDeltaBatches(t, prog, seed*13+int64(pi), func(e *Engine) {
-				e.costModel = costForceDRed
-			})
-		}
-	}
-}
-
-// TestDRedDeltaJoinMultiDeltaParallel is the same property with every DRed
-// pass forced through the worker pool: parallel DRed ≡ sequential DRed ≡
-// cold oracle (the sequential equivalence is the previous test; both compare
-// against the same oracle on the same seeds).
-func TestDRedDeltaJoinMultiDeltaParallel(t *testing.T) {
-	for pi, src := range multiDeltaPrograms {
-		prog := MustParse(src)
-		for seed := int64(0); seed < 8; seed++ {
-			runMultiDeltaBatches(t, prog, seed*13+int64(pi), func(e *Engine) {
-				e.costModel = costForceDRed
-				forceParallel(e, 4)
-			})
-		}
-	}
-}
-
-// TestAdaptiveCostModelConverges: after warm-up rounds on trickle churn the
-// adaptive model keeps choosing DRed against a large standing set, and its
-// per-strategy EWMAs accumulate samples.
-func TestAdaptiveCostModelConverges(t *testing.T) {
-	prog := MustParse(`
-		finished(TA) :- history(TA, "c", _).
-		lock(OBJ, TA) :- history(TA, "w", OBJ), not finished(TA).
-		blocked(TA) :- request(TA, _, OBJ), lock(OBJ, TA2), TA2 != TA.
-		qualified(TA, OP, OBJ) :- request(TA, OP, OBJ), not blocked(TA).
-	`)
-	e, err := NewEngine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist []relation.Tuple
-	for i := int64(0); i < 500; i++ {
-		hist = append(hist, relation.Tuple{relation.Int(i), relation.String("w"), relation.Int(i % 60)})
-	}
-	if err := e.SetEDB("history", hist); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetEDB("request", []relation.Tuple{
-		{relation.Int(900), relation.String("r"), relation.Int(3)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		// Trickle: retire one history row and admit it back.
-		if err := e.RunIncremental(map[string]EDBDelta{
-			"history": {Delete: hist[i : i+1]},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if e.Stats.Strategy != StrategyDRed {
-			t.Fatalf("trickle round %d took %s, want %s", i, e.Stats.Strategy, StrategyDRed)
-		}
-		if err := e.RunIncremental(map[string]EDBDelta{
-			"history": {Insert: hist[i : i+1]},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.dredCost.Samples < 8 {
-		t.Fatalf("adaptive model recorded %d DRed samples, want >= 8", e.dredCost.Samples)
-	}
-	if e.dredCost.PerUnit <= 0 {
-		t.Fatalf("DRed cost EWMA not positive: %v", e.dredCost.PerUnit)
-	}
-	// A bulk replacement must still fall to recompute even with only DRed
-	// samples (the borrowed estimate keeps the static ratio).
-	if err := e.RunIncremental(map[string]EDBDelta{
-		"history": {Delete: hist[10:480]},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats.Strategy != StrategyRecompute {
-		t.Fatalf("bulk delete took %s, want %s", e.Stats.Strategy, StrategyRecompute)
-	}
-	if e.recomputeCost.Samples == 0 {
-		t.Fatal("recompute round not observed by the cost model")
-	}
-}
-
-// TestAdaptiveCostModelRecoversFromSpike: a wildly inflated DRed estimate
-// (as a GC pause landing inside one timed round would plant, were it not
-// clamped) must not lock the engine out of DRed forever — the not-chosen
-// side's estimate decays toward the static-consistent value each round, so
-// DRed is eventually re-tried and re-measured.
-func TestAdaptiveCostModelRecoversFromSpike(t *testing.T) {
-	prog := MustParse(`
-		finished(TA) :- history(TA, "c", _).
-		lock(OBJ, TA) :- history(TA, "w", OBJ), not finished(TA).
-		blocked(TA) :- request(TA, _, OBJ), lock(OBJ, TA2), TA2 != TA.
-		qualified(TA, OP, OBJ) :- request(TA, OP, OBJ), not blocked(TA).
-	`)
-	e, err := NewEngine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hist []relation.Tuple
-	for i := int64(0); i < 400; i++ {
-		hist = append(hist, relation.Tuple{relation.Int(i), relation.String("w"), relation.Int(i % 50)})
-	}
-	if err := e.SetEDB("history", hist); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Plant a poisoned state: DRed believed to be astronomically expensive.
-	e.dredCost = strategyCost{PerUnit: 1e7, Samples: 4}
-	e.recomputeCost = strategyCost{PerUnit: 10, Samples: 4}
-	recovered := false
-	for i := 0; i < 150 && !recovered; i++ {
-		if err := e.RunIncremental(map[string]EDBDelta{
-			"history": {Delete: hist[i%100 : i%100+1]},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if e.Stats.Strategy == StrategyDRed {
-			recovered = true
-		}
-		if err := e.RunIncremental(map[string]EDBDelta{
-			"history": {Insert: hist[i%100 : i%100+1]},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !recovered {
-		t.Fatalf("DRed never re-chosen after a poisoned estimate (dredPer=%v recomputePer=%v)",
-			e.dredCost.PerUnit, e.recomputeCost.PerUnit)
-	}
 }
 
 // TestRunIncrementalAfterSetEDBReplacement: a wholesale SetEDB between

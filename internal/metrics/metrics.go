@@ -145,9 +145,9 @@ type RoundStats struct {
 	Exec    time.Duration
 	History int // live history size after the round
 	// Strategy names the evaluation path the protocol took this round
-	// (e.g. the Datalog engine's cold/monotone/dred/recompute, or the SQL
+	// (e.g. the Datalog engine's cold/monotone/recompute, or the SQL
 	// executor's sql-ivm/sql-ivm-build/sql-warm/sql-cold); empty when the
-	// protocol does not report one. The adaptive cost models' per-round
+	// protocol does not report one. The SQL cost model's per-round
 	// choices become observable here.
 	Strategy string
 	// Partition identifies which round loop produced this record under the
@@ -496,7 +496,7 @@ func (d *Durability) String() string {
 
 // StrategyString renders the per-strategy round counts as
 // "name=count name=count ...", sorted by name ("" when no strategy was
-// reported) — the one-line view of the adaptive cost models' choices.
+// reported) — the one-line view of which evaluation paths ran.
 func (s Summary) StrategyString() string {
 	if len(s.Strategies) == 0 {
 		return ""

@@ -381,6 +381,9 @@ func (c *compiler) applyExists(cur *planNode, e Expr) (*planNode, error) {
 			return nil, fmt.Errorf("minisql: nested EXISTS not supported")
 		}
 	}
+	if len(innerSel.From) == 0 {
+		return nil, fmt.Errorf("minisql: EXISTS subquery without FROM not supported")
+	}
 	inner, leftover, err := c.joinChain(innerSel.From, conjs)
 	if err != nil {
 		return nil, err
@@ -389,6 +392,9 @@ func (c *compiler) applyExists(cur *planNode, e Expr) (*planNode, error) {
 	// a residual over (outer ++ inner). Equalities implied by every disjunct
 	// of an OR are additionally hoisted as keys (the residual keeps the OR,
 	// which is redundant but harmless).
+	if err := checkDisjointAliases(cur.schema, inner.schema); err != nil {
+		return nil, err // a subquery alias shadowing an outer one
+	}
 	both := concat(cur.schema, inner.schema)
 	var keys []ra.EquiKey
 	var residual ra.Expr

@@ -1,7 +1,6 @@
-// Package pool provides the persistent worker pool shared by the parallel
-// evaluators: the Datalog engine's semi-naive and DRed passes and the
-// relational-algebra operators behind the mini-SQL executor all fan their
-// large passes out over the same abstraction. A Pool is a fixed set of
+// Package pool provides the persistent worker pool of the parallel
+// evaluator: the relational-algebra operators behind the mini-SQL executor
+// fan their large passes out over it. A Pool is a fixed set of
 // goroutines fed from one channel; batches block the submitting goroutine
 // until every task of the batch has finished, so the callers' single-threaded
 // round structure is preserved — only the inside of one evaluation pass runs
@@ -84,7 +83,7 @@ func (p *Pool) Run(n int, fn func(task, worker int)) {
 }
 
 // Reconfigure implements the SetParallelism lifecycle shared by every pool
-// owner (the Datalog engine, the SQL protocol): it resolves n (n <= 0
+// owner (the SQL protocol): it resolves n (n <= 0
 // selects GOMAXPROCS), shuts old down when the worker count changes, and
 // returns the pool for the new count — old itself when unchanged, nil for
 // single-threaded, or a fresh pool whose goroutines are shut down when
@@ -111,7 +110,7 @@ func Reconfigure[T any](owner *T, old *Pool, n int) *Pool {
 // and executes fn(task, lo, hi, worker) for each on the pool, blocking until
 // all complete. tasks is clamped to n; the windows are balanced to within
 // one element. The shared chunk arithmetic of every range-partitioned pass
-// (row loops, probe batches, rederivation targets).
+// (row loops, probe batches).
 func (p *Pool) RunRange(n, tasks int, fn func(task, lo, hi, worker int)) {
 	if tasks > n {
 		tasks = n

@@ -134,9 +134,9 @@ func TestRunPerWorkerScratchUnshared(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatches: Run is safe to call from multiple goroutines — the
-// scheduler's DRed passes and the SQL operators share one pool. -race guards
-// the internals.
+// TestConcurrentBatches: Run is safe to call from multiple goroutines (the
+// shards' SQL protocols each own a pool today, but nothing in the type says
+// so). -race guards the internals.
 func TestConcurrentBatches(t *testing.T) {
 	p := New(4)
 	defer p.Shutdown()

@@ -664,13 +664,8 @@ func (p *DatalogProtocol) ObjectDecomposable() bool { return p.decomposable }
 func (p *DatalogProtocol) EngineStats() datalog.RunStats { return p.engine.Stats }
 
 // LastStrategy implements StrategyReporter with the engine's evaluation path
-// of the last run (the adaptive cost model's per-round choice).
+// of the last run (a function of the round's deltas alone).
 func (p *DatalogProtocol) LastStrategy() string { return p.engine.Stats.Strategy }
-
-// SetParallelism implements Parallelizable: large evaluation passes of the
-// underlying engine fan out across n workers (n <= 0 selects GOMAXPROCS,
-// 1 stays single-threaded). Must not be called concurrently with Qualify.
-func (p *DatalogProtocol) SetParallelism(n int) { p.engine.SetParallelism(n) }
 
 // SetAux binds an auxiliary EDB relation (e.g. objclass(obj, class) for
 // consistency rationing). It persists across Qualify calls until replaced.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/datalog"
 	"repro/internal/request"
 )
 
@@ -14,11 +15,21 @@ func costmodelEWMA(perUnit float64, samples int) costmodel.EWMA {
 	return costmodel.EWMA{PerUnit: perUnit, Samples: samples}
 }
 
+// roundTrace is what one driveIncremental round looked like from outside:
+// the strategy the protocol reported and whether the round's deltas removed
+// anything.
+type roundTrace struct {
+	strategy string
+	deleting bool
+}
+
 // driveIncremental simulates the scheduler's round loop against one
 // incremental protocol instance and checks every round's qualified set
-// against a cold Qualify on a fresh twin protocol.
-func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Protocol, seed int64) {
+// against a cold Qualify on a fresh twin protocol. It returns one roundTrace
+// per round.
+func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Protocol, seed int64) []roundTrace {
 	t.Helper()
+	var trace []roundTrace
 	rng := rand.New(rand.NewSource(seed))
 	var pending, history []request.Request
 	var d Deltas
@@ -46,6 +57,11 @@ func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Prot
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		rt := roundTrace{deleting: len(d.PendingRemoved)+len(d.HistoryRemoved) > 0}
+		if sr, ok := warm.(StrategyReporter); ok {
+			rt.strategy = sr.LastStrategy()
+		}
+		trace = append(trace, rt)
 		d = Deltas{}
 		want, err := coldOf().Qualify(pending, history)
 		if err != nil {
@@ -87,6 +103,7 @@ func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Prot
 		}
 		history = keptH
 	}
+	return trace
 }
 
 // TestDatalogQualifyIncrementalMatchesCold: the warm-started Datalog
@@ -95,6 +112,38 @@ func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Prot
 func TestDatalogQualifyIncrementalMatchesCold(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		driveIncremental(t, SS2PLDatalog(), func() Protocol { return SS2PLDatalog() }, seed)
+	}
+}
+
+// TestDatalogStrategyIsAFunctionOfTheDeltas: the Datalog engine picks its
+// warm path from the structure of the round's deltas and nothing else, so
+// two fresh protocol instances fed the same seeded sequence report the same
+// strategy round for round, every strategy is one of the four that exist,
+// and a round that removed anything recomputes. (SS2PL negates, so the
+// protocol never reaches monotone; the engine-level monotone case is
+// datalog.TestRunIncrementalMonotoneSeeding.)
+func TestDatalogStrategyIsAFunctionOfTheDeltas(t *testing.T) {
+	known := map[string]bool{
+		datalog.StrategyCold: true, datalog.StrategyNone: true,
+		datalog.StrategyMonotone: true, datalog.StrategyRecompute: true,
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		a := driveIncremental(t, SS2PLDatalog(), func() Protocol { return SS2PLDatalog() }, seed)
+		b := driveIncremental(t, SS2PLDatalog(), func() Protocol { return SS2PLDatalog() }, seed)
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("seed %d: strategy sequences differ between two instances\n%v\n%v", seed, a, b)
+		}
+		for round, rt := range a {
+			if !known[rt.strategy] {
+				t.Fatalf("seed %d round %d: unknown strategy %q", seed, round, rt.strategy)
+			}
+			if round == 0 && rt.strategy != datalog.StrategyCold {
+				t.Fatalf("seed %d: first round took %s, want %s", seed, rt.strategy, datalog.StrategyCold)
+			}
+			if round > 0 && rt.deleting && rt.strategy != datalog.StrategyRecompute {
+				t.Fatalf("seed %d round %d: deleting round took %s, want %s", seed, round, rt.strategy, datalog.StrategyRecompute)
+			}
+		}
 	}
 }
 

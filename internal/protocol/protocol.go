@@ -80,7 +80,7 @@ type Parallelizable interface {
 
 // StrategyReporter is implemented by protocols that can name the evaluation
 // path their last Qualify took (e.g. the Datalog engine's cold / monotone /
-// dred / recompute as chosen by its adaptive cost model, or the SQL
+// recompute as the round's deltas dictate, or the SQL
 // executor's warm vs cold round). The scheduler records it per round in
 // metrics.RoundStats.
 type StrategyReporter interface {

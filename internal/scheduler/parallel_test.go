@@ -14,18 +14,17 @@ import (
 // TestConcurrentSubmitDuringParallelRounds hammers Middleware.Submit from
 // many client goroutines while rounds run a multi-core protocol, so the race
 // detector sees the full concurrency surface: client workers feeding the
-// admission queue, the scheduler loop firing rounds, and the Datalog engine's
-// worker pool evaluating inside those rounds. Every transaction must either
+// admission queue, the scheduler loop firing rounds, and the worker pool
+// Config.Parallelism hands the SQL protocol (the Parallelizable forwarding;
+// rounds this small stay under the operators' fan-out cutoff, which
+// internal/protocol, internal/ra and internal/minisql lower in their own
+// race tests). Every transaction must either
 // fully execute or be aborted as a deadlock victim — nothing may hang or be
 // silently dropped.
 func TestConcurrentSubmitDuringParallelRounds(t *testing.T) {
-	p := protocol.SS2PLDatalog()
-	p.SetParallelism(4)
 	engine, err := NewEngine(Config{
-		Protocol: p,
-		Server:   storage.NewServer(storage.Config{Rows: 64}),
-		// Parallelism through the config path as well (idempotent here,
-		// exercising the Parallelizable forwarding).
+		Protocol:    protocol.SS2PLSQL(),
+		Server:      storage.NewServer(storage.Config{Rows: 64}),
 		Parallelism: 4,
 	})
 	if err != nil {

@@ -35,8 +35,8 @@ type execTrace struct {
 // random per-request server latencies, the pipelined engine must produce
 // exactly the synchronous engine's behavior — per-round victims and
 // qualified counts, the executed sequence with its server results, the final
-// history and pending stores, and the server table state — sequentially and
-// with a parallel protocol (run under -race in CI).
+// history and pending stores, and the server table state (run under -race
+// in CI).
 func TestPipelinedMatchesSynchronous(t *testing.T) {
 	// The cross-object protocols cannot shard (TestPartitionedRejects...), so
 	// the deferred path at one shard is the only one they run pipelined on.
@@ -48,17 +48,15 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 		{"woundwait", func() protocol.Protocol { return protocol.WoundWaitDatalog() }},
 		{"sla", func() protocol.Protocol { return protocol.SLAPriorityDatalog() }},
 	} {
-		for _, parallelism := range []int{1, 4} {
-			for seed := int64(0); seed < 6; seed++ {
-				t.Run(fmt.Sprintf("%s/par=%d/seed=%d", proto.name, parallelism, seed), func(t *testing.T) {
-					testPipelinedMatchesSynchronous(t, proto.mk, parallelism, seed)
-				})
-			}
+		for seed := int64(0); seed < 6; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", proto.name, seed), func(t *testing.T) {
+				testPipelinedMatchesSynchronous(t, proto.mk, seed)
+			})
 		}
 	}
 }
 
-func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Protocol, parallelism int, seed int64) {
+func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Protocol, seed int64) {
 	gen, err := workload.NewGenerator(workload.Config{
 		Clients: 6, TxnsPerClient: 4,
 		ReadsPerTxn: 2, WritesPerTxn: 2,
@@ -95,7 +93,6 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 			Protocol:    mkProto(),
 			Server:      srv,
 			KeepLog:     true,
-			Parallelism: parallelism,
 			StarveAfter: 12, // small bound: the starvation path must run too
 		})
 		if err != nil {

@@ -5,9 +5,9 @@
 # BENCH_<n>.json, so a PR cannot silently lose the warm-start, cold-round or
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
-# allocating per row" regressions (the warm rounds sit at ~172 / ~480
-# allocs/op since the arena/bulk pass; the committed baseline is the
-# ratchet). CI boxes are noisy and heterogeneous; 2x is deliberately
+# allocating per row" regressions (the warm rounds sit at ~688 (Datalog,
+# affected-closure recompute since PR 14) / ~220 (SQL) allocs/op; the
+# committed baseline is the ratchet). CI boxes are noisy and heterogeneous; 2x is deliberately
 # loose — it catches "the hot path fell off a cliff", not percent-level
 # drift (the trajectory table in ROADMAP.md tracks that). A guarded bench
 # missing from the baseline file is skipped, as is the allocs gate for
