@@ -175,7 +175,7 @@ func compileExpr(e Expr, s *relation.Schema) (ra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ra.Col{Pos: pos, Name: n.Name}, nil
+		return ra.Col{Pos: pos, Name: s.Col(pos).Name}, nil // qualified, for Plan.String
 	case *Lit:
 		return ra.Lit{V: n.V}, nil
 	case *Not:

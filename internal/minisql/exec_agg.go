@@ -204,7 +204,7 @@ func (c *compiler) projectGrouped(sel *Select, in *planNode) (*planNode, error) 
 	groupedCols = append(groupedCols, midCols[:len(groupPos)]...)
 	for i, fc := range aggs {
 		if !fc.Star {
-			specs[i].E = ra.Col{Pos: argPos}
+			specs[i].E = ra.Col{Pos: argPos, Name: midCols[argPos].Name}
 			argPos++
 		}
 		groupedCols = append(groupedCols, relation.Column{Name: specs[i].Name, Kind: ra.AggOutputKind(specs[i].Func)})

@@ -25,6 +25,18 @@ var fuzzSeeds = []string{
 		SELECT * FROM h b
 		WHERE (a.ta = b.ta AND a.obj = b.obj AND b.op = 'w')
 		   OR (a.ta = b.ta AND b.op = 'x'))`,
+	// NOT EXISTS over disjunctions, which the planner splits into anti-join
+	// chains: no equality shared by the disjuncts, no equality at all, an OR
+	// nested in a disjunct, a common conjunct beside the OR, a NULL test, and
+	// a conjunction of ORs (the split's exponential case).
+	`SELECT a.ta FROM r a WHERE NOT EXISTS (
+		SELECT * FROM h b WHERE (a.ta = b.ta AND b.op = 'w') OR (a.obj = b.obj AND b.op = 'r'))`,
+	"SELECT a.ta FROM r a WHERE NOT EXISTS (SELECT * FROM s b WHERE b.ta > a.ta OR b.obj < a.obj)",
+	`SELECT a.ta FROM r a WHERE NOT EXISTS (
+		SELECT * FROM h b WHERE a.ta = b.ta AND (a.obj = b.obj OR (b.op = 'c' AND (b.obj IS NULL OR a.obj > 3))))`,
+	`SELECT x.a FROM t x WHERE NOT EXISTS (
+		SELECT * FROM t y, u z WHERE y.b = z.b AND (x.a = y.a OR x.b = z.b) AND (x.a = z.b OR x.b = y.b))`,
+	"SELECT a.ta FROM r a WHERE NOT NOT EXISTS (SELECT * FROM s b WHERE a.ta = b.ta OR a.obj = b.obj)",
 	"(SELECT a FROM t) UNION ALL (SELECT b FROM u)",
 	"(SELECT a FROM t) UNION (SELECT b FROM u)",
 	"(SELECT a FROM t) EXCEPT (SELECT b FROM u)",

@@ -212,6 +212,22 @@ func (m *IVM) SetBulkThreshold(num, den int) {
 // wholesale (0 means the round was pure trickle maintenance).
 func (m *IVM) BulkNodes() int { return m.bulkNodes }
 
+// Bags returns the materialised views, one bag per base table and per plan
+// node that owns one. Read-only: the bounded-growth tests check each bag's
+// maps against what it holds (relation.Bag.MapKeys).
+func (m *IVM) Bags() []*relation.Bag {
+	var out []*relation.Bag
+	for _, tv := range m.tables {
+		out = append(out, tv.bag)
+	}
+	for _, n := range m.plan.nodes {
+		if v := m.views[n.id]; v != nil && v.node == n && n.op != opScan {
+			out = append(out, v.bag)
+		}
+	}
+	return out
+}
+
 // Result flattens the maintained root view. With a root-level ORDER BY the
 // incrementally maintained sorted cells are emitted directly — no re-sort;
 // otherwise row order is unspecified.
@@ -1070,8 +1086,14 @@ func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *rela
 	if acc.N() == 0 && len(n.groupPos) > 0 {
 		if existing != nil {
 			out.add(existing.out, -1)
-			bucket[slot] = bucket[len(bucket)-1]
-			v.groups[h] = bucket[:len(bucket)-1]
+			last := len(bucket) - 1
+			bucket[slot] = bucket[last]
+			bucket[last] = nil
+			if last == 0 {
+				delete(v.groups, h) // keep the map O(live groups)
+			} else {
+				v.groups[h] = bucket[:last]
+			}
 		}
 		return
 	}

@@ -12,7 +12,8 @@ import (
 
 // The delta-maintained executor is property-tested against the cold (full
 // re-run) executor and the nested-loop oracle: over random catalogs, random
-// queries of every maintainable shape (multi-table equi-joins, [NOT] EXISTS,
+// queries of every maintainable shape (multi-table equi-joins, [NOT] EXISTS
+// including NOT EXISTS over disjunctions, with NULLs on the subquery side,
 // LEFT JOIN with IS NULL, UNION/UNION ALL/EXCEPT, DISTINCT, GROUP BY
 // aggregates, CTEs referenced more than once, FROM subqueries) and random
 // insert/delete delta sequences, the IVM's maintained result must equal the
@@ -21,7 +22,12 @@ import (
 
 // randIVMQuery renders a random maintainable query over tables t1, t2, t3.
 func randIVMQuery(rng *rand.Rand) string {
-	switch rng.Intn(6) {
+	switch rng.Intn(7) {
+	case 6:
+		// NOT EXISTS over OR-of-AND predicates: the planner splits it into a
+		// chain of anti-joins, each maintained by its own delta rule.
+		src, _ := randNotExistsOr(rng)
+		return src
 	case 0:
 		// The join/EXISTS generator shared with the executor oracle test.
 		return randQuery(rng)
@@ -97,7 +103,7 @@ func randDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[string]D
 	for _, name := range []string{"t1", "t2", "t3"} {
 		var d Delta
 		for k := 0; k < rng.Intn(4); k++ {
-			t := randTableRow(rng)
+			t := randRowFor(name, rng)
 			d.Ins = append(d.Ins, t)
 			mirror[name] = append(mirror[name], t)
 		}
@@ -112,7 +118,7 @@ func randDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[string]D
 		}
 		if rng.Intn(4) == 0 {
 			// Net no-op churn: the same tuple inserted and deleted.
-			t := randTableRow(rng)
+			t := randRowFor(name, rng)
 			d.Ins = append(d.Ins, t)
 			d.Del = append(d.Del, t)
 		}
@@ -136,7 +142,7 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 			mirror[name] = append(rows[:i], rows[i+1:]...)
 		}
 		for k, n := 0, drop+rng.Intn(8); k < n; k++ {
-			tp := randTableRow(rng)
+			tp := randRowFor(name, rng)
 			d.Ins = append(d.Ins, tp)
 			mirror[name] = append(mirror[name], tp)
 		}
@@ -159,7 +165,7 @@ func runIVMProperty(t *testing.T, opts *ra.Options, seeds, rounds int, mode stri
 		mirror := map[string][]relation.Tuple{}
 		for _, name := range []string{"t1", "t2", "t3"} {
 			for i, n := 0, 5+rng.Intn(25); i < n; i++ {
-				mirror[name] = append(mirror[name], randTableRow(rng))
+				mirror[name] = append(mirror[name], randRowFor(name, rng))
 			}
 		}
 		src := randIVMQuery(rng)
@@ -319,5 +325,55 @@ func TestIVMDivergentDeltaErrors(t *testing.T) {
 	bogus := relation.Tuple{relation.Int(9), relation.Int(9), relation.Int(9)}
 	if err := m.Apply(map[string]Delta{"t1": {Del: []relation.Tuple{bogus}}}); err == nil {
 		t.Fatal("divergent delete accepted")
+	}
+}
+
+// TestIVMGroupMapShrinksWhenGroupsVanish: a grouped view whose groups turn
+// over (every round a new key appears and the oldest disappears) keeps its
+// group table, like its bags, the size of the groups that exist.
+func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
+	q, err := Parse("SELECT x.a, COUNT(*) AS n FROM t1 x GROUP BY x.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) relation.Tuple {
+		return relation.Tuple{relation.Int(int64(i)), relation.Int(0), relation.Int(0)}
+	}
+	const standing = 8
+	mirror := map[string][]relation.Tuple{}
+	for i := 0; i < standing; i++ {
+		mirror["t1"] = append(mirror["t1"], row(i))
+	}
+	cat := mirrorCatalog(mirror)
+	plan, err := CompilePlan(q, map[string]*relation.Schema{"t1": cat["t1"].Schema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewIVM(plan, cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := standing; i < standing+5000; i++ {
+		d := Delta{Ins: []relation.Tuple{row(i)}, Del: []relation.Tuple{row(i - standing)}}
+		if err := m.Apply(map[string]Delta{"t1": d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := m.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != standing {
+		t.Fatalf("%d groups in the result, want %d", res.Len(), standing)
+	}
+	for _, n := range plan.nodes {
+		if v := m.views[n.id]; n.op == opGroupBy && len(v.groups) > standing {
+			t.Errorf("group table holds %d keys for %d groups", len(v.groups), standing)
+		}
+	}
+	for i, b := range m.Bags() {
+		if b.MapKeys() > b.DistinctLen() {
+			t.Errorf("bag %d: largest map holds %d keys for %d distinct tuples", i, b.MapKeys(), b.DistinctLen())
+		}
 	}
 }

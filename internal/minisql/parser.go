@@ -640,10 +640,3 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return nil, p.errf("expected expression")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

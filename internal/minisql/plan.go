@@ -68,6 +68,7 @@ type planNode struct {
 type Plan struct {
 	root  *planNode
 	ctes  []*planNode // CTE bodies in declaration order; slot i may use j < i
+	names []string    // CTE names by slot, for String
 	nodes []*planNode // every node, children before parents
 }
 
@@ -123,6 +124,7 @@ func (c *compiler) query(q *Query) (*planNode, error) {
 			}
 			slot := len(c.plan.ctes)
 			c.plan.ctes = append(c.plan.ctes, n)
+			c.plan.names = append(c.plan.names, cte.Name)
 			c.scope[cte.Name] = scopeEntry{schema: n.schema, cte: slot}
 		}
 	}
@@ -346,10 +348,10 @@ func (c *compiler) fromItem(item FromItem) (*planNode, error) {
 	}), nil
 }
 
-// applyExists rewrites a [NOT] EXISTS conjunct into a hash semi/anti join of
-// the current node against the subquery's FROM, extracting correlated
-// equality predicates as join keys (including keys implied by every branch
-// of an OR) and compiling the rest as a residual predicate.
+// applyExists rewrites a [NOT] EXISTS conjunct into hash semi/anti joins of
+// the current node against the subquery's FROM. EXISTS becomes one semi-join;
+// NOT EXISTS becomes a chain of anti-joins, one per disjunct of its WHERE
+// (see antiJoins).
 func (c *compiler) applyExists(cur *planNode, e Expr) (*planNode, error) {
 	negate := false
 	for {
@@ -375,23 +377,108 @@ func (c *compiler) applyExists(cur *planNode, e Expr) (*planNode, error) {
 	if !ok {
 		return nil, fmt.Errorf("minisql: set operations inside EXISTS not supported")
 	}
-	conjs := splitConjuncts(innerSel.Where, nil)
-	for _, cj := range conjs {
+	var where []Expr
+	for _, cj := range splitConjuncts(innerSel.Where, nil) {
 		if hasExists(cj.e) {
 			return nil, fmt.Errorf("minisql: nested EXISTS not supported")
 		}
+		where = append(where, cj.e)
 	}
 	if len(innerSel.From) == 0 {
 		return nil, fmt.Errorf("minisql: EXISTS subquery without FROM not supported")
 	}
-	inner, leftover, err := c.joinChain(innerSel.From, conjs)
+	if negate {
+		budget := maxAntiJoins - 1 // the unsplit NOT EXISTS is one already
+		return c.antiJoins(cur, innerSel.From, where, &budget)
+	}
+	inner, leftover, err := c.joinChain(innerSel.From, newConjuncts(where))
 	if err != nil {
 		return nil, err
 	}
-	// Correlated conjuncts: direct equalities become keys; everything else is
-	// a residual over (outer ++ inner). Equalities implied by every disjunct
-	// of an OR are additionally hoisted as keys (the residual keeps the OR,
-	// which is redundant but harmless).
+	return c.semiJoin(cur, inner, leftover, false)
+}
+
+// maxAntiJoins bounds the anti-joins one NOT EXISTS may be split into: the
+// split is a disjunctive-normal-form expansion, exponential on inputs like
+// (p OR q) AND (r OR s) AND ... Past the bound the remaining ORs stay
+// residuals of the anti-joins already emitted.
+const maxAntiJoins = 16
+
+// antiJoins lowers NOT EXISTS (SELECT ... FROM from WHERE where[0] AND ...)
+// over cur. When a correlated conjunct is a disjunction D1 OR D2 OR ..., the
+// subquery is split on it:
+//
+//	NOT EXISTS(S WHERE C AND (D1 OR D2)) = NOT EXISTS(S WHERE C AND D1)
+//	                                    AND NOT EXISTS(S WHERE C AND D2)
+//
+// which is exact under three-valued logic (a row makes C AND (D1 OR D2) TRUE
+// iff it makes C AND D1 or C AND D2 TRUE, and NOT EXISTS only asks whether
+// some row is TRUE). Each branch goes back through joinChain, so a disjunct's
+// inner-only conjuncts become filters below the anti-join and its correlated
+// equalities become hash keys: Listing 1's RLockedObjects turns from one
+// anti-join on ta with the whole OR interpreted per candidate pair into an
+// anti-join on (ta, object) against the writes and one on (ta) against the
+// terminations, neither with a residual. ORs over inner columns only never
+// reach here — joinChain consumes them as filters.
+//
+// budget is how many more anti-joins the enclosing NOT EXISTS may still add.
+func (c *compiler) antiJoins(cur *planNode, from []FromItem, where []Expr, budget *int) (*planNode, error) {
+	nodes, ctes := len(c.plan.nodes), len(c.plan.ctes)
+	conjs := newConjuncts(where)
+	inner, leftover, err := c.joinChain(from, conjs)
+	if err != nil {
+		return nil, err
+	}
+	for i, cj := range conjs {
+		if cj.done {
+			continue // consumed inside the subquery: not correlated
+		}
+		ds := splitDisjuncts(cj.e, nil)
+		if len(ds) < 2 || len(ds)-1 > *budget {
+			continue
+		}
+		*budget -= len(ds) - 1
+		// Compiling the subquery's FROM only served to tell correlated
+		// conjuncts from inner ones; each branch compiles its own.
+		c.plan.nodes, c.plan.ctes, c.plan.names = c.plan.nodes[:nodes], c.plan.ctes[:ctes], c.plan.names[:ctes]
+		for _, d := range ds {
+			branch := make([]Expr, 0, len(where)+1)
+			branch = append(append(branch, where[:i]...), where[i+1:]...)
+			for _, dc := range splitConjuncts(d, nil) {
+				branch = append(branch, dc.e)
+			}
+			if cur, err = c.antiJoins(cur, from, branch, budget); err != nil {
+				return nil, err
+			}
+		}
+		return cur, nil
+	}
+	return c.semiJoin(cur, inner, leftover, true)
+}
+
+func newConjuncts(es []Expr) []*conjunct {
+	out := make([]*conjunct, len(es))
+	for i, e := range es {
+		out[i] = &conjunct{e: e}
+	}
+	return out
+}
+
+func splitDisjuncts(e Expr, out []Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == BOr {
+		out = splitDisjuncts(b.L, out)
+		return splitDisjuncts(b.R, out)
+	}
+	return append(out, e)
+}
+
+// semiJoin emits the semi- or anti-join of cur against a compiled subquery
+// FROM. The correlated conjuncts joinChain left over become its predicate:
+// direct equalities are hash keys; everything else is a residual over
+// (outer ++ inner). Equalities implied by every disjunct of an OR are
+// additionally hoisted as keys (the residual keeps the OR, which is redundant
+// but harmless).
+func (c *compiler) semiJoin(cur, inner *planNode, leftover []*conjunct, anti bool) (*planNode, error) {
 	if err := checkDisjointAliases(cur.schema, inner.schema); err != nil {
 		return nil, err // a subquery alias shadowing an outer one
 	}
@@ -418,7 +505,7 @@ func (c *compiler) applyExists(cur *planNode, e Expr) (*planNode, error) {
 	}
 	return c.add(&planNode{
 		op: opSemi, schema: cur.schema, l: cur, r: inner,
-		keys: keys, pred: residual, anti: negate,
+		keys: keys, pred: residual, anti: anti,
 	}), nil
 }
 
@@ -453,7 +540,7 @@ func (c *compiler) project(sel *Select, n *planNode) (*planNode, error) {
 				items = append(items, ra.NamedExpr{
 					Name: uniq(col),
 					Kind: s.Col(i).Kind,
-					E:    ra.Col{Pos: i, Name: col},
+					E:    ra.Col{Pos: i, Name: full},
 				})
 			}
 			if it.Qualifier != "" {
@@ -616,5 +703,123 @@ func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.
 		return ra.Limit(l, n.limit), nil
 	default:
 		return nil, fmt.Errorf("minisql: unknown plan operator %d", n.op)
+	}
+}
+
+// String renders the plan as an indented operator tree, CTE bodies first
+// under their names: one line per node with its operator, equi-keys, residual
+// predicate and filters, children indented below it (a join's left child
+// first). It shows what the planner did with a query — which conjuncts became
+// hash keys, which were pushed below a join as filters, which stayed an
+// interpreted residual:
+//
+//	with finished:
+//	  project ta=h.ta
+//	    select (h.op = "c")
+//	      rename h
+//	        scan h
+//	project ta=a.ta
+//	  anti-join on a.ta = finished.ta
+//	    ...
+func (p *Plan) String() string {
+	var b strings.Builder
+	for i, n := range p.ctes {
+		fmt.Fprintf(&b, "with %s:\n", p.names[i])
+		p.write(&b, n, 1)
+	}
+	p.write(&b, p.root, 0)
+	return b.String()
+}
+
+func (p *Plan) write(b *strings.Builder, n *planNode, depth int) {
+	b.WriteString(strings.Repeat("  ", depth))
+	b.WriteString(p.describe(n))
+	b.WriteByte('\n')
+	if n.l != nil {
+		p.write(b, n.l, depth+1)
+	}
+	if n.r != nil {
+		p.write(b, n.r, depth+1)
+	}
+}
+
+// describe renders one node without its children.
+func (p *Plan) describe(n *planNode) string {
+	join := func(name string) string {
+		var b strings.Builder
+		b.WriteString(name)
+		for i, k := range n.keys {
+			if i == 0 {
+				b.WriteString(" on ")
+			} else {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "%s = %s", n.l.schema.Col(k.L).Name, n.r.schema.Col(k.R).Name)
+		}
+		if n.pred != nil {
+			fmt.Fprintf(&b, " residual %s", n.pred)
+		}
+		return b.String()
+	}
+	list := func(name string, k int, item func(i int) string) string {
+		parts := make([]string, k)
+		for i := range parts {
+			parts[i] = item(i)
+		}
+		return name + " " + strings.Join(parts, ", ")
+	}
+	switch n.op {
+	case opScan:
+		if n.cte >= 0 {
+			return "scan cte " + p.names[n.cte]
+		}
+		return "scan " + n.table
+	case opRename:
+		alias := ""
+		if len(n.names) > 0 {
+			alias, _, _ = strings.Cut(n.names[0], ".")
+		}
+		return "rename " + alias
+	case opSelect:
+		return list("select", len(n.preds), func(i int) string { return fmt.Sprint(n.preds[i]) })
+	case opProject:
+		return list("project", len(n.items), func(i int) string { return fmt.Sprintf("%s=%s", n.items[i].Name, n.items[i].E) })
+	case opJoin:
+		return join("join")
+	case opLeftJoin:
+		return join("left-join")
+	case opSemi:
+		if n.anti {
+			return join("anti-join")
+		}
+		return join("semi-join")
+	case opUnionAll:
+		return "union-all"
+	case opExcept:
+		return "except"
+	case opDistinct:
+		return "distinct"
+	case opGroupBy:
+		by := list("group-by", len(n.groupPos), func(i int) string { return n.l.schema.Col(n.groupPos[i]).Name })
+		return by + list(" aggregates", len(n.aggs), func(i int) string {
+			if n.aggs[i].E == nil {
+				return fmt.Sprintf("%s=%s", n.aggs[i].Name, n.aggs[i].Func) // count(*)
+			}
+			return fmt.Sprintf("%s=%s(%s)", n.aggs[i].Name, n.aggs[i].Func, n.aggs[i].E)
+		})
+	case opOrderBy:
+		return list("order-by", len(n.sorts), func(i int) string {
+			name := n.schema.Col(n.sorts[i].Pos).Name
+			if n.sorts[i].Desc {
+				name += " desc"
+			}
+			return name
+		})
+	case opLimit:
+		return fmt.Sprintf("limit %d", n.limit)
+	case opConst:
+		return "const"
+	default:
+		return fmt.Sprintf("op(%d)", n.op)
 	}
 }

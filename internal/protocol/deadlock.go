@@ -12,8 +12,47 @@ import (
 // conflicting pending request with a smaller transaction number (Listing 1's
 // intra-batch precedence, which is persistent because transaction numbers
 // never change and therefore participates in deadlocks).
+//
+// The lock edges are the ones LiveLocks implies, read off the history
+// directly: only objects a pending data request names can contribute, so one
+// pass keeps the reader and writer TAs of those objects (chained per object
+// in one flat slice) and nothing else. A transaction that read and wrote an
+// object appears in both roles; its read entry only repeats the edge its
+// write lock already gives, so the read-to-write upgrade needs no table.
+// The pending requests are chained per object the same way, so a request is
+// compared with the batch members on its object, not with the whole batch.
 func WaitsFor(pending, history []request.Request) map[int64]map[int64]bool {
-	locks := LiveLocks(history)
+	// Per contended object, index+1 of the newest entry of its two chains.
+	type chains struct{ holder, pending int32 }
+	heads := make(map[int64]chains, len(pending))
+	pendingNext := make([]int32, len(pending))
+	for i, r := range pending {
+		if r.Op.IsTermination() {
+			continue
+		}
+		c := heads[r.Object]
+		pendingNext[i] = c.pending
+		c.pending = int32(i + 1)
+		heads[r.Object] = c
+	}
+	type holder struct {
+		ta    int64
+		next  int32
+		write bool
+	}
+	var holders []holder
+	finished := make(map[int64]bool)
+	for _, h := range history {
+		if h.Op.IsTermination() {
+			finished[h.TA] = true
+			continue
+		}
+		if c, ok := heads[h.Object]; ok {
+			holders = append(holders, holder{ta: h.TA, next: c.holder, write: h.Op == request.Write})
+			c.holder = int32(len(holders))
+			heads[h.Object] = c
+		}
+	}
 	edges := make(map[int64]map[int64]bool)
 	add := func(from, to int64) {
 		if from == to {
@@ -28,17 +67,16 @@ func WaitsFor(pending, history []request.Request) map[int64]map[int64]bool {
 		if r.Op.IsTermination() {
 			continue
 		}
-		for ta := range locks.Write[r.Object] {
-			add(r.TA, ta)
-		}
-		if r.Op == request.Write {
-			for ta := range locks.Read[r.Object] {
-				add(r.TA, ta)
+		c := heads[r.Object]
+		for i := c.holder; i != 0; i = holders[i-1].next {
+			h := &holders[i-1]
+			if (h.write || r.Op == request.Write) && !finished[h.ta] {
+				add(r.TA, h.ta)
 			}
 		}
-		for _, other := range pending {
-			if other.TA < r.TA && other.Object == r.Object &&
-				(other.Op == request.Write || r.Op == request.Write) {
+		for i := c.pending; i != 0; i = pendingNext[i-1] {
+			other := &pending[i-1]
+			if other.TA < r.TA && (other.Op == request.Write || r.Op == request.Write) {
 				add(r.TA, other.TA)
 			}
 		}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/request"
@@ -151,5 +152,130 @@ func TestVictimAbortUnsticksScheduler(t *testing.T) {
 				t.Fatalf("trial %d: victims remain after abort", trial)
 			}
 		}
+	}
+}
+
+// waitsForViaLiveLocks is WaitsFor as it was first written — the full lock
+// table of the history (LiveLocks), then one lookup per pending request — kept
+// as the reference the leaner WaitsFor is checked against.
+func waitsForViaLiveLocks(pending, history []request.Request) map[int64]map[int64]bool {
+	locks := LiveLocks(history)
+	edges := make(map[int64]map[int64]bool)
+	add := func(from, to int64) {
+		if from == to {
+			return
+		}
+		if edges[from] == nil {
+			edges[from] = make(map[int64]bool)
+		}
+		edges[from][to] = true
+	}
+	for _, r := range pending {
+		if r.Op.IsTermination() {
+			continue
+		}
+		for ta := range locks.Write[r.Object] {
+			add(r.TA, ta)
+		}
+		if r.Op == request.Write {
+			for ta := range locks.Read[r.Object] {
+				add(r.TA, ta)
+			}
+		}
+		for _, other := range pending {
+			if other.TA < r.TA && other.Object == r.Object &&
+				(other.Op == request.Write || r.Op == request.Write) {
+				add(r.TA, other.TA)
+			}
+		}
+	}
+	return edges
+}
+
+// lockInstance builds a pending batch of nPending requests (one in eight a
+// termination) over a history of nHistory rows by nTA transactions on
+// nObjects objects. History transactions read before they write, so
+// read-then-write upgrades on one object are common, and one in six has
+// terminated with its rows still present.
+func lockInstance(rng *rand.Rand, nPending, nHistory int, nTA, nObjects int64) (pending, history []request.Request) {
+	id := int64(1)
+	intra := make(map[int64]int64)
+	next := func(ta int64, op request.Op, obj int64) request.Request {
+		r := request.Request{ID: id, TA: ta, IntraTA: intra[ta], Op: op, Object: obj}
+		id++
+		intra[ta]++
+		return r
+	}
+	for len(history) < nHistory {
+		ta := 1 + rng.Int63n(nTA)
+		obj := rng.Int63n(nObjects)
+		history = append(history, next(ta, request.Read, obj))
+		if rng.Intn(2) == 0 {
+			history = append(history, next(ta, request.Write, obj))
+		}
+		if rng.Intn(3) == 0 {
+			history = append(history, next(ta, request.Write, rng.Int63n(nObjects)))
+		}
+	}
+	for ta := int64(1); ta <= nTA; ta++ {
+		if rng.Intn(6) == 0 {
+			op := []request.Op{request.Commit, request.Abort}[rng.Intn(2)]
+			history = append(history, next(ta, op, request.NoObject))
+		}
+	}
+	rng.Shuffle(len(history), func(i, j int) { history[i], history[j] = history[j], history[i] })
+	for len(pending) < nPending {
+		ta := 1 + rng.Int63n(nTA+nTA/4) // some transactions have no history yet
+		switch rng.Intn(8) {
+		case 0:
+			pending = append(pending, next(ta, request.Commit, request.NoObject))
+		case 1, 2, 3:
+			pending = append(pending, next(ta, request.Write, rng.Int63n(nObjects)))
+		default:
+			pending = append(pending, next(ta, request.Read, rng.Int63n(nObjects)))
+		}
+	}
+	return pending, history
+}
+
+// TestWaitsForMatchesLockTableReference: reading only the contended objects'
+// holders off the history gives exactly the edges the full lock table gives,
+// on small dense instances (every conflict kind within a handful of rows) and
+// on larger sparse ones.
+func TestWaitsForMatchesLockTableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	check := func(trial int, pending, history []request.Request) {
+		t.Helper()
+		got, want := WaitsFor(pending, history), waitsForViaLiveLocks(pending, history)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: waits-for edges diverged from the lock-table reference\ngot:  %v\nwant: %v\npending: %v\nhistory: %v",
+				trial, got, want, pending, history)
+		}
+	}
+	edges := 0
+	for trial := 0; trial < 400; trial++ {
+		pending, history := randInstance(rng)
+		check(trial, pending, history)
+		pending, history = lockInstance(rng, 1+rng.Intn(40), rng.Intn(300), 2+rng.Int63n(30), 1+rng.Int63n(40))
+		check(trial, pending, history)
+		edges += len(WaitsFor(pending, history))
+	}
+	if edges == 0 {
+		t.Fatal("no instance produced a waits-for edge")
+	}
+}
+
+// TestWaitsForAllocatesForContentionNotHistory: on a paper-mix-sized round —
+// 200 pending requests against 5,000 history rows, on few enough objects
+// (2,000) that most pending requests wait on someone — WaitsFor allocates at
+// most a tenth of what building the whole lock table does. The count is what
+// a starvation-bound round pays before it can look for a cycle.
+func TestWaitsForAllocatesForContentionNotHistory(t *testing.T) {
+	pending, history := lockInstance(rand.New(rand.NewSource(3)), 200, 5000, 300, 2_000)
+	lean := testing.AllocsPerRun(5, func() { WaitsFor(pending, history) })
+	table := testing.AllocsPerRun(5, func() { waitsForViaLiveLocks(pending, history) })
+	t.Logf("allocations per call: %.0f, lock-table reference %.0f", lean, table)
+	if lean*10 > table {
+		t.Fatalf("WaitsFor allocates %.0f times per call, more than a tenth of the lock-table reference's %.0f", lean, table)
 	}
 }

@@ -57,8 +57,8 @@ type SQLProtocol struct {
 	deferred      []map[string]minisql.Delta
 	deferredChurn int
 
-	// Adaptive warm-round cost model (the Datalog engine's strategyCost,
-	// shared via internal/costmodel): observed ns per churned tuple for
+	// Adaptive warm-round cost model (the EWMA estimates and the comparison
+	// live in internal/costmodel): observed ns per churned tuple for
 	// per-tuple delta maintenance (ivmCost), ns per standing tuple for
 	// delta rounds dominated by wholesale node recomputation (bulkCost,
 	// see minisql.IVM's bulk threshold), and ns per standing tuple for full
@@ -91,8 +91,7 @@ type SQLProtocol struct {
 
 // sqlIVMChurnFactor is the static bootstrap rule of the warm-round cost
 // model: delta maintenance is chosen while churn * factor < standing size,
-// until measured per-unit costs exist (mirrors the Datalog engine's
-// dredChurnFactor).
+// until measured per-unit costs exist.
 const sqlIVMChurnFactor = 4
 
 // sqlBulkBorrow relates the unmeasured bulk-recompute cost to the full
@@ -295,9 +294,9 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 							p.ivmCost.Observe(elapsed, appliedChurn)
 							// Relax the unmeasured side toward the static-
 							// consistent estimate (ivmPer = coldPer * factor,
-							// as in the Datalog engine and costmodel.Choose's
-							// borrowing rule), so a stale spike decays and
-							// the strategy gets re-tried.
+							// the rule chooseIVM's fallbacks follow), so a
+							// stale spike decays and the strategy gets
+							// re-tried.
 							p.coldCost.DecayToward(p.ivmCost.PerUnit / sqlIVMChurnFactor)
 							p.lastStrategy = "sql-ivm"
 						}
@@ -409,7 +408,7 @@ func (p *SQLProtocol) chooseIVM(churn, standing int) bool {
 	}
 	// Unobserved candidates borrow from the measured ones (scaled by the
 	// static factors) so the comparison stays consistent with the static
-	// rule under one-sided data, as in costmodel.Choose.
+	// rule under one-sided data (costmodel.Pick's FallbackPer).
 	coldPer := p.coldCost.PerUnit
 	if p.coldCost.Samples == 0 {
 		if p.ivmCost.Samples > 0 {

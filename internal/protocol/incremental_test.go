@@ -579,3 +579,138 @@ func TestQualifyIncrementalSurvivesColdInterleaving(t *testing.T) {
 		t.Fatalf("after interleaving: %v want %v", got, want)
 	}
 }
+
+// TestSQLWarmRoundsDoNotGrow: 3,000 warm rounds of paper-mix-shaped turnover
+// on Listing 1 — closed-loop clients running read-then-write transactions one
+// request at a time, every request id and transaction number fresh, finished
+// transactions garbage-collected from the history — leave the view cache no
+// larger than what it holds: in every materialised view, table or plan node,
+// no hash map has more keys than the view has distinct tuples. The cache is
+// the same one throughout (never rebuilt), so anything that grew with the
+// tuples ever seen would show after some 12,000 requests (each a tuple in several views).
+func TestSQLWarmRoundsDoNotGrow(t *testing.T) {
+	for _, force := range []string{"ivm", "bulk"} {
+		p := SS2PLSQL()
+		p.SetForceStrategy(force)
+		rng := rand.New(rand.NewSource(16))
+		const clients, opsPerTxn, objects, rounds = 12, 6, 120, 3000
+
+		type client struct {
+			ta      int64
+			done    int  // requests of the transaction executed so far
+			waiting bool // a request is pending
+		}
+		cs := make([]client, clients)
+		nextID, nextTA := int64(1), int64(1)
+		var pending, history []request.Request
+		var d Deltas
+		var cache any
+		seen, restarts := 0, 0
+
+		dropTA := func(ta int64) { // garbage-collect a finished transaction's rows
+			kept := history[:0:0]
+			for _, h := range history {
+				if h.TA == ta {
+					d.HistoryRemoved = append(d.HistoryRemoved, h)
+				} else {
+					kept = append(kept, h)
+				}
+			}
+			history = kept
+		}
+		for round := 0; round < rounds; round++ {
+			for i := range cs {
+				c := &cs[i]
+				if c.waiting {
+					continue
+				}
+				if c.ta == 0 {
+					c.ta, c.done = nextTA, 0
+					nextTA++
+				}
+				r := request.Request{ID: nextID, TA: c.ta, IntraTA: int64(c.done), Arrival: nextID}
+				nextID++
+				switch {
+				case c.done == opsPerTxn:
+					r.Op, r.Object = request.Commit, request.NoObject
+				case c.done < opsPerTxn/2:
+					r.Op, r.Object = request.Read, rng.Int63n(objects)
+				default:
+					r.Op, r.Object = request.Write, rng.Int63n(objects)
+				}
+				c.waiting = true
+				pending = append(pending, r)
+				d.PendingAdded = append(d.PendingAdded, r)
+				seen++
+			}
+			got, err := p.QualifyIncremental(pending, history, d)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", force, round, err)
+			}
+			d = Deltas{}
+			if round == 1 {
+				cache = p.ivm
+			}
+			gone := KeySet(got)
+			if len(got) == 0 {
+				// Fully blocked: abort the cycle victims. The abort row would
+				// be appended and collected within one delta window, which
+				// the history store nets to nothing.
+				victims := DeadlockVictims(pending, history)
+				if len(victims) == 0 {
+					t.Fatalf("%s round %d: nothing qualified and no cycle explains it", force, round)
+				}
+				for _, v := range victims {
+					for i := range cs {
+						if cs[i].ta == v {
+							cs[i] = client{}
+							restarts++
+						}
+					}
+					for _, r := range pending {
+						if r.TA == v {
+							gone[r.Key()] = true
+						}
+					}
+					dropTA(v)
+				}
+			}
+			kept := pending[:0:0]
+			for _, r := range pending {
+				if !gone[r.Key()] {
+					kept = append(kept, r)
+					continue
+				}
+				d.PendingRemoved = append(d.PendingRemoved, r)
+				for i := range cs {
+					c := &cs[i]
+					if c.ta != r.TA {
+						continue
+					}
+					c.waiting = false
+					c.done++
+					if r.Op == request.Commit {
+						dropTA(r.TA) // commit row appended and collected at once: nets out
+						*c = client{}
+					} else {
+						history = append(history, r)
+						d.HistoryAppended = append(d.HistoryAppended, r)
+					}
+				}
+			}
+			pending = kept
+		}
+		if p.ivm == nil || any(p.ivm) != cache {
+			t.Fatalf("%s: the view cache was rebuilt during the run; the test needs one cache throughout", force)
+		}
+		if restarts == 0 || seen < 3*rounds {
+			t.Fatalf("%s: %d requests, %d deadlock restarts: the turnover did not happen", force, seen, restarts)
+		}
+		for i, b := range p.ivm.Bags() {
+			if b.MapKeys() > b.DistinctLen() {
+				t.Errorf("%s: view %d holds %d distinct tuples but its largest hash map has %d keys after %d requests",
+					force, i, b.DistinctLen(), b.MapKeys(), seen)
+			}
+		}
+	}
+}

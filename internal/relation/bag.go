@@ -85,6 +85,17 @@ func (b *Bag) Len() int { return b.total }
 // DistinctLen returns the number of distinct tuples held.
 func (b *Bag) DistinctLen() int { return b.ncells }
 
+// MapKeys returns the key count of the bag's largest hash map — the cell map
+// or any attached index. It never exceeds DistinctLen: the maps hold what the
+// bag holds, however many tuples have passed through it.
+func (b *Bag) MapKeys() int {
+	n := len(b.cells)
+	for _, ix := range b.indexes {
+		n = max(n, len(ix.buckets))
+	}
+	return n
+}
+
 // Count returns t's current multiplicity.
 func (b *Bag) Count(t Tuple) int {
 	for _, c := range b.cells[t.Hash()] {
@@ -212,9 +223,7 @@ func (b *Bag) Remove(t Tuple, k int) (int, bool) {
 		c.n -= k
 		b.total -= k
 		if c.n == 0 {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = nil
-			b.cells[h] = bucket[:len(bucket)-1]
+			swapRemoveCell(b.cells, h, bucket, i)
 			b.ncells--
 			for _, ix := range b.indexes {
 				ix.unlink(c)
@@ -273,11 +282,26 @@ func (b *Bag) dropCell(c *BagCell) {
 	bucket := b.cells[h]
 	for i, cc := range bucket {
 		if cc == c {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket[len(bucket)-1] = nil
-			b.cells[h] = bucket[:len(bucket)-1]
+			swapRemoveCell(b.cells, h, bucket, i)
 			return
 		}
+	}
+}
+
+// swapRemoveCell removes bucket[i], bucket being m[h], by swapping in the
+// bucket's last cell. The vacated tail slot is cleared so the backing array
+// does not pin the cell, and the key is deleted when the bucket empties:
+// tuple hashes are effectively unique per tuple, so a map that kept emptied
+// buckets would grow with every tuple ever held and every iteration would pay
+// for all of them.
+func swapRemoveCell(m map[uint64][]*BagCell, h uint64, bucket []*BagCell, i int) {
+	last := len(bucket) - 1
+	bucket[i] = bucket[last]
+	bucket[last] = nil
+	if last == 0 {
+		delete(m, h)
+	} else {
+		m[h] = bucket[:last]
 	}
 }
 
@@ -392,8 +416,7 @@ func (ix *BagIndex) unlink(c *BagCell) {
 	bucket := ix.buckets[h]
 	for i, cc := range bucket {
 		if cc == c {
-			bucket[i] = bucket[len(bucket)-1]
-			ix.buckets[h] = bucket[:len(bucket)-1]
+			swapRemoveCell(ix.buckets, h, bucket, i)
 			return
 		}
 	}

@@ -273,3 +273,79 @@ func TestBagFreelistShrinksAfterBurst(t *testing.T) {
 		t.Fatalf("bag size %d after burst cycle, want %d", b.Len(), small)
 	}
 }
+
+// TestBagMapsStayBoundedUnderTurnover: a bag whose tuples turn over — every
+// round removes old tuples and adds fresh ones, each a new hash, as request
+// ids are in the SQL protocol's view cache — keeps its hash maps the size of
+// what it holds, not of everything it ever held. 100k unique tuples pass
+// through a standing population of 64, through both mutation paths.
+func TestBagMapsStayBoundedUnderTurnover(t *testing.T) {
+	for _, bulk := range []bool{false, true} {
+		b := NewBag(bagSchema())
+		byA := b.Index([]int{0})
+		byB := b.IndexNullable([]int{1})
+		const standing, batch, cycles = 64, 10, 10_000
+		tuple := func(i int) Tuple { return Tuple{Int(int64(i)), Int(int64(i) * 7)} }
+		for i := 0; i < standing; i++ {
+			b.Add(tuple(i), 1)
+		}
+		next := standing
+		for c := 0; c < cycles; c++ {
+			if bulk {
+				b.BeginBulk()
+			}
+			for k := 0; k < batch; k++ {
+				if _, ok := b.Remove(tuple(next-standing), 1); !ok {
+					t.Fatalf("bulk=%v cycle %d: tuple %d missing", bulk, c, next-standing)
+				}
+				b.Add(tuple(next), 1)
+				next++
+			}
+			if bulk {
+				b.EndBulk()
+			}
+		}
+		live := b.DistinctLen()
+		if live != standing {
+			t.Fatalf("bulk=%v: %d distinct tuples, want %d", bulk, live, standing)
+		}
+		if len(b.cells) > live {
+			t.Errorf("bulk=%v: cells map holds %d keys for %d live tuples", bulk, len(b.cells), live)
+		}
+		for name, ix := range map[string]*BagIndex{"a": byA, "b (nullable)": byB} {
+			if len(ix.buckets) > live {
+				t.Errorf("bulk=%v: index on %s holds %d keys for %d live tuples", bulk, name, len(ix.buckets), live)
+			}
+		}
+		if got := b.MapKeys(); got > live {
+			t.Errorf("bulk=%v: MapKeys %d for %d live tuples", bulk, got, live)
+		}
+		seen := 0
+		b.Each(func(Tuple, int) { seen++ })
+		if seen != live {
+			t.Errorf("bulk=%v: Each visited %d tuples, want %d", bulk, seen, live)
+		}
+	}
+}
+
+// TestBagIndexUnlinkReleasesCell: the slot a swap-remove vacates at the tail
+// of an index bucket is cleared, so the bucket's backing array does not pin a
+// cell the bag has freed.
+func TestBagIndexUnlinkReleasesCell(t *testing.T) {
+	b := NewBag(bagSchema())
+	ix := b.Index([]int{0})
+	t1, t2 := Tuple{Int(1), Int(1)}, Tuple{Int(1), Int(2)}
+	b.Add(t1, 1)
+	b.Add(t2, 1)
+	h := t1.HashCols([]int{0})
+	if _, ok := b.Remove(t2, 1); !ok {
+		t.Fatal("remove failed")
+	}
+	bucket := ix.CandidatesHash(h)
+	if len(bucket) != 1 {
+		t.Fatalf("bucket has %d cells, want 1", len(bucket))
+	}
+	if tail := bucket[:2][1]; tail != nil {
+		t.Fatalf("vacated tail slot still references a cell (%v)", tail.tuple)
+	}
+}

@@ -6,14 +6,17 @@
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
 # allocating per row" regressions (the warm rounds sit at ~688 (Datalog,
-# affected-closure recompute since PR 14) / ~220 (SQL) allocs/op; the
-# committed baseline is the ratchet). CI boxes are noisy and heterogeneous; 2x is deliberately
+# affected-closure recompute since PR 14) / ~344 (SQL: the bench re-admits
+# the same twelve requests, and since PR 16 a bag drops an emptied bucket
+# instead of keeping it for a hash that, with real ids, never returns)
+# allocs/op; the committed baseline is the ratchet). CI boxes are noisy and
+# heterogeneous; 2x is deliberately
 # loose — it catches "the hot path fell off a cliff", not percent-level
 # drift (the trajectory table in ROADMAP.md tracks that). A guarded bench
 # missing from the baseline file is skipped, as is the allocs gate for
 # baselines that predate allocation tracking, so the guard degrades
 # gracefully against old baselines. A final relative gate holds the
-# bulk-delta SQL round to at least SPEEDUP_MIN (default 3) times faster
+# bulk-delta SQL round to at least SPEEDUP_MIN (default 2) times faster
 # than the cold round, the structural win of the bulk IVM path.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -107,7 +110,11 @@ EOF
 
 # Relative gate: the bulk-maintenance round must stay at least SPEEDUP_MIN
 # times faster than the cold round (the bulk IVM path's reason to exist).
-SPEEDUP_MIN="${SPEEDUP_MIN:-3}"
+# The gate was 3 while a cold Listing 1 round cost 14 ms against the bulk
+# round's 2.1 ms (6.6x); PR 16's keyed anti-joins halved the cold round
+# (6.5-7 ms) and left the bulk round where it was, so the same bulk path now
+# measures 2.8-3.1x. Its absolute cost stays guarded above.
+SPEEDUP_MIN="${SPEEDUP_MIN:-2}"
 raw=$(go test -run='^$' -bench='^BenchmarkSQLIncrementalRound$/^(cold|bulk)$' -benchmem -benchtime="${BENCHTIME:-1s}" .)
 echo "${raw}"
 cold_ns=$(echo "${raw}" | awk '/SQLIncrementalRound\/cold/ {
