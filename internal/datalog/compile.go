@@ -37,6 +37,9 @@ type stepMeta struct {
 	// indexes are built eagerly and looked up by slot, never by parsing a
 	// mask string). -1 when lookupCols is empty (full scan).
 	lookupIdx int
+	// set is the atom's predicate's fact set, which lives as long as the
+	// engine (assigned by NewEngine).
+	set *factSet
 	// Positive atoms: tuple positions that bind fresh variables, in left to
 	// right order. bindRepeat[i] marks a later occurrence of a variable
 	// already bound at an earlier position of this atom: it is an equality
@@ -78,6 +81,8 @@ type compiledRule struct {
 	steps []stepMeta
 	nVars int
 	head  []headSlot
+	// headSet is the head predicate's fact set (assigned by NewEngine).
+	headSet *factSet
 
 	hasAgg   bool
 	groupIdx []int // head positions that are group-by (non-aggregate) slots

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/arena"
 	"repro/internal/relation"
@@ -11,24 +12,29 @@ import (
 // semi-naive evaluation within each stratum. The program is compiled once;
 // EDB relations are supplied per run.
 //
-// The engine supports two evaluation modes. Run is the cold path: it discards
-// all fact sets and re-derives the fixpoint from the current EDB. It is the
-// correctness oracle and the fallback. RunIncremental is the warm-start path
-// for the scheduler's round loop: fact sets are retained across runs, EDB
-// changes arrive as per-predicate insert/delete deltas, and only the
-// consequences of those deltas are recomputed. Which warm path runs is a
-// function of the batch's structure alone — never of a clock or of earlier
-// rounds. Insert-only deltas whose affected predicates are free of negation
-// and aggregation are propagated by seeding the semi-naive deltas directly
-// (no fact is ever re-derived); every other change clears and re-derives
-// exactly the predicates downstream of it (recomputeAffected). In every mode,
-// unaffected predicates — and every unchanged EDB fact set with its hash
-// indexes — are kept as-is.
+// The engine keeps one fact set per predicate for its whole life, and that
+// set is the only copy of the predicate's tuples: SetEDB stages rows that the
+// next run loads into the predicate's set, an EDB delta is applied to the set
+// in place, and derived predicates are reset and re-filled. Compiled rule
+// steps point at their sets directly.
+//
+// There are two evaluation modes. Run is the cold path: it resets the IDB
+// sets and re-derives the fixpoint from the EDB sets. It is the correctness
+// oracle and the fallback. RunIncremental is the warm-start path for the
+// scheduler's round loop: EDB changes arrive as per-predicate insert/delete
+// deltas, and only the consequences of those deltas are recomputed. Which
+// warm path runs is a function of the batch's structure alone — never of a
+// clock or of earlier rounds. Insert-only deltas whose affected predicates
+// are free of negation and aggregation are propagated by seeding the
+// semi-naive deltas directly (no fact is ever re-derived); every other change
+// clears and re-derives exactly the predicates downstream of it
+// (recomputeAffected). In every mode, unaffected predicates — and every
+// unchanged EDB fact with its index entries — are kept as-is.
 //
 // Index column masks are chosen at compile time: NewEngine registers the
 // bound positions of every atom occurrence with the predicate, so fact sets
-// build exactly the indexes the rules probe, eagerly, with uint64 hash
-// buckets (see factSet).
+// build exactly the indexes the rules probe, eagerly, as flat hash chains
+// over the tuple positions (see factSet).
 //
 // The engine is single-caller and evaluates on the calling goroutine.
 type Engine struct {
@@ -56,18 +62,14 @@ type Engine struct {
 	// semi-naive evaluator against the textbook fixpoint.
 	Naive bool
 
+	// facts holds the one copy of every predicate's tuples, EDB and derived
+	// alike, for the engine's lifetime: a delta is applied to the predicate's
+	// set in place, a cold Run resets the IDB sets and re-derives them from
+	// the EDB sets. The sets are never replaced, only reset.
 	facts map[string]*factSet
-	edb   map[string][]relation.Tuple
-	// edbIdx indexes e.edb[pred] positions by tuple hash once a predicate
-	// receives its first warm delta: insert dedup and delete become O(1) per
-	// churned tuple instead of a delete-set build plus a full-slice rewrite
-	// per round. An indexed predicate's rows are engine-owned, dense and
-	// duplicate-free; SetEDB drops the index along with the rows.
-	edbIdx map[string]*edbIndex
-
-	// dirty marks predicates whose EDB was replaced wholesale via SetEDB
-	// since the last run; their retained fact sets are stale.
-	dirty map[string]bool
+	// staged holds the rows SetEDB handed over since the last run; the next
+	// run loads each into its (reset) fact set and forgets the slice.
+	staged map[string][]relation.Tuple
 	// warm is true once facts reflects a completed run over the current EDB.
 	warm bool
 
@@ -150,13 +152,12 @@ func NewEngine(prog *Program) (*Engine, error) {
 		stratumOf:    stratumOf,
 		numStrata:    numStrata,
 		idb:          prog.IDB(),
-		edb:          make(map[string][]relation.Tuple),
-		edbIdx:       make(map[string]*edbIndex),
+		facts:        make(map[string]*factSet),
+		staged:       make(map[string][]relation.Tuple),
 		masks:        make(map[string][][]int),
 		dependents:   make(map[string][]string),
 		negatedPreds: make(map[string]bool),
 		aggBodyPreds: make(map[string]bool),
-		dirty:        make(map[string]bool),
 		setPool:      make(map[string][]*factSet),
 		affected:     make(map[string]bool),
 	}
@@ -182,6 +183,19 @@ func NewEngine(prog *Program) (*Engine, error) {
 			m.lookupIdx = e.registerMask(m.lit.Atom.Pred, m.lookupCols)
 		}
 		c.buildFns() // index slots are final: compile the step chain
+	}
+	// Every mask is registered: create the program's fact sets and hand each
+	// step and rule head its set, so evaluation looks no predicate up by name.
+	for pred := range prog.Arities {
+		e.facts[pred] = e.newSet(pred)
+	}
+	for _, c := range e.compiled {
+		c.headSet = e.facts[c.rule.Head.Pred]
+		for si := range c.steps {
+			if m := &c.steps[si]; m.lit.Kind == LitAtom {
+				m.set = e.facts[m.lit.Atom.Pred]
+			}
+		}
 	}
 	for _, r := range prog.Rules {
 		agg := r.HasAggregate()
@@ -249,9 +263,7 @@ func (e *Engine) SetEDB(pred string, rows []relation.Tuple) error {
 			}
 		}
 	}
-	e.edb[pred] = rows
-	delete(e.edbIdx, pred) // the index belonged to the replaced rows
-	e.dirty[pred] = true
+	e.staged[pred] = rows
 	return nil
 }
 
@@ -346,13 +358,23 @@ func (e *Engine) factsFor(pred string) *factSet {
 // correctness oracle for RunIncremental.
 func (e *Engine) Run() error {
 	defer e.releaseRound()
-	e.Stats = RunStats{Strategy: StrategyCold}
 	// Invalidate warm state up front: a mid-run error must not leave
 	// half-built fact sets behind a warm flag.
 	e.warm = false
-	e.facts = make(map[string]*factSet)
-	for pred, rows := range e.edb {
+	if err := e.loadStaged(); err != nil {
+		return err
+	}
+	return e.deriveAll()
+}
+
+// loadStaged replaces the fact set of every predicate SetEDB was called on
+// since the last run by the staged rows. A predicate whose rows fail to load
+// stays staged, so the next run starts it over.
+func (e *Engine) loadStaged() error {
+	for pred, rows := range e.staged {
 		f := e.factsFor(pred)
+		f.reset()
+		f.reserve(len(rows))
 		if len(rows) > 0 {
 			f.arity = len(rows[0])
 		}
@@ -361,10 +383,35 @@ func (e *Engine) Run() error {
 				return err
 			}
 		}
+		delete(e.staged, pred)
 	}
-	// Program facts.
+	return nil
+}
+
+// deriveAll is the cold evaluation: every IDB set is reset and re-derived
+// from the EDB sets, stratum by stratum.
+func (e *Engine) deriveAll() error {
+	e.Stats = RunStats{Strategy: StrategyCold}
+	for p := range e.idb {
+		e.factsFor(p).reset()
+	}
+	if err := e.addProgramFacts(nil); err != nil {
+		return err
+	}
+	for s := 0; s < e.numStrata; s++ {
+		if err := e.runStratum(s, e.rulesBy[s], stratumOpts{}); err != nil {
+			return err
+		}
+	}
+	e.warm = true
+	return nil
+}
+
+// addProgramFacts inserts the program's fact rules; with only non-nil, just
+// those whose predicate it marks.
+func (e *Engine) addProgramFacts(only map[string]bool) error {
 	for _, r := range e.prog.Rules {
-		if !r.IsFact() {
+		if !r.IsFact() || (only != nil && !only[r.Head.Pred]) {
 			continue
 		}
 		t, err := FactTuple(r)
@@ -375,13 +422,6 @@ func (e *Engine) Run() error {
 			return err
 		}
 	}
-	for s := 0; s < e.numStrata; s++ {
-		if err := e.runStratum(s, e.rulesBy[s], stratumOpts{}); err != nil {
-			return err
-		}
-	}
-	e.warm = true
-	clear(e.dirty)
 	return nil
 }
 
@@ -391,23 +431,23 @@ func (e *Engine) Run() error {
 // closure is free of negation and aggregation are propagated by seeding the
 // semi-naive deltas; every other change clears and re-derives exactly the
 // affected predicates. With no previous run (or in Naive mode) it falls back
-// to a cold Run over the updated EDB, so a RunIncremental sequence is always
-// equivalent to a cold run over the final EDB state.
+// to a cold derivation over the updated EDB, so a RunIncremental sequence is
+// always equivalent to a cold run over the final EDB state.
 func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	// Validate the whole batch before touching any state, so a rejected
 	// delta leaves the engine exactly as it was. For predicates the program
-	// never mentions, the arity is pinned by the retained facts, the
-	// existing rows, or the batch's first tuple.
+	// never mentions, the arity is pinned by the staged rows, the retained
+	// facts, or the batch's first tuple.
 	for pred, d := range changed {
 		if e.idb[pred] {
 			return fmt.Errorf("datalog: %s is defined by rules; cannot apply EDB delta", pred)
 		}
 		want, known := e.prog.Arities[pred]
 		if !known {
-			if f, ok := e.facts[pred]; ok && f.len() > 0 {
-				want = f.arity
-			} else if rows := e.edb[pred]; len(rows) > 0 {
+			if rows, staged := e.staged[pred]; staged && len(rows) > 0 {
 				want = len(rows[0])
+			} else if f, ok := e.facts[pred]; ok && !staged && f.len() > 0 {
+				want = f.arity
 			} else if len(d.Insert) > 0 {
 				want = len(d.Insert[0])
 			} else {
@@ -420,51 +460,37 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 			}
 		}
 	}
-	// From here on state is mutated: drop the warm flag and re-raise it only
-	// on success, so an error can never leave half-applied fact sets behind
-	// a warm engine.
-	warm := e.warm
-	e.warm = false
-	for pred, d := range changed {
-		e.applyEDBDelta(pred, d)
-	}
-	if !warm || e.Naive {
-		return e.Run()
-	}
-	// Round-scoped leases (delta sets, stratum maps) are
-	// all dead once the run ends — release them back to the pools. Run's own
-	// defer covers the cold fallback above.
 	defer e.releaseRound()
 
-	// Roots of the change: delta'd predicates plus SetEDB replacements.
+	// The strategy follows from the batch's structure, before anything is
+	// applied. Roots of the change: delta'd predicates plus SetEDB
+	// replacements (which may have removed facts: a deleting change).
 	roots := e.roots[:0]
-	hasDelete := false
+	hasDelete := len(e.staged) > 0
+	for pred := range e.staged {
+		roots = append(roots, pred)
+	}
 	for pred, d := range changed {
 		if len(d.Insert) == 0 && len(d.Delete) == 0 {
 			continue
 		}
-		if !e.dirty[pred] {
+		if _, staged := e.staged[pred]; !staged {
 			roots = append(roots, pred)
 		}
 		if len(d.Delete) > 0 {
 			hasDelete = true
 		}
 	}
-	for pred := range e.dirty {
-		// A wholesale replacement may have removed facts: treat it as a
-		// deleting change; recomputeAffected rebuilds the fact set.
-		roots = append(roots, pred)
-		hasDelete = true
-	}
-	if len(roots) == 0 {
-		e.Stats = RunStats{Incremental: true, Strategy: StrategyNone}
-		e.warm = true
-		return nil
-	}
-
-	affected := e.affectedClosure(roots)
-	monotone := !hasDelete
-	if monotone {
+	cold := !e.warm || e.Naive
+	var affected map[string]bool
+	monotone := false
+	if !cold {
+		if len(roots) == 0 {
+			e.Stats = RunStats{Incremental: true, Strategy: StrategyNone}
+			return nil
+		}
+		affected = e.affectedClosure(roots)
+		monotone = !hasDelete
 		for p := range affected {
 			if e.negatedPreds[p] || e.aggBodyPreds[p] {
 				monotone = false
@@ -473,106 +499,83 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		}
 	}
 
-	if monotone {
-		e.Stats = RunStats{Incremental: true, Strategy: StrategyMonotone}
-		// Warm start proper: apply inserts to the retained fact sets and
-		// seed the semi-naive deltas with exactly the new tuples. Nothing is
-		// cleared; no existing fact is re-derived.
-		carry := e.leaseMap()
-		for pred, d := range changed {
-			f := e.factsFor(pred)
-			if f.len() == 0 && len(d.Insert) > 0 {
-				f.arity = len(d.Insert[0])
-			}
-			for _, t := range d.Insert {
-				added, stored, err := f.add(t, false)
-				if err != nil {
-					return err
-				}
-				if added {
-					cs, ok := carry[pred]
-					if !ok {
-						cs = e.leaseSet(pred)
-						cs.arity = f.arity
-						carry[pred] = cs
-					}
-					if _, _, err := cs.add(stored, false); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		for s := 0; s < e.numStrata; s++ {
-			if err := e.runStratum(s, e.rulesBy[s], stratumOpts{seed: carry, carry: carry}); err != nil {
-				return err
-			}
-		}
-		e.warm = true
-		return nil
+	// From here on state is mutated: drop the warm flag and re-raise it only
+	// on success, so an error can never leave half-applied fact sets behind
+	// a warm engine. Each delta is applied once, to the predicate's fact set
+	// (insert before delete, per the EDBDelta contract); the monotone path
+	// seeds the semi-naive deltas with exactly the tuples that were new.
+	e.warm = false
+	if err := e.loadStaged(); err != nil {
+		return err
 	}
-
-	return e.recomputeAffected(changed, affected)
-}
-
-// recomputeAffected is the warm path for non-monotone changes (deletes,
-// wholesale replacements, anything reaching negation or an aggregate):
-// update the changed EDB fact sets in place (insert before delete, per the
-// EDBDelta contract), then clear and re-derive exactly the predicates
-// downstream of the change. Unaffected predicates — typically the bulk of
-// the EDB — are retained with their indexes. Cleared sets are reset in
-// place: the tuple and chain arrays and the index buckets they grew last
-// round are what this round re-fills.
-func (e *Engine) recomputeAffected(changed map[string]EDBDelta, affected map[string]bool) error {
-	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
+	var carry map[string]*factSet
+	if monotone {
+		carry = e.leaseMap()
+	}
 	for pred, d := range changed {
-		if e.dirty[pred] {
-			continue // rebuilt below from the delta-applied EDB rows
-		}
 		f := e.factsFor(pred)
 		if f.len() == 0 && len(d.Insert) > 0 {
 			f.arity = len(d.Insert[0])
 		}
 		for _, t := range d.Insert {
-			if _, _, err := f.add(t, false); err != nil {
+			added, stored, err := f.add(t, false)
+			if err != nil {
 				return err
+			}
+			if added && monotone {
+				cs, ok := carry[pred]
+				if !ok {
+					cs = e.leaseSet(pred)
+					cs.arity = f.arity
+					carry[pred] = cs
+				}
+				if _, _, err := cs.add(stored, false); err != nil {
+					return err
+				}
 			}
 		}
 		for _, t := range d.Delete {
 			f.remove(t)
 		}
 	}
-	for pred := range e.dirty {
-		// A wholesale replacement may have removed facts: rebuild the fact
-		// set from the current EDB rows.
-		f := e.factsFor(pred)
-		f.reset()
-		rows := e.edb[pred]
-		if len(rows) > 0 {
-			f.arity = len(rows[0])
-		}
-		for _, t := range rows {
-			if _, _, err := f.add(t, false); err != nil {
+
+	switch {
+	case cold:
+		return e.deriveAll()
+	case monotone:
+		// Warm start proper: nothing is cleared; no existing fact is
+		// re-derived.
+		e.Stats = RunStats{Incremental: true, Strategy: StrategyMonotone}
+		for s := 0; s < e.numStrata; s++ {
+			if err := e.runStratum(s, e.rulesBy[s], stratumOpts{seed: carry, carry: carry}); err != nil {
 				return err
 			}
 		}
+	default:
+		if err := e.recomputeAffected(affected); err != nil {
+			return err
+		}
 	}
-	clear(e.dirty)
+	e.warm = true
+	return nil
+}
+
+// recomputeAffected is the warm path for non-monotone changes (deletes,
+// wholesale replacements, anything reaching negation or an aggregate): with
+// the changed EDB sets already updated in place, clear and re-derive exactly
+// the predicates downstream of the change. Unaffected predicates — typically
+// the bulk of the EDB — are retained with their indexes. Cleared sets are
+// reset in place: the tuple and chain arrays and the bucket arrays they grew
+// last round are what this round re-fills.
+func (e *Engine) recomputeAffected(affected map[string]bool) error {
+	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
 	for p := range affected {
 		if e.idb[p] {
 			e.factsFor(p).reset()
 		}
 	}
-	for _, r := range e.prog.Rules {
-		if !r.IsFact() || !affected[r.Head.Pred] {
-			continue
-		}
-		t, err := FactTuple(r)
-		if err != nil {
-			return err
-		}
-		if _, _, err := e.factsFor(r.Head.Pred).add(t, false); err != nil {
-			return err
-		}
+	if err := e.addProgramFacts(affected); err != nil {
+		return err
 	}
 	for s := 0; s < e.numStrata; s++ {
 		idx := e.ruleBuf[:0]
@@ -586,104 +589,7 @@ func (e *Engine) recomputeAffected(changed map[string]EDBDelta, affected map[str
 			return err
 		}
 	}
-	e.warm = true
 	return nil
-}
-
-// edbIndex maps tuple hashes to positions in a predicate's bookkeeping rows.
-type edbIndex struct {
-	buckets map[uint64][]int32
-}
-
-// applyEDBDelta updates the bookkeeping EDB rows (the cold-run source of
-// truth) for one predicate: inserts of present tuples are dropped and
-// deletes remove their tuple, so the rows keep set semantics. The first
-// delta for a predicate copies the rows into an engine-owned deduplicated
-// slice and builds the hash index; from then on maintenance hashes only the
-// delta's tuples (the flat-slice version rebuilt the whole slice through a
-// delete set every deleting round).
-func (e *Engine) applyEDBDelta(pred string, d EDBDelta) {
-	if len(d.Insert) == 0 && len(d.Delete) == 0 {
-		return
-	}
-	rows := e.edb[pred]
-	ix := e.edbIdx[pred]
-	if ix == nil {
-		// Build: dedup-copy the rows (the SetEDB slice is caller-owned and
-		// may hold duplicates; the index owns its dense, distinct version).
-		ix = &edbIndex{buckets: make(map[uint64][]int32, len(rows)+len(d.Insert))}
-		owned := make([]relation.Tuple, 0, len(rows)+len(d.Insert))
-		for _, t := range rows {
-			if ix.insert(owned, t) {
-				owned = append(owned, t)
-			}
-		}
-		rows = owned
-		e.edbIdx[pred] = ix
-	}
-	for _, t := range d.Insert {
-		if ix.insert(rows, t) {
-			rows = append(rows, t)
-		}
-	}
-	for _, t := range d.Delete {
-		pos, ok := ix.remove(rows, t)
-		if !ok {
-			continue
-		}
-		last := int32(len(rows) - 1)
-		if pos != last {
-			moved := rows[last]
-			rows[pos] = moved
-			ix.repoint(moved, last, pos)
-		}
-		rows[last] = nil
-		rows = rows[:last]
-	}
-	e.edb[pred] = rows
-}
-
-// insert registers t at position len(rows) unless an equal tuple is already
-// indexed, reporting whether the caller should append it.
-func (ix *edbIndex) insert(rows []relation.Tuple, t relation.Tuple) bool {
-	h := t.Hash()
-	for _, p := range ix.buckets[h] {
-		if rows[p].Equal(t) {
-			return false
-		}
-	}
-	ix.buckets[h] = append(ix.buckets[h], int32(len(rows)))
-	return true
-}
-
-// remove unlinks t from the index and returns its row position.
-func (ix *edbIndex) remove(rows []relation.Tuple, t relation.Tuple) (int32, bool) {
-	h := t.Hash()
-	b := ix.buckets[h]
-	for i, p := range b {
-		if rows[p].Equal(t) {
-			b[i] = b[len(b)-1]
-			if len(b) == 1 {
-				delete(ix.buckets, h)
-			} else {
-				ix.buckets[h] = b[:len(b)-1]
-			}
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// repoint rewrites moved's index entry after a swap-remove moved it from
-// position from to position to.
-func (ix *edbIndex) repoint(moved relation.Tuple, from, to int32) {
-	b := ix.buckets[moved.Hash()]
-	for i, p := range b {
-		if p == from {
-			b[i] = to
-			return
-		}
-	}
 }
 
 // affectedClosure returns the predicates reachable from roots in the
@@ -757,7 +663,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		d, ok := m[pred]
 		if !ok {
 			d = e.leaseSet(pred)
-			d.arity = e.factsFor(pred).arity
+			d.arity = e.facts[pred].arity
 			m[pred] = d
 		}
 		return d
@@ -768,10 +674,11 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 	// full fact set (clone on genuine insertion) and records new facts in
 	// next and carry.
 	var emitPred string
+	var emitSet *factSet
 	var emitNext map[string]*factSet
 	emit := func(t relation.Tuple) error {
 		e.Stats.RuleFirings++
-		added, stored, err := e.factsFor(emitPred).add(t, true)
+		added, stored, err := emitSet.add(t, true)
 		if err != nil || !added {
 			return err
 		}
@@ -791,7 +698,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		emitNext = next
 		for _, it := range items {
 			c := e.compiled[it.ri]
-			emitPred = c.rule.Head.Pred
+			emitPred, emitSet = c.rule.Head.Pred, c.headSet
 			if err := e.evalRule(c, it.spec, emit); err != nil {
 				return err
 			}
@@ -904,7 +811,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 		return err
 	}
 
-	out := e.factsFor(c.rule.Head.Pred)
+	out := c.headSet
 	for _, g := range order {
 		t := make(relation.Tuple, len(c.head))
 		for i, gi := range c.groupIdx {
@@ -977,6 +884,21 @@ func (e *Engine) Facts(pred string) *relation.Relation {
 	}
 	ar := e.prog.Arities[pred]
 	return relation.New(anySchema(ar))
+}
+
+// FactSeq iterates over the current tuples of a predicate in place, without
+// materialising a relation. The tuples are the engine's own: read-only, and
+// the sequence must be consumed before the next run.
+func (e *Engine) FactSeq(pred string) iter.Seq[relation.Tuple] {
+	return func(yield func(relation.Tuple) bool) {
+		if f, ok := e.facts[pred]; ok {
+			for _, t := range f.tuples {
+				if !yield(t) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Query runs the program against the given EDB and returns one predicate.

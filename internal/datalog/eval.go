@@ -86,19 +86,18 @@ func bindStep(m *stepMeta, sc *ruleScratch, t relation.Tuple) bool {
 
 // atomSet resolves the fact set a positive atom step enumerates under the
 // current spec: the delta for the delta occurrence, the full set otherwise.
-func atomSet(e *Engine, m *stepMeta, pred string, spec *evalSpec) *factSet {
+func atomSet(m *stepMeta, spec *evalSpec) *factSet {
 	if m.occIndex == spec.deltaOcc {
 		return spec.delta
 	}
-	return e.factsFor(pred)
+	return m.set
 }
 
 // makeScanStep compiles a positive atom with no bound columns: a full
 // enumeration of the predicate.
 func makeScanStep(m *stepMeta, next stepFn) stepFn {
-	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		for _, t := range atomSet(e, m, pred, &sc.spec).tuples {
+		for _, t := range atomSet(m, &sc.spec).tuples {
 			if !bindStep(m, sc, t) {
 				continue
 			}
@@ -112,27 +111,22 @@ func makeScanStep(m *stepMeta, next stepFn) stepFn {
 
 // makeLookupStep compiles a positive atom with bound columns: an index probe
 // on the step's registered mask, walking the candidate chain with equality
-// verification. The chain is walked by value (the link is read before the
-// body runs), so recursive rules may insert into the probed set mid-walk —
-// new cells prepend at the chain head and are picked up by the next
-// semi-naive iteration, exactly as the snapshot semantics of the previous
-// evaluator.
+// verification. The walk stands on a tuple while the body runs and reads its
+// link afterwards, so recursive rules may insert into the probed set
+// mid-walk: new tuples go to the front of their bucket, behind the walk, and
+// a grow keeps the tuples of one key in order (see chain.grow) — they are
+// picked up by the next semi-naive iteration.
 func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
-	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		env := sc.env
-		set := atomSet(e, m, pred, &sc.spec)
+		set := atomSet(m, &sc.spec)
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
 		}
-		h := relation.HashValues(key)
 		ix := &set.indexes[m.lookupIdx]
-		p := ix.head[h]
-		for p != 0 {
-			pos := p - 1
-			p = ix.links[pos]
-			t := set.tuples[pos]
+		for p := ix.first(relation.HashValues(key)); p != 0; p = ix.links[p-1] {
+			t := set.tuples[p-1]
 			if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
 				continue
 			}
@@ -147,21 +141,20 @@ func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 // makeNegStep compiles a negated atom: an absence check against the full
 // set.
 func makeNegStep(m *stepMeta, step int, next stepFn) stepFn {
-	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		env := sc.env
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
 		}
-		set := e.factsFor(pred)
+		set := m.set
 		if len(m.lookupCols) == 0 {
 			if set.len() > 0 {
 				return nil
 			}
 		} else {
 			ix := &set.indexes[m.lookupIdx]
-			for p := ix.head[relation.HashValues(key)]; p != 0; p = ix.links[p-1] {
+			for p := ix.first(relation.HashValues(key)); p != 0; p = ix.links[p-1] {
 				if matchAt(set.tuples[p-1], m.lookupCols, key) {
 					return nil
 				}

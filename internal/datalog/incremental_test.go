@@ -424,8 +424,11 @@ func TestRunIncrementalRejectedBatchLeavesStateUntouched(t *testing.T) {
 		t.Fatal("bad batch accepted")
 	}
 	// The valid q delta must not have leaked into the EDB or the facts.
-	if got := len(e.edb["q"]); got != 1 {
-		t.Errorf("q EDB rows after rejected batch: %d", got)
+	if got := e.Facts("q"); got.Len() != 1 || !got.Rows()[0].Equal(intTuples([]int64{1})[0]) {
+		t.Errorf("q EDB rows after rejected batch: %s", got)
+	}
+	if !e.warm {
+		t.Error("rejected batch dropped the warm state")
 	}
 	if e.FactCount("q") != 1 || e.Facts("p").Len() != 1 {
 		t.Errorf("facts mutated by rejected batch: q=%d p=%d", e.FactCount("q"), e.Facts("p").Len())
@@ -498,54 +501,78 @@ func TestRunIncrementalReinsertKeepsEDBSetSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(e.edb["q"]); got != 1 {
+	if got := e.Facts("q").Len(); got != 1 {
 		t.Errorf("EDB rows grew to %d on re-inserts", got)
+	}
+	// A cold run re-derives from the same single copy.
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.FactCount("q") != 1 || e.FactCount("p") != 1 {
+		t.Errorf("after cold run: q=%d p=%d", e.FactCount("q"), e.FactCount("p"))
 	}
 	if e.FactCount("q") != 1 {
 		t.Errorf("fact count %d", e.FactCount("q"))
 	}
 }
 
-// checkFactSetConsistency verifies, for every retained fact set, that the
-// membership chains and each eager index chain cover exactly the stored
-// tuples — the invariant incremental adds and removes must preserve.
+// checkFactSetConsistency verifies the chain invariants of every retained
+// fact set (see checkFactSet).
 func checkFactSetConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	for pred, f := range e.facts {
-		seen := 0
-		for h, p := range f.head {
-			for ; p != 0; p = f.links[p-1] {
+		if err := checkFactSet(f); err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+	}
+}
+
+// checkFactSet verifies the layout add, remove, grow and reset must preserve:
+// the parallel arrays are as long as tuples, all chains have the same
+// power-of-two bucket count that the tuple count never exceeds, and in every
+// chain each tuple is reachable from exactly one bucket — the one its hash &
+// mask selects — by a walk without cycle on which prev is the exact inverse
+// of links (the bucket's own marker for its first tuple).
+func checkFactSet(f *factSet) error {
+	n := len(f.tuples)
+	chains := append([]*chain{&f.member}, make([]*chain, len(f.indexes))...)
+	for i := range f.indexes {
+		chains[1+i] = &f.indexes[i]
+	}
+	for _, c := range chains {
+		nb := len(c.buckets)
+		if nb < minBuckets || nb&(nb-1) != 0 || nb != len(f.member.buckets) || n > nb {
+			return fmt.Errorf("chain %v: %d buckets for %d tuples (membership has %d)", c.cols, nb, n, len(f.member.buckets))
+		}
+		if len(c.links) != n || len(c.prev) != n {
+			return fmt.Errorf("chain %v: %d links, %d prev for %d tuples", c.cols, len(c.links), len(c.prev), n)
+		}
+		seen := make([]bool, n)
+		for b, p := range c.buckets {
+			before := -int32(b) - 1 // the head carries its bucket's marker
+			for ; p != 0; p = c.links[p-1] {
 				pos := int(p - 1)
-				if pos < 0 || pos >= len(f.tuples) {
-					t.Fatalf("%s: chain position %d out of range", pred, pos)
+				if pos < 0 || pos >= n {
+					return fmt.Errorf("chain %v: position %d out of range", c.cols, pos)
 				}
-				if f.tuples[pos].Hash() != h {
-					t.Fatalf("%s: tuple %s filed under wrong hash", pred, f.tuples[pos])
+				if seen[pos] {
+					return fmt.Errorf("chain %v: position %d reached twice (cycle or shared tail)", c.cols, pos)
 				}
-				seen++
+				seen[pos] = true
+				if got := int(c.hash(f.tuples[pos]) & uint64(nb-1)); got != b {
+					return fmt.Errorf("chain %v: tuple %s filed under bucket %d, hashes to %d", c.cols, f.tuples[pos], b, got)
+				}
+				if c.prev[pos] != before {
+					return fmt.Errorf("chain %v: prev[%d] = %d, reached from %d", c.cols, pos, c.prev[pos], before)
+				}
+				before = p
 			}
 		}
-		if seen != len(f.tuples) {
-			t.Fatalf("%s: membership chains cover %d of %d tuples", pred, seen, len(f.tuples))
-		}
-		for ii := range f.indexes {
-			ix := &f.indexes[ii]
-			covered := 0
-			for h, p := range ix.head {
-				for ; p != 0; p = ix.links[p-1] {
-					pos := int(p - 1)
-					if pos < 0 || pos >= len(f.tuples) {
-						t.Fatalf("%s: index %v position %d out of range", pred, ix.cols, pos)
-					}
-					if f.tuples[pos].HashCols(ix.cols) != h {
-						t.Fatalf("%s: index %v misfiled tuple %s", pred, ix.cols, f.tuples[pos])
-					}
-					covered++
-				}
-			}
-			if covered != len(f.tuples) {
-				t.Fatalf("%s: index %v covers %d of %d tuples", pred, ix.cols, covered, len(f.tuples))
+		for pos, ok := range seen {
+			if !ok {
+				return fmt.Errorf("chain %v: tuple %s at %d is in no bucket", c.cols, f.tuples[pos], pos)
 			}
 		}
 	}
+	return nil
 }

@@ -547,6 +547,11 @@ type DatalogProtocol struct {
 	// byKey restores the SLA fields lost through the relational form.
 	warm  bool
 	byKey map[request.Key]request.Request
+	// changed and the four tuple slices behind its deltas are the round's
+	// hand-over to the engine, refilled in place every round (the engine
+	// keeps the inserted tuples, never the slices).
+	changed                          map[string]datalog.EDBDelta
+	reqIns, reqDel, histIns, histDel []relation.Tuple
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -572,7 +577,10 @@ func NewDatalogProtocol(name, src string, extended bool, order func([]request.Re
 	if order == nil {
 		order = ByID
 	}
-	return &DatalogProtocol{name: name, engine: eng, extended: extended, order: order}, nil
+	return &DatalogProtocol{
+		name: name, engine: eng, extended: extended, order: order,
+		changed: make(map[string]datalog.EDBDelta, 2),
+	}, nil
 }
 
 func mustDatalog(name, src string, extended bool, order func([]request.Request)) *DatalogProtocol {
@@ -636,10 +644,10 @@ type Wounder interface {
 // Wounded implements Wounder: the distinct first arguments of the `wound`
 // predicate derived by the last Qualify, sorted.
 func (p *DatalogProtocol) Wounded() []int64 {
-	facts := p.engine.Facts("wound")
-	out := make([]int64, 0, facts.Len())
-	seen := make(map[int64]bool, facts.Len())
-	for _, t := range facts.Rows() {
+	n := p.engine.FactCount("wound")
+	out := make([]int64, 0, n)
+	seen := make(map[int64]bool, n)
+	for t := range p.engine.FactSeq("wound") {
 		if len(t) != 1 || t[0].Kind() != relation.KindInt {
 			continue
 		}
@@ -697,12 +705,18 @@ func ConsistencyRationing(classes map[int64]string) (*DatalogProtocol, error) {
 	return p, nil
 }
 
-// reqTuple converts a request to the EDB form this protocol reads.
-func (p *DatalogProtocol) reqTuple(r request.Request) relation.Tuple {
-	if p.extended {
-		return r.ExtendedTuple()
+// edbTuples refills dst with the EDB form of rs: the request EDB's columns when
+// extended (the SLA form), the five history columns otherwise.
+func edbTuples(dst []relation.Tuple, rs []request.Request, extended bool) []relation.Tuple {
+	dst = dst[:0]
+	for _, r := range rs {
+		if extended {
+			dst = append(dst, r.ExtendedTuple())
+		} else {
+			dst = append(dst, r.Tuple())
+		}
 	}
-	return r.Tuple()
+	return dst
 }
 
 // Qualify implements Protocol: a cold evaluation over freshly materialised
@@ -770,21 +784,12 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		return qualified, nil
 	}
 
-	changed := make(map[string]datalog.EDBDelta, 2)
+	changed := p.changed
+	clear(changed)
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
-		var ed datalog.EDBDelta
-		if n := len(d.PendingAdded); n > 0 {
-			ed.Insert = make([]relation.Tuple, 0, n)
-			for _, r := range d.PendingAdded {
-				ed.Insert = append(ed.Insert, p.reqTuple(r))
-			}
-		}
-		if n := len(d.PendingRemoved); n > 0 {
-			ed.Delete = make([]relation.Tuple, 0, n)
-			for _, r := range d.PendingRemoved {
-				ed.Delete = append(ed.Delete, p.reqTuple(r))
-			}
-		}
+		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, p.extended)
+		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, p.extended)
+		ed := datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 		// EDBDelta applies Insert before Delete, but pending removals
 		// precede adds chronologically: an identical tuple removed and
 		// re-added is net present, so cancel it out of both sides. Request
@@ -820,20 +825,9 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		changed["request"] = ed
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
-		var ed datalog.EDBDelta
-		if n := len(d.HistoryAppended); n > 0 {
-			ed.Insert = make([]relation.Tuple, 0, n)
-			for _, r := range d.HistoryAppended {
-				ed.Insert = append(ed.Insert, r.Tuple())
-			}
-		}
-		if n := len(d.HistoryRemoved); n > 0 {
-			ed.Delete = make([]relation.Tuple, 0, n)
-			for _, r := range d.HistoryRemoved {
-				ed.Delete = append(ed.Delete, r.Tuple())
-			}
-		}
-		changed["history"] = ed
+		p.histIns = edbTuples(p.histIns, d.HistoryAppended, false)
+		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, false)
+		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {
 		p.warm = false
@@ -868,14 +862,16 @@ func idRange(rs []request.Request) (min, max int64) {
 // collect reads the qualified predicate, restores the SLA fields from the
 // pending batch and fixes the execution order.
 func (p *DatalogProtocol) collect(byKey map[request.Key]request.Request) ([]request.Request, error) {
-	qualified, err := request.FromRelation(p.engine.Facts("qualified"))
-	if err != nil {
-		return nil, fmt.Errorf("protocol %s: bad qualified tuples: %w", p.name, err)
-	}
-	for i := range qualified {
-		if orig, ok := byKey[qualified[i].Key()]; ok {
-			qualified[i] = orig
+	qualified := make([]request.Request, 0, p.engine.FactCount("qualified"))
+	for t := range p.engine.FactSeq("qualified") {
+		r, err := request.FromTuple(t)
+		if err != nil {
+			return nil, fmt.Errorf("protocol %s: bad qualified tuples: %w", p.name, err)
 		}
+		if orig, ok := byKey[r.Key()]; ok {
+			r = orig
+		}
+		qualified = append(qualified, r)
 	}
 	p.order(qualified)
 	return qualified, nil

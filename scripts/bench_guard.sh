@@ -5,7 +5,7 @@
 # BENCH_<n>.json, so a PR cannot silently lose the warm-start, cold-round or
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
-# allocating per row" regressions (the warm rounds sit at ~688 (Datalog,
+# allocating per row" regressions (the warm rounds sit at ~658 (Datalog,
 # affected-closure recompute since PR 14) / ~344 (SQL: the bench re-admits
 # the same twelve requests, and since PR 16 a bag drops an emptied bucket
 # instead of keeping it for a hash that, with real ids, never returns)
@@ -24,14 +24,27 @@ cd "$(dirname "$0")/.."
 GUARD_FACTOR="${GUARD_FACTOR:-2}"
 # Guarded benches: the Datalog warm round (the steady-state hot path), the
 # 300-client Datalog cold round, the 300-client SQL-backend round, the
-# delta-maintained SQL warm round (the view-cache win), and the full
-# middleware round (the scheduler-core store/pipeline win).
+# delta-maintained SQL warm round (the view-cache win), the full middleware
+# round (the scheduler-core store/pipeline win), the 3000-client one-shard
+# middleware round (~1000-row Datalog deltas against a 6000-row history: the
+# regime where a fact-store operation that walks its hash chain costs 8x —
+# small instances cannot see it, which is how one passed CI in PR 9), and
+# both sides of the 8-shard hot-key round (static and rebalanced slot table).
+# The hot-key pair used to be held to a ratio, rebalanced >= 1.5x faster than
+# static; that 3.7x was mostly the quadratic fact-store removal flattering
+# the side with the smaller per-shard instance. With O(1) removal five runs
+# read 1.18-1.45x on two cores (23.4-26.3 ms static, 16.2-20.0 ms
+# rebalanced), too close to the run-to-run spread for a ratio gate, so each
+# side is guarded on its own figure instead.
 GUARDED='BenchmarkDatalogIncrementalRound/warm
 BenchmarkSS2PLQueryDatalog/clients=300
 BenchmarkSS2PLQuerySQL/clients=300
 BenchmarkSQLIncrementalRound/warm
 BenchmarkSQLIncrementalRound/bulk
-BenchmarkMiddlewareRound'
+BenchmarkMiddlewareRound
+BenchmarkMiddlewareRoundPartitioned/partitions=1/clients=3000
+BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/static
+BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/rebalanced'
 
 latest=$( (ls BENCH_*.json 2>/dev/null || true) | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
 if [ -z "${latest}" ]; then
@@ -59,13 +72,8 @@ while IFS= read -r bench; do
         continue
     fi
     # go test splits the -bench regex on "/" and matches per segment:
-    # anchor each segment of the bench path separately (top-level benches
-    # have no sub-segment).
-    if [ "${bench#*/}" = "${bench}" ]; then
-        pattern="^${bench}\$"
-    else
-        pattern="^${bench%%/*}\$/^${bench#*/}\$"
-    fi
+    # anchor each segment of the bench path separately.
+    pattern="^${bench//\//\$/^}\$"
     raw=$(go test -run='^$' -bench="${pattern}" -benchmem -benchtime="${BENCHTIME:-1s}" .)
     echo "${raw}"
     short="${bench#Benchmark}"
@@ -132,33 +140,6 @@ elif ! awk -v cold="${cold_ns}" -v bulk="${bulk_ns}" -v m="${SPEEDUP_MIN}" 'BEGI
         exit 1
     }
     printf "bench_guard: OK — bulk round %.2fx faster than cold (gate %sx)\n", cold / bulk, m
-}'; then
-    fail=1
-fi
-
-# Relative gate: under the 80%/8-key hot-read workload at 8 shards, the
-# rebalanced slot table must keep super-rounds at least REBALANCE_MIN times
-# faster than the static table — the structural win of load-aware
-# partitioning (slot migration spreads the hot slots one per shard, so the
-# parallel qualification stops waiting on the one hot shard).
-REBALANCE_MIN="${REBALANCE_MIN:-1.5}"
-raw=$(go test -run='^$' -bench='^BenchmarkMiddlewareRoundPartitionedHotKey$' -benchmem -benchtime="${BENCHTIME:-1s}" .)
-echo "${raw}"
-static_ns=$(echo "${raw}" | awk '/PartitionedHotKey\/partitions=8\/static/ {
-    for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)
-}' | head -1)
-rebal_ns=$(echo "${raw}" | awk '/PartitionedHotKey\/partitions=8\/rebalanced/ {
-    for (i = 2; i <= NF; i++) if ($i == "ns/op") print $(i-1)
-}' | head -1)
-if [ -z "${static_ns}" ] || [ -z "${rebal_ns}" ]; then
-    echo "bench_guard: hot-key rebalance gate produced no static/rebalanced ns/op lines"
-    fail=1
-elif ! awk -v static="${static_ns}" -v rebal="${rebal_ns}" -v m="${REBALANCE_MIN}" 'BEGIN {
-    if (rebal * m > static) {
-        printf "bench_guard: FAIL — rebalanced hot-key round %.0f ns/op is not %sx faster than static %.0f ns/op (%.2fx)\n", rebal, m, static, static / rebal
-        exit 1
-    }
-    printf "bench_guard: OK — rebalanced hot-key round %.2fx faster than static (gate %sx)\n", static / rebal, m
 }'; then
     fail=1
 fi
