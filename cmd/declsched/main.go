@@ -33,7 +33,7 @@ func main() {
 	writes := flag.Int("writes", 20, "writes per transaction")
 	objects := flag.Int64("objects", 100000, "table rows")
 	zipf := flag.Float64("zipf", 0, "Zipf skew parameter (>1), 0 = uniform")
-	trigName := flag.String("trigger", "hybrid", "round trigger: hybrid, time, fill")
+	trigName := flag.String("trigger", "hybrid", "round trigger: hybrid (schedserver's default, 16 requests or 1ms, and earlier once every answered client is back in the queue — the loop counts them, so the level need not be tuned to -clients), time (1ms), fill (-clients requests)")
 	passthrough := flag.Bool("passthrough", false, "non-scheduling mode (forward unscheduled)")
 	check := flag.Bool("check", false, "verify conflict serializability of the executed schedule")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -81,7 +81,7 @@ func main() {
 	var trig scheduler.Trigger
 	switch *trigName {
 	case "hybrid":
-		trig = scheduler.HybridTrigger{Level: *clients, Every: time.Millisecond}
+		trig = scheduler.HybridTrigger{Level: 16, Every: time.Millisecond}
 	case "time":
 		trig = scheduler.TimeTrigger{Every: time.Millisecond}
 	case "fill":
@@ -171,6 +171,7 @@ func main() {
 	if ss := sum.StrategyString(); ss != "" {
 		fmt.Printf("round strategies     %s\n", ss)
 	}
+	fmt.Printf("rounds fired on      %s\n", sum.FiredString())
 	lat := &mw.Collector().Latency
 	fmt.Printf("request latency      mean=%s p99<=%s max=%s\n",
 		time.Duration(lat.Mean()), time.Duration(lat.Quantile(0.99)), time.Duration(lat.Max()))

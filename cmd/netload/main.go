@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,10 @@ type report struct {
 	Chaos       bool   `json:"chaos"`
 	ChaosStats  string `json:"chaos_stats,omitempty"`
 	ServerStats string `json:"server_stats"`
+	// Fired is the server's rounds per trigger reason, lifted out of
+	// ServerStats: level, every, returned (the hybrid trigger's three
+	// conditions), progress, drain.
+	Fired string `json:"fired,omitempty"`
 }
 
 func main() {
@@ -343,6 +348,9 @@ func main() {
 		Verified:   verified,
 		Chaos:      *useChaos,
 		ServerStats: finalStats,
+	}
+	if _, rest, ok := strings.Cut(finalStats, " fired["); ok {
+		rep.Fired, _, _ = strings.Cut(rest, "]")
 	}
 	if proxy != nil {
 		rep.ChaosStats = fmt.Sprintf("%+v", proxy.Stats())

@@ -150,6 +150,9 @@ type RoundStats struct {
 	// protocol does not report one. The SQL cost model's per-round
 	// choices become observable here.
 	Strategy string
+	// Fired names what made the middleware's loop run this round (one of the
+	// Fired* reasons); empty on rounds driven directly through the engine.
+	Fired string
 	// Partition identifies which round loop produced this record under the
 	// partitioned scheduler: a shard index for per-shard records (recorded
 	// via AddPartitionRound), MergedPartition for the merged per-round
@@ -160,6 +163,18 @@ type RoundStats struct {
 	// one-shard engine.
 	Cross int
 }
+
+// Why a round ran (RoundStats.Fired): a trigger condition — the queue reached
+// the fill level, the maximum delay elapsed, every client that was answered
+// has returned (scheduler.HybridTrigger) — or the loop itself: its progress
+// rule for blocked pending requests, or the shutdown drain.
+const (
+	FiredLevel    = "level"
+	FiredEvery    = "every"
+	FiredReturned = "returned"
+	FiredProgress = "progress"
+	FiredDrain    = "drain"
+)
 
 // MergedPartition marks a RoundStats record as the merged view of one
 // partitioned super-round (as opposed to one shard's share of it).
@@ -288,6 +303,8 @@ type Summary struct {
 	// Strategies counts rounds per reported evaluation strategy (rounds
 	// without a reported strategy are not counted).
 	Strategies map[string]int
+	// Fired counts rounds per trigger reason (RoundStats.Fired), likewise.
+	Fired map[string]int
 }
 
 // Summarise computes the aggregate view.
@@ -309,12 +326,8 @@ func (c *Collector) summariseLocked() Summary {
 		qual += int64(r.Qualified)
 		dur += r.Duration
 		s.Cross += int64(r.Cross)
-		if r.Strategy != "" {
-			if s.Strategies == nil {
-				s.Strategies = make(map[string]int)
-			}
-			s.Strategies[r.Strategy]++
-		}
+		count(&s.Strategies, r.Strategy)
+		count(&s.Fired, r.Fired)
 	}
 	n := len(c.rounds)
 	s.MeanPending = float64(pend) / float64(n)
@@ -322,6 +335,18 @@ func (c *Collector) summariseLocked() Summary {
 	s.MeanRoundDuration = dur / time.Duration(n)
 	s.TotalRoundTime = dur
 	return s
+}
+
+// count adds one round under name, allocating the map on first use; rounds
+// that report no name are not counted.
+func count(m *map[string]int, name string) {
+	if name == "" {
+		return
+	}
+	if *m == nil {
+		*m = make(map[string]int)
+	}
+	(*m)[name]++
 }
 
 // Snapshot is one consistent view of a Collector: the aggregate summary and
@@ -383,7 +408,8 @@ func (c *Collector) qualifiedImbalanceLocked() float64 {
 	return float64(max) / mean
 }
 
-// String renders the snapshot as one STATS line.
+// String renders the snapshot as one STATS line: the counters and tails, then
+// which evaluation strategies the rounds ran and why the rounds fired.
 func (s Snapshot) String() string {
 	line := fmt.Sprintf("%s latency_p50=%s latency_p99=%s latency_p999=%s exec_batches=%d exec_p99=%s",
 		s.Summary,
@@ -398,6 +424,12 @@ func (s Snapshot) String() string {
 		for _, t := range s.Load.TopSlots {
 			line += fmt.Sprintf(" hot_slot=%d@%d:%.1f", t.Slot, t.Shard, t.Load)
 		}
+	}
+	if strat := s.Summary.StrategyString(); strat != "" {
+		line += " strategies[" + strat + "]"
+	}
+	if fired := s.Summary.FiredString(); fired != "" {
+		line += " fired[" + fired + "]"
 	}
 	return line
 }
@@ -497,12 +529,15 @@ func (d *Durability) String() string {
 // StrategyString renders the per-strategy round counts as
 // "name=count name=count ...", sorted by name ("" when no strategy was
 // reported) — the one-line view of which evaluation paths ran.
-func (s Summary) StrategyString() string {
-	if len(s.Strategies) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(s.Strategies))
-	for n := range s.Strategies {
+func (s Summary) StrategyString() string { return countsString(s.Strategies) }
+
+// FiredString renders the per-reason round counts the same way — the
+// one-line view of why rounds ran.
+func (s Summary) FiredString() string { return countsString(s.Fired) }
+
+func countsString(counts map[string]int) string {
+	names := make([]string, 0, len(counts))
+	for n := range counts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -511,7 +546,7 @@ func (s Summary) StrategyString() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", n, s.Strategies[n])
+		fmt.Fprintf(&b, "%s=%d", n, counts[n])
 	}
 	return b.String()
 }

@@ -59,6 +59,9 @@ const (
 const (
 	maxFrame = 1 << 20
 	reqBody  = 8 + 8 + 8 + 1 + 8 + 8
+	// frameChunk is what readFrame allocates on the strength of a length
+	// field alone; beyond it the buffer grows only as bytes arrive.
+	frameChunk = 4 << 10
 )
 
 var crcTable = crc32.IEEETable
@@ -81,9 +84,19 @@ func readFrame(r io.Reader) (typ byte, body []byte, err error) {
 	if n < 5 || n > maxFrame {
 		return 0, nil, fmt.Errorf("netproto: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("netproto: short frame: %w", err)
+	// The length is the peer's claim: a connection that announces a megabyte
+	// and sends nothing must not cost a megabyte. Every frame the protocol
+	// itself sends fits the first chunk, so the hot path is one allocation and
+	// one read, as before.
+	buf := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return 0, nil, fmt.Errorf("netproto: short frame: %w", err)
+		}
+		if have = len(buf); uint32(have) == n {
+			break
+		}
+		buf = append(buf, make([]byte, min(int(n)-have, have))...)
 	}
 	typ = buf[0]
 	want := binary.BigEndian.Uint32(buf[1:5])

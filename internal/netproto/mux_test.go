@@ -3,6 +3,7 @@ package netproto
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,8 +156,11 @@ func TestMuxPingStatsAndLineCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats == "" {
-		t.Fatal("empty mux stats")
+	if !strings.Contains(stats, " fired[") || !strings.Contains(stats, " strategies[") {
+		t.Fatalf("mux stats name neither the rounds' strategies nor why they fired: %q", stats)
+	}
+	if line, err := lc.Stats(); err != nil || !strings.Contains(line, " fired[") {
+		t.Fatalf("line stats: %q, %v", line, err)
 	}
 }
 

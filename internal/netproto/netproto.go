@@ -262,11 +262,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// under a single critical section, so mid-run scrapes never see
 			// torn state.
 			snap := s.mw.Collector().Snapshot()
-			stats := "STATS " + snap.String()
-			if strat := snap.Summary.StrategyString(); strat != "" {
-				stats += " strategies[" + strat + "]"
-			}
-			if !reply(stats) {
+			if !reply("STATS " + snap.String()) {
 				return
 			}
 		case line == "QUIT":
@@ -345,6 +341,15 @@ func parseReq(line string) (request.Request, error) {
 		r.Priority = prio
 	}
 	return r, nil
+}
+
+// formatReq is the client's side of parseReq.
+func formatReq(r request.Request) string {
+	line := fmt.Sprintf("REQ %d %d %s %d", r.TA, r.IntraTA, r.Op, r.Object)
+	if r.Priority != 0 {
+		line += " " + strconv.FormatInt(r.Priority, 10)
+	}
+	return line
 }
 
 // DefaultTimeout bounds every client round-trip out of the box: a dead or
@@ -536,11 +541,7 @@ func isNetError(err error) bool {
 
 func (c *Client) submitOnce(r request.Request) (int64, time.Duration, error) {
 	c.arm()
-	line := fmt.Sprintf("REQ %d %d %s %d", r.TA, r.IntraTA, r.Op, r.Object)
-	if r.Priority != 0 {
-		line += " " + strconv.FormatInt(r.Priority, 10)
-	}
-	if _, err := c.w.WriteString(line + "\n"); err != nil {
+	if _, err := c.w.WriteString(formatReq(r) + "\n"); err != nil {
 		return 0, 0, fmt.Errorf("netproto: submit: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {

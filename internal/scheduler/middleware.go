@@ -72,7 +72,11 @@ type Result struct {
 // Middleware is the concurrent front-end of the scheduler (paper Figure 1):
 // each connected client talks to its own client worker, which forwards
 // requests into the incoming queue; a scheduler loop fires rounds according
-// to the trigger policy and routes results back.
+// to the trigger policy and routes results back. The loop is event-driven: it
+// shows the trigger its Load on every arrival and delivery, and in between
+// sleeps on one timer set to the earliest deadline (the trigger's or
+// progressBound; below napBelow a kernel sleep keeps it on time), armed only
+// while something is queued or pending.
 //
 // Rounds run pipelined by default: the loop schedules a round (admit,
 // qualify, resolve, commit) and moves on — server execution happens on the
@@ -99,11 +103,13 @@ type Middleware struct {
 	syncMode  bool
 	limits    Limits
 	lastRound time.Time // loop goroutine only
+	wakeups   int       // loop iterations (loop goroutine only; tests read it after Stop)
 
 	// queued counts admitted-but-unanswered submissions (registered
 	// waiters): the fill level the MaxQueued admission cap reads.
 	queued   atomic.Int64
 	draining atomic.Bool
+	answered atomic.Int64 // replies handed out since the last round fired (Load.Answered)
 	// qualEWMA/roundEWMA track recent qualify latency and total round time
 	// (ns); the shed policy and the retry-after hint read them lock-free.
 	qualEWMA  atomic.Int64
@@ -385,11 +391,7 @@ func (m *Middleware) TerminalOutcome(ta int64) (Result, request.Op, bool) {
 // answered exactly once through here, which keeps the queued counter truthful.
 func (m *Middleware) answer(w waiter, res Result) {
 	m.queued.Add(-1)
-	if w.cb != nil {
-		w.cb(res)
-		return
-	}
-	w.ch <- res
+	m.answerUnregistered(w, res)
 }
 
 // registerLocked admits one submission under m.mu and reports whether its
@@ -439,6 +441,7 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 // answerUnregistered answers a submission that was never registered (cache
 // hit at registration time): no queued-counter bookkeeping.
 func (m *Middleware) answerUnregistered(w waiter, res Result) {
+	m.answered.Add(1)
 	if w.cb != nil {
 		w.cb(res)
 		return
@@ -454,6 +457,7 @@ func (m *Middleware) Submit(r request.Request) Result {
 		return Result{Err: err}
 	}
 	if res, ok := m.cached(r); ok {
+		m.answered.Add(1)
 		return res
 	}
 	reply := make(chan Result, 1)
@@ -473,6 +477,7 @@ func (m *Middleware) SubmitFunc(r request.Request, cb func(Result)) error {
 		return err
 	}
 	if res, ok := m.cached(r); ok {
+		m.answered.Add(1)
 		cb(res)
 		return nil
 	}
@@ -487,8 +492,8 @@ func (m *Middleware) SubmitFunc(r request.Request, cb func(Result)) error {
 
 // registerAndEnqueue is the concurrent admission path: register the waiter,
 // put the request into the engine's admission queue without passing through
-// the loop goroutine, and poke the loop (non-blocking) so its trigger can
-// evaluate the new fill level.
+// the loop goroutine, and poke the loop so its trigger can evaluate the new
+// fill level.
 func (m *Middleware) registerAndEnqueue(r request.Request, w waiter) {
 	w.req = r
 	m.mu.Lock()
@@ -497,6 +502,11 @@ func (m *Middleware) registerAndEnqueue(r request.Request, w waiter) {
 	if enq {
 		m.engine.Enqueue(r)
 	}
+	m.poke()
+}
+
+// poke wakes the loop without blocking.
+func (m *Middleware) poke() {
 	select {
 	case m.notify <- struct{}{}:
 	default:
@@ -574,8 +584,9 @@ func (m *Middleware) loop() {
 		e.StartExecutors()
 		done = e.Completions()
 	}
-	ticker := time.NewTicker(200 * time.Microsecond)
-	defer ticker.Stop()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	var alarm time.Time // deadline of the last nap started
 	m.lastRound = time.Now()
 	for {
 		select {
@@ -585,28 +596,61 @@ func (m *Middleware) loop() {
 		case c := <-done:
 			m.deliver(c)
 		case <-m.notify:
-			if m.trigger.Fire(e.QueueLen(), time.Since(m.lastRound)) {
-				m.runRound()
-			}
-		case <-ticker.C:
-			if m.trigger.Fire(e.QueueLen(), time.Since(m.lastRound)) {
-				m.runRound()
-			} else if (e.PendingLen() > 0 || e.QueueLen() > 0) &&
-				time.Since(m.lastRound) > 2*time.Millisecond {
-				// Progress guarantee: blocked pending requests need further
-				// rounds to observe lock releases and deadlock resolution,
-				// and a fill-level trigger must not starve a queue that
-				// stays below its level (the paper's triggers are policies
-				// for *when* to run early, not for whether to run at all).
-				m.runRound()
-			}
+		case <-timer.C:
+		}
+		m.wakeups++
+		at := m.poll()
+		if at.IsZero() {
+			timer.Stop()
+			continue
+		}
+		now := time.Now()
+		wait := at.Sub(now)
+		timer.Reset(wait)
+		if wait < napBelow && (alarm.Before(now) || at.Before(alarm)) {
+			alarm = at
+			go func() { nap(wait); m.poke() }()
 		}
 	}
 }
 
+// napBelow is the wait under which the loop sets a kernel sleep beside its
+// timer. Once the process is otherwise idle — where a light load waits — the
+// runtime's netpoller blocks in whole milliseconds and serves a shorter timer
+// about one late; from half of that up, a timer alone is at most three times
+// late, as it always was.
+const napBelow = 500 * time.Microsecond
+
+// poll asks the trigger, once per wake-up, and runs a round if it or the
+// progress rule says so; otherwise it returns when idle time alone changes
+// the answer (zero: only an arrival or a delivery can). After a round the
+// loop pokes itself, so completions and Stop take their turn under load.
+func (m *Middleware) poll() time.Time {
+	queued, pending := m.engine.QueueLen(), m.engine.PendingLen()
+	if queued == 0 && pending == 0 {
+		return time.Time{}
+	}
+	idle := time.Since(m.lastRound)
+	why, wait := m.trigger.Fire(Load{Queued: queued, Answered: int(m.answered.Load()),
+		Idle: idle, RoundCost: time.Duration(m.roundEWMA.Load())})
+	if why == "" && (pending > 0 || wait == 0) && (wait == 0 || progressBound-idle < wait) {
+		// The progress rule's deadline is the earlier one.
+		if wait = progressBound - idle; wait <= 0 {
+			why = metrics.FiredProgress
+		}
+	}
+	if why == "" {
+		return m.lastRound.Add(idle + wait)
+	}
+	m.runRound(why)
+	m.poke()
+	return time.Time{}
+}
+
 // runRound fires one engine round and routes what it decided.
-func (m *Middleware) runRound() {
+func (m *Middleware) runRound(why string) {
 	e := m.engine
+	m.answered.Store(0)
 	var res RoundResult
 	var err error
 	if m.syncMode {
@@ -621,6 +665,7 @@ func (m *Middleware) runRound() {
 		m.failAll(err)
 		return
 	}
+	res.Stats.Fired = why
 	m.collector.AddRound(res.Stats)
 	m.observeRound(res.Stats)
 	// Empty on a one-shard engine, whose round record is res.Stats itself.
@@ -647,7 +692,7 @@ func (m *Middleware) shutdown() {
 	e := m.engine
 	for e.QueueLen() > 0 || e.PendingLen() > 0 {
 		before := e.QueueLen() + e.PendingLen()
-		m.runRound()
+		m.runRound(metrics.FiredDrain)
 		if e.QueueLen()+e.PendingLen() >= before {
 			break
 		}
