@@ -12,8 +12,8 @@ import (
 func lookupCount(f *factSet, idx int, cols []int, vals []relation.Value) int {
 	n := 0
 	ix := &f.indexes[idx]
-	for p := ix.first(relation.HashValues(vals)); p != 0; p = ix.links[p-1] {
-		if matchAt(f.tuples[p-1], cols, vals) {
+	for p := ix.First(relation.HashValues(vals)); p >= 0; p = ix.Next(p) {
+		if matchAt(f.tuples[p], cols, vals) {
 			n++
 		}
 	}

@@ -114,8 +114,8 @@ func makeScanStep(m *stepMeta, next stepFn) stepFn {
 // verification. The walk stands on a tuple while the body runs and reads its
 // link afterwards, so recursive rules may insert into the probed set
 // mid-walk: new tuples go to the front of their bucket, behind the walk, and
-// a grow keeps the tuples of one key in order (see chain.grow) — they are
-// picked up by the next semi-naive iteration.
+// a grow keeps the tuples of one key in order (relation.Chain.Grow) — they
+// are picked up by the next semi-naive iteration.
 func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		env := sc.env
@@ -125,8 +125,8 @@ func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 			key[i] = s.value(env)
 		}
 		ix := &set.indexes[m.lookupIdx]
-		for p := ix.first(relation.HashValues(key)); p != 0; p = ix.links[p-1] {
-			t := set.tuples[p-1]
+		for p := ix.First(relation.HashValues(key)); p >= 0; p = ix.Next(p) {
+			t := set.tuples[p]
 			if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
 				continue
 			}
@@ -154,8 +154,8 @@ func makeNegStep(m *stepMeta, step int, next stepFn) stepFn {
 			}
 		} else {
 			ix := &set.indexes[m.lookupIdx]
-			for p := ix.first(relation.HashValues(key)); p != 0; p = ix.links[p-1] {
-				if matchAt(set.tuples[p-1], m.lookupCols, key) {
+			for p := ix.First(relation.HashValues(key)); p >= 0; p = ix.Next(p) {
+				if matchAt(set.tuples[p], m.lookupCols, key) {
 					return nil
 				}
 			}

@@ -11,27 +11,24 @@ import (
 
 // factSet stores the tuples of one predicate with set semantics plus hash
 // indexes over the column subsets the compiled rules actually look up. It is
-// a chained hash table over tuple positions: the tuples sit dense in a slice
-// (a removal swap-moves the last one into the hole) and every chain — the
-// membership chain over the whole tuple and one per index mask — files each
-// position under hash & mask in a flat power-of-two bucket array, with
-// collisions and slot sharing resolved by equality on the walk. Chains are
-// doubly linked through two int32 arrays parallel to tuples, and a bucket's
-// first tuple carries the bucket's number as its back link, so add, remove
-// and the swap-move each touch a constant number of cells — without hashing
-// anything again — however long a chain is (an index on a one-valued column
-// is one chain holding every row); no key strings, maps or per-bucket slices
-// are built. Inserting costs the amortised growth of the parallel arrays, the
-// bucket arrays double together when the tuple count reaches their length,
-// and a reset-for-reuse set (the engine leases round-scoped sets from a pool)
-// re-fills retained capacity without allocating. The index column masks are
-// chosen at compile time (NewEngine registers the bound positions of every
-// atom occurrence), so indexes are maintained eagerly on every insert.
+// a relation.Chain table over tuple positions: the tuples sit dense in a
+// slice (a removal swap-moves the last one into the hole) and every chain —
+// the membership chain over the whole tuple and one per index mask — files
+// each position under hash & mask, so add, remove and the swap-move each
+// touch a constant number of cells however long a chain is (an index on a
+// one-valued column is one chain holding every row). Inserting costs the
+// amortised growth of the parallel arrays, the bucket arrays double together
+// when the tuple count reaches their length, and a reset-for-reuse set (the
+// engine leases round-scoped sets from a pool) re-fills retained capacity
+// without allocating — so, unlike a relation.Bag, a set never shrinks. The
+// index column masks are chosen at compile time (NewEngine registers the
+// bound positions of every atom occurrence), so indexes are maintained
+// eagerly on every insert.
 type factSet struct {
 	arity   int
 	tuples  []relation.Tuple
-	member  chain   // over the whole tuple (cols == nil)
-	indexes []chain // one per registered column mask
+	member  relation.Chain // over the whole tuple
+	indexes []index        // one per registered column mask
 
 	// clones, when non-nil, backs copy-on-insert clones (round-leased sets
 	// share the engine's round arena, reset when the round's leases are
@@ -39,116 +36,19 @@ type factSet struct {
 	clones *arena.Slab[relation.Value]
 }
 
-// chain is one hash chaining of a fact set's positions: membership when cols
-// is nil, otherwise the equality index over that column subset. All chains of
-// a set have equally many buckets.
-type chain struct {
-	cols    []int
-	buckets []int32 // position+1 of the first tuple filed under the slot; 0 empty
-	links   []int32 // links[i]: position+1 after tuple i in its bucket; 0 ends
-	prev    []int32 // prev[i]: position+1 before tuple i; -(slot+1) when i heads bucket slot
-}
-
-// minBuckets is the bucket count of a new set (a power of two).
-const minBuckets = 8
-
-func newChain(cols []int) chain {
-	return chain{cols: cols, buckets: make([]int32, minBuckets)}
+// index is the equality index of a fact set over one column subset.
+type index struct {
+	cols []int
+	relation.Chain
 }
 
 // newFactSet creates a set with eager indexes for the given column masks.
 func newFactSet(arity int, masks [][]int) *factSet {
-	f := &factSet{arity: arity, member: newChain(nil), indexes: make([]chain, len(masks))}
+	f := &factSet{arity: arity, member: relation.NewChain(), indexes: make([]index, len(masks))}
 	for i, m := range masks {
-		f.indexes[i] = newChain(m)
+		f.indexes[i] = index{cols: m, Chain: relation.NewChain()}
 	}
 	return f
-}
-
-// hash is the chain's key hash of tuple t.
-func (c *chain) hash(t relation.Tuple) uint64 {
-	if c.cols == nil {
-		return t.Hash()
-	}
-	return t.HashCols(c.cols)
-}
-
-// first returns position+1 of the first tuple in the bucket of hash h.
-func (c *chain) first(h uint64) int32 { return c.buckets[h&uint64(len(c.buckets)-1)] }
-
-// link files the next position (len(links)) at the front of h's bucket.
-func (c *chain) link(h uint64) {
-	slot := int32(h & uint64(len(c.buckets)-1))
-	pos, old := int32(len(c.links)), c.buckets[slot]
-	if old != 0 {
-		c.prev[old-1] = pos + 1
-	}
-	c.links = append(c.links, old)
-	c.prev = append(c.prev, -slot-1)
-	c.buckets[slot] = pos + 1
-}
-
-// setNext makes n (a position+1, or 0) what follows p: a position+1, or the
-// head marker of a bucket.
-func (c *chain) setNext(p, n int32) {
-	if p < 0 {
-		c.buckets[-p-1] = n
-	} else {
-		c.links[p-1] = n
-	}
-	if n != 0 {
-		c.prev[n-1] = p
-	}
-}
-
-// chainUnlink takes position pos out of its bucket.
-func chainUnlink(c *chain, pos int32) { c.setNext(c.prev[pos], c.links[pos]) }
-
-// chainRepoint gives position from's place in its bucket to position to
-// after a swap-move (to must be unlinked).
-func chainRepoint(c *chain, from, to int32) {
-	c.setNext(c.prev[from], to+1)
-	c.setNext(to+1, c.links[from])
-}
-
-// drop removes position pos from the chain and moves the last position's
-// entry into it, mirroring the swap-remove of tuples.
-func (c *chain) drop(pos int32) {
-	last := int32(len(c.links) - 1)
-	chainUnlink(c, pos)
-	if pos != last {
-		chainRepoint(c, last, pos)
-	}
-	c.links, c.prev = c.links[:last], c.prev[:last]
-}
-
-// grow doubles the bucket array, splitting every bucket in place between its
-// old slot and slot+old by the next hash bit. Tuples that stay together keep
-// their relative order and no position changes, so a walk that stands on a
-// tuple when an insert below it grows the set (a recursive rule probing the
-// predicate it derives) still finds every tuple of its key ahead of it.
-func (c *chain) grow(tuples []relation.Tuple) {
-	old := len(c.buckets)
-	c.buckets = append(c.buckets, make([]int32, old)...)
-	for b := 0; b < old; b++ {
-		p := c.buckets[b]
-		c.buckets[b] = 0
-		tail := [2]int32{-int32(b) - 1, -int32(b+old) - 1} // what ends the low and the high bucket so far
-		for p != 0 {
-			n := c.links[p-1]
-			side := (c.hash(tuples[p-1]) & uint64(old)) / uint64(old) // the next hash bit
-			c.links[p-1] = 0
-			c.setNext(tail[side], p)
-			tail[side] = p
-			p = n
-		}
-	}
-}
-
-// reset empties the chain, retaining its capacity and bucket count.
-func (c *chain) reset() {
-	clear(c.buckets)
-	c.links, c.prev = c.links[:0], c.prev[:0]
 }
 
 // reset empties the set for reuse, retaining the tuple/link capacity and the
@@ -160,32 +60,26 @@ func (f *factSet) reset() {
 	}
 	clear(f.tuples)
 	f.tuples = f.tuples[:0]
-	f.member.reset()
+	f.member.Reset()
 	for i := range f.indexes {
-		f.indexes[i].reset()
+		f.indexes[i].Reset()
 	}
 }
 
 // reserve sizes the bucket arrays of an empty set for n tuples.
 func (f *factSet) reserve(n int) {
-	nb := len(f.member.buckets)
-	for nb < n {
-		nb *= 2
-	}
-	if nb > len(f.member.buckets) {
-		f.member.buckets = make([]int32, nb)
-		for i := range f.indexes {
-			f.indexes[i].buckets = make([]int32, nb)
-		}
+	f.member.Reserve(n)
+	for i := range f.indexes {
+		f.indexes[i].Reserve(n)
 	}
 }
 
 // find returns the position of the stored tuple equal to t, whose hash is h,
 // or -1.
 func (f *factSet) find(t relation.Tuple, h uint64) int32 {
-	for p := f.member.first(h); p != 0; p = f.member.links[p-1] {
-		if f.tuples[p-1].Equal(t) {
-			return p - 1
+	for p := f.member.First(h); p >= 0; p = f.member.Next(p) {
+		if f.tuples[p].Equal(t) {
+			return p
 		}
 	}
 	return -1
@@ -212,16 +106,17 @@ func (f *factSet) add(t relation.Tuple, copyOnInsert bool) (bool, relation.Tuple
 			stored = t.Clone()
 		}
 	}
-	if len(f.tuples) == len(f.member.buckets) {
-		f.member.grow(f.tuples)
+	if len(f.tuples) == f.member.Buckets() {
+		f.member.Grow(func(p int32) uint64 { return f.tuples[p].Hash() })
 		for i := range f.indexes {
-			f.indexes[i].grow(f.tuples)
+			ix := &f.indexes[i]
+			ix.Grow(func(p int32) uint64 { return f.tuples[p].HashCols(ix.cols) })
 		}
 	}
 	f.tuples = append(f.tuples, stored)
-	f.member.link(h)
+	f.member.Link(h)
 	for i := range f.indexes {
-		f.indexes[i].link(f.indexes[i].hash(stored))
+		f.indexes[i].Link(stored.HashCols(f.indexes[i].cols))
 	}
 	return true, stored, nil
 }
@@ -236,9 +131,9 @@ func (f *factSet) remove(t relation.Tuple) bool {
 	if pos < 0 {
 		return false
 	}
-	f.member.drop(pos)
+	f.member.Drop(pos)
 	for i := range f.indexes {
-		f.indexes[i].drop(pos)
+		f.indexes[i].Drop(pos)
 	}
 	last := len(f.tuples) - 1
 	f.tuples[pos] = f.tuples[last]

@@ -165,10 +165,10 @@ func TestFactSetMatchesMapModel(t *testing.T) {
 		{"chain tail, filled by the head", 6, []int{0}},
 		{"neighbour of the moved tuple", 6, []int{4}},
 		{"moved tuple's other neighbour chain", 7, []int{1, 5, 2}},
-		{"right after a grow", minBuckets + 1, []int{minBuckets, 0, minBuckets - 1}},
-		{"first tuple after a grow", minBuckets + 1, []int{0}},
-		{"everything, oldest first", 2*minBuckets + 3, seq(0, 2*minBuckets+3, 1)},
-		{"everything, newest first", 2*minBuckets + 3, seq(2*minBuckets+2, -1, -1)},
+		{"right after a grow", relation.MinBuckets + 1, []int{relation.MinBuckets, 0, relation.MinBuckets - 1}},
+		{"first tuple after a grow", relation.MinBuckets + 1, []int{0}},
+		{"everything, oldest first", 2*relation.MinBuckets + 3, seq(0, 2*relation.MinBuckets+3, 1)},
+		{"everything, newest first", 2*relation.MinBuckets + 3, seq(2*relation.MinBuckets+2, -1, -1)},
 	}
 	for _, c := range cases {
 		m := newFactModel()
@@ -276,10 +276,10 @@ func TestFactSetRemoveDoesNotWalkChains(t *testing.T) {
 // order — even when earlier swap-removes left the chain in no position order.
 func TestGrowKeepsWalksInOrder(t *testing.T) {
 	key := []relation.Value{relation.Int(0)}
-	ahead := func(f *factSet, p int32) []int64 { // ids of key's tuples from position+1 p on
+	ahead := func(f *factSet, p int32) []int64 { // ids of key's tuples from position p on
 		var ids []int64
-		for ; p != 0; p = f.indexes[0].links[p-1] {
-			if tu := f.tuples[p-1]; matchAt(tu, []int{1}, key) {
+		for ; p >= 0; p = f.indexes[0].Next(p) {
+			if tu := f.tuples[p]; matchAt(tu, []int{1}, key) {
 				ids = append(ids, tu[0].AsInt())
 			}
 		}
@@ -292,22 +292,22 @@ func TestGrowKeepsWalksInOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for id := int64(0); id < minBuckets-1; id++ {
+		for id := int64(0); id < relation.MinBuckets-1; id++ {
 			add(id)
 		}
 		// Moves the newest tuple of key 0 into position 1: its chain now runs
 		// through positions 1, 4, 2, 0.
 		f.remove(relation.Tuple{relation.Int(1), relation.Int(1)})
-		p := f.indexes[0].first(relation.HashValues(key))
+		p := f.indexes[0].First(relation.HashValues(key))
 		for i := 0; i < stand; i++ {
-			p = f.indexes[0].links[p-1]
+			p = f.indexes[0].Next(p)
 		}
-		want := ahead(f, f.indexes[0].links[p-1])
-		buckets := len(f.member.buckets)
-		for id := int64(minBuckets); len(f.member.buckets) == buckets; id++ {
+		want := ahead(f, f.indexes[0].Next(p))
+		buckets := f.member.Buckets()
+		for id := int64(relation.MinBuckets); f.member.Buckets() == buckets; id++ {
 			add(id)
 		}
-		if got := ahead(f, f.indexes[0].links[p-1]); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := ahead(f, f.indexes[0].Next(p)); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("standing on chain entry %d: %v ahead before the grow, %v after", stand, want, got)
 		}
 		if err := checkFactSet(f); err != nil {

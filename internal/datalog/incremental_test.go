@@ -528,50 +528,24 @@ func checkFactSetConsistency(t *testing.T, e *Engine) {
 }
 
 // checkFactSet verifies the layout add, remove, grow and reset must preserve:
-// the parallel arrays are as long as tuples, all chains have the same
-// power-of-two bucket count that the tuple count never exceeds, and in every
-// chain each tuple is reachable from exactly one bucket — the one its hash &
-// mask selects — by a walk without cycle on which prev is the exact inverse
-// of links (the bucket's own marker for its first tuple).
+// all chains have the same bucket count, which the tuple count never
+// exceeds, and each chain is consistent over the tuples (relation.Chain.Check:
+// every tuple filed once, under the bucket its hash selects, with exact back
+// links).
 func checkFactSet(f *factSet) error {
-	n := len(f.tuples)
-	chains := append([]*chain{&f.member}, make([]*chain, len(f.indexes))...)
-	for i := range f.indexes {
-		chains[1+i] = &f.indexes[i]
+	n, nb := len(f.tuples), f.member.Buckets()
+	if n > nb {
+		return fmt.Errorf("%d buckets for %d tuples", nb, n)
 	}
-	for _, c := range chains {
-		nb := len(c.buckets)
-		if nb < minBuckets || nb&(nb-1) != 0 || nb != len(f.member.buckets) || n > nb {
-			return fmt.Errorf("chain %v: %d buckets for %d tuples (membership has %d)", c.cols, nb, n, len(f.member.buckets))
+	if err := f.member.Check(n, func(p int32) (uint64, bool) { return f.tuples[p].Hash(), true }); err != nil {
+		return fmt.Errorf("membership %w", err)
+	}
+	for _, ix := range f.indexes {
+		if ix.Buckets() != nb {
+			return fmt.Errorf("index %v: %d buckets, membership %d", ix.cols, ix.Buckets(), nb)
 		}
-		if len(c.links) != n || len(c.prev) != n {
-			return fmt.Errorf("chain %v: %d links, %d prev for %d tuples", c.cols, len(c.links), len(c.prev), n)
-		}
-		seen := make([]bool, n)
-		for b, p := range c.buckets {
-			before := -int32(b) - 1 // the head carries its bucket's marker
-			for ; p != 0; p = c.links[p-1] {
-				pos := int(p - 1)
-				if pos < 0 || pos >= n {
-					return fmt.Errorf("chain %v: position %d out of range", c.cols, pos)
-				}
-				if seen[pos] {
-					return fmt.Errorf("chain %v: position %d reached twice (cycle or shared tail)", c.cols, pos)
-				}
-				seen[pos] = true
-				if got := int(c.hash(f.tuples[pos]) & uint64(nb-1)); got != b {
-					return fmt.Errorf("chain %v: tuple %s filed under bucket %d, hashes to %d", c.cols, f.tuples[pos], b, got)
-				}
-				if c.prev[pos] != before {
-					return fmt.Errorf("chain %v: prev[%d] = %d, reached from %d", c.cols, pos, c.prev[pos], before)
-				}
-				before = p
-			}
-		}
-		for pos, ok := range seen {
-			if !ok {
-				return fmt.Errorf("chain %v: tuple %s at %d is in no bucket", c.cols, f.tuples[pos], pos)
-			}
+		if err := ix.Check(n, func(p int32) (uint64, bool) { return f.tuples[p].HashCols(ix.cols), true }); err != nil {
+			return fmt.Errorf("index %v: %w", ix.cols, err)
 		}
 	}
 	return nil

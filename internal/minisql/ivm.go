@@ -39,12 +39,13 @@ import (
 // re-evaluates the node once from its children's already patched bags —
 // through the same applyOp the cold evaluator uses — and diffs the result
 // against the standing view, producing the exact net output delta. The diff
-// is then applied as a batched patch of the existing bag (Bag.BeginBulk /
-// EndBulk: one index-maintenance pass per node instead of per tuple), so
-// downstream nodes, the sorted root and the next trickle round all continue
-// from maintained state. The switch is per node and per round; see
-// SetBulkThreshold.
+// patches the existing bag like any other delta, so downstream nodes, the
+// sorted root and the next trickle round all continue from maintained state.
+// The switch is per node and per round; see SetBulkThreshold.
 //
+// Every delta cell carries its tuple's hash, computed once where the tuple
+// is made, into every probe of a delta or bag and into the bag patch
+// (Bag.AddHash/RemoveHash); tuples read off a bag reuse its cached hash.
 // All per-round scratch — the signed deltas, vanished-cell chains, match
 // buffers — is pooled on the IVM and recycled every Apply, so a steady-state
 // warm round allocates only the tuples that actually enter the views.
@@ -141,7 +142,8 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		aux:     make([]nodeAux, len(p.nodes)),
 		bulkNum: 1,
 		bulkDen: 2,
-		empty:   &sdelta{},
+		empty:   newSdelta(),
+		van:     vanishedScratch{chain: relation.NewChain()},
 	}
 	for _, n := range p.nodes {
 		switch n.op {
@@ -214,7 +216,7 @@ func (m *IVM) BulkNodes() int { return m.bulkNodes }
 
 // Bags returns the materialised views, one bag per base table and per plan
 // node that owns one. Read-only: the bounded-growth tests check each bag's
-// maps against what it holds (relation.Bag.MapKeys).
+// footprint against what it holds (relation.Bag.Buckets).
 func (m *IVM) Bags() []*relation.Bag {
 	var out []*relation.Bag
 	for _, tv := range m.tables {
@@ -252,7 +254,7 @@ func (m *IVM) acquire() *sdelta {
 		m.pool[n-1] = nil
 		m.pool = m.pool[:n-1]
 	} else {
-		d = &sdelta{buckets: make(map[uint64]int32)}
+		d = newSdelta()
 	}
 	m.inUse = append(m.inUse, d)
 	return d
@@ -351,11 +353,10 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 				out = m.matchDelta(n, dL, dR)
 			case opUnionAll:
 				out = m.acquire()
-				for i := range dL.cells {
-					out.add(dL.cells[i].t, dL.cells[i].n)
-				}
-				for i := range dR.cells {
-					out.add(dR.cells[i].t, dR.cells[i].n)
+				for _, d := range [2]*sdelta{dL, dR} {
+					for i := range d.cells {
+						out.addHash(d.cells[i].t, d.cells[i].h, d.cells[i].n)
+					}
 				}
 			case opExcept:
 				out = m.exceptDelta(n, dL, dR)
@@ -426,15 +427,15 @@ func (m *IVM) recomputeDelta(n *planNode) (*sdelta, error) {
 	out := m.acquire()
 	for i := range cnt.cells {
 		c := &cnt.cells[i]
-		if d := c.n - old.Count(c.t); d != 0 {
-			out.add(c.t, d)
+		if d := c.n - old.CountHash(c.t, c.h); d != 0 {
+			out.addHash(c.t, c.h, d)
 		}
 	}
-	old.EachCell(func(bc *relation.BagCell) {
-		if !cnt.contains(bc.Tuple()) {
-			out.add(bc.Tuple(), -bc.Count())
+	for p := range int32(old.DistinctLen()) {
+		if t, h := old.At(p), old.HashAt(p); cnt.find(t, h) < 0 {
+			out.addHash(t, h, -old.CountAt(p))
 		}
-	})
+	}
 	m.bulkNodes++
 	return out, nil
 }
@@ -458,9 +459,9 @@ type orderedCell struct {
 // newOrderedRoot sorts the materialised root bag once (the build round).
 func newOrderedRoot(sorts []ra.SortSpec, bag *relation.Bag) *orderedRoot {
 	o := &orderedRoot{sorts: sorts, cells: make([]orderedCell, 0, bag.DistinctLen())}
-	bag.EachCell(func(c *relation.BagCell) {
-		o.cells = append(o.cells, orderedCell{t: c.Tuple(), n: c.Count()})
-		o.total += c.Count()
+	bag.Each(func(t relation.Tuple, n int) {
+		o.cells = append(o.cells, orderedCell{t: t, n: n})
+		o.total += n
 	})
 	sort.Slice(o.cells, func(i, j int) bool { return o.cmp(o.cells[i].t, o.cells[j].t) < 0 })
 	return o
@@ -531,71 +532,71 @@ func (o *orderedRoot) relation(s *relation.Schema) *relation.Relation {
 }
 
 // sdelta is a signed counted multiset: the net form every delta rule works
-// on. Cells keep insertion order so propagation stays deterministic. The
-// representation is pool-friendly — value cells in one slice, hash chains as
-// parallel int32 links, buckets holding chain heads as index+1 — so a reset
-// delta reuses all of its storage and a steady-state round allocates
+// on. Cells keep insertion order so propagation stays deterministic and
+// carry their tuple's hash; a relation.Chain files them by it. The
+// representation is pool-friendly — a reset delta clears only the buckets it
+// used and reuses all of its storage — so a steady-state round allocates
 // nothing here.
 type sdelta struct {
-	buckets map[uint64]int32 // tuple hash -> index+1 of the chain head
-	cells   []scell
-	next    []int32 // chain link per cell: index+1 of the next, 0 ends
+	cells []scell
+	chain relation.Chain
 }
 
 type scell struct {
 	t relation.Tuple
+	h uint64 // t.Hash()
 	n int
 }
 
-func (d *sdelta) add(t relation.Tuple, k int) {
+func newSdelta() *sdelta { return &sdelta{chain: relation.NewChain()} }
+
+// find returns the index of t's cell, h being t.Hash(), or -1.
+func (d *sdelta) find(t relation.Tuple, h uint64) int32 {
+	for p := d.chain.First(h); p >= 0; p = d.chain.Next(p) {
+		if d.cells[p].h == h && d.cells[p].t.Equal(t) {
+			return p
+		}
+	}
+	return -1
+}
+
+// push appends a cell for a tuple known to be absent.
+func (d *sdelta) push(t relation.Tuple, h uint64, k int) {
+	if len(d.cells) == d.chain.Buckets() {
+		d.chain.Grow(func(p int32) uint64 { return d.cells[p].h })
+	}
+	d.cells = append(d.cells, scell{t: t, h: h, n: k})
+	d.chain.Link(h)
+}
+
+func (d *sdelta) add(t relation.Tuple, k int) { d.addHash(t, t.Hash(), k) }
+
+// addHash is add for a caller that already holds h = t.Hash().
+func (d *sdelta) addHash(t relation.Tuple, h uint64, k int) {
 	if k == 0 {
 		return
 	}
-	h := t.Hash()
-	for i := d.buckets[h]; i != 0; i = d.next[i-1] {
-		if d.cells[i-1].t.Equal(t) {
-			d.cells[i-1].n += k
-			return
-		}
+	if p := d.find(t, h); p >= 0 {
+		d.cells[p].n += k
+	} else {
+		d.push(t, h, k)
 	}
-	d.cells = append(d.cells, scell{t: t, n: k})
-	d.next = append(d.next, d.buckets[h])
-	d.buckets[h] = int32(len(d.cells))
 }
 
-// net returns the signed count for t (0 when untouched).
-func (d *sdelta) net(t relation.Tuple) int {
-	for i := d.buckets[t.Hash()]; i != 0; i = d.next[i-1] {
-		if d.cells[i-1].t.Equal(t) {
-			return d.cells[i-1].n
-		}
+// net returns the signed count for t, whose hash is h (0 when untouched).
+func (d *sdelta) net(t relation.Tuple, h uint64) int {
+	if p := d.find(t, h); p >= 0 {
+		return d.cells[p].n
 	}
 	return 0
 }
 
-// contains reports whether t is registered, regardless of its net (add drops
-// k == 0, so zero-net cells only exist via ensure).
-func (d *sdelta) contains(t relation.Tuple) bool {
-	for i := d.buckets[t.Hash()]; i != 0; i = d.next[i-1] {
-		if d.cells[i-1].t.Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // ensure registers t with net 0 if absent — the zero-net marker the
 // affected-group collection uses for dedup (add drops k == 0 on purpose).
-func (d *sdelta) ensure(t relation.Tuple) {
-	h := t.Hash()
-	for i := d.buckets[h]; i != 0; i = d.next[i-1] {
-		if d.cells[i-1].t.Equal(t) {
-			return
-		}
+func (d *sdelta) ensure(t relation.Tuple, h uint64) {
+	if d.find(t, h) < 0 {
+		d.push(t, h, 0)
 	}
-	d.cells = append(d.cells, scell{t: t})
-	d.next = append(d.next, d.buckets[h])
-	d.buckets[h] = int32(len(d.cells))
 }
 
 // reset empties the delta for reuse, dropping tuple references so recycled
@@ -603,27 +604,19 @@ func (d *sdelta) ensure(t relation.Tuple) {
 func (d *sdelta) reset() {
 	clear(d.cells)
 	d.cells = d.cells[:0]
-	d.next = d.next[:0]
-	if d.buckets == nil {
-		d.buckets = make(map[uint64]int32)
-	} else {
-		clear(d.buckets)
-	}
+	d.chain.Reset()
 }
 
-// applyToBag patches a bag with a net delta as one batch: index maintenance
-// is deferred to a single EndBulk pass over the cells whose membership
-// actually changed.
+// applyToBag patches a bag with a net delta. Its cells are distinct tuples,
+// so each is one count change, and the bag reuses the cell's hash.
 func applyToBag(b *relation.Bag, d *sdelta) error {
-	b.BeginBulk()
-	defer b.EndBulk()
 	for i := range d.cells {
 		c := &d.cells[i]
 		switch {
 		case c.n > 0:
-			b.Add(c.t, c.n)
+			b.AddHash(c.t, c.h, c.n)
 		case c.n < 0:
-			if _, ok := b.Remove(c.t, -c.n); !ok {
+			if _, ok := b.RemoveHash(c.t, c.h, -c.n); !ok {
 				return fmt.Errorf("delta removes %s beyond its count", c.t)
 			}
 		}
@@ -692,7 +685,7 @@ func (m *IVM) selectDelta(n *planNode, dL *sdelta) *sdelta {
 			}
 		}
 		if pass {
-			out.add(c.t, c.n)
+			out.push(c.t, c.h, c.n) // dL's cells are distinct tuples
 		}
 	}
 	return out
@@ -723,24 +716,19 @@ func (m *IVM) projectDelta(n *planNode, dL *sdelta) *sdelta {
 // turn; collect resets it.
 type vanishedScratch struct {
 	idxs  []int32
-	next  []int32          // chain link per entry (keyed mode only)
-	heads map[uint64]int32 // key hash -> index+1 into idxs
+	keys  []uint64       // key hash per entry (keyed mode only)
+	chain relation.Chain // entries filed by key hash (keyed mode only)
 }
 
 // collect gathers the vanished cells of d against bag b. With rpos the
 // entries are chained by key hash and NULL-key cells are dropped (they can
 // never equi-match); without, all entries land in idxs for a linear scan.
 func (v *vanishedScratch) collect(b *relation.Bag, d *sdelta, rpos []int, keyed bool) {
-	v.idxs = v.idxs[:0]
-	v.next = v.next[:0]
-	if v.heads == nil {
-		v.heads = make(map[uint64]int32)
-	} else {
-		clear(v.heads)
-	}
+	v.idxs, v.keys = v.idxs[:0], v.keys[:0]
+	v.chain.Reset()
 	for i := range d.cells {
 		c := &d.cells[i]
-		if c.n >= 0 || b.Count(c.t) != 0 {
+		if c.n >= 0 || b.CountHash(c.t, c.h) != 0 {
 			continue
 		}
 		if keyed {
@@ -748,11 +736,22 @@ func (v *vanishedScratch) collect(b *relation.Bag, d *sdelta, rpos []int, keyed 
 			if !ok {
 				continue
 			}
-			v.idxs = append(v.idxs, int32(i))
-			v.next = append(v.next, v.heads[h])
-			v.heads[h] = int32(len(v.idxs))
-		} else {
-			v.idxs = append(v.idxs, int32(i))
+			if len(v.idxs) == v.chain.Buckets() {
+				v.chain.Grow(func(p int32) uint64 { return v.keys[p] })
+			}
+			v.keys = append(v.keys, h)
+			v.chain.Link(h)
+		}
+		v.idxs = append(v.idxs, int32(i))
+	}
+}
+
+// each calls fn with the index of every vanished cell that may match key
+// hash h (keyed mode; the caller verifies the key columns).
+func (v *vanishedScratch) each(h uint64, fn func(i int32)) {
+	for p := v.chain.First(h); p >= 0; p = v.chain.Next(p) {
+		if v.keys[p] == h {
+			fn(v.idxs[p])
 		}
 	}
 }
@@ -776,20 +775,22 @@ func (m *IVM) joinDelta(n *planNode, dL, dR *sdelta) *sdelta {
 			if rc.n == 0 {
 				continue
 			}
-			emit := func(lc *relation.BagCell) {
-				lt := lc.Tuple()
+			emit := func(p int32) {
+				lt := lbag.At(p)
 				if len(n.keys) > 0 && !sideKeysEqual(lt, aux.lpos, rc.t, aux.rpos) {
 					return
 				}
 				if residualTrue(n.pred, &m.resBuf, lt, rc.t) {
-					out.add(concatTuples(lt, rc.t), lc.Count()*rc.n)
+					out.add(concatTuples(lt, rc.t), lbag.CountAt(p)*rc.n)
 				}
 			}
 			if lix == nil {
-				lbag.EachCell(emit)
+				for p := range int32(lbag.DistinctLen()) {
+					emit(p)
+				}
 			} else if h, ok := sideKeyHash(rc.t, aux.rpos); ok {
-				for _, lc := range lix.CandidatesHash(h) {
-					emit(lc)
+				for p := lix.First(h); p >= 0; p = lix.Next(p) {
+					emit(p)
 				}
 			}
 		}
@@ -807,11 +808,11 @@ func (m *IVM) joinDelta(n *planNode, dL, dR *sdelta) *sdelta {
 			if lc.n == 0 {
 				continue
 			}
-			emit := func(rt relation.Tuple, newCnt int) {
+			emit := func(rt relation.Tuple, rh uint64, newCnt int) {
 				if keyed && !sideKeysEqual(lc.t, aux.lpos, rt, aux.rpos) {
 					return
 				}
-				oldCnt := newCnt - dR.net(rt)
+				oldCnt := newCnt - dR.net(rt, rh)
 				if oldCnt == 0 {
 					return
 				}
@@ -819,18 +820,19 @@ func (m *IVM) joinDelta(n *planNode, dL, dR *sdelta) *sdelta {
 					out.add(concatTuples(lc.t, rt), lc.n*oldCnt)
 				}
 			}
+			vanished := func(vi int32) { emit(dR.cells[vi].t, dR.cells[vi].h, 0) }
 			if rix == nil {
-				rbag.EachCell(func(rc *relation.BagCell) { emit(rc.Tuple(), rc.Count()) })
+				for p := range int32(rbag.DistinctLen()) {
+					emit(rbag.At(p), rbag.HashAt(p), rbag.CountAt(p))
+				}
 				for _, vi := range m.van.idxs {
-					emit(dR.cells[vi].t, 0)
+					vanished(vi)
 				}
 			} else if h, ok := sideKeyHash(lc.t, aux.lpos); ok {
-				for _, rc := range rix.CandidatesHash(h) {
-					emit(rc.Tuple(), rc.Count())
+				for p := rix.First(h); p >= 0; p = rix.Next(p) {
+					emit(rbag.At(p), rbag.HashAt(p), rbag.CountAt(p))
 				}
-				for p := m.van.heads[h]; p != 0; p = m.van.next[p-1] {
-					emit(dR.cells[m.van.idxs[p-1]].t, 0)
-				}
+				m.van.each(h, vanished)
 			}
 			// NULL key with keys present: never joins, and vanished rows
 			// cannot match either.
@@ -862,13 +864,14 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 	for i := range dL.cells {
 		c := &dL.cells[i]
 		if c.n != 0 {
-			affected.add(c.t, c.n)
+			affected.push(c.t, c.h, c.n) // dL's cells are distinct tuples
 		}
 	}
 	if len(dR.cells) > 0 {
-		mark := func(lc *relation.BagCell) { affected.ensure(lc.Tuple()) }
 		if !keyed {
-			lbag.EachCell(mark)
+			for p := range int32(lbag.DistinctLen()) {
+				affected.ensure(lbag.At(p), lbag.HashAt(p))
+			}
 		} else {
 			lix := lbag.Index(aux.lpos)
 			for i := range dR.cells {
@@ -877,9 +880,9 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 					continue
 				}
 				if h, ok := sideKeyHash(rc.t, aux.rpos); ok {
-					for _, lc := range lix.CandidatesHash(h) {
-						if sideKeysEqual(lc.Tuple(), aux.lpos, rc.t, aux.rpos) {
-							mark(lc)
+					for p := lix.First(h); p >= 0; p = lix.Next(p) {
+						if sideKeysEqual(lbag.At(p), aux.lpos, rc.t, aux.rpos) {
+							affected.ensure(lbag.At(p), lbag.HashAt(p))
 						}
 					}
 				}
@@ -895,37 +898,38 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 	out := m.acquire()
 	matches := m.matchBuf[:0]
 	for ai := range affected.cells {
-		lt := affected.cells[ai].t
-		newMult := lbag.Count(lt)
-		oldMult := newMult - dL.net(lt)
+		lt, lh := affected.cells[ai].t, affected.cells[ai].h
+		newMult := lbag.CountHash(lt, lh)
+		oldMult := newMult - dL.net(lt, lh)
 		matches = matches[:0]
 		newMatch, oldMatch := 0, 0
-		consider := func(rt relation.Tuple, newCnt int) {
+		consider := func(rt relation.Tuple, rh uint64, newCnt int) {
 			if keyed && !sideKeysEqual(lt, aux.lpos, rt, aux.rpos) {
 				return
 			}
 			if !residualTrue(n.pred, &m.resBuf, lt, rt) {
 				return
 			}
-			oldCnt := newCnt - dR.net(rt)
+			oldCnt := newCnt - dR.net(rt, rh)
 			newMatch += newCnt
 			oldMatch += oldCnt
 			if n.op == opLeftJoin {
 				matches = append(matches, matchEntry{rt: rt, newCnt: newCnt, oldCnt: oldCnt})
 			}
 		}
+		vanished := func(vi int32) { consider(dR.cells[vi].t, dR.cells[vi].h, 0) }
 		if !keyed {
-			rbag.EachCell(func(rc *relation.BagCell) { consider(rc.Tuple(), rc.Count()) })
+			for p := range int32(rbag.DistinctLen()) {
+				consider(rbag.At(p), rbag.HashAt(p), rbag.CountAt(p))
+			}
 			for _, vi := range m.van.idxs {
-				consider(dR.cells[vi].t, 0)
+				vanished(vi)
 			}
 		} else if h, ok := sideKeyHash(lt, aux.lpos); ok {
-			for _, rc := range rix.CandidatesHash(h) {
-				consider(rc.Tuple(), rc.Count())
+			for p := rix.First(h); p >= 0; p = rix.Next(p) {
+				consider(rbag.At(p), rbag.HashAt(p), rbag.CountAt(p))
 			}
-			for p := m.van.heads[h]; p != 0; p = m.van.next[p-1] {
-				consider(dR.cells[m.van.idxs[p-1]].t, 0)
-			}
+			m.van.each(h, vanished)
 		}
 		if n.op == opLeftJoin {
 			for _, mt := range matches {
@@ -968,33 +972,27 @@ func (m *IVM) exceptDelta(n *planNode, dL, dR *sdelta) *sdelta {
 	lbag := m.views[n.l.id].bag
 	rbag := m.views[n.r.id].bag
 	out := m.acquire()
-	seen := m.acquire()
-	emit := func(t relation.Tuple) {
-		if seen.contains(t) {
-			return
+	emit := func(c *scell) {
+		if c.n == 0 || out.find(c.t, c.h) >= 0 {
+			return // dL and dR may both hold t: its transition is out already
 		}
-		seen.ensure(t)
-		newL, newR := lbag.Count(t), rbag.Count(t)
-		oldL := newL - dL.net(t)
-		oldR := newR - dR.net(t)
+		newL, newR := lbag.CountHash(c.t, c.h), rbag.CountHash(c.t, c.h)
+		oldL := newL - dL.net(c.t, c.h)
+		oldR := newR - dR.net(c.t, c.h)
 		inNew := newL > 0 && newR == 0
 		inOld := oldL > 0 && oldR == 0
 		switch {
 		case inNew && !inOld:
-			out.add(t, 1)
+			out.push(c.t, c.h, 1)
 		case !inNew && inOld:
-			out.add(t, -1)
+			out.push(c.t, c.h, -1)
 		}
 	}
 	for i := range dL.cells {
-		if dL.cells[i].n != 0 {
-			emit(dL.cells[i].t)
-		}
+		emit(&dL.cells[i])
 	}
 	for i := range dR.cells {
-		if dR.cells[i].n != 0 {
-			emit(dR.cells[i].t)
-		}
+		emit(&dR.cells[i])
 	}
 	return out
 }
@@ -1007,13 +1005,13 @@ func (m *IVM) distinctDelta(n *planNode, dL *sdelta) *sdelta {
 		if c.n == 0 {
 			continue
 		}
-		newC := lbag.Count(c.t)
+		newC := lbag.CountHash(c.t, c.h)
 		oldC := newC - c.n
 		switch {
 		case newC > 0 && oldC <= 0:
-			out.add(c.t, 1)
+			out.push(c.t, c.h, 1) // dL's cells are distinct tuples
 		case newC <= 0 && oldC > 0:
-			out.add(c.t, -1)
+			out.push(c.t, c.h, -1)
 		}
 	}
 	return out
@@ -1042,24 +1040,26 @@ func (m *IVM) groupDelta(n *planNode, dL *sdelta) *sdelta {
 			key = append(key, c.t[g])
 		}
 		m.keyBuf = key
-		if touched.contains(key) {
+		h := relation.HashValues(key)
+		if touched.find(key, h) >= 0 {
 			continue
 		}
 		kc := make(relation.Tuple, len(key))
 		copy(kc, key)
-		touched.ensure(kc)
-		m.recomputeGroup(n, v, child, ix, kc, out)
+		touched.push(kc, h, 0)
+		m.recomputeGroup(n, v, child, ix, kc, h, out)
 	}
 	return out
 }
 
-func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *relation.BagIndex, key relation.Tuple, out *sdelta) {
-	// Fold the group's current cells through the same accumulator ra.GroupBy
+// recomputeGroup re-derives the group of key, whose hash is h.
+func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *relation.BagIndex, key relation.Tuple, h uint64, out *sdelta) {
+	// Fold the group's current tuples through the same accumulator ra.GroupBy
 	// uses, weighted by multiplicity, so the maintained row can never drift
 	// from a cold re-evaluation.
 	acc := ra.NewGroupAcc(len(n.aggs))
-	for _, cell := range ix.CandidatesHash(relation.HashValues(key)) {
-		t := cell.Tuple()
+	for p := ix.First(h); p >= 0; p = ix.Next(p) {
+		t := child.At(p)
 		match := true
 		for i, g := range n.groupPos {
 			if !t[g].Equal(key[i]) {
@@ -1067,13 +1067,11 @@ func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *rela
 				break
 			}
 		}
-		if !match {
-			continue
+		if match {
+			acc.Add(t, int64(child.CountAt(p)), n.aggs)
 		}
-		acc.Add(t, int64(cell.Count()), n.aggs)
 	}
 	// Locate the existing group.
-	h := relation.HashValues(key)
 	var existing *aggGroup
 	bucket := v.groups[h]
 	slot := -1

@@ -372,8 +372,8 @@ func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
 		}
 	}
 	for i, b := range m.Bags() {
-		if b.MapKeys() > b.DistinctLen() {
-			t.Errorf("bag %d: largest map holds %d keys for %d distinct tuples", i, b.MapKeys(), b.DistinctLen())
+		if b.Buckets() > 4*b.DistinctLen()+relation.MinBuckets {
+			t.Errorf("bag %d: %d buckets for %d distinct tuples", i, b.Buckets(), b.DistinctLen())
 		}
 	}
 }

@@ -1,12 +1,83 @@
 package relation
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+)
 
 func bagSchema() *Schema {
 	return NewSchema(
 		Column{Name: "a", Kind: KindInt},
 		Column{Name: "b", Kind: KindInt},
 	)
+}
+
+// probeCount sums the counts of the tuples whose ix columns equal key,
+// walking the index the way the delta rules do.
+func probeCount(b *Bag, ix *BagIndex, key Tuple) int {
+	total := 0
+	for p := ix.First(HashValues(key)); p >= 0; p = ix.Next(p) {
+		if keyMatches(b.At(p), ix.Cols(), key) {
+			total += b.CountAt(p)
+		}
+	}
+	return total
+}
+
+func keyMatches(t Tuple, cols []int, key Tuple) bool {
+	for i, c := range cols {
+		if !t[c].Equal(key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBag verifies the layout every mutation must preserve: parallel dense
+// arrays with positive counts and exact cached hashes, a total that sums the
+// counts, every chain consistent (Chain.Check) over the same bucket count
+// with non-nullable indexes filing NULL keys nowhere, the load factor at most
+// 1, the footprint bound, and no tuple referenced past the live positions.
+func checkBag(b *Bag) error {
+	n := len(b.tuples)
+	if len(b.counts) != n || len(b.hashes) != n {
+		return fmt.Errorf("%d tuples, %d counts, %d hashes", n, len(b.counts), len(b.hashes))
+	}
+	total := 0
+	for p, t := range b.tuples {
+		if b.counts[p] <= 0 {
+			return fmt.Errorf("position %d (%s) holds count %d", p, t, b.counts[p])
+		}
+		if b.hashes[p] != t.Hash() {
+			return fmt.Errorf("position %d (%s) caches a stale hash", p, t)
+		}
+		total += b.counts[p]
+	}
+	if total != b.total {
+		return fmt.Errorf("counts sum to %d, Len says %d", total, b.total)
+	}
+	nb := b.Buckets()
+	if n > nb || nb > 4*n+MinBuckets {
+		return fmt.Errorf("%d buckets for %d tuples", nb, n)
+	}
+	if err := b.member.Check(n, func(p int32) (uint64, bool) { return b.hashes[p], true }); err != nil {
+		return fmt.Errorf("membership %w", err)
+	}
+	for _, ix := range b.indexes {
+		if ix.chain.Buckets() != nb {
+			return fmt.Errorf("index %v: %d buckets, membership %d", ix.cols, ix.chain.Buckets(), nb)
+		}
+		if err := ix.chain.Check(n, func(p int32) (uint64, bool) { return ix.keyHash(b.tuples[p]) }); err != nil {
+			return fmt.Errorf("index %v (nullable %v): %w", ix.cols, ix.nullable, err)
+		}
+	}
+	for i, t := range b.tuples[n:cap(b.tuples)] {
+		if t != nil {
+			return fmt.Errorf("slot %d past the %d live positions still references %s", n+i, n, t)
+		}
+	}
+	return nil
 }
 
 func TestBagCountsAndFlatten(t *testing.T) {
@@ -51,27 +122,22 @@ func TestBagCountsAndFlatten(t *testing.T) {
 func TestBagIndexMaintained(t *testing.T) {
 	b := NewBag(bagSchema())
 	ix := b.Index([]int{0})
-	probe := func(key Value) int {
-		total := 0
-		for _, c := range ix.CandidatesHash(Tuple{key}.HashCols([]int{0})) {
-			if c.Tuple()[0].Equal(key) {
-				total += c.Count()
-			}
-		}
-		return total
-	}
+	probe := func(key Value) int { return probeCount(b, ix, Tuple{key}) }
 	b.Add(Tuple{Int(1), Int(2)}, 2)
 	b.Add(Tuple{Int(1), Int(3)}, 1)
 	b.Add(Tuple{Int(2), Int(2)}, 1)
 	if got := probe(Int(1)); got != 3 {
 		t.Fatalf("probe after adds: %d", got)
 	}
-	// Index built after the fact sees the same cells.
+	// Index built after the fact sees the same tuples.
 	ix2 := b.Index([]int{0, 1})
-	if got := len(ix2.CandidatesHash(Tuple{Int(1), Int(2)}.HashCols([]int{0, 1}))); got != 1 {
-		t.Fatalf("late index: %d candidates", got)
+	if got := probeCount(b, ix2, Tuple{Int(1), Int(2)}); got != 2 {
+		t.Fatalf("late index: count %d", got)
 	}
-	// Removal to zero unlinks from every index; partial removal keeps the cell.
+	if b.Index([]int{0}) != ix || b.IndexNullable([]int{0}) == ix {
+		t.Fatal("index lookup ignores columns or nullability")
+	}
+	// Removal to zero unlinks from every index; partial removal keeps the tuple.
 	b.Remove(Tuple{Int(1), Int(2)}, 1)
 	if got := probe(Int(1)); got != 2 {
 		t.Fatalf("probe after partial removal: %d", got)
@@ -84,98 +150,76 @@ func TestBagIndexMaintained(t *testing.T) {
 	if got := probe(Int(2)); got != 1 {
 		t.Fatalf("unrelated key disturbed: %d", got)
 	}
-	// NULL keys are never indexed.
+	// NULL keys are never indexed (checkBag verifies the index files the
+	// position nowhere); the nullable index groups them.
 	b.Add(Tuple{Null(), Int(7)}, 1)
 	if b.Count(Tuple{Null(), Int(7)}) != 1 {
 		t.Fatal("null-key tuple not counted")
 	}
-	found := false
-	for _, bucket := range ix.buckets {
-		for _, c := range bucket {
-			if c.Tuple()[0].IsNull() {
-				found = true
-			}
-		}
+	if got := probe(Null()); got != 0 {
+		t.Fatalf("null key found through the equi-join index: %d", got)
 	}
-	if found {
-		t.Fatal("null key linked into index")
+	if got := probeCount(b, b.IndexNullable([]int{0}), Tuple{Null()}); got != 1 {
+		t.Fatalf("nullable index probe of NULL: %d", got)
+	}
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestBagBulkBatch drives the deferred-index batch API through every
-// membership transition: present→absent, absent→present, remove-then-re-add
-// (membership unchanged: no index traffic), and create-then-remove within the
-// batch (never linked). After EndBulk the bag and all indexes must be
-// indistinguishable from the same mutations applied singly.
+// TestBagBulkBatch applies a netted batch — the shape the SQL view cache
+// patches a bag with: distinct tuples, each with a signed count — through
+// every membership transition (present→absent, absent→present, count-only
+// changes up and down), twice, and requires the maintained indexes to answer
+// exactly like indexes built from scratch over the result.
 func TestBagBulkBatch(t *testing.T) {
-	mk := func() (*Bag, *BagIndex) {
-		b := NewBag(bagSchema())
-		ix := b.Index([]int{0})
-		b.Add(Tuple{Int(1), Int(10)}, 2)
-		b.Add(Tuple{Int(1), Int(11)}, 1)
-		b.Add(Tuple{Int(2), Int(20)}, 1)
-		return b, ix
+	b := NewBag(bagSchema())
+	byA := b.Index([]int{0})
+	b.Add(Tuple{Int(1), Int(10)}, 2)
+	b.Add(Tuple{Int(1), Int(11)}, 1)
+	b.Add(Tuple{Int(2), Int(20)}, 1)
+	type cell struct {
+		t Tuple
+		n int
 	}
-	probe := func(ix *BagIndex, key Value) int {
-		total := 0
-		for _, c := range ix.CandidatesHash(Tuple{key}.HashCols([]int{0})) {
-			if c.Tuple()[0].Equal(key) {
-				total += c.Count()
+	apply := func(batch []cell) {
+		for _, c := range batch {
+			if c.n > 0 {
+				b.Add(c.t, c.n)
+			} else if _, ok := b.Remove(c.t, -c.n); !ok {
+				t.Fatalf("remove %s x%d refused", c.t, -c.n)
 			}
 		}
-		return total
 	}
-	apply := func(b *Bag) {
-		b.Remove(Tuple{Int(1), Int(11)}, 1) // present → absent
-		b.Add(Tuple{Int(3), Int(30)}, 2)    // absent → present
-		b.Remove(Tuple{Int(2), Int(20)}, 1) // removed...
-		b.Add(Tuple{Int(2), Int(20)}, 3)    // ...and re-added: net count change only
-		b.Add(Tuple{Int(4), Int(40)}, 1)    // created...
-		b.Remove(Tuple{Int(4), Int(40)}, 1) // ...and removed: must vanish
-		b.Add(Tuple{Int(1), Int(10)}, 1)    // count-only change
+	apply([]cell{
+		{Tuple{Int(1), Int(11)}, -1}, // present → absent
+		{Tuple{Int(3), Int(30)}, 2},  // absent → present
+		{Tuple{Int(2), Int(20)}, 2},  // count-only change up
+		{Tuple{Int(1), Int(10)}, -1}, // count-only change down
+	})
+	apply([]cell{
+		{Tuple{Int(4), Int(40)}, 1},  // takes the position the first batch freed
+		{Tuple{Int(3), Int(30)}, -2}, // moves the last position
+	})
+	fresh := NewBag(bagSchema())
+	fresh.Add(Tuple{Int(1), Int(10)}, 1)
+	fresh.Add(Tuple{Int(2), Int(20)}, 3)
+	fresh.Add(Tuple{Int(4), Int(40)}, 1)
+	if b.Len() != fresh.Len() || b.DistinctLen() != fresh.DistinctLen() {
+		t.Fatalf("len/distinct %d/%d, want %d/%d", b.Len(), b.DistinctLen(), fresh.Len(), fresh.DistinctLen())
 	}
-
-	single, six := mk()
-	apply(single)
-
-	bulk, bix := mk()
-	bulk.BeginBulk()
-	apply(bulk)
-	// Mid-batch counts are exact even for membership changes.
-	if bulk.Count(Tuple{Int(1), Int(11)}) != 0 || bulk.Count(Tuple{Int(3), Int(30)}) != 2 {
-		t.Fatalf("mid-batch counts wrong: %d %d",
-			bulk.Count(Tuple{Int(1), Int(11)}), bulk.Count(Tuple{Int(3), Int(30)}))
-	}
-	bulk.EndBulk()
-
-	if bulk.Len() != single.Len() || bulk.DistinctLen() != single.DistinctLen() {
-		t.Fatalf("bulk len/distinct %d/%d, single %d/%d",
-			bulk.Len(), bulk.DistinctLen(), single.Len(), single.DistinctLen())
-	}
-	single.Each(func(tu Tuple, n int) {
-		if got := bulk.Count(tu); got != n {
-			t.Errorf("count of %v: bulk %d, single %d", tu, got, n)
+	fresh.Each(func(tu Tuple, n int) {
+		if got := b.Count(tu); got != n {
+			t.Errorf("count of %v: %d, want %d", tu, got, n)
 		}
 	})
 	for _, key := range []Value{Int(1), Int(2), Int(3), Int(4)} {
-		if g, w := probe(bix, key), probe(six, key); g != w {
-			t.Errorf("index probe key %v: bulk %d, single %d", key, g, w)
+		if g, w := probeCount(b, byA, Tuple{key}), probeCount(fresh, fresh.Index([]int{0}), Tuple{key}); g != w {
+			t.Errorf("index probe key %v: %d, fresh index %d", key, g, w)
 		}
 	}
-	// A second batch reuses freed cells; the bag stays consistent.
-	bulk.BeginBulk()
-	bulk.Add(Tuple{Int(4), Int(40)}, 1)
-	bulk.Remove(Tuple{Int(3), Int(30)}, 2)
-	bulk.EndBulk()
-	if bulk.Count(Tuple{Int(4), Int(40)}) != 1 || bulk.Count(Tuple{Int(3), Int(30)}) != 0 {
-		t.Fatalf("second batch wrong: %d %d",
-			bulk.Count(Tuple{Int(4), Int(40)}), bulk.Count(Tuple{Int(3), Int(30)}))
-	}
-	if got := probe(bix, Int(3)); got != 0 {
-		t.Fatalf("second-batch unlink missed: %d", got)
-	}
-	if got := probe(bix, Int(4)); got != 1 {
-		t.Fatalf("second-batch link missed: %d", got)
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -193,159 +237,248 @@ func TestBagOfRelation(t *testing.T) {
 	}
 }
 
-// churnRound replaces one generation of rows with the next inside a bulk
-// batch: gen g's tuples leave (freeing their cells) and gen g+1's arrive
-// (recycling them). n is the generation size.
-func churnRound(b *Bag, gen, n int) {
-	b.BeginBulk()
-	for i := 0; i < n; i++ {
-		b.Remove(Tuple{Int(int64(gen*n + i)), Int(0)}, 1)
-	}
-	for i := 0; i < n; i++ {
-		b.Add(Tuple{Int(int64((gen+1)*n + i)), Int(0)}, 1)
-	}
-	b.EndBulk()
-}
-
-// TestBagFreelistSteadyState: once warm, per-round churn stops growing the
-// freelist — every round recycles the cells the previous round freed.
-func TestBagFreelistSteadyState(t *testing.T) {
-	const n = 32
+// TestBagFootprintStaysOLive: a bag whose tuples turn over — every round
+// removes old tuples and adds fresh ones, each a new hash, as request ids are
+// in the SQL protocol's view cache — keeps its chains the size of what it
+// holds, not of everything it ever held or of the largest burst it held: 100k
+// unique tuples pass through a standing 64, then a 1,000-tuple burst arrives
+// and drains to 8. Its buckets end within 4·live + MinBuckets, and the dense
+// arrays reference no removed tuple.
+func TestBagFootprintStaysOLive(t *testing.T) {
 	b := NewBag(bagSchema())
-	b.Index([]int{0}) // maintained index exercises link/unlink on the way
-	b.BeginBulk()
-	for i := 0; i < n; i++ {
-		b.Add(Tuple{Int(int64(n + i)), Int(0)}, 1)
+	b.Index([]int{0})
+	b.IndexNullable([]int{1})
+	tuple := func(i int) Tuple { return Tuple{Int(int64(i)), Int(int64(i) * 7)} }
+	const standing, batch, cycles = 64, 10, 10_000
+	for i := 0; i < standing; i++ {
+		b.Add(tuple(i), 1)
 	}
-	b.EndBulk()
-
-	var warm int
-	for gen := 1; gen <= 24; gen++ {
-		churnRound(b, gen, n)
-		if b.Len() != n {
-			t.Fatalf("gen %d: bag size %d, want %d", gen, b.Len(), n)
-		}
-		switch {
-		case gen == 4:
-			warm = len(b.free)
-		case gen > 4:
-			if len(b.free) > warm {
-				t.Fatalf("gen %d: freelist grew %d -> %d in steady state", gen, warm, len(b.free))
+	next := standing
+	for c := 0; c < cycles; c++ {
+		for k := 0; k < batch; k++ {
+			if _, ok := b.Remove(tuple(next-standing), 1); !ok {
+				t.Fatalf("cycle %d: tuple %d missing", c, next-standing)
 			}
+			b.Add(tuple(next), 1)
+			next++
 		}
 	}
-	if warm > n+n/4+4 {
-		t.Fatalf("steady-state freelist %d exceeds churn cap for churn %d", warm, n)
+	if live := b.DistinctLen(); live != standing || b.Buckets() > 4*live+MinBuckets {
+		t.Fatalf("after turnover: %d buckets for %d live tuples (want %d)", b.Buckets(), live, standing)
 	}
-}
-
-// TestBagFreelistShrinksAfterBurst: a burst round's surplus cells are
-// released once the churn window rolls past the burst.
-func TestBagFreelistShrinksAfterBurst(t *testing.T) {
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
+	}
 	const burst, small = 1000, 8
-	b := NewBag(bagSchema())
-	b.BeginBulk()
 	for i := 0; i < burst; i++ {
-		b.Add(Tuple{Int(int64(i)), Int(1)}, 1)
+		b.Add(tuple(next+i), 1)
 	}
-	b.EndBulk()
-	// The burst: drop everything, keep a small working set.
-	b.BeginBulk()
-	for i := 0; i < burst; i++ {
-		b.Remove(Tuple{Int(int64(i)), Int(1)}, 1)
+	high := b.Buckets()
+	for i := next - standing; i < next+burst-small; i++ {
+		if _, ok := b.Remove(tuple(i), 1); !ok {
+			t.Fatalf("drain: tuple %d missing", i)
+		}
 	}
-	for i := 0; i < small; i++ {
-		b.Add(Tuple{Int(int64(small + i)), Int(0)}, 1)
+	live := b.DistinctLen()
+	if live != small || b.Buckets() > 4*live+MinBuckets {
+		t.Fatalf("after the burst (%d buckets at its peak): %d buckets for %d live tuples", high, b.Buckets(), live)
 	}
-	b.EndBulk()
-	if len(b.free) < burst-small {
-		t.Fatalf("freelist right after burst = %d, expected ~%d", len(b.free), burst-small)
+	if c := cap(b.tuples); c > 4*live+MinBuckets {
+		t.Errorf("dense arrays keep capacity %d for %d live tuples", c, live)
 	}
-	for gen := 1; gen <= bagChurnWindow+1; gen++ {
-		churnRound(b, gen, small)
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
 	}
-	limit := small + small/4 + 4
-	if len(b.free) > limit {
-		t.Fatalf("freelist %d after the window rolled, want <= %d", len(b.free), limit)
-	}
-	// The bag itself still answers exactly.
-	if b.Len() != small {
-		t.Fatalf("bag size %d after burst cycle, want %d", b.Len(), small)
+	seen := 0
+	b.Each(func(Tuple, int) { seen++ })
+	if seen != live {
+		t.Errorf("Each visited %d tuples, want %d", seen, live)
 	}
 }
 
-// TestBagMapsStayBoundedUnderTurnover: a bag whose tuples turn over — every
-// round removes old tuples and adds fresh ones, each a new hash, as request
-// ids are in the SQL protocol's view cache — keeps its hash maps the size of
-// what it holds, not of everything it ever held. 100k unique tuples pass
-// through a standing population of 64, through both mutation paths.
-func TestBagMapsStayBoundedUnderTurnover(t *testing.T) {
-	for _, bulk := range []bool{false, true} {
-		b := NewBag(bagSchema())
-		byA := b.Index([]int{0})
-		byB := b.IndexNullable([]int{1})
-		const standing, batch, cycles = 64, 10, 10_000
-		tuple := func(i int) Tuple { return Tuple{Int(int64(i)), Int(int64(i) * 7)} }
-		for i := 0; i < standing; i++ {
-			b.Add(tuple(i), 1)
+// bagModel drives a Bag and a map[string]int reference (keyed by Tuple.Key)
+// through the same operations.
+type bagModel struct {
+	b   *Bag
+	ref map[string]int
+	ids map[string]int // Key -> id, to rebuild tuples
+}
+
+// bagModelTuple is the id-th tuple of the fuzz universe: a column with a few
+// values and NULLs, a unique column and a one-valued string column.
+func bagModelTuple(id int) Tuple {
+	a := Int(int64(id % 7))
+	if id%7 == 6 {
+		a = Null()
+	}
+	return Tuple{a, Int(int64(id)), String("k")}
+}
+
+// bagProbes are the indexes a probe op may use: the first exists before any
+// add, the others are created by the first probe that names them.
+var bagProbes = []struct {
+	cols     []int
+	nullable bool
+}{{[]int{0}, false}, {[]int{0}, true}, {[]int{2}, false}, {[]int{0, 2}, true}}
+
+func newBagModel() *bagModel {
+	m := &bagModel{b: NewBag(nil), ref: map[string]int{}, ids: map[string]int{}}
+	m.b.Index(bagProbes[0].cols)
+	return m
+}
+
+func (m *bagModel) probe(which, id int) error {
+	pr := bagProbes[which%len(bagProbes)]
+	ix := m.b.index(pr.cols, pr.nullable)
+	t := bagModelTuple(id)
+	key := make(Tuple, len(pr.cols))
+	for i, c := range pr.cols {
+		key[i] = t[c]
+	}
+	want := 0
+	for k, n := range m.ref {
+		other := bagModelTuple(m.ids[k])
+		if _, ok := ix.keyHash(other); ok && keyMatches(other, pr.cols, key) {
+			want += n
 		}
-		next := standing
-		for c := 0; c < cycles; c++ {
-			if bulk {
-				b.BeginBulk()
+	}
+	if got := probeCount(m.b, ix, key); got != want {
+		return fmt.Errorf("probe %v (nullable %v) for %s: %d, model %d", pr.cols, pr.nullable, key, got, want)
+	}
+	return nil
+}
+
+// totals compares Each and Relation with the model.
+func (m *bagModel) totals() error {
+	seen := map[string]int{}
+	m.b.Each(func(t Tuple, n int) { seen[t.Key()] += n })
+	for _, t := range m.b.Relation().Rows() {
+		seen[t.Key()]--
+	}
+	if len(seen) != len(m.ref) {
+		return fmt.Errorf("Each visits %d distinct tuples, model %d", len(seen), len(m.ref))
+	}
+	for k, n := range seen {
+		if n != 0 || m.ref[k] == 0 {
+			return fmt.Errorf("Each and Relation disagree on %q (or it is not in the model)", k)
+		}
+	}
+	return nil
+}
+
+// run decodes a byte stream into operations over a universe of 1024 ids —
+// three bytes each: an opcode, then a little-endian id in the low ten bits
+// and an argument in the high six — checking the bag after every one, and
+// finally drains it to empty.
+func (m *bagModel) run(data []byte) error {
+	for i := 0; i+3 <= len(data); i += 3 {
+		v := int(binary.LittleEndian.Uint16(data[i+1:]))
+		id, arg := v&1023, v>>10
+		t := bagModelTuple(id)
+		k := 1 + arg%3
+		var err error
+		switch op := data[i] % 8; op {
+		case 0, 1, 2:
+			m.ids[t.Key()] = id
+			m.ref[t.Key()] += k
+			if got := m.b.Add(t, k); got != m.ref[t.Key()] {
+				err = fmt.Errorf("add %s x%d: count %d, model %d", t, k, got, m.ref[t.Key()])
 			}
-			for k := 0; k < batch; k++ {
-				if _, ok := b.Remove(tuple(next-standing), 1); !ok {
-					t.Fatalf("bulk=%v cycle %d: tuple %d missing", bulk, c, next-standing)
+		case 3, 4:
+			have := m.ref[t.Key()]
+			before := m.b.Len()
+			got, ok := m.b.Remove(t, k)
+			switch {
+			case have < k && (ok || got != have || m.b.Len() != before):
+				err = fmt.Errorf("over-remove %s x%d of %d: ok=%v count %d len %d→%d", t, k, have, ok, got, before, m.b.Len())
+			case have >= k && (!ok || got != have-k):
+				err = fmt.Errorf("remove %s x%d of %d: ok=%v count %d", t, k, have, ok, got)
+			case have >= k:
+				if m.ref[t.Key()] -= k; m.ref[t.Key()] == 0 {
+					delete(m.ref, t.Key())
 				}
-				b.Add(tuple(next), 1)
-				next++
 			}
-			if bulk {
-				b.EndBulk()
+		case 5:
+			if got := m.b.Count(t); got != m.ref[t.Key()] {
+				err = fmt.Errorf("count %s: %d, model %d", t, got, m.ref[t.Key()])
 			}
+		case 6:
+			err = m.probe(arg, id)
+		default:
+			err = m.totals()
 		}
-		live := b.DistinctLen()
-		if live != standing {
-			t.Fatalf("bulk=%v: %d distinct tuples, want %d", bulk, live, standing)
+		if err == nil {
+			err = checkBag(m.b)
 		}
-		if len(b.cells) > live {
-			t.Errorf("bulk=%v: cells map holds %d keys for %d live tuples", bulk, len(b.cells), live)
+		if err == nil && m.b.DistinctLen() != len(m.ref) {
+			err = fmt.Errorf("%d distinct tuples, model %d", m.b.DistinctLen(), len(m.ref))
 		}
-		for name, ix := range map[string]*BagIndex{"a": byA, "b (nullable)": byB} {
-			if len(ix.buckets) > live {
-				t.Errorf("bulk=%v: index on %s holds %d keys for %d live tuples", bulk, name, len(ix.buckets), live)
-			}
-		}
-		if got := b.MapKeys(); got > live {
-			t.Errorf("bulk=%v: MapKeys %d for %d live tuples", bulk, got, live)
-		}
-		seen := 0
-		b.Each(func(Tuple, int) { seen++ })
-		if seen != live {
-			t.Errorf("bulk=%v: Each visited %d tuples, want %d", bulk, seen, live)
+		if err != nil {
+			return fmt.Errorf("op %d (%#x, id %d): %w", i/3, data[i], id, err)
 		}
 	}
+	for which := range bagProbes {
+		if err := m.probe(which, 0); err != nil {
+			return err
+		}
+	}
+	if err := m.totals(); err != nil {
+		return err
+	}
+	for k, n := range m.ref {
+		if _, ok := m.b.Remove(bagModelTuple(m.ids[k]), n); !ok {
+			return fmt.Errorf("drain: %q x%d refused", k, n)
+		}
+	}
+	if err := checkBag(m.b); err != nil {
+		return fmt.Errorf("drained: %w", err)
+	}
+	if m.b.Len() != 0 || m.b.DistinctLen() != 0 || m.b.Buckets() != MinBuckets {
+		return fmt.Errorf("drained bag: len %d distinct %d buckets %d", m.b.Len(), m.b.DistinctLen(), m.b.Buckets())
+	}
+	return nil
 }
 
-// TestBagIndexUnlinkReleasesCell: the slot a swap-remove vacates at the tail
-// of an index bucket is cleared, so the bucket's backing array does not pin a
-// cell the bag has freed.
-func TestBagIndexUnlinkReleasesCell(t *testing.T) {
-	b := NewBag(bagSchema())
-	ix := b.Index([]int{0})
-	t1, t2 := Tuple{Int(1), Int(1)}, Tuple{Int(1), Int(2)}
-	b.Add(t1, 1)
-	b.Add(t2, 1)
-	h := t1.HashCols([]int{0})
-	if _, ok := b.Remove(t2, 1); !ok {
-		t.Fatal("remove failed")
+// FuzzBagOps: any byte stream, read as bagModel operations, keeps the bag
+// equal to the map model with its layout intact.
+func FuzzBagOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 3, 1, 2, 6, 1, 1, 5, 1, 0, 7, 0, 0})
+	grow := make([]byte, 0, 3*300)
+	for id := 0; id < 200; id++ { // past several doublings, then half back out
+		grow = append(grow, 0, byte(id), byte(id>>8))
 	}
-	bucket := ix.CandidatesHash(h)
-	if len(bucket) != 1 {
-		t.Fatalf("bucket has %d cells, want 1", len(bucket))
+	for id := 0; id < 200; id += 2 {
+		grow = append(grow, 3, byte(id), byte(id>>8))
 	}
-	if tail := bucket[:2][1]; tail != nil {
-		t.Fatalf("vacated tail slot still references a cell (%v)", tail.tuple)
+	f.Add(append(grow, 6, 5, 1, 6, 6, 3, 7, 0, 0, 4, 9, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 3*2048)] // every operation re-checks the whole bag
+		if err := newBagModel().run(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBagMatchesMapModel runs FuzzBagOps's model over pseudo-random streams
+// so plain go test exercises it beyond the seed corpus.
+func TestBagMatchesMapModel(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		data := make([]byte, 3*700)
+		x := seed * 0x9E3779B97F4A7C15
+		for i := range data {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			data[i] = byte(x)
+		}
+		if seed%2 == 0 { // narrow the ids so removes and repeats hit often
+			for i := 2; i < len(data); i += 3 {
+				data[i] &^= 3
+			}
+		}
+		if err := newBagModel().run(data); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -63,6 +63,33 @@ func TestValueHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestIntHashSpreadsSequentialIds: the flat tables file an entry under its
+// hash's low bits, and the keys that churn through them are sequential ids
+// (request and transaction ids). Filed at load factor 1 — as many entries as
+// buckets, the most a table holds before it doubles — sequential ids, alone
+// and as the first column of a tuple, must leave no bucket with a long chain.
+func TestIntHashSpreadsSequentialIds(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 16} {
+		for _, base := range []int64{0, 1 << 20, -1 << 40} {
+			for name, hash := range map[string]func(int64) uint64{
+				"value": func(i int64) uint64 { return Int(i).Hash() },
+				"tuple": func(i int64) uint64 { return Tuple{Int(i), Int(7)}.Hash() },
+			} {
+				fill := make([]int, n)
+				longest := 0
+				for i := int64(0); i < int64(n); i++ {
+					b := hash(base+i) & uint64(n-1)
+					fill[b]++
+					longest = max(longest, fill[b])
+				}
+				if longest > 12 {
+					t.Errorf("%s hash, %d ids from %d: a bucket chains %d of them", name, n, base, longest)
+				}
+			}
+		}
+	}
+}
+
 func TestSchemaLookup(t *testing.T) {
 	s := NewSchema(Column{"ID", KindInt}, Column{"Operation", KindString})
 	if s.Len() != 2 {

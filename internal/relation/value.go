@@ -131,20 +131,23 @@ const (
 )
 
 // Hash returns a stable hash of the value. It is the allocation-free inner
-// loop of every hash index and dedup set: FNV-1a over a kind tag and the raw
-// payload, with no hasher object and no string building.
+// loop of every hash index and dedup set, with no hasher object and no string
+// building: an int is one murmur3 fmix64 finalizer over its payload, a
+// string FNV-1a over a kind tag and its bytes. The flat tables mask the low
+// bits, which fmix64 spreads for sequential ids too. The hash is seedless and
+// in-memory only: nothing persisted or sent on the wire depends on it.
 func (v Value) Hash() uint64 {
 	h := fnvOffset
 	switch v.kind {
 	case KindNull:
 		h = (h ^ 0) * fnvPrime
 	case KindInt:
-		h = (h ^ 1) * fnvPrime
-		u := uint64(v.i)
-		for j := 0; j < 8; j++ {
-			h = (h ^ (u & 0xff)) * fnvPrime
-			u >>= 8
-		}
+		h = uint64(v.i)
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
 	default:
 		h = (h ^ 2) * fnvPrime
 		for i := 0; i < len(v.s); i++ {

@@ -155,11 +155,6 @@ func recoverDir(cfg Config) (*Server, error) {
 	start := time.Now()
 	met := &metrics.Durability{}
 
-	img, err := readPages(cfg.Dir)
-	havePages := err == nil
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
 	jpath := filepath.Join(cfg.Dir, journalFileName)
 	baseLSN, rows, recs, _, torn, err := scanJournal(jpath)
 	if err != nil {
@@ -168,8 +163,10 @@ func recoverDir(cfg Config) (*Server, error) {
 	if rows <= 0 {
 		return nil, fmt.Errorf("storage: recover: journal header claims %d rows", rows)
 	}
-	if havePages && img.rows != rows {
-		return nil, fmt.Errorf("storage: recover: pages has %d rows, journal %d", img.rows, rows)
+	img, err := readPages(cfg.Dir, rows)
+	havePages := err == nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
 	}
 	if cfg.Rows != 0 && int64(cfg.Rows) != rows {
 		return nil, fmt.Errorf("storage: recover: directory has %d rows, config wants %d", rows, cfg.Rows)

@@ -92,9 +92,10 @@ func putRecord(b []byte, r jrec) {
 	binary.LittleEndian.PutUint32(b[0:4], crc32.ChecksumIEEE(b[4:recordSize]))
 }
 
-// parseRecord decodes one frame, reporting ok=false on a CRC mismatch.
+// parseRecord decodes one frame, reporting ok=false on a short frame or a CRC
+// mismatch.
 func parseRecord(b []byte) (jrec, bool) {
-	if binary.LittleEndian.Uint32(b[0:4]) != crc32.ChecksumIEEE(b[4:recordSize]) {
+	if len(b) < recordSize || binary.LittleEndian.Uint32(b[0:4]) != crc32.ChecksumIEEE(b[4:recordSize]) {
 		return jrec{}, false
 	}
 	return jrec{

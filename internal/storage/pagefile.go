@@ -73,6 +73,32 @@ func checkPage(p []byte, pageNo uint32) (count int, err error) {
 // writePages writes a checkpoint image atomically and returns the bytes
 // written.
 func writePages(dir string, img pagesImage) (int64, error) {
+	buf := encodePages(img)
+	path := filepath.Join(dir, pagesFileName)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	syncDir(dir)
+	return int64(len(buf)), nil
+}
+
+// encodePages renders a checkpoint image as the page file's bytes.
+func encodePages(img pagesImage) []byte {
 	// Gather the sparse committed entries and the flattened ATT.
 	type slot struct{ a, b int64 }
 	var data, att []slot
@@ -122,38 +148,26 @@ func writePages(dir string, img pagesImage) (int64, error) {
 		fill(page, att[off:min(off+slotsPerPage, len(att))])
 		page++
 	}
-
-	path := filepath.Join(dir, pagesFileName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	syncDir(dir)
-	return int64(len(buf)), nil
+	return buf
 }
 
-// readPages loads a checkpoint image. A missing file returns os.ErrNotExist
-// (a durable directory that never checkpointed).
-func readPages(dir string) (pagesImage, error) {
-	var img pagesImage
+// readPages loads the checkpoint image of a table of the given row count (the
+// journal header's). A missing file returns os.ErrNotExist (a durable
+// directory that never checkpointed).
+func readPages(dir string, rows int64) (pagesImage, error) {
 	data, err := os.ReadFile(filepath.Join(dir, pagesFileName))
 	if err != nil {
-		return img, err
+		return pagesImage{}, err
 	}
+	return decodePages(data, rows)
+}
+
+// decodePages parses a page file of a table of the given row count. Every
+// page is checked before it is read, and nothing is allocated by a size the
+// file claims before that claim is checked: page counts against the file's
+// length, slot counts against the page, and the row count against rows.
+func decodePages(data []byte, rows int64) (pagesImage, error) {
+	var img pagesImage
 	if len(data) < pageSize || len(data)%pageSize != 0 {
 		return img, fmt.Errorf("storage: pages: bad size %d", len(data))
 	}
@@ -170,6 +184,9 @@ func readPages(dir string) (pagesImage, error) {
 	img.aborts = int64(binary.LittleEndian.Uint64(meta[36:44]))
 	nData := int(binary.LittleEndian.Uint32(meta[44:48]))
 	nATT := int(binary.LittleEndian.Uint32(meta[48:52]))
+	if img.rows != rows {
+		return img, fmt.Errorf("storage: pages: %d rows, the journal's header %d", img.rows, rows)
+	}
 	if img.rows <= 0 || len(data) != (1+nData+nATT)*pageSize {
 		return img, fmt.Errorf("storage: pages: inconsistent meta (rows=%d pages=%d have=%d)",
 			img.rows, 1+nData+nATT, len(data)/pageSize)

@@ -6,9 +6,9 @@
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
 # allocating per row" regressions (the warm rounds sit at ~658 (Datalog,
-# affected-closure recompute since PR 14) / ~344 (SQL: the bench re-admits
-# the same twelve requests, and since PR 16 a bag drops an emptied bucket
-# instead of keeping it for a hash that, with real ids, never returns)
+# affected-closure recompute since PR 14) / ~189 (SQL: 344 from PR 16, when
+# a bag's maps started dropping emptied buckets, to PR 21, whose flat bags
+# and deltas allocate no cell, map bucket or bucket slice per tuple)
 # allocs/op; the committed baseline is the ratchet). CI boxes are noisy and
 # heterogeneous; 2x is deliberately
 # loose — it catches "the hot path fell off a cliff", not percent-level
