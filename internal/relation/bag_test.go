@@ -296,6 +296,169 @@ func TestBagFootprintStaysOLive(t *testing.T) {
 	}
 }
 
+// churnRound removes generation gen's n tuples and adds generation gen+1's:
+// the SQL view cache's per-round request turnover.
+func churnRound(t *testing.T, b *Bag, gen, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, ok := b.Remove(Tuple{Int(int64(gen*n + i)), Int(0)}, 1); !ok {
+			t.Fatalf("gen %d: tuple %d missing", gen, gen*n+i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.Add(Tuple{Int(int64((gen+1)*n + i)), Int(0)}, 1)
+	}
+}
+
+// TestBagFreelistSteadyState: once warm, per-round churn stops growing the
+// bag — from the fourth round on, neither the chains' buckets nor the dense
+// arrays' capacity exceeds what that round left them, and both stay within
+// the footprint bound of the churn.
+func TestBagFreelistSteadyState(t *testing.T) {
+	const n = 32
+	b := NewBag(bagSchema())
+	b.Index([]int{0}) // maintained index exercises link/unlink on the way
+	for i := 0; i < n; i++ {
+		b.Add(Tuple{Int(int64(n + i)), Int(0)}, 1)
+	}
+	var warmBuckets, warmCap int
+	for gen := 1; gen <= 24; gen++ {
+		churnRound(t, b, gen, n)
+		if b.Len() != n {
+			t.Fatalf("gen %d: bag size %d, want %d", gen, b.Len(), n)
+		}
+		switch {
+		case gen == 4:
+			warmBuckets, warmCap = b.Buckets(), cap(b.tuples)
+		case gen > 4:
+			if b.Buckets() > warmBuckets || cap(b.tuples) > warmCap {
+				t.Fatalf("gen %d: buckets %d -> %d, capacity %d -> %d in steady state",
+					gen, warmBuckets, b.Buckets(), warmCap, cap(b.tuples))
+			}
+		}
+	}
+	if limit := 4*n + MinBuckets; warmBuckets > limit || warmCap > limit {
+		t.Fatalf("steady state holds %d buckets, capacity %d for churn %d (limit %d)", warmBuckets, warmCap, n, limit)
+	}
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBagFreelistShrinksAfterBurst: a burst's surplus is released by the
+// round that drains it, with no window of later rounds to wait out: 1,000
+// tuples grow the chains past 1,000 buckets, and once they are dropped for a
+// working set of 8 the buckets and the dense arrays' capacity are back within
+// 4·live + MinBuckets, and stay there as small rounds churn on.
+func TestBagFreelistShrinksAfterBurst(t *testing.T) {
+	const burst, small = 1000, 8
+	b := NewBag(bagSchema())
+	b.Index([]int{0})
+	for i := 0; i < burst; i++ {
+		b.Add(Tuple{Int(int64(i)), Int(1)}, 1)
+	}
+	if high := b.Buckets(); high < burst {
+		t.Fatalf("burst of %d tuples holds only %d buckets", burst, high)
+	}
+	for i := 0; i < burst; i++ {
+		if _, ok := b.Remove(Tuple{Int(int64(i)), Int(1)}, 1); !ok {
+			t.Fatalf("drain: tuple %d missing", i)
+		}
+	}
+	for i := 0; i < small; i++ {
+		b.Add(Tuple{Int(int64(small + i)), Int(0)}, 1)
+	}
+	limit := 4*small + MinBuckets
+	check := func(when string) {
+		t.Helper()
+		if b.Len() != small {
+			t.Fatalf("%s: bag size %d, want %d", when, b.Len(), small)
+		}
+		if b.Buckets() > limit || cap(b.tuples) > limit {
+			t.Fatalf("%s: %d buckets, capacity %d, want <= %d", when, b.Buckets(), cap(b.tuples), limit)
+		}
+		if err := checkBag(b); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("right after the burst")
+	for gen := 1; gen <= 8; gen++ {
+		churnRound(t, b, gen, small)
+	}
+	check("after churn")
+}
+
+// TestBagMapsStayBoundedUnderTurnover: under turnover — 100k unique tuples,
+// each a new hash, through a standing 64 — every chain the bag holds (the
+// membership chain and each index's) stays the size of what the bag holds,
+// not of everything it ever held, and each index still finds every live
+// tuple.
+func TestBagMapsStayBoundedUnderTurnover(t *testing.T) {
+	b := NewBag(bagSchema())
+	byA := b.Index([]int{0})
+	byB := b.IndexNullable([]int{1})
+	const standing, batch, cycles = 64, 10, 10_000
+	tuple := func(i int) Tuple { return Tuple{Int(int64(i)), Int(int64(i) * 7)} }
+	for i := 0; i < standing; i++ {
+		b.Add(tuple(i), 1)
+	}
+	next := standing
+	for c := 0; c < cycles; c++ {
+		for k := 0; k < batch; k++ {
+			if _, ok := b.Remove(tuple(next-standing), 1); !ok {
+				t.Fatalf("cycle %d: tuple %d missing", c, next-standing)
+			}
+			b.Add(tuple(next), 1)
+			next++
+		}
+	}
+	live := b.DistinctLen()
+	if live != standing {
+		t.Fatalf("%d distinct tuples, want %d", live, standing)
+	}
+	limit := 4*live + MinBuckets
+	if got := b.member.Buckets(); got > limit {
+		t.Errorf("membership chain holds %d buckets for %d live tuples", got, live)
+	}
+	for name, ix := range map[string]*BagIndex{"a": byA, "b (nullable)": byB} {
+		if got := ix.chain.Buckets(); got > limit {
+			t.Errorf("index on %s holds %d buckets for %d live tuples", name, got, live)
+		}
+	}
+	b.Each(func(tu Tuple, n int) {
+		if a, bb := probeCount(b, byA, Tuple{tu[0]}), probeCount(b, byB, Tuple{tu[1]}); a != n || bb != n {
+			t.Errorf("%s (count %d): index on a finds %d, on b %d", tu, n, a, bb)
+		}
+	})
+}
+
+// TestBagIndexUnlinkReleasesCell: removing a tuple unlinks its position from
+// the index chains, and the tail slot the swap-move vacates is cleared, so
+// the dense array's backing store does not pin a tuple the bag has dropped.
+func TestBagIndexUnlinkReleasesCell(t *testing.T) {
+	b := NewBag(bagSchema())
+	ix := b.Index([]int{0})
+	t1, t2 := Tuple{Int(1), Int(1)}, Tuple{Int(1), Int(2)}
+	b.Add(t1, 1)
+	b.Add(t2, 1)
+	if _, ok := b.Remove(t1, 1); !ok { // t2 moves from the tail into t1's position
+		t.Fatal("remove failed")
+	}
+	var bucket []Tuple
+	for p := ix.First(HashValues(Tuple{Int(1)})); p >= 0; p = ix.Next(p) {
+		bucket = append(bucket, b.At(p))
+	}
+	if len(bucket) != 1 || !bucket[0].Equal(t2) {
+		t.Fatalf("index bucket holds %v, want only %s", bucket, t2)
+	}
+	if tail := b.tuples[:2][1]; tail != nil {
+		t.Fatalf("vacated tail slot still references %s", tail)
+	}
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // bagModel drives a Bag and a map[string]int reference (keyed by Tuple.Key)
 // through the same operations.
 type bagModel struct {
