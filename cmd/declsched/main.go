@@ -172,6 +172,9 @@ func main() {
 		fmt.Printf("round strategies     %s\n", ss)
 	}
 	fmt.Printf("rounds fired on      %s\n", sum.FiredString())
+	if vs := sum.CauseString(); vs != "" {
+		fmt.Printf("victims by cause     %s\n", vs)
+	}
 	lat := &mw.Collector().Latency
 	fmt.Printf("request latency      mean=%s p99<=%s max=%s\n",
 		time.Duration(lat.Mean()), time.Duration(lat.Quantile(0.99)), time.Duration(lat.Max()))

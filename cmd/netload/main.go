@@ -59,6 +59,9 @@ type report struct {
 	// ServerStats: level, every, returned (the hybrid trigger's three
 	// conditions), progress, drain.
 	Fired string `json:"fired,omitempty"`
+	// Victims is the server's victims per abort cause, likewise: wound,
+	// cycle, starved-cycle, starved-oldest.
+	Victims string `json:"victims,omitempty"`
 }
 
 func main() {
@@ -120,8 +123,8 @@ func main() {
 	dialTarget := target
 	if *useChaos {
 		p, err := chaos.New(target, chaos.Config{
-			Seed:       *chaosSeed,
-			LatencyP:   0.05, MaxLatency: 2 * time.Millisecond,
+			Seed:     *chaosSeed,
+			LatencyP: 0.05, MaxLatency: 2 * time.Millisecond,
 			KillP: 0.002, TearP: 0.002, CorruptP: 0.002,
 			StallP: 0.001, StallFor: 2 * *timeout / 3,
 		})
@@ -183,13 +186,13 @@ func main() {
 		writes []int64
 	}
 	var (
-		lat                                   metrics.Histogram
-		committed, aborted, busyGone, failed  atomic.Int64
-		requests                              atomic.Int64
-		expectedMu                            sync.Mutex
-		expected                              = make(map[int64]int64)
-		undecidedMu                           sync.Mutex
-		undecided                             []txnRec
+		lat                                  metrics.Histogram
+		committed, aborted, busyGone, failed atomic.Int64
+		requests                             atomic.Int64
+		expectedMu                           sync.Mutex
+		expected                             = make(map[int64]int64)
+		undecidedMu                          sync.Mutex
+		undecided                            []txnRec
 	)
 	addCommitted := func(rec txnRec) {
 		expectedMu.Lock()
@@ -331,26 +334,29 @@ func main() {
 
 	snap := lat.Snapshot()
 	rep := report{
-		Clients:    *clients,
-		Conns:      *conns,
-		TxnsPerCli: *txns,
-		Committed:  committed.Load(),
-		Aborted:    aborted.Load(),
-		BusyGaveUp: busyGone.Load(),
-		Failed:     failed.Load(),
-		Requests:   requests.Load(),
-		ElapsedMS:  elapsed.Milliseconds(),
-		P50us:      snap.P50 / 1000,
-		P99us:      snap.P99 / 1000,
-		P999us:     snap.P999 / 1000,
-		MeanUs:     snap.Mean / 1000,
-		MaxUs:      snap.Max / 1000,
-		Verified:   verified,
-		Chaos:      *useChaos,
+		Clients:     *clients,
+		Conns:       *conns,
+		TxnsPerCli:  *txns,
+		Committed:   committed.Load(),
+		Aborted:     aborted.Load(),
+		BusyGaveUp:  busyGone.Load(),
+		Failed:      failed.Load(),
+		Requests:    requests.Load(),
+		ElapsedMS:   elapsed.Milliseconds(),
+		P50us:       snap.P50 / 1000,
+		P99us:       snap.P99 / 1000,
+		P999us:      snap.P999 / 1000,
+		MeanUs:      snap.Mean / 1000,
+		MaxUs:       snap.Max / 1000,
+		Verified:    verified,
+		Chaos:       *useChaos,
 		ServerStats: finalStats,
 	}
 	if _, rest, ok := strings.Cut(finalStats, " fired["); ok {
 		rep.Fired, _, _ = strings.Cut(rest, "]")
+	}
+	if _, rest, ok := strings.Cut(finalStats, " victims["); ok {
+		rep.Victims, _, _ = strings.Cut(rest, "]")
 	}
 	if proxy != nil {
 		rep.ChaosStats = fmt.Sprintf("%+v", proxy.Stats())

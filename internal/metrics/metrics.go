@@ -153,6 +153,9 @@ type RoundStats struct {
 	// Fired names what made the middleware's loop run this round (one of the
 	// Fired* reasons); empty on rounds driven directly through the engine.
 	Fired string
+	// Cause names why the round's victims were aborted (one of the Victim*
+	// causes); empty on rounds without victims.
+	Cause string
 	// Partition identifies which round loop produced this record under the
 	// partitioned scheduler: a shard index for per-shard records (recorded
 	// via AddPartitionRound), MergedPartition for the merged per-round
@@ -174,6 +177,18 @@ const (
 	FiredReturned = "returned"
 	FiredProgress = "progress"
 	FiredDrain    = "drain"
+)
+
+// Why a round aborted its victims (RoundStats.Cause): the protocol declared
+// them (wound-wait), a fully blocked round broke its waits-for cycles, or the
+// oldest waiter passed the starvation bound — and then either the cycles
+// among the waiters were broken or, with no cycle to explain the wait, the
+// oldest waiter itself was aborted.
+const (
+	VictimWound         = "wound"
+	VictimCycle         = "cycle"
+	VictimStarvedCycle  = "starved-cycle"
+	VictimStarvedOldest = "starved-oldest"
 )
 
 // MergedPartition marks a RoundStats record as the merged view of one
@@ -305,6 +320,8 @@ type Summary struct {
 	Strategies map[string]int
 	// Fired counts rounds per trigger reason (RoundStats.Fired), likewise.
 	Fired map[string]int
+	// Causes counts victims (not rounds) per abort cause (RoundStats.Cause).
+	Causes map[string]int
 }
 
 // Summarise computes the aggregate view.
@@ -326,8 +343,9 @@ func (c *Collector) summariseLocked() Summary {
 		qual += int64(r.Qualified)
 		dur += r.Duration
 		s.Cross += int64(r.Cross)
-		count(&s.Strategies, r.Strategy)
-		count(&s.Fired, r.Fired)
+		count(&s.Strategies, r.Strategy, 1)
+		count(&s.Fired, r.Fired, 1)
+		count(&s.Causes, r.Cause, r.Victims)
 	}
 	n := len(c.rounds)
 	s.MeanPending = float64(pend) / float64(n)
@@ -337,16 +355,16 @@ func (c *Collector) summariseLocked() Summary {
 	return s
 }
 
-// count adds one round under name, allocating the map on first use; rounds
-// that report no name are not counted.
-func count(m *map[string]int, name string) {
+// count adds n under name, allocating the map on first use; rounds that
+// report no name are not counted.
+func count(m *map[string]int, name string, n int) {
 	if name == "" {
 		return
 	}
 	if *m == nil {
 		*m = make(map[string]int)
 	}
-	(*m)[name]++
+	(*m)[name] += n
 }
 
 // Snapshot is one consistent view of a Collector: the aggregate summary and
@@ -409,7 +427,8 @@ func (c *Collector) qualifiedImbalanceLocked() float64 {
 }
 
 // String renders the snapshot as one STATS line: the counters and tails, then
-// which evaluation strategies the rounds ran and why the rounds fired.
+// which evaluation strategies the rounds ran, why the rounds fired and why
+// transactions were aborted.
 func (s Snapshot) String() string {
 	line := fmt.Sprintf("%s latency_p50=%s latency_p99=%s latency_p999=%s exec_batches=%d exec_p99=%s",
 		s.Summary,
@@ -430,6 +449,9 @@ func (s Snapshot) String() string {
 	}
 	if fired := s.Summary.FiredString(); fired != "" {
 		line += " fired[" + fired + "]"
+	}
+	if causes := s.Summary.CauseString(); causes != "" {
+		line += " victims[" + causes + "]"
 	}
 	return line
 }
@@ -534,6 +556,10 @@ func (s Summary) StrategyString() string { return countsString(s.Strategies) }
 // FiredString renders the per-reason round counts the same way — the
 // one-line view of why rounds ran.
 func (s Summary) FiredString() string { return countsString(s.Fired) }
+
+// CauseString renders the per-cause victim counts the same way — the
+// one-line view of why transactions were aborted.
+func (s Summary) CauseString() string { return countsString(s.Causes) }
 
 func countsString(counts map[string]int) string {
 	names := make([]string, 0, len(counts))

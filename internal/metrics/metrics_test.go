@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,5 +179,31 @@ func TestStrategyCounting(t *testing.T) {
 	}
 	if got := NewCollector().Summarise().StrategyString(); got != "" {
 		t.Fatalf("empty StrategyString = %q", got)
+	}
+}
+
+// TestCauseCounting: abort causes (RoundStats.Cause) count victims, not
+// rounds — a cycle round that aborts three transactions counts three — and
+// the STATS line carries them after fired[…] as victims[…].
+func TestCauseCounting(t *testing.T) {
+	c := NewCollector()
+	c.AddRound(RoundStats{Pending: 4, Qualified: 1, Fired: FiredLevel})
+	c.AddRound(RoundStats{Pending: 4, Victims: 3, Cause: VictimCycle, Fired: FiredLevel})
+	c.AddRound(RoundStats{Pending: 4, Victims: 1, Cause: VictimStarvedOldest, Fired: FiredLevel})
+	c.AddRound(RoundStats{Pending: 4, Victims: 1, Cause: VictimStarvedOldest, Fired: FiredLevel})
+	c.AddRound(RoundStats{Pending: 4, Victims: 2, Cause: VictimStarvedCycle, Fired: FiredLevel})
+	sum := c.Summarise()
+	want := "cycle=3 starved-cycle=2 starved-oldest=2"
+	if got := sum.CauseString(); got != want {
+		t.Fatalf("CauseString = %q, want %q", got, want)
+	}
+	if sum.Aborted != 7 {
+		t.Fatalf("Aborted = %d, want 7 (the causes' total)", sum.Aborted)
+	}
+	if line := c.Snapshot().String(); !strings.HasSuffix(line, " fired[level=5] victims["+want+"]") {
+		t.Fatalf("STATS line %q does not end in fired[…] victims[…]", line)
+	}
+	if got := NewCollector().Snapshot().String(); strings.Contains(got, "victims[") {
+		t.Fatalf("STATS line without victims carries a victims field: %q", got)
 	}
 }

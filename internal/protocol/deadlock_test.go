@@ -3,6 +3,8 @@ package protocol
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/request"
@@ -263,6 +265,232 @@ func TestWaitsForMatchesLockTableReference(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("no instance produced a waits-for edge")
 	}
+}
+
+// waitsForReference is the map-based WaitsFor the dense graph replaced: the
+// same chained holder pass, with the edges added to per-transaction sets.
+func waitsForReference(pending, history []request.Request) map[int64]map[int64]bool {
+	type chains struct{ holder, pending int32 }
+	heads := make(map[int64]chains, len(pending))
+	pendingNext := make([]int32, len(pending))
+	for i, r := range pending {
+		if r.Op.IsTermination() {
+			continue
+		}
+		c := heads[r.Object]
+		pendingNext[i] = c.pending
+		c.pending = int32(i + 1)
+		heads[r.Object] = c
+	}
+	type holder struct {
+		ta    int64
+		next  int32
+		write bool
+	}
+	var holders []holder
+	finished := make(map[int64]bool)
+	for _, h := range history {
+		if h.Op.IsTermination() {
+			finished[h.TA] = true
+			continue
+		}
+		if c, ok := heads[h.Object]; ok {
+			holders = append(holders, holder{ta: h.TA, next: c.holder, write: h.Op == request.Write})
+			c.holder = int32(len(holders))
+			heads[h.Object] = c
+		}
+	}
+	edges := make(map[int64]map[int64]bool)
+	add := func(from, to int64) {
+		if from == to {
+			return
+		}
+		if edges[from] == nil {
+			edges[from] = make(map[int64]bool)
+		}
+		edges[from][to] = true
+	}
+	for _, r := range pending {
+		if r.Op.IsTermination() {
+			continue
+		}
+		c := heads[r.Object]
+		for i := c.holder; i != 0; i = holders[i-1].next {
+			h := &holders[i-1]
+			if (h.write || r.Op == request.Write) && !finished[h.ta] {
+				add(r.TA, h.ta)
+			}
+		}
+		for i := c.pending; i != 0; i = pendingNext[i-1] {
+			other := &pending[i-1]
+			if other.TA < r.TA && (other.Op == request.Write || r.Op == request.Write) {
+				add(r.TA, other.TA)
+			}
+		}
+	}
+	return edges
+}
+
+// deadlockVictimsReference is the map-based DeadlockVictims the dense search
+// replaced, kept as the oracle its victims are checked against: a recursive
+// depth-first search over sorted copies of the adjacency sets, fresh colours
+// for each victim.
+func deadlockVictimsReference(pending, history []request.Request) []int64 {
+	edges := waitsForReference(pending, history)
+	dead := make(map[int64]bool)
+	var victims []int64
+	for {
+		cyc := findCycleReference(edges, dead)
+		if cyc == nil {
+			break
+		}
+		victim := cyc[0]
+		for _, ta := range cyc {
+			if ta > victim {
+				victim = ta
+			}
+		}
+		dead[victim] = true
+		victims = append(victims, victim)
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	return victims
+}
+
+// findCycleReference returns some cycle in the graph restricted to nodes not
+// in dead, or nil. The returned slice contains exactly the nodes on the cycle.
+func findCycleReference(edges map[int64]map[int64]bool, dead map[int64]bool) []int64 {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make(map[int64]int)
+	parent := make(map[int64]int64)
+	var cycle []int64
+	var dfs func(u int64) bool
+	dfs = func(u int64) bool {
+		color[u] = grey
+		var targets []int64
+		for v := range edges[u] {
+			if !dead[v] {
+				targets = append(targets, v)
+			}
+		}
+		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+		for _, v := range targets {
+			switch color[v] {
+			case white:
+				parent[v] = u
+				if dfs(v) {
+					return true
+				}
+			case grey:
+				cycle = []int64{v}
+				for x := u; x != v; x = parent[x] {
+					cycle = append(cycle, x)
+				}
+				return true
+			}
+		}
+		color[u] = black
+		return false
+	}
+	var nodes []int64
+	for u := range edges {
+		if !dead[u] {
+			nodes = append(nodes, u)
+		}
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for _, u := range nodes {
+		if color[u] == white {
+			if dfs(u) {
+				return cycle
+			}
+		}
+	}
+	return nil
+}
+
+// checkVictimsMatchReference fails the test when the dense detector's
+// victims or edges differ from the map-based reference's on one instance,
+// and returns how many victims it chose.
+func checkVictimsMatchReference(t *testing.T, pending, history []request.Request) int {
+	t.Helper()
+	got, want := DeadlockVictims(pending, history), deadlockVictimsReference(pending, history)
+	if !slices.Equal(got, want) {
+		t.Fatalf("victims %v, reference %v\npending: %v\nhistory: %v", got, want, pending, history)
+	}
+	if g, w := WaitsFor(pending, history), waitsForReference(pending, history); !reflect.DeepEqual(g, w) {
+		t.Fatalf("waits-for edges %v, reference %v\npending: %v\nhistory: %v", g, w, pending, history)
+	}
+	return len(got)
+}
+
+// TestDeadlockVictimsMatchReference: the dense waits-for search picks exactly
+// the map-based reference's victims — same cycles found in the same order —
+// on small random instances and on dense lock-table ones (few objects, many
+// conflicting transactions, so cycles and repeated victim rounds are common).
+func TestDeadlockVictimsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	victims, multi := 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		pending, history := randInstance(rng)
+		victims += checkVictimsMatchReference(t, pending, history)
+		pending, history = lockInstance(rng, 1+rng.Intn(60), rng.Intn(200), 2+rng.Int63n(30), 1+rng.Int63n(20))
+		n := checkVictimsMatchReference(t, pending, history)
+		victims += n
+		if n > 1 {
+			multi++
+		}
+	}
+	t.Logf("3000 instances, %d victims, %d instances with more than one", victims, multi)
+	if victims < 1000 || multi < 100 {
+		t.Fatalf("only %d victims (%d multi-victim instances): the instances hardly deadlock", victims, multi)
+	}
+}
+
+// decodeInstance turns fuzz bytes into a pending batch and a history: each
+// three bytes are one request — the first picks the side (high bit) and the
+// transaction (1..16), the second the operation, the third the object (0..15).
+func decodeInstance(data []byte) (pending, history []request.Request) {
+	ops := []request.Op{request.Read, request.Write, request.Commit, request.Abort}
+	intra := make(map[int64]int64)
+	for i := 0; i+2 < len(data); i += 3 {
+		ta := 1 + int64(data[i]&15)
+		r := request.Request{ID: int64(i/3 + 1), TA: ta, IntraTA: intra[ta], Op: ops[data[i+1]%4], Object: int64(data[i+2] % 16)}
+		intra[ta]++
+		if r.Op.IsTermination() {
+			r.Object = request.NoObject
+		}
+		if data[i]&0x80 != 0 {
+			pending = append(pending, r)
+		} else {
+			history = append(history, r)
+		}
+	}
+	return pending, history
+}
+
+// FuzzDeadlockVictims checks the dense detector against the map-based
+// reference on byte-coded instances.
+func FuzzDeadlockVictims(f *testing.F) {
+	f.Add([]byte{})
+	// A two-cycle: ta1 and ta2 each hold a write lock the other wants.
+	f.Add([]byte{0x00, 1, 1, 0x01, 1, 2, 0x80, 1, 2, 0x81, 1, 1})
+	// A three-cycle beside an intra-batch wait and a finished holder.
+	f.Add([]byte{0x00, 1, 1, 0x01, 1, 2, 0x02, 1, 3, 0x80, 1, 2, 0x81, 1, 3, 0x82, 1, 1, 0x83, 1, 1, 0x04, 0, 4, 0x04, 2, 0, 0x85, 1, 4})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 3*(10+rng.Intn(40)))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pending, history := decodeInstance(data)
+		checkVictimsMatchReference(t, pending, history)
+	})
 }
 
 // TestWaitsForAllocatesForContentionNotHistory: on a paper-mix-sized round —

@@ -23,16 +23,14 @@ type SQLProtocol struct {
 	name  string
 	query *minisql.Query
 
-	// Incremental state (QualifyIncremental): cached requests/history
-	// relations maintained by per-round append/delete instead of full
-	// rebuilds, and the byKey restoration map kept in step with pending.
-	// The cached relations also carry the executor's multi-column equality
-	// indexes (relation.EqIndex) across rounds: history appends extend them
-	// in place, so only rounds that delete rows pay a rebuild.
-	warm       bool
-	pendingRel *relation.Relation
-	histRel    *relation.Relation
-	byKey      map[request.Key]request.Request
+	// Incremental state (QualifyIncremental): warm marks that byKey (the
+	// SLA-field restoration map, kept in step with pending) and histLen (the
+	// history size the deltas imply) mirror the scheduler's slices. No copy
+	// of either relation is kept: the paths that read whole relations build
+	// them from the slices when they run.
+	warm    bool
+	byKey   map[request.Key]request.Request
+	histLen int
 
 	// The compiled plan (shared by every evaluation path) and the
 	// materialized-view cache over it, keyed by query shape: the plan is
@@ -79,8 +77,7 @@ type SQLProtocol struct {
 	// maintained tuple by tuple, "sql-ivm-bulk" when the maintenance round
 	// recomputed at least one join-family node wholesale (the bulk path),
 	// "sql-ivm-build" when the cache was (re)materialized, "sql-warm" when
-	// the query re-ran over the patched cached relations, "sql-cold" for a
-	// full rebuild.
+	// the query re-ran on a warm round, "sql-cold" for a full rebuild.
 	lastStrategy string
 
 	// decomposable claims per-object decomposability (see
@@ -182,69 +179,63 @@ func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Req
 	p.warm = false
 	p.dropIVM()
 	p.lastStrategy = "sql-cold"
-	reqRel, histRel, byKey := materialise(pending, history)
-	return p.run(reqRel, histRel, byKey)
+	return p.run(pending, history, pendingByKey(pending))
 }
 
-// materialise builds the two catalog relations and the byKey restoration
-// map from scratch — shared by the cold path and the incremental rebuild.
-func materialise(pending, history []request.Request) (*relation.Relation, *relation.Relation, map[request.Key]request.Request) {
+// pendingByKey builds the byKey restoration map from scratch — shared by the
+// cold path and the incremental rebuild.
+func pendingByKey(pending []request.Request) map[request.Key]request.Request {
 	byKey := make(map[request.Key]request.Request, len(pending))
 	for _, r := range pending {
 		byKey[r.Key()] = r
 	}
-	return request.ToRelation(pending), request.ToRelation(history), byKey
+	return byKey
 }
 
-// QualifyIncremental implements IncrementalProtocol: the cached requests and
-// history relations are patched with the round's appends and removals (by
-// unique request id), and the byKey restoration map is no longer rebuilt
-// from scratch when pending is unchanged. On warm rounds the adaptive cost
-// model picks among patching the materialized view cache with the round's
-// deltas (sql-ivm per tuple, sql-ivm-bulk when the deltas are large enough
-// that affected nodes are recomputed wholesale) and re-running the query
-// over the patched relations (sql-warm); the first warm round a delta path
-// is chosen pays the view materialization (sql-ivm-build). A sql-warm round
-// while the cache is alive queues its deltas for later replay instead of
-// dropping the cache (see SQLProtocol.deferred).
+// QualifyIncremental implements IncrementalProtocol: the byKey restoration
+// map is patched with the round's pending changes instead of being rebuilt.
+// On warm rounds the adaptive cost model picks among patching the
+// materialized view cache with the round's deltas (sql-ivm per tuple,
+// sql-ivm-bulk when the deltas are large enough that affected nodes are
+// recomputed wholesale) and re-running the query over the slices (sql-warm);
+// the first warm round a delta path is chosen pays the view materialization
+// (sql-ivm-build). A sql-warm round while the cache is alive queues its
+// deltas for later replay instead of dropping the cache (see
+// SQLProtocol.deferred).
 func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	p.resetScratch()
 	if p.warm {
 		// Pending removals precede adds chronologically (see Deltas):
 		// delete first so a re-admitted key keeps its newest request.
-		deleteByID(p.pendingRel, d.PendingRemoved)
 		for _, r := range d.PendingRemoved {
 			delete(p.byKey, r.Key())
 		}
 		for _, r := range d.PendingAdded {
-			p.pendingRel.MustAppend(r.Tuple())
 			p.byKey[r.Key()] = r
 		}
-		// History is the opposite order: executed this round, then GC'd.
-		for _, r := range d.HistoryAppended {
-			p.histRel.MustAppend(r.Tuple())
-		}
-		deleteByID(p.histRel, d.HistoryRemoved)
-		if p.pendingRel.Len() != len(pending) || p.histRel.Len() != len(history) {
-			p.warm = false // mirror diverged; rebuild below
+		// Divergence guard: the pending map and the history size the deltas
+		// imply must land on the passed slices.
+		p.histLen += len(d.HistoryAppended) - len(d.HistoryRemoved)
+		if len(p.byKey) != len(pending) || p.histLen != len(history) {
+			p.warm = false // rebuild below
 		}
 	}
 	if !p.warm {
 		// Cold rebuild: the deltas are no longer exact relative to any
 		// maintained state, so the view cache goes too (see the
 		// IncrementalProtocol contract).
-		p.pendingRel, p.histRel, p.byKey = materialise(pending, history)
+		p.byKey, p.histLen = pendingByKey(pending), len(history)
 		p.dropIVM()
 		p.warm = true
 		p.lastStrategy = "sql-cold"
-		return p.run(p.pendingRel, p.histRel, p.byKey)
+		return p.run(pending, history, p.byKey)
 	}
 
 	churn := len(d.PendingAdded) + len(d.PendingRemoved) + len(d.HistoryAppended) + len(d.HistoryRemoved)
-	standing := p.pendingRel.Len() + p.histRel.Len()
+	standing := len(pending) + len(history)
 	if p.chooseIVM(churn, standing) {
 		if p.ivm == nil {
-			if out, ok := p.buildIVM(); ok {
+			if out, ok := p.buildIVM(pending, history); ok {
 				return out, nil
 			}
 		} else {
@@ -304,8 +295,8 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 					}
 				}
 			}
-			// Divergence (or a result error): drop the views and answer from
-			// the patched relations; the next warm round rematerializes.
+			// Divergence (or a result error): drop the views and answer by
+			// re-running the query; the next warm round rematerializes.
 			p.dropIVM()
 		}
 	} else if p.ivm != nil {
@@ -321,7 +312,7 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		}
 	}
 	start := time.Now()
-	out, err := p.run(p.pendingRel, p.histRel, p.byKey)
+	out, err := p.run(pending, history, p.byKey)
 	if err == nil {
 		elapsed := float64(time.Since(start).Nanoseconds())
 		p.coldCost.Observe(elapsed, standing)
@@ -366,8 +357,8 @@ const sqlIVMBuildHysteresis = 4
 // SetForceStrategy pins the warm-round evaluation path for tests and
 // ablations: "ivm" (per-tuple delta maintenance, bulk recomputation
 // disabled), "bulk" (delta maintenance with every join-family node
-// recomputed wholesale), "warm" (full re-evaluation over the patched
-// relations), or "" to restore the adaptive cost model.
+// recomputed wholesale), "warm" (full re-evaluation), or "" to restore the
+// adaptive cost model.
 func (p *SQLProtocol) SetForceStrategy(s string) { p.forceStrategy = s }
 
 // chooseIVM is the warm-round strategy decision: a three-way cost
@@ -425,17 +416,18 @@ func (p *SQLProtocol) chooseIVM(churn, standing int) bool {
 	return pick != 2
 }
 
-// buildIVM materializes the view cache from the current patched relations
-// and answers the round from it. A build failure (a query shape without
-// delta rules, e.g. LIMIT) disables the IVM path for this protocol instance;
-// the caller falls through to the full re-run.
-func (p *SQLProtocol) buildIVM() ([]request.Request, bool) {
-	plan, err := p.compiledPlan(p.pendingRel.Schema(), p.histRel.Schema())
+// buildIVM materializes the view cache from the round's slices and answers
+// the round from it. A build failure (a query shape without delta rules,
+// e.g. LIMIT) disables the IVM path for this protocol instance; the caller
+// falls through to the full re-run.
+func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, bool) {
+	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
+	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
 	if err != nil {
 		p.ivmUnsupported = true
 		return nil, false
 	}
-	cat := minisql.Catalog{"requests": p.pendingRel, "history": p.histRel}
+	cat := minisql.Catalog{"requests": reqRel, "history": histRel}
 	m, err := minisql.NewIVM(plan, cat, p.opts)
 	if err != nil {
 		p.ivmUnsupported = true
@@ -468,19 +460,6 @@ func toTuples(rs []request.Request) []relation.Tuple {
 	return out
 }
 
-// deleteByID removes the rows of rel whose id column matches a removed
-// request (ids are globally unique, so this is exact).
-func deleteByID(rel *relation.Relation, removed []request.Request) {
-	if len(removed) == 0 {
-		return
-	}
-	ids := make(map[int64]bool, len(removed))
-	for _, r := range removed {
-		ids[r.ID] = true
-	}
-	rel.Delete(func(t relation.Tuple) bool { return ids[t[0].AsInt()] })
-}
-
 // compiledPlan returns the cached plan for the given base schemas, compiling
 // on first use or when the query shape (schema fingerprint) changed — which
 // also invalidates the view cache built over the old plan.
@@ -502,12 +481,14 @@ func (p *SQLProtocol) compiledPlan(reqS, histS *relation.Schema) (*minisql.Plan,
 	return p.plan, nil
 }
 
-func (p *SQLProtocol) run(requests, history *relation.Relation, byKey map[request.Key]request.Request) ([]request.Request, error) {
-	plan, err := p.compiledPlan(requests.Schema(), history.Schema())
+// run evaluates the query over relations built from the slices.
+func (p *SQLProtocol) run(pending, history []request.Request, byKey map[request.Key]request.Request) ([]request.Request, error) {
+	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
+	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	out, err := plan.Eval(minisql.Catalog{"requests": requests, "history": history}, p.opts)
+	out, err := plan.Eval(minisql.Catalog{"requests": reqRel, "history": histRel}, p.opts)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}

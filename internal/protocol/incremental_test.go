@@ -550,6 +550,92 @@ func TestSQLWarmRoundDefersDeltasAndReplays(t *testing.T) {
 	}
 }
 
+// TestQualifyIncrementalFallsBackOnDivergentDeltas: a warm round whose
+// Deltas disagree with the passed slices — a history row collected without
+// its HistoryRemoved, a HistoryAppended the history never got, a pending
+// request dropped without its PendingRemoved — must be caught by the
+// protocol's divergence guard and answered cold, equal to a cold Qualify on
+// a fresh twin; the next honest round is warm again and still equal. The
+// same table runs over the SQL protocol (view cache forced on, so a missed
+// divergence would reach the maintained views) and the Datalog one.
+func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
+	req := func(id, ta, intra int64, op request.Op, obj int64) request.Request {
+		if op.IsTermination() {
+			obj = request.NoObject
+		}
+		return request.Request{ID: id, TA: ta, IntraTA: intra, Op: op, Object: obj, Arrival: id}
+	}
+	// ta1 finished (its rows await GC), ta2 and ta3 hold locks; ta4 and ta5
+	// wait on them, ta6 and ta2's next request qualify. Each divergence
+	// below changes the qualified set, so a stale answer cannot pass.
+	history := []request.Request{
+		req(1, 1, 0, request.Write, 1), req(2, 1, 1, request.Commit, 0),
+		req(3, 2, 0, request.Write, 2), req(4, 3, 0, request.Read, 3),
+	}
+	pending := []request.Request{
+		req(5, 4, 0, request.Write, 2), req(6, 5, 0, request.Write, 3),
+		req(7, 6, 0, request.Read, 1), req(8, 6, 1, request.Write, 4), req(9, 2, 1, request.Read, 5),
+	}
+	cases := []struct {
+		name             string
+		pending, history []request.Request
+		d                Deltas
+	}{
+		// ta2's lock on object 2 is gone: ta4's write qualifies.
+		{"dropped HistoryRemoved", pending, []request.Request{history[0], history[1], history[3]}, Deltas{}},
+		// A write lock on object 5 the history never got would block ta2's read.
+		{"extra HistoryAppended", pending, history, Deltas{HistoryAppended: []request.Request{req(10, 7, 0, request.Write, 5)}}},
+		// ta6's qualifying read left pending unannounced.
+		{"missing PendingRemoved", []request.Request{pending[0], pending[1], pending[3], pending[4]}, history, Deltas{}},
+	}
+	protocols := []struct {
+		name     string
+		warm     func() IncrementalProtocol
+		cold     func() Protocol
+		coldName string
+	}{
+		{"sql", func() IncrementalProtocol {
+			p := SS2PLSQL()
+			p.SetForceStrategy("ivm")
+			return p
+		}, func() Protocol { return SS2PLSQL() }, "sql-cold"},
+		{"datalog", func() IncrementalProtocol { return SS2PLDatalog() },
+			func() Protocol { return SS2PLDatalog() }, datalog.StrategyCold},
+	}
+	for _, pc := range protocols {
+		for _, tc := range cases {
+			t.Run(pc.name+"/"+tc.name, func(t *testing.T) {
+				p := pc.warm()
+				round := func(stage string, pending, history []request.Request, d Deltas) string {
+					t.Helper()
+					got, err := p.QualifyIncremental(pending, history, d)
+					if err != nil {
+						t.Fatalf("%s: %v", stage, err)
+					}
+					want, err := pc.cold().Qualify(pending, history)
+					if err != nil {
+						t.Fatalf("%s cold: %v", stage, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: diverged from the cold oracle\nwarm: %v\ncold: %v", stage, got, want)
+					}
+					return p.(StrategyReporter).LastStrategy()
+				}
+				round("first", pending, history, Deltas{PendingAdded: pending, HistoryAppended: history})
+				if s := round("warm-up", pending, history, Deltas{}); s == pc.coldName {
+					t.Fatalf("warm-up round ran %s", s)
+				}
+				if s := round("divergent", tc.pending, tc.history, tc.d); s != pc.coldName {
+					t.Fatalf("divergent deltas ran %s, want %s", s, pc.coldName)
+				}
+				if s := round("honest", tc.pending, tc.history, Deltas{}); s == pc.coldName {
+					t.Fatalf("the round after the rebuild ran %s again", s)
+				}
+			})
+		}
+	}
+}
+
 // TestQualifyInvalidatesIncrementalState: a direct Qualify call between
 // incremental rounds must not poison subsequent warm rounds.
 func TestQualifyIncrementalSurvivesColdInterleaving(t *testing.T) {

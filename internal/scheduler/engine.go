@@ -399,7 +399,7 @@ func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
 	if err := e.drain(deliver); err != nil {
 		return res, err
 	}
-	dup, qualDur := 0, time.Duration(0)
+	dup, qualDur, cause := 0, time.Duration(0), ""
 	if len(e.active) > 0 {
 		// Stages 1+2 per shard — admit, qualify.
 		qualStart := time.Now()
@@ -417,7 +417,7 @@ func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
 		e.capQualified()
 		e.stripUnagreed()
 		// Stage 3 — resolve: decide which transactions abort this round.
-		res.Victims = e.resolve()
+		res.Victims, cause = e.resolve()
 		e.abortVictims(res.Victims)
 		dup = e.settleTerminations(&res)
 		// Stage 4 per shard — commit: apply every bookkeeping consequence to
@@ -429,6 +429,7 @@ func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
 		e.foldLoads()
 	}
 	e.roundStats(&res, dup, qualDur)
+	res.Stats.Cause = cause
 	res.Stats.Total = time.Since(start)
 	return res, nil
 }
@@ -559,19 +560,19 @@ func (e *Engine) capQualified() {
 	}
 }
 
-// resolve (stage 3) returns the transactions to abort this round:
-// protocol-declared wounds first, then reactive deadlock detection when the
-// round is fully blocked, then the waiting-age starvation bound — each over
-// the union of the shards, so a partitioned engine decides what one shard
-// would.
-func (e *Engine) resolve() []int64 {
+// resolve (stage 3) returns the transactions to abort this round and why (a
+// metrics.Victim* cause, empty without victims): protocol-declared wounds
+// first, then reactive deadlock detection when the round is fully blocked,
+// then the waiting-age starvation bound — each over the union of the shards,
+// so a partitioned engine decides what one shard would.
+func (e *Engine) resolve() ([]int64, string) {
 	if e.cfg.Mode != Scheduling {
-		return nil
+		return nil, ""
 	}
 	// Protocol-declared aborts (wound-wait style prevention): the protocol's
 	// own wound decision takes precedence over reactive deadlock detection.
 	if victims := e.wounds(); len(victims) > 0 {
-		return victims
+		return victims, metrics.VictimWound
 	}
 	qualified, pending := 0, 0
 	for _, s := range e.active {
@@ -583,7 +584,7 @@ func (e *Engine) resolve() []int64 {
 	// waits-for cycle, exactly like the native scheduler's victim policy.
 	if qualified == 0 && pending > 0 {
 		if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
-			return victims
+			return victims, metrics.VictimCycle
 		}
 	}
 	// Starvation bound: when the oldest waiter has gone StarveAfter rounds
@@ -594,12 +595,12 @@ func (e *Engine) resolve() []int64 {
 	if e.starveAfter > 0 {
 		if ta, since, ok := e.oldestBlocked(); ok && e.rounds-since >= e.starveAfter {
 			if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
-				return victims
+				return victims, metrics.VictimStarvedCycle
 			}
-			return []int64{ta}
+			return []int64{ta}, metrics.VictimStarvedOldest
 		}
 	}
-	return nil
+	return nil, ""
 }
 
 // wounds unions the active shards' protocol-declared aborts, ascending.

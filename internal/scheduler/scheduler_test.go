@@ -147,6 +147,73 @@ func TestEngineVictimWritesCompensated(t *testing.T) {
 	}
 }
 
+// TestRoundStatsRecordVictimCause: each way resolve aborts a transaction is
+// recorded on the round as its cause — a wound-wait wound; a fully blocked
+// 2-cycle; the same cycle among a subset of the batch while other clients
+// progress, found once the oldest waiter passes StarveAfter; and a waiter
+// behind a live holder past StarveAfter with no cycle to explain the wait.
+// Rounds without victims record no cause.
+func TestRoundStatsRecordVictimCause(t *testing.T) {
+	w := func(ta, intra, obj int64) request.Request {
+		return request.Request{TA: ta, IntraTA: intra, Op: request.Write, Object: obj}
+	}
+	crossed := [][]request.Request{{w(1, 0, 1), w(2, 0, 2)}, {w(1, 1, 2), w(2, 1, 1)}}
+	for _, tc := range []struct {
+		name   string
+		proto  protocol.Protocol
+		rounds [][]request.Request // enqueued one batch per round
+		filler bool                // an unrelated transaction commits every round
+		victim int64
+		cause  string
+	}{
+		{"wound", protocol.WoundWaitDatalog(),
+			[][]request.Request{{w(5, 0, 7)}, {{TA: 2, Op: request.Read, Object: 7}}}, false, 5, metrics.VictimWound},
+		{"blocked 2-cycle", protocol.SS2PLDatalog(), crossed, false, 2, metrics.VictimCycle},
+		{"cycle among a subset", protocol.SS2PLDatalog(), crossed, true, 2, metrics.VictimStarvedCycle},
+		{"waiter behind a live holder", protocol.SS2PLDatalog(),
+			[][]request.Request{{w(1, 0, 1)}, {w(2, 0, 1)}}, true, 2, metrics.VictimStarvedOldest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(Config{
+				Protocol:    tc.proto,
+				Server:      storage.NewServer(storage.Config{Rows: 4096}),
+				StarveAfter: 5,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 20; round++ {
+				if round < len(tc.rounds) {
+					e.Enqueue(tc.rounds[round]...)
+				}
+				if tc.filler {
+					ta := int64(100 + round)
+					e.Enqueue(w(ta, 0, 1000+ta), request.Request{TA: ta, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
+				}
+				res, err := e.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Victims) == 0 {
+					if res.Stats.Cause != "" {
+						t.Fatalf("round %d: no victims but cause %q", round, res.Stats.Cause)
+					}
+					continue
+				}
+				if len(res.Victims) != 1 || res.Victims[0] != tc.victim || res.Stats.Victims != 1 || res.Stats.Cause != tc.cause {
+					t.Fatalf("round %d: victims %v (stats %d) cause %q, want [%d] cause %q",
+						round, res.Victims, res.Stats.Victims, res.Stats.Cause, tc.victim, tc.cause)
+				}
+				if tc.filler && round < 5 {
+					t.Fatalf("round %d: the starvation bound (5 rounds) fired early", round)
+				}
+				return
+			}
+			t.Fatal("no victim in 20 rounds")
+		})
+	}
+}
+
 func TestEngineWoundWaitAbortsDeclaredVictims(t *testing.T) {
 	srv := storage.NewServer(storage.Config{Rows: 10})
 	e, err := NewEngine(Config{Protocol: protocol.WoundWaitDatalog(), Server: srv, KeepLog: true})

@@ -42,7 +42,11 @@ GUARD_FACTOR="${GUARD_FACTOR:-2}"
 # bench server's Every (200us) after the last plus a kernel sleep's wake-up
 # (~0.3 ms; 2.4 ms while each request sat out a runtime timer that an idle
 # process serves a millisecond late — re-baselined in BENCH_19.json, where a
-# 2x gate first means something).
+# 2x gate first means something). The deadlock search on a paper-mix-sized
+# round (200 pending, 5,000 history rows) guards the resolve stage, which the
+# starvation bound runs on most paper-mix rounds: one filtered history pass
+# and a search over dense arrays (42 us, 29 allocs in BENCH_22.json; the
+# map-based detector it replaced took 117-206 us and 137 on the same box).
 GUARDED='BenchmarkDatalogIncrementalRound/warm
 BenchmarkSS2PLQueryDatalog/clients=300
 BenchmarkSS2PLQuerySQL/clients=300
@@ -53,7 +57,8 @@ BenchmarkMiddlewareRoundPartitioned/partitions=1/clients=3000
 BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/static
 BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/rebalanced
 BenchmarkNetRoundTrip
-BenchmarkNetMultiplexed'
+BenchmarkNetMultiplexed
+BenchmarkDeadlockVictims'
 
 latest=$( (ls BENCH_*.json 2>/dev/null || true) | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
 if [ -z "${latest}" ]; then
