@@ -712,29 +712,30 @@ func BenchmarkMiddlewarePipelined(b *testing.B) {
 	})
 	b.Run("slow-server/pipelined", func(b *testing.B) {
 		engine := mkEngine()
-		engine.StartExecutors()
-		ta := int64(1)
+		// The one executor writes these; they are read after StopExecutors.
 		completed := 0
-		collect := func(c scheduler.Completion) {
-			if c.Err != nil {
-				b.Fatal(c.Err)
+		var execErr error
+		engine.StartExecutors(func(c scheduler.Completion) {
+			if c.Err != nil && execErr == nil {
+				execErr = c.Err
 			}
 			completed += len(c.Executed)
-		}
+		})
+		ta := int64(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			feed(engine, &ta)
-			if _, err := engine.RoundDeferred(collect); err != nil {
+			if _, err := engine.RoundDeferred(); err != nil {
 				b.Fatal(err)
 			}
 		}
 		// The last in-flight batches are part of the measured work.
 		engine.StopExecutors()
-		for c := range engine.Completions() {
-			collect(c)
-		}
 		b.StopTimer()
+		if execErr != nil {
+			b.Fatal(execErr)
+		}
 		if completed == 0 {
 			b.Fatal("no completions")
 		}

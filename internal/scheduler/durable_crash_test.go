@@ -421,7 +421,12 @@ func TestCrashRecoveryPropertyPartitioned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pe.StartExecutors()
+			// The executors feed this channel and the driver drains it between
+			// rounds; it holds every batch a drain can leave in flight (a full
+			// pipeline per shard plus one round's plans), so an executor never
+			// blocks on it while the driver waits on an executor.
+			completions := make(chan Completion, 4*(pipelineDepth+2))
+			pe.StartExecutors(func(c Completion) { completions <- c })
 			acked, victims = map[int64]bool{}, map[int64]bool{}
 			dead := map[int64]bool{}
 			cursor := make([]int, len(clients))
@@ -465,7 +470,7 @@ func TestCrashRecoveryPropertyPartitioned(t *testing.T) {
 				if idle && !busy {
 					break
 				}
-				res, err := pe.RoundDeferred(handle)
+				res, err := pe.RoundDeferred()
 				if err != nil {
 					crashed = true
 					break
@@ -477,7 +482,7 @@ func TestCrashRecoveryPropertyPartitioned(t *testing.T) {
 				}
 				for drained := false; !drained; {
 					select {
-					case c := <-pe.Completions():
+					case c := <-completions:
 						handle(c)
 					default:
 						drained = true
@@ -485,7 +490,8 @@ func TestCrashRecoveryPropertyPartitioned(t *testing.T) {
 				}
 			}
 			pe.StopExecutors()
-			for c := range pe.Completions() {
+			close(completions)
+			for c := range completions {
 				handle(c)
 			}
 			return pe, srv, acked, victims, crashed

@@ -215,9 +215,11 @@ type Engine struct {
 	present      map[request.Key]uint64
 	commitWrites map[int64]int
 
-	// Deferred execution (per-shard executors), started on demand.
+	// Deferred execution (per-shard executors), started on demand. quiet
+	// carries the wake-up of a quiescing migration (executor.go).
 	execOnce sync.Once
-	done     chan Completion
+	execWG   sync.WaitGroup
+	quiet    chan struct{}
 	stopOnce sync.Once
 
 	fatalMu sync.Mutex
@@ -359,7 +361,7 @@ func (e *Engine) Enqueue(rs ...request.Request) {
 // order — the deterministic oracle-comparable mode; RoundDeferred runs the
 // plans on the per-shard executors.
 func (e *Engine) Round() (RoundResult, error) {
-	res, err := e.schedule(nil)
+	res, err := e.schedule()
 	if err != nil {
 		return res, err
 	}
@@ -390,13 +392,11 @@ func (e *Engine) Round() (RoundResult, error) {
 // commit run per shard (in parallel across shards); everything between
 // qualification and commit is the single-threaded sequencer, whose
 // multi-shard steps (partition.go) return at once on a one-shard engine.
-// deliver drains executor completions while a migration quiesces in-flight
-// plans; nil in synchronous mode.
-func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
+func (e *Engine) schedule() (RoundResult, error) {
 	start := time.Now()
 	e.rounds++
 	var res RoundResult
-	if err := e.drain(deliver); err != nil {
+	if err := e.drain(); err != nil {
 		return res, err
 	}
 	dup, qualDur, cause := 0, time.Duration(0), ""
@@ -437,7 +437,7 @@ func (e *Engine) schedule(deliver func(Completion)) (RoundResult, error) {
 // drain opens the round: it empties the admission queues (one buffer swap
 // per shard), lets the rebalancer move slots between rounds, and lists the
 // shards that take part — those with admissions or pending work.
-func (e *Engine) drain(deliver func(Completion)) error {
+func (e *Engine) drain() error {
 	drained := 0
 	for _, sh := range e.shards {
 		sh.round = e.rounds
@@ -449,7 +449,7 @@ func (e *Engine) drain(deliver func(Completion)) error {
 	}
 	e.queued.Add(-int64(drained))
 	if len(e.shards) > 1 {
-		if err := e.rebalance(deliver); err != nil {
+		if err := e.rebalance(); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,6 @@
 package scheduler
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Deferred execution overlaps a round's server execution with the next
 // round's qualification. Engine.schedule settles every input the next
@@ -11,16 +8,20 @@ import (
 // protocols' change log — before any server call, so the only work left in a
 // round's tail is I/O against the (possibly remote) storage server.
 // RoundDeferred hands that tail to one executor goroutine per shard and
-// returns as soon as the round is scheduled; each plan's results arrive
-// later on Completions. Remote-server latency (internal/netproto front-ends
-// talking to a slow internal/storage) then costs pipeline fill instead of
-// stalling every round: steady-state round throughput is limited by
-// max(qualify, execute) rather than their sum.
+// returns as soon as the round is scheduled; each executor hands every batch
+// it executed to the deliver callback given to StartExecutors, straight from
+// its own goroutine, so a reply never waits for the round loop. Remote-server
+// latency (internal/netproto front-ends talking to a slow internal/storage)
+// then costs pipeline fill instead of stalling every round: steady-state
+// round throughput is limited by max(qualify, execute) rather than their sum.
 //
-// Ordering guarantees: a shard's plans execute FIFO in round order, and an
-// abort's write compensations are part of the round that aborted it, so they
-// run strictly after the plans that executed those writes — with one shard,
-// exactly the synchronous mode's server-visible order.
+// Ordering guarantees: a shard's plans execute and are delivered FIFO in
+// round order, and an abort's write compensations are part of the round that
+// aborted it, so they run strictly after the plans that executed those
+// writes — with one shard, exactly the synchronous mode's server-visible
+// order. Across shards the interleaving is unspecified (as is the
+// server-visible cross-shard order — same-object requests never split across
+// shards).
 
 // Completion delivers the deferred tail of one round: the executed requests
 // with their server results, in execution order.
@@ -38,46 +39,34 @@ type Completion struct {
 
 // pipelineDepth bounds how many scheduled-but-unexecuted plans may be in
 // flight per shard. When an executor falls this far behind, RoundDeferred
-// blocks handing over the plan (draining completions meanwhile) — natural
-// backpressure that degrades toward the synchronous mode's behavior instead
-// of growing an unbounded backlog of promised executions.
+// blocks handing over the plan — natural backpressure that degrades toward
+// the synchronous mode's behavior instead of growing an unbounded backlog of
+// promised executions.
 const pipelineDepth = 32
 
 // StartExecutors launches one executor goroutine per shard for deferred
-// (pipelined) execution. Completions from all shards merge onto one channel,
-// each stamped with its partition. Idempotent.
-func (e *Engine) StartExecutors() {
+// (pipelined) execution. Each executor calls deliver with every batch it
+// executed, on its own goroutine: with more than one shard deliver runs
+// concurrently with itself and with the round loop, and it must not call back
+// into the engine. Idempotent.
+func (e *Engine) StartExecutors(deliver func(Completion)) {
 	e.execOnce.Do(func() {
-		e.done = make(chan Completion, len(e.shards)*pipelineDepth)
-		var wg sync.WaitGroup
+		e.quiet = make(chan struct{}, 1)
 		for _, sh := range e.shards {
 			sh.jobs = make(chan execPlan, pipelineDepth)
-			wg.Add(1)
+			e.execWG.Add(1)
 			go func(sh *shard) {
-				defer wg.Done()
-				e.runExecutor(sh)
+				defer e.execWG.Done()
+				e.runExecutor(sh, deliver)
 			}(sh)
 		}
-		go func() {
-			wg.Wait()
-			close(e.done)
-		}()
 	})
 }
 
-// Completions delivers each shard plan's executed batch. Per shard the order
-// is FIFO round order; across shards the interleaving is unspecified (as is
-// the server-visible cross-shard order — same-object requests never split
-// across shards). The channel closes after StopExecutors once all in-flight
-// work is delivered.
-func (e *Engine) Completions() <-chan Completion { return e.done }
-
-// StopExecutors lets the executors finish in-flight work and exit; no
-// RoundDeferred calls may follow. The caller must then drain Completions
-// (the channel closes after the last batch) — the executors block on
-// undelivered completions, not drop them.
+// StopExecutors lets the executors finish and deliver their in-flight work,
+// and returns once they have exited; no RoundDeferred calls may follow.
 func (e *Engine) StopExecutors() {
-	if e.done == nil {
+	if e.quiet == nil {
 		return
 	}
 	e.stopOnce.Do(func() {
@@ -85,29 +74,32 @@ func (e *Engine) StopExecutors() {
 			close(sh.jobs)
 		}
 	})
+	e.execWG.Wait()
 }
 
-// runExecutor performs one shard's plans in round order and reports
-// completions.
-func (e *Engine) runExecutor(sh *shard) {
+// runExecutor performs one shard's plans in round order and delivers each
+// batch.
+func (e *Engine) runExecutor(sh *shard, deliver func(Completion)) {
 	for plan := range sh.jobs {
-		if err := e.Err(); err != nil {
-			// Drain without executing after a fatal divergence, but still
-			// report each plan so no waiter is left hanging.
-			e.inflight.Add(-1)
-			e.done <- Completion{Round: plan.round, Err: err, Partition: sh.idx}
-			continue
+		c := Completion{Round: plan.round, Partition: sh.idx}
+		if c.Err = e.Err(); c.Err == nil {
+			start := time.Now()
+			c.Executed, c.Err = sh.execute(plan)
+			c.Exec = time.Since(start)
+			if c.Err != nil {
+				e.setFatal(c.Err)
+			}
 		}
-		start := time.Now()
-		executed, err := sh.execute(plan)
-		if err != nil {
-			e.setFatal(err)
+		// After a fatal divergence the plan is reported, not executed, so no
+		// waiter is left hanging. Either way its effects are settled: a
+		// quiescing migration may proceed while the batch is delivered.
+		if e.inflight.Add(-1) == 0 {
+			select {
+			case e.quiet <- struct{}{}:
+			default:
+			}
 		}
-		// Decrement before sending: the plan's effects are fully applied, so
-		// a quiescing migration may proceed even while the completion is
-		// still in flight to the caller.
-		e.inflight.Add(-1)
-		e.done <- Completion{Round: plan.round, Executed: executed, Exec: time.Since(start), Err: err, Partition: sh.idx}
+		deliver(c)
 	}
 }
 
@@ -128,19 +120,17 @@ func (e *Engine) setFatal(err error) {
 
 // RoundDeferred schedules one round (admit, qualify, resolve, commit) and
 // hands each shard's plan to its executor. The returned RoundResult carries
-// the round's victims and stats; Executed stays empty — results arrive on
-// Completions. Rounds that schedule no server work complete inline and
-// produce no completion. While waiting for executor capacity, completions
-// are delivered through deliver (which therefore must not call back into the
-// engine). StartExecutors must have been called.
-func (e *Engine) RoundDeferred(deliver func(Completion)) (RoundResult, error) {
+// the round's victims and stats; Executed stays empty — the executors deliver
+// the results. Rounds that schedule no server work complete inline and
+// produce no completion. StartExecutors must have been called.
+func (e *Engine) RoundDeferred() (RoundResult, error) {
 	if err := e.Err(); err != nil {
 		// An executor diverged (failed compensation): the stores no longer
 		// describe the server. Refuse further rounds with the sticky error
 		// instead of promising executions that will never complete.
 		return RoundResult{}, err
 	}
-	res, err := e.schedule(deliver)
+	res, err := e.schedule()
 	if err != nil {
 		return res, err
 	}
@@ -151,14 +141,7 @@ func (e *Engine) RoundDeferred(deliver func(Completion)) (RoundResult, error) {
 		// Count before sending so the migration quiesce never undercounts:
 		// the executor decrements only after applying the plan.
 		e.inflight.Add(1)
-		for sent := false; !sent; {
-			select {
-			case sh.jobs <- sh.plan:
-				sent = true
-			case c := <-e.done:
-				deliver(c)
-			}
-		}
+		sh.jobs <- sh.plan
 	}
 	return res, nil
 }

@@ -72,19 +72,20 @@ type Result struct {
 // Middleware is the concurrent front-end of the scheduler (paper Figure 1):
 // each connected client talks to its own client worker, which forwards
 // requests into the incoming queue; a scheduler loop fires rounds according
-// to the trigger policy and routes results back. The loop is event-driven: it
-// shows the trigger its Load on every arrival and delivery, and in between
-// sleeps on one timer set to the earliest deadline (the trigger's or
-// progressBound; below napBelow a kernel sleep keeps it on time), armed only
-// while something is queued or pending.
+// to the trigger policy, and results go back to the client workers. The loop
+// only schedules, and it is event-driven: it shows the trigger its Load on
+// every arrival and delivery, and in between sleeps on one timer set to the
+// earliest deadline (the trigger's or progressBound; below napBelow a kernel
+// sleep keeps it on time), armed only while something is queued or pending.
 //
 // Rounds run pipelined by default: the loop schedules a round (admit,
 // qualify, resolve, commit) and moves on — server execution happens on the
-// engine's executor goroutines and the batch's results are routed to the
-// waiting clients when its completion arrives, in execution order. Victims
-// are known at scheduling time and are notified immediately, without waiting
-// for the server. SetSynchronous restores the fully serialized round loop
-// (the property-test oracle and the baseline of the overlap benchmark).
+// engine's executor goroutines, and each executor answers its batch's waiting
+// clients itself, in execution order, as soon as the batch has executed; it
+// then pokes the loop, so the trigger sees the delivery. Victims are known at
+// scheduling time and are notified immediately, without waiting for the
+// server. SetSynchronous restores the fully serialized round loop (the
+// property-test oracle and the baseline of the overlap benchmark).
 //
 // Submit registers the waiter and enqueues directly into the engine's
 // admission queues — concurrent submissions from many client workers do not
@@ -526,7 +527,8 @@ func (m *Middleware) failAll(err error) {
 
 // deliver routes one completed batch to its waiting clients, in execution
 // order. Requests without a waiter (scheduler-internal, or failed rounds
-// already swept) are skipped.
+// already swept) are skipped. Under pipelined rounds it runs on the shards'
+// executor goroutines, concurrently with the loop and with each other.
 func (m *Middleware) deliver(c Completion) {
 	if c.Err != nil {
 		// The executor diverged from the stores (failed compensation):
@@ -573,16 +575,13 @@ func (m *Middleware) notifyVictims(victims []int64) {
 	m.mu.Unlock()
 }
 
-// loop is the round loop. Admission happened concurrently in Submit; the
-// loop only fires rounds — deferred onto the engine's executors by default,
-// inline under SetSynchronous — and routes completions.
+// loop is the round loop. Admission happened concurrently in Submit, and the
+// executors deliver their own batches; the loop only fires rounds — deferred
+// onto the engine's executors by default, inline under SetSynchronous.
 func (m *Middleware) loop() {
 	defer close(m.stopped)
-	e := m.engine
-	var done <-chan Completion
 	if !m.syncMode {
-		e.StartExecutors()
-		done = e.Completions()
+		m.engine.StartExecutors(func(c Completion) { m.deliver(c); m.poke() })
 	}
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
@@ -593,8 +592,6 @@ func (m *Middleware) loop() {
 		case <-m.stop:
 			m.shutdown()
 			return
-		case c := <-done:
-			m.deliver(c)
 		case <-m.notify:
 		case <-timer.C:
 		}
@@ -624,7 +621,7 @@ const napBelow = 500 * time.Microsecond
 // poll asks the trigger, once per wake-up, and runs a round if it or the
 // progress rule says so; otherwise it returns when idle time alone changes
 // the answer (zero: only an arrival or a delivery can). After a round the
-// loop pokes itself, so completions and Stop take their turn under load.
+// loop pokes itself, so Stop takes its turn under load.
 func (m *Middleware) poll() time.Time {
 	queued, pending := m.engine.QueueLen(), m.engine.PendingLen()
 	if queued == 0 && pending == 0 {
@@ -656,7 +653,7 @@ func (m *Middleware) runRound(why string) {
 	if m.syncMode {
 		res, err = e.Round()
 	} else {
-		res, err = e.RoundDeferred(m.deliver)
+		res, err = e.RoundDeferred()
 	}
 	m.lastRound = time.Now()
 	if err != nil {
@@ -686,8 +683,8 @@ func (m *Middleware) runRound(why string) {
 	m.notifyVictims(res.Victims)
 }
 
-// shutdown ends the loop: drain what makes progress, collect the executors'
-// in-flight work, then fail the rest.
+// shutdown ends the loop: drain what makes progress, let the executors
+// answer their in-flight work, then fail the rest.
 func (m *Middleware) shutdown() {
 	e := m.engine
 	for e.QueueLen() > 0 || e.PendingLen() > 0 {
@@ -697,12 +694,7 @@ func (m *Middleware) shutdown() {
 			break
 		}
 	}
-	if !m.syncMode {
-		e.StopExecutors()
-		for c := range e.Completions() {
-			m.deliver(c)
-		}
-	}
+	e.StopExecutors() // every in-flight batch is answered before closed
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()

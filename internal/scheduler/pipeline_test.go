@@ -1,8 +1,13 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +15,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/request"
 	"repro/internal/storage"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -102,10 +108,10 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 	}
 	syncEng, syncSrv := mk()
 	pipeEng, pipeSrv := mk()
-	pipeEng.StartExecutors()
 
+	// The one executor appends to pipeExec; it is read after StopExecutors.
 	var syncExec, pipeExec []execTrace
-	collect := func(c Completion) {
+	pipeEng.StartExecutors(func(c Completion) {
 		if c.Err != nil {
 			t.Errorf("pipeline executor failed: %v", c.Err)
 			return
@@ -113,7 +119,7 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 		for _, ex := range c.Executed {
 			pipeExec = append(pipeExec, execTrace{id: ex.Request.ID, value: ex.Value, fail: ex.Err != nil})
 		}
-	}
+	})
 
 	// Aborted transactions stop submitting (a real client would
 	// restart under a fresh TA; this script simply moves on to the
@@ -148,7 +154,7 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := pipeEng.RoundDeferred(collect)
+		pres, err := pipeEng.RoundDeferred()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,9 +174,6 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 		}
 	}
 	pipeEng.StopExecutors()
-	for c := range pipeEng.Completions() {
-		collect(c)
-	}
 
 	if syncEng.PendingLen() != 0 {
 		t.Fatalf("workload did not drain: %d pending", syncEng.PendingLen())
@@ -459,5 +462,210 @@ func TestMiddlewareNoRetryContentionDrains(t *testing.T) {
 	}
 	if err := protocol.CheckSerializable(e.History().Log()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// gated holds the engine's second qualification until gate opens. Like
+// clocked it hides the incremental interface, so every round calls Qualify;
+// calls is shared by the instances of all shards.
+type gated struct {
+	protocol.Protocol
+	calls *atomic.Int64
+	gate  chan struct{}
+}
+
+func (g gated) Qualify(pending, history []request.Request) ([]request.Request, error) {
+	if g.calls.Add(1) == 2 {
+		<-g.gate
+	}
+	return g.Protocol.Qualify(pending, history)
+}
+
+func (gated) ObjectDecomposable() bool { return true }
+
+// TestReplyDoesNotWaitForNextRound: a batch that finishes executing while the
+// loop is busy scheduling the next round is answered at once. Request A
+// qualifies in round 1 and executes for 20ms; request B fires round 2, whose
+// qualification blocks for 2s. A's reply must not wait for round 2.
+func TestReplyDoesNotWaitForNextRound(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			var calls atomic.Int64
+			gate := make(chan struct{})
+			opener := time.AfterFunc(2*time.Second, func() { close(gate) })
+			srv := storage.NewServer(storage.Config{Rows: 64, ExecDelay: func(request.Request) time.Duration { return 20 * ms }})
+			e, err := NewPartitionedEngine(PartitionedConfig{
+				Base:       Config{Server: srv},
+				Partitions: parts,
+				Factory:    func() protocol.Protocol { return gated{Protocol: protocol.FCFS{}, calls: &calls, gate: gate} },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMiddleware(e, FillTrigger{Level: 1}, nil)
+			m.Start()
+			start := time.Now()
+			replyA := make(chan Result, 1)
+			go func() { replyA <- m.Submit(request.Request{TA: 1, Op: request.Read, Object: 1}) }()
+			for calls.Load() < 1 {
+				time.Sleep(50 * time.Microsecond)
+			}
+			replyB := make(chan Result, 1)
+			go func() { replyB <- m.Submit(request.Request{TA: 2, Op: request.Read, Object: 2}) }()
+			for calls.Load() < 2 && time.Since(start) < time.Second {
+				time.Sleep(50 * time.Microsecond)
+			}
+			select {
+			case res := <-replyA:
+				if res.Err != nil {
+					t.Errorf("A: %v", res.Err)
+				}
+				if calls.Load() < 2 {
+					t.Errorf("A answered before round 2 started (test premise broken)")
+				}
+			case <-time.After(500*ms - time.Since(start)):
+				t.Errorf("A still unanswered after 500ms with round 2 blocked in qualification")
+			}
+			if opener.Stop() {
+				close(gate)
+			} else {
+				t.Errorf("the gate opened before A's reply was checked")
+			}
+			if res := <-replyB; res.Err != nil {
+				t.Errorf("B: %v", res.Err)
+			}
+			m.Stop()
+		})
+	}
+}
+
+// TestExecutorsDeliverExactlyOnce: on a 4-shard engine, executors answer
+// their clients concurrently with victim notifications (StarveAfter 8 on a
+// contended object set) and with forced slot moves, whose migrations quiesce
+// the executors during deferred rounds. Every admitted request is answered
+// exactly once, nothing stays queued, the server holds exactly the
+// acknowledged commits' writes, and Stop leaves no executor running (run
+// under -race in CI at GOMAXPROCS 1 and 4).
+func TestExecutorsDeliverExactlyOnce(t *testing.T) {
+	const clients, txns, objects = 64, 8, 48
+	baseline := runtime.NumGoroutine()
+	// A slow server keeps plans in flight while slots move: a migration that
+	// did not quiesce would let a moved victim's undo overtake its write.
+	srv := storage.NewServer(storage.Config{Rows: objects, ExecDelay: randExecDelay(1, 100)})
+	e, err := NewPartitionedEngine(PartitionedConfig{
+		Base:       Config{Server: srv, StarveAfter: 8},
+		Partitions: 4,
+		Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMiddleware(e, HybridTrigger{Level: 16, Every: ms}, nil)
+	m.Start()
+
+	stopMoves := make(chan struct{})
+	movesDone := make(chan struct{})
+	go func() {
+		defer close(movesDone)
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stopMoves:
+				return
+			case <-time.After(500 * time.Microsecond):
+			}
+			slot := e.Directory().SlotOf(rng.Int63n(objects))
+			e.ForceRebalance(store.SlotMove{Slot: slot, To: []int{rng.Intn(4)}})
+		}
+	}()
+
+	var mu sync.Mutex
+	answers := map[request.Key]int{}
+	committed := make([]int64, objects) // acknowledged writes per object
+	var admitted, aborted atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			reply := make(chan Result, 2) // room for a duplicate answer to show up
+			for x := 0; x < txns; x++ {
+				b := request.NewBuilder(int64(c*txns+x+1), nil)
+				var writes []int64
+				for i := 0; i < 4; i++ {
+					if obj := rng.Int63n(objects); i%2 == 0 {
+						b.Read(obj)
+					} else {
+						b.Write(obj)
+						writes = append(writes, obj)
+					}
+				}
+				tx := b.Commit()
+				for _, r := range tx.Requests {
+					k := r.Key()
+					if err := m.SubmitFunc(r, func(res Result) {
+						mu.Lock()
+						answers[k]++
+						mu.Unlock()
+						reply <- res
+					}); err != nil {
+						t.Errorf("%v rejected: %v", k, err)
+						return
+					}
+					admitted.Add(1)
+					res := <-reply
+					if errors.Is(res.Err, ErrTxnAborted) {
+						aborted.Add(1)
+						break
+					}
+					if res.Err != nil {
+						t.Errorf("%v: %v", k, res.Err)
+						return
+					}
+					if r.Op == request.Commit {
+						mu.Lock()
+						for _, obj := range writes {
+							committed[obj]++
+						}
+						mu.Unlock()
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stopMoves)
+	<-movesDone
+	if q := m.Queued(); q != 0 {
+		t.Errorf("Queued() = %d after every client finished", q)
+	}
+	m.Stop()
+
+	if int64(len(answers)) != admitted.Load() {
+		t.Errorf("%d of %d admitted requests answered", len(answers), admitted.Load())
+	}
+	for k, n := range answers {
+		if n != 1 {
+			t.Errorf("%v answered %d times", k, n)
+		}
+	}
+	if aborted.Load() == 0 {
+		t.Errorf("no victims: victim notifications never raced a delivery (test premise broken)")
+	}
+	if moved := e.Directory().Version(); moved == 0 {
+		t.Errorf("no slot moved (test premise broken)")
+	}
+	for obj, want := range committed {
+		if got := srv.Get(int64(obj)); got != want {
+			t.Errorf("object %d = %d, want the %d acknowledged committed writes", obj, got, want)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(ms)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Stop, %d before the engine started", n, baseline)
 	}
 }

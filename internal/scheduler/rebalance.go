@@ -25,7 +25,6 @@
 package scheduler
 
 import (
-	"runtime"
 	"sort"
 
 	"repro/internal/metrics"
@@ -124,9 +123,9 @@ func (e *Engine) ForceRebalance(moves ...store.SlotMove) {
 // the drained admissions against the current table — an op pushed while a
 // swap raced its Enqueue routing lands here un-admitted, so a stale route
 // never becomes store state.
-func (e *Engine) rebalance(deliver func(Completion)) error {
+func (e *Engine) rebalance() error {
 	if moves := e.pendingMoves(); len(moves) > 0 {
-		if err := e.applyMoves(moves, deliver); err != nil {
+		if err := e.applyMoves(moves); err != nil {
 			return err
 		}
 	}
@@ -321,7 +320,7 @@ func coldestShards(load []float64, k int) []int {
 // applyMoves installs moves as a new routing-table version and migrates the
 // moved slots' rows from their old shards to their new ones. Sequencer
 // goroutine only.
-func (e *Engine) applyMoves(moves []store.SlotMove, deliver func(Completion)) error {
+func (e *Engine) applyMoves(moves []store.SlotMove) error {
 	// Record the moved slots and their pre-swap placements: those are the
 	// shards rows must migrate out of.
 	movedSlots := make(map[int]bool, len(moves))
@@ -347,7 +346,7 @@ func (e *Engine) applyMoves(moves []store.SlotMove, deliver func(Completion)) er
 	// In-flight executor plans may still carry exec or undo steps against
 	// the source histories; ordering is only per-shard FIFO, so quiesce
 	// before any row changes shards.
-	e.quiesce(deliver)
+	e.quiesce()
 	if _, err := e.part.Apply(moves); err != nil {
 		return err
 	}
@@ -386,24 +385,15 @@ func (e *Engine) migrateFrom(s int, movedSlots map[int]bool) {
 	}
 }
 
-// quiesce waits until no executor plan is in flight, delivering completions
-// through deliver meanwhile. With deliver == nil (sync rounds mixed with
-// running executors) it waits without consuming — completions stay queued
-// for their caller.
-func (e *Engine) quiesce(deliver func(Completion)) {
-	if e.done == nil {
+// quiesce waits until no executor plan is in flight: the executor that
+// takes the count to zero wakes it. Sequencer goroutine only — the only one
+// that adds plans, so the count only falls meanwhile.
+func (e *Engine) quiesce() {
+	if e.quiet == nil {
 		return
 	}
 	for e.inflight.Load() > 0 {
-		if deliver == nil {
-			runtime.Gosched()
-			continue
-		}
-		c, ok := <-e.done
-		if !ok {
-			return
-		}
-		deliver(c)
+		<-e.quiet
 	}
 }
 
