@@ -146,9 +146,8 @@ type RoundStats struct {
 	History int // live history size after the round
 	// Strategy names the evaluation path the protocol took this round
 	// (e.g. the Datalog engine's cold/monotone/recompute, or the SQL
-	// executor's sql-ivm/sql-ivm-build/sql-warm/sql-cold); empty when the
-	// protocol does not report one. The SQL cost model's per-round
-	// choices become observable here.
+	// protocol's sql-cold/sql-ivm-build/sql-ivm); empty when the protocol
+	// does not report one.
 	Strategy string
 	// Fired names what made the middleware's loop run this round (one of the
 	// Fired* reasons); empty on rounds driven directly through the engine.

@@ -153,27 +153,27 @@ func TestEmptyCollector(t *testing.T) {
 
 // TestStrategyCounting: per-round strategy labels aggregate into Summary.
 // Strategies and render deterministically via StrategyString — the SQL
-// executor's sql-ivm / sql-warm rounds and the Datalog engine's dred rounds
-// land in the same map. The trigger reasons (RoundStats.Fired) count the same
-// way, independently.
+// protocol's sql-ivm / sql-cold rounds and the Datalog engine's recompute
+// rounds land in the same map. The trigger reasons (RoundStats.Fired) count
+// the same way, independently.
 func TestStrategyCounting(t *testing.T) {
 	c := NewCollector()
 	fired := []string{FiredReturned, FiredReturned, FiredLevel, "", FiredEvery, FiredReturned}
-	for i, s := range []string{"sql-ivm", "sql-ivm", "sql-warm", "dred", "sql-ivm-build", ""} {
+	for i, s := range []string{"sql-ivm", "sql-ivm", "sql-cold", "recompute", "sql-ivm-build", ""} {
 		c.AddRound(RoundStats{Pending: 1, Strategy: s, Fired: fired[i]})
 	}
 	sum := c.Summarise()
 	if got, want := sum.FiredString(), "every=1 level=1 returned=3"; got != want {
 		t.Fatalf("FiredString = %q, want %q", got, want)
 	}
-	if sum.Strategies["sql-ivm"] != 2 || sum.Strategies["sql-warm"] != 1 ||
-		sum.Strategies["dred"] != 1 || sum.Strategies["sql-ivm-build"] != 1 {
+	if sum.Strategies["sql-ivm"] != 2 || sum.Strategies["sql-cold"] != 1 ||
+		sum.Strategies["recompute"] != 1 || sum.Strategies["sql-ivm-build"] != 1 {
 		t.Fatalf("strategies: %v", sum.Strategies)
 	}
 	if _, ok := sum.Strategies[""]; ok {
 		t.Fatal("unreported strategy counted")
 	}
-	want := "dred=1 sql-ivm=2 sql-ivm-build=1 sql-warm=1"
+	want := "recompute=1 sql-cold=1 sql-ivm=2 sql-ivm-build=1"
 	if got := sum.StrategyString(); got != want {
 		t.Fatalf("StrategyString = %q, want %q", got, want)
 	}

@@ -32,16 +32,8 @@ import (
 //   - group-by recomputes only the touched groups from the child bag
 //     (handles MIN/MAX deletes without auxiliary heaps).
 //
-// Per-tuple delta rules cost O(|Δ| · matches) per node, which beats a full
-// re-evaluation only while the delta is small. When one round's delta at a
-// join node grows to a sizeable fraction of the node's inputs (a bulk load,
-// a mass expiry), Apply switches that node to a *bulk recompute*: it
-// re-evaluates the node once from its children's already patched bags —
-// through the same applyOp the cold evaluator uses — and diffs the result
-// against the standing view, producing the exact net output delta. The diff
-// patches the existing bag like any other delta, so downstream nodes, the
-// sorted root and the next trickle round all continue from maintained state.
-// The switch is per node and per round; see SetBulkThreshold.
+// The rules cost O(|Δ| · matches) per node whatever the delta's size: a
+// round that replaces a whole table takes the same path as a trickle.
 //
 // Every delta cell carries its tuple's hash, computed once where the tuple
 // is made, into every probe of a delta or bag and into the bag patch
@@ -62,18 +54,10 @@ import (
 // exactly the re-sort's order.
 type IVM struct {
 	plan   *Plan
-	opts   *ra.Options
 	views  []*view          // node id -> view; pass-through nodes alias their source
 	tables map[string]*view // base-table views shared by every scan of the table
 	order  *orderedRoot     // maintained root ORDER BY, nil when the root is unsorted
 	aux    []nodeAux        // node id -> precomputed key positions / NULL pads
-
-	// bulkNum/bulkDen is the recompute threshold: a join-family node whose
-	// round delta has at least distinct-input-size·bulkNum/bulkDen cells is
-	// recomputed wholesale instead of trickle-patched. bulkNodes counts the
-	// nodes recomputed by the latest Apply.
-	bulkNum, bulkDen int
-	bulkNodes        int
 
 	// Round-scoped scratch, recycled across Apply calls.
 	pool     []*sdelta // reset deltas ready for reuse
@@ -135,15 +119,12 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		return nil, err
 	}
 	m := &IVM{
-		plan:    p,
-		opts:    opts,
-		views:   make([]*view, len(p.nodes)),
-		tables:  make(map[string]*view),
-		aux:     make([]nodeAux, len(p.nodes)),
-		bulkNum: 1,
-		bulkDen: 2,
-		empty:   newSdelta(),
-		van:     vanishedScratch{chain: relation.NewChain()},
+		plan:   p,
+		views:  make([]*view, len(p.nodes)),
+		tables: make(map[string]*view),
+		aux:    make([]nodeAux, len(p.nodes)),
+		empty:  newSdelta(),
+		van:    vanishedScratch{chain: relation.NewChain()},
 	}
 	for _, n := range p.nodes {
 		switch n.op {
@@ -177,7 +158,7 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		m.order = newOrderedRoot(root.sorts, m.views[root.id].bag)
 	}
 	// Pre-build the indexes the delta rules probe and the per-node constants,
-	// so the first Apply does not pay either inside its timed round.
+	// so the first Apply does not pay for either.
 	for _, n := range m.plan.nodes {
 		switch n.op {
 		case opJoin, opLeftJoin, opSemi:
@@ -200,19 +181,6 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 	}
 	return m, nil
 }
-
-// SetBulkThreshold tunes when Apply recomputes a join-family node wholesale
-// instead of trickle-patching it: a node switches when its round delta has at
-// least input-distinct-size·num/den cells. The default is 1/2. den <= 0
-// disables bulk recompute entirely; num <= 0 forces it for every non-empty
-// delta (both are ablation switches for tests and benchmarks).
-func (m *IVM) SetBulkThreshold(num, den int) {
-	m.bulkNum, m.bulkDen = num, den
-}
-
-// BulkNodes reports how many nodes the most recent Apply recomputed
-// wholesale (0 means the round was pure trickle maintenance).
-func (m *IVM) BulkNodes() int { return m.bulkNodes }
 
 // Bags returns the materialised views, one bag per base table and per plan
 // node that owns one. Read-only: the bounded-growth tests check each bag's
@@ -275,7 +243,6 @@ func (m *IVM) releaseAll() {
 // usual cause is a delta diverging from the maintained ground truth
 // (deleting a tuple that is not present).
 func (m *IVM) Apply(deltas map[string]Delta) error {
-	m.bulkNodes = 0
 	if m.outs == nil {
 		m.outs = make([]*sdelta, len(m.plan.nodes))
 	}
@@ -336,37 +303,30 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 			dR = outs[n.r.id]
 		}
 		var out *sdelta
-		if m.shouldBulk(n, dL, dR) {
-			var err error
-			if out, err = m.recomputeDelta(n); err != nil {
-				return fmt.Errorf("minisql: ivm: node %d: %w", n.id, err)
-			}
-		} else {
-			switch n.op {
-			case opSelect:
-				out = m.selectDelta(n, dL)
-			case opProject:
-				out = m.projectDelta(n, dL)
-			case opJoin:
-				out = m.joinDelta(n, dL, dR)
-			case opLeftJoin, opSemi:
-				out = m.matchDelta(n, dL, dR)
-			case opUnionAll:
-				out = m.acquire()
-				for _, d := range [2]*sdelta{dL, dR} {
-					for i := range d.cells {
-						out.addHash(d.cells[i].t, d.cells[i].h, d.cells[i].n)
-					}
+		switch n.op {
+		case opSelect:
+			out = m.selectDelta(n, dL)
+		case opProject:
+			out = m.projectDelta(n, dL)
+		case opJoin:
+			out = m.joinDelta(n, dL, dR)
+		case opLeftJoin, opSemi:
+			out = m.matchDelta(n, dL, dR)
+		case opUnionAll:
+			out = m.acquire()
+			for _, d := range [2]*sdelta{dL, dR} {
+				for i := range d.cells {
+					out.addHash(d.cells[i].t, d.cells[i].h, d.cells[i].n)
 				}
-			case opExcept:
-				out = m.exceptDelta(n, dL, dR)
-			case opDistinct:
-				out = m.distinctDelta(n, dL)
-			case opGroupBy:
-				out = m.groupDelta(n, dL)
-			default:
-				return fmt.Errorf("minisql: ivm: no delta rule for operator %d", n.op)
 			}
+		case opExcept:
+			out = m.exceptDelta(n, dL, dR)
+		case opDistinct:
+			out = m.distinctDelta(n, dL)
+		case opGroupBy:
+			out = m.groupDelta(n, dL)
+		default:
+			return fmt.Errorf("minisql: ivm: no delta rule for operator %d", n.op)
 		}
 		outs[n.id] = out
 		if err := applyToBag(m.views[n.id].bag, out); err != nil {
@@ -379,65 +339,6 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 		}
 	}
 	return nil
-}
-
-// shouldBulk decides per node and per round whether the delta is big enough
-// that recomputing the node beats running its per-tuple rule. Only the
-// join-family operators qualify: group-by already recomputes exactly the
-// touched partitions, and the remaining operators are O(|Δ|) by
-// construction.
-func (m *IVM) shouldBulk(n *planNode, dL, dR *sdelta) bool {
-	if m.bulkDen <= 0 {
-		return false
-	}
-	switch n.op {
-	case opJoin, opLeftJoin, opSemi:
-	default:
-		return false
-	}
-	delta := len(dL.cells) + len(dR.cells)
-	if delta == 0 {
-		return false
-	}
-	base := m.views[n.l.id].bag.DistinctLen() + m.views[n.r.id].bag.DistinctLen()
-	return delta*m.bulkDen >= base*m.bulkNum
-}
-
-// recomputeDelta re-evaluates node n from its children's already patched
-// bags — through the same applyOp the cold evaluator uses, so the two paths
-// cannot drift — and diffs the result against the node's standing view. The
-// returned delta is the exact net change the per-tuple rule would have
-// produced: downstream nodes, the batched bag patch and the sorted root all
-// proceed as if the round had been trickle-maintained.
-func (m *IVM) recomputeDelta(n *planNode) (*sdelta, error) {
-	l := m.views[n.l.id].bag.Relation()
-	var r *relation.Relation
-	if n.r != nil {
-		r = m.views[n.r.id].bag.Relation()
-	}
-	res, err := applyOp(n, l, r, m.opts)
-	if err != nil {
-		return nil, err
-	}
-	cnt := m.acquire()
-	for _, t := range res.Rows() {
-		cnt.add(t, 1)
-	}
-	old := m.views[n.id].bag
-	out := m.acquire()
-	for i := range cnt.cells {
-		c := &cnt.cells[i]
-		if d := c.n - old.CountHash(c.t, c.h); d != 0 {
-			out.addHash(c.t, c.h, d)
-		}
-	}
-	for p := range int32(old.DistinctLen()) {
-		if t, h := old.At(p), old.HashAt(p); cnt.find(t, h) < 0 {
-			out.addHash(t, h, -old.CountAt(p))
-		}
-	}
-	m.bulkNodes++
-	return out, nil
 }
 
 // orderedRoot maintains the root ORDER BY result as a sorted list of counted

@@ -127,9 +127,9 @@ func randDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[string]D
 	return out
 }
 
-// randBulkDeltas draws a bulk-sized delta: a large random fraction of each
-// table's rows is deleted and a batch of comparable size inserted, so
-// join-family nodes cross the wholesale-recompute threshold.
+// randBulkDeltas draws a large delta: a random third to all of each table's
+// rows is deleted and a batch of comparable size inserted, so one round
+// replaces most of every view.
 func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[string]Delta {
 	out := make(map[string]Delta, len(mirror))
 	for _, name := range []string{"t1", "t2", "t3"} {
@@ -151,104 +151,96 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 	return out
 }
 
-// runIVMProperty drives the equivalence property. mode "" applies trickle
-// deltas only; "forced" forces every join-family node onto the bulk
-// recompute path every round; "interleaved" mixes trickle and bulk-sized
-// rounds under the default threshold, so the per-node switch flips back and
-// forth mid-sequence. Returns whether any round recomputed a node wholesale.
-func runIVMProperty(t *testing.T, opts *ra.Options, seeds, rounds int, mode string) bool {
+// runIVMSeed drives the equivalence property for one seed: a random catalog
+// and maintainable query, then rounds delta batches — round step large-sized
+// (randBulkDeltas) when bit step of large is set, a trickle (randDeltas)
+// otherwise. After every round the IVM's result must equal the cold
+// executor's, which must equal the nested-loop oracle's.
+func runIVMSeed(t testing.TB, opts *ra.Options, seed int64, rounds int, large uint64) {
 	t.Helper()
 	nested := &ra.Options{NestedLoop: true}
-	sawBulk := false
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		mirror := map[string][]relation.Tuple{}
-		for _, name := range []string{"t1", "t2", "t3"} {
-			for i, n := 0, 5+rng.Intn(25); i < n; i++ {
-				mirror[name] = append(mirror[name], randRowFor(name, rng))
-			}
+	rng := rand.New(rand.NewSource(seed))
+	mirror := map[string][]relation.Tuple{}
+	for _, name := range []string{"t1", "t2", "t3"} {
+		for i, n := 0, 5+rng.Intn(25); i < n; i++ {
+			mirror[name] = append(mirror[name], randRowFor(name, rng))
 		}
-		src := randIVMQuery(rng)
-		q, err := Parse(src)
+	}
+	src := randIVMQuery(rng)
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatalf("seed %d: parse %q: %v", seed, src, err)
+	}
+	cat := mirrorCatalog(mirror)
+	schemas := map[string]*relation.Schema{}
+	for k, v := range cat {
+		schemas[k] = v.Schema()
+	}
+	plan, err := CompilePlan(q, schemas)
+	if err != nil {
+		t.Fatalf("seed %d: compile %q: %v", seed, src, err)
+	}
+	m, err := NewIVM(plan, cat, opts)
+	if err != nil {
+		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
+	}
+	for step := 0; step < rounds; step++ {
+		var d map[string]Delta
+		if large>>step&1 == 1 {
+			d = randBulkDeltas(rng, mirror)
+		} else {
+			d = randDeltas(rng, mirror)
+		}
+		if err := m.Apply(d); err != nil {
+			t.Fatalf("seed %d step %d: apply %q: %v", seed, step, src, err)
+		}
+		got, err := m.Result()
 		if err != nil {
-			t.Fatalf("seed %d: parse %q: %v", seed, src, err)
+			t.Fatalf("seed %d step %d: result %q: %v", seed, step, src, err)
 		}
-		cat := mirrorCatalog(mirror)
-		schemas := map[string]*relation.Schema{}
-		for k, v := range cat {
-			schemas[k] = v.Schema()
-		}
-		plan, err := CompilePlan(q, schemas)
+		fresh := mirrorCatalog(mirror)
+		cold, err := RunOpts(q, fresh, opts)
 		if err != nil {
-			t.Fatalf("seed %d: compile %q: %v", seed, src, err)
+			t.Fatalf("seed %d step %d: cold %q: %v", seed, step, src, err)
 		}
-		m, err := NewIVM(plan, cat, opts)
+		oracle, err := RunOpts(q, fresh, nested)
 		if err != nil {
-			t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
+			t.Fatalf("seed %d step %d: oracle %q: %v", seed, step, src, err)
 		}
-		if mode == "forced" {
-			m.SetBulkThreshold(0, 1)
+		if !cold.Equal(oracle) {
+			t.Fatalf("seed %d step %d: cold executor diverged from nested-loop oracle on %q\ncold:\n%s\noracle:\n%s",
+				seed, step, src, cold, oracle)
 		}
-		for step := 0; step < rounds; step++ {
-			var d map[string]Delta
-			if mode == "interleaved" && rng.Intn(2) == 0 {
-				d = randBulkDeltas(rng, mirror)
-			} else {
-				d = randDeltas(rng, mirror)
-			}
-			if err := m.Apply(d); err != nil {
-				t.Fatalf("seed %d step %d: apply %q: %v", seed, step, src, err)
-			}
-			if m.BulkNodes() > 0 {
-				sawBulk = true
-			}
-			got, err := m.Result()
-			if err != nil {
-				t.Fatalf("seed %d step %d: result %q: %v", seed, step, src, err)
-			}
-			fresh := mirrorCatalog(mirror)
-			cold, err := RunOpts(q, fresh, opts)
-			if err != nil {
-				t.Fatalf("seed %d step %d: cold %q: %v", seed, step, src, err)
-			}
-			oracle, err := RunOpts(q, fresh, nested)
-			if err != nil {
-				t.Fatalf("seed %d step %d: oracle %q: %v", seed, step, src, err)
-			}
-			if !cold.Equal(oracle) {
-				t.Fatalf("seed %d step %d: cold executor diverged from nested-loop oracle on %q\ncold:\n%s\noracle:\n%s",
-					seed, step, src, cold, oracle)
-			}
-			if !got.Equal(cold) {
-				t.Fatalf("seed %d step %d: IVM diverged from cold executor on %q\nivm:\n%s\ncold:\n%s",
-					seed, step, src, got, cold)
-			}
-			if plan.root.op == opOrderBy {
-				rows := got.Rows()
-				for i := 1; i < len(rows); i++ {
-					for _, sp := range plan.root.sorts {
-						c := rows[i-1][sp.Pos].Compare(rows[i][sp.Pos])
-						if sp.Desc {
-							c = -c
-						}
-						if c > 0 {
-							t.Fatalf("seed %d step %d: IVM result not sorted at row %d for %q", seed, step, i, src)
-						}
-						if c < 0 {
-							break
-						}
+		if !got.Equal(cold) {
+			t.Fatalf("seed %d step %d: IVM diverged from cold executor on %q\nivm:\n%s\ncold:\n%s",
+				seed, step, src, got, cold)
+		}
+		if plan.root.op == opOrderBy {
+			rows := got.Rows()
+			for i := 1; i < len(rows); i++ {
+				for _, sp := range plan.root.sorts {
+					c := rows[i-1][sp.Pos].Compare(rows[i][sp.Pos])
+					if sp.Desc {
+						c = -c
+					}
+					if c > 0 {
+						t.Fatalf("seed %d step %d: IVM result not sorted at row %d for %q", seed, step, i, src)
+					}
+					if c < 0 {
+						break
 					}
 				}
 			}
 		}
 	}
-	return sawBulk
 }
 
 // TestIVMMatchesColdAndOracle: sequential delta maintenance tracks the cold
 // executor and the nested-loop oracle across randomized delta sequences.
 func TestIVMMatchesColdAndOracle(t *testing.T) {
-	runIVMProperty(t, nil, 60, 8, "")
+	for seed := int64(0); seed < 60; seed++ {
+		runIVMSeed(t, nil, seed, 8, 0)
+	}
 }
 
 // TestIVMMatchesColdAndOracleParallel: the same property with the operator
@@ -257,33 +249,33 @@ func TestIVMMatchesColdAndOracle(t *testing.T) {
 func TestIVMMatchesColdAndOracleParallel(t *testing.T) {
 	par := &ra.Options{Pool: pool.New(4), MinParRows: 1}
 	defer par.Pool.Shutdown()
-	runIVMProperty(t, par, 15, 6, "")
-}
-
-// TestIVMBulkForcedMatchesColdAndOracle: with every join-family node forced
-// onto the wholesale-recompute path, the batched bag patching still tracks
-// the cold executor and the nested-loop oracle round for round.
-func TestIVMBulkForcedMatchesColdAndOracle(t *testing.T) {
-	if !runIVMProperty(t, nil, 40, 6, "forced") {
-		t.Fatal("forced bulk mode never recomputed a node")
+	for seed := int64(0); seed < 15; seed++ {
+		runIVMSeed(t, par, seed, 6, 0)
 	}
 }
 
-// TestIVMBulkInterleavedMatchesColdAndOracle: trickle and bulk-sized rounds
-// interleave under the default threshold, so each node's strategy flips
-// between the per-tuple rules and recompute-of-affected mid-sequence.
-func TestIVMBulkInterleavedMatchesColdAndOracle(t *testing.T) {
-	if !runIVMProperty(t, nil, 40, 6, "interleaved") {
-		t.Fatal("interleaved sequences never crossed the bulk threshold")
+// TestIVMLargeDeltasMatchColdAndOracle: trickle rounds and rounds that churn
+// a third to all of every table interleave at random; the per-tuple delta
+// rules, the only maintenance path, track the cold executor and the
+// nested-loop oracle through both.
+func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		large := rand.New(rand.NewSource(^seed)).Uint64()
+		runIVMSeed(t, nil, seed, 6, large)
 	}
 }
 
-// TestIVMBulkInterleavedParallel: the interleaved property with the operator
-// pool enabled (-race guards the recompute path's shared state).
-func TestIVMBulkInterleavedParallel(t *testing.T) {
-	par := &ra.Options{Pool: pool.New(4), MinParRows: 1}
-	defer par.Pool.Shutdown()
-	runIVMProperty(t, par, 10, 5, "interleaved")
+// FuzzIVMDeltas: the fuzzer picks the catalog and query (through the seed)
+// and which of eight rounds carry a large delta; every round's maintained
+// result must equal the cold executor's and the nested-loop oracle's.
+func FuzzIVMDeltas(f *testing.F) {
+	f.Add(int64(0), uint8(0))
+	f.Add(int64(1), uint8(0xff))
+	f.Add(int64(2), uint8(0x55))
+	f.Add(int64(3), uint8(0xaa))
+	f.Fuzz(func(t *testing.T, seed int64, large uint8) {
+		runIVMSeed(t, nil, seed, 8, uint64(large))
+	})
 }
 
 // TestIVMRefusesLimit: LIMIT has no delta rule; the constructor must refuse

@@ -667,8 +667,8 @@ func (e *planEval) node(n *planNode) (rel *relation.Relation, err error) {
 }
 
 // applyOp evaluates one non-leaf plan operator over already-evaluated child
-// relations. It is the single evaluation path shared by the cold evaluator
-// (planEval.node) and the IVM's bulk recompute, so the two can never drift.
+// relations (planEval.node's operator step; the IVM materializes its views
+// through the same evaluator and maintains them with the delta rules).
 func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.Relation, error) {
 	switch n.op {
 	case opRename:

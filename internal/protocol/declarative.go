@@ -3,9 +3,7 @@ package protocol
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/datalog"
 	"repro/internal/minisql"
 	"repro/internal/pool"
@@ -35,49 +33,25 @@ type SQLProtocol struct {
 	// The compiled plan (shared by every evaluation path) and the
 	// materialized-view cache over it, keyed by query shape: the plan is
 	// recompiled, and the views discarded, only when the base relations'
-	// schemas change. On warm rounds the views are patched with the round's
-	// deltas through the relational delta rules (minisql.IVM) instead of
-	// re-running the query; the adaptive cost model below decides per round
-	// whether that beats a full re-evaluation.
+	// schemas change. Every warm round after the one that builds the cache
+	// patches the views with the round's deltas through the relational delta
+	// rules (minisql.IVM) instead of re-running the query. ivmUnsupported
+	// marks a plan without delta rules (LIMIT): its rounds all run in full.
 	plan           *minisql.Plan
 	planShape      string
 	ivm            *minisql.IVM
 	ivmUnsupported bool
 
-	// deferred holds the per-round delta batches of warm rounds answered by
-	// full re-evaluation while the view cache was alive: instead of dropping
-	// the cache (which made every trickle-to-bulk transition pay a
-	// rematerialization on the way back), the cache merely goes stale and
-	// the queued rounds are replayed, in order, the next time a delta
-	// strategy is chosen. deferredChurn totals the queued tuples; a backlog
-	// at least the standing size (or sqlMaxDeferred rounds deep) is no
-	// cheaper to catch up than to rebuild, so then the cache goes after all.
-	deferred      []map[string]minisql.Delta
-	deferredChurn int
-
-	// Adaptive warm-round cost model (the EWMA estimates and the comparison
-	// live in internal/costmodel): observed ns per churned tuple for
-	// per-tuple delta maintenance (ivmCost), ns per standing tuple for
-	// delta rounds dominated by wholesale node recomputation (bulkCost,
-	// see minisql.IVM's bulk threshold), and ns per standing tuple for full
-	// re-evaluation (coldCost). forceStrategy pins one path for tests and
-	// ablations ("ivm", "bulk", "warm"); see SetForceStrategy.
-	ivmCost       costmodel.EWMA
-	bulkCost      costmodel.EWMA
-	coldCost      costmodel.EWMA
-	forceStrategy string
-
 	// Operator options: a worker pool when SetParallelism enabled one, and
 	// the nested-loop oracle switch (benchmarks and property tests compare
-	// the hash path against it).
+	// the hash path against it). Both apply to full evaluations, the cache
+	// build included; the delta rules run on the calling goroutine.
 	opts *ra.Options
 
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
-	// maintained tuple by tuple, "sql-ivm-bulk" when the maintenance round
-	// recomputed at least one join-family node wholesale (the bulk path),
-	// "sql-ivm-build" when the cache was (re)materialized, "sql-warm" when
-	// the query re-ran on a warm round, "sql-cold" for a full rebuild.
+	// maintained, "sql-ivm-build" when the cache was (re)materialized,
+	// "sql-cold" for a full run.
 	lastStrategy string
 
 	// decomposable claims per-object decomposability (see
@@ -85,21 +59,6 @@ type SQLProtocol struct {
 	// set it; arbitrary NewSQL queries stay conservatively unclaimed.
 	decomposable bool
 }
-
-// sqlIVMChurnFactor is the static bootstrap rule of the warm-round cost
-// model: delta maintenance is chosen while churn * factor < standing size,
-// until measured per-unit costs exist.
-const sqlIVMChurnFactor = 4
-
-// sqlBulkBorrow relates the unmeasured bulk-recompute cost to the full
-// re-evaluation cost: recomputing only the affected join-family nodes from
-// already-patched bags skips relation re-materialization and the untouched
-// operators, so it is assumed this factor cheaper per standing tuple until
-// real bulk rounds are measured.
-const sqlBulkBorrow = 1.5
-
-// sqlMaxDeferred bounds the stale-view replay queue (see SQLProtocol.deferred).
-const sqlMaxDeferred = 8
 
 // NewSQL parses the query once and reuses the plan every round.
 func NewSQL(name, sql string) (*SQLProtocol, error) {
@@ -177,7 +136,7 @@ func (p *SQLProtocol) LastStrategy() string { return p.lastStrategy }
 func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Request, error) {
 	p.resetScratch()
 	p.warm = false
-	p.dropIVM()
+	p.ivm = nil
 	p.lastStrategy = "sql-cold"
 	return p.run(pending, history, pendingByKey(pending))
 }
@@ -194,14 +153,12 @@ func pendingByKey(pending []request.Request) map[request.Key]request.Request {
 
 // QualifyIncremental implements IncrementalProtocol: the byKey restoration
 // map is patched with the round's pending changes instead of being rebuilt.
-// On warm rounds the adaptive cost model picks among patching the
-// materialized view cache with the round's deltas (sql-ivm per tuple,
-// sql-ivm-bulk when the deltas are large enough that affected nodes are
-// recomputed wholesale) and re-running the query over the slices (sql-warm);
-// the first warm round a delta path is chosen pays the view materialization
-// (sql-ivm-build). A sql-warm round while the cache is alive queues its
-// deltas for later replay instead of dropping the cache (see
-// SQLProtocol.deferred).
+// The path follows from the protocol's state alone: the first round, and any
+// round whose deltas disagree with the slices or the views, is a full run
+// (sql-cold); the next round materializes the view cache (sql-ivm-build);
+// every round after that patches the views with the round's deltas
+// (sql-ivm). A plan without delta rules (LIMIT) answers every round with a
+// full run.
 func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	p.resetScratch()
 	if p.warm {
@@ -220,107 +177,34 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 			p.warm = false // rebuild below
 		}
 	}
+	if p.warm && p.ivm != nil {
+		if err := p.ivm.Apply(roundDeltas(d)); err == nil {
+			if rel, err := p.ivm.Result(); err == nil {
+				p.lastStrategy = "sql-ivm"
+				return p.finish(rel, p.byKey)
+			}
+		}
+		// The views refused the deltas (a delete of a row they never held):
+		// they are no longer exact, so drop them and answer with a full run.
+		p.warm = false
+	}
 	if !p.warm {
 		// Cold rebuild: the deltas are no longer exact relative to any
 		// maintained state, so the view cache goes too (see the
 		// IncrementalProtocol contract).
 		p.byKey, p.histLen = pendingByKey(pending), len(history)
-		p.dropIVM()
+		p.ivm = nil
 		p.warm = true
 		p.lastStrategy = "sql-cold"
 		return p.run(pending, history, p.byKey)
 	}
-
-	churn := len(d.PendingAdded) + len(d.PendingRemoved) + len(d.HistoryAppended) + len(d.HistoryRemoved)
-	standing := len(pending) + len(history)
-	if p.chooseIVM(churn, standing) {
-		if p.ivm == nil {
-			if out, ok := p.buildIVM(pending, history); ok {
-				return out, nil
-			}
-		} else {
-			// The timed window spans delta propagation through result
-			// conversion — the same end-to-end span the sql-warm observation
-			// times via p.run + finish, so the per-unit estimates stay
-			// comparable. Rounds answered by sql-warm while the cache was
-			// alive queued their deltas; replaying them in order first makes
-			// the cache exactly what per-round maintenance would have built.
-			switch p.forceStrategy {
-			case "ivm":
-				p.ivm.SetBulkThreshold(1, 0) // per-tuple rules only
-			case "bulk":
-				p.ivm.SetBulkThreshold(0, 1) // recompute every join-family node
-			default:
-				p.ivm.SetBulkThreshold(1, 2)
-			}
-			start := time.Now()
-			bulkNodes := 0
-			var err error
-			for _, q := range p.deferred {
-				if err = p.ivm.Apply(q); err != nil {
-					break
-				}
-				bulkNodes += p.ivm.BulkNodes()
-			}
-			if err == nil {
-				if err = p.ivm.Apply(roundDeltas(d)); err == nil {
-					bulkNodes += p.ivm.BulkNodes()
-				}
-			}
-			appliedChurn := churn + p.deferredChurn
-			if err == nil {
-				var rel *relation.Relation
-				if rel, err = p.ivm.Result(); err == nil {
-					var out []request.Request
-					if out, err = p.finish(rel, p.byKey); err == nil {
-						p.deferred, p.deferredChurn = nil, 0
-						elapsed := float64(time.Since(start).Nanoseconds())
-						if bulkNodes > 0 {
-							// Wholesale node recomputation dominates; its
-							// cost scales with the standing size, not churn.
-							p.bulkCost.Observe(elapsed, standing)
-							p.coldCost.DecayToward(p.bulkCost.PerUnit * sqlBulkBorrow)
-							p.lastStrategy = "sql-ivm-bulk"
-						} else {
-							p.ivmCost.Observe(elapsed, appliedChurn)
-							// Relax the unmeasured side toward the static-
-							// consistent estimate (ivmPer = coldPer * factor,
-							// the rule chooseIVM's fallbacks follow), so a
-							// stale spike decays and the strategy gets
-							// re-tried.
-							p.coldCost.DecayToward(p.ivmCost.PerUnit / sqlIVMChurnFactor)
-							p.lastStrategy = "sql-ivm"
-						}
-						return out, nil
-					}
-				}
-			}
-			// Divergence (or a result error): drop the views and answer by
-			// re-running the query; the next warm round rematerializes.
-			p.dropIVM()
-		}
-	} else if p.ivm != nil {
-		// The cost model picked full re-evaluation while the view cache is
-		// alive. The views will be one round stale; queue the deltas for
-		// replay rather than dropping the cache, unless the backlog has
-		// grown past the point where catching up beats rematerializing.
-		if len(p.deferred) >= sqlMaxDeferred || p.deferredChurn+churn >= standing {
-			p.dropIVM()
-		} else {
-			p.deferred = append(p.deferred, roundDeltas(d))
-			p.deferredChurn += churn
+	if !p.ivmUnsupported {
+		if out, ok := p.buildIVM(pending, history); ok {
+			return out, nil
 		}
 	}
-	start := time.Now()
-	out, err := p.run(pending, history, p.byKey)
-	if err == nil {
-		elapsed := float64(time.Since(start).Nanoseconds())
-		p.coldCost.Observe(elapsed, standing)
-		p.ivmCost.DecayToward(p.coldCost.PerUnit * sqlIVMChurnFactor)
-		p.bulkCost.DecayToward(p.coldCost.PerUnit / sqlBulkBorrow)
-		p.lastStrategy = "sql-warm"
-	}
-	return out, err
+	p.lastStrategy = "sql-cold"
+	return p.run(pending, history, p.byKey)
 }
 
 // resetScratch starts a new scratch round: the previous round's leased
@@ -332,12 +216,6 @@ func (p *SQLProtocol) resetScratch() {
 	}
 }
 
-// dropIVM discards the view cache and any queued stale-round deltas.
-func (p *SQLProtocol) dropIVM() {
-	p.ivm = nil
-	p.deferred, p.deferredChurn = nil, 0
-}
-
 // roundDeltas converts one round's request-level deltas to the two-table
 // relational form minisql.IVM.Apply consumes.
 func roundDeltas(d Deltas) map[string]minisql.Delta {
@@ -345,75 +223,6 @@ func roundDeltas(d Deltas) map[string]minisql.Delta {
 		"requests": {Ins: toTuples(d.PendingAdded), Del: toTuples(d.PendingRemoved)},
 		"history":  {Ins: toTuples(d.HistoryAppended), Del: toTuples(d.HistoryRemoved)},
 	}
-}
-
-// sqlIVMBuildHysteresis scales the churn a round must amortize before the
-// view cache is (re)materialized: building pays a full evaluation plus
-// per-node bag construction up front, so an alternating trickle/bulk
-// workload must not rebuild on every other round. Once the cache exists,
-// the plain cost comparison decides.
-const sqlIVMBuildHysteresis = 4
-
-// SetForceStrategy pins the warm-round evaluation path for tests and
-// ablations: "ivm" (per-tuple delta maintenance, bulk recomputation
-// disabled), "bulk" (delta maintenance with every join-family node
-// recomputed wholesale), "warm" (full re-evaluation), or "" to restore the
-// adaptive cost model.
-func (p *SQLProtocol) SetForceStrategy(s string) { p.forceStrategy = s }
-
-// chooseIVM is the warm-round strategy decision: a three-way cost
-// comparison — per-tuple delta maintenance priced by churn, bulk
-// recompute-of-affected priced by the standing size, and full re-evaluation
-// — collapsed to "delta path or not". Whether a chosen delta round actually
-// recomputes nodes wholesale is decided per node inside minisql.IVM; the
-// separate bulk candidate exists so a high-churn round is priced by the
-// measured bulk cost instead of extrapolating the per-tuple cost, which is
-// what kept bulk rounds off the delta path (and thrashing the view cache)
-// entirely.
-func (p *SQLProtocol) chooseIVM(churn, standing int) bool {
-	switch p.forceStrategy {
-	case "ivm", "bulk":
-		return !p.ivmUnsupported
-	case "warm":
-		return false
-	}
-	if p.ivmUnsupported || standing == 0 {
-		return false
-	}
-	churn += p.deferredChurn // a delta round replays the queued backlog first
-	effChurn := churn
-	bulkBias, warmBias := 1.0, 1.0
-	if p.ivm == nil {
-		// (Re)materializing pays a full evaluation plus per-node bag
-		// construction up front (see sqlIVMBuildHysteresis), for either
-		// delta candidate.
-		effChurn = churn * sqlIVMBuildHysteresis
-		bulkBias = sqlIVMBuildHysteresis
-	} else {
-		// Abandoning a live cache costs a rebuild later: the full re-run
-		// must win by the same margin.
-		warmBias = sqlIVMBuildHysteresis
-	}
-	if p.ivmCost.Samples == 0 && p.bulkCost.Samples == 0 && p.coldCost.Samples == 0 {
-		return effChurn*sqlIVMChurnFactor < standing // static bootstrap rule
-	}
-	// Unobserved candidates borrow from the measured ones (scaled by the
-	// static factors) so the comparison stays consistent with the static
-	// rule under one-sided data (costmodel.Pick's FallbackPer).
-	coldPer := p.coldCost.PerUnit
-	if p.coldCost.Samples == 0 {
-		if p.ivmCost.Samples > 0 {
-			coldPer = p.ivmCost.PerUnit / sqlIVMChurnFactor
-		} else {
-			coldPer = p.bulkCost.PerUnit * sqlBulkBorrow
-		}
-	}
-	pick := costmodel.Pick([]costmodel.Candidate{
-		{Cost: &p.ivmCost, Units: effChurn, FallbackPer: coldPer * sqlIVMChurnFactor},
-		{Cost: &p.bulkCost, Units: standing, FallbackPer: coldPer / sqlBulkBorrow, Bias: bulkBias},
-		{Cost: &p.coldCost, Units: standing, FallbackPer: coldPer, Bias: warmBias},
-	})
-	return pick != 2
 }
 
 // buildIVM materializes the view cache from the round's slices and answers

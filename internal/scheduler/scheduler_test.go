@@ -491,7 +491,7 @@ func TestMiddlewareStopFailsInflight(t *testing.T) {
 }
 
 // TestEngineRoundReportsStrategy: the protocol's per-round evaluation
-// strategy (the adaptive cost model's choice) lands in the round stats, and
+// strategy (the path its incremental evaluation took) lands in the round stats, and
 // the collector's summary tallies it.
 func TestEngineRoundReportsStrategy(t *testing.T) {
 	e := newEngine(t, Scheduling, 10)
