@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/relation"
@@ -135,7 +136,8 @@ type RunStats struct {
 // executed requests to the history and garbage-collects finished
 // transactions within the same round). Both sides are interpreted with set
 // semantics: deleting a tuple removes it entirely, inserting a present tuple
-// is a no-op.
+// is a no-op. Deleting a tuple that is absent after the inserts is an error
+// (RunIncremental's), since it means the caller's view of the EDB diverged.
 type EDBDelta struct {
 	Insert []relation.Tuple
 	Delete []relation.Tuple
@@ -432,7 +434,9 @@ func (e *Engine) addProgramFacts(only map[string]bool) error {
 // semi-naive deltas; every other change clears and re-derives exactly the
 // affected predicates. With no previous run (or in Naive mode) it falls back
 // to a cold derivation over the updated EDB, so a RunIncremental sequence is
-// always equivalent to a cold run over the final EDB state.
+// always equivalent to a cold run over the final EDB state. A delete of an
+// absent fact fails the run and leaves the engine cold: the caller must
+// reload the EDB (SetEDB and Run) before the next incremental run.
 func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	// Validate the whole batch before touching any state, so a rejected
 	// delta leaves the engine exactly as it was. For predicates the program
@@ -534,8 +538,13 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 				}
 			}
 		}
-		for _, t := range d.Delete {
-			f.remove(t)
+		for i, t := range d.Delete {
+			// A delete of a fact the set never held means the caller's
+			// deltas diverged from the engine's EDB: refuse rather than
+			// answer from a stale one. (A tuple listed twice was held.)
+			if !f.remove(t) && !slices.ContainsFunc(d.Delete[:i], t.Equal) {
+				return fmt.Errorf("datalog: EDB %s: delete of absent tuple %s", pred, t)
+			}
 		}
 	}
 

@@ -480,6 +480,48 @@ func TestRunFailureDropsWarmState(t *testing.T) {
 	}
 }
 
+// TestRunIncrementalRefusesAbsentDelete: a delete of a fact the EDB never
+// held means the caller's deltas diverged, so the run fails and leaves the
+// engine cold; a tuple deleted twice in one batch, or inserted and deleted in
+// it, was held and is accepted. A reload makes the engine exact again.
+func TestRunIncrementalRefusesAbsentDelete(t *testing.T) {
+	prog := MustParse(`p(X) :- q(X).`)
+	e, err := NewEngine(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetEDB("q", intTuples([]int64{1}, []int64{2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunIncremental(map[string]EDBDelta{"q": {
+		Insert: intTuples([]int64{3}),
+		Delete: intTuples([]int64{1}, []int64{1}, []int64{3}),
+	}}); err != nil {
+		t.Fatalf("held deletes refused: %v", err)
+	}
+	if got := e.FactCount("p"); got != 1 {
+		t.Fatalf("p holds %d facts, want 1 (q(2))", got)
+	}
+	if err := e.RunIncremental(map[string]EDBDelta{"q": {Delete: intTuples([]int64{7})}}); err == nil {
+		t.Fatal("delete of an absent fact accepted")
+	}
+	if e.warm {
+		t.Fatal("warm after a refused delete")
+	}
+	if err := e.SetEDB("q", intTuples([]int64{2}, []int64{4})); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.FactCount("p"); got != 2 {
+		t.Fatalf("p holds %d facts after the reload, want 2", got)
+	}
+}
+
 // TestRunIncrementalReinsertKeepsEDBSetSemantics: warm re-inserts of present
 // tuples must not accumulate duplicate bookkeeping rows across rounds.
 func TestRunIncrementalReinsertKeepsEDBSetSemantics(t *testing.T) {

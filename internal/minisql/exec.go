@@ -80,7 +80,7 @@ func hasExists(e Expr) bool {
 // extractKeys pulls equality conjuncts of the form left.col = right.col out
 // of the pending conjuncts, where one side resolves only in the left schema
 // and the other only in the right schema.
-func extractKeys(l, r *relation.Schema, conjs []*conjunct) ([]ra.EquiKey, ra.Expr, error) {
+func extractKeys(l, r *relation.Schema, conjs []*conjunct) []ra.EquiKey {
 	var keys []ra.EquiKey
 	for _, c := range conjs {
 		if c.done {
@@ -110,7 +110,7 @@ func extractKeys(l, r *relation.Schema, conjs []*conjunct) ([]ra.EquiKey, ra.Exp
 			c.done = true
 		}
 	}
-	return keys, nil, nil
+	return keys
 }
 
 func checkDisjointAliases(l, r *relation.Schema) error {

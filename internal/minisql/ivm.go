@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,13 +10,16 @@ import (
 	"repro/internal/relation"
 )
 
-// Incremental view maintenance over a compiled plan: NewIVM materialises
-// every plan node's result into a counted multiset (relation.Bag) — the
-// per-protocol view cache — and Apply patches the whole graph from a round's
-// base-table deltas by running each operator's delta rule instead of
-// re-evaluating the query. The rules work uniformly on *net* signed deltas
-// (inserts and deletes of the same tuple cancel first) against the already
-// updated child states:
+// Incremental view maintenance over a compiled plan: NewIVM materialises the
+// base tables and every plan node a delta rule reads — the inputs of joins,
+// EXCEPT, DISTINCT and group-by, and an unordered root — into counted
+// multisets (relation.Bag), the per-protocol view cache, and Apply patches
+// the whole graph from a round's base-table deltas by running each
+// operator's delta rule instead of re-evaluating the query. Every other
+// node — a filter, projection, union or join whose parents only stream —
+// passes its delta on and keeps no bag. The rules work uniformly on *net*
+// signed deltas (inserts and deletes of the same tuple cancel first) against
+// the already updated child states:
 //
 //   - select/project/union map the child delta directly;
 //   - inner join uses Δ(L⋈R) = ΔL⋈R_old + L_new⋈ΔR, probing the bags'
@@ -101,9 +105,9 @@ type aggGroup struct {
 }
 
 // NewIVM evaluates the plan once against the catalog (the cold cost, paid on
-// the first warm round) and materialises every node. The catalog's relations
-// are copied into counted multisets; subsequent Apply calls maintain those,
-// not the catalog.
+// the first warm round) and materialises the views the delta rules read. The
+// catalog's relations are copied into counted multisets; subsequent Apply
+// calls maintain those, not the catalog.
 func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 	for _, n := range p.nodes {
 		if n.op == opLimit {
@@ -142,7 +146,7 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		case opRename, opOrderBy:
 			m.views[n.id] = m.views[n.l.id]
 		default:
-			v := &view{node: n, bag: relation.BagOf(capture[n.id])}
+			v := &view{node: n}
 			if n.op == opGroupBy {
 				v.groups = make(map[uint64][]*aggGroup, capture[n.id].Len())
 				for _, t := range capture[n.id].Rows() {
@@ -154,8 +158,28 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 			m.views[n.id] = v
 		}
 	}
+	// A view keeps a bag only where a delta rule reads one: the inputs of
+	// joins, EXCEPT, DISTINCT and group-by, and an unordered root (besides
+	// the base tables, whose bags refuse a delete of a row they never held).
+	// Every other node streams its delta to its parents.
+	materialise := func(n *planNode) {
+		if v := m.views[n.id]; v.bag == nil {
+			v.bag = relation.BagOf(capture[v.node.id])
+		}
+	}
+	for _, n := range p.nodes {
+		switch n.op {
+		case opJoin, opLeftJoin, opSemi, opExcept:
+			materialise(n.l)
+			materialise(n.r)
+		case opDistinct, opGroupBy:
+			materialise(n.l)
+		}
+	}
 	if root := p.root; root.op == opOrderBy {
-		m.order = newOrderedRoot(root.sorts, m.views[root.id].bag)
+		m.order = newOrderedRoot(root.sorts, capture[root.id])
+	} else {
+		materialise(root)
 	}
 	// Pre-build the indexes the delta rules probe and the per-node constants,
 	// so the first Apply does not pay for either.
@@ -191,7 +215,7 @@ func (m *IVM) Bags() []*relation.Bag {
 		out = append(out, tv.bag)
 	}
 	for _, n := range m.plan.nodes {
-		if v := m.views[n.id]; v != nil && v.node == n && n.op != opScan {
+		if v := m.views[n.id]; v != nil && v.node == n && n.op != opScan && v.bag != nil {
 			out = append(out, v.bag)
 		}
 	}
@@ -329,8 +353,10 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 			return fmt.Errorf("minisql: ivm: no delta rule for operator %d", n.op)
 		}
 		outs[n.id] = out
-		if err := applyToBag(m.views[n.id].bag, out); err != nil {
-			return fmt.Errorf("minisql: ivm: node %d: %w", n.id, err)
+		if b := m.views[n.id].bag; b != nil {
+			if err := applyToBag(b, out); err != nil {
+				return fmt.Errorf("minisql: ivm: node %d: %w", n.id, err)
+			}
 		}
 	}
 	if m.order != nil {
@@ -357,14 +383,19 @@ type orderedCell struct {
 	n int
 }
 
-// newOrderedRoot sorts the materialised root bag once (the build round).
-func newOrderedRoot(sorts []ra.SortSpec, bag *relation.Bag) *orderedRoot {
-	o := &orderedRoot{sorts: sorts, cells: make([]orderedCell, 0, bag.DistinctLen())}
-	bag.Each(func(t relation.Tuple, n int) {
-		o.cells = append(o.cells, orderedCell{t: t, n: n})
-		o.total += n
-	})
-	sort.Slice(o.cells, func(i, j int) bool { return o.cmp(o.cells[i].t, o.cells[j].t) < 0 })
+// newOrderedRoot sorts the root's first result once (the build round) and
+// counts equal rows into one cell.
+func newOrderedRoot(sorts []ra.SortSpec, rel *relation.Relation) *orderedRoot {
+	rows := slices.Clone(rel.Rows())
+	o := &orderedRoot{sorts: sorts, total: len(rows)}
+	sort.Slice(rows, func(i, j int) bool { return o.cmp(rows[i], rows[j]) < 0 })
+	for _, t := range rows {
+		if k := len(o.cells); k > 0 && o.cmp(o.cells[k-1].t, t) == 0 {
+			o.cells[k-1].n++
+			continue
+		}
+		o.cells = append(o.cells, orderedCell{t: t, n: 1})
+	}
 	return o
 }
 

@@ -21,10 +21,20 @@ import (
 // its cached relations — so stale cached indexes would be caught.
 //
 // The nested-loop oracle shares the plan with the executor under test, so a
-// planner rewrite is invisible to it. The one rewrite there is — NOT EXISTS
-// over a disjunction split into a chain of anti-joins — is therefore also
-// checked against a reference that evaluates the predicate in Go under
-// three-valued logic and never sees a plan (TestNotExistsOrMatchesBruteForce).
+// planner rewrite is invisible to it. Every rewrite is therefore also checked
+// against references that evaluate the query in Go under three-valued logic
+// and never see a plan:
+//
+//   - NOT EXISTS over a disjunction split into a chain of anti-joins
+//     (TestNotExistsOrMatchesBruteForce);
+//   - the rewrites of rewrite.go (TestPlanRewritesMatchBruteForce and
+//     FuzzPlanRewrites, each shape beside near misses that must not be
+//     rewritten): a comma join's cross-side WHERE conjuncts as the join's
+//     residual; a join read only on its left, against a duplicate-free right
+//     side whose columns the keys cover, as a semi-join; a left join under a
+//     non-negated IS NULL on a right key column as an anti-join; an identity
+//     projection as a rename; and one shared filter per predicate list and
+//     base table.
 
 // randTable builds the named table of ints over columns a, b, c with a small
 // value domain (joins and EXISTS correlations hit often).

@@ -9,14 +9,17 @@ import (
 )
 
 // The executor is a compile-then-evaluate pipeline: CompilePlan lowers a
-// parsed Query against the base-table schemas into a tree of relational
+// parsed Query against the base-table schemas into a graph of relational
 // operator nodes (all name resolution, conjunct placement, join-key
-// extraction and EXISTS rewriting happens here, once), and Plan.Eval runs
-// the tree bottom-up through the ra operators. Splitting the two lets the
-// incremental view maintenance engine (ivm.go) reuse the exact cold plan as
-// its view graph: every node the cold evaluator materialises transiently is
-// a view the IVM materialises persistently and patches with delta rules, so
-// the two executors cannot diverge on planning decisions.
+// extraction and EXISTS rewriting happens here, once), rewrites it as an
+// optimiser would (rewrite.go: semi- and anti-joins, identity projections as
+// renames, one shared node per repeated filter), and Plan.Eval runs the graph
+// bottom-up through the ra operators, each shared node once. Splitting the
+// two lets the incremental view maintenance engine (ivm.go) run the exact
+// cold plan as its view graph, so the two executors cannot diverge on
+// planning decisions: every node is patched by a delta rule, and a node
+// keeps a materialised view only where a delta rule reads one (the inputs of
+// joins, EXCEPT, DISTINCT and grouping, and an unordered root).
 
 // planOp discriminates plan node types.
 type planOp uint8
@@ -40,7 +43,8 @@ const (
 )
 
 // planNode is one relational operator with its compile-time output schema.
-// l is the only child of unary operators; binary operators use l and r.
+// l is the only child of unary operators; binary operators use l and r. A
+// node may have several parents (a shared filter, see rewrite).
 type planNode struct {
 	op     planOp
 	id     int // position in Plan.nodes (children precede parents)
@@ -69,7 +73,7 @@ type Plan struct {
 	root  *planNode
 	ctes  []*planNode // CTE bodies in declaration order; slot i may use j < i
 	names []string    // CTE names by slot, for String
-	nodes []*planNode // every node, children before parents
+	nodes []*planNode // every reachable node once, children before parents
 }
 
 // CompilePlan lowers q against the given base-table schemas (keys are
@@ -86,6 +90,7 @@ func CompilePlan(q *Query, tables map[string]*relation.Schema) (*Plan, error) {
 		return nil, err
 	}
 	c.plan.root = root
+	c.plan.rewrite()
 	return c.plan, nil
 }
 
@@ -224,9 +229,10 @@ func (c *compiler) sel(sel *Select) (*planNode, error) {
 }
 
 // joinChain compiles the FROM items left to right, consuming WHERE conjuncts
-// as early filters and hash-join keys where possible, and applying all
-// remaining resolvable conjuncts at the end. Conjuncts it cannot resolve are
-// returned for the caller (correlated predicates of an EXISTS subquery).
+// as early filters, hash-join keys and join residuals where possible, and
+// applying all remaining resolvable conjuncts at the end. Conjuncts it cannot
+// resolve are returned for the caller (correlated predicates of an EXISTS
+// subquery).
 func (c *compiler) joinChain(from []FromItem, conjs []*conjunct) (*planNode, []*conjunct, error) {
 	cur, err := c.fromItem(from[0])
 	if err != nil {
@@ -241,47 +247,20 @@ func (c *compiler) joinChain(from []FromItem, conjs []*conjunct) (*planNode, []*
 		if err := checkDisjointAliases(cur.schema, next.schema); err != nil {
 			return nil, nil, err
 		}
-		switch item.Join {
-		case JoinLeft, JoinInner:
-			onConjs := splitConjuncts(item.On, nil)
-			keys, residual, err := extractKeys(cur.schema, next.schema, onConjs)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, cj := range onConjs {
-				if cj.done {
-					continue
-				}
-				// Non-equi ON conjuncts join the residual.
-				cc, err := compileExpr(cj.e, concat(cur.schema, next.schema))
-				if err != nil {
-					return nil, nil, err
-				}
-				if residual == nil {
-					residual = cc
-				} else {
-					residual = ra.And{L: residual, R: cc}
-				}
-				cj.done = true
-			}
-			op := opJoin
+		// A comma join reads its keys and residual from the WHERE clause,
+		// after the right side's own filters went below it; JOIN ... ON from
+		// its ON clause, every conjunct of which must resolve here.
+		op, on, strict := opJoin, conjs, false
+		if item.Join != JoinComma {
+			on, strict = splitConjuncts(item.On, nil), true
 			if item.Join == JoinLeft {
 				op = opLeftJoin
 			}
-			cur = c.add(&planNode{
-				op: op, schema: joinSchema(cur.schema, next.schema),
-				l: cur, r: next, keys: keys, pred: residual,
-			})
-		default: // comma join: consume WHERE equi-join keys
+		} else {
 			next = c.applyResolvable(next, conjs)
-			keys, _, err := extractKeys(cur.schema, next.schema, conjs)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = c.add(&planNode{
-				op: opJoin, schema: joinSchema(cur.schema, next.schema),
-				l: cur, r: next, keys: keys,
-			})
+		}
+		if cur, err = c.join(op, cur, next, on, strict); err != nil {
+			return nil, nil, err
 		}
 		cur = c.applyResolvable(cur, conjs)
 	}
@@ -292,6 +271,39 @@ func (c *compiler) joinChain(from []FromItem, conjs []*conjunct) (*planNode, []*
 		}
 	}
 	return cur, leftover, nil
+}
+
+// join emits op(l, r) over the pending conjuncts: equalities between the two
+// sides become hash keys and every other conjunct that resolves over both
+// sides joins the residual, so a pair the WHERE clause drops is never
+// materialised. strict makes an unresolvable conjunct an error; otherwise it
+// is left pending for a later join or the caller.
+func (c *compiler) join(op planOp, l, r *planNode, conjs []*conjunct, strict bool) (*planNode, error) {
+	keys := extractKeys(l.schema, r.schema, conjs)
+	both := concat(l.schema, r.schema)
+	var residual ra.Expr
+	for _, cj := range conjs {
+		if cj.done {
+			continue
+		}
+		cc, err := compileExpr(cj.e, both)
+		if err != nil {
+			if strict {
+				return nil, err
+			}
+			continue
+		}
+		if residual == nil {
+			residual = cc
+		} else {
+			residual = ra.And{L: residual, R: cc}
+		}
+		cj.done = true
+	}
+	return c.add(&planNode{
+		op: op, schema: joinSchema(l.schema, r.schema),
+		l: l, r: r, keys: keys, pred: residual,
+	}), nil
 }
 
 // applyResolvable wraps n in a filter by every pending conjunct whose columns
@@ -604,22 +616,24 @@ func joinSchema(l, r *relation.Schema) *relation.Schema {
 
 // planEval evaluates a plan bottom-up through the ra operators.
 type planEval struct {
-	plan    *Plan
-	cat     Catalog
-	opts    *ra.Options
-	cte     []*relation.Relation
-	capture []*relation.Relation // per-node results for the IVM, when non-nil
+	plan *Plan
+	cat  Catalog
+	opts *ra.Options
+	cte  []*relation.Relation
+	done []*relation.Relation // node id -> result, so a shared node runs once
 }
 
 // Eval runs the plan against a catalog (keys lower-cased) under the given
 // operator options. The catalog's relations must match the schemas the plan
 // was compiled against.
 func (p *Plan) Eval(cat Catalog, opts *ra.Options) (*relation.Relation, error) {
-	return p.eval(cat, opts, nil)
+	return p.eval(cat, opts, make([]*relation.Relation, len(p.nodes)))
 }
 
-func (p *Plan) eval(cat Catalog, opts *ra.Options, capture []*relation.Relation) (*relation.Relation, error) {
-	e := &planEval{plan: p, cat: cat, opts: opts, cte: make([]*relation.Relation, len(p.ctes)), capture: capture}
+// eval runs the plan, leaving every evaluated node's result in done (the
+// IVM materialises its views from them).
+func (p *Plan) eval(cat Catalog, opts *ra.Options, done []*relation.Relation) (*relation.Relation, error) {
+	e := &planEval{plan: p, cat: cat, opts: opts, cte: make([]*relation.Relation, len(p.ctes)), done: done}
 	// CTEs evaluate eagerly in declaration order, as in SQL; a CTE may read
 	// any earlier slot.
 	for i, n := range p.ctes {
@@ -633,9 +647,12 @@ func (p *Plan) eval(cat Catalog, opts *ra.Options, capture []*relation.Relation)
 }
 
 func (e *planEval) node(n *planNode) (rel *relation.Relation, err error) {
+	if rel = e.done[n.id]; rel != nil {
+		return rel, nil
+	}
 	defer func() {
-		if err == nil && e.capture != nil {
-			e.capture[n.id] = rel
+		if err == nil {
+			e.done[n.id] = rel
 		}
 	}()
 	switch n.op {
@@ -709,9 +726,10 @@ func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.
 // String renders the plan as an indented operator tree, CTE bodies first
 // under their names: one line per node with its operator, equi-keys, residual
 // predicate and filters, children indented below it (a join's left child
-// first). It shows what the planner did with a query — which conjuncts became
-// hash keys, which were pushed below a join as filters, which stayed an
-// interpreted residual:
+// first). A node with several parents (a filter the rewrite shared) is
+// marked "(shared)" and printed under each. It shows what the planner did
+// with a query — which conjuncts became hash keys, which were pushed below a
+// join as filters, which stayed an interpreted residual:
 //
 //	with finished:
 //	  project ta=h.ta
@@ -722,24 +740,35 @@ func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.
 //	  anti-join on a.ta = finished.ta
 //	    ...
 func (p *Plan) String() string {
+	parents := make([]int, len(p.nodes))
+	for _, n := range p.nodes {
+		for _, ch := range [2]*planNode{n.l, n.r} {
+			if ch != nil {
+				parents[ch.id]++
+			}
+		}
+	}
 	var b strings.Builder
 	for i, n := range p.ctes {
 		fmt.Fprintf(&b, "with %s:\n", p.names[i])
-		p.write(&b, n, 1)
+		p.write(&b, n, 1, parents)
 	}
-	p.write(&b, p.root, 0)
+	p.write(&b, p.root, 0, parents)
 	return b.String()
 }
 
-func (p *Plan) write(b *strings.Builder, n *planNode, depth int) {
+func (p *Plan) write(b *strings.Builder, n *planNode, depth int, parents []int) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(p.describe(n))
+	if parents[n.id] > 1 {
+		b.WriteString(" (shared)")
+	}
 	b.WriteByte('\n')
 	if n.l != nil {
-		p.write(b, n.l, depth+1)
+		p.write(b, n.l, depth+1, parents)
 	}
 	if n.r != nil {
-		p.write(b, n.r, depth+1)
+		p.write(b, n.r, depth+1, parents)
 	}
 }
 
@@ -775,9 +804,16 @@ func (p *Plan) describe(n *planNode) string {
 		}
 		return "scan " + n.table
 	case opRename:
+		// An alias qualifying every column names the rename; otherwise (an
+		// identity projection's output names) the columns do.
 		alias := ""
 		if len(n.names) > 0 {
 			alias, _, _ = strings.Cut(n.names[0], ".")
+		}
+		for _, name := range n.names {
+			if !strings.HasPrefix(name, alias+".") {
+				return "rename " + strings.Join(n.names, ", ")
+			}
 		}
 		return "rename " + alias
 	case opSelect:

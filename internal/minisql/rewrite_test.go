@@ -1,0 +1,502 @@
+package minisql
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/ra"
+	"repro/internal/relation"
+)
+
+// The plan rewrites (rewrite.go) are invisible to the nested-loop oracle,
+// which runs the rewritten plan, so they are checked against Go loops that
+// never see a plan: random queries of each rewritten shape, and near misses
+// that must keep their literal lowering, over the tables t1, t2 (ints) and
+// t3 (NULLs in b and c).
+
+// rewriteCase is one generated query with its meaning in Go.
+type rewriteCase struct {
+	shape     string
+	src       string
+	rewritten bool             // whether the plan must show the rewrite
+	applied   func(*Plan) bool // whether it does
+	want      func(db map[string][]relation.Tuple) []relation.Tuple
+}
+
+var rewriteShapes = []func(*rand.Rand) rewriteCase{
+	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter,
+}
+
+// sqlEq is an equi-join key match: NULL matches nothing.
+func sqlEq(a, b relation.Value) bool { return cmpTV(a, "=", b) == tvTrue }
+
+// distinctRows drops repeated tuples, keeping first occurrences.
+func distinctRows(rows []relation.Tuple) []relation.Tuple {
+	seen := map[string]bool{}
+	var out []relation.Tuple
+	for _, t := range rows {
+		if k := t.String(); !seen[k] {
+			seen[k] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+func hasNode(p *Plan, f func(n *planNode) bool) bool {
+	for _, n := range p.nodes {
+		if f(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// rwResidual: a comma join whose WHERE compares the two sides beyond the
+// equi-key (rule 1). Always rewritten: the comparison must be the join's
+// residual and no filter may sit directly above the join.
+func rwResidual(rng *rand.Rand) rewriteCase {
+	cols := []string{"a", "b", "c"}
+	zc, xc := 1+rng.Intn(2), rng.Intn(3)
+	op := cmpOps[1+rng.Intn(len(cmpOps)-1)] // not "=": never a key
+	atoms := []corrAtom{{
+		sql:  fmt.Sprintf("z.%s %s x.%s", cols[zc], op, cols[xc]),
+		eval: func(x, z relation.Tuple) tv { return cmpTV(z[zc], op, x[xc]) },
+	}}
+	if rng.Intn(4) > 0 {
+		atoms = append(atoms, randCorrAtom(rng, true))
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		atoms = append(atoms, randCorrAtom(rng, false))
+	}
+	rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+	where := make([]string, len(atoms))
+	for i, a := range atoms {
+		where[i] = a.sql
+	}
+	return rewriteCase{
+		shape:     "residual",
+		src:       "SELECT x.a, x.b, z.c FROM t1 x, t3 z WHERE " + strings.Join(where, " AND "),
+		rewritten: true,
+		applied: func(p *Plan) bool {
+			return !hasNode(p, func(n *planNode) bool { return n.op == opSelect && n.l.op == opJoin }) &&
+				hasNode(p, func(n *planNode) bool { return n.op == opJoin && n.pred != nil })
+		},
+		want: func(db map[string][]relation.Tuple) []relation.Tuple {
+			var out []relation.Tuple
+			for _, x := range db["t1"] {
+				for _, z := range db["t3"] {
+					pass := true
+					for _, a := range atoms {
+						pass = pass && a.eval(x, z) == tvTrue
+					}
+					if pass {
+						out = append(out, relation.Tuple{x[0], x[1], z[2]})
+					}
+				}
+			}
+			return out
+		},
+	}
+}
+
+// rwSemiJoin: t1 joined with a two-column subquery (rule 2). Near misses: a
+// right side with duplicates, keys that miss a right column, a projection
+// that reads a right column.
+func rwSemiJoin(rng *rand.Rand) rewriteCase {
+	k := int64(rng.Intn(8))
+	kind := rng.Intn(4) // DISTINCT, EXCEPT, DISTINCT through a CTE, duplicates
+	cover, leftOnly, residual := rng.Intn(3) > 0, rng.Intn(3) > 0, rng.Intn(2) == 0
+	var with, right string
+	switch kind {
+	case 0:
+		right = fmt.Sprintf("(SELECT DISTINCT z.a, z.b FROM t3 z WHERE z.c >= %d) y", k)
+	case 1:
+		right = fmt.Sprintf("((SELECT z.a, z.b FROM t3 z) EXCEPT (SELECT w.a, w.b FROM t2 w WHERE w.c < %d)) y", k)
+	case 2:
+		with, right = fmt.Sprintf("WITH d AS (SELECT DISTINCT z.a, z.b FROM t3 z WHERE z.c >= %d) ", k), "d y"
+	default:
+		right = fmt.Sprintf("(SELECT z.a, z.b FROM t3 z WHERE z.c >= %d) y", k)
+	}
+	conds := []string{"x.a = y.a"}
+	if cover {
+		conds = append(conds, "x.b = y.b")
+	}
+	if residual {
+		conds = append(conds, "x.c > y.a")
+	}
+	proj := "x.a, x.b, x.c"
+	if !leftOnly {
+		proj = "x.a, y.b"
+	}
+	from := "t1 x, " + right + " WHERE " + strings.Join(conds, " AND ")
+	if rng.Intn(2) == 0 {
+		from = "t1 x JOIN " + right + " ON " + strings.Join(conds, " AND ")
+	}
+	return rewriteCase{
+		shape:     "semi-join",
+		src:       with + "SELECT " + proj + " FROM " + from,
+		rewritten: kind != 3 && cover && leftOnly,
+		applied:   func(p *Plan) bool { return hasNode(p, func(n *planNode) bool { return n.op == opSemi }) },
+		want: func(db map[string][]relation.Tuple) []relation.Tuple {
+			var ys []relation.Tuple
+			for _, z := range db["t3"] {
+				if kind == 1 || cmpTV(z[2], ">=", relation.Int(k)) == tvTrue {
+					ys = append(ys, relation.Tuple{z[0], z[1]})
+				}
+			}
+			if kind != 3 {
+				ys = distinctRows(ys)
+			}
+			if kind == 1 {
+				drop := map[string]bool{}
+				for _, w := range db["t2"] {
+					if cmpTV(w[2], "<", relation.Int(k)) == tvTrue {
+						drop[relation.Tuple{w[0], w[1]}.String()] = true
+					}
+				}
+				kept := ys[:0]
+				for _, y := range ys {
+					if !drop[y.String()] {
+						kept = append(kept, y)
+					}
+				}
+				ys = kept
+			}
+			var out []relation.Tuple
+			for _, x := range db["t1"] {
+				for _, y := range ys {
+					if !sqlEq(x[0], y[0]) || cover && !sqlEq(x[1], y[1]) ||
+						residual && cmpTV(x[2], ">", y[0]) != tvTrue {
+						continue
+					}
+					if leftOnly {
+						out = append(out, x)
+					} else {
+						out = append(out, relation.Tuple{x[0], y[1]})
+					}
+				}
+			}
+			return out
+		},
+	}
+}
+
+// rwAntiJoin: t1 LEFT JOIN t3 (or a filtered subquery of it) under an IS
+// NULL test (rule 3). Near misses: IS NULL on a right column that is not a
+// key, IS NOT NULL, a projection that reads a right column. The key may be
+// t3's NULL-able b.
+func rwAntiJoin(rng *rand.Rand) rewriteCase {
+	cols := []string{"a", "b", "c"}
+	xc, fc := rng.Intn(3), rng.Intn(2)
+	tc := fc // the column the WHERE tests
+	if rng.Intn(3) == 0 {
+		tc = []int{1, 2, 0}[fc+rng.Intn(2)] // another column of f
+	}
+	negate, leftOnly := rng.Intn(5) == 0, rng.Intn(3) > 0
+	k, k2 := int64(rng.Intn(8)), int64(rng.Intn(8))
+	sub := rng.Intn(2) == 0
+	right := "t3 f"
+	if sub {
+		right = fmt.Sprintf("(SELECT z.a, z.b, z.c FROM t3 z WHERE z.c <> %d) AS f", k)
+	}
+	extra, extraEval := "", func(x, f relation.Tuple) bool { return true }
+	switch rng.Intn(3) {
+	case 0:
+		extra, extraEval = " AND x.b <> f.c", func(x, f relation.Tuple) bool { return cmpTV(x[1], "<>", f[2]) == tvTrue }
+	case 1:
+		extra = fmt.Sprintf(" AND f.c >= %d", k2)
+		extraEval = func(x, f relation.Tuple) bool { return cmpTV(f[2], ">=", relation.Int(k2)) == tvTrue }
+	}
+	test := "IS NULL"
+	if negate {
+		test = "IS NOT NULL"
+	}
+	proj := "x.a, x.b, x.c"
+	if !leftOnly {
+		proj = "x.a, f.c"
+	}
+	return rewriteCase{
+		shape: "anti-join",
+		src: fmt.Sprintf("SELECT %s FROM t1 x LEFT JOIN %s ON x.%s = f.%s%s WHERE f.%s %s",
+			proj, right, cols[xc], cols[fc], extra, cols[tc], test),
+		rewritten: tc == fc && !negate && leftOnly,
+		applied:   func(p *Plan) bool { return hasNode(p, func(n *planNode) bool { return n.op == opSemi && n.anti }) },
+		want: func(db map[string][]relation.Tuple) []relation.Tuple {
+			var fs []relation.Tuple
+			for _, z := range db["t3"] {
+				if !sub || cmpTV(z[2], "<>", relation.Int(k)) == tvTrue {
+					fs = append(fs, z)
+				}
+			}
+			var out []relation.Tuple
+			for _, x := range db["t1"] {
+				var matched []relation.Tuple
+				for _, f := range fs {
+					if sqlEq(x[xc], f[fc]) && extraEval(x, f) {
+						matched = append(matched, f)
+					}
+				}
+				if len(matched) == 0 {
+					matched = []relation.Tuple{{relation.Null(), relation.Null(), relation.Null()}}
+				}
+				for _, f := range matched {
+					if f[tc].IsNull() == negate {
+						continue
+					}
+					if leftOnly {
+						out = append(out, x)
+					} else {
+						out = append(out, relation.Tuple{x[0], f[2]})
+					}
+				}
+			}
+			return out
+		},
+	}
+}
+
+// rwIdentity: a projection onto every child column in order (rule 4), over a
+// filter or a group-by. Near misses: reordered columns, a subset, and
+// MIN(...) retyped from the group-by's any-kind output to the argument's.
+func rwIdentity(rng *rand.Rand) rewriteCase {
+	op, k := cmpOps[rng.Intn(len(cmpOps))], int64(rng.Intn(6))
+	where := fmt.Sprintf(" FROM t1 x WHERE x.b %s %d", op, k)
+	filtered := func(db map[string][]relation.Tuple, emit func(x relation.Tuple)) {
+		for _, x := range db["t1"] {
+			if cmpTV(x[1], op, relation.Int(k)) == tvTrue {
+				emit(x)
+			}
+		}
+	}
+	// grouped folds t1 by a: count, or the least b.
+	grouped := func(db map[string][]relation.Tuple, count bool) []relation.Tuple {
+		var keys []relation.Value
+		acc := map[int64]int64{}
+		for _, x := range db["t1"] {
+			a, b := x[0].AsInt(), x[1].AsInt()
+			old, seen := acc[a]
+			switch {
+			case !seen:
+				keys = append(keys, x[0])
+				acc[a] = b
+				if count {
+					acc[a] = 1
+				}
+			case count:
+				acc[a] = old + 1
+			default:
+				acc[a] = min(old, b)
+			}
+		}
+		out := make([]relation.Tuple, len(keys))
+		for i, a := range keys {
+			out[i] = relation.Tuple{a, relation.Int(acc[a.AsInt()])}
+		}
+		return out
+	}
+	c := rewriteCase{
+		shape: "rename",
+		applied: func(p *Plan) bool {
+			n := p.root
+			for n.op == opOrderBy || n.op == opDistinct {
+				n = n.l
+			}
+			return n.op == opRename
+		},
+	}
+	switch rng.Intn(6) {
+	case 0, 1:
+		c.src, c.rewritten = "SELECT x.a, x.b, x.c"+where, true
+		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			filtered(db, func(x relation.Tuple) { out = append(out, x) })
+			return out
+		}
+	case 2:
+		c.src, c.rewritten = "SELECT x.a, COUNT(*) AS n FROM t1 x GROUP BY x.a", true
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple { return grouped(db, true) }
+	case 3:
+		c.src = "SELECT x.b, x.a, x.c" + where
+		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			filtered(db, func(x relation.Tuple) { out = append(out, relation.Tuple{x[1], x[0], x[2]}) })
+			return out
+		}
+	case 4:
+		c.src = "SELECT x.a, x.b" + where
+		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			filtered(db, func(x relation.Tuple) { out = append(out, relation.Tuple{x[0], x[1]}) })
+			return out
+		}
+	default:
+		c.src = "SELECT x.a, MIN(x.b) AS m FROM t1 x GROUP BY x.a"
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple { return grouped(db, false) }
+	}
+	return c
+}
+
+// rwSharedFilter: the same filter over t1 under two aliases (rule 5), in a
+// self-join or on both sides of a NOT EXISTS. Near misses: a different
+// constant, a different column.
+func rwSharedFilter(rng *rand.Rand) rewriteCase {
+	cols := []string{"a", "b", "c"}
+	col, op, k := rng.Intn(3), cmpOps[rng.Intn(len(cmpOps))], int64(rng.Intn(6))
+	col2, k2 := col, k
+	shared := rng.Intn(3) > 0
+	if !shared {
+		if rng.Intn(2) == 0 {
+			k2++
+		} else {
+			col2 = (col + 1) % 3
+		}
+	}
+	first := func(x relation.Tuple) bool { return cmpTV(x[col], op, relation.Int(k)) == tvTrue }
+	second := func(y relation.Tuple) bool { return cmpTV(y[col2], op, relation.Int(k2)) == tvTrue }
+	c := rewriteCase{
+		shape:     "shared filter",
+		rewritten: shared,
+		applied: func(p *Plan) bool {
+			selects := 0
+			for _, n := range p.nodes {
+				if n.op != opSelect {
+					continue
+				}
+				if scan := belowRenames(n.l); scan.op == opScan && scan.table == "t1" {
+					selects++
+				}
+			}
+			return selects == 1
+		},
+	}
+	if rng.Intn(2) == 0 {
+		c.src = fmt.Sprintf("SELECT x.a, x.b, y.c FROM t1 x, t1 y WHERE x.a = y.b AND x.%s %s %d AND y.%s %s %d",
+			cols[col], op, k, cols[col2], op, k2)
+		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			for _, x := range db["t1"] {
+				for _, y := range db["t1"] {
+					if sqlEq(x[0], y[1]) && first(x) && second(y) {
+						out = append(out, relation.Tuple{x[0], x[1], y[2]})
+					}
+				}
+			}
+			return out
+		}
+		return c
+	}
+	c.src = fmt.Sprintf("SELECT x.a, x.b, x.c FROM t1 x WHERE x.%s %s %d AND NOT EXISTS (SELECT * FROM t1 z WHERE z.a = x.b AND z.%s %s %d)",
+		cols[col], op, k, cols[col2], op, k2)
+	c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+		for _, x := range db["t1"] {
+			exists := false
+			for _, z := range db["t1"] {
+				exists = exists || sqlEq(z[0], x[1]) && second(z)
+			}
+			if first(x) && !exists {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	return c
+}
+
+// runRewriteSeed draws tables and one rewrite case, checks that the plan
+// shows the rewrite exactly when its preconditions hold, and compares the
+// cold executor, the nested-loop executor and the IVM — across random
+// trickle and bulk deltas — with the case's Go reference.
+func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	mirror := map[string][]relation.Tuple{}
+	for _, name := range []string{"t1", "t2", "t3"} {
+		for i, n := 0, 5+rng.Intn(25); i < n; i++ {
+			mirror[name] = append(mirror[name], randRowFor(name, rng))
+		}
+	}
+	c := rewriteShapes[rng.Intn(len(rewriteShapes))](rng)
+	q, err := Parse(c.src)
+	if err != nil {
+		t.Fatalf("seed %d: parse %q: %v", seed, c.src, err)
+	}
+	cat := mirrorCatalog(mirror)
+	schemas := map[string]*relation.Schema{}
+	for name, rel := range cat {
+		schemas[name] = rel.Schema()
+	}
+	plan, err := CompilePlan(q, schemas)
+	if err != nil {
+		t.Fatalf("seed %d: compile %q: %v", seed, c.src, err)
+	}
+	if got := c.applied(plan); got != c.rewritten {
+		t.Fatalf("seed %d: %s rewrite applied = %v, want %v, on %q:\n%s", seed, c.shape, got, c.rewritten, c.src, plan)
+	}
+	m, err := NewIVM(plan, cat, nil)
+	if err != nil {
+		t.Fatalf("seed %d: NewIVM %q: %v", seed, c.src, err)
+	}
+	check := func(step int, who string, got *relation.Relation) {
+		t.Helper()
+		want := relation.New(got.Schema())
+		want.AppendTrusted(c.want(mirror)...)
+		if !got.Equal(want) {
+			t.Fatalf("seed %d step %d: %s diverged from the brute-force reference on %q\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+				seed, step, who, c.src, got, want, plan)
+		}
+	}
+	for step := 0; step < 4; step++ {
+		fresh := mirrorCatalog(mirror)
+		for who, opts := range map[string]*ra.Options{"hash": nil, "nested-loop": {NestedLoop: true}} {
+			got, err := RunOpts(q, fresh, opts)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s %q: %v", seed, step, who, c.src, err)
+			}
+			check(step, who, got)
+		}
+		got, err := m.Result()
+		if err != nil {
+			t.Fatalf("seed %d step %d: ivm result %q: %v", seed, step, c.src, err)
+		}
+		check(step, "IVM", got)
+		deltas := randDeltas
+		if rng.Intn(4) == 0 {
+			deltas = randBulkDeltas
+		}
+		if err := m.Apply(deltas(rng, mirror)); err != nil {
+			t.Fatalf("seed %d step %d: apply %q: %v", seed, step, c.src, err)
+		}
+	}
+	return c
+}
+
+// TestPlanRewritesMatchBruteForce: every rewrite fires on its shape and on
+// no near miss, and either way the answer is the Go reference's — cold,
+// under the nested-loop option, and view-maintained.
+func TestPlanRewritesMatchBruteForce(t *testing.T) {
+	seen := map[string][2]int{} // shape -> [near misses, rewritten]
+	for seed := int64(0); seed < 500; seed++ {
+		c := runRewriteSeed(t, seed)
+		n := seen[c.shape]
+		if c.rewritten {
+			n[1]++
+		} else {
+			n[0]++
+		}
+		seen[c.shape] = n
+	}
+	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter"} {
+		if n := seen[shape]; n[1] == 0 || shape != "residual" && n[0] == 0 {
+			t.Errorf("%s: %d rewritten and %d near misses generated", shape, n[1], n[0])
+		}
+	}
+}
+
+// FuzzPlanRewrites drives the same generator from the fuzzer's seed.
+func FuzzPlanRewrites(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		runRewriteSeed(t, seed)
+	})
+}

@@ -544,8 +544,9 @@ func (p *DatalogProtocol) qualifyCold(pending, history []request.Request) ([]req
 // QualifyIncremental implements IncrementalProtocol: the round's change set
 // is forwarded to the engine as EDB deltas, so unchanged facts — the bulk of
 // the history and every auxiliary relation — are never re-materialised, let
-// alone re-derived. The first call (or any divergence between the mirror and
-// the passed slices) falls back to the cold path.
+// alone re-derived. The first call, any divergence between the mirror and
+// the passed slices, and any delta the engine refuses fall back to the cold
+// path.
 func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	if p.warm {
 		// Pending removals precede adds chronologically (see Deltas): apply
@@ -565,13 +566,7 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		}
 	}
 	if !p.warm {
-		qualified, byKey, err := p.qualifyCold(pending, history)
-		if err != nil {
-			return nil, err
-		}
-		p.byKey = byKey
-		p.warm = true
-		return qualified, nil
+		return p.rebuild(pending, history)
 	}
 
 	changed := p.changed
@@ -620,10 +615,23 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {
-		p.warm = false
-		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
+		// The engine refused the deltas (a delete of a fact it never held):
+		// its EDB is no longer exact, so answer with a full run, which
+		// reloads it.
+		return p.rebuild(pending, history)
 	}
 	return p.collect(p.byKey)
+}
+
+// rebuild answers the round with a full run and makes its state the baseline
+// the next round's deltas apply to.
+func (p *DatalogProtocol) rebuild(pending, history []request.Request) ([]request.Request, error) {
+	qualified, byKey, err := p.qualifyCold(pending, history)
+	if err != nil {
+		return nil, err
+	}
+	p.byKey, p.warm = byKey, true
+	return qualified, nil
 }
 
 // idRangesOverlap reports whether the [min,max] ID ranges of two request

@@ -384,11 +384,10 @@ func TestSQLLimitQueryRunsEveryRoundInFull(t *testing.T) {
 // a fresh twin; the next honest round is warm again and still equal. The
 // same table runs over the SQL protocol (its view cache is built in the
 // warm-up round, so a missed divergence would reach the maintained views)
-// and the Datalog one. One case is SQL only: the counts agree, so the guard
-// passes, and the view cache itself refuses the delete of a row it never
-// held; the round is answered by a full run and the next one rebuilds the
-// cache. (The Datalog engine treats that absent delete as a no-op under set
-// semantics and answers the round from a stale history.)
+// and the Datalog one. In the last case the counts agree, so the guard
+// passes, and the maintained state itself — the SQL view cache, the Datalog
+// engine's EDB — refuses the delete of a row it never held; the round is
+// answered by a full run and the next one is warm again.
 func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 	req := func(id, ta, intra int64, op request.Op, obj int64) request.Request {
 		if op.IsTermination() {
@@ -412,17 +411,16 @@ func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 		name             string
 		pending, history []request.Request
 		d                Deltas
-		sqlOnly          bool
 	}{
 		// ta2's lock on object 2 is gone: ta4's write qualifies.
-		{"dropped HistoryRemoved", pending, withoutTA2Lock, Deltas{}, false},
+		{"dropped HistoryRemoved", pending, withoutTA2Lock, Deltas{}},
 		// A write lock on object 5 the history never got would block ta2's read.
-		{"extra HistoryAppended", pending, history, Deltas{HistoryAppended: []request.Request{req(10, 7, 0, request.Write, 5)}}, false},
+		{"extra HistoryAppended", pending, history, Deltas{HistoryAppended: []request.Request{req(10, 7, 0, request.Write, 5)}}},
 		// ta6's qualifying read left pending unannounced.
-		{"missing PendingRemoved", []request.Request{pending[0], pending[1], pending[3], pending[4]}, history, Deltas{}, false},
+		{"missing PendingRemoved", []request.Request{pending[0], pending[1], pending[3], pending[4]}, history, Deltas{}},
 		// ta2's lock leaves silently while HistoryRemoved names a row the
 		// history never held: the history count still lands on len(history).
-		{"absent HistoryRemoved", pending, withoutTA2Lock, Deltas{HistoryRemoved: []request.Request{req(11, 8, 0, request.Write, 6)}}, true},
+		{"absent HistoryRemoved", pending, withoutTA2Lock, Deltas{HistoryRemoved: []request.Request{req(11, 8, 0, request.Write, 6)}}},
 	}
 	protocols := []struct {
 		name     string
@@ -440,9 +438,6 @@ func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 	}
 	for _, pc := range protocols {
 		for _, tc := range cases {
-			if tc.sqlOnly && pc.name != "sql" {
-				continue
-			}
 			t.Run(pc.name+"/"+tc.name, func(t *testing.T) {
 				p := pc.warm()
 				round := func(stage string, pending, history []request.Request, d Deltas) string {

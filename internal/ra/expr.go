@@ -302,3 +302,34 @@ func (in InList) String() string {
 	}
 	return fmt.Sprintf("(%s %sIN list[%d])", in.E, neg, len(in.Values))
 }
+
+// MapCols returns e with every column reference c replaced by f(c), the rest
+// of the expression unchanged. A planner reads, rebinds and compares
+// predicates by column position through it.
+func MapCols(e Expr, f func(Col) Col) Expr {
+	switch x := e.(type) {
+	case Col:
+		return f(x)
+	case Lit:
+		return x
+	case Cmp:
+		x.L, x.R = MapCols(x.L, f), MapCols(x.R, f)
+		return x
+	case Arith:
+		x.L, x.R = MapCols(x.L, f), MapCols(x.R, f)
+		return x
+	case And:
+		return And{L: MapCols(x.L, f), R: MapCols(x.R, f)}
+	case Or:
+		return Or{L: MapCols(x.L, f), R: MapCols(x.R, f)}
+	case Not:
+		return Not{E: MapCols(x.E, f)}
+	case IsNull:
+		x.E = MapCols(x.E, f)
+		return x
+	case InList:
+		x.E = MapCols(x.E, f)
+		return x
+	}
+	panic(fmt.Sprintf("ra: MapCols: unknown expression %T", e))
+}

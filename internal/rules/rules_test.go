@@ -90,23 +90,7 @@ func TestWoundWaitDefinesWound(t *testing.T) {
 // an executor plan against the request schema — and the plan is view-
 // maintainable (no LIMIT), which the warm SQL round depends on.
 func TestListingOneSQLCompiles(t *testing.T) {
-	q, err := minisql.Parse(rules.ListingOneSQL)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	reqSchema := relation.NewSchema(
-		relation.Column{Name: "id", Kind: relation.KindInt},
-		relation.Column{Name: "ta", Kind: relation.KindInt},
-		relation.Column{Name: "intrata", Kind: relation.KindInt},
-		relation.Column{Name: "operation", Kind: relation.KindString},
-		relation.Column{Name: "object", Kind: relation.KindInt},
-	)
-	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{
-		"requests": reqSchema, "history": reqSchema,
-	})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	plan := listingOnePlan(t)
 	cat := minisql.Catalog{
 		"requests": relation.New(reqSchema),
 		"history":  relation.New(reqSchema),
@@ -124,5 +108,72 @@ func TestListingOneSQLCompiles(t *testing.T) {
 	}
 	if _, err := minisql.NewIVM(plan, cat, nil); err != nil {
 		t.Fatalf("Listing 1 is not view-maintainable: %v", err)
+	}
+}
+
+// reqSchema is the five-column layout of both Listing 1 tables.
+var reqSchema = relation.NewSchema(
+	relation.Column{Name: "id", Kind: relation.KindInt},
+	relation.Column{Name: "ta", Kind: relation.KindInt},
+	relation.Column{Name: "intrata", Kind: relation.KindInt},
+	relation.Column{Name: "operation", Kind: relation.KindString},
+	relation.Column{Name: "object", Kind: relation.KindInt},
+)
+
+func listingOnePlan(t *testing.T) *minisql.Plan {
+	t.Helper()
+	q, err := minisql.Parse(rules.ListingOneSQL)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{
+		"requests": reqSchema, "history": reqSchema,
+	})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return plan
+}
+
+// TestListingOnePlanIsRewritten pins what the compiler's rewrites make of
+// Listing 1, read off the plan rendering (a node's first child is the next
+// line, one level deeper): WLockedObjects' LEFT JOIN ... IS NULL is an
+// anti-join, no filter sits directly above a join (the cross-side conditions
+// of the comma joins are join residuals), the final join against the
+// duplicate-free QualifiedSS2PLOps is a semi-join, and the write filter over
+// history is one node shared by both lock views.
+func TestListingOnePlanIsRewritten(t *testing.T) {
+	text := listingOnePlan(t).String()
+	if strings.Contains(text, "left-join") {
+		t.Errorf("a left join survived:\n%s", text)
+	}
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	op := func(l string) string { return strings.TrimLeft(l, " ") }
+	depth := func(l string) int { return (len(l) - len(op(l))) / 2 }
+	inRoot, rootSemi := false, false
+	writeFilters := map[string]int{} // filter line -> times printed over scan history
+	for i, l := range lines {
+		inRoot = inRoot || depth(l) == 0 && !strings.HasPrefix(l, "with ")
+		rootSemi = rootSemi || inRoot && strings.HasPrefix(op(l), "semi-join ")
+		if i+1 == len(lines) || depth(lines[i+1]) != depth(l)+1 || !strings.HasPrefix(op(l), "select ") {
+			continue
+		}
+		switch child := op(lines[i+1]); {
+		case strings.HasPrefix(child, "join "):
+			t.Errorf("%q sits directly above %q:\n%s", op(l), child, text)
+		case child == "scan history" && strings.Contains(l, `= "w")`):
+			writeFilters[op(l)]++
+		}
+	}
+	if !rootSemi {
+		t.Errorf("no semi-join under the root:\n%s", text)
+	}
+	if len(writeFilters) != 1 {
+		t.Fatalf("%d distinct write filters over history, want one:\n%s", len(writeFilters), text)
+	}
+	for f, n := range writeFilters {
+		if !strings.HasSuffix(f, " (shared)") || n < 2 {
+			t.Errorf("write filter %q printed %d times, want one shared node under both lock views:\n%s", f, n, text)
+		}
 	}
 }

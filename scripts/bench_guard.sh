@@ -6,10 +6,10 @@
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
 # allocating per row" regressions (the warm rounds sit at ~658 (Datalog,
-# affected-closure recompute since PR 14) / ~189 (SQL: 344 from PR 16, when
-# a bag's maps started dropping emptied buckets, to PR 21, whose flat bags
-# and deltas allocate no cell, map bucket or bucket slice per tuple)
-# allocs/op; the committed baseline is the ratchet). CI boxes are noisy and
+# affected-closure recompute) / ~92 (SQL: flat bags and deltas allocate no
+# cell, map bucket or bucket slice per tuple, and only the views a delta rule
+# reads are materialised; ~163 with every plan node materialised) allocs/op;
+# the committed baseline is the ratchet). CI boxes are noisy and
 # heterogeneous; 2x is deliberately
 # loose — it catches "the hot path fell off a cliff", not percent-level
 # drift (the trajectory table in ROADMAP.md tracks that). A guarded bench
@@ -134,12 +134,12 @@ EOF
 # Relative gate: the large-delta round (BenchmarkSQLIncrementalRound/bulk, a
 # quarter of pending retired and re-admitted per round) must stay at least
 # SPEEDUP_MIN times faster than the cold round. It runs the same per-tuple
-# delta rules as a trickle round and measures ~0.38-0.44 ms against a
-# 5.6-7.8 ms cold round on a 2-core box, 15-19x. A large delta that fell
-# back to re-evaluating Listing 1 reads ~1x and fails here; the wholesale
-# node recompute this bench measured until it was deleted (1.4-1.6 ms and
-# 3,791 allocs, ~5x) passes here but fails the absolute guard above against
-# BENCH_24.json (0.38 ms, 933 allocs).
+# delta rules as a trickle round and measures ~0.19-0.24 ms against a
+# 3.6-5.2 ms cold round on a 2-core box with the plan rewrites (0.38 ms and
+# 5.6 ms without them), 19-24x. A large delta that fell back to re-evaluating
+# Listing 1 reads ~1x and fails here; a wholesale recompute of every affected
+# node (1.4-1.6 ms and 3,791 allocs, ~5x) passes here but fails the absolute
+# guard above against BENCH_25.json (0.21 ms, 484 allocs).
 SPEEDUP_MIN="${SPEEDUP_MIN:-2}"
 raw=$(go test -run='^$' -bench='^BenchmarkSQLIncrementalRound$/^(cold|bulk)$' -benchmem -benchtime="${BENCHTIME:-1s}" .)
 echo "${raw}"
