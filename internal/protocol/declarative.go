@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/arena"
 	"repro/internal/datalog"
 	"repro/internal/minisql"
 	"repro/internal/pool"
@@ -21,14 +22,12 @@ type SQLProtocol struct {
 	name  string
 	query *minisql.Query
 
-	// Incremental state (QualifyIncremental): warm marks that byKey (the
-	// SLA-field restoration map, kept in step with pending) and histLen (the
-	// history size the deltas imply) mirror the scheduler's slices. No copy
-	// of either relation is kept: the paths that read whole relations build
-	// them from the slices when they run.
-	warm    bool
-	byKey   map[request.Key]request.Request
-	histLen int
+	// Incremental state (QualifyIncremental): warm marks that pendLen and
+	// histLen (the relation sizes the deltas imply) are in step with the
+	// scheduler's slices. No copy of either relation is kept: the paths that
+	// read whole relations build them from the slices when they run.
+	warm             bool
+	pendLen, histLen int
 
 	// The compiled plan (shared by every evaluation path) and the
 	// materialized-view cache over it, keyed by query shape: the plan is
@@ -138,42 +137,23 @@ func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Req
 	p.warm = false
 	p.ivm = nil
 	p.lastStrategy = "sql-cold"
-	return p.run(pending, history, pendingByKey(pending))
+	return p.run(pending, history)
 }
 
-// pendingByKey builds the byKey restoration map from scratch — shared by the
-// cold path and the incremental rebuild.
-func pendingByKey(pending []request.Request) map[request.Key]request.Request {
-	byKey := make(map[request.Key]request.Request, len(pending))
-	for _, r := range pending {
-		byKey[r.Key()] = r
-	}
-	return byKey
-}
-
-// QualifyIncremental implements IncrementalProtocol: the byKey restoration
-// map is patched with the round's pending changes instead of being rebuilt.
-// The path follows from the protocol's state alone: the first round, and any
-// round whose deltas disagree with the slices or the views, is a full run
-// (sql-cold); the next round materializes the view cache (sql-ivm-build);
-// every round after that patches the views with the round's deltas
-// (sql-ivm). A plan without delta rules (LIMIT) answers every round with a
-// full run.
+// QualifyIncremental implements IncrementalProtocol. The path follows from
+// the protocol's state alone: the first round, and any round whose deltas
+// disagree with the slices or the views, is a full run (sql-cold); the next
+// round materializes the view cache (sql-ivm-build); every round after that
+// patches the views with the round's deltas (sql-ivm). A plan without delta
+// rules (LIMIT) answers every round with a full run.
 func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	p.resetScratch()
 	if p.warm {
-		// Pending removals precede adds chronologically (see Deltas):
-		// delete first so a re-admitted key keeps its newest request.
-		for _, r := range d.PendingRemoved {
-			delete(p.byKey, r.Key())
-		}
-		for _, r := range d.PendingAdded {
-			p.byKey[r.Key()] = r
-		}
-		// Divergence guard: the pending map and the history size the deltas
-		// imply must land on the passed slices.
+		// Divergence guard: the relation sizes the deltas imply must land on
+		// the passed slices.
+		p.pendLen += len(d.PendingAdded) - len(d.PendingRemoved)
 		p.histLen += len(d.HistoryAppended) - len(d.HistoryRemoved)
-		if len(p.byKey) != len(pending) || p.histLen != len(history) {
+		if p.pendLen != len(pending) || p.histLen != len(history) {
 			p.warm = false // rebuild below
 		}
 	}
@@ -181,7 +161,7 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		if err := p.ivm.Apply(roundDeltas(d)); err == nil {
 			if rel, err := p.ivm.Result(); err == nil {
 				p.lastStrategy = "sql-ivm"
-				return p.finish(rel, p.byKey)
+				return p.finish(rel)
 			}
 		}
 		// The views refused the deltas (a delete of a row they never held):
@@ -192,11 +172,11 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		// Cold rebuild: the deltas are no longer exact relative to any
 		// maintained state, so the view cache goes too (see the
 		// IncrementalProtocol contract).
-		p.byKey, p.histLen = pendingByKey(pending), len(history)
+		p.pendLen, p.histLen = len(pending), len(history)
 		p.ivm = nil
 		p.warm = true
 		p.lastStrategy = "sql-cold"
-		return p.run(pending, history, p.byKey)
+		return p.run(pending, history)
 	}
 	if !p.ivmUnsupported {
 		if out, ok := p.buildIVM(pending, history); ok {
@@ -204,7 +184,7 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		}
 	}
 	p.lastStrategy = "sql-cold"
-	return p.run(pending, history, p.byKey)
+	return p.run(pending, history)
 }
 
 // resetScratch starts a new scratch round: the previous round's leased
@@ -247,7 +227,7 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 		p.ivmUnsupported = true
 		return nil, false
 	}
-	out, err := p.finish(rel, p.byKey)
+	out, err := p.finish(rel)
 	if err != nil {
 		p.ivmUnsupported = true
 		return nil, false
@@ -291,7 +271,7 @@ func (p *SQLProtocol) compiledPlan(reqS, histS *relation.Schema) (*minisql.Plan,
 }
 
 // run evaluates the query over relations built from the slices.
-func (p *SQLProtocol) run(pending, history []request.Request, byKey map[request.Key]request.Request) ([]request.Request, error) {
+func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request, error) {
 	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
 	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
 	if err != nil {
@@ -301,21 +281,15 @@ func (p *SQLProtocol) run(pending, history []request.Request, byKey map[request.
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	return p.finish(out, byKey)
+	return p.finish(out)
 }
 
-// finish converts a query result to requests and restores the SLA fields
-// lost through the five-column relation from the pending batch, so
-// downstream ordering and accounting keep working.
-func (p *SQLProtocol) finish(out *relation.Relation, byKey map[request.Key]request.Request) ([]request.Request, error) {
+// finish converts a query result to requests: the five columns the relation
+// holds (see Protocol.Qualify).
+func (p *SQLProtocol) finish(out *relation.Relation) ([]request.Request, error) {
 	qualified, err := request.FromRelation(out)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: bad query output: %w", p.name, err)
-	}
-	for i := range qualified {
-		if orig, ok := byKey[qualified[i].Key()]; ok {
-			qualified[i] = orig
-		}
 	}
 	return qualified, nil
 }
@@ -333,15 +307,16 @@ type DatalogProtocol struct {
 	aux      map[string][]relation.Tuple
 
 	// Incremental state (QualifyIncremental): warm marks that the engine's
-	// retained fact sets and byKey mirror the scheduler's pending/history;
-	// byKey restores the SLA fields lost through the relational form.
-	warm  bool
-	byKey map[request.Key]request.Request
+	// retained fact sets mirror the scheduler's pending/history.
+	warm bool
 	// changed and the four tuple slices behind its deltas are the round's
 	// hand-over to the engine, refilled in place every round (the engine
-	// keeps the inserted tuples, never the slices).
+	// keeps the inserted tuples, never the slices). The delete-side tuples
+	// are only probes the engine never keeps, so they are carved from
+	// probes, which is reset at the start of each warm round.
 	changed                          map[string]datalog.EDBDelta
 	reqIns, reqDel, histIns, histDel []relation.Tuple
+	probes                           arena.Slab[relation.Value]
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -495,72 +470,55 @@ func ConsistencyRationing(classes map[int64]string) (*DatalogProtocol, error) {
 	return p, nil
 }
 
-// edbTuples refills dst with the EDB form of rs: the request EDB's columns when
-// extended (the SLA form), the five history columns otherwise.
-func edbTuples(dst []relation.Tuple, rs []request.Request, extended bool) []relation.Tuple {
+// edbTuples refills dst with the EDB form of rs, each tuple carved by
+// newTuple: the request EDB's columns when extended (the SLA form), the five
+// history columns otherwise.
+func edbTuples(dst []relation.Tuple, rs []request.Request, extended bool, newTuple func(n int) []relation.Value) []relation.Tuple {
+	n := 5
+	if extended {
+		n = 7
+	}
 	dst = dst[:0]
 	for _, r := range rs {
-		if extended {
-			dst = append(dst, r.ExtendedTuple())
-		} else {
-			dst = append(dst, r.Tuple())
-		}
+		dst = append(dst, r.PutTuple(newTuple(n)))
 	}
 	return dst
 }
 
+// heapTuple allocates an insert-side tuple, which the engine keeps.
+func heapTuple(n int) []relation.Value { return make([]relation.Value, n) }
+
 // Qualify implements Protocol: a cold evaluation over freshly materialised
 // pending and history relations. It invalidates any incremental state.
 func (p *DatalogProtocol) Qualify(pending, history []request.Request) ([]request.Request, error) {
-	qualified, _, err := p.qualifyCold(pending, history)
-	return qualified, err
-}
-
-// qualifyCold is the cold path shared by Qualify and the incremental
-// fallback; it also returns the byKey restoration map it built.
-func (p *DatalogProtocol) qualifyCold(pending, history []request.Request) ([]request.Request, map[request.Key]request.Request, error) {
 	p.warm = false
 	var reqRel = request.ToRelation
 	if p.extended {
 		reqRel = request.ToExtendedRelation
 	}
 	if err := p.engine.SetEDBRelation("request", reqRel(pending)); err != nil {
-		return nil, nil, fmt.Errorf("protocol %s: %w", p.name, err)
+		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
 	if err := p.engine.SetEDBRelation("history", request.ToRelation(history)); err != nil {
-		return nil, nil, fmt.Errorf("protocol %s: %w", p.name, err)
+		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
 	if err := p.engine.Run(); err != nil {
-		return nil, nil, fmt.Errorf("protocol %s: %w", p.name, err)
+		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	byKey := make(map[request.Key]request.Request, len(pending))
-	for _, r := range pending {
-		byKey[r.Key()] = r
-	}
-	qualified, err := p.collect(byKey)
-	return qualified, byKey, err
+	return p.collect()
 }
 
 // QualifyIncremental implements IncrementalProtocol: the round's change set
 // is forwarded to the engine as EDB deltas, so unchanged facts — the bulk of
 // the history and every auxiliary relation — are never re-materialised, let
-// alone re-derived. The first call, any divergence between the mirror and
-// the passed slices, and any delta the engine refuses fall back to the cold
-// path.
+// alone re-derived. The first call, any divergence between the engine's EDB
+// and the passed slices, and any delta the engine refuses fall back to the
+// cold path.
 func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	if p.warm {
-		// Pending removals precede adds chronologically (see Deltas): apply
-		// in that order so a re-admitted key keeps its newest request.
-		for _, r := range d.PendingRemoved {
-			delete(p.byKey, r.Key())
-		}
-		for _, r := range d.PendingAdded {
-			p.byKey[r.Key()] = r
-		}
-		// Divergence guards on both mirrors: the pending map after the
-		// deltas, and the engine's history fact count plus the incoming
-		// change, must land on the passed slices.
-		if len(p.byKey) != len(pending) ||
+		// Divergence guard: the engine's fact counts plus the incoming
+		// change must land on the passed slices.
+		if p.engine.FactCount("request")+len(d.PendingAdded)-len(d.PendingRemoved) != len(pending) ||
 			p.engine.FactCount("history")+len(d.HistoryAppended)-len(d.HistoryRemoved) != len(history) {
 			p.warm = false // rebuild below
 		}
@@ -569,11 +527,12 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		return p.rebuild(pending, history)
 	}
 
+	p.probes.Reset()
 	changed := p.changed
 	clear(changed)
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
-		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, p.extended)
-		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, p.extended)
+		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, p.extended, heapTuple)
+		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, p.extended, p.probes.Make)
 		ed := datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 		// EDBDelta applies Insert before Delete, but pending removals
 		// precede adds chronologically: an identical tuple removed and
@@ -610,8 +569,8 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		changed["request"] = ed
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
-		p.histIns = edbTuples(p.histIns, d.HistoryAppended, false)
-		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, false)
+		p.histIns = edbTuples(p.histIns, d.HistoryAppended, false, heapTuple)
+		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, false, p.probes.Make)
 		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {
@@ -620,17 +579,17 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		// reloads it.
 		return p.rebuild(pending, history)
 	}
-	return p.collect(p.byKey)
+	return p.collect()
 }
 
 // rebuild answers the round with a full run and makes its state the baseline
 // the next round's deltas apply to.
 func (p *DatalogProtocol) rebuild(pending, history []request.Request) ([]request.Request, error) {
-	qualified, byKey, err := p.qualifyCold(pending, history)
+	qualified, err := p.Qualify(pending, history)
 	if err != nil {
 		return nil, err
 	}
-	p.byKey, p.warm = byKey, true
+	p.warm = true
 	return qualified, nil
 }
 
@@ -657,17 +616,14 @@ func idRange(rs []request.Request) (min, max int64) {
 	return min, max
 }
 
-// collect reads the qualified predicate, restores the SLA fields from the
-// pending batch and fixes the execution order.
-func (p *DatalogProtocol) collect(byKey map[request.Key]request.Request) ([]request.Request, error) {
+// collect reads the qualified predicate (the columns its request EDB holds,
+// see Protocol.Qualify) and fixes the execution order.
+func (p *DatalogProtocol) collect() ([]request.Request, error) {
 	qualified := make([]request.Request, 0, p.engine.FactCount("qualified"))
 	for t := range p.engine.FactSeq("qualified") {
 		r, err := request.FromTuple(t)
 		if err != nil {
 			return nil, fmt.Errorf("protocol %s: bad qualified tuples: %w", p.name, err)
-		}
-		if orig, ok := byKey[r.Key()]; ok {
-			r = orig
 		}
 		qualified = append(qualified, r)
 	}

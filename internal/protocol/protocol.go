@@ -22,7 +22,11 @@ type Protocol interface {
 	Name() string
 	// Qualify returns the pending requests that can execute without
 	// violating the protocol, in execution order. It must not mutate its
-	// arguments.
+	// arguments. A protocol returns the rows its relation holds: a
+	// declarative one reads requests through a five- or seven-column
+	// relation, and the fields outside it — Class always, Priority and
+	// Arrival too through the five-column form — are restored by the
+	// scheduler from its pending copy of each (TA, IntraTA) key.
 	Qualify(pending, history []request.Request) ([]request.Request, error)
 }
 

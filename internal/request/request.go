@@ -135,27 +135,20 @@ func ExtendedSchema() *relation.Schema {
 }
 
 // Tuple converts the request to the paper's five-column form.
-func (r Request) Tuple() relation.Tuple {
-	return relation.Tuple{
-		relation.Int(r.ID),
-		relation.Int(r.TA),
-		relation.Int(r.IntraTA),
-		relation.String(r.Op.String()),
-		relation.Int(r.Object),
-	}
-}
+func (r Request) Tuple() relation.Tuple { return r.PutTuple(make(relation.Tuple, 5)) }
 
 // ExtendedTuple converts the request to the seven-column SLA form.
-func (r Request) ExtendedTuple() relation.Tuple {
-	return relation.Tuple{
-		relation.Int(r.ID),
-		relation.Int(r.TA),
-		relation.Int(r.IntraTA),
-		relation.String(r.Op.String()),
-		relation.Int(r.Object),
-		relation.Int(r.Priority),
-		relation.Int(r.Arrival),
+func (r Request) ExtendedTuple() relation.Tuple { return r.PutTuple(make(relation.Tuple, 7)) }
+
+// PutTuple writes the request into t, which the caller allocates: the
+// five-column form when len(t) is 5, the seven-column SLA form when it is 7.
+func (r Request) PutTuple(t relation.Tuple) relation.Tuple {
+	t[0], t[1], t[2] = relation.Int(r.ID), relation.Int(r.TA), relation.Int(r.IntraTA)
+	t[3], t[4] = relation.String(r.Op.String()), relation.Int(r.Object)
+	if len(t) == 7 {
+		t[5], t[6] = relation.Int(r.Priority), relation.Int(r.Arrival)
 	}
+	return t
 }
 
 // FromTuple parses a five- or seven-column tuple back into a Request.

@@ -74,9 +74,10 @@ type Result struct {
 // requests into the incoming queue; a scheduler loop fires rounds according
 // to the trigger policy, and results go back to the client workers. The loop
 // only schedules, and it is event-driven: it shows the trigger its Load on
-// every arrival and delivery, and in between sleeps on one timer set to the
-// earliest deadline (the trigger's or progressBound; below napBelow a kernel
-// sleep keeps it on time), armed only while something is queued or pending.
+// every arrival and delivery, and in between sleeps until the earliest
+// deadline (the trigger's or progressBound) on one timer — or, below napBelow,
+// on a kernel sleep instead, which keeps it on time — armed only while
+// something is queued or pending.
 //
 // Rounds run pipelined by default: the loop schedules a round (admit,
 // qualify, resolve, commit) and moves on — server execution happens on the
@@ -104,7 +105,18 @@ type Middleware struct {
 	syncMode  bool
 	limits    Limits
 	lastRound time.Time // loop goroutine only
-	wakeups   int       // loop iterations (loop goroutine only; tests read it after Stop)
+	// wakeups counts loop iterations and wakes records why the first few
+	// woke (loop goroutine only; tests read them after Stop). pokedBy
+	// collects the causes of the pokes since the loop last woke: pokes
+	// coalesce in notify, so one wake-up can have several.
+	wakeups int
+	wakes   [16]wakeCause
+	pokedBy atomic.Uint32
+	// napAt is the deadline (UnixNano) of the kernel sleep the loop is
+	// waiting on, 0 when none: a nap whose deadline the loop has since
+	// dropped — a round ran, or a nearer or longer wait replaced it — ends
+	// without waking it.
+	napAt atomic.Int64
 
 	// queued counts admitted-but-unanswered submissions (registered
 	// waiters): the fill level the MaxQueued admission cap reads.
@@ -503,11 +515,23 @@ func (m *Middleware) registerAndEnqueue(r request.Request, w waiter) {
 	if enq {
 		m.engine.Enqueue(r)
 	}
-	m.poke()
+	m.poke(wokeArrival)
 }
 
+// wakeCause names what woke the round loop, one bit per source.
+type wakeCause uint8
+
+const (
+	wokeArrival  wakeCause = 1 << iota // a submission
+	wokeNap                            // the kernel sleep of a short wait ended
+	wokeRound                          // the loop's own poke after a round
+	wokeDelivery                       // an executor answered a batch
+	wokeTimer                          // the loop's timer fired
+)
+
 // poke wakes the loop without blocking.
-func (m *Middleware) poke() {
+func (m *Middleware) poke(cause wakeCause) {
+	m.pokedBy.Or(uint32(cause))
 	select {
 	case m.notify <- struct{}{}:
 	default:
@@ -581,41 +605,62 @@ func (m *Middleware) notifyVictims(victims []int64) {
 func (m *Middleware) loop() {
 	defer close(m.stopped)
 	if !m.syncMode {
-		m.engine.StartExecutors(func(c Completion) { m.deliver(c); m.poke() })
+		m.engine.StartExecutors(func(c Completion) { m.deliver(c); m.poke(wokeDelivery) })
 	}
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
-	var alarm time.Time // deadline of the last nap started
 	m.lastRound = time.Now()
 	for {
+		var cause wakeCause
 		select {
 		case <-m.stop:
 			m.shutdown()
 			return
 		case <-m.notify:
 		case <-timer.C:
+			cause = wokeTimer
+		}
+		cause |= wakeCause(m.pokedBy.Swap(0))
+		if m.wakeups < len(m.wakes) {
+			m.wakes[m.wakeups] = cause
 		}
 		m.wakeups++
 		at := m.poll()
 		if at.IsZero() {
 			timer.Stop()
+			m.napAt.Store(0)
 			continue
 		}
 		now := time.Now()
 		wait := at.Sub(now)
-		timer.Reset(wait)
-		if wait < napBelow && (alarm.Before(now) || at.Before(alarm)) {
-			alarm = at
-			go func() { nap(wait); m.poke() }()
+		if wait >= napBelow {
+			m.napAt.Store(0)
+			timer.Reset(wait)
+			continue
+		}
+		// A short wait is the kernel sleep's alone: a timer armed beside it
+		// would race it, and whichever came second would wake the loop for
+		// nothing. A nap already in flight for an earlier deadline that has
+		// not passed is kept — the loop asks again when it ends.
+		timer.Stop()
+		if cur := m.napAt.Load(); cur == 0 || cur <= now.UnixNano() || at.UnixNano() < cur {
+			deadline := at.UnixNano()
+			m.napAt.Store(deadline)
+			go func() {
+				nap(wait)
+				if m.napAt.CompareAndSwap(deadline, 0) {
+					m.poke(wokeNap)
+				}
+			}()
 		}
 	}
 }
 
-// napBelow is the wait under which the loop sets a kernel sleep beside its
-// timer. Once the process is otherwise idle — where a light load waits — the
-// runtime's netpoller blocks in whole milliseconds and serves a shorter timer
-// about one late; from half of that up, a timer alone is at most three times
-// late, as it always was.
+// napBelow is the wait under which the loop sleeps in the kernel instead of
+// on its timer. Once the process is otherwise idle — where a light load
+// waits — the runtime's netpoller blocks in whole milliseconds and serves a
+// shorter timer about one late; from half of that up, a timer alone is at
+// most three times late, as it always was.
 const napBelow = 500 * time.Microsecond
 
 // poll asks the trigger, once per wake-up, and runs a round if it or the
@@ -640,7 +685,7 @@ func (m *Middleware) poll() time.Time {
 		return m.lastRound.Add(idle + wait)
 	}
 	m.runRound(why)
-	m.poke()
+	m.poke(wokeRound)
 	return time.Time{}
 }
 

@@ -5,8 +5,10 @@ import (
 	"time"
 )
 
-// nap blocks the calling thread for d in the kernel.
+// nap blocks the calling thread for d in the kernel. A signal interrupts the
+// sleep; it resumes for the remaining time, so a nap never ends early.
 func nap(d time.Duration) {
 	ts := syscall.NsecToTimespec(int64(d))
-	syscall.Nanosleep(&ts, nil)
+	for syscall.Nanosleep(&ts, &ts) == syscall.EINTR {
+	}
 }

@@ -1,0 +1,111 @@
+package scheduler
+
+import (
+	"testing"
+
+	"repro/internal/protocol"
+	"repro/internal/request"
+	"repro/internal/storage"
+)
+
+// TestQualifiedRowsCarryPendingFields pins where a qualified request's fields
+// come from: a declarative protocol returns the columns of its relation, and
+// the scheduler restores the rest from the pending copy it removes — Class
+// always, Priority and Arrival too through a five-column relation. The
+// executed results, the history rows and the round's qualified list (RTE's
+// source) must all carry the pending copy's fields. One key is resubmitted
+// with different content in the round the SQL view cache is built, so it must
+// come back as the new submission, not as the one the cold round saw.
+func TestQualifiedRowsCarryPendingFields(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		proto func() protocol.Protocol
+	}{
+		{"ss2pl-sql", func() protocol.Protocol { return protocol.SS2PLSQL() }},
+		{"ss2pl-datalog", func() protocol.Protocol { return protocol.SS2PLDatalog() }},
+		{"sla-datalog", func() protocol.Protocol { return protocol.SLAPriorityDatalog() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := NewEngine(Config{Protocol: c.proto(), Server: storage.NewServer(storage.Config{Rows: 16}), KeepLog: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// want is what the scheduler was given per (TA, IntraTA, Object).
+			type content struct {
+				key    request.Key
+				object int64
+			}
+			want := map[content]request.Request{}
+			submit := func(r request.Request) {
+				want[content{r.Key(), r.Object}] = r
+				e.Enqueue(r)
+			}
+			check := func(round int, what string, r request.Request) {
+				t.Helper()
+				w, ok := want[content{r.Key(), r.Object}]
+				if !ok {
+					t.Fatalf("round %d: %s %v was never submitted (stale content)", round, what, r)
+				}
+				if r.Class != w.Class || r.Priority != w.Priority || r.Arrival != r.ID {
+					t.Errorf("round %d: %s %v carries class %q priority %d arrival %d, want %q %d %d",
+						round, what, r, r.Class, r.Priority, r.Arrival, w.Class, w.Priority, r.ID)
+				}
+			}
+			executed := 0
+			run := func(round int, wantStrategy string) {
+				t.Helper()
+				res, err := e.Round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantStrategy != "" && res.Stats.Strategy != wantStrategy {
+					t.Fatalf("round %d ran %q, want %q", round, res.Stats.Strategy, wantStrategy)
+				}
+				for _, ex := range res.Executed {
+					check(round, "executed", ex.Request)
+				}
+				executed += len(res.Executed)
+				qualified := e.shards[0].lastQualified
+				if rte := e.RTE(); rte.Len() != len(qualified) {
+					t.Fatalf("round %d: RTE holds %d rows, qualified %d", round, rte.Len(), len(qualified))
+				}
+				for _, r := range qualified {
+					check(round, "qualified", r)
+				}
+				for _, r := range e.History().Live() {
+					check(round, "history row", r)
+				}
+			}
+			// Round 1 (cold): ta1's write wins object 3 under both SS2PL
+			// (lower TA) and SLA (higher priority); ta2's stays pending.
+			submit(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: 3, Class: "gold", Priority: 4})
+			submit(request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 3, Class: "free", Priority: 1})
+			run(1, "")
+			if e.PendingLen() != 1 {
+				t.Fatalf("round 1 left %d pending, want ta2's write", e.PendingLen())
+			}
+			// Round 2 builds the SQL view cache: ta2 resubmits its blocked
+			// write on a free object with a new class and priority.
+			submit(request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 5, Class: "premium", Priority: 9})
+			submit(request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "gold", Priority: 4})
+			build := ""
+			if c.name == "ss2pl-sql" {
+				build = "sql-ivm-build"
+			}
+			run(2, build)
+			// Round 3 runs on the maintained views.
+			submit(request.Request{TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "premium", Priority: 9})
+			maintained := ""
+			if c.name == "ss2pl-sql" {
+				maintained = "sql-ivm"
+			}
+			run(3, maintained)
+			if executed != 4 || e.PendingLen() != 0 {
+				t.Fatalf("executed %d of 4, %d left pending", executed, e.PendingLen())
+			}
+			for _, r := range e.History().Log() {
+				check(3, "logged history row", r)
+			}
+		})
+	}
+}

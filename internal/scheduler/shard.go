@@ -248,8 +248,16 @@ func (sh *shard) commitPlan() {
 			}
 		}
 	}
-	for _, r := range sh.qual {
+	for i, r := range sh.qual {
 		k := r.Key()
+		// The protocol returns the rows its relation holds; the pending copy
+		// carries the rest (Class always, Priority and Arrival through a
+		// five-column relation), and from here on it is the request: the
+		// plan step, the history row and the round's qualified list.
+		if orig, ok := sh.pending.Take(k); ok {
+			r = orig
+			sh.qual[i] = r
+		}
 		step := execStep{req: r}
 		if r.Op == request.Abort {
 			step.undo = sh.rollback(r.TA)
@@ -264,7 +272,6 @@ func (sh *shard) commitPlan() {
 				sh.plan.steps = append(sh.plan.steps, step)
 			}
 			sh.hist.AppendReplica(r)
-			sh.pending.Remove(k)
 			continue
 		}
 		if durable && r.Op == request.Commit {
@@ -278,7 +285,6 @@ func (sh *shard) commitPlan() {
 		}
 		sh.plan.steps = append(sh.plan.steps, step)
 		sh.hist.Append(r)
-		sh.pending.Remove(k)
 	}
 	if cfg.GCEvery >= 0 && (cfg.GCEvery <= 1 || sh.round%cfg.GCEvery == 0) {
 		sh.hist.GC()

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -283,7 +284,7 @@ func TestLoopIdleMiddlewareDoesNotWakeUp(t *testing.T) {
 	time.Sleep(50 * ms)
 	m.Stop()
 	if m.wakeups != 0 {
-		t.Errorf("idle loop iterated %d times in 50ms", m.wakeups)
+		t.Errorf("idle loop iterated %d times in 50ms; woken by %s", m.wakeups, wakeCauses(m))
 	}
 	// And it goes back to sleep once its work is done.
 	m = startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
@@ -292,9 +293,28 @@ func TestLoopIdleMiddlewareDoesNotWakeUp(t *testing.T) {
 	}
 	time.Sleep(50 * ms)
 	m.Stop()
-	if m.wakeups > 4 { // arrival, the nap's wake-up, the poke after its round, the delivery
-		t.Errorf("loop iterated %d times for one request", m.wakeups)
+	// Arrival, the nap's wake-up, the poke after its round, the delivery. A
+	// fifth used to come under load from a timer armed beside the nap (the
+	// second of the two woke the loop for nothing) or from a nap a signal
+	// cut short (its wake-up found the deadline not yet due).
+	if m.wakeups > 4 {
+		t.Errorf("loop iterated %d times for one request; woken by %s", m.wakeups, wakeCauses(m))
 	}
+}
+
+// wakeCauses lists why the loop woke, in order (the first len(m.wakes)). A
+// wake-up without a cause took a poke whose cause an earlier one had read.
+func wakeCauses(m *Middleware) string {
+	var out string
+	for i := 0; i < min(m.wakeups, len(m.wakes)); i++ {
+		out += fmt.Sprintf("\n\t%d:", i+1)
+		for b, name := range []string{"arrival", "nap", "round", "delivery", "timer"} {
+			if m.wakes[i]&(1<<b) != 0 {
+				out += " " + name
+			}
+		}
+	}
+	return out
 }
 
 // Every above the progress bound used to be capped by it: the loop ran a

@@ -14,17 +14,26 @@ import (
 )
 
 // History holds the live history, indexed per transaction, and optionally
-// the full execution log. Like Pending, removal swap-compacts a dense slice
-// and every mutation is logged in protocol.Deltas shape, so garbage
-// collection is O(rows of newly finished transactions) instead of a full
-// live scan, and a deadlock victim's executed writes are enumerable in
-// O(|TA's rows|) for rollback.
+// the full execution log. Like Pending, removal swap-compacts a dense slice,
+// a slot table addresses the rows by transaction, and every mutation is
+// logged in protocol.Deltas shape, so garbage collection is O(rows of newly
+// finished transactions) instead of a full live scan, and a deadlock
+// victim's executed writes are enumerable in O(|TA's rows|) for rollback.
 type History struct {
-	live []request.Request
-	// byTA maps each live transaction to the positions of its rows in live.
-	// GC and victim rollback both address the history by transaction; the
-	// index makes them proportional to the transaction, not the store.
-	byTA     map[int64][]int32
+	// live is the dense row slice; rowSlot and rowAppended run beside it:
+	// each row's slot, and its index in the window's HistoryAppended log (-1
+	// when it was appended in an earlier window).
+	live        []request.Request
+	rowSlot     []int32
+	rowAppended []int32
+
+	slotOf map[int64]int32
+	slots  []historySlot
+	free   []int32
+
+	// finished is every transaction that ever terminated. It is read when a
+	// transaction gets a slot and written once per termination; the slot's
+	// flag answers the per-row checks.
 	finished map[int64]bool
 	// gcQueue lists transactions that terminated since the last GC, so a GC
 	// pass visits exactly the newly finished transactions instead of
@@ -32,20 +41,21 @@ type History struct {
 	gcQueue []int64
 
 	deltas protocol.Deltas
-	// appendedAt maps request ID -> position in the current window's
-	// appended log. A transaction that executes and commits within one
-	// round is appended and garbage-collected inside the same delta window —
-	// net absent per the Deltas contract — so the removal cancels the
-	// append in place and the protocols never see the no-op pair. Request
-	// IDs are the paper's globally unique consecutive request numbers.
-	appendedAt map[int64]int32
+	// appendedRow is the position in live of each HistoryAppended entry. A
+	// transaction that executes and commits within one round is appended and
+	// garbage-collected inside the same delta window — net absent per the
+	// Deltas contract — so the removal cancels the append in place and the
+	// protocols never see the no-op pair.
+	appendedRow []int32
 	// removedAt is the mirror image for the opposite chronology: slot
 	// migration can move a row out and back in (the slot bounced between
 	// shards) before this shard's window is consumed — net present — and a
 	// removal followed by a re-append must likewise cancel in place. Left
 	// uncancelled, the pair reads as net absent to the protocols (their
 	// incremental engines apply inserts before deletes), silently dropping
-	// a live lock row.
+	// a live lock row. It maps request ID -> position in HistoryRemoved, and
+	// only ExtractMatching's removals enter it: GC never re-appends a row.
+	// Request IDs are the paper's globally unique consecutive request numbers.
 	removedAt map[int64]int32
 
 	keepLog bool
@@ -60,16 +70,23 @@ type History struct {
 	round    int
 }
 
+// historySlot is one transaction with live history rows. A slot is live while
+// rows is non-empty; a freed slot keeps the capacity of its rows.
+type historySlot struct {
+	ta       int64
+	finished bool
+	rows     []int32
+}
+
 // NewHistory creates a store. With keepLog, every appended request is also
 // retained in an append-only log (used by tests to verify serializability;
 // the paper's scheduler would not keep it).
 func NewHistory(keepLog bool) *History {
 	return &History{
-		byTA:       make(map[int64][]int32),
-		finished:   make(map[int64]bool),
-		keepLog:    keepLog,
-		appendedAt: make(map[int64]int32),
-		removedAt:  make(map[int64]int32),
+		slotOf:    make(map[int64]int32),
+		finished:  make(map[int64]bool),
+		keepLog:   keepLog,
+		removedAt: make(map[int64]int32),
 	}
 }
 
@@ -77,43 +94,75 @@ func NewHistory(keepLog bool) *History {
 // HistoryAppended.
 func (s *History) Append(rs ...request.Request) {
 	for _, r := range rs {
-		s.byTA[r.TA] = append(s.byTA[r.TA], int32(len(s.live)))
-		s.live = append(s.live, r)
+		sl, ok := s.slotOf[r.TA]
+		if !ok {
+			sl = s.newSlot(r.TA)
+		}
+		slot := &s.slots[sl]
 		if r.Op.IsTermination() {
-			s.finished[r.TA] = true
+			if !slot.finished {
+				slot.finished = true
+				s.finished[r.TA] = true
+			}
 			s.gcQueue = append(s.gcQueue, r.TA)
-		} else if s.finished[r.TA] {
+		} else if slot.finished {
 			// Out-of-order arrival for an already finished transaction:
 			// queue it so the next GC collects the late row.
 			s.gcQueue = append(s.gcQueue, r.TA)
 		}
+		pos := int32(len(s.live))
+		slot.rows = append(slot.rows, pos)
+		s.live = append(s.live, r)
+		s.rowSlot = append(s.rowSlot, sl)
+		s.rowAppended = append(s.rowAppended, -1)
 		if s.keepLog {
 			s.log = append(s.log, r)
 			s.logRound = append(s.logRound, s.round)
 		}
-		s.logAppend(r)
+		s.logAppend(r, pos)
 	}
 }
 
-// logAppend records r's append in the change log. An append of a request
-// removed within the same window cancels the removal instead (migration
-// bounced the row out and back in — net present).
-func (s *History) logAppend(r request.Request) {
-	if pos, ok := s.removedAt[r.ID]; ok {
-		delete(s.removedAt, r.ID)
-		rm := s.deltas.HistoryRemoved
-		last := int32(len(rm) - 1)
-		if pos != last {
-			moved := rm[last]
-			rm[pos] = moved
-			s.removedAt[moved.ID] = pos
-		}
-		rm[last] = request.Request{}
-		s.deltas.HistoryRemoved = rm[:last]
-		return
+// newSlot gives ta a slot, reusing a freed one when there is one.
+func (s *History) newSlot(ta int64) int32 {
+	var sl int32
+	if n := len(s.free); n > 0 {
+		sl = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		sl = int32(len(s.slots))
+		s.slots = append(s.slots, historySlot{})
 	}
-	s.appendedAt[r.ID] = int32(len(s.deltas.HistoryAppended))
+	slot := &s.slots[sl]
+	slot.ta, slot.finished = ta, s.finished[ta]
+	s.slotOf[ta] = sl
+	return sl
+}
+
+// logAppend records the append of r, stored at pos, in the change log. An
+// append of a request removed within the same window cancels the removal
+// instead (migration bounced the row out and back in — net present).
+func (s *History) logAppend(r request.Request, pos int32) {
+	if len(s.removedAt) > 0 {
+		if at, ok := s.removedAt[r.ID]; ok {
+			delete(s.removedAt, r.ID)
+			rm := s.deltas.HistoryRemoved
+			last := int32(len(rm) - 1)
+			if at != last {
+				moved := rm[last]
+				rm[at] = moved
+				if _, ok := s.removedAt[moved.ID]; ok {
+					s.removedAt[moved.ID] = at
+				}
+			}
+			rm[last] = request.Request{}
+			s.deltas.HistoryRemoved = rm[:last]
+			return
+		}
+	}
+	s.rowAppended[pos] = int32(len(s.deltas.HistoryAppended))
 	s.deltas.HistoryAppended = append(s.deltas.HistoryAppended, r)
+	s.appendedRow = append(s.appendedRow, pos)
 }
 
 // AppendReplica records a replica copy of a cross-partition termination: the
@@ -151,44 +200,22 @@ func (s *History) AppendMigrated(rs ...request.Request) {
 // object and must stay where the transaction's finished mark lives).
 func (s *History) ExtractMatching(match func(obj int64) bool) []request.Request {
 	var taken []request.Request
-	for _, r := range s.live {
-		if r.Op.IsTermination() || s.finished[r.TA] || !match(r.Object) {
+	for i, r := range s.live {
+		if r.Op.IsTermination() || s.slots[s.rowSlot[i]].finished || !match(r.Object) {
 			continue
 		}
 		taken = append(taken, r)
 	}
 	for _, r := range taken {
-		s.removeRow(r)
+		sl := s.slotOf[r.TA]
+		for i, pos := range s.slots[sl].rows {
+			if s.live[pos].ID == r.ID {
+				s.removeAt(sl, i, true)
+				break
+			}
+		}
 	}
 	return taken
-}
-
-// removeRow drops one specific live row (matched by request ID), fixing up
-// the per-transaction index like removeTA does for whole transactions.
-func (s *History) removeRow(r request.Request) {
-	positions := s.byTA[r.TA]
-	for i, pos := range positions {
-		if s.live[pos].ID != r.ID {
-			continue
-		}
-		positions[i] = positions[len(positions)-1]
-		positions = positions[:len(positions)-1]
-		if len(positions) == 0 {
-			delete(s.byTA, r.TA)
-		} else {
-			s.byTA[r.TA] = positions
-		}
-		s.logRemoval(r)
-		last := int32(len(s.live) - 1)
-		if pos != last {
-			moved := s.live[last]
-			s.live[pos] = moved
-			s.repoint(moved.TA, last, pos)
-		}
-		s.live[last] = request.Request{} // do not pin the removed request
-		s.live = s.live[:last]
-		return
-	}
 }
 
 // Live returns the live history slice (order unspecified — removal compacts
@@ -215,9 +242,13 @@ func (s *History) Finished(ta int64) bool { return s.finished[ta] }
 // WritesOf returns the objects of ta's executed writes, one entry per write
 // (rollback compensates each executed write exactly once). O(|TA's rows|).
 func (s *History) WritesOf(ta int64) []int64 {
+	sl, ok := s.slotOf[ta]
+	if !ok {
+		return nil
+	}
 	var out []int64
-	for _, pos := range s.byTA[ta] {
-		if r := s.live[pos]; r.Op == request.Write {
+	for _, pos := range s.slots[sl].rows {
+		if r := &s.live[pos]; r.Op == request.Write {
 			out = append(out, r.Object)
 		}
 	}
@@ -229,8 +260,12 @@ func (s *History) WritesOf(ta int64) []int64 {
 // (a commit record may not be journaled before that many of ta's write
 // records are). O(|TA's rows|), allocation-free.
 func (s *History) WriteCountOf(ta int64) int {
+	sl, ok := s.slotOf[ta]
+	if !ok {
+		return 0
+	}
 	n := 0
-	for _, pos := range s.byTA[ta] {
+	for _, pos := range s.slots[sl].rows {
 		if s.live[pos].Op == request.Write {
 			n++
 		}
@@ -242,84 +277,92 @@ func (s *History) WriteCountOf(ta int64) int {
 // as HistoryRemoved, and returns how many were removed. The execution log is
 // unaffected. A pass visits only the transactions that terminated since the
 // previous GC (rows of an already collected transaction that arrive
-// out-of-order re-queue it via Append's termination check — late rows carry
-// no termination, so Append re-queues on lookup instead).
+// out-of-order re-queue it via Append's finished check).
 func (s *History) GC() int {
 	n := 0
 	for _, ta := range s.gcQueue {
-		if _, ok := s.byTA[ta]; ok {
-			n += s.removeTA(ta)
+		if sl, ok := s.slotOf[ta]; ok {
+			n += s.removeTA(sl)
 		}
 	}
 	s.gcQueue = s.gcQueue[:0]
 	return n
 }
 
-// removeTA drops all of ta's rows from the live slice, fixing the index
-// entries of rows swapped into the holes.
-func (s *History) removeTA(ta int64) int {
-	positions := s.byTA[ta]
-	delete(s.byTA, ta)
-	n := 0
+// removeTA drops all of slot sl's rows from the live slice, releasing the
+// slot.
+func (s *History) removeTA(sl int32) int {
+	rows := s.slots[sl].rows
+	n := len(rows)
 	// Remove from the highest position down, so a swap never moves a row
 	// that is itself scheduled for removal.
-	sortPositionsDesc(positions)
-	for _, pos := range positions {
-		r := s.live[pos]
-		s.logRemoval(r)
-		last := int32(len(s.live) - 1)
-		if pos != last {
-			moved := s.live[last]
-			s.live[pos] = moved
-			s.repoint(moved.TA, last, pos)
-		}
-		s.live[last] = request.Request{} // do not pin the removed request
-		s.live = s.live[:last]
-		n++
+	sortPositions(rows)
+	for i := n - 1; i >= 0; i-- {
+		s.removeAt(sl, i, false)
 	}
 	return n
 }
 
-// logRemoval records r's removal in the change log. A removal of a request
-// appended within the same window cancels the append instead (net absent).
-func (s *History) logRemoval(r request.Request) {
-	pos, ok := s.appendedAt[r.ID]
-	if !ok {
-		s.removedAt[r.ID] = int32(len(s.deltas.HistoryRemoved))
-		s.deltas.HistoryRemoved = append(s.deltas.HistoryRemoved, r)
+// removeAt removes the row at index i of slot sl's rows: it logs the
+// removal (in removedAt too when migrated is set), releases the slot with its
+// last row, and swap-compacts the dense slice.
+func (s *History) removeAt(sl int32, i int, migrated bool) {
+	slot := &s.slots[sl]
+	pos := slot.rows[i]
+	s.logRemoval(pos, migrated)
+	last := len(slot.rows) - 1
+	slot.rows[i] = slot.rows[last]
+	slot.rows = slot.rows[:last]
+	if last == 0 {
+		delete(s.slotOf, slot.ta)
+		s.free = append(s.free, sl)
+	}
+	end := int32(len(s.live) - 1)
+	if pos != end {
+		s.live[pos] = s.live[end]
+		s.rowSlot[pos] = s.rowSlot[end]
+		s.rowAppended[pos] = s.rowAppended[end]
+		if a := s.rowAppended[pos]; a >= 0 {
+			s.appendedRow[a] = pos
+		}
+		repoint(s.slots[s.rowSlot[pos]].rows, end, pos)
+	}
+	s.live[end] = request.Request{} // do not pin the removed request
+	s.live = s.live[:end]
+	s.rowSlot = s.rowSlot[:end]
+	s.rowAppended = s.rowAppended[:end]
+}
+
+// logRemoval records the removal of the row at pos in the change log. A
+// removal of a request appended within the same window cancels the append
+// instead (net absent).
+func (s *History) logRemoval(pos int32, migrated bool) {
+	a := s.rowAppended[pos]
+	if a < 0 {
+		if migrated {
+			s.removedAt[s.live[pos].ID] = int32(len(s.deltas.HistoryRemoved))
+		}
+		s.deltas.HistoryRemoved = append(s.deltas.HistoryRemoved, s.live[pos])
 		return
 	}
-	delete(s.appendedAt, r.ID)
 	ap := s.deltas.HistoryAppended
 	last := int32(len(ap) - 1)
-	if pos != last {
-		moved := ap[last]
-		ap[pos] = moved
-		s.appendedAt[moved.ID] = pos
+	if a != last {
+		ap[a] = ap[last]
+		s.appendedRow[a] = s.appendedRow[last]
+		s.rowAppended[s.appendedRow[a]] = a
 	}
 	ap[last] = request.Request{}
 	s.deltas.HistoryAppended = ap[:last]
+	s.appendedRow = s.appendedRow[:last]
+	s.rowAppended[pos] = -1
 }
 
-// repoint updates ta's index entry for the row moved from position from to
-// position to. Linear in the transaction's row count, which is bounded by
-// transaction length.
-func (s *History) repoint(ta int64, from, to int32) {
-	ps := s.byTA[ta]
-	for i, p := range ps {
-		if p == from {
-			ps[i] = to
-			return
-		}
-	}
-}
-
-// sortPositionsDesc sorts a small position list descending (insertion sort:
-// the lists are transaction-sized, and the positions arrive mostly
-// ascending, i.e. near-reversed — short and cheap either way).
-func sortPositionsDesc(ps []int32) {
+// sortPositions sorts a small position list ascending (insertion sort: the
+// lists are transaction-sized, and the positions arrive mostly ascending).
+func sortPositions(ps []int32) {
 	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] > ps[j-1]; j-- {
+		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
@@ -333,10 +376,16 @@ func (s *History) Deltas(d *protocol.Deltas) {
 	d.HistoryRemoved = s.deltas.HistoryRemoved
 }
 
-// ResetDeltas starts a new change-log window, reusing the log buffers.
+// ResetDeltas starts a new change-log window, reusing the log buffers. Only
+// the rows this window logged are touched.
 func (s *History) ResetDeltas() {
+	for _, pos := range s.appendedRow {
+		s.rowAppended[pos] = -1
+	}
+	s.appendedRow = s.appendedRow[:0]
 	s.deltas.HistoryAppended = s.deltas.HistoryAppended[:0]
 	s.deltas.HistoryRemoved = s.deltas.HistoryRemoved[:0]
-	clear(s.appendedAt)
-	clear(s.removedAt)
+	if len(s.removedAt) > 0 {
+		clear(s.removedAt)
+	}
 }

@@ -7,15 +7,18 @@
 // slices: every Admit/Remove/Append/GC is the event, and the accumulated log
 // between two qualification calls *is* the round delta.
 //
-// The pending store is sharded by request-key hash and indexed three ways —
-// by request key (O(1) admit/remove, replacing the per-round key-set rebuild
-// and full-slice compaction of the flat store), by transaction (dropping a
-// deadlock victim's requests is O(|TA's pending|)), and by a dense
-// swap-remove slice that doubles as the materialised relation handed to
-// protocols (order unspecified; every protocol orders its own output). It
-// also tracks the round at which each waiting transaction last made
-// progress, which is the bookkeeping behind the scheduler's waiting-age
-// starvation bound.
+// Both stores are a dense swap-remove slice of rows — the materialised
+// relation handed to protocols (order unspecified; every protocol orders its
+// own output) — plus a per-transaction slot table: one Go map from TA to a
+// dense slot, where the slot lists the positions of the transaction's rows
+// and carries its per-transaction state (the pending store's waiting-age
+// clock, the history's finished flag). Every store operation is one TA
+// lookup; a request key is found by scanning its transaction's positions,
+// which are transaction-sized. Arrays beside the rows hold each row's slot
+// and its entry in the current delta window's log, so cancelling an add
+// against a remove in the same window is an O(1) fix-up. Freed slots are
+// reused. The pending store's clock is the bookkeeping behind the
+// scheduler's waiting-age starvation bound.
 package store
 
 import (
@@ -23,53 +26,46 @@ import (
 	"repro/internal/request"
 )
 
-// pendingShards is the shard count of the key index. Sharding bounds the
-// rehash cost of any single admit burst and is the unit a future concurrent
-// admission path would lock; 16 maps cost nothing on the single-threaded
-// round loop.
-const pendingShards = 16
-
 // Pending is the indexed pending-request store. Not safe for concurrent use;
 // the scheduler serialises all store mutations on its round loop.
 type Pending struct {
 	// reqs is the dense backing slice: removal swaps the last element into
 	// the hole, so admit and remove are O(1) and the slice is always a valid
-	// materialisation of the store (in unspecified order).
-	reqs   []request.Request
-	shards [pendingShards]map[request.Key]int32
-	byTA   map[int64][]request.Key
+	// materialisation of the store (in unspecified order). rowSlot and
+	// rowAdded run beside it: each row's slot, and its index in the window's
+	// PendingAdded log (-1 when it was admitted in an earlier window).
+	reqs     []request.Request
+	rowSlot  []int32
+	rowAdded []int32
 
-	// blockedSince records, per transaction with pending requests, the round
-	// at which it last made progress (had a request qualify) or was admitted
-	// — the waiting-age clock of the starvation bound.
-	blockedSince map[int64]int
+	slotOf map[int64]int32
+	slots  []pendingSlot
+	free   []int32
 
 	deltas protocol.Deltas
-	// addedAt maps request ID -> position in the current window's added
-	// log. A request admitted and removed within one delta window (a
-	// duplicate-key replacement, or a victim drop in the admission round)
-	// is net absent, so the removal cancels the addition in place — the
-	// consumers' assumption that all of a window's removals precede its
-	// additions stays true.
-	addedAt map[int64]int32
+	// addedRow is the position in reqs of each PendingAdded entry. A request
+	// admitted and removed within one delta window (a duplicate-key
+	// replacement, or a victim drop in the admission round) is net absent,
+	// so the removal cancels the addition in place — the consumers'
+	// assumption that all of a window's removals precede its additions stays
+	// true.
+	addedRow []int32
+}
+
+// pendingSlot is one transaction with pending requests. A slot is live while
+// rows is non-empty; a freed slot keeps the capacity of its rows.
+type pendingSlot struct {
+	ta int64
+	// since is the round at which the transaction last made progress (had a
+	// request qualify) or was admitted — the waiting-age clock of the
+	// starvation bound; -1 until the next observed round starts it.
+	since int
+	rows  []int32
 }
 
 // NewPending creates an empty store.
 func NewPending() *Pending {
-	p := &Pending{
-		byTA:         make(map[int64][]request.Key),
-		blockedSince: make(map[int64]int),
-		addedAt:      make(map[int64]int32),
-	}
-	for i := range p.shards {
-		p.shards[i] = make(map[request.Key]int32)
-	}
-	return p
-}
-
-func shardOf(k request.Key) int {
-	h := uint64(k.TA)*0x9E3779B97F4A7C15 ^ uint64(k.IntraTA)*0xFF51AFD7ED558CCD
-	return int((h ^ h>>32) & (pendingShards - 1))
+	return &Pending{slotOf: make(map[int64]int32)}
 }
 
 // Len returns the number of pending requests.
@@ -86,105 +82,151 @@ func (p *Pending) Live() []request.Request { return p.reqs }
 // incremental protocols' mirrors stay exact.
 func (p *Pending) Admit(rs ...request.Request) {
 	for _, r := range rs {
-		k := r.Key()
-		s := p.shards[shardOf(k)]
-		if _, dup := s[k]; dup {
-			p.Remove(k)
+		s, ok := p.slotOf[r.TA]
+		if ok {
+			if i := p.find(s, r.IntraTA); i >= 0 {
+				p.removeAt(s, i)
+				s, ok = p.slotOf[r.TA] // the replaced row may have been the last
+			}
 		}
-		s[k] = int32(len(p.reqs))
+		if !ok {
+			s = p.newSlot(r.TA)
+		}
+		pos := int32(len(p.reqs))
 		p.reqs = append(p.reqs, r)
-		if _, ok := p.blockedSince[r.TA]; !ok {
-			p.blockedSince[r.TA] = -1 // clock starts at the next observed round
-		}
-		p.byTA[r.TA] = append(p.byTA[r.TA], k)
-		p.addedAt[r.ID] = int32(len(p.deltas.PendingAdded))
+		p.rowSlot = append(p.rowSlot, s)
+		p.rowAdded = append(p.rowAdded, int32(len(p.deltas.PendingAdded)))
+		p.slots[s].rows = append(p.slots[s].rows, pos)
 		p.deltas.PendingAdded = append(p.deltas.PendingAdded, r)
+		p.addedRow = append(p.addedRow, pos)
 	}
+}
+
+// newSlot gives ta a slot, reusing a freed one when there is one.
+func (p *Pending) newSlot(ta int64) int32 {
+	var s int32
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		s = int32(len(p.slots))
+		p.slots = append(p.slots, pendingSlot{})
+	}
+	sl := &p.slots[s]
+	sl.ta, sl.since = ta, -1 // clock starts at the next observed round
+	p.slotOf[ta] = s
+	return s
+}
+
+// find returns the index in slot s's rows of the request numbered intra, or
+// -1.
+func (p *Pending) find(s int32, intra int64) int {
+	for i, pos := range p.slots[s].rows {
+		if p.reqs[pos].IntraTA == intra {
+			return i
+		}
+	}
+	return -1
 }
 
 // Remove deletes the request with key k, logging it as PendingRemoved. It
 // reports whether the key was present.
 func (p *Pending) Remove(k request.Key) bool {
-	s := p.shards[shardOf(k)]
-	pos, ok := s[k]
-	if !ok {
-		return false
-	}
-	r := p.reqs[pos]
-	p.unlink(s, k, pos)
-	p.dropTAKey(r.TA, k)
-	p.logRemoval(r)
-	return true
+	_, ok := p.Take(k)
+	return ok
 }
 
-// logRemoval records r's removal in the change log; a removal of a request
-// added within the same window cancels the addition instead (net absent).
-func (p *Pending) logRemoval(r request.Request) {
-	pos, ok := p.addedAt[r.ID]
+// Take is Remove that also returns the stored request: the scheduler restores
+// a qualified row's fields the protocol's relation does not carry from the
+// copy it removes.
+func (p *Pending) Take(k request.Key) (request.Request, bool) {
+	s, ok := p.slotOf[k.TA]
 	if !ok {
-		p.deltas.PendingRemoved = append(p.deltas.PendingRemoved, r)
-		return
+		return request.Request{}, false
 	}
-	delete(p.addedAt, r.ID)
-	ad := p.deltas.PendingAdded
-	last := int32(len(ad) - 1)
-	if pos != last {
-		moved := ad[last]
-		ad[pos] = moved
-		p.addedAt[moved.ID] = pos
+	i := p.find(s, k.IntraTA)
+	if i < 0 {
+		return request.Request{}, false
 	}
-	ad[last] = request.Request{}
-	p.deltas.PendingAdded = ad[:last]
+	r := p.reqs[p.slots[s].rows[i]]
+	p.removeAt(s, i)
+	return r, true
 }
 
 // RemoveTA deletes every pending request of transaction ta (the deadlock- and
 // starvation-victim path), logging each as PendingRemoved. It returns how
 // many were removed.
 func (p *Pending) RemoveTA(ta int64) int {
-	keys := p.byTA[ta]
-	for _, k := range keys {
-		s := p.shards[shardOf(k)]
-		if pos, ok := s[k]; ok {
-			p.logRemoval(p.reqs[pos])
-			p.unlink(s, k, pos)
-		}
+	s, ok := p.slotOf[ta]
+	if !ok {
+		return 0
 	}
-	n := len(keys)
-	delete(p.byTA, ta)
-	delete(p.blockedSince, ta)
+	n := len(p.slots[s].rows)
+	for i := n - 1; i >= 0; i-- {
+		p.removeAt(s, i)
+	}
 	return n
 }
 
-// unlink removes position pos (known to hold key k in shard s) from the
-// dense slice, fixing up the index entry of the row swapped into the hole.
-func (p *Pending) unlink(s map[request.Key]int32, k request.Key, pos int32) {
-	delete(s, k)
-	last := int32(len(p.reqs) - 1)
-	if pos != last {
-		moved := p.reqs[last]
-		p.reqs[pos] = moved
-		p.shards[shardOf(moved.Key())][moved.Key()] = pos
+// removeAt removes the row at index i of slot s's rows: it logs the removal,
+// releases the slot with its last row, and swap-compacts the dense slice.
+func (p *Pending) removeAt(s int32, i int) {
+	sl := &p.slots[s]
+	pos := sl.rows[i]
+	p.logRemoval(pos)
+	last := len(sl.rows) - 1
+	sl.rows[i] = sl.rows[last]
+	sl.rows = sl.rows[:last]
+	if last == 0 {
+		delete(p.slotOf, sl.ta)
+		p.free = append(p.free, s)
 	}
-	p.reqs[last] = request.Request{} // do not pin the removed request
-	p.reqs = p.reqs[:last]
+	end := int32(len(p.reqs) - 1)
+	if pos != end {
+		p.reqs[pos] = p.reqs[end]
+		p.rowSlot[pos] = p.rowSlot[end]
+		p.rowAdded[pos] = p.rowAdded[end]
+		if a := p.rowAdded[pos]; a >= 0 {
+			p.addedRow[a] = pos
+		}
+		repoint(p.slots[p.rowSlot[pos]].rows, end, pos)
+	}
+	p.reqs[end] = request.Request{} // do not pin the removed request
+	p.reqs = p.reqs[:end]
+	p.rowSlot = p.rowSlot[:end]
+	p.rowAdded = p.rowAdded[:end]
 }
 
-// dropTAKey removes k from ta's key list, releasing the transaction's
-// tracking state when its last pending request is gone.
-func (p *Pending) dropTAKey(ta int64, k request.Key) {
-	keys := p.byTA[ta]
-	for i, kk := range keys {
-		if kk == k {
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			break
-		}
+// logRemoval records the removal of the row at pos in the change log; a
+// removal of a request added within the same window cancels the addition
+// instead (net absent).
+func (p *Pending) logRemoval(pos int32) {
+	a := p.rowAdded[pos]
+	if a < 0 {
+		p.deltas.PendingRemoved = append(p.deltas.PendingRemoved, p.reqs[pos])
+		return
 	}
-	if len(keys) == 0 {
-		delete(p.byTA, ta)
-		delete(p.blockedSince, ta)
-	} else {
-		p.byTA[ta] = keys
+	ad := p.deltas.PendingAdded
+	last := int32(len(ad) - 1)
+	if a != last {
+		ad[a] = ad[last]
+		p.addedRow[a] = p.addedRow[last]
+		p.rowAdded[p.addedRow[a]] = a
+	}
+	ad[last] = request.Request{}
+	p.deltas.PendingAdded = ad[:last]
+	p.addedRow = p.addedRow[:last]
+	p.rowAdded[pos] = -1
+}
+
+// repoint replaces position from with to in a slot's row list. Linear in the
+// transaction's row count, which is bounded by transaction length.
+func repoint(rows []int32, from, to int32) {
+	for i, r := range rows {
+		if r == from {
+			rows[i] = to
+			return
+		}
 	}
 }
 
@@ -204,10 +246,7 @@ func (p *Pending) ExtractMatching(match func(obj int64) bool, visit func(r reque
 		taken = append(taken, r)
 	}
 	for _, r := range taken {
-		since, ok := p.blockedSince[r.TA]
-		if !ok {
-			since = -1
-		}
+		since := p.slots[p.slotOf[r.TA]].since
 		p.Remove(r.Key())
 		visit(r, since)
 	}
@@ -223,12 +262,12 @@ func (p *Pending) MergeClock(ta int64, since int) {
 	if since < 0 {
 		return
 	}
-	cur, ok := p.blockedSince[ta]
+	s, ok := p.slotOf[ta]
 	if !ok {
 		return
 	}
-	if cur < 0 || since < cur {
-		p.blockedSince[ta] = since
+	if sl := &p.slots[s]; sl.since < 0 || since < sl.since {
+		sl.since = since
 	}
 }
 
@@ -237,9 +276,10 @@ func (p *Pending) MergeClock(ta int64, since int) {
 // restart their clock at round; the rest keep their first blocked round.
 // progressed may be nil (nothing qualified).
 func (p *Pending) ObserveRound(round int, progressed map[int64]bool) {
-	for ta, since := range p.blockedSince {
-		if since < 0 || progressed[ta] {
-			p.blockedSince[ta] = round
+	for i := range p.slots {
+		sl := &p.slots[i]
+		if len(sl.rows) > 0 && (sl.since < 0 || progressed[sl.ta]) {
+			sl.since = round
 		}
 	}
 }
@@ -248,12 +288,13 @@ func (p *Pending) ObserveRound(round int, progressed map[int64]bool) {
 // progress (smallest last-progress round, ties to the smallest TA) and the
 // round its wait started. ok is false when nothing is waiting.
 func (p *Pending) OldestBlocked() (ta int64, since int, ok bool) {
-	for t, s := range p.blockedSince {
-		if s < 0 {
-			continue // admitted this round; clock not started yet
+	for i := range p.slots {
+		sl := &p.slots[i]
+		if len(sl.rows) == 0 || sl.since < 0 {
+			continue // free, or admitted this round (clock not started yet)
 		}
-		if !ok || s < since || (s == since && t < ta) {
-			ta, since, ok = t, s, true
+		if !ok || sl.since < since || (sl.since == since && sl.ta < ta) {
+			ta, since, ok = sl.ta, sl.since, true
 		}
 	}
 	return ta, since, ok
@@ -267,9 +308,13 @@ func (p *Pending) Deltas(d *protocol.Deltas) {
 	d.PendingRemoved = p.deltas.PendingRemoved
 }
 
-// ResetDeltas starts a new change-log window, reusing the log buffers.
+// ResetDeltas starts a new change-log window, reusing the log buffers. Only
+// the rows this window logged are touched.
 func (p *Pending) ResetDeltas() {
+	for _, pos := range p.addedRow {
+		p.rowAdded[pos] = -1
+	}
+	p.addedRow = p.addedRow[:0]
 	p.deltas.PendingAdded = p.deltas.PendingAdded[:0]
 	p.deltas.PendingRemoved = p.deltas.PendingRemoved[:0]
-	clear(p.addedAt)
 }

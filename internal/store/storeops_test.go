@@ -1,0 +1,387 @@
+package store
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/protocol"
+	"repro/internal/request"
+)
+
+// The operation space of the differential store test: a handful of
+// transactions, request numbers and objects, so keys collide (same-key
+// replacements), transactions finish and straggle (late rows), and object
+// classes matter (migration extracts).
+const (
+	opsTAs     = 6
+	opsIntras  = 4
+	opsObjects = 8
+)
+
+// storeOps drives the slot-table stores and the map-based model side by side
+// from one byte stream, one operation per step, and compares them after every
+// step.
+type storeOps struct {
+	t      testing.TB
+	data   []byte
+	p      *Pending
+	mp     *mapPending
+	h      *History
+	mh     *mapHistory
+	nextID int64
+	round  int
+	// stash holds history rows extracted by a migration and not yet moved
+	// back; both stores extracted the same multiset.
+	stash []request.Request
+}
+
+// next consumes one byte of the stream as a choice among n (0 once the stream
+// is exhausted).
+func (g *storeOps) next(n int) int {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return int(b) % n
+}
+
+func (g *storeOps) key() request.Key {
+	return request.Key{TA: int64(g.next(opsTAs)), IntraTA: int64(g.next(opsIntras))}
+}
+
+func (g *storeOps) request(k request.Key, term bool) request.Request {
+	g.nextID++
+	r := request.Request{ID: g.nextID, TA: k.TA, IntraTA: k.IntraTA, Op: request.Read,
+		Object: int64(g.next(opsObjects)), Class: fmt.Sprint("c", g.nextID%3), Priority: g.nextID % 5, Arrival: g.nextID}
+	switch {
+	case term && g.next(2) == 0:
+		r.Op, r.Object = request.Abort, request.NoObject
+	case term:
+		r.Op, r.Object = request.Commit, request.NoObject
+	case g.next(2) == 0:
+		r.Op = request.Write
+	}
+	return r
+}
+
+// run applies operations until the stream is exhausted.
+func (g *storeOps) run() {
+	for step := 0; len(g.data) > 0; step++ {
+		what := g.step()
+		g.compare(fmt.Sprintf("step %d (%s)", step, what))
+	}
+}
+
+// step applies one operation to both sides and checks its direct results.
+func (g *storeOps) step() string {
+	t := g.t
+	switch g.next(16) {
+	case 0, 1, 2:
+		k := g.key()
+		r := g.request(k, g.next(6) == 0)
+		g.p.Admit(r)
+		g.mp.Admit(r)
+		return "admit"
+	case 3:
+		k := g.key()
+		if got, want := g.p.Remove(k), g.mp.Remove(k); got != want {
+			t.Fatalf("Remove(%v) = %v, model %v", k, got, want)
+		}
+		return "remove"
+	case 4:
+		k := g.key()
+		want, ok := request.Request{}, false
+		if pos, found := g.mp.shards[mapShardOf(k)][k]; found {
+			want, ok = g.mp.reqs[pos], true
+			g.mp.Remove(k)
+		}
+		got, gotOK := g.p.Take(k)
+		if gotOK != ok || got != want {
+			t.Fatalf("Take(%v) = %v %v, model %v %v", k, got, gotOK, want, ok)
+		}
+		return "take"
+	case 5:
+		ta := int64(g.next(opsTAs))
+		if got, want := g.p.RemoveTA(ta), g.mp.RemoveTA(ta); got != want {
+			t.Fatalf("RemoveTA(%d) = %d, model %d", ta, got, want)
+		}
+		return "remove-ta"
+	case 6:
+		// Migrate a class of objects out and bounce the rows straight back,
+		// clocks merged, in the same window.
+		class, mod := int64(g.next(2)), int64(2+g.next(2))
+		match := func(obj int64) bool { return obj%mod == class }
+		type visit struct {
+			r     request.Request
+			since int
+		}
+		var got, want []visit
+		n := g.p.ExtractMatching(match, func(r request.Request, since int) { got = append(got, visit{r, since}) })
+		m := g.mp.ExtractMatching(match, func(r request.Request, since int) { want = append(want, visit{r, since}) })
+		byID := func(a, b visit) int { return cmp.Compare(a.r.ID, b.r.ID) }
+		slices.SortFunc(got, byID)
+		slices.SortFunc(want, byID)
+		if n != m || !slices.Equal(got, want) {
+			t.Fatalf("ExtractMatching: %d %v, model %d %v", n, got, m, want)
+		}
+		for _, v := range got {
+			g.p.Admit(v.r)
+			g.p.MergeClock(v.r.TA, v.since)
+			g.mp.Admit(v.r)
+			g.mp.MergeClock(v.r.TA, v.since)
+		}
+		return "pending-bounce"
+	case 7:
+		ta, since := int64(g.next(opsTAs)), g.next(g.round+2)-1
+		g.p.MergeClock(ta, since)
+		g.mp.MergeClock(ta, since)
+		return "merge-clock"
+	case 8:
+		g.round++
+		var progressed map[int64]bool
+		if mask := g.next(1 << opsTAs); mask != 0 {
+			progressed = map[int64]bool{}
+			for ta := int64(0); ta < opsTAs; ta++ {
+				if mask&(1<<ta) != 0 {
+					progressed[ta] = true
+				}
+			}
+		}
+		g.p.ObserveRound(g.round, progressed)
+		g.mp.ObserveRound(g.round, progressed)
+		return "observe-round"
+	case 9, 10:
+		r := g.request(g.key(), g.next(4) == 0)
+		if g.next(4) == 0 {
+			g.h.AppendReplica(r)
+			g.mh.AppendReplica(r)
+		} else {
+			g.h.Append(r)
+			g.mh.Append(r)
+		}
+		return "append"
+	case 11:
+		// A late row: a data request of a transaction that already finished.
+		first := g.next(opsTAs)
+		for i := range opsTAs {
+			ta := int64((first + i) % opsTAs)
+			if !g.mh.finished[ta] {
+				continue
+			}
+			r := g.request(request.Key{TA: ta, IntraTA: int64(g.next(opsIntras))}, false)
+			g.h.Append(r)
+			g.mh.Append(r)
+			return "append-late"
+		}
+		return "append-late (none finished)"
+	case 12:
+		if got, want := g.h.GC(), g.mh.GC(); got != want {
+			t.Fatalf("GC = %d, model %d", got, want)
+		}
+		return "gc"
+	case 13:
+		class, mod := int64(g.next(2)), int64(2+g.next(2))
+		match := func(obj int64) bool { return obj%mod == class }
+		got, want := g.h.ExtractMatching(match), g.mh.ExtractMatching(match)
+		if !sameRequests(got, want) {
+			t.Fatalf("history ExtractMatching: %v, model %v", got, want)
+		}
+		g.stash = append(g.stash, got...)
+		if g.next(2) == 0 {
+			return "history-extract"
+		}
+		fallthrough
+	case 14:
+		g.h.AppendMigrated(g.stash...)
+		g.mh.AppendMigrated(g.stash...)
+		g.stash = g.stash[:0]
+		return "history-migrate-back"
+	default:
+		g.p.ResetDeltas()
+		g.mp.ResetDeltas()
+		g.h.ResetDeltas()
+		g.mh.ResetDeltas()
+		return "reset-deltas"
+	}
+}
+
+// compare checks every observable of both stores against the model, and the
+// slot tables' own invariants.
+func (g *storeOps) compare(at string) {
+	t := g.t
+	var d, md protocol.Deltas
+	g.p.Deltas(&d)
+	g.mp.Deltas(&md)
+	g.h.Deltas(&d)
+	g.mh.Deltas(&md)
+	for _, c := range []struct {
+		name      string
+		got, want []request.Request
+	}{
+		{"pending", g.p.Live(), g.mp.Live()},
+		{"history", g.h.Live(), g.mh.Live()},
+		{"PendingAdded", d.PendingAdded, md.PendingAdded},
+		{"PendingRemoved", d.PendingRemoved, md.PendingRemoved},
+		{"HistoryAppended", d.HistoryAppended, md.HistoryAppended},
+		{"HistoryRemoved", d.HistoryRemoved, md.HistoryRemoved},
+	} {
+		if !sameRequests(c.got, c.want) {
+			t.Fatalf("%s: %s\n got   %v\n model %v", at, c.name, c.got, c.want)
+		}
+	}
+	for ta := int64(0); ta < opsTAs; ta++ {
+		if got, want := g.h.Finished(ta), g.mh.Finished(ta); got != want {
+			t.Fatalf("%s: Finished(%d) = %v, model %v", at, ta, got, want)
+		}
+		got, want := g.h.WritesOf(ta), g.mh.WritesOf(ta)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) || g.h.WriteCountOf(ta) != len(want) {
+			t.Fatalf("%s: WritesOf(%d) = %v (count %d), model %v", at, ta, got, g.h.WriteCountOf(ta), want)
+		}
+		since, ok := -2, false
+		if s, found := g.p.slotOf[ta]; found {
+			since, ok = g.p.slots[s].since, true
+		}
+		if want, wantOK := g.mp.blockedSince[ta]; ok != wantOK || (ok && since != want) {
+			t.Fatalf("%s: clock of ta%d = %d %v, model %d %v", at, ta, since, ok, want, wantOK)
+		}
+	}
+	ta, since, ok := g.p.OldestBlocked()
+	mta, msince, mok := g.mp.OldestBlocked()
+	if ta != mta || since != msince || ok != mok {
+		t.Fatalf("%s: OldestBlocked = ta%d %d %v, model ta%d %d %v", at, ta, since, ok, mta, msince, mok)
+	}
+	g.p.checkInvariants(t, at)
+	g.h.checkInvariants(t, at)
+}
+
+// sameRequests compares two request lists as multisets.
+func sameRequests(a, b []request.Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	byID := func(x, y request.Request) int { return cmp.Compare(x.ID, y.ID) }
+	a, b = slices.SortedFunc(slices.Values(a), byID), slices.SortedFunc(slices.Values(b), byID)
+	return slices.Equal(a, b)
+}
+
+// checkInvariants verifies the slot table against the dense rows: every row's
+// slot lists it, every live slot is indexed under its TA and lists only its
+// own rows, and the add log and its row positions point at each other.
+func (p *Pending) checkInvariants(t testing.TB, at string) {
+	t.Helper()
+	if len(p.rowSlot) != len(p.reqs) || len(p.rowAdded) != len(p.reqs) || len(p.addedRow) != len(p.deltas.PendingAdded) {
+		t.Fatalf("%s: pending side arrays out of step", at)
+	}
+	listed := 0
+	for s, sl := range p.slots {
+		if len(sl.rows) == 0 {
+			continue
+		}
+		if p.slotOf[sl.ta] != int32(s) {
+			t.Fatalf("%s: pending slot %d (ta%d) not indexed", at, s, sl.ta)
+		}
+		for _, pos := range sl.rows {
+			if p.reqs[pos].TA != sl.ta || p.rowSlot[pos] != int32(s) {
+				t.Fatalf("%s: pending slot %d lists row %d of ta%d", at, s, pos, p.reqs[pos].TA)
+			}
+		}
+		listed += len(sl.rows)
+	}
+	if listed != len(p.reqs) || len(p.slotOf)+len(p.free) != len(p.slots) {
+		t.Fatalf("%s: pending slots list %d of %d rows; %d indexed + %d free of %d", at, listed, len(p.reqs), len(p.slotOf), len(p.free), len(p.slots))
+	}
+	for pos, a := range p.rowAdded {
+		if a >= 0 && (p.addedRow[a] != int32(pos) || p.deltas.PendingAdded[a] != p.reqs[pos]) {
+			t.Fatalf("%s: pending row %d's add-log entry %d does not point back", at, pos, a)
+		}
+	}
+	for a, pos := range p.addedRow {
+		if p.rowAdded[pos] != int32(a) {
+			t.Fatalf("%s: pending add-log entry %d's row %d does not point back", at, a, pos)
+		}
+	}
+}
+
+// checkInvariants is Pending.checkInvariants for the history's slot table,
+// plus the slot's finished flag against the persistent set.
+func (s *History) checkInvariants(t testing.TB, at string) {
+	t.Helper()
+	if len(s.rowSlot) != len(s.live) || len(s.rowAppended) != len(s.live) || len(s.appendedRow) != len(s.deltas.HistoryAppended) {
+		t.Fatalf("%s: history side arrays out of step", at)
+	}
+	listed := 0
+	for i, sl := range s.slots {
+		if len(sl.rows) == 0 {
+			continue
+		}
+		if s.slotOf[sl.ta] != int32(i) || sl.finished != s.finished[sl.ta] {
+			t.Fatalf("%s: history slot %d (ta%d) not indexed or finished flag stale", at, i, sl.ta)
+		}
+		for _, pos := range sl.rows {
+			if s.live[pos].TA != sl.ta || s.rowSlot[pos] != int32(i) {
+				t.Fatalf("%s: history slot %d lists row %d of ta%d", at, i, pos, s.live[pos].TA)
+			}
+		}
+		listed += len(sl.rows)
+	}
+	if listed != len(s.live) || len(s.slotOf)+len(s.free) != len(s.slots) {
+		t.Fatalf("%s: history slots list %d of %d rows", at, listed, len(s.live))
+	}
+	for pos, a := range s.rowAppended {
+		if a >= 0 && (s.appendedRow[a] != int32(pos) || s.deltas.HistoryAppended[a] != s.live[pos]) {
+			t.Fatalf("%s: history row %d's append-log entry %d does not point back", at, pos, a)
+		}
+	}
+	for a, pos := range s.appendedRow {
+		if s.rowAppended[pos] != int32(a) {
+			t.Fatalf("%s: history append-log entry %d's row %d does not point back", at, a, pos)
+		}
+	}
+	for id, at2 := range s.removedAt {
+		if s.deltas.HistoryRemoved[at2].ID != id {
+			t.Fatalf("%s: removedAt[%d] = %d points at request %d", at, id, at2, s.deltas.HistoryRemoved[at2].ID)
+		}
+	}
+}
+
+func runStoreOps(t testing.TB, data []byte) {
+	g := &storeOps{t: t, data: data, p: NewPending(), mp: newMapPending(), h: NewHistory(true), mh: newMapHistory(true)}
+	g.run()
+	if !slices.Equal(g.h.Log(), g.mh.Log()) {
+		t.Fatalf("execution logs differ")
+	}
+}
+
+// TestStoresMatchMapModel drives the slot-table stores and the map-based
+// stores they replaced with the same random operations — admits with
+// same-key replacements, Remove, Take and RemoveTA, migration extracts
+// bounced back in the same window, clock merges and observed rounds, history
+// appends of terminations, replicas and late rows, GC and delta-window
+// resets — and requires the same live rows, delta logs (as multisets),
+// finished marks, writes and waiting-age clocks after every step.
+func TestStoresMatchMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for run := 0; run < 200; run++ {
+		data := make([]byte, 2000)
+		rng.Read(data)
+		runStoreOps(t, data)
+	}
+}
+
+// FuzzStoreOps is TestStoresMatchMapModel with the byte stream chosen by the
+// fuzzer.
+func FuzzStoreOps(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 256)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runStoreOps(t, data) })
+}

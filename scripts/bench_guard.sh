@@ -5,7 +5,7 @@
 # BENCH_<n>.json, so a PR cannot silently lose the warm-start, cold-round or
 # SQL-backend wins. Allocations are deterministic where wall time is noisy,
 # so the allocs gate is the sharper tripwire for "a hot path started
-# allocating per row" regressions (the warm rounds sit at ~658 (Datalog,
+# allocating per row" regressions (the warm rounds sit at ~646 (Datalog,
 # affected-closure recompute) / ~92 (SQL: flat bags and deltas allocate no
 # cell, map bucket or bucket slice per tuple, and only the views a delta rule
 # reads are materialised; ~163 with every plan node materialised) allocs/op;
@@ -13,9 +13,10 @@
 # heterogeneous; 2x is deliberately
 # loose — it catches "the hot path fell off a cliff", not percent-level
 # drift (the trajectory table in ROADMAP.md tracks that). A guarded bench
-# missing from the baseline file is skipped, as is the allocs gate for
-# baselines that predate allocation tracking, so the guard degrades
-# gracefully against old baselines. A final relative gate holds the
+# missing from the baseline file is skipped, so the guard degrades gracefully
+# against old baselines. A baseline of 0 allocs/op is a real zero (bench.sh
+# always runs with -benchmem) and is gated as if it were 1. A final relative
+# gate holds the
 # large-delta SQL round to at least SPEEDUP_MIN (default 2) times faster
 # than the cold round: a round that churns a quarter of pending must still
 # cost its churn through the view cache's per-tuple delta rules.
@@ -48,6 +49,13 @@ GUARD_FACTOR="${GUARD_FACTOR:-2}"
 # starvation bound runs on most paper-mix rounds: one filtered history pass
 # and a search over dense arrays (42 us, 29 allocs in BENCH_22.json; the
 # map-based detector it replaced took 117-206 us and 137 on the same box).
+# The two pending-store benches guard the round loop's stores, which no
+# end-to-end workload can isolate: 64 admits and removes against 10,000
+# standing requests, and a victim's rollback of a 16-request transaction
+# across both stores. On the per-transaction slot tables they take ~9 us / 0
+# allocs and ~2.7 us / 5 allocs where the map-per-index stores they replaced
+# took ~29 us / 64 and ~8 us / 15 (BENCH_26.json, taken in a slow phase,
+# reads 11 and 3.5 us).
 GUARDED='BenchmarkDatalogIncrementalRound/warm
 BenchmarkSS2PLQueryDatalog/clients=300
 BenchmarkSS2PLQuerySQL/clients=300
@@ -59,7 +67,9 @@ BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/static
 BenchmarkMiddlewareRoundPartitionedHotKey/partitions=8/rebalanced
 BenchmarkNetRoundTrip
 BenchmarkNetMultiplexed
-BenchmarkDeadlockVictims'
+BenchmarkDeadlockVictims
+BenchmarkPendingStore/admit+remove/batch=64
+BenchmarkPendingStore/victim-rollback/txn=16'
 
 latest=$( (ls BENCH_*.json 2>/dev/null || true) | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
 if [ -z "${latest}" ]; then
@@ -69,7 +79,7 @@ fi
 
 json_field() { # json_field <bench> <field>
     awk -v bench="$1" -v field="$2" '
-        $0 ~ "\"bench\": \"" bench "\"" {
+        index($0, "\"bench\": \"" bench "\"") {
             if (match($0, "\"" field "\": *[0-9.]+")) {
                 v = substr($0, RSTART, RLENGTH)
                 sub(/.*: */, "", v)
@@ -87,8 +97,10 @@ while IFS= read -r bench; do
         continue
     fi
     # go test splits the -bench regex on "/" and matches per segment:
-    # anchor each segment of the bench path separately.
-    pattern="^${bench//\//\$/^}\$"
+    # anchor each segment of the bench path separately, with regex
+    # metacharacters (the "+" of admit+remove) quoted.
+    quoted=$(printf '%s' "${bench}" | sed 's/[][\\.*^$+?(){}|]/\\&/g')
+    pattern="^${quoted//\//\$/^}\$"
     raw=$(go test -run='^$' -bench="${pattern}" -benchmem -benchtime="${BENCHTIME:-1s}" .)
     echo "${raw}"
     short="${bench#Benchmark}"
@@ -113,11 +125,11 @@ while IFS= read -r bench; do
     }'; then
         fail=1
     fi
-    # The allocation gate: skip against baselines without allocation figures
-    # (allocs_per_op 0 means the bench predates -benchmem tracking).
-    if [ -n "${base_allocs}" ] && [ "${base_allocs}" != "0" ] && [ -n "${now_allocs}" ]; then
+    # The allocation gate; a zero baseline counts as one allocation.
+    if [ -n "${base_allocs}" ] && [ -n "${now_allocs}" ]; then
         echo "bench_guard: ${bench} now ${now_allocs} allocs/op, baseline ${base_allocs} allocs/op"
         if ! awk -v now="${now_allocs}" -v base="${base_allocs}" -v f="${GUARD_FACTOR}" 'BEGIN {
+            if (base < 1) base = 1
             if (now > base * f) {
                 printf "bench_guard: FAIL — %.0f allocs/op is more than %sx the %.0f allocs/op baseline\n", now, f, base
                 exit 1
