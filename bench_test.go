@@ -12,7 +12,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,14 +75,11 @@ func declBenchInstance(clients int) (pending, history []request.Request) {
 // BenchmarkSS2PLQuerySQL times one declarative scheduling round with the
 // paper's Listing 1 (Section 4.3.2: 358 ms at 300 clients, 545 ms at 500 on
 // the paper's 2008 hardware). Hash joins with cached per-relation equality
-// indexes; large operator loops fan out across GOMAXPROCS workers (on a
-// single-core box the cutoff keeps everything sequential, so the numbers
-// stay comparable across the BENCH_<pr>.json trajectory).
+// indexes, on one goroutine.
 func BenchmarkSS2PLQuerySQL(b *testing.B) {
 	for _, clients := range []int{100, 300, 500} {
 		pending, history := declBenchInstance(clients)
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -118,14 +114,13 @@ func BenchmarkSS2PLQuerySQLNestedLoop(b *testing.B) {
 // BenchmarkDatalogIncrementalRound: the warm variant feeds per-round deltas
 // to the protocol, whose materialized-view cache (minisql.IVM) patches each
 // CTE's standing result through the relational delta rules instead of
-// re-running Listing 1, so after the first rounds' full run and view build
-// every iteration is pure delta propagation plus the final ORDER BY.
+// re-running Listing 1, so after the first round's view build every
+// iteration is pure delta propagation plus the final ORDER BY.
 func BenchmarkSQLIncrementalRound(b *testing.B) {
 	pending, history := declBenchInstance(300)
 	batch := 12 // requests churned per round
 	b.Run("cold", func(b *testing.B) {
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Qualify(pending, history); err != nil {
@@ -135,7 +130,6 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
 			b.Fatal(err)
@@ -163,7 +157,6 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 		// Large-delta maintenance: a quarter of the pending set churns per
 		// round, through the same per-tuple delta rules as a trickle.
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
 			b.Fatal(err)

@@ -37,7 +37,6 @@ func main() {
 	passthrough := flag.Bool("passthrough", false, "non-scheduling mode (forward unscheduled)")
 	check := flag.Bool("check", false, "verify conflict serializability of the executed schedule")
 	seed := flag.Int64("seed", 1, "workload seed")
-	parallel := flag.Int("parallel", 0, "SQL protocol evaluation workers (-1 = all cores, 0 = single-threaded default); ss2pl-sql only, the other protocols evaluate on one goroutine")
 	syncRounds := flag.Bool("syncrounds", false, "serialize qualify and execute (disable the round pipeline)")
 	execDelay := flag.Duration("execdelay", 0, "synthetic per-statement server latency (models a remote server; the pipeline overlaps it with qualification)")
 	partitions := flag.Int("partitions", 1, "partition the round loop into N object-hashed shards (protocol must factor by object)")
@@ -74,9 +73,6 @@ func main() {
 		}
 	}
 	proto := mkProto()
-	if _, ok := proto.(protocol.Parallelizable); !ok && *parallel != 0 {
-		log.Printf("-parallel %d ignored: protocol %s evaluates on one goroutine", *parallel, proto.Name())
-	}
 
 	var trig scheduler.Trigger
 	switch *trigName {
@@ -108,10 +104,9 @@ func main() {
 	}
 	engine, err := scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
 		Base: scheduler.Config{
-			Server:      srv,
-			Mode:        mode,
-			KeepLog:     *check,
-			Parallelism: *parallel,
+			Server:  srv,
+			Mode:    mode,
+			KeepLog: *check,
 		},
 		Partitions: *partitions,
 		Factory:    mkProto,

@@ -144,13 +144,6 @@ type Options struct {
 	PassThrough bool
 	// KeepLog retains the execution log for serializability checking.
 	KeepLog bool
-	// Parallelism evaluates large qualification passes on that many cores
-	// when the protocol supports it (the SQL protocols do; the Datalog
-	// protocols evaluate on one goroutine and ignore it): < 0 selects
-	// GOMAXPROCS, 0 keeps the single-threaded default, 1 forces
-	// single-threaded. Small rounds stay on the sequential fast path either
-	// way.
-	Parallelism int
 }
 
 // Scheduler is the running middleware: the paper's Figure 1 component.
@@ -171,11 +164,10 @@ func New(opts Options) (*Scheduler, error) {
 		mode = scheduler.PassThrough
 	}
 	engine, err := scheduler.NewEngine(scheduler.Config{
-		Protocol:    opts.Protocol,
-		Server:      srv,
-		Mode:        mode,
-		KeepLog:     opts.KeepLog,
-		Parallelism: opts.Parallelism,
+		Protocol: opts.Protocol,
+		Server:   srv,
+		Mode:     mode,
+		KeepLog:  opts.KeepLog,
 	})
 	if err != nil {
 		return nil, err

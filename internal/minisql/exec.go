@@ -16,10 +16,9 @@ func Run(q *Query, cat Catalog) (*relation.Relation, error) {
 	return RunOpts(q, cat, nil)
 }
 
-// RunOpts executes a query with explicit operator options: a worker pool for
-// parallel scan/filter/join loops, a fan-out cutoff, or the nested-loop
-// oracle mode (see ra.Options). nil opts selects the defaults. The query is
-// compiled against the catalog's schemas (CompilePlan) and the plan
+// RunOpts executes a query with explicit operator options: the nested-loop
+// oracle mode (see ra.Options); nil opts selects the hash operators. The
+// query is compiled against the catalog's schemas (CompilePlan) and the plan
 // evaluated bottom-up; long-lived callers can compile once and re-evaluate
 // the plan themselves. Catalog relations keep their cached equality indexes
 // across calls (relation.EqIndex), so repeated queries over long-lived

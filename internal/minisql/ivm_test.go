@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/pool"
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -18,7 +17,7 @@ import (
 // aggregates, CTEs referenced more than once, FROM subqueries) and random
 // insert/delete delta sequences, the IVM's maintained result must equal the
 // cold executor's bag — which must itself equal the nested-loop oracle's —
-// after every round, sequentially and with a worker pool.
+// after every round.
 
 // randIVMQuery renders a random maintainable query over tables t1, t2, t3.
 func randIVMQuery(rng *rand.Rand) string {
@@ -156,7 +155,7 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // (randBulkDeltas) when bit step of large is set, a trickle (randDeltas)
 // otherwise. After every round the IVM's result must equal the cold
 // executor's, which must equal the nested-loop oracle's.
-func runIVMSeed(t testing.TB, opts *ra.Options, seed int64, rounds int, large uint64) {
+func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	t.Helper()
 	nested := &ra.Options{NestedLoop: true}
 	rng := rand.New(rand.NewSource(seed))
@@ -180,7 +179,7 @@ func runIVMSeed(t testing.TB, opts *ra.Options, seed int64, rounds int, large ui
 	if err != nil {
 		t.Fatalf("seed %d: compile %q: %v", seed, src, err)
 	}
-	m, err := NewIVM(plan, cat, opts)
+	m, err := NewIVM(plan, cat, nil)
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 	}
@@ -199,7 +198,7 @@ func runIVMSeed(t testing.TB, opts *ra.Options, seed int64, rounds int, large ui
 			t.Fatalf("seed %d step %d: result %q: %v", seed, step, src, err)
 		}
 		fresh := mirrorCatalog(mirror)
-		cold, err := RunOpts(q, fresh, opts)
+		cold, err := Run(q, fresh)
 		if err != nil {
 			t.Fatalf("seed %d step %d: cold %q: %v", seed, step, src, err)
 		}
@@ -239,18 +238,7 @@ func runIVMSeed(t testing.TB, opts *ra.Options, seed int64, rounds int, large ui
 // executor and the nested-loop oracle across randomized delta sequences.
 func TestIVMMatchesColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		runIVMSeed(t, nil, seed, 8, 0)
-	}
-}
-
-// TestIVMMatchesColdAndOracleParallel: the same property with the operator
-// pool enabled (initial materialisation and cold runs fan out; -race guards
-// the shared state).
-func TestIVMMatchesColdAndOracleParallel(t *testing.T) {
-	par := &ra.Options{Pool: pool.New(4), MinParRows: 1}
-	defer par.Pool.Shutdown()
-	for seed := int64(0); seed < 15; seed++ {
-		runIVMSeed(t, par, seed, 6, 0)
+		runIVMSeed(t, seed, 8, 0)
 	}
 }
 
@@ -261,7 +249,7 @@ func TestIVMMatchesColdAndOracleParallel(t *testing.T) {
 func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		large := rand.New(rand.NewSource(^seed)).Uint64()
-		runIVMSeed(t, nil, seed, 6, large)
+		runIVMSeed(t, seed, 6, large)
 	}
 }
 
@@ -274,7 +262,7 @@ func FuzzIVMDeltas(f *testing.F) {
 	f.Add(int64(2), uint8(0x55))
 	f.Add(int64(3), uint8(0xaa))
 	f.Fuzz(func(t *testing.T, seed int64, large uint8) {
-		runIVMSeed(t, nil, seed, 8, uint64(large))
+		runIVMSeed(t, seed, 8, uint64(large))
 	})
 }
 

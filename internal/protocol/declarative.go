@@ -7,7 +7,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/datalog"
 	"repro/internal/minisql"
-	"repro/internal/pool"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/request"
@@ -22,17 +21,10 @@ type SQLProtocol struct {
 	name  string
 	query *minisql.Query
 
-	// Incremental state (QualifyIncremental): warm marks that pendLen and
-	// histLen (the relation sizes the deltas imply) are in step with the
-	// scheduler's slices. No copy of either relation is kept: the paths that
-	// read whole relations build them from the slices when they run.
-	warm             bool
-	pendLen, histLen int
-
 	// The compiled plan (shared by every evaluation path) and the
 	// materialized-view cache over it, keyed by query shape: the plan is
 	// recompiled, and the views discarded, only when the base relations'
-	// schemas change. Every warm round after the one that builds the cache
+	// schemas change. Every round after the one that builds the cache
 	// patches the views with the round's deltas through the relational delta
 	// rules (minisql.IVM) instead of re-running the query. ivmUnsupported
 	// marks a plan without delta rules (LIMIT): its rounds all run in full.
@@ -41,10 +33,15 @@ type SQLProtocol struct {
 	ivm            *minisql.IVM
 	ivmUnsupported bool
 
-	// Operator options: a worker pool when SetParallelism enabled one, and
-	// the nested-loop oracle switch (benchmarks and property tests compare
-	// the hash path against it). Both apply to full evaluations, the cache
-	// build included; the delta rules run on the calling goroutine.
+	// pendLen and histLen are the relation sizes the deltas imply since the
+	// cache was built (QualifyIncremental's divergence guard). No copy of
+	// either relation is kept: the paths that read whole relations build
+	// them from the slices when they run.
+	pendLen, histLen int
+
+	// Operator options: the nested-loop oracle switch (benchmarks and
+	// property tests compare the hash path against it). It applies to full
+	// evaluations, the cache build included.
 	opts *ra.Options
 
 	// lastStrategy names the evaluation path of the last Qualify call
@@ -87,44 +84,15 @@ func (p *SQLProtocol) Name() string { return p.name }
 // ObjectDecomposable implements the marker (see protocol.ObjectDecomposable).
 func (p *SQLProtocol) ObjectDecomposable() bool { return p.decomposable }
 
-// SetParallelism implements Parallelizable: large scan/filter/join loops of
-// the mini-SQL executor fan out across n workers (n <= 0 selects GOMAXPROCS,
-// 1 stays single-threaded). Must not be called concurrently with Qualify.
-func (p *SQLProtocol) SetParallelism(n int) {
-	var old *pool.Pool
-	if p.opts != nil {
-		old = p.opts.Pool
-	}
-	np := pool.Reconfigure(p, old, n)
-	if np == nil {
-		if p.opts != nil {
-			p.opts.Pool = nil
-		}
-		return
-	}
-	if p.opts == nil {
-		p.opts = &ra.Options{}
-	}
-	p.opts.Pool = np
-	if p.opts.Scratch == nil {
-		// The fan-out loops lease their per-task emit buffers from a
-		// round-scoped scratch (reset at each Qualify entry), so warm
-		// parallel rounds stop allocating chunk buffers.
-		p.opts.Scratch = &ra.Scratch{}
-	}
-}
-
 // SetNestedLoop forces (or clears) the executor's nested-loop join oracle —
 // the unindexed O(n·m) baseline the hash operators are benchmarked and
 // property-tested against.
 func (p *SQLProtocol) SetNestedLoop(on bool) {
-	if p.opts == nil {
-		if !on {
-			return
-		}
-		p.opts = &ra.Options{}
+	if !on {
+		p.opts = nil
+		return
 	}
-	p.opts.NestedLoop = on
+	p.opts = &ra.Options{NestedLoop: true}
 }
 
 // LastStrategy implements StrategyReporter.
@@ -133,50 +101,36 @@ func (p *SQLProtocol) LastStrategy() string { return p.lastStrategy }
 // Qualify implements Protocol: materialise both relations and run the query.
 // It invalidates any incremental state, including the view cache.
 func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Request, error) {
-	p.resetScratch()
-	p.warm = false
 	p.ivm = nil
 	p.lastStrategy = "sql-cold"
 	return p.run(pending, history)
 }
 
 // QualifyIncremental implements IncrementalProtocol. The path follows from
-// the protocol's state alone: the first round, and any round whose deltas
-// disagree with the slices or the views, is a full run (sql-cold); the next
-// round materializes the view cache (sql-ivm-build); every round after that
-// patches the views with the round's deltas (sql-ivm). A plan without delta
-// rules (LIMIT) answers every round with a full run.
+// the protocol's state alone: with a view cache, the round's deltas patch
+// the views (sql-ivm); without one — the first round, and any round whose
+// deltas disagree with the slices or the views — the cache is built from the
+// slices and answers the same round (sql-ivm-build). A plan without delta
+// rules (LIMIT) answers every round with a full run (sql-cold).
 func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
-	p.resetScratch()
-	if p.warm {
+	if p.ivm != nil {
 		// Divergence guard: the relation sizes the deltas imply must land on
 		// the passed slices.
 		p.pendLen += len(d.PendingAdded) - len(d.PendingRemoved)
 		p.histLen += len(d.HistoryAppended) - len(d.HistoryRemoved)
-		if p.pendLen != len(pending) || p.histLen != len(history) {
-			p.warm = false // rebuild below
-		}
-	}
-	if p.warm && p.ivm != nil {
-		if err := p.ivm.Apply(roundDeltas(d)); err == nil {
-			if rel, err := p.ivm.Result(); err == nil {
-				p.lastStrategy = "sql-ivm"
-				return p.finish(rel)
+		if p.pendLen == len(pending) && p.histLen == len(history) {
+			if err := p.ivm.Apply(roundDeltas(d)); err == nil {
+				if rel, err := p.ivm.Result(); err == nil {
+					p.lastStrategy = "sql-ivm"
+					return p.finish(rel)
+				}
 			}
 		}
-		// The views refused the deltas (a delete of a row they never held):
-		// they are no longer exact, so drop them and answer with a full run.
-		p.warm = false
-	}
-	if !p.warm {
-		// Cold rebuild: the deltas are no longer exact relative to any
-		// maintained state, so the view cache goes too (see the
-		// IncrementalProtocol contract).
-		p.pendLen, p.histLen = len(pending), len(history)
+		// The deltas disagree with the slices, or the views refused them (a
+		// delete of a row they never held): the views are no longer exact,
+		// so they go and are rebuilt below (see the IncrementalProtocol
+		// contract).
 		p.ivm = nil
-		p.warm = true
-		p.lastStrategy = "sql-cold"
-		return p.run(pending, history)
 	}
 	if !p.ivmUnsupported {
 		if out, ok := p.buildIVM(pending, history); ok {
@@ -185,15 +139,6 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 	}
 	p.lastStrategy = "sql-cold"
 	return p.run(pending, history)
-}
-
-// resetScratch starts a new scratch round: the previous round's leased
-// buffers are reclaimed (and their stale tuple references cleared) before
-// any operator of this round runs.
-func (p *SQLProtocol) resetScratch() {
-	if p.opts != nil {
-		p.opts.Scratch.Reset()
-	}
 }
 
 // roundDeltas converts one round's request-level deltas to the two-table
@@ -208,7 +153,7 @@ func roundDeltas(d Deltas) map[string]minisql.Delta {
 // buildIVM materializes the view cache from the round's slices and answers
 // the round from it. A build failure (a query shape without delta rules,
 // e.g. LIMIT) disables the IVM path for this protocol instance; the caller
-// falls through to the full re-run.
+// falls through to the full run.
 func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, bool) {
 	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
 	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
@@ -233,6 +178,7 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 		return nil, false
 	}
 	p.ivm = m
+	p.pendLen, p.histLen = len(pending), len(history)
 	p.lastStrategy = "sql-ivm-build"
 	return out, true
 }

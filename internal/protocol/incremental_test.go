@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/minisql"
 	"repro/internal/relation"
 	"repro/internal/request"
 )
@@ -153,8 +154,8 @@ func TestSQLQualifyIncrementalMatchesCold(t *testing.T) {
 // TestSQLStrategyIsAFunctionOfTheDeltas: the SQL twin of the Datalog test.
 // The warm path follows from the protocol's state and the round's deltas, so
 // two fresh instances fed the same seeded sequence report the same strategy
-// round for round: a full run first, the view cache's build next, and delta
-// maintenance on every round after that.
+// round for round: the view cache's build on the first round, and delta
+// maintenance on every round after it. No round runs the query in full.
 func TestSQLStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		a := driveIncremental(t, SS2PLSQL(), func() Protocol { return SS2PLSQL() }, seed)
@@ -164,10 +165,7 @@ func TestSQLStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 		}
 		for round, rt := range a {
 			want := "sql-ivm"
-			switch round {
-			case 0:
-				want = "sql-cold"
-			case 1:
+			if round == 0 {
 				want = "sql-ivm-build"
 			}
 			if rt.strategy != want {
@@ -177,22 +175,17 @@ func TestSQLStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 	}
 }
 
-// TestSQLQualifyIncrementalParallelAndNested: the parallel executor (pool
-// forced onto every operator loop) and the nested-loop oracle executor both
-// track the cold hash path round for round, and the protocol reports the
-// warm/cold strategy per round.
+// TestSQLQualifyIncrementalParallelAndNested: the nested-loop oracle
+// executor tracks the cold hash path round for round, and a direct Qualify
+// reports sql-cold. (The name predates the removal of the operator worker
+// pool, whose arm this test also ran.)
 func TestSQLQualifyIncrementalParallelAndNested(t *testing.T) {
-	par := SS2PLSQL()
-	par.SetParallelism(4)
-	par.opts.MinParRows = 1
-	driveIncremental(t, par, func() Protocol { return SS2PLSQL() }, 11)
-	if got := par.LastStrategy(); got != "sql-ivm" {
-		t.Fatalf("after warm rounds LastStrategy = %q, want sql-ivm", got)
-	}
-
 	nested := SS2PLSQL()
 	nested.SetNestedLoop(true)
 	driveIncremental(t, nested, func() Protocol { return SS2PLSQL() }, 12)
+	if got := nested.LastStrategy(); got != "sql-ivm" {
+		t.Fatalf("after warm rounds LastStrategy = %q, want sql-ivm", got)
+	}
 
 	cold := SS2PLSQL()
 	if cold.LastStrategy() != "" {
@@ -208,8 +201,7 @@ func TestSQLQualifyIncrementalParallelAndNested(t *testing.T) {
 
 // TestSQLIVMQualifyIncrementalMatchesCold: on the delta-maintained view
 // cache, every round's qualified set matches a cold Qualify on a fresh twin —
-// the protocol-level equivalence of the SQL IVM path, sequential and
-// parallel.
+// the protocol-level equivalence of the SQL IVM path.
 func TestSQLIVMQualifyIncrementalMatchesCold(t *testing.T) {
 	for seed := int64(3); seed < 6; seed++ {
 		ivm := SS2PLSQL()
@@ -218,18 +210,11 @@ func TestSQLIVMQualifyIncrementalMatchesCold(t *testing.T) {
 			t.Fatalf("seed %d: LastStrategy = %q, want sql-ivm", seed, got)
 		}
 	}
-	par := SS2PLSQL()
-	par.SetParallelism(4)
-	par.opts.MinParRows = 1
-	driveIncremental(t, par, func() Protocol { return SS2PLSQL() }, 21)
-	if got := par.LastStrategy(); got != "sql-ivm" {
-		t.Fatalf("parallel: LastStrategy = %q, want sql-ivm", got)
-	}
 }
 
-// TestSQLIVMBuildThenMaintain: the first warm round pays the
-// materialization (sql-ivm-build), subsequent rounds delta-maintain
-// (sql-ivm), and a cold interleaving drops the cache.
+// TestSQLIVMBuildThenMaintain: the first round pays the materialization
+// (sql-ivm-build), subsequent rounds delta-maintain (sql-ivm), and a direct
+// Qualify drops the cache, so the next incremental round builds it again.
 func TestSQLIVMBuildThenMaintain(t *testing.T) {
 	p := SS2PLSQL()
 	var pending []request.Request
@@ -243,38 +228,29 @@ func TestSQLIVMBuildThenMaintain(t *testing.T) {
 	if _, err := p.QualifyIncremental(pending, nil, Deltas{PendingAdded: pending}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.LastStrategy(); got != "sql-cold" {
-		t.Fatalf("first call: %q, want sql-cold", got)
-	}
-	if _, err := p.QualifyIncremental(pending, nil, Deltas{}); err != nil {
-		t.Fatal(err)
-	}
 	if got := p.LastStrategy(); got != "sql-ivm-build" {
-		t.Fatalf("second call: %q, want sql-ivm-build", got)
+		t.Fatalf("first call: %q, want sql-ivm-build", got)
 	}
 	if _, err := p.QualifyIncremental(pending, nil, Deltas{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.LastStrategy(); got != "sql-ivm" {
-		t.Fatalf("third call: %q, want sql-ivm", got)
+		t.Fatalf("second call: %q, want sql-ivm", got)
 	}
-	// A direct Qualify invalidates the cache; the next incremental round is
-	// a cold rebuild, then the cache rematerializes.
+	// A direct Qualify invalidates the cache and reports a full run; the next
+	// incremental round rematerializes the cache, the one after maintains it.
 	if _, err := p.Qualify(pending[:3], nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.QualifyIncremental(pending, nil, Deltas{}); err != nil {
-		t.Fatal(err)
-	}
 	if got := p.LastStrategy(); got != "sql-cold" {
-		t.Fatalf("after interleaving: %q, want sql-cold", got)
+		t.Fatalf("direct Qualify: %q, want sql-cold", got)
 	}
 	got, err := p.QualifyIncremental(pending, nil, Deltas{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := p.LastStrategy(); s != "sql-ivm-build" {
-		t.Fatalf("rematerialization: %q, want sql-ivm-build", s)
+		t.Fatalf("after interleaving: %q, want sql-ivm-build", s)
 	}
 	want, err := SS2PLSQL().Qualify(pending, nil)
 	if err != nil {
@@ -282,6 +258,12 @@ func TestSQLIVMBuildThenMaintain(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after rematerialization: %v want %v", got, want)
+	}
+	if _, err := p.QualifyIncremental(pending, nil, Deltas{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.LastStrategy(); got != "sql-ivm" {
+		t.Fatalf("after rematerialization: %q, want sql-ivm", got)
 	}
 }
 
@@ -325,12 +307,15 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 		}
 	}
 
-	round("initial", "sql-cold", Deltas{PendingAdded: pending})
+	round("initial", "sql-ivm-build", Deltas{PendingAdded: pending, HistoryAppended: history})
+	cache := p.ivm
 	add := []request.Request{{ID: id, TA: 500, IntraTA: 0, Op: request.Read, Object: 1}}
 	id++
 	pending = append(pending, add...)
-	round("trickle", "sql-ivm-build", Deltas{PendingAdded: add})
-	cache := p.ivm
+	round("trickle", "sql-ivm", Deltas{PendingAdded: add})
+	if p.ivm != cache {
+		t.Fatal("the trickle round rebuilt the view cache")
+	}
 
 	// The whole pending set is replaced in one round.
 	removed := pending
@@ -380,14 +365,16 @@ func TestSQLLimitQueryRunsEveryRoundInFull(t *testing.T) {
 // Deltas disagree with the passed slices — a history row collected without
 // its HistoryRemoved, a HistoryAppended the history never got, a pending
 // request dropped without its PendingRemoved — must be caught by the
-// protocol's divergence guard and answered cold, equal to a cold Qualify on
-// a fresh twin; the next honest round is warm again and still equal. The
-// same table runs over the SQL protocol (its view cache is built in the
-// warm-up round, so a missed divergence would reach the maintained views)
-// and the Datalog one. In the last case the counts agree, so the guard
-// passes, and the maintained state itself — the SQL view cache, the Datalog
-// engine's EDB — refuses the delete of a row it never held; the round is
-// answered by a full run and the next one is warm again.
+// protocol's divergence guard and answered from the full slices, equal to a
+// cold Qualify on a fresh twin; the next honest round is warm again and
+// still equal. The same table runs over the SQL protocol (its view cache is
+// built in the first round, so a missed divergence would reach the
+// maintained views; the fallback round rebuilds the cache, and the next
+// round maintains that rebuilt cache) and the Datalog one (the fallback is a
+// cold run). In the last case the counts agree, so the guard passes, and the
+// maintained state itself — the SQL view cache, the Datalog engine's EDB —
+// refuses the delete of a row it never held; the round is answered from the
+// full slices and the next one is warm again.
 func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 	req := func(id, ta, intra int64, op request.Op, obj int64) request.Request {
 		if op.IsTermination() {
@@ -423,16 +410,17 @@ func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 		{"absent HistoryRemoved", pending, withoutTA2Lock, Deltas{HistoryRemoved: []request.Request{req(11, 8, 0, request.Write, 6)}}},
 	}
 	protocols := []struct {
-		name     string
-		warm     func() IncrementalProtocol
-		cold     func() Protocol
-		coldName string
+		name string
+		warm func() IncrementalProtocol
+		cold func() Protocol
+		// fallback is what a round answered from the full slices reports.
+		fallback string
 		// rebuilt is what the honest round after the fallback must report;
-		// empty accepts anything but coldName.
+		// empty accepts anything but fallback.
 		rebuilt string
 	}{
 		{"sql", func() IncrementalProtocol { return SS2PLSQL() },
-			func() Protocol { return SS2PLSQL() }, "sql-cold", "sql-ivm-build"},
+			func() Protocol { return SS2PLSQL() }, "sql-ivm-build", "sql-ivm"},
 		{"datalog", func() IncrementalProtocol { return SS2PLDatalog() },
 			func() Protocol { return SS2PLDatalog() }, datalog.StrategyCold, ""},
 	}
@@ -455,18 +443,33 @@ func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 					}
 					return p.(StrategyReporter).LastStrategy()
 				}
+				// cache is the SQL protocol's view cache (nil for Datalog).
+				cache := func() *minisql.IVM {
+					if sp, ok := p.(*SQLProtocol); ok {
+						return sp.ivm
+					}
+					return nil
+				}
 				round("first", pending, history, Deltas{PendingAdded: pending, HistoryAppended: history})
-				if s := round("warm-up", pending, history, Deltas{}); s == pc.coldName {
+				if s := round("warm-up", pending, history, Deltas{}); s == pc.fallback {
 					t.Fatalf("warm-up round ran %s", s)
 				}
-				if s := round("divergent", tc.pending, tc.history, tc.d); s != pc.coldName {
-					t.Fatalf("divergent deltas ran %s, want %s", s, pc.coldName)
+				stale := cache()
+				if s := round("divergent", tc.pending, tc.history, tc.d); s != pc.fallback {
+					t.Fatalf("divergent deltas ran %s, want %s", s, pc.fallback)
+				}
+				rebuilt := cache()
+				if stale != nil && (rebuilt == nil || rebuilt == stale) {
+					t.Fatal("the fallback round kept the refused view cache")
 				}
 				switch s := round("honest", tc.pending, tc.history, Deltas{}); {
-				case s == pc.coldName:
+				case s == pc.fallback:
 					t.Fatalf("the round after the fallback ran %s again", s)
 				case pc.rebuilt != "" && s != pc.rebuilt:
 					t.Fatalf("the round after the fallback ran %s, want %s", s, pc.rebuilt)
+				}
+				if cache() != rebuilt {
+					t.Fatal("the round after the fallback did not maintain the rebuilt view cache")
 				}
 			})
 		}
@@ -570,7 +573,7 @@ func TestSQLWarmRoundsDoNotGrow(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		d = Deltas{}
-		if round == 1 {
+		if round == 0 {
 			cache = p.ivm
 		}
 		gone := KeySet(got)

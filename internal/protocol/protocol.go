@@ -72,20 +72,19 @@ type IncrementalProtocol interface {
 	QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error)
 }
 
-// Parallelizable is implemented by protocols whose qualification query can
-// evaluate on multiple cores. The scheduler forwards its configured
-// parallelism; protocols without multi-core support simply don't implement
-// the interface.
+// Parallelizable is implemented by no protocol and called by no scheduler:
+// every qualification evaluates on the calling goroutine. It remains only
+// because the benchmark's tracing decorator asserts it (benchmark/trace.go)
+// and that decorator's test calls SetParallelism (benchmark/main_test.go);
+// it goes when those two lines do.
 type Parallelizable interface {
-	// SetParallelism sets the worker count for subsequent qualifications
-	// (n <= 0 selects GOMAXPROCS). Not safe concurrently with Qualify.
 	SetParallelism(n int)
 }
 
 // StrategyReporter is implemented by protocols that can name the evaluation
 // path their last Qualify took (e.g. the Datalog engine's cold / monotone /
-// recompute as the round's deltas dictate, or the SQL
-// executor's warm vs cold round). The scheduler records it per round in
+// recompute as the round's deltas dictate, or the SQL protocol's view-cache
+// build vs maintenance). The scheduler records it per round in
 // metrics.RoundStats.
 type StrategyReporter interface {
 	// LastStrategy returns the evaluation strategy of the last

@@ -12,8 +12,7 @@
 // The join operators build (and cache) equality indexes on their input
 // relations (relation.EqIndex), so evaluating a join mutates its operands'
 // index caches: concurrent operator calls over a shared relation are not
-// safe. Within one call, Options.Pool workers only read shared state —
-// indexes are acquired before fan-out.
+// safe. Every operator runs on the calling goroutine.
 package ra
 
 import (

@@ -16,15 +16,12 @@ func Select(r *relation.Relation, pred Expr) *relation.Relation {
 // Select is the filter operator under these options (see the package-level
 // function for semantics).
 func (o *Options) Select(r *relation.Relation, pred Expr) *relation.Relation {
-	rows := r.Rows()
 	out := relation.New(r.Schema())
-	o.runChunked(out, len(rows), func(lo, hi int, emit func(relation.Tuple)) {
-		for _, t := range rows[lo:hi] {
-			if Truth(pred.Eval(t)) == True {
-				emit(t)
-			}
+	for _, t := range r.Rows() {
+		if Truth(pred.Eval(t)) == True {
+			out.AppendTrusted(t)
 		}
-	})
+	}
 	return out
 }
 
@@ -48,31 +45,15 @@ func (o *Options) Project(r *relation.Relation, items []NamedExpr) (*relation.Re
 		cols[i] = relation.Column{Name: it.Name, Kind: it.Kind}
 	}
 	out := relation.New(relation.NewSchema(cols...))
-	rows := r.Rows()
-	eval := func(lo, hi int) []relation.Tuple {
-		res := make([]relation.Tuple, 0, hi-lo)
-		for _, t := range rows[lo:hi] {
-			nt := make(relation.Tuple, len(items))
-			for i, it := range items {
-				nt[i] = it.E.Eval(t)
-			}
-			res = append(res, nt)
+	for _, t := range r.Rows() {
+		nt := make(relation.Tuple, len(items))
+		for i, it := range items {
+			nt[i] = it.E.Eval(t)
 		}
-		return res
-	}
-	var produced [][]relation.Tuple
-	if nt := o.parTasks(len(rows)); nt > 1 {
-		produced = o.parChunks(len(rows), nt, eval)
-	} else {
-		produced = [][]relation.Tuple{eval(0, len(rows))}
-	}
-	// Validation happens at the merge: projection kinds are inferred by the
-	// planner and a mismatch is a bug worth surfacing.
-	for _, ts := range produced {
-		for _, nt := range ts {
-			if err := out.Append(nt); err != nil {
-				return nil, fmt.Errorf("ra: project: %w", err)
-			}
+		// Projection kinds are inferred by the planner and a mismatch is a
+		// bug worth surfacing, so every row is validated.
+		if err := out.Append(nt); err != nil {
+			return nil, fmt.Errorf("ra: project: %w", err)
 		}
 	}
 	return out, nil
@@ -208,30 +189,27 @@ func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 	}
 	ix := build.EqIndex(bpos)
 	buildRows := build.Rows()
-	probeRows := probe.Rows()
-	o.runChunked(out, len(probeRows), func(lo, hi int, emit func(relation.Tuple)) {
-		for _, pt := range probeRows[lo:hi] {
-			h, ok := keyHash(pt, ppos)
-			if !ok {
+	for _, pt := range probe.Rows() {
+		h, ok := keyHash(pt, ppos)
+		if !ok {
+			continue
+		}
+		for _, pos := range ix.CandidatesHash(h) {
+			bt := buildRows[pos]
+			if !keysEqual(pt, ppos, bt, bpos) {
 				continue
 			}
-			for _, pos := range ix.CandidatesHash(h) {
-				bt := buildRows[pos]
-				if !keysEqual(pt, ppos, bt, bpos) {
-					continue
-				}
-				var nt relation.Tuple
-				if buildIsRight {
-					nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), pt...), bt...)
-				} else {
-					nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), bt...), pt...)
-				}
-				if residual == nil || Truth(residual.Eval(nt)) == True {
-					emit(nt)
-				}
+			var nt relation.Tuple
+			if buildIsRight {
+				nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), pt...), bt...)
+			} else {
+				nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), bt...), pt...)
+			}
+			if residual == nil || Truth(residual.Eval(nt)) == True {
+				out.AppendTrusted(nt)
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -252,41 +230,38 @@ func (o *Options) LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 		ix = r.EqIndex(rpos)
 	}
 	rrows := r.Rows()
-	lrows := l.Rows()
-	nulls := o.nullPad(r.Schema().Len())
-	o.runChunked(out, len(lrows), func(lo, hi int, emit func(relation.Tuple)) {
-		for _, lt := range lrows[lo:hi] {
-			matched := false
-			var candidates []relation.Tuple
-			var positions []int32
-			if ix == nil {
-				if len(keys) == 0 || !keyHasNull(lt, lpos) {
-					candidates = rrows
-				}
-			} else if h, ok := keyHash(lt, lpos); ok {
-				positions = ix.CandidatesHash(h)
+	nulls := nullPad(r.Schema().Len())
+	for _, lt := range l.Rows() {
+		matched := false
+		var candidates []relation.Tuple
+		var positions []int32
+		if ix == nil {
+			if len(keys) == 0 || !keyHasNull(lt, lpos) {
+				candidates = rrows
 			}
-			match := func(rt relation.Tuple) {
-				if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
-					return
-				}
-				nt := append(append(make(relation.Tuple, 0, len(lt)+len(rt)), lt...), rt...)
-				if residual == nil || Truth(residual.Eval(nt)) == True {
-					emit(nt)
-					matched = true
-				}
+		} else if h, ok := keyHash(lt, lpos); ok {
+			positions = ix.CandidatesHash(h)
+		}
+		match := func(rt relation.Tuple) {
+			if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
+				return
 			}
-			for _, rt := range candidates {
-				match(rt)
-			}
-			for _, pos := range positions {
-				match(rrows[pos])
-			}
-			if !matched {
-				emit(append(append(make(relation.Tuple, 0, len(lt)+len(nulls)), lt...), nulls...))
+			nt := append(append(make(relation.Tuple, 0, len(lt)+len(rt)), lt...), rt...)
+			if residual == nil || Truth(residual.Eval(nt)) == True {
+				out.AppendTrusted(nt)
+				matched = true
 			}
 		}
-	})
+		for _, rt := range candidates {
+			match(rt)
+		}
+		for _, pos := range positions {
+			match(rrows[pos])
+		}
+		if !matched {
+			out.AppendTrusted(append(append(make(relation.Tuple, 0, len(lt)+len(nulls)), lt...), nulls...))
+		}
+	}
 	return out
 }
 
@@ -319,49 +294,46 @@ func (o *Options) semiAnti(l, r *relation.Relation, keys []EquiKey, residual Exp
 		ix = r.EqIndex(rpos)
 	}
 	rrows := r.Rows()
-	lrows := l.Rows()
-	o.runChunked(out, len(lrows), func(lo, hi int, emit func(relation.Tuple)) {
-		var buf relation.Tuple
-		for _, lt := range lrows[lo:hi] {
-			var candidates []relation.Tuple
-			var positions []int32
-			if ix == nil {
-				if len(keys) == 0 || !keyHasNull(lt, lpos) {
-					candidates = rrows
-				}
-			} else if h, ok := keyHash(lt, lpos); ok {
-				positions = ix.CandidatesHash(h)
+	var buf relation.Tuple
+	for _, lt := range l.Rows() {
+		var candidates []relation.Tuple
+		var positions []int32
+		if ix == nil {
+			if len(keys) == 0 || !keyHasNull(lt, lpos) {
+				candidates = rrows
 			}
-			matched := false
-			check := func(rt relation.Tuple) bool {
-				if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
-					return false
-				}
-				if residual == nil {
-					return true
-				}
-				buf = append(append(buf[:0], lt...), rt...)
-				return Truth(residual.Eval(buf)) == True
+		} else if h, ok := keyHash(lt, lpos); ok {
+			positions = ix.CandidatesHash(h)
+		}
+		matched := false
+		check := func(rt relation.Tuple) bool {
+			if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
+				return false
 			}
-			for _, rt := range candidates {
-				if check(rt) {
+			if residual == nil {
+				return true
+			}
+			buf = append(append(buf[:0], lt...), rt...)
+			return Truth(residual.Eval(buf)) == True
+		}
+		for _, rt := range candidates {
+			if check(rt) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			for _, pos := range positions {
+				if check(rrows[pos]) {
 					matched = true
 					break
 				}
 			}
-			if !matched {
-				for _, pos := range positions {
-					if check(rrows[pos]) {
-						matched = true
-						break
-					}
-				}
-			}
-			if matched == want {
-				emit(lt)
-			}
 		}
-	})
+		if matched == want {
+			out.AppendTrusted(lt)
+		}
+	}
 	return out
 }
 

@@ -1,112 +1,24 @@
 package ra
 
-import (
-	"repro/internal/pool"
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // Options configures operator execution. The zero value (and a nil pointer)
-// selects the defaults: hash algorithms, sequential evaluation. Every
-// operator is also available as a package-level function, which is shorthand
-// for calling it on a nil *Options.
+// selects the hash algorithms. Every operator runs on the calling goroutine
+// and is also available as a package-level function, which is shorthand for
+// calling it on a nil *Options.
 type Options struct {
-	// Pool, when non-nil, fans large scan/filter/join loops out across its
-	// workers: rows are chunked, workers fill private buffers, and the
-	// buffers are concatenated in chunk order, so a parallel operator emits
-	// exactly the rows of the sequential one in the same order.
-	Pool *pool.Pool
-	// MinParRows is the minimum outer cardinality before an operator fans
-	// out (0 selects the default); below it the sequential path is always
-	// taken, so single-core configurations never pay the task overhead.
-	MinParRows int
 	// NestedLoop forces the O(n·m) nested-loop join algorithms: no hash
 	// tables, no cached indexes, every probe scans the full inner relation.
 	// It is the correctness oracle for the hash operators in the property
 	// tests and the baseline of the perf trajectory.
 	NestedLoop bool
-	// Scratch, when non-nil, supplies reusable buffer storage for the
-	// fan-out loops (per-task emit buffers, LeftJoin NULL pads); the owner
-	// must call Scratch.Reset at round boundaries. See Scratch.
-	Scratch *Scratch
 }
-
-// defaultMinParRows is the fan-out cutoff when Options.MinParRows is 0:
-// below this many outer rows the per-batch task overhead outweighs the
-// parallelism.
-const defaultMinParRows = 4096
 
 func (o *Options) nested() bool { return o != nil && o.NestedLoop }
 
-// parTasks returns how many chunks an n-row loop should split into, or 0
-// for the sequential path.
-func (o *Options) parTasks(n int) int {
-	if o == nil || o.Pool == nil {
-		return 0
-	}
-	min := o.MinParRows
-	if min <= 0 {
-		min = defaultMinParRows
-	}
-	if n < min {
-		return 0
-	}
-	w := o.Pool.Workers()
-	if w <= 1 {
-		return 0
-	}
-	return w
-}
-
-// parChunks runs fn over nt contiguous chunks of n rows on the pool and
-// returns the per-chunk outputs in chunk order. fn must only read shared
-// state (relations, indexes, expressions) and write its own return value.
-func (o *Options) parChunks(n, nt int, fn func(lo, hi int) []relation.Tuple) [][]relation.Tuple {
-	outs := make([][]relation.Tuple, nt)
-	o.Pool.RunRange(n, nt, func(task, lo, hi, _ int) {
-		outs[task] = fn(lo, hi)
-	})
-	return outs
-}
-
-// runChunked evaluates fn over the n input rows and collects everything it
-// emits into out. The sequential path (no pool, or below the cutoff) emits
-// straight into out — no intermediate buffering; under fan-out each chunk
-// emits into a private buffer and the buffers are appended in chunk order,
-// so the parallel path produces exactly the sequential path's rows in the
-// same order. The shared merge of every row-loop operator (Select and the
-// join probes); emitted rows must be pre-validated for out's schema.
-func (o *Options) runChunked(out *relation.Relation, n int, fn func(lo, hi int, emit func(relation.Tuple))) {
-	if nt := o.parTasks(n); nt > 1 {
-		// Lease the per-task buffers from the round-scoped scratch when one
-		// is configured (and not already leased by an enclosing evaluation):
-		// a warm round then runs the whole fan-out without allocating.
-		outs := o.Scratch.lease(nt)
-		leased := outs != nil
-		if !leased {
-			outs = make([][]relation.Tuple, nt)
-		}
-		o.Pool.RunRange(n, nt, func(task, lo, hi, _ int) {
-			buf := outs[task]
-			fn(lo, hi, func(t relation.Tuple) { buf = append(buf, t) })
-			outs[task] = buf
-		})
-		for _, ts := range outs {
-			out.AppendTrusted(ts...)
-		}
-		if leased {
-			o.Scratch.release(outs)
-		}
-		return
-	}
-	fn(0, n, func(t relation.Tuple) { out.AppendTrusted(t) })
-}
-
-// nullPad returns an all-NULL tuple of width w, cached in the scratch when
-// one is configured (the pad is copied into output tuples, never retained).
-func (o *Options) nullPad(w int) relation.Tuple {
-	if o != nil && o.Scratch != nil {
-		return o.Scratch.nullPad(w)
-	}
+// nullPad returns an all-NULL tuple of width w (LeftJoin's unmatched-row
+// padding; it is copied into output tuples, never retained).
+func nullPad(w int) relation.Tuple {
 	nulls := make(relation.Tuple, w)
 	for i := range nulls {
 		nulls[i] = relation.Null()

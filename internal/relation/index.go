@@ -86,8 +86,7 @@ func (ix *HashIndex) Contains(key ...Value) bool {
 // one-off byKey map to arbitrary multi-column join keys.
 //
 // Building and extending mutate the cache and must happen on the relation's
-// owning goroutine; Candidates is read-only and safe to call from parallel
-// operator workers once the index has been acquired.
+// owning goroutine; Candidates is read-only.
 type EqIndex struct {
 	cols    []int
 	n       int // rows covered so far

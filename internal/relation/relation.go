@@ -172,9 +172,9 @@ func (r *Relation) WithSchema(s *Schema) (*Relation, error) {
 }
 
 // AppendTrusted appends tuples without schema validation. It is for
-// operators moving rows between relations of identical layout (the ra
-// package's parallel merge paths), where every row already passed
-// validation; misuse can break the relation's typing invariants.
+// operators emitting rows built from already validated inputs (the ra
+// package's filter and join loops); misuse can break the relation's typing
+// invariants.
 func (r *Relation) AppendTrusted(rows ...Tuple) {
 	r.detachSharedEq()
 	r.rows = append(r.rows, rows...)

@@ -79,11 +79,6 @@ type Config struct {
 	// underlying DBMS): the protocol decides *which* requests are safe, the
 	// cap decides *how many* reach the server at once.
 	MaxBatch int
-	// Parallelism is forwarded to the protocol when it implements
-	// protocol.Parallelizable: large qualification passes then evaluate on
-	// that many cores (< 0 selects GOMAXPROCS, 0 leaves the protocol's
-	// default, 1 forces single-threaded).
-	Parallelism int
 	// StarveAfter is the waiting-age bound: a transaction whose pending
 	// requests have gone this many rounds without any of them qualifying is
 	// resolved — first by precise deadlock detection over the waits-for
@@ -150,7 +145,7 @@ type RoundResult struct {
 // NewEngine: a shard count, a per-shard protocol factory and the rebalancer.
 type PartitionedConfig struct {
 	// Base carries the shared engine settings (server, mode, GC, log,
-	// MaxBatch, parallelism, starvation bound). Base.Protocol is ignored —
+	// MaxBatch, starvation bound). Base.Protocol is ignored —
 	// each shard owns the instance Factory builds for it.
 	Base Config
 	// Partitions is the round-loop count (1..MaxPartitions).
@@ -270,9 +265,6 @@ func NewPartitionedEngine(cfg PartitionedConfig) (*Engine, error) {
 			if cfg.Partitions > 1 && !protocol.IsObjectDecomposable(sh.proto) {
 				return nil, fmt.Errorf("scheduler: protocol %s does not factor by object and cannot run partitioned (partitions=%d)",
 					sh.proto.Name(), cfg.Partitions)
-			}
-			if pp, ok := sh.proto.(protocol.Parallelizable); ok && cfg.Base.Parallelism != 0 {
-				pp.SetParallelism(cfg.Base.Parallelism) // < 0 selects GOMAXPROCS
 			}
 		}
 		e.shards = append(e.shards, sh)

@@ -12,20 +12,17 @@ import (
 )
 
 // TestConcurrentSubmitDuringParallelRounds hammers Middleware.Submit from
-// many client goroutines while rounds run a multi-core protocol, so the race
-// detector sees the full concurrency surface: client workers feeding the
-// admission queue, the scheduler loop firing rounds, and the worker pool
-// Config.Parallelism hands the SQL protocol (the Parallelizable forwarding;
-// rounds this small stay under the operators' fan-out cutoff, which
-// internal/protocol, internal/ra and internal/minisql lower in their own
-// race tests). Every transaction must either
-// fully execute or be aborted as a deadlock victim — nothing may hang or be
-// silently dropped.
+// many client goroutines while the SQL protocol's rounds run, so the race
+// detector sees the middleware's concurrency surface: client workers feeding
+// the admission queue, the scheduler loop firing rounds and the executor
+// answering clients. Every transaction must either fully execute or be
+// aborted as a deadlock victim — nothing may hang or be silently dropped.
+// (The name predates the removal of the SQL operators' worker pool, which
+// this test also drove.)
 func TestConcurrentSubmitDuringParallelRounds(t *testing.T) {
 	engine, err := NewEngine(Config{
-		Protocol:    protocol.SS2PLSQL(),
-		Server:      storage.NewServer(storage.Config{Rows: 64}),
-		Parallelism: 4,
+		Protocol: protocol.SS2PLSQL(),
+		Server:   storage.NewServer(storage.Config{Rows: 64}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@ import (
 // the scheduler restores the rest from the pending copy it removes — Class
 // always, Priority and Arrival too through a five-column relation. The
 // executed results, the history rows and the round's qualified list (RTE's
-// source) must all carry the pending copy's fields. One key is resubmitted
-// with different content in the round the SQL view cache is built, so it must
-// come back as the new submission, not as the one the cold round saw.
+// source) must all carry the pending copy's fields. The SQL view cache is
+// built in the first round; one key is resubmitted with different content in
+// the next, maintained round, so it must come back as the new submission,
+// not as the one the cache was built from.
 func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -52,6 +53,14 @@ func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 				}
 			}
 			executed := 0
+			// sql names the SQL protocol's strategy for a round; the Datalog
+			// protocols' rounds are not checked.
+			sql := func(strategy string) string {
+				if c.name == "ss2pl-sql" {
+					return strategy
+				}
+				return ""
+			}
 			run := func(round int, wantStrategy string) {
 				t.Helper()
 				res, err := e.Round()
@@ -76,30 +85,23 @@ func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 					check(round, "history row", r)
 				}
 			}
-			// Round 1 (cold): ta1's write wins object 3 under both SS2PL
-			// (lower TA) and SLA (higher priority); ta2's stays pending.
+			// Round 1 builds the SQL view cache: ta1's write wins object 3
+			// under both SS2PL (lower TA) and SLA (higher priority); ta2's
+			// stays pending.
 			submit(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: 3, Class: "gold", Priority: 4})
 			submit(request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 3, Class: "free", Priority: 1})
-			run(1, "")
+			run(1, sql("sql-ivm-build"))
 			if e.PendingLen() != 1 {
 				t.Fatalf("round 1 left %d pending, want ta2's write", e.PendingLen())
 			}
-			// Round 2 builds the SQL view cache: ta2 resubmits its blocked
+			// Round 2 runs on the maintained views: ta2 resubmits its blocked
 			// write on a free object with a new class and priority.
 			submit(request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 5, Class: "premium", Priority: 9})
 			submit(request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "gold", Priority: 4})
-			build := ""
-			if c.name == "ss2pl-sql" {
-				build = "sql-ivm-build"
-			}
-			run(2, build)
-			// Round 3 runs on the maintained views.
+			run(2, sql("sql-ivm"))
+			// Round 3 too.
 			submit(request.Request{TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "premium", Priority: 9})
-			maintained := ""
-			if c.name == "ss2pl-sql" {
-				maintained = "sql-ivm"
-			}
-			run(3, maintained)
+			run(3, sql("sql-ivm"))
 			if executed != 4 || e.PendingLen() != 0 {
 				t.Fatalf("executed %d of 4, %d left pending", executed, e.PendingLen())
 			}
