@@ -95,7 +95,7 @@ func main() {
 		srv     *storage.Server
 		target  = *addr
 		inProc  = *addr == ""
-		statsCl *netproto.Client
+		statsCl *netproto.MuxClient
 	)
 	if inProc {
 		srv = storage.NewServer(storage.Config{Rows: int(*objects)})
@@ -146,9 +146,9 @@ func main() {
 		muxes[i] = c
 	}
 
-	// A clean line-protocol scraper polls STATS throughout the run: the
+	// A clean scraper connection polls STATS throughout the run: the
 	// consistent-snapshot contract under full load.
-	statsCl, _ = netproto.Dial(target)
+	statsCl, _ = netproto.DialMux(target, netproto.MuxOptions{})
 	lastStats := ""
 	var statsMu sync.Mutex
 	stopStats := make(chan struct{})

@@ -1,6 +1,8 @@
 // Command schedserver runs the declarative scheduler as a network service
 // (paper Figure 1: clients connect to the scheduler, not to the server).
-// Clients speak the line protocol of internal/netproto:
+// Go clients speak the multiplexed binary protocol through
+// netproto.MuxClient (cmd/netload is one); the same port speaks the line
+// dialect of internal/netproto, so a shell can drive it too:
 //
 //	$ schedserver -addr 127.0.0.1:7070 -protocol ss2pl &
 //	$ printf 'REQ 1 0 w 7\nREQ 1 1 c -1\nQUIT\n' | nc 127.0.0.1 7070
@@ -38,7 +40,6 @@ func main() {
 	durable := flag.Bool("durable", false, "journal committed state to -dir and recover it on restart")
 	dir := flag.String("dir", "", "durable storage directory (required with -durable)")
 	syncEvery := flag.Int("sync-every", 1, "fsync the journal every N commit batches (group commit)")
-	readTimeout := flag.Duration("read-timeout", 0, "per-connection read deadline (0 = none)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections idle for this long (0 = never)")
 	maxQueued := flag.Int("max-queued", 4096, "admission cap: reject new transactions with BUSY beyond this many unanswered submissions (0 = unlimited)")
 	maxInflight := flag.Int("max-inflight", 0, "per-connection inflight cap on the multiplexed protocol (0 = default)")
@@ -101,10 +102,7 @@ func main() {
 	mw := scheduler.NewMiddleware(engine, trig, metrics.NewCollector())
 	mw.SetSynchronous(*syncRounds)
 	mw.Start()
-	s, err := netproto.ListenOpts(*addr, mw, netproto.Options{
-		ReadTimeout: *readTimeout,
-		IdleTimeout: *idleTimeout,
-	})
+	s, err := netproto.ListenOpts(*addr, mw, netproto.Options{IdleTimeout: *idleTimeout})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,13 +11,10 @@
 // The engine is built for the scheduler's round loop: fact sets dedup and
 // index through uint64 hash buckets over column masks fixed at compile time,
 // and Engine.RunIncremental warm-starts a round from the previous one —
-// unchanged EDB predicates keep their fact sets and indexes, insert-only
-// changes seed the semi-naive deltas directly, and non-monotone changes
-// (deletions, or anything flowing through negation or aggregation) re-derive
-// only the predicates downstream of the change. The batch's structure alone
-// selects the path, and evaluation runs on the calling goroutine. Engine.Run
-// remains the cold
-// path and the correctness oracle; see the Engine documentation in engine.go.
+// unchanged EDB predicates keep their fact sets and indexes, and a change
+// re-derives only the predicates downstream of it. Evaluation runs on the
+// calling goroutine. Engine.Run remains the cold path and the correctness
+// oracle; see the Engine documentation in engine.go.
 package datalog
 
 import (

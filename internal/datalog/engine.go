@@ -23,14 +23,11 @@ import (
 // sets and re-derives the fixpoint from the EDB sets. It is the correctness
 // oracle and the fallback. RunIncremental is the warm-start path for the
 // scheduler's round loop: EDB changes arrive as per-predicate insert/delete
-// deltas, and only the consequences of those deltas are recomputed. Which
-// warm path runs is a function of the batch's structure alone — never of a
-// clock or of earlier rounds. Insert-only deltas whose affected predicates
-// are free of negation and aggregation are propagated by seeding the
-// semi-naive deltas directly (no fact is ever re-derived); every other change
-// clears and re-derives exactly the predicates downstream of it
-// (recomputeAffected). In every mode, unaffected predicates — and every
-// unchanged EDB fact with its index entries — are kept as-is.
+// deltas, and only the consequences of those deltas are recomputed: a
+// non-empty batch clears and re-derives exactly the predicates downstream of
+// it (recomputeAffected), an empty one does nothing. In every mode,
+// unaffected predicates — and every unchanged EDB fact with its index
+// entries — are kept as-is.
 //
 // Index column masks are chosen at compile time: NewEngine registers the
 // bound positions of every atom occurrence with the predicate, so fact sets
@@ -52,12 +49,8 @@ type Engine struct {
 
 	// dependents maps a body predicate to the head predicates that consume
 	// it (the edge set of the dependency graph, for affected-closure
-	// computation); negatedPreds and aggBodyPreds mark predicates consumed
-	// under negation or by an aggregate rule — facts flowing through those
-	// edges do not propagate monotonically.
-	dependents   map[string][]string
-	negatedPreds map[string]bool
-	aggBodyPreds map[string]bool
+	// computation).
+	dependents map[string][]string
 
 	// Naive switches off the delta optimisation; used by tests to verify the
 	// semi-naive evaluator against the textbook fixpoint.
@@ -111,10 +104,8 @@ const (
 	StrategyCold = "cold"
 	// StrategyNone: a warm run whose delta batch was empty.
 	StrategyNone = "none"
-	// StrategyMonotone: insert-only warm start via seeded semi-naive deltas.
-	StrategyMonotone = "monotone"
 	// StrategyRecompute: affected predicates cleared and re-derived (every
-	// warm change that is not insert-only and monotone).
+	// warm run with a non-empty batch).
 	StrategyRecompute = "recompute"
 )
 
@@ -150,18 +141,16 @@ func NewEngine(prog *Program) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		prog:         prog,
-		stratumOf:    stratumOf,
-		numStrata:    numStrata,
-		idb:          prog.IDB(),
-		facts:        make(map[string]*factSet),
-		staged:       make(map[string][]relation.Tuple),
-		masks:        make(map[string][][]int),
-		dependents:   make(map[string][]string),
-		negatedPreds: make(map[string]bool),
-		aggBodyPreds: make(map[string]bool),
-		setPool:      make(map[string][]*factSet),
-		affected:     make(map[string]bool),
+		prog:       prog,
+		stratumOf:  stratumOf,
+		numStrata:  numStrata,
+		idb:        prog.IDB(),
+		facts:      make(map[string]*factSet),
+		staged:     make(map[string][]relation.Tuple),
+		masks:      make(map[string][][]int),
+		dependents: make(map[string][]string),
+		setPool:    make(map[string][]*factSet),
+		affected:   make(map[string]bool),
 	}
 	e.rulesBy = make([][]int, numStrata)
 	for i, r := range prog.Rules {
@@ -200,27 +189,13 @@ func NewEngine(prog *Program) (*Engine, error) {
 		}
 	}
 	for _, r := range prog.Rules {
-		agg := r.HasAggregate()
 		for _, l := range r.Body {
 			if l.Kind != LitAtom {
 				continue
 			}
 			p := l.Atom.Pred
-			seen := false
-			for _, h := range e.dependents[p] {
-				if h == r.Head.Pred {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(e.dependents[p], r.Head.Pred) {
 				e.dependents[p] = append(e.dependents[p], r.Head.Pred)
-			}
-			if l.Negated {
-				e.negatedPreds[p] = true
-			}
-			if agg {
-				e.aggBodyPreds[p] = true
 			}
 		}
 	}
@@ -401,7 +376,7 @@ func (e *Engine) deriveAll() error {
 		return err
 	}
 	for s := 0; s < e.numStrata; s++ {
-		if err := e.runStratum(s, e.rulesBy[s], stratumOpts{}); err != nil {
+		if err := e.runStratum(e.rulesBy[s]); err != nil {
 			return err
 		}
 	}
@@ -429,11 +404,9 @@ func (e *Engine) addProgramFacts(only map[string]bool) error {
 
 // RunIncremental evaluates the program after applying the given EDB deltas,
 // reusing the retained fact sets of the previous run. Predicates untouched by
-// the change keep their facts and indexes; insert-only changes whose affected
-// closure is free of negation and aggregation are propagated by seeding the
-// semi-naive deltas; every other change clears and re-derives exactly the
-// affected predicates. With no previous run (or in Naive mode) it falls back
-// to a cold derivation over the updated EDB, so a RunIncremental sequence is
+// the change keep their facts and indexes; the affected predicates are
+// cleared and re-derived. With no previous run (or in Naive mode) it falls
+// back to a cold derivation over the updated EDB, so a RunIncremental sequence is
 // always equivalent to a cold run over the final EDB state. A delete of an
 // absent fact fails the run and leaves the engine cold: the caller must
 // reload the EDB (SetEDB and Run) before the next incremental run.
@@ -466,11 +439,8 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	}
 	defer e.releaseRound()
 
-	// The strategy follows from the batch's structure, before anything is
-	// applied. Roots of the change: delta'd predicates plus SetEDB
-	// replacements (which may have removed facts: a deleting change).
+	// Roots of the change: delta'd predicates plus SetEDB replacements.
 	roots := e.roots[:0]
-	hasDelete := len(e.staged) > 0
 	for pred := range e.staged {
 		roots = append(roots, pred)
 	}
@@ -481,40 +451,24 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		if _, staged := e.staged[pred]; !staged {
 			roots = append(roots, pred)
 		}
-		if len(d.Delete) > 0 {
-			hasDelete = true
-		}
 	}
 	cold := !e.warm || e.Naive
 	var affected map[string]bool
-	monotone := false
 	if !cold {
 		if len(roots) == 0 {
 			e.Stats = RunStats{Incremental: true, Strategy: StrategyNone}
 			return nil
 		}
 		affected = e.affectedClosure(roots)
-		monotone = !hasDelete
-		for p := range affected {
-			if e.negatedPreds[p] || e.aggBodyPreds[p] {
-				monotone = false
-				break
-			}
-		}
 	}
 
 	// From here on state is mutated: drop the warm flag and re-raise it only
 	// on success, so an error can never leave half-applied fact sets behind
 	// a warm engine. Each delta is applied once, to the predicate's fact set
-	// (insert before delete, per the EDBDelta contract); the monotone path
-	// seeds the semi-naive deltas with exactly the tuples that were new.
+	// (insert before delete, per the EDBDelta contract).
 	e.warm = false
 	if err := e.loadStaged(); err != nil {
 		return err
-	}
-	var carry map[string]*factSet
-	if monotone {
-		carry = e.leaseMap()
 	}
 	for pred, d := range changed {
 		f := e.factsFor(pred)
@@ -522,20 +476,8 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 			f.arity = len(d.Insert[0])
 		}
 		for _, t := range d.Insert {
-			added, stored, err := f.add(t, false)
-			if err != nil {
+			if _, _, err := f.add(t, false); err != nil {
 				return err
-			}
-			if added && monotone {
-				cs, ok := carry[pred]
-				if !ok {
-					cs = e.leaseSet(pred)
-					cs.arity = f.arity
-					carry[pred] = cs
-				}
-				if _, _, err := cs.add(stored, false); err != nil {
-					return err
-				}
 			}
 		}
 		for i, t := range d.Delete {
@@ -548,34 +490,22 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		}
 	}
 
-	switch {
-	case cold:
+	if cold {
 		return e.deriveAll()
-	case monotone:
-		// Warm start proper: nothing is cleared; no existing fact is
-		// re-derived.
-		e.Stats = RunStats{Incremental: true, Strategy: StrategyMonotone}
-		for s := 0; s < e.numStrata; s++ {
-			if err := e.runStratum(s, e.rulesBy[s], stratumOpts{seed: carry, carry: carry}); err != nil {
-				return err
-			}
-		}
-	default:
-		if err := e.recomputeAffected(affected); err != nil {
-			return err
-		}
+	}
+	if err := e.recomputeAffected(affected); err != nil {
+		return err
 	}
 	e.warm = true
 	return nil
 }
 
-// recomputeAffected is the warm path for non-monotone changes (deletes,
-// wholesale replacements, anything reaching negation or an aggregate): with
-// the changed EDB sets already updated in place, clear and re-derive exactly
-// the predicates downstream of the change. Unaffected predicates — typically
-// the bulk of the EDB — are retained with their indexes. Cleared sets are
-// reset in place: the tuple and chain arrays and the bucket arrays they grew
-// last round are what this round re-fills.
+// recomputeAffected is the warm path: with the changed EDB sets already
+// updated in place, clear and re-derive exactly the predicates downstream of
+// the change. Unaffected predicates — typically the bulk of the EDB — are
+// retained with their indexes. Cleared sets are reset in place: the tuple and
+// chain arrays and the bucket arrays they grew last round are what this round
+// re-fills.
 func (e *Engine) recomputeAffected(affected map[string]bool) error {
 	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
 	for p := range affected {
@@ -594,7 +524,7 @@ func (e *Engine) recomputeAffected(affected map[string]bool) error {
 			}
 		}
 		e.ruleBuf = idx[:0]
-		if err := e.runStratum(s, idx, stratumOpts{}); err != nil {
+		if err := e.runStratum(idx); err != nil {
 			return err
 		}
 	}
@@ -621,17 +551,6 @@ func (e *Engine) affectedClosure(roots []string) map[string]bool {
 	return out
 }
 
-// stratumOpts parameterises runStratum. With seed == nil the stratum runs
-// cold: every rule is evaluated in full once, then the semi-naive delta loop
-// runs. With a seed, the initial full pass is skipped and the delta loop
-// starts from the seeded tuples (which may belong to lower strata or the EDB
-// — the warm-start paths). carry, when non-nil, additionally records every
-// newly derived fact, seeding later strata.
-type stratumOpts struct {
-	seed  map[string]*factSet
-	carry map[string]*factSet
-}
-
 // workItem is one rule evaluation of a pass: rule ri evaluated under spec
 // (a semi-naive delta substitution or a full evaluation).
 type workItem struct {
@@ -639,49 +558,31 @@ type workItem struct {
 	spec evalSpec
 }
 
-// runStratum evaluates the given rules of stratum s to fixpoint.
-func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
+// runStratum evaluates the given rules of one stratum to fixpoint: every rule
+// in full once, then the semi-naive delta loop.
+func (e *Engine) runStratum(ruleIdx []int) error {
 	if len(ruleIdx) == 0 {
 		return nil
 	}
-	cold := opts.seed == nil
-	if cold {
-		// Aggregate rules first: their bodies live strictly below this
-		// stratum, so a single evaluation is complete, and same-stratum rules
-		// may then consume the aggregated predicate.
-		for _, ri := range ruleIdx {
-			c := e.compiled[ri]
-			if !c.hasAgg || c.rule.IsFact() {
-				continue
-			}
-			if err := e.evalAggregate(c); err != nil {
-				return err
-			}
+	// Aggregate rules first: their bodies live strictly below this stratum,
+	// so a single evaluation is complete, and same-stratum rules may then
+	// consume the aggregated predicate.
+	for _, ri := range ruleIdx {
+		c := e.compiled[ri]
+		if !c.hasAgg || c.rule.IsFact() {
+			continue
+		}
+		if err := e.evalAggregate(c); err != nil {
+			return err
 		}
 	}
 
 	delta := e.leaseMap()
-	if !cold {
-		for pred, d := range opts.seed {
-			if d.len() > 0 {
-				delta[pred] = d
-			}
-		}
-	}
-	sink := func(m map[string]*factSet, pred string) *factSet {
-		d, ok := m[pred]
-		if !ok {
-			d = e.leaseSet(pred)
-			d.arity = e.facts[pred].arity
-			m[pred] = d
-		}
-		return d
-	}
 	// One emit closure serves every work item of the stratum: the current
-	// head predicate and sink map travel in the captured variables instead
-	// of a fresh closure per item. It inserts a derived head tuple into the
-	// full fact set (clone on genuine insertion) and records new facts in
-	// next and carry.
+	// head predicate and next-delta map travel in the captured variables
+	// instead of a fresh closure per item. It inserts a derived head tuple
+	// into the full fact set (clone on genuine insertion) and records new
+	// facts in the predicate's next delta, leased on first use.
 	var emitPred string
 	var emitSet *factSet
 	var emitNext map[string]*factSet
@@ -692,15 +593,14 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 			return err
 		}
 		e.Stats.FactsDerived++
-		if _, _, err := sink(emitNext, emitPred).add(stored, false); err != nil {
-			return err
+		d, ok := emitNext[emitPred]
+		if !ok {
+			d = e.leaseSet(emitPred)
+			d.arity = emitSet.arity
+			emitNext[emitPred] = d
 		}
-		if opts.carry != nil {
-			if _, _, err := sink(opts.carry, emitPred).add(stored, false); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, _, err = d.add(stored, false)
+		return err
 	}
 	// evalPass runs one pass's work items.
 	evalPass := func(items []workItem, next map[string]*factSet) error {
@@ -715,21 +615,19 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		return nil
 	}
 
-	if cold {
-		items := e.workBuf[:0]
-		for _, ri := range ruleIdx {
-			c := e.compiled[ri]
-			if c.hasAgg || c.rule.IsFact() {
-				continue
-			}
-			items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
+	items := e.workBuf[:0]
+	for _, ri := range ruleIdx {
+		c := e.compiled[ri]
+		if c.hasAgg || c.rule.IsFact() {
+			continue
 		}
-		e.workBuf = items[:0]
-		if err := evalPass(items, delta); err != nil {
-			return err
-		}
-		e.Stats.Iterations++
+		items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
 	}
+	e.workBuf = items[:0]
+	if err := evalPass(items, delta); err != nil {
+		return err
+	}
+	e.Stats.Iterations++
 
 	for {
 		anyDelta := false

@@ -145,7 +145,7 @@ type RoundStats struct {
 	Exec    time.Duration
 	History int // live history size after the round
 	// Strategy names the evaluation path the protocol took this round
-	// (e.g. the Datalog engine's cold/monotone/recompute, or the SQL
+	// (e.g. the Datalog engine's cold/none/recompute, or the SQL
 	// protocol's sql-cold/sql-ivm-build/sql-ivm); empty when the protocol
 	// does not report one.
 	Strategy string

@@ -148,7 +148,7 @@ func runChaosSchedule(t *testing.T, cfg chaos.Config) {
 	statsDone := make(chan struct{})
 	go func() {
 		defer close(statsDone)
-		c, err := Dial(s.Addr())
+		c, err := DialMux(s.Addr(), MuxOptions{})
 		if err != nil {
 			return
 		}

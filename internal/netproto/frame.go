@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -183,15 +182,4 @@ func encodeCorrFrame(typ byte, corr uint64) []byte {
 	var body [8]byte
 	binary.BigEndian.PutUint64(body[:], corr)
 	return appendFrame(nil, typ, body[:])
-}
-
-// writeFrames writes pre-encoded frames through one buffered writer and
-// flushes.
-func writeFrames(w *bufio.Writer, frames ...[]byte) error {
-	for _, f := range frames {
-		if _, err := w.Write(f); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
 }

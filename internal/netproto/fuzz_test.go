@@ -3,7 +3,9 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/request"
@@ -102,10 +104,20 @@ func FuzzParseReq(f *testing.F) {
 		if !r.Op.Valid() {
 			t.Fatalf("parseReq(%q) yields invalid op %q", line, r.Op)
 		}
-		// The client's encoding of what was parsed parses to the same request.
+		// The line encoding of what was parsed parses to the same request.
 		enc := formatReq(r)
 		if back, err := parseReq(enc); err != nil || back != r {
 			t.Fatalf("parseReq(%q) = %+v; its encoding %q parses to %+v, %v", line, r, enc, back, err)
 		}
 	})
+}
+
+// formatReq is the reference encoder of the line dialect's REQ command, the
+// inverse FuzzParseReq holds parseReq to.
+func formatReq(r request.Request) string {
+	line := fmt.Sprintf("REQ %d %d %s %d", r.TA, r.IntraTA, r.Op, r.Object)
+	if r.Priority != 0 {
+		line += " " + strconv.FormatInt(r.Priority, 10)
+	}
+	return line
 }

@@ -110,11 +110,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 	}()
 
 	for {
-		if wait := s.opts.IdleTimeout; wait > 0 {
-			conn.SetReadDeadline(time.Now().Add(wait))
-		} else if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
+		s.armIdle(conn)
 		typ, body, err := readFrame(br)
 		if err != nil {
 			// Includes CRC mismatches and torn frames: the connection is not

@@ -1,8 +1,10 @@
 package netproto
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -137,13 +139,26 @@ func TestMuxPingStatsAndLineCoexist(t *testing.T) {
 	}
 
 	// The same port still speaks the line protocol.
-	lc, err := Dial(s.Addr())
+	lc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if err := lc.Ping(); err != nil {
-		t.Fatalf("line ping: %v", err)
+	lr := bufio.NewReader(lc)
+	line := func(cmd string) string {
+		t.Helper()
+		lc.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := fmt.Fprintf(lc, "%s\n", cmd); err != nil {
+			t.Fatalf("line %s: %v", cmd, err)
+		}
+		reply, err := lr.ReadString('\n')
+		if err != nil {
+			t.Fatalf("line %s: %v", cmd, err)
+		}
+		return strings.TrimSpace(reply)
+	}
+	if got := line("PING"); got != "PONG" {
+		t.Fatalf("line ping: %q", got)
 	}
 
 	if _, err := mc.Submit(request.Request{TA: 9, Op: request.Write, Object: 3}); err != nil {
@@ -159,8 +174,8 @@ func TestMuxPingStatsAndLineCoexist(t *testing.T) {
 	if !strings.Contains(stats, " fired[") || !strings.Contains(stats, " strategies[") {
 		t.Fatalf("mux stats name neither the rounds' strategies nor why they fired: %q", stats)
 	}
-	if line, err := lc.Stats(); err != nil || !strings.Contains(line, " fired[") {
-		t.Fatalf("line stats: %q, %v", line, err)
+	if got := line("STATS"); !strings.HasPrefix(got, "STATS ") || !strings.Contains(got, " fired[") {
+		t.Fatalf("line stats: %q", got)
 	}
 }
 

@@ -27,9 +27,9 @@
 // the server peeks the first byte of a connection — binary frames start with
 // 0x00, line commands with an ASCII letter — and dispatches. MuxClient
 // carries many concurrent logical clients over one connection with
-// out-of-order responses matched by correlation ID; that is the
-// production-connection-count path, while the line protocol stays for
-// debuggability (smoke tests drive it from bash).
+// out-of-order responses matched by correlation ID, and it is the only Go
+// client. The line dialect is the shell's: it stays so that an operator (and
+// the smoke tests) can drive the server from bash.
 package netproto
 
 import (
@@ -47,7 +47,7 @@ import (
 	"repro/internal/scheduler"
 )
 
-// ErrAborted is returned by Client.Submit when the server reports the
+// ErrAborted is returned by MuxClient.Submit when the server reports the
 // transaction was aborted as a deadlock victim.
 var ErrAborted = errors.New("netproto: transaction aborted by scheduler")
 
@@ -69,9 +69,6 @@ type Options struct {
 	// long: the read blocks with a deadline and the worker exits when it
 	// fires. Zero disables reaping.
 	IdleTimeout time.Duration
-	// ReadTimeout bounds the wait for the next request line when
-	// IdleTimeout is unset (a coarser single knob). Zero means no limit.
-	ReadTimeout time.Duration
 	// WriteTimeout bounds each reply write, so a client that stops reading
 	// cannot wedge its worker. Zero means no limit.
 	WriteTimeout time.Duration
@@ -211,11 +208,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Protocol dispatch: a binary frame's length field starts with 0x00
 	// (frames are capped far below 16 MiB), a line command with an ASCII
 	// letter.
-	if wait := s.opts.IdleTimeout; wait > 0 {
-		conn.SetReadDeadline(time.Now().Add(wait))
-	} else if s.opts.ReadTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-	}
+	s.armIdle(conn)
 	br := bufio.NewReader(conn)
 	first, err := br.Peek(1)
 	if err != nil {
@@ -238,13 +231,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return w.Flush() == nil
 	}
 	for {
-		// Arm the idle reaper: when the deadline fires mid-read, Scan fails
-		// and the worker exits, closing the connection.
-		if wait := s.opts.IdleTimeout; wait > 0 {
-			conn.SetReadDeadline(time.Now().Add(wait))
-		} else if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
-		}
+		s.armIdle(conn)
 		if !sc.Scan() {
 			return
 		}
@@ -311,6 +298,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// armIdle arms the idle reaper before each request: when the deadline fires
+// mid-read, the read fails and the worker exits, closing the connection.
+func (s *Server) armIdle(conn net.Conn) {
+	if s.opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+	}
+}
+
 func parseReq(line string) (request.Request, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 5 && len(fields) != 6 {
@@ -343,100 +338,18 @@ func parseReq(line string) (request.Request, error) {
 	return r, nil
 }
 
-// formatReq is the client's side of parseReq.
-func formatReq(r request.Request) string {
-	line := fmt.Sprintf("REQ %d %d %s %d", r.TA, r.IntraTA, r.Op, r.Object)
-	if r.Priority != 0 {
-		line += " " + strconv.FormatInt(r.Priority, 10)
-	}
-	return line
-}
-
 // DefaultTimeout bounds every client round-trip out of the box: a dead or
 // wedged server yields a timeout error instead of hanging the caller
-// forever. NoTimeout restores unbounded waits for debugging sessions.
+// forever. A negative MuxOptions.Timeout restores unbounded waits for
+// debugging sessions.
 const DefaultTimeout = 30 * time.Second
 
-// DefaultRetryBudget is the number of BUSY-backoff (or reconnect) retries a
-// Submit spends before giving up.
+// DefaultRetryBudget is the number of BUSY-backoff (or reconnect) retries an
+// operation spends before giving up.
 const DefaultRetryBudget = 8
 
 // defaultMaxBackoff caps the client-side exponential backoff.
 const defaultMaxBackoff = 250 * time.Millisecond
-
-// Client is one connection to the scheduler. It is not safe for concurrent
-// use: like a database connection, it carries one request at a time. For
-// many concurrent logical clients over one connection, use MuxClient.
-//
-// Robustness defaults: round-trips time out after DefaultTimeout, and BUSY
-// rejections are retried with capped exponential backoff plus jitter,
-// honoring the server's retry-after hint. Reconnect-with-resubmit is opt-in
-// (SetReconnect) because it requires the server's resubmit cache for
-// idempotency.
-type Client struct {
-	addr      string
-	conn      net.Conn
-	r         *bufio.Reader
-	w         *bufio.Writer
-	timeout   time.Duration
-	budget    int
-	reconnect bool
-}
-
-// SetTimeout bounds every subsequent round-trip (write plus reply read).
-// Zero means unbounded; the dialed default is DefaultTimeout.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
-// NoTimeout removes the round-trip deadline: the explicit escape hatch for
-// debuggers and very long synchronous waits.
-func (c *Client) NoTimeout() { c.timeout = 0 }
-
-// SetRetry sets how many times Submit retries a BUSY rejection (and, with
-// SetReconnect, a broken connection) before giving up. 0 disables retries.
-func (c *Client) SetRetry(budget int) { c.budget = budget }
-
-// SetReconnect enables redial-and-resubmit on connection errors. The
-// resubmit is idempotent only when the server runs with a resubmit window
-// (Config.ResubmitWindow > 0), which the schedserver front end does.
-func (c *Client) SetReconnect(on bool) { c.reconnect = on }
-
-// arm sets the connection deadline for one round-trip.
-func (c *Client) arm() {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-}
-
-// Dial connects to a scheduler server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netproto: %w", err)
-	}
-	return &Client{
-		addr:    addr,
-		conn:    conn,
-		r:       bufio.NewReader(conn),
-		w:       bufio.NewWriter(conn),
-		timeout: DefaultTimeout,
-		budget:  DefaultRetryBudget,
-	}, nil
-}
-
-// redial replaces the connection after a network error.
-func (c *Client) redial() error {
-	c.conn.Close()
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
-	return nil
-}
 
 // backoffWait sleeps for the larger of the server's retry-after hint and the
 // client's own capped exponential backoff, with jitter so synchronized
@@ -452,140 +365,4 @@ func backoffWait(hint time.Duration, attempt int) {
 	// ±50% jitter.
 	d = d/2 + time.Duration(rand.Int64N(int64(d)))
 	time.Sleep(d)
-}
-
-// Close terminates the connection.
-func (c *Client) Close() error {
-	fmt.Fprintln(c.w, "QUIT")
-	c.w.Flush()
-	return c.conn.Close()
-}
-
-// Ping round-trips a liveness probe.
-func (c *Client) Ping() error {
-	c.arm()
-	if _, err := c.w.WriteString("PING\n"); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if strings.TrimSpace(line) != "PONG" {
-		return fmt.Errorf("netproto: unexpected reply %q", line)
-	}
-	return nil
-}
-
-// Stats round-trips the scheduler's one-line summary (rounds, executed,
-// per-strategy round counts).
-func (c *Client) Stats() (string, error) {
-	c.arm()
-	if _, err := c.w.WriteString("STATS\n"); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	line = strings.TrimSpace(line)
-	if !strings.HasPrefix(line, "STATS ") {
-		return "", fmt.Errorf("netproto: unexpected reply %q", line)
-	}
-	return strings.TrimPrefix(line, "STATS "), nil
-}
-
-// Submit sends one request and blocks until the scheduler executed it.
-// It returns the server-side result value, ErrAborted if the transaction was
-// a deadlock victim, ErrBusy if admission control rejected it beyond the
-// retry budget, ErrShuttingDown if the server is draining, or a protocol
-// error. BUSY rejections are retried transparently (see SetRetry); broken
-// connections are redialed and the request resubmitted when SetReconnect is
-// on.
-func (c *Client) Submit(r request.Request) (int64, error) {
-	for attempt := 0; ; attempt++ {
-		v, hint, err := c.submitOnce(r)
-		switch {
-		case err == nil:
-			return v, nil
-		case errors.Is(err, ErrBusy) && attempt < c.budget:
-			backoffWait(hint, attempt)
-		case c.reconnect && attempt < c.budget && isNetError(err):
-			if c.redial() != nil {
-				backoffWait(0, attempt)
-				if c.redial() != nil {
-					return 0, err
-				}
-			}
-		default:
-			return 0, err
-		}
-	}
-}
-
-// isNetError reports whether err came from the transport rather than the
-// protocol — only those are safe (and useful) to heal by reconnecting.
-func isNetError(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) || errors.Is(err, net.ErrClosed) ||
-		strings.Contains(err.Error(), "connection reset") ||
-		strings.Contains(err.Error(), "broken pipe") ||
-		strings.Contains(err.Error(), "EOF")
-}
-
-func (c *Client) submitOnce(r request.Request) (int64, time.Duration, error) {
-	c.arm()
-	if _, err := c.w.WriteString(formatReq(r) + "\n"); err != nil {
-		return 0, 0, fmt.Errorf("netproto: submit: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("netproto: submit: %w", err)
-	}
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		return 0, 0, fmt.Errorf("netproto: submit: %w", err)
-	}
-	reply = strings.TrimSpace(reply)
-	switch {
-	case strings.HasPrefix(reply, "OK "):
-		v, err := strconv.ParseInt(reply[3:], 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("netproto: bad OK value %q", reply)
-		}
-		return v, 0, nil
-	case reply == "ABORTED":
-		return 0, 0, ErrAborted
-	case strings.HasPrefix(reply, "BUSY "):
-		ms, err := strconv.ParseInt(reply[5:], 10, 64)
-		if err != nil {
-			ms = 10
-		}
-		return 0, time.Duration(ms) * time.Millisecond, ErrBusy
-	case reply == "SHUTTING_DOWN":
-		return 0, 0, ErrShuttingDown
-	case strings.HasPrefix(reply, "ERR "):
-		return 0, 0, errors.New("netproto: server: " + reply[4:])
-	default:
-		return 0, 0, fmt.Errorf("netproto: unexpected reply %q", reply)
-	}
-}
-
-// RunTransaction submits a whole transaction; it reports whether the
-// transaction aborted (deadlock victim) and stops at the first failure.
-func (c *Client) RunTransaction(tx request.Transaction) (aborted bool, err error) {
-	for _, r := range tx.Requests {
-		if _, err := c.Submit(r); err != nil {
-			if errors.Is(err, ErrAborted) {
-				return true, nil
-			}
-			return false, err
-		}
-	}
-	return false, nil
 }

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -41,8 +42,9 @@ func startServerOn(t *testing.T, srv *storage.Server, opts Options) (*Server, fu
 	return s, stop
 }
 
-// fakeServer accepts one connection and lets script drive it; it returns
-// the listener address.
+// fakeServer accepts one connection, closes its listener (so a client's
+// redial is refused) and lets script drive the connection; it returns the
+// listener address.
 func fakeServer(t *testing.T, script func(conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -52,6 +54,7 @@ func fakeServer(t *testing.T, script func(conn net.Conn)) string {
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
+		ln.Close()
 		if err != nil {
 			return
 		}
@@ -67,20 +70,15 @@ func TestSubmitTimesOutOnWedgedServer(t *testing.T) {
 		io.Copy(io.Discard, conn) // read and ignore everything
 		conn.Close()
 	})
-	c, err := Dial(addr)
+	c, err := DialMux(addr, MuxOptions{Timeout: 100 * time.Millisecond, NoRetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTimeout(100 * time.Millisecond)
 	start := time.Now()
 	_, err = c.Submit(request.Request{TA: 1, Op: request.Write, Object: 1})
-	if err == nil {
-		t.Fatal("Submit returned nil against a wedged server")
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("want a net timeout error, got %v", err)
+	if !errors.Is(err, errTimeout) {
+		t.Fatalf("want the round-trip timeout, got %v", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Submit took %v, the timeout did not bound the wait", d)
@@ -95,27 +93,39 @@ func TestSubmitFailsCleanlyWhenServerDiesMidRequest(t *testing.T) {
 		conn.Close()
 		close(dead)
 	})
-	c, err := Dial(addr)
+	c, err := DialMux(addr, MuxOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTimeout(2 * time.Second)
+	start := time.Now()
 	_, err = c.Submit(request.Request{TA: 1, Op: request.Write, Object: 1})
 	if err == nil {
 		t.Fatal("Submit returned nil after the server died mid-request")
+	}
+	// The redials are refused: the retry budget runs out long before the
+	// round-trip timeout would.
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Submit took %v to fail", d)
 	}
 	<-dead
 }
 
 func TestErrAbortedPropagates(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		buf := make([]byte, 256)
-		conn.Read(buf)
-		conn.Write([]byte("ABORTED\n"))
-		conn.Close()
+		defer conn.Close()
+		typ, body, err := readFrame(bufio.NewReader(conn))
+		if err != nil || typ != frameReq {
+			return
+		}
+		corr, _, err := decodeReqBody(body)
+		if err != nil {
+			return
+		}
+		conn.Write(encodeResp(response{corr: corr, status: statusAborted}))
+		io.Copy(io.Discard, conn) // hold the connection until the client leaves
 	})
-	c, err := Dial(addr)
+	c, err := DialMux(addr, MuxOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,33 +136,55 @@ func TestErrAbortedPropagates(t *testing.T) {
 	}
 }
 
+// TestIdleConnectionReaped checks the reap on raw connections of both
+// dialects: after one answered probe and the idle deadline, the server
+// closes the connection. (A MuxClient would reconnect transparently.)
 func TestIdleConnectionReaped(t *testing.T) {
 	srv := storage.NewServer(storage.Config{Rows: 8})
 	s, stop := startServerOn(t, srv, Options{IdleTimeout: 50 * time.Millisecond})
 	defer stop()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping on a fresh connection: %v", err)
-	}
-	time.Sleep(300 * time.Millisecond) // well past the idle deadline
-	c.SetTimeout(2 * time.Second)
-	if err := c.Ping(); err == nil {
-		t.Fatal("ping succeeded on a connection the server should have reaped")
+	for _, dialect := range []struct {
+		name  string
+		probe []byte
+		read  func(*bufio.Reader) error
+	}{
+		{"line", []byte("PING\n"), func(r *bufio.Reader) error {
+			_, err := r.ReadString('\n')
+			return err
+		}},
+		{"mux", encodeCorrFrame(framePing, 1), func(r *bufio.Reader) error {
+			_, _, err := readFrame(r)
+			return err
+		}},
+	} {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		r := bufio.NewReader(conn)
+		if _, err := conn.Write(dialect.probe); err != nil {
+			t.Fatalf("%s: probe: %v", dialect.name, err)
+		}
+		if err := dialect.read(r); err != nil {
+			t.Fatalf("%s: probe on a fresh connection: %v", dialect.name, err)
+		}
+		time.Sleep(300 * time.Millisecond) // well past the idle deadline
+		if err := dialect.read(r); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: want EOF on a connection the server should have reaped, got %v", dialect.name, err)
+		}
 	}
 }
 
 func TestWriteTimeoutDoesNotAffectPromptClients(t *testing.T) {
 	srv := storage.NewServer(storage.Config{Rows: 8})
 	s, stop := startServerOn(t, srv, Options{
-		ReadTimeout:  time.Second,
+		IdleTimeout:  time.Second,
 		WriteTimeout: time.Second,
 	})
 	defer stop()
-	c, err := Dial(s.Addr())
+	c, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +208,7 @@ func TestReconnectAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, stop := startServerOn(t, srv, Options{})
-	c, err := Dial(s.Addr())
+	c, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +235,7 @@ func TestReconnectAfterRestart(t *testing.T) {
 	}
 	s2, stop2 := startServerOn(t, rec, Options{})
 	defer stop2()
-	c2, err := Dial(s2.Addr())
+	c2, err := DialMux(s2.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

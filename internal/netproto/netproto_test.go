@@ -43,7 +43,7 @@ func startServer(t *testing.T) (*Server, *storage.Server) {
 
 func TestPingAndSingleTransaction(t *testing.T) {
 	s, srv := startServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPingAndSingleTransaction(t *testing.T) {
 
 func TestReadReturnsValue(t *testing.T) {
 	s, _ := startServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestConcurrentClientsSerializable(t *testing.T) {
 		wg.Add(1)
 		go func(ta int64) {
 			defer wg.Done()
-			c, err := Dial(s.Addr())
+			c, err := DialMux(s.Addr(), MuxOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -122,12 +122,12 @@ func TestConcurrentClientsSerializable(t *testing.T) {
 
 func TestDeadlockVictimGetsAborted(t *testing.T) {
 	s, _ := startServer(t)
-	c1, err := Dial(s.Addr())
+	c1, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := Dial(s.Addr())
+	c2, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestProtocolErrors(t *testing.T) {
 
 func TestServerCloseUnblocksAccept(t *testing.T) {
 	s, _ := startServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialMux(s.Addr(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestServerCloseUnblocksAccept(t *testing.T) {
 	if err := s.Close(); err != nil && !strings.Contains(err.Error(), "closed") {
 		t.Errorf("close: %v", err)
 	}
-	if _, err := Dial(s.Addr()); err == nil {
+	if _, err := DialMux(s.Addr(), MuxOptions{}); err == nil {
 		t.Error("dial succeeded after close")
 	}
 }
@@ -250,7 +250,7 @@ func TestPartitionedServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(ta int64) {
 			defer wg.Done()
-			c, err := Dial(s.Addr())
+			c, err := DialMux(s.Addr(), MuxOptions{})
 			if err != nil {
 				t.Error(err)
 				return

@@ -378,9 +378,6 @@ func (p *DatalogProtocol) Name() string { return p.name }
 // ObjectDecomposable implements the marker (see protocol.ObjectDecomposable).
 func (p *DatalogProtocol) ObjectDecomposable() bool { return p.decomposable }
 
-// EngineStats exposes the evaluation statistics of the last Qualify call.
-func (p *DatalogProtocol) EngineStats() datalog.RunStats { return p.engine.Stats }
-
 // LastStrategy implements StrategyReporter with the engine's evaluation path
 // of the last run (a function of the round's deltas alone).
 func (p *DatalogProtocol) LastStrategy() string { return p.engine.Stats.Strategy }
@@ -479,40 +476,7 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
 		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, p.extended, heapTuple)
 		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, p.extended, p.probes.Make)
-		ed := datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
-		// EDBDelta applies Insert before Delete, but pending removals
-		// precede adds chronologically: an identical tuple removed and
-		// re-added is net present, so cancel it out of both sides. Request
-		// IDs are globally unique, so disjoint ID ranges prove the two sides
-		// share no tuple — the common case (removals are last round's
-		// executed requests, adds are this round's fresh admissions) skips
-		// the set build entirely.
-		if len(ed.Insert) > 0 && len(ed.Delete) > 0 && idRangesOverlap(d.PendingAdded, d.PendingRemoved) {
-			ins := relation.NewTupleSet(len(ed.Insert))
-			for _, t := range ed.Insert {
-				ins.Add(t)
-			}
-			both := relation.NewTupleSet(len(ed.Delete))
-			kept := ed.Delete[:0]
-			for _, t := range ed.Delete {
-				if ins.Contains(t) {
-					both.Add(t)
-				} else {
-					kept = append(kept, t)
-				}
-			}
-			ed.Delete = kept
-			if both.Len() > 0 {
-				keptIns := ed.Insert[:0]
-				for _, t := range ed.Insert {
-					if !both.Contains(t) {
-						keptIns = append(keptIns, t)
-					}
-				}
-				ed.Insert = keptIns
-			}
-		}
-		changed["request"] = ed
+		changed["request"] = datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
 		p.histIns = edbTuples(p.histIns, d.HistoryAppended, false, heapTuple)
@@ -537,29 +501,6 @@ func (p *DatalogProtocol) rebuild(pending, history []request.Request) ([]request
 	}
 	p.warm = true
 	return qualified, nil
-}
-
-// idRangesOverlap reports whether the [min,max] ID ranges of two request
-// slices intersect. IDs are assigned consecutively on admission, so
-// non-overlapping ranges guarantee the slices share no request — the cheap
-// certificate that lets the delta-cancellation pass skip its set build.
-func idRangesOverlap(a, b []request.Request) bool {
-	minA, maxA := idRange(a)
-	minB, maxB := idRange(b)
-	return minA <= maxB && minB <= maxA
-}
-
-func idRange(rs []request.Request) (min, max int64) {
-	min, max = rs[0].ID, rs[0].ID
-	for _, r := range rs[1:] {
-		if r.ID < min {
-			min = r.ID
-		}
-		if r.ID > max {
-			max = r.ID
-		}
-	}
-	return min, max
 }
 
 // collect reads the qualified predicate (the columns its request EDB holds,

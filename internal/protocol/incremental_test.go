@@ -12,11 +12,11 @@ import (
 )
 
 // roundTrace is what one driveIncremental round looked like from outside:
-// the strategy the protocol reported and whether the round's deltas removed
+// the strategy the protocol reported and whether the round's deltas changed
 // anything.
 type roundTrace struct {
 	strategy string
-	deleting bool
+	changed  bool
 }
 
 // driveIncremental simulates the scheduler's round loop against one
@@ -53,7 +53,7 @@ func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Prot
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		rt := roundTrace{deleting: len(d.PendingRemoved)+len(d.HistoryRemoved) > 0}
+		rt := roundTrace{changed: len(d.PendingAdded)+len(d.PendingRemoved)+len(d.HistoryAppended)+len(d.HistoryRemoved) > 0}
 		if sr, ok := warm.(StrategyReporter); ok {
 			rt.strategy = sr.LastStrategy()
 		}
@@ -114,14 +114,11 @@ func TestDatalogQualifyIncrementalMatchesCold(t *testing.T) {
 // TestDatalogStrategyIsAFunctionOfTheDeltas: the Datalog engine picks its
 // warm path from the structure of the round's deltas and nothing else, so
 // two fresh protocol instances fed the same seeded sequence report the same
-// strategy round for round, every strategy is one of the four that exist,
-// and a round that removed anything recomputes. (SS2PL negates, so the
-// protocol never reaches monotone; the engine-level monotone case is
-// datalog.TestRunIncrementalMonotoneSeeding.)
+// strategy round for round, every strategy is one of the three that exist,
+// and every later round whose deltas changed anything recomputes.
 func TestDatalogStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 	known := map[string]bool{
-		datalog.StrategyCold: true, datalog.StrategyNone: true,
-		datalog.StrategyMonotone: true, datalog.StrategyRecompute: true,
+		datalog.StrategyCold: true, datalog.StrategyNone: true, datalog.StrategyRecompute: true,
 	}
 	for seed := int64(0); seed < 5; seed++ {
 		a := driveIncremental(t, SS2PLDatalog(), func() Protocol { return SS2PLDatalog() }, seed)
@@ -136,8 +133,8 @@ func TestDatalogStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 			if round == 0 && rt.strategy != datalog.StrategyCold {
 				t.Fatalf("seed %d: first round took %s, want %s", seed, rt.strategy, datalog.StrategyCold)
 			}
-			if round > 0 && rt.deleting && rt.strategy != datalog.StrategyRecompute {
-				t.Fatalf("seed %d round %d: deleting round took %s, want %s", seed, round, rt.strategy, datalog.StrategyRecompute)
+			if round > 0 && rt.changed && rt.strategy != datalog.StrategyRecompute {
+				t.Fatalf("seed %d round %d: changing round took %s, want %s", seed, round, rt.strategy, datalog.StrategyRecompute)
 			}
 		}
 	}

@@ -31,14 +31,13 @@ type Protocol interface {
 }
 
 // Deltas describes how the scheduler's pending and history stores changed
-// since the previous qualification call. Pending removals (tail of the
-// previous round) happened before pending adds (top of this round), so a
-// request in both PendingRemoved and PendingAdded is net present. The
-// history store never emits the same request on both sides: it cancels
-// append-then-remove (executed and GC'd within one window — net absent) and
-// remove-then-re-append (slot migration bounced the row out and back —
-// net present) in place, so HistoryAppended and HistoryRemoved are disjoint
-// and protocols may apply them in either order.
+// since the previous qualification call. Neither store emits the same
+// request on both of its sides: each cancels add-then-remove (admitted or
+// executed and then dropped within one window — net absent) and
+// remove-then-re-add (slot migration bounced the row out and back — net
+// present) in place, so PendingAdded and PendingRemoved are disjoint, as are
+// HistoryAppended and HistoryRemoved, and protocols may apply either pair in
+// either order.
 //
 // The slices are views into the stores' change logs: they are valid only for
 // the duration of the qualification call, and protocols that need the
@@ -49,12 +48,6 @@ type Deltas struct {
 	PendingRemoved  []request.Request
 	HistoryAppended []request.Request
 	HistoryRemoved  []request.Request
-}
-
-// Empty reports whether the delta carries no change.
-func (d Deltas) Empty() bool {
-	return len(d.PendingAdded) == 0 && len(d.PendingRemoved) == 0 &&
-		len(d.HistoryAppended) == 0 && len(d.HistoryRemoved) == 0
 }
 
 // IncrementalProtocol is implemented by protocols that can qualify a round
@@ -82,7 +75,7 @@ type Parallelizable interface {
 }
 
 // StrategyReporter is implemented by protocols that can name the evaluation
-// path their last Qualify took (e.g. the Datalog engine's cold / monotone /
+// path their last Qualify took (e.g. the Datalog engine's cold / none /
 // recompute as the round's deltas dictate, or the SQL protocol's view-cache
 // build vs maintenance). The scheduler records it per round in
 // metrics.RoundStats.

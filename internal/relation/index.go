@@ -1,83 +1,9 @@
 package relation
 
-// HashIndex is an equality index over one or more columns of a relation. It
-// is built once over a snapshot of the rows; the scheduler rebuilds indexes
-// per round, which matches the paper's set-at-a-time processing model (each
-// round sees a frozen batch of pending requests and a frozen history).
-type HashIndex struct {
-	cols    []int
-	buckets map[uint64][]int // hash -> row positions (collisions verified)
-	rel     *Relation
-}
-
-// BuildIndex builds a hash index on the named columns.
-func BuildIndex(r *Relation, names ...string) (*HashIndex, error) {
-	cols := make([]int, len(names))
-	for i, n := range names {
-		j, ok := r.Schema().Index(n)
-		if !ok {
-			return nil, errNoColumn(n, r.Schema())
-		}
-		cols[i] = j
-	}
-	ix := &HashIndex{cols: cols, buckets: make(map[uint64][]int, r.Len()), rel: r}
-	for pos, t := range r.Rows() {
-		h := ix.hashKey(t)
-		ix.buckets[h] = append(ix.buckets[h], pos)
-	}
-	return ix, nil
-}
-
-func (ix *HashIndex) hashKey(t Tuple) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, c := range ix.cols {
-		h ^= t[c].Hash()
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (ix *HashIndex) hashVals(key []Value) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, v := range key {
-		h ^= v.Hash()
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Lookup returns the positions of rows whose indexed columns equal key.
-func (ix *HashIndex) Lookup(key ...Value) []int {
-	cand := ix.buckets[ix.hashVals(key)]
-	if len(cand) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(cand))
-	for _, pos := range cand {
-		t := ix.rel.Row(pos)
-		match := true
-		for i, c := range ix.cols {
-			if !t[c].Equal(key[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, pos)
-		}
-	}
-	return out
-}
-
-// Contains reports whether any row matches key.
-func (ix *HashIndex) Contains(key ...Value) bool {
-	return len(ix.Lookup(key...)) > 0
-}
-
 // EqIndex is a cached multi-column equality index over a relation: tuple
 // positions bucketed by the uint64 hash of the indexed columns, with
 // equality verification left to the caller (hash collisions must not join).
-// Unlike HashIndex it is owned by the relation itself: the first probe of a
+// It is owned by the relation itself: the first probe of a
 // column mask builds it, appended rows extend it lazily on the next probe,
 // and in-place mutation (Delete, Clear, SortBy) invalidates it. Schema-
 // renaming views share their base relation's cache (see WithSchema), which
@@ -171,14 +97,3 @@ func (ix *EqIndex) CandidatesHash(h uint64) []int32 {
 
 // Cols returns the indexed column positions. Callers must not mutate it.
 func (ix *EqIndex) Cols() []int { return ix.cols }
-
-type noColumnError struct {
-	name   string
-	schema *Schema
-}
-
-func (e *noColumnError) Error() string {
-	return "relation: no column " + e.name + " in schema " + e.schema.String()
-}
-
-func errNoColumn(name string, s *Schema) error { return &noColumnError{name: name, schema: s} }

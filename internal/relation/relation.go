@@ -31,18 +31,6 @@ func New(schema *Schema) *Relation {
 	return &Relation{schema: schema}
 }
 
-// FromRows creates a relation from pre-built tuples. Tuples are validated
-// against the schema.
-func FromRows(schema *Schema, rows []Tuple) (*Relation, error) {
-	r := New(schema)
-	for _, t := range rows {
-		if err := r.Append(t); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 

@@ -198,46 +198,6 @@ func TestRelationDeleteFilter(t *testing.T) {
 	}
 }
 
-func TestHashIndex(t *testing.T) {
-	r := New(testSchema())
-	for i := 0; i < 100; i++ {
-		r.MustAppend(Tuple{Int(int64(i % 10)), String("r")})
-	}
-	ix, err := BuildIndex(r, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		got := ix.Lookup(Int(int64(k)))
-		if len(got) != 10 {
-			t.Errorf("lookup %d: %d rows", k, len(got))
-		}
-	}
-	if ix.Contains(Int(99)) {
-		t.Error("contains nonexistent key")
-	}
-	if _, err := BuildIndex(r, "nope"); err == nil {
-		t.Error("index on missing column accepted")
-	}
-}
-
-func TestHashIndexMultiColumn(t *testing.T) {
-	s := NewSchema(Column{"a", KindInt}, Column{"b", KindInt})
-	r := New(s)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			r.MustAppend(Tuple{Int(int64(i)), Int(int64(j))})
-		}
-	}
-	ix, err := BuildIndex(r, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Lookup(Int(3), Int(4)); len(got) != 1 {
-		t.Errorf("lookup (3,4): %d", len(got))
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	r := New(testSchema())
 	r.MustAppend(Tuple{Int(1), String("read")})

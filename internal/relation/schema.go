@@ -53,15 +53,6 @@ func (s *Schema) Index(name string) (int, bool) {
 	return i, ok
 }
 
-// MustIndex returns the position of the named column, panicking if absent.
-func (s *Schema) MustIndex(name string) int {
-	i, ok := s.Index(name)
-	if !ok {
-		panic(fmt.Sprintf("relation: no column %q in schema %s", name, s))
-	}
-	return i
-}
-
 // Project returns a new schema containing the named columns in order.
 func (s *Schema) Project(names ...string) (*Schema, error) {
 	cols := make([]Column, 0, len(names))

@@ -168,8 +168,7 @@ type waiter struct {
 }
 
 // NewMiddleware wraps an engine with a trigger policy. The collector may be
-// nil. Admission limits are taken from the engine's Config (override with
-// SetLimits before Start).
+// nil. Admission limits are taken from the engine's Config.
 func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector) *Middleware {
 	if collector == nil {
 		collector = metrics.NewCollector()
@@ -205,10 +204,6 @@ func (m *Middleware) Collector() *metrics.Collector { return m.collector }
 // execute back to back on the scheduler goroutine) instead of the pipelined
 // default. Must be called before Start.
 func (m *Middleware) SetSynchronous(on bool) { m.syncMode = on }
-
-// SetLimits overrides the admission limits taken from the engine config.
-// Must be called before Start.
-func (m *Middleware) SetLimits(l Limits) { m.limits = l }
 
 // Limits returns the admission limits in force (the network front end reads
 // MaxInflightPerConn from here).

@@ -101,9 +101,6 @@ func NewServer(cfg Config) *Server {
 // Rows returns the table size.
 func (s *Server) Rows() int { return s.cfg.Rows }
 
-// Locks exposes the native lock manager (stats, shutdown).
-func (s *Server) Locks() *lock.Manager { return s.locks }
-
 // Stats reports (statements, commits, aborts) executed so far.
 func (s *Server) Stats() (statements, commits, aborts int64) {
 	return s.statements.Load(), s.commits.Load(), s.aborts.Load()
@@ -171,10 +168,9 @@ func (s *Server) apply(r request.Request) (int64, error) {
 
 // Session is one transaction's connection under internal scheduling.
 type Session struct {
-	srv    *Server
-	ta     int64
-	done   bool
-	victim bool
+	srv  *Server
+	ta   int64
+	done bool
 }
 
 // Begin opens a session for transaction ta.
@@ -203,7 +199,6 @@ func (sess *Session) Exec(r request.Request) (int64, error) {
 			mode = lock.Exclusive
 		}
 		if err := sess.srv.locks.Acquire(sess.ta, r.Object, mode); err != nil {
-			sess.victim = true
 			sess.finish(false)
 			if errors.Is(err, lock.ErrDeadlock) {
 				return 0, ErrAborted
@@ -215,9 +210,6 @@ func (sess *Session) Exec(r request.Request) (int64, error) {
 		return 0, fmt.Errorf("storage: invalid op %q", r.Op)
 	}
 }
-
-// Victim reports whether the session was aborted as a deadlock victim.
-func (sess *Session) Victim() bool { return sess.victim }
 
 func (sess *Session) finish(commit bool) {
 	if sess.done {
@@ -283,10 +275,6 @@ func (s *Server) UndoWriteFor(ta, object int64) error {
 	}
 	return nil
 }
-
-// UndoWrite is UndoWriteFor without transaction attribution (volatile
-// callers that predate the journal).
-func (s *Server) UndoWrite(object int64) error { return s.UndoWriteFor(0, object) }
 
 // ExecBatch executes a scheduled batch back to back ("executed as a batch
 // job, whereby we expect a performance improvement").

@@ -146,17 +146,7 @@ func (s *History) logAppend(r request.Request, pos int32) {
 	if len(s.removedAt) > 0 {
 		if at, ok := s.removedAt[r.ID]; ok {
 			delete(s.removedAt, r.ID)
-			rm := s.deltas.HistoryRemoved
-			last := int32(len(rm) - 1)
-			if at != last {
-				moved := rm[last]
-				rm[at] = moved
-				if _, ok := s.removedAt[moved.ID]; ok {
-					s.removedAt[moved.ID] = at
-				}
-			}
-			rm[last] = request.Request{}
-			s.deltas.HistoryRemoved = rm[:last]
+			s.deltas.HistoryRemoved = cancelRemoval(s.deltas.HistoryRemoved, at, s.removedAt)
 			return
 		}
 	}

@@ -1,10 +1,10 @@
 package store
 
-// The map-based stores the slot tables replaced, kept verbatim (renamed) as
-// the test oracle of TestStoresMatchMapModel and FuzzStoreOps: a map per
-// index — 16 key-hash maps, a per-TA key list and clock map and an added-log
-// map for pending; per-TA position lists, a finished set and two delta-log
-// maps for history.
+// The map-based stores the slot tables replaced, kept (renamed) as the test
+// oracle of TestStoresMatchMapModel and FuzzStoreOps: a map per index — 16
+// key-hash maps, a per-TA key list and clock map and two delta-log maps for
+// pending; per-TA position lists, a finished set and two delta-log maps for
+// history. Both net a migration bounce within one window the same way.
 
 import (
 	"repro/internal/protocol"
@@ -36,10 +36,13 @@ type mapPending struct {
 	// addedAt maps request ID -> position in the current window's added
 	// log. A request admitted and removed within one delta window (a
 	// duplicate-key replacement, or a victim drop in the admission round)
-	// is net absent, so the removal cancels the addition in place — the
-	// consumers' assumption that all of a window's removals precede its
-	// additions stays true.
+	// is net absent, so the removal cancels the addition in place.
 	addedAt map[int64]int32
+	// removedAt maps request ID -> position in the window's removed log for
+	// ExtractMatching's removals: a migration that bounces a row out and back
+	// in within one window is net present, so the re-admission cancels the
+	// removal in place.
+	removedAt map[int64]int32
 }
 
 // newMapPending creates an empty store.
@@ -48,6 +51,7 @@ func newMapPending() *mapPending {
 		byTA:         make(map[int64][]request.Key),
 		blockedSince: make(map[int64]int),
 		addedAt:      make(map[int64]int32),
+		removedAt:    make(map[int64]int32),
 	}
 	for i := range p.shards {
 		p.shards[i] = make(map[request.Key]int32)
@@ -85,6 +89,21 @@ func (p *mapPending) Admit(rs ...request.Request) {
 			p.blockedSince[r.TA] = -1 // clock starts at the next observed round
 		}
 		p.byTA[r.TA] = append(p.byTA[r.TA], k)
+		if pos, ok := p.removedAt[r.ID]; ok {
+			delete(p.removedAt, r.ID)
+			rm := p.deltas.PendingRemoved
+			last := int32(len(rm) - 1)
+			if pos != last {
+				moved := rm[last]
+				rm[pos] = moved
+				if _, ok := p.removedAt[moved.ID]; ok {
+					p.removedAt[moved.ID] = pos
+				}
+			}
+			rm[last] = request.Request{}
+			p.deltas.PendingRemoved = rm[:last]
+			continue
+		}
 		p.addedAt[r.ID] = int32(len(p.deltas.PendingAdded))
 		p.deltas.PendingAdded = append(p.deltas.PendingAdded, r)
 	}
@@ -93,6 +112,12 @@ func (p *mapPending) Admit(rs ...request.Request) {
 // Remove deletes the request with key k, logging it as PendingRemoved. It
 // reports whether the key was present.
 func (p *mapPending) Remove(k request.Key) bool {
+	return p.remove(k, false)
+}
+
+// remove is Remove, logging the removal in removedAt too when migrated is
+// set.
+func (p *mapPending) remove(k request.Key, migrated bool) bool {
 	s := p.shards[mapShardOf(k)]
 	pos, ok := s[k]
 	if !ok {
@@ -101,15 +126,18 @@ func (p *mapPending) Remove(k request.Key) bool {
 	r := p.reqs[pos]
 	p.unlink(s, k, pos)
 	p.dropTAKey(r.TA, k)
-	p.logRemoval(r)
+	p.logRemoval(r, migrated)
 	return true
 }
 
 // logRemoval records r's removal in the change log; a removal of a request
 // added within the same window cancels the addition instead (net absent).
-func (p *mapPending) logRemoval(r request.Request) {
+func (p *mapPending) logRemoval(r request.Request, migrated bool) {
 	pos, ok := p.addedAt[r.ID]
 	if !ok {
+		if migrated {
+			p.removedAt[r.ID] = int32(len(p.deltas.PendingRemoved))
+		}
 		p.deltas.PendingRemoved = append(p.deltas.PendingRemoved, r)
 		return
 	}
@@ -133,7 +161,7 @@ func (p *mapPending) RemoveTA(ta int64) int {
 	for _, k := range keys {
 		s := p.shards[mapShardOf(k)]
 		if pos, ok := s[k]; ok {
-			p.logRemoval(p.reqs[pos])
+			p.logRemoval(p.reqs[pos], false)
 			p.unlink(s, k, pos)
 		}
 	}
@@ -196,7 +224,7 @@ func (p *mapPending) ExtractMatching(match func(obj int64) bool, visit func(r re
 		if !ok {
 			since = -1
 		}
-		p.Remove(r.Key())
+		p.remove(r.Key(), true)
 		visit(r, since)
 	}
 	return len(taken)
@@ -260,6 +288,7 @@ func (p *mapPending) ResetDeltas() {
 	p.deltas.PendingAdded = p.deltas.PendingAdded[:0]
 	p.deltas.PendingRemoved = p.deltas.PendingRemoved[:0]
 	clear(p.addedAt)
+	clear(p.removedAt)
 }
 
 // mapHistory holds the live history, indexed per transaction, and optionally

@@ -16,9 +16,12 @@
 // lookup; a request key is found by scanning its transaction's positions,
 // which are transaction-sized. Arrays beside the rows hold each row's slot
 // and its entry in the current delta window's log, so cancelling an add
-// against a remove in the same window is an O(1) fix-up. Freed slots are
-// reused. The pending store's clock is the bookkeeping behind the
-// scheduler's waiting-age starvation bound.
+// against a remove in the same window is an O(1) fix-up. Both stores net
+// their window the same way — a row added and removed within it is absent, a
+// row migrated out and back in is present — so each window's two sides are
+// disjoint (the protocol.Deltas contract). Freed slots are reused. The
+// pending store's clock is the bookkeeping behind the scheduler's
+// waiting-age starvation bound.
 package store
 
 import (
@@ -46,10 +49,15 @@ type Pending struct {
 	// addedRow is the position in reqs of each PendingAdded entry. A request
 	// admitted and removed within one delta window (a duplicate-key
 	// replacement, or a victim drop in the admission round) is net absent,
-	// so the removal cancels the addition in place — the consumers'
-	// assumption that all of a window's removals precede its additions stays
-	// true.
+	// so the removal cancels the addition in place.
 	addedRow []int32
+	// removedAt is the mirror image for the opposite chronology, as in
+	// History: slot migration can move a row out and back in (the slot
+	// bounced between shards) within one window — net present — so the
+	// re-admission cancels the removal in place. It maps request ID ->
+	// position in PendingRemoved, and only ExtractMatching's removals enter
+	// it.
+	removedAt map[int64]int32
 }
 
 // pendingSlot is one transaction with pending requests. A slot is live while
@@ -65,7 +73,7 @@ type pendingSlot struct {
 
 // NewPending creates an empty store.
 func NewPending() *Pending {
-	return &Pending{slotOf: make(map[int64]int32)}
+	return &Pending{slotOf: make(map[int64]int32), removedAt: make(map[int64]int32)}
 }
 
 // Len returns the number of pending requests.
@@ -85,7 +93,7 @@ func (p *Pending) Admit(rs ...request.Request) {
 		s, ok := p.slotOf[r.TA]
 		if ok {
 			if i := p.find(s, r.IntraTA); i >= 0 {
-				p.removeAt(s, i)
+				p.removeAt(s, i, false)
 				s, ok = p.slotOf[r.TA] // the replaced row may have been the last
 			}
 		}
@@ -95,11 +103,43 @@ func (p *Pending) Admit(rs ...request.Request) {
 		pos := int32(len(p.reqs))
 		p.reqs = append(p.reqs, r)
 		p.rowSlot = append(p.rowSlot, s)
-		p.rowAdded = append(p.rowAdded, int32(len(p.deltas.PendingAdded)))
+		p.rowAdded = append(p.rowAdded, -1)
 		p.slots[s].rows = append(p.slots[s].rows, pos)
-		p.deltas.PendingAdded = append(p.deltas.PendingAdded, r)
-		p.addedRow = append(p.addedRow, pos)
+		p.logAdd(r, pos)
 	}
+}
+
+// logAdd records the admission of r, stored at pos, in the change log. An
+// admission of a request ExtractMatching removed within the same window
+// cancels the removal instead (migration bounced the row out and back in —
+// net present).
+func (p *Pending) logAdd(r request.Request, pos int32) {
+	if len(p.removedAt) > 0 {
+		if at, ok := p.removedAt[r.ID]; ok {
+			delete(p.removedAt, r.ID)
+			p.deltas.PendingRemoved = cancelRemoval(p.deltas.PendingRemoved, at, p.removedAt)
+			return
+		}
+	}
+	p.rowAdded[pos] = int32(len(p.deltas.PendingAdded))
+	p.deltas.PendingAdded = append(p.deltas.PendingAdded, r)
+	p.addedRow = append(p.addedRow, pos)
+}
+
+// cancelRemoval deletes entry at of a window's removal log rm — swapping the
+// last entry into the hole and repointing its removedAt position — and
+// returns the shortened log.
+func cancelRemoval(rm []request.Request, at int32, removedAt map[int64]int32) []request.Request {
+	last := int32(len(rm) - 1)
+	if at != last {
+		moved := rm[last]
+		rm[at] = moved
+		if _, ok := removedAt[moved.ID]; ok {
+			removedAt[moved.ID] = at
+		}
+	}
+	rm[last] = request.Request{}
+	return rm[:last]
 }
 
 // newSlot gives ta a slot, reusing a freed one when there is one.
@@ -149,7 +189,7 @@ func (p *Pending) Take(k request.Key) (request.Request, bool) {
 		return request.Request{}, false
 	}
 	r := p.reqs[p.slots[s].rows[i]]
-	p.removeAt(s, i)
+	p.removeAt(s, i, false)
 	return r, true
 }
 
@@ -163,17 +203,18 @@ func (p *Pending) RemoveTA(ta int64) int {
 	}
 	n := len(p.slots[s].rows)
 	for i := n - 1; i >= 0; i-- {
-		p.removeAt(s, i)
+		p.removeAt(s, i, false)
 	}
 	return n
 }
 
-// removeAt removes the row at index i of slot s's rows: it logs the removal,
-// releases the slot with its last row, and swap-compacts the dense slice.
-func (p *Pending) removeAt(s int32, i int) {
+// removeAt removes the row at index i of slot s's rows: it logs the removal
+// (in removedAt too when migrated is set), releases the slot with its last
+// row, and swap-compacts the dense slice.
+func (p *Pending) removeAt(s int32, i int, migrated bool) {
 	sl := &p.slots[s]
 	pos := sl.rows[i]
-	p.logRemoval(pos)
+	p.logRemoval(pos, migrated)
 	last := len(sl.rows) - 1
 	sl.rows[i] = sl.rows[last]
 	sl.rows = sl.rows[:last]
@@ -200,9 +241,12 @@ func (p *Pending) removeAt(s int32, i int) {
 // logRemoval records the removal of the row at pos in the change log; a
 // removal of a request added within the same window cancels the addition
 // instead (net absent).
-func (p *Pending) logRemoval(pos int32) {
+func (p *Pending) logRemoval(pos int32, migrated bool) {
 	a := p.rowAdded[pos]
 	if a < 0 {
+		if migrated {
+			p.removedAt[p.reqs[pos].ID] = int32(len(p.deltas.PendingRemoved))
+		}
 		p.deltas.PendingRemoved = append(p.deltas.PendingRemoved, p.reqs[pos])
 		return
 	}
@@ -246,8 +290,9 @@ func (p *Pending) ExtractMatching(match func(obj int64) bool, visit func(r reque
 		taken = append(taken, r)
 	}
 	for _, r := range taken {
-		since := p.slots[p.slotOf[r.TA]].since
-		p.Remove(r.Key())
+		s := p.slotOf[r.TA]
+		since := p.slots[s].since
+		p.removeAt(s, p.find(s, r.IntraTA), true)
 		visit(r, since)
 	}
 	return len(taken)
@@ -317,4 +362,7 @@ func (p *Pending) ResetDeltas() {
 	p.addedRow = p.addedRow[:0]
 	p.deltas.PendingAdded = p.deltas.PendingAdded[:0]
 	p.deltas.PendingRemoved = p.deltas.PendingRemoved[:0]
+	if len(p.removedAt) > 0 {
+		clear(p.removedAt)
+	}
 }

@@ -183,6 +183,36 @@ func TestPendingDuplicateKeyReplaces(t *testing.T) {
 	}
 }
 
+// TestPendingBounceNetsWithinWindow: a migration that moves rows out and
+// straight back within one delta window (the rebalancer extracts a slot and
+// a later move returns it) leaves neither side of the window holding the
+// bounced rows that predate it, and a bounced row admitted in the same window
+// stays a plain addition — the sides are disjoint, as in the history store.
+func TestPendingBounceNetsWithinWindow(t *testing.T) {
+	p := NewPending()
+	p.Admit(
+		request.Request{ID: 1, TA: 1, IntraTA: 0, Op: request.Write, Object: 1},
+		request.Request{ID: 2, TA: 2, IntraTA: 0, Op: request.Read, Object: 2},
+		request.Request{ID: 3, TA: 3, IntraTA: 0, Op: request.Write, Object: 3},
+	)
+	p.ResetDeltas()
+	p.Admit(request.Request{ID: 4, TA: 4, IntraTA: 0, Op: request.Read, Object: 1})
+	p.Remove(request.Key{TA: 2, IntraTA: 0}) // a plain removal in the same window
+	odd := func(obj int64) bool { return obj%2 == 1 }
+	if n := p.ExtractMatching(odd, func(r request.Request, since int) { p.Admit(r) }); n != 3 {
+		t.Fatalf("extracted %d rows, want 3", n)
+	}
+	var d protocol.Deltas
+	p.Deltas(&d)
+	if len(d.PendingAdded) != 1 || d.PendingAdded[0].ID != 4 ||
+		len(d.PendingRemoved) != 1 || d.PendingRemoved[0].ID != 2 {
+		t.Fatalf("bounce not netted: +%v -%v", d.PendingAdded, d.PendingRemoved)
+	}
+	if p.Len() != 3 {
+		t.Fatalf("len: %d", p.Len())
+	}
+}
+
 func TestPendingBlockedClock(t *testing.T) {
 	p := NewPending()
 	p.Admit(request.Request{ID: 1, TA: 1, IntraTA: 0, Op: request.Write, Object: 1})

@@ -306,6 +306,11 @@ func (p *Pending) checkInvariants(t testing.TB, at string) {
 			t.Fatalf("%s: pending add-log entry %d's row %d does not point back", at, a, pos)
 		}
 	}
+	for id, at2 := range p.removedAt {
+		if p.deltas.PendingRemoved[at2].ID != id {
+			t.Fatalf("%s: pending removedAt[%d] = %d points at request %d", at, id, at2, p.deltas.PendingRemoved[at2].ID)
+		}
+	}
 }
 
 // checkInvariants is Pending.checkInvariants for the history's slot table,

@@ -307,6 +307,60 @@ drain_pair 7995
 run "${bin}/netload" -clients 50 -conns 4 -txns 2 -objects 256 -deadline 60s
 run "${bin}/netload" -clients 50 -conns 4 -txns 2 -objects 256 -deadline 60s -chaos -timeout 5s -retry 8
 
+# netload against the built schedserver: the multiplexed dialect and the
+# report's STATS scraper end to end over a real socket. It gets its own server
+# because netload numbers transactions from 1, which would collide with the
+# bash probe's finished ta7 above.
+netload_pair() {
+    port="$1"
+    echo "smoke: schedserver + netload pair on :${port}"
+    "${bin}/schedserver" -addr "127.0.0.1:${port}" -rows 64 > /dev/null &
+    srv=$!
+    ok=""
+    for _ in $(seq 1 50); do
+        if exec 3<>"/dev/tcp/127.0.0.1/${port}" 2>/dev/null; then
+            exec 3<&- 3>&-
+            ok=1
+            break
+        fi
+        sleep 0.1
+    done
+    if [ -z "${ok}" ]; then
+        echo "smoke: netload schedserver did not come up on :${port}"
+        kill -9 "${srv}" 2>/dev/null || true
+        exit 1
+    fi
+    report="${bin}/netload-pair.json"
+    if ! timeout "${SMOKE_TIMEOUT:-300}" "${bin}/netload" -addr "127.0.0.1:${port}" \
+        -clients 8 -conns 2 -txns 2 -objects 64 -deadline 30s > "${report}"; then
+        echo "smoke: netload against schedserver failed"
+        kill -9 "${srv}" 2>/dev/null || true
+        exit 1
+    fi
+    if ! grep -q '"failed": 0,' "${report}" || ! grep -q '"server_stats": "[^"]' "${report}"; then
+        echo "smoke: netload report has failures or no server stats:"
+        cat "${report}"
+        kill -9 "${srv}" 2>/dev/null || true
+        exit 1
+    fi
+    kill -INT "${srv}"
+    for _ in $(seq 1 100); do
+        kill -0 "${srv}" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "${srv}" 2>/dev/null; then
+        echo "smoke: schedserver wedged in shutdown after netload; killing"
+        kill -9 "${srv}" 2>/dev/null || true
+        exit 1
+    fi
+    wait "${srv}" || {
+        status=$?
+        echo "smoke: schedserver exited ${status} after netload"
+        exit "${status}"
+    }
+}
+netload_pair 7994
+
 # examples: each is a self-contained demo.
 for ex in quickstart adaptive reservation slatiers; do
     run "${bin}/${ex}"
