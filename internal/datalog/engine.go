@@ -676,17 +676,19 @@ type evalSpec struct {
 // evalAggregate evaluates an aggregate rule: the body is enumerated once
 // (its predicates are in strictly lower strata), bindings are grouped by the
 // non-aggregate head slots, and each aggregate ranges over the distinct
-// values of its variable within the group. Groups are keyed by uint64 tuple
-// hashes with equality verification on collisions (the same machinery as
-// factSet and relation.TupleSet) — no key strings are ever built.
+// values of its variable within the group. Group keys sit in a bag in
+// first-seen order; a second bag holds the (group, slot, value) triples
+// seen, so each distinct value is folded into its group's aggState once.
 func (e *Engine) evalAggregate(c *compiledRule) error {
-	type aggGroup struct {
-		key  relation.Tuple
-		seen []*relation.ValueSet // per aggregate slot: distinct values
+	type aggState struct {
+		n, sum   int64 // distinct values; sum of the int ones
+		min, max relation.Value
 	}
-	buckets := make(map[uint64][]*aggGroup)
-	var order []*aggGroup
+	groups := relation.NewBag(anySchema(len(c.groupIdx)))
+	seen := relation.NewBag(anySchema(3))
+	var states []aggState // group position p, slot i at p*len(c.aggIdx)+i
 	keyBuf := make(relation.Tuple, len(c.groupIdx))
+	triple := make(relation.Tuple, 3)
 
 	err := e.evalRule(c, evalSpec{deltaOcc: -1}, func(raw relation.Tuple) error {
 		e.Stats.RuleFirings++
@@ -694,23 +696,30 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 			keyBuf[i] = raw[gi]
 		}
 		h := keyBuf.Hash()
-		var g *aggGroup
-		for _, cand := range buckets[h] {
-			if cand.key.Equal(keyBuf) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &aggGroup{key: keyBuf.Clone(), seen: make([]*relation.ValueSet, len(c.aggIdx))}
-			for i := range g.seen {
-				g.seen[i] = relation.NewValueSet(4)
-			}
-			buckets[h] = append(buckets[h], g)
-			order = append(order, g)
+		p := groups.Find(keyBuf, h)
+		if p < 0 {
+			p = int32(groups.DistinctLen())
+			groups.AddHash(keyBuf.Clone(), h, 1)
+			states = append(states, make([]aggState, len(c.aggIdx))...)
 		}
 		for i, ai := range c.aggIdx {
-			g.seen[i].Add(raw[ai])
+			v := raw[ai]
+			triple[0], triple[1], triple[2] = relation.Int(int64(p)), relation.Int(int64(i)), v
+			if seen.Count(triple) > 0 {
+				continue
+			}
+			seen.Add(triple.Clone(), 1)
+			st := &states[int(p)*len(c.aggIdx)+i]
+			if st.n == 0 || v.Compare(st.min) < 0 {
+				st.min = v
+			}
+			if st.n == 0 || v.Compare(st.max) > 0 {
+				st.max = v
+			}
+			if v.Kind() == relation.KindInt {
+				st.sum += v.AsInt()
+			}
+			st.n++
 		}
 		return nil
 	})
@@ -719,46 +728,23 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 	}
 
 	out := c.headSet
-	for _, g := range order {
+	for p := range groups.DistinctLen() {
+		key := groups.At(int32(p))
 		t := make(relation.Tuple, len(c.head))
 		for i, gi := range c.groupIdx {
-			t[gi] = g.key[i]
+			t[gi] = key[i]
 		}
 		for i, ai := range c.aggIdx {
-			vals := g.seen[i].Values()
+			st := states[p*len(c.aggIdx)+i]
 			switch c.head[ai].agg {
 			case AggCount:
-				t[ai] = relation.Int(int64(len(vals)))
+				t[ai] = relation.Int(st.n)
 			case AggSum:
-				var s int64
-				for _, v := range vals {
-					if v.Kind() == relation.KindInt {
-						s += v.AsInt()
-					}
-				}
-				t[ai] = relation.Int(s)
+				t[ai] = relation.Int(st.sum)
 			case AggMin:
-				if len(vals) == 0 {
-					return fmt.Errorf("datalog: min over empty group in %s", c.rule)
-				}
-				min := vals[0]
-				for _, v := range vals[1:] {
-					if v.Compare(min) < 0 {
-						min = v
-					}
-				}
-				t[ai] = min
+				t[ai] = st.min
 			case AggMax:
-				if len(vals) == 0 {
-					return fmt.Errorf("datalog: max over empty group in %s", c.rule)
-				}
-				max := vals[0]
-				for _, v := range vals[1:] {
-					if v.Compare(max) > 0 {
-						max = v
-					}
-				}
-				t[ai] = max
+				t[ai] = st.max
 			}
 		}
 		added, _, err := out.add(t, false)

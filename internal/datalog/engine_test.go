@@ -41,6 +41,9 @@ func intTuples(pairs ...[]int64) []relation.Tuple {
 	return out
 }
 
+// holds reports whether r holds a tuple equal to t.
+func holds(r *relation.Relation, t relation.Tuple) bool { return relation.BagOf(r).Count(t) > 0 }
+
 func TestTransitiveClosure(t *testing.T) {
 	got := run(t, `
 		path(X, Y) :- edge(X, Y).
@@ -51,7 +54,7 @@ func TestTransitiveClosure(t *testing.T) {
 	if got.Len() != 6 {
 		t.Fatalf("path count = %d, want 6:\n%s", got.Len(), got)
 	}
-	if !got.Contains(relation.Tuple{relation.Int(1), relation.Int(4)}) {
+	if !holds(got, relation.Tuple{relation.Int(1), relation.Int(4)}) {
 		t.Error("missing path(1,4)")
 	}
 }
@@ -79,7 +82,7 @@ func TestNegationStratified(t *testing.T) {
 		"node":   intTuples([]int64{1}, []int64{2}, []int64{3}),
 	}, "unreached")
 	want := intTuples([]int64{3})
-	if got.Len() != 1 || !got.Contains(want[0]) {
+	if got.Len() != 1 || !holds(got, want[0]) {
 		t.Fatalf("unreached = %s", got)
 	}
 }
@@ -341,10 +344,10 @@ func TestSameGenerationProgram(t *testing.T) {
 		// 1,2 children of 5; 3,4 children of 6; 5,6 children of... none
 		"parent": intTuples([]int64{1, 5}, []int64{2, 5}, []int64{3, 6}, []int64{4, 6}),
 	}, "sg")
-	if !got.Contains(relation.Tuple{relation.Int(1), relation.Int(2)}) {
+	if !holds(got, relation.Tuple{relation.Int(1), relation.Int(2)}) {
 		t.Error("siblings 1,2 not same generation")
 	}
-	if got.Contains(relation.Tuple{relation.Int(1), relation.Int(5)}) {
+	if holds(got, relation.Tuple{relation.Int(1), relation.Int(5)}) {
 		t.Error("parent/child wrongly same generation")
 	}
 }

@@ -40,13 +40,13 @@ func applyDeltaMirror(rows []relation.Tuple, d EDBDelta) []relation.Tuple {
 	rows = rows[:len(rows):len(rows)]
 	rows = append(rows, d.Insert...)
 	if len(d.Delete) > 0 {
-		del := relation.NewTupleSet(len(d.Delete))
+		del := relation.NewBag(nil)
 		for _, t := range d.Delete {
-			del.Add(t)
+			del.Add(t, 1)
 		}
 		kept := make([]relation.Tuple, 0, len(rows))
 		for _, t := range rows {
-			if !del.Contains(t) {
+			if del.Count(t) == 0 {
 				kept = append(kept, t)
 			}
 		}
@@ -362,7 +362,7 @@ func TestRunIncrementalAggregateFallback(t *testing.T) {
 	if deg.Len() != 2 {
 		t.Fatalf("deg: %s", deg)
 	}
-	if !deg.Contains(relation.Tuple{relation.Int(1), relation.Int(2)}) {
+	if !holds(deg, relation.Tuple{relation.Int(1), relation.Int(2)}) {
 		t.Errorf("deg(1) must be 2 after incremental insert: %s", deg)
 	}
 }

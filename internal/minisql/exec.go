@@ -20,13 +20,8 @@ func Run(q *Query, cat Catalog) (*relation.Relation, error) {
 // oracle mode (see ra.Options); nil opts selects the hash operators. The
 // query is compiled against the catalog's schemas (CompilePlan) and the plan
 // evaluated bottom-up; long-lived callers can compile once and re-evaluate
-// the plan themselves. Catalog relations keep their cached equality indexes
-// across calls (relation.EqIndex), so repeated queries over long-lived
-// tables — the SQL protocol's patched requests/history relations — skip the
-// per-round hash build. The index caching makes execution a mutation of the
-// catalog relations: concurrent Run/RunOpts calls over a shared relation are
-// not safe (the scheduler serialises rounds; independent callers need
-// separate catalogs).
+// the plan themselves. Each join builds its hash table for the call
+// (ra.HashJoin) and execution only reads the catalog's relations.
 func RunOpts(q *Query, cat Catalog, opts *ra.Options) (*relation.Relation, error) {
 	lc := make(Catalog, len(cat))
 	schemas := make(map[string]*relation.Schema, len(cat))

@@ -93,15 +93,9 @@ type Delta struct {
 
 // view is the materialised state of one plan node.
 type view struct {
-	node   *planNode
-	bag    *relation.Bag
-	groups map[uint64][]*aggGroup // opGroupBy: current output row per group
-}
-
-// aggGroup caches one group's key and current output tuple.
-type aggGroup struct {
-	key relation.Tuple
-	out relation.Tuple
+	node *planNode
+	bag  *relation.Bag
+	keys *relation.BagIndex // opGroupBy: bag's index on the group-key columns, one row per group
 }
 
 // NewIVM evaluates the plan once against the catalog (the cold cost, paid on
@@ -148,19 +142,22 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		default:
 			v := &view{node: n}
 			if n.op == opGroupBy {
-				v.groups = make(map[uint64][]*aggGroup, capture[n.id].Len())
-				for _, t := range capture[n.id].Rows() {
-					key := t[:len(n.groupPos)]
-					h := relation.HashValues(key)
-					v.groups[h] = append(v.groups[h], &aggGroup{key: key, out: t})
+				// The output rows lead with the group key: a row's key hash
+				// over the first len(groupPos) columns is the group's.
+				keyCols := make([]int, len(n.groupPos))
+				for i := range keyCols {
+					keyCols[i] = i
 				}
+				v.bag = relation.BagOf(capture[n.id])
+				v.keys = v.bag.IndexNullable(keyCols)
 			}
 			m.views[n.id] = v
 		}
 	}
 	// A view keeps a bag only where a delta rule reads one: the inputs of
-	// joins, EXCEPT, DISTINCT and group-by, and an unordered root (besides
-	// the base tables, whose bags refuse a delete of a row they never held).
+	// joins, EXCEPT, DISTINCT and group-by, a group-by's own rows (above),
+	// and an unordered root (besides the base tables, whose bags refuse a
+	// delete of a row they never held).
 	// Every other node streams its delta to its parents.
 	materialise := func(n *planNode) {
 		if v := m.views[n.id]; v.bag == nil {
@@ -1003,40 +1000,27 @@ func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *rela
 			acc.Add(t, int64(child.CountAt(p)), n.aggs)
 		}
 	}
-	// Locate the existing group.
-	var existing *aggGroup
-	bucket := v.groups[h]
-	slot := -1
-	for i, g := range bucket {
-		if g.key.Equal(key) {
-			existing, slot = g, i
+	// Locate the group's current output row; Apply patches the view's bag
+	// with out once every touched group is done.
+	var existing relation.Tuple
+	for p := v.keys.First(h); p >= 0; p = v.keys.Next(p) {
+		if t := v.bag.At(p); t[:len(key)].Equal(key) {
+			existing = t
 			break
 		}
 	}
 	if acc.N() == 0 && len(n.groupPos) > 0 {
 		if existing != nil {
-			out.add(existing.out, -1)
-			last := len(bucket) - 1
-			bucket[slot] = bucket[last]
-			bucket[last] = nil
-			if last == 0 {
-				delete(v.groups, h) // keep the map O(live groups)
-			} else {
-				v.groups[h] = bucket[:last]
-			}
+			out.add(existing, -1)
 		}
 		return
 	}
 	nt := acc.Row(key, n.aggs)
 	if existing != nil {
-		if existing.out.Equal(nt) {
+		if existing.Equal(nt) {
 			return
 		}
-		out.add(existing.out, -1)
-		existing.out = nt
-		out.add(nt, 1)
-		return
+		out.add(existing, -1)
 	}
-	v.groups[h] = append(v.groups[h], &aggGroup{key: key, out: nt})
 	out.add(nt, 1)
 }

@@ -310,7 +310,7 @@ func TestIVMDivergentDeltaErrors(t *testing.T) {
 
 // TestIVMGroupMapShrinksWhenGroupsVanish: a grouped view whose groups turn
 // over (every round a new key appears and the oldest disappears) keeps its
-// group table, like its bags, the size of the groups that exist.
+// rows, like its input's bag, the size of the groups that exist.
 func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
 	q, err := Parse("SELECT x.a, COUNT(*) AS n FROM t1 x GROUP BY x.a")
 	if err != nil {
@@ -347,8 +347,8 @@ func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
 		t.Fatalf("%d groups in the result, want %d", res.Len(), standing)
 	}
 	for _, n := range plan.nodes {
-		if v := m.views[n.id]; n.op == opGroupBy && len(v.groups) > standing {
-			t.Errorf("group table holds %d keys for %d groups", len(v.groups), standing)
+		if v := m.views[n.id]; n.op == opGroupBy && v.bag.DistinctLen() > standing {
+			t.Errorf("group view holds %d rows for %d groups", v.bag.DistinctLen(), standing)
 		}
 	}
 	for i, b := range m.Bags() {

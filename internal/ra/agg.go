@@ -149,38 +149,35 @@ func GroupBy(r *relation.Relation, groupCols []int, aggs []AggSpec) (*relation.R
 	}
 	out := relation.New(relation.NewSchema(cols...))
 
-	type state struct {
-		key relation.Tuple
-		acc *GroupAcc
-	}
-	groups := make(map[string]*state)
-	var order []string
-
+	// Group keys sit in a bag in first-seen order; accs[p] folds the rows of
+	// the group at position p.
+	groups := relation.NewBag(relation.NewSchema(cols[:len(groupCols)]...))
+	var accs []*GroupAcc
+	key := make(relation.Tuple, len(groupCols))
 	for _, t := range r.Rows() {
-		key := make(relation.Tuple, len(groupCols))
 		for i, g := range groupCols {
 			key[i] = t[g]
 		}
-		k := key.Key()
-		st, ok := groups[k]
-		if !ok {
-			st = &state{key: key, acc: NewGroupAcc(len(aggs))}
-			groups[k] = st
-			order = append(order, k)
+		h := key.Hash()
+		p := groups.Find(key, h)
+		if p < 0 {
+			groups.AddHash(key, h, 1) // the bag keeps key: take a fresh buffer
+			key = make(relation.Tuple, len(groupCols))
+			p = int32(len(accs))
+			accs = append(accs, NewGroupAcc(len(aggs)))
 		}
-		st.acc.Add(t, 1, aggs)
+		accs[p].Add(t, 1, aggs)
 	}
 
 	// A global aggregate (no group columns) over an empty input still yields
 	// one row, per SQL.
-	if len(groupCols) == 0 && len(order) == 0 {
-		groups[""] = &state{key: relation.Tuple{}, acc: NewGroupAcc(len(aggs))}
-		order = append(order, "")
+	if len(groupCols) == 0 && len(accs) == 0 {
+		groups.Add(relation.Tuple{}, 1)
+		accs = append(accs, NewGroupAcc(len(aggs)))
 	}
 
-	for _, k := range order {
-		st := groups[k]
-		if err := out.Append(st.acc.Row(st.key, aggs)); err != nil {
+	for p, acc := range accs {
+		if err := out.Append(acc.Row(groups.At(int32(p)), aggs)); err != nil {
 			return nil, err
 		}
 	}

@@ -9,10 +9,9 @@
 // techniques from declarative query processing can be used to improve
 // scheduler performance without affecting the scheduler specification".
 //
-// The join operators build (and cache) equality indexes on their input
-// relations (relation.EqIndex), so evaluating a join mutates its operands'
-// index caches: concurrent operator calls over a shared relation are not
-// safe. Every operator runs on the calling goroutine.
+// Every operator runs on the calling goroutine and only reads its input
+// relations: a join builds its hash table (a relation.Chain over the build
+// side's key hashes) for the call and drops it on return.
 package ra
 
 import (

@@ -1,0 +1,232 @@
+package ra
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/relation"
+)
+
+// encodeRow renders a tuple as a map key for the references below: Encode
+// quotes strings, so the joined form is unambiguous.
+func encodeRow(t relation.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = v.Encode()
+	}
+	return strings.Join(parts, ",")
+}
+
+// sameRows compares two relations' rows as bags of encoded rows, or as
+// sequences when ordered — without Relation.Equal, which is under test too.
+func sameRows(t *testing.T, what string, got, want *relation.Relation, ordered bool) {
+	t.Helper()
+	fail := func() { t.Fatalf("%s diverged\ngot:\n%s\nwant:\n%s", what, got, want) }
+	if got.Len() != want.Len() {
+		fail()
+	}
+	counts := map[string]int{}
+	for i := range got.Len() {
+		g, w := encodeRow(got.Row(i)), encodeRow(want.Row(i))
+		if ordered && g != w {
+			fail()
+		}
+		counts[g]++
+		counts[w]--
+	}
+	for _, n := range counts {
+		if n != 0 {
+			fail()
+		}
+	}
+}
+
+// collidingInts returns two ints whose one-column key hashes agree in their
+// low six bits, so they share a bucket in every chain of up to 64 buckets —
+// a hash probe that skipped its key check would join them.
+func collidingInts() (relation.Value, relation.Value) {
+	seen := map[uint64]int64{}
+	for i := int64(4); ; i++ {
+		h := relation.HashValues([]relation.Value{relation.Int(i)}) & 63
+		if j, ok := seen[h]; ok {
+			return relation.Int(j), relation.Int(i)
+		}
+		seen[h] = i
+	}
+}
+
+// withColliding returns a copy of r in which about half the rows carry one
+// of the two colliding ints in each of the given columns.
+func withColliding(rng *rand.Rand, r *relation.Relation, cols ...int) *relation.Relation {
+	a, b := collidingInts()
+	out := relation.New(r.Schema())
+	for _, row := range r.Rows() {
+		row = row.Clone()
+		for _, c := range cols {
+			switch rng.Intn(4) {
+			case 0:
+				row[c] = a
+			case 1:
+				row[c] = b
+			}
+		}
+		out.MustAppend(row)
+	}
+	return out
+}
+
+func renamed(t *testing.T, r *relation.Relation, prefix string) *relation.Relation {
+	t.Helper()
+	names := make([]string, r.Schema().Len())
+	for i := range names {
+		names[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	v, err := Rename(r, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// exceptRef is EXCEPT over Go maps: l's distinct rows absent from r, in
+// first-occurrence order.
+func exceptRef(l, r *relation.Relation) *relation.Relation {
+	drop, seen := map[string]bool{}, map[string]bool{}
+	for _, t := range r.Rows() {
+		drop[encodeRow(t)] = true
+	}
+	out := relation.New(l.Schema())
+	for _, t := range l.Rows() {
+		if k := encodeRow(t); !drop[k] && !seen[k] {
+			seen[k] = true
+			out.MustAppend(t)
+		}
+	}
+	return out
+}
+
+// groupByRef is GroupBy for the aggregates COUNT(*), COUNT, SUM, MIN and MAX
+// of column v, over Go maps, with groups in first-seen order.
+func groupByRef(r *relation.Relation, groupCols []int, v int, schema *relation.Schema) *relation.Relation {
+	type group struct {
+		key         relation.Tuple
+		n, cnt, sum int64
+		minV, maxV  relation.Value
+	}
+	groups := map[string]*group{}
+	var order []*group
+	for _, t := range r.Rows() {
+		key := make(relation.Tuple, len(groupCols))
+		for i, c := range groupCols {
+			key[i] = t[c]
+		}
+		g := groups[encodeRow(key)]
+		if g == nil {
+			g = &group{key: key}
+			groups[encodeRow(key)] = g
+			order = append(order, g)
+		}
+		g.n++
+		x := t[v]
+		if x.IsNull() {
+			continue
+		}
+		if x.Kind() == relation.KindInt {
+			g.sum += x.AsInt()
+		}
+		if g.cnt == 0 || x.Compare(g.minV) < 0 {
+			g.minV = x
+		}
+		if g.cnt == 0 || x.Compare(g.maxV) > 0 {
+			g.maxV = x
+		}
+		g.cnt++
+	}
+	if len(groupCols) == 0 && len(order) == 0 {
+		order = append(order, &group{})
+	}
+	out := relation.New(schema)
+	for _, g := range order {
+		row := append(relation.Tuple{}, g.key...)
+		row = append(row, relation.Int(g.n), relation.Int(g.cnt))
+		if g.cnt == 0 {
+			row = append(row, relation.Null(), relation.Null(), relation.Null())
+		} else {
+			row = append(row, relation.Int(g.sum), g.minV, g.maxV)
+		}
+		out.MustAppend(row)
+	}
+	return out
+}
+
+// FuzzJoinsMatchNestedLoop: over random relations with NULL keys and
+// duplicate rows (randRel's small domain), random keys and residuals, the
+// hash joins equal the nested-loop oracle, and EXCEPT, DISTINCT and GROUP BY
+// equal references over Go maps. shape bit 0 makes both join sides renamed
+// views of one base relation (a self-join, like Listing 1's); bit 1 narrows
+// the join to one key and writes two ints whose hashes share a bucket into
+// its columns.
+func FuzzJoinsMatchNestedLoop(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	nested := &Options{NestedLoop: true}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		lCols, rCols := 1+rng.Intn(3), 1+rng.Intn(3)
+		self := shape&1 != 0
+		if self {
+			rCols = lCols
+		}
+		keys := randKeys(rng, lCols, rCols)
+		if shape&2 != 0 {
+			keys = keys[:1]
+		}
+		var l, r *relation.Relation
+		if self {
+			base := randRel(rng, "b", lCols, rng.Intn(40))
+			if shape&2 != 0 {
+				base = withColliding(rng, base, keys[0].L, keys[0].R)
+			}
+			l, r = renamed(t, base, "l"), renamed(t, base, "r")
+		} else {
+			l, r = randRel(rng, "l", lCols, rng.Intn(40)), randRel(rng, "r", rCols, rng.Intn(40))
+			if shape&2 != 0 {
+				l, r = withColliding(rng, l, keys[0].L), withColliding(rng, r, keys[0].R)
+			}
+		}
+		what := fmt.Sprintf("seed %d shape %#x keys %v", seed, shape, keys)
+
+		res := randResidual(rng, lCols+rCols)
+		sameRows(t, what+" inner join", HashJoin(l, r, keys, res), nested.HashJoin(l, r, keys, res), false)
+		sameRows(t, what+" left join", LeftJoin(l, r, keys, res), nested.LeftJoin(l, r, keys, res), false)
+		sameRows(t, what+" semi join", SemiJoin(l, r, keys, res), nested.SemiJoin(l, r, keys, res), false)
+		sameRows(t, what+" anti join", AntiJoin(l, r, keys, res), nested.AntiJoin(l, r, keys, res), false)
+
+		o := randRel(rng, "o", lCols, rng.Intn(40))
+		got, err := Except(l, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what+" except", got, exceptRef(l, o), true)
+		sameRows(t, what+" distinct", l.Distinct(), exceptRef(l, relation.New(l.Schema())), true)
+
+		groupCols := rng.Perm(lCols)[:rng.Intn(lCols+1)]
+		v := rng.Intn(lCols)
+		aggs := []AggSpec{
+			{Func: CountStar, Name: "n"},
+			{Func: Count, E: Col{Pos: v}, Name: "cnt"},
+			{Func: Sum, E: Col{Pos: v}, Name: "sum"},
+			{Func: Min, E: Col{Pos: v}, Name: "min"},
+			{Func: Max, E: Col{Pos: v}, Name: "max"},
+		}
+		grouped, err := GroupBy(l, groupCols, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("%s group by %v on %d", what, groupCols, v), grouped,
+			groupByRef(l, groupCols, v, grouped.Schema()), true)
+	})
+}

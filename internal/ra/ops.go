@@ -113,7 +113,7 @@ func keyHash(t relation.Tuple, pos []int) (uint64, bool) {
 }
 
 // keyHasNull reports whether any key column of t is NULL (such a row can
-// never equi-join; the nested-loop paths must agree with the hash paths,
+// never equi-join; the nested-loop scan must agree with the hash probe,
 // whose Value.Equal would otherwise match NULL against NULL).
 func keyHasNull(t relation.Tuple, pos []int) bool {
 	for _, p := range pos {
@@ -125,7 +125,7 @@ func keyHasNull(t relation.Tuple, pos []int) bool {
 }
 
 // keysEqual verifies, after a hash-bucket hit, that the key columns of a and
-// b really match (hash collisions must not join).
+// b really match (a bucket holds every key sharing the hash's low bits).
 func keysEqual(a relation.Tuple, apos []int, b relation.Tuple, bpos []int) bool {
 	for i := range apos {
 		if !a[apos[i]].Equal(b[bpos[i]]) {
@@ -135,17 +135,67 @@ func keysEqual(a relation.Tuple, apos []int, b relation.Tuple, bpos []int) bool 
 	return true
 }
 
+// buildChain is the build side of one join, built per call: it files the
+// positions of r's rows by the hash of their key columns pos, and files a
+// row with a NULL key nowhere (it can never match). It returns nil when the
+// join scans instead — under NestedLoop, or without keys.
+func (o *Options) buildChain(r *relation.Relation, pos []int) *relation.Chain {
+	if len(pos) == 0 || o.nested() {
+		return nil
+	}
+	c := relation.NewChain()
+	c.Reserve(r.Len())
+	for _, t := range r.Rows() {
+		if h, ok := keyHash(t, pos); ok {
+			c.Link(h)
+		} else {
+			c.Skip()
+		}
+	}
+	return &c
+}
+
+// eachMatch calls fn with every build row whose key columns bpos equal the
+// probe row pt's ppos, in the build side's chain order, until fn returns
+// false. Without a chain (buildChain returned nil) it scans every build row:
+// the nested-loop oracle.
+func eachMatch(pt relation.Tuple, ppos []int, build []relation.Tuple, bpos []int, ix *relation.Chain, fn func(bt relation.Tuple) bool) {
+	if ix != nil {
+		h, ok := keyHash(pt, ppos)
+		if !ok {
+			return
+		}
+		for p := ix.First(h); p >= 0; p = ix.Next(p) {
+			if bt := build[p]; keysEqual(pt, ppos, bt, bpos) && !fn(bt) {
+				return
+			}
+		}
+		return
+	}
+	if keyHasNull(pt, ppos) {
+		return
+	}
+	for _, bt := range build {
+		if keyHasNull(bt, bpos) || !keysEqual(pt, ppos, bt, bpos) {
+			continue
+		}
+		if !fn(bt) {
+			return
+		}
+	}
+}
+
 // HashJoin performs an inner equi-join on the given keys, then applies the
 // optional residual predicate over the concatenated tuple.
 func HashJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
 	return (*Options)(nil).HashJoin(l, r, keys, residual)
 }
 
-// HashJoin is the inner equi-join under these options. The build side is
-// always the smaller side — deterministic for given inputs — and its hash
-// table comes from the relation-level index cache (relation.EqIndex), so
-// rejoining an unmutated relation on the same keys skips the build. With
-// NestedLoop set, every left row scans the full right relation instead.
+// HashJoin is the inner equi-join under these options. It builds a hash
+// table (buildChain) over the smaller side — a deterministic choice for given
+// inputs — and probes it with every row of the other, so the output follows
+// the probe side's order. With NestedLoop set, every left row scans the full
+// right relation instead.
 func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
 	if len(keys) == 0 {
 		j := CrossJoin(l, r)
@@ -156,59 +206,28 @@ func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 	}
 	out := relation.New(concatSchemas(l.Schema(), r.Schema(), "r"))
 	lpos, rpos := splitKeys(keys)
-	if o.nested() {
-		rrows := r.Rows()
-		for _, lt := range l.Rows() {
-			if keyHasNull(lt, lpos) {
-				continue
-			}
-			for _, rt := range rrows {
-				if keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos) {
-					continue
-				}
-				nt := append(append(make(relation.Tuple, 0, len(lt)+len(rt)), lt...), rt...)
-				if residual == nil || Truth(residual.Eval(nt)) == True {
-					out.AppendTrusted(nt)
-				}
-			}
-		}
-		return out
-	}
-	// Build on the smaller side — a deterministic choice for given inputs
-	// (cache warmth must not steer it: the probe side fixes the output row
-	// order, which has to be reproducible across cold and warm rounds). The
-	// chosen side's index still comes from the relation's cache, so a warm
-	// round skips the rebuild whenever the same side is chosen again.
 	build, probe := r, l
 	bpos, ppos := rpos, lpos
 	buildIsRight := true
-	if l.Len() < r.Len() {
+	if !o.nested() && l.Len() < r.Len() {
 		build, probe = l, r
 		bpos, ppos = lpos, rpos
 		buildIsRight = false
 	}
-	ix := build.EqIndex(bpos)
-	buildRows := build.Rows()
+	ix := o.buildChain(build, bpos)
 	for _, pt := range probe.Rows() {
-		h, ok := keyHash(pt, ppos)
-		if !ok {
-			continue
-		}
-		for _, pos := range ix.CandidatesHash(h) {
-			bt := buildRows[pos]
-			if !keysEqual(pt, ppos, bt, bpos) {
-				continue
-			}
-			var nt relation.Tuple
+		eachMatch(pt, ppos, build.Rows(), bpos, ix, func(bt relation.Tuple) bool {
+			nt := make(relation.Tuple, 0, len(pt)+len(bt))
 			if buildIsRight {
-				nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), pt...), bt...)
+				nt = append(append(nt, pt...), bt...)
 			} else {
-				nt = append(append(make(relation.Tuple, 0, len(pt)+len(bt)), bt...), pt...)
+				nt = append(append(nt, bt...), pt...)
 			}
 			if residual == nil || Truth(residual.Eval(nt)) == True {
 				out.AppendTrusted(nt)
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -225,39 +244,18 @@ func LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.
 func (o *Options) LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
 	out := relation.New(concatSchemas(l.Schema(), r.Schema(), "r"))
 	lpos, rpos := splitKeys(keys)
-	var ix *relation.EqIndex
-	if len(keys) > 0 && !o.nested() {
-		ix = r.EqIndex(rpos)
-	}
-	rrows := r.Rows()
+	ix := o.buildChain(r, rpos)
 	nulls := nullPad(r.Schema().Len())
 	for _, lt := range l.Rows() {
 		matched := false
-		var candidates []relation.Tuple
-		var positions []int32
-		if ix == nil {
-			if len(keys) == 0 || !keyHasNull(lt, lpos) {
-				candidates = rrows
-			}
-		} else if h, ok := keyHash(lt, lpos); ok {
-			positions = ix.CandidatesHash(h)
-		}
-		match := func(rt relation.Tuple) {
-			if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
-				return
-			}
+		eachMatch(lt, lpos, r.Rows(), rpos, ix, func(rt relation.Tuple) bool {
 			nt := append(append(make(relation.Tuple, 0, len(lt)+len(rt)), lt...), rt...)
 			if residual == nil || Truth(residual.Eval(nt)) == True {
 				out.AppendTrusted(nt)
 				matched = true
 			}
-		}
-		for _, rt := range candidates {
-			match(rt)
-		}
-		for _, pos := range positions {
-			match(rrows[pos])
-		}
+			return true
+		})
 		if !matched {
 			out.AppendTrusted(append(append(make(relation.Tuple, 0, len(lt)+len(nulls)), lt...), nulls...))
 		}
@@ -289,47 +287,20 @@ func (o *Options) AntiJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 func (o *Options) semiAnti(l, r *relation.Relation, keys []EquiKey, residual Expr, want bool) *relation.Relation {
 	out := relation.New(l.Schema())
 	lpos, rpos := splitKeys(keys)
-	var ix *relation.EqIndex
-	if len(keys) > 0 && !o.nested() {
-		ix = r.EqIndex(rpos)
-	}
-	rrows := r.Rows()
+	ix := o.buildChain(r, rpos)
 	var buf relation.Tuple
 	for _, lt := range l.Rows() {
-		var candidates []relation.Tuple
-		var positions []int32
-		if ix == nil {
-			if len(keys) == 0 || !keyHasNull(lt, lpos) {
-				candidates = rrows
-			}
-		} else if h, ok := keyHash(lt, lpos); ok {
-			positions = ix.CandidatesHash(h)
-		}
 		matched := false
-		check := func(rt relation.Tuple) bool {
-			if len(keys) > 0 && (keyHasNull(rt, rpos) || !keysEqual(lt, lpos, rt, rpos)) {
-				return false
-			}
-			if residual == nil {
-				return true
-			}
-			buf = append(append(buf[:0], lt...), rt...)
-			return Truth(residual.Eval(buf)) == True
-		}
-		for _, rt := range candidates {
-			if check(rt) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			for _, pos := range positions {
-				if check(rrows[pos]) {
-					matched = true
-					break
+		eachMatch(lt, lpos, r.Rows(), rpos, ix, func(rt relation.Tuple) bool {
+			if residual != nil {
+				buf = append(append(buf[:0], lt...), rt...)
+				if Truth(residual.Eval(buf)) != True {
+					return true
 				}
 			}
-		}
+			matched = true
+			return false
+		})
 		if matched == want {
 			out.AppendTrusted(lt)
 		}
@@ -357,17 +328,12 @@ func Except(l, r *relation.Relation) (*relation.Relation, error) {
 	if l.Schema().Len() != r.Schema().Len() {
 		return nil, fmt.Errorf("ra: except arity mismatch %d vs %d", l.Schema().Len(), r.Schema().Len())
 	}
-	drop := relation.NewTupleSet(r.Len())
-	for _, t := range r.Rows() {
-		drop.Add(t)
-	}
+	drop := relation.BagOf(r)
 	out := relation.New(l.Schema())
-	seen := relation.NewTupleSet(l.Len())
+	seen := relation.NewBag(l.Schema())
 	for _, t := range l.Rows() {
-		if drop.Contains(t) {
-			continue
-		}
-		if seen.Add(t) {
+		h := t.Hash()
+		if drop.CountHash(t, h) == 0 && seen.AddHash(t, h, 1) == 1 {
 			out.AppendTrusted(t)
 		}
 	}
@@ -410,8 +376,7 @@ func Limit(r *relation.Relation, n int) *relation.Relation {
 }
 
 // Rename returns a view of r under a schema of the same layout but different
-// names. The view shares r's tuples and equality-index cache, so renaming a
-// base relation per round keeps its join indexes warm.
+// names, sharing r's tuples (relation.WithSchema): renaming copies no rows.
 func Rename(r *relation.Relation, names []string) (*relation.Relation, error) {
 	if len(names) != r.Schema().Len() {
 		return nil, fmt.Errorf("ra: rename arity mismatch %d vs %d", len(names), r.Schema().Len())

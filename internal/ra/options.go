@@ -8,7 +8,7 @@ import "repro/internal/relation"
 // calling it on a nil *Options.
 type Options struct {
 	// NestedLoop forces the O(n·m) nested-loop join algorithms: no hash
-	// tables, no cached indexes, every probe scans the full inner relation.
+	// tables, every probe scans the full inner relation.
 	// It is the correctness oracle for the hash operators in the property
 	// tests and the baseline of the perf trajectory.
 	NestedLoop bool

@@ -104,45 +104,3 @@ func TestJoinsMatchNestedLoopOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestCachedIndexSurvivesAppendsAndMutation: joins through the cached
-// equality index stay correct as the build side is appended to (index
-// extended in place), deleted from (index invalidated) and renamed
-// (cache shared by the view) — the SQL protocol's patched-relation pattern.
-func TestCachedIndexSurvivesAppendsAndMutation(t *testing.T) {
-	nested := &Options{NestedLoop: true}
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		base := randRel(rng, "r", 2, 10+rng.Intn(30))
-		probe := randRel(rng, "l", 2, 10+rng.Intn(30))
-		keys := []EquiKey{{L: rng.Intn(2), R: rng.Intn(2)}}
-		for step := 0; step < 12; step++ {
-			// Join through a renamed view, as the executor does.
-			view, err := Rename(base, []string{"a", "b"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := HashJoin(probe, view, keys, nil)
-			want := nested.HashJoin(probe, view, keys, nil)
-			sameBag(t, fmt.Sprintf("seed %d step %d join", seed, step), got, want)
-			semi := SemiJoin(probe, view, keys, nil)
-			sameBag(t, fmt.Sprintf("seed %d step %d semi", seed, step), semi,
-				nested.SemiJoin(probe, view, keys, nil))
-			// Mutate the base between rounds: append a few rows, sometimes
-			// delete (which must invalidate the cached indexes).
-			for k := 0; k < rng.Intn(4); k++ {
-				t2 := make(relation.Tuple, 2)
-				for j := range t2 {
-					t2[j] = relation.Int(int64(rng.Intn(4)))
-				}
-				base.MustAppend(t2)
-			}
-			if rng.Intn(3) == 0 {
-				victim := int64(rng.Intn(4))
-				base.Delete(func(tu relation.Tuple) bool {
-					return tu[0].Kind() == relation.KindInt && tu[0].AsInt() == victim
-				})
-			}
-		}
-	}
-}

@@ -22,20 +22,25 @@ func TestQuickExceptIsSubsetAndDisjoint(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inR := make(map[string]bool)
-		for _, tu := range r.Rows() {
-			inR[tu.Key()] = true
+		// relFromBytes rows are one int column: key the references by it.
+		inL, inR := map[int64]bool{}, map[int64]bool{}
+		for _, tu := range l.Rows() {
+			inL[tu[0].AsInt()] = true
 		}
-		seen := make(map[string]bool)
+		for _, tu := range r.Rows() {
+			inR[tu[0].AsInt()] = true
+		}
+		seen := map[int64]bool{}
 		for _, tu := range out.Rows() {
-			if inR[tu.Key()] {
+			v := tu[0].AsInt()
+			if inR[v] {
 				return false // EXCEPT result intersects right side
 			}
-			if seen[tu.Key()] {
+			if seen[v] {
 				return false // EXCEPT must deduplicate
 			}
-			seen[tu.Key()] = true
-			if !l.Contains(tu) {
+			seen[v] = true
+			if !inL[v] {
 				return false // result must come from the left side
 			}
 		}

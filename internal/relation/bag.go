@@ -4,13 +4,14 @@ import "slices"
 
 // Bag is a counted multiset of tuples with incrementally maintained
 // multi-column equality indexes: the set-backed materialization behind the
-// SQL executor's delta-maintained views. Where Relation stores a flat row
-// slice (and must drop its EqIndex cache on any interior delete), a Bag keeps
-// each distinct tuple once with a count, so inserts and removals are O(1) per
-// attached index — exactly the shape incremental view maintenance needs:
-// per-round deltas patch the standing views and the join/anti-join probes of
-// the delta rules hit the maintained key indexes instead of rebuilding per
-// round.
+// SQL executor's delta-maintained views. Where a Relation is an append-only
+// row slice, a Bag keeps each distinct tuple once with a count, so inserts
+// and removals are O(1) per attached index — exactly the shape incremental
+// view maintenance needs: per-round deltas patch the standing views and the
+// join/anti-join probes of the delta rules hit the maintained key indexes
+// instead of rebuilding per round. The cold operators that deduplicate,
+// count or group (Relation.Distinct and Equal, ra.Except, ra.GroupBy, the
+// Datalog engine's aggregates) use a Bag as their hash table too.
 //
 // The layout is the Datalog fact store's: distinct tuples sit dense at
 // positions 0..DistinctLen()-1 beside their counts and cached full-tuple
@@ -73,8 +74,10 @@ func (b *Bag) CountAt(p int32) int { return b.counts[p] }
 // HashAt returns the full-tuple hash (Tuple.Hash) of the tuple at position p.
 func (b *Bag) HashAt(p int32) uint64 { return b.hashes[p] }
 
-// find returns the position of t, whose hash is h, or -1.
-func (b *Bag) find(t Tuple, h uint64) int32 {
+// Find returns the position of t, whose hash is h = t.Hash(), or -1. Only a
+// removal moves a position, so a bag that is only added to numbers its
+// distinct tuples in first-insertion order (the groups of ra.GroupBy).
+func (b *Bag) Find(t Tuple, h uint64) int32 {
 	for p := b.member.First(h); p >= 0; p = b.member.Next(p) {
 		if b.hashes[p] == h && b.tuples[p].Equal(t) {
 			return p
@@ -88,7 +91,7 @@ func (b *Bag) Count(t Tuple) int { return b.CountHash(t, t.Hash()) }
 
 // CountHash is Count for a caller that already holds h = t.Hash().
 func (b *Bag) CountHash(t Tuple, h uint64) int {
-	if p := b.find(t, h); p >= 0 {
+	if p := b.Find(t, h); p >= 0 {
 		return b.counts[p]
 	}
 	return 0
@@ -101,7 +104,7 @@ func (b *Bag) Add(t Tuple, k int) int { return b.AddHash(t, t.Hash(), k) }
 // 0 -> present takes the next position and is filed in every chain.
 func (b *Bag) AddHash(t Tuple, h uint64, k int) int {
 	b.total += k
-	if p := b.find(t, h); p >= 0 {
+	if p := b.Find(t, h); p >= 0 {
 		b.counts[p] += k
 		return b.counts[p]
 	}
@@ -131,7 +134,7 @@ func (b *Bag) Remove(t Tuple, k int) (int, bool) { return b.RemoveHash(t, t.Hash
 // hole, and the chains halve once the bag holds under a quarter of their
 // buckets.
 func (b *Bag) RemoveHash(t Tuple, h uint64, k int) (int, bool) {
-	p := b.find(t, h)
+	p := b.Find(t, h)
 	if p < 0 {
 		return 0, false
 	}

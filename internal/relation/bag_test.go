@@ -459,12 +459,11 @@ func TestBagIndexUnlinkReleasesCell(t *testing.T) {
 	}
 }
 
-// bagModel drives a Bag and a map[string]int reference (keyed by Tuple.Key)
-// through the same operations.
+// bagModel drives a Bag and a map[int]int reference (keyed by the tuple's
+// id, which its second column holds) through the same operations.
 type bagModel struct {
 	b   *Bag
-	ref map[string]int
-	ids map[string]int // Key -> id, to rebuild tuples
+	ref map[int]int
 }
 
 // bagModelTuple is the id-th tuple of the fuzz universe: a column with a few
@@ -485,7 +484,7 @@ var bagProbes = []struct {
 }{{[]int{0}, false}, {[]int{0}, true}, {[]int{2}, false}, {[]int{0, 2}, true}}
 
 func newBagModel() *bagModel {
-	m := &bagModel{b: NewBag(nil), ref: map[string]int{}, ids: map[string]int{}}
+	m := &bagModel{b: NewBag(nil), ref: map[int]int{}}
 	m.b.Index(bagProbes[0].cols)
 	return m
 }
@@ -500,7 +499,7 @@ func (m *bagModel) probe(which, id int) error {
 	}
 	want := 0
 	for k, n := range m.ref {
-		other := bagModelTuple(m.ids[k])
+		other := bagModelTuple(k)
 		if _, ok := ix.keyHash(other); ok && keyMatches(other, pr.cols, key) {
 			want += n
 		}
@@ -513,17 +512,17 @@ func (m *bagModel) probe(which, id int) error {
 
 // totals compares Each and Relation with the model.
 func (m *bagModel) totals() error {
-	seen := map[string]int{}
-	m.b.Each(func(t Tuple, n int) { seen[t.Key()] += n })
+	seen := map[int]int{}
+	m.b.Each(func(t Tuple, n int) { seen[int(t[1].AsInt())] += n })
 	for _, t := range m.b.Relation().Rows() {
-		seen[t.Key()]--
+		seen[int(t[1].AsInt())]--
 	}
 	if len(seen) != len(m.ref) {
 		return fmt.Errorf("Each visits %d distinct tuples, model %d", len(seen), len(m.ref))
 	}
 	for k, n := range seen {
 		if n != 0 || m.ref[k] == 0 {
-			return fmt.Errorf("Each and Relation disagree on %q (or it is not in the model)", k)
+			return fmt.Errorf("Each and Relation disagree on %s (or it is not in the model)", bagModelTuple(k))
 		}
 	}
 	return nil
@@ -542,13 +541,12 @@ func (m *bagModel) run(data []byte) error {
 		var err error
 		switch op := data[i] % 8; op {
 		case 0, 1, 2:
-			m.ids[t.Key()] = id
-			m.ref[t.Key()] += k
-			if got := m.b.Add(t, k); got != m.ref[t.Key()] {
-				err = fmt.Errorf("add %s x%d: count %d, model %d", t, k, got, m.ref[t.Key()])
+			m.ref[id] += k
+			if got := m.b.Add(t, k); got != m.ref[id] {
+				err = fmt.Errorf("add %s x%d: count %d, model %d", t, k, got, m.ref[id])
 			}
 		case 3, 4:
-			have := m.ref[t.Key()]
+			have := m.ref[id]
 			before := m.b.Len()
 			got, ok := m.b.Remove(t, k)
 			switch {
@@ -557,13 +555,13 @@ func (m *bagModel) run(data []byte) error {
 			case have >= k && (!ok || got != have-k):
 				err = fmt.Errorf("remove %s x%d of %d: ok=%v count %d", t, k, have, ok, got)
 			case have >= k:
-				if m.ref[t.Key()] -= k; m.ref[t.Key()] == 0 {
-					delete(m.ref, t.Key())
+				if m.ref[id] -= k; m.ref[id] == 0 {
+					delete(m.ref, id)
 				}
 			}
 		case 5:
-			if got := m.b.Count(t); got != m.ref[t.Key()] {
-				err = fmt.Errorf("count %s: %d, model %d", t, got, m.ref[t.Key()])
+			if got := m.b.Count(t); got != m.ref[id] {
+				err = fmt.Errorf("count %s: %d, model %d", t, got, m.ref[id])
 			}
 		case 6:
 			err = m.probe(arg, id)
@@ -589,8 +587,8 @@ func (m *bagModel) run(data []byte) error {
 		return err
 	}
 	for k, n := range m.ref {
-		if _, ok := m.b.Remove(bagModelTuple(m.ids[k]), n); !ok {
-			return fmt.Errorf("drain: %q x%d refused", k, n)
+		if _, ok := m.b.Remove(bagModelTuple(k), n); !ok {
+			return fmt.Errorf("drain: %s x%d refused", bagModelTuple(k), n)
 		}
 	}
 	if err := checkBag(m.b); err != nil {

@@ -139,7 +139,7 @@ func (t Tuple) Compare(o Tuple) int {
 
 // Hash returns a stable hash of the whole tuple: the values' FNV-1a hashes
 // folded together. It never builds strings; equality must still be verified
-// on hash collisions (see TupleSet).
+// on hash collisions (see Chain).
 func (t Tuple) Hash() uint64 { return HashValues(t) }
 
 // HashCols hashes the projection of t onto the given column positions, for
@@ -162,20 +162,6 @@ func HashValues(vals []Value) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// Key renders a canonical string key for map-based deduplication. It is kept
-// for debugging and test assertions only; hot paths dedup via Hash plus
-// equality buckets (TupleSet).
-func (t Tuple) Key() string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.Encode())
-	}
-	return b.String()
 }
 
 // String renders the tuple for display.

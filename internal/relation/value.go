@@ -169,8 +169,8 @@ func (v Value) String() string {
 	}
 }
 
-// Encode renders the value so it can be parsed back by Decode: strings are
-// quoted, ints bare, NULL as the literal NULL.
+// Encode renders the value unambiguously for printed rules and plans: strings
+// quoted (strconv.Quote), ints bare, NULL as the literal NULL.
 func (v Value) Encode() string {
 	switch v.kind {
 	case KindNull:
@@ -180,23 +180,4 @@ func (v Value) Encode() string {
 	default:
 		return strconv.Quote(v.s)
 	}
-}
-
-// Decode parses a value encoded by Encode.
-func Decode(s string) (Value, error) {
-	if s == "NULL" {
-		return Null(), nil
-	}
-	if len(s) > 0 && s[0] == '"' {
-		u, err := strconv.Unquote(s)
-		if err != nil {
-			return Value{}, fmt.Errorf("relation: decode %q: %w", s, err)
-		}
-		return String(u), nil
-	}
-	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return Value{}, fmt.Errorf("relation: decode %q: %w", s, err)
-	}
-	return Int(i), nil
 }
