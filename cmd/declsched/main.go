@@ -8,7 +8,7 @@
 //	          [-objects 100000] [-zipf 0] [-trigger hybrid|time|fill]
 //	          [-partitions 1] [-rebalance 0] [-rebalance-every 16] [-slots 0]
 //	          [-hotkeys 0] [-hotfrac 0.8] [-hotskew 0]
-//	          [-passthrough] [-check]
+//	          [-check]
 package main
 
 import (
@@ -34,7 +34,6 @@ func main() {
 	objects := flag.Int64("objects", 100000, "table rows")
 	zipf := flag.Float64("zipf", 0, "Zipf skew parameter (>1), 0 = uniform")
 	trigName := flag.String("trigger", "hybrid", "round trigger: hybrid (schedserver's default, 16 requests or 1ms, and earlier once every answered client is back in the queue — the loop counts them, so the level need not be tuned to -clients), time (1ms), fill (-clients requests)")
-	passthrough := flag.Bool("passthrough", false, "non-scheduling mode (forward unscheduled)")
 	check := flag.Bool("check", false, "verify conflict serializability of the executed schedule")
 	seed := flag.Int64("seed", 1, "workload seed")
 	syncRounds := flag.Bool("syncrounds", false, "serialize qualify and execute (disable the round pipeline)")
@@ -86,10 +85,6 @@ func main() {
 		log.Fatalf("unknown trigger %q", *trigName)
 	}
 
-	mode := scheduler.Scheduling
-	if *passthrough {
-		mode = scheduler.PassThrough
-	}
 	scfg := storage.Config{Rows: int(*objects), Durable: *durable, Dir: *dir, SyncEvery: *syncEvery}
 	if *durable && *dir == "" {
 		log.Fatal("-durable requires -dir")
@@ -105,7 +100,6 @@ func main() {
 	engine, err := scheduler.NewPartitionedEngine(scheduler.PartitionedConfig{
 		Base: scheduler.Config{
 			Server:  srv,
-			Mode:    mode,
 			KeepLog: *check,
 		},
 		Partitions: *partitions,

@@ -28,8 +28,9 @@
 // protocols forward it to the engine as EDB deltas: unchanged relations keep
 // their hashed fact sets and indexes across rounds, and only the
 // consequences of the round's churn are re-derived (datalog.RunIncremental).
-// The SQL protocol patches its cached requests/history relations in place.
-// Nothing of this is visible in the API: protocols remain pure functions of
+// The SQL protocol maintains a view cache over its compiled plan: every view
+// a delta rule reads keeps a bag, patched per changed tuple. Nothing of this
+// is visible in the API: protocols remain pure functions of
 // (pending, history), a cold evaluation remains the fallback and the
 // correctness oracle, and custom protocols built with NewDatalogProtocol or
 // NewSQLProtocol get the warm path automatically.
@@ -92,6 +93,9 @@ var (
 	// WoundWait prevents deadlocks declaratively: older transactions wound
 	// younger lock holders instead of waiting behind them.
 	WoundWait = protocol.WoundWaitDatalog
+	// FCFS schedules nothing: every pending request executes in arrival
+	// order (the paper's non-scheduling baseline).
+	FCFS = func() Protocol { return protocol.FCFS{} }
 )
 
 // NewConsistencyRationing builds the per-object consistency-class protocol
@@ -131,8 +135,7 @@ func NewTransaction(ta int64) *request.Builder {
 
 // Options configures a Scheduler.
 type Options struct {
-	// Protocol is the declarative scheduling protocol (required unless
-	// PassThrough).
+	// Protocol is the scheduling protocol (required).
 	Protocol Protocol
 	// TableRows sizes the server's table (default 100000, the paper's).
 	TableRows int
@@ -140,8 +143,6 @@ type Options struct {
 	StatementWork int
 	// Trigger is the round trigger policy (default: hybrid fill 32 / 1ms).
 	Trigger scheduler.Trigger
-	// PassThrough disables scheduling (the paper's non-scheduling mode).
-	PassThrough bool
 	// KeepLog retains the execution log for serializability checking.
 	KeepLog bool
 }
@@ -159,14 +160,9 @@ func New(opts Options) (*Scheduler, error) {
 		rows = 100000
 	}
 	srv := storage.NewServer(storage.Config{Rows: rows, StatementWork: opts.StatementWork})
-	mode := scheduler.Scheduling
-	if opts.PassThrough {
-		mode = scheduler.PassThrough
-	}
 	engine, err := scheduler.NewEngine(scheduler.Config{
 		Protocol: opts.Protocol,
 		Server:   srv,
-		Mode:     mode,
 		KeepLog:  opts.KeepLog,
 	})
 	if err != nil {

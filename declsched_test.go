@@ -46,8 +46,10 @@ func TestFacadeAllProtocols(t *testing.T) {
 	}
 }
 
+// TestFacadePassThrough: the paper's non-scheduling baseline is the FCFS
+// protocol.
 func TestFacadePassThrough(t *testing.T) {
-	s, err := New(Options{PassThrough: true, TableRows: 64})
+	s, err := New(Options{Protocol: FCFS(), TableRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Check validates a program: range restriction (safety), schedulability of
@@ -115,63 +116,128 @@ func orderBody(r Rule) ([]int, error) {
 	return order, nil
 }
 
-// Stratify computes a stratum number for every predicate such that positive
-// dependencies stay within a stratum or below and negated/aggregated
+// depGraph is a program's predicate dependency graph and the strata read
+// off it. NewEngine computes it once: stratification, the semi-naive loop
+// (which predicates keep deltas) and the warm path's affected closure all
+// read this one walk.
+type depGraph struct {
+	// dependents maps a body predicate to the head predicates whose rules
+	// read it.
+	dependents map[string][]string
+	// stratum numbers every IDB predicate (EDB predicates are 0); numStrata
+	// is one past the highest.
+	stratum   map[string]int
+	numStrata int
+	// recursive marks the predicates on a dependency cycle, the only ones
+	// whose rules read their own stratum.
+	recursive map[string]bool
+}
+
+// Stratify computes a stratum number for every predicate. The strata are
+// the dependency graph's strongly connected components, layered: a predicate
+// sits one stratum above the highest IDB predicate it reads outside its
+// component, and the members of a component share a stratum. So a stratum
+// reads its own predicates only through recursion, and negated or aggregated
 // dependencies are strictly below. It returns the per-predicate strata, the
 // number of strata, and an error if negation (or aggregation) is cyclic.
 func Stratify(prog *Program) (map[string]int, int, error) {
-	stratum := make(map[string]int)
-	preds := make(map[string]bool)
-	for _, r := range prog.Rules {
-		preds[r.Head.Pred] = true
-		for _, l := range r.Body {
-			if l.Kind == LitAtom {
-				preds[l.Atom.Pred] = true
-			}
-		}
+	g, err := analyze(prog)
+	if err != nil {
+		return nil, 0, err
+	}
+	return g.stratum, g.numStrata, nil
+}
+
+// analyze builds the dependency graph and strata of prog with Tarjan's
+// algorithm over the IDB predicates, which emits every component after the
+// components it reads, so each is placed as it is emitted.
+func analyze(prog *Program) (*depGraph, error) {
+	type edge struct {
+		to     string
+		strict bool // through negation or aggregation
 	}
 	idb := prog.IDB()
-	n := len(preds)
-	// Bellman-Ford style relaxation; a stratum exceeding the predicate count
-	// implies a cycle through negation/aggregation.
-	for iter := 0; ; iter++ {
-		changed := false
-		for _, r := range prog.Rules {
-			h := r.Head.Pred
-			agg := r.HasAggregate()
-			for _, l := range r.Body {
-				if l.Kind != LitAtom {
-					continue
-				}
-				q := l.Atom.Pred
-				if !idb[q] {
-					continue // EDB predicates are stratum 0
-				}
-				need := stratum[q]
-				if l.Negated || agg {
-					need++
-				}
-				if stratum[h] < need {
-					stratum[h] = need
-					changed = true
-					if stratum[h] > n {
-						return nil, 0, fmt.Errorf("datalog: program not stratifiable: cycle through negation/aggregation at %s", h)
+	g := &depGraph{
+		dependents: make(map[string][]string),
+		stratum:    make(map[string]int),
+		numStrata:  1,
+		recursive:  make(map[string]bool),
+	}
+	reads := make(map[string][]edge) // head -> the IDB predicates its rules read
+	for _, r := range prog.Rules {
+		h := r.Head.Pred
+		for _, l := range r.Body {
+			if l.Kind != LitAtom {
+				continue
+			}
+			q := l.Atom.Pred
+			if !slices.Contains(g.dependents[q], h) {
+				g.dependents[q] = append(g.dependents[q], h)
+			}
+			if idb[q] {
+				reads[h] = append(reads[h], edge{q, l.Negated || r.HasAggregate()})
+			}
+		}
+	}
+
+	index := make(map[string]int)
+	low := make(map[string]int)
+	comp := make(map[string]int) // predicate -> its component's root index + 1
+	var stack []string
+	var err error
+	var visit func(p string)
+	visit = func(p string) {
+		index[p] = len(index)
+		low[p] = index[p]
+		stack = append(stack, p)
+		for _, e := range reads[p] {
+			if _, seen := index[e.to]; !seen {
+				visit(e.to)
+				low[p] = min(low[p], low[e.to])
+			} else if comp[e.to] == 0 {
+				low[p] = min(low[p], index[e.to]) // still on the stack
+			}
+		}
+		if low[p] != index[p] {
+			return
+		}
+		i := len(stack) - 1
+		for stack[i] != p {
+			i--
+		}
+		members := stack[i:]
+		stack = stack[:i]
+		id := index[p] + 1
+		for _, m := range members {
+			comp[m] = id
+		}
+		level := 0
+		for _, m := range members {
+			for _, e := range reads[m] {
+				switch {
+				case comp[e.to] != id:
+					level = max(level, g.stratum[e.to]+1)
+				case e.strict:
+					if err == nil {
+						err = fmt.Errorf("datalog: program not stratifiable: cycle through negation/aggregation at %s", m)
 					}
+				default:
+					g.recursive[m] = true
 				}
 			}
 		}
-		if !changed {
-			break
-		}
-		if iter > n+1 {
-			return nil, 0, fmt.Errorf("datalog: stratification did not converge")
+		for _, m := range members {
+			g.stratum[m] = level
+			g.numStrata = max(g.numStrata, level+1)
 		}
 	}
-	max := 0
-	for p := range preds {
-		if stratum[p] > max {
-			max = stratum[p]
+	for _, r := range prog.Rules {
+		if _, seen := index[r.Head.Pred]; !seen {
+			visit(r.Head.Pred)
 		}
 	}
-	return stratum, max + 1, nil
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }

@@ -81,16 +81,19 @@ type compiledRule struct {
 	steps []stepMeta
 	nVars int
 	head  []headSlot
-	// headSet is the head predicate's fact set (assigned by NewEngine).
-	headSet *factSet
+	// headSet is the head predicate's fact set, headDelta its semi-naive
+	// delta when the head is recursive (both assigned by NewEngine).
+	headSet   *factSet
+	headDelta *delta
 
 	hasAgg   bool
 	groupIdx []int // head positions that are group-by (non-aggregate) slots
 	aggIdx   []int // head positions that are aggregates
 
-	// atomPreds lists the predicate of every positive atom occurrence, in
-	// occIndex order.
-	atomPreds []string
+	// occDeltas holds, per positive atom occurrence in occIndex order, the
+	// delta a semi-naive pass substitutes for it: set only where the
+	// occurrence reads a recursive predicate of the rule's own stratum.
+	occDeltas []*delta
 
 	// fns is the compiled step chain (see eval.go): one specialised closure
 	// per body literal plus the head-emitting terminal, built by NewEngine
@@ -118,15 +121,14 @@ type ruleScratch struct {
 }
 
 // deltaPasses appends one work item per positive occurrence of this rule
-// whose predicate has a pending non-empty delta, with that occurrence reading
-// the delta (the per-occurrence pass schedule of semi-naive evaluation).
-func (c *compiledRule) deltaPasses(items []workItem, deltas map[string]*factSet) []workItem {
-	for occ, pred := range c.atomPreds {
-		d := deltas[pred]
-		if d == nil || d.len() == 0 {
+// whose delta the last pass filled, with that occurrence reading the delta
+// (the per-occurrence pass schedule of semi-naive evaluation).
+func (c *compiledRule) deltaPasses(items []workItem) []workItem {
+	for occ, d := range c.occDeltas {
+		if d == nil || d.cur.len() == 0 {
 			continue
 		}
-		items = append(items, workItem{ri: c.idx, spec: evalSpec{delta: d, deltaOcc: occ}})
+		items = append(items, workItem{ri: c.idx, spec: evalSpec{delta: d.cur, deltaOcc: occ}})
 	}
 	return items
 }
@@ -222,7 +224,6 @@ func compileRule(r Rule) (*compiledRule, error) {
 			if !l.Negated {
 				m.occIndex = occ
 				occ++
-				c.atomPreds = append(c.atomPreds, l.Atom.Pred)
 			}
 		case LitCmp:
 			var err error

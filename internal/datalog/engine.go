@@ -5,13 +5,15 @@ import (
 	"iter"
 	"slices"
 
-	"repro/internal/arena"
 	"repro/internal/relation"
 )
 
-// Engine evaluates a Datalog program bottom-up, stratum by stratum, using
-// semi-naive evaluation within each stratum. The program is compiled once;
-// EDB relations are supplied per run.
+// Engine evaluates a Datalog program bottom-up, stratum by stratum. The
+// strata are the dependency graph's components (Stratify), so a stratum
+// without recursion is complete after one pass over its rules; a recursive
+// one continues with semi-naive passes over the deltas of its recursive
+// predicates, the only predicates that keep deltas. The program is compiled
+// once; EDB relations are supplied per run.
 //
 // The engine keeps one fact set per predicate for its whole life, and that
 // set is the only copy of the predicate's tuples: SetEDB stages rows that the
@@ -36,24 +38,20 @@ import (
 //
 // The engine is single-caller and evaluates on the calling goroutine.
 type Engine struct {
-	prog      *Program
-	compiled  []*compiledRule
-	stratumOf map[string]int
-	numStrata int
-	rulesBy   [][]int // stratum -> rule indexes
-	idb       map[string]bool
+	prog     *Program
+	compiled []*compiledRule
+	depGraph
+	rulesBy [][]int // stratum -> rule indexes
+	idb     map[string]bool
 
 	// masks lists, per predicate, the column subsets the compiled rules look
 	// up; fact sets for the predicate eagerly maintain one index per mask.
 	masks map[string][][]int
 
-	// dependents maps a body predicate to the head predicates that consume
-	// it (the edge set of the dependency graph, for affected-closure
-	// computation).
-	dependents map[string][]string
-
-	// Naive switches off the delta optimisation; used by tests to verify the
-	// semi-naive evaluator against the textbook fixpoint.
+	// Naive switches off the delta optimisation: every stratum repeats full
+	// passes over its rules until one derives nothing new, whichever
+	// predicates are recursive. Tests use it to verify the semi-naive
+	// evaluator against the textbook fixpoint.
 	Naive bool
 
 	// facts holds the one copy of every predicate's tuples, EDB and derived
@@ -67,35 +65,36 @@ type Engine struct {
 	// warm is true once facts reflects a completed run over the current EDB.
 	warm bool
 
-	// Round-scoped allocation reuse. Delta sets and the per-stratum delta
-	// maps live exactly one run: they are leased from
-	// per-predicate pools (setPool/mapPool) and released — reset with their
-	// capacity retained — when the run ends, so a steady-state warm round
-	// re-fills retained memory instead of allocating. Leased sets clone
-	// their copy-on-insert tuples into roundArena, reset with the leases
-	// (persistent fact sets never lease and never touch the arena). workBuf
-	// recycles the per-pass work-item slice, ruleBuf recomputeAffected's
-	// per-stratum rule selection, affected and roots the affected-closure
-	// map and its root list.
-	setPool    map[string][]*factSet
-	leased     []leasedSet
-	mapPool    []map[string]*factSet
-	mapsOut    []map[string]*factSet
-	roundArena arena.Slab[relation.Value]
-	workBuf    []workItem
-	ruleBuf    []int
-	affected   map[string]bool
-	roots      []string
+	// deltasBy lists, per stratum, the semi-naive deltas of its recursive
+	// predicates (see delta).
+	deltasBy [][]*delta
+
+	// emitSet and emitDelta are the head fact set and delta of the rule
+	// being evaluated, read by emit (the engine's emitFact, bound once), so
+	// no pass or stratum allocates a sink. workBuf recycles the per-pass
+	// work-item slice, ruleBuf recomputeAffected's per-stratum rule
+	// selection, affected and roots the affected-closure map and its root
+	// list.
+	emitSet   *factSet
+	emitDelta *delta
+	emit      emitFn
+	workBuf   []workItem
+	ruleBuf   []int
+	affected  map[string]bool
+	roots     []string
 
 	// Stats from the last Run or RunIncremental.
 	Stats RunStats
 }
 
-// leasedSet records one round-leased fact set for release into its
-// predicate's pool.
-type leasedSet struct {
-	pred string
-	f    *factSet
+// delta is the semi-naive state of one recursive predicate: cur holds the
+// facts the last pass derived, which the next pass's delta occurrences read,
+// and next collects those the running pass derives. Each set is created on
+// the first fact it receives and reused for the engine's lifetime; both are
+// empty between strata.
+type delta struct {
+	pred      string
+	cur, next *factSet
 }
 
 // Evaluation strategies reported in RunStats.Strategy.
@@ -111,7 +110,7 @@ const (
 
 // RunStats reports evaluation effort for one run.
 type RunStats struct {
-	Iterations   int // total semi-naive iterations across strata
+	Iterations   int // passes over a stratum's rules, summed over strata
 	FactsDerived int // IDB facts derived (deduplicated)
 	RuleFirings  int // successful head emissions, pre-deduplication
 	// Incremental is true when the run took a warm-start path (retained
@@ -136,23 +135,23 @@ type EDBDelta struct {
 
 // NewEngine compiles the program.
 func NewEngine(prog *Program) (*Engine, error) {
-	stratumOf, numStrata, err := Stratify(prog)
+	g, err := analyze(prog)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		prog:       prog,
-		stratumOf:  stratumOf,
-		numStrata:  numStrata,
-		idb:        prog.IDB(),
-		facts:      make(map[string]*factSet),
-		staged:     make(map[string][]relation.Tuple),
-		masks:      make(map[string][][]int),
-		dependents: make(map[string][]string),
-		setPool:    make(map[string][]*factSet),
-		affected:   make(map[string]bool),
+		prog:     prog,
+		depGraph: *g,
+		idb:      prog.IDB(),
+		facts:    make(map[string]*factSet),
+		staged:   make(map[string][]relation.Tuple),
+		masks:    make(map[string][][]int),
+		affected: make(map[string]bool),
 	}
-	e.rulesBy = make([][]int, numStrata)
+	e.emit = e.emitFact
+	e.rulesBy = make([][]int, e.numStrata)
+	e.deltasBy = make([][]*delta, e.numStrata)
+	deltaOf := make(map[string]*delta)
 	for i, r := range prog.Rules {
 		c, err := compileRule(r)
 		if err != nil {
@@ -160,11 +159,16 @@ func NewEngine(prog *Program) (*Engine, error) {
 		}
 		c.idx = i
 		e.compiled = append(e.compiled, c)
-		s := stratumOf[r.Head.Pred]
+		h := r.Head.Pred
+		s := e.stratum[h]
 		e.rulesBy[s] = append(e.rulesBy[s], i)
+		if e.recursive[h] && deltaOf[h] == nil {
+			deltaOf[h] = &delta{pred: h}
+			e.deltasBy[s] = append(e.deltasBy[s], deltaOf[h])
+		}
 	}
 	// Register every probed column mask with its predicate and resolve each
-	// step to its index slot; the dependency graph rides along.
+	// step to its index slot.
 	for _, c := range e.compiled {
 		for si := range c.steps {
 			m := &c.steps[si]
@@ -180,23 +184,26 @@ func NewEngine(prog *Program) (*Engine, error) {
 	for pred := range prog.Arities {
 		e.facts[pred] = e.newSet(pred)
 	}
+	// A rule reads a delta only where it reads a recursive predicate of its
+	// own stratum, that is, of its head's component.
 	for _, c := range e.compiled {
-		c.headSet = e.facts[c.rule.Head.Pred]
+		h := c.rule.Head.Pred
+		c.headSet, c.headDelta = e.facts[h], deltaOf[h]
 		for si := range c.steps {
-			if m := &c.steps[si]; m.lit.Kind == LitAtom {
-				m.set = e.facts[m.lit.Atom.Pred]
-			}
-		}
-	}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.Kind != LitAtom {
+			m := &c.steps[si]
+			if m.lit.Kind != LitAtom {
 				continue
 			}
-			p := l.Atom.Pred
-			if !slices.Contains(e.dependents[p], r.Head.Pred) {
-				e.dependents[p] = append(e.dependents[p], r.Head.Pred)
+			q := m.lit.Atom.Pred
+			m.set = e.facts[q]
+			if m.occIndex < 0 {
+				continue
 			}
+			var d *delta
+			if e.stratum[q] == e.stratum[h] {
+				d = deltaOf[q]
+			}
+			c.occDeltas = append(c.occDeltas, d)
 		}
 	}
 	return e, nil
@@ -254,72 +261,6 @@ func (e *Engine) newSet(pred string) *factSet {
 	return newFactSet(e.prog.Arities[pred], e.masks[pred])
 }
 
-// Pools are capped so one deep cold run (whose fixpoint leases a set per
-// predicate per iteration) cannot pin memory proportional to its depth;
-// steady-state warm rounds use far fewer leases than the caps.
-const (
-	maxPooledSetsPerPred = 8
-	maxPooledMaps        = 16
-)
-
-// leaseSet leases a round-scoped fact set for pred: taken from the
-// predicate's pool when one is available, released (reset, capacity
-// retained) by releaseRound when the run ends. Leased sets clone
-// copy-on-insert tuples into the round arena — they must never be stored
-// into state that outlives the run (e.facts always gets newSet sets, and
-// tuples leaving a leased set for a persistent one are re-cloned).
-func (e *Engine) leaseSet(pred string) *factSet {
-	var f *factSet
-	if pl := e.setPool[pred]; len(pl) > 0 {
-		f = pl[len(pl)-1]
-		pl[len(pl)-1] = nil
-		e.setPool[pred] = pl[:len(pl)-1]
-	} else {
-		f = e.newSet(pred)
-	}
-	f.clones = &e.roundArena
-	e.leased = append(e.leased, leasedSet{pred, f})
-	return f
-}
-
-// leaseMap leases a round-scoped predicate-to-set map.
-func (e *Engine) leaseMap() map[string]*factSet {
-	var m map[string]*factSet
-	if n := len(e.mapPool); n > 0 {
-		m = e.mapPool[n-1]
-		e.mapPool[n-1] = nil
-		e.mapPool = e.mapPool[:n-1]
-	} else {
-		m = make(map[string]*factSet)
-	}
-	e.mapsOut = append(e.mapsOut, m)
-	return m
-}
-
-// releaseRound returns every leased set and map to its pool (reset, capacity
-// retained, pool size capped) and recycles the round arena. Runs once per
-// Run/RunIncremental, after which no round-scoped structure is reachable.
-func (e *Engine) releaseRound() {
-	for i, ls := range e.leased {
-		ls.f.clones = nil
-		if pl := e.setPool[ls.pred]; len(pl) < maxPooledSetsPerPred {
-			ls.f.reset()
-			e.setPool[ls.pred] = append(pl, ls.f)
-		}
-		e.leased[i] = leasedSet{}
-	}
-	e.leased = e.leased[:0]
-	for i, m := range e.mapsOut {
-		if len(e.mapPool) < maxPooledMaps {
-			clear(m)
-			e.mapPool = append(e.mapPool, m)
-		}
-		e.mapsOut[i] = nil
-	}
-	e.mapsOut = e.mapsOut[:0]
-	e.roundArena.Reset()
-}
-
 // factsFor returns (creating if needed) the fact set of pred.
 func (e *Engine) factsFor(pred string) *factSet {
 	f, ok := e.facts[pred]
@@ -334,7 +275,6 @@ func (e *Engine) factsFor(pred string) *factSet {
 // all derived facts from any previous run. It is the cold path and the
 // correctness oracle for RunIncremental.
 func (e *Engine) Run() error {
-	defer e.releaseRound()
 	// Invalidate warm state up front: a mid-run error must not leave
 	// half-built fact sets behind a warm flag.
 	e.warm = false
@@ -376,7 +316,7 @@ func (e *Engine) deriveAll() error {
 		return err
 	}
 	for s := 0; s < e.numStrata; s++ {
-		if err := e.runStratum(e.rulesBy[s]); err != nil {
+		if err := e.runStratum(s, e.rulesBy[s]); err != nil {
 			return err
 		}
 	}
@@ -437,8 +377,6 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 			}
 		}
 	}
-	defer e.releaseRound()
-
 	// Roots of the change: delta'd predicates plus SetEDB replacements.
 	roots := e.roots[:0]
 	for pred := range e.staged {
@@ -524,7 +462,7 @@ func (e *Engine) recomputeAffected(affected map[string]bool) error {
 			}
 		}
 		e.ruleBuf = idx[:0]
-		if err := e.runStratum(idx); err != nil {
+		if err := e.runStratum(s, idx); err != nil {
 			return err
 		}
 	}
@@ -558,9 +496,12 @@ type workItem struct {
 	spec evalSpec
 }
 
-// runStratum evaluates the given rules of one stratum to fixpoint: every rule
-// in full once, then the semi-naive delta loop.
-func (e *Engine) runStratum(ruleIdx []int) error {
+// runStratum evaluates the given rules of stratum s to fixpoint: every rule
+// in full once, then, while a recursive predicate of the stratum gained
+// facts, one semi-naive pass per occurrence of such a predicate, reading
+// only the facts the previous pass derived. A stratum without recursion is
+// complete after the first pass: its rules read only lower strata.
+func (e *Engine) runStratum(s int, ruleIdx []int) error {
 	if len(ruleIdx) == 0 {
 		return nil
 	}
@@ -577,44 +518,11 @@ func (e *Engine) runStratum(ruleIdx []int) error {
 		}
 	}
 
-	delta := e.leaseMap()
-	// One emit closure serves every work item of the stratum: the current
-	// head predicate and next-delta map travel in the captured variables
-	// instead of a fresh closure per item. It inserts a derived head tuple
-	// into the full fact set (clone on genuine insertion) and records new
-	// facts in the predicate's next delta, leased on first use.
-	var emitPred string
-	var emitSet *factSet
-	var emitNext map[string]*factSet
-	emit := func(t relation.Tuple) error {
-		e.Stats.RuleFirings++
-		added, stored, err := emitSet.add(t, true)
-		if err != nil || !added {
-			return err
-		}
-		e.Stats.FactsDerived++
-		d, ok := emitNext[emitPred]
-		if !ok {
-			d = e.leaseSet(emitPred)
-			d.arity = emitSet.arity
-			emitNext[emitPred] = d
-		}
-		_, _, err = d.add(stored, false)
-		return err
+	deltas := e.deltasBy[s]
+	for _, d := range deltas { // a failed run may have left facts behind
+		d.cur.reset()
+		d.next.reset()
 	}
-	// evalPass runs one pass's work items.
-	evalPass := func(items []workItem, next map[string]*factSet) error {
-		emitNext = next
-		for _, it := range items {
-			c := e.compiled[it.ri]
-			emitPred, emitSet = c.rule.Head.Pred, c.headSet
-			if err := e.evalRule(c, it.spec, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	items := e.workBuf[:0]
 	for _, ri := range ruleIdx {
 		c := e.compiled[ri]
@@ -624,45 +532,70 @@ func (e *Engine) runStratum(ruleIdx []int) error {
 		items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
 	}
 	e.workBuf = items[:0]
-	if err := evalPass(items, delta); err != nil {
-		return err
-	}
-	e.Stats.Iterations++
-
-	for {
-		anyDelta := false
-		for _, d := range delta {
-			if d.len() > 0 {
-				anyDelta = true
-				break
-			}
-		}
-		if !anyDelta {
-			return nil
-		}
-		next := e.leaseMap()
-		items := e.workBuf[:0]
-		for _, ri := range ruleIdx {
-			c := e.compiled[ri]
-			if c.hasAgg || c.rule.IsFact() {
-				continue
-			}
-			if e.Naive {
-				items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
-				continue
-			}
-			// One pass per occurrence of a predicate with pending delta,
-			// with that occurrence reading only the delta. A rule with no
-			// delta'd body atom cannot fire again and is skipped implicitly.
-			items = c.deltaPasses(items, delta)
-		}
-		e.workBuf = items[:0]
-		if err := evalPass(items, next); err != nil {
+	for len(items) > 0 {
+		derived := e.Stats.FactsDerived
+		if err := e.evalPass(items); err != nil {
 			return err
 		}
 		e.Stats.Iterations++
-		delta = next
+		if e.Naive {
+			if e.Stats.FactsDerived == derived {
+				return nil
+			}
+			continue
+		}
+		if len(deltas) == 0 {
+			return nil
+		}
+		for _, d := range deltas {
+			d.cur, d.next = d.next, d.cur
+			d.next.reset()
+		}
+		items = e.workBuf[:0]
+		for _, ri := range ruleIdx {
+			if c := e.compiled[ri]; !c.hasAgg && !c.rule.IsFact() {
+				items = c.deltaPasses(items)
+			}
+		}
+		e.workBuf = items[:0]
 	}
+	return nil
+}
+
+// evalPass evaluates one pass's work items into their heads' fact sets.
+func (e *Engine) evalPass(items []workItem) error {
+	for _, it := range items {
+		c := e.compiled[it.ri]
+		e.emitSet, e.emitDelta = c.headSet, c.headDelta
+		if e.Naive {
+			e.emitDelta = nil
+		}
+		if err := e.evalRule(c, it.spec, e.emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitFact is the sink of every non-aggregate rule evaluation: it inserts a
+// derived head tuple into the head's fact set (cloned on genuine insertion)
+// and, for a recursive head, records the new fact in its next delta.
+func (e *Engine) emitFact(t relation.Tuple) error {
+	e.Stats.RuleFirings++
+	added, stored, err := e.emitSet.add(t, true)
+	if err != nil || !added {
+		return err
+	}
+	e.Stats.FactsDerived++
+	d := e.emitDelta
+	if d == nil {
+		return nil
+	}
+	if d.next == nil {
+		d.next = e.newSet(d.pred)
+	}
+	_, _, err = d.next.add(stored, false)
+	return err
 }
 
 // evalSpec parameterises one evalRule call: delta substitutes the

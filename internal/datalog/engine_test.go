@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/rules"
 )
 
 func run(t *testing.T, src string, edb map[string][]relation.Tuple, query string) *relation.Relation {
@@ -318,6 +319,46 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 	if e.Stats.FactsDerived != 3 || e.Stats.Iterations < 2 {
 		t.Errorf("stats: %+v", e.Stats)
+	}
+}
+
+// TestSS2PLColdRunTakesOnePassPerStratum: no rule text in internal/rules
+// is recursive, so every stratum of the SS2PL program is complete after one
+// pass over its rules, and no pass derives into a semi-naive delta.
+func TestSS2PLColdRunTakesOnePassPerStratum(t *testing.T) {
+	e, err := NewEngine(MustParse(rules.SS2PLDatalog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ops := []string{"r", "w"}
+	var pending, history []relation.Tuple
+	for id := int64(0); id < 50; id++ {
+		pending = append(pending, relation.Tuple{relation.Int(id), relation.Int(id / 2),
+			relation.Int(id % 2), relation.String(ops[rng.Intn(2)]), relation.Int(rng.Int63n(16))})
+	}
+	for id := int64(100); id < 140; id++ {
+		op := ops[rng.Intn(2)]
+		if id%8 == 0 {
+			op = "c"
+		}
+		history = append(history, relation.Tuple{relation.Int(id), relation.Int(30 + id%12),
+			relation.Int(id % 3), relation.String(op), relation.Int(rng.Int63n(16))})
+	}
+	if err := e.SetEDB("request", pending); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetEDB("history", history); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.Iterations != e.numStrata {
+		t.Errorf("cold run took %d passes over %d strata", e.Stats.Iterations, e.numStrata)
+	}
+	if e.FactCount("blocked") == 0 || e.FactCount("qualified") == 0 {
+		t.Fatalf("instance too easy: %d blocked, %d qualified", e.FactCount("blocked"), e.FactCount("qualified"))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/arena"
 	"repro/internal/relation"
 )
 
@@ -18,8 +17,8 @@ import (
 // touch a constant number of cells however long a chain is (an index on a
 // one-valued column is one chain holding every row). Inserting costs the
 // amortised growth of the parallel arrays, the bucket arrays double together
-// when the tuple count reaches their length, and a reset-for-reuse set (the
-// engine leases round-scoped sets from a pool) re-fills retained capacity
+// when the tuple count reaches their length, and a reset set (a re-derived
+// predicate, a semi-naive delta between passes) re-fills retained capacity
 // without allocating — so, unlike a relation.Bag, a set never shrinks. The
 // index column masks are chosen at compile time (NewEngine registers the
 // bound positions of every atom occurrence), so indexes are maintained
@@ -29,11 +28,6 @@ type factSet struct {
 	tuples  []relation.Tuple
 	member  relation.Chain // over the whole tuple
 	indexes []index        // one per registered column mask
-
-	// clones, when non-nil, backs copy-on-insert clones (round-leased sets
-	// share the engine's round arena, reset when the round's leases are
-	// released). Persistent sets leave it nil and clone on the heap.
-	clones *arena.Slab[relation.Value]
 }
 
 // index is the equality index of a fact set over one column subset.
@@ -53,9 +47,10 @@ func newFactSet(arity int, masks [][]int) *factSet {
 
 // reset empties the set for reuse, retaining the tuple/link capacity and the
 // grown bucket arrays so the next round's fills allocate nothing. Tuple
-// references are dropped so recycled sets do not keep dead rows alive.
+// references are dropped so recycled sets do not keep dead rows alive. A nil
+// set (a delta that never held a fact) is empty already.
 func (f *factSet) reset() {
-	if len(f.tuples) == 0 {
+	if f == nil || len(f.tuples) == 0 {
 		return
 	}
 	clear(f.tuples)
@@ -86,10 +81,10 @@ func (f *factSet) find(t relation.Tuple, h uint64) int32 {
 }
 
 // add inserts a tuple, returning whether it was new and the instance the set
-// retains. With copyOnInsert the tuple is cloned before being stored — into
-// the round arena when one is attached — so callers may pass a reused scratch
-// buffer (the clone is only paid for genuinely new facts, not for the
-// duplicate derivations that dominate rule firing).
+// retains. With copyOnInsert the tuple is cloned before being stored, so
+// callers may pass a reused scratch buffer (the clone is only paid for
+// genuinely new facts, not for the duplicate derivations that dominate rule
+// firing).
 func (f *factSet) add(t relation.Tuple, copyOnInsert bool) (bool, relation.Tuple, error) {
 	if len(t) != f.arity {
 		return false, nil, fmt.Errorf("datalog: arity mismatch: tuple %d vs predicate %d", len(t), f.arity)
@@ -100,11 +95,7 @@ func (f *factSet) add(t relation.Tuple, copyOnInsert bool) (bool, relation.Tuple
 	}
 	stored := t
 	if copyOnInsert {
-		if f.clones != nil {
-			stored = relation.Tuple(f.clones.Clone(t))
-		} else {
-			stored = t.Clone()
-		}
+		stored = t.Clone()
 	}
 	if len(f.tuples) == f.member.Buckets() {
 		f.member.Grow(func(p int32) uint64 { return f.tuples[p].Hash() })
@@ -142,7 +133,13 @@ func (f *factSet) remove(t relation.Tuple) bool {
 	return true
 }
 
-func (f *factSet) len() int { return len(f.tuples) }
+// len counts the tuples; a nil set is empty.
+func (f *factSet) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.tuples)
+}
 
 // matchAt verifies that tuple t carries vals at the given columns.
 func matchAt(t relation.Tuple, cols []int, vals []relation.Value) bool {

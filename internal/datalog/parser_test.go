@@ -132,6 +132,42 @@ func TestStratifyLevels(t *testing.T) {
 	if st["e"] < st["c"] {
 		t.Errorf("e must not be below c: %v", st)
 	}
+
+	// A positive dependency across components sits strictly below: each of
+	// b, c, e reads the one before it, and none reads itself.
+	if !(st["b"] < st["c"] && st["c"] < st["e"]) {
+		t.Errorf("positive chain b < c < e not strictly layered: %v", st)
+	}
+
+	// A recursive component shares one stratum, above what it reads and
+	// below what reads it.
+	prog, err = Parse(`
+		base(X, Y) :- e(X, Y).
+		p(X, Y) :- base(X, Y).
+		p(X, Z) :- q(X, Y), base(Y, Z).
+		q(X, Y) :- p(X, Y).
+		top(X) :- p(X, _), not q(X, X).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, n, err = Stratify(prog); err != nil {
+		t.Fatal(err)
+	}
+	if st["p"] != st["q"] || st["base"] >= st["p"] || st["top"] <= st["q"] || n != 3 {
+		t.Errorf("recursive component p/q: strata %v, %d in all", st, n)
+	}
+
+	// Negation inside a component is still rejected, however long the
+	// cycle.
+	_, err = Parse(`
+		p(X) :- e(X), not r(X).
+		q(X) :- p(X).
+		r(X) :- q(X).
+	`)
+	if err == nil || !strings.Contains(err.Error(), "stratifiable") {
+		t.Errorf("negation inside a component accepted: %v", err)
+	}
 }
 
 func TestRuleString(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/arena"
 	"repro/internal/datalog"
 	"repro/internal/minisql"
 	"repro/internal/ra"
@@ -259,10 +258,10 @@ type DatalogProtocol struct {
 	// hand-over to the engine, refilled in place every round (the engine
 	// keeps the inserted tuples, never the slices). The delete-side tuples
 	// are only probes the engine never keeps, so they are carved from
-	// probes, which is reset at the start of each warm round.
+	// probes, one slice sized for the round's deletes before any is carved.
 	changed                          map[string]datalog.EDBDelta
 	reqIns, reqDel, histIns, histDel []relation.Tuple
-	probes                           arena.Slab[relation.Value]
+	probes                           []relation.Value
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -413,14 +412,10 @@ func ConsistencyRationing(classes map[int64]string) (*DatalogProtocol, error) {
 	return p, nil
 }
 
-// edbTuples refills dst with the EDB form of rs, each tuple carved by
-// newTuple: the request EDB's columns when extended (the SLA form), the five
-// history columns otherwise.
-func edbTuples(dst []relation.Tuple, rs []request.Request, extended bool, newTuple func(n int) []relation.Value) []relation.Tuple {
-	n := 5
-	if extended {
-		n = 7
-	}
+// edbTuples refills dst with the n-column EDB form of rs, each tuple carved
+// by newTuple: seven columns for the extended request EDB (the SLA form),
+// five for the others.
+func edbTuples(dst []relation.Tuple, rs []request.Request, n int, newTuple func(n int) []relation.Value) []relation.Tuple {
 	dst = dst[:0]
 	for _, r := range rs {
 		dst = append(dst, r.PutTuple(newTuple(n)))
@@ -470,17 +465,30 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 		return p.rebuild(pending, history)
 	}
 
-	p.probes.Reset()
 	changed := p.changed
 	clear(changed)
+	reqCols := 5
+	if p.extended {
+		reqCols = 7
+	}
+	// Size the probe slice first, so no tuple carved from it is moved by a
+	// later growth.
+	if n := reqCols*len(d.PendingRemoved) + 5*len(d.HistoryRemoved); cap(p.probes) < n {
+		p.probes = make([]relation.Value, n)
+	}
+	probes := p.probes[:0]
+	probe := func(n int) []relation.Value {
+		probes = probes[:len(probes)+n]
+		return probes[len(probes)-n : len(probes) : len(probes)]
+	}
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
-		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, p.extended, heapTuple)
-		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, p.extended, p.probes.Make)
+		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, reqCols, heapTuple)
+		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, reqCols, probe)
 		changed["request"] = datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
-		p.histIns = edbTuples(p.histIns, d.HistoryAppended, false, heapTuple)
-		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, false, p.probes.Make)
+		p.histIns = edbTuples(p.histIns, d.HistoryAppended, 5, heapTuple)
+		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, 5, probe)
 		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {

@@ -133,10 +133,11 @@ func IsObjectDecomposable(p Protocol) bool {
 	return ok && od.ObjectDecomposable()
 }
 
-// FCFS qualifies every pending request in arrival order. It is the
-// protocol-level expression of the scheduler's non-scheduling mode: the
-// middleware forwards everything and the server's own scheduler (or nothing)
-// does the work.
+// FCFS qualifies every pending request in arrival (ID) order: the paper's
+// non-scheduling baseline. The middleware executes qualified requests
+// through storage.Server.ExecScheduled, which takes no locks, so under FCFS
+// nothing orders conflicting requests, and a round costs the middleware's
+// own work plus one sort.
 type FCFS struct{}
 
 // Name implements Protocol.

@@ -157,8 +157,8 @@ blocked(TA2, I2) :- request(_, TA2, I2, "w", OBJ), request(_, TA1, _, "w", OBJ),
 qualified(ID, TA, I, OP, OBJ) :- request(ID, TA, I, OP, OBJ), not blocked(TA, I).
 `
 
-// FCFSDatalog qualifies every pending request (the scheduler's
-// non-scheduling pass-through mode expressed declaratively): ordering by
+// FCFSDatalog qualifies every pending request (protocol.FCFS, the paper's
+// non-scheduling baseline, expressed declaratively): ordering by
 // arrival happens in the scheduler, which always orders qualified requests
 // deterministically.
 const FCFSDatalog = `

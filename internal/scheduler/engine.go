@@ -4,9 +4,9 @@
 // scheduling round that moves the queue into the pending-request store, runs
 // the declarative protocol query against pending and history, executes the
 // qualified requests on the server as a batch, records them in the history
-// database (with garbage collection) and returns results to the clients. A
-// non-scheduling pass-through mode forwards requests unscheduled so that the
-// real declarative-scheduling overhead can be measured (Section 3.3).
+// database (with garbage collection) and returns results to the clients.
+// The paper's non-scheduling baseline (Section 3.3) is the protocol that
+// qualifies every pending request, protocol.FCFS.
 //
 // A round is five explicit stages — admit, qualify, resolve, commit,
 // execute — over the indexed stores of internal/store. Everything the next
@@ -48,25 +48,10 @@ import (
 	"repro/internal/store"
 )
 
-// Mode selects scheduling or pass-through operation.
-type Mode int
-
-// Modes.
-const (
-	// Scheduling runs the declarative protocol each round and executes only
-	// qualified requests, with the server's own scheduler disabled.
-	Scheduling Mode = iota
-	// PassThrough forwards requests to the server unscheduled; the server's
-	// native lock-based scheduler does the work (the paper's comparison
-	// mode).
-	PassThrough
-)
-
 // Config parameterises an Engine (the settings shared by all its shards).
 type Config struct {
 	Protocol protocol.Protocol
 	Server   *storage.Server
-	Mode     Mode
 	// GCEvery runs history garbage collection every n rounds (0 or 1 =
 	// every round; negative disables GC, for the ablation benchmark).
 	GCEvery int
@@ -144,14 +129,14 @@ type RoundResult struct {
 // PartitionedConfig parameterises an Engine with more than the defaults of
 // NewEngine: a shard count, a per-shard protocol factory and the rebalancer.
 type PartitionedConfig struct {
-	// Base carries the shared engine settings (server, mode, GC, log,
+	// Base carries the shared engine settings (server, GC, log,
 	// MaxBatch, starvation bound). Base.Protocol is ignored —
 	// each shard owns the instance Factory builds for it.
 	Base Config
 	// Partitions is the round-loop count (1..MaxPartitions).
 	Partitions int
-	// Factory builds one protocol instance per shard. Required in
-	// Scheduling mode; the protocol must claim per-object decomposability
+	// Factory builds one protocol instance per shard. Required; the
+	// protocol must claim per-object decomposability
 	// (protocol.ObjectDecomposable) when Partitions > 1 — cross-object
 	// protocols (SLA priority, wound-wait) cannot shard by object.
 	Factory func() protocol.Protocol
@@ -244,8 +229,8 @@ func NewPartitionedEngine(cfg PartitionedConfig) (*Engine, error) {
 	if cfg.Partitions < 1 || cfg.Partitions > MaxPartitions {
 		return nil, fmt.Errorf("scheduler: partitions must be in [1,%d], got %d", MaxPartitions, cfg.Partitions)
 	}
-	if cfg.Base.Mode == Scheduling && cfg.Factory == nil {
-		return nil, fmt.Errorf("scheduler: scheduling mode needs a protocol")
+	if cfg.Factory == nil {
+		return nil, fmt.Errorf("scheduler: config needs a protocol")
 	}
 	starve := cfg.Base.StarveAfter
 	if starve == 0 {
@@ -558,9 +543,6 @@ func (e *Engine) capQualified() {
 // then the waiting-age starvation bound — each over the union of the shards,
 // so a partitioned engine decides what one shard would.
 func (e *Engine) resolve() ([]int64, string) {
-	if e.cfg.Mode != Scheduling {
-		return nil, ""
-	}
 	// Protocol-declared aborts (wound-wait style prevention): the protocol's
 	// own wound decision takes precedence over reactive deadlock detection.
 	if victims := e.wounds(); len(victims) > 0 {

@@ -11,12 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-func newEngine(t *testing.T, mode Mode, rows int) *Engine {
+func newEngine(t *testing.T, rows int) *Engine {
 	t.Helper()
 	e, err := NewEngine(Config{
 		Protocol: protocol.SS2PLDatalog(),
 		Server:   storage.NewServer(storage.Config{Rows: rows}),
-		Mode:     mode,
 		KeepLog:  true,
 	})
 	if err != nil {
@@ -26,7 +25,7 @@ func newEngine(t *testing.T, mode Mode, rows int) *Engine {
 }
 
 func TestEngineSingleTransactionDrains(t *testing.T) {
-	e := newEngine(t, Scheduling, 10)
+	e := newEngine(t, 10)
 	tx := request.NewBuilder(1, nil).Read(2).Write(2).Commit()
 	e.Enqueue(tx.Requests...)
 	res, err := e.Round()
@@ -49,7 +48,7 @@ func TestEngineSingleTransactionDrains(t *testing.T) {
 }
 
 func TestEngineBlocksConflictingBatch(t *testing.T) {
-	e := newEngine(t, Scheduling, 10)
+	e := newEngine(t, 10)
 	t1 := request.NewBuilder(1, nil).Write(5).Commit()
 	t2 := request.NewBuilder(2, nil).Write(5).Commit()
 	e.Enqueue(t1.Requests[0], t2.Requests[0])
@@ -82,7 +81,7 @@ func TestEngineBlocksConflictingBatch(t *testing.T) {
 }
 
 func TestEngineResolvesDeadlock(t *testing.T) {
-	e := newEngine(t, Scheduling, 10)
+	e := newEngine(t, 10)
 	// ta1 holds 1, ta2 holds 2 (via history), then they cross.
 	t1a := request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: 1}
 	t2a := request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 2}
@@ -274,10 +273,12 @@ func TestEngineWoundWaitClosedLoopSerializable(t *testing.T) {
 	}
 }
 
+// TestEnginePassThroughForwardsEverything: the paper's non-scheduling
+// baseline is FCFS, which executes conflicting requests in one round.
 func TestEnginePassThroughForwardsEverything(t *testing.T) {
 	e, err := NewEngine(Config{
-		Server: storage.NewServer(storage.Config{Rows: 10}),
-		Mode:   PassThrough,
+		Protocol: protocol.FCFS{},
+		Server:   storage.NewServer(storage.Config{Rows: 10}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +346,7 @@ func TestEngineMaxBatchAdmissionControl(t *testing.T) {
 }
 
 func TestEngineRTERelation(t *testing.T) {
-	e := newEngine(t, Scheduling, 10)
+	e := newEngine(t, 10)
 	if e.RTE().Len() != 0 {
 		t.Fatal("rte not empty before first round")
 	}
@@ -494,7 +495,7 @@ func TestMiddlewareStopFailsInflight(t *testing.T) {
 // strategy (the path its incremental evaluation took) lands in the round stats, and
 // the collector's summary tallies it.
 func TestEngineRoundReportsStrategy(t *testing.T) {
-	e := newEngine(t, Scheduling, 10)
+	e := newEngine(t, 10)
 	col := metrics.NewCollector()
 	for round := 0; round < 3; round++ {
 		tx := request.NewBuilder(int64(round+1), nil).Read(int64(round % 10)).Commit()

@@ -156,31 +156,25 @@ func (sh *shard) admitAndQualify() error {
 // protocols the stores' accumulated change log.
 func (sh *shard) qualify() error {
 	var qualified []request.Request
+	var err error
 	evalStart := time.Now()
-	switch sh.eng.cfg.Mode {
-	case PassThrough:
-		qualified = append(qualified, sh.pending.Live()...)
-		protocol.ByID(qualified)
-	default:
-		var err error
-		if ip, ok := sh.proto.(protocol.IncrementalProtocol); ok {
-			var d protocol.Deltas
-			sh.pending.Deltas(&d)
-			sh.hist.Deltas(&d)
-			qualified, err = ip.QualifyIncremental(sh.pending.Live(), sh.hist.Live(), d)
-		} else {
-			qualified, err = sh.proto.Qualify(sh.pending.Live(), sh.hist.Live())
-		}
-		if err != nil {
-			return fmt.Errorf("scheduler: round %d: %w", sh.round, err)
-		}
+	if ip, ok := sh.proto.(protocol.IncrementalProtocol); ok {
+		var d protocol.Deltas
+		sh.pending.Deltas(&d)
+		sh.hist.Deltas(&d)
+		qualified, err = ip.QualifyIncremental(sh.pending.Live(), sh.hist.Live(), d)
+	} else {
+		qualified, err = sh.proto.Qualify(sh.pending.Live(), sh.hist.Live())
+	}
+	if err != nil {
+		return fmt.Errorf("scheduler: round %d: %w", sh.round, err)
 	}
 	// The protocol consumed the accumulated change set; start the next one.
 	sh.pending.ResetDeltas()
 	sh.hist.ResetDeltas()
 	sh.qual = qualified
 	sh.stats.Duration = time.Since(evalStart)
-	if sr, ok := sh.proto.(protocol.StrategyReporter); ok && sh.eng.cfg.Mode == Scheduling {
+	if sr, ok := sh.proto.(protocol.StrategyReporter); ok {
 		sh.stats.Strategy = sr.LastStrategy()
 	}
 	return nil

@@ -29,7 +29,7 @@ run() {
 run "${bin}/declsched" -clients 4 -txns 2 -reads 2 -writes 2 -objects 64 -check
 run "${bin}/declsched" -protocol ss2pl-sql -clients 4 -txns 2 -reads 2 -writes 2 -objects 64 -check
 run "${bin}/declsched" -protocol ss2pl-sql -partitions 4 -clients 4 -txns 2 -reads 2 -writes 2 -objects 64 -check
-run "${bin}/declsched" -protocol fcfs -passthrough -clients 2 -txns 1 -reads 1 -writes 1 -objects 16
+run "${bin}/declsched" -protocol fcfs -clients 2 -txns 1 -reads 1 -writes 1 -objects 16
 # The partitioned round loop: sharded scheduler over a hot-key workload, with
 # the merged-log serializability check on — once on the static slot table and
 # once with the online rebalancer moving hot slots mid-run.
