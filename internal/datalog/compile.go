@@ -31,15 +31,13 @@ type stepMeta struct {
 	// known (constants and already-bound variables).
 	lookupCols []int
 	lookupSrc  []valSrc
-	// lookupIdx is the position of this step's column mask among the fact
-	// set's registered indexes for the predicate, assigned by NewEngine
-	// (compile time knows exactly which column subsets are ever probed, so
-	// indexes are built eagerly and looked up by slot, never by parsing a
-	// mask string). -1 when lookupCols is empty (full scan).
-	lookupIdx int
 	// set is the atom's predicate's fact set, which lives as long as the
-	// engine (assigned by NewEngine).
-	set *factSet
+	// engine, and index its index over lookupCols (nil when lookupCols is
+	// empty: a full scan). Both are assigned by NewEngine, so compile time
+	// fixes exactly which column subsets are ever probed and each set
+	// maintains those indexes on every insert.
+	set   *relation.Bag
+	index *relation.BagIndex
 	// Positive atoms: tuple positions that bind fresh variables, in left to
 	// right order. bindRepeat[i] marks a later occurrence of a variable
 	// already bound at an earlier position of this atom: it is an equality
@@ -83,7 +81,7 @@ type compiledRule struct {
 	head  []headSlot
 	// headSet is the head predicate's fact set, headDelta its semi-naive
 	// delta when the head is recursive (both assigned by NewEngine).
-	headSet   *factSet
+	headSet   *relation.Bag
 	headDelta *delta
 
 	hasAgg   bool
@@ -97,7 +95,7 @@ type compiledRule struct {
 
 	// fns is the compiled step chain (see eval.go): one specialised closure
 	// per body literal plus the head-emitting terminal, built by NewEngine
-	// once every step's index slot is assigned.
+	// once every step holds its set and index.
 	fns []stepFn
 
 	// scratch is the rule's evaluation scratch.
@@ -106,9 +104,8 @@ type compiledRule struct {
 
 // ruleScratch holds the per-evaluation mutable state of one rule: the
 // variable environment, the head tuple buffer filled before emission and one
-// lookup-key buffer per step. Emitted
-// tuples reference headBuf and must be cloned by any sink that retains them
-// (factSet.add with copyOnInsert does exactly that).
+// lookup-key buffer per step. Emitted tuples reference headBuf and must be
+// cloned by any sink that retains them (insert with clone does exactly that).
 type ruleScratch struct {
 	env     []relation.Value
 	headBuf relation.Tuple
@@ -122,13 +119,24 @@ type ruleScratch struct {
 
 // deltaPasses appends one work item per positive occurrence of this rule
 // whose delta the last pass filled, with that occurrence reading the delta
-// (the per-occurrence pass schedule of semi-naive evaluation).
+// through its own index over it (the per-occurrence pass schedule of
+// semi-naive evaluation). The delta set builds that index on its first pass
+// and maintains it from then on, as the full set does.
 func (c *compiledRule) deltaPasses(items []workItem) []workItem {
-	for occ, d := range c.occDeltas {
-		if d == nil || d.cur.len() == 0 {
+	for i := range c.steps {
+		m := &c.steps[i]
+		if m.occIndex < 0 {
 			continue
 		}
-		items = append(items, workItem{ri: c.idx, spec: evalSpec{delta: d.cur, deltaOcc: occ}})
+		d := c.occDeltas[m.occIndex]
+		if d == nil || d.cur.DistinctLen() == 0 {
+			continue
+		}
+		spec := evalSpec{delta: d.cur, deltaOcc: m.occIndex}
+		if m.index != nil {
+			spec.deltaIndex = d.cur.IndexNullable(m.lookupCols)
+		}
+		items = append(items, workItem{ri: c.idx, spec: spec})
 	}
 	return items
 }
@@ -182,7 +190,7 @@ func compileRule(r Rule) (*compiledRule, error) {
 	occ := 0
 	for _, bi := range order {
 		l := r.Body[bi]
-		m := stepMeta{lit: l, occIndex: -1, lookupIdx: -1}
+		m := stepMeta{lit: l, occIndex: -1}
 		switch l.Kind {
 		case LitAtom:
 			// A variable first bound by an earlier position of this same atom

@@ -31,10 +31,11 @@ import (
 // unaffected predicates — and every unchanged EDB fact with its index
 // entries — are kept as-is.
 //
-// Index column masks are chosen at compile time: NewEngine registers the
-// bound positions of every atom occurrence with the predicate, so fact sets
-// build exactly the indexes the rules probe, eagerly, as flat hash chains
-// over the tuple positions (see factSet).
+// A fact set is a relation.Bag holding each fact at count 1 (see insert). Its
+// indexes are chosen at compile time: NewEngine asks each predicate's set for
+// an index over the bound positions of every atom occurrence, so the set
+// maintains exactly the indexes the rules probe, on every insert and delete,
+// and each step holds its index.
 //
 // The engine is single-caller and evaluates on the calling goroutine.
 type Engine struct {
@@ -43,10 +44,6 @@ type Engine struct {
 	depGraph
 	rulesBy [][]int // stratum -> rule indexes
 	idb     map[string]bool
-
-	// masks lists, per predicate, the column subsets the compiled rules look
-	// up; fact sets for the predicate eagerly maintain one index per mask.
-	masks map[string][][]int
 
 	// Naive switches off the delta optimisation: every stratum repeats full
 	// passes over its rules until one derives nothing new, whichever
@@ -57,8 +54,9 @@ type Engine struct {
 	// facts holds the one copy of every predicate's tuples, EDB and derived
 	// alike, for the engine's lifetime: a delta is applied to the predicate's
 	// set in place, a cold Run resets the IDB sets and re-derives them from
-	// the EDB sets. The sets are never replaced, only reset.
-	facts map[string]*factSet
+	// the EDB sets. The sets of the program's predicates are never replaced,
+	// only reset (see edbSet for the others).
+	facts map[string]*relation.Bag
 	// staged holds the rows SetEDB handed over since the last run; the next
 	// run loads each into its (reset) fact set and forgets the slice.
 	staged map[string][]relation.Tuple
@@ -75,7 +73,7 @@ type Engine struct {
 	// work-item slice, ruleBuf recomputeAffected's per-stratum rule
 	// selection, affected and roots the affected-closure map and its root
 	// list.
-	emitSet   *factSet
+	emitSet   *relation.Bag
 	emitDelta *delta
 	emit      emitFn
 	workBuf   []workItem
@@ -89,12 +87,11 @@ type Engine struct {
 
 // delta is the semi-naive state of one recursive predicate: cur holds the
 // facts the last pass derived, which the next pass's delta occurrences read,
-// and next collects those the running pass derives. Each set is created on
-// the first fact it receives and reused for the engine's lifetime; both are
-// empty between strata.
+// and next collects those the running pass derives. Both sets live as long
+// as the engine and are empty between strata; each gains the indexes the
+// delta occurrences probe on its first delta pass (deltaPasses).
 type delta struct {
-	pred      string
-	cur, next *factSet
+	cur, next *relation.Bag
 }
 
 // Evaluation strategies reported in RunStats.Strategy.
@@ -143,9 +140,8 @@ func NewEngine(prog *Program) (*Engine, error) {
 		prog:     prog,
 		depGraph: *g,
 		idb:      prog.IDB(),
-		facts:    make(map[string]*factSet),
+		facts:    make(map[string]*relation.Bag),
 		staged:   make(map[string][]relation.Tuple),
-		masks:    make(map[string][][]int),
 		affected: make(map[string]bool),
 	}
 	e.emit = e.emitFact
@@ -163,29 +159,17 @@ func NewEngine(prog *Program) (*Engine, error) {
 		s := e.stratum[h]
 		e.rulesBy[s] = append(e.rulesBy[s], i)
 		if e.recursive[h] && deltaOf[h] == nil {
-			deltaOf[h] = &delta{pred: h}
+			deltaOf[h] = &delta{cur: e.newSet(h), next: e.newSet(h)}
 			e.deltasBy[s] = append(e.deltasBy[s], deltaOf[h])
 		}
 	}
-	// Register every probed column mask with its predicate and resolve each
-	// step to its index slot.
-	for _, c := range e.compiled {
-		for si := range c.steps {
-			m := &c.steps[si]
-			if m.lit.Kind != LitAtom || len(m.lookupCols) == 0 {
-				continue
-			}
-			m.lookupIdx = e.registerMask(m.lit.Atom.Pred, m.lookupCols)
-		}
-		c.buildFns() // index slots are final: compile the step chain
-	}
-	// Every mask is registered: create the program's fact sets and hand each
-	// step and rule head its set, so evaluation looks no predicate up by name.
 	for pred := range prog.Arities {
 		e.facts[pred] = e.newSet(pred)
 	}
-	// A rule reads a delta only where it reads a recursive predicate of its
-	// own stratum, that is, of its head's component.
+	// Hand each step its predicate's set and the index it probes, and each
+	// rule head its set, so evaluation looks no predicate up by name. A rule
+	// reads a delta only where it reads a recursive predicate of its own
+	// stratum, that is, of its head's component.
 	for _, c := range e.compiled {
 		h := c.rule.Head.Pred
 		c.headSet, c.headDelta = e.facts[h], deltaOf[h]
@@ -196,6 +180,9 @@ func NewEngine(prog *Program) (*Engine, error) {
 			}
 			q := m.lit.Atom.Pred
 			m.set = e.facts[q]
+			if len(m.lookupCols) > 0 {
+				m.index = m.set.IndexNullable(m.lookupCols)
+			}
 			if m.occIndex < 0 {
 				continue
 			}
@@ -205,30 +192,9 @@ func NewEngine(prog *Program) (*Engine, error) {
 			}
 			c.occDeltas = append(c.occDeltas, d)
 		}
+		c.buildFns()
 	}
 	return e, nil
-}
-
-// registerMask records that pred is probed on cols, returning the index slot.
-func (e *Engine) registerMask(pred string, cols []int) int {
-	masks := e.masks[pred]
-	for i, m := range masks {
-		if len(m) != len(cols) {
-			continue
-		}
-		same := true
-		for j := range m {
-			if m[j] != cols[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return i
-		}
-	}
-	e.masks[pred] = append(masks, append([]int(nil), cols...))
-	return len(masks)
 }
 
 // SetEDB installs the tuples of an extensional predicate for the next run,
@@ -256,16 +222,29 @@ func (e *Engine) SetEDBRelation(pred string, r *relation.Relation) error {
 	return e.SetEDB(pred, r.Rows())
 }
 
-// newSet creates a fact set for pred with its registered indexes.
-func (e *Engine) newSet(pred string) *factSet {
-	return newFactSet(e.prog.Arities[pred], e.masks[pred])
+// newSet creates an empty fact set for pred.
+func (e *Engine) newSet(pred string) *relation.Bag {
+	return relation.NewBag(anySchema(e.prog.Arities[pred]))
 }
 
 // factsFor returns (creating if needed) the fact set of pred.
-func (e *Engine) factsFor(pred string) *factSet {
+func (e *Engine) factsFor(pred string) *relation.Bag {
 	f, ok := e.facts[pred]
 	if !ok {
 		f = e.newSet(pred)
+		e.facts[pred] = f
+	}
+	return f
+}
+
+// edbSet returns the fact set that incoming rows of pred go to. A predicate
+// the program never mentions takes the arity of the rows it is given while
+// its set is empty: the set is replaced by one of that arity. (No rule step
+// holds such a set.)
+func (e *Engine) edbSet(pred string, rows []relation.Tuple) *relation.Bag {
+	f := e.factsFor(pred)
+	if _, known := e.prog.Arities[pred]; !known && f.DistinctLen() == 0 && len(rows) > 0 && len(rows[0]) != f.Schema().Len() {
+		f = relation.NewBag(anySchema(len(rows[0])))
 		e.facts[pred] = f
 	}
 	return f
@@ -289,14 +268,11 @@ func (e *Engine) Run() error {
 // stays staged, so the next run starts it over.
 func (e *Engine) loadStaged() error {
 	for pred, rows := range e.staged {
-		f := e.factsFor(pred)
-		f.reset()
-		f.reserve(len(rows))
-		if len(rows) > 0 {
-			f.arity = len(rows[0])
-		}
+		e.factsFor(pred).Reset()
+		f := e.edbSet(pred, rows)
+		f.Reserve(len(rows))
 		for _, t := range rows {
-			if _, _, err := f.add(t, false); err != nil {
+			if err := insertEDB(f, t); err != nil {
 				return err
 			}
 		}
@@ -310,7 +286,7 @@ func (e *Engine) loadStaged() error {
 func (e *Engine) deriveAll() error {
 	e.Stats = RunStats{Strategy: StrategyCold}
 	for p := range e.idb {
-		e.factsFor(p).reset()
+		e.factsFor(p).Reset()
 	}
 	if err := e.addProgramFacts(nil); err != nil {
 		return err
@@ -335,9 +311,7 @@ func (e *Engine) addProgramFacts(only map[string]bool) error {
 		if err != nil {
 			return err
 		}
-		if _, _, err := e.factsFor(r.Head.Pred).add(t, false); err != nil {
-			return err
-		}
+		insert(e.factsFor(r.Head.Pred), t, false)
 	}
 	return nil
 }
@@ -363,8 +337,8 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		if !known {
 			if rows, staged := e.staged[pred]; staged && len(rows) > 0 {
 				want = len(rows[0])
-			} else if f, ok := e.facts[pred]; ok && !staged && f.len() > 0 {
-				want = f.arity
+			} else if f, ok := e.facts[pred]; ok && !staged && f.DistinctLen() > 0 {
+				want = f.Schema().Len()
 			} else if len(d.Insert) > 0 {
 				want = len(d.Insert[0])
 			} else {
@@ -409,12 +383,9 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 		return err
 	}
 	for pred, d := range changed {
-		f := e.factsFor(pred)
-		if f.len() == 0 && len(d.Insert) > 0 {
-			f.arity = len(d.Insert[0])
-		}
+		f := e.edbSet(pred, d.Insert)
 		for _, t := range d.Insert {
-			if _, _, err := f.add(t, false); err != nil {
+			if err := insertEDB(f, t); err != nil {
 				return err
 			}
 		}
@@ -422,7 +393,7 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 			// A delete of a fact the set never held means the caller's
 			// deltas diverged from the engine's EDB: refuse rather than
 			// answer from a stale one. (A tuple listed twice was held.)
-			if !f.remove(t) && !slices.ContainsFunc(d.Delete[:i], t.Equal) {
+			if _, ok := f.Remove(t, 1); !ok && !slices.ContainsFunc(d.Delete[:i], t.Equal) {
 				return fmt.Errorf("datalog: EDB %s: delete of absent tuple %s", pred, t)
 			}
 		}
@@ -448,7 +419,7 @@ func (e *Engine) recomputeAffected(affected map[string]bool) error {
 	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
 	for p := range affected {
 		if e.idb[p] {
-			e.factsFor(p).reset()
+			e.factsFor(p).Reset()
 		}
 	}
 	if err := e.addProgramFacts(affected); err != nil {
@@ -520,8 +491,8 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 
 	deltas := e.deltasBy[s]
 	for _, d := range deltas { // a failed run may have left facts behind
-		d.cur.reset()
-		d.next.reset()
+		d.cur.Reset()
+		d.next.Reset()
 	}
 	items := e.workBuf[:0]
 	for _, ri := range ruleIdx {
@@ -549,7 +520,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 		}
 		for _, d := range deltas {
 			d.cur, d.next = d.next, d.cur
-			d.next.reset()
+			d.next.Reset()
 		}
 		items = e.workBuf[:0]
 		for _, ri := range ruleIdx {
@@ -582,28 +553,25 @@ func (e *Engine) evalPass(items []workItem) error {
 // and, for a recursive head, records the new fact in its next delta.
 func (e *Engine) emitFact(t relation.Tuple) error {
 	e.Stats.RuleFirings++
-	added, stored, err := e.emitSet.add(t, true)
-	if err != nil || !added {
-		return err
-	}
-	e.Stats.FactsDerived++
-	d := e.emitDelta
-	if d == nil {
+	added, stored := insert(e.emitSet, t, true)
+	if !added {
 		return nil
 	}
-	if d.next == nil {
-		d.next = e.newSet(d.pred)
+	e.Stats.FactsDerived++
+	if d := e.emitDelta; d != nil {
+		d.next.Add(stored, 1) // new to the head set, so new to the delta
 	}
-	_, _, err = d.next.add(stored, false)
-	return err
+	return nil
 }
 
 // evalSpec parameterises one evalRule call: delta substitutes the
-// deltaOcc-th positive atom's fact set (semi-naive delta pass); deltaOcc ==
-// -1 reads all atoms from the full sets.
+// deltaOcc-th positive atom's fact set (semi-naive delta pass), and
+// deltaIndex that atom's index over it; deltaOcc == -1 reads all atoms from
+// the full sets.
 type evalSpec struct {
-	delta    *factSet
-	deltaOcc int
+	delta      *relation.Bag
+	deltaIndex *relation.BagIndex
+	deltaOcc   int
 }
 
 // evalAggregate evaluates an aggregate rule: the body is enumerated once
@@ -680,11 +648,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 				t[ai] = st.max
 			}
 		}
-		added, _, err := out.add(t, false)
-		if err != nil {
-			return err
-		}
-		if added {
+		if added, _ := insert(out, t, false); added {
 			e.Stats.FactsDerived++
 		}
 	}
@@ -696,7 +660,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 // maintaining incremental mirrors of the EDB.
 func (e *Engine) FactCount(pred string) int {
 	if f, ok := e.facts[pred]; ok {
-		return f.len()
+		return f.DistinctLen()
 	}
 	return 0
 }
@@ -706,7 +670,7 @@ func (e *Engine) FactCount(pred string) int {
 // empty zero-arity relation.
 func (e *Engine) Facts(pred string) *relation.Relation {
 	if f, ok := e.facts[pred]; ok {
-		return f.relation()
+		return f.Relation()
 	}
 	ar := e.prog.Arities[pred]
 	return relation.New(anySchema(ar))
@@ -718,7 +682,7 @@ func (e *Engine) Facts(pred string) *relation.Relation {
 func (e *Engine) FactSeq(pred string) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
 		if f, ok := e.facts[pred]; ok {
-			for _, t := range f.tuples {
+			for _, t := range f.Tuples() {
 				if !yield(t) {
 					return
 				}

@@ -7,13 +7,13 @@ import (
 	"repro/internal/relation"
 )
 
-// lookupCount counts the tuples matching vals on cols via the idx-th
-// registered index, walking the candidate chain the way the evaluator does.
-func lookupCount(f *factSet, idx int, cols []int, vals []relation.Value) int {
+// lookupCount counts the tuples of f matching vals on cols through f's index
+// over cols, walking the candidate chain the way the evaluator does.
+func lookupCount(f *relation.Bag, cols []int, vals []relation.Value) int {
 	n := 0
-	ix := &f.indexes[idx]
+	ix := f.IndexNullable(cols)
 	for p := ix.First(relation.HashValues(vals)); p >= 0; p = ix.Next(p) {
-		if matchAt(f.tuples[p], cols, vals) {
+		if matchAt(f.At(p), cols, vals) {
 			n++
 		}
 	}
@@ -21,44 +21,63 @@ func lookupCount(f *factSet, idx int, cols []int, vals []relation.Value) int {
 }
 
 func TestFactSetLookupPaths(t *testing.T) {
-	// One registered mask on column 0, maintained eagerly on every insert.
-	f := newFactSet(2, [][]int{{0}})
+	// A fact set with an index on column 0, maintained on every insert.
+	f := relation.NewBag(anySchema(2))
+	f.IndexNullable([]int{0})
 	for i := int64(0); i < 10; i++ {
-		added, _, err := f.add(relation.Tuple{relation.Int(i % 3), relation.Int(i)}, false)
-		if err != nil || !added {
-			t.Fatalf("add %d: %v %v", i, added, err)
+		if err := insertEDB(f, relation.Tuple{relation.Int(i % 3), relation.Int(i)}); err != nil {
+			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	if added, _, _ := f.add(relation.Tuple{relation.Int(0), relation.Int(0)}, false); added {
+	if added, _ := insert(f, relation.Tuple{relation.Int(0), relation.Int(0)}, false); added {
 		t.Error("duplicate added")
 	}
-	if f.len() != 10 {
-		t.Errorf("full scan: %d", f.len())
+	if f.DistinctLen() != 10 || f.Len() != 10 {
+		t.Errorf("full scan: %d distinct, %d copies", f.DistinctLen(), f.Len())
 	}
-	if got := lookupCount(f, 0, []int{0}, []relation.Value{relation.Int(0)}); got != 4 {
+	if got := lookupCount(f, []int{0}, []relation.Value{relation.Int(0)}); got != 4 {
 		t.Errorf("lookup col0=0: %d", got)
 	}
-	if _, _, err := f.add(relation.Tuple{relation.Int(0), relation.Int(99)}, false); err != nil {
+	if err := insertEDB(f, relation.Tuple{relation.Int(0), relation.Int(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := lookupCount(f, 0, []int{0}, []relation.Value{relation.Int(0)}); got != 5 {
+	if got := lookupCount(f, []int{0}, []relation.Value{relation.Int(0)}); got != 5 {
 		t.Errorf("index not maintained: %d", got)
 	}
-	if _, _, err := f.add(relation.Tuple{relation.Int(1)}, false); err == nil {
+	if err := insertEDB(f, relation.Tuple{relation.Int(1)}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	// Removal keeps the main buckets and every index consistent.
-	if !f.remove(relation.Tuple{relation.Int(0), relation.Int(0)}) {
+	// NULL unifies with NULL, so a NULL key is filed and found.
+	if err := insertEDB(f, relation.Tuple{relation.Null(), relation.Int(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookupCount(f, []int{0}, []relation.Value{relation.Null()}); got != 1 {
+		t.Errorf("lookup col0=NULL: %d", got)
+	}
+	// A cloning insert keeps its own copy of a reused buffer.
+	buf := relation.Tuple{relation.Int(5), relation.Int(5)}
+	if added, stored := insert(f, buf, true); !added || &stored[0] == &buf[0] {
+		t.Fatalf("cloning insert: added=%v, stored the buffer itself=%v", added, &stored[0] == &buf[0])
+	}
+	buf[0] = relation.Int(6)
+	if f.Count(relation.Tuple{relation.Int(5), relation.Int(5)}) != 1 {
+		t.Error("mutating the buffer changed the stored fact")
+	}
+	// Removal keeps the membership chain and every index consistent.
+	if _, ok := f.Remove(relation.Tuple{relation.Int(0), relation.Int(0)}, 1); !ok {
 		t.Fatal("remove existing")
 	}
-	if f.remove(relation.Tuple{relation.Int(0), relation.Int(0)}) {
+	if _, ok := f.Remove(relation.Tuple{relation.Int(0), relation.Int(0)}, 1); ok {
 		t.Error("double remove: removed tuple still present")
 	}
-	if got := lookupCount(f, 0, []int{0}, []relation.Value{relation.Int(0)}); got != 4 {
+	if got := lookupCount(f, []int{0}, []relation.Value{relation.Int(0)}); got != 4 {
 		t.Errorf("index after remove: %d", got)
 	}
-	if f.len() != 10 {
-		t.Errorf("len after remove: %d", f.len())
+	if f.DistinctLen() != 12 {
+		t.Errorf("len after remove: %d", f.DistinctLen())
+	}
+	if err := checkFactSet(f, []*relation.BagIndex{f.IndexNullable([]int{0})}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -183,5 +202,27 @@ func TestMixedTypesInPredicate(t *testing.T) {
 	}, "out")
 	if got.Len() != 2 {
 		t.Fatalf("mixed: %s", got)
+	}
+}
+
+// TestNullKeysUnifyInLookupsAndNegation: Datalog unifies NULL with NULL
+// (relation.Value.Equal), so an index probe on a NULL key finds the facts
+// filed under it and a negated atom over one blocks — which is why the rule
+// steps probe IndexNullable indexes, not the SQL join indexes that file NULL
+// keys nowhere.
+func TestNullKeysUnifyInLookupsAndNegation(t *testing.T) {
+	null := relation.Null()
+	edb := map[string][]relation.Tuple{
+		"a": {{null}, {relation.Int(1)}},
+		"b": {{null, relation.Int(5)}, {relation.Int(1), relation.Int(6)}},
+		"c": {{null}},
+	}
+	p := run(t, `p(X, Y) :- a(X), b(X, Y).`, edb, "p")
+	if p.Len() != 2 || !holds(p, relation.Tuple{null, relation.Int(5)}) {
+		t.Errorf("lookup on a NULL key: %s", p)
+	}
+	q := run(t, `q(X) :- a(X), not c(X).`, edb, "q")
+	if q.Len() != 1 || !holds(q, relation.Tuple{relation.Int(1)}) {
+		t.Errorf("negation on a NULL key: %s", q)
 	}
 }

@@ -413,3 +413,128 @@ func ExampleQuery() {
 	fmt.Println(out.Len(), "qualified")
 	// Output: 1 qualified
 }
+
+// TestRecursiveProbeSurvivesGrowth: a non-linear recursive rule probes the
+// predicate it is deriving, so inserts — and the bucket arrays doubling —
+// happen under a walk that stands in the middle of a chain. On a tree every
+// walk(X, Z, L) has exactly one derivation (the path is unique, and only its
+// last step may come from the length-1 facts), so a probe that loses its
+// place loses facts: every node must reach each of its descendants, once.
+// Random node names spread the index keys like random hashes.
+func TestRecursiveProbeSurvivesGrowth(t *testing.T) {
+	prog := MustParse(`
+		walk(X, Y, 1) :- edge(X, Y).
+		walk(X, Z, L) :- walk(X, Y, K), walk(Y, Z, 1), L = K + 1.
+	`)
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(400)
+		depth := make([]int, n)
+		name := make([]relation.Value, n) // random, so that hashes are too
+		for v := range name {
+			name[v] = relation.Int(rng.Int63())
+		}
+		var edges []relation.Tuple
+		want := 0
+		for v := 1; v < n; v++ {
+			parent := rng.Intn(v)
+			depth[v] = depth[parent] + 1
+			want += depth[v] // one walk from every ancestor
+			edges = append(edges, relation.Tuple{name[parent], name[v]})
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, naive := range []bool{false, true} {
+			e, err := NewEngine(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Naive = naive
+			if err := e.SetEDB("edge", edges); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.FactCount("walk"); got != want {
+				t.Fatalf("seed %d naive=%v: %d walk facts over a %d-node tree, want %d", seed, naive, got, n, want)
+			}
+			checkFactSetConsistency(t, e)
+		}
+	}
+}
+
+// TestColdRunAfterWarmDeltasMatchesFreshEngine guards the single EDB copy:
+// after a random sequence of warm batches with one wholesale SetEDB
+// replacement in the middle, a cold Run on the same engine — which re-derives
+// from the delta-maintained EDB sets — equals a fresh engine given the final
+// rows, and so does the warm state it replaces.
+func TestColdRunAfterWarmDeltasMatchesFreshEngine(t *testing.T) {
+	for pi, src := range multiDeltaPrograms {
+		prog := MustParse(src)
+		idb := prog.IDB()
+		var edbPreds, preds []string
+		for p := range prog.Arities {
+			preds = append(preds, p)
+			if !idb[p] {
+				edbPreds = append(edbPreds, p)
+			}
+		}
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed*31 + int64(pi)))
+			e, err := NewEngine(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			randRows := func(pred string, n int) []relation.Tuple {
+				rows := make([]relation.Tuple, n)
+				for i := range rows {
+					rows[i] = make(relation.Tuple, prog.Arities[pred])
+					for j := range rows[i] {
+						rows[i][j] = relation.Int(int64(rng.Intn(5)))
+					}
+				}
+				return rows
+			}
+			edb := map[string][]relation.Tuple{}
+			const steps = 12
+			replaceAt := 1 + rng.Intn(steps-2)
+			for step := 0; step < steps; step++ {
+				if step == replaceAt {
+					pred := edbPreds[rng.Intn(len(edbPreds))]
+					edb[pred] = randRows(pred, rng.Intn(6))
+					if err := e.SetEDB(pred, edb[pred]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				changed := make(map[string]EDBDelta)
+				for _, pred := range edbPreds {
+					var d EDBDelta
+					for _, row := range edb[pred] {
+						if rng.Intn(3) == 0 {
+							d.Delete = append(d.Delete, row)
+						}
+					}
+					d.Insert = randRows(pred, rng.Intn(4))
+					changed[pred] = d
+					edb[pred] = applyDeltaMirror(edb[pred], d)
+				}
+				if err := e.RunIncremental(changed); err != nil {
+					t.Fatal(err)
+				}
+				if len(e.staged) != 0 {
+					t.Fatalf("program %d seed %d step %d: rows still staged after a run", pi, seed, step)
+				}
+			}
+			at := fmt.Sprintf("program %d seed %d", pi, seed)
+			checkAgainstOracle(t, e, prog, edb, preds, at+" warm")
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stats.Strategy != StrategyCold || !e.warm {
+				t.Fatalf("%s: cold run reported %q, warm=%v", at, e.Stats.Strategy, e.warm)
+			}
+			checkAgainstOracle(t, e, prog, edb, preds, at+" cold")
+			checkFactSetConsistency(t, e)
+		}
+	}
+}

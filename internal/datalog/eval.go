@@ -32,7 +32,7 @@ func (e *Engine) evalRule(c *compiledRule, spec evalSpec, emit emitFn) error {
 }
 
 // buildFns compiles the rule body into its step chain. It runs after
-// NewEngine has assigned every step's lookupIdx.
+// NewEngine has handed every step its set and index.
 func (c *compiledRule) buildFns() {
 	n := len(c.steps)
 	fns := make([]stepFn, n+1)
@@ -85,19 +85,21 @@ func bindStep(m *stepMeta, sc *ruleScratch, t relation.Tuple) bool {
 }
 
 // atomSet resolves the fact set a positive atom step enumerates under the
-// current spec: the delta for the delta occurrence, the full set otherwise.
-func atomSet(m *stepMeta, spec *evalSpec) *factSet {
+// current spec, and the step's index over it: the delta for the delta
+// occurrence, the full set otherwise.
+func atomSet(m *stepMeta, spec *evalSpec) (*relation.Bag, *relation.BagIndex) {
 	if m.occIndex == spec.deltaOcc {
-		return spec.delta
+		return spec.delta, spec.deltaIndex
 	}
-	return m.set
+	return m.set, m.index
 }
 
 // makeScanStep compiles a positive atom with no bound columns: a full
 // enumeration of the predicate.
 func makeScanStep(m *stepMeta, next stepFn) stepFn {
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		for _, t := range atomSet(m, &sc.spec).tuples {
+		set, _ := atomSet(m, &sc.spec)
+		for _, t := range set.Tuples() {
 			if !bindStep(m, sc, t) {
 				continue
 			}
@@ -109,24 +111,23 @@ func makeScanStep(m *stepMeta, next stepFn) stepFn {
 	}
 }
 
-// makeLookupStep compiles a positive atom with bound columns: an index probe
-// on the step's registered mask, walking the candidate chain with equality
-// verification. The walk stands on a tuple while the body runs and reads its
-// link afterwards, so recursive rules may insert into the probed set
-// mid-walk: new tuples go to the front of their bucket, behind the walk, and
-// a grow keeps the tuples of one key in order (relation.Chain.Grow) — they
-// are picked up by the next semi-naive iteration.
+// makeLookupStep compiles a positive atom with bound columns: a probe of the
+// step's index, walking the candidate chain with equality verification. The
+// walk stands on a tuple while the body runs and reads its link afterwards,
+// so recursive rules may insert into the probed set mid-walk: new tuples go
+// to the front of their bucket, behind the walk, and a grow keeps the tuples
+// of one key in order (relation.Chain.Grow) — they are picked up by the next
+// semi-naive iteration.
 func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		env := sc.env
-		set := atomSet(m, &sc.spec)
+		set, ix := atomSet(m, &sc.spec)
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
 		}
-		ix := &set.indexes[m.lookupIdx]
 		for p := ix.First(relation.HashValues(key)); p >= 0; p = ix.Next(p) {
-			t := set.tuples[p]
+			t := set.At(p)
 			if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
 				continue
 			}
@@ -147,15 +148,14 @@ func makeNegStep(m *stepMeta, step int, next stepFn) stepFn {
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)
 		}
-		set := m.set
-		if len(m.lookupCols) == 0 {
-			if set.len() > 0 {
+		set, ix := m.set, m.index
+		if ix == nil {
+			if set.DistinctLen() > 0 {
 				return nil
 			}
 		} else {
-			ix := &set.indexes[m.lookupIdx]
 			for p := ix.First(relation.HashValues(key)); p >= 0; p = ix.Next(p) {
-				if matchAt(set.tuples[p], m.lookupCols, key) {
+				if matchAt(set.At(p), m.lookupCols, key) {
 					return nil
 				}
 			}

@@ -560,36 +560,65 @@ func TestRunIncrementalReinsertKeepsEDBSetSemantics(t *testing.T) {
 	}
 }
 
-// checkFactSetConsistency verifies the chain invariants of every retained
-// fact set (see checkFactSet).
+// checkFactSetConsistency verifies every retained fact set and the indexes
+// the compiled rules probe on it (see checkFactSet).
 func checkFactSetConsistency(t *testing.T, e *Engine) {
 	t.Helper()
+	probed := make(map[*relation.Bag][]*relation.BagIndex)
+	for _, c := range e.compiled {
+		for _, m := range c.steps {
+			if m.index != nil {
+				probed[m.set] = append(probed[m.set], m.index)
+			}
+		}
+	}
 	for pred, f := range e.facts {
-		if err := checkFactSet(f); err != nil {
+		if err := checkFactSet(f, probed[f]); err != nil {
 			t.Fatalf("%s: %v", pred, err)
 		}
 	}
 }
 
-// checkFactSet verifies the layout add, remove, grow and reset must preserve:
-// all chains have the same bucket count, which the tuple count never
-// exceeds, and each chain is consistent over the tuples (relation.Chain.Check:
-// every tuple filed once, under the bucket its hash selects, with exact back
-// links).
-func checkFactSet(f *factSet) error {
-	n, nb := len(f.tuples), f.member.Buckets()
+// checkFactSet verifies, through the Bag's public surface, the layout the
+// engine relies on: every fact held once at count 1 under its cached hash,
+// the tuple count within the bucket count, membership finding each fact at
+// its own position, and each index's chains (relation.Chain) filing every
+// position exactly once, in the bucket its key hash selects, on a walk that
+// ends.
+func checkFactSet(f *relation.Bag, indexes []*relation.BagIndex) error {
+	n, nb := f.DistinctLen(), f.Buckets()
 	if n > nb {
 		return fmt.Errorf("%d buckets for %d tuples", nb, n)
 	}
-	if err := f.member.Check(n, func(p int32) (uint64, bool) { return f.tuples[p].Hash(), true }); err != nil {
-		return fmt.Errorf("membership %w", err)
+	if f.Len() != n {
+		return fmt.Errorf("%d copies of %d tuples", f.Len(), n)
 	}
-	for _, ix := range f.indexes {
-		if ix.Buckets() != nb {
-			return fmt.Errorf("index %v: %d buckets, membership %d", ix.cols, ix.Buckets(), nb)
+	mask := uint64(nb - 1)
+	for p := int32(0); int(p) < n; p++ {
+		t := f.At(p)
+		if f.CountAt(p) != 1 || f.HashAt(p) != t.Hash() {
+			return fmt.Errorf("position %d (%s): count %d, hash cached %v", p, t, f.CountAt(p), f.HashAt(p) == t.Hash())
 		}
-		if err := ix.Check(n, func(p int32) (uint64, bool) { return f.tuples[p].HashCols(ix.cols), true }); err != nil {
-			return fmt.Errorf("index %v: %w", ix.cols, err)
+		if got := f.Find(t, t.Hash()); got != p {
+			return fmt.Errorf("membership finds %s at %d, not %d", t, got, p)
+		}
+		for _, ix := range indexes {
+			h := t.HashCols(ix.Cols())
+			seen, steps := 0, 0
+			for q := ix.First(h); q >= 0; q = ix.Next(q) {
+				if steps++; steps > n {
+					return fmt.Errorf("index %v: the walk from %s's bucket does not end", ix.Cols(), t)
+				}
+				if int(q) >= n || f.At(q).HashCols(ix.Cols())&mask != h&mask {
+					return fmt.Errorf("index %v: position %d is in %s's bucket", ix.Cols(), q, t)
+				}
+				if q == p {
+					seen++
+				}
+			}
+			if seen != 1 {
+				return fmt.Errorf("index %v: %s reached %d times from its bucket", ix.Cols(), t, seen)
+			}
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/sim"
@@ -80,34 +79,4 @@ func FormatSensitivity(points []SensitivityPoint) string {
 	b.WriteString("\nexpected shape: overhead grows with write share, transaction length and skew;\n")
 	b.WriteString("read-mostly and short-transaction workloads stay near 100%\n")
 	return b.String()
-}
-
-// SeedSensitivity quantifies run-to-run variance of the Figure 2 simulation
-// across seeds (the paper averages over multiple runs).
-func SeedSensitivity(clients int, scale float64, seeds []int64) []SensitivityPoint {
-	if scale <= 0 {
-		scale = 1
-	}
-	var out []SensitivityPoint
-	for _, seed := range seeds {
-		cfg := sim.PaperSimConfig(clients)
-		cfg.BudgetTicks = int64(float64(cfg.BudgetTicks) * scale)
-		cfg.Seed = seed
-		r := sim.Run(cfg)
-		out = append(out, SensitivityPoint{
-			Label:   fmt.Sprintf("seed %d", seed),
-			Clients: clients, Result: r, RatioPct: r.RatioPct(),
-		})
-	}
-	return out
-}
-
-// RandomSeeds builds n deterministic seeds from a master seed.
-func RandomSeeds(master int64, n int) []int64 {
-	rng := rand.New(rand.NewSource(master))
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = rng.Int63n(1 << 30)
-	}
-	return out
 }

@@ -60,23 +60,3 @@ func TestHotSpotObjects(t *testing.T) {
 		t.Errorf("all-hot: %d", got)
 	}
 }
-
-func TestSeedSensitivityDeterministicPerSeed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	seeds := RandomSeeds(1, 3)
-	a := SeedSensitivity(100, 0.02, seeds)
-	b := SeedSensitivity(100, 0.02, seeds)
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("points: %d %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Result != b[i].Result {
-			t.Errorf("seed %s not deterministic", a[i].Label)
-		}
-	}
-	if seeds2 := RandomSeeds(1, 3); seeds2[0] != seeds[0] {
-		t.Error("RandomSeeds not deterministic")
-	}
-}

@@ -17,20 +17,15 @@ import (
 // request schema (id, ta, intrata, operation, object); its ORDER BY defines
 // the execution order.
 type SQLProtocol struct {
-	name  string
-	query *minisql.Query
+	name string
 
-	// The compiled plan (shared by every evaluation path) and the
-	// materialized-view cache over it, keyed by query shape: the plan is
-	// recompiled, and the views discarded, only when the base relations'
-	// schemas change. Every round after the one that builds the cache
-	// patches the views with the round's deltas through the relational delta
-	// rules (minisql.IVM) instead of re-running the query. ivmUnsupported
-	// marks a plan without delta rules (LIMIT): its rounds all run in full.
-	plan           *minisql.Plan
-	planShape      string
-	ivm            *minisql.IVM
-	ivmUnsupported bool
+	// The plan, compiled once against the request schema (shared by every
+	// evaluation path), and the materialized-view cache over it. Every round
+	// after the one that builds the cache patches the views with the round's
+	// deltas through the relational delta rules (minisql.IVM) instead of
+	// re-running the query.
+	plan *minisql.Plan
+	ivm  *minisql.IVM
 
 	// pendLen and histLen are the relation sizes the deltas imply since the
 	// cache was built (QualifyIncremental's divergence guard). No copy of
@@ -46,7 +41,7 @@ type SQLProtocol struct {
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
 	// maintained, "sql-ivm-build" when the cache was (re)materialized,
-	// "sql-cold" for a full run.
+	// "sql-cold" for a full run (Qualify).
 	lastStrategy string
 
 	// decomposable claims per-object decomposability (see
@@ -55,13 +50,24 @@ type SQLProtocol struct {
 	decomposable bool
 }
 
-// NewSQL parses the query once and reuses the plan every round.
+// NewSQL parses the query and compiles its plan against the request schema
+// once; every round reuses the plan. It refuses a query the view cache
+// cannot maintain (one with no delta rules, such as LIMIT), so every warm
+// round has one.
 func NewSQL(name, sql string) (*SQLProtocol, error) {
 	q, err := minisql.Parse(sql)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
-	return &SQLProtocol{name: name, query: q}, nil
+	empty := request.ToRelation(nil)
+	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{"requests": empty.Schema(), "history": empty.Schema()})
+	if err == nil {
+		_, err = minisql.NewIVM(plan, minisql.Catalog{"requests": empty, "history": empty}, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("protocol %s: %w", name, err)
+	}
+	return &SQLProtocol{name: name, plan: plan}, nil
 }
 
 // SS2PLSQL is the paper's Listing 1 as a protocol.
@@ -109,8 +115,7 @@ func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Req
 // the protocol's state alone: with a view cache, the round's deltas patch
 // the views (sql-ivm); without one — the first round, and any round whose
 // deltas disagree with the slices or the views — the cache is built from the
-// slices and answers the same round (sql-ivm-build). A plan without delta
-// rules (LIMIT) answers every round with a full run (sql-cold).
+// slices and answers the same round (sql-ivm-build).
 func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error) {
 	if p.ivm != nil {
 		// Divergence guard: the relation sizes the deltas imply must land on
@@ -131,13 +136,7 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		// contract).
 		p.ivm = nil
 	}
-	if !p.ivmUnsupported {
-		if out, ok := p.buildIVM(pending, history); ok {
-			return out, nil
-		}
-	}
-	p.lastStrategy = "sql-cold"
-	return p.run(pending, history)
+	return p.buildIVM(pending, history)
 }
 
 // roundDeltas converts one round's request-level deltas to the two-table
@@ -150,36 +149,25 @@ func roundDeltas(d Deltas) map[string]minisql.Delta {
 }
 
 // buildIVM materializes the view cache from the round's slices and answers
-// the round from it. A build failure (a query shape without delta rules,
-// e.g. LIMIT) disables the IVM path for this protocol instance; the caller
-// falls through to the full run.
-func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, bool) {
-	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
-	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
+// the round from it.
+func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, error) {
+	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
+	m, err := minisql.NewIVM(p.plan, cat, p.opts)
 	if err != nil {
-		p.ivmUnsupported = true
-		return nil, false
-	}
-	cat := minisql.Catalog{"requests": reqRel, "history": histRel}
-	m, err := minisql.NewIVM(plan, cat, p.opts)
-	if err != nil {
-		p.ivmUnsupported = true
-		return nil, false
+		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
 	rel, err := m.Result()
 	if err != nil {
-		p.ivmUnsupported = true
-		return nil, false
+		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
 	out, err := p.finish(rel)
 	if err != nil {
-		p.ivmUnsupported = true
-		return nil, false
+		return nil, err
 	}
 	p.ivm = m
 	p.pendLen, p.histLen = len(pending), len(history)
 	p.lastStrategy = "sql-ivm-build"
-	return out, true
+	return out, nil
 }
 
 // toTuples converts requests to their five-column relational form.
@@ -194,35 +182,10 @@ func toTuples(rs []request.Request) []relation.Tuple {
 	return out
 }
 
-// compiledPlan returns the cached plan for the given base schemas, compiling
-// on first use or when the query shape (schema fingerprint) changed — which
-// also invalidates the view cache built over the old plan.
-func (p *SQLProtocol) compiledPlan(reqS, histS *relation.Schema) (*minisql.Plan, error) {
-	shape := reqS.String() + "|" + histS.String()
-	if p.plan == nil || p.planShape != shape {
-		plan, err := minisql.CompilePlan(p.query, map[string]*relation.Schema{
-			"requests": reqS, "history": histS,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.plan, p.planShape = plan, shape
-		// The view cache and the IVM-supportability verdict both belong to
-		// the replaced plan.
-		p.ivm = nil
-		p.ivmUnsupported = false
-	}
-	return p.plan, nil
-}
-
 // run evaluates the query over relations built from the slices.
 func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request, error) {
-	reqRel, histRel := request.ToRelation(pending), request.ToRelation(history)
-	plan, err := p.compiledPlan(reqRel.Schema(), histRel.Schema())
-	if err != nil {
-		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
-	}
-	out, err := plan.Eval(minisql.Catalog{"requests": reqRel, "history": histRel}, p.opts)
+	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
+	out, err := p.plan.Eval(cat, p.opts)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}

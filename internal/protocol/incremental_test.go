@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog"
@@ -335,26 +336,19 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 	}
 }
 
-// TestSQLLimitQueryRunsEveryRoundInFull: LIMIT has no delta rule, so a query
-// with one never gets a view cache; every warm round is a full run and still
-// equals a cold Qualify.
-func TestSQLLimitQueryRunsEveryRoundInFull(t *testing.T) {
-	const src = "SELECT r.* FROM requests r ORDER BY id LIMIT 4"
-	newLimit := func() *SQLProtocol {
-		p, err := NewSQL("first-four", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+// TestNewSQLRejectsLimitText: LIMIT has no delta rule, so a query with one
+// could never get a view cache; NewSQL refuses it rather than run every round
+// in full. The same query without LIMIT is accepted, and a text naming no
+// table the protocol has fails at construction, not on the first round.
+func TestNewSQLRejectsLimitText(t *testing.T) {
+	if _, err := NewSQL("first-four", "SELECT r.* FROM requests r ORDER BY id LIMIT 4"); err == nil || !strings.Contains(err.Error(), "LIMIT") {
+		t.Fatalf("LIMIT text: err = %v, want a refusal naming LIMIT", err)
 	}
-	p := newLimit()
-	for round, rt := range driveIncremental(t, p, func() Protocol { return newLimit() }, 7) {
-		if rt.strategy != "sql-cold" {
-			t.Fatalf("round %d: took %s, want sql-cold", round, rt.strategy)
-		}
+	if _, err := NewSQL("all", "SELECT r.* FROM requests r ORDER BY id"); err != nil {
+		t.Fatalf("the text without LIMIT: %v", err)
 	}
-	if p.ivm != nil {
-		t.Fatal("a LIMIT query got a view cache")
+	if _, err := NewSQL("nowhere", "SELECT x.* FROM nowhere x"); err == nil {
+		t.Fatal("a text over an unknown table was accepted")
 	}
 }
 

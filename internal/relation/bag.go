@@ -11,16 +11,19 @@ import "slices"
 // join/anti-join probes of the delta rules hit the maintained key indexes
 // instead of rebuilding per round. The cold operators that deduplicate,
 // count or group (Relation.Distinct and Equal, ra.Except, ra.GroupBy, the
-// Datalog engine's aggregates) use a Bag as their hash table too.
+// Datalog engine's aggregates) use a Bag as their hash table too, and the
+// Datalog engine keeps every predicate's facts in one, each at count 1.
 //
-// The layout is the Datalog fact store's: distinct tuples sit dense at
-// positions 0..DistinctLen()-1 beside their counts and cached full-tuple
-// hashes, a membership Chain files them by that hash and one Chain per index
-// by the key hash; a tuple whose count reaches zero leaves every chain and
-// the last position is swap-moved into its hole. The chains double when the
-// tuple count reaches their bucket count and halve when it drops below a
-// quarter of it, so a bag's footprint follows what it holds, not the burst it
-// once held: Buckets() ≤ 4·DistinctLen() + MinBuckets.
+// Distinct tuples sit dense at positions 0..DistinctLen()-1 beside their
+// counts and cached full-tuple hashes, a membership Chain files them by that
+// hash and one Chain per index by the key hash; a tuple whose count reaches
+// zero leaves every chain and the last position is swap-moved into its hole.
+// The chains double when the tuple count reaches their bucket count and
+// halve when it drops below a quarter of it, so a bag's footprint follows
+// what it holds, not the burst it once held: Buckets() ≤ 4·DistinctLen() +
+// MinBuckets. Reset and Reserve are the exceptions, for a bag that is
+// emptied and re-filled every round: they keep (or set) a bucket count for
+// the next fill, and the bound then holds over that count.
 //
 // A Bag is not safe for concurrent mutation; reads (counts, index probes) are
 // safe once mutation has stopped, mirroring Relation's contract. Positions
@@ -64,6 +67,12 @@ func (b *Bag) DistinctLen() int { return len(b.tuples) }
 // footprint beyond the tuples themselves, at most 4·DistinctLen() +
 // MinBuckets however many tuples have passed through it.
 func (b *Bag) Buckets() int { return b.member.Buckets() }
+
+// Tuples returns the distinct tuples in position order. The slice is the
+// bag's own and the caller must not mutate it. A range over it may go on
+// while tuples are added, and sees none of them; a removal or a Reset moves
+// or drops the tuples it holds.
+func (b *Bag) Tuples() []Tuple { return b.tuples }
 
 // At returns the tuple at position p. The caller must not mutate it.
 func (b *Bag) At(p int32) Tuple { return b.tuples[p] }
@@ -162,6 +171,31 @@ func (b *Bag) RemoveHash(t Tuple, h uint64, k int) (int, bool) {
 		b.tuples, b.counts, b.hashes = resized(b.tuples, nb), resized(b.counts, nb), resized(b.hashes, nb)
 	}
 	return 0, true
+}
+
+// Reset empties the bag, keeping its capacity, its bucket count and its
+// indexes, so re-filling it to its former size allocates nothing. It drops
+// the tuple references, so a reset bag keeps no dead rows alive.
+func (b *Bag) Reset() {
+	clear(b.tuples)
+	b.tuples, b.counts, b.hashes = b.tuples[:0], b.counts[:0], b.hashes[:0]
+	b.total = 0
+	b.member.Reset()
+	for _, ix := range b.indexes {
+		ix.chain.Reset()
+	}
+}
+
+// Reserve sizes an empty bag's chains for n distinct tuples, so filling it
+// grows none of them. A bag that holds tuples is left as it is.
+func (b *Bag) Reserve(n int) {
+	if len(b.tuples) > 0 {
+		return
+	}
+	b.member.Reserve(n)
+	for _, ix := range b.indexes {
+		ix.chain.Reserve(n)
+	}
 }
 
 // Each calls fn for every distinct tuple with its count, in position order.

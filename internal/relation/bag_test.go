@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func bagSchema() *Schema {
@@ -39,7 +40,11 @@ func keyMatches(t Tuple, cols []int, key Tuple) bool {
 // counts, every chain consistent (Chain.Check) over the same bucket count
 // with non-nullable indexes filing NULL keys nowhere, the load factor at most
 // 1, the footprint bound, and no tuple referenced past the live positions.
-func checkBag(b *Bag) error {
+func checkBag(b *Bag) error { return checkBagOver(b, 0) }
+
+// checkBagOver is checkBag for a bag that was Reset or Reserved at floor
+// buckets: its footprint bound is max(floor, 4·DistinctLen() + MinBuckets).
+func checkBagOver(b *Bag, floor int) error {
 	n := len(b.tuples)
 	if len(b.counts) != n || len(b.hashes) != n {
 		return fmt.Errorf("%d tuples, %d counts, %d hashes", n, len(b.counts), len(b.hashes))
@@ -58,7 +63,7 @@ func checkBag(b *Bag) error {
 		return fmt.Errorf("counts sum to %d, Len says %d", total, b.total)
 	}
 	nb := b.Buckets()
-	if n > nb || nb > 4*n+MinBuckets {
+	if n > nb || nb > max(floor, 4*n+MinBuckets) {
 		return fmt.Errorf("%d buckets for %d tuples", nb, n)
 	}
 	if err := b.member.Check(n, func(p int32) (uint64, bool) { return b.hashes[p], true }); err != nil {
@@ -460,10 +465,13 @@ func TestBagIndexUnlinkReleasesCell(t *testing.T) {
 }
 
 // bagModel drives a Bag and a map[int]int reference (keyed by the tuple's
-// id, which its second column holds) through the same operations.
+// id, which its second column holds) through the same operations. floor is
+// the bucket count the last Reset or Reserve left (0 before any): the
+// footprint bound holds over it.
 type bagModel struct {
-	b   *Bag
-	ref map[int]int
+	b     *Bag
+	ref   map[int]int
+	floor int
 }
 
 // bagModelTuple is the id-th tuple of the fuzz universe: a column with a few
@@ -510,10 +518,18 @@ func (m *bagModel) probe(which, id int) error {
 	return nil
 }
 
-// totals compares Each and Relation with the model.
+// totals compares Each, Relation and Tuples with the model.
 func (m *bagModel) totals() error {
 	seen := map[int]int{}
 	m.b.Each(func(t Tuple, n int) { seen[int(t[1].AsInt())] += n })
+	for p, t := range m.b.Tuples() {
+		if !t.Equal(m.b.At(int32(p))) || seen[int(t[1].AsInt())] == 0 {
+			return fmt.Errorf("Tuples()[%d] = %s, not the tuple at its position", p, t)
+		}
+	}
+	if len(m.b.Tuples()) != m.b.DistinctLen() {
+		return fmt.Errorf("Tuples() holds %d, DistinctLen %d", len(m.b.Tuples()), m.b.DistinctLen())
+	}
 	for _, t := range m.b.Relation().Rows() {
 		seen[int(t[1].AsInt())]--
 	}
@@ -531,7 +547,8 @@ func (m *bagModel) totals() error {
 // run decodes a byte stream into operations over a universe of 1024 ids —
 // three bytes each: an opcode, then a little-endian id in the low ten bits
 // and an argument in the high six — checking the bag after every one, and
-// finally drains it to empty.
+// finally drains it to empty. Two opcodes are single byte values so they stay
+// rare: 0xff resets the bag and 0xfe reserves it for id tuples.
 func (m *bagModel) run(data []byte) error {
 	for i := 0; i+3 <= len(data); i += 3 {
 		v := int(binary.LittleEndian.Uint16(data[i+1:]))
@@ -539,13 +556,17 @@ func (m *bagModel) run(data []byte) error {
 		t := bagModelTuple(id)
 		k := 1 + arg%3
 		var err error
-		switch op := data[i] % 8; op {
-		case 0, 1, 2:
+		switch op := data[i] % 8; {
+		case data[i] == 0xff:
+			err = m.reset()
+		case data[i] == 0xfe:
+			err = m.reserve(id)
+		case op <= 2:
 			m.ref[id] += k
 			if got := m.b.Add(t, k); got != m.ref[id] {
 				err = fmt.Errorf("add %s x%d: count %d, model %d", t, k, got, m.ref[id])
 			}
-		case 3, 4:
+		case op <= 4:
 			have := m.ref[id]
 			before := m.b.Len()
 			got, ok := m.b.Remove(t, k)
@@ -559,17 +580,17 @@ func (m *bagModel) run(data []byte) error {
 					delete(m.ref, id)
 				}
 			}
-		case 5:
+		case op == 5:
 			if got := m.b.Count(t); got != m.ref[id] {
 				err = fmt.Errorf("count %s: %d, model %d", t, got, m.ref[id])
 			}
-		case 6:
+		case op == 6:
 			err = m.probe(arg, id)
 		default:
 			err = m.totals()
 		}
 		if err == nil {
-			err = checkBag(m.b)
+			err = checkBagOver(m.b, m.floor)
 		}
 		if err == nil && m.b.DistinctLen() != len(m.ref) {
 			err = fmt.Errorf("%d distinct tuples, model %d", m.b.DistinctLen(), len(m.ref))
@@ -591,11 +612,42 @@ func (m *bagModel) run(data []byte) error {
 			return fmt.Errorf("drain: %s x%d refused", bagModelTuple(k), n)
 		}
 	}
-	if err := checkBag(m.b); err != nil {
+	if err := checkBagOver(m.b, m.floor); err != nil {
 		return fmt.Errorf("drained: %w", err)
 	}
-	if m.b.Len() != 0 || m.b.DistinctLen() != 0 || m.b.Buckets() != MinBuckets {
+	if m.b.Len() != 0 || m.b.DistinctLen() != 0 || m.b.Buckets() > max(m.floor, MinBuckets) {
 		return fmt.Errorf("drained bag: len %d distinct %d buckets %d", m.b.Len(), m.b.DistinctLen(), m.b.Buckets())
+	}
+	return nil
+}
+
+// reset empties the bag and the model: the bucket count and every index stay.
+func (m *bagModel) reset() error {
+	buckets, indexes := m.b.Buckets(), len(m.b.indexes)
+	m.b.Reset()
+	clear(m.ref)
+	if m.b.Len() != 0 || m.b.DistinctLen() != 0 || len(m.b.Tuples()) != 0 {
+		return fmt.Errorf("reset bag: len %d distinct %d", m.b.Len(), m.b.DistinctLen())
+	}
+	if m.b.Buckets() != buckets || len(m.b.indexes) != indexes {
+		return fmt.Errorf("reset bag: %d buckets, %d indexes; had %d, %d", m.b.Buckets(), len(m.b.indexes), buckets, indexes)
+	}
+	m.floor = buckets
+	return nil
+}
+
+// reserve sizes an empty bag for n tuples; a bag holding tuples is left as
+// it is.
+func (m *bagModel) reserve(n int) error {
+	buckets := m.b.Buckets()
+	m.b.Reserve(n)
+	switch {
+	case len(m.ref) > 0 && m.b.Buckets() != buckets:
+		return fmt.Errorf("reserve %d on %d tuples: %d buckets, had %d", n, len(m.ref), m.b.Buckets(), buckets)
+	case len(m.ref) == 0 && m.b.Buckets() < n:
+		return fmt.Errorf("reserve %d: %d buckets", n, m.b.Buckets())
+	case len(m.ref) == 0:
+		m.floor = m.b.Buckets()
 	}
 	return nil
 }
@@ -613,6 +665,7 @@ func FuzzBagOps(f *testing.F) {
 		grow = append(grow, 3, byte(id), byte(id>>8))
 	}
 	f.Add(append(grow, 6, 5, 1, 6, 6, 3, 7, 0, 0, 4, 9, 0))
+	f.Add(append(grow, 0xff, 0, 0, 0xfe, 44, 1, 0, 3, 0, 6, 3, 0, 0xfe, 200, 0, 3, 3, 0, 0, 5, 0, 7, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 3*2048)] // every operation re-checks the whole bag
 		if err := newBagModel().run(data); err != nil {
@@ -641,5 +694,128 @@ func TestBagMatchesMapModel(t *testing.T) {
 		if err := newBagModel().run(data); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// TestBagRemoveDoesNotWalkChains: removing every row of a bag whose index
+// column holds one value — one chain with every row in it — costs time linear
+// in the rows. Eight times the rows may cost up to 24 times as long (linear
+// is 8, a removal that walks its chain about 64); each side is the best of
+// five runs, so one descheduling does not decide it.
+func TestBagRemoveDoesNotWalkChains(t *testing.T) {
+	removeAll := func(n int) time.Duration {
+		best := time.Duration(0)
+		for run := 0; run < 5; run++ {
+			b := NewBag(nil)
+			b.Index([]int{1})
+			rows := make([]Tuple, n)
+			for i := range rows {
+				rows[i] = Tuple{Int(int64(i)), String("c")}
+				if got := b.Add(rows[i], 1); got != 1 {
+					t.Fatalf("add %d: count %d", i, got)
+				}
+			}
+			start := time.Now()
+			for _, row := range rows { // oldest first: the far end of the chain
+				if _, ok := b.Remove(row, 1); !ok {
+					t.Fatalf("row %s missing", row)
+				}
+			}
+			if d := time.Since(start); run == 0 || d < best {
+				best = d
+			}
+			if b.DistinctLen() != 0 {
+				t.Fatalf("%d rows left", b.DistinctLen())
+			}
+		}
+		return best
+	}
+	small, large := removeAll(4000), removeAll(32000)
+	t.Logf("remove all: %v at 4,000 rows, %v at 32,000 (%.1fx)", small, large, float64(large)/float64(small))
+	if large > 24*small {
+		t.Errorf("removing 32,000 rows took %v, more than 24x the %v of 4,000: removal walks its chains", large, small)
+	}
+}
+
+// TestGrowKeepsWalksInOrder pins what a probe relies on when the bag it walks
+// grows under it (a recursive Datalog rule probing the predicate it derives):
+// standing on a tuple of its key, whatever tuples of that key were ahead of
+// it before the grow are ahead of it afterwards, in the same order — even
+// when earlier swap-removes left the chain in no position order.
+func TestGrowKeepsWalksInOrder(t *testing.T) {
+	key := Tuple{Int(0)}
+	for stand := 0; stand < 3; stand++ {
+		b := NewBag(nil)
+		ix := b.Index([]int{1})
+		ahead := func(p int32) []int64 { // ids of key's tuples from position p on
+			var ids []int64
+			for ; p >= 0; p = ix.Next(p) {
+				if tu := b.At(p); keyMatches(tu, ix.Cols(), key) {
+					ids = append(ids, tu[0].AsInt())
+				}
+			}
+			return ids
+		}
+		add := func(id int64) { b.Add(Tuple{Int(id), Int(id % 2)}, 1) }
+		for id := int64(0); id < MinBuckets-1; id++ {
+			add(id)
+		}
+		// Moves the newest tuple of key 0 into position 1: its chain now runs
+		// through positions 1, 4, 2, 0.
+		b.Remove(Tuple{Int(1), Int(1)}, 1)
+		p := ix.First(HashValues(key))
+		for i := 0; i < stand; i++ {
+			p = ix.Next(p)
+		}
+		want := ahead(ix.Next(p))
+		buckets := b.Buckets()
+		for id := int64(MinBuckets); b.Buckets() == buckets; id++ {
+			add(id)
+		}
+		if got := ahead(ix.Next(p)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("standing on chain entry %d: %v ahead before the grow, %v after", stand, want, got)
+		}
+		if err := checkBag(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBagResetRefillsWithoutAllocating: a bag emptied by Reset — a Datalog
+// predicate re-derived every round — keeps its capacity and indexes, so
+// filling it to its former size again allocates nothing, and a Reserved
+// empty bag grows no chain while it fills.
+func TestBagResetRefillsWithoutAllocating(t *testing.T) {
+	rows := make([]Tuple, 500)
+	for i := range rows {
+		rows[i] = Tuple{Int(int64(i % 7)), Int(int64(i))}
+	}
+	b := NewBag(bagSchema())
+	ix := b.IndexNullable([]int{0})
+	fill := func() {
+		b.Reset()
+		for _, r := range rows {
+			b.Add(r, 1)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("a reset and refill allocated %.0f times", allocs)
+	}
+	if got := probeCount(b, ix, Tuple{Int(3)}); got != 71 {
+		t.Errorf("probe after refills: %d, want 71", got)
+	}
+	if err := checkBag(b); err != nil {
+		t.Fatal(err)
+	}
+	r := NewBag(bagSchema())
+	r.Index([]int{0})
+	r.Reserve(len(rows))
+	buckets := r.Buckets()
+	for _, row := range rows {
+		r.Add(row, 1)
+	}
+	if r.Buckets() != buckets || buckets < len(rows) {
+		t.Errorf("reserved %d buckets for %d rows, %d after filling", buckets, len(rows), r.Buckets())
 	}
 }

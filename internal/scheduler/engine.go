@@ -58,22 +58,14 @@ type Config struct {
 	// KeepLog retains the full execution log for offline serializability
 	// checking.
 	KeepLog bool
-	// MaxBatch caps how many qualified requests execute per round (0 = no
-	// cap). This is the external multiprogramming-level control of the
-	// paper's related work (Schroeder et al.'s EQMS adjusts the MPL of the
-	// underlying DBMS): the protocol decides *which* requests are safe, the
-	// cap decides *how many* reach the server at once.
-	MaxBatch int
 	// StarveAfter is the waiting-age bound: a transaction whose pending
 	// requests have gone this many rounds without any of them qualifying is
 	// resolved — first by precise deadlock detection over the waits-for
 	// graph, then, if no cycle explains the wait, by aborting the oldest
 	// blocked transaction. This closes the starvation hole of the pure
 	// nothing-qualified victim policy, under which a blocked transaction
-	// could wait forever while other clients kept making progress. A
-	// request deferred by the MaxBatch cap counts as progress — admission
-	// control is operator policy, not protocol blocking. 0 selects
-	// DefaultStarveAfter; negative disables the bound.
+	// could wait forever while other clients kept making progress. 0
+	// selects DefaultStarveAfter; negative disables the bound.
 	StarveAfter int
 
 	// The remaining fields bound the Middleware front-end (they are ignored
@@ -130,7 +122,7 @@ type RoundResult struct {
 // NewEngine: a shard count, a per-shard protocol factory and the rebalancer.
 type PartitionedConfig struct {
 	// Base carries the shared engine settings (server, GC, log,
-	// MaxBatch, starvation bound). Base.Protocol is ignored —
+	// starvation bound). Base.Protocol is ignored —
 	// each shard owns the instance Factory builds for it.
 	Base Config
 	// Partitions is the round-loop count (1..MaxPartitions).
@@ -384,14 +376,10 @@ func (e *Engine) schedule() (RoundResult, error) {
 			return res, err
 		}
 		qualDur = time.Since(qualStart)
-		// Waiting-age bookkeeping runs on the protocol's full qualified set,
-		// before admission control: the bound covers protocol-blocked waits
-		// ("rounds without any request qualifying", see Config.StarveAfter). A
-		// request cut by the MaxBatch cap is schedulable — deferring it is the
-		// operator's admission policy (under a priority order, deliberately so)
-		// and must not get the transaction shot as a starvation victim.
+		// Waiting-age bookkeeping runs on the protocol's full qualified set:
+		// the bound covers protocol-blocked waits ("rounds without any
+		// request qualifying", see Config.StarveAfter).
 		e.observeProgress()
-		e.capQualified()
 		e.stripUnagreed()
 		// Stage 3 — resolve: decide which transactions abort this round.
 		res.Victims, cause = e.resolve()
@@ -486,54 +474,6 @@ func (e *Engine) observeProgress() {
 	}
 	for _, s := range e.active {
 		e.shards[s].pending.ObserveRound(e.rounds, e.progressed)
-	}
-}
-
-// capQualified applies the MaxBatch admission cap: defer the tail (the
-// protocol's order is a priority order, so the cap keeps the most urgent
-// requests). Across shards the merged batch is cut by global ID order (each
-// shard's qualified list is already in its protocol's order). A
-// cross-partition termination's copies share an ID and each occupies a
-// slot; a partially capped one is stripped by the agreement check and
-// retries next round.
-func (e *Engine) capQualified() {
-	max := e.cfg.MaxBatch
-	if max <= 0 {
-		return
-	}
-	total := 0
-	for _, s := range e.active {
-		total += len(e.shards[s].qual)
-	}
-	if total <= max {
-		return
-	}
-	if len(e.active) == 1 {
-		sh := e.shards[e.active[0]]
-		sh.qual = sh.qual[:max]
-		return
-	}
-	// K-way merge by ID over the shard lists' heads, keeping the max
-	// globally smallest.
-	keep := make([]int, len(e.shards))
-	for n := 0; n < max; n++ {
-		best := -1
-		for _, s := range e.active {
-			q := e.shards[s].qual
-			if keep[s] >= len(q) {
-				continue
-			}
-			if best < 0 || q[keep[s]].ID < e.shards[best].qual[keep[best]].ID {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		keep[best]++
-	}
-	for _, s := range e.active {
-		e.shards[s].qual = e.shards[s].qual[:keep[s]]
 	}
 }
 

@@ -172,8 +172,8 @@ func (e *Engine) forget(ta int64) {
 // stripUnagreed is the cross-partition agreement check: a termination
 // sequenced to k shards commits only when all k copies qualified this round;
 // otherwise every copy stays pending and retries. Under SS2PL terminations
-// always qualify, so this fires only under the MaxBatch cap or protocols
-// that can block terminations.
+// always qualify, so this fires only under protocols that can block
+// terminations.
 func (e *Engine) stripUnagreed() {
 	if len(e.shards) == 1 {
 		return

@@ -306,45 +306,6 @@ func TestEngineSchedulingModeRequiresProtocol(t *testing.T) {
 	}
 }
 
-func TestEngineMaxBatchAdmissionControl(t *testing.T) {
-	srv := storage.NewServer(storage.Config{Rows: 100})
-	e, err := NewEngine(Config{
-		Protocol: protocol.SS2PLDatalog(), Server: srv, MaxBatch: 2, KeepLog: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Five independent transactions; only two admitted per round.
-	for ta := int64(1); ta <= 5; ta++ {
-		e.Enqueue(request.Request{TA: ta, IntraTA: 0, Op: request.Write, Object: ta * 10})
-	}
-	res, err := e.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Executed) != 2 {
-		t.Fatalf("round 1 executed %d, want 2", len(res.Executed))
-	}
-	if e.PendingLen() != 3 {
-		t.Fatalf("pending: %d", e.PendingLen())
-	}
-	// The cap keeps arrival order: ta1 and ta2 first.
-	if res.Executed[0].Request.TA != 1 || res.Executed[1].Request.TA != 2 {
-		t.Errorf("admission order: %v", res.Executed)
-	}
-	total := 2
-	for i := 0; i < 5 && e.PendingLen() > 0; i++ {
-		res, err = e.Round()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(res.Executed)
-	}
-	if total != 5 {
-		t.Errorf("drained %d of 5", total)
-	}
-}
-
 func TestEngineRTERelation(t *testing.T) {
 	e := newEngine(t, 10)
 	if e.RTE().Len() != 0 {

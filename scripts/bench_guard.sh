@@ -29,7 +29,8 @@ GUARD_FACTOR="${GUARD_FACTOR:-2}"
 # delta-maintained SQL warm round (the view-cache win), the full middleware
 # round (the scheduler-core store/pipeline win), the 3000-client one-shard
 # middleware round (~1000-row Datalog deltas against a 6000-row history: the
-# regime where a fact-store operation that walks its hash chain costs 8x —
+# regime where an insert or delete on a Datalog fact set (a relation.Bag,
+# the store both engines share) that walks its hash chain costs 8x —
 # small instances cannot see it, which is how one passed CI in PR 9), and
 # both sides of the 8-shard hot-key round (static and rebalanced slot table).
 # The hot-key pair used to be held to a ratio, rebalanced >= 1.5x faster than
