@@ -1,7 +1,9 @@
 package repro
 
-// One benchmark per table and figure of the paper (see DESIGN.md §4), plus
-// the ablation benches of DESIGN.md §5. Regenerate everything with:
+// One benchmark per table and figure of the paper (the harnesses are in
+// internal/experiments), plus ablation benches for the design choices the
+// paper leaves open and the layer benches scripts/bench.sh records.
+// Regenerate everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -277,8 +279,8 @@ func BenchmarkCrossover(b *testing.B) {
 	b.ReportMetric(declTotalS, "decl-total-s")
 }
 
-// BenchmarkTriggerPolicies is the DESIGN.md ablation for Section 3.3's "the
-// best condition has to be evaluated experimentally": the same closed-loop
+// BenchmarkTriggerPolicies is the ablation for Section 3.3's "the best
+// condition has to be evaluated experimentally": the same closed-loop
 // workload under each trigger policy.
 func BenchmarkTriggerPolicies(b *testing.B) {
 	for _, tc := range []struct {
@@ -369,37 +371,31 @@ func BenchmarkDatalogSemiNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkHistoryGC is the history garbage-collection ablation: round cost
-// with per-round GC vs unbounded history growth.
+// BenchmarkHistoryGC is the round cost of a short run with history garbage
+// collection, which the engine runs every round: finished transactions leave
+// the history, so its size stays bounded by the live ones.
 func BenchmarkHistoryGC(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		gcEvery int
-	}{{"gc-every-round", 1}, {"gc-disabled", -1}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				srv := storage.NewServer(storage.Config{Rows: 1000})
-				engine, err := scheduler.NewEngine(scheduler.Config{
-					Protocol: protocol.SS2PLDatalog(), Server: srv, GCEvery: tc.gcEvery,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ta := int64(1)
-				id := int64(1)
-				for round := 0; round < 30; round++ {
-					for c := 0; c < 8; c++ {
-						tx := request.NewBuilder(ta, func() int64 { id++; return id }).
-							Read(int64((round*8 + c) % 1000)).Write(int64((round*8 + c + 1) % 1000)).Commit()
-						ta++
-						engine.Enqueue(tx.Requests...)
-					}
-					if _, err := engine.Round(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+	for i := 0; i < b.N; i++ {
+		srv := storage.NewServer(storage.Config{Rows: 1000})
+		engine, err := scheduler.NewEngine(scheduler.Config{
+			Protocol: protocol.SS2PLDatalog(), Server: srv,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ta := int64(1)
+		id := int64(1)
+		for round := 0; round < 30; round++ {
+			for c := 0; c < 8; c++ {
+				tx := request.NewBuilder(ta, func() int64 { id++; return id }).
+					Read(int64((round*8 + c) % 1000)).Write(int64((round*8 + c + 1) % 1000)).Commit()
+				ta++
+				engine.Enqueue(tx.Requests...)
+			}
+			if _, err := engine.Round(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -561,8 +557,8 @@ func BenchmarkMiddlewareRoundPartitioned(b *testing.B) {
 // parallel shards wait on it — while the rebalanced variant's load accounts
 // spot the imbalance and migrate the hot slots one per shard, so steady-state
 // round time drops back toward the uniform sweep's. The two sub-benchmarks
-// are the committed evidence of the rebalancing win; bench_guard.sh holds
-// rebalanced to at least 1.5x faster than static.
+// are the committed evidence of the rebalancing win; bench_guard.sh guards
+// each on its own baseline figure.
 func BenchmarkMiddlewareRoundPartitionedHotKey(b *testing.B) {
 	const (
 		parts   = 8
@@ -575,7 +571,7 @@ func BenchmarkMiddlewareRoundPartitionedHotKey(b *testing.B) {
 		reb  scheduler.RebalanceConfig
 	}{
 		{"static", scheduler.RebalanceConfig{}},
-		{"rebalanced", scheduler.RebalanceConfig{Trigger: 1.1, Every: 2, MaxMoves: 8, SplitFactor: 1000}},
+		{"rebalanced", scheduler.RebalanceConfig{Trigger: 1.1, Every: 2}},
 	} {
 		b.Run(fmt.Sprintf("partitions=%d/%s", parts, v.name), func(b *testing.B) {
 			srv := storage.NewServer(storage.Config{Rows: rows})

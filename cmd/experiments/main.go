@@ -1,11 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results).
+// evaluation, one harness per experiment in internal/experiments, plus two
+// studies the paper leaves open: the native scheduler's sensitivity to the
+// workload (skew, write share, transaction length) and the partitioned
+// scheduler under skewed load. Where the paper gives a figure, the output
+// prints it beside the measured one.
 //
 // Usage:
 //
-//	experiments [-run all|table1|table2|figure2|declovh|crossover|productivity]
-//	            [-scale 0.1] [-reps 5]
+//	experiments [-run all|table1|table2|figure2|declovh|crossover|productivity|sensitivity|partitionskew]
+//	            [-scale 0.1] [-reps 5] [-clients 32]
 //
 // scale shrinks the virtual 240 s budget of the Figure 2 simulation (1.0
 // reproduces the paper's full runs; the ratio series is budget-invariant).

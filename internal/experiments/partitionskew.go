@@ -18,7 +18,7 @@ import (
 // load should spread qualified work evenly and gain from partitioning; a hot
 // set concentrates conflicts (and victims) on the hot shards, so the
 // imbalance columns show where the speedup goes — and what the rebalancer
-// claws back by moving and splitting hot slots.
+// claws back by moving and rotating hot slots.
 type PartitionSkewPoint struct {
 	Workload   string
 	Partitions int
@@ -39,10 +39,9 @@ type PartitionSkewPoint struct {
 	// the rebalancer needs a few rounds of load observations before it
 	// moves slots, so this is the converged figure.
 	Steady float64
-	// Moves and Splits count slot migrations and hot-slot splits applied by
-	// the rebalancer (zero under the static table).
-	Moves  int
-	Splits int
+	// Moves counts the slot migrations the rebalancer applied, rotations of
+	// an irreducible hot slot included (zero under the static table).
+	Moves int
 }
 
 // PartitionSkew sweeps partition counts under a uniform workload, a hot-key
@@ -64,15 +63,11 @@ func PartitionSkew(partitions []int, clients int) ([]PartitionSkewPoint, error) 
 	hot.HotSkew = 1.5
 
 	// An aggressive rebalancer for the short closed-loop run: check every
-	// other round. Splits stay conservative (a single-object hot slot gains
-	// nothing from splitting — one object's requests must collocate — and a
-	// split slot is no longer movable), so plain moves do the spreading.
+	// round.
 	rebal := scheduler.RebalanceConfig{
-		Slots:       256,
-		Trigger:     1.05,
-		Every:       1,
-		MaxMoves:    8,
-		SplitFactor: 1000,
+		Slots:   256,
+		Trigger: 1.05,
+		Every:   1,
 	}
 
 	var out []PartitionSkewPoint
@@ -127,7 +122,7 @@ func PartitionSkew(partitions []int, clients int) ([]PartitionSkewPoint, error) 
 				Steady:     steadyImbalance(col, parts),
 			}
 			if ls, ok := pe.LoadReport(0); ok {
-				p.Moves, p.Splits = ls.Moves, ls.Splits
+				p.Moves = ls.Moves
 			}
 			out = append(out, p)
 		}
@@ -190,19 +185,20 @@ func steadyImbalance(col *metrics.Collector, parts int) float64 {
 func FormatPartitionSkew(points []PartitionSkewPoint) string {
 	var b strings.Builder
 	b.WriteString("Partitioned round loops under uniform vs hot-key load (static vs rebalanced slot table)\n\n")
-	fmt.Fprintf(&b, "%-14s %5s %10s %8s %7s %6s %12s %12s %10s %7s %6s %7s\n",
-		"workload", "parts", "committed", "aborted", "rounds", "cross", "mean round", "p99 round", "imbalance", "steady", "moves", "splits")
+	fmt.Fprintf(&b, "%-14s %5s %10s %8s %7s %6s %12s %12s %10s %7s %6s\n",
+		"workload", "parts", "committed", "aborted", "rounds", "cross", "mean round", "p99 round", "imbalance", "steady", "moves")
 	for _, p := range points {
-		fmt.Fprintf(&b, "%-14s %5d %10d %8d %7d %6d %12s %12s %10.2f %7.2f %6d %7d\n",
+		fmt.Fprintf(&b, "%-14s %5d %10d %8d %7d %6d %12s %12s %10.2f %7.2f %6d\n",
 			p.Workload, p.Partitions, p.Committed, p.Aborted, p.Rounds, p.Cross,
 			p.MeanRound.Round(time.Microsecond), p.P99Round.Round(time.Microsecond),
-			p.Imbalance, p.Steady, p.Moves, p.Splits)
+			p.Imbalance, p.Steady, p.Moves)
 	}
 	b.WriteString("\nexpected shape: uniform load spreads qualified work evenly (imbalance ~1)\n")
 	b.WriteString("and cross-partition commits grow with the partition count; the hot-key\n")
 	b.WriteString("workload concentrates conflicts on the hot shards (imbalance >> 1) under\n")
 	b.WriteString("the static hash table, so extra partitions buy little for the skewed\n")
-	b.WriteString("rounds — with the rebalancer, hot slots are moved and split until the\n")
-	b.WriteString("steady-state imbalance approaches the uniform figure\n")
+	b.WriteString("rounds — with the rebalancer, hot slots are moved to the coldest shards,\n")
+	b.WriteString("and a slot too hot to move whole is rotated among them on a cooldown, so\n")
+	b.WriteString("the steady-state imbalance falls below the static table's\n")
 	return b.String()
 }

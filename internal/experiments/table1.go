@@ -2,7 +2,7 @@
 // paper's evaluation, plus the crossover analysis of its discussion section.
 // Each harness returns structured rows and has a formatter that prints the
 // same table/series the paper reports; cmd/experiments regenerates all of
-// them and EXPERIMENTS.md records paper-vs-measured values.
+// them.
 package experiments
 
 import (

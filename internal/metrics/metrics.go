@@ -5,6 +5,7 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -14,14 +15,46 @@ import (
 	"time"
 )
 
-// Histogram is a power-of-two bucketed histogram of int64 observations
-// (e.g. nanoseconds). The zero value is ready to use.
+// Histogram is a log-linear histogram of non-negative int64 observations
+// (e.g. nanoseconds), in HdrHistogram's layout: values below 16 get a bucket
+// each, and every power-of-two range above is split into 16 linear
+// sub-buckets, so a bucket's width is at most 1/16 of its lower bound and a
+// quantile reads at most 1/16 above the exact one. The zero value is ready
+// to use.
 type Histogram struct {
 	mu      sync.Mutex
-	buckets [64]int64
+	buckets [histBuckets]int64
 	count   int64
 	sum     int64
 	max     int64
+}
+
+// subBits is log2 of the sub-buckets per power of two.
+const subBits = 4
+
+// histBuckets covers every non-negative int64: the 16 exact values below 16
+// plus 16 sub-buckets for each power of two from 2^4 to 2^62.
+const histBuckets = (63 - subBits + 1) << subBits
+
+// bucketOf returns v's bucket: v itself below 16; above, v's leading bit and
+// the four bits after it, so [2^e, 2^(e+1)) fills 16 buckets of width
+// 2^(e-4).
+func bucketOf(v int64) int {
+	e := bits.Len64(uint64(v)) - 1 // v in [2^e, 2^(e+1))
+	if e < subBits {
+		return int(v)
+	}
+	shift := e - subBits
+	return shift<<subBits + int(v>>shift)
+}
+
+// bucketUpper returns the largest value bucket b holds.
+func bucketUpper(b int) int64 {
+	if b < 1<<subBits {
+		return int64(b)
+	}
+	shift := b>>subBits - 1
+	return int64(b-shift<<subBits+1)<<shift - 1
 }
 
 // Observe records one value (negative values count as zero).
@@ -29,7 +62,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	b := bits.Len64(uint64(v)) // 0 -> bucket 0, 1 -> 1, 2..3 -> 2, ...
+	b := bucketOf(v)
 	h.mu.Lock()
 	h.buckets[b]++
 	h.count++
@@ -91,10 +124,7 @@ func (h *Histogram) quantileLocked(q float64) int64 {
 	for b, n := range h.buckets {
 		seen += n
 		if seen >= target {
-			if b == 0 {
-				return 0
-			}
-			return int64(1)<<b - 1
+			return bucketUpper(b)
 		}
 	}
 	return h.max
@@ -195,13 +225,19 @@ const (
 const MergedPartition = -1
 
 // Collector accumulates scheduler statistics. It is safe for concurrent use.
+// AddRound and AddPartitionRound keep every record and fold it into running
+// totals, so a scrape (Summarise, PartitionSummaries, Snapshot) costs the
+// same however long the collector has run.
 type Collector struct {
-	mu         sync.Mutex
-	rounds     []RoundStats
-	partRounds map[int][]RoundStats
-	executed   int64
-	aborted    int64
-	Latency    Histogram // per-request middleware latency (ns)
+	mu     sync.Mutex
+	rounds []RoundStats
+	// sum holds the running totals of the merged rounds: Summary's counts,
+	// sums and maps, with MeanPending, MeanQualified and MeanRoundDuration
+	// left for Summarise to derive; pending is the sum behind MeanPending.
+	sum     Summary
+	pending int64
+	parts   map[int]*partitionLog
+	Latency Histogram // per-request middleware latency (ns)
 	// Exec records per-batch server execution times (ns) as reported by the
 	// pipelined executor when a round's batch completes — the "execute" leg
 	// that overlaps qualification, measured separately so the overlap is
@@ -216,8 +252,7 @@ type Collector struct {
 	load LoadSnapshot
 }
 
-// SlotLoad is one hot slot's decayed load and owning shard (-1 when the slot
-// is split across a shard set).
+// SlotLoad is one hot slot's decayed load and owning shard.
 type SlotLoad struct {
 	Slot  int
 	Shard int
@@ -226,13 +261,12 @@ type SlotLoad struct {
 
 // LoadSnapshot is the partitioned scheduler's load-accounting view: decayed
 // per-shard loads, their max/mean imbalance, the hottest slots, and the
-// rebalancer's cumulative move/split counters and routing-table version.
+// rebalancer's cumulative move counter and routing-table version.
 type LoadSnapshot struct {
 	Shards    []float64
 	TopSlots  []SlotLoad
 	Imbalance float64
 	Moves     int
-	Splits    int
 	Version   uint64
 }
 
@@ -249,12 +283,27 @@ func NewCollector() *Collector {
 	return &Collector{startedAt: time.Now()}
 }
 
+// partitionLog is one shard's round records and their running totals.
+type partitionLog struct {
+	rounds                      []RoundStats
+	qualified, victims, pending int64
+	dur                         time.Duration
+}
+
 // AddRound records one round.
 func (c *Collector) AddRound(rs RoundStats) {
 	c.mu.Lock()
 	c.rounds = append(c.rounds, rs)
-	c.executed += int64(rs.Qualified)
-	c.aborted += int64(rs.Victims)
+	s := &c.sum
+	s.Rounds++
+	s.Executed += int64(rs.Qualified)
+	s.Aborted += int64(rs.Victims)
+	s.TotalRoundTime += rs.Duration
+	s.Cross += int64(rs.Cross)
+	c.pending += int64(rs.Pending)
+	count(&s.Strategies, rs.Strategy, 1)
+	count(&s.Fired, rs.Fired, 1)
+	count(&s.Causes, rs.Cause, rs.Victims)
 	c.mu.Unlock()
 }
 
@@ -263,10 +312,19 @@ func (c *Collector) AddRound(rs RoundStats) {
 // goes through AddRound so the aggregate counters count each request once.
 func (c *Collector) AddPartitionRound(rs RoundStats) {
 	c.mu.Lock()
-	if c.partRounds == nil {
-		c.partRounds = make(map[int][]RoundStats)
+	p := c.parts[rs.Partition]
+	if p == nil {
+		if c.parts == nil {
+			c.parts = make(map[int]*partitionLog)
+		}
+		p = &partitionLog{}
+		c.parts[rs.Partition] = p
 	}
-	c.partRounds[rs.Partition] = append(c.partRounds[rs.Partition], rs)
+	p.rounds = append(p.rounds, rs)
+	p.qualified += int64(rs.Qualified)
+	p.victims += int64(rs.Victims)
+	p.pending += int64(rs.Pending)
+	p.dur += rs.Duration
 	c.mu.Unlock()
 }
 
@@ -274,9 +332,11 @@ func (c *Collector) AddPartitionRound(rs RoundStats) {
 func (c *Collector) PartitionRounds(partition int) []RoundStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]RoundStats, len(c.partRounds[partition]))
-	copy(out, c.partRounds[partition])
-	return out
+	var rounds []RoundStats
+	if p := c.parts[partition]; p != nil {
+		rounds = p.rounds
+	}
+	return append(make([]RoundStats, 0, len(rounds)), rounds...)
 }
 
 // Rounds returns a copy of the per-round records.
@@ -292,14 +352,14 @@ func (c *Collector) Rounds() []RoundStats {
 func (c *Collector) Executed() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.executed
+	return c.sum.Executed
 }
 
 // Aborted returns the number of deadlock victims.
 func (c *Collector) Aborted() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.aborted
+	return c.sum.Aborted
 }
 
 // Summary aggregates the rounds.
@@ -331,26 +391,15 @@ func (c *Collector) Summarise() Summary {
 }
 
 func (c *Collector) summariseLocked() Summary {
-	s := Summary{Rounds: len(c.rounds), Executed: c.executed, Aborted: c.aborted}
-	if len(c.rounds) == 0 {
-		return s
+	s := c.sum
+	s.Strategies = maps.Clone(s.Strategies)
+	s.Fired = maps.Clone(s.Fired)
+	s.Causes = maps.Clone(s.Causes)
+	if n := s.Rounds; n > 0 {
+		s.MeanPending = float64(c.pending) / float64(n)
+		s.MeanQualified = float64(s.Executed) / float64(n)
+		s.MeanRoundDuration = s.TotalRoundTime / time.Duration(n)
 	}
-	var pend, qual int64
-	var dur time.Duration
-	for _, r := range c.rounds {
-		pend += int64(r.Pending)
-		qual += int64(r.Qualified)
-		dur += r.Duration
-		s.Cross += int64(r.Cross)
-		count(&s.Strategies, r.Strategy, 1)
-		count(&s.Fired, r.Fired, 1)
-		count(&s.Causes, r.Cause, r.Victims)
-	}
-	n := len(c.rounds)
-	s.MeanPending = float64(pend) / float64(n)
-	s.MeanQualified = float64(qual) / float64(n)
-	s.MeanRoundDuration = dur / time.Duration(n)
-	s.TotalRoundTime = dur
 	return s
 }
 
@@ -404,24 +453,20 @@ func (c *Collector) Snapshot() Snapshot {
 // qualifiedImbalanceLocked is the max/mean ratio of the shards' qualified
 // totals — the run-level skew observable (0 with fewer than two shards).
 func (c *Collector) qualifiedImbalanceLocked() float64 {
-	if len(c.partRounds) < 2 {
+	if len(c.parts) < 2 {
 		return 0
 	}
 	var total, max int64
-	for _, rounds := range c.partRounds {
-		var q int64
-		for _, r := range rounds {
-			q += int64(r.Qualified)
-		}
-		total += q
-		if q > max {
-			max = q
+	for _, p := range c.parts {
+		total += p.qualified
+		if p.qualified > max {
+			max = p.qualified
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	mean := float64(total) / float64(len(c.partRounds))
+	mean := float64(total) / float64(len(c.parts))
 	return float64(max) / mean
 }
 
@@ -437,8 +482,8 @@ func (s Snapshot) String() string {
 		line += fmt.Sprintf(" imbalance=%.2f", s.QualifiedImbalance)
 	}
 	if len(s.Load.Shards) > 0 {
-		line += fmt.Sprintf(" load_imbalance=%.2f slot_moves=%d slot_splits=%d table_v=%d",
-			s.Load.Imbalance, s.Load.Moves, s.Load.Splits, s.Load.Version)
+		line += fmt.Sprintf(" load_imbalance=%.2f slot_moves=%d table_v=%d",
+			s.Load.Imbalance, s.Load.Moves, s.Load.Version)
 		for _, t := range s.Load.TopSlots {
 			line += fmt.Sprintf(" hot_slot=%d@%d:%.1f", t.Slot, t.Shard, t.Load)
 		}
@@ -476,22 +521,17 @@ type PartitionSummary struct {
 func (c *Collector) PartitionSummaries() []PartitionSummary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]PartitionSummary, 0, len(c.partRounds))
-	for p, rounds := range c.partRounds {
-		ps := PartitionSummary{Partition: p, Rounds: len(rounds)}
-		var pend int64
-		var dur time.Duration
-		for _, r := range rounds {
-			ps.Qualified += int64(r.Qualified)
-			ps.Victims += int64(r.Victims)
-			pend += int64(r.Pending)
-			dur += r.Duration
-		}
-		if len(rounds) > 0 {
-			ps.MeanPending = float64(pend) / float64(len(rounds))
-			ps.MeanDuration = dur / time.Duration(len(rounds))
-		}
-		out = append(out, ps)
+	out := make([]PartitionSummary, 0, len(c.parts))
+	for i, p := range c.parts {
+		n := len(p.rounds) // >= 1: a log exists once a round was added
+		out = append(out, PartitionSummary{
+			Partition:    i,
+			Rounds:       n,
+			Qualified:    p.qualified,
+			Victims:      p.victims,
+			MeanPending:  float64(p.pending) / float64(n),
+			MeanDuration: p.dur / time.Duration(n),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Partition < out[j].Partition })
 	return out

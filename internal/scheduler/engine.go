@@ -52,9 +52,6 @@ import (
 type Config struct {
 	Protocol protocol.Protocol
 	Server   *storage.Server
-	// GCEvery runs history garbage collection every n rounds (0 or 1 =
-	// every round; negative disables GC, for the ablation benchmark).
-	GCEvery int
 	// KeepLog retains the full execution log for offline serializability
 	// checking.
 	KeepLog bool

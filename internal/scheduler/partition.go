@@ -11,8 +11,8 @@
 // requests and history on the same object only).
 //
 // Because placement is table data rather than a fixed hash, a rebalancer
-// (rebalance.go) can move hot slots between shards — or split one across a
-// shard set — between super-rounds: the slot's pending and history rows
+// (rebalance.go) can move hot slots between shards between super-rounds (a
+// slot lives on one shard at a time): the slot's pending and history rows
 // migrate store to store, emitting exact remove/add deltas on both sides so
 // the warm incremental protocols patch instead of rebuilding, and the drained
 // admission queues are re-routed against the new table before the round

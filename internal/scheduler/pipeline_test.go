@@ -575,7 +575,7 @@ func TestExecutorsDeliverExactlyOnce(t *testing.T) {
 			case <-time.After(500 * time.Microsecond):
 			}
 			slot := e.Directory().SlotOf(rng.Int63n(objects))
-			e.ForceRebalance(store.SlotMove{Slot: slot, To: []int{rng.Intn(4)}})
+			e.ForceRebalance(store.SlotMove{Slot: slot, To: rng.Intn(4)})
 		}
 	}()
 

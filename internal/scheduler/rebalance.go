@@ -9,9 +9,9 @@
 // whole account decays each round — so the trigger compares recent behaviour,
 // not lifetime totals. When the hottest shard's load exceeds Trigger× the
 // mean, the planner greedily moves the hottest slots it owns to the coldest
-// shards, and splits a slot across a shard set when that single slot
-// dominates the shard on its own (hot-key splitting: distinct objects of the
-// slot spread by sub-hash; a single object is irreducible).
+// shards; a slot too hot to move without overshooting is rotated to the
+// coldest shard on a cooldown instead (a slot lives on one shard, and a
+// single object's requests must collocate).
 //
 // Migration is safe mid-stream because it runs between super-rounds on the
 // sequencer's goroutine: in-flight executor plans are quiesced first (undo
@@ -43,16 +43,10 @@ type RebalanceConfig struct {
 	Trigger float64
 	// Every is the check cadence in super-rounds (<= 0 selects 16).
 	Every int
-	// MaxMoves caps the slot moves planned per check (<= 0 selects 8).
-	MaxMoves int
-	// SplitFactor marks a slot hot enough to split rather than move: a slot
-	// whose own load exceeds SplitFactor× the mean shard load spreads
-	// across a shard set instead of relocating whole (<= 0 selects 1.5).
-	SplitFactor float64
-	// SplitWays is the shard-set size of a split (<= 1 selects
-	// min(4, partitions)).
-	SplitWays int
 }
+
+// maxMoves caps the slot moves planned per check.
+const maxMoves = 8
 
 // loadDecay is the per-round decay of the load accounts (a ~16-round
 // half-life scale: steady per-round work x accumulates to ~16x).
@@ -78,24 +72,11 @@ type rebalancer struct {
 	lastCheck  int
 	lastRotate int
 	moves      int
-	splits     int
 }
 
 func newRebalancer(cfg RebalanceConfig, slots, parts int) *rebalancer {
 	if cfg.Every <= 0 {
 		cfg.Every = 16
-	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 8
-	}
-	if cfg.SplitFactor <= 0 {
-		cfg.SplitFactor = 1.5
-	}
-	if cfg.SplitWays <= 1 {
-		cfg.SplitWays = 4
-	}
-	if cfg.SplitWays > parts {
-		cfg.SplitWays = parts
 	}
 	return &rebalancer{
 		cfg:       cfg,
@@ -189,9 +170,8 @@ func (e *Engine) foldLoads() {
 
 // planMoves is the greedy planner: while the hottest shard exceeds Trigger×
 // the mean, move its hottest slot that fits into the gap to the coldest
-// shard — or split a slot across the coldest set when that one slot alone
-// carries SplitFactor× the mean shard load (moving it whole could never
-// balance).
+// shard — or, when every slot it owns overshoots the gap, rotate the
+// hottest one there on a cooldown.
 func (e *Engine) planMoves() []store.SlotMove {
 	rb := e.reb
 	load := append([]float64(nil), rb.shardWork...)
@@ -203,19 +183,13 @@ func (e *Engine) planMoves() []store.SlotMove {
 	if mean <= 0 {
 		return nil
 	}
-	// owner[slot] is the shard a plainly routed slot sits on; -1 marks a
-	// slot already split (its load is already spread; leave it).
+	// owner[slot] is the shard the slot sits on in the simulated placement.
 	owner := make([]int, e.part.Slots())
 	for i := range owner {
-		r := e.part.RouteOf(i)
-		if len(r.Split) > 0 {
-			owner[i] = -1
-		} else {
-			owner[i] = int(r.Shard)
-		}
+		owner[i] = e.part.RouteOf(i)
 	}
 	var moves []store.SlotMove
-	for len(moves) < rb.cfg.MaxMoves {
+	for len(moves) < maxMoves {
 		h, c := 0, 0
 		for s := 1; s < len(e.shards); s++ {
 			if load[s] > load[h] {
@@ -247,19 +221,7 @@ func (e *Engine) planMoves() []store.SlotMove {
 			}
 		}
 		if hottest < 0 {
-			break // the shard's heat comes from split slots; nothing to move
-		}
-		if hotW >= rb.cfg.SplitFactor*mean {
-			targets := coldestShards(load, rb.cfg.SplitWays)
-			moves = append(moves, store.SlotMove{Slot: hottest, To: targets})
-			owner[hottest] = -1
-			share := hotW / float64(len(targets))
-			load[h] -= hotW
-			for _, t := range targets {
-				load[t] += share
-			}
-			rb.splits++
-			continue
+			break // no slot the shard owns carries load
 		}
 		if best < 0 {
 			// Every owned slot overshoots the gap: the shard's heat is one
@@ -275,7 +237,7 @@ func (e *Engine) planMoves() []store.SlotMove {
 			// move it back).
 			if e.rounds-rb.lastRotate >= rotateCooldown*rb.cfg.Every {
 				rb.lastRotate = e.rounds
-				moves = append(moves, store.SlotMove{Slot: hottest, To: []int{c}})
+				moves = append(moves, store.SlotMove{Slot: hottest, To: c})
 				owner[hottest] = c
 				load[h] -= hotW
 				load[c] += hotW
@@ -283,7 +245,7 @@ func (e *Engine) planMoves() []store.SlotMove {
 			}
 			break
 		}
-		moves = append(moves, store.SlotMove{Slot: best, To: []int{c}})
+		moves = append(moves, store.SlotMove{Slot: best, To: c})
 		owner[best] = c
 		load[h] -= bestW
 		load[c] += bestW
@@ -299,34 +261,15 @@ func (e *Engine) planMoves() []store.SlotMove {
 	return moves
 }
 
-// coldestShards returns the k shards with the smallest loads, coldest first.
-func coldestShards(load []float64, k int) []int {
-	idx := make([]int, len(load))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if load[idx[a]] != load[idx[b]] {
-			return load[idx[a]] < load[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // applyMoves installs moves as a new routing-table version and migrates the
 // moved slots' rows from their old shards to their new ones. Sequencer
 // goroutine only.
 func (e *Engine) applyMoves(moves []store.SlotMove) error {
-	// Record the moved slots and their pre-swap placements: those are the
+	// Record the moved slots and their pre-swap shards: those are the
 	// shards rows must migrate out of.
 	movedSlots := make(map[int]bool, len(moves))
 	var sources []int
 	var seen [MaxPartitions]bool
-	var scratch []int
 	for _, m := range moves {
 		if movedSlots[m.Slot] {
 			continue
@@ -335,12 +278,9 @@ func (e *Engine) applyMoves(moves []store.SlotMove) error {
 			continue // Apply below reports the error
 		}
 		movedSlots[m.Slot] = true
-		scratch = e.part.ShardSet(m.Slot, scratch[:0])
-		for _, s := range scratch {
-			if !seen[s] {
-				seen[s] = true
-				sources = append(sources, s)
-			}
+		if s := e.part.RouteOf(m.Slot); !seen[s] {
+			seen[s] = true
+			sources = append(sources, s)
 		}
 	}
 	// In-flight executor plans may still carry exec or undo steps against
@@ -445,7 +385,6 @@ func (e *Engine) LoadReport(topSlots int) (metrics.LoadSnapshot, bool) {
 	ls := metrics.LoadSnapshot{
 		Shards:  append([]float64(nil), rb.shardWork...),
 		Moves:   rb.moves,
-		Splits:  rb.splits,
 		Version: e.part.Version(),
 	}
 	total, max := 0.0, 0.0
@@ -478,12 +417,7 @@ func (e *Engine) LoadReport(topSlots int) (metrics.LoadSnapshot, bool) {
 		if best < 0 {
 			break
 		}
-		route := e.part.RouteOf(best)
-		shard := int(route.Shard)
-		if len(route.Split) > 0 {
-			shard = -1 // split across a set; no single owner
-		}
-		ls.TopSlots = append(ls.TopSlots, metrics.SlotLoad{Slot: best, Shard: shard, Load: bestW})
+		ls.TopSlots = append(ls.TopSlots, metrics.SlotLoad{Slot: best, Shard: e.part.RouteOf(best), Load: bestW})
 	}
 	return ls, true
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Regression: an aggressive rebalancer (check every 2 rounds, low trigger,
-// splits enabled) bounces a hot slot between shards faster than an idle
+// Regression: an aggressive rebalancer (check every 2 rounds, low trigger)
+// bounces a hot slot between shards faster than an idle
 // shard consumes its delta windows. A history row migrated out and back in
 // between two qualifications then lands as remove+re-append in one window;
 // until the history store cancelled that pair in place, the incremental

@@ -21,7 +21,7 @@ import (
 // rebalancing partitioned engine fed in lockstep with a single-loop oracle
 // must match it exactly — per-round victims, merged counts, executed batches
 // with server results, final histories, merged log, per-object order, and
-// server checksums — while slot moves and mid-stream hot-key splits are
+// server checksums — while slot moves and rotations of the hottest slot are
 // forced every round on top of the automatic trigger. A hot-key workload
 // keeps the moved slots loaded, so migrations actually carry pending and
 // history rows. Runs at GOMAXPROCS 1 (sequential shard stages) and 4 (truly
@@ -75,10 +75,9 @@ func TestRebalancingMatchesSingleLoop(t *testing.T) {
 						},
 						Partitions: parts,
 						Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
-						// Small directory so the 16 objects share slots (splits
-						// spread real sets); the trigger plans its own moves on
-						// rounds where no forced ones land.
-						Rebalance: RebalanceConfig{Slots: 64, Trigger: 1.3, Every: 3, MaxMoves: 4},
+						// The trigger plans its own moves on rounds where no
+						// forced ones land.
+						Rebalance: RebalanceConfig{Slots: 64, Trigger: 1.3, Every: 3},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -100,13 +99,13 @@ func TestRebalancingMatchesSingleLoop(t *testing.T) {
 						n := 1 + rnd.Intn(3)
 						for i := 0; i < n; i++ {
 							slot := usedSlots[rnd.Intn(len(usedSlots))]
-							if rnd.Float64() < 0.4 && parts > 1 {
-								// Mid-stream hot-key split across a random set.
-								ways := 2 + rnd.Intn(parts-1)
-								perm := rnd.Perm(parts)[:ways]
-								pe.ForceRebalance(store.SlotMove{Slot: slot, To: perm})
+							if rnd.Float64() < 0.4 {
+								// A rotation as the planner makes one: the
+								// hottest slot, whole, to the coldest shard.
+								slot = hottestSlot(pe.reb.slotWork, slot)
+								pe.ForceRebalance(store.SlotMove{Slot: slot, To: coldestShard(pe.reb.shardWork)})
 							} else {
-								pe.ForceRebalance(store.SlotMove{Slot: slot, To: []int{rnd.Intn(parts)}})
+								pe.ForceRebalance(store.SlotMove{Slot: slot, To: rnd.Intn(parts)})
 							}
 						}
 					}
@@ -225,90 +224,84 @@ func TestRebalancingMatchesSingleLoop(t *testing.T) {
 	}
 }
 
-// TestHotKeySplitCrossShardCommit pins the hot-key splitting path: a slot
-// holding two objects whose sub-hashes land on different split members is
-// split across two shards, so a transaction writing both objects becomes
-// cross-partition and must commit via all-copies-agree — executing once,
-// releasing both shards' locks.
-func TestHotKeySplitCrossShardCommit(t *testing.T) {
-	srv := storage.NewServer(storage.Config{Rows: 256})
+// hottestSlot returns the slot with the most load, or fallback when no slot
+// carries any.
+func hottestSlot(slotWork []float64, fallback int) int {
+	best, bestW := fallback, 0.0
+	for slot, w := range slotWork {
+		if w > bestW {
+			best, bestW = slot, w
+		}
+	}
+	return best
+}
+
+// coldestShard returns the shard with the least load, the lowest index on a
+// tie.
+func coldestShard(shardWork []float64) int {
+	c := 0
+	for s, w := range shardWork {
+		if w < shardWork[c] {
+			c = s
+		}
+	}
+	return c
+}
+
+// TestRebalanceRotatesIrreducibleHotSlot pins the planner's rotation branch:
+// a slot holding one hot object that is its shard's whole load overshoots
+// the gap to every other shard, so no move fits and the planner rotates the
+// slot whole to the coldest shard instead — one move per check, and at most
+// once per rotateCooldown×Every rounds however often the trigger fires.
+func TestRebalanceRotatesIrreducibleHotSlot(t *testing.T) {
+	const parts, every = 4, 2
+	const window = rotateCooldown * every
 	pe, err := NewPartitionedEngine(PartitionedConfig{
-		Base:       Config{Server: srv, KeepLog: true},
-		Partitions: 4,
+		Base:       Config{Server: storage.NewServer(storage.Config{Rows: 64})},
+		Partitions: parts,
 		Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
-		Rebalance:  RebalanceConfig{Slots: 8}, // few slots: objects share them
+		Rebalance:  RebalanceConfig{Slots: 64, Trigger: 1.1, Every: every},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two objects in one slot that a 2-way split separates.
-	dir := pe.Directory()
-	objA, objB := int64(-1), int64(-1)
-	split := []int{0, 1}
-	for a := int64(0); a < 256 && objA < 0; a++ {
-		for b := a + 1; b < 256; b++ {
-			if dir.SlotOf(a) != dir.SlotOf(b) {
-				continue
-			}
-			if _, err := dir.Apply([]store.SlotMove{{Slot: dir.SlotOf(a), To: split}}); err != nil {
-				t.Fatal(err)
-			}
-			if dir.ForObject(a) != dir.ForObject(b) {
-				objA, objB = a, b
-				break
-			}
+	const obj = 7
+	rb, hot := pe.reb, pe.part.SlotOf(obj)
+	var rotated []int
+	for round := 1; round <= 10*window; round++ {
+		// The skew the loads would show: the hot slot carries all of its
+		// shard's load, the others carry distinct light loads on no slot.
+		pe.rounds = round
+		owner := pe.part.RouteOf(hot)
+		clear(rb.slotWork)
+		rb.slotWork[hot] = 10
+		for s := range rb.shardWork {
+			rb.shardWork[s] = float64(1 + s)
 		}
-	}
-	if objA < 0 {
-		t.Fatal("no slot-sharing object pair separates under a 2-way split")
-	}
-	if sa, sb := dir.ForObject(objA), dir.ForObject(objB); sa == sb || sa > 1 || sb > 1 {
-		t.Fatalf("split routing broken: %d->%d, %d->%d", objA, sa, objB, sb)
-	}
+		rb.shardWork[owner] = 10
+		coldest := coldestShard(rb.shardWork)
 
-	pe.Enqueue(
-		request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: objA},
-		request.Request{TA: 1, IntraTA: 1, Op: request.Write, Object: objB},
-	)
-	if _, err := pe.Round(); err != nil {
-		t.Fatal(err)
-	}
-	pe.Enqueue(
-		request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: objA},
-		request.Request{TA: 3, IntraTA: 0, Op: request.Write, Object: objB},
-	)
-	if res, err := pe.Round(); err != nil {
-		t.Fatal(err)
-	} else if len(res.Executed) != 0 {
-		t.Fatalf("blocked writers executed: %v", res.Executed)
-	}
-	pe.Enqueue(request.Request{TA: 1, IntraTA: 2, Op: request.Commit, Object: request.NoObject})
-	res, err := pe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	commits := 0
-	for _, ex := range res.Executed {
-		if ex.Request.Op == request.Commit && ex.Request.TA == 1 {
-			commits++
+		moves := pe.pendingMoves()
+		if len(moves) == 0 {
+			continue
+		}
+		if want := []store.SlotMove{{Slot: hot, To: coldest}}; fmt.Sprint(moves) != fmt.Sprint(want) {
+			t.Fatalf("round %d: planned %v, want the hot slot rotated to the coldest shard: %v", round, moves, want)
+		}
+		if n := len(rotated); n > 0 && round-rotated[n-1] < window {
+			t.Fatalf("round %d: rotated again %d rounds after round %d, cooldown is %d", round, round-rotated[n-1], rotated[n-1], window)
+		}
+		rotated = append(rotated, round)
+		if err := pe.applyMoves(moves); err != nil {
+			t.Fatal(err)
+		}
+		if got := pe.part.ForObject(obj); got != coldest {
+			t.Fatalf("round %d: object %d routes to shard %d after rotation, want %d", round, obj, got, coldest)
 		}
 	}
-	if commits != 1 {
-		t.Fatalf("split-slot cross-shard commit executed %d times, want 1", commits)
-	}
-	if res.Stats.Cross != 1 {
-		t.Fatalf("Stats.Cross = %d, want 1", res.Stats.Cross)
-	}
-	res, err = pe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int64]bool{}
-	for _, ex := range res.Executed {
-		got[ex.Request.TA] = true
-	}
-	if !got[2] || !got[3] {
-		t.Fatalf("waiting writers still blocked after split-slot commit: executed %v", res.Executed)
+	// The skew never lets up, so the slot rotates once per window.
+	if len(rotated) != 10 || rb.moves != 10 {
+		t.Fatalf("rotated at rounds %v (%d moves counted), want once per %d rounds", rotated, rb.moves, window)
 	}
 }
 
@@ -338,7 +331,7 @@ func TestMigrationReleasesLateTerminationLocks(t *testing.T) {
 	// Commit is enqueued against the pre-move mask {src}; the history row
 	// migrates to dst in the same round the commit is admitted.
 	pe.Enqueue(request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
-	pe.ForceRebalance(store.SlotMove{Slot: slot, To: []int{dst}})
+	pe.ForceRebalance(store.SlotMove{Slot: slot, To: dst})
 	if _, err := pe.Round(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +370,7 @@ func TestRebalancerMiddlewareConcurrent(t *testing.T) {
 		Base:       Config{Server: srv, KeepLog: true, StarveAfter: 30},
 		Partitions: 4,
 		Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
-		Rebalance:  RebalanceConfig{Slots: 64, Trigger: 1.2, Every: 2, MaxMoves: 8},
+		Rebalance:  RebalanceConfig{Slots: 64, Trigger: 1.2, Every: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +394,7 @@ func TestRebalancerMiddlewareConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			pe.ForceRebalance(store.SlotMove{Slot: i % 64, To: []int{i % 4}})
+			pe.ForceRebalance(store.SlotMove{Slot: i % 64, To: i % 4})
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

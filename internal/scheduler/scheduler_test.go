@@ -325,25 +325,6 @@ func TestEngineRTERelation(t *testing.T) {
 	}
 }
 
-func TestEngineGCDisabled(t *testing.T) {
-	e, err := NewEngine(Config{
-		Protocol: protocol.SS2PLDatalog(),
-		Server:   storage.NewServer(storage.Config{Rows: 10}),
-		GCEvery:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := request.NewBuilder(1, nil).Write(1).Commit()
-	e.Enqueue(tx.Requests...)
-	if _, err := e.Round(); err != nil {
-		t.Fatal(err)
-	}
-	if e.History().Len() != 2 {
-		t.Errorf("history should retain finished txns when GC disabled: %d", e.History().Len())
-	}
-}
-
 func runMiddlewareWorkload(t *testing.T, trig Trigger, clients, txns int) (WorkloadResult, *Middleware, *storage.Server) {
 	t.Helper()
 	srv := storage.NewServer(storage.Config{Rows: 50})

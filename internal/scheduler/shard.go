@@ -280,13 +280,11 @@ func (sh *shard) commitPlan() {
 		sh.plan.steps = append(sh.plan.steps, step)
 		sh.hist.Append(r)
 	}
-	if cfg.GCEvery >= 0 && (cfg.GCEvery <= 1 || sh.round%cfg.GCEvery == 0) {
-		sh.hist.GC()
-		// History GC is the checkpoint trigger of the durable mode: the
-		// stores just shed finished transactions, so fold the journal into
-		// the page file too (rate-limited by journal growth inside).
-		cfg.Server.MaybeCheckpoint()
-	}
+	sh.hist.GC()
+	// History GC is the checkpoint trigger of the durable mode: the stores
+	// just shed finished transactions, so fold the journal into the page
+	// file too (rate-limited by journal growth inside).
+	cfg.Server.MaybeCheckpoint()
 }
 
 // execute (stage 5) performs the plan's server work in order. Per-request

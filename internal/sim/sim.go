@@ -7,7 +7,7 @@
 // preserving the dynamics that produce the measured ratio: lock waits,
 // deadlock restarts and wasted (aborted) work.
 //
-// Substitution note (see DESIGN.md): the paper measures a commercial DBMS on
+// Substitution note: the paper measures a commercial DBMS on
 // a 2.8 GHz single-core machine. The ratio it reports — multi-user execution
 // time over single-user replay time of the same committed statement sequence
 // — depends on blocking and restart dynamics, not on absolute statement
@@ -63,8 +63,7 @@ func PaperSimConfig(clients int) Config {
 		CommitTicks:       350,
 		BudgetTicks:       240_000_000, // 240 s in µs
 		// 300 ms balances the paper's two anchors: ratios stay near 100%
-		// through ~200 clients and explode past 500 (see EXPERIMENTS.md for
-		// the calibration discussion).
+		// through ~200 clients and explode past 500.
 		DeadlockCheckTicks:   300_000,
 		RollbackPerStmtTicks: 350,
 		Seed:                 1,

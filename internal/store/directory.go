@@ -3,7 +3,7 @@
 // Routing stays a pure function of the object — every request touching an
 // object, and every history row recording one, lands in the shard the table
 // names — but the table itself is data, so a rebalancer can move a hot slot
-// to another shard (or split it across several) without changing the hash.
+// to another shard without changing the hash.
 //
 // The table is an immutable snapshot behind an atomic pointer: readers
 // (concurrent admission) load it wait-free; the single writer (the round
@@ -25,30 +25,17 @@ import (
 // small enough that per-slot load accounting is a cache-resident array.
 const DefaultSlots = 1024
 
-// SlotRoute is one slot's placement: its owning shard, or — for a hot slot
-// that has been split — a set of shards across which the slot's objects
-// spread by a per-object sub-hash.
-type SlotRoute struct {
-	Shard int32
-	// Split, when non-empty, overrides Shard: the slot is hot and its
-	// objects route to Split[subhash(object) % len(Split)]. A single object
-	// is irreducible (its sub-hash is constant, so all its traffic still
-	// lands on one member — lock state must be co-located), but distinct
-	// objects sharing the slot spread across the set.
-	Split []int32
-}
-
-// SlotMove is one rebalancing step: route slot Slot to To[0], or split it
-// across To when len(To) > 1.
+// SlotMove is one rebalancing step: route slot Slot to shard To.
 type SlotMove struct {
 	Slot int
-	To   []int
+	To   int
 }
 
-// routeTable is one immutable routing snapshot.
+// routeTable is one immutable routing snapshot: slot i lives on shard
+// shards[i].
 type routeTable struct {
 	version uint64
-	slots   []SlotRoute
+	shards  []int32
 }
 
 // Directory is the versioned slot→shard routing table. Reads are wait-free
@@ -68,9 +55,9 @@ func NewDirectory(slots, parts int) *Directory {
 		slots = DefaultSlots
 	}
 	d := &Directory{nslots: slots, parts: parts}
-	t := &routeTable{slots: make([]SlotRoute, slots)}
-	for i := range t.slots {
-		t.slots[i].Shard = int32(i % parts)
+	t := &routeTable{shards: make([]int32, slots)}
+	for i := range t.shards {
+		t.shards[i] = int32(i % parts)
 	}
 	d.table.Store(t)
 	return d
@@ -93,21 +80,9 @@ func (d *Directory) SlotOf(obj int64) int {
 	return int(h % uint64(d.nslots))
 }
 
-// subHash spreads the objects of a split slot across its shard set. A second,
-// independent hash: reusing the slot hash would map every object of one slot
-// to the same split member.
-func subHash(obj int64) uint64 {
-	h := uint64(obj) * 0xFF51AFD7ED558CCD
-	return h ^ h>>33
-}
-
 // ForObject returns the shard owning an object under the current table.
 func (d *Directory) ForObject(obj int64) int {
-	r := &d.table.Load().slots[d.SlotOf(obj)]
-	if len(r.Split) > 0 {
-		return int(r.Split[subHash(obj)%uint64(len(r.Split))])
-	}
-	return int(r.Shard)
+	return int(d.table.Load().shards[d.SlotOf(obj)])
 }
 
 // ForTA returns a fallback home shard for a transaction that never touched an
@@ -119,55 +94,28 @@ func (d *Directory) ForTA(ta int64) int {
 	return int(h % uint64(d.parts))
 }
 
-// RouteOf returns slot's current placement. The Split slice is shared with
-// the table; callers must not mutate it.
-func (d *Directory) RouteOf(slot int) SlotRoute {
-	return d.table.Load().slots[slot]
-}
-
-// ShardSet appends the shards slot currently routes to (one for a plain slot,
-// the split set for a hot one) onto dst.
-func (d *Directory) ShardSet(slot int, dst []int) []int {
-	r := &d.table.Load().slots[slot]
-	if len(r.Split) > 0 {
-		for _, s := range r.Split {
-			dst = append(dst, int(s))
-		}
-		return dst
-	}
-	return append(dst, int(r.Shard))
+// RouteOf returns the shard slot currently routes to.
+func (d *Directory) RouteOf(slot int) int {
+	return int(d.table.Load().shards[slot])
 }
 
 // Apply installs the given moves as a new table version. It validates every
-// move (slot and shards in range, non-empty target set) and returns the new
-// version. Single writer only.
+// move (slot and shard in range) and returns the new version; an invalid
+// move leaves the table untouched. Single writer only.
 func (d *Directory) Apply(moves []SlotMove) (uint64, error) {
 	old := d.table.Load()
 	next := &routeTable{
 		version: old.version + 1,
-		slots:   append([]SlotRoute(nil), old.slots...),
+		shards:  append([]int32(nil), old.shards...),
 	}
 	for _, m := range moves {
 		if m.Slot < 0 || m.Slot >= d.nslots {
 			return old.version, fmt.Errorf("store: directory: slot %d out of range [0,%d)", m.Slot, d.nslots)
 		}
-		if len(m.To) == 0 {
-			return old.version, fmt.Errorf("store: directory: slot %d move has no target", m.Slot)
+		if m.To < 0 || m.To >= d.parts {
+			return old.version, fmt.Errorf("store: directory: slot %d target shard %d out of range [0,%d)", m.Slot, m.To, d.parts)
 		}
-		for _, s := range m.To {
-			if s < 0 || s >= d.parts {
-				return old.version, fmt.Errorf("store: directory: slot %d target shard %d out of range [0,%d)", m.Slot, s, d.parts)
-			}
-		}
-		if len(m.To) == 1 {
-			next.slots[m.Slot] = SlotRoute{Shard: int32(m.To[0])}
-			continue
-		}
-		split := make([]int32, len(m.To))
-		for i, s := range m.To {
-			split[i] = int32(s)
-		}
-		next.slots[m.Slot] = SlotRoute{Shard: split[0], Split: split}
+		next.shards[m.Slot] = int32(m.To)
 	}
 	d.table.Store(next)
 	return next.version, nil

@@ -8,7 +8,7 @@ import (
 )
 
 // TestDirectoryRouting pins the slot directory's contract: stable slot
-// hashing, in-range initial routes, move and split semantics, version bumps,
+// hashing, in-range initial routes, move semantics, version bumps,
 // and validation errors that leave the table untouched.
 func TestDirectoryRouting(t *testing.T) {
 	d := NewDirectory(0, 4)
@@ -30,7 +30,7 @@ func TestDirectoryRouting(t *testing.T) {
 		if s < 0 || s >= 4 {
 			t.Fatalf("ForObject(%d) = %d out of range", o, s)
 		}
-		if want := int(d.RouteOf(slot).Shard); s != want {
+		if want := d.RouteOf(slot); s != want {
 			t.Fatalf("ForObject(%d) = %d but its slot %d routes to %d", o, s, slot, want)
 		}
 	}
@@ -40,7 +40,7 @@ func TestDirectoryRouting(t *testing.T) {
 	slot := d.SlotOf(obj)
 	from := d.ForObject(obj)
 	to := (from + 1) % 4
-	v, err := d.Apply([]SlotMove{{Slot: slot, To: []int{to}}})
+	v, err := d.Apply([]SlotMove{{Slot: slot, To: to}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,45 +54,18 @@ func TestDirectoryRouting(t *testing.T) {
 	for d.SlotOf(other) == slot {
 		other++
 	}
-	if got := d.ForObject(other); got != int(d.RouteOf(d.SlotOf(other)).Shard) {
+	if got := d.ForObject(other); got != d.RouteOf(d.SlotOf(other)) {
 		t.Fatalf("unmoved slot rerouted: object %d -> %d", other, got)
-	}
-
-	// A split spreads the slot over the target set only, and ShardSet
-	// reports the set.
-	if _, err := d.Apply([]SlotMove{{Slot: slot, To: []int{1, 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	set := d.ShardSet(slot, nil)
-	if len(set) != 2 || set[0] != 1 || set[1] != 3 {
-		t.Fatalf("ShardSet after split = %v, want [1 3]", set)
-	}
-	seen := map[int]bool{}
-	for o := int64(0); o < 100000; o++ {
-		if d.SlotOf(o) != slot {
-			continue
-		}
-		s := d.ForObject(o)
-		if s != 1 && s != 3 {
-			t.Fatalf("split slot routed object %d to shard %d outside {1,3}", o, s)
-		}
-		if again := d.ForObject(o); again != s {
-			t.Fatalf("split routing unstable for object %d", o)
-		}
-		seen[s] = true
-	}
-	if len(seen) != 2 {
-		t.Fatalf("split only ever used shards %v of {1,3}", seen)
 	}
 
 	// Invalid moves fail without touching the table or the version.
 	before := d.Version()
 	for _, bad := range [][]SlotMove{
-		{{Slot: -1, To: []int{0}}},
-		{{Slot: d.Slots(), To: []int{0}}},
-		{{Slot: 0, To: nil}},
-		{{Slot: 0, To: []int{4}}},
-		{{Slot: 0, To: []int{1, -1}}},
+		{{Slot: -1, To: 0}},
+		{{Slot: d.Slots(), To: 0}},
+		{{Slot: 0, To: 4}},
+		{{Slot: 0, To: -1}},
+		{{Slot: 1, To: 2}, {Slot: slot, To: 5}},
 	} {
 		if _, err := d.Apply(bad); err == nil {
 			t.Fatalf("Apply(%v) accepted", bad)
@@ -101,8 +74,8 @@ func TestDirectoryRouting(t *testing.T) {
 	if d.Version() != before {
 		t.Fatalf("failed Apply bumped version: %d -> %d", before, d.Version())
 	}
-	if got := d.ShardSet(slot, nil); len(got) != 2 {
-		t.Fatalf("failed Apply changed routes: %v", got)
+	if got := d.ForObject(obj); got != to {
+		t.Fatalf("failed Apply changed routes: object %d -> %d, want %d", obj, got, to)
 	}
 
 	// ForTA is table-independent: stable across every rebalance above.
@@ -136,17 +109,13 @@ func TestDirectoryConcurrentReaders(t *testing.T) {
 					t.Errorf("ForObject(%d) = %d out of range", o, s)
 					return
 				}
-				d.ShardSet(d.SlotOf(o), nil)
+				d.RouteOf(d.SlotOf(o))
 				d.Version()
 			}
 		}(g)
 	}
 	for i := 0; i < 2000; i++ {
-		move := SlotMove{Slot: i % 128, To: []int{i % 8}}
-		if i%3 == 0 {
-			move.To = []int{i % 8, (i + 3) % 8}
-		}
-		if _, err := d.Apply([]SlotMove{move}); err != nil {
+		if _, err := d.Apply([]SlotMove{{Slot: i % 128, To: i % 8}}); err != nil {
 			t.Fatal(err)
 		}
 	}
