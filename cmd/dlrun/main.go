@@ -3,6 +3,9 @@
 //
 // Datalog mode: each -rel name=file.csv becomes an EDB predicate; the
 // program is read from the file argument and the -query predicate printed.
+// Any predicate of the program can be queried: a helper the engine unfolds
+// into the rules that read it (and so does not store) is evaluated on
+// demand from the program as written.
 //
 //	dlrun -rel request=pending.csv -rel history=hist.csv -query qualified prog.dl
 //
@@ -44,7 +47,7 @@ func main() {
 	rels := relFlags{}
 	flag.Var(rels, "rel", "relation binding name=file.csv (repeatable)")
 	useSQL := flag.Bool("sql", false, "treat the program as a mini-SQL query instead of Datalog")
-	query := flag.String("query", "qualified", "Datalog predicate to print")
+	query := flag.String("query", "qualified", "Datalog predicate to print: any predicate of the program, EDB or derived (an unfolded helper is evaluated on demand)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: dlrun [-sql] [-rel name=file.csv ...] [-query pred] program-file")

@@ -54,8 +54,8 @@ func orderBody(r Rule) ([]int, error) {
 			if aOK && bOK {
 				return true
 			}
-			// X = Y with X bound can bind Y.
-			if l.ArithOp == ArithNone && l.Out.Kind == Var && bound[l.Out.Name] {
+			// X = Y with X bound, or a constant, can bind Y.
+			if l.ArithOp == ArithNone && (l.Out.Kind == Const || l.Out.Kind == Var && bound[l.Out.Name]) {
 				return true
 			}
 			return false

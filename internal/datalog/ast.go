@@ -8,13 +8,16 @@
 // relations are the scheduler's pending `request` and `history` tables and
 // whose answer predicate is the set of requests qualified for execution.
 //
-// The engine is built for the scheduler's round loop: each predicate's facts
-// are a relation.Bag at count 1, indexed on the column subsets fixed at
-// compile time, and Engine.RunIncremental warm-starts a round from the previous one —
-// unchanged EDB predicates keep their fact sets and indexes, and a change
-// re-derives only the predicates downstream of it. Evaluation runs on the
-// calling goroutine. Engine.Run remains the cold path and the correctness
-// oracle; see the Engine documentation in engine.go.
+// The engine is built for the scheduler's round loop: NewEngine unfolds the
+// helper predicates that can stand in for their occurrences into the rules
+// that read them (unfold.go), each stored predicate's facts are a
+// relation.Bag at count 1, indexed on the column subsets fixed at compile
+// time, and Engine.RunIncremental warm-starts a round from the previous
+// one — unchanged EDB predicates keep their fact sets and indexes, and a
+// change re-derives only the stored predicates downstream of it. Evaluation
+// runs on the calling goroutine. Engine.Run remains the cold path, and Naive
+// evaluation of the program as written the correctness oracle; see the
+// Engine documentation in engine.go.
 package datalog
 
 import (

@@ -244,8 +244,8 @@ func compileRule(r Rule) (*compiledRule, error) {
 		case LitArith:
 			outBound := l.Out.Kind == Var && bound[l.Out.Name]
 			aBound := l.A.Kind != Var || bound[l.A.Name]
-			if l.ArithOp == ArithNone && outBound && !aBound {
-				// X = Y with X bound, Y fresh: bind Y from X.
+			if l.ArithOp == ArithNone && (outBound || l.Out.Kind == Const) && !aBound {
+				// X = Y with X bound or a constant, Y fresh: bind Y from X.
 				var err error
 				if m.aVal, err = src(l.Out); err != nil {
 					return nil, err

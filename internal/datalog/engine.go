@@ -15,11 +15,25 @@ import (
 // predicates, the only predicates that keep deltas. The program is compiled
 // once; EDB relations are supplied per run.
 //
-// The engine keeps one fact set per predicate for its whole life, and that
-// set is the only copy of the predicate's tuples: SetEDB stages rows that the
-// next run loads into the predicate's set, an EDB delta is applied to the set
-// in place, and derived predicates are reset and re-filled. Compiled rule
-// steps point at their sets directly.
+// NewEngine first unfolds the program's helper predicates (see unfold): a
+// derived, non-recursive predicate that some rule reads, and whose
+// definition can stand in for each occurrence without multiplying a
+// reader's rules, is replaced by its rule body there. The engine compiles,
+// stratifies and evaluates the unfolded program, so it stores only the
+// predicates that stay: outputs nobody reads, recursive ones, aggregates,
+// and helpers with several rules read positively (or not expressible as
+// negated atoms). On SS2PL it stores `blocked` and `qualified`, and each
+// pending request probes the history's indexes for the lock conditions
+// directly. Facts, FactSeq and FactCount of an unfolded predicate answer
+// from a cold evaluation of the program as written over the current EDB,
+// run on the query's demand (OnDemandRuns counts them), and Naive evaluates
+// the program as written too, which makes it the reference for the pass.
+//
+// The engine keeps one fact set per stored predicate for its whole life,
+// and that set is the only copy of the predicate's tuples: SetEDB stages
+// rows that the next run loads into the predicate's set, an EDB delta is
+// applied to the set in place, and derived predicates are reset and
+// re-filled. Compiled rule steps point at their sets directly.
 //
 // There are two evaluation modes. Run is the cold path: it resets the IDB
 // sets and re-derives the fixpoint from the EDB sets. It is the correctness
@@ -39,16 +53,33 @@ import (
 //
 // The engine is single-caller and evaluates on the calling goroutine.
 type Engine struct {
+	// prog is the program evaluated: the written one with its unfolded
+	// predicates substituted.
 	prog     *Program
 	compiled []*compiledRule
 	depGraph
 	rulesBy [][]int // stratum -> rule indexes
 	idb     map[string]bool
 
+	// written is the program as written and unfolded the predicates the
+	// pass replaced; both are nil when nothing unfolded (prog is then the
+	// written program). ref evaluates written cold over this engine's EDB,
+	// built on first need; it last ran at run number refAt (runs counts the
+	// runs that may have changed the EDB). onDemand counts the evaluations
+	// a query of an unfolded predicate caused.
+	written  *Program
+	unfolded map[string]bool
+	ref      *Engine
+	refAt    int
+	runs     int
+	onDemand int
+
 	// Naive switches off the delta optimisation: every stratum repeats full
 	// passes over its rules until one derives nothing new, whichever
-	// predicates are recursive. Tests use it to verify the semi-naive
-	// evaluator against the textbook fixpoint.
+	// predicates are recursive; and it evaluates the program as written,
+	// without unfolding. Tests use it to verify the semi-naive evaluator
+	// against the textbook fixpoint, and the unfolded program against the
+	// written one.
 	Naive bool
 
 	// facts holds the one copy of every predicate's tuples, EDB and derived
@@ -130,8 +161,25 @@ type EDBDelta struct {
 	Delete []relation.Tuple
 }
 
-// NewEngine compiles the program.
+// NewEngine unfolds the program's helper predicates (see unfold) and
+// compiles what remains.
 func NewEngine(prog *Program) (*Engine, error) {
+	run, unfolded, err := unfold(prog)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(run)
+	if err != nil {
+		return nil, err
+	}
+	if unfolded != nil {
+		e.written, e.unfolded = prog, unfolded
+	}
+	return e, nil
+}
+
+// newEngine compiles prog as it stands.
+func newEngine(prog *Program) (*Engine, error) {
 	g, err := analyze(prog)
 	if err != nil {
 		return nil, err
@@ -203,7 +251,7 @@ func NewEngine(prog *Program) (*Engine, error) {
 // predicate never mentioned in the program is accepted (and simply unused) so
 // that callers can bind a fixed set of scheduler relations to any protocol.
 func (e *Engine) SetEDB(pred string, rows []relation.Tuple) error {
-	if e.idb[pred] {
+	if e.idb[pred] || e.unfolded[pred] {
 		return fmt.Errorf("datalog: %s is defined by rules; cannot set as EDB", pred)
 	}
 	if want, ok := e.prog.Arities[pred]; ok {
@@ -256,7 +304,7 @@ func (e *Engine) edbSet(pred string, rows []relation.Tuple) *relation.Bag {
 func (e *Engine) Run() error {
 	// Invalidate warm state up front: a mid-run error must not leave
 	// half-built fact sets behind a warm flag.
-	e.warm = false
+	e.mutating()
 	if err := e.loadStaged(); err != nil {
 		return err
 	}
@@ -281,9 +329,27 @@ func (e *Engine) loadStaged() error {
 	return nil
 }
 
+// mutating marks the start of a run that may change the EDB sets: the
+// engine stops being warm until the run succeeds, and the reference
+// evaluation goes stale.
+func (e *Engine) mutating() {
+	e.warm = false
+	e.runs++
+}
+
 // deriveAll is the cold evaluation: every IDB set is reset and re-derived
-// from the EDB sets, stratum by stratum.
+// from the EDB sets, stratum by stratum. In Naive mode, a program with
+// unfolded predicates is evaluated as written, by the reference engine,
+// which then answers for every derived predicate; the engine's own sets
+// stay stale, so it stays cold.
 func (e *Engine) deriveAll() error {
+	if e.Naive && e.written != nil {
+		if err := e.evalReference(true); err != nil {
+			return err
+		}
+		e.Stats = e.ref.Stats
+		return nil
+	}
 	e.Stats = RunStats{Strategy: StrategyCold}
 	for p := range e.idb {
 		e.factsFor(p).Reset()
@@ -330,7 +396,7 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	// never mentions, the arity is pinned by the staged rows, the retained
 	// facts, or the batch's first tuple.
 	for pred, d := range changed {
-		if e.idb[pred] {
+		if e.idb[pred] || e.unfolded[pred] {
 			return fmt.Errorf("datalog: %s is defined by rules; cannot apply EDB delta", pred)
 		}
 		want, known := e.prog.Arities[pred]
@@ -378,7 +444,7 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	// on success, so an error can never leave half-applied fact sets behind
 	// a warm engine. Each delta is applied once, to the predicate's fact set
 	// (insert before delete, per the EDBDelta contract).
-	e.warm = false
+	e.mutating()
 	if err := e.loadStaged(); err != nil {
 		return err
 	}
@@ -655,11 +721,12 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 	return nil
 }
 
-// FactCount returns the number of stored tuples of a predicate without
+// FactCount returns the number of tuples of a predicate without
 // materialising a relation — a cheap consistency probe for callers
-// maintaining incremental mirrors of the EDB.
+// maintaining incremental mirrors of the EDB. An unfolded predicate is
+// evaluated on demand (see Engine).
 func (e *Engine) FactCount(pred string) int {
-	if f, ok := e.facts[pred]; ok {
+	if f := e.answer(pred); f != nil {
 		return f.DistinctLen()
 	}
 	return 0
@@ -667,9 +734,10 @@ func (e *Engine) FactCount(pred string) int {
 
 // Facts returns the current tuples of a predicate (EDB or derived) as a
 // relation with a dynamically typed schema. Unknown predicates yield an
-// empty zero-arity relation.
+// empty zero-arity relation. An unfolded predicate is evaluated on demand
+// (see Engine).
 func (e *Engine) Facts(pred string) *relation.Relation {
-	if f, ok := e.facts[pred]; ok {
+	if f := e.answer(pred); f != nil {
 		return f.Relation()
 	}
 	ar := e.prog.Arities[pred]
@@ -678,10 +746,11 @@ func (e *Engine) Facts(pred string) *relation.Relation {
 
 // FactSeq iterates over the current tuples of a predicate in place, without
 // materialising a relation. The tuples are the engine's own: read-only, and
-// the sequence must be consumed before the next run.
+// the sequence must be consumed before the next run. An unfolded predicate
+// is evaluated on demand (see Engine) when the sequence starts.
 func (e *Engine) FactSeq(pred string) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
-		if f, ok := e.facts[pred]; ok {
+		if f := e.answer(pred); f != nil {
 			for _, t := range f.Tuples() {
 				if !yield(t) {
 					return
@@ -689,6 +758,59 @@ func (e *Engine) FactSeq(pred string) iter.Seq[relation.Tuple] {
 			}
 		}
 	}
+}
+
+// OnDemandRuns returns how many times a query of an unfolded predicate has
+// evaluated the program as written since NewEngine. A caller that reads
+// only stored predicates and the EDB never causes one.
+func (e *Engine) OnDemandRuns() int { return e.onDemand }
+
+// answer returns the fact set that holds pred's current tuples, nil for an
+// unknown predicate: the engine's own, or the reference evaluation's for an
+// unfolded predicate and, in Naive mode, for every derived one.
+func (e *Engine) answer(pred string) *relation.Bag {
+	if !e.unfolded[pred] && !(e.Naive && e.written != nil && e.idb[pred]) {
+		return e.facts[pred]
+	}
+	if e.ref == nil || e.refAt != e.runs {
+		if err := e.evalReference(false); err != nil {
+			// The engine ran the unfolded program over this EDB, and the
+			// written one runs the same fact rules over it.
+			panic("datalog: evaluating the program as written: " + err.Error())
+		}
+		e.onDemand++
+	}
+	return e.ref.facts[pred]
+}
+
+// evalReference runs the program as written cold over the engine's EDB sets
+// (naive or semi-naive), on an engine compiled from it on first need.
+func (e *Engine) evalReference(naive bool) error {
+	if e.ref == nil {
+		ref, err := newEngine(e.written)
+		if err != nil {
+			return err
+		}
+		e.ref = ref
+	}
+	for p := range e.written.Arities {
+		if e.ref.idb[p] {
+			continue
+		}
+		var rows []relation.Tuple
+		if f, ok := e.facts[p]; ok {
+			rows = f.Tuples()
+		}
+		if err := e.ref.SetEDB(p, rows); err != nil {
+			return err
+		}
+	}
+	e.ref.Naive = naive
+	if err := e.ref.Run(); err != nil {
+		return err
+	}
+	e.refAt = e.runs
+	return nil
 }
 
 // Query runs the program against the given EDB and returns one predicate.

@@ -59,18 +59,21 @@ func FuzzParse(f *testing.F) {
 // randomLayeredProgram) and a random sequence of insert/delete batches on its
 // two EDB predicates, every IDB predicate of the warm engine equals, after
 // every batch, both a fresh engine's cold Run and its Naive run over the same
-// EDB. The naive fixpoint repeats full passes until nothing new is derived,
-// so it is correct whichever predicates the stratification calls recursive:
-// a stratum that reads a non-recursive predicate of its own, or a recursive
-// predicate whose deltas are dropped, makes the semi-naive runs diverge
-// from it.
+// EDB — stored and unfolded predicates alike (an unfolded one answers from
+// an on-demand evaluation). The naive fixpoint repeats full passes over the
+// program as written until nothing new is derived, so it is correct
+// whichever predicates the stratification calls recursive and whichever the
+// unfolding pass replaced: a stratum that reads a non-recursive predicate of
+// its own, a recursive predicate whose deltas are dropped, or an unfolding
+// that captures, loses or duplicates a variable makes the other runs diverge
+// from it. The helpers the generator marks as keep-stored must not unfold.
 func FuzzRunIncrementalMatchesCold(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		src, idb := randomLayeredProgram(rng)
+		src, idb, keep := randomLayeredProgram(rng)
 		prog, err := Parse(src)
 		if err != nil {
 			t.Fatalf("generated program rejected: %v\n%s", err, src)
@@ -78,6 +81,11 @@ func FuzzRunIncrementalMatchesCold(f *testing.F) {
 		e, err := NewEngine(prog)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, p := range keep {
+			if e.unfolded[p] {
+				t.Fatalf("%s was unfolded, but must stay stored\nprogram:\n%s\nevaluated:\n%s", p, src, e.prog)
+			}
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -150,19 +158,59 @@ func freshRun(t *testing.T, prog *Program, edb map[string][]relation.Tuple, naiv
 // negating one of those and comparing the head's columns. With probability
 // one half a recursive pair r0/r1 joins the chain at a random link (r0 is
 // seeded from below and extended through r1, which copies r0 and may join
-// itself with it), and the later links may read it. The rules are written
+// itself with it), and the later links may read it. Unary helpers h<i> join
+// the chain too, in the shapes the unfolding pass must tell apart: one atom
+// with a `_`, a constant or a body-only variable; two atoms sharing a
+// body-only variable; a comparison; two rules; a repeated head variable;
+// and a repeated body-only variable, read through the two-rule ternary t.
+// Later rules read a helper positively (with a variable, `_` or a
+// constant) or under `not` (with a variable or `_`). The rules are written
 // in a shuffled order, so no evaluator can rely on the text defining a
-// predicate before its readers. It returns the source and the IDB
-// predicates.
-func randomLayeredProgram(rng *rand.Rand) (string, []string) {
+// predicate before its readers. It returns the source, the IDB predicates,
+// and the predicates that must stay stored: a helper with two rules read
+// positively, one whose body-only variable repeats read under `not`, one
+// whose head variable repeats read as `not h(_)`, and t.
+func randomLayeredProgram(rng *rand.Rand) (string, []string, []string) {
 	lower := []string{"e", "f"} // what the next rule may read
 	pick := func() string { return lower[rng.Intn(len(lower))] }
 	atom := func(pred, x, y string) string { return pred + "(" + x + ", " + y + ")" }
+	type helper struct {
+		name string
+		// keepIf* say which reads keep the helper stored; pos, neg and
+		// negWild record the reads the text makes.
+		keepIfPos, keepIfNeg, keepIfNegWild bool
+		pos, neg, negWild                   bool
+	}
+	var helpers []*helper
+	readHelper := func(x string) string {
+		if len(helpers) == 0 || rng.Intn(3) != 0 {
+			return ""
+		}
+		h := helpers[rng.Intn(len(helpers))]
+		switch rng.Intn(5) {
+		case 0:
+			h.pos = true
+			return ", " + h.name + "(" + x + ")"
+		case 1:
+			h.pos = true
+			return ", " + h.name + "(_)"
+		case 2:
+			h.pos = true
+			return ", " + h.name + "(1)"
+		case 3:
+			h.neg = true
+			return ", not " + h.name + "(" + x + ")"
+		default:
+			h.neg, h.negWild = true, true
+			return ", not " + h.name + "(_)"
+		}
+	}
 	extras := func(x, y string) string {
 		var s string
 		if rng.Intn(3) == 0 {
 			s += ", not " + atom(pick(), x, y)
 		}
+		s += readHelper(x)
 		switch rng.Intn(4) {
 		case 0:
 			s += ", " + x + " < " + y
@@ -183,7 +231,41 @@ func randomLayeredProgram(rng *rand.Rand) (string, []string) {
 			return atom(head, "X", "Z") + " :- " + atom(pick(), "X", "Y") + ", " + atom(pick(), "Y", "Z") + extras("X", "Z") + "."
 		}
 	}
-	var text, idb []string
+	var text, idb, keep []string
+	ternary := false
+	addHelper := func(name string) {
+		h := &helper{name: name}
+		a, b := pick(), pick()
+		switch rng.Intn(8) {
+		case 0:
+			text = append(text, name+"(X) :- "+atom(a, "X", "_")+".")
+		case 1:
+			text = append(text, name+"(X) :- "+atom(a, "X", "Z")+".")
+		case 2:
+			text = append(text, name+"(X) :- "+atom(a, "X", "2")+".")
+		case 3:
+			text = append(text, name+"(X) :- "+atom(a, "X", "Y")+", "+atom(b, "Y", "3")+".")
+		case 4:
+			text = append(text, name+"(X) :- "+atom(a, "X", "Y")+", X < Y.")
+		case 5:
+			text = append(text, name+"(X) :- "+atom(a, "X", "_")+".", name+"(X) :- "+atom(b, "_", "X")+".")
+			h.keepIfPos = true
+		case 6:
+			text = append(text, name+"(X) :- "+atom(a, "X", "X")+".")
+			h.keepIfNegWild = true
+		default:
+			if !ternary {
+				ternary = true
+				text = append(text, "t(X, Y, Z) :- e(X, Y), f(Y, Z).", "t(X, Y, Z) :- f(X, Y), e(Y, Z).")
+				idb = append(idb, "t")
+				keep = append(keep, "t")
+			}
+			text = append(text, name+"(X) :- t(X, Z, Z).")
+			h.keepIfNeg = true
+		}
+		helpers = append(helpers, h)
+		idb = append(idb, name)
+	}
 	n := 2 + rng.Intn(4)
 	pairAt := -1
 	if rng.Intn(2) == 0 {
@@ -201,6 +283,9 @@ func randomLayeredProgram(rng *rand.Rand) (string, []string) {
 			idb = append(idb, "r0", "r1")
 			lower = append(lower, "r0", "r1")
 		}
+		if rng.Intn(2) == 0 {
+			addHelper("h" + strconv.Itoa(i))
+		}
 		p := "p" + strconv.Itoa(i)
 		text = append(text, rule(p))
 		if rng.Intn(2) == 0 {
@@ -209,6 +294,11 @@ func randomLayeredProgram(rng *rand.Rand) (string, []string) {
 		idb = append(idb, p)
 		lower = append(lower, p)
 	}
+	for _, h := range helpers {
+		if h.keepIfPos && h.pos || h.keepIfNeg && h.neg || h.keepIfNegWild && h.negWild {
+			keep = append(keep, h.name)
+		}
+	}
 	rng.Shuffle(len(text), func(i, j int) { text[i], text[j] = text[j], text[i] })
-	return strings.Join(text, "\n"), idb
+	return strings.Join(text, "\n"), idb, keep
 }

@@ -67,12 +67,10 @@ func checkAgainstOracle(t *testing.T, e *Engine, prog *Program, edb map[string][
 	}
 }
 
-// TestRunIncrementalMonotoneSeeding: insert-only deltas into a recursive,
-// negation-free program recompute their affected closure and stay equivalent
-// to cold runs. The name is kept from the engine's former monotone path,
-// which seeded the semi-naive deltas with the inserted tuples; that path was
-// deleted because no protocol's rounds reached it.
-func TestRunIncrementalMonotoneSeeding(t *testing.T) {
+// TestRunIncrementalInsertOnlyIntoRecursiveProgram: insert-only deltas into
+// a recursive, negation-free program recompute their affected closure and
+// stay equivalent to cold runs.
+func TestRunIncrementalInsertOnlyIntoRecursiveProgram(t *testing.T) {
 	prog := MustParse(`
 		path(X, Y) :- edge(X, Y).
 		path(X, Z) :- path(X, Y), edge(Y, Z).

@@ -141,6 +141,27 @@ func TestDatalogStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 	}
 }
 
+// TestDatalogWarmRoundsDoNotEvaluateOnDemand: the engine unfolds the lock
+// helpers of every shipped Datalog text and answers a query of one by
+// evaluating the program as written; a protocol's rounds read only stored
+// predicates (`qualified`, `wound`) and the EDB, so warm rounds — and the
+// wound-wait decision read after each — never start that evaluation.
+func TestDatalogWarmRoundsDoNotEvaluateOnDemand(t *testing.T) {
+	for _, mk := range []func() *DatalogProtocol{
+		SS2PLDatalog, TwoPLDatalog, SLAPriorityDatalog, RelaxedReadsDatalog, WoundWaitDatalog,
+	} {
+		p := mk()
+		trace := driveIncremental(t, p, func() Protocol { return mk() }, 3)
+		p.Wounded()
+		if n := p.engine.OnDemandRuns(); n != 0 {
+			t.Fatalf("%s: %d on-demand evaluations over %d rounds", p.Name(), n, len(trace))
+		}
+		if trace[len(trace)-1].strategy != datalog.StrategyRecompute {
+			t.Fatalf("%s: last round took %s, want %s", p.Name(), trace[len(trace)-1].strategy, datalog.StrategyRecompute)
+		}
+	}
+}
+
 // TestSQLQualifyIncrementalMatchesCold: same property for the SQL protocol's
 // delta-maintained view cache.
 func TestSQLQualifyIncrementalMatchesCold(t *testing.T) {

@@ -38,8 +38,22 @@ func (o Op) Valid() bool {
 }
 
 // String returns the single-letter encoding used in the relations ("r", "w",
-// "a", "c"), matching the constants in the paper's Listing 1.
-func (o Op) String() string { return string(rune(o)) }
+// "a", "c"), matching the constants in the paper's Listing 1. The four valid
+// letters are constants, so the conversion allocates nothing; an invalid op
+// is converted as its rune.
+func (o Op) String() string {
+	switch o {
+	case Read:
+		return "r"
+	case Write:
+		return "w"
+	case Abort:
+		return "a"
+	case Commit:
+		return "c"
+	}
+	return string(rune(o))
+}
 
 // ParseOp parses the single-letter encoding.
 func ParseOp(s string) (Op, error) {

@@ -3,6 +3,8 @@ package request
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/relation"
 )
 
 func TestOpBasics(t *testing.T) {
@@ -77,6 +79,25 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 	if got.Priority != 5 || got.Arrival != 123 {
 		t.Errorf("extended round trip: %+v", got)
+	}
+}
+
+// TestPutTupleDoesNotAllocate: both protocol adapters build every pending
+// and history tuple through PutTuple into a buffer they own, so the op's
+// letter must not be a fresh string per call. An invalid op still converts.
+func TestPutTupleDoesNotAllocate(t *testing.T) {
+	five, seven := make(relation.Tuple, 5), make(relation.Tuple, 7)
+	for _, o := range []Op{Read, Write, Abort, Commit} {
+		r := Request{ID: 7, TA: 3, IntraTA: 2, Op: o, Object: 99, Priority: 5, Arrival: 123}
+		if n := testing.AllocsPerRun(100, func() { r.PutTuple(five); r.PutTuple(seven) }); n != 0 {
+			t.Errorf("PutTuple of a %q request: %v allocations per call pair, want 0", o, n)
+		}
+		if got := five[3].AsString(); got != o.String() || len(got) != 1 || got[0] != byte(o) {
+			t.Errorf("op column %q for %q", got, o)
+		}
+	}
+	if got := Op('x').String(); got != "x" {
+		t.Errorf("invalid op converts to %q", got)
 	}
 }
 

@@ -4,6 +4,14 @@
 // makes the paper's productivity claim inspectable — these few lines are the
 // entire protocol definitions, versus the imperative implementations in
 // internal/protocol.
+//
+// The texts are the specification, written for the reader: helper
+// predicates such as `finished`, `wlock` and `rlock` name the concepts the
+// protocol is stated in. The engines decide what to store. The Datalog
+// engine unfolds every helper that can stand in for its occurrences into
+// the rules that read it, so on SS2PL it stores only `blocked` and
+// `qualified`, and a pending request probes the history directly; the
+// helpers stay queryable (internal/datalog evaluates them on demand).
 package rules
 
 // ListingOneSQL is the paper's Listing 1, verbatim up to whitespace and
