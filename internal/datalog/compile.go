@@ -79,10 +79,12 @@ type compiledRule struct {
 	steps []stepMeta
 	nVars int
 	head  []headSlot
-	// headSet is the head predicate's fact set, headDelta its semi-naive
-	// delta when the head is recursive (both assigned by NewEngine).
-	headSet   *relation.Bag
-	headDelta *delta
+	// headSet is the head predicate's fact set, headRegion the storage its
+	// derived facts are carved from, headDelta its semi-naive delta when the
+	// head is recursive (all assigned by NewEngine).
+	headSet    *relation.Bag
+	headRegion *relation.Region
+	headDelta  *delta
 
 	hasAgg   bool
 	groupIdx []int // head positions that are group-by (non-aggregate) slots

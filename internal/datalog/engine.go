@@ -35,6 +35,14 @@ import (
 // applied to the set in place, and derived predicates are reset and
 // re-filled. Compiled rule steps point at their sets directly.
 //
+// Tuples are allocated by lifetime. An EDB set keeps the rows it is handed
+// (the caller must not reuse them). A derived predicate's facts live until
+// its set is next reset, so they are carved from a relation.Region owned by
+// the predicate and rewound with the set: a warm round that re-derives
+// `blocked` and `qualified` re-fills the storage the last round used instead
+// of allocating a tuple per fact. Hence FactSeq's tuples are valid until the
+// next run, and Facts returns copies, which stay valid.
+//
 // There are two evaluation modes. Run is the cold path: it resets the IDB
 // sets and re-derives the fixpoint from the EDB sets. It is the correctness
 // oracle and the fallback. RunIncremental is the warm-start path for the
@@ -86,8 +94,11 @@ type Engine struct {
 	// alike, for the engine's lifetime: a delta is applied to the predicate's
 	// set in place, a cold Run resets the IDB sets and re-derives them from
 	// the EDB sets. The sets of the program's predicates are never replaced,
-	// only reset (see edbSet for the others).
-	facts map[string]*relation.Bag
+	// only reset (see edbSet for the others). regions holds, per derived
+	// predicate, the storage its rule-derived facts are carved from, rewound
+	// whenever its set is reset (resetIDB).
+	facts   map[string]*relation.Bag
+	regions map[string]*relation.Region
 	// staged holds the rows SetEDB handed over since the last run; the next
 	// run loads each into its (reset) fact set and forgets the slice.
 	staged map[string][]relation.Tuple
@@ -98,19 +109,20 @@ type Engine struct {
 	// predicates (see delta).
 	deltasBy [][]*delta
 
-	// emitSet and emitDelta are the head fact set and delta of the rule
-	// being evaluated, read by emit (the engine's emitFact, bound once), so
-	// no pass or stratum allocates a sink. workBuf recycles the per-pass
-	// work-item slice, ruleBuf recomputeAffected's per-stratum rule
-	// selection, affected and roots the affected-closure map and its root
-	// list.
-	emitSet   *relation.Bag
-	emitDelta *delta
-	emit      emitFn
-	workBuf   []workItem
-	ruleBuf   []int
-	affected  map[string]bool
-	roots     []string
+	// emitSet, emitRegion and emitDelta are the head fact set, region and
+	// delta of the rule being evaluated, read by emit (the engine's
+	// emitFact, bound once), so no pass or stratum allocates a sink.
+	// workBuf recycles the per-pass work-item slice, ruleBuf
+	// recomputeAffected's per-stratum rule selection, affected and roots the
+	// affected-closure map and its root list.
+	emitSet    *relation.Bag
+	emitRegion *relation.Region
+	emitDelta  *delta
+	emit       emitFn
+	workBuf    []workItem
+	ruleBuf    []int
+	affected   map[string]bool
+	roots      []string
 
 	// Stats from the last Run or RunIncremental.
 	Stats RunStats
@@ -189,6 +201,7 @@ func newEngine(prog *Program) (*Engine, error) {
 		depGraph: *g,
 		idb:      prog.IDB(),
 		facts:    make(map[string]*relation.Bag),
+		regions:  make(map[string]*relation.Region),
 		staged:   make(map[string][]relation.Tuple),
 		affected: make(map[string]bool),
 	}
@@ -214,13 +227,16 @@ func newEngine(prog *Program) (*Engine, error) {
 	for pred := range prog.Arities {
 		e.facts[pred] = e.newSet(pred)
 	}
+	for pred := range e.idb {
+		e.regions[pred] = new(relation.Region)
+	}
 	// Hand each step its predicate's set and the index it probes, and each
 	// rule head its set, so evaluation looks no predicate up by name. A rule
 	// reads a delta only where it reads a recursive predicate of its own
 	// stratum, that is, of its head's component.
 	for _, c := range e.compiled {
 		h := c.rule.Head.Pred
-		c.headSet, c.headDelta = e.facts[h], deltaOf[h]
+		c.headSet, c.headRegion, c.headDelta = e.facts[h], e.regions[h], deltaOf[h]
 		for si := range c.steps {
 			m := &c.steps[si]
 			if m.lit.Kind != LitAtom {
@@ -311,6 +327,14 @@ func (e *Engine) Run() error {
 	return e.deriveAll()
 }
 
+// resetIDB empties a derived predicate's set and rewinds the region its
+// rule-derived facts were carved from: no other set holds them once the
+// predicate's semi-naive deltas are reset too (runStratum does that first).
+func (e *Engine) resetIDB(p string) {
+	e.facts[p].Reset()
+	e.regions[p].Reset()
+}
+
 // loadStaged replaces the fact set of every predicate SetEDB was called on
 // since the last run by the staged rows. A predicate whose rows fail to load
 // stays staged, so the next run starts it over.
@@ -352,7 +376,7 @@ func (e *Engine) deriveAll() error {
 	}
 	e.Stats = RunStats{Strategy: StrategyCold}
 	for p := range e.idb {
-		e.factsFor(p).Reset()
+		e.resetIDB(p)
 	}
 	if err := e.addProgramFacts(nil); err != nil {
 		return err
@@ -377,7 +401,7 @@ func (e *Engine) addProgramFacts(only map[string]bool) error {
 		if err != nil {
 			return err
 		}
-		insert(e.factsFor(r.Head.Pred), t, false)
+		insert(e.factsFor(r.Head.Pred), t)
 	}
 	return nil
 }
@@ -479,13 +503,13 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 // updated in place, clear and re-derive exactly the predicates downstream of
 // the change. Unaffected predicates — typically the bulk of the EDB — are
 // retained with their indexes. Cleared sets are reset in place: the tuple and
-// chain arrays and the bucket arrays they grew last round are what this round
-// re-fills.
+// chain arrays, the bucket arrays and the region they grew last round are
+// what this round re-fills.
 func (e *Engine) recomputeAffected(affected map[string]bool) error {
 	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
 	for p := range affected {
 		if e.idb[p] {
-			e.factsFor(p).Reset()
+			e.resetIDB(p)
 		}
 	}
 	if err := e.addProgramFacts(affected); err != nil {
@@ -603,7 +627,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 func (e *Engine) evalPass(items []workItem) error {
 	for _, it := range items {
 		c := e.compiled[it.ri]
-		e.emitSet, e.emitDelta = c.headSet, c.headDelta
+		e.emitSet, e.emitRegion, e.emitDelta = c.headSet, c.headRegion, c.headDelta
 		if e.Naive {
 			e.emitDelta = nil
 		}
@@ -615,17 +639,21 @@ func (e *Engine) evalPass(items []workItem) error {
 }
 
 // emitFact is the sink of every non-aggregate rule evaluation: it inserts a
-// derived head tuple into the head's fact set (cloned on genuine insertion)
-// and, for a recursive head, records the new fact in its next delta.
+// derived head tuple, which lives in the rule's scratch buffer, into the
+// head's fact set — copied into the head's region on genuine insertion, so
+// duplicate derivations copy nothing — and, for a recursive head, records
+// the new fact in its next delta.
 func (e *Engine) emitFact(t relation.Tuple) error {
 	e.Stats.RuleFirings++
-	added, stored := insert(e.emitSet, t, true)
-	if !added {
+	h := t.Hash()
+	if e.emitSet.Find(t, h) >= 0 {
 		return nil
 	}
+	t = e.emitRegion.Copy(t)
+	e.emitSet.AddNew(t, h, 1)
 	e.Stats.FactsDerived++
 	if d := e.emitDelta; d != nil {
-		d.next.Add(stored, 1) // new to the head set, so new to the delta
+		d.next.AddNew(t, h, 1) // new to the head set, so new to the delta
 	}
 	return nil
 }
@@ -714,7 +742,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 				t[ai] = st.max
 			}
 		}
-		if added, _ := insert(out, t, false); added {
+		if insert(out, t) {
 			e.Stats.FactsDerived++
 		}
 	}
@@ -732,22 +760,28 @@ func (e *Engine) FactCount(pred string) int {
 	return 0
 }
 
-// Facts returns the current tuples of a predicate (EDB or derived) as a
-// relation with a dynamically typed schema. Unknown predicates yield an
-// empty zero-arity relation. An unfolded predicate is evaluated on demand
-// (see Engine).
+// Facts returns a copy of the current tuples of a predicate (EDB or derived)
+// as a relation with a dynamically typed schema; later runs leave it as it
+// is. Unknown predicates yield an empty zero-arity relation. An unfolded
+// predicate is evaluated on demand (see Engine).
 func (e *Engine) Facts(pred string) *relation.Relation {
-	if f := e.answer(pred); f != nil {
-		return f.Relation()
+	f := e.answer(pred)
+	if f == nil {
+		return relation.New(anySchema(e.prog.Arities[pred]))
 	}
-	ar := e.prog.Arities[pred]
-	return relation.New(anySchema(ar))
+	out := relation.New(f.Schema())
+	for _, t := range f.Tuples() {
+		out.AppendTrusted(t.Clone())
+	}
+	return out
 }
 
 // FactSeq iterates over the current tuples of a predicate in place, without
 // materialising a relation. The tuples are the engine's own: read-only, and
-// the sequence must be consumed before the next run. An unfolded predicate
-// is evaluated on demand (see Engine) when the sequence starts.
+// valid only until the next run, which may reuse a derived predicate's
+// storage (see Engine); copy what must outlive it, or use Facts. An
+// unfolded predicate is evaluated on demand (see Engine) when the sequence
+// starts.
 func (e *Engine) FactSeq(pred string) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
 		if f := e.answer(pred); f != nil {

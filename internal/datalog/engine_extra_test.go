@@ -29,7 +29,7 @@ func TestFactSetLookupPaths(t *testing.T) {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	if added, _ := insert(f, relation.Tuple{relation.Int(0), relation.Int(0)}, false); added {
+	if insert(f, relation.Tuple{relation.Int(0), relation.Int(0)}) {
 		t.Error("duplicate added")
 	}
 	if f.DistinctLen() != 10 || f.Len() != 10 {
@@ -54,14 +54,8 @@ func TestFactSetLookupPaths(t *testing.T) {
 	if got := lookupCount(f, []int{0}, []relation.Value{relation.Null()}); got != 1 {
 		t.Errorf("lookup col0=NULL: %d", got)
 	}
-	// A cloning insert keeps its own copy of a reused buffer.
-	buf := relation.Tuple{relation.Int(5), relation.Int(5)}
-	if added, stored := insert(f, buf, true); !added || &stored[0] == &buf[0] {
-		t.Fatalf("cloning insert: added=%v, stored the buffer itself=%v", added, &stored[0] == &buf[0])
-	}
-	buf[0] = relation.Int(6)
-	if f.Count(relation.Tuple{relation.Int(5), relation.Int(5)}) != 1 {
-		t.Error("mutating the buffer changed the stored fact")
+	if !insert(f, relation.Tuple{relation.Int(5), relation.Int(5)}) {
+		t.Fatal("new fact not added")
 	}
 	// Removal keeps the membership chain and every index consistent.
 	if _, ok := f.Remove(relation.Tuple{relation.Int(0), relation.Int(0)}, 1); !ok {

@@ -13,21 +13,17 @@ import (
 // indexes built with IndexNullable: Datalog unifies NULL with NULL
 // (relation.Value.Equal), so a NULL key is filed like any other.
 
-// insert adds t to f unless f holds it already, returning whether it was new
-// and the instance f retains. With clone, a new t is cloned before it is
-// stored, so callers may pass a reused scratch buffer: the clone is paid only
-// for genuinely new facts, not for the duplicate derivations that dominate
-// rule firing.
-func insert(f *relation.Bag, t relation.Tuple, clone bool) (bool, relation.Tuple) {
+// insert adds t to f unless f holds it already, reporting whether it was
+// new. f keeps t itself: callers pass tuples that outlive f's contents (EDB
+// rows, program facts, aggregate rows); rule heads go through emitFact, which
+// carves a copy from the predicate's region instead.
+func insert(f *relation.Bag, t relation.Tuple) bool {
 	h := t.Hash()
-	if p := f.Find(t, h); p >= 0 {
-		return false, f.At(p)
+	if f.Find(t, h) >= 0 {
+		return false
 	}
-	if clone {
-		t = t.Clone()
-	}
-	f.AddHash(t, h, 1)
-	return true, t
+	f.AddNew(t, h, 1)
+	return true
 }
 
 // insertEDB adds an incoming EDB row to f, refusing a row of another arity.
@@ -35,7 +31,7 @@ func insertEDB(f *relation.Bag, t relation.Tuple) error {
 	if n := f.Schema().Len(); len(t) != n {
 		return fmt.Errorf("datalog: arity mismatch: tuple %d vs predicate %d", len(t), n)
 	}
-	insert(f, t, false)
+	insert(f, t)
 	return nil
 }
 

@@ -67,6 +67,77 @@ func checkAgainstOracle(t *testing.T, e *Engine, prog *Program, edb map[string][
 	}
 }
 
+// TestFactsOutliveTheNextRun: a derived predicate's facts are carved from
+// storage its next re-derivation reuses, so Facts must hand out copies. A
+// relation taken before a warm run (which re-derives the predicate) or a
+// cold one must read the same afterwards, while the engine moves on.
+func TestFactsOutliveTheNextRun(t *testing.T) {
+	prog := MustParse(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Z) :- path(X, Y), edge(Y, Z).
+		from1(Y) :- path(1, Y).
+	`)
+	e, err := NewEngine(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := func(a, b int64) relation.Tuple { return relation.Tuple{relation.Int(a), relation.Int(b)} }
+	if err := e.SetEDB("edge", []relation.Tuple{edge(1, 2), edge(2, 3), edge(3, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	type taken struct {
+		rel  *relation.Relation
+		want []string
+	}
+	take := func() []taken {
+		var out []taken
+		for _, p := range []string{"path", "from1"} {
+			rel := e.Facts(p)
+			var want []string
+			for _, row := range rel.Rows() {
+				want = append(want, row.String())
+			}
+			out = append(out, taken{rel, want})
+		}
+		return out
+	}
+	check := func(step string, ts []taken) {
+		t.Helper()
+		for _, tk := range ts {
+			for i, row := range tk.rel.Rows() {
+				if row.String() != tk.want[i] {
+					t.Fatalf("%s: a relation Facts returned earlier changed: row %d reads %s, was %s", step, i, row, tk.want[i])
+				}
+			}
+		}
+	}
+	before := take()
+	for i, d := range []EDBDelta{
+		{Insert: []relation.Tuple{edge(4, 5), edge(1, 7)}, Delete: []relation.Tuple{edge(2, 3)}},
+		{Insert: []relation.Tuple{edge(2, 3), edge(7, 8)}, Delete: []relation.Tuple{edge(1, 2)}},
+	} {
+		if err := e.RunIncremental(map[string]EDBDelta{"edge": d}); err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats.Strategy != StrategyRecompute {
+			t.Fatalf("warm run %d took %q, want %q", i, e.Stats.Strategy, StrategyRecompute)
+		}
+		check(fmt.Sprintf("after warm run %d", i), before)
+		before = append(before, take()...)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a cold run", before)
+	// edge is now 2-3, 3-4, 4-5, 1-7, 7-8.
+	if p, f := e.FactCount("path"), e.FactCount("from1"); p != 9 || f != 2 {
+		t.Fatalf("path holds %d facts and from1 %d, want 9 and 2", p, f)
+	}
+}
+
 // TestRunIncrementalInsertOnlyIntoRecursiveProgram: insert-only deltas into
 // a recursive, negation-free program recompute their affected closure and
 // stay equivalent to cold runs.

@@ -40,11 +40,25 @@ import (
 // round that replaces a whole table takes the same path as a trickle.
 //
 // Every delta cell carries its tuple's hash, computed once where the tuple
-// is made, into every probe of a delta or bag and into the bag patch
-// (Bag.AddHash/RemoveHash); tuples read off a bag reuse its cached hash.
-// All per-round scratch — the signed deltas, vanished-cell chains, match
-// buffers — is pooled on the IVM and recycled every Apply, so a steady-state
-// warm round allocates only the tuples that actually enter the views.
+// is made, into every probe of a delta or bag and into the bag patch;
+// tuples read off a bag reuse its cached hash. All per-round scratch — the
+// signed deltas, vanished-cell chains, match buffers — is pooled on the IVM
+// and recycled every Apply.
+//
+// Ownership: Apply keeps no tuple it did not copy. The tuples of the
+// caller's deltas, and every projection, join concatenation and group key a
+// rule builds (carved from the IVM's region, rewound when Apply returns),
+// live for the round only. A tuple is copied to the heap exactly when it
+// first becomes present in a bag — a base table or a materialised view — or
+// in the ordered root, and each delta cell records whether its tuple is
+// such a held instance (scell.held): a bag patch swaps the cell's tuple for
+// the instance the bag holds, whether the patch adds it, counts it again or
+// deletes it, so a row that moves from the history bag into a view of it is
+// copied once, not per bag. Held instances are never mutated and stay valid
+// while anything references them, which is what lets EXCEPT and anti-joins
+// turn a deleted right-side tuple into an inserted left row safely. A
+// steady-state warm round so allocates only the tuples that become present
+// somewhere, and a delete-only round allocates none.
 //
 // LIMIT has no delta rule (its content depends on physical row order), so
 // NewIVM refuses plans containing it and the caller falls back to full
@@ -72,7 +86,8 @@ type IVM struct {
 	van      vanishedScratch
 	matchBuf []matchEntry
 	keyBuf   relation.Tuple
-	resBuf   relation.Tuple // residual-predicate concat buffer
+	resBuf   relation.Tuple  // residual-predicate concat buffer
+	region   relation.Region // the round's built tuples, rewound by Apply
 }
 
 // nodeAux holds the per-node constants the delta rules would otherwise
@@ -86,7 +101,8 @@ type nodeAux struct {
 // Delta is a bag-valued change to one base table: Ins tuples are added, Del
 // tuples removed. A tuple appearing equally often in both is a net no-op
 // (the two event orders of the scheduler's stores — pending's remove-then-
-// add and history's add-then-remove — both net correctly).
+// add and history's add-then-remove — both net correctly). Apply keeps none
+// of the tuples, so the caller may build them in storage it reuses.
 type Delta struct {
 	Ins, Del []relation.Tuple
 }
@@ -249,6 +265,8 @@ func (m *IVM) acquire() *sdelta {
 	return d
 }
 
+// releaseAll ends the round: every delta goes back to the pool and the
+// region is rewound (no bag holds a tuple carved from it).
 func (m *IVM) releaseAll() {
 	for i, d := range m.inUse {
 		d.reset()
@@ -256,6 +274,7 @@ func (m *IVM) releaseAll() {
 		m.inUse[i] = nil
 	}
 	m.inUse = m.inUse[:0]
+	m.region.Reset()
 }
 
 // Apply patches every view from the given base-table deltas (keyed by
@@ -288,10 +307,10 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 		}
 		sd := m.acquire()
 		for _, t := range d.Ins {
-			sd.add(t, 1)
+			sd.add(t, 1, false)
 		}
 		for _, t := range d.Del {
-			sd.add(t, -1)
+			sd.add(t, -1, false)
 		}
 		m.tdel[strings.ToLower(name)] = sd
 		if err := applyToBag(tv.bag, sd); err != nil {
@@ -337,7 +356,8 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 			out = m.acquire()
 			for _, d := range [2]*sdelta{dL, dR} {
 				for i := range d.cells {
-					out.addHash(d.cells[i].t, d.cells[i].h, d.cells[i].n)
+					c := &d.cells[i]
+					out.addHash(c.t, c.h, c.n, c.held)
 				}
 			}
 		case opExcept:
@@ -438,9 +458,13 @@ func (o *orderedRoot) apply(d *sdelta) error {
 		if c.n < 0 {
 			return fmt.Errorf("minisql: ivm: ordered root delta removes absent %s", c.t)
 		}
+		t := c.t
+		if !c.held {
+			t = t.Clone()
+		}
 		o.cells = append(o.cells, orderedCell{})
 		copy(o.cells[i+1:], o.cells[i:])
-		o.cells[i] = orderedCell{t: c.t, n: c.n}
+		o.cells[i] = orderedCell{t: t, n: c.n}
 		o.total += c.n
 	}
 	return nil
@@ -471,10 +495,15 @@ type sdelta struct {
 	chain relation.Chain
 }
 
+// scell is one tuple's net change. held reports that t is an instance a bag
+// holds or held (see IVM: never mutated, valid as long as it is referenced),
+// which a bag or the ordered root may keep as it is; any other t lives for
+// the round and is copied when it becomes present.
 type scell struct {
-	t relation.Tuple
-	h uint64 // t.Hash()
-	n int
+	t    relation.Tuple
+	h    uint64 // t.Hash()
+	n    int
+	held bool
 }
 
 func newSdelta() *sdelta { return &sdelta{chain: relation.NewChain()} }
@@ -490,25 +519,31 @@ func (d *sdelta) find(t relation.Tuple, h uint64) int32 {
 }
 
 // push appends a cell for a tuple known to be absent.
-func (d *sdelta) push(t relation.Tuple, h uint64, k int) {
+func (d *sdelta) push(t relation.Tuple, h uint64, k int, held bool) {
 	if len(d.cells) == d.chain.Buckets() {
 		d.chain.Grow(func(p int32) uint64 { return d.cells[p].h })
 	}
-	d.cells = append(d.cells, scell{t: t, h: h, n: k})
+	d.cells = append(d.cells, scell{t: t, h: h, n: k, held: held})
 	d.chain.Link(h)
 }
 
-func (d *sdelta) add(t relation.Tuple, k int) { d.addHash(t, t.Hash(), k) }
+// add adds k to t's net count; held says whether t is a held instance.
+func (d *sdelta) add(t relation.Tuple, k int, held bool) { d.addHash(t, t.Hash(), k, held) }
 
-// addHash is add for a caller that already holds h = t.Hash().
-func (d *sdelta) addHash(t relation.Tuple, h uint64, k int) {
+// addHash is add for a caller that already holds h = t.Hash(). A held t
+// replaces a cell's round-lived tuple, so the cell need not be copied.
+func (d *sdelta) addHash(t relation.Tuple, h uint64, k int, held bool) {
 	if k == 0 {
 		return
 	}
 	if p := d.find(t, h); p >= 0 {
-		d.cells[p].n += k
+		c := &d.cells[p]
+		c.n += k
+		if held && !c.held {
+			c.t, c.held = t, true
+		}
 	} else {
-		d.push(t, h, k)
+		d.push(t, h, k, held)
 	}
 }
 
@@ -520,11 +555,12 @@ func (d *sdelta) net(t relation.Tuple, h uint64) int {
 	return 0
 }
 
-// ensure registers t with net 0 if absent — the zero-net marker the
-// affected-group collection uses for dedup (add drops k == 0 on purpose).
+// ensure registers t, a held instance, with net 0 if absent — the zero-net
+// marker the affected-group collection uses for dedup (add drops k == 0 on
+// purpose).
 func (d *sdelta) ensure(t relation.Tuple, h uint64) {
 	if d.find(t, h) < 0 {
-		d.push(t, h, 0)
+		d.push(t, h, 0, true)
 	}
 }
 
@@ -537,17 +573,32 @@ func (d *sdelta) reset() {
 }
 
 // applyToBag patches a bag with a net delta. Its cells are distinct tuples,
-// so each is one count change, and the bag reuses the cell's hash.
+// so each is one count change, and the bag reuses the cell's hash. A tuple
+// new to the bag enters as itself when held and as a heap copy otherwise;
+// every changed cell then carries the instance the bag holds (or held, for
+// a delete), so the parents' rules and bags share it.
 func applyToBag(b *relation.Bag, d *sdelta) error {
 	for i := range d.cells {
 		c := &d.cells[i]
+		if c.n == 0 {
+			continue
+		}
+		p := b.Find(c.t, c.h)
 		switch {
-		case c.n > 0:
-			b.AddHash(c.t, c.h, c.n)
-		case c.n < 0:
-			if _, ok := b.RemoveHash(c.t, c.h, -c.n); !ok {
+		case p >= 0:
+			c.t, c.held = b.At(p), true
+			if c.n > 0 {
+				b.AddAt(p, c.n)
+			} else if _, ok := b.RemoveAt(p, -c.n); !ok {
 				return fmt.Errorf("delta removes %s beyond its count", c.t)
 			}
+		case c.n > 0:
+			if !c.held {
+				c.t, c.held = c.t.Clone(), true
+			}
+			b.AddNew(c.t, c.h, c.n)
+		default:
+			return fmt.Errorf("delta removes absent %s", c.t)
 		}
 	}
 	return nil
@@ -585,8 +636,11 @@ func sideKeysEqual(a relation.Tuple, apos []int, b relation.Tuple, bpos []int) b
 	return true
 }
 
-func concatTuples(a, b relation.Tuple) relation.Tuple {
-	return append(append(make(relation.Tuple, 0, len(a)+len(b)), a...), b...)
+// concat carves a ++ b from the round's region.
+func (m *IVM) concat(a, b relation.Tuple) relation.Tuple {
+	t := m.region.New(len(a) + len(b))
+	copy(t[copy(t, a):], b)
+	return t
 }
 
 // residualTrue evaluates a join residual over the concatenated tuple (nil
@@ -614,7 +668,7 @@ func (m *IVM) selectDelta(n *planNode, dL *sdelta) *sdelta {
 			}
 		}
 		if pass {
-			out.push(c.t, c.h, c.n) // dL's cells are distinct tuples
+			out.push(c.t, c.h, c.n, c.held) // dL's cells are distinct tuples
 		}
 	}
 	return out
@@ -627,11 +681,11 @@ func (m *IVM) projectDelta(n *planNode, dL *sdelta) *sdelta {
 		if c.n == 0 {
 			continue
 		}
-		nt := make(relation.Tuple, len(n.items))
+		nt := m.region.New(len(n.items))
 		for i, it := range n.items {
 			nt[i] = it.E.Eval(c.t)
 		}
-		out.add(nt, c.n)
+		out.add(nt, c.n, false)
 	}
 	return out
 }
@@ -710,7 +764,7 @@ func (m *IVM) joinDelta(n *planNode, dL, dR *sdelta) *sdelta {
 					return
 				}
 				if residualTrue(n.pred, &m.resBuf, lt, rc.t) {
-					out.add(concatTuples(lt, rc.t), lbag.CountAt(p)*rc.n)
+					out.add(m.concat(lt, rc.t), lbag.CountAt(p)*rc.n, false)
 				}
 			}
 			if lix == nil {
@@ -746,7 +800,7 @@ func (m *IVM) joinDelta(n *planNode, dL, dR *sdelta) *sdelta {
 					return
 				}
 				if residualTrue(n.pred, &m.resBuf, lc.t, rt) {
-					out.add(concatTuples(lc.t, rt), lc.n*oldCnt)
+					out.add(m.concat(lc.t, rt), lc.n*oldCnt, false)
 				}
 			}
 			vanished := func(vi int32) { emit(dR.cells[vi].t, dR.cells[vi].h, 0) }
@@ -793,7 +847,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 	for i := range dL.cells {
 		c := &dL.cells[i]
 		if c.n != 0 {
-			affected.push(c.t, c.h, c.n) // dL's cells are distinct tuples
+			affected.push(c.t, c.h, c.n, c.held) // dL's cells are distinct tuples
 		}
 	}
 	if len(dR.cells) > 0 {
@@ -827,7 +881,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 	out := m.acquire()
 	matches := m.matchBuf[:0]
 	for ai := range affected.cells {
-		lt, lh := affected.cells[ai].t, affected.cells[ai].h
+		lt, lh, lheld := affected.cells[ai].t, affected.cells[ai].h, affected.cells[ai].held
 		newMult := lbag.CountHash(lt, lh)
 		oldMult := newMult - dL.net(lt, lh)
 		matches = matches[:0]
@@ -863,7 +917,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 		if n.op == opLeftJoin {
 			for _, mt := range matches {
 				if d := newMult*mt.newCnt - oldMult*mt.oldCnt; d != 0 {
-					out.add(concatTuples(lt, mt.rt), d)
+					out.add(m.concat(lt, mt.rt), d, false)
 				}
 			}
 			newPad, oldPad := 0, 0
@@ -874,7 +928,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 				oldPad = oldMult
 			}
 			if d := newPad - oldPad; d != 0 {
-				out.add(concatTuples(lt, aux.nulls), d)
+				out.add(m.concat(lt, aux.nulls), d, false)
 			}
 			continue
 		}
@@ -890,7 +944,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 			oldOut = oldMult
 		}
 		if d := newOut - oldOut; d != 0 {
-			out.add(lt, d)
+			out.add(lt, d, lheld)
 		}
 	}
 	m.matchBuf = matches[:0]
@@ -912,9 +966,9 @@ func (m *IVM) exceptDelta(n *planNode, dL, dR *sdelta) *sdelta {
 		inOld := oldL > 0 && oldR == 0
 		switch {
 		case inNew && !inOld:
-			out.push(c.t, c.h, 1)
+			out.push(c.t, c.h, 1, c.held)
 		case !inNew && inOld:
-			out.push(c.t, c.h, -1)
+			out.push(c.t, c.h, -1, c.held)
 		}
 	}
 	for i := range dL.cells {
@@ -938,9 +992,9 @@ func (m *IVM) distinctDelta(n *planNode, dL *sdelta) *sdelta {
 		oldC := newC - c.n
 		switch {
 		case newC > 0 && oldC <= 0:
-			out.push(c.t, c.h, 1) // dL's cells are distinct tuples
+			out.push(c.t, c.h, 1, c.held) // dL's cells are distinct tuples
 		case newC <= 0 && oldC > 0:
-			out.push(c.t, c.h, -1)
+			out.push(c.t, c.h, -1, c.held)
 		}
 	}
 	return out
@@ -951,8 +1005,8 @@ func (m *IVM) distinctDelta(n *planNode, dL *sdelta) *sdelta {
 // ordinary key value) and emits the output-row swaps. A global aggregate
 // (no group columns) keeps its single always-present group, whose empty
 // state matches SQL's one-row-on-empty-input rule. Group keys are assembled
-// in a reused scratch buffer and cloned only for groups seen for the first
-// time this round.
+// in a reused scratch buffer and copied into the round's region only for
+// groups seen for the first time this round.
 func (m *IVM) groupDelta(n *planNode, dL *sdelta) *sdelta {
 	v := m.views[n.id]
 	child := m.views[n.l.id].bag
@@ -973,9 +1027,8 @@ func (m *IVM) groupDelta(n *planNode, dL *sdelta) *sdelta {
 		if touched.find(key, h) >= 0 {
 			continue
 		}
-		kc := make(relation.Tuple, len(key))
-		copy(kc, key)
-		touched.push(kc, h, 0)
+		kc := m.region.Copy(key)
+		touched.push(kc, h, 0, false)
 		m.recomputeGroup(n, v, child, ix, kc, h, out)
 	}
 	return out
@@ -1011,16 +1064,16 @@ func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *rela
 	}
 	if acc.N() == 0 && len(n.groupPos) > 0 {
 		if existing != nil {
-			out.add(existing, -1)
+			out.add(existing, -1, true)
 		}
 		return
 	}
-	nt := acc.Row(key, n.aggs)
+	nt := acc.Row(key, n.aggs) // a fresh heap tuple nobody else sees
 	if existing != nil {
 		if existing.Equal(nt) {
 			return
 		}
-		out.add(existing, -1)
+		out.add(existing, -1, true)
 	}
-	out.add(nt, 1)
+	out.add(nt, 1, true)
 }

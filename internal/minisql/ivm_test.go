@@ -43,6 +43,12 @@ func randIVMQuery(rng *rand.Rand) string {
 		case 1:
 			s += fmt.Sprintf(" WHERE x.b > %d", rng.Intn(4))
 		}
+		if rng.Intn(2) == 0 {
+			// A maintained ORDER BY over rows the view cache builds
+			// (concatenations, then projections): the ordered root must
+			// copy what it keeps.
+			s += " ORDER BY c DESC, a"
+		}
 		return s
 	case 2:
 		// Set operations (Listing 1's EXCEPT-of-UNIONs shape).
@@ -155,6 +161,12 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // (randBulkDeltas) when bit step of large is set, a trickle (randDeltas)
 // otherwise. After every round the IVM's result must equal the cold
 // executor's, which must equal the nested-loop oracle's.
+//
+// It checks the IVM's tuple lifetimes too. Each round's delta tuples are
+// copies in a buffer that is overwritten as soon as Apply returns, as a
+// caller that builds them in reused storage would; and every tuple of the
+// last round's Result and of every view bag must read the same after the
+// next Apply, so no bag or result keeps a tuple the IVM did not copy.
 func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	t.Helper()
 	nested := &ra.Options{NestedLoop: true}
@@ -183,6 +195,7 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 	}
+	var kept, want []relation.Tuple // instances handed out or held, and their values
 	for step := 0; step < rounds; step++ {
 		var d map[string]Delta
 		if large>>step&1 == 1 {
@@ -190,12 +203,29 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 		} else {
 			d = randDeltas(rng, mirror)
 		}
+		buf := stageDeltas(d)
 		if err := m.Apply(d); err != nil {
 			t.Fatalf("seed %d step %d: apply %q: %v", seed, step, src, err)
+		}
+		for i := range buf {
+			buf[i] = relation.String("overwritten")
+		}
+		for i := range kept {
+			if !kept[i].Equal(want[i]) {
+				t.Fatalf("seed %d step %d: %q: a tuple of the last result or a view bag changed from %s to %s", seed, step, src, want[i], kept[i])
+			}
 		}
 		got, err := m.Result()
 		if err != nil {
 			t.Fatalf("seed %d step %d: result %q: %v", seed, step, src, err)
+		}
+		kept = append(kept[:0], got.Rows()...)
+		for _, b := range m.Bags() {
+			kept = append(kept, b.Tuples()...)
+		}
+		want = want[:0]
+		for _, k := range kept {
+			want = append(want, k.Clone())
 		}
 		fresh := mirrorCatalog(mirror)
 		cold, err := Run(q, fresh)
@@ -232,6 +262,31 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 			}
 		}
 	}
+}
+
+// stageDeltas replaces every tuple of d by a copy in one buffer, which it
+// returns for the caller to overwrite once Apply is done with d.
+func stageDeltas(d map[string]Delta) []relation.Value {
+	n := 0
+	for _, dt := range d {
+		for _, ts := range [2][]relation.Tuple{dt.Ins, dt.Del} {
+			for _, t := range ts {
+				n += len(t)
+			}
+		}
+	}
+	buf := make([]relation.Value, 0, n) // never grows: staged tuples stay put
+	stage := func(ts []relation.Tuple) {
+		for i, t := range ts {
+			buf = append(buf, t...)
+			ts[i] = buf[len(buf)-len(t) : len(buf) : len(buf)]
+		}
+	}
+	for _, dt := range d {
+		stage(dt.Ins)
+		stage(dt.Del)
+	}
+	return buf
 }
 
 // TestIVMMatchesColdAndOracle: sequential delta maintenance tracks the cold
@@ -355,5 +410,256 @@ func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
 		if b.Buckets() > 4*b.DistinctLen()+relation.MinBuckets {
 			t.Errorf("bag %d: %d buckets for %d distinct tuples", i, b.Buckets(), b.DistinctLen())
 		}
+	}
+}
+
+// listingOneRound is one round of Listing 1's two tables as a scheduler
+// hands it over, and how many tuples became present — newly held by a view
+// bag, a base-table bag or the ordered root — when a reference IVM applied
+// it.
+type listingOneRound struct {
+	d       map[string]Delta
+	present int
+}
+
+// newListingOneIVM builds the view cache of Listing 1 over empty tables.
+func newListingOneIVM(t *testing.T, plan *Plan) *IVM {
+	t.Helper()
+	cat := Catalog{}
+	for _, name := range []string{"requests", "history"} {
+		cat[name] = relation.New(requestSchema())
+	}
+	m, err := NewIVM(plan, cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// applyCounting applies d to m and returns the number of tuples that became
+// present in one of m's bags or in its result.
+func applyCounting(t *testing.T, m *IVM, d map[string]Delta) int {
+	t.Helper()
+	before := map[*relation.Bag]*relation.Bag{}
+	for _, b := range m.Bags() {
+		before[b] = relation.BagOf(b.Relation())
+	}
+	res, err := m.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := relation.BagOf(res)
+	if err := m.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	present := 0
+	for _, b := range m.Bags() {
+		for _, tp := range b.Tuples() {
+			if before[b].Count(tp) == 0 {
+				present++
+			}
+		}
+	}
+	if res, err = m.Result(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range res.Rows() {
+		if root.Count(tp) == 0 {
+			present++
+		}
+	}
+	return present
+}
+
+// requestRow is a row of Listing 1's requests and history tables.
+func requestRow(id, ta, intrata int64, op string, object int64) relation.Tuple {
+	return relation.Tuple{relation.Int(id), relation.Int(ta), relation.Int(intrata), relation.String(op), relation.Int(object)}
+}
+
+// listingOneRounds runs closed-loop clients against Listing 1 on a
+// reference IVM and records n rounds. Each client runs read, write, commit
+// transactions one request at a time over a few shared objects. A round
+// moves the last round's qualified requests from requests to history,
+// drops a transaction's history rows with its commit, aborts the youngest
+// transaction when nothing qualified (a deadlock), and submits each idle
+// client's next request.
+func listingOneRounds(t *testing.T, plan *Plan, n int) []listingOneRound {
+	t.Helper()
+	type client struct {
+		ta, step int64
+		pending  relation.Tuple
+		history  []relation.Tuple
+	}
+	const clients, objects = 48, 32
+	rng := rand.New(rand.NewSource(35))
+	m := newListingOneIVM(t, plan)
+	cs := make([]client, clients)
+	byTA := map[int64]*client{}
+	nextID, nextTA := int64(1), int64(1)
+	var qualified []relation.Tuple
+	rounds := make([]listingOneRound, 0, n)
+	for len(rounds) < n {
+		var req, hist Delta
+		finish := func(c *client) {
+			hist.Del = append(hist.Del, c.history...)
+			delete(byTA, c.ta)
+			*c = client{}
+		}
+		for _, q := range qualified {
+			c := byTA[q[1].AsInt()]
+			req.Del = append(req.Del, q)
+			hist.Ins = append(hist.Ins, q)
+			c.history = append(c.history, q)
+			c.pending = nil
+			c.step++
+			if q[3].AsString() == "c" {
+				finish(c)
+			}
+		}
+		if len(qualified) == 0 {
+			var victim *client
+			for i := range cs {
+				if c := &cs[i]; c.pending != nil && (victim == nil || c.ta > victim.ta) {
+					victim = c
+				}
+			}
+			if victim != nil {
+				req.Del = append(req.Del, victim.pending)
+				finish(victim)
+			}
+		}
+		for i := range cs {
+			c := &cs[i]
+			if c.pending != nil {
+				continue
+			}
+			if c.ta == 0 {
+				c.ta = nextTA
+				byTA[c.ta] = c
+				nextTA++
+			}
+			switch c.step {
+			case 0:
+				c.pending = requestRow(nextID, c.ta, 0, "r", rng.Int63n(objects))
+			case 1:
+				c.pending = requestRow(nextID, c.ta, 1, "w", rng.Int63n(objects))
+			default:
+				c.pending = requestRow(nextID, c.ta, 2, "c", -1)
+			}
+			nextID++
+			req.Ins = append(req.Ins, c.pending)
+		}
+		d := map[string]Delta{"requests": req, "history": hist}
+		rounds = append(rounds, listingOneRound{d: d, present: applyCounting(t, m, d)})
+		res, err := m.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		qualified = res.Rows()
+	}
+	return rounds
+}
+
+// TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent: a warm Listing 1 round
+// allocates a tuple only where one becomes present in some bag or the
+// ordered root — at most one allocation per such tuple, plus a small
+// constant for the pooled scratch that still grows now and then. The
+// deltas' tuples, projections and join rows live in the round's region.
+func TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent(t *testing.T) {
+	plan := listingOnePlan(t)
+	const warm, runs = 300, 300
+	rounds := listingOneRounds(t, plan, warm+1+runs)
+	m := newListingOneIVM(t, plan)
+	for _, r := range rounds[:warm] {
+		if err := m.Apply(r.d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.Apply(rounds[next].d); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	present := 0
+	for _, r := range rounds[warm+1:] {
+		present += r.present
+	}
+	perRound := float64(present) / runs
+	t.Logf("a warm round: %.1f allocations, %.1f tuples become present", allocs, perRound)
+	if allocs > perRound+ivmRoundSlack {
+		t.Fatalf("a warm round allocates %.1f times for %.1f tuples that become present; want at most one each plus %d",
+			allocs, perRound, ivmRoundSlack)
+	}
+}
+
+// ivmRoundSlack is the allocations a warm round may make beyond one per
+// tuple that becomes present: amortised growth of pooled scratch.
+const ivmRoundSlack = 2
+
+// TestIVMDeleteOnlyRoundAllocatesNothing: a round that only deletes —
+// transactions' history rows collected, the youngest pending requests
+// withdrawn, so no tuple becomes present anywhere — copies no tuple and
+// allocates about nothing. The tables are large enough that the measured
+// rounds shrink no bag (a bag that halves reallocates, by design).
+func TestIVMDeleteOnlyRoundAllocatesNothing(t *testing.T) {
+	plan := listingOnePlan(t)
+	const n, warm, runs = 2000, 50, 300
+	rng := rand.New(rand.NewSource(35))
+	fills := make([]map[string]Delta, n)
+	for i := range fills {
+		ta := int64(2 * i)
+		obj := rng.Int63n(240)
+		fills[i] = map[string]Delta{
+			"history": {Ins: []relation.Tuple{
+				requestRow(int64(3*i), ta, 0, "r", obj),
+				requestRow(int64(3*i+1), ta, 1, "w", obj),
+				requestRow(int64(3*i+2), ta, 2, "c", -1),
+			}},
+			"requests": {Ins: []relation.Tuple{
+				requestRow(int64(10*n+i), ta+1, 0, []string{"r", "w"}[rng.Intn(2)], rng.Int63n(240)),
+			}},
+		}
+	}
+	// Deleting the newest first withdraws requests that block only younger
+	// ones, none of which is left, and whole finished transactions, which
+	// hold no locks.
+	drains := make([]map[string]Delta, warm+1+runs)
+	for i := range drains {
+		f := fills[n-1-i]
+		drains[i] = map[string]Delta{
+			"history":  {Del: f["history"].Ins},
+			"requests": {Del: f["requests"].Ins},
+		}
+	}
+	ref, m := newListingOneIVM(t, plan), newListingOneIVM(t, plan)
+	for _, d := range fills {
+		for _, x := range []*IVM{ref, m} {
+			if err := x.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, d := range drains {
+		if p := applyCounting(t, ref, d); p != 0 {
+			t.Fatalf("delete-only round %d made %d tuples present", i, p)
+		}
+	}
+	for _, d := range drains[:warm] {
+		if err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.Apply(drains[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("a delete-only round: %.2f allocations", allocs)
+	if allocs > 0.5 {
+		t.Fatalf("a delete-only round allocates %.2f times, want about 0", allocs)
 	}
 }

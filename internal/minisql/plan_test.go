@@ -8,19 +8,24 @@ import (
 	"repro/internal/rules"
 )
 
-func listingOnePlan(t *testing.T) *Plan {
-	t.Helper()
-	q, err := Parse(rules.ListingOneSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := relation.NewSchema(
+// requestSchema is the schema of Listing 1's requests and history tables.
+func requestSchema() *relation.Schema {
+	return relation.NewSchema(
 		relation.Column{Name: "id", Kind: relation.KindInt},
 		relation.Column{Name: "ta", Kind: relation.KindInt},
 		relation.Column{Name: "intrata", Kind: relation.KindInt},
 		relation.Column{Name: "operation", Kind: relation.KindString},
 		relation.Column{Name: "object", Kind: relation.KindInt},
 	)
+}
+
+func listingOnePlan(t *testing.T) *Plan {
+	t.Helper()
+	q, err := Parse(rules.ListingOneSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := requestSchema()
 	p, err := CompilePlan(q, map[string]*relation.Schema{"requests": req, "history": req})
 	if err != nil {
 		t.Fatal(err)

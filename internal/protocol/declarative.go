@@ -33,6 +33,12 @@ type SQLProtocol struct {
 	// them from the slices when they run.
 	pendLen, histLen int
 
+	// deltas is the round's hand-over to the view cache, refilled in place
+	// every round; the tuples of all four lists are carved from rows, which
+	// the next round rewinds (the view cache copies what it keeps).
+	deltas map[string]minisql.Delta
+	rows   relation.Region
+
 	// Operator options: the nested-loop oracle switch (benchmarks and
 	// property tests compare the hash path against it). It applies to full
 	// evaluations, the cache build included.
@@ -67,7 +73,7 @@ func NewSQL(name, sql string) (*SQLProtocol, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
-	return &SQLProtocol{name: name, plan: plan}, nil
+	return &SQLProtocol{name: name, plan: plan, deltas: make(map[string]minisql.Delta, 2)}, nil
 }
 
 // SS2PLSQL is the paper's Listing 1 as a protocol.
@@ -123,7 +129,7 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		p.pendLen += len(d.PendingAdded) - len(d.PendingRemoved)
 		p.histLen += len(d.HistoryAppended) - len(d.HistoryRemoved)
 		if p.pendLen == len(pending) && p.histLen == len(history) {
-			if err := p.ivm.Apply(roundDeltas(d)); err == nil {
+			if err := p.ivm.Apply(p.roundDeltas(d)); err == nil {
 				if rel, err := p.ivm.Result(); err == nil {
 					p.lastStrategy = "sql-ivm"
 					return p.finish(rel)
@@ -139,13 +145,21 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 	return p.buildIVM(pending, history)
 }
 
-// roundDeltas converts one round's request-level deltas to the two-table
-// relational form minisql.IVM.Apply consumes.
-func roundDeltas(d Deltas) map[string]minisql.Delta {
-	return map[string]minisql.Delta{
-		"requests": {Ins: toTuples(d.PendingAdded), Del: toTuples(d.PendingRemoved)},
-		"history":  {Ins: toTuples(d.HistoryAppended), Del: toTuples(d.HistoryRemoved)},
+// roundDeltas refills p.deltas with one round's request-level deltas in the
+// two-table relational form minisql.IVM.Apply consumes, every tuple carved
+// from p.rows.
+func (p *SQLProtocol) roundDeltas(d Deltas) map[string]minisql.Delta {
+	p.rows.Reset()
+	req, hist := p.deltas["requests"], p.deltas["history"]
+	p.deltas["requests"] = minisql.Delta{
+		Ins: requestTuples(req.Ins, d.PendingAdded, 5, &p.rows),
+		Del: requestTuples(req.Del, d.PendingRemoved, 5, &p.rows),
 	}
+	p.deltas["history"] = minisql.Delta{
+		Ins: requestTuples(hist.Ins, d.HistoryAppended, 5, &p.rows),
+		Del: requestTuples(hist.Del, d.HistoryRemoved, 5, &p.rows),
+	}
+	return p.deltas
 }
 
 // buildIVM materializes the view cache from the round's slices and answers
@@ -168,18 +182,6 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 	p.pendLen, p.histLen = len(pending), len(history)
 	p.lastStrategy = "sql-ivm-build"
 	return out, nil
-}
-
-// toTuples converts requests to their five-column relational form.
-func toTuples(rs []request.Request) []relation.Tuple {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]relation.Tuple, len(rs))
-	for i, r := range rs {
-		out[i] = r.Tuple()
-	}
-	return out
 }
 
 // run evaluates the query over relations built from the slices.
@@ -221,10 +223,10 @@ type DatalogProtocol struct {
 	// hand-over to the engine, refilled in place every round (the engine
 	// keeps the inserted tuples, never the slices). The delete-side tuples
 	// are only probes the engine never keeps, so they are carved from
-	// probes, one slice sized for the round's deletes before any is carved.
+	// probes, which the next round rewinds.
 	changed                          map[string]datalog.EDBDelta
 	reqIns, reqDel, histIns, histDel []relation.Tuple
-	probes                           []relation.Value
+	probes                           relation.Region
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -375,19 +377,23 @@ func ConsistencyRationing(classes map[int64]string) (*DatalogProtocol, error) {
 	return p, nil
 }
 
-// edbTuples refills dst with the n-column EDB form of rs, each tuple carved
-// by newTuple: seven columns for the extended request EDB (the SLA form),
-// five for the others.
-func edbTuples(dst []relation.Tuple, rs []request.Request, n int, newTuple func(n int) []relation.Value) []relation.Tuple {
+// requestTuples refills dst with the n-column relational form of rs: seven
+// columns for the extended request EDB (the SLA form), five for the others.
+// Each tuple is carved from rows, or allocated when rows is nil (a tuple
+// the receiver keeps).
+func requestTuples(dst []relation.Tuple, rs []request.Request, n int, rows *relation.Region) []relation.Tuple {
 	dst = dst[:0]
 	for _, r := range rs {
-		dst = append(dst, r.PutTuple(newTuple(n)))
+		var t relation.Tuple
+		if rows != nil {
+			t = rows.New(n)
+		} else {
+			t = make(relation.Tuple, n)
+		}
+		dst = append(dst, r.PutTuple(t))
 	}
 	return dst
 }
-
-// heapTuple allocates an insert-side tuple, which the engine keeps.
-func heapTuple(n int) []relation.Value { return make([]relation.Value, n) }
 
 // Qualify implements Protocol: a cold evaluation over freshly materialised
 // pending and history relations. It invalidates any incremental state.
@@ -434,24 +440,15 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 	if p.extended {
 		reqCols = 7
 	}
-	// Size the probe slice first, so no tuple carved from it is moved by a
-	// later growth.
-	if n := reqCols*len(d.PendingRemoved) + 5*len(d.HistoryRemoved); cap(p.probes) < n {
-		p.probes = make([]relation.Value, n)
-	}
-	probes := p.probes[:0]
-	probe := func(n int) []relation.Value {
-		probes = probes[:len(probes)+n]
-		return probes[len(probes)-n : len(probes) : len(probes)]
-	}
+	p.probes.Reset()
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
-		p.reqIns = edbTuples(p.reqIns, d.PendingAdded, reqCols, heapTuple)
-		p.reqDel = edbTuples(p.reqDel, d.PendingRemoved, reqCols, probe)
+		p.reqIns = requestTuples(p.reqIns, d.PendingAdded, reqCols, nil)
+		p.reqDel = requestTuples(p.reqDel, d.PendingRemoved, reqCols, &p.probes)
 		changed["request"] = datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
-		p.histIns = edbTuples(p.histIns, d.HistoryAppended, 5, heapTuple)
-		p.histDel = edbTuples(p.histDel, d.HistoryRemoved, 5, probe)
+		p.histIns = requestTuples(p.histIns, d.HistoryAppended, 5, nil)
+		p.histDel = requestTuples(p.histDel, d.HistoryRemoved, 5, &p.probes)
 		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {

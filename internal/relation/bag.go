@@ -25,6 +25,11 @@ import "slices"
 // emptied and re-filled every round: they keep (or set) a bucket count for
 // the next fill, and the bound then holds over that count.
 //
+// A Bag keeps the instance of each tuple that made it present and never
+// mutates it; a caller whose tuples live in reused storage (a Region) copies
+// one before it enters, and may keep the bag's instance (At) instead of its
+// own. Find, AddAt, AddNew and RemoveAt split Add and Remove at that point.
+//
 // A Bag is not safe for concurrent mutation; reads (counts, index probes) are
 // safe once mutation has stopped, mirroring Relation's contract. Positions
 // are valid until the next mutation.
@@ -109,14 +114,28 @@ func (b *Bag) CountHash(t Tuple, h uint64) int {
 // Add inserts k copies of t (k > 0) and returns the new count.
 func (b *Bag) Add(t Tuple, k int) int { return b.AddHash(t, t.Hash(), k) }
 
-// AddHash is Add for a caller that already holds h = t.Hash(). A tuple going
-// 0 -> present takes the next position and is filed in every chain.
+// AddHash is Add for a caller that already holds h = t.Hash().
 func (b *Bag) AddHash(t Tuple, h uint64, k int) int {
-	b.total += k
 	if p := b.Find(t, h); p >= 0 {
-		b.counts[p] += k
-		return b.counts[p]
+		return b.AddAt(p, k)
 	}
+	b.AddNew(t, h, k)
+	return k
+}
+
+// AddAt adds k copies (k > 0) of the tuple at position p and returns its new
+// count.
+func (b *Bag) AddAt(p int32, k int) int {
+	b.total += k
+	b.counts[p] += k
+	return b.counts[p]
+}
+
+// AddNew inserts k copies (k > 0) of t, whose hash is h, which the bag does
+// not hold (Find returned -1): t takes the next position, is filed in every
+// chain, and is the instance the bag keeps.
+func (b *Bag) AddNew(t Tuple, h uint64, k int) {
+	b.total += k
 	if len(b.tuples) == b.member.Buckets() {
 		b.member.Grow(func(p int32) uint64 { return b.hashes[p] })
 		for _, ix := range b.indexes {
@@ -130,7 +149,6 @@ func (b *Bag) AddHash(t Tuple, h uint64, k int) int {
 	for _, ix := range b.indexes {
 		ix.file(t)
 	}
-	return k
 }
 
 // Remove deletes k copies of t, returning the new count; ok is false (and the
@@ -138,15 +156,19 @@ func (b *Bag) AddHash(t Tuple, h uint64, k int) int {
 // has diverged from the bag's ground truth.
 func (b *Bag) Remove(t Tuple, k int) (int, bool) { return b.RemoveHash(t, t.Hash(), k) }
 
-// RemoveHash is Remove for a caller that already holds h = t.Hash(). A tuple
-// going present -> 0 leaves every chain, the last position moves into its
-// hole, and the chains halve once the bag holds under a quarter of their
-// buckets.
+// RemoveHash is Remove for a caller that already holds h = t.Hash().
 func (b *Bag) RemoveHash(t Tuple, h uint64, k int) (int, bool) {
 	p := b.Find(t, h)
 	if p < 0 {
 		return 0, false
 	}
+	return b.RemoveAt(p, k)
+}
+
+// RemoveAt is Remove of the tuple at position p. A tuple going present -> 0
+// leaves every chain, the last position moves into its hole, and the chains
+// halve once the bag holds under a quarter of their buckets.
+func (b *Bag) RemoveAt(p int32, k int) (int, bool) {
 	if b.counts[p] < k {
 		return b.counts[p], false
 	}

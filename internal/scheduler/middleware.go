@@ -131,6 +131,9 @@ type Middleware struct {
 	mu      sync.Mutex
 	waiters map[request.Key]waiter
 	byTA    map[int64][]request.Key
+	// freeKeys holds the emptied key slices of transactions whose byTA entry
+	// went (dropTA), for the next transactions registerLocked files.
+	freeKeys [][]request.Key
 	// closed is set ahead of the loop's final sweep: a submission that
 	// registers after it is answered ErrStopped on the spot, since nothing
 	// else would answer it.
@@ -440,7 +443,12 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		m.queued.Add(1)
 		return !retransmit
 	}
-	m.byTA[k.TA] = append(m.byTA[k.TA], k)
+	keys, ok := m.byTA[k.TA]
+	if !ok && len(m.freeKeys) > 0 {
+		keys = m.freeKeys[len(m.freeKeys)-1]
+		m.freeKeys = m.freeKeys[:len(m.freeKeys)-1]
+	}
+	m.byTA[k.TA] = append(keys, k)
 	m.waiters[k] = w
 	m.queued.Add(1)
 	return true
@@ -457,6 +465,14 @@ func (m *Middleware) answerUnregistered(w waiter, res Result) {
 	w.ch <- res
 }
 
+// replies recycles Submit's reply channels (each buffered for one Result).
+// A channel goes back after its single receive, which is safe only because
+// every registered waiter is answered exactly once (answer and
+// answerUnregistered, each followed by the waiter leaving m.waiters): a
+// second send to a waiter would land in a channel another Submit now owns
+// and hand that caller a foreign Result.
+var replies = sync.Pool{New: func() any { return make(chan Result, 1) }}
+
 // Submit sends one request and blocks until it executed (or its transaction
 // aborted, or admission rejected it). Safe for concurrent use by many client
 // workers.
@@ -468,9 +484,11 @@ func (m *Middleware) Submit(r request.Request) Result {
 		m.answered.Add(1)
 		return res
 	}
-	reply := make(chan Result, 1)
+	reply := replies.Get().(chan Result)
 	m.registerAndEnqueue(r, waiter{ch: reply, stamp: time.Now()})
-	return <-reply
+	res := <-reply
+	replies.Put(reply)
+	return res
 }
 
 // SubmitFunc submits one request without blocking for its result: cb is
@@ -567,10 +585,19 @@ func (m *Middleware) deliver(c Completion) {
 		}
 		m.recordExecuted(ex)
 		if ex.Request.Op.IsTermination() {
-			delete(m.byTA, ex.Request.TA)
+			m.dropTA(ex.Request.TA)
 		}
 	}
 	m.mu.Unlock()
+}
+
+// dropTA deletes a finished transaction's byTA entry and keeps its emptied
+// slice for the next transaction. Caller holds m.mu.
+func (m *Middleware) dropTA(ta int64) {
+	if keys, ok := m.byTA[ta]; ok {
+		delete(m.byTA, ta)
+		m.freeKeys = append(m.freeKeys, keys[:0])
+	}
 }
 
 // notifyVictims unblocks the clients of aborted transactions — under
@@ -588,7 +615,7 @@ func (m *Middleware) notifyVictims(victims []int64) {
 				delete(m.waiters, k)
 			}
 		}
-		delete(m.byTA, ta)
+		m.dropTA(ta)
 		m.finishTA(ta, terminal{res: Result{Err: ErrTxnAborted}, op: request.Abort})
 	}
 	m.mu.Unlock()

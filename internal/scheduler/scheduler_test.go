@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -405,6 +407,159 @@ func TestMiddlewareEveryRequestAnsweredExactlyOnce(t *testing.T) {
 	}
 	if m.Collector().Latency.Count() == 0 {
 		t.Error("no latencies recorded")
+	}
+}
+
+// TestRecycledReplyChannelsNeverCross: Submit's reply channels are pooled,
+// which is safe only while every waiter is answered exactly once. Clients
+// submit while superseded duplicates, deadlock victims and a Stop all answer
+// waiters and channels go back to the pool; no client may read a Result
+// meant for another request, and no pooled channel may hold a stray one.
+// A client that owns an object writes it alone, so its successful writes
+// must read 1, 2, 3, ... (a foreign Result breaks the sequence; an error
+// restarts it, since an aborted write's effect is not the client's to know).
+func TestRecycledReplyChannelsNeverCross(t *testing.T) {
+	srv := storage.NewServer(storage.Config{Rows: 64})
+	e, err := NewEngine(Config{Protocol: protocol.SS2PLDatalog(), Server: srv, StarveAfter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMiddleware(e, HybridTrigger{Level: 8, Every: time.Millisecond}, nil)
+	m.Start()
+
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		problems []string
+		causes   = map[error]int{}
+	)
+	report := func(format string, args ...any) {
+		mu.Lock()
+		problems = append(problems, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	// check vets a Result for r and reports whether the client goes on.
+	check := func(r request.Request, res Result) bool {
+		mu.Lock()
+		causes[res.Err]++
+		mu.Unlock()
+		switch {
+		case res.Err == ErrStopped:
+			return false
+		case res.Err != nil && res.Err != ErrTxnAborted && res.Err != errSuperseded:
+			report("%v: unexpected error %v", r, res.Err)
+			return false
+		case res.Err == nil && r.Op == request.Commit && res.Value != 0:
+			report("%v: a commit answered with value %d", r, res.Value)
+		case res.Err == nil && r.Op == request.Write && res.Value < 1:
+			report("%v: a write answered with value %d", r, res.Value)
+		}
+		return true
+	}
+	ta := func(client, i int) int64 { return int64(client)<<32 | int64(i) }
+
+	// Owners: clients 0..11 write objects 0..11, one transaction at a time.
+	for c := 0; c < 12; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			want := int64(1)
+			for i := 0; ; i++ {
+				w := request.Request{TA: ta(c, i), IntraTA: 0, Op: request.Write, Object: int64(c)}
+				res := m.Submit(w)
+				if !check(w, res) {
+					return
+				}
+				if res.Err != nil {
+					want = 0
+					continue
+				}
+				if want != 0 && res.Value != want {
+					report("%v: owner's write read %d, want %d", w, res.Value, want)
+				}
+				want = res.Value + 1
+				cm := request.Request{TA: ta(c, i), IntraTA: 1, Op: request.Commit, Object: request.NoObject}
+				if !check(cm, m.Submit(cm)) {
+					return
+				}
+			}
+		}(c)
+	}
+	// Deadlockers: two clients lock objects 40 and 41 in opposite orders, so
+	// waits-for cycles form and the victim policy aborts transactions.
+	for c := 12; c < 14; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			first, second := int64(40), int64(41)
+			if c == 13 {
+				first, second = second, first
+			}
+			for i := 0; ; i++ {
+				for j, r := range []request.Request{
+					{TA: ta(c, i), IntraTA: 0, Op: request.Write, Object: first},
+					{TA: ta(c, i), IntraTA: 1, Op: request.Write, Object: second},
+					{TA: ta(c, i), IntraTA: 2, Op: request.Commit, Object: request.NoObject},
+				} {
+					res := m.Submit(r)
+					if !check(r, res) {
+						return
+					}
+					if res.Err != nil && j < 2 {
+						break // the transaction is over
+					}
+				}
+			}
+		}(c)
+	}
+	// Duplicates: two submissions of one request key with different objects
+	// race; the older is superseded (or both land in one round), then the
+	// transaction commits.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			var dup sync.WaitGroup
+			var goOn [2]bool
+			for k := 0; k < 2; k++ {
+				dup.Add(1)
+				go func(k int) {
+					defer dup.Done()
+					r := request.Request{TA: ta(20, i), IntraTA: 0, Op: request.Write, Object: int64(50 + k)}
+					goOn[k] = check(r, m.Submit(r))
+				}(k)
+			}
+			dup.Wait()
+			if !goOn[0] || !goOn[1] {
+				return
+			}
+			cm := request.Request{TA: ta(20, i), IntraTA: 1, Op: request.Commit, Object: request.NoObject}
+			if !check(cm, m.Submit(cm)) {
+				return
+			}
+		}
+	}()
+
+	time.Sleep(300 * time.Millisecond)
+	done := make(chan struct{})
+	go func() { m.Stop(); wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Stop or a client is still blocked (a second send to a reply channel blocks once it is full)")
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	for _, err := range []error{nil, ErrTxnAborted, errSuperseded, ErrStopped} {
+		if causes[err] == 0 {
+			t.Errorf("no Result with error %v: the test did not exercise that answer (saw %v)", err, causes)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		if ch := replies.Get().(chan Result); len(ch) != 0 {
+			t.Fatalf("a pooled reply channel holds a stray Result %+v", <-ch)
+		}
 	}
 }
 

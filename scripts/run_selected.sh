@@ -2,18 +2,56 @@
 # run_selected.sh <go test arguments> — go test for CI steps that pick tests
 # with a -run or -fuzz filter. go test exits 0 when the filter matches nothing,
 # so a renamed test would turn such a step green and empty; this wrapper fails
-# the step when any listed package ran no test, or when -fuzz was given and
-# no fuzz target started (go test prints no warning for that at all).
+# the step when any listed package ran no test, when -fuzz was given and no
+# fuzz target started (go test prints no warning for that at all), or when
+# an alternative of the -run filter that is a plain name (TestFoo, or ^TestFoo$
+# for an exact match) started no test in any package — so renaming one test
+# of a step that names several fails the step too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+run=""
+args=("$@")
+for ((i = 0; i < ${#args[@]}; i++)); do
+    case "${args[i]}" in
+    -run | --run) run="${args[i + 1]:-}" ;;
+    -run=* | --run=*) run="${args[i]#*=}" ;;
+    esac
+done
+names=()
+if [[ -n "${run}" ]]; then
+    IFS='|' read -r -a alts <<<"${run}"
+    for alt in "${alts[@]}"; do
+        if [[ "${alt}" =~ ^\^?[A-Za-z0-9_]+\$?$ ]]; then
+            names+=("${alt}")
+        fi
+    done
+fi
+verbose=()
+if ((${#names[@]} > 0)); then
+    verbose=(-v)
+fi
+
 out="$(mktemp)"
 trap 'rm -f "${out}"' EXIT
-go test "$@" 2>&1 | tee "${out}"
+go test "${verbose[@]}" "$@" 2>&1 | tee "${out}"
 if grep -q 'no tests to run' "${out}"; then
     echo "run_selected: the -run filter selected no test in a package above" >&2
     exit 1
 fi
+for alt in "${names[@]}"; do
+    name="${alt#^}"
+    name="${name%\$}"
+    if [[ "${alt}" == ^*\$ ]]; then
+        pattern="^=== RUN +${name}\$"
+    else
+        pattern="^=== RUN +[^ ]*${name}"
+    fi
+    if ! grep -Eq "${pattern}" "${out}"; then
+        echo "run_selected: '${alt}' of the -run filter started no test" >&2
+        exit 1
+    fi
+done
 case " $* " in
 *" -fuzz"*)
     if ! grep -q '^fuzz: elapsed' "${out}"; then
