@@ -18,13 +18,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datalog"
 	"repro/internal/experiments"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/netproto"
 	"repro/internal/protocol"
-	"repro/internal/relation"
 	"repro/internal/request"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -314,59 +312,6 @@ func BenchmarkTriggerPolicies(b *testing.B) {
 				}
 				mw.Stop()
 			}
-		})
-	}
-}
-
-// BenchmarkDatalogSemiNaive is the semi-naive vs naive evaluation ablation
-// on a recursive program (transitive closure over a chain with branches).
-// Setup (parse, edge construction) happens once outside the sub-benchmarks,
-// from a fixed seed, and each variant runs one untimed warm-up evaluation
-// before ResetTimer — the run-to-run variance previously observed on this
-// bench (14.6–17.6 ms) came from first-iteration effects (map growth, cache
-// and branch-predictor warming) landing inside the timed window of short
-// bench runs. Each variant reports its own allocations and semi-naive
-// iteration count, so the two variants' meters never bleed into each other.
-func BenchmarkDatalogSemiNaive(b *testing.B) {
-	prog := datalog.MustParse(`
-		path(X, Y) :- edge(X, Y).
-		path(X, Z) :- path(X, Y), edge(Y, Z).
-	`)
-	var edges []relation.Tuple
-	for i := int64(0); i < 200; i++ {
-		edges = append(edges, relation.Tuple{relation.Int(i), relation.Int(i + 1)})
-		if i%10 == 0 {
-			edges = append(edges, relation.Tuple{relation.Int(i), relation.Int(i + 5)})
-		}
-	}
-	runOnce := func(b *testing.B, naive bool) int {
-		e, err := datalog.NewEngine(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Naive = naive
-		if err := e.SetEDB("edge", edges); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return e.Stats.Iterations
-	}
-	for _, naive := range []bool{false, true} {
-		name := "seminaive"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			runOnce(b, naive) // warm-up: outside the timed window
-			var iters int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				iters = runOnce(b, naive)
-			}
-			b.ReportMetric(float64(iters), "sn-iters")
 		})
 	}
 }

@@ -117,9 +117,9 @@ func orderBody(r Rule) ([]int, error) {
 }
 
 // depGraph is a program's predicate dependency graph and the strata read
-// off it. NewEngine computes it once: stratification, the semi-naive loop
-// (which predicates keep deltas) and the warm path's affected closure all
-// read this one walk.
+// off it. NewEngine computes it once: stratification, the fixpoint loop
+// (which strata repeat their passes) and the warm path's affected closure
+// all read this one walk.
 type depGraph struct {
 	// dependents maps a body predicate to the head predicates whose rules
 	// read it.

@@ -1,6 +1,7 @@
 // Package datalog implements a stratified Datalog engine: lexer, parser,
 // safety analysis, stratification with negation and aggregation, and a
-// semi-naive bottom-up evaluator over internal/relation values.
+// bottom-up evaluator over internal/relation values that repeats a recursive
+// stratum's passes to their fixpoint.
 //
 // It is the "specialized language for declarative scheduler programming" the
 // paper names as research objective 4: scheduling protocols (SS2PL, SLA
@@ -15,9 +16,10 @@
 // time, and Engine.RunIncremental warm-starts a round from the previous
 // one — unchanged EDB predicates keep their fact sets and indexes, and a
 // change re-derives only the stored predicates downstream of it. Evaluation
-// runs on the calling goroutine. Engine.Run remains the cold path, and Naive
-// evaluation of the program as written the correctness oracle; see the
-// Engine documentation in engine.go.
+// runs on the calling goroutine. Engine.Run remains the cold path, and the
+// reference engine — the program as written, every stratum iterated to its
+// fixpoint — the correctness oracle; see the Engine documentation in
+// engine.go.
 package datalog
 
 import (

@@ -46,9 +46,6 @@ type stepMeta struct {
 	bindPos    []int
 	bindVar    []int
 	bindRepeat []bool
-	// occIndex numbers positive atoms within the rule (for semi-naive delta
-	// substitution); -1 for non-atom literals and negated atoms.
-	occIndex int
 
 	// Comparison.
 	cmpL, cmpR valSrc
@@ -75,25 +72,17 @@ type headSlot struct {
 // lives in its ruleScratch.
 type compiledRule struct {
 	rule  Rule
-	idx   int // position in Engine.compiled
 	steps []stepMeta
 	nVars int
 	head  []headSlot
-	// headSet is the head predicate's fact set, headRegion the storage its
-	// derived facts are carved from, headDelta its semi-naive delta when the
-	// head is recursive (all assigned by NewEngine).
+	// headSet is the head predicate's fact set and headRegion the storage
+	// its derived facts are carved from (both assigned by NewEngine).
 	headSet    *relation.Bag
 	headRegion *relation.Region
-	headDelta  *delta
 
 	hasAgg   bool
 	groupIdx []int // head positions that are group-by (non-aggregate) slots
 	aggIdx   []int // head positions that are aggregates
-
-	// occDeltas holds, per positive atom occurrence in occIndex order, the
-	// delta a semi-naive pass substitutes for it: set only where the
-	// occurrence reads a recursive predicate of the rule's own stratum.
-	occDeltas []*delta
 
 	// fns is the compiled step chain (see eval.go): one specialised closure
 	// per body literal plus the head-emitting terminal, built by NewEngine
@@ -113,34 +102,9 @@ type ruleScratch struct {
 	headBuf relation.Tuple
 	vals    [][]relation.Value // per step: len(lookupCols)
 
-	// Per-call evaluation parameters, installed by evalRule so the compiled
-	// step chain (eval.go) runs without per-call closure state.
-	spec evalSpec
+	// emit is the per-call sink, installed by evalRule so the compiled step
+	// chain (eval.go) runs without per-call closure state.
 	emit emitFn
-}
-
-// deltaPasses appends one work item per positive occurrence of this rule
-// whose delta the last pass filled, with that occurrence reading the delta
-// through its own index over it (the per-occurrence pass schedule of
-// semi-naive evaluation). The delta set builds that index on its first pass
-// and maintains it from then on, as the full set does.
-func (c *compiledRule) deltaPasses(items []workItem) []workItem {
-	for i := range c.steps {
-		m := &c.steps[i]
-		if m.occIndex < 0 {
-			continue
-		}
-		d := c.occDeltas[m.occIndex]
-		if d == nil || d.cur.DistinctLen() == 0 {
-			continue
-		}
-		spec := evalSpec{delta: d.cur, deltaOcc: m.occIndex}
-		if m.index != nil {
-			spec.deltaIndex = d.cur.IndexNullable(m.lookupCols)
-		}
-		items = append(items, workItem{ri: c.idx, spec: spec})
-	}
-	return items
 }
 
 // newRuleScratch allocates an evaluation scratch for one compiled rule.
@@ -189,10 +153,9 @@ func compileRule(r Rule) (*compiledRule, error) {
 		}
 	}
 
-	occ := 0
 	for _, bi := range order {
 		l := r.Body[bi]
-		m := stepMeta{lit: l, occIndex: -1}
+		m := stepMeta{lit: l}
 		switch l.Kind {
 		case LitAtom:
 			// A variable first bound by an earlier position of this same atom
@@ -230,10 +193,6 @@ func compileRule(r Rule) (*compiledRule, error) {
 					}
 				}
 				m.bindRepeat = append(m.bindRepeat, rep)
-			}
-			if !l.Negated {
-				m.occIndex = occ
-				occ++
 			}
 		case LitCmp:
 			var err error

@@ -11,9 +11,9 @@ import (
 // Engine evaluates a Datalog program bottom-up, stratum by stratum. The
 // strata are the dependency graph's components (Stratify), so a stratum
 // without recursion is complete after one pass over its rules; a recursive
-// one continues with semi-naive passes over the deltas of its recursive
-// predicates, the only predicates that keep deltas. The program is compiled
-// once; EDB relations are supplied per run.
+// one repeats full passes over its rules until a pass derives nothing new
+// (the naive fixpoint). The program is compiled once; EDB relations are
+// supplied per run.
 //
 // NewEngine first unfolds the program's helper predicates (see unfold): a
 // derived, non-recursive predicate that some rule reads, and whose
@@ -26,8 +26,10 @@ import (
 // pending request probes the history's indexes for the lock conditions
 // directly. Facts, FactSeq and FactCount of an unfolded predicate answer
 // from a cold evaluation of the program as written over the current EDB,
-// run on the query's demand (OnDemandRuns counts them), and Naive evaluates
-// the program as written too, which makes it the reference for the pass.
+// run on the query's demand (OnDemandRuns counts them). That evaluation is
+// the reference engine (newReference): the program as written, with the
+// fixpoint repeated in every stratum, which makes it the tests' oracle for
+// the unfolding and the stratification alike.
 //
 // The engine keeps one fact set per stored predicate for its whole life,
 // and that set is the only copy of the predicate's tuples: SetEDB stages
@@ -82,13 +84,10 @@ type Engine struct {
 	runs     int
 	onDemand int
 
-	// Naive switches off the delta optimisation: every stratum repeats full
-	// passes over its rules until one derives nothing new, whichever
-	// predicates are recursive; and it evaluates the program as written,
-	// without unfolding. Tests use it to verify the semi-naive evaluator
-	// against the textbook fixpoint, and the unfolded program against the
-	// written one.
-	Naive bool
+	// loops marks, per stratum, whether its passes repeat until one derives
+	// nothing new: the strata holding a recursive predicate, or every
+	// stratum of a reference engine.
+	loops []bool
 
 	// facts holds the one copy of every predicate's tuples, EDB and derived
 	// alike, for the engine's lifetime: a delta is applied to the predicate's
@@ -105,36 +104,20 @@ type Engine struct {
 	// warm is true once facts reflects a completed run over the current EDB.
 	warm bool
 
-	// deltasBy lists, per stratum, the semi-naive deltas of its recursive
-	// predicates (see delta).
-	deltasBy [][]*delta
-
-	// emitSet, emitRegion and emitDelta are the head fact set, region and
-	// delta of the rule being evaluated, read by emit (the engine's
-	// emitFact, bound once), so no pass or stratum allocates a sink.
-	// workBuf recycles the per-pass work-item slice, ruleBuf
+	// emitSet and emitRegion are the head fact set and region of the rule
+	// being evaluated, read by emit (the engine's emitFact, bound once), so
+	// no pass or stratum allocates a sink. ruleBuf recycles
 	// recomputeAffected's per-stratum rule selection, affected and roots the
 	// affected-closure map and its root list.
 	emitSet    *relation.Bag
 	emitRegion *relation.Region
-	emitDelta  *delta
 	emit       emitFn
-	workBuf    []workItem
 	ruleBuf    []int
 	affected   map[string]bool
 	roots      []string
 
 	// Stats from the last Run or RunIncremental.
 	Stats RunStats
-}
-
-// delta is the semi-naive state of one recursive predicate: cur holds the
-// facts the last pass derived, which the next pass's delta occurrences read,
-// and next collects those the running pass derives. Both sets live as long
-// as the engine and are empty between strata; each gains the indexes the
-// delta occurrences probe on its first delta pass (deltaPasses).
-type delta struct {
-	cur, next *relation.Bag
 }
 
 // Evaluation strategies reported in RunStats.Strategy.
@@ -150,12 +133,9 @@ const (
 
 // RunStats reports evaluation effort for one run.
 type RunStats struct {
-	Iterations   int // passes over a stratum's rules, summed over strata
+	Iterations   int // passes over a stratum's non-aggregate rules, summed over strata
 	FactsDerived int // IDB facts derived (deduplicated)
 	RuleFirings  int // successful head emissions, pre-deduplication
-	// Incremental is true when the run took a warm-start path (retained
-	// fact sets, delta-driven recomputation) rather than a cold rebuild.
-	Incremental bool
 	// Strategy names the evaluation path taken (Strategy* constants).
 	Strategy string
 }
@@ -180,7 +160,7 @@ func NewEngine(prog *Program) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(run)
+	e, err := newEngine(run, false)
 	if err != nil {
 		return nil, err
 	}
@@ -190,8 +170,18 @@ func NewEngine(prog *Program) (*Engine, error) {
 	return e, nil
 }
 
-// newEngine compiles prog as it stands.
-func newEngine(prog *Program) (*Engine, error) {
+// newReference compiles prog as written, without unfolding, into an engine
+// that repeats passes in every stratum until one derives nothing new,
+// whichever predicates the analysis calls recursive. It is correct however
+// the program is stratified or unfolded, so it answers the queries of
+// unfolded predicates and is the tests' oracle.
+func newReference(prog *Program) (*Engine, error) {
+	return newEngine(prog, true)
+}
+
+// newEngine compiles prog as it stands; with loopAll every stratum iterates
+// to its fixpoint.
+func newEngine(prog *Program, loopAll bool) (*Engine, error) {
 	g, err := analyze(prog)
 	if err != nil {
 		return nil, err
@@ -207,22 +197,17 @@ func newEngine(prog *Program) (*Engine, error) {
 	}
 	e.emit = e.emitFact
 	e.rulesBy = make([][]int, e.numStrata)
-	e.deltasBy = make([][]*delta, e.numStrata)
-	deltaOf := make(map[string]*delta)
+	e.loops = make([]bool, e.numStrata)
 	for i, r := range prog.Rules {
 		c, err := compileRule(r)
 		if err != nil {
 			return nil, err
 		}
-		c.idx = i
 		e.compiled = append(e.compiled, c)
 		h := r.Head.Pred
 		s := e.stratum[h]
 		e.rulesBy[s] = append(e.rulesBy[s], i)
-		if e.recursive[h] && deltaOf[h] == nil {
-			deltaOf[h] = &delta{cur: e.newSet(h), next: e.newSet(h)}
-			e.deltasBy[s] = append(e.deltasBy[s], deltaOf[h])
-		}
+		e.loops[s] = e.loops[s] || loopAll || e.recursive[h]
 	}
 	for pred := range prog.Arities {
 		e.facts[pred] = e.newSet(pred)
@@ -231,30 +216,19 @@ func newEngine(prog *Program) (*Engine, error) {
 		e.regions[pred] = new(relation.Region)
 	}
 	// Hand each step its predicate's set and the index it probes, and each
-	// rule head its set, so evaluation looks no predicate up by name. A rule
-	// reads a delta only where it reads a recursive predicate of its own
-	// stratum, that is, of its head's component.
+	// rule head its set, so evaluation looks no predicate up by name.
 	for _, c := range e.compiled {
 		h := c.rule.Head.Pred
-		c.headSet, c.headRegion, c.headDelta = e.facts[h], e.regions[h], deltaOf[h]
+		c.headSet, c.headRegion = e.facts[h], e.regions[h]
 		for si := range c.steps {
 			m := &c.steps[si]
 			if m.lit.Kind != LitAtom {
 				continue
 			}
-			q := m.lit.Atom.Pred
-			m.set = e.facts[q]
+			m.set = e.facts[m.lit.Atom.Pred]
 			if len(m.lookupCols) > 0 {
 				m.index = m.set.IndexNullable(m.lookupCols)
 			}
-			if m.occIndex < 0 {
-				continue
-			}
-			var d *delta
-			if e.stratum[q] == e.stratum[h] {
-				d = deltaOf[q]
-			}
-			c.occDeltas = append(c.occDeltas, d)
 		}
 		c.buildFns()
 	}
@@ -328,8 +302,7 @@ func (e *Engine) Run() error {
 }
 
 // resetIDB empties a derived predicate's set and rewinds the region its
-// rule-derived facts were carved from: no other set holds them once the
-// predicate's semi-naive deltas are reset too (runStratum does that first).
+// rule-derived facts were carved from: no other set holds them.
 func (e *Engine) resetIDB(p string) {
 	e.facts[p].Reset()
 	e.regions[p].Reset()
@@ -362,18 +335,8 @@ func (e *Engine) mutating() {
 }
 
 // deriveAll is the cold evaluation: every IDB set is reset and re-derived
-// from the EDB sets, stratum by stratum. In Naive mode, a program with
-// unfolded predicates is evaluated as written, by the reference engine,
-// which then answers for every derived predicate; the engine's own sets
-// stay stale, so it stays cold.
+// from the EDB sets, stratum by stratum.
 func (e *Engine) deriveAll() error {
-	if e.Naive && e.written != nil {
-		if err := e.evalReference(true); err != nil {
-			return err
-		}
-		e.Stats = e.ref.Stats
-		return nil
-	}
 	e.Stats = RunStats{Strategy: StrategyCold}
 	for p := range e.idb {
 		e.resetIDB(p)
@@ -409,11 +372,11 @@ func (e *Engine) addProgramFacts(only map[string]bool) error {
 // RunIncremental evaluates the program after applying the given EDB deltas,
 // reusing the retained fact sets of the previous run. Predicates untouched by
 // the change keep their facts and indexes; the affected predicates are
-// cleared and re-derived. With no previous run (or in Naive mode) it falls
-// back to a cold derivation over the updated EDB, so a RunIncremental sequence is
-// always equivalent to a cold run over the final EDB state. A delete of an
-// absent fact fails the run and leaves the engine cold: the caller must
-// reload the EDB (SetEDB and Run) before the next incremental run.
+// cleared and re-derived. With no previous run it falls back to a cold
+// derivation over the updated EDB, so a RunIncremental sequence is always
+// equivalent to a cold run over the final EDB state. A delete of an absent
+// fact fails the run and leaves the engine cold: the caller must reload the
+// EDB (SetEDB and Run) before the next incremental run.
 func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 	// Validate the whole batch before touching any state, so a rejected
 	// delta leaves the engine exactly as it was. For predicates the program
@@ -454,11 +417,11 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 			roots = append(roots, pred)
 		}
 	}
-	cold := !e.warm || e.Naive
+	cold := !e.warm
 	var affected map[string]bool
 	if !cold {
 		if len(roots) == 0 {
-			e.Stats = RunStats{Incremental: true, Strategy: StrategyNone}
+			e.Stats = RunStats{Strategy: StrategyNone}
 			return nil
 		}
 		affected = e.affectedClosure(roots)
@@ -506,7 +469,7 @@ func (e *Engine) RunIncremental(changed map[string]EDBDelta) error {
 // chain arrays, the bucket arrays and the region they grew last round are
 // what this round re-fills.
 func (e *Engine) recomputeAffected(affected map[string]bool) error {
-	e.Stats = RunStats{Incremental: true, Strategy: StrategyRecompute}
+	e.Stats = RunStats{Strategy: StrategyRecompute}
 	for p := range affected {
 		if e.idb[p] {
 			e.resetIDB(p)
@@ -550,18 +513,10 @@ func (e *Engine) affectedClosure(roots []string) map[string]bool {
 	return out
 }
 
-// workItem is one rule evaluation of a pass: rule ri evaluated under spec
-// (a semi-naive delta substitution or a full evaluation).
-type workItem struct {
-	ri   int
-	spec evalSpec
-}
-
-// runStratum evaluates the given rules of stratum s to fixpoint: every rule
-// in full once, then, while a recursive predicate of the stratum gained
-// facts, one semi-naive pass per occurrence of such a predicate, reading
-// only the facts the previous pass derived. A stratum without recursion is
-// complete after the first pass: its rules read only lower strata.
+// runStratum evaluates the given rules of stratum s: every rule in full
+// once, which completes a stratum without recursion (its rules read only
+// lower strata), and, in a stratum that loops, further full passes until
+// one derives nothing new.
 func (e *Engine) runStratum(s int, ruleIdx []int) error {
 	if len(ruleIdx) == 0 {
 		return nil
@@ -578,94 +533,42 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 			return err
 		}
 	}
-
-	deltas := e.deltasBy[s]
-	for _, d := range deltas { // a failed run may have left facts behind
-		d.cur.Reset()
-		d.next.Reset()
-	}
-	items := e.workBuf[:0]
-	for _, ri := range ruleIdx {
-		c := e.compiled[ri]
-		if c.hasAgg || c.rule.IsFact() {
-			continue
-		}
-		items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1}})
-	}
-	e.workBuf = items[:0]
-	for len(items) > 0 {
-		derived := e.Stats.FactsDerived
-		if err := e.evalPass(items); err != nil {
-			return err
-		}
-		e.Stats.Iterations++
-		if e.Naive {
-			if e.Stats.FactsDerived == derived {
-				return nil
+	for {
+		derived, ran := e.Stats.FactsDerived, false
+		for _, ri := range ruleIdx {
+			c := e.compiled[ri]
+			if c.hasAgg || c.rule.IsFact() {
+				continue
 			}
-			continue
+			e.emitSet, e.emitRegion = c.headSet, c.headRegion
+			if err := e.evalRule(c, e.emit); err != nil {
+				return err
+			}
+			ran = true
 		}
-		if len(deltas) == 0 {
+		if !ran { // only aggregate and fact rules: nothing to pass over
 			return nil
 		}
-		for _, d := range deltas {
-			d.cur, d.next = d.next, d.cur
-			d.next.Reset()
-		}
-		items = e.workBuf[:0]
-		for _, ri := range ruleIdx {
-			if c := e.compiled[ri]; !c.hasAgg && !c.rule.IsFact() {
-				items = c.deltaPasses(items)
-			}
-		}
-		e.workBuf = items[:0]
-	}
-	return nil
-}
-
-// evalPass evaluates one pass's work items into their heads' fact sets.
-func (e *Engine) evalPass(items []workItem) error {
-	for _, it := range items {
-		c := e.compiled[it.ri]
-		e.emitSet, e.emitRegion, e.emitDelta = c.headSet, c.headRegion, c.headDelta
-		if e.Naive {
-			e.emitDelta = nil
-		}
-		if err := e.evalRule(c, it.spec, e.emit); err != nil {
-			return err
+		e.Stats.Iterations++
+		if !e.loops[s] || e.Stats.FactsDerived == derived {
+			return nil
 		}
 	}
-	return nil
 }
 
 // emitFact is the sink of every non-aggregate rule evaluation: it inserts a
 // derived head tuple, which lives in the rule's scratch buffer, into the
 // head's fact set — copied into the head's region on genuine insertion, so
-// duplicate derivations copy nothing — and, for a recursive head, records
-// the new fact in its next delta.
+// duplicate derivations copy nothing.
 func (e *Engine) emitFact(t relation.Tuple) error {
 	e.Stats.RuleFirings++
 	h := t.Hash()
 	if e.emitSet.Find(t, h) >= 0 {
 		return nil
 	}
-	t = e.emitRegion.Copy(t)
-	e.emitSet.AddNew(t, h, 1)
+	e.emitSet.AddNew(e.emitRegion.Copy(t), h, 1)
 	e.Stats.FactsDerived++
-	if d := e.emitDelta; d != nil {
-		d.next.AddNew(t, h, 1) // new to the head set, so new to the delta
-	}
 	return nil
-}
-
-// evalSpec parameterises one evalRule call: delta substitutes the
-// deltaOcc-th positive atom's fact set (semi-naive delta pass), and
-// deltaIndex that atom's index over it; deltaOcc == -1 reads all atoms from
-// the full sets.
-type evalSpec struct {
-	delta      *relation.Bag
-	deltaIndex *relation.BagIndex
-	deltaOcc   int
 }
 
 // evalAggregate evaluates an aggregate rule: the body is enumerated once
@@ -685,7 +588,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 	keyBuf := make(relation.Tuple, len(c.groupIdx))
 	triple := make(relation.Tuple, 3)
 
-	err := e.evalRule(c, evalSpec{deltaOcc: -1}, func(raw relation.Tuple) error {
+	err := e.evalRule(c, func(raw relation.Tuple) error {
 		e.Stats.RuleFirings++
 		for i, gi := range c.groupIdx {
 			keyBuf[i] = raw[gi]
@@ -801,13 +704,13 @@ func (e *Engine) OnDemandRuns() int { return e.onDemand }
 
 // answer returns the fact set that holds pred's current tuples, nil for an
 // unknown predicate: the engine's own, or the reference evaluation's for an
-// unfolded predicate and, in Naive mode, for every derived one.
+// unfolded predicate.
 func (e *Engine) answer(pred string) *relation.Bag {
-	if !e.unfolded[pred] && !(e.Naive && e.written != nil && e.idb[pred]) {
+	if !e.unfolded[pred] {
 		return e.facts[pred]
 	}
 	if e.ref == nil || e.refAt != e.runs {
-		if err := e.evalReference(false); err != nil {
+		if err := e.evalReference(); err != nil {
 			// The engine ran the unfolded program over this EDB, and the
 			// written one runs the same fact rules over it.
 			panic("datalog: evaluating the program as written: " + err.Error())
@@ -817,11 +720,11 @@ func (e *Engine) answer(pred string) *relation.Bag {
 	return e.ref.facts[pred]
 }
 
-// evalReference runs the program as written cold over the engine's EDB sets
-// (naive or semi-naive), on an engine compiled from it on first need.
-func (e *Engine) evalReference(naive bool) error {
+// evalReference runs the program as written cold over the engine's EDB
+// sets, on a reference engine compiled from it on first need.
+func (e *Engine) evalReference() error {
 	if e.ref == nil {
-		ref, err := newEngine(e.written)
+		ref, err := newReference(e.written)
 		if err != nil {
 			return err
 		}
@@ -839,7 +742,6 @@ func (e *Engine) evalReference(naive bool) error {
 			return err
 		}
 	}
-	e.ref.Naive = naive
 	if err := e.ref.Run(); err != nil {
 		return err
 	}

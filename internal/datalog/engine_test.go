@@ -246,9 +246,11 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// naiveEqualsSemiNaive checks the two evaluation strategies agree on random
-// programs over random EDBs.
-func TestSemiNaiveEquivalentToNaiveRandomized(t *testing.T) {
+// TestEngineMatchesReferenceRandomized: the engine, which repeats passes
+// only in the recursive stratum, agrees with the reference engine, which
+// repeats them in every stratum, on a recursive program with negation over
+// random EDBs.
+func TestEngineMatchesReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 40; trial++ {
 		nNodes := 2 + rng.Intn(6)
@@ -273,20 +275,7 @@ func TestSemiNaiveEquivalentToNaiveRandomized(t *testing.T) {
 
 		results := make([]*relation.Relation, 2)
 		for mode := 0; mode < 2; mode++ {
-			prog := MustParse(src)
-			e, err := NewEngine(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Naive = mode == 1
-			for p, rows := range edb {
-				if err := e.SetEDB(p, rows); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
+			e := freshRun(t, MustParse(src), edb, mode == 1)
 			all := relation.New(anySchema(3))
 			for _, pred := range []string{"r", "nr"} {
 				for _, tu := range e.Facts(pred).Rows() {
@@ -299,32 +288,57 @@ func TestSemiNaiveEquivalentToNaiveRandomized(t *testing.T) {
 			results[mode] = all
 		}
 		if !results[0].Equal(results[1]) {
-			t.Fatalf("trial %d: semi-naive != naive\nedges: %v\nsemi:\n%s\nnaive:\n%s",
+			t.Fatalf("trial %d: engine != reference\nedges: %v\nengine:\n%s\nreference:\n%s",
 				trial, edges, results[0], results[1])
 		}
 	}
 }
 
+// TestRunStatsPopulated also pins the cost of a pass schedule: a stratum
+// without recursion is complete after one pass over its rules, and a
+// recursive one repeats passes until one derives nothing new, so it takes at
+// least two. The reference engine repeats passes in every stratum. A stratum
+// of aggregate rules alone takes no pass.
 func TestRunStatsPopulated(t *testing.T) {
-	prog := MustParse(`
+	const closure = `
 		p(X, Y) :- e(X, Y).
 		p(X, Z) :- p(X, Y), e(Y, Z).
-	`)
-	e, _ := NewEngine(prog)
-	if err := e.SetEDB("e", intTuples([]int64{1, 2}, []int64{2, 3})); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats.FactsDerived != 3 || e.Stats.Iterations < 2 {
-		t.Errorf("stats: %+v", e.Stats)
+	`
+	path := map[string][]relation.Tuple{"e": intTuples([]int64{1, 2}, []int64{2, 3})}
+	cycle := map[string][]relation.Tuple{"e": intTuples([]int64{1, 2}, []int64{2, 3}, []int64{3, 1})}
+	for _, tc := range []struct {
+		name      string
+		src       string
+		edb       map[string][]relation.Tuple
+		reference bool
+		strata    int
+		passes    int // exact count, or the least one when atLeast is set
+		atLeast   bool
+		derived   int
+	}{
+		{"recursive", closure, path, false, 1, 2, true, 3},
+		{"flat", `
+			p(X, Y) :- e(X, Y).
+			p(X, Y) :- e(Y, X).
+			q(X) :- p(X, _), not e(X, X).
+		`, cycle, false, 2, 2, false, 6 + 3},
+		{"recursive under flat", closure + "q(X) :- p(X, X).", cycle, false, 2, 2 + 1, true, 9 + 3},
+		{"reference", closure + "q(X) :- p(X, X).", cycle, true, 2, 2 + 2, true, 9 + 3},
+		{"aggregate only", "deg(X, count<Y>) :- e(X, Y).", cycle, false, 1, 0, false, 3},
+	} {
+		e := freshRun(t, MustParse(tc.src), tc.edb, tc.reference)
+		it := e.Stats.Iterations
+		if e.numStrata != tc.strata || it < tc.passes || (!tc.atLeast && it != tc.passes) ||
+			e.Stats.FactsDerived != tc.derived {
+			t.Errorf("%s: %d strata, stats %+v; want %d strata, %d passes (at least: %v), %d facts derived",
+				tc.name, e.numStrata, e.Stats, tc.strata, tc.passes, tc.atLeast, tc.derived)
+		}
 	}
 }
 
 // TestSS2PLColdRunTakesOnePassPerStratum: no rule text in internal/rules
 // is recursive, so every stratum of the SS2PL program is complete after one
-// pass over its rules, and no pass derives into a semi-naive delta.
+// pass over its rules.
 func TestSS2PLColdRunTakesOnePassPerStratum(t *testing.T) {
 	e, err := NewEngine(MustParse(rules.SS2PLDatalog))
 	if err != nil {
@@ -376,7 +390,7 @@ func TestQueryHelper(t *testing.T) {
 }
 
 func TestSameGenerationProgram(t *testing.T) {
-	// Classic non-linear recursion exercise for semi-naive evaluation.
+	// Classic non-linear recursion exercise for the fixpoint.
 	got := run(t, `
 		sg(X, X) :- person(X).
 		sg(X, Y) :- parent(X, XP), sg(XP, YP), parent(Y, YP).
@@ -443,20 +457,10 @@ func TestRecursiveProbeSurvivesGrowth(t *testing.T) {
 			edges = append(edges, relation.Tuple{name[parent], name[v]})
 		}
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		for _, naive := range []bool{false, true} {
-			e, err := NewEngine(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Naive = naive
-			if err := e.SetEDB("edge", edges); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
+		for _, ref := range []bool{false, true} {
+			e := freshRun(t, prog, map[string][]relation.Tuple{"edge": edges}, ref)
 			if got := e.FactCount("walk"); got != want {
-				t.Fatalf("seed %d naive=%v: %d walk facts over a %d-node tree, want %d", seed, naive, got, n, want)
+				t.Fatalf("seed %d reference=%v: %d walk facts over a %d-node tree, want %d", seed, ref, got, n, want)
 			}
 			checkFactSetConsistency(t, e)
 		}

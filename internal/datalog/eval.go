@@ -9,22 +9,21 @@ import "repro/internal/relation"
 // every call; the compiled chain allocates nothing per evaluation, and each
 // closure is specialised to its literal's shape (indexed atom, full-scan
 // atom, negated atom, comparison, arithmetic) so the per-tuple inner loops
-// carry no literal-kind dispatch. The per-call parameters (the evalSpec and
-// the emit sink) travel in the rule's ruleScratch.
+// carry no literal-kind dispatch. The per-call emit sink travels in the
+// rule's ruleScratch.
 
-// stepFn executes one compiled body step under sc.spec, calling the next
-// step for every binding that survives, and sc.emit at the end of the chain.
+// stepFn executes one compiled body step, calling the next step for every
+// binding that survives, and sc.emit at the end of the chain.
 type stepFn func(e *Engine, c *compiledRule, sc *ruleScratch) error
 
 // emitFn receives head tuples; they reference the scratch's head buffer and
 // must be cloned by any sink that retains them.
 type emitFn func(relation.Tuple) error
 
-// evalRule joins the body steps per spec and emits head tuples into the
-// scratch's head buffer (emit callbacks must copy what they retain).
-func (e *Engine) evalRule(c *compiledRule, spec evalSpec, emit emitFn) error {
+// evalRule joins the body steps and emits head tuples into the scratch's
+// head buffer (emit callbacks must copy what they retain).
+func (e *Engine) evalRule(c *compiledRule, emit emitFn) error {
 	sc := c.scratch
-	sc.spec = spec
 	sc.emit = emit
 	err := c.fns[0](e, c, sc)
 	sc.emit = nil
@@ -84,22 +83,11 @@ func bindStep(m *stepMeta, sc *ruleScratch, t relation.Tuple) bool {
 	return true
 }
 
-// atomSet resolves the fact set a positive atom step enumerates under the
-// current spec, and the step's index over it: the delta for the delta
-// occurrence, the full set otherwise.
-func atomSet(m *stepMeta, spec *evalSpec) (*relation.Bag, *relation.BagIndex) {
-	if m.occIndex == spec.deltaOcc {
-		return spec.delta, spec.deltaIndex
-	}
-	return m.set, m.index
-}
-
 // makeScanStep compiles a positive atom with no bound columns: a full
 // enumeration of the predicate.
 func makeScanStep(m *stepMeta, next stepFn) stepFn {
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		set, _ := atomSet(m, &sc.spec)
-		for _, t := range set.Tuples() {
+		for _, t := range m.set.Tuples() {
 			if !bindStep(m, sc, t) {
 				continue
 			}
@@ -116,12 +104,12 @@ func makeScanStep(m *stepMeta, next stepFn) stepFn {
 // walk stands on a tuple while the body runs and reads its link afterwards,
 // so recursive rules may insert into the probed set mid-walk: new tuples go
 // to the front of their bucket, behind the walk, and a grow keeps the tuples
-// of one key in order (relation.Chain.Grow) — they are picked up by the next
-// semi-naive iteration.
+// of one key in order (relation.Chain.Grow); a tuple this walk misses is
+// read by the stratum's next pass.
 func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		env := sc.env
-		set, ix := atomSet(m, &sc.spec)
+		set, ix := m.set, m.index
 		key := sc.vals[step][:len(m.lookupCols)]
 		for i, s := range m.lookupSrc {
 			key[i] = s.value(env)

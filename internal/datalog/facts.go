@@ -8,10 +8,10 @@ import (
 	"repro/internal/relation"
 )
 
-// A predicate's facts, and a recursive predicate's semi-naive deltas, are a
-// relation.Bag in which every tuple has count 1. The rules probe them through
-// indexes built with IndexNullable: Datalog unifies NULL with NULL
-// (relation.Value.Equal), so a NULL key is filed like any other.
+// A predicate's facts are a relation.Bag in which every tuple has count 1.
+// The rules probe them through indexes built with IndexNullable: Datalog
+// unifies NULL with NULL (relation.Value.Equal), so a NULL key is filed like
+// any other.
 
 // insert adds t to f unless f holds it already, reporting whether it was
 // new. f keeps t itself: callers pass tuples that outlive f's contents (EDB

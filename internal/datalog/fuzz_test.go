@@ -58,15 +58,16 @@ func FuzzParse(f *testing.F) {
 // FuzzRunIncrementalMatchesCold: over a random layered program (see
 // randomLayeredProgram) and a random sequence of insert/delete batches on its
 // two EDB predicates, every IDB predicate of the warm engine equals, after
-// every batch, both a fresh engine's cold Run and its Naive run over the same
-// EDB — stored and unfolded predicates alike (an unfolded one answers from
-// an on-demand evaluation). The naive fixpoint repeats full passes over the
-// program as written until nothing new is derived, so it is correct
-// whichever predicates the stratification calls recursive and whichever the
-// unfolding pass replaced: a stratum that reads a non-recursive predicate of
-// its own, a recursive predicate whose deltas are dropped, or an unfolding
-// that captures, loses or duplicates a variable makes the other runs diverge
-// from it. The helpers the generator marks as keep-stored must not unfold.
+// every batch, both a fresh engine's cold Run and a reference run over the
+// same EDB — stored and unfolded predicates alike (an unfolded one answers
+// from an on-demand evaluation). The reference engine repeats full passes
+// over the program as written in every stratum until nothing new is
+// derived, so it is correct whichever predicates the stratification calls
+// recursive and whichever the unfolding pass replaced: a stratum that reads
+// a non-recursive predicate of its own, a recursive stratum taken as
+// non-recursive, or an unfolding that captures, loses or duplicates a
+// variable makes the other runs diverge from it. The helpers the generator
+// marks as keep-stored must not unfold.
 func FuzzRunIncrementalMatchesCold(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed)
@@ -115,16 +116,16 @@ func FuzzRunIncrementalMatchesCold(f *testing.F) {
 			for pred, d := range changed {
 				edb[pred] = applyDeltaMirror(edb[pred], d)
 			}
-			cold, naive := freshRun(t, prog, edb, false), freshRun(t, prog, edb, true)
+			cold, ref := freshRun(t, prog, edb, false), freshRun(t, prog, edb, true)
 			for _, p := range idb {
 				warm := e.Facts(p).Distinct()
-				for _, ref := range []struct {
+				for _, o := range []struct {
 					name string
 					e    *Engine
-				}{{"cold", cold}, {"naive", naive}} {
-					if want := ref.e.Facts(p).Distinct(); !warm.Equal(want) {
+				}{{"cold", cold}, {"reference", ref}} {
+					if want := o.e.Facts(p).Distinct(); !warm.Equal(want) {
 						t.Fatalf("step %d: %s diverged from the %s run\nprogram:\n%s\nwarm:\n%s\n%s:\n%s",
-							step, p, ref.name, src, warm, ref.name, want)
+							step, p, o.name, src, warm, o.name, want)
 					}
 				}
 			}
@@ -133,14 +134,18 @@ func FuzzRunIncrementalMatchesCold(f *testing.F) {
 	})
 }
 
-// freshRun evaluates prog over edb on a new engine, cold or naive.
-func freshRun(t *testing.T, prog *Program, edb map[string][]relation.Tuple, naive bool) *Engine {
+// freshRun evaluates prog over edb cold on a new engine: NewEngine's, or
+// with reference the reference engine of the program as written.
+func freshRun(t *testing.T, prog *Program, edb map[string][]relation.Tuple, reference bool) *Engine {
 	t.Helper()
-	e, err := NewEngine(prog)
+	newFn := NewEngine
+	if reference {
+		newFn = newReference
+	}
+	e, err := newFn(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Naive = naive
 	for p, rows := range edb {
 		if err := e.SetEDB(p, rows); err != nil {
 			t.Fatal(err)

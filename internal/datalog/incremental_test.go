@@ -168,9 +168,6 @@ func TestRunIncrementalInsertOnlyIntoRecursiveProgram(t *testing.T) {
 		if err := e.RunIncremental(map[string]EDBDelta{"edge": {Insert: ins}}); err != nil {
 			t.Fatal(err)
 		}
-		if !e.Stats.Incremental {
-			t.Fatal("expected warm-start run")
-		}
 		// A non-empty batch recomputes, whatever its shape or what came before.
 		if e.Stats.Strategy != StrategyRecompute {
 			t.Fatalf("step %d: insert-only batch took %s, want %s", step, e.Stats.Strategy, StrategyRecompute)
@@ -449,7 +446,7 @@ func TestRunIncrementalFirstCallFallsBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.Incremental {
+	if e.Stats.Strategy != StrategyCold {
 		t.Error("first call must be a cold run")
 	}
 	if e.Facts("p").Len() != 2 {
@@ -543,7 +540,7 @@ func TestRunFailureDropsWarmState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.Incremental {
+	if e.Stats.Strategy != StrategyCold {
 		t.Error("warm start from a failed run")
 	}
 	if e.Facts("p").Len() != 2 {

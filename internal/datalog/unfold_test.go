@@ -96,9 +96,9 @@ func TestUnfoldedPredicatesAnswerOnDemand(t *testing.T) {
 	}
 	check := func(step string, wantRuns int) {
 		t.Helper()
-		naive := freshRun(t, prog, edb, true)
+		ref := freshRun(t, prog, edb, true)
 		for _, p := range []string{"finished", "wlock", "wrote", "rlock"} {
-			got, want := e.Facts(p).Distinct(), naive.Facts(p).Distinct()
+			got, want := e.Facts(p).Distinct(), ref.Facts(p).Distinct()
 			if !got.Equal(want) || e.FactCount(p) != want.Len() || len(slices.Collect(e.FactSeq(p))) != want.Len() {
 				t.Fatalf("%s: %s is\n%s\nwant\n%s", step, p, got, want)
 			}
@@ -163,9 +163,9 @@ func TestUnfoldSubstitutesConstantsAndWildcards(t *testing.T) {
 		"e": rows([2]int64{1, 4}, [2]int64{1, 5}, [2]int64{2, 3}, [2]int64{3, 3}, [2]int64{4, 2}),
 		"f": rows([2]int64{7, 2}, [2]int64{7, 3}, [2]int64{9, 9}, [2]int64{8, 1}, [2]int64{1, 5}),
 	}
-	got, naive := freshRun(t, prog, edb, false), freshRun(t, prog, edb, true)
+	got, ref := freshRun(t, prog, edb, false), freshRun(t, prog, edb, true)
 	for p := range prog.IDB() {
-		if g, w := got.Facts(p).Distinct(), naive.Facts(p).Distinct(); !g.Equal(w) {
+		if g, w := got.Facts(p).Distinct(), ref.Facts(p).Distinct(); !g.Equal(w) {
 			t.Errorf("%s:\n%s\nwant\n%s", p, g, w)
 		}
 	}

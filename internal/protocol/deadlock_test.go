@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/datalog"
+	"repro/internal/relation"
 	"repro/internal/request"
 )
 
@@ -264,6 +266,89 @@ func TestWaitsForMatchesLockTableReference(t *testing.T) {
 	}
 	if edges == 0 {
 		t.Fatal("no instance produced a waits-for edge")
+	}
+}
+
+// waitsForRules states in rule text what the deadlock detector builds:
+// waits holds the edges of WaitsFor (lock conflicts with unfinished history
+// transactions, and Listing 1's intra-batch precedence), reach is their
+// transitive closure — a recursive predicate, which the engine evaluates to
+// its fixpoint — and oncycle holds the transactions on some cycle.
+const waitsForRules = `
+	finished(TA) :- history(_, TA, _, "c", _).
+	finished(TA) :- history(_, TA, _, "a", _).
+	waits(T1, T2) :- request(_, T1, _, _, O), history(_, T2, _, "w", O), T1 != T2, not finished(T2).
+	waits(T1, T2) :- request(_, T1, _, "w", O), history(_, T2, _, "r", O), T1 != T2, not finished(T2).
+	waits(T1, T2) :- request(_, T1, _, _, O), request(_, T2, _, "w", O), T2 < T1.
+	waits(T1, T2) :- request(_, T1, _, "w", O), request(_, T2, _, _, O), T2 < T1.
+	reach(A, B) :- waits(A, B).
+	reach(A, C) :- reach(A, B), waits(B, C).
+	oncycle(T) :- reach(T, T).
+`
+
+// TestWaitsForRuleTextMatchesDetector: on the lock-table test's instances,
+// the rule text's waits equals WaitsFor, every victim DeadlockVictims picks
+// is on a cycle, and oncycle is empty exactly when there is no victim. The
+// detector may pick fewer victims than oncycle names: it aborts the
+// youngest member of one cycle, then searches again.
+func TestWaitsForRuleTextMatchesDetector(t *testing.T) {
+	prog := datalog.MustParse(waitsForRules)
+	rng := rand.New(rand.NewSource(78))
+	cyclic := 0
+	check := func(trial int, pending, history []request.Request) {
+		t.Helper()
+		e, err := datalog.NewEngine(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pred, rs := range map[string][]request.Request{"request": pending, "history": history} {
+			rows := make([]relation.Tuple, len(rs))
+			for i, r := range rs {
+				rows[i] = r.Tuple()
+			}
+			if err := e.SetEDB(pred, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waits := make(map[int64]map[int64]bool)
+		for tu := range e.FactSeq("waits") {
+			from, to := tu[0].AsInt(), tu[1].AsInt()
+			if waits[from] == nil {
+				waits[from] = make(map[int64]bool)
+			}
+			waits[from][to] = true
+		}
+		if want := WaitsFor(pending, history); !reflect.DeepEqual(waits, want) {
+			t.Fatalf("trial %d: waits diverged from WaitsFor\nrules: %v\nGo:    %v", trial, waits, want)
+		}
+		oncycle := make(map[int64]bool)
+		for tu := range e.FactSeq("oncycle") {
+			oncycle[tu[0].AsInt()] = true
+		}
+		victims := DeadlockVictims(pending, history)
+		for _, v := range victims {
+			if !oncycle[v] {
+				t.Fatalf("trial %d: victim %d is not on a cycle of the rule text (oncycle %v)", trial, v, oncycle)
+			}
+		}
+		if (len(oncycle) == 0) != (len(victims) == 0) {
+			t.Fatalf("trial %d: oncycle %v, victims %v", trial, oncycle, victims)
+		}
+		if len(victims) > 0 {
+			cyclic++
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		pending, history := randInstance(rng)
+		check(trial, pending, history)
+		pending, history = lockInstance(rng, 1+rng.Intn(40), rng.Intn(300), 2+rng.Int63n(30), 1+rng.Int63n(40))
+		check(trial, pending, history)
+	}
+	if cyclic == 0 {
+		t.Fatal("no instance had a deadlock")
 	}
 }
 

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 TAG="${1:-1}"
 OUT="BENCH_${TAG}.json"
-BENCHES='BenchmarkSS2PLQueryDatalog|BenchmarkSS2PLQuerySQL|BenchmarkSS2PLQuerySQLNestedLoop|BenchmarkSQLIncrementalRound|BenchmarkMiddlewareRound|BenchmarkMiddlewareRoundDurable|BenchmarkMiddlewareRoundPartitioned|BenchmarkMiddlewareRoundPartitionedHotKey|BenchmarkMiddlewarePipelined|BenchmarkPendingStore|BenchmarkDatalogSemiNaive|BenchmarkDatalogIncrementalRound|BenchmarkNetRoundTrip|BenchmarkNetMultiplexed|BenchmarkDeadlockVictims'
+BENCHES='BenchmarkSS2PLQueryDatalog|BenchmarkSS2PLQuerySQL|BenchmarkSS2PLQuerySQLNestedLoop|BenchmarkSQLIncrementalRound|BenchmarkMiddlewareRound|BenchmarkMiddlewareRoundDurable|BenchmarkMiddlewareRoundPartitioned|BenchmarkMiddlewareRoundPartitionedHotKey|BenchmarkMiddlewarePipelined|BenchmarkPendingStore|BenchmarkDatalogIncrementalRound|BenchmarkNetRoundTrip|BenchmarkNetMultiplexed|BenchmarkDeadlockVictims'
 BENCHTIME="${BENCHTIME:-1s}"
 
 RAW="$(go test -run='^$' -bench="${BENCHES}" -benchmem -benchtime="${BENCHTIME}" . )"
