@@ -59,10 +59,11 @@ func (o MuxOptions) budget() int {
 // everything unanswered), BUSY rejections back off with jitter honoring the
 // server's retry-after hint, and broken connections redial with capped
 // exponential backoff. A retransmitted request is idempotent: if the
-// original is still queued the scheduler's duplicate-submission path
-// replaces it, and if it already executed the server's resubmit cache
-// (Config.ResubmitWindow > 0) returns the recorded result instead of
-// executing twice.
+// original is still in flight the retransmission attaches to it, and if it
+// already executed the server's resubmit cache (Config.ResubmitWindow > 0)
+// returns the recorded result instead of executing twice. A retransmission
+// carries the original's content; the server refuses a different request
+// under a live key (scheduler.ErrDuplicateKey).
 type MuxClient struct {
 	addr string
 	opts MuxOptions
@@ -226,8 +227,9 @@ func (c *MuxClient) reconnect(failed net.Conn, gen uint64) {
 		c.w = bufio.NewWriter(conn)
 		c.redialing = false
 		// Retransmit under fresh correlation IDs: the server answers from
-		// its resubmit cache or supersedes the still-queued original, so the
-		// retry is exactly-once from the client's point of view.
+		// its resubmit cache or attaches the retry to the original still in
+		// flight, so the retry is exactly-once from the client's point of
+		// view.
 		old := c.pending
 		c.pending = make(map[uint64]*muxCall, len(old))
 		var frames []byte

@@ -180,7 +180,23 @@ func TestMuxPingStatsAndLineCoexist(t *testing.T) {
 }
 
 func TestMuxReconnectResubmitIsIdempotent(t *testing.T) {
-	s, srv, _ := startMuxServer(t, nil)
+	// Row 43's writes take 50 ms on the server, so a request can be sent
+	// while an earlier one is still executing.
+	started := make(chan struct{}, 1)
+	var srv *storage.Server
+	s, _, _ := startMuxServer(t, func(cfg *scheduler.Config) {
+		srv = storage.NewServer(storage.Config{Rows: 256, ExecDelay: func(r request.Request) time.Duration {
+			if r.Object != 43 {
+				return 0
+			}
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			return 50 * time.Millisecond
+		}})
+		cfg.Server = srv
+	})
 	c, err := DialMux(s.Addr(), MuxOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +218,31 @@ func TestMuxReconnectResubmitIsIdempotent(t *testing.T) {
 	}
 	if got := srv.Get(42); got != 1 {
 		t.Errorf("row 42 = %d after idempotent resubmit, want 1", got)
+	}
+
+	// A second frame under a live key with a different object is not a
+	// retransmission: it gets an error reply, and the first executes once.
+	first := make(chan error, 1)
+	go func() {
+		v, err := c.Submit(request.Request{TA: 6, IntraTA: 0, Op: request.Write, Object: 43})
+		if err == nil && v != 1 {
+			err = fmt.Errorf("value %d, want 1", v)
+		}
+		first <- err
+	}()
+	<-started
+	if _, err := c.Submit(request.Request{TA: 6, IntraTA: 0, Op: request.Write, Object: 44}); err == nil ||
+		!strings.Contains(err.Error(), scheduler.ErrDuplicateKey.Error()) {
+		t.Fatalf("changed duplicate answered %v, want %v", err, scheduler.ErrDuplicateKey)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first submission of the key: %v", err)
+	}
+	if _, err := c.Submit(request.Request{TA: 6, IntraTA: 1, Op: request.Commit, Object: request.NoObject}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := srv.Get(43), srv.Get(44); a != 1 || b != 0 {
+		t.Errorf("rows 43 and 44 = %d and %d, want 1 and 0 (the key ran once)", a, b)
 	}
 }
 

@@ -302,6 +302,10 @@ func (e *Engine) ShardStats() []metrics.RoundStats { return e.shardStats }
 // consecutive IDs (the paper's consecutive request number) and arrival
 // stamps. Safe for concurrent use by many client workers. With more than one
 // shard each request is routed to the shard owning its object (partition.go).
+//
+// A request's (TA, IntraTA) key must not be live — queued or pending — when
+// it is enqueued: the stores and the shard routing keep one copy per key
+// (Middleware guarantees this; a direct caller must too).
 func (e *Engine) Enqueue(rs ...request.Request) {
 	if len(e.shards) > 1 {
 		for _, r := range rs {

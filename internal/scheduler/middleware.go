@@ -37,8 +37,16 @@ var ErrShuttingDown = errors.New("scheduler: shutting down")
 // earlier request was acknowledged).
 var ErrTxnFinished = errors.New("scheduler: transaction already terminated")
 
-// errSuperseded answers a client whose (TA, IntraTA) request was resubmitted
-// before the first submission was answered; the newest submission wins.
+// ErrDuplicateKey answers a submission whose (TA, IntraTA) key is already
+// live — registered and not yet answered — with different content (Op,
+// Object or Priority). A key names one request: the first submission
+// stands, and the refused one never enters the scheduler.
+var ErrDuplicateKey = errors.New("scheduler: request key already submitted with different content")
+
+// errSuperseded answers a client whose (TA, IntraTA) request was
+// retransmitted with identical content before the first submission was
+// answered: the retransmission takes over the waiting, and the request still
+// executes once.
 var errSuperseded = errors.New("scheduler: request superseded by a duplicate submission")
 
 // BusyError is the admission-control rejection: the queue cap or the shedding
@@ -162,7 +170,7 @@ type terminal struct {
 // Submit) or a callback (SubmitFunc). Exactly one of ch/cb is set. req keeps
 // the submitted request so a later duplicate of the same key can tell a
 // retransmission (identical content — attach to the in-flight copy) from a
-// replacement (different content — newest wins in the pending store).
+// different request under a live key (refused with ErrDuplicateKey).
 type waiter struct {
 	req   request.Request
 	ch    chan Result
@@ -411,9 +419,13 @@ func (m *Middleware) answer(w waiter, res Result) {
 // client can open: between its resubmit-cache check and registration the
 // original copy may have executed (answer from the cache now), be in flight
 // (attach the new waiter to it instead of enqueuing a second copy), or have
-// been aborted (answer the terminal outcome). Only a duplicate with
-// *different* content re-enqueues — the replace path, where the newest
-// submission wins in the pending store.
+// been aborted (answer the terminal outcome). A duplicate with *different*
+// content is refused with ErrDuplicateKey and the first submission stands.
+//
+// So a key is enqueued only when no waiter holds it, and a waiter holds its
+// key from registration until its answer — through the admission queue, the
+// pending store and execution. Engine.Enqueue therefore never sees a key
+// that is still queued or pending.
 func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 	if m.closed {
 		m.answerUnregistered(w, Result{Err: ErrStopped})
@@ -434,14 +446,18 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		}
 	}
 	if prev, ok := m.waiters[k]; ok {
-		// Duplicate (TA, IntraTA) submission: answer the superseded client
-		// rather than leaving it waiting on a reply that never comes.
-		retransmit := prev.req.Op == w.req.Op && prev.req.Object == w.req.Object &&
-			prev.req.Priority == w.req.Priority
+		if prev.req.Op != w.req.Op || prev.req.Object != w.req.Object ||
+			prev.req.Priority != w.req.Priority {
+			m.answerUnregistered(w, Result{Err: ErrDuplicateKey})
+			return false
+		}
+		// A retransmission: the new waiter takes over the in-flight copy,
+		// and the superseded client is answered rather than left waiting on
+		// a reply that never comes.
 		m.answer(prev, Result{Err: errSuperseded})
 		m.waiters[k] = w
 		m.queued.Add(1)
-		return !retransmit
+		return false
 	}
 	keys, ok := m.byTA[k.TA]
 	if !ok && len(m.freeKeys) > 0 {

@@ -92,25 +92,15 @@ func (e *Engine) push(s int, op shardOp) {
 }
 
 // route is Enqueue on a multi-shard engine: the request goes to the shard
-// owning its object; its globally consecutive ID doubles as the
-// deterministic cross-partition sequence.
-//
-// Duplicate (TA, IntraTA) submissions keep the newest-wins contract within a
-// shard exactly (store.Pending.Admit); when the duplicate's object moved it
-// to a different shard, the stale copy is revoked from the old shard. Two
-// concurrent resubmissions of the same key racing each other may transiently
-// leave a copy in each shard — the same logical request executing twice,
-// which resubmission already risks on one shard (a copy can execute before
-// its replacement arrives).
+// owning its object, which its transaction has now touched; its globally
+// consecutive ID doubles as the deterministic cross-partition sequence.
 func (e *Engine) route(r request.Request) {
 	if r.Op.IsTermination() {
 		e.enqueueTermination(r)
 		return
 	}
 	s := e.part.ForObject(r.Object)
-	if prev, moved := e.affinity.Route(r.Key(), s); moved {
-		e.push(prev, shardOp{req: r, revoke: true})
-	}
+	e.affinity.Touch(r.TA, s)
 	e.push(s, shardOp{req: r})
 }
 

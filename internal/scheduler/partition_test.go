@@ -312,58 +312,74 @@ func TestCrossPartitionCommitOrdering(t *testing.T) {
 	}
 }
 
-// TestPartitionedDuplicateMovesShard: a duplicate (TA, IntraTA) submission
-// whose object hashes to a different partition must revoke the stale copy
-// from the old shard — exactly one copy of the key survives, and only the
-// newest object is written.
-func TestPartitionedDuplicateMovesShard(t *testing.T) {
-	srv := storage.NewServer(storage.Config{Rows: 64})
-	pe, err := NewPartitionedEngine(PartitionedConfig{
-		Base:       Config{Server: srv, KeepLog: true},
-		Partitions: 4,
-		Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objA := int64(0)
-	objB := int64(-1)
-	for o := int64(1); o < 64; o++ {
-		if pe.part.ForObject(o) != pe.part.ForObject(objA) {
-			objB = o
-			break
-		}
-	}
-	if objB < 0 {
-		t.Fatal("no object pair straddles shards")
-	}
-	// Same key, object moved shards: newest submission wins.
-	pe.Enqueue(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: objA})
-	pe.Enqueue(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: objB})
-	res, err := pe.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Executed) != 1 || res.Executed[0].Request.Object != objB {
-		t.Fatalf("executed %v, want exactly the newest copy (object %d)", res.Executed, objB)
-	}
-	if pe.PendingLen() != 0 {
-		t.Fatalf("stale duplicate copy still pending: %d", pe.PendingLen())
-	}
-	if v := srv.Get(objA); v != 0 {
-		t.Fatalf("stale copy wrote object %d: %d", objA, v)
-	}
-	if v := srv.Get(objB); v != 1 {
-		t.Fatalf("object %d = %d, want 1", objB, v)
+// TestDuplicateKeyRunsOnce is the regression test of the newest-wins replace
+// path, which executed one request key twice: while w(1) under key (1,0) is
+// executing, a second submission of the key writes another object. It must
+// be refused with ErrDuplicateKey, the first submission must get its own
+// result, and the second object must never be written — on one shard, and on
+// four with the two objects on different shards.
+func TestDuplicateKeyRunsOnce(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			const objA = 1
+			started := make(chan struct{}, 1)
+			srv := storage.NewServer(storage.Config{Rows: 64, ExecDelay: func(r request.Request) time.Duration {
+				if r.Object != objA {
+					return 0
+				}
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				return 50 * time.Millisecond
+			}})
+			e, err := NewPartitionedEngine(PartitionedConfig{
+				Base:       Config{Server: srv, ResubmitWindow: 1024},
+				Partitions: parts,
+				Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			objB := int64(2)
+			for parts > 1 && e.part.ForObject(objB) == e.part.ForObject(objA) {
+				objB++
+			}
+			m := NewMiddleware(e, HybridTrigger{Level: 1, Every: time.Millisecond}, nil)
+			m.Start()
+			defer m.Stop()
+
+			first := make(chan Result, 1)
+			go func() {
+				first <- m.Submit(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: objA})
+			}()
+			select {
+			case <-started:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the first submission never reached the server")
+			}
+			if res := m.Submit(request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: objB}); res.Err != ErrDuplicateKey {
+				t.Errorf("the changed duplicate was answered %+v, want ErrDuplicateKey", res)
+			}
+			if res := <-first; res.Err != nil || res.Value != 1 {
+				t.Errorf("the first submission was answered %+v, want its write's result 1", res)
+			}
+			if res := m.Submit(request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject}); res.Err != nil {
+				t.Errorf("commit: %v", res.Err)
+			}
+			if a, b := srv.Get(objA), srv.Get(objB); a != 1 || b != 0 {
+				t.Errorf("objects %d and %d read %d and %d, want 1 and 0 (the key ran once)", objA, objB, a, b)
+			}
+		})
 	}
 }
 
 // TestPartitionedMiddlewareConcurrentSubmit is the -race coverage of the
-// concurrent admission path: a bursty multi-goroutine closed-loop workload
-// over the partitioned middleware, plus goroutines racing duplicate
-// (TA, IntraTA) submissions whose objects straddle shards. Every submission
-// must be answered, the run must drain, and the merged log must stay
-// serializable.
+// concurrent admission path: goroutines racing submissions of one request key
+// with different objects that straddle shards, then a bursty multi-goroutine
+// closed-loop workload over the partitioned middleware. Exactly one racer's
+// request executes and the others are refused; every submission must be
+// answered, the run must drain, and the merged log must stay serializable.
 func TestPartitionedMiddlewareConcurrentSubmit(t *testing.T) {
 	srv := storage.NewServer(storage.Config{Rows: 32})
 	pe, err := NewPartitionedEngine(PartitionedConfig{
@@ -375,33 +391,51 @@ func TestPartitionedMiddlewareConcurrentSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewPartitionedMiddleware(pe, HybridTrigger{Level: 8, Every: time.Millisecond}, metrics.NewCollector())
-	m.Start()
-	defer m.Stop()
 
-	// Racing duplicates: one transaction, eight goroutines resubmitting the
-	// same request key with different objects. All must be answered
-	// (executed or superseded), then the transaction must terminate.
+	// Racing duplicates: one transaction, eight goroutines submitting the
+	// same request key with different objects. They race before the loop
+	// starts, so the first to register is still live when the others do:
+	// seven are refused on the spot, and the loop then runs the survivor.
 	const dupTA = 1 << 20
 	var wg sync.WaitGroup
 	answers := make([]Result, 8)
+	refused := make(chan struct{}, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			answers[g] = m.Submit(request.Request{TA: dupTA, IntraTA: 0, Op: request.Write, Object: int64(g * 3)})
+			refused <- struct{}{}
 		}(g)
 	}
+	for i := 0; i < 7; i++ {
+		<-refused
+	}
+	m.Start()
+	defer m.Stop()
 	wg.Wait()
-	answered := 0
-	for _, a := range answers {
-		if a.Err == nil || a.Err == errSuperseded || a.Err == ErrTxnAborted {
-			answered++
+	winner := -1
+	for g, a := range answers {
+		switch {
+		case a.Err == nil && winner < 0:
+			winner = g
+		case a.Err != ErrDuplicateKey:
+			t.Fatalf("racer %d answered %v; want one success and seven ErrDuplicateKey: %v", g, a, answers)
 		}
 	}
-	if answered != 8 {
-		t.Fatalf("answered %d of 8 racing duplicate submissions: %v", answered, answers)
+	if winner < 0 {
+		t.Fatalf("no racer executed: %v", answers)
 	}
-	if r := m.Submit(request.Request{TA: dupTA, IntraTA: 1, Op: request.Commit, Object: request.NoObject}); r.Err != nil && r.Err != ErrTxnAborted {
+	for g := 0; g < 8; g++ {
+		want := int64(0)
+		if g == winner {
+			want = 1
+		}
+		if v := srv.Get(int64(g * 3)); v != want {
+			t.Fatalf("object %d = %d after the race, want %d (racer %d won)", g*3, v, want, winner)
+		}
+	}
+	if r := m.Submit(request.Request{TA: dupTA, IntraTA: 1, Op: request.Commit, Object: request.NoObject}); r.Err != nil {
 		t.Fatalf("terminating the duplicate transaction failed: %v", r.Err)
 	}
 

@@ -306,14 +306,8 @@ func (e *Engine) migrateFrom(s int, movedSlots map[int]bool) {
 		return movedSlots[e.part.SlotOf(obj)] && e.part.ForObject(obj) != s
 	}
 	src.pending.ExtractMatching(match, func(r request.Request, since int) {
-		if cur, ok := e.affinity.RouteOf(r.Key()); ok && cur != s {
-			// A stale duplicate copy superseded by a newer submission routed
-			// elsewhere: its revocation is in flight, so drop it here rather
-			// than resurrect it on the new shard.
-			return
-		}
 		d := e.part.ForObject(r.Object)
-		e.affinity.Rebind(r.Key(), d)
+		e.affinity.Touch(r.TA, d)
 		de := e.shards[d]
 		de.pending.Admit(r)
 		de.pending.MergeClock(r.TA, since)
@@ -341,8 +335,7 @@ func (e *Engine) quiesce() {
 // routing table before it is admitted: ops pushed concurrently with a table
 // swap may carry a stale route, and once the table has ever moved every
 // drain pays this (cheap) pass so a stale route never becomes store state.
-// A re-routed key updates the affinity index like Enqueue would, revoking a
-// previously admitted copy from the shard that holds it.
+// A re-routed request marks its new shard touched, as Enqueue would.
 func (e *Engine) rerouteDrained() {
 	type routed struct {
 		op shardOp
@@ -352,7 +345,7 @@ func (e *Engine) rerouteDrained() {
 	for s, sh := range e.shards {
 		kept := sh.ops[:0]
 		for _, op := range sh.ops {
-			if op.revoke || op.replica || op.req.Op.IsTermination() {
+			if op.req.Op.IsTermination() {
 				kept = append(kept, op)
 				continue
 			}
@@ -361,10 +354,8 @@ func (e *Engine) rerouteDrained() {
 				kept = append(kept, op)
 				continue
 			}
-			if prev, moved := e.affinity.Route(op.req.Key(), d); moved && prev != d {
-				extra = append(extra, routed{op: shardOp{req: op.req, revoke: true}, to: prev})
-			}
-			extra = append(extra, routed{op: shardOp{req: op.req}, to: d})
+			e.affinity.Touch(op.req.TA, d)
+			extra = append(extra, routed{op: op, to: d})
 		}
 		sh.ops = kept
 	}

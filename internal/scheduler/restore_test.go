@@ -14,9 +14,9 @@ import (
 // always, Priority and Arrival too through a five-column relation. The
 // executed results, the history rows and the round's qualified list (RTE's
 // source) must all carry the pending copy's fields. The SQL view cache is
-// built in the first round; one key is resubmitted with different content in
-// the next, maintained round, so it must come back as the new submission,
-// not as the one the cache was built from.
+// built in the first round; the later rounds run on the maintained views,
+// where a blocked transaction's next write arrives with a new class and
+// priority and must come back with them.
 func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -94,16 +94,16 @@ func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 			if e.PendingLen() != 1 {
 				t.Fatalf("round 1 left %d pending, want ta2's write", e.PendingLen())
 			}
-			// Round 2 runs on the maintained views: ta2 resubmits its blocked
-			// write on a free object with a new class and priority.
-			submit(request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: 5, Class: "premium", Priority: 9})
+			// Round 2 runs on the maintained views: ta2 adds a write on a free
+			// object under a fresh key, with a new class and priority.
+			submit(request.Request{TA: 2, IntraTA: 1, Op: request.Write, Object: 5, Class: "premium", Priority: 9})
 			submit(request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "gold", Priority: 4})
 			run(2, sql("sql-ivm"))
 			// Round 3 too.
-			submit(request.Request{TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject, Class: "premium", Priority: 9})
+			submit(request.Request{TA: 2, IntraTA: 2, Op: request.Commit, Object: request.NoObject, Class: "premium", Priority: 9})
 			run(3, sql("sql-ivm"))
-			if executed != 4 || e.PendingLen() != 0 {
-				t.Fatalf("executed %d of 4, %d left pending", executed, e.PendingLen())
+			if executed != 5 || e.PendingLen() != 0 {
+				t.Fatalf("executed %d of 5, %d left pending", executed, e.PendingLen())
 			}
 			for _, r := range e.History().Log() {
 				check(3, "logged history row", r)

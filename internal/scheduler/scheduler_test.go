@@ -412,8 +412,9 @@ func TestMiddlewareEveryRequestAnsweredExactlyOnce(t *testing.T) {
 
 // TestRecycledReplyChannelsNeverCross: Submit's reply channels are pooled,
 // which is safe only while every waiter is answered exactly once. Clients
-// submit while superseded duplicates, deadlock victims and a Stop all answer
-// waiters and channels go back to the pool; no client may read a Result
+// submit while superseded retransmissions, refused changed duplicates,
+// deadlock victims and a Stop all answer waiters and channels go back to the
+// pool; no client may read a Result
 // meant for another request, and no pooled channel may hold a stray one.
 // A client that owns an object writes it alone, so its successful writes
 // must read 1, 2, 3, ... (a foreign Result breaks the sequence; an error
@@ -446,7 +447,7 @@ func TestRecycledReplyChannelsNeverCross(t *testing.T) {
 		switch {
 		case res.Err == ErrStopped:
 			return false
-		case res.Err != nil && res.Err != ErrTxnAborted && res.Err != errSuperseded:
+		case res.Err != nil && res.Err != ErrTxnAborted && res.Err != errSuperseded && res.Err != ErrDuplicateKey:
 			report("%v: unexpected error %v", r, res.Err)
 			return false
 		case res.Err == nil && r.Op == request.Commit && res.Value != 0:
@@ -512,25 +513,26 @@ func TestRecycledReplyChannelsNeverCross(t *testing.T) {
 			}
 		}(c)
 	}
-	// Duplicates: two submissions of one request key with different objects
-	// race; the older is superseded (or both land in one round), then the
+	// Duplicates: three submissions of one request key race — two identical
+	// (a retransmission: the older waiter is superseded) and one with a
+	// different object (refused while another copy is live) — then the
 	// transaction commits.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			var dup sync.WaitGroup
-			var goOn [2]bool
-			for k := 0; k < 2; k++ {
+			var goOn [3]bool
+			for k := 0; k < 3; k++ {
 				dup.Add(1)
 				go func(k int) {
 					defer dup.Done()
-					r := request.Request{TA: ta(20, i), IntraTA: 0, Op: request.Write, Object: int64(50 + k)}
+					r := request.Request{TA: ta(20, i), IntraTA: 0, Op: request.Write, Object: int64(50 + k/2)}
 					goOn[k] = check(r, m.Submit(r))
 				}(k)
 			}
 			dup.Wait()
-			if !goOn[0] || !goOn[1] {
+			if !goOn[0] || !goOn[1] || !goOn[2] {
 				return
 			}
 			cm := request.Request{TA: ta(20, i), IntraTA: 1, Op: request.Commit, Object: request.NoObject}
@@ -551,7 +553,7 @@ func TestRecycledReplyChannelsNeverCross(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	for _, err := range []error{nil, ErrTxnAborted, errSuperseded, ErrStopped} {
+	for _, err := range []error{nil, ErrTxnAborted, errSuperseded, ErrDuplicateKey, ErrStopped} {
 		if causes[err] == 0 {
 			t.Errorf("no Result with error %v: the test did not exercise that answer (saw %v)", err, causes)
 		}

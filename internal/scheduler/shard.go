@@ -49,15 +49,10 @@ type shard struct {
 // History exposes the shard's history store (tests, experiments).
 func (sh *shard) History() *store.History { return sh.hist }
 
-// shardOp is one admission-queue entry: a request to admit, a revocation of
-// a stale duplicate copy, or a replica copy of a cross-partition
-// termination.
+// shardOp is one admission-queue entry: a request to admit, or a replica
+// copy of a cross-partition termination.
 type shardOp struct {
 	req request.Request
-	// revoke removes req's key from the shard's pending store instead of
-	// admitting: a duplicate (TA, IntraTA) submission moved the key to
-	// another partition and this shard holds the superseded copy.
-	revoke bool
 	// replica marks a cross-partition termination copy whose home is another
 	// shard: it qualifies and enters history here (releasing this shard's
 	// locks) but does not execute on the server.
@@ -124,21 +119,11 @@ type abortOp struct {
 // (stage 1).
 func (sh *shard) admitOps() {
 	for _, op := range sh.ops {
-		k := op.req.Key()
-		if op.revoke {
-			sh.pending.Remove(k)
-			if sh.replicas != nil {
-				delete(sh.replicas, k)
-			}
-			continue
-		}
 		if op.replica {
 			if sh.replicas == nil {
 				sh.replicas = make(map[request.Key]bool)
 			}
-			sh.replicas[k] = true
-		} else if sh.replicas != nil {
-			delete(sh.replicas, k)
+			sh.replicas[op.req.Key()] = true
 		}
 		sh.pending.Admit(op.req)
 	}

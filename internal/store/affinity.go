@@ -1,53 +1,41 @@
 // The transaction-affinity index of the partitioned scheduler: which shards
 // a transaction has touched (its admitted requests' partitions — a superset
 // of the shards holding its history rows, since requests execute where they
-// were admitted) and which shard currently holds each pending request key.
-// The index is what routes cross-partition terminations (a commit or abort
-// must release locks in every touched shard) and what detects a duplicate
-// (TA, IntraTA) submission whose object — and therefore partition — changed,
-// so the stale copy can be revoked from the shard that holds it.
+// were admitted). The index is what routes cross-partition terminations: a
+// commit or abort must release locks in every touched shard. It holds no
+// per-request placement: a request key is submitted once (the middleware
+// refuses a changed duplicate of a live key), so no copy ever needs finding
+// on another shard.
 
 package store
 
 import (
 	"math/bits"
 	"sync"
-
-	"repro/internal/request"
 )
 
 // affinityStripes is the lock-striping factor. Admission is concurrent (many
 // client workers route at once); striping by transaction keeps unrelated
-// transactions off each other's lock while keeping a transaction's whole
-// record — shard mask and per-request placements — under one lock.
+// transactions off each other's lock.
 const affinityStripes = 16
 
-// Affinity tracks per-transaction shard masks and per-key shard placements.
-// Safe for concurrent use.
+// Affinity tracks per-transaction shard masks. Partition counts are capped
+// at 64 (partition.go), so one word per transaction is always enough. Safe
+// for concurrent use.
 type Affinity struct {
 	stripes [affinityStripes]affinityStripe
 }
 
 type affinityStripe struct {
-	mu  sync.Mutex
-	tas map[int64]*taAffinity
-}
-
-type taAffinity struct {
-	// shards is the bitmask of partitions this transaction has touched.
-	// Partition counts are capped at 64 (partition.go), so one word is
-	// always enough.
-	shards uint64
-	// keyShard maps the transaction's pending request numbers (IntraTA) to
-	// the shard each was routed to, for cross-shard duplicate replacement.
-	keyShard map[int64]int32
+	mu     sync.Mutex
+	shards map[int64]uint64
 }
 
 // NewAffinity creates an empty index.
 func NewAffinity() *Affinity {
 	a := &Affinity{}
 	for i := range a.stripes {
-		a.stripes[i].tas = make(map[int64]*taAffinity)
+		a.stripes[i].shards = make(map[int64]uint64)
 	}
 	return a
 }
@@ -57,72 +45,12 @@ func (a *Affinity) stripe(ta int64) *affinityStripe {
 	return &a.stripes[(h^h>>32)&(affinityStripes-1)]
 }
 
-// Route records that request key k was routed to shard, marking the shard
-// touched. If the key was previously routed to a different shard (a
-// duplicate submission whose object moved partitions), it returns that shard
-// with moved=true so the caller can revoke the stale copy.
-func (a *Affinity) Route(k request.Key, shard int) (prev int, moved bool) {
-	s := a.stripe(k.TA)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ta := s.tas[k.TA]
-	if ta == nil {
-		ta = &taAffinity{keyShard: make(map[int64]int32, 4)}
-		s.tas[k.TA] = ta
-	}
-	ta.shards |= 1 << uint(shard)
-	if old, ok := ta.keyShard[k.IntraTA]; ok && int(old) != shard {
-		ta.keyShard[k.IntraTA] = int32(shard)
-		return int(old), true
-	}
-	ta.keyShard[k.IntraTA] = int32(shard)
-	return 0, false
-}
-
-// Rebind repoints request key k at shard, marking the shard touched: the
-// slot-migration analogue of Route. Unlike Route it never reports a revocation
-// — the migration step has already moved the old shard's copy itself.
-func (a *Affinity) Rebind(k request.Key, shard int) {
-	s := a.stripe(k.TA)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ta := s.tas[k.TA]
-	if ta == nil {
-		ta = &taAffinity{keyShard: make(map[int64]int32, 4)}
-		s.tas[k.TA] = ta
-	}
-	ta.shards |= 1 << uint(shard)
-	ta.keyShard[k.IntraTA] = int32(shard)
-}
-
-// RouteOf returns the shard request key k is currently routed to, with
-// ok=false when the key is untracked. Slot migration uses it to tell a live
-// pending copy (routed here) from a stale duplicate superseded by a newer
-// submission routed elsewhere.
-func (a *Affinity) RouteOf(k request.Key) (shard int, ok bool) {
-	s := a.stripe(k.TA)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ta := s.tas[k.TA]; ta != nil {
-		if sh, found := ta.keyShard[k.IntraTA]; found {
-			return int(sh), true
-		}
-	}
-	return 0, false
-}
-
-// Touch marks shard touched by ta without placing a key (termination copies
-// are tracked by the cross-partition sequencer, not per shard).
+// Touch marks shard touched by ta.
 func (a *Affinity) Touch(ta int64, shard int) {
 	s := a.stripe(ta)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.tas[ta]
-	if rec == nil {
-		rec = &taAffinity{keyShard: make(map[int64]int32, 4)}
-		s.tas[ta] = rec
-	}
-	rec.shards |= 1 << uint(shard)
+	s.shards[ta] |= 1 << uint(shard)
+	s.mu.Unlock()
 }
 
 // ShardsOf returns the bitmask of shards ta has touched (0 if unknown).
@@ -130,10 +58,7 @@ func (a *Affinity) ShardsOf(ta int64) uint64 {
 	s := a.stripe(ta)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec := s.tas[ta]; rec != nil {
-		return rec.shards
-	}
-	return 0
+	return s.shards[ta]
 }
 
 // Drop forgets a transaction (it terminated — committed, aborted or was
@@ -141,7 +66,7 @@ func (a *Affinity) ShardsOf(ta int64) uint64 {
 func (a *Affinity) Drop(ta int64) {
 	s := a.stripe(ta)
 	s.mu.Lock()
-	delete(s.tas, ta)
+	delete(s.shards, ta)
 	s.mu.Unlock()
 }
 
@@ -151,7 +76,7 @@ func (a *Affinity) Len() int {
 	for i := range a.stripes {
 		s := &a.stripes[i]
 		s.mu.Lock()
-		n += len(s.tas)
+		n += len(s.shards)
 		s.mu.Unlock()
 	}
 	return n

@@ -34,9 +34,9 @@ type mapPending struct {
 
 	deltas protocol.Deltas
 	// addedAt maps request ID -> position in the current window's added
-	// log. A request admitted and removed within one delta window (a
-	// duplicate-key replacement, or a victim drop in the admission round)
-	// is net absent, so the removal cancels the addition in place.
+	// log. A request admitted and removed within one delta window (a victim
+	// drop in the admission round) is net absent, so the removal cancels the
+	// addition in place.
 	addedAt map[int64]int32
 	// removedAt maps request ID -> position in the window's removed log for
 	// ExtractMatching's removals: a migration that bounces a row out and back
@@ -72,17 +72,11 @@ func (p *mapPending) Len() int { return len(p.reqs) }
 func (p *mapPending) Live() []request.Request { return p.reqs }
 
 // Admit inserts requests, logging them as PendingAdded. Requests are keyed
-// by (TA, IntraTA); admitting a key that is already present replaces the
-// old request (newest submission wins — clients can resubmit over the
-// network), logging the replacement as a removal plus an addition so the
-// incremental protocols' mirrors stay exact.
+// by (TA, IntraTA), and no admitted key may already be pending.
 func (p *mapPending) Admit(rs ...request.Request) {
 	for _, r := range rs {
 		k := r.Key()
 		s := p.shards[mapShardOf(k)]
-		if _, dup := s[k]; dup {
-			p.Remove(k)
-		}
 		s[k] = int32(len(p.reqs))
 		p.reqs = append(p.reqs, r)
 		if _, ok := p.blockedSince[r.TA]; !ok {

@@ -47,9 +47,9 @@ type Pending struct {
 
 	deltas protocol.Deltas
 	// addedRow is the position in reqs of each PendingAdded entry. A request
-	// admitted and removed within one delta window (a duplicate-key
-	// replacement, or a victim drop in the admission round) is net absent,
-	// so the removal cancels the addition in place.
+	// admitted and removed within one delta window (a victim drop in the
+	// admission round) is net absent, so the removal cancels the addition in
+	// place.
 	addedRow []int32
 	// removedAt is the mirror image for the opposite chronology, as in
 	// History: slot migration can move a row out and back in (the slot
@@ -84,19 +84,12 @@ func (p *Pending) Len() int { return len(p.reqs) }
 func (p *Pending) Live() []request.Request { return p.reqs }
 
 // Admit inserts requests, logging them as PendingAdded. Requests are keyed
-// by (TA, IntraTA); admitting a key that is already present replaces the
-// old request (newest submission wins — clients can resubmit over the
-// network), logging the replacement as a removal plus an addition so the
-// incremental protocols' mirrors stay exact.
+// by (TA, IntraTA), and no admitted key may already be pending here: the
+// middleware submits a key once (it refuses a changed duplicate of a live
+// key and attaches a retransmission to the copy in flight).
 func (p *Pending) Admit(rs ...request.Request) {
 	for _, r := range rs {
 		s, ok := p.slotOf[r.TA]
-		if ok {
-			if i := p.find(s, r.IntraTA); i >= 0 {
-				p.removeAt(s, i, false)
-				s, ok = p.slotOf[r.TA] // the replaced row may have been the last
-			}
-		}
 		if !ok {
 			s = p.newSlot(r.TA)
 		}

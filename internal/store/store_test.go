@@ -150,39 +150,6 @@ func TestPendingAdmitRemove(t *testing.T) {
 	}
 }
 
-func TestPendingDuplicateKeyReplaces(t *testing.T) {
-	p := NewPending()
-	p.Admit(request.Request{ID: 1, TA: 7, IntraTA: 0, Op: request.Read, Object: 3})
-	p.ResetDeltas()
-	// A resubmission of the same (TA, IntraTA) replaces the old request.
-	p.Admit(request.Request{ID: 2, TA: 7, IntraTA: 0, Op: request.Write, Object: 4})
-	if p.Len() != 1 || p.Live()[0].ID != 2 {
-		t.Fatalf("duplicate admit: %v", p.Live())
-	}
-	var d protocol.Deltas
-	p.Deltas(&d)
-	if len(d.PendingRemoved) != 1 || d.PendingRemoved[0].ID != 1 ||
-		len(d.PendingAdded) != 1 || d.PendingAdded[0].ID != 2 {
-		t.Fatalf("replacement delta wrong: +%v -%v", d.PendingAdded, d.PendingRemoved)
-	}
-	p.ResetDeltas()
-	// Same-window duplicate: the replaced request's add cancels — consumers
-	// see only the survivor, never a remove of something they were not told
-	// about followed by its add.
-	p.Admit(
-		request.Request{ID: 3, TA: 8, IntraTA: 0, Op: request.Read, Object: 5},
-		request.Request{ID: 4, TA: 8, IntraTA: 0, Op: request.Write, Object: 6},
-	)
-	d = protocol.Deltas{}
-	p.Deltas(&d)
-	if len(d.PendingAdded) != 1 || d.PendingAdded[0].ID != 4 || len(d.PendingRemoved) != 0 {
-		t.Fatalf("same-window replacement not cancelled: +%v -%v", d.PendingAdded, d.PendingRemoved)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("len: %d", p.Len())
-	}
-}
-
 // TestPendingBounceNetsWithinWindow: a migration that moves rows out and
 // straight back within one delta window (the rebalancer extracts a slot and
 // a later move returns it) leaves neither side of the window holding the

@@ -12,9 +12,10 @@ import (
 )
 
 // The operation space of the differential store test: a handful of
-// transactions, request numbers and objects, so keys collide (same-key
-// replacements), transactions finish and straggle (late rows), and object
-// classes matter (migration extracts).
+// transactions, request numbers and objects, so keys collide across time
+// (re-admission after removal, late history rows), transactions finish and
+// straggle, and object classes matter (migration extracts). Like the
+// scheduler, the generator never admits a key that is already pending.
 const (
 	opsTAs     = 6
 	opsIntras  = 4
@@ -82,6 +83,9 @@ func (g *storeOps) step() string {
 	switch g.next(16) {
 	case 0, 1, 2:
 		k := g.key()
+		if _, pending := g.mp.shards[mapShardOf(k)][k]; pending {
+			return "admit (key pending)"
+		}
 		r := g.request(k, g.next(6) == 0)
 		g.p.Admit(r)
 		g.mp.Admit(r)
@@ -364,8 +368,8 @@ func runStoreOps(t testing.TB, data []byte) {
 }
 
 // TestStoresMatchMapModel drives the slot-table stores and the map-based
-// stores they replaced with the same random operations — admits with
-// same-key replacements, Remove, Take and RemoveTA, migration extracts
+// stores they replaced with the same random operations — admits of keys
+// not pending, Remove, Take and RemoveTA, migration extracts
 // bounced back in the same window, clock merges and observed rounds, history
 // appends of terminations, replicas and late rows, GC and delta-window
 // resets — and requires the same live rows, delta logs (as multisets),
