@@ -45,20 +45,24 @@ import (
 // signed deltas, vanished-cell chains, match buffers — is pooled on the IVM
 // and recycled every Apply.
 //
-// Ownership: Apply keeps no tuple it did not copy. The tuples of the
-// caller's deltas, and every projection, join concatenation and group key a
-// rule builds (carved from the IVM's region, rewound when Apply returns),
-// live for the round only. A tuple is copied to the heap exactly when it
-// first becomes present in a bag — a base table or a materialised view — or
-// in the ordered root, and each delta cell records whether its tuple is
-// such a held instance (scell.held): a bag patch swaps the cell's tuple for
-// the instance the bag holds, whether the patch adds it, counts it again or
-// deletes it, so a row that moves from the history bag into a view of it is
-// copied once, not per bag. Held instances are never mutated and stay valid
-// while anything references them, which is what lets EXCEPT and anti-joins
-// turn a deleted right-side tuple into an inserted left row safely. A
-// steady-state warm round so allocates only the tuples that become present
-// somewhere, and a delete-only round allocates none.
+// Ownership: a tuple is held when it is never mutated and stays valid while
+// anything references it — the tuples of the caller's deltas (see Delta),
+// the instances the bags keep, and column runs of either — and each delta
+// cell records whether its tuple is one (scell.held). A bag or the ordered
+// root keeps a held tuple as it is; every other tuple a rule builds — a
+// projection that is not a column run, a join concatenation, a group key —
+// is carved from the IVM's region, rewound when Apply returns, and copied to
+// the heap exactly when it first becomes present in a bag or in the ordered
+// root. A bag patch swaps the cell's tuple for the instance the bag holds,
+// whether the patch adds it, counts it again or deletes it, so a row that
+// moves from the history bag into a view of it is copied once, not per bag.
+// A projection onto a contiguous run of its input's columns (SELECT ta,
+// intrata over the five-column requests) shares a held input's backing
+// array instead of copying it. Held instances being immutable is what lets
+// EXCEPT and anti-joins turn a deleted right-side tuple into an inserted
+// left row safely. A steady-state warm round so allocates only the built
+// tuples that become present somewhere, and a delete-only round allocates
+// none.
 //
 // LIMIT has no delta rule (its content depends on physical row order), so
 // NewIVM refuses plans containing it and the caller falls back to full
@@ -91,18 +95,24 @@ type IVM struct {
 }
 
 // nodeAux holds the per-node constants the delta rules would otherwise
-// rebuild every round: the equi-key column positions of each side and, for
-// left joins, the NULL pad tuple.
+// rebuild every round: the equi-key column positions of each side, for left
+// joins the NULL pad tuple, and for a projection whose items are the input
+// columns run, run+1, …, run+len(items)-1 the run's first column (-1 when
+// the items are no such run).
 type nodeAux struct {
 	lpos, rpos []int
 	nulls      relation.Tuple
+	run        int
 }
 
 // Delta is a bag-valued change to one base table: Ins tuples are added, Del
 // tuples removed. A tuple appearing equally often in both is a net no-op
 // (the two event orders of the scheduler's stores — pending's remove-then-
-// add and history's add-then-remove — both net correctly). Apply keeps none
-// of the tuples, so the caller may build them in storage it reuses.
+// add and history's add-then-remove — both net correctly). Apply may keep
+// the tuples it is given — a base bag holds an inserted tuple itself, and a
+// view over it may hold a column run of it — so the caller must never
+// mutate or reuse them; a delete swaps in the bag's own instance. The slices
+// are not kept.
 type Delta struct {
 	Ins, Del []relation.Tuple
 }
@@ -214,9 +224,27 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 			}
 		case opGroupBy:
 			m.views[n.l.id].bag.IndexNullable(n.groupPos)
+		case opProject:
+			m.aux[n.id].run = columnRun(n.items)
 		}
 	}
 	return m, nil
+}
+
+// columnRun returns k when the projection items are the input columns k,
+// k+1, …, k+len(items)-1, in that order, and -1 otherwise.
+func columnRun(items []ra.NamedExpr) int {
+	k := -1
+	for i, it := range items {
+		c, ok := it.E.(ra.Col)
+		if !ok || (i > 0 && c.Pos != k+i) {
+			return -1
+		}
+		if i == 0 {
+			k = c.Pos
+		}
+	}
+	return k
 }
 
 // Bags returns the materialised views, one bag per base table and per plan
@@ -307,10 +335,10 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 		}
 		sd := m.acquire()
 		for _, t := range d.Ins {
-			sd.add(t, 1, false)
+			sd.add(t, 1, true)
 		}
 		for _, t := range d.Del {
-			sd.add(t, -1, false)
+			sd.add(t, -1, true)
 		}
 		m.tdel[strings.ToLower(name)] = sd
 		if err := applyToBag(tv.bag, sd); err != nil {
@@ -674,14 +702,22 @@ func (m *IVM) selectDelta(n *planNode, dL *sdelta) *sdelta {
 	return out
 }
 
+// projectDelta maps the child delta through the projection items. A held
+// cell's column run is shared as a held slice of it; any other cell's row is
+// built in the round's region.
 func (m *IVM) projectDelta(n *planNode, dL *sdelta) *sdelta {
 	out := m.acquire()
+	run, w := m.aux[n.id].run, len(n.items)
 	for i := range dL.cells {
 		c := &dL.cells[i]
 		if c.n == 0 {
 			continue
 		}
-		nt := m.region.New(len(n.items))
+		if run >= 0 && c.held {
+			out.add(c.t[run:run+w:run+w], c.n, true)
+			continue
+		}
+		nt := m.region.New(w)
 		for i, it := range n.items {
 			nt[i] = it.E.Eval(c.t)
 		}

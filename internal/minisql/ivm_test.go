@@ -162,11 +162,12 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // otherwise. After every round the IVM's result must equal the cold
 // executor's, which must equal the nested-loop oracle's.
 //
-// It checks the IVM's tuple lifetimes too. Each round's delta tuples are
-// copies in a buffer that is overwritten as soon as Apply returns, as a
-// caller that builds them in reused storage would; and every tuple of the
-// last round's Result and of every view bag must read the same after the
-// next Apply, so no bag or result keeps a tuple the IVM did not copy.
+// It checks the IVM's tuple lifetimes too, under the Delta contract: the
+// delta tuples are kept by the caller too (the mirror holds them) and never
+// reused. After every Apply each tuple handed in so far, and every tuple of
+// the last round's Result and of every view bag, must read as it did — so
+// the IVM writes into no tuple it may keep, and no bag or result keeps a
+// tuple of the round's region.
 func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	t.Helper()
 	nested := &ra.Options{NestedLoop: true}
@@ -195,7 +196,8 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 	}
-	var kept, want []relation.Tuple // instances handed out or held, and their values
+	var handed, handedWant []relation.Tuple // every delta tuple so far, and its value
+	var kept, want []relation.Tuple         // instances handed out or held, and their values
 	for step := 0; step < rounds; step++ {
 		var d map[string]Delta
 		if large>>step&1 == 1 {
@@ -203,12 +205,18 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 		} else {
 			d = randDeltas(rng, mirror)
 		}
-		buf := stageDeltas(d)
+		for _, dt := range d {
+			for _, tp := range append(dt.Ins[:len(dt.Ins):len(dt.Ins)], dt.Del...) {
+				handed, handedWant = append(handed, tp), append(handedWant, tp.Clone())
+			}
+		}
 		if err := m.Apply(d); err != nil {
 			t.Fatalf("seed %d step %d: apply %q: %v", seed, step, src, err)
 		}
-		for i := range buf {
-			buf[i] = relation.String("overwritten")
+		for i := range handed {
+			if !handed[i].Equal(handedWant[i]) {
+				t.Fatalf("seed %d step %d: %q: a delta tuple changed from %s to %s", seed, step, src, handedWant[i], handed[i])
+			}
 		}
 		for i := range kept {
 			if !kept[i].Equal(want[i]) {
@@ -262,31 +270,6 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 			}
 		}
 	}
-}
-
-// stageDeltas replaces every tuple of d by a copy in one buffer, which it
-// returns for the caller to overwrite once Apply is done with d.
-func stageDeltas(d map[string]Delta) []relation.Value {
-	n := 0
-	for _, dt := range d {
-		for _, ts := range [2][]relation.Tuple{dt.Ins, dt.Del} {
-			for _, t := range ts {
-				n += len(t)
-			}
-		}
-	}
-	buf := make([]relation.Value, 0, n) // never grows: staged tuples stay put
-	stage := func(ts []relation.Tuple) {
-		for i, t := range ts {
-			buf = append(buf, t...)
-			ts[i] = buf[len(buf)-len(t) : len(buf) : len(buf)]
-		}
-	}
-	for _, dt := range d {
-		stage(dt.Ins)
-		stage(dt.Del)
-	}
-	return buf
 }
 
 // TestIVMMatchesColdAndOracle: sequential delta maintenance tracks the cold
@@ -413,16 +396,8 @@ func TestIVMGroupMapShrinksWhenGroupsVanish(t *testing.T) {
 	}
 }
 
-// listingOneRound is one round of Listing 1's two tables as a scheduler
-// hands it over, and how many tuples became present — newly held by a view
-// bag, a base-table bag or the ordered root — when a reference IVM applied
-// it.
-type listingOneRound struct {
-	d       map[string]Delta
-	present int
-}
-
-// newListingOneIVM builds the view cache of Listing 1 over empty tables.
+// newListingOneIVM builds the view cache of plan, a query over Listing 1's
+// two tables, over empty tables.
 func newListingOneIVM(t *testing.T, plan *Plan) *IVM {
 	t.Helper()
 	cat := Catalog{}
@@ -436,10 +411,20 @@ func newListingOneIVM(t *testing.T, plan *Plan) *IVM {
 	return m
 }
 
-// applyCounting applies d to m and returns the number of tuples that became
-// present in one of m's bags or in its result.
+// applyCounting applies d to m and returns the number of tuples m built that
+// became present in one of its bags or in its result: a newly present tuple
+// that shares the storage of one of d's tuples (a base table's row, or a
+// column run of it) was handed in, not built.
 func applyCounting(t *testing.T, m *IVM, d map[string]Delta) int {
 	t.Helper()
+	handed := map[*relation.Value]bool{}
+	for _, dt := range d {
+		for _, tp := range dt.Ins {
+			for i := range tp {
+				handed[&tp[i]] = true
+			}
+		}
+	}
 	before := map[*relation.Bag]*relation.Bag{}
 	for _, b := range m.Bags() {
 		before[b] = relation.BagOf(b.Relation())
@@ -452,11 +437,11 @@ func applyCounting(t *testing.T, m *IVM, d map[string]Delta) int {
 	if err := m.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	present := 0
+	built := 0
 	for _, b := range m.Bags() {
 		for _, tp := range b.Tuples() {
-			if before[b].Count(tp) == 0 {
-				present++
+			if before[b].Count(tp) == 0 && (len(tp) == 0 || !handed[&tp[0]]) {
+				built++
 			}
 		}
 	}
@@ -464,11 +449,11 @@ func applyCounting(t *testing.T, m *IVM, d map[string]Delta) int {
 		t.Fatal(err)
 	}
 	for _, tp := range res.Rows() {
-		if root.Count(tp) == 0 {
-			present++
+		if root.Count(tp) == 0 && (len(tp) == 0 || !handed[&tp[0]]) {
+			built++
 		}
 	}
-	return present
+	return built
 }
 
 // requestRow is a row of Listing 1's requests and history tables.
@@ -483,7 +468,7 @@ func requestRow(id, ta, intrata int64, op string, object int64) relation.Tuple {
 // drops a transaction's history rows with its commit, aborts the youngest
 // transaction when nothing qualified (a deadlock), and submits each idle
 // client's next request.
-func listingOneRounds(t *testing.T, plan *Plan, n int) []listingOneRound {
+func listingOneRounds(t *testing.T, plan *Plan, n int) []map[string]Delta {
 	t.Helper()
 	type client struct {
 		ta, step int64
@@ -497,7 +482,7 @@ func listingOneRounds(t *testing.T, plan *Plan, n int) []listingOneRound {
 	byTA := map[int64]*client{}
 	nextID, nextTA := int64(1), int64(1)
 	var qualified []relation.Tuple
-	rounds := make([]listingOneRound, 0, n)
+	rounds := make([]map[string]Delta, 0, n)
 	for len(rounds) < n {
 		var req, hist Delta
 		finish := func(c *client) {
@@ -550,7 +535,10 @@ func listingOneRounds(t *testing.T, plan *Plan, n int) []listingOneRound {
 			req.Ins = append(req.Ins, c.pending)
 		}
 		d := map[string]Delta{"requests": req, "history": hist}
-		rounds = append(rounds, listingOneRound{d: d, present: applyCounting(t, m, d)})
+		if err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		rounds = append(rounds, d)
 		res, err := m.Result()
 		if err != nil {
 			t.Fatal(err)
@@ -560,37 +548,111 @@ func listingOneRounds(t *testing.T, plan *Plan, n int) []listingOneRound {
 	return rounds
 }
 
-// TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent: a warm Listing 1 round
-// allocates a tuple only where one becomes present in some bag or the
-// ordered root — at most one allocation per such tuple, plus a small
-// constant for the pooled scratch that still grows now and then. The
-// deltas' tuples, projections and join rows live in the round's region.
+// TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent: a warm round allocates a
+// tuple only where the view cache built one that becomes present in some bag
+// or the ordered root — at most one allocation per such tuple, plus a small
+// constant for the pooled scratch that still grows now and then. The base
+// bags keep the rows the caller hands in, a column-run projection shares
+// them, and every other built tuple lives in the round's region until it
+// becomes present. Listing 1 builds its lock views' rows; a column run of
+// the requests table (Listing 1's SELECT ta, intrata FROM requests) builds
+// nothing, so its warm round allocates only the slack.
 func TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent(t *testing.T) {
-	plan := listingOnePlan(t)
 	const warm, runs = 300, 300
-	rounds := listingOneRounds(t, plan, warm+1+runs)
-	m := newListingOneIVM(t, plan)
-	for _, r := range rounds[:warm] {
-		if err := m.Apply(r.d); err != nil {
-			t.Fatal(err)
-		}
+	listing := listingOnePlan(t)
+	rounds := listingOneRounds(t, listing, warm+1+runs)
+	for _, c := range []struct {
+		name string
+		plan *Plan
+	}{
+		{"listing-one", listing},
+		{"column-run", requestsPlan(t, "SELECT r.ta, r.intrata FROM requests r")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, m := newListingOneIVM(t, c.plan), newListingOneIVM(t, c.plan)
+			built := 0
+			for i, d := range rounds {
+				if b := applyCounting(t, ref, d); i > warm {
+					built += b
+				}
+			}
+			if c.name == "column-run" && built != 0 {
+				t.Fatalf("the column-run view built %d tuples, want 0", built)
+			}
+			for _, d := range rounds[:warm] {
+				if err := m.Apply(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := warm
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := m.Apply(rounds[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			perRound := float64(built) / runs
+			t.Logf("a warm round: %.1f allocations, %.1f built tuples become present", allocs, perRound)
+			if allocs > perRound+ivmRoundSlack {
+				t.Fatalf("a warm round allocates %.1f times for %.1f built tuples that become present; want at most one each plus %d",
+					allocs, perRound, ivmRoundSlack)
+			}
+		})
 	}
-	next := warm
-	allocs := testing.AllocsPerRun(runs, func() {
-		if err := m.Apply(rounds[next].d); err != nil {
-			t.Fatal(err)
+}
+
+// TestIVMColumnRunProjectionSharesHeldTuples: a projection onto a
+// contiguous run of its input's columns hands a held input tuple on as a
+// held slice of it, capped at the run; a projection that is no run, and any
+// projection of a round-lived (unheld) tuple, builds its own row in the
+// round's region.
+func TestIVMColumnRunProjectionSharesHeldTuples(t *testing.T) {
+	row := requestRow(7, 3, 2, "w", 99)
+	for _, c := range []struct {
+		src string
+		run bool
+	}{
+		{"SELECT r.ta, r.intrata FROM requests r", true},
+		{"SELECT r.intrata, r.operation, r.object FROM requests r", true},
+		{"SELECT r.intrata, r.ta FROM requests r", false},
+		{"SELECT r.ta, r.operation FROM requests r", false},
+		{"SELECT r.ta, r.intrata + 1 FROM requests r", false},
+	} {
+		plan := requestsPlan(t, c.src)
+		m := newListingOneIVM(t, plan)
+		var proj *planNode
+		for _, n := range plan.nodes {
+			if n.op == opProject {
+				proj = n
+			}
 		}
-		next++
-	})
-	present := 0
-	for _, r := range rounds[warm+1:] {
-		present += r.present
-	}
-	perRound := float64(present) / runs
-	t.Logf("a warm round: %.1f allocations, %.1f tuples become present", allocs, perRound)
-	if allocs > perRound+ivmRoundSlack {
-		t.Fatalf("a warm round allocates %.1f times for %.1f tuples that become present; want at most one each plus %d",
-			allocs, perRound, ivmRoundSlack)
+		if proj == nil {
+			t.Fatalf("%q: no projection in the plan", c.src)
+		}
+		k := -1
+		if c.run {
+			k = proj.items[0].E.(ra.Col).Pos
+		}
+		if got := m.aux[proj.id].run; got != k {
+			t.Errorf("%q: run starts at column %d, want %d", c.src, got, k)
+		}
+		for _, held := range []bool{true, false} {
+			in := newSdelta()
+			in.add(row, 1, held)
+			out := m.projectDelta(proj, in)
+			if len(out.cells) != 1 {
+				t.Fatalf("%q: %d output cells", c.src, len(out.cells))
+			}
+			oc := out.cells[0]
+			shared := &oc.t[0] == &row[max(k, 0)]
+			if want := c.run && held; shared != want || oc.held != want {
+				t.Errorf("%q, held input %v: output shares the input %v, is held %v; want %v", c.src, held, shared, oc.held, want)
+			}
+			if shared && cap(oc.t) != len(proj.items) {
+				t.Errorf("%q: shared run has capacity %d, want %d", c.src, cap(oc.t), len(proj.items))
+			}
+			m.releaseAll()
+		}
 	}
 }
 

@@ -21,7 +21,14 @@ func requestSchema() *relation.Schema {
 
 func listingOnePlan(t *testing.T) *Plan {
 	t.Helper()
-	q, err := Parse(rules.ListingOneSQL)
+	return requestsPlan(t, rules.ListingOneSQL)
+}
+
+// requestsPlan compiles a query over Listing 1's requests and history
+// tables.
+func requestsPlan(t *testing.T, src string) *Plan {
+	t.Helper()
+	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func FuzzParseReq(f *testing.F) {
 		}
 		// The line encoding of what was parsed parses to the same request.
 		enc := formatReq(r)
-		if back, err := parseReq(enc); err != nil || back != r {
+		if back, err := parseReq(enc); err != nil || !back.Equal(r) {
 			t.Fatalf("parseReq(%q) = %+v; its encoding %q parses to %+v, %v", line, r, enc, back, err)
 		}
 	})

@@ -32,7 +32,45 @@ const objectFilterBits = 4096
 // object numbers spread too).
 func objectBit(obj int64) uint64 { return uint64(obj) * 0x9E3779B97F4A7C15 >> 52 }
 
-// buildWaitsFor builds the waits-for graph of a scheduling round: an edge
+// Detector finds the victims of the waits-for cycles of a scheduling round.
+// It owns every buffer the graph and the cycle search need — the per-object
+// chains, the edge, node, offset and adjacency slices, the search arrays —
+// and each call clears and refills them, so a detector that has seen a
+// round of some size allocates nothing for the next one of that size. The
+// zero Detector is ready to use. Not safe for concurrent use; the scheduler
+// keeps one on its round loop.
+type Detector struct {
+	g waitsFor
+
+	// Graph-building scratch (build): per contended object, index+1 of the
+	// newest entry of its history-holder and pending chains; the pending
+	// chain's links; the holders; the transactions with a termination in
+	// the history.
+	heads       map[int64]chains
+	pendingNext []int32
+	holders     []holder
+	finished    map[int64]bool
+
+	// Cycle-search scratch (Victims), one entry per node.
+	dead  []bool
+	color []uint8
+	next  []int32
+	stack []int32
+}
+
+// chains locates an object's two chains: index+1 of the newest entry of
+// each, 0 for none.
+type chains struct{ holder, pending int32 }
+
+// holder is one history row on a contended object, linked to the object's
+// previous holder.
+type holder struct {
+	ta    int64
+	next  int32
+	write bool
+}
+
+// build builds the waits-for graph of a scheduling round into d.g: an edge
 // TA1 -> TA2 means a pending request of TA1 cannot qualify because of TA2 —
 // either TA2 holds a conflicting lock in the history, or TA2 has a
 // conflicting pending request with a smaller transaction number (Listing 1's
@@ -48,11 +86,15 @@ func objectBit(obj int64) uint64 { return uint64(obj) * 0x9E3779B97F4A7C15 >> 52
 // The pending requests are chained per object the same way, so a request is
 // compared with the batch members on its object, not with the whole batch.
 // The edges are collected into one slice, sorted and deduplicated.
-func buildWaitsFor(pending, history []request.Request) waitsFor {
-	// Per contended object, index+1 of the newest entry of its two chains.
-	type chains struct{ holder, pending int32 }
-	heads := make(map[int64]chains, len(pending))
-	pendingNext := make([]int32, len(pending))
+func (d *Detector) build(pending, history []request.Request) *waitsFor {
+	if d.heads == nil {
+		d.heads, d.finished = make(map[int64]chains), make(map[int64]bool)
+	}
+	heads := d.heads
+	clear(heads)
+	clear(d.finished)
+	pendingNext := grow(d.pendingNext, len(pending))
+	d.pendingNext = pendingNext
 	var filter [objectFilterBits / 64]uint64
 	for i, r := range pending {
 		if r.Op.IsTermination() {
@@ -65,17 +107,11 @@ func buildWaitsFor(pending, history []request.Request) waitsFor {
 		b := objectBit(r.Object)
 		filter[b/64] |= 1 << (b % 64)
 	}
-	type holder struct {
-		ta    int64
-		next  int32
-		write bool
-	}
-	holders := make([]holder, 0, len(pending))
-	finished := make(map[int64]bool)
+	holders := d.holders[:0]
 	for i := range history {
 		h := &history[i] // not a copy: the pass reads three fields of each row
 		if h.Op.IsTermination() {
-			finished[h.TA] = true
+			d.finished[h.TA] = true
 			continue
 		}
 		if b := objectBit(h.Object); filter[b/64]&(1<<(b%64)) == 0 {
@@ -87,7 +123,9 @@ func buildWaitsFor(pending, history []request.Request) waitsFor {
 			heads[h.Object] = c
 		}
 	}
-	edges := make([]edge, 0, len(pending))
+	d.holders = holders
+	g := &d.g
+	edges := g.edges[:0]
 	for _, r := range pending {
 		if r.Op.IsTermination() {
 			continue
@@ -95,7 +133,7 @@ func buildWaitsFor(pending, history []request.Request) waitsFor {
 		c := heads[r.Object]
 		for i := c.holder; i != 0; i = holders[i-1].next {
 			h := &holders[i-1]
-			if (h.write || r.Op == request.Write) && h.ta != r.TA && !finished[h.ta] {
+			if (h.write || r.Op == request.Write) && h.ta != r.TA && !d.finished[h.ta] {
 				edges = append(edges, edge{r.TA, h.ta})
 			}
 		}
@@ -112,7 +150,8 @@ func buildWaitsFor(pending, history []request.Request) waitsFor {
 		}
 		return cmp.Compare(a.to, b.to)
 	})
-	g := waitsFor{edges: slices.Compact(edges), adj: make([]int32, 0, len(edges))}
+	g.edges = slices.Compact(edges)
+	g.nodes, g.off, g.adj = g.nodes[:0], g.off[:0], g.adj[:0]
 	for i, e := range g.edges {
 		if i == 0 || e.from != g.edges[i-1].from {
 			g.nodes = append(g.nodes, e.from)
@@ -130,11 +169,21 @@ func buildWaitsFor(pending, history []request.Request) waitsFor {
 	return g
 }
 
+// grow returns buf resized to n entries, reusing its storage when it is
+// large enough. The entries' values are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // WaitsFor returns the waits-for graph of a scheduling round (see
-// buildWaitsFor) as adjacency sets: edges[TA1][TA2] for every edge, and no
+// Detector.build) as adjacency sets: edges[TA1][TA2] for every edge, and no
 // entry for a transaction that waits for nobody.
 func WaitsFor(pending, history []request.Request) map[int64]map[int64]bool {
-	g := buildWaitsFor(pending, history)
+	var d Detector
+	g := d.build(pending, history)
 	edges := make(map[int64]map[int64]bool, len(g.nodes))
 	for u, from := range g.nodes {
 		m := make(map[int64]bool, g.off[u+1]-g.off[u])
@@ -146,38 +195,41 @@ func WaitsFor(pending, history []request.Request) map[int64]map[int64]bool {
 	return edges
 }
 
-// DeadlockVictims returns the transactions to abort so that the waits-for
-// graph becomes acyclic: for every cycle the youngest member (largest TA) is
+// Victims returns the transactions to abort so that the waits-for graph
+// becomes acyclic: for every cycle the youngest member (largest TA) is
 // chosen, iteratively, mirroring common DBMS victim policies. The result is
-// sorted and deterministic.
-func DeadlockVictims(pending, history []request.Request) []int64 {
-	g := buildWaitsFor(pending, history)
+// sorted and deterministic, nil when the graph is acyclic, and the caller's
+// to keep.
+func (d *Detector) Victims(pending, history []request.Request) []int64 {
+	g := d.build(pending, history)
 	n := len(g.nodes)
-	dead := make([]bool, n)
-	color := make([]uint8, n)
-	next := make([]int32, n)
-	stack := make([]int32, 0, n)
+	d.dead = grow(d.dead, n)
+	clear(d.dead)
+	d.color = grow(d.color, n)
+	d.next = grow(d.next, n)
 	var victims []int64
 	for {
-		v := g.cycleVictim(dead, color, next, stack)
+		v := d.cycleVictim()
 		if v < 0 {
 			break
 		}
-		dead[v] = true
+		d.dead[v] = true
 		victims = append(victims, g.nodes[v])
 	}
 	slices.Sort(victims)
 	return victims
 }
 
-// cycleVictim searches the graph restricted to live (not dead) nodes for a
-// cycle and returns its largest node, or -1 when the graph is acyclic. The
+// cycleVictim searches d.g restricted to live (not dead) nodes for a cycle
+// and returns its largest node, or -1 when the graph is acyclic. The
 // depth-first search is iterative — color and next are per-node scratch,
 // the stack is the grey path — and visits roots and targets in ascending
 // order, so the cycle found (and with it the victim) is deterministic.
-func (g *waitsFor) cycleVictim(dead []bool, color []uint8, next, stack []int32) int32 {
+func (d *Detector) cycleVictim() int32 {
 	const white, grey, black = 0, 1, 2
+	g, dead, color, next := &d.g, d.dead, d.color, d.next
 	clear(color)
+	stack := d.stack // kept grown on d for the next call
 	for root := range g.nodes {
 		if dead[root] || color[root] != white {
 			continue
@@ -206,9 +258,11 @@ func (g *waitsFor) cycleVictim(dead []bool, color []uint8, next, stack []int32) 
 				for i := len(stack) - 1; stack[i] != v; i-- {
 					victim = max(victim, stack[i])
 				}
+				d.stack = stack
 				return victim
 			}
 		}
 	}
+	d.stack = stack
 	return -1
 }

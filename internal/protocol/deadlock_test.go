@@ -56,7 +56,7 @@ func TestDeadlockVictimsSimpleCycle(t *testing.T) {
 		{ID: 3, TA: 1, IntraTA: 1, Op: request.Write, Object: 2},
 		{ID: 4, TA: 2, IntraTA: 1, Op: request.Write, Object: 1},
 	}
-	victims := DeadlockVictims(pending, history)
+	victims := new(Detector).Victims(pending, history)
 	if len(victims) != 1 || victims[0] != 2 {
 		t.Fatalf("victims = %v, want [2] (youngest in cycle)", victims)
 	}
@@ -65,7 +65,7 @@ func TestDeadlockVictimsSimpleCycle(t *testing.T) {
 func TestDeadlockVictimsNoCycle(t *testing.T) {
 	history := []request.Request{{ID: 1, TA: 1, IntraTA: 0, Op: request.Write, Object: 1}}
 	pending := []request.Request{{ID: 2, TA: 2, IntraTA: 0, Op: request.Read, Object: 1}}
-	if v := DeadlockVictims(pending, history); len(v) != 0 {
+	if v := new(Detector).Victims(pending, history); len(v) != 0 {
 		t.Fatalf("victims on acyclic graph: %v", v)
 	}
 }
@@ -83,7 +83,7 @@ func TestDeadlockVictimsTwoIndependentCycles(t *testing.T) {
 		{ID: 7, TA: 3, IntraTA: 1, Op: request.Write, Object: 4},
 		{ID: 8, TA: 4, IntraTA: 1, Op: request.Write, Object: 3},
 	}
-	victims := DeadlockVictims(pending, history)
+	victims := new(Detector).Victims(pending, history)
 	if len(victims) != 2 || victims[0] != 2 || victims[1] != 4 {
 		t.Fatalf("victims = %v, want [2 4]", victims)
 	}
@@ -103,7 +103,7 @@ func TestVictimAbortUnsticksScheduler(t *testing.T) {
 		if len(q) > 0 || len(pending) == 0 {
 			continue
 		}
-		victims := DeadlockVictims(pending, history)
+		victims := new(Detector).Victims(pending, history)
 		// Stuck rounds must either be deadlocks, or waits on live lock
 		// holders that have no pending request in this batch (an open
 		// system); in a closed system the scheduler only needs victims for
@@ -152,7 +152,7 @@ func TestVictimAbortUnsticksScheduler(t *testing.T) {
 					}
 				}
 			}
-			if len(DeadlockVictims(pending2, history2)) != 0 {
+			if len(new(Detector).Victims(pending2, history2)) != 0 {
 				t.Fatalf("trial %d: victims remain after abort", trial)
 			}
 		}
@@ -287,7 +287,7 @@ const waitsForRules = `
 `
 
 // TestWaitsForRuleTextMatchesDetector: on the lock-table test's instances,
-// the rule text's waits equals WaitsFor, every victim DeadlockVictims picks
+// the rule text's waits equals WaitsFor, every victim Detector.Victims picks
 // is on a cycle, and oncycle is empty exactly when there is no victim. The
 // detector may pick fewer victims than oncycle names: it aborts the
 // youngest member of one cycle, then searches again.
@@ -328,7 +328,7 @@ func TestWaitsForRuleTextMatchesDetector(t *testing.T) {
 		for tu := range e.FactSeq("oncycle") {
 			oncycle[tu[0].AsInt()] = true
 		}
-		victims := DeadlockVictims(pending, history)
+		victims := new(Detector).Victims(pending, history)
 		for _, v := range victims {
 			if !oncycle[v] {
 				t.Fatalf("trial %d: victim %d is not on a cycle of the rule text (oncycle %v)", trial, v, oncycle)
@@ -416,7 +416,7 @@ func waitsForReference(pending, history []request.Request) map[int64]map[int64]b
 	return edges
 }
 
-// deadlockVictimsReference is the map-based DeadlockVictims the dense search
+// deadlockVictimsReference is the map-based detector the dense search
 // replaced, kept as the oracle its victims are checked against: a recursive
 // depth-first search over sorted copies of the adjacency sets, fresh colours
 // for each victim.
@@ -503,7 +503,7 @@ func findCycleReference(edges map[int64]map[int64]bool, dead map[int64]bool) []i
 // and returns how many victims it chose.
 func checkVictimsMatchReference(t *testing.T, pending, history []request.Request) int {
 	t.Helper()
-	got, want := DeadlockVictims(pending, history), deadlockVictimsReference(pending, history)
+	got, want := new(Detector).Victims(pending, history), deadlockVictimsReference(pending, history)
 	if !slices.Equal(got, want) {
 		t.Fatalf("victims %v, reference %v\npending: %v\nhistory: %v", got, want, pending, history)
 	}
@@ -533,6 +533,37 @@ func TestDeadlockVictimsMatchReference(t *testing.T) {
 	t.Logf("3000 instances, %d victims, %d instances with more than one", victims, multi)
 	if victims < 1000 || multi < 100 {
 		t.Fatalf("only %d victims (%d multi-victim instances): the instances hardly deadlock", victims, multi)
+	}
+}
+
+// TestDetectorReuseMatchesFresh: the engine keeps one Detector for its whole
+// life, so the buffers one search leaves behind must never leak into the
+// next. One detector, fed interleaved large lock-table rounds and small
+// random ones — so every buffer shrinks and regrows, and a transaction
+// finished in one round is live in the next — answers exactly what a fresh
+// detector answers on each.
+func TestDetectorReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	var reused Detector
+	victims := 0
+	for trial := 0; trial < 600; trial++ {
+		var pending, history []request.Request
+		switch trial % 3 {
+		case 0:
+			pending, history = lockInstance(rng, 100+rng.Intn(300), 500+rng.Intn(2500), 20+rng.Int63n(200), 10+rng.Int63n(200))
+		case 1:
+			pending, history = randInstance(rng)
+		default:
+			pending, history = lockInstance(rng, 1+rng.Intn(30), rng.Intn(60), 2+rng.Int63n(10), 1+rng.Int63n(8))
+		}
+		got, want := reused.Victims(pending, history), new(Detector).Victims(pending, history)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: reused detector picks %v, a fresh one %v\npending: %v\nhistory: %v", trial, got, want, pending, history)
+		}
+		victims += len(want)
+	}
+	if victims < 300 {
+		t.Fatalf("only %d victims: the instances hardly deadlock", victims)
 	}
 }
 

@@ -34,10 +34,9 @@ type SQLProtocol struct {
 	pendLen, histLen int
 
 	// deltas is the round's hand-over to the view cache, refilled in place
-	// every round; the tuples of all four lists are carved from rows, which
-	// the next round rewinds (the view cache copies what it keeps).
+	// every round with the requests' own rows (five-column prefixes), which
+	// the view cache's base bags keep as they are.
 	deltas map[string]minisql.Delta
-	rows   relation.Region
 
 	// Operator options: the nested-loop oracle switch (benchmarks and
 	// property tests compare the hash path against it). It applies to full
@@ -146,18 +145,16 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 }
 
 // roundDeltas refills p.deltas with one round's request-level deltas in the
-// two-table relational form minisql.IVM.Apply consumes, every tuple carved
-// from p.rows.
+// two-table relational form minisql.IVM.Apply consumes: the requests' rows.
 func (p *SQLProtocol) roundDeltas(d Deltas) map[string]minisql.Delta {
-	p.rows.Reset()
 	req, hist := p.deltas["requests"], p.deltas["history"]
 	p.deltas["requests"] = minisql.Delta{
-		Ins: requestTuples(req.Ins, d.PendingAdded, 5, &p.rows),
-		Del: requestTuples(req.Del, d.PendingRemoved, 5, &p.rows),
+		Ins: request.AppendTuples(req.Ins[:0], d.PendingAdded, 5),
+		Del: request.AppendTuples(req.Del[:0], d.PendingRemoved, 5),
 	}
 	p.deltas["history"] = minisql.Delta{
-		Ins: requestTuples(hist.Ins, d.HistoryAppended, 5, &p.rows),
-		Del: requestTuples(hist.Del, d.HistoryRemoved, 5, &p.rows),
+		Ins: request.AppendTuples(hist.Ins[:0], d.HistoryAppended, 5),
+		Del: request.AppendTuples(hist.Del[:0], d.HistoryRemoved, 5),
 	}
 	return p.deltas
 }
@@ -220,13 +217,11 @@ type DatalogProtocol struct {
 	// retained fact sets mirror the scheduler's pending/history.
 	warm bool
 	// changed and the four tuple slices behind its deltas are the round's
-	// hand-over to the engine, refilled in place every round (the engine
-	// keeps the inserted tuples, never the slices). The delete-side tuples
-	// are only probes the engine never keeps, so they are carved from
-	// probes, which the next round rewinds.
+	// hand-over to the engine, refilled in place every round with the
+	// requests' own rows (the engine keeps the inserted rows, never the
+	// slices).
 	changed                          map[string]datalog.EDBDelta
 	reqIns, reqDel, histIns, histDel []relation.Tuple
-	probes                           relation.Region
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -238,7 +233,7 @@ type DatalogProtocol struct {
 }
 
 // NewDatalogProtocol compiles the program once. If extended is true the
-// request EDB carries the SLA columns (priority, arrival). The order
+// request EDB carries the SLA columns (priority, arrival = ID). The order
 // function fixes the execution order of the qualified set; nil means ByID.
 func NewDatalogProtocol(name, src string, extended bool, order func([]request.Request)) (*DatalogProtocol, error) {
 	prog, err := datalog.Parse(src)
@@ -377,24 +372,6 @@ func ConsistencyRationing(classes map[int64]string) (*DatalogProtocol, error) {
 	return p, nil
 }
 
-// requestTuples refills dst with the n-column relational form of rs: seven
-// columns for the extended request EDB (the SLA form), five for the others.
-// Each tuple is carved from rows, or allocated when rows is nil (a tuple
-// the receiver keeps).
-func requestTuples(dst []relation.Tuple, rs []request.Request, n int, rows *relation.Region) []relation.Tuple {
-	dst = dst[:0]
-	for _, r := range rs {
-		var t relation.Tuple
-		if rows != nil {
-			t = rows.New(n)
-		} else {
-			t = make(relation.Tuple, n)
-		}
-		dst = append(dst, r.PutTuple(t))
-	}
-	return dst
-}
-
 // Qualify implements Protocol: a cold evaluation over freshly materialised
 // pending and history relations. It invalidates any incremental state.
 func (p *DatalogProtocol) Qualify(pending, history []request.Request) ([]request.Request, error) {
@@ -440,15 +417,14 @@ func (p *DatalogProtocol) QualifyIncremental(pending, history []request.Request,
 	if p.extended {
 		reqCols = 7
 	}
-	p.probes.Reset()
 	if len(d.PendingAdded) > 0 || len(d.PendingRemoved) > 0 {
-		p.reqIns = requestTuples(p.reqIns, d.PendingAdded, reqCols, nil)
-		p.reqDel = requestTuples(p.reqDel, d.PendingRemoved, reqCols, &p.probes)
+		p.reqIns = request.AppendTuples(p.reqIns[:0], d.PendingAdded, reqCols)
+		p.reqDel = request.AppendTuples(p.reqDel[:0], d.PendingRemoved, reqCols)
 		changed["request"] = datalog.EDBDelta{Insert: p.reqIns, Delete: p.reqDel}
 	}
 	if len(d.HistoryAppended) > 0 || len(d.HistoryRemoved) > 0 {
-		p.histIns = requestTuples(p.histIns, d.HistoryAppended, 5, nil)
-		p.histDel = requestTuples(p.histDel, d.HistoryRemoved, 5, &p.probes)
+		p.histIns = request.AppendTuples(p.histIns[:0], d.HistoryAppended, 5)
+		p.histDel = request.AppendTuples(p.histDel[:0], d.HistoryRemoved, 5)
 		changed["history"] = datalog.EDBDelta{Insert: p.histIns, Delete: p.histDel}
 	}
 	if err := p.engine.RunIncremental(changed); err != nil {

@@ -42,8 +42,8 @@ func driveIncremental(t *testing.T, warm IncrementalProtocol, coldOf func() Prot
 				{TA: ta, IntraTA: 2, Op: request.Commit, Object: request.NoObject},
 			} {
 				r.ID = nextID
-				r.Arrival = nextID
 				nextID++
+				r = r.WithRow() // as the pending store admits it
 				pending = append(pending, r)
 				d.PendingAdded = append(d.PendingAdded, r)
 			}
@@ -300,6 +300,7 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 			if op == request.Commit {
 				r.Object = request.NoObject
 			}
+			r = r.WithRow() // as the stores take it in
 			id++
 			if ta <= 60 {
 				history = append(history, r)
@@ -328,7 +329,7 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 
 	round("initial", "sql-ivm-build", Deltas{PendingAdded: pending, HistoryAppended: history})
 	cache := p.ivm
-	add := []request.Request{{ID: id, TA: 500, IntraTA: 0, Op: request.Read, Object: 1}}
+	add := []request.Request{request.Request{ID: id, TA: 500, IntraTA: 0, Op: request.Read, Object: 1}.WithRow()}
 	id++
 	pending = append(pending, add...)
 	round("trickle", "sql-ivm", Deltas{PendingAdded: add})
@@ -340,7 +341,7 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 	removed := pending
 	var fresh []request.Request
 	for ta := int64(600); ta < 800; ta++ {
-		fresh = append(fresh, request.Request{ID: id, TA: ta, IntraTA: 0, Op: request.Write, Object: ta % 40})
+		fresh = append(fresh, request.Request{ID: id, TA: ta, IntraTA: 0, Op: request.Write, Object: ta % 40}.WithRow())
 		id++
 	}
 	pending = fresh
@@ -349,7 +350,7 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 		t.Fatal("the replace-all round rematerialized the view cache")
 	}
 
-	add = []request.Request{{ID: id, TA: 900, IntraTA: 0, Op: request.Read, Object: 2}}
+	add = []request.Request{request.Request{ID: id, TA: 900, IntraTA: 0, Op: request.Read, Object: 2}.WithRow()}
 	pending = append(pending, add...)
 	round("trickle after replace-all", "sql-ivm", Deltas{PendingAdded: add})
 	if p.ivm != cache {
@@ -392,7 +393,7 @@ func TestQualifyIncrementalFallsBackOnDivergentDeltas(t *testing.T) {
 		if op.IsTermination() {
 			obj = request.NoObject
 		}
-		return request.Request{ID: id, TA: ta, IntraTA: intra, Op: op, Object: obj, Arrival: id}
+		return request.Request{ID: id, TA: ta, IntraTA: intra, Op: op, Object: obj}
 	}
 	// ta1 finished (its rows await GC), ta2 and ta3 hold locks; ta4 and ta5
 	// wait on them, ta6 and ta2's next request qualify. Each divergence
@@ -565,7 +566,7 @@ func TestSQLWarmRoundsDoNotGrow(t *testing.T) {
 				c.ta, c.done = nextTA, 0
 				nextTA++
 			}
-			r := request.Request{ID: nextID, TA: c.ta, IntraTA: int64(c.done), Arrival: nextID}
+			r := request.Request{ID: nextID, TA: c.ta, IntraTA: int64(c.done)}
 			nextID++
 			switch {
 			case c.done == opsPerTxn:
@@ -576,6 +577,7 @@ func TestSQLWarmRoundsDoNotGrow(t *testing.T) {
 				r.Op, r.Object = request.Write, rng.Int63n(objects)
 			}
 			c.waiting = true
+			r = r.WithRow() // as the pending store admits it
 			pending = append(pending, r)
 			d.PendingAdded = append(d.PendingAdded, r)
 			seen++
@@ -593,7 +595,7 @@ func TestSQLWarmRoundsDoNotGrow(t *testing.T) {
 			// Fully blocked: abort the cycle victims. The abort row would
 			// be appended and collected within one delta window, which
 			// the history store nets to nothing.
-			victims := DeadlockVictims(pending, history)
+			victims := new(Detector).Victims(pending, history)
 			if len(victims) == 0 {
 				t.Fatalf("round %d: nothing qualified and no cycle explains it", round)
 			}

@@ -24,9 +24,9 @@ type Protocol interface {
 	// violating the protocol, in execution order. It must not mutate its
 	// arguments. A protocol returns the rows its relation holds: a
 	// declarative one reads requests through a five- or seven-column
-	// relation, and the fields outside it — Class always, Priority and
-	// Arrival too through the five-column form — are restored by the
-	// scheduler from its pending copy of each (TA, IntraTA) key.
+	// relation, and the fields outside it — Class always, Priority too
+	// through the five-column form — are restored by the scheduler from its
+	// pending copy of each (TA, IntraTA) key, which also carries the row.
 	Qualify(pending, history []request.Request) ([]request.Request, error)
 }
 
@@ -41,8 +41,11 @@ type Protocol interface {
 //
 // The slices are views into the stores' change logs: they are valid only for
 // the duration of the qualification call, and protocols that need the
-// requests afterwards must copy them (the built-in protocols convert them to
-// tuples or relation rows immediately).
+// requests afterwards must copy them. The requests carry the rows the stores
+// built for them (request.Request.Row), which protocols may keep and must
+// not modify: the built-in ones hand the rows — the seven columns, or their
+// five-column prefix — to the SQL view cache's base bags and the Datalog
+// EDB as they are.
 type Deltas struct {
 	PendingAdded    []request.Request
 	PendingRemoved  []request.Request

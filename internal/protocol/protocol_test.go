@@ -432,7 +432,7 @@ func TestSS2PLDrainProducesSerializableSchedule(t *testing.T) {
 			if len(q) == 0 {
 				// A genuine SS2PL deadlock: abort victims, as the middleware
 				// does.
-				victims := DeadlockVictims(pending, history)
+				victims := new(Detector).Victims(pending, history)
 				if len(victims) == 0 {
 					t.Fatalf("trial %d round %d: stuck without deadlock: pending %v\nhistory %v",
 						trial, round, pending, history)

@@ -68,8 +68,16 @@ func (o Op) IsTermination() bool { return o == Abort || o == Commit }
 
 // Request is one schedulable operation (paper Table 2). Class and Priority
 // extend the paper's schema for the SLA protocols it motivates (premium vs
-// free customers); Arrival is the virtual arrival time used for FCFS ordering
-// and latency accounting.
+// free customers). ID is the global arrival order, so it also serves as the
+// arrival stamp: the seven-column form's arrival column reads ID.
+//
+// A request carries its relational row once a store has handed it to a
+// protocol (WithRow): one seven-column instance, built once, that every
+// copy of the request shares — the stores and their deltas, both protocol adapters, the
+// SQL view cache's base bags and the Datalog EDB — so a request is
+// converted to relational form once in its life instead of at every place
+// it is kept. The row is immutable, and a request's fields must not change
+// after it is built; WithID is the one renumbering, and it drops the row.
 type Request struct {
 	ID      int64 // consecutive request number (global arrival order)
 	TA      int64 // transaction number
@@ -79,7 +87,11 @@ type Request struct {
 
 	Class    string // SLA class name ("" when unused)
 	Priority int64  // larger is more important
-	Arrival  int64  // virtual arrival timestamp
+
+	// row is the shared seven-column form, nil until WithRow builds it. A
+	// pointer, not a Tuple field, keeps Request at 72 bytes (the scheduler's
+	// TestRequestAndWaiterStaySmall gives the reasons).
+	row *[7]relation.Value
 }
 
 // Validate checks internal consistency.
@@ -98,6 +110,14 @@ func (r Request) String() string {
 		return fmt.Sprintf("[%d] ta%d/%d %s", r.ID, r.TA, r.IntraTA, r.Op)
 	}
 	return fmt.Sprintf("[%d] ta%d/%d %s(%d)", r.ID, r.TA, r.IntraTA, r.Op, r.Object)
+}
+
+// Equal reports whether r and o have the same fields. Their rows are not
+// compared: a row is derived from the fields, and one copy of a request may
+// carry it while another does not yet, so == on Requests is not equality.
+func (r Request) Equal(o Request) bool {
+	return r.ID == o.ID && r.TA == o.TA && r.IntraTA == o.IntraTA && r.Op == o.Op &&
+		r.Object == o.Object && r.Class == o.Class && r.Priority == o.Priority
 }
 
 // Key identifies a request within its transaction, the unit the SS2PL query
@@ -148,24 +168,58 @@ func ExtendedSchema() *relation.Schema {
 	)
 }
 
-// Tuple converts the request to the paper's five-column form.
-func (r Request) Tuple() relation.Tuple { return r.PutTuple(make(relation.Tuple, 5)) }
-
-// ExtendedTuple converts the request to the seven-column SLA form.
-func (r Request) ExtendedTuple() relation.Tuple { return r.PutTuple(make(relation.Tuple, 7)) }
-
-// PutTuple writes the request into t, which the caller allocates: the
-// five-column form when len(t) is 5, the seven-column SLA form when it is 7.
-func (r Request) PutTuple(t relation.Tuple) relation.Tuple {
-	t[0], t[1], t[2] = relation.Int(r.ID), relation.Int(r.TA), relation.Int(r.IntraTA)
-	t[3], t[4] = relation.String(r.Op.String()), relation.Int(r.Object)
-	if len(t) == 7 {
-		t[5], t[6] = relation.Int(r.Priority), relation.Int(r.Arrival)
+// WithRow returns r carrying its row, built now if r has none. The stores
+// call it when they first hand a request to a protocol; every later copy
+// shares the row.
+func (r Request) WithRow() Request {
+	if r.row == nil {
+		r.row = r.newRow()
 	}
-	return t
+	return r
 }
 
-// FromTuple parses a five- or seven-column tuple back into a Request.
+// WithID returns r renumbered to id. A row built for the old number does not
+// follow: the copy builds its own when a store takes it in.
+func (r Request) WithID(id int64) Request {
+	r.ID, r.row = id, nil
+	return r
+}
+
+func (r Request) newRow() *[7]relation.Value {
+	return &[7]relation.Value{
+		relation.Int(r.ID), relation.Int(r.TA), relation.Int(r.IntraTA),
+		relation.String(r.Op.String()), relation.Int(r.Object),
+		relation.Int(r.Priority), relation.Int(r.ID),
+	}
+}
+
+// Row returns the request's seven-column SLA form (id, ta, intrata,
+// operation, object, priority, arrival): the shared row when r carries one,
+// a freshly built one otherwise (a request no store has seen). Callers must
+// not modify it.
+func (r Request) Row() relation.Tuple {
+	if r.row != nil {
+		return r.row[:]
+	}
+	return r.newRow()[:]
+}
+
+// Tuple returns the paper's five-column form: the row's first five columns,
+// capped so that an append copies instead of writing into the row.
+func (r Request) Tuple() relation.Tuple { return r.Row()[:5:5] }
+
+// AppendTuples appends the cols-column form of each request to dst — seven
+// columns (Row) or five (Tuple) — and returns the extended slice. The tuples
+// are the requests' rows, not copies.
+func AppendTuples(dst []relation.Tuple, rs []Request, cols int) []relation.Tuple {
+	for _, r := range rs {
+		dst = append(dst, r.Row()[:cols:cols])
+	}
+	return dst
+}
+
+// FromTuple parses a five- or seven-column tuple back into a Request. The
+// seven-column form's arrival column is not read: it is the ID.
 func FromTuple(t relation.Tuple) (Request, error) {
 	if len(t) != 5 && len(t) != 7 {
 		return Request{}, fmt.Errorf("request: tuple arity %d", len(t))
@@ -183,12 +237,11 @@ func FromTuple(t relation.Tuple) (Request, error) {
 	}
 	if len(t) == 7 {
 		r.Priority = t[5].AsInt()
-		r.Arrival = t[6].AsInt()
 	}
 	return r, nil
 }
 
-// ToRelation converts requests to the five-column relation.
+// ToRelation converts requests to the five-column relation over their rows.
 func ToRelation(rs []Request) *relation.Relation {
 	out := relation.New(Schema())
 	for _, r := range rs {
@@ -197,11 +250,12 @@ func ToRelation(rs []Request) *relation.Relation {
 	return out
 }
 
-// ToExtendedRelation converts requests to the seven-column relation.
+// ToExtendedRelation converts requests to the seven-column relation over
+// their rows.
 func ToExtendedRelation(rs []Request) *relation.Relation {
 	out := relation.New(ExtendedSchema())
 	for _, r := range rs {
-		out.MustAppend(r.ExtendedTuple())
+		out.MustAppend(r.Row())
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package request
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/relation"
 )
 
 func TestOpBasics(t *testing.T) {
@@ -65,7 +63,7 @@ func TestConflictsSymmetric(t *testing.T) {
 }
 
 func TestTupleRoundTrip(t *testing.T) {
-	r := Request{ID: 7, TA: 3, IntraTA: 2, Op: Write, Object: 99, Priority: 5, Arrival: 123}
+	r := Request{ID: 7, TA: 3, IntraTA: 2, Op: Write, Object: 99, Priority: 5}
 	got, err := FromTuple(r.Tuple())
 	if err != nil {
 		t.Fatal(err)
@@ -73,27 +71,40 @@ func TestTupleRoundTrip(t *testing.T) {
 	if got.ID != 7 || got.TA != 3 || got.IntraTA != 2 || got.Op != Write || got.Object != 99 {
 		t.Errorf("five-column round trip: %+v", got)
 	}
-	got, err = FromTuple(r.ExtendedTuple())
-	if err != nil {
+	row := r.Row()
+	if got, err = FromTuple(row); err != nil {
 		t.Fatal(err)
 	}
-	if got.Priority != 5 || got.Arrival != 123 {
-		t.Errorf("extended round trip: %+v", got)
+	if got.Priority != 5 || row[6].AsInt() != r.ID {
+		t.Errorf("extended round trip: %+v, arrival column %v (want the ID)", got, row[6])
 	}
 }
 
-// TestPutTupleDoesNotAllocate: both protocol adapters build every pending
-// and history tuple through PutTuple into a buffer they own, so the op's
-// letter must not be a fresh string per call. An invalid op still converts.
-func TestPutTupleDoesNotAllocate(t *testing.T) {
-	five, seven := make(relation.Tuple, 5), make(relation.Tuple, 7)
+// TestRowIsBuiltOnce: WithRow builds the row once and every copy of the
+// request hands out that instance, without allocating; the five-column form
+// is its prefix, capped so an append cannot write into it; WithID drops a
+// row built for the old number. The op's letter is a constant, so a row
+// costs one allocation. An invalid op still converts.
+func TestRowIsBuiltOnce(t *testing.T) {
 	for _, o := range []Op{Read, Write, Abort, Commit} {
-		r := Request{ID: 7, TA: 3, IntraTA: 2, Op: o, Object: 99, Priority: 5, Arrival: 123}
-		if n := testing.AllocsPerRun(100, func() { r.PutTuple(five); r.PutTuple(seven) }); n != 0 {
-			t.Errorf("PutTuple of a %q request: %v allocations per call pair, want 0", o, n)
+		r := Request{ID: 7, TA: 3, IntraTA: 2, Op: o, Object: 99, Priority: 5}
+		if n := testing.AllocsPerRun(100, func() { _ = r.WithRow() }); n != 1 {
+			t.Errorf("WithRow of a %q request: %v allocations, want 1", o, n)
 		}
-		if got := five[3].AsString(); got != o.String() || len(got) != 1 || got[0] != byte(o) {
+		held := r.WithRow()
+		cp := held
+		if n := testing.AllocsPerRun(100, func() { _, _ = cp.Row(), cp.Tuple() }); n != 0 {
+			t.Errorf("Row of a %q request that carries one: %v allocations, want 0", o, n)
+		}
+		row, five := held.Row(), cp.Tuple()
+		if &row[0] != &five[0] || &row[0] != &cp.WithRow().Row()[0] || len(five) != 5 || cap(five) != 5 {
+			t.Errorf("%q: copies do not share the row (five-column len %d cap %d)", o, len(five), cap(five))
+		}
+		if got := row[3].AsString(); got != o.String() || len(got) != 1 || got[0] != byte(o) {
 			t.Errorf("op column %q for %q", got, o)
+		}
+		if moved := held.WithID(8).Row(); moved[0].AsInt() != 8 || moved[6].AsInt() != 8 || row[0].AsInt() != 7 {
+			t.Errorf("WithID: row %v, old row %v", moved, row)
 		}
 	}
 	if got := Op('x').String(); got != "x" {

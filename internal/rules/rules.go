@@ -121,8 +121,9 @@ qualified(ID, TA, I, OP, OBJ) :- request(ID, TA, I, OP, OBJ), not blocked(TA, I)
 // resolution: where Listing 1 favours the lower transaction number, this
 // protocol favours the higher SLA priority (premium before free customers,
 // the paper's Section 1 motivation), falling back to the transaction number
-// within a class. EDB: request(id, ta, intrata, op, obj, prio, arrival) and
-// history(id, ta, intrata, op, obj).
+// within a class. EDB: request(id, ta, intrata, op, obj, prio, arrival) — the
+// seven columns of each request's shared row, whose arrival is the ID — and
+// history(id, ta, intrata, op, obj), the row's first five.
 const SLAPriorityDatalog = `
 finished(TA) :- history(_, TA, _, "c", _).
 finished(TA) :- history(_, TA, _, "a", _).

@@ -183,6 +183,9 @@ type Engine struct {
 	progressed   map[int64]bool
 	present      map[request.Key]uint64
 	commitWrites map[int64]int
+	// detector is resolve's waits-for search, its buffers reused across
+	// the rounds that run it.
+	detector protocol.Detector
 
 	// Deferred execution (per-shard executors), started on demand. quiet
 	// carries the wake-up of a quiescing migration (executor.go).
@@ -283,7 +286,7 @@ func (e *Engine) PendingLen() int {
 
 // RTE returns the paper's ready-to-execute table for the last round: the
 // qualified requests as a relation over the Table 2 schema (empty before the
-// first round).
+// first round). Its tuples are the requests' shared rows: read-only.
 func (e *Engine) RTE() *relation.Relation {
 	var qualified []request.Request
 	for _, sh := range e.shards {
@@ -299,9 +302,12 @@ func (e *Engine) RTE() *relation.Relation {
 func (e *Engine) ShardStats() []metrics.RoundStats { return e.shardStats }
 
 // Enqueue buffers requests in the admission queues, assigning globally
-// consecutive IDs (the paper's consecutive request number) and arrival
-// stamps. Safe for concurrent use by many client workers. With more than one
-// shard each request is routed to the shard owning its object (partition.go).
+// consecutive IDs (the paper's consecutive request number, which is also the
+// arrival stamp). Safe for concurrent use by many client workers. With more
+// than one shard each request is routed to the shard owning its object
+// (partition.go). The requests' relational rows are built on the round
+// loop, when a shard's stores first hand them to its protocol, not here on
+// the client's goroutine.
 //
 // A request's (TA, IntraTA) key must not be live — queued or pending — when
 // it is enqueued: the stores and the shard routing keep one copy per key
@@ -309,18 +315,14 @@ func (e *Engine) ShardStats() []metrics.RoundStats { return e.shardStats }
 func (e *Engine) Enqueue(rs ...request.Request) {
 	if len(e.shards) > 1 {
 		for _, r := range rs {
-			r.ID = e.nextID.Add(1)
-			r.Arrival = r.ID
-			e.route(r)
+			e.route(r.WithID(e.nextID.Add(1)))
 		}
 		return
 	}
 	q := &e.shards[0].queue
 	q.mu.Lock()
 	for _, r := range rs {
-		r.ID = e.nextID.Add(1)
-		r.Arrival = r.ID
-		q.ops = append(q.ops, shardOp{req: r})
+		q.ops = append(q.ops, shardOp{req: r.WithID(e.nextID.Add(1))})
 	}
 	q.mu.Unlock()
 	e.queued.Add(int64(len(rs)))
@@ -498,7 +500,7 @@ func (e *Engine) resolve() ([]int64, string) {
 	// set means the protocol is blocked; abort the youngest member of each
 	// waits-for cycle, exactly like the native scheduler's victim policy.
 	if qualified == 0 && pending > 0 {
-		if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
+		if victims := e.detector.Victims(e.relations()); len(victims) > 0 {
 			return victims, metrics.VictimCycle
 		}
 	}
@@ -509,7 +511,7 @@ func (e *Engine) resolve() ([]int64, string) {
 	// waiter itself only when no cycle explains the wait.
 	if e.starveAfter > 0 {
 		if ta, since, ok := e.oldestBlocked(); ok && e.rounds-since >= e.starveAfter {
-			if victims := protocol.DeadlockVictims(e.relations()); len(victims) > 0 {
+			if victims := e.detector.Victims(e.relations()); len(victims) > 0 {
 				return victims, metrics.VictimStarvedCycle
 			}
 			return []int64{ta}, metrics.VictimStarvedOldest
@@ -594,10 +596,11 @@ func (e *Engine) abortVictims(victims []int64) {
 		sh.qual = kept
 	}
 	for _, ta := range victims {
+		// One row for the record of every shard the victim touched.
 		rec := request.Request{
 			ID: e.nextID.Add(1), TA: ta, IntraTA: victimIntra,
 			Op: request.Abort, Object: request.NoObject,
-		}
+		}.WithRow()
 		mask := e.touched(ta)
 		home := bits.TrailingZeros64(mask)
 		for m := mask; m != 0; m &= m - 1 {

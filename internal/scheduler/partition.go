@@ -125,6 +125,7 @@ func (e *Engine) enqueueTermination(r request.Request) {
 	e.crossMu.Lock()
 	e.cross[r.Key()] = bits.OnesCount64(mask)
 	e.crossMu.Unlock()
+	r = r.WithRow() // one row for every shard's copy
 	for m := mask; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
 		e.push(s, shardOp{req: r, replica: s != home})

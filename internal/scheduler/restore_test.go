@@ -11,7 +11,8 @@ import (
 // TestQualifiedRowsCarryPendingFields pins where a qualified request's fields
 // come from: a declarative protocol returns the columns of its relation, and
 // the scheduler restores the rest from the pending copy it removes — Class
-// always, Priority and Arrival too through a five-column relation. The
+// always, Priority too through a five-column relation — and the row it
+// carries agrees with those fields (its arrival column is the ID). The
 // executed results, the history rows and the round's qualified list (RTE's
 // source) must all carry the pending copy's fields. The SQL view cache is
 // built in the first round; the later rounds run on the maintained views,
@@ -47,9 +48,10 @@ func TestQualifiedRowsCarryPendingFields(t *testing.T) {
 				if !ok {
 					t.Fatalf("round %d: %s %v was never submitted (stale content)", round, what, r)
 				}
-				if r.Class != w.Class || r.Priority != w.Priority || r.Arrival != r.ID {
-					t.Errorf("round %d: %s %v carries class %q priority %d arrival %d, want %q %d %d",
-						round, what, r, r.Class, r.Priority, r.Arrival, w.Class, w.Priority, r.ID)
+				row := r.Row()
+				if r.Class != w.Class || r.Priority != w.Priority || row[5].AsInt() != w.Priority || row[6].AsInt() != r.ID {
+					t.Errorf("round %d: %s %v carries class %q priority %d row %v, want %q %d arrival %d",
+						round, what, r, r.Class, r.Priority, row, w.Class, w.Priority, r.ID)
 				}
 			}
 			executed := 0

@@ -230,8 +230,8 @@ func (sh *shard) commitPlan() {
 	for i, r := range sh.qual {
 		k := r.Key()
 		// The protocol returns the rows its relation holds; the pending copy
-		// carries the rest (Class always, Priority and Arrival through a
-		// five-column relation), and from here on it is the request: the
+		// carries the rest (Class always, Priority through a five-column
+		// relation) and the row, and from here on it is the request: the
 		// plan step, the history row and the round's qualified list.
 		if orig, ok := sh.pending.Take(k); ok {
 			r = orig

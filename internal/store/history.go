@@ -91,7 +91,8 @@ func NewHistory(keepLog bool) *History {
 }
 
 // Append records executed requests in execution order, logging them as
-// HistoryAppended.
+// HistoryAppended. A request taken from the pending store keeps the row it
+// carries; one that arrives without gets it when Deltas hands it out.
 func (s *History) Append(rs ...request.Request) {
 	for _, r := range rs {
 		sl, ok := s.slotOf[r.TA]
@@ -360,8 +361,10 @@ func sortPositions(ps []int32) {
 
 // Deltas appends the change log accumulated since the last ResetDeltas call
 // onto d. The slices alias the store's log buffers: they are valid until the
-// next mutation after ResetDeltas.
+// next mutation after ResetDeltas. As in Pending.Deltas, each appended
+// request is given its row, shared with the stored copy.
 func (s *History) Deltas(d *protocol.Deltas) {
+	withRows(s.deltas.HistoryAppended, s.appendedRow, s.live)
 	d.HistoryAppended = s.deltas.HistoryAppended
 	d.HistoryRemoved = s.deltas.HistoryRemoved
 }

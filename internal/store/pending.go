@@ -6,6 +6,11 @@
 // (protocol.Deltas), so the scheduling engine no longer hand-maintains delta
 // slices: every Admit/Remove/Append/GC is the event, and the accumulated log
 // between two qualification calls *is* the round delta.
+// A request gets its relational row (request.Request.WithRow) when a store
+// first hands it to a protocol, in the window that logged its arrival; from
+// then on the stores, their logs and the protocols all share that one row.
+// A protocol that reads no rows (the imperative ones, FCFS) never causes
+// one to be built.
 //
 // Both stores are a dense swap-remove slice of rows — the materialised
 // relation handed to protocols (order unspecified; every protocol orders its
@@ -340,10 +345,22 @@ func (p *Pending) OldestBlocked() (ta int64, since int, ok bool) {
 
 // Deltas returns the change log accumulated since the last ResetDeltas call,
 // appended onto d. The returned slices alias the store's log buffers: they
-// are valid until the next mutation after ResetDeltas.
+// are valid until the next mutation after ResetDeltas. Each request the
+// window added is given its row here, and the stored copy shares it, so
+// the window's removals and every later copy carry it too.
 func (p *Pending) Deltas(d *protocol.Deltas) {
+	withRows(p.deltas.PendingAdded, p.addedRow, p.reqs)
 	d.PendingAdded = p.deltas.PendingAdded
 	d.PendingRemoved = p.deltas.PendingRemoved
+}
+
+// withRows gives each logged request its row (request.Request.WithRow) and
+// the stored copy at rows[at[i]] the same one.
+func withRows(logged []request.Request, at []int32, rows []request.Request) {
+	for i, pos := range at {
+		r := logged[i].WithRow()
+		logged[i], rows[pos] = r, r
+	}
 }
 
 // ResetDeltas starts a new change-log window, reusing the log buffers. Only

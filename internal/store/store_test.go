@@ -271,3 +271,43 @@ func TestPendingRandomizedMirror(t *testing.T) {
 			len(d.PendingAdded), len(d.PendingRemoved), len(mirror))
 	}
 }
+
+// TestDeltasHandOutSharedRows: a store builds a request's row when Deltas
+// first hands the request to a protocol, not when it takes the request in —
+// a protocol that reads no rows never pays for one — and the stored copy,
+// the request Take returns and the history row appended from it all share
+// that row.
+func TestDeltasHandOutSharedRows(t *testing.T) {
+	shared := func(a, b request.Request) bool { return &a.Row()[0] == &b.Row()[0] }
+	p, h := NewPending(), NewHistory(false)
+	r := request.Request{ID: 1, TA: 1, Op: request.Write, Object: 3}
+	p.Admit(r)
+	if shared(p.Live()[0], p.Live()[0]) {
+		t.Fatal("Admit built a row")
+	}
+	var d protocol.Deltas
+	p.Deltas(&d)
+	if !shared(d.PendingAdded[0], p.Live()[0]) {
+		t.Fatal("the logged and the stored copy do not share one row")
+	}
+	p.ResetDeltas()
+	taken, ok := p.Take(r.Key())
+	if !ok || !shared(taken, d.PendingAdded[0]) {
+		t.Fatal("Take returned a copy without the row")
+	}
+	h.Append(taken, request.Request{ID: 2, TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
+	d = protocol.Deltas{}
+	p.Deltas(&d)
+	h.Deltas(&d)
+	if len(d.PendingRemoved) != 1 || !shared(d.PendingRemoved[0], taken) {
+		t.Fatal("the removal does not carry the row")
+	}
+	for i, hr := range h.Live() {
+		if !shared(hr, d.HistoryAppended[i]) {
+			t.Fatalf("history row %v and its log entry do not share one row", hr)
+		}
+	}
+	if !shared(h.Live()[0], taken) {
+		t.Fatal("the executed request's history row is not its pending row")
+	}
+}

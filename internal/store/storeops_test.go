@@ -57,7 +57,7 @@ func (g *storeOps) key() request.Key {
 func (g *storeOps) request(k request.Key, term bool) request.Request {
 	g.nextID++
 	r := request.Request{ID: g.nextID, TA: k.TA, IntraTA: k.IntraTA, Op: request.Read,
-		Object: int64(g.next(opsObjects)), Class: fmt.Sprint("c", g.nextID%3), Priority: g.nextID % 5, Arrival: g.nextID}
+		Object: int64(g.next(opsObjects)), Class: fmt.Sprint("c", g.nextID%3), Priority: g.nextID % 5}
 	switch {
 	case term && g.next(2) == 0:
 		r.Op, r.Object = request.Abort, request.NoObject
@@ -104,7 +104,7 @@ func (g *storeOps) step() string {
 			g.mp.Remove(k)
 		}
 		got, gotOK := g.p.Take(k)
-		if gotOK != ok || got != want {
+		if gotOK != ok || !got.Equal(want) {
 			t.Fatalf("Take(%v) = %v %v, model %v %v", k, got, gotOK, want, ok)
 		}
 		return "take"
@@ -129,7 +129,8 @@ func (g *storeOps) step() string {
 		byID := func(a, b visit) int { return cmp.Compare(a.r.ID, b.r.ID) }
 		slices.SortFunc(got, byID)
 		slices.SortFunc(want, byID)
-		if n != m || !slices.Equal(got, want) {
+		same := func(a, b visit) bool { return a.r.Equal(b.r) && a.since == b.since }
+		if n != m || !slices.EqualFunc(got, want, same) {
 			t.Fatalf("ExtractMatching: %d %v, model %d %v", n, got, m, want)
 		}
 		for _, v := range got {
@@ -271,7 +272,7 @@ func sameRequests(a, b []request.Request) bool {
 	}
 	byID := func(x, y request.Request) int { return cmp.Compare(x.ID, y.ID) }
 	a, b = slices.SortedFunc(slices.Values(a), byID), slices.SortedFunc(slices.Values(b), byID)
-	return slices.Equal(a, b)
+	return slices.EqualFunc(a, b, request.Request.Equal)
 }
 
 // checkInvariants verifies the slot table against the dense rows: every row's
@@ -362,7 +363,7 @@ func (s *History) checkInvariants(t testing.TB, at string) {
 func runStoreOps(t testing.TB, data []byte) {
 	g := &storeOps{t: t, data: data, p: NewPending(), mp: newMapPending(), h: NewHistory(true), mh: newMapHistory(true)}
 	g.run()
-	if !slices.Equal(g.h.Log(), g.mh.Log()) {
+	if !slices.EqualFunc(g.h.Log(), g.mh.Log(), request.Request.Equal) {
 		t.Fatalf("execution logs differ")
 	}
 }

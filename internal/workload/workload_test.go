@@ -58,7 +58,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		t.Fatal("lengths differ")
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !a[i].Equal(b[i]) {
 			t.Fatalf("row %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
@@ -154,7 +154,7 @@ func TestHotKeyWorkloadConcentratesAndStaysDeterministic(t *testing.T) {
 		t.Fatal("lengths differ")
 	}
 	for i := range b {
-		if b[i] != c[i] {
+		if !b[i].Equal(c[i]) {
 			t.Fatalf("row %d differs: %v vs %v", i, b[i], c[i])
 		}
 	}

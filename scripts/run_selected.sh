@@ -4,9 +4,12 @@
 # so a renamed test would turn such a step green and empty; this wrapper fails
 # the step when any listed package ran no test, when -fuzz was given and no
 # fuzz target started (go test prints no warning for that at all), or when
-# an alternative of the -run filter that is a plain name (TestFoo, or ^TestFoo$
-# for an exact match) started no test in any package — so renaming one test
-# of a step that names several fails the step too.
+# an alternative of the -run filter that is a plain name started no test in
+# any package — so renaming one test of a step that names several fails the
+# step too. A plain name that begins with Test or Fuzz is a whole test name:
+# it must start that very test (or a subtest of it), not merely some test
+# whose name contains it, so a test renamed away cannot hide behind a longer
+# one. Any other plain name (Rebalanc) is a fragment and matches as one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +47,8 @@ for alt in "${names[@]}"; do
     name="${name%\$}"
     if [[ "${alt}" == ^*\$ ]]; then
         pattern="^=== RUN +${name}\$"
+    elif [[ "${name}" =~ ^(Test|Fuzz) ]]; then
+        pattern="^=== RUN +${name}(/|\$)"
     else
         pattern="^=== RUN +[^ ]*${name}"
     fi
