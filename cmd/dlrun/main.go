@@ -14,6 +14,10 @@
 //
 //	dlrun -sql -rel requests=pending.csv -rel history=hist.csv listing1.sql
 //
+// Both languages are what the protocols need: neither has aggregates (no
+// count<X> heads, no COUNT/SUM/MIN/MAX/AVG, GROUP BY or HAVING), and SQL has
+// no LIMIT; the parsers refuse each by name.
+//
 // CSV files use a name:kind header, e.g. id:int,ta:int,op:string (see
 // internal/relation.WriteCSV).
 package main

@@ -116,8 +116,8 @@ func NewDatalogProtocol(name, src string, extended bool) (Protocol, error) {
 
 // NewSQLProtocol compiles a custom protocol from a SQL query over the
 // `requests` and `history` tables; the query must return request rows
-// (id, ta, intrata, operation, object), and it must be one the view cache
-// can maintain (no LIMIT).
+// (id, ta, intrata, operation, object). The SQL subset has no aggregates,
+// GROUP BY, HAVING or LIMIT; a query using one is refused by name.
 func NewSQLProtocol(name, sql string) (Protocol, error) {
 	return protocol.NewSQL(name, sql)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Check validates a program: range restriction (safety), schedulability of
-// every rule body, and stratifiability of negation and aggregation. Parse
+// every rule body, and stratifiability of negation. Parse
 // calls it automatically; it is exported for programmatically built programs.
 func Check(prog *Program) error {
 	for i := range prog.Rules {
@@ -107,10 +107,6 @@ func orderBody(r Rule) ([]int, error) {
 			if !bound[t.Name] {
 				return nil, fmt.Errorf("datalog: rule %s: head variable %s unbound", r, t.Name)
 			}
-		case Agg:
-			if !bound[t.Name] {
-				return nil, fmt.Errorf("datalog: rule %s: aggregate variable %s unbound", r, t.Name)
-			}
 		}
 	}
 	return order, nil
@@ -137,9 +133,9 @@ type depGraph struct {
 // the dependency graph's strongly connected components, layered: a predicate
 // sits one stratum above the highest IDB predicate it reads outside its
 // component, and the members of a component share a stratum. So a stratum
-// reads its own predicates only through recursion, and negated or aggregated
-// dependencies are strictly below. It returns the per-predicate strata, the
-// number of strata, and an error if negation (or aggregation) is cyclic.
+// reads its own predicates only through recursion, and negated dependencies
+// are strictly below. It returns the per-predicate strata, the number of
+// strata, and an error if negation is cyclic.
 func Stratify(prog *Program) (map[string]int, int, error) {
 	g, err := analyze(prog)
 	if err != nil {
@@ -153,8 +149,8 @@ func Stratify(prog *Program) (map[string]int, int, error) {
 // components it reads, so each is placed as it is emitted.
 func analyze(prog *Program) (*depGraph, error) {
 	type edge struct {
-		to     string
-		strict bool // through negation or aggregation
+		to      string
+		negated bool
 	}
 	idb := prog.IDB()
 	g := &depGraph{
@@ -175,7 +171,7 @@ func analyze(prog *Program) (*depGraph, error) {
 				g.dependents[q] = append(g.dependents[q], h)
 			}
 			if idb[q] {
-				reads[h] = append(reads[h], edge{q, l.Negated || r.HasAggregate()})
+				reads[h] = append(reads[h], edge{q, l.Negated})
 			}
 		}
 	}
@@ -217,9 +213,9 @@ func analyze(prog *Program) (*depGraph, error) {
 				switch {
 				case comp[e.to] != id:
 					level = max(level, g.stratum[e.to]+1)
-				case e.strict:
+				case e.negated:
 					if err == nil {
-						err = fmt.Errorf("datalog: program not stratifiable: cycle through negation/aggregation at %s", m)
+						err = fmt.Errorf("datalog: program not stratifiable: cycle through negation at %s", m)
 					}
 				default:
 					g.recursive[m] = true

@@ -1,5 +1,5 @@
 // Package datalog implements a stratified Datalog engine: lexer, parser,
-// safety analysis, stratification with negation and aggregation, and a
+// safety analysis, stratification with negation, and a
 // bottom-up evaluator over internal/relation values that repeats a recursive
 // stratum's passes to their fixpoint.
 //
@@ -29,13 +29,12 @@ import (
 	"repro/internal/relation"
 )
 
-// Term is a variable, a wildcard, a constant, or an aggregate expression
-// (aggregates are legal only in rule heads).
+// Term is a variable, a wildcard or a constant. Rules have no aggregate
+// terms: no protocol counts or sums, and the parser refuses one by name.
 type Term struct {
 	Kind TermKind
-	Name string         // variable name (Var, Agg input var) or aggregate func name
+	Name string         // variable name (Var)
 	Val  relation.Value // Const payload
-	Agg  AggKind        // for Kind == Agg
 }
 
 // TermKind discriminates Term.
@@ -46,24 +45,7 @@ const (
 	Var TermKind = iota
 	Wildcard
 	Const
-	Agg
 )
-
-// AggKind names an aggregate function in a rule head.
-type AggKind uint8
-
-// Aggregate kinds.
-const (
-	AggNone AggKind = iota
-	AggCount
-	AggSum
-	AggMin
-	AggMax
-)
-
-func (a AggKind) String() string {
-	return [...]string{"none", "count", "sum", "min", "max"}[a]
-}
 
 // V makes a variable term.
 func V(name string) Term { return Term{Kind: Var, Name: name} }
@@ -83,10 +65,8 @@ func (t Term) String() string {
 		return t.Name
 	case Wildcard:
 		return "_"
-	case Const:
-		return t.Val.Encode()
 	default:
-		return fmt.Sprintf("%s<%s>", t.Agg, t.Name)
+		return t.Val.Encode()
 	}
 }
 
@@ -192,16 +172,6 @@ type Rule struct {
 // IsFact reports whether the rule has an empty body (all head terms must then
 // be constants; the parser enforces this).
 func (r Rule) IsFact() bool { return len(r.Body) == 0 }
-
-// HasAggregate reports whether the head contains aggregate terms.
-func (r Rule) HasAggregate() bool {
-	for _, t := range r.Head.Terms {
-		if t.Kind == Agg {
-			return true
-		}
-	}
-	return false
-}
 
 func (r Rule) String() string {
 	if r.IsFact() {

@@ -64,7 +64,6 @@ type headSlot struct {
 	isConst bool
 	c       relation.Value
 	varID   int
-	agg     AggKind // AggNone for plain terms
 }
 
 // compiledRule is a rule with a fixed evaluation order and variable slots.
@@ -79,10 +78,6 @@ type compiledRule struct {
 	// its derived facts are carved from (both assigned by NewEngine).
 	headSet    *relation.Bag
 	headRegion *relation.Region
-
-	hasAgg   bool
-	groupIdx []int // head positions that are group-by (non-aggregate) slots
-	aggIdx   []int // head positions that are aggregates
 
 	// fns is the compiled step chain (see eval.go): one specialised closure
 	// per body literal plus the head-emitting terminal, built by NewEngine
@@ -242,19 +237,13 @@ func compileRule(r Rule) (*compiledRule, error) {
 		c.steps = append(c.steps, m)
 	}
 
-	for i, t := range r.Head.Terms {
+	for _, t := range r.Head.Terms {
 		var h headSlot
 		switch t.Kind {
 		case Const:
 			h = headSlot{isConst: true, c: t.Val}
-			c.groupIdx = append(c.groupIdx, i)
 		case Var:
 			h = headSlot{varID: slot(t.Name)}
-			c.groupIdx = append(c.groupIdx, i)
-		case Agg:
-			h = headSlot{varID: slot(t.Name), agg: t.Agg}
-			c.hasAgg = true
-			c.aggIdx = append(c.aggIdx, i)
 		default:
 			return nil, fmt.Errorf("datalog: wildcard in head of %s", r)
 		}

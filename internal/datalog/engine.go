@@ -20,9 +20,9 @@ import (
 // definition can stand in for each occurrence without multiplying a
 // reader's rules, is replaced by its rule body there. The engine compiles,
 // stratifies and evaluates the unfolded program, so it stores only the
-// predicates that stay: outputs nobody reads, recursive ones, aggregates,
-// and helpers with several rules read positively (or not expressible as
-// negated atoms). On SS2PL it stores `blocked` and `qualified`, and each
+// predicates that stay: outputs nobody reads, recursive ones, and helpers
+// with several rules read positively (or not expressible as negated atoms).
+// On SS2PL it stores `blocked` and `qualified`, and each
 // pending request probes the history's indexes for the lock conditions
 // directly. Facts, FactSeq and FactCount of an unfolded predicate answer
 // from a cold evaluation of the program as written over the current EDB,
@@ -133,7 +133,7 @@ const (
 
 // RunStats reports evaluation effort for one run.
 type RunStats struct {
-	Iterations   int // passes over a stratum's non-aggregate rules, summed over strata
+	Iterations   int // passes over a stratum's rules, summed over strata
 	FactsDerived int // IDB facts derived (deduplicated)
 	RuleFirings  int // successful head emissions, pre-deduplication
 	// Strategy names the evaluation path taken (Strategy* constants).
@@ -518,26 +518,11 @@ func (e *Engine) affectedClosure(roots []string) map[string]bool {
 // lower strata), and, in a stratum that loops, further full passes until
 // one derives nothing new.
 func (e *Engine) runStratum(s int, ruleIdx []int) error {
-	if len(ruleIdx) == 0 {
-		return nil
-	}
-	// Aggregate rules first: their bodies live strictly below this stratum,
-	// so a single evaluation is complete, and same-stratum rules may then
-	// consume the aggregated predicate.
-	for _, ri := range ruleIdx {
-		c := e.compiled[ri]
-		if !c.hasAgg || c.rule.IsFact() {
-			continue
-		}
-		if err := e.evalAggregate(c); err != nil {
-			return err
-		}
-	}
 	for {
 		derived, ran := e.Stats.FactsDerived, false
 		for _, ri := range ruleIdx {
 			c := e.compiled[ri]
-			if c.hasAgg || c.rule.IsFact() {
+			if c.rule.IsFact() {
 				continue
 			}
 			e.emitSet, e.emitRegion = c.headSet, c.headRegion
@@ -546,7 +531,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 			}
 			ran = true
 		}
-		if !ran { // only aggregate and fact rules: nothing to pass over
+		if !ran { // no rules, or only facts: nothing to pass over
 			return nil
 		}
 		e.Stats.Iterations++
@@ -556,7 +541,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int) error {
 	}
 }
 
-// emitFact is the sink of every non-aggregate rule evaluation: it inserts a
+// emitFact is the sink of every rule evaluation: it inserts a
 // derived head tuple, which lives in the rule's scratch buffer, into the
 // head's fact set — copied into the head's region on genuine insertion, so
 // duplicate derivations copy nothing.
@@ -568,87 +553,6 @@ func (e *Engine) emitFact(t relation.Tuple) error {
 	}
 	e.emitSet.AddNew(e.emitRegion.Copy(t), h, 1)
 	e.Stats.FactsDerived++
-	return nil
-}
-
-// evalAggregate evaluates an aggregate rule: the body is enumerated once
-// (its predicates are in strictly lower strata), bindings are grouped by the
-// non-aggregate head slots, and each aggregate ranges over the distinct
-// values of its variable within the group. Group keys sit in a bag in
-// first-seen order; a second bag holds the (group, slot, value) triples
-// seen, so each distinct value is folded into its group's aggState once.
-func (e *Engine) evalAggregate(c *compiledRule) error {
-	type aggState struct {
-		n, sum   int64 // distinct values; sum of the int ones
-		min, max relation.Value
-	}
-	groups := relation.NewBag(anySchema(len(c.groupIdx)))
-	seen := relation.NewBag(anySchema(3))
-	var states []aggState // group position p, slot i at p*len(c.aggIdx)+i
-	keyBuf := make(relation.Tuple, len(c.groupIdx))
-	triple := make(relation.Tuple, 3)
-
-	err := e.evalRule(c, func(raw relation.Tuple) error {
-		e.Stats.RuleFirings++
-		for i, gi := range c.groupIdx {
-			keyBuf[i] = raw[gi]
-		}
-		h := keyBuf.Hash()
-		p := groups.Find(keyBuf, h)
-		if p < 0 {
-			p = int32(groups.DistinctLen())
-			groups.AddHash(keyBuf.Clone(), h, 1)
-			states = append(states, make([]aggState, len(c.aggIdx))...)
-		}
-		for i, ai := range c.aggIdx {
-			v := raw[ai]
-			triple[0], triple[1], triple[2] = relation.Int(int64(p)), relation.Int(int64(i)), v
-			if seen.Count(triple) > 0 {
-				continue
-			}
-			seen.Add(triple.Clone(), 1)
-			st := &states[int(p)*len(c.aggIdx)+i]
-			if st.n == 0 || v.Compare(st.min) < 0 {
-				st.min = v
-			}
-			if st.n == 0 || v.Compare(st.max) > 0 {
-				st.max = v
-			}
-			if v.Kind() == relation.KindInt {
-				st.sum += v.AsInt()
-			}
-			st.n++
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	out := c.headSet
-	for p := range groups.DistinctLen() {
-		key := groups.At(int32(p))
-		t := make(relation.Tuple, len(c.head))
-		for i, gi := range c.groupIdx {
-			t[gi] = key[i]
-		}
-		for i, ai := range c.aggIdx {
-			st := states[p*len(c.aggIdx)+i]
-			switch c.head[ai].agg {
-			case AggCount:
-				t[ai] = relation.Int(st.n)
-			case AggSum:
-				t[ai] = relation.Int(st.sum)
-			case AggMin:
-				t[ai] = st.min
-			case AggMax:
-				t[ai] = st.max
-			}
-		}
-		if insert(out, t) {
-			e.Stats.FactsDerived++
-		}
-	}
 	return nil
 }
 

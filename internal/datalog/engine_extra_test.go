@@ -86,33 +86,6 @@ func TestEngineRejectsWrongArityEDBAtRun(t *testing.T) {
 	}
 }
 
-func TestNegationOverAggregate(t *testing.T) {
-	// Aggregation feeding negation across strata.
-	got := run(t, `
-		deg(X, count<Y>) :- edge(X, Y).
-		busy(X) :- deg(X, N), N >= 2.
-		quiet(X) :- node(X), not busy(X).
-	`, map[string][]relation.Tuple{
-		"edge": intTuples([]int64{1, 10}, []int64{1, 20}, []int64{2, 5}),
-		"node": intTuples([]int64{1}, []int64{2}, []int64{3}),
-	}, "quiet")
-	if got.Len() != 2 {
-		t.Fatalf("quiet: %s", got)
-	}
-	if holds(got, relation.Tuple{relation.Int(1)}) {
-		t.Error("node 1 has degree 2, must be busy")
-	}
-}
-
-func TestAggregateOverEmptyGroupIsAbsent(t *testing.T) {
-	// A group with no facts simply does not appear (no empty-group min/max).
-	got := run(t, `deg(X, count<Y>) :- edge(X, Y).`,
-		map[string][]relation.Tuple{"edge": nil}, "deg")
-	if got.Len() != 0 {
-		t.Fatalf("deg over empty edges: %s", got)
-	}
-}
-
 func TestArithmeticChain(t *testing.T) {
 	// Note: '%' is the comment character in Datalog syntax, so there is no
 	// modulo operator; +, -, * and / chain through fresh variables.

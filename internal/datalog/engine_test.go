@@ -152,45 +152,6 @@ func TestRepeatedVariableInAtom(t *testing.T) {
 	}
 }
 
-func TestAggregates(t *testing.T) {
-	edb := map[string][]relation.Tuple{
-		"edge": intTuples([]int64{1, 10}, []int64{1, 20}, []int64{1, 20}, []int64{2, 5}),
-	}
-	deg := run(t, `deg(X, count<Y>) :- edge(X, Y).`, edb, "deg")
-	if deg.Len() != 2 {
-		t.Fatalf("deg groups: %s", deg)
-	}
-	for _, row := range deg.Rows() {
-		x, n := row[0].AsInt(), row[1].AsInt()
-		if (x == 1 && n != 2) || (x == 2 && n != 1) {
-			t.Errorf("deg(%d) = %d", x, n)
-		}
-	}
-	sums := run(t, `s(X, sum<Y>) :- edge(X, Y).`, edb, "s")
-	for _, row := range sums.Rows() {
-		x, s := row[0].AsInt(), row[1].AsInt()
-		if (x == 1 && s != 30) || (x == 2 && s != 5) {
-			t.Errorf("sum(%d) = %d (distinct-value semantics)", x, s)
-		}
-	}
-	mm := run(t, `m(min<Y>, max<Y>) :- edge(_, Y).`, edb, "m")
-	if mm.Len() != 1 || mm.Row(0)[0].AsInt() != 5 || mm.Row(0)[1].AsInt() != 20 {
-		t.Errorf("min/max: %s", mm)
-	}
-}
-
-func TestAggregateFeedsLaterRule(t *testing.T) {
-	got := run(t, `
-		deg(X, count<Y>) :- edge(X, Y).
-		hub(X) :- deg(X, N), N >= 2.
-	`, map[string][]relation.Tuple{
-		"edge": intTuples([]int64{1, 10}, []int64{1, 20}, []int64{2, 5}),
-	}, "hub")
-	if got.Len() != 1 || got.Row(0)[0].AsInt() != 1 {
-		t.Fatalf("hub: %s", got)
-	}
-}
-
 func TestProgramFacts(t *testing.T) {
 	got := run(t, `
 		edge(1, 2).
@@ -297,8 +258,7 @@ func TestEngineMatchesReferenceRandomized(t *testing.T) {
 // TestRunStatsPopulated also pins the cost of a pass schedule: a stratum
 // without recursion is complete after one pass over its rules, and a
 // recursive one repeats passes until one derives nothing new, so it takes at
-// least two. The reference engine repeats passes in every stratum. A stratum
-// of aggregate rules alone takes no pass.
+// least two. The reference engine repeats passes in every stratum.
 func TestRunStatsPopulated(t *testing.T) {
 	const closure = `
 		p(X, Y) :- e(X, Y).
@@ -324,7 +284,6 @@ func TestRunStatsPopulated(t *testing.T) {
 		`, cycle, false, 2, 2, false, 6 + 3},
 		{"recursive under flat", closure + "q(X) :- p(X, X).", cycle, false, 2, 2 + 1, true, 9 + 3},
 		{"reference", closure + "q(X) :- p(X, X).", cycle, true, 2, 2 + 2, true, 9 + 3},
-		{"aggregate only", "deg(X, count<Y>) :- e(X, Y).", cycle, false, 1, 0, false, 3},
 	} {
 		e := freshRun(t, MustParse(tc.src), tc.edb, tc.reference)
 		it := e.Stats.Iterations

@@ -15,7 +15,7 @@ import (
 
 // insert adds t to f unless f holds it already, reporting whether it was
 // new. f keeps t itself: callers pass tuples that outlive f's contents (EDB
-// rows, program facts, aggregate rows); rule heads go through emitFact, which
+// rows, program facts); rule heads go through emitFact, which
 // carves a copy from the predicate's region instead.
 func insert(f *relation.Bag, t relation.Tuple) bool {
 	h := t.Hash()

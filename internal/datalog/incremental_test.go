@@ -405,34 +405,6 @@ func TestRunIncrementalAfterSetEDBReplacement(t *testing.T) {
 	checkAgainstOracle(t, e, prog, edb, []string{"reach"}, "after replacement")
 }
 
-// TestRunIncrementalAggregateFallback: changes feeding an aggregate rule are
-// non-monotone and must recompute the aggregate correctly.
-func TestRunIncrementalAggregateFallback(t *testing.T) {
-	prog := MustParse(`deg(X, count<Y>) :- edge(X, Y).`)
-	e, err := NewEngine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetEDB("edge", intTuples([]int64{1, 10})); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunIncremental(map[string]EDBDelta{
-		"edge": {Insert: intTuples([]int64{1, 20}, []int64{2, 5})},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deg := e.Facts("deg")
-	if deg.Len() != 2 {
-		t.Fatalf("deg: %s", deg)
-	}
-	if !holds(deg, relation.Tuple{relation.Int(1), relation.Int(2)}) {
-		t.Errorf("deg(1) must be 2 after incremental insert: %s", deg)
-	}
-}
-
 // TestRunIncrementalFirstCallFallsBack: without a prior run the warm path
 // cannot apply and the engine must behave like a cold run over the deltas.
 func TestRunIncrementalFirstCallFallsBack(t *testing.T) {

@@ -11,7 +11,7 @@ type tokKind uint8
 
 const (
 	tokEOF      tokKind = iota
-	tokIdent            // lowercase-leading identifier (predicate, keyword not/count/...)
+	tokIdent            // lowercase-leading identifier (predicate, keyword not)
 	tokVar              // uppercase- or underscore-leading identifier
 	tokWildcard         // bare _
 	tokInt
@@ -32,7 +32,6 @@ const (
 	tokStar
 	tokSlash
 	tokPercent
-	tokLAngleAgg // < after aggregate name, handled in parser via tokLt
 )
 
 type token struct {

@@ -12,7 +12,6 @@ import (
 //
 //	fact(1, "w").
 //	head(X, Y) :- edge(X, Z), not removed(Z), Z < 10, Y = Z + 1.
-//	perTA(TA, count<I>) :- pending(I, TA).   % aggregate head (count/sum/min/max)
 //
 // Variables start with an upper-case letter or '_' (a bare '_' is a
 // wildcard); predicates and keywords are lower case; '%' and '//' start line
@@ -164,13 +163,6 @@ func (p *parser) parseAtom(isHead bool) (Atom, error) {
 	return Atom{Pred: name, Terms: terms}, nil
 }
 
-var aggNames = map[string]AggKind{
-	"count": AggCount,
-	"sum":   AggSum,
-	"min":   AggMin,
-	"max":   AggMax,
-}
-
 func (p *parser) parseTerm(isHead bool) (Term, error) {
 	switch p.tok.kind {
 	case tokVar:
@@ -200,30 +192,15 @@ func (p *parser) parseTerm(isHead bool) (Term, error) {
 		}
 		return CStr(s), nil
 	case tokIdent:
-		agg, ok := aggNames[p.tok.text]
-		if !ok {
-			return Term{}, p.errf("unexpected identifier %q in term position (aggregates: count/sum/min/max)", p.tok.text)
-		}
-		if !isHead {
-			return Term{}, p.errf("aggregate %s only allowed in rule head", p.tok.text)
-		}
+		// Rules have no aggregate terms; name one (count<X>) when refusing it.
+		name := p.tok.text
 		if err := p.advance(); err != nil {
 			return Term{}, err
 		}
-		if err := p.expect(tokLt, "'<'"); err != nil {
-			return Term{}, err
+		if p.tok.kind == tokLt {
+			return Term{}, p.errf("aggregate term %s<…> is not supported", name)
 		}
-		if p.tok.kind != tokVar {
-			return Term{}, p.errf("aggregate needs a variable, got %s", p.tok)
-		}
-		varName := p.tok.text
-		if err := p.advance(); err != nil {
-			return Term{}, err
-		}
-		if err := p.expect(tokGt, "'>'"); err != nil {
-			return Term{}, err
-		}
-		return Term{Kind: Agg, Name: varName, Agg: agg}, nil
+		return Term{}, p.errf("unexpected identifier %q in term position", name)
 	default:
 		return Term{}, p.errf("expected term, got %s", p.tok)
 	}

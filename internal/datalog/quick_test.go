@@ -104,43 +104,3 @@ func TestQuickNegationPartitions(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickCountMatchesDistinctFanout: the count aggregate equals the number
-// of distinct successors, on random EDBs.
-func TestQuickCountMatchesDistinctFanout(t *testing.T) {
-	prog := MustParse(`deg(X, count<Y>) :- edge(X, Y).`)
-	f := func(pairs []uint8) bool {
-		edges := edgesFromBytes(pairs)
-		manual := map[int64]map[int64]bool{}
-		for _, tu := range edges {
-			x, y := tu[0].AsInt(), tu[1].AsInt()
-			if manual[x] == nil {
-				manual[x] = map[int64]bool{}
-			}
-			manual[x][y] = true
-		}
-		e, err := NewEngine(prog)
-		if err != nil {
-			return false
-		}
-		if err := e.SetEDB("edge", edges); err != nil {
-			return false
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		deg := e.Facts("deg")
-		if deg.Len() != len(manual) {
-			return false
-		}
-		for _, row := range deg.Rows() {
-			if int64(len(manual[row[0].AsInt()])) != row[1].AsInt() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

@@ -15,7 +15,7 @@ import (
 // back.
 //
 // A predicate P unfolds exactly when
-//   - P is derived, not recursive, and has no aggregate rule and no fact;
+//   - P is derived, not recursive, and has no fact;
 //   - every head of P is pairwise-distinct variables;
 //   - some rule reads P (a predicate nothing reads is an output);
 //   - if a rule reads P positively, P has exactly one rule, so no reader's
@@ -89,7 +89,7 @@ func (u *unfolder) qualifies(p string) bool {
 	defs := u.defs[p]
 	for _, i := range defs {
 		r := u.rules[i]
-		if r.IsFact() || r.HasAggregate() || !distinctVars(r.Head) {
+		if r.IsFact() || !distinctVars(r.Head) {
 			return false
 		}
 	}

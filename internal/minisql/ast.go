@@ -5,12 +5,11 @@ import (
 )
 
 // Query is a full statement: optional WITH, a set-expression body, optional
-// ORDER BY / LIMIT.
+// ORDER BY.
 type Query struct {
 	With    []CTE
 	Body    SetExpr
 	OrderBy []OrderItem
-	Limit   int // -1 means no limit
 }
 
 // CTE is one WITH entry.
@@ -52,8 +51,6 @@ type Select struct {
 	Items    []SelectItem
 	From     []FromItem
 	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
 }
 
 func (*Select) isSetExpr() {}
@@ -159,13 +156,3 @@ type InList struct {
 }
 
 func (*InList) isExpr() {}
-
-// FuncCall is an aggregate function call: COUNT(*), COUNT(e), SUM(e),
-// MIN(e), MAX(e), AVG(e). Aggregates are legal in SELECT items and HAVING.
-type FuncCall struct {
-	Name string // upper case
-	Star bool   // COUNT(*)
-	Arg  Expr   // nil when Star
-}
-
-func (*FuncCall) isExpr() {}

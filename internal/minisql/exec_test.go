@@ -194,11 +194,11 @@ func TestWithCTEChain(t *testing.T) {
 	}
 }
 
-func TestOrderByLimit(t *testing.T) {
+func TestOrderBy(t *testing.T) {
 	cat := Catalog{"t": tbl(t, []string{"a", "b"}, []any{3, 1}, []any{1, 2}, []any{2, 3})}
-	got := q(t, "SELECT a, b FROM t ORDER BY a DESC LIMIT 2", cat)
-	if got.Len() != 2 || got.Row(0)[0].AsInt() != 3 || got.Row(1)[0].AsInt() != 2 {
-		t.Fatalf("order/limit: %s", got)
+	got := q(t, "SELECT a, b FROM t ORDER BY a DESC", cat)
+	if got.Len() != 3 || got.Row(0)[0].AsInt() != 3 || got.Row(1)[0].AsInt() != 2 || got.Row(2)[0].AsInt() != 1 {
+		t.Fatalf("order by: %s", got)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // Incremental view maintenance over a compiled plan: NewIVM materialises the
 // base tables and every plan node a delta rule reads — the inputs of joins,
-// EXCEPT, DISTINCT and group-by, and an unordered root — into counted
+// EXCEPT and DISTINCT, and an unordered root — into counted
 // multisets (relation.Bag), the per-protocol view cache, and Apply patches
 // the whole graph from a round's base-table deltas by running each
 // operator's delta rule instead of re-evaluating the query. Every other
@@ -32,9 +32,7 @@ import (
 //     subquery), this is precisely "probe a delta-maintained ID set"
 //     instead of re-scanning the history;
 //   - except and distinct derive membership transitions from the children's
-//     new counts and the delta's net;
-//   - group-by recomputes only the touched groups from the child bag
-//     (handles MIN/MAX deletes without auxiliary heaps).
+//     new counts and the delta's net.
 //
 // The rules cost O(|Δ| · matches) per node whatever the delta's size: a
 // round that replaces a whole table takes the same path as a trickle.
@@ -50,7 +48,7 @@ import (
 // the instances the bags keep, and column runs of either — and each delta
 // cell records whether its tuple is one (scell.held). A bag or the ordered
 // root keeps a held tuple as it is; every other tuple a rule builds — a
-// projection that is not a column run, a join concatenation, a group key —
+// projection that is not a column run, a join concatenation —
 // is carved from the IVM's region, rewound when Apply returns, and copied to
 // the heap exactly when it first becomes present in a bag or in the ordered
 // root. A bag patch swaps the cell's tuple for the instance the bag holds,
@@ -64,9 +62,9 @@ import (
 // tuples that become present somewhere, and a delete-only round allocates
 // none.
 //
-// LIMIT has no delta rule (its content depends on physical row order), so
-// NewIVM refuses plans containing it and the caller falls back to full
-// re-evaluation. Intermediate views' row order is unspecified; a root-level
+// Every plan operator has a delta rule (the parser refuses LIMIT, whose
+// content would depend on physical row order). Intermediate views' row
+// order is unspecified; a root-level
 // ORDER BY is maintained incrementally (orderedRoot): the sorted cell list
 // absorbs each round's root delta by binary search instead of re-sorting the
 // full result on every Result call, which was the dominant residual cost of
@@ -89,7 +87,6 @@ type IVM struct {
 	tdel     map[string]*sdelta
 	van      vanishedScratch
 	matchBuf []matchEntry
-	keyBuf   relation.Tuple
 	resBuf   relation.Tuple  // residual-predicate concat buffer
 	region   relation.Region // the round's built tuples, rewound by Apply
 }
@@ -121,7 +118,6 @@ type Delta struct {
 type view struct {
 	node *planNode
 	bag  *relation.Bag
-	keys *relation.BagIndex // opGroupBy: bag's index on the group-key columns, one row per group
 }
 
 // NewIVM evaluates the plan once against the catalog (the cold cost, paid on
@@ -129,11 +125,6 @@ type view struct {
 // catalog's relations are copied into counted multisets; subsequent Apply
 // calls maintain those, not the catalog.
 func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
-	for _, n := range p.nodes {
-		if n.op == opLimit {
-			return nil, fmt.Errorf("minisql: ivm: LIMIT has no delta rule")
-		}
-	}
 	capture := make([]*relation.Relation, len(p.nodes))
 	lc := make(Catalog, len(cat))
 	for k, v := range cat {
@@ -166,24 +157,12 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		case opRename, opOrderBy:
 			m.views[n.id] = m.views[n.l.id]
 		default:
-			v := &view{node: n}
-			if n.op == opGroupBy {
-				// The output rows lead with the group key: a row's key hash
-				// over the first len(groupPos) columns is the group's.
-				keyCols := make([]int, len(n.groupPos))
-				for i := range keyCols {
-					keyCols[i] = i
-				}
-				v.bag = relation.BagOf(capture[n.id])
-				v.keys = v.bag.IndexNullable(keyCols)
-			}
-			m.views[n.id] = v
+			m.views[n.id] = &view{node: n}
 		}
 	}
 	// A view keeps a bag only where a delta rule reads one: the inputs of
-	// joins, EXCEPT, DISTINCT and group-by, a group-by's own rows (above),
-	// and an unordered root (besides the base tables, whose bags refuse a
-	// delete of a row they never held).
+	// joins, EXCEPT and DISTINCT, and an unordered root (besides the base
+	// tables, whose bags refuse a delete of a row they never held).
 	// Every other node streams its delta to its parents.
 	materialise := func(n *planNode) {
 		if v := m.views[n.id]; v.bag == nil {
@@ -195,7 +174,7 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 		case opJoin, opLeftJoin, opSemi, opExcept:
 			materialise(n.l)
 			materialise(n.r)
-		case opDistinct, opGroupBy:
+		case opDistinct:
 			materialise(n.l)
 		}
 	}
@@ -222,8 +201,6 @@ func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
 				}
 				m.aux[n.id].nulls = nulls
 			}
-		case opGroupBy:
-			m.views[n.l.id].bag.IndexNullable(n.groupPos)
 		case opProject:
 			m.aux[n.id].run = columnRun(n.items)
 		}
@@ -392,8 +369,6 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 			out = m.exceptDelta(n, dL, dR)
 		case opDistinct:
 			out = m.distinctDelta(n, dL)
-		case opGroupBy:
-			out = m.groupDelta(n, dL)
 		default:
 			return fmt.Errorf("minisql: ivm: no delta rule for operator %d", n.op)
 		}
@@ -1034,82 +1009,4 @@ func (m *IVM) distinctDelta(n *planNode, dL *sdelta) *sdelta {
 		}
 	}
 	return out
-}
-
-// groupDelta recomputes exactly the groups the delta touched from the child
-// bag (via a NULL-tolerant group-key index — grouping treats NULL as an
-// ordinary key value) and emits the output-row swaps. A global aggregate
-// (no group columns) keeps its single always-present group, whose empty
-// state matches SQL's one-row-on-empty-input rule. Group keys are assembled
-// in a reused scratch buffer and copied into the round's region only for
-// groups seen for the first time this round.
-func (m *IVM) groupDelta(n *planNode, dL *sdelta) *sdelta {
-	v := m.views[n.id]
-	child := m.views[n.l.id].bag
-	ix := child.IndexNullable(n.groupPos)
-	out := m.acquire()
-	touched := m.acquire()
-	for i := range dL.cells {
-		c := &dL.cells[i]
-		if c.n == 0 {
-			continue
-		}
-		key := m.keyBuf[:0]
-		for _, g := range n.groupPos {
-			key = append(key, c.t[g])
-		}
-		m.keyBuf = key
-		h := relation.HashValues(key)
-		if touched.find(key, h) >= 0 {
-			continue
-		}
-		kc := m.region.Copy(key)
-		touched.push(kc, h, 0, false)
-		m.recomputeGroup(n, v, child, ix, kc, h, out)
-	}
-	return out
-}
-
-// recomputeGroup re-derives the group of key, whose hash is h.
-func (m *IVM) recomputeGroup(n *planNode, v *view, child *relation.Bag, ix *relation.BagIndex, key relation.Tuple, h uint64, out *sdelta) {
-	// Fold the group's current tuples through the same accumulator ra.GroupBy
-	// uses, weighted by multiplicity, so the maintained row can never drift
-	// from a cold re-evaluation.
-	acc := ra.NewGroupAcc(len(n.aggs))
-	for p := ix.First(h); p >= 0; p = ix.Next(p) {
-		t := child.At(p)
-		match := true
-		for i, g := range n.groupPos {
-			if !t[g].Equal(key[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			acc.Add(t, int64(child.CountAt(p)), n.aggs)
-		}
-	}
-	// Locate the group's current output row; Apply patches the view's bag
-	// with out once every touched group is done.
-	var existing relation.Tuple
-	for p := v.keys.First(h); p >= 0; p = v.keys.Next(p) {
-		if t := v.bag.At(p); t[:len(key)].Equal(key) {
-			existing = t
-			break
-		}
-	}
-	if acc.N() == 0 && len(n.groupPos) > 0 {
-		if existing != nil {
-			out.add(existing, -1, true)
-		}
-		return
-	}
-	nt := acc.Row(key, n.aggs) // a fresh heap tuple nobody else sees
-	if existing != nil {
-		if existing.Equal(nt) {
-			return
-		}
-		out.add(existing, -1, true)
-	}
-	out.add(nt, 1, true)
 }

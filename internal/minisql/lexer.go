@@ -2,9 +2,11 @@
 // paper's Listing 1 (the SS2PL protocol formulated in SQL) and the other
 // declarative protocols: WITH (CTEs), SELECT [DISTINCT] with qualified stars,
 // comma joins, LEFT JOIN ... ON, correlated [NOT] EXISTS, IN lists, EXCEPT,
-// UNION [ALL], ORDER BY and LIMIT. Queries are planned onto the internal/ra
-// relational algebra, decorrelating EXISTS subqueries into hash semi/anti
-// joins so that scheduler rounds over large histories stay fast.
+// UNION [ALL] and ORDER BY. It has no aggregates, GROUP BY, HAVING or LIMIT:
+// no protocol uses them, and the parser refuses each by name. Queries are
+// planned onto the internal/ra relational algebra, decorrelating EXISTS
+// subqueries into hash semi/anti joins so that scheduler rounds over large
+// histories stay fast.
 package minisql
 
 import (

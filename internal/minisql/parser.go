@@ -89,13 +89,22 @@ var reservedWords = map[string]bool{
 	"INNER": true, "GROUP": true, "HAVING": true,
 }
 
-// aggregateFuncs are the supported aggregate functions.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
+// refuseClause fails on a clause outside the subset, naming it. The
+// protocols are joins, negation, set operations and ORDER BY; none groups,
+// filters groups or truncates, so GROUP BY, HAVING and LIMIT stay reserved
+// words and are refused here rather than read as an alias or trailing input.
+func (p *parser) refuseClause() error {
+	switch {
+	case p.kw("GROUP"):
+		return p.errf("GROUP BY is not supported")
+	case p.kw("HAVING"), p.kw("LIMIT"):
+		return p.errf("%s is not supported", p.cur().text)
+	}
+	return nil
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{Limit: -1}
+	q := &Query{}
 	if p.acceptKw("WITH") {
 		for {
 			if p.cur().kind != tIdent {
@@ -151,11 +160,8 @@ func (p *parser) parseQuery() (*Query, error) {
 			break
 		}
 	}
-	if p.acceptKw("LIMIT") {
-		if p.cur().kind != tNumber {
-			return nil, p.errf("expected LIMIT count")
-		}
-		q.Limit = int(p.advance().ival)
+	if err := p.refuseClause(); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
@@ -267,29 +273,8 @@ fromDone:
 		}
 		sel.Where = e
 	}
-	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if p.cur().kind == tComma {
-				p.advance()
-				continue
-			}
-			break
-		}
-	}
-	if p.acceptKw("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = e
+	if err := p.refuseClause(); err != nil {
+		return nil, err
 	}
 	return sel, nil
 }
@@ -604,27 +589,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, err
 		}
 		return e, nil
-	case p.cur().kind == tIdent && aggregateFuncs[p.cur().text] && p.peek().kind == tLParen:
-		fn := p.advance().text
-		p.advance() // (
-		if p.cur().kind == tStar {
-			p.advance()
-			if fn != "COUNT" {
-				return nil, p.errf("%s(*) is not valid; only COUNT(*)", fn)
-			}
-			if err := p.expect(tRParen, "')'"); err != nil {
-				return nil, err
-			}
-			return &FuncCall{Name: fn, Star: true}, nil
-		}
-		arg, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tRParen, "')'"); err != nil {
-			return nil, err
-		}
-		return &FuncCall{Name: fn, Arg: arg}, nil
+	case p.cur().kind == tIdent && !reservedWords[p.cur().text] && p.peek().kind == tLParen:
+		return nil, p.errf("%s(...) is not supported: the subset has no aggregates or other function calls", p.cur().text)
 	case p.cur().kind == tIdent && !reservedWords[p.cur().text]:
 		name := strings.ToLower(p.advance().raw)
 		if p.cur().kind == tDot {

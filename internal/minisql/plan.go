@@ -19,7 +19,7 @@ import (
 // cold plan as its view graph, so the two executors cannot diverge on
 // planning decisions: every node is patched by a delta rule, and a node
 // keeps a materialised view only where a delta rule reads one (the inputs of
-// joins, EXCEPT, DISTINCT and grouping, and an unordered root).
+// joins, EXCEPT and DISTINCT, and an unordered root).
 
 // planOp discriminates plan node types.
 type planOp uint8
@@ -36,9 +36,7 @@ const (
 	opUnionAll               // bag concatenation
 	opExcept                 // SQL EXCEPT (set semantics)
 	opDistinct               // duplicate elimination
-	opGroupBy                // grouping + aggregates
 	opOrderBy                // sort (content-neutral)
-	opLimit                  // first-n prefix (content-significant)
 	opConst                  // one zero-column row (SELECT without FROM)
 )
 
@@ -51,18 +49,15 @@ type planNode struct {
 	schema *relation.Schema
 	l, r   *planNode
 
-	table    string         // opScan: lower-cased base table name
-	cte      int            // opScan: CTE slot, -1 for base tables
-	names    []string       // opRename
-	preds    []ra.Expr      // opSelect, applied in order
-	pred     ra.Expr        // opJoin/opLeftJoin/opSemi residual (may be nil)
-	keys     []ra.EquiKey   // opJoin/opLeftJoin/opSemi equi-keys
-	anti     bool           // opSemi: NOT EXISTS
-	items    []ra.NamedExpr // opProject
-	groupPos []int          // opGroupBy: key positions in the child
-	aggs     []ra.AggSpec   // opGroupBy
-	sorts    []ra.SortSpec  // opOrderBy
-	limit    int            // opLimit
+	table string         // opScan: lower-cased base table name
+	cte   int            // opScan: CTE slot, -1 for base tables
+	names []string       // opRename
+	preds []ra.Expr      // opSelect, applied in order
+	pred  ra.Expr        // opJoin/opLeftJoin/opSemi residual (may be nil)
+	keys  []ra.EquiKey   // opJoin/opLeftJoin/opSemi equi-keys
+	anti  bool           // opSemi: NOT EXISTS
+	items []ra.NamedExpr // opProject
+	sorts []ra.SortSpec  // opOrderBy
 }
 
 // Plan is a query compiled against fixed base-table schemas. It is immutable
@@ -157,9 +152,6 @@ func (c *compiler) query(q *Query) (*planNode, error) {
 		}
 		n = c.add(&planNode{op: opOrderBy, schema: n.schema, l: n, sorts: specs})
 	}
-	if q.Limit >= 0 {
-		n = c.add(&planNode{op: opLimit, schema: n.schema, l: n, limit: q.Limit})
-	}
 	return n, nil
 }
 
@@ -221,9 +213,6 @@ func (c *compiler) sel(sel *Select) (*planNode, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if needsGrouping(sel) {
-		return c.projectGrouped(sel, cur)
 	}
 	return c.project(sel, cur)
 }
@@ -712,12 +701,8 @@ func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.
 		return ra.Except(l, r)
 	case opDistinct:
 		return l.Distinct(), nil
-	case opGroupBy:
-		return ra.GroupBy(l, n.groupPos, n.aggs)
 	case opOrderBy:
 		return ra.OrderBy(l, n.sorts), nil
-	case opLimit:
-		return ra.Limit(l, n.limit), nil
 	default:
 		return nil, fmt.Errorf("minisql: unknown plan operator %d", n.op)
 	}
@@ -835,14 +820,6 @@ func (p *Plan) describe(n *planNode) string {
 		return "except"
 	case opDistinct:
 		return "distinct"
-	case opGroupBy:
-		by := list("group-by", len(n.groupPos), func(i int) string { return n.l.schema.Col(n.groupPos[i]).Name })
-		return by + list(" aggregates", len(n.aggs), func(i int) string {
-			if n.aggs[i].E == nil {
-				return fmt.Sprintf("%s=%s", n.aggs[i].Name, n.aggs[i].Func) // count(*)
-			}
-			return fmt.Sprintf("%s=%s(%s)", n.aggs[i].Name, n.aggs[i].Func, n.aggs[i].E)
-		})
 	case opOrderBy:
 		return list("order-by", len(n.sorts), func(i int) string {
 			name := n.schema.Col(n.sorts[i].Pos).Name
@@ -851,8 +828,6 @@ func (p *Plan) describe(n *planNode) string {
 			}
 			return name
 		})
-	case opLimit:
-		return fmt.Sprintf("limit %d", n.limit)
 	case opConst:
 		return "const"
 	default:

@@ -108,12 +108,12 @@ func TestListingOneLockViewsAreKeyProbes(t *testing.T) {
 // projection compiled as a rename.
 func TestPlanString(t *testing.T) {
 	q, err := Parse(`WITH fin AS (SELECT ta FROM h WHERE op = 'c')
-		SELECT DISTINCT a.ta, COUNT(*) AS n
+		SELECT DISTINCT a.ta, a.op, a.obj
 		FROM h a
 		WHERE a.op = 'w'
 		  AND NOT EXISTS (SELECT * FROM fin f WHERE f.ta = a.ta)
 		  AND EXISTS (SELECT * FROM h b WHERE b.obj = a.obj AND b.ta > a.ta AND b.op = 'r')
-		GROUP BY a.ta ORDER BY ta DESC LIMIT 5`)
+		ORDER BY ta DESC`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,22 +131,19 @@ func TestPlanString(t *testing.T) {
     select (h.op = "c")
       rename h
         scan h
-limit 5
-  order-by ta desc
-    distinct
-      rename ta, n
-        group-by __g0 aggregates __a0=count(*)
-          project __g0=a.ta
-            semi-join on a.obj = b.obj residual (b.ta > a.ta)
-              anti-join on a.ta = f.ta
-                select (a.op = "w")
-                  rename a
-                    scan h
-                rename f
-                  scan cte fin
-              select (b.op = "r")
-                rename b
-                  scan h
+order-by ta desc
+  distinct
+    rename ta, op, obj
+      semi-join on a.obj = b.obj residual (b.ta > a.ta)
+        anti-join on a.ta = f.ta
+          select (a.op = "w")
+            rename a
+              scan h
+          rename f
+            scan cte fin
+        select (b.op = "r")
+          rename b
+            scan h
 `
 	if got := p.String(); got != want {
 		t.Fatalf("plan rendering changed\ngot:\n%s\nwant:\n%s", got, want)

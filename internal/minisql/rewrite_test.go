@@ -259,8 +259,7 @@ func rwAntiJoin(rng *rand.Rand) rewriteCase {
 }
 
 // rwIdentity: a projection onto every child column in order (rule 4), over a
-// filter or a group-by. Near misses: reordered columns, a subset, and
-// MIN(...) retyped from the group-by's any-kind output to the argument's.
+// filter. Near misses: reordered columns and a subset.
 func rwIdentity(rng *rand.Rand) rewriteCase {
 	op, k := cmpOps[rng.Intn(len(cmpOps))], int64(rng.Intn(6))
 	where := fmt.Sprintf(" FROM t1 x WHERE x.b %s %d", op, k)
@@ -270,32 +269,6 @@ func rwIdentity(rng *rand.Rand) rewriteCase {
 				emit(x)
 			}
 		}
-	}
-	// grouped folds t1 by a: count, or the least b.
-	grouped := func(db map[string][]relation.Tuple, count bool) []relation.Tuple {
-		var keys []relation.Value
-		acc := map[int64]int64{}
-		for _, x := range db["t1"] {
-			a, b := x[0].AsInt(), x[1].AsInt()
-			old, seen := acc[a]
-			switch {
-			case !seen:
-				keys = append(keys, x[0])
-				acc[a] = b
-				if count {
-					acc[a] = 1
-				}
-			case count:
-				acc[a] = old + 1
-			default:
-				acc[a] = min(old, b)
-			}
-		}
-		out := make([]relation.Tuple, len(keys))
-		for i, a := range keys {
-			out[i] = relation.Tuple{a, relation.Int(acc[a.AsInt()])}
-		}
-		return out
 	}
 	c := rewriteCase{
 		shape: "rename",
@@ -307,7 +280,7 @@ func rwIdentity(rng *rand.Rand) rewriteCase {
 			return n.op == opRename
 		},
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(4) {
 	case 0, 1:
 		c.src, c.rewritten = "SELECT x.a, x.b, x.c"+where, true
 		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
@@ -315,23 +288,17 @@ func rwIdentity(rng *rand.Rand) rewriteCase {
 			return out
 		}
 	case 2:
-		c.src, c.rewritten = "SELECT x.a, COUNT(*) AS n FROM t1 x GROUP BY x.a", true
-		c.want = func(db map[string][]relation.Tuple) []relation.Tuple { return grouped(db, true) }
-	case 3:
 		c.src = "SELECT x.b, x.a, x.c" + where
 		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
 			filtered(db, func(x relation.Tuple) { out = append(out, relation.Tuple{x[1], x[0], x[2]}) })
 			return out
 		}
-	case 4:
+	default:
 		c.src = "SELECT x.a, x.b" + where
 		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
 			filtered(db, func(x relation.Tuple) { out = append(out, relation.Tuple{x[0], x[1]}) })
 			return out
 		}
-	default:
-		c.src = "SELECT x.a, MIN(x.b) AS m FROM t1 x GROUP BY x.a"
-		c.want = func(db map[string][]relation.Tuple) []relation.Tuple { return grouped(db, false) }
 	}
 	return c
 }

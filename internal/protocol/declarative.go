@@ -56,19 +56,15 @@ type SQLProtocol struct {
 }
 
 // NewSQL parses the query and compiles its plan against the request schema
-// once; every round reuses the plan. It refuses a query the view cache
-// cannot maintain (one with no delta rules, such as LIMIT), so every warm
-// round has one.
+// once; every round reuses the plan. Every construct the parser accepts has
+// a delta rule, so every warm round maintains the view cache.
 func NewSQL(name, sql string) (*SQLProtocol, error) {
 	q, err := minisql.Parse(sql)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
-	empty := request.ToRelation(nil)
-	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{"requests": empty.Schema(), "history": empty.Schema()})
-	if err == nil {
-		_, err = minisql.NewIVM(plan, minisql.Catalog{"requests": empty, "history": empty}, nil)
-	}
+	s := request.ToRelation(nil).Schema()
+	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{"requests": s, "history": s})
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}

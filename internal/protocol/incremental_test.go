@@ -358,13 +358,31 @@ func TestSQLTrickleBulkTransitionKeepsCache(t *testing.T) {
 	}
 }
 
-// TestNewSQLRejectsLimitText: LIMIT has no delta rule, so a query with one
-// could never get a view cache; NewSQL refuses it rather than run every round
-// in full. The same query without LIMIT is accepted, and a text naming no
-// table the protocol has fails at construction, not on the first round.
-func TestNewSQLRejectsLimitText(t *testing.T) {
-	if _, err := NewSQL("first-four", "SELECT r.* FROM requests r ORDER BY id LIMIT 4"); err == nil || !strings.Contains(err.Error(), "LIMIT") {
-		t.Fatalf("LIMIT text: err = %v, want a refusal naming LIMIT", err)
+// TestSQLRefusesAggregatesAndLimit: the SQL subset has no aggregates,
+// GROUP BY, HAVING or LIMIT — no protocol uses them, and none but LIMIT
+// would even have a delta rule in the view cache. minisql.Parse and NewSQL
+// refuse each with an error naming it. The same query without the
+// construct is accepted, and a text naming no table the protocol has fails
+// at construction, not on the first round.
+func TestSQLRefusesAggregatesAndLimit(t *testing.T) {
+	for _, tc := range []struct{ construct, sql string }{
+		{"COUNT", "SELECT COUNT(*) AS n FROM requests r"},
+		{"SUM", "SELECT SUM(r.object) AS s FROM requests r"},
+		{"MIN", "SELECT MIN(r.id) AS lo FROM requests r"},
+		{"MAX", "SELECT MAX(r.id) AS hi FROM requests r"},
+		{"AVG", "SELECT AVG(r.object) AS av FROM requests r"},
+		{"GROUP BY", "SELECT r.ta FROM requests r GROUP BY r.ta"},
+		{"HAVING", "SELECT r.ta FROM requests r HAVING r.ta > 1"},
+		{"LIMIT", "SELECT r.* FROM requests r ORDER BY id LIMIT 4"},
+		{"LIMIT", "SELECT r.* FROM requests r LIMIT 4"},
+		{"LIMIT", "SELECT r.* FROM requests r WHERE EXISTS (SELECT * FROM history h LIMIT 1)"},
+	} {
+		if _, err := minisql.Parse(tc.sql); err == nil || !strings.Contains(err.Error(), tc.construct) {
+			t.Errorf("minisql.Parse(%q): err = %v, want a refusal naming %s", tc.sql, err, tc.construct)
+		}
+		if _, err := NewSQL("refused", tc.sql); err == nil || !strings.Contains(err.Error(), tc.construct) {
+			t.Errorf("NewSQL(%q): err = %v, want a refusal naming %s", tc.sql, err, tc.construct)
+		}
 	}
 	if _, err := NewSQL("all", "SELECT r.* FROM requests r ORDER BY id"); err != nil {
 		t.Fatalf("the text without LIMIT: %v", err)

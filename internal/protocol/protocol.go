@@ -211,3 +211,19 @@ func (a *Adaptive) Qualify(pending, history []request.Request) ([]request.Reques
 	a.initialised = true
 	return a.Active(len(pending)).Qualify(pending, history)
 }
+
+// Wounded implements Wounder: the aborts declared by the constituent that
+// ran the last Qualify, none when that one declares none (or before the
+// first Qualify). Without it a wound-wait constituent's wounds would never
+// reach the scheduler, and its older transactions would qualify against a
+// wounded holder that is never aborted.
+func (a *Adaptive) Wounded() []int64 {
+	last := a.Strict
+	if a.relaxed {
+		last = a.Relaxed
+	}
+	if w, ok := last.(Wounder); ok && a.initialised {
+		return w.Wounded()
+	}
+	return nil
+}

@@ -1,7 +1,7 @@
 // Package ra implements a small relational algebra over internal/relation:
 // scalar expressions with SQL three-valued logic, selection, projection,
 // joins (cross, hash equi-join, left outer, semi, anti), set operations
-// (union all, except, distinct), ordering and grouping with aggregates.
+// (union all, except, distinct) and ordering.
 //
 // Both declarative front-ends share this executor: the mini-SQL planner
 // compiles paper Listing 1 onto it, and the Datalog engine uses its join

@@ -365,16 +365,6 @@ func OrderBy(r *relation.Relation, specs []SortSpec) *relation.Relation {
 	return out
 }
 
-// Limit returns the first n tuples of r (all of them if n < 0).
-func Limit(r *relation.Relation, n int) *relation.Relation {
-	if n < 0 || n >= r.Len() {
-		return r.Clone()
-	}
-	out := relation.New(r.Schema())
-	out.AppendTrusted(r.Rows()[:n]...)
-	return out
-}
-
 // Rename returns a view of r under a schema of the same layout but different
 // names, sharing r's tuples (relation.WithSchema): renaming copies no rows.
 func Rename(r *relation.Relation, names []string) (*relation.Relation, error) {

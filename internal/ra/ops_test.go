@@ -201,7 +201,7 @@ func TestExceptSetSemantics(t *testing.T) {
 	}
 }
 
-func TestOrderByLimit(t *testing.T) {
+func TestOrderBy(t *testing.T) {
 	r := mk(t, []string{"a", "b"}, []int64{2, 1}, []int64{1, 2}, []int64{1, 1})
 	got := OrderBy(r, []SortSpec{{Pos: 0, Desc: false}, {Pos: 1, Desc: true}})
 	wantOrder := [][2]int64{{1, 2}, {1, 1}, {2, 1}}
@@ -210,45 +210,6 @@ func TestOrderByLimit(t *testing.T) {
 		if row[0].AsInt() != w[0] || row[1].AsInt() != w[1] {
 			t.Errorf("row %d = %v, want %v", i, row, w)
 		}
-	}
-	if Limit(got, 2).Len() != 2 || Limit(got, -1).Len() != 3 || Limit(got, 99).Len() != 3 {
-		t.Error("limit wrong")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	r := mk(t, []string{"g", "v"}, []int64{1, 10}, []int64{1, 20}, []int64{2, 5})
-	got, err := GroupBy(r, []int{0}, []AggSpec{
-		{Func: CountStar, Name: "n"},
-		{Func: Sum, E: Col{Pos: 1}, Name: "s"},
-		{Func: Min, E: Col{Pos: 1}, Name: "mn"},
-		{Func: Max, E: Col{Pos: 1}, Name: "mx"},
-		{Func: Avg, E: Col{Pos: 1}, Name: "av"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("groups: %d", got.Len())
-	}
-	byG := map[int64]relation.Tuple{}
-	for _, row := range got.Rows() {
-		byG[row[0].AsInt()] = row
-	}
-	g1 := byG[1]
-	if g1[1].AsInt() != 2 || g1[2].AsInt() != 30 || g1[3].AsInt() != 10 || g1[4].AsInt() != 20 || g1[5].AsInt() != 15 {
-		t.Errorf("group 1: %v", g1)
-	}
-}
-
-func TestGroupByGlobalOnEmpty(t *testing.T) {
-	r := mk(t, []string{"v"})
-	got, err := GroupBy(r, nil, []AggSpec{{Func: CountStar, Name: "n"}, {Func: Sum, E: Col{Pos: 0}, Name: "s"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || got.Row(0)[0].AsInt() != 0 || !got.Row(0)[1].IsNull() {
-		t.Errorf("global agg on empty: %v", got)
 	}
 }
 

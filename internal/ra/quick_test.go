@@ -76,43 +76,6 @@ func TestQuickDistinctIdempotent(t *testing.T) {
 	}
 }
 
-func TestQuickGroupBySumMatchesManual(t *testing.T) {
-	f := func(pairs []uint16) bool {
-		s := relation.NewSchema(
-			relation.Column{Name: "g", Kind: relation.KindInt},
-			relation.Column{Name: "v", Kind: relation.KindInt},
-		)
-		r := relation.New(s)
-		manual := map[int64]int64{}
-		for _, p := range pairs {
-			g := int64(p % 4)
-			v := int64(p / 4 % 16)
-			r.MustAppend(relation.Tuple{relation.Int(g), relation.Int(v)})
-			manual[g] += v
-		}
-		got, err := GroupBy(r, []int{0}, []AggSpec{{Func: Sum, E: Col{Pos: 1}, Name: "s"}})
-		if err != nil {
-			return false
-		}
-		// GroupBy-with-bag semantics: Sum adds every row, like SQL SUM.
-		if got.Len() != len(manual) {
-			return false
-		}
-		for _, row := range got.Rows() {
-			if row[1].IsNull() {
-				continue
-			}
-			if manual[row[0].AsInt()] != row[1].AsInt() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickSemiJoinIsFilterOfLeft(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		l, r := relFromBytes(a), relFromBytes(b)

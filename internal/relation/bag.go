@@ -9,9 +9,9 @@ import "slices"
 // and removals are O(1) per attached index — exactly the shape incremental
 // view maintenance needs: per-round deltas patch the standing views and the
 // join/anti-join probes of the delta rules hit the maintained key indexes
-// instead of rebuilding per round. The cold operators that deduplicate,
-// count or group (Relation.Distinct and Equal, ra.Except, ra.GroupBy, the
-// Datalog engine's aggregates) use a Bag as their hash table too, and the
+// instead of rebuilding per round. The cold operators that deduplicate or
+// count (Relation.Distinct and Equal, ra.Except) use a Bag as their hash
+// table too, and the
 // Datalog engine keeps every predicate's facts in one, each at count 1.
 //
 // Distinct tuples sit dense at positions 0..DistinctLen()-1 beside their
@@ -90,7 +90,7 @@ func (b *Bag) HashAt(p int32) uint64 { return b.hashes[p] }
 
 // Find returns the position of t, whose hash is h = t.Hash(), or -1. Only a
 // removal moves a position, so a bag that is only added to numbers its
-// distinct tuples in first-insertion order (the groups of ra.GroupBy).
+// distinct tuples in first-insertion order.
 func (b *Bag) Find(t Tuple, h uint64) int32 {
 	for p := b.member.First(h); p >= 0; p = b.member.Next(p) {
 		if b.hashes[p] == h && b.tuples[p].Equal(t) {
@@ -249,7 +249,7 @@ func (b *Bag) Relation() *Relation {
 func (b *Bag) Index(cols []int) *BagIndex { return b.index(cols, false) }
 
 // IndexNullable is Index with NULL treated as an ordinary key value (hashed
-// like any other), for grouping keys — SQL GROUP BY puts NULLs in one group.
+// like any other), for Datalog's rule steps, which unify NULL with NULL.
 func (b *Bag) IndexNullable(cols []int) *BagIndex { return b.index(cols, true) }
 
 func (b *Bag) index(cols []int, nullable bool) *BagIndex {

@@ -88,7 +88,7 @@ func TestWoundWaitDefinesWound(t *testing.T) {
 
 // TestListingOneSQLCompiles: the paper's Listing 1 parses and compiles into
 // an executor plan against the request schema — and the plan is view-
-// maintainable (no LIMIT), which the warm SQL round depends on.
+// maintainable, which the warm SQL round depends on.
 func TestListingOneSQLCompiles(t *testing.T) {
 	plan := listingOnePlan(t)
 	cat := minisql.Catalog{

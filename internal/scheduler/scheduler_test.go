@@ -215,36 +215,52 @@ func TestRoundStatsRecordVictimCause(t *testing.T) {
 	}
 }
 
+// TestEngineWoundWaitAbortsDeclaredVictims: a wound-wait protocol's wounds
+// are aborted, also when it runs as a constituent of an adaptive pair (below
+// the threshold, the strict side qualifies and its wounds must reach the
+// engine through the pair).
 func TestEngineWoundWaitAbortsDeclaredVictims(t *testing.T) {
-	srv := storage.NewServer(storage.Config{Rows: 10})
-	e, err := NewEngine(Config{Protocol: protocol.WoundWaitDatalog(), Server: srv, KeepLog: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Younger ta5 takes a write lock first.
-	e.Enqueue(request.Request{TA: 5, IntraTA: 0, Op: request.Write, Object: 7})
-	if _, err := e.Round(); err != nil {
-		t.Fatal(err)
-	}
-	// Older ta2 arrives wanting to read the same object: ta5 is wounded and
-	// rolled back first, then ta2's read executes in the same round and must
-	// observe the compensated value.
-	e.Enqueue(request.Request{TA: 2, IntraTA: 0, Op: request.Read, Object: 7})
-	res, err := e.Round()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Victims) != 1 || res.Victims[0] != 5 {
-		t.Fatalf("victims: %+v", res)
-	}
-	if len(res.Executed) != 1 || res.Executed[0].Request.TA != 2 {
-		t.Fatalf("older txn blocked after wound: %+v", res)
-	}
-	if res.Executed[0].Value != 0 {
-		t.Fatalf("read observed uncompensated write: %d", res.Executed[0].Value)
-	}
-	if srv.Get(7) != 0 {
-		t.Fatalf("wounded write not compensated: %d", srv.Get(7))
+	for _, tc := range []struct {
+		name  string
+		proto func() protocol.Protocol
+	}{
+		{"woundwait", func() protocol.Protocol { return protocol.WoundWaitDatalog() }},
+		{"adaptive", func() protocol.Protocol {
+			return protocol.NewAdaptive(protocol.WoundWaitDatalog(), protocol.RelaxedReadsDatalog(), 1<<20)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := storage.NewServer(storage.Config{Rows: 10})
+			e, err := NewEngine(Config{Protocol: tc.proto(), Server: srv, KeepLog: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Younger ta5 takes a write lock first.
+			e.Enqueue(request.Request{TA: 5, IntraTA: 0, Op: request.Write, Object: 7})
+			if _, err := e.Round(); err != nil {
+				t.Fatal(err)
+			}
+			// Older ta2 arrives wanting to read the same object: ta5 is
+			// wounded and rolled back first, then ta2's read executes in the
+			// same round and must observe the compensated value.
+			e.Enqueue(request.Request{TA: 2, IntraTA: 0, Op: request.Read, Object: 7})
+			res, err := e.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Victims) != 1 || res.Victims[0] != 5 {
+				t.Fatalf("victims: %+v", res)
+			}
+			if len(res.Executed) != 1 || res.Executed[0].Request.TA != 2 {
+				t.Fatalf("older txn blocked after wound: %+v", res)
+			}
+			if res.Executed[0].Value != 0 {
+				t.Fatalf("read observed uncompensated write: %d", res.Executed[0].Value)
+			}
+			if srv.Get(7) != 0 {
+				t.Fatalf("wounded write not compensated: %d", srv.Get(7))
+			}
+		})
 	}
 }
 
