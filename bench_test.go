@@ -100,25 +100,6 @@ func BenchmarkSS2PLQuerySQL(b *testing.B) {
 	}
 }
 
-// BenchmarkSS2PLQuerySQLNestedLoop is the unindexed baseline for the same
-// round: every equi-join, semi-join and anti-join scans its full inner
-// relation per outer row (ra.Options.NestedLoop). One data point is enough —
-// it exists so the hash/indexed executor's advantage is a committed number,
-// not an anecdote.
-func BenchmarkSS2PLQuerySQLNestedLoop(b *testing.B) {
-	pending, history := declBenchInstance(300)
-	p := protocol.SS2PLSQL()
-	p.SetNestedLoop(true)
-	b.Run("clients=300", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Qualify(pending, history); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSQLIncrementalRound is the SQL twin of
 // BenchmarkDatalogIncrementalRound: the warm variant feeds per-round deltas
 // to the protocol, whose materialized-view cache (minisql.IVM) patches each

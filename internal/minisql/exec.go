@@ -11,18 +11,12 @@ import (
 // Catalog maps table names (lower case) to relations.
 type Catalog map[string]*relation.Relation
 
-// Run executes a query against a catalog with default operator options.
+// Run executes a query against a catalog. The query is compiled against the
+// catalog's schemas (CompilePlan) and the plan evaluated bottom-up;
+// long-lived callers can compile once and re-evaluate the plan themselves.
+// Each join builds its hash table for the call (ra.HashJoin) and execution
+// only reads the catalog's relations.
 func Run(q *Query, cat Catalog) (*relation.Relation, error) {
-	return RunOpts(q, cat, nil)
-}
-
-// RunOpts executes a query with explicit operator options: the nested-loop
-// oracle mode (see ra.Options); nil opts selects the hash operators. The
-// query is compiled against the catalog's schemas (CompilePlan) and the plan
-// evaluated bottom-up; long-lived callers can compile once and re-evaluate
-// the plan themselves. Each join builds its hash table for the call
-// (ra.HashJoin) and execution only reads the catalog's relations.
-func RunOpts(q *Query, cat Catalog, opts *ra.Options) (*relation.Relation, error) {
 	lc := make(Catalog, len(cat))
 	schemas := make(map[string]*relation.Schema, len(cat))
 	for k, v := range cat {
@@ -34,7 +28,7 @@ func RunOpts(q *Query, cat Catalog, opts *ra.Options) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	return p.Eval(lc, opts)
+	return p.Eval(lc)
 }
 
 // conjunct is one top-level AND-ed predicate with bookkeeping.

@@ -44,6 +44,9 @@ func emptyTbl(cols []string, kinds []relation.Kind) *relation.Relation {
 	return relation.New(relation.NewSchema(cs...))
 }
 
+// q runs sql through the executor and returns its result, which must hold
+// the interpreter's rows (in its order under ORDER BY): every hand-computed
+// case below checks both.
 func q(t *testing.T, sql string, cat Catalog) *relation.Relation {
 	t.Helper()
 	query, err := Parse(sql)
@@ -53,6 +56,9 @@ func q(t *testing.T, sql string, cat Catalog) *relation.Relation {
 	out, err := Run(query, cat)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
+	}
+	if want := interpret(t, query, cat); !sameAnswer(query, out, want) {
+		t.Fatalf("%q: the executor diverged from the interpreter\nexecutor:\n%s\ninterpreter:\n%s", sql, out, want)
 	}
 	return out
 }
@@ -247,6 +253,9 @@ func TestErrors(t *testing.T) {
 		}
 		if _, err := Run(query, cat); err == nil {
 			t.Errorf("accepted bad query %q", sql)
+		}
+		if _, err := Interpret(query, cat); err == nil {
+			t.Errorf("the interpreter accepted bad query %q", sql)
 		}
 	}
 }

@@ -124,13 +124,13 @@ type view struct {
 // the first warm round) and materialises the views the delta rules read. The
 // catalog's relations are copied into counted multisets; subsequent Apply
 // calls maintain those, not the catalog.
-func NewIVM(p *Plan, cat Catalog, opts *ra.Options) (*IVM, error) {
+func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
 	capture := make([]*relation.Relation, len(p.nodes))
 	lc := make(Catalog, len(cat))
 	for k, v := range cat {
 		lc[strings.ToLower(k)] = v
 	}
-	if _, err := p.eval(lc, opts, capture); err != nil {
+	if _, err := p.eval(lc, capture); err != nil {
 		return nil, err
 	}
 	m := &IVM{

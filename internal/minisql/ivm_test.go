@@ -7,17 +7,18 @@ import (
 
 	"repro/internal/ra"
 	"repro/internal/relation"
+	"repro/internal/rules"
 )
 
 // The delta-maintained executor is property-tested against the cold (full
-// re-run) executor and the nested-loop oracle: over random catalogs, random
-// queries of every maintainable shape (multi-table equi-joins, [NOT] EXISTS
-// including NOT EXISTS over disjunctions, with NULLs on the subquery side,
-// LEFT JOIN with IS NULL, UNION/UNION ALL/EXCEPT, DISTINCT, CTEs
+// re-run) executor and the interpreter (Interpret): over random catalogs,
+// random queries of every maintainable shape (multi-table equi-joins, [NOT]
+// EXISTS including NOT EXISTS over disjunctions, with NULLs on the subquery
+// side, LEFT JOIN with IS NULL, UNION/UNION ALL/EXCEPT, DISTINCT, CTEs
 // referenced more than once, FROM subqueries) and random
 // insert/delete delta sequences, the IVM's maintained result must equal the
-// cold executor's bag — which must itself equal the nested-loop oracle's —
-// after every round.
+// cold executor's bag — which must itself equal the interpreter's — after
+// every round.
 
 // randIVMQuery renders a random maintainable query over tables t1, t2, t3.
 func randIVMQuery(rng *rand.Rand) string {
@@ -146,7 +147,7 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // and maintainable query, then rounds delta batches — round step large-sized
 // (randBulkDeltas) when bit step of large is set, a trickle (randDeltas)
 // otherwise. After every round the IVM's result must equal the cold
-// executor's, which must equal the nested-loop oracle's.
+// executor's, which must equal the interpreter's.
 //
 // It checks the IVM's tuple lifetimes too, under the Delta contract: the
 // delta tuples are kept by the caller too (the mirror holds them) and never
@@ -156,7 +157,6 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // tuple of the round's region.
 func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	t.Helper()
-	nested := &ra.Options{NestedLoop: true}
 	rng := rand.New(rand.NewSource(seed))
 	mirror := map[string][]relation.Tuple{}
 	for _, name := range []string{"t1", "t2", "t3"} {
@@ -178,7 +178,7 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	if err != nil {
 		t.Fatalf("seed %d: compile %q: %v", seed, src, err)
 	}
-	m, err := NewIVM(plan, cat, nil)
+	m, err := NewIVM(plan, cat)
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 	}
@@ -226,13 +226,9 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 		if err != nil {
 			t.Fatalf("seed %d step %d: cold %q: %v", seed, step, src, err)
 		}
-		oracle, err := RunOpts(q, fresh, nested)
-		if err != nil {
-			t.Fatalf("seed %d step %d: oracle %q: %v", seed, step, src, err)
-		}
-		if !cold.Equal(oracle) {
-			t.Fatalf("seed %d step %d: cold executor diverged from nested-loop oracle on %q\ncold:\n%s\noracle:\n%s",
-				seed, step, src, cold, oracle)
+		if want := interpret(t, q, fresh); !sameAnswer(q, cold, want) {
+			t.Fatalf("seed %d step %d: cold executor diverged from the interpreter on %q\ncold:\n%s\ninterpreter:\n%s",
+				seed, step, src, cold, want)
 		}
 		if !got.Equal(cold) {
 			t.Fatalf("seed %d step %d: IVM diverged from cold executor on %q\nivm:\n%s\ncold:\n%s",
@@ -259,7 +255,7 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 }
 
 // TestIVMMatchesColdAndOracle: sequential delta maintenance tracks the cold
-// executor and the nested-loop oracle across randomized delta sequences.
+// executor and the interpreter across randomized delta sequences.
 func TestIVMMatchesColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		runIVMSeed(t, seed, 8, 0)
@@ -269,7 +265,7 @@ func TestIVMMatchesColdAndOracle(t *testing.T) {
 // TestIVMLargeDeltasMatchColdAndOracle: trickle rounds and rounds that churn
 // a third to all of every table interleave at random; the per-tuple delta
 // rules, the only maintenance path, track the cold executor and the
-// nested-loop oracle through both.
+// interpreter through both.
 func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		large := rand.New(rand.NewSource(^seed)).Uint64()
@@ -279,7 +275,7 @@ func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
 
 // FuzzIVMDeltas: the fuzzer picks the catalog and query (through the seed)
 // and which of eight rounds carry a large delta; every round's maintained
-// result must equal the cold executor's and the nested-loop oracle's.
+// result must equal the cold executor's and the interpreter's.
 func FuzzIVMDeltas(f *testing.F) {
 	f.Add(int64(0), uint8(0))
 	f.Add(int64(1), uint8(0xff))
@@ -305,7 +301,7 @@ func TestIVMDivergentDeltaErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewIVM(plan, cat, nil)
+	m, err := NewIVM(plan, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +319,7 @@ func newListingOneIVM(t *testing.T, plan *Plan) *IVM {
 	for _, name := range []string{"requests", "history"} {
 		cat[name] = relation.New(requestSchema())
 	}
-	m, err := NewIVM(plan, cat, nil)
+	m, err := NewIVM(plan, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,6 +461,60 @@ func listingOneRounds(t *testing.T, plan *Plan, n int) []map[string]Delta {
 		qualified = res.Rows()
 	}
 	return rounds
+}
+
+// TestListingOneRoundsMatchInterpreter: Listing 1 round by round — the
+// closed-loop rounds of listingOneRounds, with commits, deadlock aborts and
+// history collection — maintained by a view cache and run cold by the
+// executor, every round's answer equal to the interpreter's on the tables as
+// they stand, in the same ORDER BY id sequence.
+func TestListingOneRoundsMatchInterpreter(t *testing.T) {
+	plan := listingOnePlan(t)
+	q, err := Parse(rules.ListingOneSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newListingOneIVM(t, plan)
+	tables := map[string][]relation.Tuple{}
+	qualified := 0
+	for i, d := range listingOneRounds(t, plan, 200) {
+		if err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		cat := Catalog{}
+		for _, name := range []string{"requests", "history"} {
+			rows := tables[name]
+			for _, del := range d[name].Del {
+				for j := range rows {
+					if rows[j].Equal(del) {
+						rows = append(rows[:j], rows[j+1:]...)
+						break
+					}
+				}
+			}
+			tables[name] = append(rows, d[name].Ins...)
+			cat[name] = relation.New(requestSchema())
+			cat[name].AppendTrusted(tables[name]...)
+		}
+		want := interpret(t, q, cat)
+		qualified += want.Len()
+		cold, err := Run(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := m.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for who, got := range map[string]*relation.Relation{"executor": cold, "view cache": warm} {
+			if !sameAnswer(q, got, want) {
+				t.Fatalf("round %d: the %s diverged from the interpreter\ngot:\n%s\ninterpreter:\n%s", i, who, got, want)
+			}
+		}
+	}
+	if qualified == 0 {
+		t.Fatal("no round qualified a request")
+	}
 }
 
 // TestIVMWarmRoundAllocatesOnlyWhatBecomesPresent: a warm round allocates a

@@ -6,25 +6,28 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
-// The executor's hash join / semi-join planning is property-tested end to
-// end against the nested-loop oracle (ra.Options.NestedLoop) over random
-// catalogs and random queries of the shapes the scheduling protocols use:
-// multi-table equi-joins via WHERE, filters, [NOT] EXISTS with correlated
-// keys, DISTINCT and EXCEPT/UNION. Catalogs change between queries — rows
+// The executor — CompilePlan's plan, rewrites included, run by the ra
+// operators — and the view cache over the same plan are property-tested
+// against Interpret (interp_test.go), which evaluates the parsed query by
+// SQL's own rules and never sees a plan: over random catalogs and random
+// queries of the shapes the scheduling protocols use (multi-table equi-joins
+// via WHERE, filters, [NOT] EXISTS with correlated keys and OR-of-AND
+// predicates over NULL-able columns, LEFT JOIN, DISTINCT, EXCEPT/UNION,
+// CTEs, FROM subqueries, ORDER BY). Catalogs change between queries — rows
 // appended and rows deleted, as the scheduler's stores change between
-// rounds.
+// rounds. So decorrelation, the EXISTS-to-semi-join lowering, the split of
+// NOT EXISTS over a disjunction into anti-joins, residual placement and the
+// rewrites of rewrite.go are all checked against a reference that shares
+// none of them.
 //
-// The nested-loop oracle shares the plan with the executor under test, so a
-// planner rewrite is invisible to it. Every rewrite is therefore also checked
-// against references that evaluate the query in Go under three-valued logic
-// and never see a plan:
+// The hand-written Go meanings of the generated shapes stay beside it, and
+// every case is checked against both, so each also cross-checks the
+// interpreter:
 //
-//   - NOT EXISTS over a disjunction split into a chain of anti-joins
-//     (TestNotExistsOrMatchesBruteForce);
+//   - NOT EXISTS over a disjunction (TestNotExistsOrMatchesBruteForce);
 //   - the rewrites of rewrite.go (TestPlanRewritesMatchBruteForce and
 //     FuzzPlanRewrites, each shape beside near misses that must not be
 //     rewritten): a comma join's cross-side WHERE conjuncts as the join's
@@ -33,6 +36,132 @@ import (
 //     non-negated IS NULL on a right key column as an anti-join; an identity
 //     projection as a rename; and one shared filter per predicate list and
 //     base table.
+
+// interpret runs the query through the interpreter, failing the test on an
+// error.
+func interpret(t testing.TB, q *Query, cat Catalog) *relation.Relation {
+	t.Helper()
+	out, err := Interpret(q, cat)
+	if err != nil {
+		t.Fatalf("interpret: %v", err)
+	}
+	return out
+}
+
+// sameAnswer reports whether got holds the bag of rows of want, the
+// interpreter's result, and, when the query orders its result, the same
+// sequence of ORDER BY columns (rows that tie may come in any order).
+func sameAnswer(q *Query, got, want *relation.Relation) bool {
+	if !got.Equal(want) {
+		return false
+	}
+	for _, o := range q.OrderBy {
+		pos, _ := want.Schema().Index(o.Expr.(*ColRef).Name)
+		for i := range want.Len() {
+			if !got.Row(i)[pos].Equal(want.Row(i)[pos]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// goldenRow builds a tuple from ints, strings and nil (NULL).
+func goldenRow(vals ...any) relation.Tuple {
+	t := make(relation.Tuple, len(vals))
+	for i, v := range vals {
+		switch x := v.(type) {
+		case int:
+			t[i] = relation.Int(int64(x))
+		case string:
+			t[i] = relation.String(x)
+		}
+	}
+	return t
+}
+
+// TestInterpreterGoldenCases: the interpreter's answers on hand-computed
+// cases of every rule it implements, three-valued logic first. Where the
+// executor accepts the query (planned), it must give the same rows; nested
+// and disjunctive EXISTS are the interpreter's alone.
+func TestInterpreterGoldenCases(t *testing.T) {
+	tt := relation.New(relation.NewSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+		relation.Column{Name: "s", Kind: relation.KindString},
+	))
+	for _, r := range [][]any{{1, 10, "x"}, {2, nil, "y"}, {3, 0, "x"}} {
+		tt.MustAppend(goldenRow(r...))
+	}
+	u := relation.New(relation.NewSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "c", Kind: relation.KindInt},
+	))
+	for _, r := range [][]any{{1, 5}, {1, 6}, {4, 7}} {
+		u.MustAppend(goldenRow(r...))
+	}
+	cat := Catalog{"t": tt, "u": u}
+	for _, c := range []struct {
+		sql     string
+		want    [][]any
+		planned bool // the executor accepts it too
+	}{
+		// NOT unknown is unknown: neither b > 5 nor its negation keeps b NULL.
+		{"SELECT a FROM t WHERE NOT (b > 5)", [][]any{{3}}, true},
+		{"SELECT a FROM t WHERE b > 5 OR a = 2", [][]any{{1}, {2}}, true},
+		{"SELECT a FROM t WHERE NOT (b > 5 AND a = 2)", [][]any{{1}, {3}}, true},
+		{"SELECT a FROM t WHERE b = b", [][]any{{1}, {3}}, true},
+		{"SELECT a FROM t WHERE b IS NULL", [][]any{{2}}, true},
+		{"SELECT a FROM t WHERE b IS NOT NULL", [][]any{{1}, {3}}, true},
+		// A miss on a list holding NULL is unknown, so NOT IN keeps nothing.
+		{"SELECT a FROM t WHERE b IN (10, NULL)", [][]any{{1}}, true},
+		{"SELECT a FROM t WHERE b NOT IN (10, NULL)", nil, true},
+		{"SELECT a FROM t WHERE a NOT IN (1, 2)", [][]any{{3}}, true},
+		{"SELECT a, b + 1, a / b, a % b, 7 / 0 FROM t", [][]any{
+			{1, 11, 0, 1, nil}, {2, nil, nil, nil, nil}, {3, 1, nil, nil, nil},
+		}, true},
+		{"SELECT 1 + 2, NULL", [][]any{{3, nil}}, true},
+		{"SELECT DISTINCT s FROM t", [][]any{{"x"}, {"y"}}, true},
+		{"(SELECT a FROM t) UNION (SELECT a FROM u)", [][]any{{1}, {2}, {3}, {4}}, true},
+		{"(SELECT a FROM t) UNION ALL (SELECT a FROM u)", [][]any{{1}, {2}, {3}, {1}, {1}, {4}}, true},
+		{"(SELECT a FROM t) EXCEPT (SELECT a FROM u)", [][]any{{2}, {3}}, true},
+		{"SELECT * FROM u WHERE c = 7", [][]any{{4, 7}}, true},
+		{"SELECT * FROM t x, u y WHERE x.a = y.a AND y.c = 5", [][]any{{1, 10, "x", 1, 5}}, true},
+		{"SELECT y.* FROM t x, u y WHERE x.a = y.a", [][]any{{1, 5}, {1, 6}}, true},
+		// NULL sorts first, so last when descending.
+		{"SELECT a, b FROM t ORDER BY b DESC", [][]any{{1, 10}, {3, 0}, {2, nil}}, true},
+		{"SELECT x.a, y.c FROM t x LEFT JOIN u y ON x.a = y.a", [][]any{{1, 5}, {1, 6}, {2, nil}, {3, nil}}, true},
+		{"SELECT x.a, y.c FROM t x JOIN u y ON x.a = y.a AND y.c > 5", [][]any{{1, 6}}, true},
+		{"SELECT x.a FROM t x WHERE NOT EXISTS (SELECT * FROM u y WHERE y.a = x.a AND y.c > x.b)", [][]any{{1}, {2}, {3}}, true},
+		// A CTE shadows the base table of its name and feeds the next one.
+		{"WITH u AS (SELECT a FROM t WHERE a >= 2), v AS (SELECT a FROM u WHERE a <= 2) SELECT * FROM v", [][]any{{2}}, true},
+		{"SELECT s.k FROM (SELECT a * 10 AS k FROM t WHERE b IS NOT NULL) s WHERE s.k > 10", [][]any{{30}}, true},
+		// The innermost EXISTS reads x two scopes out; x.b NULL is unknown.
+		{"SELECT x.a FROM t x WHERE EXISTS (SELECT * FROM u y WHERE y.a = 1 AND EXISTS (SELECT * FROM u z WHERE z.c > y.c AND z.c > x.b))", [][]any{{3}}, false},
+		{"SELECT a FROM t WHERE a = 2 OR EXISTS (SELECT * FROM u WHERE u.c >= 6 AND u.a = t.a)", [][]any{{1}, {2}}, false},
+	} {
+		query, err := Parse(c.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.sql, err)
+		}
+		got := interpret(t, query, cat)
+		want := relation.New(got.Schema())
+		for _, r := range c.want {
+			want.MustAppend(goldenRow(r...))
+		}
+		if !sameAnswer(query, got, want) {
+			t.Errorf("%q: the interpreter answered\n%s\nwant\n%s", c.sql, got, want)
+		}
+		if !c.planned {
+			continue
+		}
+		if ran, err := Run(query, cat); err != nil {
+			t.Errorf("%q: the executor refused it: %v", c.sql, err)
+		} else if !sameAnswer(query, ran, want) {
+			t.Errorf("%q: the executor answered\n%s\nwant\n%s", c.sql, ran, want)
+		}
+	}
+}
 
 // randTable builds the named table of ints over columns a, b, c with a small
 // value domain (joins and EXISTS correlations hit often).
@@ -74,46 +203,6 @@ func randRowFor(name string, rng *rand.Rand) relation.Tuple {
 		return randNullableRow(rng)
 	}
 	return randTableRow(rng)
-}
-
-var cmpOps = []string{"=", "<>", "<", "<=", ">", ">="}
-
-// tv is SQL's three-valued truth for the brute-force reference.
-type tv int8
-
-const (
-	tvFalse tv = iota
-	tvUnknown
-	tvTrue
-)
-
-func tvOf(b bool) tv {
-	if b {
-		return tvTrue
-	}
-	return tvFalse
-}
-
-// cmpTV is `a op b` under SQL semantics: UNKNOWN when either side is NULL.
-func cmpTV(a relation.Value, op string, b relation.Value) tv {
-	if a.IsNull() || b.IsNull() {
-		return tvUnknown
-	}
-	c := a.Compare(b)
-	switch op {
-	case "=":
-		return tvOf(c == 0)
-	case "<>":
-		return tvOf(c != 0)
-	case "<":
-		return tvOf(c < 0)
-	case "<=":
-		return tvOf(c <= 0)
-	case ">":
-		return tvOf(c > 0)
-	default:
-		return tvOf(c >= 0)
-	}
 }
 
 // corrAtom is one atomic predicate of a correlated subquery over outer alias
@@ -264,6 +353,10 @@ func randQuery(rng *rand.Rand) string {
 			// RLockedObjects), one of them NULL-able in t3.
 			fmt.Fprintf(&b, " AND ((z.c = x.c AND z.b = %d) OR (z.b = x.b AND z.c %s %d))",
 				rng.Intn(5), cmpOps[rng.Intn(len(cmpOps))], rng.Intn(8))
+		case 2:
+			// A negation over t3's NULL-able columns: NOT of UNKNOWN is
+			// UNKNOWN, so the row does not match.
+			fmt.Fprintf(&b, " AND NOT (z.b = %d OR z.c < x.c)", rng.Intn(5))
 		}
 		b.WriteString(")")
 	}
@@ -276,11 +369,9 @@ func randQuery(rng *rand.Rand) string {
 	return b.String()
 }
 
-// TestExecutorMatchesNestedLoopOracle: default (hash) execution agrees with
-// the nested-loop oracle on every random query, across catalog changes
-// between queries.
-func TestExecutorMatchesNestedLoopOracle(t *testing.T) {
-	nested := &ra.Options{NestedLoop: true}
+// TestExecutorMatchesInterpreter: the executor agrees with the interpreter
+// on every random query, across catalog changes between queries.
+func TestExecutorMatchesInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cat := Catalog{
@@ -298,12 +389,8 @@ func TestExecutorMatchesNestedLoopOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: run %q: %v", seed, step, src, err)
 			}
-			want, err := RunOpts(q, cat, nested)
-			if err != nil {
-				t.Fatalf("seed %d step %d: oracle %q: %v", seed, step, src, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("seed %d step %d: %q diverged from nested-loop oracle\nhash:\n%s\noracle:\n%s",
+			if want := interpret(t, q, cat); !sameAnswer(q, got, want) {
+				t.Fatalf("seed %d step %d: %q diverged from the interpreter\nexecutor:\n%s\ninterpreter:\n%s",
 					seed, step, src, got, want)
 			}
 			// Change the catalog between queries: append new rows, and
@@ -330,10 +417,9 @@ func TestExecutorMatchesNestedLoopOracle(t *testing.T) {
 // TestNotExistsOrMatchesBruteForce: NOT EXISTS over OR-of-AND predicates
 // returns exactly the outer rows for which no inner row makes the predicate
 // TRUE, as computed by two Go loops that share nothing with the planner —
-// cold, under the nested-loop option, and delta-maintained across random
-// inserts and deletes on both tables.
+// cold, by the interpreter, and delta-maintained across random inserts and
+// deletes on both tables.
 func TestNotExistsOrMatchesBruteForce(t *testing.T) {
-	nested := &ra.Options{NestedLoop: true}
 	split := false
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -360,7 +446,7 @@ func TestNotExistsOrMatchesBruteForce(t *testing.T) {
 			}
 		}
 		split = split || antis > 1
-		m, err := NewIVM(plan, Catalog{"t1": cat["t1"], "t3": cat["t3"]}, nil)
+		m, err := NewIVM(plan, Catalog{"t1": cat["t1"], "t3": cat["t3"]})
 		if err != nil {
 			t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 		}
@@ -379,13 +465,13 @@ func TestNotExistsOrMatchesBruteForce(t *testing.T) {
 				}
 			}
 			fresh := mirrorCatalog(mirror)
-			for name, opts := range map[string]*ra.Options{"hash": nil, "nested-loop": nested} {
-				got, err := RunOpts(q, fresh, opts)
-				if err != nil {
-					t.Fatalf("seed %d step %d: %s %q: %v", seed, step, name, src, err)
-				}
+			cold, err := Run(q, fresh)
+			if err != nil {
+				t.Fatalf("seed %d step %d: run %q: %v", seed, step, src, err)
+			}
+			for name, got := range map[string]*relation.Relation{"executor": cold, "interpreter": interpret(t, q, fresh)} {
 				if !got.Equal(want) {
-					t.Fatalf("seed %d step %d: %s executor diverged from the brute-force reference on %q\ngot:\n%s\nwant:\n%s\nplan:\n%s",
+					t.Fatalf("seed %d step %d: %s diverged from the brute-force reference on %q\ngot:\n%s\nwant:\n%s\nplan:\n%s",
 						seed, step, name, src, got, want, plan)
 				}
 			}
@@ -435,7 +521,7 @@ func TestNotExistsSplitIsBounded(t *testing.T) {
 	if antis < 2 || antis > maxAntiJoins {
 		t.Fatalf("%d anti-joins, want between 2 and %d\n%s", antis, maxAntiJoins, plan)
 	}
-	got, err := plan.Eval(cat, nil)
+	got, err := plan.Eval(cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -607,22 +607,20 @@ func joinSchema(l, r *relation.Schema) *relation.Schema {
 type planEval struct {
 	plan *Plan
 	cat  Catalog
-	opts *ra.Options
 	cte  []*relation.Relation
 	done []*relation.Relation // node id -> result, so a shared node runs once
 }
 
-// Eval runs the plan against a catalog (keys lower-cased) under the given
-// operator options. The catalog's relations must match the schemas the plan
-// was compiled against.
-func (p *Plan) Eval(cat Catalog, opts *ra.Options) (*relation.Relation, error) {
-	return p.eval(cat, opts, make([]*relation.Relation, len(p.nodes)))
+// Eval runs the plan against a catalog (keys lower-cased). The catalog's
+// relations must match the schemas the plan was compiled against.
+func (p *Plan) Eval(cat Catalog) (*relation.Relation, error) {
+	return p.eval(cat, make([]*relation.Relation, len(p.nodes)))
 }
 
 // eval runs the plan, leaving every evaluated node's result in done (the
 // IVM materialises its views from them).
-func (p *Plan) eval(cat Catalog, opts *ra.Options, done []*relation.Relation) (*relation.Relation, error) {
-	e := &planEval{plan: p, cat: cat, opts: opts, cte: make([]*relation.Relation, len(p.ctes)), done: done}
+func (p *Plan) eval(cat Catalog, done []*relation.Relation) (*relation.Relation, error) {
+	e := &planEval{plan: p, cat: cat, cte: make([]*relation.Relation, len(p.ctes)), done: done}
 	// CTEs evaluate eagerly in declaration order, as in SQL; a CTE may read
 	// any earlier slot.
 	for i, n := range p.ctes {
@@ -669,32 +667,32 @@ func (e *planEval) node(n *planNode) (rel *relation.Relation, err error) {
 			return nil, err
 		}
 	}
-	return applyOp(n, l, r, e.opts)
+	return applyOp(n, l, r)
 }
 
 // applyOp evaluates one non-leaf plan operator over already-evaluated child
 // relations (planEval.node's operator step; the IVM materializes its views
 // through the same evaluator and maintains them with the delta rules).
-func applyOp(n *planNode, l, r *relation.Relation, opts *ra.Options) (*relation.Relation, error) {
+func applyOp(n *planNode, l, r *relation.Relation) (*relation.Relation, error) {
 	switch n.op {
 	case opRename:
 		return ra.Rename(l, n.names)
 	case opSelect:
 		for _, p := range n.preds {
-			l = opts.Select(l, p)
+			l = ra.Select(l, p)
 		}
 		return l, nil
 	case opProject:
-		return opts.Project(l, n.items)
+		return ra.Project(l, n.items)
 	case opJoin:
-		return opts.HashJoin(l, r, n.keys, n.pred), nil
+		return ra.HashJoin(l, r, n.keys, n.pred), nil
 	case opLeftJoin:
-		return opts.LeftJoin(l, r, n.keys, n.pred), nil
+		return ra.LeftJoin(l, r, n.keys, n.pred), nil
 	case opSemi:
 		if n.anti {
-			return opts.AntiJoin(l, r, n.keys, n.pred), nil
+			return ra.AntiJoin(l, r, n.keys, n.pred), nil
 		}
-		return opts.SemiJoin(l, r, n.keys, n.pred), nil
+		return ra.SemiJoin(l, r, n.keys, n.pred), nil
 	case opUnionAll:
 		return ra.UnionAll(l, r)
 	case opExcept:

@@ -6,15 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
-// The plan rewrites (rewrite.go) are invisible to the nested-loop oracle,
-// which runs the rewritten plan, so they are checked against Go loops that
-// never see a plan: random queries of each rewritten shape, and near misses
-// that must keep their literal lowering, over the tables t1, t2 (ints) and
-// t3 (NULLs in b and c).
+// The plan rewrites (rewrite.go) are checked against Go loops that never see
+// a plan, and against the interpreter, which never sees one either: random
+// queries of each rewritten shape, and near misses that must keep their
+// literal lowering, over the tables t1, t2 (ints) and t3 (NULLs in b and c).
 
 // rewriteCase is one generated query with its meaning in Go.
 type rewriteCase struct {
@@ -370,8 +368,8 @@ func rwSharedFilter(rng *rand.Rand) rewriteCase {
 
 // runRewriteSeed draws tables and one rewrite case, checks that the plan
 // shows the rewrite exactly when its preconditions hold, and compares the
-// cold executor, the nested-loop executor and the IVM — across random
-// trickle and bulk deltas — with the case's Go reference.
+// cold executor, the interpreter and the IVM — across random trickle and
+// bulk deltas — with the case's Go reference.
 func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -398,7 +396,7 @@ func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 	if got := c.applied(plan); got != c.rewritten {
 		t.Fatalf("seed %d: %s rewrite applied = %v, want %v, on %q:\n%s", seed, c.shape, got, c.rewritten, c.src, plan)
 	}
-	m, err := NewIVM(plan, cat, nil)
+	m, err := NewIVM(plan, cat)
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, c.src, err)
 	}
@@ -413,15 +411,13 @@ func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 	}
 	for step := 0; step < 4; step++ {
 		fresh := mirrorCatalog(mirror)
-		for who, opts := range map[string]*ra.Options{"hash": nil, "nested-loop": {NestedLoop: true}} {
-			got, err := RunOpts(q, fresh, opts)
-			if err != nil {
-				t.Fatalf("seed %d step %d: %s %q: %v", seed, step, who, c.src, err)
-			}
-			check(step, who, got)
-		}
-		got, err := m.Result()
+		got, err := Run(q, fresh)
 		if err != nil {
+			t.Fatalf("seed %d step %d: run %q: %v", seed, step, c.src, err)
+		}
+		check(step, "executor", got)
+		check(step, "interpreter", interpret(t, q, fresh))
+		if got, err = m.Result(); err != nil {
 			t.Fatalf("seed %d step %d: ivm result %q: %v", seed, step, c.src, err)
 		}
 		check(step, "IVM", got)
@@ -437,8 +433,8 @@ func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 }
 
 // TestPlanRewritesMatchBruteForce: every rewrite fires on its shape and on
-// no near miss, and either way the answer is the Go reference's — cold,
-// under the nested-loop option, and view-maintained.
+// no near miss, and either way the answer is the Go reference's — cold, by
+// the interpreter, and view-maintained.
 func TestPlanRewritesMatchBruteForce(t *testing.T) {
 	seen := map[string][2]int{} // shape -> [near misses, rewritten]
 	for seed := int64(0); seed < 500; seed++ {

@@ -278,4 +278,7 @@ func TestPartitionedServerConcurrentClients(t *testing.T) {
 	if err := protocol.CheckSerializable(pe.MergedLog()); err != nil {
 		t.Error(err)
 	}
+	if err := protocol.CheckTerminationOrder(pe.MergedLog()); err != nil {
+		t.Error(err)
+	}
 }

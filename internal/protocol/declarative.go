@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/minisql"
-	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/request"
 	"repro/internal/rules"
@@ -19,11 +18,11 @@ import (
 type SQLProtocol struct {
 	name string
 
-	// The plan, compiled once against the request schema (shared by every
-	// evaluation path), and the materialized-view cache over it. Every round
-	// after the one that builds the cache patches the views with the round's
-	// deltas through the relational delta rules (minisql.IVM) instead of
-	// re-running the query.
+	// The plan, compiled once against the request schema, and the
+	// materialized-view cache over it. A direct Qualify evaluates the plan
+	// whole (Plan.Eval, the hash operators); every round after the one that
+	// builds the cache patches the views with the round's deltas through the
+	// relational delta rules (minisql.IVM) instead of re-running the query.
 	plan *minisql.Plan
 	ivm  *minisql.IVM
 
@@ -37,11 +36,6 @@ type SQLProtocol struct {
 	// every round with the requests' own rows (five-column prefixes), which
 	// the view cache's base bags keep as they are.
 	deltas map[string]minisql.Delta
-
-	// Operator options: the nested-loop oracle switch (benchmarks and
-	// property tests compare the hash path against it). It applies to full
-	// evaluations, the cache build included.
-	opts *ra.Options
 
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
@@ -89,17 +83,6 @@ func (p *SQLProtocol) Name() string { return p.name }
 
 // ObjectDecomposable implements the marker (see protocol.ObjectDecomposable).
 func (p *SQLProtocol) ObjectDecomposable() bool { return p.decomposable }
-
-// SetNestedLoop forces (or clears) the executor's nested-loop join oracle —
-// the unindexed O(n·m) baseline the hash operators are benchmarked and
-// property-tested against.
-func (p *SQLProtocol) SetNestedLoop(on bool) {
-	if !on {
-		p.opts = nil
-		return
-	}
-	p.opts = &ra.Options{NestedLoop: true}
-}
 
 // LastStrategy implements StrategyReporter.
 func (p *SQLProtocol) LastStrategy() string { return p.lastStrategy }
@@ -159,7 +142,7 @@ func (p *SQLProtocol) roundDeltas(d Deltas) map[string]minisql.Delta {
 // the round from it.
 func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, error) {
 	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
-	m, err := minisql.NewIVM(p.plan, cat, p.opts)
+	m, err := minisql.NewIVM(p.plan, cat)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
@@ -180,7 +163,7 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 // run evaluates the query over relations built from the slices.
 func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request, error) {
 	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
-	out, err := p.plan.Eval(cat, p.opts)
+	out, err := p.plan.Eval(cat)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}

@@ -194,15 +194,15 @@ func TestSQLStrategyIsAFunctionOfTheDeltas(t *testing.T) {
 	}
 }
 
-// TestSQLQualifyIncrementalParallelAndNested: the nested-loop oracle
-// executor tracks the cold hash path round for round, and a direct Qualify
-// reports sql-cold. (The name predates the removal of the operator worker
-// pool, whose arm this test also ran.)
-func TestSQLQualifyIncrementalParallelAndNested(t *testing.T) {
-	nested := SS2PLSQL()
-	nested.SetNestedLoop(true)
-	driveIncremental(t, nested, func() Protocol { return SS2PLSQL() }, 12)
-	if got := nested.LastStrategy(); got != "sql-ivm" {
+// TestSQLLastStrategyNamesWarmAndColdRuns: after warm rounds that track a
+// cold twin round for round the protocol reports sql-ivm, a fresh one
+// reports nothing, and a direct Qualify reports sql-cold. (Listing 1 round by
+// round against the SQL interpreter, which never sees the plan, is
+// minisql's TestListingOneRoundsMatchInterpreter.)
+func TestSQLLastStrategyNamesWarmAndColdRuns(t *testing.T) {
+	warm := SS2PLSQL()
+	driveIncremental(t, warm, func() Protocol { return SS2PLSQL() }, 12)
+	if got := warm.LastStrategy(); got != "sql-ivm" {
 		t.Fatalf("after warm rounds LastStrategy = %q, want sql-ivm", got)
 	}
 

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/request"
@@ -366,10 +368,60 @@ func TestConflictGraphCycleDetection(t *testing.T) {
 	if err := CheckSerializable(executed); err == nil {
 		t.Fatal("cycle not detected")
 	}
+	if err := CheckTerminationOrder(executed); err != nil {
+		t.Fatal(err)
+	}
 	// The same interleaving with ta2 aborted is fine.
 	executed[5].Op = request.Abort
 	if err := CheckSerializable(executed); err != nil {
 		t.Fatalf("aborted transaction should not contribute edges: %v", err)
+	}
+	if err := CheckTerminationOrder(executed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckTerminationOrder: a request of a transaction after its commit or
+// abort is flagged, the first one in the log; interleavings across
+// transactions pass.
+func TestCheckTerminationOrder(t *testing.T) {
+	r := func(id, ta int64, op request.Op) request.Request {
+		obj := int64(7)
+		if op.IsTermination() {
+			obj = request.NoObject
+		}
+		return request.Request{ID: id, TA: ta, IntraTA: id, Op: op, Object: obj}
+	}
+	for _, c := range []struct {
+		name    string
+		log     []request.Request
+		flagged int64 // ID of the request to name, 0 for none
+	}{
+		{"interleaved", []request.Request{
+			r(1, 1, request.Write), r(2, 2, request.Read), r(3, 2, request.Write),
+			r(4, 1, request.Commit), r(5, 2, request.Abort), r(6, 3, request.Write), r(7, 3, request.Commit),
+		}, 0},
+		{"write after commit", []request.Request{
+			r(1, 1, request.Write), r(2, 2, request.Write), r(3, 1, request.Commit),
+			r(4, 2, request.Commit), r(5, 1, request.Write), r(6, 2, request.Write),
+		}, 5},
+		{"write after abort", []request.Request{
+			r(1, 1, request.Write), r(2, 1, request.Abort), r(3, 2, request.Read), r(4, 1, request.Write),
+		}, 4},
+		{"termination after abort", []request.Request{
+			r(1, 1, request.Abort), r(2, 1, request.Commit),
+		}, 2},
+	} {
+		err := CheckTerminationOrder(c.log)
+		if c.flagged == 0 {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if want := fmt.Sprint(c.log[c.flagged-1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, want)
+		}
 	}
 }
 
@@ -385,6 +437,9 @@ func TestSerialScheduleIsSerializable(t *testing.T) {
 		id++
 	}
 	if err := CheckSerializable(executed); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTerminationOrder(executed); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -466,6 +521,9 @@ func TestSS2PLDrainProducesSerializableSchedule(t *testing.T) {
 			}
 		}
 		if err := CheckSerializable(executed); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := CheckTerminationOrder(executed); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -102,6 +102,22 @@ func CheckSerializable(executed []request.Request) error {
 	return nil
 }
 
+// CheckTerminationOrder reports the first executed request that follows its
+// own transaction's commit or abort (a second termination included), which
+// CheckSerializable, reading only which transactions committed, cannot see.
+func CheckTerminationOrder(executed []request.Request) error {
+	ended := make(map[int64]request.Request)
+	for _, r := range executed {
+		if end, ok := ended[r.TA]; ok {
+			return fmt.Errorf("protocol: %v executed after its transaction's %v", r, end)
+		}
+		if r.Op.IsTermination() {
+			ended[r.TA] = r
+		}
+	}
+	return nil
+}
+
 // CheckQualifiedConflictFree verifies the per-round invariant of a strict
 // protocol: a qualified batch never contains two conflicting requests, and
 // no qualified request conflicts with a lock held by a live foreign

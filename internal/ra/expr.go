@@ -3,11 +3,11 @@
 // joins (cross, hash equi-join, left outer, semi, anti), set operations
 // (union all, except, distinct) and ordering.
 //
-// Both declarative front-ends share this executor: the mini-SQL planner
-// compiles paper Listing 1 onto it, and the Datalog engine uses its join
-// kernels for rule bodies. This mirrors the paper's claim that "optimization
-// techniques from declarative query processing can be used to improve
-// scheduler performance without affecting the scheduler specification".
+// The mini-SQL planner compiles paper Listing 1 onto it (the Datalog engine
+// joins through its own indexed rule steps). This mirrors the paper's claim
+// that "optimization techniques from declarative query processing can be
+// used to improve scheduler performance without affecting the scheduler
+// specification".
 //
 // Every operator runs on the calling goroutine and only reads its input
 // relations: a join builds its hash table (a relation.Chain over the build
@@ -274,23 +274,27 @@ type InList struct {
 	Negate bool
 }
 
-// Eval evaluates the membership test with SQL NULL semantics.
+// Eval evaluates the membership test with SQL NULL semantics: a NULL
+// operand is Unknown, and so is a miss on a list holding NULL (v IN (1, NULL)
+// is v = 1 OR v = NULL).
 func (in InList) Eval(t relation.Tuple) relation.Value {
 	v := in.E.Eval(t)
 	if v.IsNull() {
 		return relation.Null()
 	}
-	found := false
+	tv := False
 	for _, w := range in.Values {
-		if v.Equal(w) {
-			found = true
+		if w.IsNull() {
+			tv = Unknown
+		} else if v.Equal(w) {
+			tv = True
 			break
 		}
 	}
 	if in.Negate {
-		found = !found
+		tv = tv.Not()
 	}
-	return tvValue(b2tv(found))
+	return tvValue(tv)
 }
 
 func (in InList) String() string {

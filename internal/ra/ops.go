@@ -10,12 +10,6 @@ import (
 // Select returns the tuples of r for which pred evaluates to True (Unknown
 // and False are both rejected, per SQL WHERE semantics).
 func Select(r *relation.Relation, pred Expr) *relation.Relation {
-	return (*Options)(nil).Select(r, pred)
-}
-
-// Select is the filter operator under these options (see the package-level
-// function for semantics).
-func (o *Options) Select(r *relation.Relation, pred Expr) *relation.Relation {
 	out := relation.New(r.Schema())
 	for _, t := range r.Rows() {
 		if Truth(pred.Eval(t)) == True {
@@ -35,11 +29,6 @@ type NamedExpr struct {
 // Project evaluates the expressions against every tuple, producing a new
 // relation with the given output schema.
 func Project(r *relation.Relation, items []NamedExpr) (*relation.Relation, error) {
-	return (*Options)(nil).Project(r, items)
-}
-
-// Project is the projection operator under these options.
-func (o *Options) Project(r *relation.Relation, items []NamedExpr) (*relation.Relation, error) {
 	cols := make([]relation.Column, len(items))
 	for i, it := range items {
 		cols[i] = relation.Column{Name: it.Name, Kind: it.Kind}
@@ -112,18 +101,6 @@ func keyHash(t relation.Tuple, pos []int) (uint64, bool) {
 	return t.HashCols(pos), true
 }
 
-// keyHasNull reports whether any key column of t is NULL (such a row can
-// never equi-join; the nested-loop scan must agree with the hash probe,
-// whose Value.Equal would otherwise match NULL against NULL).
-func keyHasNull(t relation.Tuple, pos []int) bool {
-	for _, p := range pos {
-		if t[p].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
 // keysEqual verifies, after a hash-bucket hit, that the key columns of a and
 // b really match (a bucket holds every key sharing the hash's low bits).
 func keysEqual(a relation.Tuple, apos []int, b relation.Tuple, bpos []int) bool {
@@ -138,9 +115,9 @@ func keysEqual(a relation.Tuple, apos []int, b relation.Tuple, bpos []int) bool 
 // buildChain is the build side of one join, built per call: it files the
 // positions of r's rows by the hash of their key columns pos, and files a
 // row with a NULL key nowhere (it can never match). It returns nil when the
-// join scans instead — under NestedLoop, or without keys.
-func (o *Options) buildChain(r *relation.Relation, pos []int) *relation.Chain {
-	if len(pos) == 0 || o.nested() {
+// join has no keys.
+func buildChain(r *relation.Relation, pos []int) *relation.Chain {
+	if len(pos) == 0 {
 		return nil
 	}
 	c := relation.NewChain()
@@ -157,50 +134,37 @@ func (o *Options) buildChain(r *relation.Relation, pos []int) *relation.Chain {
 
 // eachMatch calls fn with every build row whose key columns bpos equal the
 // probe row pt's ppos, in the build side's chain order, until fn returns
-// false. Without a chain (buildChain returned nil) it scans every build row:
-// the nested-loop oracle.
+// false. Without a chain (a join without keys) every build row matches.
 func eachMatch(pt relation.Tuple, ppos []int, build []relation.Tuple, bpos []int, ix *relation.Chain, fn func(bt relation.Tuple) bool) {
-	if ix != nil {
-		h, ok := keyHash(pt, ppos)
-		if !ok {
-			return
-		}
-		for p := ix.First(h); p >= 0; p = ix.Next(p) {
-			if bt := build[p]; keysEqual(pt, ppos, bt, bpos) && !fn(bt) {
+	if ix == nil {
+		for _, bt := range build {
+			if !fn(bt) {
 				return
 			}
 		}
 		return
 	}
-	if keyHasNull(pt, ppos) {
+	h, ok := keyHash(pt, ppos)
+	if !ok {
 		return
 	}
-	for _, bt := range build {
-		if keyHasNull(bt, bpos) || !keysEqual(pt, ppos, bt, bpos) {
-			continue
-		}
-		if !fn(bt) {
+	for p := ix.First(h); p >= 0; p = ix.Next(p) {
+		if bt := build[p]; keysEqual(pt, ppos, bt, bpos) && !fn(bt) {
 			return
 		}
 	}
 }
 
 // HashJoin performs an inner equi-join on the given keys, then applies the
-// optional residual predicate over the concatenated tuple.
-func HashJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return (*Options)(nil).HashJoin(l, r, keys, residual)
-}
-
-// HashJoin is the inner equi-join under these options. It builds a hash
+// optional residual predicate over the concatenated tuple. It builds a hash
 // table (buildChain) over the smaller side — a deterministic choice for given
 // inputs — and probes it with every row of the other, so the output follows
-// the probe side's order. With NestedLoop set, every left row scans the full
-// right relation instead.
-func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
+// the probe side's order.
+func HashJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
 	if len(keys) == 0 {
 		j := CrossJoin(l, r)
 		if residual != nil {
-			return o.Select(j, residual)
+			return Select(j, residual)
 		}
 		return j
 	}
@@ -209,12 +173,12 @@ func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 	build, probe := r, l
 	bpos, ppos := rpos, lpos
 	buildIsRight := true
-	if !o.nested() && l.Len() < r.Len() {
+	if l.Len() < r.Len() {
 		build, probe = l, r
 		bpos, ppos = lpos, rpos
 		buildIsRight = false
 	}
-	ix := o.buildChain(build, bpos)
+	ix := buildChain(build, bpos)
 	for _, pt := range probe.Rows() {
 		eachMatch(pt, ppos, build.Rows(), bpos, ix, func(bt relation.Tuple) bool {
 			nt := make(relation.Tuple, 0, len(pt)+len(bt))
@@ -234,18 +198,13 @@ func (o *Options) HashJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 
 // LeftJoin performs a left outer equi-join: unmatched left tuples are padded
 // with NULLs on the right. The residual predicate participates in matching
-// (ON-clause semantics).
+// (ON-clause semantics). The build side is always the right relation
+// (padding is per left row).
 func LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return (*Options)(nil).LeftJoin(l, r, keys, residual)
-}
-
-// LeftJoin is the left outer equi-join under these options. The build side
-// is always the right relation (padding is per left row).
-func (o *Options) LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
 	out := relation.New(concatSchemas(l.Schema(), r.Schema(), "r"))
 	lpos, rpos := splitKeys(keys)
-	ix := o.buildChain(r, rpos)
-	nulls := nullPad(r.Schema().Len())
+	ix := buildChain(r, rpos)
+	nulls := make(relation.Tuple, r.Schema().Len()) // the zero Value is NULL
 	for _, lt := range l.Rows() {
 		matched := false
 		eachMatch(lt, lpos, r.Rows(), rpos, ix, func(rt relation.Tuple) bool {
@@ -266,28 +225,18 @@ func (o *Options) LeftJoin(l, r *relation.Relation, keys []EquiKey, residual Exp
 // SemiJoin returns the left tuples that have at least one match in r
 // (EXISTS). The match predicate sees the concatenated tuple.
 func SemiJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return (*Options)(nil).SemiJoin(l, r, keys, residual)
-}
-
-// SemiJoin is the hash semi-join under these options.
-func (o *Options) SemiJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return o.semiAnti(l, r, keys, residual, true)
+	return semiAnti(l, r, keys, residual, true)
 }
 
 // AntiJoin returns the left tuples with no match in r (NOT EXISTS).
 func AntiJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return (*Options)(nil).AntiJoin(l, r, keys, residual)
+	return semiAnti(l, r, keys, residual, false)
 }
 
-// AntiJoin is the hash anti-join under these options.
-func (o *Options) AntiJoin(l, r *relation.Relation, keys []EquiKey, residual Expr) *relation.Relation {
-	return o.semiAnti(l, r, keys, residual, false)
-}
-
-func (o *Options) semiAnti(l, r *relation.Relation, keys []EquiKey, residual Expr, want bool) *relation.Relation {
+func semiAnti(l, r *relation.Relation, keys []EquiKey, residual Expr, want bool) *relation.Relation {
 	out := relation.New(l.Schema())
 	lpos, rpos := splitKeys(keys)
-	ix := o.buildChain(r, rpos)
+	ix := buildChain(r, rpos)
 	var buf relation.Tuple
 	for _, lt := range l.Rows() {
 		matched := false

@@ -245,7 +245,7 @@ func (b *Bag) Relation() *Relation {
 // the current tuples on first use. The index stays valid across Add/Remove —
 // maintenance is O(1) per mutation — which is the point: delta-rule probes
 // never pay a rebuild. Tuples with a NULL in any indexed column are filed
-// nowhere (equi-join semantics: NULL never matches, ra.keyHasNull).
+// nowhere (equi-join semantics: NULL never matches, as in ra.keyHash).
 func (b *Bag) Index(cols []int) *BagIndex { return b.index(cols, false) }
 
 // IndexNullable is Index with NULL treated as an ordinary key value (hashed

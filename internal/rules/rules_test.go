@@ -99,14 +99,14 @@ func TestListingOneSQLCompiles(t *testing.T) {
 		relation.Int(1), relation.Int(1), relation.Int(0),
 		relation.String("r"), relation.Int(7),
 	})
-	out, err := plan.Eval(cat, nil)
+	out, err := plan.Eval(cat)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
 	if out.Len() != 1 || out.Schema().Len() != reqSchema.Len() {
 		t.Fatalf("Listing 1 over one unblocked request: %s", out)
 	}
-	if _, err := minisql.NewIVM(plan, cat, nil); err != nil {
+	if _, err := minisql.NewIVM(plan, cat); err != nil {
 		t.Fatalf("Listing 1 is not view-maintainable: %v", err)
 	}
 }

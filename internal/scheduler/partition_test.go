@@ -186,6 +186,9 @@ func TestPartitionedMatchesSingleLoop(t *testing.T) {
 				if err := protocol.CheckSerializable(mergedLog); err != nil {
 					t.Fatal(err)
 				}
+				if err := protocol.CheckTerminationOrder(mergedLog); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
@@ -460,6 +463,9 @@ func TestPartitionedMiddlewareConcurrentSubmit(t *testing.T) {
 	if err := protocol.CheckSerializable(pe.MergedLog()); err != nil {
 		t.Fatal(err)
 	}
+	if err := protocol.CheckTerminationOrder(pe.MergedLog()); err != nil {
+		t.Fatal(err)
+	}
 	if got := m.Collector().PartitionSummaries(); len(got) == 0 {
 		t.Fatal("no per-partition round stats recorded")
 	}
@@ -500,6 +506,9 @@ func TestPartitionedMiddlewareSynchronous(t *testing.T) {
 		t.Fatal("nothing committed")
 	}
 	if err := protocol.CheckSerializable(pe.MergedLog()); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.CheckTerminationOrder(pe.MergedLog()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -198,6 +198,9 @@ func testPipelinedMatchesSynchronous(t *testing.T, mkProto func() protocol.Proto
 	if err := protocol.CheckSerializable(pipeEng.History().Log()); err != nil {
 		t.Fatal(err)
 	}
+	if err := protocol.CheckTerminationOrder(pipeEng.History().Log()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStarvationBoundAbortsOldestBlocked reproduces the ROADMAP-recorded
@@ -422,6 +425,9 @@ func TestMiddlewarePipelinedSlowServer(t *testing.T) {
 	if err := protocol.CheckSerializable(e.History().Log()); err != nil {
 		t.Fatal(err)
 	}
+	if err := protocol.CheckTerminationOrder(e.History().Log()); err != nil {
+		t.Fatal(err)
+	}
 	if m.Collector().Exec.Count() == 0 {
 		t.Fatal("no overlapped execution legs recorded")
 	}
@@ -461,6 +467,9 @@ func TestMiddlewareNoRetryContentionDrains(t *testing.T) {
 		t.Fatalf("answered %d of %d transactions", got, 12*6)
 	}
 	if err := protocol.CheckSerializable(e.History().Log()); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.CheckTerminationOrder(e.History().Log()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -46,4 +46,7 @@ func TestRebalanceBouncedSlotKeepsLocks(t *testing.T) {
 	if err := protocol.CheckSerializable(pe.MergedLog()); err != nil {
 		t.Fatalf("merged schedule under bouncing rebalancer: %v", err)
 	}
+	if err := protocol.CheckTerminationOrder(pe.MergedLog()); err != nil {
+		t.Fatalf("merged schedule under bouncing rebalancer: %v", err)
+	}
 }

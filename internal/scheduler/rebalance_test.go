@@ -218,6 +218,9 @@ func TestRebalancingMatchesSingleLoop(t *testing.T) {
 					if err := protocol.CheckSerializable(mergedLog); err != nil {
 						t.Fatal(err)
 					}
+					if err := protocol.CheckTerminationOrder(mergedLog); err != nil {
+						t.Fatal(err)
+					}
 				})
 			}
 		}
@@ -410,6 +413,9 @@ func TestRebalancerMiddlewareConcurrent(t *testing.T) {
 		t.Fatal("nothing committed")
 	}
 	if err := protocol.CheckSerializable(pe.MergedLog()); err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.CheckTerminationOrder(pe.MergedLog()); err != nil {
 		t.Fatal(err)
 	}
 	if pe.Directory().Version() == 0 {

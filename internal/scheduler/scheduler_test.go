@@ -289,6 +289,10 @@ func TestEngineWoundWaitClosedLoopSerializable(t *testing.T) {
 	if err := protocol.CheckSerializable(e.History().Log()); err != nil {
 		t.Fatal(err)
 	}
+	// No protocol.CheckTerminationOrder here yet: a client's next request
+	// that is still in the admission queue when its transaction is wounded
+	// executes after the abort (ROADMAP defect 5, its wound route), so the
+	// check fails in most runs until the front end refuses it.
 }
 
 // TestEnginePassThroughForwardsEverything: the paper's non-scheduling
@@ -383,6 +387,9 @@ func TestMiddlewareClosedLoopSerializable(t *testing.T) {
 	if err := protocol.CheckSerializable(m.engine.History().Log()); err != nil {
 		t.Fatal(err)
 	}
+	if err := protocol.CheckTerminationOrder(m.engine.History().Log()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMiddlewareTriggers(t *testing.T) {
@@ -396,6 +403,9 @@ func TestMiddlewareTriggers(t *testing.T) {
 			t.Errorf("%s: nothing committed", trig.Name())
 		}
 		if err := protocol.CheckSerializable(m.engine.History().Log()); err != nil {
+			t.Errorf("%s: %v", trig.Name(), err)
+		}
+		if err := protocol.CheckTerminationOrder(m.engine.History().Log()); err != nil {
 			t.Errorf("%s: %v", trig.Name(), err)
 		}
 		stmts, _, _ := srv.Stats()

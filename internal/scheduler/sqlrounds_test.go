@@ -11,15 +11,13 @@ import (
 	"repro/internal/storage"
 )
 
-// TestConcurrentSubmitDuringParallelRounds hammers Middleware.Submit from
-// many client goroutines while the SQL protocol's rounds run, so the race
+// TestConcurrentSubmitDuringSQLRounds hammers Middleware.Submit from many
+// client goroutines while the SQL protocol's rounds run, so the race
 // detector sees the middleware's concurrency surface: client workers feeding
 // the admission queue, the scheduler loop firing rounds and the executor
 // answering clients. Every transaction must either fully execute or be
 // aborted as a deadlock victim — nothing may hang or be silently dropped.
-// (The name predates the removal of the SQL operators' worker pool, which
-// this test also drove.)
-func TestConcurrentSubmitDuringParallelRounds(t *testing.T) {
+func TestConcurrentSubmitDuringSQLRounds(t *testing.T) {
 	engine, err := NewEngine(Config{
 		Protocol: protocol.SS2PLSQL(),
 		Server:   storage.NewServer(storage.Config{Rows: 64}),

@@ -120,6 +120,9 @@ func TestMultiUserMatchesSingleUserReplay(t *testing.T) {
 	if err := protocol.CheckSerializable(committedLog); err != nil {
 		t.Fatal(err)
 	}
+	if err := protocol.CheckTerminationOrder(committedLog); err != nil {
+		t.Fatal(err)
+	}
 	_, commits, aborts := mu.Stats()
 	if commits != int64(clients*txnsPerCli) {
 		t.Errorf("commits: %d", commits)
