@@ -31,10 +31,14 @@ var ErrBusy = errors.New("scheduler: busy, retry later")
 // admitted transactions run to termination, new ones must go elsewhere.
 var ErrShuttingDown = errors.New("scheduler: shutting down")
 
-// ErrTxnFinished answers a resubmitted non-termination request of a
-// transaction that already committed — the original result is gone, but the
-// request certainly executed (a client only reaches commit after every
-// earlier request was acknowledged).
+// ErrTxnFinished answers a non-termination request submitted after its
+// transaction's commit was answered, when the resubmit cache still holds that
+// outcome (a request of an aborted transaction gets the abort). It is the
+// only refusal of a finished transaction's requests, and it holds less than
+// a client may assume (ROADMAP defect 5): only inside ResubmitWindow, which
+// is 0 for embedded use; not for a request pipelined ahead of its own
+// transaction's termination; and not under wound-wait for a request already
+// queued when its transaction is wounded, which can still execute.
 var ErrTxnFinished = errors.New("scheduler: transaction already terminated")
 
 // ErrDuplicateKey answers a submission whose (TA, IntraTA) key is already
@@ -491,7 +495,11 @@ var replies = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Submit sends one request and blocks until it executed (or its transaction
 // aborted, or admission rejected it). Safe for concurrent use by many client
-// workers.
+// workers. A request of a transaction that already terminated is refused
+// only when the resubmit cache holds the termination's outcome (within
+// ResubmitWindow, 0 by default); a request pipelined ahead of its own
+// transaction's termination, or queued when wound-wait wounds its
+// transaction, is admitted and can execute (ROADMAP defect 5).
 func (m *Middleware) Submit(r request.Request) Result {
 	if err := m.admission(r); err != nil {
 		return Result{Err: err}

@@ -58,8 +58,8 @@ import (
 // order — and across rounds the round stamp orders them, even when a slot
 // migration moved the object between shards mid-run. Replica copies of
 // cross-partition terminations and migrated rows are excluded by the shards
-// (store.History.AppendReplica/AppendMigrated), so each request appears
-// exactly once. A one-shard engine's log is already that order.
+// (store.History.AppendLiveOnly), so each request appears exactly once. A
+// one-shard engine's log is already that order.
 func (e *Engine) MergedLog() []request.Request {
 	if len(e.shards) == 1 {
 		return e.shards[0].hist.Log()

@@ -315,7 +315,7 @@ func (e *Engine) migrateFrom(s int, movedSlots map[int]bool) {
 	for _, r := range src.hist.ExtractMatching(match) {
 		d := e.part.ForObject(r.Object)
 		e.affinity.Touch(r.TA, d)
-		e.shards[d].hist.AppendMigrated(r)
+		e.shards[d].hist.AppendLiveOnly(r)
 	}
 }
 

@@ -80,7 +80,7 @@ func (q *shardQueue) drain() []shardOp {
 
 // execStep is one unit of deferred server work: optional write compensations
 // (an abort's rollback) followed by one scheduled request. Victim abort
-// records carry waiter == false — no client is waiting on them.
+// steps carry victim == true — no client is waiting on them.
 type execStep struct {
 	req    request.Request
 	undo   []int64 // objects whose executed writes are compensated first
@@ -214,7 +214,7 @@ func (sh *shard) commitPlan() {
 		if ab.execServer {
 			sh.hist.Append(ab.rec)
 		} else {
-			sh.hist.AppendReplica(ab.rec)
+			sh.hist.AppendLiveOnly(ab.rec)
 		}
 		// Drop the victim's pending requests; its client is notified via
 		// the Victims list.
@@ -250,7 +250,7 @@ func (sh *shard) commitPlan() {
 				step.noServer = true
 				sh.plan.steps = append(sh.plan.steps, step)
 			}
-			sh.hist.AppendReplica(r)
+			sh.hist.AppendLiveOnly(r)
 			continue
 		}
 		if durable && r.Op == request.Commit {

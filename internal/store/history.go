@@ -14,22 +14,16 @@ import (
 )
 
 // History holds the live history, indexed per transaction, and optionally
-// the full execution log. Like Pending, removal swap-compacts a dense slice,
-// a slot table addresses the rows by transaction, and every mutation is
-// logged in protocol.Deltas shape, so garbage collection is O(rows of newly
-// finished transactions) instead of a full live scan, and a deadlock
-// victim's executed writes are enumerable in O(|TA's rows|) for rollback.
+// the full execution log. It is the same table as Pending, so garbage
+// collection is O(rows of newly finished transactions) instead of a full
+// live scan, and a deadlock victim's executed writes are enumerable in
+// O(|TA's rows|) for rollback. Live is in unspecified order (removal compacts
+// by swapping); the execution-ordered view is Log.
 type History struct {
-	// live is the dense row slice; rowSlot and rowAppended run beside it:
-	// each row's slot, and its index in the window's HistoryAppended log (-1
-	// when it was appended in an earlier window).
-	live        []request.Request
-	rowSlot     []int32
-	rowAppended []int32
-
-	slotOf map[int64]int32
-	slots  []historySlot
-	free   []int32
+	table
+	// slotFinished is each slot's finished flag, the per-row copy of
+	// finished.
+	slotFinished []bool
 
 	// finished is every transaction that ever terminated. It is read when a
 	// transaction gets a slot and written once per termination; the slot's
@@ -39,24 +33,6 @@ type History struct {
 	// pass visits exactly the newly finished transactions instead of
 	// scanning every live one.
 	gcQueue []int64
-
-	deltas protocol.Deltas
-	// appendedRow is the position in live of each HistoryAppended entry. A
-	// transaction that executes and commits within one round is appended and
-	// garbage-collected inside the same delta window — net absent per the
-	// Deltas contract — so the removal cancels the append in place and the
-	// protocols never see the no-op pair.
-	appendedRow []int32
-	// removedAt is the mirror image for the opposite chronology: slot
-	// migration can move a row out and back in (the slot bounced between
-	// shards) before this shard's window is consumed — net present — and a
-	// removal followed by a re-append must likewise cancel in place. Left
-	// uncancelled, the pair reads as net absent to the protocols (their
-	// incremental engines apply inserts before deletes), silently dropping
-	// a live lock row. It maps request ID -> position in HistoryRemoved, and
-	// only ExtractMatching's removals enter it: GC never re-appends a row.
-	// Request IDs are the paper's globally unique consecutive request numbers.
-	removedAt map[int64]int32
 
 	keepLog bool
 	log     []request.Request
@@ -70,149 +46,70 @@ type History struct {
 	round    int
 }
 
-// historySlot is one transaction with live history rows. A slot is live while
-// rows is non-empty; a freed slot keeps the capacity of its rows.
-type historySlot struct {
-	ta       int64
-	finished bool
-	rows     []int32
-}
-
 // NewHistory creates a store. With keepLog, every appended request is also
 // retained in an append-only log (used by tests to verify serializability;
 // the paper's scheduler would not keep it).
 func NewHistory(keepLog bool) *History {
-	return &History{
-		slotOf:    make(map[int64]int32),
-		finished:  make(map[int64]bool),
-		keepLog:   keepLog,
-		removedAt: make(map[int64]int32),
-	}
+	return &History{table: newTable(), finished: make(map[int64]bool), keepLog: keepLog}
 }
 
 // Append records executed requests in execution order, logging them as
 // HistoryAppended. A request taken from the pending store keeps the row it
 // carries; one that arrives without gets it when Deltas hands it out.
-func (s *History) Append(rs ...request.Request) {
+func (s *History) Append(rs ...request.Request) { s.append(rs, s.keepLog) }
+
+// AppendLiveOnly is Append for rows that executed on another shard: a replica
+// copy of a cross-partition termination (it releases the transaction's locks
+// in this shard and queues it for GC), or rows moved in by slot migration
+// (the locks they hold now release on this shard). They are live history
+// here, and the protocols see them via the change log, but they are kept out
+// of the execution log: each request executed once, and merged per-shard
+// logs must contain it exactly once.
+func (s *History) AppendLiveOnly(rs ...request.Request) { s.append(rs, false) }
+
+// append is Append, entering the rows in the execution log when logged is set.
+func (s *History) append(rs []request.Request, logged bool) {
 	for _, r := range rs {
 		sl, ok := s.slotOf[r.TA]
 		if !ok {
 			sl = s.newSlot(r.TA)
+			s.slotFinished = setSlot(s.slotFinished, sl, s.finished[r.TA])
 		}
-		slot := &s.slots[sl]
 		if r.Op.IsTermination() {
-			if !slot.finished {
-				slot.finished = true
+			if !s.slotFinished[sl] {
+				s.slotFinished[sl] = true
 				s.finished[r.TA] = true
 			}
 			s.gcQueue = append(s.gcQueue, r.TA)
-		} else if slot.finished {
+		} else if s.slotFinished[sl] {
 			// Out-of-order arrival for an already finished transaction:
 			// queue it so the next GC collects the late row.
 			s.gcQueue = append(s.gcQueue, r.TA)
 		}
-		pos := int32(len(s.live))
-		slot.rows = append(slot.rows, pos)
-		s.live = append(s.live, r)
-		s.rowSlot = append(s.rowSlot, sl)
-		s.rowAppended = append(s.rowAppended, -1)
-		if s.keepLog {
+		s.add(r, sl)
+		if logged {
 			s.log = append(s.log, r)
 			s.logRound = append(s.logRound, s.round)
 		}
-		s.logAppend(r, pos)
 	}
-}
-
-// newSlot gives ta a slot, reusing a freed one when there is one.
-func (s *History) newSlot(ta int64) int32 {
-	var sl int32
-	if n := len(s.free); n > 0 {
-		sl = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		sl = int32(len(s.slots))
-		s.slots = append(s.slots, historySlot{})
-	}
-	slot := &s.slots[sl]
-	slot.ta, slot.finished = ta, s.finished[ta]
-	s.slotOf[ta] = sl
-	return sl
-}
-
-// logAppend records the append of r, stored at pos, in the change log. An
-// append of a request removed within the same window cancels the removal
-// instead (migration bounced the row out and back in — net present).
-func (s *History) logAppend(r request.Request, pos int32) {
-	if len(s.removedAt) > 0 {
-		if at, ok := s.removedAt[r.ID]; ok {
-			delete(s.removedAt, r.ID)
-			s.deltas.HistoryRemoved = cancelRemoval(s.deltas.HistoryRemoved, at, s.removedAt)
-			return
-		}
-	}
-	s.rowAppended[pos] = int32(len(s.deltas.HistoryAppended))
-	s.deltas.HistoryAppended = append(s.deltas.HistoryAppended, r)
-	s.appendedRow = append(s.appendedRow, pos)
-}
-
-// AppendReplica records a replica copy of a cross-partition termination: the
-// row is live history (it releases the transaction's locks in this shard and
-// queues it for GC, and the protocols see it via the change log) but is kept
-// out of the execution log — the termination executed once, on its home
-// shard, and merged per-shard logs must contain it once.
-func (s *History) AppendReplica(r request.Request) {
-	keep := s.keepLog
-	s.keepLog = false
-	s.Append(r)
-	s.keepLog = keep
-}
-
-// AppendMigrated records rows moved in from another shard by slot migration:
-// they are live history here (the locks they hold now release on this shard,
-// and the protocols see them via the change log) but are kept out of the
-// execution log — each request executed once, on the shard that admitted it,
-// and merged per-shard logs must contain it exactly once.
-func (s *History) AppendMigrated(rs ...request.Request) {
-	keep := s.keepLog
-	s.keepLog = false
-	s.Append(rs...)
-	s.keepLog = keep
 }
 
 // ExtractMatching removes every live row whose object satisfies match,
 // logging each as HistoryRemoved, and returns the removed rows. The execution
 // log is unaffected. The slot-migration path: the removals feed this shard's
 // protocol the exact remove-delta, and the caller appends the rows (via
-// AppendMigrated) on the destination shard. Rows of finished transactions
+// AppendLiveOnly) on the destination shard. Rows of finished transactions
 // never match — their locks were already released here by the termination
 // row, the destination never saw that termination, and the local GC queue
 // still owns them — nor do termination rows themselves (they carry no
 // object and must stay where the transaction's finished mark lives).
 func (s *History) ExtractMatching(match func(obj int64) bool) []request.Request {
-	var taken []request.Request
-	for i, r := range s.live {
-		if r.Op.IsTermination() || s.slots[s.rowSlot[i]].finished || !match(r.Object) {
-			continue
-		}
-		taken = append(taken, r)
-	}
+	taken := s.matching(match, s.slotFinished)
 	for _, r := range taken {
-		sl := s.slotOf[r.TA]
-		for i, pos := range s.slots[sl].rows {
-			if s.live[pos].ID == r.ID {
-				s.removeAt(sl, i, true)
-				break
-			}
-		}
+		s.migrate(r)
 	}
 	return taken
 }
-
-// Live returns the live history slice (order unspecified — removal compacts
-// by swapping). Callers must not mutate it, and must not retain it across
-// store mutations. The execution-ordered view is Log.
-func (s *History) Live() []request.Request { return s.live }
 
 // SetRound sets the round clock stamped onto subsequent log entries.
 func (s *History) SetRound(round int) { s.round = round }
@@ -223,9 +120,6 @@ func (s *History) Log() []request.Request { return s.log }
 // LogRounds returns the per-entry round stamps of the execution log,
 // parallel to Log.
 func (s *History) LogRounds() []int { return s.logRound }
-
-// Len returns the live history size.
-func (s *History) Len() int { return len(s.live) }
 
 // Finished reports whether ta has terminated.
 func (s *History) Finished(ta int64) bool { return s.finished[ta] }
@@ -239,7 +133,7 @@ func (s *History) WritesOf(ta int64) []int64 {
 	}
 	var out []int64
 	for _, pos := range s.slots[sl].rows {
-		if r := &s.live[pos]; r.Op == request.Write {
+		if r := &s.rows[pos]; r.Op == request.Write {
 			out = append(out, r.Object)
 		}
 	}
@@ -257,7 +151,7 @@ func (s *History) WriteCountOf(ta int64) int {
 	}
 	n := 0
 	for _, pos := range s.slots[sl].rows {
-		if s.live[pos].Op == request.Write {
+		if s.rows[pos].Op == request.Write {
 			n++
 		}
 	}
@@ -273,90 +167,11 @@ func (s *History) GC() int {
 	n := 0
 	for _, ta := range s.gcQueue {
 		if sl, ok := s.slotOf[ta]; ok {
-			n += s.removeTA(sl)
+			n += s.removeSlot(sl)
 		}
 	}
 	s.gcQueue = s.gcQueue[:0]
 	return n
-}
-
-// removeTA drops all of slot sl's rows from the live slice, releasing the
-// slot.
-func (s *History) removeTA(sl int32) int {
-	rows := s.slots[sl].rows
-	n := len(rows)
-	// Remove from the highest position down, so a swap never moves a row
-	// that is itself scheduled for removal.
-	sortPositions(rows)
-	for i := n - 1; i >= 0; i-- {
-		s.removeAt(sl, i, false)
-	}
-	return n
-}
-
-// removeAt removes the row at index i of slot sl's rows: it logs the
-// removal (in removedAt too when migrated is set), releases the slot with its
-// last row, and swap-compacts the dense slice.
-func (s *History) removeAt(sl int32, i int, migrated bool) {
-	slot := &s.slots[sl]
-	pos := slot.rows[i]
-	s.logRemoval(pos, migrated)
-	last := len(slot.rows) - 1
-	slot.rows[i] = slot.rows[last]
-	slot.rows = slot.rows[:last]
-	if last == 0 {
-		delete(s.slotOf, slot.ta)
-		s.free = append(s.free, sl)
-	}
-	end := int32(len(s.live) - 1)
-	if pos != end {
-		s.live[pos] = s.live[end]
-		s.rowSlot[pos] = s.rowSlot[end]
-		s.rowAppended[pos] = s.rowAppended[end]
-		if a := s.rowAppended[pos]; a >= 0 {
-			s.appendedRow[a] = pos
-		}
-		repoint(s.slots[s.rowSlot[pos]].rows, end, pos)
-	}
-	s.live[end] = request.Request{} // do not pin the removed request
-	s.live = s.live[:end]
-	s.rowSlot = s.rowSlot[:end]
-	s.rowAppended = s.rowAppended[:end]
-}
-
-// logRemoval records the removal of the row at pos in the change log. A
-// removal of a request appended within the same window cancels the append
-// instead (net absent).
-func (s *History) logRemoval(pos int32, migrated bool) {
-	a := s.rowAppended[pos]
-	if a < 0 {
-		if migrated {
-			s.removedAt[s.live[pos].ID] = int32(len(s.deltas.HistoryRemoved))
-		}
-		s.deltas.HistoryRemoved = append(s.deltas.HistoryRemoved, s.live[pos])
-		return
-	}
-	ap := s.deltas.HistoryAppended
-	last := int32(len(ap) - 1)
-	if a != last {
-		ap[a] = ap[last]
-		s.appendedRow[a] = s.appendedRow[last]
-		s.rowAppended[s.appendedRow[a]] = a
-	}
-	ap[last] = request.Request{}
-	s.deltas.HistoryAppended = ap[:last]
-	s.appendedRow = s.appendedRow[:last]
-	s.rowAppended[pos] = -1
-}
-
-// sortPositions sorts a small position list ascending (insertion sort: the
-// lists are transaction-sized, and the positions arrive mostly ascending).
-func sortPositions(ps []int32) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 // Deltas appends the change log accumulated since the last ResetDeltas call
@@ -364,21 +179,5 @@ func sortPositions(ps []int32) {
 // next mutation after ResetDeltas. As in Pending.Deltas, each appended
 // request is given its row, shared with the stored copy.
 func (s *History) Deltas(d *protocol.Deltas) {
-	withRows(s.deltas.HistoryAppended, s.appendedRow, s.live)
-	d.HistoryAppended = s.deltas.HistoryAppended
-	d.HistoryRemoved = s.deltas.HistoryRemoved
-}
-
-// ResetDeltas starts a new change-log window, reusing the log buffers. Only
-// the rows this window logged are touched.
-func (s *History) ResetDeltas() {
-	for _, pos := range s.appendedRow {
-		s.rowAppended[pos] = -1
-	}
-	s.appendedRow = s.appendedRow[:0]
-	s.deltas.HistoryAppended = s.deltas.HistoryAppended[:0]
-	s.deltas.HistoryRemoved = s.deltas.HistoryRemoved[:0]
-	if len(s.removedAt) > 0 {
-		clear(s.removedAt)
-	}
+	d.HistoryAppended, d.HistoryRemoved = s.window()
 }

@@ -388,24 +388,12 @@ func (s *mapHistory) logAppend(r request.Request) {
 	s.deltas.HistoryAppended = append(s.deltas.HistoryAppended, r)
 }
 
-// AppendReplica records a replica copy of a cross-partition termination: the
-// row is live history (it releases the transaction's locks in this shard and
-// queues it for GC, and the protocols see it via the change log) but is kept
-// out of the execution log — the termination executed once, on its home
-// shard, and merged per-shard logs must contain it once.
-func (s *mapHistory) AppendReplica(r request.Request) {
-	keep := s.keepLog
-	s.keepLog = false
-	s.Append(r)
-	s.keepLog = keep
-}
-
-// AppendMigrated records rows moved in from another shard by slot migration:
-// they are live history here (the locks they hold now release on this shard,
-// and the protocols see them via the change log) but are kept out of the
-// execution log — each request executed once, on the shard that admitted it,
-// and merged per-shard logs must contain it exactly once.
-func (s *mapHistory) AppendMigrated(rs ...request.Request) {
+// AppendLiveOnly records rows that executed on another shard — a replica
+// copy of a cross-partition termination, or rows moved in by slot migration:
+// they are live history here (and the protocols see them via the change log)
+// but are kept out of the execution log — each request executed once, and
+// merged per-shard logs must contain it exactly once.
+func (s *mapHistory) AppendLiveOnly(rs ...request.Request) {
 	keep := s.keepLog
 	s.keepLog = false
 	s.Append(rs...)
@@ -416,7 +404,7 @@ func (s *mapHistory) AppendMigrated(rs ...request.Request) {
 // logging each as HistoryRemoved, and returns the removed rows. The execution
 // log is unaffected. The slot-migration path: the removals feed this shard's
 // protocol the exact remove-delta, and the caller appends the rows (via
-// AppendMigrated) on the destination shard. Rows of finished transactions
+// AppendLiveOnly) on the destination shard. Rows of finished transactions
 // never match — their locks were already released here by the termination
 // row, the destination never saw that termination, and the local GC queue
 // still owns them — nor do termination rows themselves (they carry no

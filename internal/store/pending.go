@@ -12,21 +12,22 @@
 // A protocol that reads no rows (the imperative ones, FCFS) never causes
 // one to be built.
 //
-// Both stores are a dense swap-remove slice of rows — the materialised
-// relation handed to protocols (order unspecified; every protocol orders its
-// own output) — plus a per-transaction slot table: one Go map from TA to a
-// dense slot, where the slot lists the positions of the transaction's rows
-// and carries its per-transaction state (the pending store's waiting-age
-// clock, the history's finished flag). Every store operation is one TA
-// lookup; a request key is found by scanning its transaction's positions,
-// which are transaction-sized. Arrays beside the rows hold each row's slot
-// and its entry in the current delta window's log, so cancelling an add
-// against a remove in the same window is an O(1) fix-up. Both stores net
-// their window the same way — a row added and removed within it is absent, a
-// row migrated out and back in is present — so each window's two sides are
-// disjoint (the protocol.Deltas contract). Freed slots are reused. The
-// pending store's clock is the bookkeeping behind the scheduler's
-// waiting-age starvation bound.
+// Both stores are one table (table.go) with their own per-transaction state
+// beside it. The table is a dense swap-remove slice of rows — the
+// materialised relation handed to protocols (order unspecified; every
+// protocol orders its own output) — plus a per-transaction slot table: one Go
+// map from TA to a dense slot, where the slot lists the positions of the
+// transaction's rows. Every store operation is one TA lookup; a request key is
+// found by scanning its transaction's positions, which are transaction-sized.
+// Arrays beside the rows hold each row's slot and its entry in the current
+// delta window's log, so cancelling an add against a remove in the same
+// window is an O(1) fix-up. The table nets each window — a row added and
+// removed within it is absent, a row migrated out and back in is present — so
+// each window's two sides are disjoint (the protocol.Deltas contract). Freed
+// slots are reused. Each store keeps its per-transaction state in a slice
+// indexed by slot: the pending store's waiting-age clock, the bookkeeping
+// behind the scheduler's waiting-age starvation bound, and the history's
+// finished flag.
 package store
 
 import (
@@ -37,56 +38,15 @@ import (
 // Pending is the indexed pending-request store. Not safe for concurrent use;
 // the scheduler serialises all store mutations on its round loop.
 type Pending struct {
-	// reqs is the dense backing slice: removal swaps the last element into
-	// the hole, so admit and remove are O(1) and the slice is always a valid
-	// materialisation of the store (in unspecified order). rowSlot and
-	// rowAdded run beside it: each row's slot, and its index in the window's
-	// PendingAdded log (-1 when it was admitted in an earlier window).
-	reqs     []request.Request
-	rowSlot  []int32
-	rowAdded []int32
-
-	slotOf map[int64]int32
-	slots  []pendingSlot
-	free   []int32
-
-	deltas protocol.Deltas
-	// addedRow is the position in reqs of each PendingAdded entry. A request
-	// admitted and removed within one delta window (a victim drop in the
-	// admission round) is net absent, so the removal cancels the addition in
-	// place.
-	addedRow []int32
-	// removedAt is the mirror image for the opposite chronology, as in
-	// History: slot migration can move a row out and back in (the slot
-	// bounced between shards) within one window — net present — so the
-	// re-admission cancels the removal in place. It maps request ID ->
-	// position in PendingRemoved, and only ExtractMatching's removals enter
-	// it.
-	removedAt map[int64]int32
-}
-
-// pendingSlot is one transaction with pending requests. A slot is live while
-// rows is non-empty; a freed slot keeps the capacity of its rows.
-type pendingSlot struct {
-	ta int64
-	// since is the round at which the transaction last made progress (had a
-	// request qualify) or was admitted — the waiting-age clock of the
-	// starvation bound; -1 until the next observed round starts it.
-	since int
-	rows  []int32
+	table
+	// since is each slot's waiting-age clock: the round at which the
+	// transaction last made progress (had a request qualify) or was admitted;
+	// -1 until the next observed round starts it.
+	since []int
 }
 
 // NewPending creates an empty store.
-func NewPending() *Pending {
-	return &Pending{slotOf: make(map[int64]int32), removedAt: make(map[int64]int32)}
-}
-
-// Len returns the number of pending requests.
-func (p *Pending) Len() int { return len(p.reqs) }
-
-// Live returns the dense backing slice (order unspecified). Callers must not
-// mutate it, and must not retain it across store mutations.
-func (p *Pending) Live() []request.Request { return p.reqs }
+func NewPending() *Pending { return &Pending{table: newTable()} }
 
 // Admit inserts requests, logging them as PendingAdded. Requests are keyed
 // by (TA, IntraTA), and no admitted key may already be pending here: the
@@ -97,70 +57,17 @@ func (p *Pending) Admit(rs ...request.Request) {
 		s, ok := p.slotOf[r.TA]
 		if !ok {
 			s = p.newSlot(r.TA)
+			p.since = setSlot(p.since, s, -1) // clock starts at the next observed round
 		}
-		pos := int32(len(p.reqs))
-		p.reqs = append(p.reqs, r)
-		p.rowSlot = append(p.rowSlot, s)
-		p.rowAdded = append(p.rowAdded, -1)
-		p.slots[s].rows = append(p.slots[s].rows, pos)
-		p.logAdd(r, pos)
+		p.add(r, s)
 	}
-}
-
-// logAdd records the admission of r, stored at pos, in the change log. An
-// admission of a request ExtractMatching removed within the same window
-// cancels the removal instead (migration bounced the row out and back in —
-// net present).
-func (p *Pending) logAdd(r request.Request, pos int32) {
-	if len(p.removedAt) > 0 {
-		if at, ok := p.removedAt[r.ID]; ok {
-			delete(p.removedAt, r.ID)
-			p.deltas.PendingRemoved = cancelRemoval(p.deltas.PendingRemoved, at, p.removedAt)
-			return
-		}
-	}
-	p.rowAdded[pos] = int32(len(p.deltas.PendingAdded))
-	p.deltas.PendingAdded = append(p.deltas.PendingAdded, r)
-	p.addedRow = append(p.addedRow, pos)
-}
-
-// cancelRemoval deletes entry at of a window's removal log rm — swapping the
-// last entry into the hole and repointing its removedAt position — and
-// returns the shortened log.
-func cancelRemoval(rm []request.Request, at int32, removedAt map[int64]int32) []request.Request {
-	last := int32(len(rm) - 1)
-	if at != last {
-		moved := rm[last]
-		rm[at] = moved
-		if _, ok := removedAt[moved.ID]; ok {
-			removedAt[moved.ID] = at
-		}
-	}
-	rm[last] = request.Request{}
-	return rm[:last]
-}
-
-// newSlot gives ta a slot, reusing a freed one when there is one.
-func (p *Pending) newSlot(ta int64) int32 {
-	var s int32
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		s = int32(len(p.slots))
-		p.slots = append(p.slots, pendingSlot{})
-	}
-	sl := &p.slots[s]
-	sl.ta, sl.since = ta, -1 // clock starts at the next observed round
-	p.slotOf[ta] = s
-	return s
 }
 
 // find returns the index in slot s's rows of the request numbered intra, or
 // -1.
 func (p *Pending) find(s int32, intra int64) int {
 	for i, pos := range p.slots[s].rows {
-		if p.reqs[pos].IntraTA == intra {
+		if p.rows[pos].IntraTA == intra {
 			return i
 		}
 	}
@@ -186,7 +93,7 @@ func (p *Pending) Take(k request.Key) (request.Request, bool) {
 	if i < 0 {
 		return request.Request{}, false
 	}
-	r := p.reqs[p.slots[s].rows[i]]
+	r := p.rows[p.slots[s].rows[i]]
 	p.removeAt(s, i, false)
 	return r, true
 }
@@ -199,77 +106,7 @@ func (p *Pending) RemoveTA(ta int64) int {
 	if !ok {
 		return 0
 	}
-	n := len(p.slots[s].rows)
-	for i := n - 1; i >= 0; i-- {
-		p.removeAt(s, i, false)
-	}
-	return n
-}
-
-// removeAt removes the row at index i of slot s's rows: it logs the removal
-// (in removedAt too when migrated is set), releases the slot with its last
-// row, and swap-compacts the dense slice.
-func (p *Pending) removeAt(s int32, i int, migrated bool) {
-	sl := &p.slots[s]
-	pos := sl.rows[i]
-	p.logRemoval(pos, migrated)
-	last := len(sl.rows) - 1
-	sl.rows[i] = sl.rows[last]
-	sl.rows = sl.rows[:last]
-	if last == 0 {
-		delete(p.slotOf, sl.ta)
-		p.free = append(p.free, s)
-	}
-	end := int32(len(p.reqs) - 1)
-	if pos != end {
-		p.reqs[pos] = p.reqs[end]
-		p.rowSlot[pos] = p.rowSlot[end]
-		p.rowAdded[pos] = p.rowAdded[end]
-		if a := p.rowAdded[pos]; a >= 0 {
-			p.addedRow[a] = pos
-		}
-		repoint(p.slots[p.rowSlot[pos]].rows, end, pos)
-	}
-	p.reqs[end] = request.Request{} // do not pin the removed request
-	p.reqs = p.reqs[:end]
-	p.rowSlot = p.rowSlot[:end]
-	p.rowAdded = p.rowAdded[:end]
-}
-
-// logRemoval records the removal of the row at pos in the change log; a
-// removal of a request added within the same window cancels the addition
-// instead (net absent).
-func (p *Pending) logRemoval(pos int32, migrated bool) {
-	a := p.rowAdded[pos]
-	if a < 0 {
-		if migrated {
-			p.removedAt[p.reqs[pos].ID] = int32(len(p.deltas.PendingRemoved))
-		}
-		p.deltas.PendingRemoved = append(p.deltas.PendingRemoved, p.reqs[pos])
-		return
-	}
-	ad := p.deltas.PendingAdded
-	last := int32(len(ad) - 1)
-	if a != last {
-		ad[a] = ad[last]
-		p.addedRow[a] = p.addedRow[last]
-		p.rowAdded[p.addedRow[a]] = a
-	}
-	ad[last] = request.Request{}
-	p.deltas.PendingAdded = ad[:last]
-	p.addedRow = p.addedRow[:last]
-	p.rowAdded[pos] = -1
-}
-
-// repoint replaces position from with to in a slot's row list. Linear in the
-// transaction's row count, which is bounded by transaction length.
-func repoint(rows []int32, from, to int32) {
-	for i, r := range rows {
-		if r == from {
-			rows[i] = to
-			return
-		}
-	}
+	return p.removeSlot(s)
 }
 
 // ExtractMatching removes every pending request whose object satisfies match
@@ -280,17 +117,10 @@ func repoint(rows []int32, from, to int32) {
 // removals feed this shard's protocol the exact remove-delta, and the caller
 // re-admits the rows (with MergeClock) on the destination shard.
 func (p *Pending) ExtractMatching(match func(obj int64) bool, visit func(r request.Request, since int)) int {
-	var taken []request.Request
-	for _, r := range p.reqs {
-		if r.Op.IsTermination() || !match(r.Object) {
-			continue
-		}
-		taken = append(taken, r)
-	}
+	taken := p.matching(match, nil)
 	for _, r := range taken {
-		s := p.slotOf[r.TA]
-		since := p.slots[s].since
-		p.removeAt(s, p.find(s, r.IntraTA), true)
+		since := p.since[p.slotOf[r.TA]]
+		p.migrate(r)
 		visit(r, since)
 	}
 	return len(taken)
@@ -309,8 +139,8 @@ func (p *Pending) MergeClock(ta int64, since int) {
 	if !ok {
 		return
 	}
-	if sl := &p.slots[s]; sl.since < 0 || since < sl.since {
-		sl.since = since
+	if c := &p.since[s]; *c < 0 || since < *c {
+		*c = since
 	}
 }
 
@@ -319,10 +149,9 @@ func (p *Pending) MergeClock(ta int64, since int) {
 // restart their clock at round; the rest keep their first blocked round.
 // progressed may be nil (nothing qualified).
 func (p *Pending) ObserveRound(round int, progressed map[int64]bool) {
-	for i := range p.slots {
-		sl := &p.slots[i]
-		if len(sl.rows) > 0 && (sl.since < 0 || progressed[sl.ta]) {
-			sl.since = round
+	for s, sl := range p.slots {
+		if len(sl.rows) > 0 && (p.since[s] < 0 || progressed[sl.ta]) {
+			p.since[s] = round
 		}
 	}
 }
@@ -331,13 +160,13 @@ func (p *Pending) ObserveRound(round int, progressed map[int64]bool) {
 // progress (smallest last-progress round, ties to the smallest TA) and the
 // round its wait started. ok is false when nothing is waiting.
 func (p *Pending) OldestBlocked() (ta int64, since int, ok bool) {
-	for i := range p.slots {
-		sl := &p.slots[i]
-		if len(sl.rows) == 0 || sl.since < 0 {
+	for s, sl := range p.slots {
+		c := p.since[s]
+		if len(sl.rows) == 0 || c < 0 {
 			continue // free, or admitted this round (clock not started yet)
 		}
-		if !ok || sl.since < since || (sl.since == since && sl.ta < ta) {
-			ta, since, ok = sl.ta, sl.since, true
+		if !ok || c < since || (c == since && sl.ta < ta) {
+			ta, since, ok = sl.ta, c, true
 		}
 	}
 	return ta, since, ok
@@ -349,30 +178,5 @@ func (p *Pending) OldestBlocked() (ta int64, since int, ok bool) {
 // window added is given its row here, and the stored copy shares it, so
 // the window's removals and every later copy carry it too.
 func (p *Pending) Deltas(d *protocol.Deltas) {
-	withRows(p.deltas.PendingAdded, p.addedRow, p.reqs)
-	d.PendingAdded = p.deltas.PendingAdded
-	d.PendingRemoved = p.deltas.PendingRemoved
-}
-
-// withRows gives each logged request its row (request.Request.WithRow) and
-// the stored copy at rows[at[i]] the same one.
-func withRows(logged []request.Request, at []int32, rows []request.Request) {
-	for i, pos := range at {
-		r := logged[i].WithRow()
-		logged[i], rows[pos] = r, r
-	}
-}
-
-// ResetDeltas starts a new change-log window, reusing the log buffers. Only
-// the rows this window logged are touched.
-func (p *Pending) ResetDeltas() {
-	for _, pos := range p.addedRow {
-		p.rowAdded[pos] = -1
-	}
-	p.addedRow = p.addedRow[:0]
-	p.deltas.PendingAdded = p.deltas.PendingAdded[:0]
-	p.deltas.PendingRemoved = p.deltas.PendingRemoved[:0]
-	if len(p.removedAt) > 0 {
-		clear(p.removedAt)
-	}
+	d.PendingAdded, d.PendingRemoved = p.window()
 }

@@ -150,34 +150,71 @@ func TestPendingAdmitRemove(t *testing.T) {
 	}
 }
 
-// TestPendingBounceNetsWithinWindow: a migration that moves rows out and
-// straight back within one delta window (the rebalancer extracts a slot and
-// a later move returns it) leaves neither side of the window holding the
-// bounced rows that predate it, and a bounced row admitted in the same window
-// stays a plain addition — the sides are disjoint, as in the history store.
-func TestPendingBounceNetsWithinWindow(t *testing.T) {
-	p := NewPending()
-	p.Admit(
-		request.Request{ID: 1, TA: 1, IntraTA: 0, Op: request.Write, Object: 1},
-		request.Request{ID: 2, TA: 2, IntraTA: 0, Op: request.Read, Object: 2},
-		request.Request{ID: 3, TA: 3, IntraTA: 0, Op: request.Write, Object: 3},
-	)
-	p.ResetDeltas()
-	p.Admit(request.Request{ID: 4, TA: 4, IntraTA: 0, Op: request.Read, Object: 1})
-	p.Remove(request.Key{TA: 2, IntraTA: 0}) // a plain removal in the same window
+// TestBounceNetsWithinWindow: a migration that moves rows out and straight
+// back within one delta window (the rebalancer extracts a slot and a later
+// move returns it) leaves neither side of the window holding the bounced rows
+// that predate it, and a bounced row added in the same window stays a plain
+// addition — the sides are disjoint. Both stores run the same script beside
+// a plain removal: an extract whose rows go straight back in.
+func TestBounceNetsWithinWindow(t *testing.T) {
+	standing := []request.Request{
+		{ID: 1, TA: 1, IntraTA: 0, Op: request.Write, Object: 1},
+		{ID: 2, TA: 2, IntraTA: 0, Op: request.Read, Object: 2},
+		{ID: 3, TA: 3, IntraTA: 0, Op: request.Write, Object: 3},
+	}
+	fresh := request.Request{ID: 4, TA: 4, IntraTA: 0, Op: request.Read, Object: 1}
 	odd := func(obj int64) bool { return obj%2 == 1 }
-	if n := p.ExtractMatching(odd, func(r request.Request, since int) { p.Admit(r) }); n != 3 {
-		t.Fatalf("extracted %d rows, want 3", n)
+	check := func(t *testing.T, extracted int, added, removed, live []request.Request) {
+		t.Helper()
+		if extracted != 3 {
+			t.Fatalf("extracted %d rows, want 3", extracted)
+		}
+		ids := func(rs []request.Request) []int64 {
+			out := make([]int64, 0, len(rs))
+			for _, r := range rs {
+				out = append(out, r.ID)
+			}
+			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			return out
+		}
+		if got := ids(live); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
+			t.Fatalf("live %v, want the bounced rows 1, 3 and 4", got)
+		}
+		if len(added) != 1 || added[0].ID != 4 || len(removed) != 1 || removed[0].ID != 2 {
+			t.Fatalf("bounce not netted: +%v -%v", ids(added), ids(removed))
+		}
+		for _, a := range added {
+			for _, r := range removed {
+				if a.ID == r.ID {
+					t.Fatalf("request %d on both sides of the window", a.ID)
+				}
+			}
+		}
 	}
-	var d protocol.Deltas
-	p.Deltas(&d)
-	if len(d.PendingAdded) != 1 || d.PendingAdded[0].ID != 4 ||
-		len(d.PendingRemoved) != 1 || d.PendingRemoved[0].ID != 2 {
-		t.Fatalf("bounce not netted: +%v -%v", d.PendingAdded, d.PendingRemoved)
-	}
-	if p.Len() != 3 {
-		t.Fatalf("len: %d", p.Len())
-	}
+	t.Run("pending", func(t *testing.T) {
+		p := NewPending()
+		p.Admit(standing...)
+		p.ResetDeltas()
+		p.Admit(fresh)
+		p.Remove(request.Key{TA: 2, IntraTA: 0})
+		n := p.ExtractMatching(odd, func(r request.Request, since int) { p.Admit(r) })
+		var d protocol.Deltas
+		p.Deltas(&d)
+		check(t, n, d.PendingAdded, d.PendingRemoved, p.Live())
+	})
+	t.Run("history", func(t *testing.T) {
+		h := NewHistory(false)
+		h.Append(standing...)
+		h.ResetDeltas()
+		h.Append(fresh)
+		h.Append(request.Request{ID: 5, TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
+		h.GC() // removes request 2, and cancels its commit's same-window append
+		taken := h.ExtractMatching(odd)
+		h.AppendLiveOnly(taken...)
+		var d protocol.Deltas
+		h.Deltas(&d)
+		check(t, len(taken), d.HistoryAppended, d.HistoryRemoved, h.Live())
+	})
 }
 
 func TestPendingBlockedClock(t *testing.T) {

@@ -162,8 +162,8 @@ func (g *storeOps) step() string {
 	case 9, 10:
 		r := g.request(g.key(), g.next(4) == 0)
 		if g.next(4) == 0 {
-			g.h.AppendReplica(r)
-			g.mh.AppendReplica(r)
+			g.h.AppendLiveOnly(r)
+			g.mh.AppendLiveOnly(r)
 		} else {
 			g.h.Append(r)
 			g.mh.Append(r)
@@ -201,8 +201,8 @@ func (g *storeOps) step() string {
 		}
 		fallthrough
 	case 14:
-		g.h.AppendMigrated(g.stash...)
-		g.mh.AppendMigrated(g.stash...)
+		g.h.AppendLiveOnly(g.stash...)
+		g.mh.AppendLiveOnly(g.stash...)
 		g.stash = g.stash[:0]
 		return "history-migrate-back"
 	default:
@@ -250,7 +250,7 @@ func (g *storeOps) compare(at string) {
 		}
 		since, ok := -2, false
 		if s, found := g.p.slotOf[ta]; found {
-			since, ok = g.p.slots[s].since, true
+			since, ok = g.p.since[s], true
 		}
 		if want, wantOK := g.mp.blockedSince[ta]; ok != wantOK || (ok && since != want) {
 			t.Fatalf("%s: clock of ta%d = %d %v, model %d %v", at, ta, since, ok, want, wantOK)
@@ -261,8 +261,9 @@ func (g *storeOps) compare(at string) {
 	if ta != mta || since != msince || ok != mok {
 		t.Fatalf("%s: OldestBlocked = ta%d %d %v, model ta%d %d %v", at, ta, since, ok, mta, msince, mok)
 	}
-	g.p.checkInvariants(t, at)
-	g.h.checkInvariants(t, at)
+	g.p.checkInvariants(t, at, "pending")
+	g.h.checkInvariants(t, at, "history")
+	g.h.checkFinished(t, at)
 }
 
 // sameRequests compares two request lists as multisets.
@@ -275,87 +276,61 @@ func sameRequests(a, b []request.Request) bool {
 	return slices.EqualFunc(a, b, request.Request.Equal)
 }
 
-// checkInvariants verifies the slot table against the dense rows: every row's
-// slot lists it, every live slot is indexed under its TA and lists only its
-// own rows, and the add log and its row positions point at each other.
-func (p *Pending) checkInvariants(t testing.TB, at string) {
-	t.Helper()
-	if len(p.rowSlot) != len(p.reqs) || len(p.rowAdded) != len(p.reqs) || len(p.addedRow) != len(p.deltas.PendingAdded) {
-		t.Fatalf("%s: pending side arrays out of step", at)
+// checkInvariants verifies the table's slot table against the dense rows:
+// every row's slot lists it, every live slot is indexed under its TA and
+// lists only its own rows, the add log and its row positions point at each
+// other, and removedAt points at the removals it names. name labels the
+// store in failures.
+func (t *table) checkInvariants(tb testing.TB, at, name string) {
+	tb.Helper()
+	if len(t.rowSlot) != len(t.rows) || len(t.rowAdded) != len(t.rows) || len(t.addedRow) != len(t.added) {
+		tb.Fatalf("%s: %s side arrays out of step", at, name)
 	}
 	listed := 0
-	for s, sl := range p.slots {
+	for s, sl := range t.slots {
 		if len(sl.rows) == 0 {
 			continue
 		}
-		if p.slotOf[sl.ta] != int32(s) {
-			t.Fatalf("%s: pending slot %d (ta%d) not indexed", at, s, sl.ta)
+		if t.slotOf[sl.ta] != int32(s) {
+			tb.Fatalf("%s: %s slot %d (ta%d) not indexed", at, name, s, sl.ta)
 		}
 		for _, pos := range sl.rows {
-			if p.reqs[pos].TA != sl.ta || p.rowSlot[pos] != int32(s) {
-				t.Fatalf("%s: pending slot %d lists row %d of ta%d", at, s, pos, p.reqs[pos].TA)
+			if t.rows[pos].TA != sl.ta || t.rowSlot[pos] != int32(s) {
+				tb.Fatalf("%s: %s slot %d lists row %d of ta%d", at, name, s, pos, t.rows[pos].TA)
 			}
 		}
 		listed += len(sl.rows)
 	}
-	if listed != len(p.reqs) || len(p.slotOf)+len(p.free) != len(p.slots) {
-		t.Fatalf("%s: pending slots list %d of %d rows; %d indexed + %d free of %d", at, listed, len(p.reqs), len(p.slotOf), len(p.free), len(p.slots))
+	if listed != len(t.rows) || len(t.slotOf)+len(t.free) != len(t.slots) {
+		tb.Fatalf("%s: %s slots list %d of %d rows; %d indexed + %d free of %d", at, name, listed, len(t.rows), len(t.slotOf), len(t.free), len(t.slots))
 	}
-	for pos, a := range p.rowAdded {
-		if a >= 0 && (p.addedRow[a] != int32(pos) || p.deltas.PendingAdded[a] != p.reqs[pos]) {
-			t.Fatalf("%s: pending row %d's add-log entry %d does not point back", at, pos, a)
+	for pos, a := range t.rowAdded {
+		if a >= 0 && (t.addedRow[a] != int32(pos) || t.added[a] != t.rows[pos]) {
+			tb.Fatalf("%s: %s row %d's add-log entry %d does not point back", at, name, pos, a)
 		}
 	}
-	for a, pos := range p.addedRow {
-		if p.rowAdded[pos] != int32(a) {
-			t.Fatalf("%s: pending add-log entry %d's row %d does not point back", at, a, pos)
+	for a, pos := range t.addedRow {
+		if t.rowAdded[pos] != int32(a) {
+			tb.Fatalf("%s: %s add-log entry %d's row %d does not point back", at, name, a, pos)
 		}
 	}
-	for id, at2 := range p.removedAt {
-		if p.deltas.PendingRemoved[at2].ID != id {
-			t.Fatalf("%s: pending removedAt[%d] = %d points at request %d", at, id, at2, p.deltas.PendingRemoved[at2].ID)
+	for id, i := range t.removedAt {
+		if t.removed[i].ID != id {
+			tb.Fatalf("%s: %s removedAt[%d] = %d points at request %d", at, name, id, i, t.removed[i].ID)
 		}
 	}
 }
 
-// checkInvariants is Pending.checkInvariants for the history's slot table,
-// plus the slot's finished flag against the persistent set.
-func (s *History) checkInvariants(t testing.TB, at string) {
-	t.Helper()
-	if len(s.rowSlot) != len(s.live) || len(s.rowAppended) != len(s.live) || len(s.appendedRow) != len(s.deltas.HistoryAppended) {
-		t.Fatalf("%s: history side arrays out of step", at)
+// checkFinished verifies the history's own per-slot state: one finished flag
+// per slot, each live slot's flag equal to the persistent set's.
+func (s *History) checkFinished(tb testing.TB, at string) {
+	tb.Helper()
+	if len(s.slotFinished) != len(s.slots) {
+		tb.Fatalf("%s: %d finished flags for %d history slots", at, len(s.slotFinished), len(s.slots))
 	}
-	listed := 0
 	for i, sl := range s.slots {
-		if len(sl.rows) == 0 {
-			continue
-		}
-		if s.slotOf[sl.ta] != int32(i) || sl.finished != s.finished[sl.ta] {
-			t.Fatalf("%s: history slot %d (ta%d) not indexed or finished flag stale", at, i, sl.ta)
-		}
-		for _, pos := range sl.rows {
-			if s.live[pos].TA != sl.ta || s.rowSlot[pos] != int32(i) {
-				t.Fatalf("%s: history slot %d lists row %d of ta%d", at, i, pos, s.live[pos].TA)
-			}
-		}
-		listed += len(sl.rows)
-	}
-	if listed != len(s.live) || len(s.slotOf)+len(s.free) != len(s.slots) {
-		t.Fatalf("%s: history slots list %d of %d rows", at, listed, len(s.live))
-	}
-	for pos, a := range s.rowAppended {
-		if a >= 0 && (s.appendedRow[a] != int32(pos) || s.deltas.HistoryAppended[a] != s.live[pos]) {
-			t.Fatalf("%s: history row %d's append-log entry %d does not point back", at, pos, a)
-		}
-	}
-	for a, pos := range s.appendedRow {
-		if s.rowAppended[pos] != int32(a) {
-			t.Fatalf("%s: history append-log entry %d's row %d does not point back", at, a, pos)
-		}
-	}
-	for id, at2 := range s.removedAt {
-		if s.deltas.HistoryRemoved[at2].ID != id {
-			t.Fatalf("%s: removedAt[%d] = %d points at request %d", at, id, at2, s.deltas.HistoryRemoved[at2].ID)
+		if len(sl.rows) > 0 && s.slotFinished[i] != s.finished[sl.ta] {
+			tb.Fatalf("%s: history slot %d (ta%d) finished flag stale", at, i, sl.ta)
 		}
 	}
 }
