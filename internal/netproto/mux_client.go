@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -82,12 +83,27 @@ type MuxClient struct {
 // muxCall is one in-flight operation. done has capacity 1 and receives at
 // most one response: delivery claims the call from the pending map under the
 // client mutex, so a response raced by a retransmission cannot deliver
-// twice.
+// twice. Calls are recycled with their done channel and timer.
 type muxCall struct {
-	req  request.Request
-	ctrl byte // framePing or frameStats for control calls, 0 for requests
-	corr uint64
-	done chan response
+	req   request.Request
+	ctrl  byte // framePing or frameStats for control calls, 0 for requests
+	corr  uint64
+	done  chan response
+	timer *time.Timer // awaitCall's, made on its first use
+}
+
+// callPool recycles muxCalls. A call goes back only once nothing can send on
+// its done channel any more: after it left pending and its single response
+// was received, or after unregister withdrew it from pending — the same
+// exactly-once argument that makes the middleware's pooled reply channels
+// safe. A call released while still pending would take a late response for
+// its old correlation ID into a later operation that reuses it.
+var callPool = sync.Pool{New: func() any { return &muxCall{done: make(chan response, 1)} }}
+
+func newCall(req request.Request, ctrl byte) *muxCall {
+	call := callPool.Get().(*muxCall)
+	call.req, call.ctrl = req, ctrl
+	return call
 }
 
 // DialMux connects a multiplexed client.
@@ -100,7 +116,7 @@ func DialMux(addr string, opts MuxOptions) (*MuxClient, error) {
 		addr:    addr,
 		opts:    opts,
 		conn:    conn,
-		w:       bufio.NewWriter(conn),
+		w:       bufio.NewWriterSize(conn, frameChunk),
 		pending: make(map[uint64]*muxCall),
 	}
 	go c.readLoop(conn, 0)
@@ -132,9 +148,9 @@ func (c *MuxClient) failPendingLocked() {
 
 // readLoop decodes frames off one connection generation and routes them.
 func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
-	br := bufio.NewReader(conn)
+	fr := frameReader{br: bufio.NewReaderSize(conn, frameChunk)}
 	for {
-		typ, body, err := readFrame(br)
+		typ, body, err := fr.read()
 		if err != nil {
 			c.reconnect(conn, gen)
 			return
@@ -152,9 +168,7 @@ func (c *MuxClient) readLoop(conn net.Conn, gen uint64) {
 				c.reconnect(conn, gen)
 				return
 			}
-			corr := uint64(body[0])<<56 | uint64(body[1])<<48 | uint64(body[2])<<40 | uint64(body[3])<<32 |
-				uint64(body[4])<<24 | uint64(body[5])<<16 | uint64(body[6])<<8 | uint64(body[7])
-			c.deliver(response{corr: corr, status: statusOK, msg: string(body[8:])})
+			c.deliver(response{corr: binary.BigEndian.Uint64(body), status: statusOK, msg: string(body[8:])})
 		case frameGoaway:
 			c.mu.Lock()
 			c.goingAway = true
@@ -224,7 +238,7 @@ func (c *MuxClient) reconnect(failed net.Conn, gen uint64) {
 			return
 		}
 		c.conn = conn
-		c.w = bufio.NewWriter(conn)
+		c.w.Reset(conn)
 		c.redialing = false
 		// Retransmit under fresh correlation IDs: the server answers from
 		// its resubmit cache or attaches the retry to the original still in
@@ -232,23 +246,13 @@ func (c *MuxClient) reconnect(failed net.Conn, gen uint64) {
 		// view.
 		old := c.pending
 		c.pending = make(map[uint64]*muxCall, len(old))
-		var frames []byte
 		for _, call := range old {
 			call.corr = c.nextCorr
 			c.nextCorr++
 			c.pending[call.corr] = call
-			if call.ctrl != 0 {
-				frames = append(frames, encodeCorrFrame(call.ctrl, call.corr)...)
-			} else {
-				frames = appendFrame(frames, frameReq, appendReqBody(nil, call.corr, call.req))
-			}
+			c.writeCallLocked(call)
 		}
-		writeErr := error(nil)
-		if len(frames) > 0 {
-			if _, writeErr = c.w.Write(frames); writeErr == nil {
-				writeErr = c.w.Flush()
-			}
-		}
+		writeErr := c.w.Flush()
 		c.mu.Unlock()
 		go c.readLoop(conn, newGen)
 		if writeErr != nil {
@@ -285,25 +289,41 @@ func (c *MuxClient) send(call *muxCall) error {
 			return fmt.Errorf("netproto: %w", err)
 		}
 		c.conn = conn
-		c.w = bufio.NewWriter(conn)
+		c.w.Reset(conn)
 		c.gen++
 		go c.readLoop(conn, c.gen)
-	}
-	var frame []byte
-	if call.ctrl != 0 {
-		frame = encodeCorrFrame(call.ctrl, call.corr)
-	} else {
-		frame = appendFrame(nil, frameReq, appendReqBody(nil, call.corr, call.req))
 	}
 	if t := c.opts.timeout(); t > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	if _, err := c.w.Write(frame); err == nil {
-		err = c.w.Flush()
-	} else {
-		c.conn.Close() // reader reconnects and retransmits
-	}
+	c.writeCallLocked(call)
+	c.flushLocked()
 	return nil
+}
+
+// writeCallLocked encodes one call's frame straight into the connection's
+// write buffer. A write error sticks to c.w and surfaces at the next
+// flushLocked. Caller holds c.mu.
+func (c *MuxClient) writeCallLocked(call *muxCall) {
+	if c.w.Available() < frameHdr+reqBody {
+		c.w.Flush()
+	}
+	buf := c.w.AvailableBuffer()
+	if call.ctrl != 0 {
+		buf = appendCorrFrame(buf, call.ctrl, call.corr)
+	} else {
+		buf = appendReqFrame(buf, call.corr, call.req)
+	}
+	c.w.Write(buf)
+}
+
+// flushLocked sends what is buffered. Any write or flush error closes the
+// connection: its read loop then reconnects and retransmits everything
+// pending. Caller holds c.mu.
+func (c *MuxClient) flushLocked() {
+	if err := c.w.Flush(); err != nil {
+		c.conn.Close()
+	}
 }
 
 // unregister withdraws a call that gave up waiting; reports whether the call
@@ -343,7 +363,16 @@ func (c *MuxClient) awaitCall(call *muxCall) (response, error) {
 		return <-call.done, nil
 	}
 	budget := c.opts.budget()
-	timer := time.NewTimer(timeout)
+	// The call's own timer, reused from its last operation: since Go 1.23 a
+	// stopped or reset timer delivers no stale tick, so Reset is all a
+	// recycled one needs.
+	timer := call.timer
+	if timer == nil {
+		timer = time.NewTimer(timeout)
+		call.timer = timer
+	} else {
+		timer.Reset(timeout)
+	}
 	defer timer.Stop()
 	for cycle := 0; ; cycle++ {
 		select {
@@ -365,11 +394,14 @@ func (c *MuxClient) awaitCall(call *muxCall) (response, error) {
 }
 
 // call runs one operation to completion under the retry policy: BUSY
-// responses back off (honoring the server's hint) and resubmit.
+// responses back off (honoring the server's hint) and resubmit. Whichever
+// way send and awaitCall end, the call has left pending and nothing will
+// send on it again, so it is released on every return.
 func (c *MuxClient) call(req request.Request, ctrl byte) (response, error) {
 	budget := c.opts.budget()
+	mc := newCall(req, ctrl)
+	defer callPool.Put(mc)
 	for busy := 0; ; busy++ {
-		mc := &muxCall{req: req, ctrl: ctrl, done: make(chan response, 1)}
 		if err := c.send(mc); err != nil {
 			return response{}, err
 		}
@@ -434,33 +466,30 @@ func (c *MuxClient) SubmitBatch(reqs []request.Request) ([]scheduler.Result, err
 		c.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
-	body := make([]byte, 4, 4+len(reqs)*reqBody)
-	body[0] = byte(len(reqs) >> 24)
-	body[1] = byte(len(reqs) >> 16)
-	body[2] = byte(len(reqs) >> 8)
-	body[3] = byte(len(reqs))
+	buf := c.w.AvailableBuffer()
+	at := len(buf)
+	buf = binary.BigEndian.AppendUint32(startFrame(buf, frameBatch), uint32(len(reqs)))
 	for i, r := range reqs {
-		call := &muxCall{req: r, corr: c.nextCorr, done: make(chan response, 1)}
+		call := newCall(r, 0)
+		call.corr = c.nextCorr
 		c.nextCorr++
 		c.pending[call.corr] = call
 		calls[i] = call
-		body = appendReqBody(body, call.corr, r)
+		buf = appendReqBody(buf, call.corr, r)
 	}
 	if c.conn != nil {
 		if t := c.opts.timeout(); t > 0 {
 			c.conn.SetWriteDeadline(time.Now().Add(t))
 		}
-		if _, err := c.w.Write(appendFrame(nil, frameBatch, body)); err == nil {
-			c.w.Flush()
-		} else {
-			c.conn.Close()
-		}
+		c.w.Write(endFrame(buf, at))
+		c.flushLocked()
 	}
 	c.mu.Unlock()
 
 	out := make([]scheduler.Result, len(reqs))
 	for i, call := range calls {
 		rs, err := c.awaitCall(call)
+		callPool.Put(call)
 		if err != nil {
 			out[i] = scheduler.Result{Err: err}
 			continue

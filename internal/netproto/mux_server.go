@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -18,27 +19,37 @@ const DefaultMaxInflightPerConn = 1024
 
 // muxConn is the server side of one multiplexed connection: a reader
 // goroutine decodes frames and submits requests without blocking
-// (Middleware.SubmitFunc), and a writer goroutine drains the bounded
-// response queue — so many logical clients share the connection and
-// responses return in execution order, not submission order.
+// (Middleware.SubmitTo, with the connection as the delivery target and the
+// correlation ID as the tag), and a writer goroutine drains the bounded
+// reply queue — so many logical clients share the connection and replies
+// return in execution order, not submission order. The queue carries
+// fixed-size reply values, which the writer encodes straight into its
+// bufio.Writer's buffer.
 type muxConn struct {
 	conn     net.Conn
-	out      chan []byte
+	out      chan response
 	dead     chan struct{}
 	deadOnce sync.Once
 	inflight atomic.Int64
 }
 
-// respond enqueues one encoded frame for the writer. The queue is sized for
-// the inflight cap plus control traffic, so a live connection always has
-// room; when the connection died the frame is dropped — the client's
+// respond enqueues one reply for the writer. The queue is sized for the
+// inflight cap plus control traffic, so a live connection always has room;
+// when the connection died the reply is dropped — the client's
 // reconnect-with-resubmit path recovers the result from the scheduler's
 // resubmit cache.
-func (mc *muxConn) respond(frame []byte) {
+func (mc *muxConn) respond(rs response) {
 	select {
-	case mc.out <- frame:
+	case mc.out <- rs:
 	case <-mc.dead:
 	}
+}
+
+// Reply answers the request submitted under correlation ID corr: the
+// connection is the middleware's delivery target for its requests.
+func (mc *muxConn) Reply(corr uint64, res scheduler.Result) {
+	mc.respond(toResponse(corr, res))
+	mc.inflight.Add(-1)
 }
 
 func (mc *muxConn) kill() {
@@ -50,8 +61,41 @@ func (mc *muxConn) kill() {
 // connection is killed by drain's force-close instead).
 func (mc *muxConn) goaway() {
 	select {
-	case mc.out <- appendFrame(nil, frameGoaway, nil):
+	case mc.out <- response{ctrl: frameGoaway}:
 	default:
+	}
+}
+
+// writeReplies is the connection's writer: it encodes each queued reply into
+// w's buffer and flushes only when the queue is empty, so consecutive
+// replies coalesce into one syscall. Any write error kills the connection.
+func (s *Server) writeReplies(mc *muxConn) {
+	w := bufio.NewWriter(mc.conn)
+	for {
+		select {
+		case rs := <-mc.out:
+			if s.opts.WriteTimeout > 0 {
+				mc.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+			}
+			// Room for the largest frame rs can make, so the encode stays
+			// in w's buffer.
+			if w.Available() < frameHdr+respBody+len(rs.msg) && w.Flush() != nil {
+				mc.kill()
+				return
+			}
+			if _, err := w.Write(appendReply(w.AvailableBuffer(), rs)); err != nil {
+				mc.kill()
+				return
+			}
+			if len(mc.out) == 0 {
+				if err := w.Flush(); err != nil {
+					mc.kill()
+					return
+				}
+			}
+		case <-mc.dead:
+			return
+		}
 	}
 }
 
@@ -64,9 +108,9 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 	}
 	mc := &muxConn{
 		conn: conn,
-		// Inflight responses plus control frames (pong, stats, goaway); the
+		// Inflight replies plus control frames (pong, stats, goaway); the
 		// reader blocks on control-frame room, so the bound holds.
-		out:  make(chan []byte, maxInflight+64),
+		out:  make(chan response, maxInflight+64),
 		dead: make(chan struct{}),
 	}
 	if !s.trackMux(mc) {
@@ -84,34 +128,13 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := bufio.NewWriter(conn)
-		for {
-			select {
-			case frame := <-mc.out:
-				if s.opts.WriteTimeout > 0 {
-					conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-				}
-				if _, err := w.Write(frame); err != nil {
-					mc.kill()
-					return
-				}
-				// Flush only when the queue is empty: consecutive responses
-				// coalesce into one syscall.
-				if len(mc.out) == 0 {
-					if err := w.Flush(); err != nil {
-						mc.kill()
-						return
-					}
-				}
-			case <-mc.dead:
-				return
-			}
-		}
+		s.writeReplies(mc)
 	}()
 
+	fr := frameReader{br: br}
 	for {
 		s.armIdle(conn)
-		typ, body, err := readFrame(br)
+		typ, body, err := fr.read()
 		if err != nil {
 			// Includes CRC mismatches and torn frames: the connection is not
 			// trustworthy, drop it and let the client reconnect.
@@ -121,7 +144,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 		case frameReq:
 			corr, req, err := decodeReqBody(body)
 			if err != nil {
-				mc.respond(encodeResp(response{corr: corr, status: statusErr, msg: err.Error()}))
+				mc.respond(response{corr: corr, status: statusErr, msg: err.Error()})
 				continue
 			}
 			s.submitMux(mc, maxInflight, corr, req)
@@ -129,7 +152,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 			if len(body) < 4 {
 				return
 			}
-			n := int(uint32(body[0])<<24 | uint32(body[1])<<16 | uint32(body[2])<<8 | uint32(body[3]))
+			n := int(binary.BigEndian.Uint32(body))
 			rest := body[4:]
 			if n < 0 || len(rest) != n*reqBody {
 				return
@@ -137,19 +160,19 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 			for i := 0; i < n; i++ {
 				corr, req, err := decodeReqBody(rest[i*reqBody : (i+1)*reqBody])
 				if err != nil {
-					mc.respond(encodeResp(response{corr: corr, status: statusErr, msg: err.Error()}))
+					mc.respond(response{corr: corr, status: statusErr, msg: err.Error()})
 					continue
 				}
 				s.submitMux(mc, maxInflight, corr, req)
 			}
 		case framePing:
 			if len(body) == 8 {
-				mc.respond(appendFrame(nil, framePong, body))
+				mc.respond(response{ctrl: framePong, corr: binary.BigEndian.Uint64(body)})
 			}
 		case frameStats:
 			if len(body) == 8 {
 				snap := s.mw.Collector().Snapshot()
-				mc.respond(appendFrame(nil, frameStatsR, append(append([]byte{}, body...), snap.String()...)))
+				mc.respond(response{ctrl: frameStatsR, corr: binary.BigEndian.Uint64(body), msg: snap.String()})
 			}
 		default:
 			return // unknown frame type: protocol error
@@ -159,20 +182,15 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 
 // submitMux pushes one decoded request into the scheduler, enforcing the
 // per-connection inflight cap. Rejections answer immediately; accepted
-// requests answer from the middleware's delivery callback.
+// requests are answered by the middleware through mc.Reply.
 func (s *Server) submitMux(mc *muxConn, maxInflight int, corr uint64, req request.Request) {
 	if mc.inflight.Add(1) > int64(maxInflight) {
 		mc.inflight.Add(-1)
-		mc.respond(encodeResp(response{corr: corr, status: statusBusy, retryAfterMs: 5}))
+		mc.respond(response{corr: corr, status: statusBusy, retryAfterMs: 5})
 		return
 	}
-	err := s.mw.SubmitFunc(req, func(res scheduler.Result) {
-		mc.respond(encodeResp(toResponse(corr, res)))
-		mc.inflight.Add(-1)
-	})
-	if err != nil {
-		mc.respond(encodeResp(toResponse(corr, scheduler.Result{Err: err})))
-		mc.inflight.Add(-1)
+	if err := s.mw.SubmitTo(req, mc, corr); err != nil {
+		mc.Reply(corr, scheduler.Result{Err: err})
 	}
 }
 

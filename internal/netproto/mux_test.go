@@ -7,10 +7,12 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/netproto/chaos"
 	"repro/internal/protocol"
 	"repro/internal/request"
 	"repro/internal/scheduler"
@@ -314,5 +316,115 @@ func TestMuxBusyOnInflightCap(t *testing.T) {
 	}
 	if !sawBusy {
 		t.Error("never observed BUSY under a 1-request inflight cap")
+	}
+}
+
+// TestMuxRecycledCallsNeverCross: logical clients share one MuxClient whose
+// round trips time out quickly and are not retried, through a proxy that
+// stalls and kills connections, while the connection is also torn down
+// every few milliseconds — so calls are retransmitted on reconnect,
+// withdrawn on their timeout and answered late, and every one of them is
+// recycled. Each client reads only its own object, which holds a value no
+// other object holds, so an answer meant for another call (a recycled call
+// that a late response still reached) shows as a wrong value. A failed
+// round trip gives its transaction up, as a client would: besides timeouts,
+// a retransmission that a stalled original overtook is answered as
+// superseded.
+func TestMuxRecycledCallsNeverCross(t *testing.T) {
+	const clients, txns = 16, 40
+	srv := storage.NewServer(storage.Config{Rows: clients})
+	for obj := int64(0); obj < clients; obj++ {
+		for i := int64(0); i <= obj; i++ { // object obj holds obj+1
+			if _, err := srv.ExecScheduled(request.Request{Op: request.Write, Object: obj}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	engine, err := scheduler.NewEngine(scheduler.Config{
+		Protocol:       protocol.SS2PLDatalog(),
+		Server:         srv,
+		ResubmitWindow: 1 << 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw := scheduler.NewMiddleware(engine, scheduler.HybridTrigger{Level: 8, Every: time.Millisecond}, metrics.NewCollector())
+	mw.Start()
+	defer mw.Stop()
+	s, err := Listen("127.0.0.1:0", mw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	proxy, err := chaos.New(s.Addr(), chaos.Config{Seed: 7, LatencyP: 0.2, MaxLatency: 3 * time.Millisecond,
+		StallP: 0.05, StallFor: 30 * time.Millisecond, KillP: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	c, err := DialMux(proxy.Addr(), MuxOptions{Timeout: 10 * time.Millisecond, NoRetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stop := make(chan struct{})
+	reconnects := make(chan int)
+	go func() {
+		n := 0
+		defer func() { reconnects <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				c.forceReconnect()
+				n++
+			}
+		}
+	}()
+
+	var timeouts, failed, answered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			obj := int64(g)
+			for n := 0; n < txns; n++ {
+				ta := int64(1 + g*txns + n)
+				for i, r := range []request.Request{
+					{TA: ta, IntraTA: 0, Op: request.Read, Object: obj},
+					{TA: ta, IntraTA: 1, Op: request.Read, Object: obj},
+					{TA: ta, IntraTA: 2, Op: request.Commit, Object: request.NoObject},
+				} {
+					v, err := c.Submit(r)
+					if err != nil {
+						if errors.Is(err, errTimeout) {
+							timeouts.Add(1)
+						} else {
+							failed.Add(1)
+						}
+						break
+					}
+					answered.Add(1)
+					if want := map[bool]int64{true: 0, false: obj + 1}[i == 2]; v != want {
+						t.Errorf("client %d, %v: got %d, want %d (another request's answer)", g, r.Key(), v, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	forced := <-reconnects
+	t.Logf("%d answers, %d timeouts, %d other failures, %d forced reconnects, proxy %+v",
+		answered.Load(), timeouts.Load(), failed.Load(), forced, proxy.Stats())
+	if timeouts.Load() == 0 {
+		t.Errorf("no round trip timed out: no call was withdrawn (test premise broken)")
+	}
+	if answered.Load() < clients*txns {
+		t.Errorf("only %d answers: too few round trips completed to show anything", answered.Load())
 	}
 }

@@ -114,7 +114,8 @@ func TestSubmitFailsCleanlyWhenServerDiesMidRequest(t *testing.T) {
 func TestErrAbortedPropagates(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
-		typ, body, err := readFrame(bufio.NewReader(conn))
+		fr := frameReader{br: bufio.NewReader(conn)}
+		typ, body, err := fr.read()
 		if err != nil || typ != frameReq {
 			return
 		}
@@ -122,7 +123,7 @@ func TestErrAbortedPropagates(t *testing.T) {
 		if err != nil {
 			return
 		}
-		conn.Write(encodeResp(response{corr: corr, status: statusAborted}))
+		conn.Write(appendReply(nil, response{corr: corr, status: statusAborted}))
 		io.Copy(io.Discard, conn) // hold the connection until the client leaves
 	})
 	c, err := DialMux(addr, MuxOptions{Timeout: 2 * time.Second})
@@ -146,14 +147,14 @@ func TestIdleConnectionReaped(t *testing.T) {
 	for _, dialect := range []struct {
 		name  string
 		probe []byte
-		read  func(*bufio.Reader) error
+		read  func(*frameReader) error
 	}{
-		{"line", []byte("PING\n"), func(r *bufio.Reader) error {
-			_, err := r.ReadString('\n')
+		{"line", []byte("PING\n"), func(r *frameReader) error {
+			_, err := r.br.ReadString('\n')
 			return err
 		}},
-		{"mux", encodeCorrFrame(framePing, 1), func(r *bufio.Reader) error {
-			_, _, err := readFrame(r)
+		{"mux", appendCorrFrame(nil, framePing, 1), func(r *frameReader) error {
+			_, _, err := r.read()
 			return err
 		}},
 	} {
@@ -163,7 +164,7 @@ func TestIdleConnectionReaped(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		r := bufio.NewReader(conn)
+		r := &frameReader{br: bufio.NewReader(conn)}
 		if _, err := conn.Write(dialect.probe); err != nil {
 			t.Fatalf("%s: probe: %v", dialect.name, err)
 		}

@@ -143,8 +143,9 @@ type Middleware struct {
 	mu      sync.Mutex
 	waiters map[request.Key]waiter
 	byTA    map[int64][]request.Key
-	// freeKeys holds the emptied key slices of transactions whose byTA entry
-	// went (dropTA), for the next transactions registerLocked files.
+	// freeKeys holds the emptied key slices of transactions whose byTA or
+	// doneByTA entry went (releaseKeys), for the next transactions either
+	// map files (takeKeys).
 	freeKeys [][]request.Key
 	// closed is set ahead of the loop's final sweep: a submission that
 	// registers after it is answered ErrStopped on the spot, since nothing
@@ -170,16 +171,30 @@ type terminal struct {
 	op  request.Op
 }
 
-// waiter is one unanswered submission: either a reply channel (blocking
-// Submit) or a callback (SubmitFunc). Exactly one of ch/cb is set. req keeps
-// the submitted request so a later duplicate of the same key can tell a
-// retransmission (identical content — attach to the in-flight copy) from a
-// different request under a live key (refused with ErrDuplicateKey).
+// waiter is one unanswered submission: its answer goes to to.Reply under
+// tag — a pooled reply channel for a blocking Submit, the submitter's own
+// target for SubmitTo. req keeps the submitted request so a later duplicate
+// of the same key can tell a retransmission (identical content — attach to
+// the in-flight copy) from a different request under a live key (refused
+// with ErrDuplicateKey). A waiter is a map value: it stays at or under 128
+// bytes (120 today), or Go stores it out of line, one allocation per
+// submission.
 type waiter struct {
 	req   request.Request
-	ch    chan Result
-	cb    func(Result)
+	to    Replier
+	tag   uint64
 	stamp time.Time
+}
+
+// Replier is the delivery target of SubmitTo. Reply is called exactly once
+// per accepted submission, with the tag it was submitted under: possibly
+// synchronously from SubmitTo (a resubmit-cache hit), and otherwise from the
+// middleware's delivery path — an executor or the round loop, with the
+// middleware's lock held — so it must not block. A target that serves many
+// submissions tells them apart by the tag (the network front end passes
+// each request's correlation ID).
+type Replier interface {
+	Reply(tag uint64, res Result)
 }
 
 // NewMiddleware wraps an engine with a trigger policy. The collector may be
@@ -370,7 +385,11 @@ func (m *Middleware) recordExecuted(ex Executed) {
 	}
 	k := ex.Request.Key()
 	if _, dup := m.done[k]; !dup {
-		m.doneByTA[ex.Request.TA] = append(m.doneByTA[ex.Request.TA], k)
+		keys, ok := m.doneByTA[ex.Request.TA]
+		if !ok {
+			keys = m.takeKeys()
+		}
+		m.doneByTA[ex.Request.TA] = append(keys, k)
 	}
 	m.done[k] = Result{Value: ex.Value, Err: ex.Err}
 }
@@ -383,10 +402,13 @@ func (m *Middleware) finishTA(ta int64, t terminal) {
 		return
 	}
 	m.ensureCacheLocked()
-	for _, k := range m.doneByTA[ta] {
-		delete(m.done, k)
+	if keys, ok := m.doneByTA[ta]; ok {
+		for _, k := range keys {
+			delete(m.done, k)
+		}
+		delete(m.doneByTA, ta)
+		m.releaseKeys(keys)
 	}
-	delete(m.doneByTA, ta)
 	if _, dup := m.finished[ta]; !dup {
 		m.finOrder = append(m.finOrder, ta)
 	}
@@ -464,9 +486,8 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		return false
 	}
 	keys, ok := m.byTA[k.TA]
-	if !ok && len(m.freeKeys) > 0 {
-		keys = m.freeKeys[len(m.freeKeys)-1]
-		m.freeKeys = m.freeKeys[:len(m.freeKeys)-1]
+	if !ok {
+		keys = m.takeKeys()
 	}
 	m.byTA[k.TA] = append(keys, k)
 	m.waiters[k] = w
@@ -478,20 +499,22 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 // hit at registration time): no queued-counter bookkeeping.
 func (m *Middleware) answerUnregistered(w waiter, res Result) {
 	m.answered.Add(1)
-	if w.cb != nil {
-		w.cb(res)
-		return
-	}
-	w.ch <- res
+	w.to.Reply(w.tag, res)
 }
 
-// replies recycles Submit's reply channels (each buffered for one Result).
-// A channel goes back after its single receive, which is safe only because
-// every registered waiter is answered exactly once (answer and
-// answerUnregistered, each followed by the waiter leaving m.waiters): a
-// second send to a waiter would land in a channel another Submit now owns
-// and hand that caller a foreign Result.
-var replies = sync.Pool{New: func() any { return make(chan Result, 1) }}
+// replyChan is Submit's delivery target: a channel buffered for the one
+// Result, which the submitter receives.
+type replyChan chan Result
+
+// Reply implements Replier.
+func (c replyChan) Reply(_ uint64, res Result) { c <- res }
+
+// replies recycles Submit's reply channels. A channel goes back after its
+// single receive, which is safe only because every registered waiter is
+// answered exactly once (answer and answerUnregistered, each followed by
+// the waiter leaving m.waiters): a second send to a waiter would land in a
+// channel another Submit now owns and hand that caller a foreign Result.
+var replies = sync.Pool{New: func() any { return make(replyChan, 1) }}
 
 // Submit sends one request and blocks until it executed (or its transaction
 // aborted, or admission rejected it). Safe for concurrent use by many client
@@ -508,27 +531,26 @@ func (m *Middleware) Submit(r request.Request) Result {
 		m.answered.Add(1)
 		return res
 	}
-	reply := replies.Get().(chan Result)
-	m.registerAndEnqueue(r, waiter{ch: reply, stamp: time.Now()})
+	reply := replies.Get().(replyChan)
+	m.registerAndEnqueue(r, waiter{to: reply, stamp: time.Now()})
 	res := <-reply
 	replies.Put(reply)
 	return res
 }
 
-// SubmitFunc submits one request without blocking for its result: cb is
-// invoked exactly once with the outcome, possibly synchronously (an
-// idempotent-cache hit) and otherwise from the middleware's delivery path —
-// it must not block. A non-nil return means the request was rejected before
-// admission (BusyError, ErrShuttingDown, ErrStopped) and cb will never be
-// called. This is the submission path of the multiplexed network front end:
-// one connection carries many in-flight requests without a goroutine each.
-func (m *Middleware) SubmitFunc(r request.Request, cb func(Result)) error {
+// SubmitTo submits one request without blocking for its result: to.Reply
+// is called exactly once with tag and the outcome (see Replier). A non-nil
+// return means the request was rejected before admission (BusyError,
+// ErrShuttingDown, ErrStopped) and to will not hear of it. This is the
+// submission path of the multiplexed network front end: one connection
+// carries many in-flight requests without a goroutine or a closure each.
+func (m *Middleware) SubmitTo(r request.Request, to Replier, tag uint64) error {
 	if err := m.admission(r); err != nil {
 		return err
 	}
 	if res, ok := m.cached(r); ok {
 		m.answered.Add(1)
-		cb(res)
+		to.Reply(tag, res)
 		return nil
 	}
 	select {
@@ -536,7 +558,7 @@ func (m *Middleware) SubmitFunc(r request.Request, cb func(Result)) error {
 		return ErrStopped
 	default:
 	}
-	m.registerAndEnqueue(r, waiter{cb: cb, stamp: time.Now()})
+	m.registerAndEnqueue(r, waiter{to: to, tag: tag, stamp: time.Now()})
 	return nil
 }
 
@@ -620,8 +642,26 @@ func (m *Middleware) deliver(c Completion) {
 func (m *Middleware) dropTA(ta int64) {
 	if keys, ok := m.byTA[ta]; ok {
 		delete(m.byTA, ta)
-		m.freeKeys = append(m.freeKeys, keys[:0])
+		m.releaseKeys(keys)
 	}
+}
+
+// takeKeys returns an emptied key slice to file a new transaction's keys in
+// (nil when none is free). Caller holds m.mu.
+func (m *Middleware) takeKeys() []request.Key {
+	n := len(m.freeKeys)
+	if n == 0 {
+		return nil
+	}
+	keys := m.freeKeys[n-1]
+	m.freeKeys = m.freeKeys[:n-1]
+	return keys
+}
+
+// releaseKeys keeps the slice of a key list no map holds any more. Caller
+// holds m.mu.
+func (m *Middleware) releaseKeys(keys []request.Key) {
+	m.freeKeys = append(m.freeKeys, keys[:0])
 }
 
 // notifyVictims unblocks the clients of aborted transactions — under

@@ -548,6 +548,11 @@ func TestReplyDoesNotWaitForNextRound(t *testing.T) {
 	}
 }
 
+// replierFunc adapts a function to a SubmitTo delivery target.
+type replierFunc func(tag uint64, res Result)
+
+func (f replierFunc) Reply(tag uint64, res Result) { f(tag, res) }
+
 // TestExecutorsDeliverExactlyOnce: on a 4-shard engine, executors answer
 // their clients concurrently with victim notifications (StarveAfter 8 on a
 // contended object set) and with forced slot moves, whose migrations quiesce
@@ -613,12 +618,12 @@ func TestExecutorsDeliverExactlyOnce(t *testing.T) {
 				tx := b.Commit()
 				for _, r := range tx.Requests {
 					k := r.Key()
-					if err := m.SubmitFunc(r, func(res Result) {
+					if err := m.SubmitTo(r, replierFunc(func(_ uint64, res Result) {
 						mu.Lock()
 						answers[k]++
 						mu.Unlock()
 						reply <- res
-					}); err != nil {
+					}), 0); err != nil {
 						t.Errorf("%v rejected: %v", k, err)
 						return
 					}

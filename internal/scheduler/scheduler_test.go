@@ -585,7 +585,7 @@ func TestRecycledReplyChannelsNeverCross(t *testing.T) {
 		}
 	}
 	for i := 0; i < 256; i++ {
-		if ch := replies.Get().(chan Result); len(ch) != 0 {
+		if ch := replies.Get().(replyChan); len(ch) != 0 {
 			t.Fatalf("a pooled reply channel holds a stray Result %+v", <-ch)
 		}
 	}

@@ -67,6 +67,9 @@ type durableState struct {
 	committed []int64
 	inflight  map[int64][]inflightWrite
 	expect    map[int64]int
+	// freeWrites holds the emptied write lists of terminated transactions
+	// (dropTA), for the next transactions noteWrite files.
+	freeWrites [][]inflightWrite
 
 	syncEvery      int
 	commitBatches  int // commit-carrying batches since the last fsync
@@ -269,7 +272,12 @@ func (d *durableState) noteWrite(ta, obj int64, ok bool) error {
 	}
 	err := d.j.append(typ, ta, obj)
 	if err == nil {
-		d.inflight[ta] = append(d.inflight[ta], inflightWrite{obj: obj, ok: ok})
+		ws, filed := d.inflight[ta]
+		if n := len(d.freeWrites); !filed && n > 0 {
+			ws = d.freeWrites[n-1]
+			d.freeWrites = d.freeWrites[:n-1]
+		}
+		d.inflight[ta] = append(ws, inflightWrite{obj: obj, ok: ok})
 	}
 	d.gate.Broadcast() // wake commit gates (progress or journal death)
 	return err
@@ -309,8 +317,7 @@ func (d *durableState) commitTA(ta int64) error {
 			d.committed[w.obj]++
 		}
 	}
-	delete(d.inflight, ta)
-	delete(d.expect, ta)
+	d.dropTA(ta)
 	d.commits++
 	d.batchHadCommit = true
 	return nil
@@ -325,10 +332,19 @@ func (d *durableState) abortTA(ta int64) error {
 		d.gate.Broadcast()
 		return err
 	}
-	delete(d.inflight, ta)
-	delete(d.expect, ta)
+	d.dropTA(ta)
 	d.aborts++
 	return nil
+}
+
+// dropTA forgets a terminated transaction and keeps its emptied write list
+// for the next transaction. d.mu held.
+func (d *durableState) dropTA(ta int64) {
+	if ws, ok := d.inflight[ta]; ok {
+		delete(d.inflight, ta)
+		d.freeWrites = append(d.freeWrites, ws[:0])
+	}
+	delete(d.expect, ta)
 }
 
 // undoWrite journals a victim's write compensation and removes the matching

@@ -163,19 +163,19 @@ func (j *journal) append(typ byte, ta, obj int64) error {
 	if j.dead != nil {
 		return j.dead
 	}
-	var b [recordSize]byte
-	putRecord(b[:], jrec{lsn: j.nextLSN, ta: ta, obj: obj, typ: typ})
+	// The record is framed in place, at the end of the buffer.
+	at := len(j.buf)
+	j.buf = append(j.buf, make([]byte, recordSize)...)
+	putRecord(j.buf[at:], jrec{lsn: j.nextLSN, ta: ta, obj: obj, typ: typ})
 	if j.crashAt > 0 && j.appended+recordSize > j.crashAt {
-		if keep := j.crashAt - j.appended; keep > 0 {
-			j.buf = append(j.buf, b[:keep]...)
-			j.account(keep)
-		}
+		keep := max(j.crashAt-j.appended, 0)
+		j.buf = j.buf[:at+int(keep)]
+		j.account(keep)
 		j.flush() // best effort: the torn prefix reaches the file
 		j.f.Sync()
 		j.dead = errJournalDead
 		return j.dead
 	}
-	j.buf = append(j.buf, b[:]...)
 	j.nextLSN++
 	j.account(recordSize)
 	if j.met != nil {
