@@ -60,7 +60,11 @@ import (
 // EXCEPT and anti-joins turn a deleted right-side tuple into an inserted
 // left row safely. A steady-state warm round so allocates only the built
 // tuples that become present somewhere, and a delete-only round allocates
-// none.
+// none. A view over held rows holds them too: the rewrite folds a column
+// projection into the join that reads it (rewrite.go, rule 7), so the join
+// reads, and its input's bag keeps, the base table's own instances — Listing
+// 1's lock-view bags hold the history bag's rows, and no read or write of a
+// live transaction is copied into a lock view.
 //
 // Every plan operator has a delta rule (the parser refuses LIMIT, whose
 // content would depend on physical row order). Intermediate views' row
@@ -240,19 +244,31 @@ func (m *IVM) Bags() []*relation.Bag {
 	return out
 }
 
-// Result flattens the maintained root view. With a root-level ORDER BY the
-// incrementally maintained sorted cells are emitted directly — no re-sort;
-// otherwise row order is unspecified.
+// Result flattens the maintained root view into a relation (see
+// AppendResult).
 func (m *IVM) Result() (*relation.Relation, error) {
-	root := m.plan.root
-	if m.order != nil {
-		return m.order.relation(root.schema), nil
-	}
-	rel, err := m.views[root.id].bag.Relation().WithSchema(root.schema)
-	if err != nil {
-		return nil, fmt.Errorf("minisql: ivm: %w", err)
-	}
+	rel := relation.New(m.plan.root.schema)
+	rel.AppendTrusted(m.AppendResult(nil)...)
 	return rel, nil
+}
+
+// AppendResult appends the maintained root view's rows to dst, each as often
+// as it counts, and returns the extended slice. With a root-level ORDER BY the
+// incrementally maintained sorted cells are emitted directly — no re-sort;
+// otherwise row order is unspecified. The rows are the view cache's own:
+// the caller must not mutate them.
+func (m *IVM) AppendResult(dst []relation.Tuple) []relation.Tuple {
+	if m.order != nil {
+		return m.order.appendRows(dst)
+	}
+	b := m.views[m.plan.root.id].bag
+	dst = slices.Grow(dst, b.Len())
+	for p := range int32(b.DistinctLen()) {
+		for range b.CountAt(p) {
+			dst = append(dst, b.At(p))
+		}
+	}
+	return dst
 }
 
 // acquire hands out a reset signed delta from the pool; every delta acquired
@@ -473,18 +489,15 @@ func (o *orderedRoot) apply(d *sdelta) error {
 	return nil
 }
 
-// relation emits the sorted rows (each cell repeated by its count) under the
-// given schema.
-func (o *orderedRoot) relation(s *relation.Schema) *relation.Relation {
-	rows := make([]relation.Tuple, 0, o.total)
+// appendRows appends the sorted rows to dst, each cell repeated by its count.
+func (o *orderedRoot) appendRows(dst []relation.Tuple) []relation.Tuple {
+	dst = slices.Grow(dst, o.total)
 	for _, c := range o.cells {
-		for i := 0; i < c.n; i++ {
-			rows = append(rows, c.t)
+		for range c.n {
+			dst = append(dst, c.t)
 		}
 	}
-	out := relation.New(s)
-	out.AppendTrusted(rows...)
-	return out
+	return dst
 }
 
 // sdelta is a signed counted multiset: the net form every delta rule works

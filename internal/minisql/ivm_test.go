@@ -625,6 +625,56 @@ func TestIVMColumnRunProjectionSharesHeldTuples(t *testing.T) {
 	}
 }
 
+// TestIVMLockViewsKeepHistoryRows: Listing 1's lock views hold the history
+// bag's own rows. A warm round that appends live transactions' reads and
+// writes to history — 16 rows, each a read or a write lock, while the
+// pending requests touch other objects, so no join pairs anything — copies
+// none of them: about 0 allocations a round (the bound, 1, leaves room for
+// the bags' amortised growth). With each lock view a projection of its own
+// (a (object, ta, operation) copy of every read, and of every write under a
+// DISTINCT), such a round allocated once per row.
+func TestIVMLockViewsKeepHistoryRows(t *testing.T) {
+	const perRound, warm, runs, objects = 16, 100, 200, 500
+	rng := rand.New(rand.NewSource(45))
+	m := newListingOneIVM(t, listingOnePlan(t))
+	var requests []relation.Tuple
+	for i := range 50 {
+		requests = append(requests, requestRow(int64(1_000_000+i), int64(1_000_000+i), 0, "w", objects+int64(i)))
+	}
+	if err := m.Apply(map[string]Delta{"requests": {Ins: requests}}); err != nil {
+		t.Fatal(err)
+	}
+	rounds := make([]map[string]Delta, warm+1+runs)
+	id := int64(1)
+	for i := range rounds {
+		rows := make([]relation.Tuple, perRound)
+		for j := range rows {
+			// Four transactions a round, four requests each, none of them
+			// finished.
+			ta := int64(4*i + j/4)
+			rows[j] = requestRow(id, ta, int64(j%4), []string{"r", "w"}[rng.Intn(2)], rng.Int63n(objects))
+			id++
+		}
+		rounds[i] = map[string]Delta{"history": {Ins: rows}}
+	}
+	for _, d := range rounds[:warm] {
+		if err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := m.Apply(rounds[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("a round of %d live history rows: %.2f allocations", perRound, allocs)
+	if allocs > 1 {
+		t.Fatalf("a round of %d live history rows allocates %.2f times, want about 0: a lock view copies rows", perRound, allocs)
+	}
+}
+
 // ivmRoundSlack is the allocations a warm round may make beyond one per
 // tuple that becomes present: amortised growth of pooled scratch.
 const ivmRoundSlack = 2

@@ -325,7 +325,16 @@ func randQuery(rng *rand.Rand) string {
 	}
 	twoTables := rng.Intn(2) == 0
 	if twoTables {
-		b.WriteString("x.a, x.b, y.c FROM t1 x, t2 y WHERE x.")
+		// y is t2 itself or a column projection of its filtered rows, with or
+		// without a DISTINCT: the rewrite drops a DISTINCT an outer one
+		// makes invisible and folds the projection into the join when only
+		// the root's projection reads it (Listing 1's lock views).
+		y := "t2"
+		if rng.Intn(2) == 0 {
+			distinct := []string{"", "DISTINCT "}[rng.Intn(2)]
+			y = fmt.Sprintf("(SELECT %sw.c, w.a, w.b FROM t2 w WHERE w.c >= %d)", distinct, rng.Intn(4))
+		}
+		b.WriteString("x.a, x.b, y.c FROM t1 x, " + y + " y WHERE x.")
 		b.WriteString([]string{"a", "b"}[rng.Intn(2)])
 		b.WriteString(" = y.")
 		b.WriteString([]string{"a", "b"}[rng.Intn(2)])

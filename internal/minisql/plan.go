@@ -13,13 +13,14 @@ import (
 // operator nodes (all name resolution, conjunct placement, join-key
 // extraction and EXISTS rewriting happens here, once), rewrites it as an
 // optimiser would (rewrite.go: semi- and anti-joins, identity projections as
-// renames, one shared node per repeated filter), and Plan.Eval runs the graph
-// bottom-up through the ra operators, each shared node once. Splitting the
-// two lets the incremental view maintenance engine (ivm.go) run the exact
-// cold plan as its view graph, so the two executors cannot diverge on
-// planning decisions: every node is patched by a delta rule, and a node
-// keeps a materialised view only where a delta rule reads one (the inputs of
-// joins, EXCEPT and DISTINCT, and an unordered root).
+// renames, one shared node per repeated filter, DISTINCTs no reader needs
+// dropped, column projections folded into the joins that read them), and
+// Plan.Eval runs the graph bottom-up through the ra operators, each shared
+// node once. Splitting the two lets the incremental view maintenance engine
+// (ivm.go) run the exact cold plan as its view graph, so the two executors
+// cannot diverge on planning decisions: every node is patched by a delta
+// rule, and a node keeps a materialised view only where a delta rule reads
+// one (the inputs of joins, EXCEPT and DISTINCT, and an unordered root).
 
 // planOp discriminates plan node types.
 type planOp uint8
@@ -68,7 +69,7 @@ type Plan struct {
 	root  *planNode
 	ctes  []*planNode // CTE bodies in declaration order; slot i may use j < i
 	names []string    // CTE names by slot, for String
-	nodes []*planNode // every reachable node once, children before parents
+	nodes []*planNode // every node the root reads once, children before parents
 }
 
 // CompilePlan lowers q against the given base-table schemas (keys are
@@ -607,7 +608,6 @@ func joinSchema(l, r *relation.Schema) *relation.Schema {
 type planEval struct {
 	plan *Plan
 	cat  Catalog
-	cte  []*relation.Relation
 	done []*relation.Relation // node id -> result, so a shared node runs once
 }
 
@@ -620,16 +620,9 @@ func (p *Plan) Eval(cat Catalog) (*relation.Relation, error) {
 // eval runs the plan, leaving every evaluated node's result in done (the
 // IVM materialises its views from them).
 func (p *Plan) eval(cat Catalog, done []*relation.Relation) (*relation.Relation, error) {
-	e := &planEval{plan: p, cat: cat, cte: make([]*relation.Relation, len(p.ctes)), done: done}
-	// CTEs evaluate eagerly in declaration order, as in SQL; a CTE may read
-	// any earlier slot.
-	for i, n := range p.ctes {
-		r, err := e.node(n)
-		if err != nil {
-			return nil, err
-		}
-		e.cte[i] = r
-	}
+	// A CTE body runs when a scan of its slot first needs it; a body nothing
+	// reads does not run.
+	e := &planEval{plan: p, cat: cat, done: done}
 	return e.node(p.root)
 }
 
@@ -645,7 +638,7 @@ func (e *planEval) node(n *planNode) (rel *relation.Relation, err error) {
 	switch n.op {
 	case opScan:
 		if n.cte >= 0 {
-			return e.cte[n.cte], nil
+			return e.node(e.plan.ctes[n.cte])
 		}
 		r, ok := e.cat[n.table]
 		if !ok {
@@ -710,9 +703,11 @@ func applyOp(n *planNode, l, r *relation.Relation) (*relation.Relation, error) {
 // under their names: one line per node with its operator, equi-keys, residual
 // predicate and filters, children indented below it (a join's left child
 // first). A node with several parents (a filter the rewrite shared) is
-// marked "(shared)" and printed under each. It shows what the planner did
-// with a query — which conjuncts became hash keys, which were pushed below a
-// join as filters, which stayed an interpreted residual:
+// marked "(shared)" and printed under each; a CTE body the root does not
+// read (a projection the rewrite folded into its reader, say) prints as
+// "(unread)". It shows what the planner did with a query — which conjuncts
+// became hash keys, which were pushed below a join as filters, which stayed
+// an interpreted residual:
 //
 //	with finished:
 //	  project ta=h.ta
@@ -733,6 +728,10 @@ func (p *Plan) String() string {
 	}
 	var b strings.Builder
 	for i, n := range p.ctes {
+		if n.id < 0 {
+			fmt.Fprintf(&b, "with %s: (unread)\n", p.names[i])
+			continue
+		}
 		fmt.Fprintf(&b, "with %s:\n", p.names[i])
 		p.write(&b, n, 1, parents)
 	}

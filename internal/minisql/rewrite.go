@@ -31,28 +31,31 @@ import (
 //     each under its own alias, become one filter over the table's scan with
 //     a rename per alias above it: the plan turns into a DAG, and the filter
 //     is evaluated, and maintained, once.
+//  6. A DISTINCT whose duplicates no reader can see becomes a rename. A node
+//     is set-read when each of its readers is EXCEPT (either input), a
+//     DISTINCT or a semi-/anti-join that reads it as its right input, or
+//     passes its rows on — a rename, filter, projection, UNION ALL, inner
+//     join, a semi-/anti-join's left input or a CTE scan — to readers that
+//     are set-read in turn. Each of those passes a row's presence on and
+//     nothing but its count, so the readers at the end ask only whether a
+//     row is there. The root and a left join's inputs are never set-read.
+//  7. A projection onto columns alone, over rows a base table holds (its
+//     scan, or a filter, rename or semi-/anti-join over one), whose only
+//     reader is an inner join's input (through renames and CTE scans) while
+//     that join is read only by projections, folds into the join: the join
+//     reads the projection's input, and its keys, its residual and its
+//     readers' items read the columns the projection picked. The view cache
+//     then keeps the base table's own rows on that side instead of a copy of
+//     each, narrowed (Listing 1's lock views).
 //
-// Rules 2-4 rewrite nodes in place, so the CTE slots and the root keep their
-// pointers; the node list is then rebuilt in evaluation order, without the
-// nodes nothing reaches any more.
+// Rules 2-4 and 6 rewrite nodes in place, so the CTE slots and the root keep
+// their pointers; rule 7 rewires a join. The node list is then rebuilt from
+// the root, without the nodes nothing reads any more — a CTE body among them.
 func (p *Plan) rewrite() {
-	consumers := make([][]*planNode, len(p.nodes))
-	for _, n := range p.nodes {
-		for _, ch := range [2]*planNode{n.l, n.r} {
-			if ch != nil {
-				consumers[ch.id] = append(consumers[ch.id], n)
-			}
-		}
-	}
-	// The root and the CTE bodies have readers outside the node graph.
-	exported := make([]bool, len(p.nodes))
-	exported[p.root.id] = true
-	for _, n := range p.ctes {
-		exported[n.id] = true
-	}
+	consumers := p.readers()
 	// leftOnly: only projections read n, none at or past column width.
 	leftOnly := func(n *planNode, width int) bool {
-		if exported[n.id] {
+		if n == p.root {
 			return false
 		}
 		for _, c := range consumers[n.id] {
@@ -90,6 +93,166 @@ func (p *Plan) rewrite() {
 	}
 	p.shareFilters()
 	p.renumber()
+	p.dropSetReadDistincts()
+	for p.foldProjection() {
+		p.renumber()
+	}
+}
+
+// readers lists, by node id, the nodes that read each node: its parents,
+// and for a CTE body the scans of its slot.
+func (p *Plan) readers() [][]*planNode {
+	rs := make([][]*planNode, len(p.nodes))
+	for _, n := range p.nodes {
+		for _, ch := range [2]*planNode{n.l, n.r} {
+			if ch != nil {
+				rs[ch.id] = append(rs[ch.id], n)
+			}
+		}
+		if n.op == opScan && n.cte >= 0 {
+			body := p.ctes[n.cte]
+			rs[body.id] = append(rs[body.id], n)
+		}
+	}
+	return rs
+}
+
+// dropSetReadDistincts applies rule 6.
+func (p *Plan) dropSetReadDistincts() {
+	rs := p.readers()
+	setRead := make([]bool, len(p.nodes))
+	// Every reader follows what it reads in the node list, so a backward walk
+	// decides a node's readers before the node.
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		n := p.nodes[i]
+		ok := n != p.root && len(rs[i]) > 0
+		for _, c := range rs[i] {
+			ok = ok && readsAsSet(c, n, setRead)
+		}
+		setRead[i] = ok
+	}
+	for _, n := range p.nodes {
+		if n.op == opDistinct && setRead[n.id] {
+			n.op, n.names = opRename, columnNames(n.schema)
+		}
+	}
+}
+
+// readsAsSet: reader c asks only whether each row of n is present, or passes
+// n's rows on to readers that do (setRead, by node id).
+func readsAsSet(c, n *planNode, setRead []bool) bool {
+	switch c.op {
+	case opExcept, opDistinct:
+		return true
+	case opSemi:
+		return c.l != n || setRead[c.id]
+	case opRename, opSelect, opProject, opUnionAll, opJoin, opScan:
+		return setRead[c.id]
+	}
+	return false
+}
+
+// foldProjection applies rule 7 to the first projection it fits and reports
+// whether there was one.
+func (p *Plan) foldProjection() bool {
+	rs := p.readers()
+	for _, n := range p.nodes {
+		if n.op != opProject || !columnsOnly(n) || !p.emitsHeld(n.l) {
+			continue
+		}
+		// Climb n's one reader at a time through renames and CTE scans.
+		from := n
+		for len(rs[from.id]) == 1 {
+			c := rs[from.id][0]
+			if c.op == opJoin {
+				if c != p.root && !slices.ContainsFunc(rs[c.id], func(r *planNode) bool { return r.op != opProject }) {
+					foldInto(c, n, c.r == from, rs[c.id])
+					return true
+				}
+				break
+			}
+			if c.op != opRename && c.op != opScan {
+				break
+			}
+			from = c
+		}
+	}
+	return false
+}
+
+// columnsOnly: every item of projection n is one of its input's columns,
+// with that column's kind.
+func columnsOnly(n *planNode) bool {
+	for _, it := range n.items {
+		c, ok := it.E.(ra.Col)
+		if !ok || it.Kind != n.l.schema.Col(c.Pos).Kind {
+			return false
+		}
+	}
+	return true
+}
+
+// emitsHeld: n's rows are a base table's own rows — its scan, or a filter,
+// rename or semi-/anti-join over rows that are, seen through CTE scans.
+func (p *Plan) emitsHeld(n *planNode) bool {
+	for {
+		switch {
+		case n.op == opScan && n.cte < 0:
+			return true
+		case n.op == opScan:
+			n = p.ctes[n.cte]
+		case n.op == opSelect, n.op == opRename, n.op == opSemi:
+			n = n.l
+		default:
+			return false
+		}
+	}
+}
+
+// foldInto makes join j read the input of projection proj, which reached j
+// as its right input when right and its left one otherwise, and rewrites
+// what reads j's columns — its keys, its residual and the items of its
+// readers, all projections — to the columns proj picked, under the names the
+// new join schema gives them.
+func foldInto(j, proj *planNode, right bool, readers []*planNode) {
+	picked := func(i int) int { return proj.items[i].E.(ra.Col).Pos }
+	oldL := j.l.schema.Len()
+	keys := slices.Clone(j.keys)
+	if right {
+		j.r = proj.l
+		for i := range keys {
+			keys[i].R = picked(keys[i].R)
+		}
+	} else {
+		j.l = proj.l
+		for i := range keys {
+			keys[i].L = picked(keys[i].L)
+		}
+	}
+	j.keys, j.schema = keys, joinSchema(j.l.schema, j.r.schema)
+	newL := j.l.schema.Len()
+	remap := func(e ra.Expr) ra.Expr {
+		return ra.MapCols(e, func(c ra.Col) ra.Col {
+			pos := c.Pos
+			switch {
+			case right && pos >= oldL:
+				pos = oldL + picked(pos-oldL)
+			case !right && pos < oldL:
+				pos = picked(pos)
+			case !right:
+				pos += newL - oldL
+			}
+			return ra.Col{Pos: pos, Name: j.schema.Col(pos).Name}
+		})
+	}
+	if j.pred != nil {
+		j.pred = remap(j.pred)
+	}
+	for _, r := range readers {
+		for i := range r.items {
+			r.items[i].E = remap(r.items[i].E)
+		}
+	}
 }
 
 // isNullOnRightKey: s's one predicate is `col IS NULL` on a right column of
@@ -212,8 +375,11 @@ func columnNames(s *relation.Schema) []string {
 	return names
 }
 
-// renumber rebuilds the node list from the CTE bodies and the root, children
-// before parents, each node once; ids follow the new positions.
+// renumber rebuilds the node list from the root, children before parents
+// and a CTE body before its scans, each node once; ids follow the new
+// positions. A node the root does not reach, directly or through CTE scans —
+// an unread CTE body among them — keeps id -1 and is neither evaluated nor
+// maintained.
 func (p *Plan) renumber() {
 	for _, n := range p.nodes {
 		n.id = -1
@@ -224,13 +390,13 @@ func (p *Plan) renumber() {
 		if n == nil || n.id >= 0 {
 			return
 		}
+		if n.op == opScan && n.cte >= 0 {
+			visit(p.ctes[n.cte])
+		}
 		visit(n.l)
 		visit(n.r)
 		n.id = len(nodes)
 		nodes = append(nodes, n)
-	}
-	for _, n := range p.ctes {
-		visit(n)
 	}
 	visit(p.root)
 	p.nodes = nodes

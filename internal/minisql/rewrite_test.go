@@ -3,6 +3,7 @@ package minisql
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ type rewriteCase struct {
 }
 
 var rewriteShapes = []func(*rand.Rand) rewriteCase{
-	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter,
+	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter, rwSetRead, rwFold,
 }
 
 // sqlEq is an equi-join key match: NULL matches nothing.
@@ -43,13 +44,31 @@ func distinctRows(rows []relation.Tuple) []relation.Tuple {
 	return out
 }
 
-func hasNode(p *Plan, f func(n *planNode) bool) bool {
+func hasNode(p *Plan, f func(n *planNode) bool) bool { return countNodes(p, f) > 0 }
+
+func countNodes(p *Plan, f func(n *planNode) bool) int {
+	k := 0
 	for _, n := range p.nodes {
 		if f(n) {
-			return true
+			k++
 		}
 	}
-	return false
+	return k
+}
+
+// setOf drops repeated tuples and those in minus: SQL EXCEPT.
+func setOf(rows, minus []relation.Tuple) []relation.Tuple {
+	drop := map[string]bool{}
+	for _, t := range minus {
+		drop[t.String()] = true
+	}
+	var out []relation.Tuple
+	for _, t := range distinctRows(rows) {
+		if !drop[t.String()] {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // rwResidual: a comma join whose WHERE compares the two sides beyond the
@@ -366,6 +385,205 @@ func rwSharedFilter(rng *rand.Rand) rewriteCase {
 	return c
 }
 
+// rwSetRead: a DISTINCT, d, of t3's (a, b) pairs whose duplicates no reader
+// sees (rule 6): read through a join and a projection by an EXCEPT's right
+// input (Listing 1's WLockedObjects, where rule 7 then folds d's projection
+// into the join), by an EXCEPT's left input, by an outer DISTINCT, or as a
+// semi- or anti-join's right input. Near misses: d read by the root, by a
+// root UNION ALL, and as a left join's right input under an EXCEPT.
+func rwSetRead(rng *rand.Rand) rewriteCase {
+	k := int64(rng.Intn(8))
+	kind := rng.Intn(8)
+	with := fmt.Sprintf("WITH d AS (SELECT DISTINCT z.a, z.b FROM t3 z WHERE z.c >= %d) ", k)
+	ds := func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+		for _, z := range db["t3"] {
+			if cmpTV(z[2], ">=", relation.Int(k)) == tvTrue {
+				out = append(out, relation.Tuple{z[0], z[1]})
+			}
+		}
+		return distinctRows(out)
+	}
+	cols := func(rows []relation.Tuple, pos ...int) (out []relation.Tuple) {
+		for _, r := range rows {
+			t := make(relation.Tuple, len(pos))
+			for i, p := range pos {
+				t[i] = r[p]
+			}
+			out = append(out, t)
+		}
+		return out
+	}
+	// joined: y.a and d.b over t2 y, d on y.b = d.a.
+	joined := func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+		for _, y := range db["t2"] {
+			for _, d := range ds(db) {
+				if sqlEq(y[1], d[0]) {
+					out = append(out, relation.Tuple{y[0], d[1]})
+				}
+			}
+		}
+		return out
+	}
+	c := rewriteCase{shape: "set-read distinct", rewritten: kind < 5}
+	keep := 0 // DISTINCTs the plan keeps beside d's
+	switch kind {
+	case 0:
+		c.src = with + "(SELECT x.a, x.c FROM t1 x) EXCEPT (SELECT y.a, d.b FROM t2 y, d WHERE y.b = d.a)"
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple {
+			return setOf(cols(db["t1"], 0, 2), joined(db))
+		}
+	case 1:
+		c.src = with + "(SELECT e.b, e.a FROM d e) EXCEPT (SELECT y.a, y.b FROM t2 y)"
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple {
+			return setOf(cols(ds(db), 1, 0), cols(db["t2"], 0, 1))
+		}
+	case 2:
+		c.src, keep = with+"SELECT DISTINCT y.a, d.b FROM t2 y, d WHERE y.b = d.a", 1
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple { return distinctRows(joined(db)) }
+	case 3, 4:
+		not, exists := kind == 4, "EXISTS"
+		if not {
+			exists = "NOT EXISTS"
+		}
+		c.src = with + "SELECT x.a, x.b, x.c FROM t1 x WHERE " + exists + " (SELECT * FROM d e WHERE e.a = x.b AND e.b <> x.c)"
+		c.want = func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			for _, x := range db["t1"] {
+				found := false
+				for _, e := range ds(db) {
+					found = found || sqlEq(e[0], x[1]) && cmpTV(e[1], "<>", x[2]) == tvTrue
+				}
+				if found != not {
+					out = append(out, x)
+				}
+			}
+			return out
+		}
+	case 5:
+		c.src = fmt.Sprintf("SELECT DISTINCT z.a, z.b FROM t3 z WHERE z.c >= %d", k)
+		c.want = ds
+	case 6:
+		c.src = with + "(SELECT e.a, e.b FROM d e) UNION ALL (SELECT y.a, y.b FROM t2 y)"
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple {
+			return append(ds(db), cols(db["t2"], 0, 1)...)
+		}
+	default:
+		c.src = with + "(SELECT x.a, x.c FROM t1 x) EXCEPT (SELECT x.a, e.b FROM t1 x LEFT JOIN d e ON x.b = e.a)"
+		c.want = func(db map[string][]relation.Tuple) []relation.Tuple {
+			var right []relation.Tuple
+			for _, x := range db["t1"] {
+				matched := false
+				for _, e := range ds(db) {
+					if sqlEq(x[1], e[0]) {
+						matched = true
+						right = append(right, relation.Tuple{x[0], e[1]})
+					}
+				}
+				if !matched {
+					right = append(right, relation.Tuple{x[0], relation.Null()})
+				}
+			}
+			return setOf(cols(db["t1"], 0, 2), right)
+		}
+	}
+	c.applied = func(p *Plan) bool {
+		return countNodes(p, func(n *planNode) bool { return n.op == opDistinct }) == keep
+	}
+	return c
+}
+
+// rwFold: v, a projection of t3's filtered rows onto columns (c, a), joined
+// with t1 on x.b = v.a and read by the root's projection (rule 7) — as the
+// join's right input, its left one, or a CTE; v's rows may pass an
+// anti-join first. Near misses: v computes an item, or has a NULL one; the
+// join is read by a semi-join; v projects a join's built rows; the CTE v is
+// read twice.
+func rwFold(rng *rand.Rand) rewriteCase {
+	k, kind := int64(rng.Intn(8)), rng.Intn(8)
+	anti, residual := rng.Intn(2) == 0, rng.Intn(2) == 0
+	where := fmt.Sprintf("z.b >= %d", k)
+	if anti {
+		where += " AND NOT EXISTS (SELECT * FROM t2 w WHERE w.a = z.a)"
+	}
+	items, from := "z.c, z.a", "t3 z"
+	switch kind {
+	case 3:
+		items = "z.c + 1 AS c, z.a"
+	case 4:
+		items = "z.c, z.a, NULL AS n"
+	case 6:
+		items, from, where = "z.c, y.a", "t3 z, t2 y", "z.a = y.b AND "+where
+	}
+	v := "SELECT " + items + " FROM " + from + " WHERE " + where
+	conds := "x.b = v.a"
+	if residual {
+		conds += " AND x.c <> v.c"
+	}
+	var src string
+	switch kind {
+	case 1:
+		src = "SELECT x.a, v.c FROM (" + v + ") v, t1 x WHERE " + conds
+	case 2:
+		src = "WITH v AS (" + v + ") SELECT x.a, v.c FROM t1 x, v WHERE " + conds
+	case 5:
+		src = "SELECT x.a, v.c FROM t1 x, (" + v + ") v WHERE " + conds + " AND EXISTS (SELECT * FROM t2 w WHERE w.a = x.c)"
+	case 7:
+		src = "WITH v AS (" + v + ") SELECT x.a, v.c FROM t1 x, v WHERE " + conds + " AND NOT EXISTS (SELECT * FROM v u WHERE u.a = x.c)"
+	default:
+		src = "SELECT x.a, v.c FROM t1 x, (" + v + ") v WHERE " + conds
+	}
+	vs := func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+		for _, z := range db["t3"] {
+			if cmpTV(z[1], ">=", relation.Int(k)) != tvTrue {
+				continue
+			}
+			if anti && slices.ContainsFunc(db["t2"], func(w relation.Tuple) bool { return sqlEq(w[0], z[0]) }) {
+				continue
+			}
+			switch kind {
+			case 3:
+				c := relation.Null()
+				if !z[2].IsNull() {
+					c = relation.Int(z[2].AsInt() + 1)
+				}
+				out = append(out, relation.Tuple{c, z[0]})
+			case 6:
+				for _, y := range db["t2"] {
+					if sqlEq(z[0], y[1]) {
+						out = append(out, relation.Tuple{z[2], y[0]})
+					}
+				}
+			default:
+				out = append(out, relation.Tuple{z[2], z[0]})
+			}
+		}
+		return out
+	}
+	return rewriteCase{
+		shape:     "fold projection",
+		src:       src,
+		rewritten: kind < 3,
+		// Folded, the root's projection is the only one left.
+		applied: func(p *Plan) bool { return countNodes(p, func(n *planNode) bool { return n.op == opProject }) == 1 },
+		want: func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			rows := vs(db)
+			for _, x := range db["t1"] {
+				if kind == 5 && !slices.ContainsFunc(db["t2"], func(w relation.Tuple) bool { return sqlEq(w[0], x[2]) }) {
+					continue
+				}
+				if kind == 7 && slices.ContainsFunc(rows, func(u relation.Tuple) bool { return sqlEq(u[1], x[2]) }) {
+					continue
+				}
+				for _, r := range rows {
+					if sqlEq(x[1], r[1]) && (!residual || cmpTV(x[2], "<>", r[0]) == tvTrue) {
+						out = append(out, relation.Tuple{x[0], r[0]})
+					}
+				}
+			}
+			return out
+		},
+	}
+}
+
 // runRewriteSeed draws tables and one rewrite case, checks that the plan
 // shows the rewrite exactly when its preconditions hold, and compares the
 // cold executor, the interpreter and the IVM — across random trickle and
@@ -447,7 +665,7 @@ func TestPlanRewritesMatchBruteForce(t *testing.T) {
 		}
 		seen[c.shape] = n
 	}
-	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter"} {
+	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter", "set-read distinct", "fold projection"} {
 		if n := seen[shape]; n[1] == 0 || shape != "residual" && n[0] == 0 {
 			t.Errorf("%s: %d rewritten and %d near misses generated", shape, n[1], n[0])
 		}

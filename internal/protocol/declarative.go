@@ -37,6 +37,10 @@ type SQLProtocol struct {
 	// the view cache's base bags keep as they are.
 	deltas map[string]minisql.Delta
 
+	// rows is the warm round's read of the view cache's result, reused
+	// every round: the rows go straight into the qualified requests.
+	rows []relation.Tuple
+
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
 	// maintained, "sql-ivm-build" when the cache was (re)materialized,
@@ -108,10 +112,9 @@ func (p *SQLProtocol) QualifyIncremental(pending, history []request.Request, d D
 		p.histLen += len(d.HistoryAppended) - len(d.HistoryRemoved)
 		if p.pendLen == len(pending) && p.histLen == len(history) {
 			if err := p.ivm.Apply(p.roundDeltas(d)); err == nil {
-				if rel, err := p.ivm.Result(); err == nil {
-					p.lastStrategy = "sql-ivm"
-					return p.finish(rel)
-				}
+				p.rows = p.ivm.AppendResult(p.rows[:0])
+				p.lastStrategy = "sql-ivm"
+				return p.finish(p.rows)
 			}
 		}
 		// The deltas disagree with the slices, or the views refused them (a
@@ -146,11 +149,7 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	rel, err := m.Result()
-	if err != nil {
-		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
-	}
-	out, err := p.finish(rel)
+	out, err := p.finish(m.AppendResult(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -167,13 +166,13 @@ func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	return p.finish(out)
+	return p.finish(out.Rows())
 }
 
-// finish converts a query result to requests: the five columns the relation
-// holds (see Protocol.Qualify).
-func (p *SQLProtocol) finish(out *relation.Relation) ([]request.Request, error) {
-	qualified, err := request.FromRelation(out)
+// finish converts a query result's rows to requests: the five columns each
+// row holds (see Protocol.Qualify).
+func (p *SQLProtocol) finish(rows []relation.Tuple) ([]request.Request, error) {
+	qualified, err := request.FromTuples(rows)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: bad query output: %w", p.name, err)
 	}

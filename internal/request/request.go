@@ -260,10 +260,10 @@ func ToExtendedRelation(rs []Request) *relation.Relation {
 	return out
 }
 
-// FromRelation parses a relation of requests.
-func FromRelation(rel *relation.Relation) ([]Request, error) {
-	out := make([]Request, 0, rel.Len())
-	for _, t := range rel.Rows() {
+// FromTuples parses rows of requests (a relation's Rows, say).
+func FromTuples(rows []relation.Tuple) ([]Request, error) {
+	out := make([]Request, 0, len(rows))
+	for _, t := range rows {
 		r, err := FromTuple(t)
 		if err != nil {
 			return nil, err

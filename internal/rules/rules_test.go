@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,8 +141,11 @@ func listingOnePlan(t *testing.T) *minisql.Plan {
 // line, one level deeper): WLockedObjects' LEFT JOIN ... IS NULL is an
 // anti-join, no filter sits directly above a join (the cross-side conditions
 // of the comma joins are join residuals), the final join against the
-// duplicate-free QualifiedSS2PLOps is a semi-join, and the write filter over
-// history is one node shared by both lock views.
+// duplicate-free QualifiedSS2PLOps is a semi-join, the write filter over
+// history is one node shared by both lock views, and each lock view's join
+// reads its anti-join directly: WLockedObjects' DISTINCT, read only through
+// the EXCEPT, is gone, and neither lock view's projection is left between
+// the history rows and the join that reads them, nor evaluated.
 func TestListingOnePlanIsRewritten(t *testing.T) {
 	text := listingOnePlan(t).String()
 	if strings.Contains(text, "left-join") {
@@ -174,6 +178,43 @@ func TestListingOnePlanIsRewritten(t *testing.T) {
 	for f, n := range writeFilters {
 		if !strings.HasSuffix(f, " (shared)") || n < 2 {
 			t.Errorf("write filter %q printed %d times, want one shared node under both lock views:\n%s", f, n, text)
+		}
+	}
+	cte, lockJoins := "", 0
+	for i, l := range lines {
+		if depth(l) == 0 {
+			cte, _, _ = strings.Cut(strings.TrimPrefix(l, "with "), ":")
+		}
+		if op(l) == "distinct" {
+			t.Errorf("a distinct survived in %s:\n%s", cte, text)
+		}
+		if cte != "operationsonwlockedobjects" && cte != "operationsonrlockedobjects" || !strings.HasPrefix(op(l), "join ") {
+			continue
+		}
+		lockJoins++
+		// The join's second child is the next line one level deeper after
+		// its first child's subtree.
+		var children []string
+		for _, c := range lines[i+1:] {
+			if depth(c) <= depth(l) {
+				break
+			}
+			if depth(c) == depth(l)+1 {
+				children = append(children, op(c))
+			}
+		}
+		if len(children) != 2 || !strings.HasPrefix(children[1], "anti-join ") {
+			t.Errorf("%s's join reads %q, want its lock view's anti-join:\n%s", cte, children, text)
+		}
+	}
+	if lockJoins != 2 {
+		t.Errorf("%d lock-view joins, want 2:\n%s", lockJoins, text)
+	}
+	// Nothing reads the lock views' own bodies any more, so neither is
+	// evaluated or maintained.
+	for _, view := range []string{"rlockedobjects", "wlockedobjects"} {
+		if !slices.Contains(lines, "with "+view+": (unread)") {
+			t.Errorf("%s is still read:\n%s", view, text)
 		}
 	}
 }
