@@ -699,6 +699,7 @@ func BenchmarkPendingStore(b *testing.B) {
 		}
 		hist.ResetDeltas()
 		next := int64(standing + 1)
+		var undo []int64 // the shard's plan buffer, reused round after round
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -710,8 +711,8 @@ func BenchmarkPendingStore(b *testing.B) {
 			}
 			// The victim path: enumerate the writes to compensate and drop
 			// the transaction from both stores.
-			if got := len(hist.WritesOf(ta)); got != 16 {
-				b.Fatalf("WritesOf: %d", got)
+			if undo = hist.AppendWritesOf(undo[:0], ta); len(undo) != 16 {
+				b.Fatalf("AppendWritesOf: %d", len(undo))
 			}
 			p.RemoveTA(ta)
 			hist.Append(request.Request{ID: next, TA: ta, IntraTA: 1 << 30, Op: request.Abort, Object: request.NoObject})

@@ -63,7 +63,7 @@ func main() {
 		case "relaxed":
 			return protocol.RelaxedReadsDatalog()
 		case "fcfs":
-			return protocol.FCFS{}
+			return &protocol.FCFS{}
 		case "adaptive":
 			return protocol.NewAdaptive(protocol.SS2PLDatalog(), protocol.RelaxedReadsDatalog(), *clients*2)
 		default:

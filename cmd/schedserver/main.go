@@ -62,7 +62,7 @@ func main() {
 		case "relaxed":
 			return protocol.RelaxedReadsDatalog()
 		case "fcfs":
-			return protocol.FCFS{}
+			return &protocol.FCFS{}
 		default:
 			log.Fatalf("unknown protocol %q", *protoName)
 			return nil

@@ -95,7 +95,7 @@ var (
 	WoundWait = protocol.WoundWaitDatalog
 	// FCFS schedules nothing: every pending request executes in arrival
 	// order (the paper's non-scheduling baseline).
-	FCFS = func() Protocol { return protocol.FCFS{} }
+	FCFS = func() Protocol { return &protocol.FCFS{} }
 )
 
 // NewConsistencyRationing builds the per-object consistency-class protocol

@@ -33,7 +33,7 @@ func smallWorkload(t *testing.T) [][]Transaction {
 }
 
 func TestFacadeAllProtocols(t *testing.T) {
-	protos := []Protocol{SS2PLDatalog(), SS2PLSQL(), TwoPLDatalog(), RelaxedReads(), protocol.FCFS{}}
+	protos := []Protocol{SS2PLDatalog(), SS2PLSQL(), TwoPLDatalog(), RelaxedReads(), &protocol.FCFS{}}
 	for _, p := range protos {
 		s, err := New(Options{Protocol: p, TableRows: 64, KeepLog: true})
 		if err != nil {

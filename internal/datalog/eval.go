@@ -156,21 +156,22 @@ func makeNegStep(m *stepMeta, step int, next stepFn) stepFn {
 func makeCmpStep(m *stepMeta, next stepFn) stepFn {
 	op := m.lit.Cmp
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
-		cv := m.cmpL.value(sc.env).Compare(m.cmpR.value(sc.env))
+		l, r := m.cmpL.value(sc.env), m.cmpR.value(sc.env)
+		// = and != test equality, which never looks a symbol's string up.
 		var pass bool
 		switch op {
 		case CmpEQ:
-			pass = cv == 0
+			pass = l.Equal(r)
 		case CmpNE:
-			pass = cv != 0
+			pass = !l.Equal(r)
 		case CmpLT:
-			pass = cv < 0
+			pass = l.Compare(r) < 0
 		case CmpLE:
-			pass = cv <= 0
+			pass = l.Compare(r) <= 0
 		case CmpGT:
-			pass = cv > 0
+			pass = l.Compare(r) > 0
 		default:
-			pass = cv >= 0
+			pass = l.Compare(r) >= 0
 		}
 		if !pass {
 			return nil

@@ -42,7 +42,7 @@ func BenchmarkSS2PLQuerySQLNestedLoop(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := request.FromTuples(out.Rows()); err != nil {
+			if _, err := request.AppendFromTuples(nil, out.Rows()); err != nil {
 				b.Fatal(err)
 			}
 		}

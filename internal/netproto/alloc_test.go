@@ -17,11 +17,12 @@ import (
 
 // wireRequestAllocs bounds what one request's whole trip allocates: client
 // encode, server read, middleware admission and delivery, reply encode,
-// client read, and its share of the round it rides in. The wire path
-// allocates nothing; the measured 0.75 per request is the round's own
-// work — FCFS's qualified slice, the plan's steps and the executed list, 3
-// per round — over rounds of up to wireClients requests.
-const wireRequestAllocs = 1
+// client read, and its share of the round it rides in. Nothing does: the
+// wire path allocates nothing, and neither does a warm round, whose
+// qualified set (FCFS's), plan steps and executed list are reused and whose
+// short waits are the napper's. AllocsPerRun truncates to whole allocations
+// per run of 2·wireClients requests, so one allocation per round fails.
+const wireRequestAllocs = 0
 
 // wireClients logical clients share the connection, and the fill trigger
 // waits for all of them, so a round carries one request of each.
@@ -38,7 +39,7 @@ func TestWireRoundTripAllocations(t *testing.T) {
 	}
 	srv := storage.NewServer(storage.Config{Rows: 1 << 10})
 	engine, err := scheduler.NewEngine(scheduler.Config{
-		Protocol:       protocol.FCFS{},
+		Protocol:       &protocol.FCFS{},
 		Server:         srv,
 		ResubmitWindow: 64,
 	})

@@ -2,7 +2,7 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/datalog"
 	"repro/internal/minisql"
@@ -38,8 +38,10 @@ type SQLProtocol struct {
 	deltas map[string]minisql.Delta
 
 	// rows is the warm round's read of the view cache's result, reused
-	// every round: the rows go straight into the qualified requests.
-	rows []relation.Tuple
+	// every round: the rows go straight into the qualified requests, which
+	// qualified holds until the next call (see Protocol.Qualify).
+	rows      []relation.Tuple
+	qualified []request.Request
 
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
@@ -172,11 +174,11 @@ func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request
 // finish converts a query result's rows to requests: the five columns each
 // row holds (see Protocol.Qualify).
 func (p *SQLProtocol) finish(rows []relation.Tuple) ([]request.Request, error) {
-	qualified, err := request.FromTuples(rows)
-	if err != nil {
+	var err error
+	if p.qualified, err = request.AppendFromTuples(p.qualified[:0], rows); err != nil {
 		return nil, fmt.Errorf("protocol %s: bad query output: %w", p.name, err)
 	}
-	return qualified, nil
+	return p.qualified, nil
 }
 
 // DatalogProtocol runs a Datalog program each round. The program reads EDB
@@ -200,6 +202,11 @@ type DatalogProtocol struct {
 	// slices).
 	changed                          map[string]datalog.EDBDelta
 	reqIns, reqDel, histIns, histDel []relation.Tuple
+
+	// qualified and wounded are the last call's answers, reused by the
+	// next (see Protocol.Qualify and Wounder).
+	qualified []request.Request
+	wounded   []int64
 
 	// decomposable claims per-object decomposability (see
 	// protocol.ObjectDecomposable). Only constructors of vetted rule texts
@@ -285,28 +292,24 @@ func WoundWaitDatalog() *DatalogProtocol {
 // the returned transactions after executing the qualified batch of the same
 // round.
 type Wounder interface {
-	// Wounded returns the transactions the last Qualify decided to abort.
+	// Wounded returns the transactions the last Qualify decided to abort,
+	// in a slice that stays valid until the protocol's next call.
 	Wounded() []int64
 }
 
 // Wounded implements Wounder: the distinct first arguments of the `wound`
-// predicate derived by the last Qualify, sorted.
+// predicate derived by the last Qualify, sorted, in a buffer the next call
+// reuses.
 func (p *DatalogProtocol) Wounded() []int64 {
-	n := p.engine.FactCount("wound")
-	out := make([]int64, 0, n)
-	seen := make(map[int64]bool, n)
+	p.wounded = p.wounded[:0]
 	for t := range p.engine.FactSeq("wound") {
-		if len(t) != 1 || t[0].Kind() != relation.KindInt {
-			continue
-		}
-		ta := t[0].AsInt()
-		if !seen[ta] {
-			seen[ta] = true
-			out = append(out, ta)
+		if len(t) == 1 && t[0].Kind() == relation.KindInt {
+			p.wounded = append(p.wounded, t[0].AsInt())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(p.wounded)
+	p.wounded = slices.Compact(p.wounded)
+	return p.wounded
 }
 
 // Name implements Protocol.
@@ -428,14 +431,14 @@ func (p *DatalogProtocol) rebuild(pending, history []request.Request) ([]request
 // collect reads the qualified predicate (the columns its request EDB holds,
 // see Protocol.Qualify) and fixes the execution order.
 func (p *DatalogProtocol) collect() ([]request.Request, error) {
-	qualified := make([]request.Request, 0, p.engine.FactCount("qualified"))
+	p.qualified = p.qualified[:0]
 	for t := range p.engine.FactSeq("qualified") {
 		r, err := request.FromTuple(t)
 		if err != nil {
 			return nil, fmt.Errorf("protocol %s: bad qualified tuples: %w", p.name, err)
 		}
-		qualified = append(qualified, r)
+		p.qualified = append(p.qualified, r)
 	}
-	p.order(qualified)
-	return qualified, nil
+	p.order(p.qualified)
+	return p.qualified, nil
 }

@@ -27,6 +27,9 @@ type Protocol interface {
 	// relation, and the fields outside it — Class always, Priority too
 	// through the five-column form — are restored by the scheduler from its
 	// pending copy of each (TA, IntraTA) key, which also carries the row.
+	// The result may be the protocol's own buffer, which the caller may
+	// modify and which stays valid until the protocol's next Qualify or
+	// QualifyIncremental call: the scheduler consumes it within the round.
 	Qualify(pending, history []request.Request) ([]request.Request, error)
 }
 
@@ -140,22 +143,23 @@ func IsObjectDecomposable(p Protocol) bool {
 // non-scheduling baseline. The middleware executes qualified requests
 // through storage.Server.ExecScheduled, which takes no locks, so under FCFS
 // nothing orders conflicting requests, and a round costs the middleware's
-// own work plus one sort.
-type FCFS struct{}
+// own work plus one sort. Its zero value is ready to use.
+type FCFS struct {
+	out []request.Request // the qualified set, reused round after round
+}
 
 // Name implements Protocol.
-func (FCFS) Name() string { return "fcfs" }
+func (*FCFS) Name() string { return "fcfs" }
 
 // ObjectDecomposable implements the marker: FCFS qualifies everything, which
 // trivially factors by object.
-func (FCFS) ObjectDecomposable() bool { return true }
+func (*FCFS) ObjectDecomposable() bool { return true }
 
 // Qualify implements Protocol.
-func (FCFS) Qualify(pending, _ []request.Request) ([]request.Request, error) {
-	out := make([]request.Request, len(pending))
-	copy(out, pending)
-	ByID(out)
-	return out, nil
+func (p *FCFS) Qualify(pending, _ []request.Request) ([]request.Request, error) {
+	p.out = append(p.out[:0], pending...)
+	ByID(p.out)
+	return p.out, nil
 }
 
 // Adaptive switches between two protocols based on batch load, the paper's

@@ -235,7 +235,7 @@ func TestFCFSQualifiesEverythingInIDOrder(t *testing.T) {
 		{ID: 3, TA: 1, IntraTA: 0, Op: request.Write, Object: 1},
 		{ID: 1, TA: 2, IntraTA: 0, Op: request.Write, Object: 1},
 	}
-	for _, p := range []Protocol{FCFS{}, FCFSDatalog()} {
+	for _, p := range []Protocol{&FCFS{}, FCFSDatalog()} {
 		q, err := p.Qualify(pending, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)

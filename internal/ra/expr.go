@@ -136,23 +136,23 @@ func (c Cmp) Eval(t relation.Tuple) relation.Value {
 	if l.IsNull() || r.IsNull() {
 		return relation.Null()
 	}
-	cv := l.Compare(r)
-	var tv TV
+	// = and <> test equality, which never looks a symbol's string up.
+	var ok bool
 	switch c.Op {
 	case EQ:
-		tv = b2tv(cv == 0)
+		ok = l.Equal(r)
 	case NE:
-		tv = b2tv(cv != 0)
+		ok = !l.Equal(r)
 	case LT:
-		tv = b2tv(cv < 0)
+		ok = l.Compare(r) < 0
 	case LE:
-		tv = b2tv(cv <= 0)
+		ok = l.Compare(r) <= 0
 	case GT:
-		tv = b2tv(cv > 0)
+		ok = l.Compare(r) > 0
 	default:
-		tv = b2tv(cv >= 0)
+		ok = l.Compare(r) >= 0
 	}
-	return tvValue(tv)
+	return tvValue(b2tv(ok))
 }
 
 func (c Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }

@@ -55,6 +55,37 @@ func (o Op) String() string {
 	return string(rune(o))
 }
 
+// ops and opValues are the four operations and their relational values,
+// interned once so that building a row never takes the symbol table's lock
+// and reading one back compares symbols instead of building a string.
+var (
+	ops      = [...]Op{Read, Write, Abort, Commit}
+	opValues = [...]relation.Value{
+		relation.String(Read.String()), relation.String(Write.String()),
+		relation.String(Abort.String()), relation.String(Commit.String()),
+	}
+)
+
+// value returns the operation's relational value, its letter as a string.
+func (o Op) value() relation.Value {
+	for i, op := range ops {
+		if o == op {
+			return opValues[i]
+		}
+	}
+	return relation.String(o.String())
+}
+
+// opOf maps an operation column back to its Op.
+func opOf(v relation.Value) (Op, error) {
+	for i, ov := range opValues {
+		if v.Equal(ov) {
+			return ops[i], nil
+		}
+	}
+	return 0, fmt.Errorf("request: invalid operation %s", v.Encode())
+}
+
 // ParseOp parses the single-letter encoding.
 func ParseOp(s string) (Op, error) {
 	if len(s) != 1 || !Op(s[0]).Valid() {
@@ -188,7 +219,7 @@ func (r Request) WithID(id int64) Request {
 func (r Request) newRow() *[7]relation.Value {
 	return &[7]relation.Value{
 		relation.Int(r.ID), relation.Int(r.TA), relation.Int(r.IntraTA),
-		relation.String(r.Op.String()), relation.Int(r.Object),
+		r.Op.value(), relation.Int(r.Object),
 		relation.Int(r.Priority), relation.Int(r.ID),
 	}
 }
@@ -224,7 +255,7 @@ func FromTuple(t relation.Tuple) (Request, error) {
 	if len(t) != 5 && len(t) != 7 {
 		return Request{}, fmt.Errorf("request: tuple arity %d", len(t))
 	}
-	op, err := ParseOp(t[3].AsString())
+	op, err := opOf(t[3])
 	if err != nil {
 		return Request{}, err
 	}
@@ -260,17 +291,17 @@ func ToExtendedRelation(rs []Request) *relation.Relation {
 	return out
 }
 
-// FromTuples parses rows of requests (a relation's Rows, say).
-func FromTuples(rows []relation.Tuple) ([]Request, error) {
-	out := make([]Request, 0, len(rows))
+// AppendFromTuples parses rows of requests (a relation's Rows, say) and
+// appends them to dst.
+func AppendFromTuples(dst []Request, rows []relation.Tuple) ([]Request, error) {
 	for _, t := range rows {
 		r, err := FromTuple(t)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Transaction is an ordered sequence of requests sharing a TA number.

@@ -120,7 +120,7 @@ func TestRelationsRoundTrip(t *testing.T) {
 	if rel.Len() != 3 {
 		t.Fatalf("relation len: %d", rel.Len())
 	}
-	back, err := FromTuples(rel.Rows())
+	back, err := AppendFromTuples(nil, rel.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}

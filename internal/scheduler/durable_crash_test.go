@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -425,8 +426,13 @@ func TestCrashRecoveryPropertyPartitioned(t *testing.T) {
 			// rounds; it holds every batch a drain can leave in flight (a full
 			// pipeline per shard plus one round's plans), so an executor never
 			// blocks on it while the driver waits on an executor.
+			// An executor reuses its Executed buffer once deliver returns,
+			// so the batch is copied before it is queued.
 			completions := make(chan Completion, 4*(pipelineDepth+2))
-			pe.StartExecutors(func(c Completion) { completions <- c })
+			pe.StartExecutors(func(c Completion) {
+				c.Executed = slices.Clone(c.Executed)
+				completions <- c
+			})
 			acked, victims = map[int64]bool{}, map[int64]bool{}
 			dead := map[int64]bool{}
 			cursor := make([]int, len(clients))

@@ -236,7 +236,10 @@ func NewPartitionedEngine(cfg PartitionedConfig) (*Engine, error) {
 		starveAfter: starve,
 	}
 	for i := 0; i < cfg.Partitions; i++ {
-		sh := &shard{eng: e, idx: i, hist: store.NewHistory(cfg.Base.KeepLog), pending: store.NewPending()}
+		// spare holds every plan that can be out at once: a full pipeline,
+		// the one executing and the one being laid out.
+		sh := &shard{eng: e, idx: i, hist: store.NewHistory(cfg.Base.KeepLog), pending: store.NewPending(),
+			spare: make(chan execPlan, pipelineDepth+2)}
 		if cfg.Factory != nil {
 			sh.proto = cfg.Factory()
 			if cfg.Partitions > 1 && !protocol.IsObjectDecomposable(sh.proto) {
@@ -339,15 +342,10 @@ func (e *Engine) Round() (RoundResult, error) {
 	}
 	start := time.Now()
 	for _, sh := range e.shards {
-		if len(sh.plan.steps) == 0 {
-			continue
+		if len(sh.plan.steps) > 0 {
+			res.Executed, err = sh.execute(sh.plan, res.Executed)
 		}
-		out, err := sh.execute(sh.plan)
-		if res.Executed == nil {
-			res.Executed = out
-		} else {
-			res.Executed = append(res.Executed, out...)
-		}
+		sh.recycle(sh.plan)
 		if err != nil {
 			return res, err
 		}

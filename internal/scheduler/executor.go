@@ -48,7 +48,9 @@ const pipelineDepth = 32
 // (pipelined) execution. Each executor calls deliver with every batch it
 // executed, on its own goroutine: with more than one shard deliver runs
 // concurrently with itself and with the round loop, and it must not call back
-// into the engine. Idempotent.
+// into the engine. A Completion's Executed slice is the executor's own
+// buffer, reused for its next batch: deliver must copy what it keeps.
+// Idempotent.
 func (e *Engine) StartExecutors(deliver func(Completion)) {
 	e.execOnce.Do(func() {
 		e.quiet = make(chan struct{}, 1)
@@ -80,11 +82,13 @@ func (e *Engine) StopExecutors() {
 // runExecutor performs one shard's plans in round order and delivers each
 // batch.
 func (e *Engine) runExecutor(sh *shard, deliver func(Completion)) {
+	var executed []Executed // reused: deliver does not keep a batch
 	for plan := range sh.jobs {
 		c := Completion{Round: plan.round, Partition: sh.idx}
 		if c.Err = e.Err(); c.Err == nil {
 			start := time.Now()
-			c.Executed, c.Err = sh.execute(plan)
+			c.Executed, c.Err = sh.execute(plan, executed[:0])
+			executed = c.Executed
 			c.Exec = time.Since(start)
 			if c.Err != nil {
 				e.setFatal(c.Err)
@@ -99,6 +103,7 @@ func (e *Engine) runExecutor(sh *shard, deliver func(Completion)) {
 			default:
 			}
 		}
+		sh.recycle(plan)
 		deliver(c)
 	}
 }
@@ -136,6 +141,7 @@ func (e *Engine) RoundDeferred() (RoundResult, error) {
 	}
 	for _, sh := range e.shards {
 		if len(sh.plan.steps) == 0 {
+			sh.recycle(sh.plan)
 			continue
 		}
 		// Count before sending so the migration quiesce never undercounts:

@@ -127,8 +127,12 @@ type Middleware struct {
 	// napAt is the deadline (UnixNano) of the kernel sleep the loop is
 	// waiting on, 0 when none: a nap whose deadline the loop has since
 	// dropped — a round ran, or a nearer or longer wait replaced it — ends
-	// without waking it.
-	napAt atomic.Int64
+	// without waking it. The one napper goroutine sleeps until napAt when
+	// napWake asks it to; napping is the deadline it sleeps until, 0 when
+	// it is awake.
+	napAt   atomic.Int64
+	napping atomic.Int64
+	napWake chan struct{}
 
 	// queued counts admitted-but-unanswered submissions (registered
 	// waiters): the fill level the MaxQueued admission cap reads.
@@ -216,6 +220,7 @@ func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector
 		waiters: make(map[request.Key]waiter),
 		byTA:    make(map[int64][]request.Key),
 		notify:  make(chan struct{}, 1),
+		napWake: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -693,6 +698,8 @@ func (m *Middleware) loop() {
 	if !m.syncMode {
 		m.engine.StartExecutors(func(c Completion) { m.deliver(c); m.poke(wokeDelivery) })
 	}
+	napped := make(chan struct{})
+	go m.napper(napped)
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	m.lastRound = time.Now()
@@ -701,6 +708,7 @@ func (m *Middleware) loop() {
 		select {
 		case <-m.stop:
 			m.shutdown()
+			<-napped
 			return
 		case <-m.notify:
 		case <-timer.C:
@@ -724,20 +732,56 @@ func (m *Middleware) loop() {
 			timer.Reset(wait)
 			continue
 		}
-		// A short wait is the kernel sleep's alone: a timer armed beside it
-		// would race it, and whichever came second would wake the loop for
+		// A short wait is the napper's alone: a timer armed beside it would
+		// race it, and whichever came second would wake the loop for
 		// nothing. A nap already in flight for an earlier deadline that has
-		// not passed is kept — the loop asks again when it ends.
+		// not passed is kept — the loop asks again when it ends. Only when
+		// the napper is asleep past the new deadline (one a round moved
+		// nearer) does the timer serve it instead; the napper then finds
+		// its own deadline dropped when it wakes.
+		deadline := at.UnixNano()
+		if cur := m.napAt.Load(); cur != 0 && cur > now.UnixNano() && cur <= deadline {
+			continue
+		}
+		m.napAt.Store(deadline)
+		if m.napping.Load() > deadline {
+			timer.Reset(wait)
+			continue
+		}
 		timer.Stop()
-		if cur := m.napAt.Load(); cur == 0 || cur <= now.UnixNano() || at.UnixNano() < cur {
-			deadline := at.UnixNano()
-			m.napAt.Store(deadline)
-			go func() {
-				nap(wait)
-				if m.napAt.CompareAndSwap(deadline, 0) {
-					m.poke(wokeNap)
+		select {
+		case m.napWake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// napper is the loop's one kernel sleeper, from the loop's start until Stop:
+// woken through napWake, it sleeps until napAt and pokes the loop if that
+// deadline is still napAt's when it wakes, then serves whatever deadline
+// the loop set meanwhile. It publishes the deadline it sleeps until in
+// napping before it checks napAt once more, so the loop, which sets napAt
+// before it reads napping, either sees that deadline or has its own read
+// here.
+func (m *Middleware) napper(done chan<- struct{}) {
+	defer close(done)
+	for {
+		select {
+		case <-m.stop:
+			return
+		case <-m.napWake:
+		}
+		for at := m.napAt.Load(); at != 0; at = m.napAt.Load() {
+			m.napping.Store(at)
+			if m.napAt.Load() == at {
+				if wait := time.Duration(at - time.Now().UnixNano()); wait > 0 {
+					nap(wait)
 				}
-			}()
+			}
+			m.napping.Store(0)
+			if m.napAt.CompareAndSwap(at, 0) {
+				m.poke(wokeNap)
+			}
 		}
 	}
 }

@@ -506,7 +506,7 @@ func TestReplyDoesNotWaitForNextRound(t *testing.T) {
 			e, err := NewPartitionedEngine(PartitionedConfig{
 				Base:       Config{Server: srv},
 				Partitions: parts,
-				Factory:    func() protocol.Protocol { return gated{Protocol: protocol.FCFS{}, calls: &calls, gate: gate} },
+				Factory:    func() protocol.Protocol { return gated{Protocol: &protocol.FCFS{}, calls: &calls, gate: gate} },
 			})
 			if err != nil {
 				t.Fatal(err)

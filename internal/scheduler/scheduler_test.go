@@ -299,7 +299,7 @@ func TestEngineWoundWaitClosedLoopSerializable(t *testing.T) {
 // baseline is FCFS, which executes conflicting requests in one round.
 func TestEnginePassThroughForwardsEverything(t *testing.T) {
 	e, err := NewEngine(Config{
-		Protocol: protocol.FCFS{},
+		Protocol: &protocol.FCFS{},
 		Server:   storage.NewServer(storage.Config{Rows: 10}),
 	})
 	if err != nil {
@@ -322,7 +322,7 @@ func TestEngineSchedulingModeRequiresProtocol(t *testing.T) {
 	if err == nil {
 		t.Fatal("scheduling mode without protocol accepted")
 	}
-	_, err = NewEngine(Config{Protocol: protocol.FCFS{}})
+	_, err = NewEngine(Config{Protocol: &protocol.FCFS{}})
 	if err == nil {
 		t.Fatal("missing server accepted")
 	}

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,6 +33,10 @@ type shard struct {
 	queue shardQueue
 	// jobs feeds this shard's executor goroutine (deferred execution).
 	jobs chan execPlan
+	// spare holds executed plans whose buffers the next rounds reuse: the
+	// round loop takes one when it lays out a plan, and whoever executed a
+	// plan — the executor goroutine, or Round inline — returns it.
+	spare chan execPlan
 
 	// Per-round state, reset by Engine.drain and handed from stage to stage
 	// by Engine.schedule. round is the engine's round number, so waiting-age
@@ -103,6 +108,34 @@ type execStep struct {
 type execPlan struct {
 	round int
 	steps []execStep
+	// undo backs every step's undo list, so a round's rollbacks share one
+	// buffer that is recycled with the plan.
+	undo []int64
+}
+
+// takePlan returns an empty plan for this round, on the buffers of an
+// executed one when one has been returned.
+func (sh *shard) takePlan() execPlan {
+	select {
+	case p := <-sh.spare:
+		return execPlan{round: sh.round, steps: p.steps[:0], undo: p.undo[:0]}
+	default:
+		return execPlan{round: sh.round}
+	}
+}
+
+// recycle returns an executed plan's buffers for a later round. Its steps
+// are cleared, so a spare plan keeps no request alive; when spare is full
+// the buffers are left to the collector.
+func (sh *shard) recycle(p execPlan) {
+	if cap(p.steps) == 0 && cap(p.undo) == 0 {
+		return
+	}
+	clear(p.steps)
+	select {
+	case sh.spare <- p:
+	default:
+	}
 }
 
 // abortOp is one victim abort as applied to one shard: the abort record to
@@ -166,13 +199,16 @@ func (sh *shard) qualify() error {
 }
 
 // rollback returns the objects of ta's locally executed writes, to be
-// compensated ahead of its abort record. A transaction that already
-// terminated here has nothing left to undo: its rows only await GC.
+// compensated ahead of its abort record, carved from the plan's undo
+// buffer. A transaction that already terminated here has nothing left to
+// undo: its rows only await GC.
 func (sh *shard) rollback(ta int64) []int64 {
 	if sh.hist.Finished(ta) {
 		return nil
 	}
-	return sh.hist.WritesOf(ta)
+	n := len(sh.plan.undo)
+	sh.plan.undo = sh.hist.AppendWritesOf(sh.plan.undo, ta)
+	return sh.plan.undo[n:len(sh.plan.undo):len(sh.plan.undo)]
 }
 
 // commitRound is the shard's share of stage 4: it turns the round's
@@ -197,11 +233,8 @@ func (sh *shard) commitRound() error {
 // shard's own history is the whole truth (one shard), and the count is taken
 // from it before the termination row lands.
 func (sh *shard) commitPlan() {
-	sh.plan = execPlan{round: sh.round}
+	sh.plan = sh.takePlan()
 	sh.hist.SetRound(sh.round)
-	if n := len(sh.aborts) + len(sh.qual); n > 0 {
-		sh.plan.steps = make([]execStep, 0, n)
-	}
 	cfg := &sh.eng.cfg
 	durable := cfg.Server.Durable()
 	for _, ab := range sh.aborts {
@@ -272,15 +305,13 @@ func (sh *shard) commitPlan() {
 	cfg.Server.MaybeCheckpoint()
 }
 
-// execute (stage 5) performs the plan's server work in order. Per-request
-// server errors are reported in the Executed entries; a failing write
-// compensation is fatal (the stores and the server have diverged).
-func (sh *shard) execute(plan execPlan) ([]Executed, error) {
+// execute (stage 5) performs the plan's server work in order and appends
+// what it executed to out. Per-request server errors are reported in the
+// Executed entries; a failing write compensation is fatal (the stores and
+// the server have diverged).
+func (sh *shard) execute(plan execPlan, out []Executed) ([]Executed, error) {
 	srv := sh.eng.cfg.Server
-	var out []Executed
-	if n := len(plan.steps); n > 0 {
-		out = make([]Executed, 0, n)
-	}
+	out = slices.Grow(out, len(plan.steps))
 	for _, step := range plan.steps {
 		for _, obj := range step.undo {
 			if err := srv.UndoWriteFor(step.req.TA, obj); err != nil {

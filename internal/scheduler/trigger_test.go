@@ -160,7 +160,7 @@ func firedCounts(m *Middleware) map[string]int { return m.Collector().Summarise(
 const every = 20 * ms
 
 func TestLoopClosedLoopClientsWaitForTheirRoundNotTheTimer(t *testing.T) {
-	m := startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
 	lat := closedLoop(t, m, 0, make([]time.Duration, 8), 100, new(atomic.Bool))
 	m.Stop()
 	var all []time.Duration
@@ -184,7 +184,7 @@ func TestLoopClosedLoopClientsWaitForTheirRoundNotTheTimer(t *testing.T) {
 }
 
 func TestLoopLoneRequestOnIdleMiddleware(t *testing.T) {
-	m := startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
 	defer m.Stop()
 	for i := 0; i < 3; i++ {
 		time.Sleep(every / 2)
@@ -203,7 +203,7 @@ func TestLoopLoneRequestOnIdleMiddleware(t *testing.T) {
 // costs the other seven a wait up to Every — the old rule's wait — and never
 // more.
 func TestLoopThinkingClientDelaysOthersToEveryAtMost(t *testing.T) {
-	m := startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: every})
 	var stop atomic.Bool
 	var thinker [][]time.Duration
 	done := make(chan struct{})
@@ -237,7 +237,7 @@ func TestLoopThinkingClientDelaysOthersToEveryAtMost(t *testing.T) {
 // A round that costs more than Every leaves no room for an early fire: once
 // the loop has measured a round, the trigger fires as the old rule did.
 func TestLoopRoundDearerThanEveryFiresAsBefore(t *testing.T) {
-	p := &clocked{Protocol: protocol.FCFS{}, cost: every + every/4}
+	p := &clocked{Protocol: &protocol.FCFS{}, cost: every + every/4}
 	m := startLoop(t, p, HybridTrigger{Level: 16, Every: every})
 	closedLoop(t, m, 0, make([]time.Duration, 8), 6, new(atomic.Bool))
 	m.Stop()
@@ -266,7 +266,7 @@ func TestLoopKeepsSubMillisecondDeadlines(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("nap is the runtime's sleep here")
 	}
-	m := startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
 	lat := closedLoop(t, m, 0, make([]time.Duration, 8), 200, new(atomic.Bool))
 	m.Stop()
 	var all []time.Duration
@@ -280,14 +280,14 @@ func TestLoopKeepsSubMillisecondDeadlines(t *testing.T) {
 }
 
 func TestLoopIdleMiddlewareDoesNotWakeUp(t *testing.T) {
-	m := startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
 	time.Sleep(50 * ms)
 	m.Stop()
 	if m.wakeups != 0 {
 		t.Errorf("idle loop iterated %d times in 50ms; woken by %s", m.wakeups, wakeCauses(m))
 	}
 	// And it goes back to sleep once its work is done.
-	m = startLoop(t, protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
+	m = startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
 	if res := m.Submit(request.Request{TA: 1, Op: request.Read, Object: 1}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -299,6 +299,64 @@ func TestLoopIdleMiddlewareDoesNotWakeUp(t *testing.T) {
 	// cut short (its wake-up found the deadline not yet due).
 	if m.wakeups > 4 {
 		t.Errorf("loop iterated %d times for one request; woken by %s", m.wakeups, wakeCauses(m))
+	}
+}
+
+// TestLoopNapsOnOneGoroutine: every short wait is served by the napper the
+// loop starts, not by a goroutine per nap, so the goroutine count stays flat
+// over many nap-paced rounds, and Stop leaves nothing running.
+func TestLoopNapsOnOneGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m := startLoop(t, &protocol.FCFS{}, HybridTrigger{Level: 16, Every: ms})
+	submit := func(ta int64) {
+		if res := m.Submit(request.Request{TA: ta, Op: request.Read, Object: 1}); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	// After one reply the loop, its napper and the executor are running;
+	// the sampler below adds one.
+	submit(1)
+	steady := runtime.NumGoroutine() + 1
+	var peak atomic.Int64
+	done, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	for ta := int64(2); ta <= 300; ta++ {
+		submit(ta) // a lone request waits a third of Every: a nap
+	}
+	close(done)
+	<-sampled
+	m.Stop()
+	naps := 0
+	for _, c := range m.wakes {
+		if c&wokeNap != 0 {
+			naps++
+		}
+	}
+	if naps == 0 {
+		t.Fatalf("no nap among the first wake-ups (test premise broken); woken by %s", wakeCauses(m))
+	}
+	if p := peak.Load(); p > int64(steady) {
+		t.Errorf("%d goroutines while napping, %d steady", p, steady)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(ms)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Stop, %d before the middleware started", n, baseline)
 	}
 }
 
@@ -320,7 +378,7 @@ func wakeCauses(m *Middleware) string {
 // Every above the progress bound used to be capped by it: the loop ran a
 // round whenever anything was queued and 2ms had passed.
 func TestLoopTimeTriggerHonoursLongEvery(t *testing.T) {
-	p := &clocked{Protocol: protocol.FCFS{}}
+	p := &clocked{Protocol: &protocol.FCFS{}}
 	m := startLoop(t, p, TimeTrigger{Every: every})
 	closedLoop(t, m, 0, make([]time.Duration, 1), 5, new(atomic.Bool))
 	m.Stop()

@@ -124,20 +124,21 @@ func (s *History) LogRounds() []int { return s.logRound }
 // Finished reports whether ta has terminated.
 func (s *History) Finished(ta int64) bool { return s.finished[ta] }
 
-// WritesOf returns the objects of ta's executed writes, one entry per write
-// (rollback compensates each executed write exactly once). O(|TA's rows|).
-func (s *History) WritesOf(ta int64) []int64 {
+// AppendWritesOf appends the objects of ta's executed writes to dst, one
+// entry per write (rollback compensates each executed write exactly once),
+// and returns the extended slice. O(|TA's rows|); it allocates only when
+// dst must grow.
+func (s *History) AppendWritesOf(dst []int64, ta int64) []int64 {
 	sl, ok := s.slotOf[ta]
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []int64
 	for _, pos := range s.slots[sl].rows {
 		if r := &s.rows[pos]; r.Op == request.Write {
-			out = append(out, r.Object)
+			dst = append(dst, r.Object)
 		}
 	}
-	return out
+	return dst
 }
 
 // WriteCountOf returns how many executed writes ta has in the live history,

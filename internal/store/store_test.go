@@ -72,13 +72,13 @@ func TestHistoryWritesOf(t *testing.T) {
 		request.Request{ID: 3, TA: 2, Op: request.Write, Object: 5},
 		request.Request{ID: 4, TA: 1, Op: request.Write, Object: 3},
 	)
-	got := s.WritesOf(1)
+	got := s.AppendWritesOf([]int64{7}, 1)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 2 || got[0] != 3 || got[1] != 3 {
-		t.Fatalf("WritesOf(1) = %v, want [3 3]", got)
+	if len(got) != 3 || got[0] != 3 || got[1] != 3 || got[2] != 7 {
+		t.Fatalf("AppendWritesOf([7], 1) = %v, want [3 3 7]", got)
 	}
-	if s.WritesOf(9) != nil {
-		t.Fatal("WritesOf of unknown TA must be empty")
+	if got := s.AppendWritesOf(nil, 9); got != nil {
+		t.Fatalf("AppendWritesOf of unknown TA appended %v", got)
 	}
 }
 

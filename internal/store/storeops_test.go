@@ -242,11 +242,11 @@ func (g *storeOps) compare(at string) {
 		if got, want := g.h.Finished(ta), g.mh.Finished(ta); got != want {
 			t.Fatalf("%s: Finished(%d) = %v, model %v", at, ta, got, want)
 		}
-		got, want := g.h.WritesOf(ta), g.mh.WritesOf(ta)
+		got, want := g.h.AppendWritesOf(nil, ta), g.mh.WritesOf(ta)
 		slices.Sort(got)
 		slices.Sort(want)
 		if !slices.Equal(got, want) || g.h.WriteCountOf(ta) != len(want) {
-			t.Fatalf("%s: WritesOf(%d) = %v (count %d), model %v", at, ta, got, g.h.WriteCountOf(ta), want)
+			t.Fatalf("%s: AppendWritesOf(%d) = %v (count %d), model %v", at, ta, got, g.h.WriteCountOf(ta), want)
 		}
 		since, ok := -2, false
 		if s, found := g.p.slotOf[ta]; found {
