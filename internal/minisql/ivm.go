@@ -62,9 +62,12 @@ import (
 // tuples that become present somewhere, and a delete-only round allocates
 // none. A view over held rows holds them too: the rewrite folds a column
 // projection into the join that reads it (rewrite.go, rule 7), so the join
-// reads, and its input's bag keeps, the base table's own instances — Listing
-// 1's lock-view bags hold the history bag's rows, and no read or write of a
-// live transaction is copied into a lock view.
+// reads, and its input's bag keeps, the base table's own instances. Listing
+// 1's lock-view joins read the history bag and its write filter's, with their
+// anti-joins lifted above them (rule 8), so no read or write of a live
+// transaction is copied into a lock view, and the only bags beside those
+// two are the joins' outputs, each pairing a pending request with the
+// history rows on its object.
 //
 // Every plan operator has a delta rule (the parser refuses LIMIT, whose
 // content would depend on physical row order). Intermediate views' row
@@ -242,6 +245,40 @@ func (m *IVM) Bags() []*relation.Bag {
 		}
 	}
 	return out
+}
+
+// Explain renders the plan as Plan.String does, with each materialised
+// view's size at the end of its node's line: the bag's distinct rows and the
+// columns of each index the delta rules keep on it (a base table's bag under
+// every scan of the table), and the ordered root's distinct rows. It reads
+// the views as they stand and times nothing, so the per-node footprint of a
+// view cache can be read without touching the round path.
+func (m *IVM) Explain() string {
+	return m.plan.render(func(n *planNode) string {
+		if n == m.plan.root && m.order != nil {
+			return fmt.Sprintf("  [ordered: %d distinct rows]", len(m.order.cells))
+		}
+		v := m.views[n.id]
+		if v == nil || v.bag == nil || v.node != n && (n.op != opScan || n.cte >= 0) {
+			return ""
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "  [%d distinct rows", v.bag.DistinctLen())
+		for i, ix := range v.bag.Indexes() {
+			if i == 0 {
+				b.WriteString("; indexed on ")
+			} else {
+				b.WriteString(", ")
+			}
+			names := make([]string, len(ix.Cols()))
+			for k, c := range ix.Cols() {
+				names[k] = n.schema.Col(c).Name
+			}
+			fmt.Fprintf(&b, "(%s)", strings.Join(names, ", "))
+		}
+		b.WriteString("]")
+		return b.String()
+	})
 }
 
 // Result flattens the maintained root view into a relation (see
@@ -968,7 +1005,7 @@ func (m *IVM) matchDelta(n *planNode, dL, dR *sdelta) *sdelta {
 			oldOut = oldMult
 		}
 		if d := newOut - oldOut; d != 0 {
-			out.add(lt, d, lheld)
+			out.push(lt, lh, d, lheld) // affected's cells are distinct tuples
 		}
 	}
 	m.matchBuf = matches[:0]

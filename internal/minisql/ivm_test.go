@@ -376,6 +376,16 @@ func requestRow(id, ta, intrata int64, op string, object int64) relation.Tuple {
 	return relation.Tuple{relation.Int(id), relation.Int(ta), relation.Int(intrata), relation.String(op), relation.Int(object)}
 }
 
+// listingOneMix is the shape of a closed loop of listingOneRounds: clients
+// running transactions of reads and writes, then a commit, one request at a
+// time, each read or write on an object drawn from objects. The reads come
+// first, unless shuffle interleaves them with the writes at random (the
+// paper's mix).
+type listingOneMix struct {
+	clients, objects, reads, writes int
+	shuffle                         bool
+}
+
 // listingOneRounds runs closed-loop clients against Listing 1 on a
 // reference IVM and records n rounds. Each client runs read, write, commit
 // transactions one request at a time over a few shared objects. A round
@@ -384,16 +394,21 @@ func requestRow(id, ta, intrata int64, op string, object int64) relation.Tuple {
 // transaction when nothing qualified (a deadlock), and submits each idle
 // client's next request.
 func listingOneRounds(t *testing.T, plan *Plan, n int) []map[string]Delta {
+	return listingOneMixRounds(t, plan, n, listingOneMix{clients: 48, objects: 32, reads: 1, writes: 1})
+}
+
+// listingOneMixRounds is listingOneRounds over the given mix.
+func listingOneMixRounds(t *testing.T, plan *Plan, n int, mix listingOneMix) []map[string]Delta {
 	t.Helper()
 	type client struct {
 		ta, step int64
+		ops      []string // the transaction's reads and writes, in order
 		pending  relation.Tuple
 		history  []relation.Tuple
 	}
-	const clients, objects = 48, 32
 	rng := rand.New(rand.NewSource(35))
 	m := newListingOneIVM(t, plan)
-	cs := make([]client, clients)
+	cs := make([]client, mix.clients)
 	byTA := map[int64]*client{}
 	nextID, nextTA := int64(1), int64(1)
 	var qualified []relation.Tuple
@@ -437,14 +452,21 @@ func listingOneRounds(t *testing.T, plan *Plan, n int) []map[string]Delta {
 				c.ta = nextTA
 				byTA[c.ta] = c
 				nextTA++
+				c.ops = make([]string, mix.reads+mix.writes)
+				for k := range c.ops {
+					c.ops[k] = "w"
+					if k < mix.reads {
+						c.ops[k] = "r"
+					}
+				}
+				if mix.shuffle {
+					rng.Shuffle(len(c.ops), func(i, j int) { c.ops[i], c.ops[j] = c.ops[j], c.ops[i] })
+				}
 			}
-			switch c.step {
-			case 0:
-				c.pending = requestRow(nextID, c.ta, 0, "r", rng.Int63n(objects))
-			case 1:
-				c.pending = requestRow(nextID, c.ta, 1, "w", rng.Int63n(objects))
-			default:
-				c.pending = requestRow(nextID, c.ta, 2, "c", -1)
+			if step := c.step; step < int64(len(c.ops)) {
+				c.pending = requestRow(nextID, c.ta, step, c.ops[step], rng.Int63n(int64(mix.objects)))
+			} else {
+				c.pending = requestRow(nextID, c.ta, step, "c", -1)
 			}
 			nextID++
 			req.Ins = append(req.Ins, c.pending)
@@ -672,6 +694,44 @@ func TestIVMLockViewsKeepHistoryRows(t *testing.T) {
 	t.Logf("a round of %d live history rows: %.2f allocations", perRound, allocs)
 	if allocs > 1 {
 		t.Fatalf("a round of %d live history rows allocates %.2f times, want about 0: a lock view copies rows", perRound, allocs)
+	}
+}
+
+// TestListingOneViewCacheKeepsNoHistoryCopy: after warm rounds of a
+// paper-shaped closed loop — 300 clients, transactions of 20 reads and 20
+// writes in random order, so the history holds many rows per pending
+// request and most requests wait on a lock — the view cache keeps the
+// history in two bags, the history table's own and its write filter's, and
+// every other bag holds at most two rows per client: the lock-view joins
+// pair a pending request with the few history rows on its object, and the
+// anti-joins lifted above them (rule 8) keep no bag of their own input. With
+// the anti-joins under the joins, the joins' inputs were three more bags of
+// about half the history each.
+func TestListingOneViewCacheKeepsNoHistoryCopy(t *testing.T) {
+	mix := listingOneMix{clients: 300, objects: 1 << 16, reads: 20, writes: 20, shuffle: true}
+	plan := listingOnePlan(t)
+	m := newListingOneIVM(t, plan)
+	for _, d := range listingOneMixRounds(t, plan, 200, mix) {
+		if err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bound := 2 * mix.clients
+	if h := m.tables["history"].bag.Len(); h < 4*bound {
+		t.Fatalf("the history holds %d rows, too few to tell a copy of it from a bound of %d:\n%s", h, bound, m.Explain())
+	}
+	t.Logf("the view cache after the warm rounds:\n%s", m.Explain())
+	for _, n := range plan.nodes {
+		v := m.views[n.id]
+		if v.node != n || v.bag == nil || n.op == opScan && n.table == "history" {
+			continue
+		}
+		if n.op == opSelect && n.l.op == opScan && n.l.table == "history" && fmt.Sprint(n.preds) == `[(operation = "w")]` {
+			continue // the write filter
+		}
+		if v.bag.Len() > bound {
+			t.Errorf("%s holds %d rows, want at most %d (two per client):\n%s", plan.describe(n), v.bag.Len(), bound, m.Explain())
+		}
 	}
 }
 

@@ -326,13 +326,19 @@ func randQuery(rng *rand.Rand) string {
 	twoTables := rng.Intn(2) == 0
 	if twoTables {
 		// y is t2 itself or a column projection of its filtered rows, with or
-		// without a DISTINCT: the rewrite drops a DISTINCT an outer one
-		// makes invisible and folds the projection into the join when only
-		// the root's projection reads it (Listing 1's lock views).
+		// without a DISTINCT, and with or without a semi- or anti-join
+		// against t3: the rewrite drops a DISTINCT an outer one makes
+		// invisible, folds the projection into the join when only the root's
+		// projection reads it, and lifts the semi- or anti-join above the
+		// join (Listing 1's lock views).
 		y := "t2"
 		if rng.Intn(2) == 0 {
 			distinct := []string{"", "DISTINCT "}[rng.Intn(2)]
-			y = fmt.Sprintf("(SELECT %sw.c, w.a, w.b FROM t2 w WHERE w.c >= %d)", distinct, rng.Intn(4))
+			sub := []string{"", " AND EXISTS", " AND NOT EXISTS"}[rng.Intn(3)]
+			if sub != "" {
+				sub += fmt.Sprintf(" (SELECT * FROM t3 v WHERE v.a = w.%s)", []string{"a", "b"}[rng.Intn(2)])
+			}
+			y = fmt.Sprintf("(SELECT %sw.c, w.a, w.b FROM t2 w WHERE w.c >= %d%s)", distinct, rng.Intn(4), sub)
 		}
 		b.WriteString("x.a, x.b, y.c FROM t1 x, " + y + " y WHERE x.")
 		b.WriteString([]string{"a", "b"}[rng.Intn(2)])

@@ -717,7 +717,11 @@ func applyOp(n *planNode, l, r *relation.Relation) (*relation.Relation, error) {
 //	project ta=a.ta
 //	  anti-join on a.ta = finished.ta
 //	    ...
-func (p *Plan) String() string {
+func (p *Plan) String() string { return p.render(nil) }
+
+// render is String with note's text, when note is not nil, appended to each
+// node's line.
+func (p *Plan) render(note func(n *planNode) string) string {
 	parents := make([]int, len(p.nodes))
 	for _, n := range p.nodes {
 		for _, ch := range [2]*planNode{n.l, n.r} {
@@ -733,24 +737,27 @@ func (p *Plan) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "with %s:\n", p.names[i])
-		p.write(&b, n, 1, parents)
+		p.write(&b, n, 1, parents, note)
 	}
-	p.write(&b, p.root, 0, parents)
+	p.write(&b, p.root, 0, parents, note)
 	return b.String()
 }
 
-func (p *Plan) write(b *strings.Builder, n *planNode, depth int, parents []int) {
+func (p *Plan) write(b *strings.Builder, n *planNode, depth int, parents []int, note func(n *planNode) string) {
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(p.describe(n))
 	if parents[n.id] > 1 {
 		b.WriteString(" (shared)")
 	}
+	if note != nil {
+		b.WriteString(note(n))
+	}
 	b.WriteByte('\n')
 	if n.l != nil {
-		p.write(b, n.l, depth+1, parents)
+		p.write(b, n.l, depth+1, parents, note)
 	}
 	if n.r != nil {
-		p.write(b, n.r, depth+1, parents)
+		p.write(b, n.r, depth+1, parents, note)
 	}
 }
 

@@ -47,10 +47,29 @@ import (
 //     readers' items read the columns the projection picked. The view cache
 //     then keeps the base table's own rows on that side instead of a copy of
 //     each, narrowed (Listing 1's lock views).
+//  8. A semi- or anti-join A = S ▷ T whose only reader is an inner join J
+//     with at least one equi-key (reached directly or through renames and
+//     CTE scans, A on either side of J) moves above J: J(R, A) becomes
+//     A'(J(R, S), T). J keeps its keys and residual, since S has A's
+//     columns; A' keeps A's kind and its keys and residual, their S columns
+//     shifted by |R| when S is J's right input; and A' has J's schema, so
+//     J's readers do not change. The reassociation is exact under bag
+//     semantics and three-valued logic: a pair (r, s) survives, counted
+//     m_r·m_s, on both sides exactly when s has no match in T (some match,
+//     for a semi-join). Which side to keep materialised is a heuristic, for
+//     the plan has no statistics: a keyed join is taken to be selective, so
+//     its output — a key join of the pending requests is pending × matches
+//     — is smaller than the anti-join's input, which over a history-derived
+//     view is as large as the history. The view cache then keeps the join's
+//     output, not a copy of S (Listing 1's lock views: each join reads the
+//     history or its write filter, and the anti-joins probe its pairs).
+//     The rule runs after rule 7, to a fixpoint, so a chain of anti-joins
+//     rises one link at a time.
 //
 // Rules 2-4 and 6 rewrite nodes in place, so the CTE slots and the root keep
-// their pointers; rule 7 rewires a join. The node list is then rebuilt from
-// the root, without the nodes nothing reads any more — a CTE body among them.
+// their pointers; rules 7 and 8 rewire a join, and rule 8 turns it into the
+// lifted semi-/anti-join in place. The node list is then rebuilt from the
+// root, without the nodes nothing reads any more — a CTE body among them.
 func (p *Plan) rewrite() {
 	consumers := p.readers()
 	// leftOnly: only projections read n, none at or past column width.
@@ -95,6 +114,9 @@ func (p *Plan) rewrite() {
 	p.renumber()
 	p.dropSetReadDistincts()
 	for p.foldProjection() {
+		p.renumber()
+	}
+	for p.liftSemiJoin() {
 		p.renumber()
 	}
 }
@@ -253,6 +275,72 @@ func foldInto(j, proj *planNode, right bool, readers []*planNode) {
 			r.items[i].E = remap(r.items[i].E)
 		}
 	}
+}
+
+// liftSemiJoin applies rule 8 to the first semi- or anti-join it fits and
+// reports whether there was one.
+func (p *Plan) liftSemiJoin() bool {
+	rs := p.readers()
+	for _, a := range p.nodes {
+		if a.op != opSemi {
+			continue
+		}
+		// Climb a's one reader at a time through renames and CTE scans.
+		from := a
+		for len(rs[from.id]) == 1 {
+			c := rs[from.id][0]
+			if c.op == opJoin {
+				if len(c.keys) > 0 {
+					p.lift(a, rs[a.id][0], c, c.r == from)
+					return true
+				}
+				break
+			}
+			if c.op != opRename && c.op != opScan {
+				break
+			}
+			from = c
+		}
+	}
+	return false
+}
+
+// lift moves semi-/anti-join a above join j, which reads it as its right
+// input when right and its left one otherwise. first is a's one reader: j,
+// or the rename or CTE scan that starts the path up to j. first is rewired
+// to read a's left input, and j becomes the lifted semi-/anti-join in place,
+// over a new join with j's inputs, keys and residual.
+func (p *Plan) lift(a, first, j *planNode, right bool) {
+	s, width := a.l, a.l.schema.Len()
+	switch {
+	case first.op == opScan:
+		p.ctes[first.cte] = s
+	case first.l == a:
+		first.l = s
+	default:
+		first.r = s
+	}
+	inner := &planNode{op: opJoin, id: -1, schema: j.schema, l: j.l, r: j.r, keys: j.keys, pred: j.pred}
+	shift := 0
+	if right {
+		shift = j.l.schema.Len()
+	}
+	keys := slices.Clone(a.keys)
+	for i := range keys {
+		keys[i].L += shift
+	}
+	var pred ra.Expr
+	if a.pred != nil {
+		both := joinSchema(j.schema, a.r.schema)
+		pred = ra.MapCols(a.pred, func(c ra.Col) ra.Col {
+			pos := c.Pos + shift
+			if c.Pos >= width {
+				pos = c.Pos - width + j.schema.Len()
+			}
+			return ra.Col{Pos: pos, Name: both.Col(pos).Name}
+		})
+	}
+	*j = planNode{op: opSemi, id: j.id, schema: j.schema, l: inner, r: a.r, keys: keys, pred: pred, anti: a.anti}
 }
 
 // isNullOnRightKey: s's one predicate is `col IS NULL` on a right column of

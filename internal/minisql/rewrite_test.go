@@ -25,7 +25,7 @@ type rewriteCase struct {
 }
 
 var rewriteShapes = []func(*rand.Rand) rewriteCase{
-	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter, rwSetRead, rwFold,
+	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter, rwSetRead, rwFold, rwLift,
 }
 
 // sqlEq is an equi-join key match: NULL matches nothing.
@@ -584,6 +584,141 @@ func rwFold(rng *rand.Rand) rewriteCase {
 	}
 }
 
+// rwLift: v, t3's rows that pass a semi- or anti-join against t2 (with or
+// without a residual) and optionally a second one against t1, read by an
+// inner join with t1 on x.a = v.a as its right input, its left one or a CTE
+// (rule 8). v's items are t3's columns (a rename) or (c, a) (a projection
+// rule 7 folds first). Near misses: v read twice, by a left join, by a
+// semi-join, by the root, and a join without an equi-key.
+func rwLift(rng *rand.Rand) rewriteCase {
+	kind := rng.Intn(9) // 0-3 lift; 4 twice, 5 left join, 6 semi-join, 7 root, 8 no key
+	anti1, anti2, chained := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+	res1, res2, jres := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+	exists := func(anti bool) string {
+		if anti {
+			return "NOT EXISTS"
+		}
+		return "EXISTS"
+	}
+	cond := exists(anti1) + " (SELECT * FROM t2 w WHERE w.a = z.b"
+	if res1 {
+		cond += " AND w.c > z.c"
+	}
+	cond += ")"
+	if chained {
+		cond += " AND " + exists(anti2) + " (SELECT * FROM t1 u WHERE u.c = z.a"
+		if res2 {
+			cond += " AND u.b < z.c"
+		}
+		cond += ")"
+	}
+	items, narrow := "z.a, z.b, z.c", rng.Intn(2) == 0
+	if narrow {
+		items = "z.c, z.a"
+	}
+	v := "SELECT " + items + " FROM t3 z WHERE " + cond
+	on := "x.a = v.a"
+	if jres {
+		on += " AND x.b <> v.c"
+	}
+	var src string
+	switch kind {
+	case 0, 1:
+		src = "SELECT x.a, x.b, v.c FROM t1 x, (" + v + ") v WHERE " + on
+	case 2:
+		src = "SELECT x.a, x.b, v.c FROM (" + v + ") v, t1 x WHERE " + on
+	case 3:
+		src = "WITH v AS (" + v + ") SELECT x.a, x.b, v.c FROM t1 x, v WHERE " + on
+	case 4:
+		src = "WITH v AS (" + v + ") SELECT x.a, x.b, v.c FROM t1 x, v WHERE " + on +
+			" AND NOT EXISTS (SELECT * FROM v y WHERE y.a = x.c)"
+	case 5:
+		src = "SELECT x.a, x.b, v.c FROM t1 x LEFT JOIN (" + v + ") v ON " + on
+	case 6:
+		src = "SELECT x.a, x.b, x.c FROM t1 x WHERE EXISTS (SELECT * FROM (" + v + ") v WHERE " + on + ")"
+	case 7:
+		src = v
+	default:
+		src = "SELECT x.a, x.b, v.c FROM t1 x, (" + v + ") v WHERE x.b < v.a"
+	}
+	// vs: the rows of v, as (a, b, c).
+	vs := func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+		for _, z := range db["t3"] {
+			e1 := slices.ContainsFunc(db["t2"], func(w relation.Tuple) bool {
+				return sqlEq(w[0], z[1]) && (!res1 || cmpTV(w[2], ">", z[2]) == tvTrue)
+			})
+			e2 := slices.ContainsFunc(db["t1"], func(u relation.Tuple) bool {
+				return sqlEq(u[2], z[0]) && (!res2 || cmpTV(u[1], "<", z[2]) == tvTrue)
+			})
+			if e1 != anti1 && (!chained || e2 != anti2) {
+				out = append(out, z)
+			}
+		}
+		return out
+	}
+	joins := func(x, z relation.Tuple) bool {
+		if kind == 8 {
+			return cmpTV(x[1], "<", z[0]) == tvTrue
+		}
+		return sqlEq(x[0], z[0]) && (!jres || cmpTV(x[1], "<>", z[2]) == tvTrue)
+	}
+	return rewriteCase{
+		shape:     "lift anti-join",
+		src:       src,
+		rewritten: kind < 4,
+		// Lifted, a semi-/anti-join reads a join and no join reads one, even
+		// through renames, projections and CTE scans.
+		applied: func(p *Plan) bool {
+			reads := func(n *planNode) bool {
+				for n.op == opRename || n.op == opProject || n.op == opScan && n.cte >= 0 {
+					if n.op == opScan {
+						n = p.ctes[n.cte]
+					} else {
+						n = n.l
+					}
+				}
+				return n.op == opSemi
+			}
+			return hasNode(p, func(n *planNode) bool { return n.op == opSemi && n.l.op == opJoin }) &&
+				!hasNode(p, func(n *planNode) bool { return n.op == opJoin && (reads(n.l) || reads(n.r)) })
+		},
+		want: func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			rows := vs(db)
+			if kind == 7 {
+				for _, z := range rows {
+					if narrow {
+						z = relation.Tuple{z[2], z[0]}
+					}
+					out = append(out, z)
+				}
+				return out
+			}
+			for _, x := range db["t1"] {
+				if kind == 4 && slices.ContainsFunc(rows, func(y relation.Tuple) bool { return sqlEq(y[0], x[2]) }) {
+					continue
+				}
+				matched := false
+				for _, z := range rows {
+					if !joins(x, z) {
+						continue
+					}
+					matched = true
+					if kind != 6 {
+						out = append(out, relation.Tuple{x[0], x[1], z[2]})
+					}
+				}
+				switch {
+				case kind == 6 && matched:
+					out = append(out, x)
+				case kind == 5 && !matched:
+					out = append(out, relation.Tuple{x[0], x[1], relation.Null()})
+				}
+			}
+			return out
+		},
+	}
+}
+
 // runRewriteSeed draws tables and one rewrite case, checks that the plan
 // shows the rewrite exactly when its preconditions hold, and compares the
 // cold executor, the interpreter and the IVM — across random trickle and
@@ -665,7 +800,7 @@ func TestPlanRewritesMatchBruteForce(t *testing.T) {
 		}
 		seen[c.shape] = n
 	}
-	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter", "set-read distinct", "fold projection"} {
+	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter", "set-read distinct", "fold projection", "lift anti-join"} {
 		if n := seen[shape]; n[1] == 0 || shape != "residual" && n[0] == 0 {
 			t.Errorf("%s: %d rewritten and %d near misses generated", shape, n[1], n[0])
 		}

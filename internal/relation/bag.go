@@ -267,6 +267,10 @@ func (b *Bag) index(cols []int, nullable bool) *BagIndex {
 	return ix
 }
 
+// Indexes returns the bag's maintained indexes, in the order they were first
+// asked for. Callers must not mutate the slice.
+func (b *Bag) Indexes() []*BagIndex { return b.indexes }
+
 // BagIndex is a multi-column equality index over a Bag's positions, filed by
 // the hash of the indexed columns (Tuple.HashCols, which agrees with
 // HashValues over a probe key). A probe walks the positions sharing the

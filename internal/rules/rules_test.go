@@ -143,9 +143,11 @@ func listingOnePlan(t *testing.T) *minisql.Plan {
 // of the comma joins are join residuals), the final join against the
 // duplicate-free QualifiedSS2PLOps is a semi-join, the write filter over
 // history is one node shared by both lock views, and each lock view's join
-// reads its anti-join directly: WLockedObjects' DISTINCT, read only through
-// the EXCEPT, is gone, and neither lock view's projection is left between
-// the history rows and the join that reads them, nor evaluated.
+// reads the requests and the history rows themselves — the history scan or
+// its write filter — with the lock view's anti-joins lifted above it (rule
+// 8): one over WLockedObjects' join, two over RLockedObjects'. Neither lock
+// view's projection nor WLockedObjects' DISTINCT, read only through the
+// EXCEPT, is left, and neither lock view's body is evaluated.
 func TestListingOnePlanIsRewritten(t *testing.T) {
 	text := listingOnePlan(t).String()
 	if strings.Contains(text, "left-join") {
@@ -192,19 +194,47 @@ func TestListingOnePlanIsRewritten(t *testing.T) {
 			continue
 		}
 		lockJoins++
-		// The join's second child is the next line one level deeper after
-		// its first child's subtree.
-		var children []string
+		// The join's subtree is the lines below it one level deeper or more;
+		// a child is one level deeper.
+		var children, below []string
 		for _, c := range lines[i+1:] {
 			if depth(c) <= depth(l) {
 				break
 			}
+			below = append(below, op(c))
 			if depth(c) == depth(l)+1 {
 				children = append(children, op(c))
 			}
 		}
-		if len(children) != 2 || !strings.HasPrefix(children[1], "anti-join ") {
-			t.Errorf("%s's join reads %q, want its lock view's anti-join:\n%s", cte, children, text)
+		if slices.ContainsFunc(below, func(c string) bool { return strings.HasPrefix(c, "anti-join ") }) {
+			t.Errorf("%s's join reads an anti-join:\n%s", cte, text)
+		}
+		if len(children) != 2 || !slices.Contains(below, "scan requests") || children[1] != "rename a" {
+			t.Errorf("%s's join reads %q, want the requests and the history rows:\n%s", cte, children, text)
+			continue
+		}
+		// rename a's subtree ends the join's.
+		held := below[slices.Index(below, "rename a")+1:]
+		if !slices.Equal(held, []string{"scan history"}) &&
+			!(len(held) == 2 && strings.HasPrefix(held[0], `select (operation = "w")`) && held[1] == "scan history") {
+			t.Errorf("%s's join reads %q under rename a, want the history scan or its write filter:\n%s", cte, held, text)
+		}
+		// Climb from the join to the view's projection: every node between
+		// is one of the view's anti-joins.
+		antis := 0
+		for k, d := i-1, depth(l)-1; k >= 0 && d > 0; k-- {
+			if depth(lines[k]) != d {
+				continue
+			}
+			if strings.HasPrefix(op(lines[k]), "anti-join ") {
+				antis++
+			} else if !strings.HasPrefix(op(lines[k]), "project ") {
+				t.Errorf("%s's join sits under %q:\n%s", cte, op(lines[k]), text)
+			}
+			d--
+		}
+		if want := map[string]int{"operationsonwlockedobjects": 1, "operationsonrlockedobjects": 2}[cte]; antis != want {
+			t.Errorf("%s: %d anti-joins above the join, want %d:\n%s", cte, antis, want, text)
 		}
 	}
 	if lockJoins != 2 {
