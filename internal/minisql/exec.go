@@ -11,24 +11,29 @@ import (
 // Catalog maps table names (lower case) to relations.
 type Catalog map[string]*relation.Relation
 
-// Run executes a query against a catalog. The query is compiled against the
-// catalog's schemas (CompilePlan) and the plan evaluated bottom-up;
-// long-lived callers can compile once and re-evaluate the plan themselves.
-// Each join builds its hash table for the call (ra.HashJoin) and execution
-// only reads the catalog's relations.
+// Run executes a query against a catalog: it compiles the query against the
+// catalog's schemas (CompilePlan), builds the plan's view cache with the
+// catalog's rows as its first delta (NewIVM) and reads the root. The view
+// cache keeps the catalog's tuples while it runs, which must not change
+// (see Delta); long-lived callers compile once and keep the view cache,
+// patching it with each change to the tables instead.
 func Run(q *Query, cat Catalog) (*relation.Relation, error) {
-	lc := make(Catalog, len(cat))
 	schemas := make(map[string]*relation.Schema, len(cat))
+	first := make(map[string]Delta, len(cat))
 	for k, v := range cat {
 		k = strings.ToLower(k)
-		lc[k] = v
 		schemas[k] = v.Schema()
+		first[k] = Delta{Ins: v.Rows()}
 	}
 	p, err := CompilePlan(q, schemas)
 	if err != nil {
 		return nil, err
 	}
-	return p.Eval(lc)
+	m, err := NewIVM(p, first)
+	if err != nil {
+		return nil, err
+	}
+	return m.Result()
 }
 
 // conjunct is one top-level AND-ed predicate with bookkeeping.

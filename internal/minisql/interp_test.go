@@ -11,8 +11,8 @@ import (
 
 // Interpret is the SQL reference the executor and the view cache are tested
 // against. It evaluates the parsed query as written, by SQL's own rules, and
-// shares nothing with the planner (no CompilePlan, compileExpr, rewrite or
-// ra operator):
+// shares nothing with the planner or the view cache (no CompilePlan,
+// compileExpr, rewrite or delta rule):
 //
 //   - the FROM items run as nested loops, in order; JOIN ... ON keeps the
 //     combinations its condition makes true, LEFT JOIN pads a left row no

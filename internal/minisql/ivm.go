@@ -10,16 +10,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Incremental view maintenance over a compiled plan: NewIVM materialises the
-// base tables and every plan node a delta rule reads — the inputs of joins,
-// EXCEPT and DISTINCT, and an unordered root — into counted
-// multisets (relation.Bag), the per-protocol view cache, and Apply patches
-// the whole graph from a round's base-table deltas by running each
-// operator's delta rule instead of re-evaluating the query. Every other
-// node — a filter, projection, union or join whose parents only stream —
-// passes its delta on and keeps no bag. The rules work uniformly on *net*
-// signed deltas (inserts and deletes of the same tuple cancel first) against
-// the already updated child states:
+// Incremental view maintenance over a compiled plan, the plan's one
+// evaluator: NewIVM keeps the base tables and every plan node a delta rule
+// reads — the inputs of joins, EXCEPT and DISTINCT, and an unordered root —
+// as counted multisets (relation.Bag), the per-protocol view cache, starts
+// them empty and applies the base tables' rows as its first delta; Apply
+// patches the whole graph from each delta by running each operator's delta
+// rule (the initial state is the delta from the empty database, as in
+// DBToaster). Every other node — a filter, projection, union or join whose
+// parents only stream — passes its delta on and keeps no bag. The rules work
+// uniformly on *net* signed deltas (inserts and deletes of the same tuple
+// cancel first) against the already updated child states:
 //
 //   - select/project/union map the child delta directly;
 //   - inner join uses Δ(L⋈R) = ΔL⋈R_old + L_new⋈ΔR, probing the bags'
@@ -35,7 +36,11 @@ import (
 //     new counts and the delta's net.
 //
 // The rules cost O(|Δ| · matches) per node whatever the delta's size: a
-// round that replaces a whole table takes the same path as a trickle.
+// round that replaces a whole table, and the first delta that builds the
+// views, take the same path as a trickle. Only sizing tells them apart: a
+// base table's signed delta is reserved for its input, and a bag that is
+// empty when a delta reaches it is reserved for the delta's cells
+// (applyToBag), so the first delta grows none of them.
 //
 // Every delta cell carries its tuple's hash, computed once where the tuple
 // is made, into every probe of a delta or bag and into the bag patch;
@@ -70,10 +75,11 @@ import (
 // history rows on its object.
 //
 // Every plan operator has a delta rule (the parser refuses LIMIT, whose
-// content would depend on physical row order). Intermediate views' row
-// order is unspecified; a root-level
-// ORDER BY is maintained incrementally (orderedRoot): the sorted cell list
-// absorbs each round's root delta by binary search instead of re-sorting the
+// content would depend on physical row order); a SELECT without FROM emits
+// its one row in the first delta. Intermediate views' row order is
+// unspecified; a root-level ORDER BY is maintained incrementally
+// (orderedRoot): the first delta is sorted once, and the sorted cell list
+// absorbs each later root delta by binary search instead of re-sorting the
 // full result on every Result call, which was the dominant residual cost of
 // a warm round. Ties in the sort keys break by whole-tuple comparison — a
 // total order, so every ordering is a valid ORDER BY result and maintenance
@@ -85,6 +91,7 @@ type IVM struct {
 	tables map[string]*view // base-table views shared by every scan of the table
 	order  *orderedRoot     // maintained root ORDER BY, nil when the root is unsorted
 	aux    []nodeAux        // node id -> precomputed key positions / NULL pads
+	built  bool             // the first delta is applied (opConst's row is in)
 
 	// Round-scoped scratch, recycled across Apply calls.
 	pool     []*sdelta // reset deltas ready for reuse
@@ -127,19 +134,12 @@ type view struct {
 	bag  *relation.Bag
 }
 
-// NewIVM evaluates the plan once against the catalog (the cold cost, paid on
-// the first warm round) and materialises the views the delta rules read. The
-// catalog's relations are copied into counted multisets; subsequent Apply
-// calls maintain those, not the catalog.
-func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
-	capture := make([]*relation.Relation, len(p.nodes))
-	lc := make(Catalog, len(cat))
-	for k, v := range cat {
-		lc[strings.ToLower(k)] = v
-	}
-	if _, err := p.eval(lc, capture); err != nil {
-		return nil, err
-	}
+// NewIVM builds p's view cache from empty: every view starts empty and
+// first — each base table's rows as an insert delta, keyed by table name —
+// is its first Apply, so a build runs the delta rules every later round
+// runs. A table first does not name starts empty. The tuples of first are
+// kept under Apply's contract (see Delta).
+func NewIVM(p *Plan, first map[string]Delta) (*IVM, error) {
 	m := &IVM{
 		plan:   p,
 		views:  make([]*view, len(p.nodes)),
@@ -157,7 +157,7 @@ func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
 			}
 			tv := m.tables[n.table]
 			if tv == nil {
-				tv = &view{node: n, bag: relation.BagOf(capture[n.id])}
+				tv = &view{node: n, bag: relation.NewBag(n.schema)}
 				m.tables[n.table] = tv
 			}
 			m.views[n.id] = tv
@@ -173,7 +173,7 @@ func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
 	// Every other node streams its delta to its parents.
 	materialise := func(n *planNode) {
 		if v := m.views[n.id]; v.bag == nil {
-			v.bag = relation.BagOf(capture[v.node.id])
+			v.bag = relation.NewBag(v.node.schema)
 		}
 	}
 	for _, n := range p.nodes {
@@ -186,12 +186,12 @@ func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
 		}
 	}
 	if root := p.root; root.op == opOrderBy {
-		m.order = newOrderedRoot(root.sorts, capture[root.id])
+		m.order = &orderedRoot{sorts: root.sorts}
 	} else {
 		materialise(root)
 	}
-	// Pre-build the indexes the delta rules probe and the per-node constants,
-	// so the first Apply does not pay for either.
+	// Build the indexes the delta rules probe, while every bag is empty, and
+	// the per-node constants.
 	for _, n := range m.plan.nodes {
 		switch n.op {
 		case opJoin, opLeftJoin, opSemi:
@@ -211,6 +211,9 @@ func NewIVM(p *Plan, cat Catalog) (*IVM, error) {
 		case opProject:
 			m.aux[n.id].run = columnRun(n.items)
 		}
+	}
+	if err := m.Apply(first); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -345,6 +348,8 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 		m.outs = make([]*sdelta, len(m.plan.nodes))
 	}
 	outs := m.outs
+	first := !m.built
+	m.built = true
 	defer func() {
 		for i := range outs {
 			outs[i] = nil
@@ -364,6 +369,7 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 			continue
 		}
 		sd := m.acquire()
+		sd.reserve(len(d.Ins) + len(d.Del))
 		for _, t := range d.Ins {
 			sd.add(t, 1, true)
 		}
@@ -391,17 +397,22 @@ func (m *IVM) Apply(deltas map[string]Delta) error {
 		case opRename, opOrderBy:
 			outs[n.id] = outs[n.l.id]
 			continue
-		case opConst:
-			outs[n.id] = m.empty
-			continue
 		}
-		dL := outs[n.l.id]
-		var dR *sdelta
+		var dL, dR *sdelta
+		if n.l != nil {
+			dL = outs[n.l.id]
+		}
 		if n.r != nil {
 			dR = outs[n.r.id]
 		}
 		var out *sdelta
 		switch n.op {
+		case opConst:
+			out = m.empty
+			if first {
+				out = m.acquire()
+				out.add(relation.Tuple{}, 1, true)
+			}
 		case opSelect:
 			out = m.selectDelta(n, dL)
 		case opProject:
@@ -456,22 +467,6 @@ type orderedCell struct {
 	n int
 }
 
-// newOrderedRoot sorts the root's first result once (the build round) and
-// counts equal rows into one cell.
-func newOrderedRoot(sorts []ra.SortSpec, rel *relation.Relation) *orderedRoot {
-	rows := slices.Clone(rel.Rows())
-	o := &orderedRoot{sorts: sorts, total: len(rows)}
-	sort.Slice(rows, func(i, j int) bool { return o.cmp(rows[i], rows[j]) < 0 })
-	for _, t := range rows {
-		if k := len(o.cells); k > 0 && o.cmp(o.cells[k-1].t, t) == 0 {
-			o.cells[k-1].n++
-			continue
-		}
-		o.cells = append(o.cells, orderedCell{t: t, n: 1})
-	}
-	return o
-}
-
 // cmp is the total cell order: sort specs first, then the remaining columns
 // lexicographically. cmp == 0 implies tuple equality.
 func (o *orderedRoot) cmp(a, b relation.Tuple) int {
@@ -492,8 +487,12 @@ func (o *orderedRoot) cmp(a, b relation.Tuple) int {
 	return 0
 }
 
-// apply merges a net signed delta into the sorted cells.
+// apply merges a net signed delta into the sorted cells. A delta that finds
+// no cells — the first, say — is sorted once instead (fill).
 func (o *orderedRoot) apply(d *sdelta) error {
+	if len(o.cells) == 0 {
+		return o.fill(d)
+	}
 	for ci := range d.cells {
 		c := &d.cells[ci]
 		if c.n == 0 {
@@ -523,6 +522,29 @@ func (o *orderedRoot) apply(d *sdelta) error {
 		o.cells[i] = orderedCell{t: t, n: c.n}
 		o.total += c.n
 	}
+	return nil
+}
+
+// fill sorts a net delta into the empty cell list. The delta's cells are
+// distinct tuples, so each becomes one cell.
+func (o *orderedRoot) fill(d *sdelta) error {
+	o.cells = slices.Grow(o.cells, len(d.cells))
+	for ci := range d.cells {
+		c := &d.cells[ci]
+		if c.n == 0 {
+			continue
+		}
+		if c.n < 0 {
+			return fmt.Errorf("minisql: ivm: ordered root delta removes absent %s", c.t)
+		}
+		t := c.t
+		if !c.held {
+			t = t.Clone()
+		}
+		o.cells = append(o.cells, orderedCell{t: t, n: c.n})
+		o.total += c.n
+	}
+	slices.SortFunc(o.cells, func(a, b orderedCell) int { return o.cmp(a.t, b.t) })
 	return nil
 }
 
@@ -560,6 +582,13 @@ type scell struct {
 }
 
 func newSdelta() *sdelta { return &sdelta{chain: relation.NewChain()} }
+
+// reserve sizes an empty delta for n cells, so filling it grows nothing.
+func (d *sdelta) reserve(n int) {
+	d.cells = slices.Grow(d.cells, n)
+	d.chain.Reserve(n)
+	d.chain.ReserveLinks(n)
+}
 
 // find returns the index of t's cell, h being t.Hash(), or -1.
 func (d *sdelta) find(t relation.Tuple, h uint64) int32 {
@@ -629,8 +658,13 @@ func (d *sdelta) reset() {
 // so each is one count change, and the bag reuses the cell's hash. A tuple
 // new to the bag enters as itself when held and as a heap copy otherwise;
 // every changed cell then carries the instance the bag holds (or held, for
-// a delete), so the parents' rules and bags share it.
+// a delete), so the parents' rules and bags share it. An empty bag — every
+// bag, when the first delta reaches it — is first reserved for the delta's
+// cells.
 func applyToBag(b *relation.Bag, d *sdelta) error {
+	if b.DistinctLen() == 0 {
+		b.Reserve(len(d.cells))
+	}
 	for i := range d.cells {
 		c := &d.cells[i]
 		if c.n == 0 {
@@ -668,7 +702,7 @@ func keyCols(keys []ra.EquiKey) (lpos, rpos []int) {
 }
 
 // sideKeyHash hashes t's key columns; ok is false when any is NULL (a NULL
-// key never equi-matches, mirroring the cold operators).
+// key never equi-matches).
 func sideKeyHash(t relation.Tuple, pos []int) (uint64, bool) {
 	for _, p := range pos {
 		if t[p].IsNull() {

@@ -10,14 +10,15 @@ import (
 	"repro/internal/rules"
 )
 
-// The delta-maintained executor is property-tested against the cold (full
-// re-run) executor and the interpreter (Interpret): over random catalogs,
+// The delta-maintained executor is property-tested against a fresh build of
+// the view cache from one insert delta (Run) and the interpreter
+// (Interpret): over random catalogs,
 // random queries of every maintainable shape (multi-table equi-joins, [NOT]
 // EXISTS including NOT EXISTS over disjunctions, with NULLs on the subquery
 // side, LEFT JOIN with IS NULL, UNION/UNION ALL/EXCEPT, DISTINCT, CTEs
 // referenced more than once, FROM subqueries) and random
 // insert/delete delta sequences, the IVM's maintained result must equal the
-// cold executor's bag — which must itself equal the interpreter's — after
+// fresh build's bag — which must itself equal the interpreter's — after
 // every round.
 
 // randIVMQuery renders a random maintainable query over tables t1, t2, t3.
@@ -69,8 +70,18 @@ func randIVMQuery(rng *rand.Rand) string {
 	panic("unreachable")
 }
 
-// mirrorCatalog rebuilds fresh relations from the tuple mirrors (the cold
-// executors always see ground truth rebuilt from scratch).
+// inserts is the first delta that builds a view cache over cat (NewIVM):
+// every table's rows inserted.
+func inserts(cat Catalog) map[string]Delta {
+	first := make(map[string]Delta, len(cat))
+	for name, r := range cat {
+		first[name] = Delta{Ins: r.Rows()}
+	}
+	return first
+}
+
+// mirrorCatalog rebuilds fresh relations from the tuple mirrors (a fresh
+// build always sees ground truth rebuilt from scratch).
 func mirrorCatalog(mirror map[string][]relation.Tuple) Catalog {
 	cat := make(Catalog, len(mirror))
 	for name, rows := range mirror {
@@ -146,8 +157,8 @@ func randBulkDeltas(rng *rand.Rand, mirror map[string][]relation.Tuple) map[stri
 // runIVMSeed drives the equivalence property for one seed: a random catalog
 // and maintainable query, then rounds delta batches — round step large-sized
 // (randBulkDeltas) when bit step of large is set, a trickle (randDeltas)
-// otherwise. After every round the IVM's result must equal the cold
-// executor's, which must equal the interpreter's.
+// otherwise. After every round the IVM's result must equal a fresh build's
+// over the tables as they stand (Run), which must equal the interpreter's.
 //
 // It checks the IVM's tuple lifetimes too, under the Delta contract: the
 // delta tuples are kept by the caller too (the mirror holds them) and never
@@ -178,7 +189,7 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	if err != nil {
 		t.Fatalf("seed %d: compile %q: %v", seed, src, err)
 	}
-	m, err := NewIVM(plan, cat)
+	m, err := NewIVM(plan, inserts(cat))
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 	}
@@ -222,17 +233,17 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 			want = append(want, k.Clone())
 		}
 		fresh := mirrorCatalog(mirror)
-		cold, err := Run(q, fresh)
+		built, err := Run(q, fresh)
 		if err != nil {
-			t.Fatalf("seed %d step %d: cold %q: %v", seed, step, src, err)
+			t.Fatalf("seed %d step %d: fresh build %q: %v", seed, step, src, err)
 		}
-		if want := interpret(t, q, fresh); !sameAnswer(q, cold, want) {
-			t.Fatalf("seed %d step %d: cold executor diverged from the interpreter on %q\ncold:\n%s\ninterpreter:\n%s",
-				seed, step, src, cold, want)
+		if want := interpret(t, q, fresh); !sameAnswer(q, built, want) {
+			t.Fatalf("seed %d step %d: the fresh build diverged from the interpreter on %q\nbuilt:\n%s\ninterpreter:\n%s",
+				seed, step, src, built, want)
 		}
-		if !got.Equal(cold) {
-			t.Fatalf("seed %d step %d: IVM diverged from cold executor on %q\nivm:\n%s\ncold:\n%s",
-				seed, step, src, got, cold)
+		if !got.Equal(built) {
+			t.Fatalf("seed %d step %d: IVM diverged from the fresh build on %q\nivm:\n%s\nbuilt:\n%s",
+				seed, step, src, got, built)
 		}
 		if plan.root.op == opOrderBy {
 			rows := got.Rows()
@@ -254,8 +265,9 @@ func runIVMSeed(t testing.TB, seed int64, rounds int, large uint64) {
 	}
 }
 
-// TestIVMMatchesColdAndOracle: sequential delta maintenance tracks the cold
-// executor and the interpreter across randomized delta sequences.
+// TestIVMMatchesColdAndOracle: sequential delta maintenance tracks a fresh
+// build from one insert delta and the interpreter across randomized delta
+// sequences.
 func TestIVMMatchesColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		runIVMSeed(t, seed, 8, 0)
@@ -264,8 +276,8 @@ func TestIVMMatchesColdAndOracle(t *testing.T) {
 
 // TestIVMLargeDeltasMatchColdAndOracle: trickle rounds and rounds that churn
 // a third to all of every table interleave at random; the per-tuple delta
-// rules, the only maintenance path, track the cold executor and the
-// interpreter through both.
+// rules, the only maintenance path, track a fresh build and the interpreter
+// through both.
 func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		large := rand.New(rand.NewSource(^seed)).Uint64()
@@ -275,7 +287,7 @@ func TestIVMLargeDeltasMatchColdAndOracle(t *testing.T) {
 
 // FuzzIVMDeltas: the fuzzer picks the catalog and query (through the seed)
 // and which of eight rounds carry a large delta; every round's maintained
-// result must equal the cold executor's and the interpreter's.
+// result must equal a fresh build's and the interpreter's.
 func FuzzIVMDeltas(f *testing.F) {
 	f.Add(int64(0), uint8(0))
 	f.Add(int64(1), uint8(0xff))
@@ -287,7 +299,7 @@ func FuzzIVMDeltas(f *testing.F) {
 }
 
 // TestIVMDivergentDeltaErrors: deleting a tuple beyond its maintained count
-// must surface as an error (the protocol's cue to rebuild cold).
+// must surface as an error (the protocol's cue to rebuild the view cache).
 func TestIVMDivergentDeltaErrors(t *testing.T) {
 	rows := map[string][]relation.Tuple{"t1": {{relation.Int(1), relation.Int(2), relation.Int(3)}}, "t2": nil, "t3": nil}
 	cat := mirrorCatalog(rows)
@@ -301,7 +313,7 @@ func TestIVMDivergentDeltaErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewIVM(plan, cat)
+	m, err := NewIVM(plan, inserts(cat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +327,7 @@ func TestIVMDivergentDeltaErrors(t *testing.T) {
 // two tables, over empty tables.
 func newListingOneIVM(t *testing.T, plan *Plan) *IVM {
 	t.Helper()
-	cat := Catalog{}
-	for _, name := range []string{"requests", "history"} {
-		cat[name] = relation.New(requestSchema())
-	}
-	m, err := NewIVM(plan, cat)
+	m, err := NewIVM(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +495,9 @@ func listingOneMixRounds(t *testing.T, plan *Plan, n int, mix listingOneMix) []m
 
 // TestListingOneRoundsMatchInterpreter: Listing 1 round by round — the
 // closed-loop rounds of listingOneRounds, with commits, deadlock aborts and
-// history collection — maintained by a view cache and run cold by the
-// executor, every round's answer equal to the interpreter's on the tables as
-// they stand, in the same ORDER BY id sequence.
+// history collection — maintained by a view cache and built afresh by Run
+// every round, every round's answer equal to the interpreter's on the tables
+// as they stand, in the same ORDER BY id sequence.
 func TestListingOneRoundsMatchInterpreter(t *testing.T) {
 	plan := listingOnePlan(t)
 	q, err := Parse(rules.ListingOneSQL)
@@ -520,7 +528,7 @@ func TestListingOneRoundsMatchInterpreter(t *testing.T) {
 		}
 		want := interpret(t, q, cat)
 		qualified += want.Len()
-		cold, err := Run(q, cat)
+		built, err := Run(q, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +536,7 @@ func TestListingOneRoundsMatchInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for who, got := range map[string]*relation.Relation{"executor": cold, "view cache": warm} {
+		for who, got := range map[string]*relation.Relation{"fresh build": built, "view cache": warm} {
 			if !sameAnswer(q, got, want) {
 				t.Fatalf("round %d: the %s diverged from the interpreter\ngot:\n%s\ninterpreter:\n%s", i, who, got, want)
 			}

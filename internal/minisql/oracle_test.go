@@ -9,10 +9,11 @@ import (
 	"repro/internal/relation"
 )
 
-// The executor — CompilePlan's plan, rewrites included, run by the ra
-// operators — and the view cache over the same plan are property-tested
-// against Interpret (interp_test.go), which evaluates the parsed query by
-// SQL's own rules and never sees a plan: over random catalogs and random
+// The executor — CompilePlan's plan, rewrites included, built as a view
+// cache from one insert delta (Run) — and the view cache maintained over
+// the same plan are property-tested against Interpret (interp_test.go),
+// which evaluates the parsed query by SQL's own rules and never sees a
+// plan: over random catalogs and random
 // queries of the shapes the scheduling protocols use (multi-table equi-joins
 // via WHERE, filters, [NOT] EXISTS with correlated keys and OR-of-AND
 // predicates over NULL-able columns, LEFT JOIN, DISTINCT, EXCEPT/UNION,
@@ -100,7 +101,10 @@ func TestInterpreterGoldenCases(t *testing.T) {
 	for _, r := range [][]any{{1, 5}, {1, 6}, {4, 7}} {
 		u.MustAppend(goldenRow(r...))
 	}
-	cat := Catalog{"t": tt, "u": u}
+	// e starts empty: a view cache built over the catalog meets it in its
+	// first delta as a table with no rows.
+	e := relation.New(u.Schema())
+	cat := Catalog{"t": tt, "u": u, "e": e}
 	for _, c := range []struct {
 		sql     string
 		want    [][]any
@@ -121,16 +125,25 @@ func TestInterpreterGoldenCases(t *testing.T) {
 			{1, 11, 0, 1, nil}, {2, nil, nil, nil, nil}, {3, 1, nil, nil, nil},
 		}, true},
 		{"SELECT 1 + 2, NULL", [][]any{{3, nil}}, true},
+		{"(SELECT 5 AS a) UNION ALL (SELECT a FROM t)", [][]any{{5}, {1}, {2}, {3}}, true},
 		{"SELECT DISTINCT s FROM t", [][]any{{"x"}, {"y"}}, true},
 		{"(SELECT a FROM t) UNION (SELECT a FROM u)", [][]any{{1}, {2}, {3}, {4}}, true},
 		{"(SELECT a FROM t) UNION ALL (SELECT a FROM u)", [][]any{{1}, {2}, {3}, {1}, {1}, {4}}, true},
 		{"(SELECT a FROM t) EXCEPT (SELECT a FROM u)", [][]any{{2}, {3}}, true},
+		// An EXCEPT whose right side is empty still drops duplicates.
+		{"(SELECT s FROM t) EXCEPT (SELECT s FROM t WHERE a > 5)", [][]any{{"x"}, {"y"}}, true},
+		{"(SELECT b FROM t) EXCEPT (SELECT c FROM e)", [][]any{{10}, {nil}, {0}}, true},
 		{"SELECT * FROM u WHERE c = 7", [][]any{{4, 7}}, true},
 		{"SELECT * FROM t x, u y WHERE x.a = y.a AND y.c = 5", [][]any{{1, 10, "x", 1, 5}}, true},
 		{"SELECT y.* FROM t x, u y WHERE x.a = y.a", [][]any{{1, 5}, {1, 6}}, true},
+		// A self-join reads one base table twice in the same first delta.
+		{"SELECT x.a, y.c FROM u x, u y WHERE x.a = y.a AND x.c < y.c", [][]any{{1, 6}}, true},
 		// NULL sorts first, so last when descending.
 		{"SELECT a, b FROM t ORDER BY b DESC", [][]any{{1, 10}, {3, 0}, {2, nil}}, true},
+		// Ties and duplicate rows under ORDER BY.
+		{"(SELECT s FROM t) UNION ALL (SELECT s FROM t) ORDER BY s DESC", [][]any{{"y"}, {"y"}, {"x"}, {"x"}, {"x"}, {"x"}}, true},
 		{"SELECT x.a, y.c FROM t x LEFT JOIN u y ON x.a = y.a", [][]any{{1, 5}, {1, 6}, {2, nil}, {3, nil}}, true},
+		{"SELECT x.a, y.c FROM t x LEFT JOIN e y ON x.a = y.a", [][]any{{1, nil}, {2, nil}, {3, nil}}, true},
 		{"SELECT x.a, y.c FROM t x JOIN u y ON x.a = y.a AND y.c > 5", [][]any{{1, 6}}, true},
 		{"SELECT x.a FROM t x WHERE NOT EXISTS (SELECT * FROM u y WHERE y.a = x.a AND y.c > x.b)", [][]any{{1}, {2}, {3}}, true},
 		// A CTE shadows the base table of its name and feeds the next one.
@@ -432,8 +445,8 @@ func TestExecutorMatchesInterpreter(t *testing.T) {
 // TestNotExistsOrMatchesBruteForce: NOT EXISTS over OR-of-AND predicates
 // returns exactly the outer rows for which no inner row makes the predicate
 // TRUE, as computed by two Go loops that share nothing with the planner —
-// cold, by the interpreter, and delta-maintained across random inserts and
-// deletes on both tables.
+// built afresh, by the interpreter, and delta-maintained across random
+// inserts and deletes on both tables.
 func TestNotExistsOrMatchesBruteForce(t *testing.T) {
 	split := false
 	for seed := int64(0); seed < 300; seed++ {
@@ -461,7 +474,7 @@ func TestNotExistsOrMatchesBruteForce(t *testing.T) {
 			}
 		}
 		split = split || antis > 1
-		m, err := NewIVM(plan, Catalog{"t1": cat["t1"], "t3": cat["t3"]})
+		m, err := NewIVM(plan, inserts(Catalog{"t1": cat["t1"], "t3": cat["t3"]}))
 		if err != nil {
 			t.Fatalf("seed %d: NewIVM %q: %v", seed, src, err)
 		}
@@ -480,11 +493,11 @@ func TestNotExistsOrMatchesBruteForce(t *testing.T) {
 				}
 			}
 			fresh := mirrorCatalog(mirror)
-			cold, err := Run(q, fresh)
+			built, err := Run(q, fresh)
 			if err != nil {
 				t.Fatalf("seed %d step %d: run %q: %v", seed, step, src, err)
 			}
-			for name, got := range map[string]*relation.Relation{"executor": cold, "interpreter": interpret(t, q, fresh)} {
+			for name, got := range map[string]*relation.Relation{"executor": built, "interpreter": interpret(t, q, fresh)} {
 				if !got.Equal(want) {
 					t.Fatalf("seed %d step %d: %s diverged from the brute-force reference on %q\ngot:\n%s\nwant:\n%s\nplan:\n%s",
 						seed, step, name, src, got, want, plan)
@@ -536,7 +549,11 @@ func TestNotExistsSplitIsBounded(t *testing.T) {
 	if antis < 2 || antis > maxAntiJoins {
 		t.Fatalf("%d anti-joins, want between 2 and %d\n%s", antis, maxAntiJoins, plan)
 	}
-	got, err := plan.Eval(cat)
+	m, err := NewIVM(plan, inserts(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Result()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,18 @@ import (
 	"repro/internal/relation"
 )
 
-// The executor is a compile-then-evaluate pipeline: CompilePlan lowers a
+// The executor is a compile-then-maintain pipeline: CompilePlan lowers a
 // parsed Query against the base-table schemas into a graph of relational
 // operator nodes (all name resolution, conjunct placement, join-key
 // extraction and EXISTS rewriting happens here, once), rewrites it as an
 // optimiser would (rewrite.go: semi- and anti-joins, identity projections as
 // renames, one shared node per repeated filter, DISTINCTs no reader needs
 // dropped, column projections folded into the joins that read them), and
-// Plan.Eval runs the graph bottom-up through the ra operators, each shared
-// node once. Splitting the two lets the incremental view maintenance engine
-// (ivm.go) run the exact cold plan as its view graph, so the two executors
-// cannot diverge on planning decisions: every node is patched by a delta
-// rule, and a node keeps a materialised view only where a delta rule reads
-// one (the inputs of joins, EXCEPT and DISTINCT, and an unordered root).
+// the view cache (ivm.go) is the graph's one evaluator: it starts every view
+// empty and takes the base tables as its first delta, so a one-off query
+// (Run) and every round after a build run the same delta rules, and every
+// node keeps a materialised view only where a delta rule reads one (the
+// inputs of joins, EXCEPT and DISTINCT, and an unordered root).
 
 // planOp discriminates plan node types.
 type planOp uint8
@@ -62,9 +61,9 @@ type planNode struct {
 }
 
 // Plan is a query compiled against fixed base-table schemas. It is immutable
-// after compilation and may be evaluated any number of times (the SQL
-// protocol compiles its qualification query once and reuses the plan every
-// round).
+// after compilation and may back any number of view caches (the SQL
+// protocol compiles its qualification query once and builds its view cache
+// over the plan whenever it needs a new one).
 type Plan struct {
 	root  *planNode
 	ctes  []*planNode // CTE bodies in declaration order; slot i may use j < i
@@ -588,10 +587,9 @@ func (c *compiler) project(sel *Select, n *planNode) (*planNode, error) {
 	return out, nil
 }
 
-// joinSchema mirrors the ra join operators' output schema: left columns, then
-// right columns with name clashes disambiguated by an "r." prefix (the SQL
-// planner always pre-qualifies names, so clashes only arise in hand-built
-// plans).
+// joinSchema is a join's output schema: left columns, then right columns
+// with name clashes disambiguated by an "r." prefix (the SQL planner always
+// pre-qualifies names, so clashes only arise in hand-built plans).
 func joinSchema(l, r *relation.Schema) *relation.Schema {
 	cols := make([]relation.Column, 0, l.Len()+r.Len())
 	cols = append(cols, l.Columns()...)
@@ -602,101 +600,6 @@ func joinSchema(l, r *relation.Schema) *relation.Schema {
 		cols = append(cols, c)
 	}
 	return relation.NewSchema(cols...)
-}
-
-// planEval evaluates a plan bottom-up through the ra operators.
-type planEval struct {
-	plan *Plan
-	cat  Catalog
-	done []*relation.Relation // node id -> result, so a shared node runs once
-}
-
-// Eval runs the plan against a catalog (keys lower-cased). The catalog's
-// relations must match the schemas the plan was compiled against.
-func (p *Plan) Eval(cat Catalog) (*relation.Relation, error) {
-	return p.eval(cat, make([]*relation.Relation, len(p.nodes)))
-}
-
-// eval runs the plan, leaving every evaluated node's result in done (the
-// IVM materialises its views from them).
-func (p *Plan) eval(cat Catalog, done []*relation.Relation) (*relation.Relation, error) {
-	// A CTE body runs when a scan of its slot first needs it; a body nothing
-	// reads does not run.
-	e := &planEval{plan: p, cat: cat, done: done}
-	return e.node(p.root)
-}
-
-func (e *planEval) node(n *planNode) (rel *relation.Relation, err error) {
-	if rel = e.done[n.id]; rel != nil {
-		return rel, nil
-	}
-	defer func() {
-		if err == nil {
-			e.done[n.id] = rel
-		}
-	}()
-	switch n.op {
-	case opScan:
-		if n.cte >= 0 {
-			return e.node(e.plan.ctes[n.cte])
-		}
-		r, ok := e.cat[n.table]
-		if !ok {
-			return nil, fmt.Errorf("minisql: unknown table %q", n.table)
-		}
-		return r, nil
-	case opConst:
-		one := relation.New(relation.NewSchema())
-		one.MustAppend(relation.Tuple{})
-		return one, nil
-	}
-	l, err := e.node(n.l)
-	if err != nil {
-		return nil, err
-	}
-	var r *relation.Relation
-	if n.r != nil {
-		if r, err = e.node(n.r); err != nil {
-			return nil, err
-		}
-	}
-	return applyOp(n, l, r)
-}
-
-// applyOp evaluates one non-leaf plan operator over already-evaluated child
-// relations (planEval.node's operator step; the IVM materializes its views
-// through the same evaluator and maintains them with the delta rules).
-func applyOp(n *planNode, l, r *relation.Relation) (*relation.Relation, error) {
-	switch n.op {
-	case opRename:
-		return ra.Rename(l, n.names)
-	case opSelect:
-		for _, p := range n.preds {
-			l = ra.Select(l, p)
-		}
-		return l, nil
-	case opProject:
-		return ra.Project(l, n.items)
-	case opJoin:
-		return ra.HashJoin(l, r, n.keys, n.pred), nil
-	case opLeftJoin:
-		return ra.LeftJoin(l, r, n.keys, n.pred), nil
-	case opSemi:
-		if n.anti {
-			return ra.AntiJoin(l, r, n.keys, n.pred), nil
-		}
-		return ra.SemiJoin(l, r, n.keys, n.pred), nil
-	case opUnionAll:
-		return ra.UnionAll(l, r)
-	case opExcept:
-		return ra.Except(l, r)
-	case opDistinct:
-		return l.Distinct(), nil
-	case opOrderBy:
-		return ra.OrderBy(l, n.sorts), nil
-	default:
-		return nil, fmt.Errorf("minisql: unknown plan operator %d", n.op)
-	}
 }
 
 // String renders the plan as an indented operator tree, CTE bodies first

@@ -10,8 +10,8 @@ import (
 
 // rewrite is the last step of CompilePlan: the rewrites an optimiser applies
 // to a literal lowering, each only under the precondition that makes it
-// exact, so every query keeps its answer and the cold evaluator and the IVM
-// keep running one plan.
+// exact, so every query keeps its answer whether the view cache builds it
+// once (Run) or maintains it round after round.
 //
 //  1. (compiler.join) A WHERE conjunct that reads both sides of a comma join
 //     is the join's residual, not a filter above it: a filter left above a
@@ -26,7 +26,7 @@ import (
 //     by projections of left columns. NULL keys never match, so the key
 //     column is NULL exactly in the pad of an unmatched left row.
 //  4. A projection onto every child column, in order and with the same
-//     kinds, becomes a rename, which both executors pass through.
+//     kinds, becomes a rename, which the view cache passes through.
 //  5. Filters with the same positional predicates over the same base table,
 //     each under its own alias, become one filter over the table's scan with
 //     a rename per alias above it: the plan turns into a DAG, and the filter

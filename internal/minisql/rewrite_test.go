@@ -721,8 +721,8 @@ func rwLift(rng *rand.Rand) rewriteCase {
 
 // runRewriteSeed draws tables and one rewrite case, checks that the plan
 // shows the rewrite exactly when its preconditions hold, and compares the
-// cold executor, the interpreter and the IVM — across random trickle and
-// bulk deltas — with the case's Go reference.
+// executor (a fresh build, Run), the interpreter and the IVM — across random
+// trickle and bulk deltas — with the case's Go reference.
 func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -749,7 +749,7 @@ func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 	if got := c.applied(plan); got != c.rewritten {
 		t.Fatalf("seed %d: %s rewrite applied = %v, want %v, on %q:\n%s", seed, c.shape, got, c.rewritten, c.src, plan)
 	}
-	m, err := NewIVM(plan, cat)
+	m, err := NewIVM(plan, inserts(cat))
 	if err != nil {
 		t.Fatalf("seed %d: NewIVM %q: %v", seed, c.src, err)
 	}
@@ -786,8 +786,8 @@ func runRewriteSeed(t testing.TB, seed int64) rewriteCase {
 }
 
 // TestPlanRewritesMatchBruteForce: every rewrite fires on its shape and on
-// no near miss, and either way the answer is the Go reference's — cold, by
-// the interpreter, and view-maintained.
+// no near miss, and either way the answer is the Go reference's — built
+// afresh, by the interpreter, and view-maintained.
 func TestPlanRewritesMatchBruteForce(t *testing.T) {
 	seen := map[string][2]int{} // shape -> [near misses, rewritten]
 	for seed := int64(0); seed < 500; seed++ {

@@ -19,10 +19,11 @@ type SQLProtocol struct {
 	name string
 
 	// The plan, compiled once against the request schema, and the
-	// materialized-view cache over it. A direct Qualify evaluates the plan
-	// whole (Plan.Eval, the hash operators); every round after the one that
+	// materialized-view cache over it (minisql.IVM), the plan's one
+	// evaluator. A build starts the views empty and takes the round's
+	// requests as its first delta (build); every round after the one that
 	// builds the cache patches the views with the round's deltas through the
-	// relational delta rules (minisql.IVM) instead of re-running the query.
+	// same relational delta rules instead of re-running the query.
 	plan *minisql.Plan
 	ivm  *minisql.IVM
 
@@ -45,8 +46,8 @@ type SQLProtocol struct {
 
 	// lastStrategy names the evaluation path of the last Qualify call
 	// (StrategyReporter): "sql-ivm" when the view cache was delta-
-	// maintained, "sql-ivm-build" when the cache was (re)materialized,
-	// "sql-cold" for a full run (Qualify).
+	// maintained, "sql-ivm-build" when the cache was (re)built and kept,
+	// "sql-cold" for a build that is dropped after its answer (Qualify).
 	lastStrategy string
 
 	// decomposable claims per-object decomposability (see
@@ -63,7 +64,7 @@ func NewSQL(name, sql string) (*SQLProtocol, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
-	s := request.ToRelation(nil).Schema()
+	s := request.Schema()
 	plan, err := minisql.CompilePlan(q, map[string]*relation.Schema{"requests": s, "history": s})
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
@@ -93,12 +94,17 @@ func (p *SQLProtocol) ObjectDecomposable() bool { return p.decomposable }
 // LastStrategy implements StrategyReporter.
 func (p *SQLProtocol) LastStrategy() string { return p.lastStrategy }
 
-// Qualify implements Protocol: materialise both relations and run the query.
-// It invalidates any incremental state, including the view cache.
+// Qualify implements Protocol: build the view cache from the slices, answer
+// from it and drop it (sql-cold). It invalidates any incremental state,
+// including the view cache it held before.
 func (p *SQLProtocol) Qualify(pending, history []request.Request) ([]request.Request, error) {
 	p.ivm = nil
+	_, out, err := p.build(pending, history)
+	if err != nil {
+		return nil, err
+	}
 	p.lastStrategy = "sql-cold"
-	return p.run(pending, history)
+	return out, nil
 }
 
 // QualifyIncremental implements IncrementalProtocol. The path follows from
@@ -143,15 +149,10 @@ func (p *SQLProtocol) roundDeltas(d Deltas) map[string]minisql.Delta {
 	return p.deltas
 }
 
-// buildIVM materializes the view cache from the round's slices and answers
-// the round from it.
+// buildIVM builds the view cache from the round's slices, answers the round
+// from it and keeps it for the rounds after (sql-ivm-build).
 func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Request, error) {
-	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
-	m, err := minisql.NewIVM(p.plan, cat)
-	if err != nil {
-		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
-	}
-	out, err := p.finish(m.AppendResult(nil))
+	m, out, err := p.build(pending, history)
 	if err != nil {
 		return nil, err
 	}
@@ -161,14 +162,23 @@ func (p *SQLProtocol) buildIVM(pending, history []request.Request) ([]request.Re
 	return out, nil
 }
 
-// run evaluates the query over relations built from the slices.
-func (p *SQLProtocol) run(pending, history []request.Request) ([]request.Request, error) {
-	cat := minisql.Catalog{"requests": request.ToRelation(pending), "history": request.ToRelation(history)}
-	out, err := p.plan.Eval(cat)
+// build builds a view cache over the plan from empty, the requests' own rows
+// (five-column prefixes) its first delta, and answers the round from it: the
+// one build behind Qualify and buildIVM.
+func (p *SQLProtocol) build(pending, history []request.Request) (*minisql.IVM, []request.Request, error) {
+	m, err := minisql.NewIVM(p.plan, map[string]minisql.Delta{
+		"requests": {Ins: request.AppendTuples(make([]relation.Tuple, 0, len(pending)), pending, 5)},
+		"history":  {Ins: request.AppendTuples(make([]relation.Tuple, 0, len(history)), history, 5)},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("protocol %s: %w", p.name, err)
+		return nil, nil, fmt.Errorf("protocol %s: %w", p.name, err)
 	}
-	return p.finish(out.Rows())
+	p.rows = m.AppendResult(p.rows[:0])
+	out, err := p.finish(p.rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, out, nil
 }
 
 // finish converts a query result's rows to requests: the five columns each

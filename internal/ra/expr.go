@@ -1,17 +1,14 @@
-// Package ra implements a small relational algebra over internal/relation:
-// scalar expressions with SQL three-valued logic, selection, projection,
-// joins (cross, hash equi-join, left outer, semi, anti), set operations
-// (union all, except, distinct) and ordering.
+// Package ra holds the scalar expressions of the mini-SQL executor, under
+// SQL's three-valued logic, and the specs its plan nodes carry beside them:
+// equi-join key pairs, projection items and sort keys. The relational
+// operators are the view cache's delta rules (minisql's IVM), the one
+// evaluator of a SQL plan.
 //
-// The mini-SQL planner compiles paper Listing 1 onto it (the Datalog engine
-// joins through its own indexed rule steps). This mirrors the paper's claim
-// that "optimization techniques from declarative query processing can be
-// used to improve scheduler performance without affecting the scheduler
+// The mini-SQL planner compiles paper Listing 1 onto them (the Datalog
+// engine joins through its own indexed rule steps). This mirrors the paper's
+// claim that "optimization techniques from declarative query processing can
+// be used to improve scheduler performance without affecting the scheduler
 // specification".
-//
-// Every operator runs on the calling goroutine and only reads its input
-// relations: a join builds its hash table (a relation.Chain over the build
-// side's key hashes) for the call and drops it on return.
 package ra
 
 import (
@@ -334,4 +331,20 @@ func MapCols(e Expr, f func(Col) Col) Expr {
 		return x
 	}
 	panic(fmt.Sprintf("ra: MapCols: unknown expression %T", e))
+}
+
+// EquiKey names one pair of join columns (left position, right position).
+type EquiKey struct{ L, R int }
+
+// NamedExpr is a projection item with its output column name and kind.
+type NamedExpr struct {
+	Name string
+	Kind relation.Kind
+	E    Expr
+}
+
+// SortSpec orders by one column.
+type SortSpec struct {
+	Pos  int
+	Desc bool
 }

@@ -1,9 +1,10 @@
-package ra
+package ra_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/minisql"
 	"repro/internal/relation"
 )
 
@@ -18,10 +19,7 @@ func relFromBytes(vals []uint8) *relation.Relation {
 func TestQuickExceptIsSubsetAndDisjoint(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		l, r := relFromBytes(a), relFromBytes(b)
-		out, err := Except(l, r)
-		if err != nil {
-			return false
-		}
+		out := run(t, "(SELECT v FROM l) EXCEPT (SELECT v FROM r)", minisql.Catalog{"l": l, "r": r})
 		// relFromBytes rows are one int column: key the references by it.
 		inL, inR := map[int64]bool{}, map[int64]bool{}
 		for _, tu := range l.Rows() {
@@ -54,10 +52,7 @@ func TestQuickExceptIsSubsetAndDisjoint(t *testing.T) {
 func TestQuickUnionAllLengthAdds(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		l, r := relFromBytes(a), relFromBytes(b)
-		u, err := UnionAll(l, r)
-		if err != nil {
-			return false
-		}
+		u := run(t, "(SELECT v FROM l) UNION ALL (SELECT v FROM r)", minisql.Catalog{"l": l, "r": r})
 		return u.Len() == l.Len()+r.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -67,9 +62,10 @@ func TestQuickUnionAllLengthAdds(t *testing.T) {
 
 func TestQuickDistinctIdempotent(t *testing.T) {
 	f := func(a []uint8) bool {
-		r := relFromBytes(a)
-		d := r.Distinct()
-		return d.Distinct().Equal(d) && d.Len() <= r.Len()
+		cat := minisql.Catalog{"r": relFromBytes(a)}
+		d := run(t, "SELECT DISTINCT v FROM r", cat)
+		dd := run(t, "SELECT DISTINCT v FROM (SELECT DISTINCT v FROM r) d", cat)
+		return dd.Equal(d) && d.Len() <= cat["r"].Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -79,7 +75,7 @@ func TestQuickDistinctIdempotent(t *testing.T) {
 func TestQuickSemiJoinIsFilterOfLeft(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		l, r := relFromBytes(a), relFromBytes(b)
-		semi := SemiJoin(l, r, []EquiKey{{0, 0}}, nil)
+		semi := run(t, "SELECT v FROM l WHERE EXISTS (SELECT * FROM r WHERE r.v = l.v)", minisql.Catalog{"l": l, "r": r})
 		// Every semi-join output row must exist in l and have a match in r.
 		rVals := map[int64]bool{}
 		for _, tu := range r.Rows() {
@@ -107,7 +103,7 @@ func TestQuickSemiJoinIsFilterOfLeft(t *testing.T) {
 func TestQuickOrderByPreservesBag(t *testing.T) {
 	f := func(a []uint8) bool {
 		r := relFromBytes(a)
-		sorted := OrderBy(r, []SortSpec{{Pos: 0}})
+		sorted := run(t, "SELECT v FROM r ORDER BY v", minisql.Catalog{"r": r})
 		if !sorted.Equal(r) {
 			return false
 		}

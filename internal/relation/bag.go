@@ -9,10 +9,9 @@ import "slices"
 // and removals are O(1) per attached index — exactly the shape incremental
 // view maintenance needs: per-round deltas patch the standing views and the
 // join/anti-join probes of the delta rules hit the maintained key indexes
-// instead of rebuilding per round. The cold operators that deduplicate or
-// count (Relation.Distinct and Equal, ra.Except) use a Bag as their hash
-// table too, and the
-// Datalog engine keeps every predicate's facts in one, each at count 1.
+// instead of rebuilding per round. Relation.Distinct and Equal use a Bag as
+// their hash table too, and the Datalog engine keeps every predicate's facts
+// in one, each at count 1.
 //
 // Distinct tuples sit dense at positions 0..DistinctLen()-1 beside their
 // counts and cached full-tuple hashes, a membership Chain files them by that
@@ -208,15 +207,19 @@ func (b *Bag) Reset() {
 	}
 }
 
-// Reserve sizes an empty bag's chains for n distinct tuples, so filling it
-// grows none of them. A bag that holds tuples is left as it is.
+// Reserve sizes an empty bag for n distinct tuples — its tuple, count and
+// hash slices, and every chain's buckets and links — so filling it grows
+// none of them. A bag that holds tuples is left as it is.
 func (b *Bag) Reserve(n int) {
 	if len(b.tuples) > 0 {
 		return
 	}
+	b.tuples, b.counts, b.hashes = slices.Grow(b.tuples, n), slices.Grow(b.counts, n), slices.Grow(b.hashes, n)
 	b.member.Reserve(n)
+	b.member.ReserveLinks(n)
 	for _, ix := range b.indexes {
 		ix.chain.Reserve(n)
+		ix.chain.ReserveLinks(n)
 	}
 }
 
@@ -245,7 +248,7 @@ func (b *Bag) Relation() *Relation {
 // the current tuples on first use. The index stays valid across Add/Remove —
 // maintenance is O(1) per mutation — which is the point: delta-rule probes
 // never pay a rebuild. Tuples with a NULL in any indexed column are filed
-// nowhere (equi-join semantics: NULL never matches, as in ra.keyHash).
+// nowhere (equi-join semantics: NULL never matches).
 func (b *Bag) Index(cols []int) *BagIndex { return b.index(cols, false) }
 
 // IndexNullable is Index with NULL treated as an ordinary key value (hashed

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chain is a chained hash table over dense positions 0..n-1, the layout every
 // flat store of the system shares (the Datalog fact sets, Bag and its
@@ -156,6 +159,13 @@ func (c *Chain) Reserve(n int) {
 	if nb > len(c.buckets) {
 		c.buckets = make([]int32, nb)
 	}
+}
+
+// ReserveLinks sizes an empty chain's link arrays for n entries, for an
+// owner about to file that many (Bag.Reserve). Reserve leaves them alone: an
+// index reserves buckets for entries it may never file.
+func (c *Chain) ReserveLinks(n int) {
+	c.links, c.prev = slices.Grow(c.links, n), slices.Grow(c.prev, n)
 }
 
 // Reset empties the chain, retaining its capacity and bucket count. A chain

@@ -5,13 +5,12 @@ import (
 	"strings"
 )
 
-// Relation is an in-memory bag of tuples over a fixed schema, the currency
-// of the query engines: Datalog EDB/IDB predicates, mini-SQL tables and
-// intermediate results are Relations (the scheduler's pending and history
-// stores are slot stores, see internal/store, flattened into Relations per
-// evaluation). A Relation is append-only: operators build new relations
-// rather than rewrite rows in place, so a view (WithSchema) can share its
-// base's rows.
+// Relation is an in-memory bag of tuples over a fixed schema, the form
+// tables enter and results leave the query engines in: mini-SQL catalogs
+// and results, Datalog facts read out, CSV files (the engines themselves
+// hold Bags, and the scheduler's pending and history stores are slot
+// stores, see internal/store). A Relation is append-only: nothing rewrites
+// rows in place, so a view (WithSchema) can share its base's rows.
 //
 // A Relation is not safe for concurrent mutation; the scheduler serialises
 // access around its rounds (set-at-a-time processing makes this natural).
@@ -62,29 +61,6 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// AppendAll appends every tuple of o, which must have an equal schema layout
-// (names are ignored; arity and kinds must match positionally).
-func (r *Relation) AppendAll(o *Relation) error {
-	if o.schema.Len() != r.schema.Len() {
-		return fmt.Errorf("relation: appendAll arity mismatch %d vs %d", o.schema.Len(), r.schema.Len())
-	}
-	for _, t := range o.rows {
-		if err := r.Append(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Clone returns a deep-enough copy (tuples are immutable, so the row slice is
-// copied but tuples are shared). The clone's row slice is its own: OrderBy
-// sorts clones in place.
-func (r *Relation) Clone() *Relation {
-	rows := make([]Tuple, len(r.rows))
-	copy(rows, r.rows)
-	return &Relation{schema: r.schema, rows: rows}
-}
-
 // WithSchema returns a view of r under a schema of equal layout (arity and
 // kinds must match positionally; only names may differ). The view shares r's
 // tuples through a capacity-clipped row slice, so an append to either side
@@ -102,10 +78,9 @@ func (r *Relation) WithSchema(s *Schema) (*Relation, error) {
 	return &Relation{schema: s, rows: r.rows[:len(r.rows):len(r.rows)]}, nil
 }
 
-// AppendTrusted appends tuples without schema validation. It is for
-// operators emitting rows built from already validated inputs (the ra
-// package's filter and join loops); misuse can break the relation's typing
-// invariants.
+// AppendTrusted appends tuples without schema validation. It is for rows
+// built from already validated inputs (a view cache's result, say); misuse
+// can break the relation's typing invariants.
 func (r *Relation) AppendTrusted(rows ...Tuple) {
 	r.rows = append(r.rows, rows...)
 }

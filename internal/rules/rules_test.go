@@ -92,23 +92,20 @@ func TestWoundWaitDefinesWound(t *testing.T) {
 // maintainable, which the warm SQL round depends on.
 func TestListingOneSQLCompiles(t *testing.T) {
 	plan := listingOnePlan(t)
-	cat := minisql.Catalog{
-		"requests": relation.New(reqSchema),
-		"history":  relation.New(reqSchema),
-	}
-	cat["requests"].MustAppend(relation.Tuple{
+	row := relation.Tuple{
 		relation.Int(1), relation.Int(1), relation.Int(0),
 		relation.String("r"), relation.Int(7),
-	})
-	out, err := plan.Eval(cat)
+	}
+	m, err := minisql.NewIVM(plan, map[string]minisql.Delta{"requests": {Ins: []relation.Tuple{row}}})
 	if err != nil {
-		t.Fatalf("eval: %v", err)
+		t.Fatalf("Listing 1 is not view-maintainable: %v", err)
+	}
+	out, err := m.Result()
+	if err != nil {
+		t.Fatalf("result: %v", err)
 	}
 	if out.Len() != 1 || out.Schema().Len() != reqSchema.Len() {
 		t.Fatalf("Listing 1 over one unblocked request: %s", out)
-	}
-	if _, err := minisql.NewIVM(plan, cat); err != nil {
-		t.Fatalf("Listing 1 is not view-maintainable: %v", err)
 	}
 }
 
