@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,14 +168,26 @@ func runChaosSchedule(t *testing.T, cfg chaos.Config) {
 	// over a clean connection: aborting a transaction terminates it (a
 	// no-op if it already terminated), after which TerminalOutcome says
 	// whether a Commit ran. Sessions are sequential, so a commit-terminal
-	// transaction executed all of its writes.
+	// transaction executed all of its writes. A session that gave up may
+	// leave a write waiting for a lock; the abort is refused while it waits
+	// (ErrTxnInFlight), so it is sent again until that write is answered.
 	clean, err := DialMux(s.Addr(), MuxOptions{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer clean.Close()
+	inFlight := scheduler.ErrTxnInFlight.Error()
 	for _, tx := range undecided {
-		clean.Submit(request.Request{TA: tx.ta, IntraTA: 1 << 20, Op: request.Abort, Object: request.NoObject})
+		abort := request.Request{TA: tx.ta, IntraTA: 1 << 20, Op: request.Abort, Object: request.NoObject}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			_, err := clean.Submit(abort)
+			if err == nil || !strings.Contains(err.Error(), inFlight) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("ta%d's abort still refused after 10 s: %v", tx.ta, err)
+			}
+		}
 		res, op, okTerm := mw.TerminalOutcome(tx.ta)
 		if okTerm && op == request.Commit && res.Err == nil {
 			committed = append(committed, tx)

@@ -10,7 +10,7 @@ import (
 // and results, Datalog facts read out, CSV files (the engines themselves
 // hold Bags, and the scheduler's pending and history stores are slot
 // stores, see internal/store). A Relation is append-only: nothing rewrites
-// rows in place, so a view (WithSchema) can share its base's rows.
+// rows in place.
 //
 // A Relation is not safe for concurrent mutation; the scheduler serialises
 // access around its rounds (set-at-a-time processing makes this natural).
@@ -59,23 +59,6 @@ func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {
 		panic(err)
 	}
-}
-
-// WithSchema returns a view of r under a schema of equal layout (arity and
-// kinds must match positionally; only names may differ). The view shares r's
-// tuples through a capacity-clipped row slice, so an append to either side
-// reallocates instead of writing under the other's rows.
-func (r *Relation) WithSchema(s *Schema) (*Relation, error) {
-	if s.Len() != r.schema.Len() {
-		return nil, fmt.Errorf("relation: view arity mismatch %d vs %d", s.Len(), r.schema.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		if s.Col(i).Kind != r.schema.Col(i).Kind {
-			return nil, fmt.Errorf("relation: view column %q kind %s does not match base %q kind %s",
-				s.Col(i).Name, s.Col(i).Kind, r.schema.Col(i).Name, r.schema.Col(i).Kind)
-		}
-	}
-	return &Relation{schema: s, rows: r.rows[:len(r.rows):len(r.rows)]}, nil
 }
 
 // AppendTrusted appends tuples without schema validation. It is for rows

@@ -207,42 +207,3 @@ func TestTupleHashStableUnderClone(t *testing.T) {
 		t.Error("clone hash differs")
 	}
 }
-
-func intRel(t *testing.T, vals ...int64) *Relation {
-	t.Helper()
-	r := New(NewSchema(Column{Name: "v", Kind: KindInt}))
-	for _, v := range vals {
-		r.MustAppend(Tuple{Int(v)})
-	}
-	return r
-}
-
-// TestViewAppendLeavesBase: a WithSchema view shares its base's rows, and an
-// append to either side never shows through the other.
-func TestViewAppendLeavesBase(t *testing.T) {
-	base := intRel(t, 1, 2)
-	view, err := base.WithSchema(NewSchema(Column{Name: "w", Kind: KindInt}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	view.MustAppend(Tuple{Int(7)})
-	base.MustAppend(Tuple{Int(9)})
-	if base.Len() != 3 || base.Row(2)[0].AsInt() != 9 {
-		t.Fatalf("view append reached the base: %s", base)
-	}
-	if view.Len() != 3 || view.Row(2)[0].AsInt() != 7 {
-		t.Fatalf("base append reached the view: %s", view)
-	}
-}
-
-// TestWithSchemaRejectsKindMismatch: the view constructor enforces its whole
-// stated precondition, kinds included.
-func TestWithSchemaRejectsKindMismatch(t *testing.T) {
-	base := intRel(t, 1)
-	if _, err := base.WithSchema(NewSchema(Column{Name: "s", Kind: KindString})); err == nil {
-		t.Fatal("kind-mismatched view accepted")
-	}
-	if _, err := base.WithSchema(NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindInt})); err == nil {
-		t.Fatal("arity-mismatched view accepted")
-	}
-}

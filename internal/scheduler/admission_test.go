@@ -302,57 +302,6 @@ func TestDrainRejectsNewFinishesAdmitted(t *testing.T) {
 	}
 }
 
-// TestLateRequestOfFinishedTxnHoldsNoLock pins the front-end half of the
-// finished-mark contract. With ResubmitWindow 0 (the embedded and benchmark
-// default) the middleware keeps no terminal outcomes, so registerLocked
-// admits a request submitted under a transaction whose commit already
-// executed, and the request reaches History.Append. It executes once. The
-// history's finished mark is the only thing that makes GC collect its row:
-// without it the row would hold a write lock for a transaction that never
-// terminates again, and another transaction's write to the object would
-// wait forever. Pruning the marks together with the rows is therefore
-// unsafe until the front end refuses finished transactions whatever the
-// window.
-func TestLateRequestOfFinishedTxnHoldsNoLock(t *testing.T) {
-	const obj = 3
-	srv := storage.NewServer(storage.Config{Rows: 16})
-	engine, err := NewEngine(Config{Protocol: protocol.SS2PLDatalog(), Server: srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mw := NewMiddleware(engine, HybridTrigger{Level: 1, Every: time.Millisecond}, nil)
-	mw.Start()
-	submit := func(what string, r request.Request) Result {
-		t.Helper()
-		done := make(chan Result, 1)
-		go func() { done <- mw.Submit(r) }()
-		select {
-		case res := <-done:
-			if res.Err != nil {
-				t.Fatalf("%s: %v", what, res.Err)
-			}
-			return res
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s is still waiting after 5 s: a lock of a finished transaction blocks it", what)
-			return Result{}
-		}
-	}
-	submit("ta1 write", request.Request{TA: 1, IntraTA: 0, Op: request.Write, Object: obj})
-	submit("ta1 commit", request.Request{TA: 1, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
-	if res := submit("late ta1 write", request.Request{TA: 1, IntraTA: 2, Op: request.Write, Object: obj}); res.Value != 2 {
-		t.Fatalf("the late write read back %d, want 2 (executed once, after ta1's first write)", res.Value)
-	}
-	submit("ta2 write", request.Request{TA: 2, IntraTA: 0, Op: request.Write, Object: obj})
-	submit("ta2 commit", request.Request{TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject})
-	mw.Stop()
-	if got := srv.Get(obj); got != 3 {
-		t.Errorf("object %d = %d, want 3 (each of the three writes once)", obj, got)
-	}
-	if n := engine.History().Len(); n != 0 {
-		t.Errorf("%d history rows left after both transactions finished: %v", n, engine.History().Live())
-	}
-}
-
 // TestResubmitCacheWindow pins the idempotent-resubmit contract: an executed
 // request's resubmission returns the recorded result without executing
 // twice, and terminal outcomes stay visible for ResubmitWindow transactions.

@@ -90,7 +90,9 @@ type Config struct {
 	// so a client that reconnects and resubmits (its response was lost on
 	// the wire) gets the recorded answer instead of executing twice.
 	// 0 disables the cache (the default for embedded/benchmark use; the
-	// network front end turns it on).
+	// network front end turns it on). The window bounds cached outcomes
+	// only: a terminated transaction's requests are refused whatever it is
+	// (Middleware.Submit), beyond it with ErrTxnFinished.
 	ResubmitWindow int
 }
 
@@ -186,6 +188,8 @@ type Engine struct {
 	// detector is resolve's waits-for search, its buffers reused across
 	// the rounds that run it.
 	detector protocol.Detector
+	// aborted is the previous round's victims (dropAborted).
+	aborted []int64
 
 	// Deferred execution (per-shard executors), started on demand. quiet
 	// carries the wake-up of a quiescing migration (executor.go).
@@ -385,6 +389,7 @@ func (e *Engine) schedule() (RoundResult, error) {
 		// Stage 3 — resolve: decide which transactions abort this round.
 		res.Victims, cause = e.resolve()
 		e.abortVictims(res.Victims)
+		e.aborted = append(e.aborted, res.Victims...)
 		dup = e.settleTerminations(&res)
 		// Stage 4 per shard — commit: apply every bookkeeping consequence to
 		// the stores and lay out the server work. History membership is
@@ -414,6 +419,7 @@ func (e *Engine) drain() error {
 		drained += len(sh.ops)
 	}
 	e.queued.Add(-int64(drained))
+	e.dropAborted()
 	if len(e.shards) > 1 {
 		if err := e.rebalance(); err != nil {
 			return err
@@ -428,6 +434,28 @@ func (e *Engine) drain() error {
 		}
 	}
 	return nil
+}
+
+// dropAborted removes every drained op of the previous round's victims, and
+// the routing state its Enqueue re-created. The front end refuses a victim's
+// requests once that round returns, so one its client sent meanwhile sits in
+// a queue, already answered ErrTxnAborted.
+func (e *Engine) dropAborted() {
+	if len(e.aborted) == 0 {
+		return
+	}
+	for _, sh := range e.shards {
+		kept := sh.ops[:0]
+		for _, op := range sh.ops {
+			if slices.Contains(e.aborted, op.req.TA) {
+				e.forget(op.req.TA)
+				continue
+			}
+			kept = append(kept, op)
+		}
+		sh.ops = kept
+	}
+	e.aborted = e.aborted[:0]
 }
 
 // forShards runs f over the listed shards, in parallel when more than one

@@ -31,15 +31,15 @@ var ErrBusy = errors.New("scheduler: busy, retry later")
 // admitted transactions run to termination, new ones must go elsewhere.
 var ErrShuttingDown = errors.New("scheduler: shutting down")
 
-// ErrTxnFinished answers a non-termination request submitted after its
-// transaction's commit was answered, when the resubmit cache still holds that
-// outcome (a request of an aborted transaction gets the abort). It is the
-// only refusal of a finished transaction's requests, and it holds less than
-// a client may assume (ROADMAP defect 5): only inside ResubmitWindow, which
-// is 0 for embedded use; not for a request pipelined ahead of its own
-// transaction's termination; and not under wound-wait for a request already
-// queued when its transaction is wounded, which can still execute.
+// ErrTxnFinished answers a request of a transaction whose commit or abort
+// was registered, or that was aborted as a victim, when the resubmit cache
+// (ResubmitWindow) holds no outcome for it. Such a request never executes.
 var ErrTxnFinished = errors.New("scheduler: transaction already terminated")
+
+// ErrTxnInFlight answers a commit or abort submitted while a request of its
+// transaction is unanswered. The transaction stays live: submit the
+// termination again once its requests are answered.
+var ErrTxnInFlight = errors.New("scheduler: termination submitted while its transaction has requests in flight")
 
 // ErrDuplicateKey answers a submission whose (TA, IntraTA) key is already
 // live — registered and not yet answered — with different content (Op,
@@ -155,6 +155,11 @@ type Middleware struct {
 	// registers after it is answered ErrStopped on the spot, since nothing
 	// else would answer it.
 	closed bool
+	// terminated is every transaction whose termination was registered or
+	// that was notified as a victim. untold holds the victims that had no
+	// request in flight then: the next request of each hears of the abort.
+	terminated terminatedSet
+	untold     map[int64]struct{}
 	// done caches executed results of live transactions and finished their
 	// terminal outcomes (bounded FIFO), so a reconnecting client's resubmit
 	// is answered from the record instead of executing twice. Maintained
@@ -207,7 +212,7 @@ func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector
 	if collector == nil {
 		collector = metrics.NewCollector()
 	}
-	return &Middleware{
+	m := &Middleware{
 		engine:    engine,
 		trigger:   trigger,
 		collector: collector,
@@ -219,11 +224,17 @@ func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector
 		},
 		waiters: make(map[request.Key]waiter),
 		byTA:    make(map[int64][]request.Key),
+		untold:  make(map[int64]struct{}),
 		notify:  make(chan struct{}, 1),
 		napWake: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
+	if m.limits.ResubmitWindow > 0 {
+		m.done, m.doneByTA = make(map[request.Key]Result), make(map[int64][]request.Key)
+		m.finished = make(map[int64]terminal)
+	}
+	return m
 }
 
 // NewPartitionedMiddleware is NewMiddleware (a PartitionedEngine is an
@@ -346,44 +357,12 @@ func (m *Middleware) observeRound(rs metrics.RoundStats) {
 	upd(&m.roundEWMA, rs.Total.Nanoseconds())
 }
 
-// cached answers a resubmitted request whose outcome is already recorded:
-// the reconnect-with-resubmit path of the wire protocol. Returns false when
-// the cache is disabled or holds nothing for the request.
-func (m *Middleware) cached(r request.Request) (Result, bool) {
-	if m.limits.ResubmitWindow <= 0 {
-		return Result{}, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t, ok := m.finished[r.TA]; ok {
-		if t.res.Err != nil || r.Op.IsTermination() {
-			return t.res, true
-		}
-		return Result{Err: ErrTxnFinished}, true
-	}
-	if res, ok := m.done[r.Key()]; ok {
-		return res, true
-	}
-	return Result{}, false
-}
-
-// ensureCacheLocked lazily allocates the resubmit-cache maps. Caller holds
-// m.mu.
-func (m *Middleware) ensureCacheLocked() {
-	if m.finished == nil {
-		m.done = make(map[request.Key]Result)
-		m.doneByTA = make(map[int64][]request.Key)
-		m.finished = make(map[int64]terminal)
-	}
-}
-
 // recordExecuted remembers one executed result for the resubmit cache.
 // Caller holds m.mu.
 func (m *Middleware) recordExecuted(ex Executed) {
 	if m.limits.ResubmitWindow <= 0 {
 		return
 	}
-	m.ensureCacheLocked()
 	if ex.Request.Op.IsTermination() {
 		m.finishTA(ex.Request.TA, terminal{res: Result{Value: ex.Value, Err: ex.Err}, op: ex.Request.Op})
 		return
@@ -406,7 +385,6 @@ func (m *Middleware) finishTA(ta int64, t terminal) {
 	if m.limits.ResubmitWindow <= 0 {
 		return
 	}
-	m.ensureCacheLocked()
 	if keys, ok := m.doneByTA[ta]; ok {
 		for _, k := range keys {
 			delete(m.done, k)
@@ -447,11 +425,14 @@ func (m *Middleware) answer(w waiter, res Result) {
 // registerLocked admits one submission under m.mu and reports whether its
 // request must be enqueued to the engine. Holding the same lock as deliver
 // and notifyVictims closes every duplicate-execution window a reconnecting
-// client can open: between its resubmit-cache check and registration the
-// original copy may have executed (answer from the cache now), be in flight
-// (attach the new waiter to it instead of enqueuing a second copy), or have
-// been aborted (answer the terminal outcome). A duplicate with *different*
-// content is refused with ErrDuplicateKey and the first submission stands.
+// client can open: the original copy may have executed (answer from the
+// cache), be in flight (attach the new waiter to it instead of enqueuing a
+// second copy), or have been aborted (answer the terminal outcome). A
+// duplicate with *different* content is refused with ErrDuplicateKey and the
+// first submission stands.
+//
+// It is also the one owner of a transaction's end (see Submit): no request
+// is enqueued after its transaction's termination.
 //
 // So a key is enqueued only when no waiter holds it, and a waiter holds its
 // key from registration until its answer — through the admission queue, the
@@ -462,19 +443,22 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		m.answerUnregistered(w, Result{Err: ErrStopped})
 		return false
 	}
-	if m.limits.ResubmitWindow > 0 {
-		if t, ok := m.finished[w.req.TA]; ok {
-			if t.res.Err != nil || w.req.Op.IsTermination() {
-				m.answerUnregistered(w, t.res)
-			} else {
-				m.answerUnregistered(w, Result{Err: ErrTxnFinished})
-			}
-			return false
+	if _, ok := m.untold[k.TA]; ok {
+		delete(m.untold, k.TA)
+		m.answerUnregistered(w, Result{Err: ErrTxnAborted})
+		return false
+	}
+	if t, ok := m.finished[k.TA]; ok {
+		if t.res.Err != nil || w.req.Op.IsTermination() {
+			m.answerUnregistered(w, t.res)
+		} else {
+			m.answerUnregistered(w, Result{Err: ErrTxnFinished})
 		}
-		if res, ok := m.done[k]; ok {
-			m.answerUnregistered(w, res)
-			return false
-		}
+		return false
+	}
+	if res, ok := m.done[k]; ok {
+		m.answerUnregistered(w, res)
+		return false
 	}
 	if prev, ok := m.waiters[k]; ok {
 		if prev.req.Op != w.req.Op || prev.req.Object != w.req.Object ||
@@ -490,7 +474,20 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		m.queued.Add(1)
 		return false
 	}
+	if m.terminated.has(k.TA) {
+		m.answerUnregistered(w, Result{Err: ErrTxnFinished})
+		return false
+	}
 	keys, ok := m.byTA[k.TA]
+	if w.req.Op.IsTermination() {
+		for _, key := range keys {
+			if _, live := m.waiters[key]; live {
+				m.answerUnregistered(w, Result{Err: ErrTxnInFlight})
+				return false
+			}
+		}
+		m.terminated.add(k.TA)
+	}
 	if !ok {
 		keys = m.takeKeys()
 	}
@@ -523,18 +520,15 @@ var replies = sync.Pool{New: func() any { return make(replyChan, 1) }}
 
 // Submit sends one request and blocks until it executed (or its transaction
 // aborted, or admission rejected it). Safe for concurrent use by many client
-// workers. A request of a transaction that already terminated is refused
-// only when the resubmit cache holds the termination's outcome (within
-// ResubmitWindow, 0 by default); a request pipelined ahead of its own
-// transaction's termination, or queued when wound-wait wounds its
-// transaction, is admitted and can execute (ROADMAP defect 5).
+// workers. A commit or abort submitted while a request of its transaction is
+// unanswered is refused with ErrTxnInFlight. Once one is registered, or the
+// transaction is aborted as a victim, every later request of it but a
+// retransmission of that termination is refused and never executes:
+// ErrTxnAborted for the first one of a victim that had none in flight, the
+// recorded outcome inside ResubmitWindow, ErrTxnFinished beyond it.
 func (m *Middleware) Submit(r request.Request) Result {
 	if err := m.admission(r); err != nil {
 		return Result{Err: err}
-	}
-	if res, ok := m.cached(r); ok {
-		m.answered.Add(1)
-		return res
 	}
 	reply := replies.Get().(replyChan)
 	m.registerAndEnqueue(r, waiter{to: reply, stamp: time.Now()})
@@ -546,17 +540,13 @@ func (m *Middleware) Submit(r request.Request) Result {
 // SubmitTo submits one request without blocking for its result: to.Reply
 // is called exactly once with tag and the outcome (see Replier). A non-nil
 // return means the request was rejected before admission (BusyError,
-// ErrShuttingDown, ErrStopped) and to will not hear of it. This is the
-// submission path of the multiplexed network front end: one connection
-// carries many in-flight requests without a goroutine or a closure each.
+// ErrShuttingDown, ErrStopped) and to will not hear of it; the refusals of
+// Submit reach to. This is the submission path
+// of the multiplexed network front end: one connection carries many
+// in-flight requests without a goroutine or a closure each.
 func (m *Middleware) SubmitTo(r request.Request, to Replier, tag uint64) error {
 	if err := m.admission(r); err != nil {
 		return err
-	}
-	if res, ok := m.cached(r); ok {
-		m.answered.Add(1)
-		to.Reply(tag, res)
-		return nil
 	}
 	select {
 	case <-m.stopped:
@@ -570,15 +560,15 @@ func (m *Middleware) SubmitTo(r request.Request, to Replier, tag uint64) error {
 // registerAndEnqueue is the concurrent admission path: register the waiter,
 // put the request into the engine's admission queue without passing through
 // the loop goroutine, and poke the loop so its trigger can evaluate the new
-// fill level.
+// fill level. Enqueuing under m.mu queues a victim's request before
+// notifyVictims, for the engine to drop (Engine.dropAborted), or not at all.
 func (m *Middleware) registerAndEnqueue(r request.Request, w waiter) {
 	w.req = r
 	m.mu.Lock()
-	enq := m.registerLocked(r.Key(), w)
-	m.mu.Unlock()
-	if enq {
+	if m.registerLocked(r.Key(), w) {
 		m.engine.Enqueue(r)
 	}
+	m.mu.Unlock()
 	m.poke(wokeArrival)
 }
 
@@ -678,12 +668,18 @@ func (m *Middleware) notifyVictims(victims []int64) {
 	}
 	m.mu.Lock()
 	for _, ta := range victims {
+		told := false
 		for _, k := range m.byTA[ta] {
 			if w, ok := m.waiters[k]; ok {
 				m.answer(w, Result{Err: ErrTxnAborted})
 				delete(m.waiters, k)
+				told = true
 			}
 		}
+		if !told && !m.terminated.has(ta) {
+			m.untold[ta] = struct{}{}
+		}
+		m.terminated.add(ta)
 		m.dropTA(ta)
 		m.finishTA(ta, terminal{res: Result{Err: ErrTxnAborted}, op: request.Abort})
 	}

@@ -264,9 +264,7 @@ func (e *Engine) settleTerminations(res *RoundResult) (dup int) {
 				res.Stats.Cross++
 				delete(e.cross, k)
 			}
-			if r.IntraTA != victimIntra {
-				late = append(late, r)
-			}
+			late = append(late, r)
 		}
 	}
 	e.crossMu.Unlock()

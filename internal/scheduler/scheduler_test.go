@@ -289,10 +289,9 @@ func TestEngineWoundWaitClosedLoopSerializable(t *testing.T) {
 	if err := protocol.CheckSerializable(e.History().Log()); err != nil {
 		t.Fatal(err)
 	}
-	// No protocol.CheckTerminationOrder here yet: a client's next request
-	// that is still in the admission queue when its transaction is wounded
-	// executes after the abort (ROADMAP defect 5, its wound route), so the
-	// check fails in most runs until the front end refuses it.
+	if err := protocol.CheckTerminationOrder(e.History().Log()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEnginePassThroughForwardsEverything: the paper's non-scheduling

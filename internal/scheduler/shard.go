@@ -200,12 +200,8 @@ func (sh *shard) qualify() error {
 
 // rollback returns the objects of ta's locally executed writes, to be
 // compensated ahead of its abort record, carved from the plan's undo
-// buffer. A transaction that already terminated here has nothing left to
-// undo: its rows only await GC.
+// buffer.
 func (sh *shard) rollback(ta int64) []int64 {
-	if sh.hist.Finished(ta) {
-		return nil
-	}
 	n := len(sh.plan.undo)
 	sh.plan.undo = sh.hist.AppendWritesOf(sh.plan.undo, ta)
 	return sh.plan.undo[n:len(sh.plan.undo):len(sh.plan.undo)]

@@ -21,14 +21,6 @@ import (
 // by swapping); the execution-ordered view is Log.
 type History struct {
 	table
-	// slotFinished is each slot's finished flag, the per-row copy of
-	// finished.
-	slotFinished []bool
-
-	// finished is every transaction that ever terminated. It is read when a
-	// transaction gets a slot and written once per termination; the slot's
-	// flag answers the per-row checks.
-	finished map[int64]bool
 	// gcQueue lists transactions that terminated since the last GC, so a GC
 	// pass visits exactly the newly finished transactions instead of
 	// scanning every live one.
@@ -50,7 +42,7 @@ type History struct {
 // retained in an append-only log (used by tests to verify serializability;
 // the paper's scheduler would not keep it).
 func NewHistory(keepLog bool) *History {
-	return &History{table: newTable(), finished: make(map[int64]bool), keepLog: keepLog}
+	return &History{table: newTable(), keepLog: keepLog}
 }
 
 // Append records executed requests in execution order, logging them as
@@ -73,17 +65,8 @@ func (s *History) append(rs []request.Request, logged bool) {
 		sl, ok := s.slotOf[r.TA]
 		if !ok {
 			sl = s.newSlot(r.TA)
-			s.slotFinished = setSlot(s.slotFinished, sl, s.finished[r.TA])
 		}
 		if r.Op.IsTermination() {
-			if !s.slotFinished[sl] {
-				s.slotFinished[sl] = true
-				s.finished[r.TA] = true
-			}
-			s.gcQueue = append(s.gcQueue, r.TA)
-		} else if s.slotFinished[sl] {
-			// Out-of-order arrival for an already finished transaction:
-			// queue it so the next GC collects the late row.
 			s.gcQueue = append(s.gcQueue, r.TA)
 		}
 		s.add(r, sl)
@@ -98,13 +81,11 @@ func (s *History) append(rs []request.Request, logged bool) {
 // logging each as HistoryRemoved, and returns the removed rows. The execution
 // log is unaffected. The slot-migration path: the removals feed this shard's
 // protocol the exact remove-delta, and the caller appends the rows (via
-// AppendLiveOnly) on the destination shard. Rows of finished transactions
-// never match — their locks were already released here by the termination
-// row, the destination never saw that termination, and the local GC queue
-// still owns them — nor do termination rows themselves (they carry no
-// object and must stay where the transaction's finished mark lives).
+// AppendLiveOnly) on the destination shard. Termination rows never match
+// (they carry no object). Migration runs between rounds, after every
+// shard's GC, so no row of a terminated transaction is left to move.
 func (s *History) ExtractMatching(match func(obj int64) bool) []request.Request {
-	taken := s.matching(match, s.slotFinished)
+	taken := s.matching(match)
 	for _, r := range taken {
 		s.migrate(r)
 	}
@@ -120,9 +101,6 @@ func (s *History) Log() []request.Request { return s.log }
 // LogRounds returns the per-entry round stamps of the execution log,
 // parallel to Log.
 func (s *History) LogRounds() []int { return s.logRound }
-
-// Finished reports whether ta has terminated.
-func (s *History) Finished(ta int64) bool { return s.finished[ta] }
 
 // AppendWritesOf appends the objects of ta's executed writes to dst, one
 // entry per write (rollback compensates each executed write exactly once),
@@ -162,8 +140,9 @@ func (s *History) WriteCountOf(ta int64) int {
 // GC removes every request belonging to a finished transaction, logging each
 // as HistoryRemoved, and returns how many were removed. The execution log is
 // unaffected. A pass visits only the transactions that terminated since the
-// previous GC (rows of an already collected transaction that arrive
-// out-of-order re-queue it via Append's finished check).
+// previous GC. No row of a transaction arrives after its termination — the
+// front end refuses a terminated transaction's requests and the engine drops
+// a victim's queued ones — so a collected transaction stays collected.
 func (s *History) GC() int {
 	n := 0
 	for _, ta := range s.gcQueue {

@@ -3,8 +3,7 @@ package store
 // The map-based stores the slot tables replaced, kept (renamed) as the test
 // oracle of TestStoresMatchMapModel and FuzzStoreOps: a map per index — 16
 // key-hash maps, a per-TA key list and clock map and two delta-log maps for
-// pending; per-TA position lists, a finished set and two delta-log maps for
-// history. Both net a migration bounce within one window the same way.
+// pending; per-TA position lists and two delta-log maps for history. Both net a migration bounce within one window the same way.
 
 import (
 	"repro/internal/protocol"
@@ -296,8 +295,7 @@ type mapHistory struct {
 	// byTA maps each live transaction to the positions of its rows in live.
 	// GC and victim rollback both address the history by transaction; the
 	// index makes them proportional to the transaction, not the store.
-	byTA     map[int64][]int32
-	finished map[int64]bool
+	byTA map[int64][]int32
 	// gcQueue lists transactions that terminated since the last GC, so a GC
 	// pass visits exactly the newly finished transactions instead of
 	// scanning every live one.
@@ -338,7 +336,6 @@ type mapHistory struct {
 func newMapHistory(keepLog bool) *mapHistory {
 	return &mapHistory{
 		byTA:       make(map[int64][]int32),
-		finished:   make(map[int64]bool),
 		keepLog:    keepLog,
 		appendedAt: make(map[int64]int32),
 		removedAt:  make(map[int64]int32),
@@ -352,11 +349,6 @@ func (s *mapHistory) Append(rs ...request.Request) {
 		s.byTA[r.TA] = append(s.byTA[r.TA], int32(len(s.live)))
 		s.live = append(s.live, r)
 		if r.Op.IsTermination() {
-			s.finished[r.TA] = true
-			s.gcQueue = append(s.gcQueue, r.TA)
-		} else if s.finished[r.TA] {
-			// Out-of-order arrival for an already finished transaction:
-			// queue it so the next GC collects the late row.
 			s.gcQueue = append(s.gcQueue, r.TA)
 		}
 		if s.keepLog {
@@ -404,15 +396,12 @@ func (s *mapHistory) AppendLiveOnly(rs ...request.Request) {
 // logging each as HistoryRemoved, and returns the removed rows. The execution
 // log is unaffected. The slot-migration path: the removals feed this shard's
 // protocol the exact remove-delta, and the caller appends the rows (via
-// AppendLiveOnly) on the destination shard. Rows of finished transactions
-// never match — their locks were already released here by the termination
-// row, the destination never saw that termination, and the local GC queue
-// still owns them — nor do termination rows themselves (they carry no
-// object and must stay where the transaction's finished mark lives).
+// AppendLiveOnly) on the destination shard. Termination rows never match
+// (they carry no object).
 func (s *mapHistory) ExtractMatching(match func(obj int64) bool) []request.Request {
 	var taken []request.Request
 	for _, r := range s.live {
-		if r.Op.IsTermination() || s.finished[r.TA] || !match(r.Object) {
+		if r.Op.IsTermination() || !match(r.Object) {
 			continue
 		}
 		taken = append(taken, r)
@@ -469,9 +458,6 @@ func (s *mapHistory) LogRounds() []int { return s.logRound }
 // Len returns the live history size.
 func (s *mapHistory) Len() int { return len(s.live) }
 
-// Finished reports whether ta has terminated.
-func (s *mapHistory) Finished(ta int64) bool { return s.finished[ta] }
-
 // WritesOf returns the objects of ta's executed writes, one entry per write
 // (rollback compensates each executed write exactly once). O(|TA's rows|).
 func (s *mapHistory) WritesOf(ta int64) []int64 {
@@ -501,9 +487,7 @@ func (s *mapHistory) WriteCountOf(ta int64) int {
 // GC removes every request belonging to a finished transaction, logging each
 // as HistoryRemoved, and returns how many were removed. The execution log is
 // unaffected. A pass visits only the transactions that terminated since the
-// previous GC (rows of an already collected transaction that arrive
-// out-of-order re-queue it via Append's termination check — late rows carry
-// no termination, so Append re-queues on lookup instead).
+// previous GC.
 func (s *mapHistory) GC() int {
 	n := 0
 	for _, ta := range s.gcQueue {

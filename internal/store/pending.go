@@ -24,10 +24,9 @@
 // window is an O(1) fix-up. The table nets each window — a row added and
 // removed within it is absent, a row migrated out and back in is present — so
 // each window's two sides are disjoint (the protocol.Deltas contract). Freed
-// slots are reused. Each store keeps its per-transaction state in a slice
-// indexed by slot: the pending store's waiting-age clock, the bookkeeping
-// behind the scheduler's waiting-age starvation bound, and the history's
-// finished flag.
+// slots are reused. The pending store keeps its per-transaction state in a
+// slice indexed by slot: the waiting-age clock, the bookkeeping behind the
+// scheduler's waiting-age starvation bound.
 package store
 
 import (
@@ -117,7 +116,7 @@ func (p *Pending) RemoveTA(ta int64) int {
 // removals feed this shard's protocol the exact remove-delta, and the caller
 // re-admits the rows (with MergeClock) on the destination shard.
 func (p *Pending) ExtractMatching(match func(obj int64) bool, visit func(r request.Request, since int)) int {
-	taken := p.matching(match, nil)
+	taken := p.matching(match)
 	for _, r := range taken {
 		since := p.since[p.slotOf[r.TA]]
 		p.migrate(r)

@@ -19,9 +19,6 @@ func TestHistoryAppendAndGC(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len: %d", s.Len())
 	}
-	if !s.Finished(1) || s.Finished(2) {
-		t.Error("finished tracking wrong")
-	}
 	removed := s.GC()
 	if removed != 2 || s.Len() != 1 {
 		t.Fatalf("GC removed %d, left %d", removed, s.Len())
@@ -49,18 +46,6 @@ func TestHistoryGCIdempotent(t *testing.T) {
 	}
 	if s.Log() != nil {
 		t.Error("log kept despite keepLog=false")
-	}
-}
-
-func TestHistoryLateArrivalOfFinishedTA(t *testing.T) {
-	// A request of an already-finished TA (out-of-order arrival) is
-	// collected on the next GC.
-	s := NewHistory(false)
-	s.Append(request.Request{ID: 1, TA: 5, Op: request.Commit, Object: request.NoObject})
-	s.GC()
-	s.Append(request.Request{ID: 2, TA: 5, Op: request.Read, Object: 1})
-	if n := s.GC(); n != 1 {
-		t.Fatalf("late arrival not collected: %d", n)
 	}
 }
 

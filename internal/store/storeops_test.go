@@ -13,8 +13,9 @@ import (
 
 // The operation space of the differential store test: a handful of
 // transactions, request numbers and objects, so keys collide across time
-// (re-admission after removal, late history rows), transactions finish and
-// straggle, and object classes matter (migration extracts). Like the
+// (re-admission after removal, a transaction's rows after its collection),
+// transactions finish and straggle, and object classes matter (migration
+// extracts). Like the
 // scheduler, the generator never admits a key that is already pending.
 const (
 	opsTAs     = 6
@@ -159,7 +160,7 @@ func (g *storeOps) step() string {
 		g.p.ObserveRound(g.round, progressed)
 		g.mp.ObserveRound(g.round, progressed)
 		return "observe-round"
-	case 9, 10:
+	case 9, 10, 11:
 		r := g.request(g.key(), g.next(4) == 0)
 		if g.next(4) == 0 {
 			g.h.AppendLiveOnly(r)
@@ -169,20 +170,6 @@ func (g *storeOps) step() string {
 			g.mh.Append(r)
 		}
 		return "append"
-	case 11:
-		// A late row: a data request of a transaction that already finished.
-		first := g.next(opsTAs)
-		for i := range opsTAs {
-			ta := int64((first + i) % opsTAs)
-			if !g.mh.finished[ta] {
-				continue
-			}
-			r := g.request(request.Key{TA: ta, IntraTA: int64(g.next(opsIntras))}, false)
-			g.h.Append(r)
-			g.mh.Append(r)
-			return "append-late"
-		}
-		return "append-late (none finished)"
 	case 12:
 		if got, want := g.h.GC(), g.mh.GC(); got != want {
 			t.Fatalf("GC = %d, model %d", got, want)
@@ -239,9 +226,6 @@ func (g *storeOps) compare(at string) {
 		}
 	}
 	for ta := int64(0); ta < opsTAs; ta++ {
-		if got, want := g.h.Finished(ta), g.mh.Finished(ta); got != want {
-			t.Fatalf("%s: Finished(%d) = %v, model %v", at, ta, got, want)
-		}
 		got, want := g.h.AppendWritesOf(nil, ta), g.mh.WritesOf(ta)
 		slices.Sort(got)
 		slices.Sort(want)
@@ -263,7 +247,6 @@ func (g *storeOps) compare(at string) {
 	}
 	g.p.checkInvariants(t, at, "pending")
 	g.h.checkInvariants(t, at, "history")
-	g.h.checkFinished(t, at)
 }
 
 // sameRequests compares two request lists as multisets.
@@ -321,20 +304,6 @@ func (t *table) checkInvariants(tb testing.TB, at, name string) {
 	}
 }
 
-// checkFinished verifies the history's own per-slot state: one finished flag
-// per slot, each live slot's flag equal to the persistent set's.
-func (s *History) checkFinished(tb testing.TB, at string) {
-	tb.Helper()
-	if len(s.slotFinished) != len(s.slots) {
-		tb.Fatalf("%s: %d finished flags for %d history slots", at, len(s.slotFinished), len(s.slots))
-	}
-	for i, sl := range s.slots {
-		if len(sl.rows) > 0 && s.slotFinished[i] != s.finished[sl.ta] {
-			tb.Fatalf("%s: history slot %d (ta%d) finished flag stale", at, i, sl.ta)
-		}
-	}
-}
-
 func runStoreOps(t testing.TB, data []byte) {
 	g := &storeOps{t: t, data: data, p: NewPending(), mp: newMapPending(), h: NewHistory(true), mh: newMapHistory(true)}
 	g.run()
@@ -347,9 +316,9 @@ func runStoreOps(t testing.TB, data []byte) {
 // stores they replaced with the same random operations — admits of keys
 // not pending, Remove, Take and RemoveTA, migration extracts
 // bounced back in the same window, clock merges and observed rounds, history
-// appends of terminations, replicas and late rows, GC and delta-window
-// resets — and requires the same live rows, delta logs (as multisets),
-// finished marks, writes and waiting-age clocks after every step.
+// appends of terminations and replicas, GC and delta-window resets — and
+// requires the same live rows, delta logs (as multisets), writes and
+// waiting-age clocks after every step.
 func TestStoresMatchMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for run := 0; run < 200; run++ {

@@ -5,8 +5,8 @@ import "repro/internal/request"
 // table is the row structure under both stores: a dense swap-remove slice of
 // rows, a per-transaction slot table addressing them, and the change log of
 // the current delta window with its netting. The stores embed it and keep
-// their per-slot state (the pending store's waiting-age clock, the history's
-// finished flag) in slices indexed by slot beside it.
+// their per-slot state (the pending store's waiting-age clock) in slices
+// indexed by slot beside it.
 type table struct {
 	// rows is the dense backing slice: removal swaps the last element into
 	// the hole, so adding and removing are O(1) and the slice is always a
@@ -191,12 +191,11 @@ func (t *table) removeSlot(s int32) int {
 }
 
 // matching returns the rows whose object satisfies match: the rows a
-// migration moves. Terminations never match (they carry no object), nor do
-// the rows of a slot marked in pinned (nil marks none).
-func (t *table) matching(match func(obj int64) bool, pinned []bool) []request.Request {
+// migration moves. Terminations never match (they carry no object).
+func (t *table) matching(match func(obj int64) bool) []request.Request {
 	var taken []request.Request
-	for i, r := range t.rows {
-		if r.Op.IsTermination() || (pinned != nil && pinned[t.rowSlot[i]]) || !match(r.Object) {
+	for _, r := range t.rows {
+		if r.Op.IsTermination() || !match(r.Object) {
 			continue
 		}
 		taken = append(taken, r)
