@@ -65,10 +65,25 @@ import (
 //     history or its write filter, and the anti-joins probe its pairs).
 //     The rule runs after rule 7, to a fixpoint, so a chain of anti-joins
 //     rises one link at a time.
+//  9. A semi-join L ⋉_K E without a residual, where E (through renames and
+//     CTE scans) is π(T) EXCEPT B, becomes σ_{k IS NOT NULL, …}(L ▷_K B),
+//     one IS NOT NULL per left key column, when L and π(T) are each the rows
+//     of one base table narrowed to columns (through renames, CTE scans and
+//     projections onto columns; no filter), the same table; every key pairs
+//     L's column with the very table column π picked for its E column; the
+//     keys cover every E column; and B's columns have E's kinds, so the
+//     anti-join's = compares what EXCEPT's row equality compared. An L row
+//     whose key columns are all non-NULL then names a row of π(T), which is
+//     in E exactly when it is not in B; an L row with a NULL key matches
+//     nothing in the semi-join, and the filter drops it. The rewrite is exact
+//     under bags (the L row keeps its count either way) and three-valued
+//     logic. Listing 1's last step, requests ⋉ (π_{ta,intrata} requests
+//     EXCEPT blocked), becomes one anti-join of requests against the blocked
+//     arms: the projection, the EXCEPT and their bags go.
 //
-// Rules 2-4 and 6 rewrite nodes in place, so the CTE slots and the root keep
-// their pointers; rules 7 and 8 rewire a join, and rule 8 turns it into the
-// lifted semi-/anti-join in place. The node list is then rebuilt from the
+// Rules 2-4, 6 and 9 rewrite nodes in place, so the CTE slots and the root
+// keep their pointers; rules 7 and 8 rewire a join, and rule 8 turns it into
+// the lifted semi-/anti-join in place. The node list is then rebuilt from the
 // root, without the nodes nothing reads any more — a CTE body among them.
 func (p *Plan) rewrite() {
 	consumers := p.readers()
@@ -119,6 +134,8 @@ func (p *Plan) rewrite() {
 	for p.liftSemiJoin() {
 		p.renumber()
 	}
+	p.exceptsToAntiJoins()
+	p.renumber()
 }
 
 // readers lists, by node id, the nodes that read each node: its parents,
@@ -341,6 +358,82 @@ func (p *Plan) lift(a, first, j *planNode, right bool) {
 		})
 	}
 	*j = planNode{op: opSemi, id: j.id, schema: j.schema, l: inner, r: a.r, keys: keys, pred: pred, anti: a.anti}
+}
+
+// exceptsToAntiJoins applies rule 9.
+func (p *Plan) exceptsToAntiJoins() {
+	for _, n := range p.nodes {
+		if n.op != opSemi || n.anti || n.pred != nil {
+			continue
+		}
+		e := n.r
+		for e.op == opRename || e.op == opScan && e.cte >= 0 {
+			if e.op == opScan {
+				e = p.ctes[e.cte]
+			} else {
+				e = e.l
+			}
+		}
+		if e.op != opExcept {
+			continue
+		}
+		lScan, lCols := p.tableColumns(n.l)
+		tScan, tCols := p.tableColumns(e.l)
+		if lScan == nil || tScan == nil || lScan.table != tScan.table {
+			continue
+		}
+		covered := make([]bool, len(tCols))
+		fits := true
+		for _, k := range n.keys {
+			fits = fits && lCols[k.L] == tCols[k.R]
+			covered[k.R] = true
+		}
+		for j, c := range covered {
+			fits = fits && c && e.r.schema.Col(j).Kind == e.schema.Col(j).Kind
+		}
+		if !fits {
+			continue
+		}
+		var preds []ra.Expr
+		for i, k := range n.keys {
+			if !slices.ContainsFunc(n.keys[:i], func(o ra.EquiKey) bool { return o.L == k.L }) {
+				col := ra.Col{Pos: k.L, Name: n.l.schema.Col(k.L).Name}
+				preds = append(preds, ra.IsNull{E: col, Negate: true})
+			}
+		}
+		anti := &planNode{op: opSemi, id: -1, schema: n.schema, l: n.l, r: e.r, keys: n.keys, anti: true}
+		*n = planNode{op: opSelect, id: n.id, schema: n.schema, l: anti, preds: preds}
+	}
+}
+
+// tableColumns: n's rows are a base table's rows narrowed to columns, seen
+// through renames, CTE scans and projections onto columns. It returns the
+// table's scan and, for each column of n, the table column it holds; nil
+// when n is anything else (a filter, a join, ...).
+func (p *Plan) tableColumns(n *planNode) (*planNode, []int) {
+	switch {
+	case n.op == opScan && n.cte < 0:
+		cols := make([]int, n.schema.Len())
+		for i := range cols {
+			cols[i] = i
+		}
+		return n, cols
+	case n.op == opScan:
+		return p.tableColumns(p.ctes[n.cte])
+	case n.op == opRename:
+		return p.tableColumns(n.l)
+	case n.op == opProject && columnsOnly(n):
+		scan, inner := p.tableColumns(n.l)
+		if scan == nil {
+			return nil, nil
+		}
+		cols := make([]int, len(n.items))
+		for i, it := range n.items {
+			cols[i] = inner[it.E.(ra.Col).Pos]
+		}
+		return scan, cols
+	}
+	return nil, nil
 }
 
 // isNullOnRightKey: s's one predicate is `col IS NULL` on a right column of

@@ -25,7 +25,7 @@ type rewriteCase struct {
 }
 
 var rewriteShapes = []func(*rand.Rand) rewriteCase{
-	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter, rwSetRead, rwFold, rwLift,
+	rwResidual, rwSemiJoin, rwAntiJoin, rwIdentity, rwSharedFilter, rwSetRead, rwFold, rwLift, rwExceptAnti,
 }
 
 // sqlEq is an equi-join key match: NULL matches nothing.
@@ -719,6 +719,102 @@ func rwLift(rng *rand.Rand) rewriteCase {
 	}
 }
 
+// rwExceptAnti: t3 x semi-joined, as a comma join, a JOIN or an EXISTS,
+// with e = π(t3 z) EXCEPT B — π picks two of z's columns in a random order,
+// B is t2's filtered (a, b) — inline or as a CTE, on keys that pair each of
+// x's columns with the e column π picked from it (rule 9; Listing 1's last
+// step). t3's NULLs reach the keys whenever π picks b or c. Near misses: π
+// over a filter of t3, x from another table, crossed keys, a residual, B
+// with a column of another kind, and keys that miss an e column.
+func rwExceptAnti(rng *rand.Rand) rewriteCase {
+	cols := []string{"a", "b", "c"}
+	kind := rng.Intn(8) // 0-1 rewritten; 2 filter, 3 table, 4 crossed, 5 residual, 6 kind, 7 partial
+	p := rng.Perm(3)[:2]
+	k, k2 := int64(rng.Intn(8)), int64(rng.Intn(8))
+	left, where, bItem := "t3", "", "w.b"
+	switch kind {
+	case 2:
+		where = fmt.Sprintf(" WHERE z.c >= %d", k2)
+	case 3:
+		left = "t1"
+	case 6:
+		bItem = "'x'"
+	}
+	e := fmt.Sprintf("(SELECT z.%s, z.%s FROM t3 z%s) EXCEPT (SELECT w.a, %s FROM t2 w WHERE w.c < %d)",
+		cols[p[0]], cols[p[1]], where, bItem, k)
+	// keys pairs x's columns with e's: x.pairs[i][0] = y.(e column pairs[i][1]).
+	pairs := [][2]int{{p[0], 0}, {p[1], 1}}
+	switch kind {
+	case 4:
+		pairs = [][2]int{{p[1], 0}, {p[0], 1}}
+	case 7:
+		pairs = pairs[:1]
+	}
+	var conds []string
+	for _, kp := range pairs {
+		conds = append(conds, fmt.Sprintf("x.%s = y.%s", cols[kp[0]], cols[p[kp[1]]]))
+	}
+	if kind == 5 {
+		conds = append(conds, "x.c > y."+cols[p[0]])
+	}
+	rng.Shuffle(len(conds), func(i, j int) { conds[i], conds[j] = conds[j], conds[i] })
+	with, right := "", "("+e+") y"
+	if rng.Intn(2) == 0 {
+		with, right = "WITH e AS ("+e+") ", "e y"
+	}
+	on := strings.Join(conds, " AND ")
+	var src string
+	switch form := rng.Intn(3); {
+	case form == 0 && kind != 7: // a comma join that misses a key is no semi-join
+		src = with + "SELECT x.a, x.b, x.c FROM " + left + " x, " + right + " WHERE " + on
+	case form == 1 && kind != 7:
+		src = with + "SELECT x.a, x.b, x.c FROM " + left + " x JOIN " + right + " ON " + on
+	default:
+		src = with + "SELECT x.a, x.b, x.c FROM " + left + " x WHERE EXISTS (SELECT * FROM " + right + " WHERE " + on + ")"
+	}
+	return rewriteCase{
+		shape:     "except anti-join",
+		src:       src,
+		rewritten: kind < 2,
+		// No near miss has a NOT EXISTS, so an anti-join is rule 9's.
+		applied: func(p *Plan) bool {
+			return hasNode(p, func(n *planNode) bool { return n.op == opSemi && n.anti }) &&
+				!hasNode(p, func(n *planNode) bool { return n.op == opExcept || n.op == opSemi && !n.anti })
+		},
+		want: func(db map[string][]relation.Tuple) (out []relation.Tuple) {
+			var picked, minus []relation.Tuple
+			for _, z := range db["t3"] {
+				if kind != 2 || cmpTV(z[2], ">=", relation.Int(k2)) == tvTrue {
+					picked = append(picked, relation.Tuple{z[p[0]], z[p[1]]})
+				}
+			}
+			for _, w := range db["t2"] {
+				if cmpTV(w[2], "<", relation.Int(k)) == tvTrue {
+					b := w[1]
+					if kind == 6 {
+						b = relation.String("x")
+					}
+					minus = append(minus, relation.Tuple{w[0], b})
+				}
+			}
+			es := setOf(picked, minus)
+			for _, x := range db[left] {
+				if slices.ContainsFunc(es, func(y relation.Tuple) bool {
+					for _, kp := range pairs {
+						if !sqlEq(x[kp[0]], y[kp[1]]) {
+							return false
+						}
+					}
+					return kind != 5 || cmpTV(x[2], ">", y[0]) == tvTrue
+				}) {
+					out = append(out, x)
+				}
+			}
+			return out
+		},
+	}
+}
+
 // runRewriteSeed draws tables and one rewrite case, checks that the plan
 // shows the rewrite exactly when its preconditions hold, and compares the
 // executor (a fresh build, Run), the interpreter and the IVM — across random
@@ -800,7 +896,7 @@ func TestPlanRewritesMatchBruteForce(t *testing.T) {
 		}
 		seen[c.shape] = n
 	}
-	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter", "set-read distinct", "fold projection", "lift anti-join"} {
+	for _, shape := range []string{"residual", "semi-join", "anti-join", "rename", "shared filter", "set-read distinct", "fold projection", "lift anti-join", "except anti-join"} {
 		if n := seen[shape]; n[1] == 0 || shape != "residual" && n[0] == 0 {
 			t.Errorf("%s: %d rewritten and %d near misses generated", shape, n[1], n[0])
 		}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -567,15 +568,24 @@ func TestDetectorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// decodeInstance turns fuzz bytes into a pending batch and a history: each
-// three bytes are one request — the first picks the side (high bit) and the
-// transaction (1..16), the second the operation, the third the object (0..15).
+// decodeInstance turns fuzz bytes into a pending batch and a history. The
+// first byte picks how transaction numbers (low nibble) and object numbers
+// (high nibble) are spread over int64 (spreadID); then each three bytes are
+// one request — the first picks the side (high bit) and the transaction
+// (0..15), the second the operation, the third the object (0..15). So an
+// instance keeps few transactions and objects, and its conflicts dense,
+// whatever numbers they carry.
 func decodeInstance(data []byte) (pending, history []request.Request) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	spread, data := data[0], data[1:]
 	ops := []request.Op{request.Read, request.Write, request.Commit, request.Abort}
 	intra := make(map[int64]int64)
 	for i := 0; i+2 < len(data); i += 3 {
-		ta := 1 + int64(data[i]&15)
-		r := request.Request{ID: int64(i/3 + 1), TA: ta, IntraTA: intra[ta], Op: ops[data[i+1]%4], Object: int64(data[i+2] % 16)}
+		ta := spreadID(spread&15, int64(data[i]&15))
+		obj := spreadID(spread>>4, int64(data[i+2]%16))
+		r := request.Request{ID: int64(i/3 + 1), TA: ta, IntraTA: intra[ta], Op: ops[data[i+1]%4], Object: obj}
 		intra[ta]++
 		if r.Op.IsTermination() {
 			r.Object = request.NoObject
@@ -589,24 +599,97 @@ func decodeInstance(data []byte) (pending, history []request.Request) {
 	return pending, history
 }
 
+// spreadID maps a small number i (0..15) to an id of the given kind: dense
+// (1..16), strided by 4,096 (sparse, equal low bits), large (just below
+// MaxInt64, 2^32 apart), negative (-1, NoObject, down), or both signs 2^40
+// apart. The detector's tables must probe past collisions and grow whatever
+// the ids are.
+func spreadID(kind byte, i int64) int64 {
+	switch kind % 5 {
+	case 1:
+		return i << 12
+	case 2:
+		return math.MaxInt64 - i<<32
+	case 3:
+		return -1 - i
+	case 4:
+		if i%2 == 1 {
+			return -i << 40
+		}
+		return i << 40
+	}
+	return 1 + i
+}
+
 // FuzzDeadlockVictims checks the dense detector against the map-based
-// reference on byte-coded instances.
+// reference on byte-coded instances, with a fresh detector and with one that
+// searched the instance's first half before, so its tables and buffers are
+// cleared and refilled, not new.
 func FuzzDeadlockVictims(f *testing.F) {
 	f.Add([]byte{})
-	// A two-cycle: ta1 and ta2 each hold a write lock the other wants.
-	f.Add([]byte{0x00, 1, 1, 0x01, 1, 2, 0x80, 1, 2, 0x81, 1, 1})
-	// A three-cycle beside an intra-batch wait and a finished holder.
-	f.Add([]byte{0x00, 1, 1, 0x01, 1, 2, 0x02, 1, 3, 0x80, 1, 2, 0x81, 1, 3, 0x82, 1, 1, 0x83, 1, 1, 0x04, 0, 4, 0x04, 2, 0, 0x85, 1, 4})
+	for kind := byte(0); kind < 5; kind++ {
+		spread := kind | kind<<4
+		// A two-cycle: ta1 and ta2 each hold a write lock the other wants.
+		f.Add([]byte{spread, 0x00, 1, 1, 0x01, 1, 2, 0x80, 1, 2, 0x81, 1, 1})
+		// A three-cycle beside an intra-batch wait and a finished holder.
+		f.Add([]byte{spread, 0x00, 1, 1, 0x01, 1, 2, 0x02, 1, 3, 0x80, 1, 2, 0x81, 1, 3, 0x82, 1, 1, 0x83, 1, 1, 0x04, 0, 4, 0x04, 2, 0, 0x85, 1, 4})
+	}
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 4; i++ {
-		seed := make([]byte, 3*(10+rng.Intn(40)))
+	for i := 0; i < 10; i++ {
+		// Up to 200 requests from 16 transactions: tables of 16 to 512
+		// slots, and a finished table that grows past its first 16.
+		seed := make([]byte, 1+3*(10+rng.Intn(190)))
 		rng.Read(seed)
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pending, history := decodeInstance(data)
 		checkVictimsMatchReference(t, pending, history)
+		var reused Detector
+		reused.Victims(pending[:len(pending)/2], history[:len(history)/2])
+		if got, want := reused.Victims(pending, history), deadlockVictimsReference(pending, history); !slices.Equal(got, want) {
+			t.Fatalf("reused detector: victims %v, reference %v\npending: %v\nhistory: %v", got, want, pending, history)
+		}
 	})
+}
+
+// TestDetectorReuseAllocatesNothing: the engine keeps one Detector and
+// searches on most paper-mix rounds, so after its first call on a
+// paper-mix-sized round — 200 pending requests against 5,000 history rows,
+// terminations among them — a reused detector allocates nothing per call,
+// also when a small round comes between (its tables are cleared by the
+// slots they used, not reallocated). The round has no cycle, as most
+// paper-mix searches have none; a victim list is the caller's and is the
+// one allocation a search with victims makes.
+func TestDetectorReuseAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pending, history := lockInstance(rng, 200, 5000, 300, 20_000)
+	// ta3 and ta4 wait for ta1's write lock (ta2 committed), ta4 also for ta3.
+	smallHistory := []request.Request{
+		{ID: 1, TA: 1, Op: request.Write, Object: 1},
+		{ID: 2, TA: 2, Op: request.Read, Object: 1},
+		{ID: 3, TA: 2, IntraTA: 1, Op: request.Commit, Object: request.NoObject},
+	}
+	small := []request.Request{
+		{ID: 4, TA: 3, Op: request.Read, Object: 1},
+		{ID: 5, TA: 4, Op: request.Write, Object: 1},
+	}
+	var d Detector
+	if v := d.Victims(pending, history); len(v) > 0 {
+		t.Fatalf("the paper-mix-sized round has victims %v; it should have none", v)
+	}
+	if v := d.Victims(small, smallHistory); len(v) > 0 {
+		t.Fatalf("the small round has victims %v; it should have none", v)
+	}
+	if len(d.g.nodes) == 0 {
+		t.Fatal("the small round has no waits-for edge")
+	}
+	if n := testing.AllocsPerRun(20, func() { d.Victims(pending, history) }); n != 0 {
+		t.Errorf("a reused detector allocates %.0f times per paper-mix-sized call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { d.Victims(small, smallHistory); d.Victims(pending, history) }); n != 0 {
+		t.Errorf("a reused detector allocates %.0f times per pair of a small and a paper-mix-sized call, want 0", n)
+	}
 }
 
 // TestWaitsForAllocatesForContentionNotHistory: on a paper-mix-sized round —

@@ -137,8 +137,10 @@ func listingOnePlan(t *testing.T) *minisql.Plan {
 // Listing 1, read off the plan rendering (a node's first child is the next
 // line, one level deeper): WLockedObjects' LEFT JOIN ... IS NULL is an
 // anti-join, no filter sits directly above a join (the cross-side conditions
-// of the comma joins are join residuals), the final join against the
-// duplicate-free QualifiedSS2PLOps is a semi-join, the write filter over
+// of the comma joins are join residuals), the final join against
+// QualifiedSS2PLOps — a semi-join against the duplicate-free EXCEPT (rule 2)
+// — is one anti-join of the requests against the blocked arms (rule 9), so
+// no EXCEPT and no semi-join is left in the plan, the write filter over
 // history is one node shared by both lock views, and each lock view's join
 // reads the requests and the history rows themselves — the history scan or
 // its write filter — with the lock view's anti-joins lifted above it (rule
@@ -153,11 +155,16 @@ func TestListingOnePlanIsRewritten(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 	op := func(l string) string { return strings.TrimLeft(l, " ") }
 	depth := func(l string) int { return (len(l) - len(op(l))) / 2 }
-	inRoot, rootSemi := false, false
+	inRoot, rootAnti := false, false
 	writeFilters := map[string]int{} // filter line -> times printed over scan history
 	for i, l := range lines {
 		inRoot = inRoot || depth(l) == 0 && !strings.HasPrefix(l, "with ")
-		rootSemi = rootSemi || inRoot && strings.HasPrefix(op(l), "semi-join ")
+		if op(l) == "except" || strings.HasPrefix(op(l), "semi-join ") {
+			t.Errorf("%q survived:\n%s", op(l), text)
+		}
+		// The root's anti-join reads the requests as its left input.
+		rootAnti = rootAnti || inRoot && strings.HasPrefix(op(l), "anti-join ") && i+2 < len(lines) &&
+			op(lines[i+1]) == "rename r2" && op(lines[i+2]) == "scan requests"
 		if i+1 == len(lines) || depth(lines[i+1]) != depth(l)+1 || !strings.HasPrefix(op(l), "select ") {
 			continue
 		}
@@ -168,8 +175,8 @@ func TestListingOnePlanIsRewritten(t *testing.T) {
 			writeFilters[op(l)]++
 		}
 	}
-	if !rootSemi {
-		t.Errorf("no semi-join under the root:\n%s", text)
+	if !rootAnti {
+		t.Errorf("no anti-join of the requests under the root:\n%s", text)
 	}
 	if len(writeFilters) != 1 {
 		t.Fatalf("%d distinct write filters over history, want one:\n%s", len(writeFilters), text)

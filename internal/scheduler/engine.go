@@ -525,7 +525,8 @@ func (e *Engine) resolve() ([]int64, string) {
 	// Deadlock resolution: a non-empty pending store with an empty qualified
 	// set means the protocol is blocked; abort the youngest member of each
 	// waits-for cycle, exactly like the native scheduler's victim policy.
-	if qualified == 0 && pending > 0 {
+	blocked := qualified == 0 && pending > 0
+	if blocked {
 		if victims := e.detector.Victims(e.relations()); len(victims) > 0 {
 			return victims, metrics.VictimCycle
 		}
@@ -534,11 +535,14 @@ func (e *Engine) resolve() ([]int64, string) {
 	// without progress while the batch kept moving, the nothing-qualified
 	// policy above would never fire. Prefer precise cycle victims (an
 	// undetected deadlock among a subset of the batch); abort the oldest
-	// waiter itself only when no cycle explains the wait.
+	// waiter itself only when no cycle explains the wait — which a blocked
+	// round's search above already showed, on the same graph.
 	if e.starveAfter > 0 {
 		if ta, since, ok := e.oldestBlocked(); ok && e.rounds-since >= e.starveAfter {
-			if victims := e.detector.Victims(e.relations()); len(victims) > 0 {
-				return victims, metrics.VictimStarvedCycle
+			if !blocked {
+				if victims := e.detector.Victims(e.relations()); len(victims) > 0 {
+					return victims, metrics.VictimStarvedCycle
+				}
 			}
 			return []int64{ta}, metrics.VictimStarvedOldest
 		}

@@ -12,9 +12,41 @@ import (
 )
 
 // ErrTxnAborted is delivered to clients whose transaction was aborted as a
-// deadlock or starvation victim; the client must restart the transaction
-// under a new TA.
-var ErrTxnAborted = errors.New("scheduler: transaction aborted as deadlock victim")
+// victim; the client must restart the transaction under a new TA. A victim
+// hears one of the errors below, which names why it was chosen and matches
+// ErrTxnAborted under errors.Is.
+var ErrTxnAborted = errors.New("scheduler: transaction aborted")
+
+// The victims' errors, one per abort cause (metrics.Victim*). They are
+// values, so an abort allocates no error.
+var (
+	// ErrWounded: an older transaction wounded it (wound-wait).
+	ErrWounded = fmt.Errorf("%w: wounded by an older transaction", ErrTxnAborted)
+	// ErrDeadlockVictim: the youngest member of a waits-for cycle in a
+	// round where nothing qualified.
+	ErrDeadlockVictim = fmt.Errorf("%w: deadlock victim", ErrTxnAborted)
+	// ErrStarvedCycle: the youngest member of a waits-for cycle found when
+	// the oldest waiter passed the starvation bound.
+	ErrStarvedCycle = fmt.Errorf("%w: deadlock victim behind a starving waiter", ErrTxnAborted)
+	// ErrStarved: the oldest waiter itself, past the starvation bound with
+	// no cycle to explain its wait.
+	ErrStarved = fmt.Errorf("%w: waited past the starvation bound", ErrTxnAborted)
+)
+
+// victimErr is the error a victim of a round aborted for cause hears.
+func victimErr(cause string) error {
+	switch cause {
+	case metrics.VictimWound:
+		return ErrWounded
+	case metrics.VictimCycle:
+		return ErrDeadlockVictim
+	case metrics.VictimStarvedCycle:
+		return ErrStarvedCycle
+	case metrics.VictimStarvedOldest:
+		return ErrStarved
+	}
+	return ErrTxnAborted
+}
 
 // ErrStopped is delivered when the middleware shuts down with requests in
 // flight.
@@ -157,9 +189,10 @@ type Middleware struct {
 	closed bool
 	// terminated is every transaction whose termination was registered or
 	// that was notified as a victim. untold holds the victims that had no
-	// request in flight then: the next request of each hears of the abort.
+	// request in flight then, with their error: the next request of each
+	// hears of the abort.
 	terminated terminatedSet
-	untold     map[int64]struct{}
+	untold     map[int64]error
 	// done caches executed results of live transactions and finished their
 	// terminal outcomes (bounded FIFO), so a reconnecting client's resubmit
 	// is answered from the record instead of executing twice. Maintained
@@ -224,7 +257,7 @@ func NewMiddleware(engine *Engine, trigger Trigger, collector *metrics.Collector
 		},
 		waiters: make(map[request.Key]waiter),
 		byTA:    make(map[int64][]request.Key),
-		untold:  make(map[int64]struct{}),
+		untold:  make(map[int64]error),
 		notify:  make(chan struct{}, 1),
 		napWake: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -443,9 +476,9 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		m.answerUnregistered(w, Result{Err: ErrStopped})
 		return false
 	}
-	if _, ok := m.untold[k.TA]; ok {
+	if err, ok := m.untold[k.TA]; ok {
 		delete(m.untold, k.TA)
-		m.answerUnregistered(w, Result{Err: ErrTxnAborted})
+		m.answerUnregistered(w, Result{Err: err})
 		return false
 	}
 	if t, ok := m.finished[k.TA]; ok {
@@ -661,27 +694,29 @@ func (m *Middleware) releaseKeys(keys []request.Key) {
 
 // notifyVictims unblocks the clients of aborted transactions — under
 // deferred execution this happens at scheduling time, before the server has
-// even seen the round's batch.
-func (m *Middleware) notifyVictims(victims []int64) {
+// even seen the round's batch. cause is the round's (RoundStats.Cause), and
+// picks the error they hear.
+func (m *Middleware) notifyVictims(victims []int64, cause string) {
 	if len(victims) == 0 {
 		return
 	}
+	err := victimErr(cause)
 	m.mu.Lock()
 	for _, ta := range victims {
 		told := false
 		for _, k := range m.byTA[ta] {
 			if w, ok := m.waiters[k]; ok {
-				m.answer(w, Result{Err: ErrTxnAborted})
+				m.answer(w, Result{Err: err})
 				delete(m.waiters, k)
 				told = true
 			}
 		}
 		if !told && !m.terminated.has(ta) {
-			m.untold[ta] = struct{}{}
+			m.untold[ta] = err
 		}
 		m.terminated.add(ta)
 		m.dropTA(ta)
-		m.finishTA(ta, terminal{res: Result{Err: ErrTxnAborted}, op: request.Abort})
+		m.finishTA(ta, terminal{res: Result{Err: err}, op: request.Abort})
 	}
 	m.mu.Unlock()
 }
@@ -851,7 +886,7 @@ func (m *Middleware) runRound(why string) {
 		// the two modes' Exec histograms stay comparable.
 		m.deliver(Completion{Round: e.Rounds(), Executed: res.Executed, Exec: res.Stats.Exec})
 	}
-	m.notifyVictims(res.Victims)
+	m.notifyVictims(res.Victims, res.Stats.Cause)
 }
 
 // shutdown ends the loop: drain what makes progress, let the executors

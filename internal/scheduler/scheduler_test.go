@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -212,6 +213,31 @@ func TestRoundStatsRecordVictimCause(t *testing.T) {
 			}
 			t.Fatal("no victim in 20 rounds")
 		})
+	}
+}
+
+// TestVictimErrorsNameTheirCause: a victim hears the error of its round's
+// cause, one per metrics.Victim* cause, each an ErrTxnAborted under
+// errors.Is and each a value, so telling a victim allocates nothing.
+func TestVictimErrorsNameTheirCause(t *testing.T) {
+	seen := map[error]string{}
+	for cause, want := range map[string]error{
+		metrics.VictimWound:         ErrWounded,
+		metrics.VictimCycle:         ErrDeadlockVictim,
+		metrics.VictimStarvedCycle:  ErrStarvedCycle,
+		metrics.VictimStarvedOldest: ErrStarved,
+	} {
+		err := victimErr(cause)
+		if err != want || !errors.Is(err, ErrTxnAborted) {
+			t.Errorf("cause %q: victims hear %v, want %v, an ErrTxnAborted", cause, err, want)
+		}
+		if other, ok := seen[err]; ok {
+			t.Errorf("causes %q and %q share the error %v", cause, other, err)
+		}
+		seen[err] = cause
+		if n := testing.AllocsPerRun(10, func() { _ = victimErr(cause) }); n != 0 {
+			t.Errorf("cause %q: picking the error allocates %.0f times", cause, n)
+		}
 	}
 }
 
@@ -466,13 +492,17 @@ func TestRecycledReplyChannelsNeverCross(t *testing.T) {
 	}
 	// check vets a Result for r and reports whether the client goes on.
 	check := func(r request.Request, res Result) bool {
+		err := res.Err
+		if errors.Is(err, ErrTxnAborted) {
+			err = ErrTxnAborted // every victim's error, whatever its cause
+		}
 		mu.Lock()
-		causes[res.Err]++
+		causes[err]++
 		mu.Unlock()
 		switch {
-		case res.Err == ErrStopped:
+		case err == ErrStopped:
 			return false
-		case res.Err != nil && res.Err != ErrTxnAborted && res.Err != errSuperseded && res.Err != ErrDuplicateKey:
+		case err != nil && err != ErrTxnAborted && err != errSuperseded && err != ErrDuplicateKey:
 			report("%v: unexpected error %v", r, res.Err)
 			return false
 		case res.Err == nil && r.Op == request.Commit && res.Value != 0:

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func TestConcurrentSubmitDuringSQLRounds(t *testing.T) {
 				aborted := false
 				for _, r := range tx.Requests {
 					res := mw.Submit(r)
-					if res.Err == ErrTxnAborted {
+					if errors.Is(res.Err, ErrTxnAborted) {
 						aborted = true
 						break // victim: the client would restart; dropping is fine here
 					}

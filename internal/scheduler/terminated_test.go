@@ -331,11 +331,11 @@ func (p *hookedProtocol) QualifyIncremental(pending, history []request.Request, 
 // client sends its transaction's next request, one at a time after the
 // previous answer, while the round that wounds the transaction runs. The
 // request is registered and queued before the front end hears of the
-// wound; it must be answered ErrTxnAborted and never execute — neither a
-// write, nor a commit or an abort after the victim's abort. In the "idle"
-// case the client sends nothing until the read that wounds it is answered:
-// its next request hears of the abort, and every later one is refused as
-// finished.
+// wound; it must be answered ErrWounded (an ErrTxnAborted) and never
+// execute — neither a write, nor a commit or an abort after the victim's
+// abort. In the "idle" case the client sends nothing until the read that
+// wounds it is answered: its next request hears of the abort, and every
+// later one is refused as finished.
 func TestWoundedTxnsQueuedRequestIsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -376,8 +376,8 @@ func TestWoundedTxnsQueuedRequestIsRefused(t *testing.T) {
 			if !tc.hooked {
 				sendNext()
 			}
-			if res := awaitReply(t, "ta5's next request", queued); !errors.Is(res.Err, ErrTxnAborted) {
-				t.Fatalf("ta5's %v after its wound = %+v, want ErrTxnAborted", tc.next, res)
+			if res := awaitReply(t, "ta5's next request", queued); !errors.Is(res.Err, ErrWounded) {
+				t.Fatalf("ta5's %v after its wound = %+v, want ErrWounded", tc.next, res)
 			}
 			if !tc.hooked {
 				if res := submitWithin(t, mw, term(5, 2, request.Commit)); !errors.Is(res.Err, ErrTxnFinished) {
